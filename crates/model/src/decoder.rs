@@ -20,7 +20,7 @@
 use crate::error::ModelError;
 use crate::pattern::LayerPattern;
 use gpa_core::batch::AttentionRequest;
-use gpa_core::pages::{PagePool, SeqId, SwapArena, SwapTicket};
+use gpa_core::pages::{PagePool, SeqId};
 use gpa_core::{AttentionEngine, AttentionPlan, KvCache, MultiHeadAttention, ProjectedHeads};
 use gpa_tensor::{Matrix, Real};
 
@@ -487,42 +487,6 @@ impl ModelKvState {
         self.seqs.into_iter().map(|id| pool.release(id)).collect()
     }
 
-    /// Park the whole stack in a [`SwapArena`]: release every layer's
-    /// pages to the pool and move the caches — K/V rows, f16 payloads,
-    /// routing state — into the arena as one entry. `O(1)` in context
-    /// length; the evict-and-swap half of preemption.
-    ///
-    /// The pages are returned to the pool unconditionally. When the arena
-    /// refuses the stack (byte cap), the caches come back untouched in
-    /// layer order and the caller keeps them inline or drops them
-    /// (evict-and-recompute).
-    pub fn swap_out<T: Real>(
-        self,
-        pool: &mut PagePool<T>,
-        arena: &mut SwapArena<T>,
-    ) -> Result<SwapTicket, Vec<KvCache<T>>> {
-        arena.try_park(self.release(pool))
-    }
-
-    /// Resume a parked stack: take it from the arena and re-adopt every
-    /// layer's pages atomically. When the pool cannot cover the whole
-    /// stack, nothing is adopted and the stack is **re-parked** — the
-    /// returned ticket replaces the spent one, and the sequence simply
-    /// stays parked. (Re-parking cannot fail: the stack's bytes were just
-    /// freed by the take.)
-    pub fn swap_in<T: Real>(
-        ticket: SwapTicket,
-        arena: &mut SwapArena<T>,
-        pool: &mut PagePool<T>,
-    ) -> Result<Self, SwapTicket> {
-        match Self::adopt(arena.take(ticket), pool) {
-            Ok(state) => Ok(state),
-            Err(caches) => Err(arena
-                .try_park(caches)
-                .unwrap_or_else(|_| panic!("re-park into just-freed arena bytes"))),
-        }
-    }
-
     /// Truncate every layer back to `tokens` cached tokens, returning
     /// excess pages to the pool — the transactional rollback path.
     pub fn truncate<T: Real>(&self, pool: &mut PagePool<T>, tokens: usize) {
@@ -877,21 +841,33 @@ mod tests {
         assert_eq!(caches.len(), 2);
         assert_eq!(caches[0].len(), 3);
         assert_eq!(pool.free_pages(), 4);
+        // The scheduler's park/resume path: the released stack transits
+        // a swap arena as ONE entry (`release` + `try_park`, then `take`
+        // + `adopt`).
+        let mut arena: gpa_core::SwapArena<f64> = gpa_core::SwapArena::unbounded();
+        let ticket = arena.try_park(caches).expect("unbounded arena");
+        assert_eq!(arena.parked_tokens(), 6, "3 tokens x 2 layers");
+        arena.assert_swap_invariants();
         // A squatter takes enough pages that only one layer fits: the
-        // adopt must be all-or-nothing and return the caches in order.
+        // adopt must be all-or-nothing and return the caches in order —
+        // whole, so the stack can go straight back to the arena.
         let squat = pool.allocate(2, 2);
         assert!(pool.try_extend(
             squat,
             &gaussian_matrix(3, 2, 1.0, 1),
             &gaussian_matrix(3, 2, 1.0, 2)
         ));
-        let caches = match ModelKvState::adopt(caches, &mut pool) {
+        let caches = match ModelKvState::adopt(arena.take(ticket), &mut pool) {
             Err(caches) => caches,
             Ok(_) => panic!("adopt must fail under page pressure"),
         };
         assert_eq!(caches.len(), 2);
         assert!(caches.iter().all(|c| c.len() == 3));
         pool.assert_page_invariants();
+        let ticket = arena.try_park(caches).expect("its bytes were just freed");
+        assert_eq!((arena.len(), arena.parked_tokens()), (1, 6));
+        let caches = arena.take(ticket);
+        assert!(arena.is_empty());
         // Squatter gone → adoption succeeds and the resumed state decodes
         // bitwise-identically to never having been evicted.
         pool.release(squat);
@@ -907,55 +883,6 @@ mod tests {
         assert_eq!(out2.outputs[0], out.outputs[0]);
         let never_evicted = m.forward_decode(&e, &mut fresh, &st2, &tok).unwrap();
         assert_eq!(after_resume, never_evicted, "resume must be bitwise");
-    }
-
-    #[test]
-    fn swap_out_and_in_round_trip_is_bitwise_and_stays_parked_under_pressure() {
-        let e = engine();
-        let m = model(&e, "FS", 6);
-        let mut pool: PagePool<f64> = PagePool::new(4, 2);
-        let mut arena: gpa_core::SwapArena<f64> = gpa_core::SwapArena::unbounded();
-        let st = ModelKvState::allocate(&m, &mut pool);
-        let x = gaussian_matrix(3, 12, 1.0, 8);
-        m.advance_batched(&e, &mut pool, &[ModelWorkItem { x: &x, state: &st }])
-            .unwrap();
-        // Park: pages free, bytes move to the arena.
-        let ticket = st.swap_out(&mut pool, &mut arena).expect("unbounded arena");
-        assert_eq!(pool.free_pages(), 4);
-        assert_eq!(arena.parked_tokens(), 6, "3 tokens x 2 layers");
-        arena.assert_swap_invariants();
-        pool.assert_page_invariants();
-        // A squatter leaves room for only one layer: swap_in must adopt
-        // nothing and re-park the stack under a fresh ticket.
-        let squat = pool.allocate(2, 2);
-        assert!(pool.try_extend(
-            squat,
-            &gaussian_matrix(3, 2, 1.0, 1),
-            &gaussian_matrix(3, 2, 1.0, 2)
-        ));
-        let ticket = match ModelKvState::swap_in(ticket, &mut arena, &mut pool) {
-            Err(reparked) => reparked,
-            Ok(_) => panic!("swap_in must fail under page pressure"),
-        };
-        assert_eq!(arena.len(), 1, "the stack stays parked");
-        assert_eq!(arena.parked_tokens(), 6);
-        arena.assert_swap_invariants();
-        pool.assert_page_invariants();
-        // Squatter gone → the splice succeeds and decodes bitwise vs a
-        // never-evicted run.
-        pool.release(squat);
-        let resumed = ModelKvState::swap_in(ticket, &mut arena, &mut pool).expect("pages are free");
-        assert!(arena.is_empty());
-        assert_eq!(arena.parked_bytes(), 0);
-        assert_eq!(resumed.tokens(&pool), 3);
-        let tok = gaussian_matrix(1, 12, 1.0, 12);
-        let after_resume = m.forward_decode(&e, &mut pool, &resumed, &tok).unwrap();
-        let mut fresh: PagePool<f64> = PagePool::new(4, 2);
-        let st2 = ModelKvState::allocate(&m, &mut fresh);
-        m.advance_batched(&e, &mut fresh, &[ModelWorkItem { x: &x, state: &st2 }])
-            .unwrap();
-        let never_evicted = m.forward_decode(&e, &mut fresh, &st2, &tok).unwrap();
-        assert_eq!(after_resume, never_evicted, "swap resume must be bitwise");
     }
 
     #[test]

@@ -20,27 +20,29 @@
 //! KV memory is a pool of fixed-size pages; a sequence holds exactly the
 //! pages its cached tokens occupy, growing one page at a time as decode
 //! appends cross page boundaries. Admission charges a sequence its
-//! *current* page need ([`AdmissionMode::PagedUsage`]), not its
-//! worst-case length — the difference is stark. Take 16-token prompts
-//! with a 4096-token generation cap on a 4096-token pool (256 pages of
-//! 16): worst-case reservation ([`AdmissionMode::WorstCaseReserve`])
-//! charges each sequence all 256 pages at admission, so exactly **one**
-//! runs while 255 pages sit idle; paged admission charges the one page
-//! the prompt occupies, packing dozens of sequences into the same pool.
-//! The price is oversubscription: when decode growth outruns the free
-//! list, the scheduler **preempts** the lowest-priority, most-recently
-//! admitted sequence — its pages are released and it parks on a resume
-//! queue, continuing when pages free up. How its cache comes back is the
-//! [`EvictionMode`]: **Recompute** (the default) re-extends the retained
-//! K/V rows into a fresh cache, `O(context)` per resume but with zero
-//! memory held while parked; **Swap** moves the evicted cache into a
-//! host-side [`gpa_core::SwapArena`] and splices it back in `O(1)`,
-//! holding the parked bytes (capped by [`ServeConfig::swap_bytes`]) in
-//! exchange. Either way preempted-and-resumed sequences complete
-//! **bitwise equal** to their uninterrupted runs — the modes never
-//! differ in results or schedule — and the most urgent sequence is never
-//! evicted, so the pool cannot livelock; `docs/SERVING.md` has the full
-//! preemption/resume state machine.
+//! *current* page need, not its worst-case length — the difference is
+//! stark. Take 16-token prompts with a 4096-token generation cap on a
+//! 4096-token pool (256 pages of 16): charging the worst case would fill
+//! the pool with **one** sequence while 255 pages sit idle (an earlier
+//! revision shipped that policy as an A/B baseline; it lost and is gone);
+//! paged admission charges the one page the prompt occupies, packing
+//! dozens of sequences into the same pool. The price is
+//! oversubscription: when decode growth outruns the free list, the
+//! scheduler **preempts** the lowest-priority, most-recently admitted
+//! sequence — its pages are released and it parks on a resume queue,
+//! continuing when pages free up. There is one park/resume path: the
+//! victim's cache stack is offered to a host-side
+//! [`gpa_core::SwapArena`] and spliced back in `O(1)`; a stack the arena
+//! refuses is rebuilt from its retained K/V input rows on resume,
+//! `O(context)` (a plan sequence), or held outside the pool (a decoder
+//! stack, whose K/V are computed). The [`EvictionMode`] only sizes that
+//! arena — **Recompute** (the default) makes it zero bytes, so nothing
+//! is held for a parked plan sequence; **Swap** makes it
+//! [`ServeConfig::swap_bytes`]. Either way preempted-and-resumed
+//! sequences complete **bitwise equal** to their uninterrupted runs — the
+//! modes never differ in results or schedule — and the most urgent
+//! sequence is never evicted, so the pool cannot livelock;
+//! `docs/SERVING.md` has the full preemption/resume state machine.
 //!
 //! Everything is deterministic: time is a tick counter, admission order is
 //! a pure function of (priority, submission order, fit), and batched
@@ -123,10 +125,12 @@
 //! [`Scheduler::submit_model`]): the sequence's embedding rows run through
 //! the model's whole layer stack — heterogeneous Full/Sparse plans per
 //! layer — with one KV cache per layer, every page of which is counted by
-//! the same admission, preemption, and rollback arithmetic (an `L`-layer
-//! sequence bills `L ×` the pages of a plan sequence of the same length).
-//! Preempted model sequences keep their per-layer caches intact and
-//! re-adopt them on resume, so completions remain bitwise equal to
+//! the same admission, preemption, and rollback code — inside the
+//! scheduler both flavors are one sequence record, a plan sequence being
+//! the one-layer case (an `L`-layer sequence bills `L ×` the pages of a
+//! plan sequence of the same length). Preempted model sequences keep
+//! their per-layer caches intact and re-adopt them on resume, so
+//! completions remain bitwise equal to
 //! [`sequential_model_reference`]. `examples/model_serving.rs` serves a
 //! 12-layer bookend stack under page pressure.
 //!

@@ -11,18 +11,33 @@
 //! mixed-geometry batch shape the engine's [`gpa_core::Geometry`] windows
 //! exist for.
 //!
-//! ## Plan sequences and model sequences
+//! ## One sequence record
 //!
 //! A request targets either a bare plan ([`Scheduler::submit`] — explicit
 //! q/k/v rows through one attention kernel) or a registered decoder model
 //! ([`Scheduler::submit_model`] — embedding rows through an N-layer stack
 //! of [`gpa_core::MultiHeadAttention`] layers with heterogeneous plans).
-//! Both flavors share the queues, the page pool, and the tick: model
-//! sequences group by model and advance through
-//! [`DecoderModel::advance_batched`] (one launch per layer, all sequences
-//! × heads flattened), and every page of every layer's cache is counted
-//! by the same admission and preemption arithmetic — an `L`-layer
-//! sequence bills `L ×` the pages of a plan sequence of the same length.
+//! Either way it becomes one private sequence record at submission and
+//! stays that record through pending → in flight → parked → completion:
+//! a shared header (id, priority, a single row cursor, timestamps), the
+//! inputs it owns, and a KV slot that is either live pool handles — one
+//! per layer; a plan sequence is the one-layer case — or parked.
+//! Queueing, admission, page needs, park, resume, rollback, cancel and
+//! retirement are written once over that record. Plan and model differ in
+//! exactly three places:
+//!
+//! - **submit validation** — the shapes each flavor checks;
+//! - **the cache rule** — a plan sequence caches its whole prompt at
+//!   admission and its K/V rows are *inputs*, so its cache can be dropped
+//!   and rebuilt bit-identically; a stack's per-layer caches grow chunk
+//!   by chunk and hold *computed* K/V, so they cannot;
+//! - **the launch** — one [`AttentionEngine::run_batch`] per plan versus
+//!   one [`DecoderModel::advance_batched`] per model (one launch per
+//!   layer, all sequences × heads flattened).
+//!
+//! Every page of every layer's cache is counted by the same arithmetic —
+//! an `L`-layer sequence bills `L ×` the pages of a plan sequence of the
+//! same length.
 //!
 //! ## Admission policy
 //!
@@ -35,69 +50,63 @@
 //!   and an eligible head that does not fit blocks *all* lower-priority
 //!   admission (no overtaking), which is what makes admission
 //!   starvation-free for any request that can ever fit;
-//! - **Paged KV** ([`AdmissionMode::PagedUsage`], the default): a
-//!   sequence is admitted on its *current* page need — the pages its
-//!   prompt occupies right now — not its worst case, so short prompts
-//!   with long decode budgets pack the pool instead of reserving it. The
-//!   pages this tick's appends are about to consume (decode K/V rows, and
-//!   every layer of each model sequence's next prefill chunk) are held
-//!   back from admission, so newcomers can never take a page out from
-//!   under a running sequence within the tick. A request whose *total*
-//!   page need exceeds the whole pool is rejected at submission, before
-//!   any cache exists for it.
-//! - **Worst-case reservation** ([`AdmissionMode::WorstCaseReserve`]):
-//!   the legacy policy, kept for A/B comparison — admission reserves
-//!   `pages_for(prompt + decode)` (× layers for models) up front in a
-//!   ledger, so an admitted sequence can always grow to completion and
-//!   preemption never fires.
+//! - **Paged KV**: a sequence is admitted on its *current* page need —
+//!   the pages its cache holds once its first unit of work has run — not
+//!   its worst case, so short prompts with long decode budgets pack the
+//!   pool instead of reserving it. The pages this tick's appends are
+//!   about to consume (decode K/V rows, and every layer of each model
+//!   sequence's next prefill chunk) are held back from admission, so
+//!   newcomers can never take a page out from under a running sequence
+//!   within the tick. A request whose *total* page need exceeds the whole
+//!   pool is rejected at submission, before any cache exists for it.
 //!
-//! ## Preemption
+//! ## Preemption: one park/resume path
 //!
 //! Paged admission oversubscribes by design, so a tick can find that its
 //! appends need more pages than are free. The scheduler then **preempts**:
 //! walking sequences from most urgent (lowest priority class, earliest
 //! admission) to least, it grants each append by evicting victims from
 //! the opposite end — the lowest-priority, most-recently admitted
-//! sequence first. What happens to a victim's cache is the
-//! [`EvictionMode`]:
+//! sequence first. A victim's pages go back to the free list and its
+//! cache stack is offered to the host-side [`gpa_core::SwapArena`]; resume
+//! takes it back and re-adopts its pages via
+//! [`gpa_core::PagePool::try_adopt`], `O(1)` in context length. A stack
+//! the arena **refuses** falls to the cache rule: a plan cache is dropped
+//! and rebuilt on resume by the same code that builds it at admission
+//! (`O(context)`), a model stack is held outside the pool and re-adopted
+//! whole. The [`EvictionMode`] only sizes the arena:
 //!
-//! - **Recompute** (the default): a plan victim's pages are released and
-//!   its cache dropped — resume re-extends the retained
-//!   `prompt + generated` K/V rows bit-identically, since they are
-//!   deterministic inputs. A model victim's per-layer caches hold
-//!   *computed* K/V the scheduler cannot cheaply rebuild, so they are
-//!   taken out of the pool whole and re-adopted — all layers or none —
-//!   on resume.
-//! - **Swap**: the victim's whole cache stack moves into a host-side
-//!   [`gpa_core::SwapArena`] (pages released all the same) and resume
-//!   splices it back via [`gpa_core::PagePool::try_adopt`] — `O(1)` in
-//!   context length instead of `O(context)`. The arena's byte cap
-//!   ([`ServeConfig::swap_bytes`]) bounds host memory; a victim that
-//!   does not fit falls back to the Recompute behavior for that park.
+//! - **Recompute** (the default) is a zero-byte arena — every park is
+//!   refused, no host memory is held for plan sequences;
+//! - **Swap** is an arena of [`ServeConfig::swap_bytes`]; a victim that
+//!   does not fit the cap is refused for that park and counted in
+//!   [`Scheduler::swap_fallbacks`].
 //!
 //! Either way the victim parks on its class's resume queue with its
-//! computed output rows and phase cursor, and continues exactly where it
+//! computed output rows and row cursor, and continues exactly where it
 //! stopped, so every completed output is still **bitwise** the
 //! sequential reference — the modes differ in resume *cost*, never in
-//! results or schedule (both use the same page arithmetic). The most
-//! urgent in-flight sequence is never evicted and always advances, so
-//! preemption cannot livelock.
+//! results or schedule (the page arithmetic does not look at the arena).
+//! The most urgent in-flight sequence is never evicted and always
+//! advances, so preemption cannot livelock.
 //!
-//! ## Failure atomicity
+//! ## The five-stage tick and failure atomicity
 //!
-//! A tick either applies completely or not at all: if any launch fails,
-//! every append is rolled back — each plan sequence's cache and every
-//! layer of each model sequence's state truncated to its pre-tick length
-//! (pages returned) — this tick's preemptions are **un-preempted**
-//! (victims rebuilt in place, page tables and queue positions restored),
-//! this tick's admissions are **un-admitted** (pages released, requests
-//! returned to their queue fronts in order), cursors do not advance, and
-//! the virtual clock does not move — a failed tick leaves no trace. The
-//! returned [`crate::ServeError::Launch`] names the offending request
-//! when its geometry provably cannot run under its plan (or under any
-//! layer of its model), so the caller can [`Scheduler::cancel`] it and
-//! the rest of the workload drains untouched (exercised by
-//! `tests/serving_sim.rs`).
+//! [`Scheduler::tick`] runs five stages, each a private function named
+//! as in `docs/SERVING.md`: `needs` → `admit` → `preempt` → `launch` →
+//! `apply` or `rollback`. A tick either applies completely or not at all:
+//! if any launch fails, `rollback` truncates every in-flight cache (every
+//! layer) to its pre-tick length — the row cursor has not moved, so that
+//! length is a function of the record — **un-preempts** this tick's
+//! victims (resumed in place, page tables and in-flight positions
+//! restored), **un-admits** this tick's admissions (fresh requests back
+//! to their queue fronts in order, resumed sequences re-parked with the
+//! arena residency they had), and leaves the clock where it was — a
+//! failed tick leaves no trace. The returned
+//! [`crate::ServeError::Launch`] names the offending request when its
+//! geometry provably cannot run under its plan (or under any layer of
+//! its model), so the caller can [`Scheduler::cancel`] it and the rest of
+//! the workload drains untouched (exercised by `tests/serving_sim.rs`).
 
 use crate::error::ServeError;
 use crate::request::{
@@ -105,31 +114,32 @@ use crate::request::{
     TickReport,
 };
 use gpa_core::{
-    AttentionEngine, AttentionPlan, AttentionRequest, AttnError, KvCache, PagePool, RoutedSpec,
-    SeqId, SwapArena, SwapTicket,
+    AttentionEngine, AttentionPlan, AttentionRequest, KvCache, PagePool, SwapArena, SwapTicket,
 };
 use gpa_model::{DecoderModel, ModelError, ModelKvState, ModelWorkItem};
 use gpa_tensor::{Matrix, Real};
 use std::collections::{BTreeMap, VecDeque};
 
 /// How admission charges a sequence against the KV page pool.
+///
+/// One policy remains: the worst-case-reservation baseline it was
+/// compared against was removed once that A/B concluded. The enum and the
+/// [`ServeConfig::admission`] field stay **only** because the frozen
+/// serving benchmark (`benchmark/src/workloads.rs`) spells
+/// `admission: AdmissionMode::PagedUsage` in its config literal; both go
+/// when a benchmark change can drop that line.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AdmissionMode {
     /// Admit on *current* page usage: a sequence costs the pages its
     /// cached tokens occupy right now, decode growth allocates pages on
     /// append, and page exhaustion is resolved by preemption. The
-    /// PagedAttention policy, and the default.
+    /// PagedAttention policy.
     #[default]
     PagedUsage,
-    /// Admit on *worst-case* reservation: a sequence reserves pages for
-    /// its full prompt + decode length up front, so it can always run to
-    /// completion and preemption never fires. The legacy policy, kept as
-    /// the A/B baseline — it strands the difference between reserved and
-    /// used pages.
-    WorstCaseReserve,
 }
 
-/// What happens to a preemption victim's KV cache.
+/// How much host memory parked victims may hold — the size of the
+/// scheduler's [`SwapArena`].
 ///
 /// Either way the victim's pages go back to the pool and its computed
 /// output rows are kept — the modes differ only in how the cache comes
@@ -183,17 +193,18 @@ pub enum AdmissionMode {
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvictionMode {
-    /// Drop a plan victim's cache and re-extend its retained K/V input
-    /// rows on resume (model victims always retain their computed caches
-    /// inline). Resume cost grows with context length; no arena memory.
-    /// The default.
+    /// A zero-byte arena: every park is refused, so a plan victim's cache
+    /// is dropped and its retained K/V input rows re-extended on resume
+    /// (model victims hold their computed caches outside the pool).
+    /// Resume cost grows with context length; no arena memory. The
+    /// default.
     #[default]
     Recompute,
-    /// Park the victim's caches in a host-side [`SwapArena`] and splice
-    /// them back on resume — `O(1)` in context length, at the cost of
-    /// holding the parked bytes (capped by [`ServeConfig::swap_bytes`]).
-    /// A victim the arena cannot hold falls back to the `Recompute`
-    /// behavior for that park, counted by [`Scheduler::swap_fallbacks`].
+    /// An arena of [`ServeConfig::swap_bytes`]: a victim's caches park in
+    /// it and are spliced back on resume — `O(1)` in context length, at
+    /// the cost of holding the parked bytes. A victim the arena cannot
+    /// hold is refused exactly as under `Recompute`, for that park,
+    /// counted by [`Scheduler::swap_fallbacks`].
     Swap,
 }
 
@@ -213,13 +224,14 @@ pub struct ServeConfig {
     /// at most this many rows per tick, bounding per-tick prefill work so
     /// decode rows never wait behind a whole long prompt.
     pub prefill_chunk: usize,
-    /// How admission charges sequences against the pool.
+    /// How admission charges sequences against the pool — one value; see
+    /// [`AdmissionMode`] for why the field is still here.
     pub admission: AdmissionMode,
-    /// What happens to a preemption victim's KV cache.
+    /// How much host memory parked victims may hold.
     pub eviction: EvictionMode,
     /// Byte cap of the host-side [`SwapArena`] under
-    /// [`EvictionMode::Swap`] (unused — but harmless — under
-    /// `Recompute`). A victim that would push the arena past this cap
+    /// [`EvictionMode::Swap`] (ignored under `Recompute`, whose arena is
+    /// zero bytes). A victim that would push the arena past this cap
     /// falls back to recompute for that park.
     pub swap_bytes: usize,
 }
@@ -241,56 +253,15 @@ impl Default for ServeConfig {
     }
 }
 
-/// A queued request of either flavor.
-enum AnyRequest<T> {
-    Attn(ServeRequest<T>),
-    Model(ModelRequest<T>),
-}
-
-struct Pending<T> {
-    id: RequestId,
-    submitted: u64,
-    request: AnyRequest<T>,
-}
-
-#[derive(Clone, Copy)]
-enum Phase {
-    /// `done` prompt rows computed so far.
-    Prefill { done: usize },
-    /// `done` tokens decoded so far.
-    Decode { done: usize },
-}
-
-/// Tokens the sequence's cache holds at this phase cursor — what a
-/// preempted sequence must have resident again to resume. A plan
-/// sequence's whole prompt is cached at admission; a model sequence's
-/// per-layer caches grow chunk by chunk inside the layer advance, so
-/// mid-prefill they hold exactly `done` tokens.
-fn cursor_tokens(phase: Phase, prompt: usize, model: bool) -> usize {
-    match phase {
-        Phase::Prefill { done } => {
-            if model {
-                done
-            } else {
-                prompt
-            }
-        }
-        Phase::Decode { done } => prompt + done,
-    }
-}
-
-/// Target-specific in-flight state: the request's owned inputs plus its
-/// live KV (one pooled cache for a plan sequence; one per layer for a
-/// model sequence).
-enum Payload<T> {
-    Attn {
-        /// The resolved plan index — fixed for the sequence's lifetime
-        /// once admission resolves `pattern`.
-        plan: usize,
+/// What a sequence runs on, with the inputs it owns.
+enum Inputs<T> {
+    Plan {
         /// The choice as submitted, kept so an un-admitted request goes
         /// back to its queue unresolved.
         pattern: PatternChoice,
-        seq: SeqId,
+        /// The plan index `pattern` resolved to at admission — fixed from
+        /// then on, meaningless before.
+        plan: usize,
         q: Matrix<T>,
         k: Matrix<T>,
         v: Matrix<T>,
@@ -298,297 +269,133 @@ enum Payload<T> {
     Model {
         model: usize,
         x: Matrix<T>,
-        state: ModelKvState,
     },
 }
 
-struct InFlight<T> {
+impl<T: Real> Inputs<T> {
+    /// The query-side rows, one per token of the sequence.
+    fn rows(&self) -> &Matrix<T> {
+        match self {
+            Inputs::Plan { q, .. } => q,
+            Inputs::Model { x, .. } => x,
+        }
+    }
+}
+
+/// Where a sequence's KV lives.
+enum Kv<T> {
+    /// Nowhere: a request not admitted yet, or a plan cache the arena
+    /// refused — the cache rule rebuilds it from the inputs.
+    None,
+    /// A model stack the arena refused, held outside the pool: its K/V
+    /// are computed and cannot be rebuilt.
+    Held(Vec<KvCache<T>>),
+    /// Parked in the scheduler's [`SwapArena`].
+    Swapped(SwapTicket),
+    /// In the pool: one handle per layer (one, for a plan sequence).
+    Live(ModelKvState),
+}
+
+/// One sequence, from submission to completion — the same record while
+/// pending, in flight and parked, so no transition copies a field.
+struct Seq<T> {
     id: RequestId,
     priority: u8,
     prompt: usize,
-    phase: Phase,
+    /// KV caches this sequence appends to: 1 for a plan, the model's
+    /// depth for a stack.
+    layers: usize,
+    /// Rows computed so far — prefilling while `done < prompt`, decoding
+    /// from there, complete at `total()`.
+    done: usize,
+    /// Output rows; `0 × width` until admission allocates them.
     out: Matrix<T>,
     submitted: u64,
     /// First admission tick — preemption does not reset it.
     admitted: u64,
     /// Times this sequence has been preempted so far.
     preemptions: u32,
-    /// Pages reserved in the ledger ([`AdmissionMode::WorstCaseReserve`]
-    /// only; 0 under paged admission).
-    reserved_pages: usize,
-    payload: Payload<T>,
+    inputs: Inputs<T>,
+    kv: Kv<T>,
 }
 
-impl<T: Real> InFlight<T> {
+impl<T: Real> Seq<T> {
     fn total(&self) -> usize {
-        match &self.payload {
-            Payload::Attn { q, .. } => q.rows(),
-            Payload::Model { x, .. } => x.rows(),
+        self.inputs.rows().rows()
+    }
+
+    /// This tick's unit of work as query rows `start..end`: the next
+    /// prefill chunk, or one decode row.
+    fn window(&self, chunk: usize) -> (usize, usize) {
+        if self.done < self.prompt {
+            (self.done, self.prompt.min(self.done + chunk))
+        } else {
+            (self.done, self.done + 1)
         }
     }
 
-    fn target(&self) -> ServeTarget {
-        match &self.payload {
-            Payload::Attn { plan, .. } => ServeTarget::Plan(PlanId(*plan)),
-            Payload::Model { model, .. } => ServeTarget::Model(ModelId(*model)),
+    /// The cache rule: tokens each layer's cache holds once `done` rows
+    /// are computed. A plan sequence caches its whole prompt at
+    /// admission; a stack's caches grow with the rows it has advanced.
+    fn cached(&self, done: usize) -> usize {
+        match self.inputs {
+            Inputs::Plan { .. } => self.prompt.max(done),
+            Inputs::Model { .. } => done,
         }
     }
 
-    fn is_complete(&self) -> bool {
-        match self.phase {
-            Phase::Prefill { .. } => false,
-            Phase::Decode { done } => self.prompt + done == self.total(),
+    /// Pages the caches hold once `done` rows are computed — the whole of
+    /// the page arithmetic: `layers ×` the cache rule.
+    fn pages_at(&self, pool: &PagePool<T>, done: usize) -> usize {
+        self.layers * pool.pages_for(self.cached(done))
+    }
+
+    /// The launch this sequence's work joins: plans before models, each
+    /// by registration index.
+    fn group(&self) -> (bool, usize) {
+        match self.inputs {
+            Inputs::Plan { plan, .. } => (false, plan),
+            Inputs::Model { model, .. } => (true, model),
         }
     }
 
-    /// Evict this sequence's KV from the pool (pages always come back to
-    /// the free list; the victim's computed output rows are always kept).
-    /// What happens to the cache itself depends on `mode`:
-    ///
-    /// - [`EvictionMode::Recompute`]: a plan sequence's cache is dropped
-    ///   (its K/V rows are inputs the resume path re-extends
-    ///   bit-identically); a model sequence's per-layer caches hold
-    ///   *computed* K/V, so they are retained inline and re-adopted on
-    ///   resume.
-    /// - [`EvictionMode::Swap`]: the cache stack parks in the host-side
-    ///   [`SwapArena`] and resume splices it back, `O(1)` in context
-    ///   length. When the arena's byte cap refuses the stack, the park
-    ///   falls back to the `Recompute` behavior — parking never fails.
-    fn park(
-        self,
-        pool: &mut PagePool<T>,
-        arena: &mut SwapArena<T>,
-        mode: EvictionMode,
-    ) -> Parked<T> {
-        let payload = match self.payload {
-            Payload::Attn {
-                plan,
-                pattern,
-                seq,
-                q,
-                k,
-                v,
-            } => {
-                let cache = pool.release(seq);
-                let kv = match mode {
-                    EvictionMode::Recompute => ParkedKv::Dropped,
-                    EvictionMode::Swap => match arena.try_park(vec![cache]) {
-                        Ok(ticket) => ParkedKv::Swapped(ticket),
-                        Err(_) => ParkedKv::Dropped,
-                    },
-                };
-                ParkedPayload::Attn {
-                    plan,
-                    pattern,
-                    q,
-                    k,
-                    v,
-                    kv,
-                }
-            }
-            Payload::Model { model, x, state } => {
-                let caches = state.release(pool);
-                let kv = match mode {
-                    EvictionMode::Recompute => ParkedKv::Inline(caches),
-                    EvictionMode::Swap => match arena.try_park(caches) {
-                        Ok(ticket) => ParkedKv::Swapped(ticket),
-                        Err(caches) => ParkedKv::Inline(caches),
-                    },
-                };
-                ParkedPayload::Model { model, x, kv }
-            }
-        };
-        Parked {
-            id: self.id,
-            priority: self.priority,
-            prompt: self.prompt,
-            phase: self.phase,
-            out: self.out,
-            submitted: self.submitted,
-            admitted: self.admitted,
-            preemptions: self.preemptions,
-            payload,
+    fn live(&self) -> &ModelKvState {
+        match &self.kv {
+            Kv::Live(state) => state,
+            _ => unreachable!("an in-flight sequence's KV is in the pool"),
         }
     }
 }
 
-/// Where a parked sequence's KV lives while it waits to resume.
-enum ParkedKv<T> {
-    /// Dropped at park; resume re-extends the retained input rows (plan
-    /// sequences only — their K/V rows are deterministic inputs).
-    Dropped,
-    /// Parked in the scheduler's [`SwapArena`]; resume takes the stack
-    /// and re-adopts its pages, `O(1)` in context length.
-    Swapped(SwapTicket),
-    /// Retained inline (model sequences under [`EvictionMode::Recompute`],
-    /// or as the fallback when the arena refuses the stack).
-    Inline(Vec<KvCache<T>>),
+/// What the admit stage did, kept for the report — or the rollback.
+#[derive(Default)]
+struct Admitted {
+    fresh: Vec<RequestId>,
+    resumed: Vec<RequestId>,
+    /// Per resumed sequence: its KV came out of the arena.
+    swapped: Vec<bool>,
 }
 
-/// Target-specific parked state — see [`InFlight::park`] for which
-/// [`ParkedKv`] variants each target uses.
-enum ParkedPayload<T> {
-    Attn {
-        plan: usize,
-        pattern: PatternChoice,
-        q: Matrix<T>,
-        k: Matrix<T>,
-        v: Matrix<T>,
-        kv: ParkedKv<T>,
-    },
-    Model {
-        model: usize,
-        x: Matrix<T>,
-        kv: ParkedKv<T>,
-    },
+/// What the launch stage computed: one output window per in-flight
+/// sequence, in in-flight order.
+struct Launched<T> {
+    outputs: Vec<Option<Matrix<T>>>,
+    launches: usize,
+    rows: usize,
 }
 
-/// A preempted sequence waiting on a resume queue: everything needed to
-/// repopulate the pool and continue — computed output rows included, so
-/// no row is ever computed twice.
-struct Parked<T> {
-    id: RequestId,
-    priority: u8,
-    prompt: usize,
-    phase: Phase,
-    out: Matrix<T>,
-    submitted: u64,
-    admitted: u64,
-    preemptions: u32,
-    payload: ParkedPayload<T>,
+/// Priority-class queues of sequences.
+type Queues<T> = BTreeMap<u8, VecDeque<Seq<T>>>;
+
+fn queued<T>(queues: &Queues<T>) -> usize {
+    queues.values().map(VecDeque::len).sum()
 }
 
-impl<T: Real> Parked<T> {
-    /// Tokens that must be resident again for this sequence to continue.
-    fn retained_tokens(&self) -> usize {
-        cursor_tokens(
-            self.phase,
-            self.prompt,
-            matches!(self.payload, ParkedPayload::Model { .. }),
-        )
-    }
-
-    /// True when this sequence's KV sits in the [`SwapArena`].
-    fn is_swapped(&self) -> bool {
-        matches!(
-            self.payload,
-            ParkedPayload::Attn {
-                kv: ParkedKv::Swapped(_),
-                ..
-            } | ParkedPayload::Model {
-                kv: ParkedKv::Swapped(_),
-                ..
-            }
-        )
-    }
-
-    /// The arena ticket, when this sequence's KV sits in the arena.
-    fn swap_ticket(&self) -> Option<SwapTicket> {
-        match &self.payload {
-            ParkedPayload::Attn {
-                kv: ParkedKv::Swapped(t),
-                ..
-            }
-            | ParkedPayload::Model {
-                kv: ParkedKv::Swapped(t),
-                ..
-            } => Some(*t),
-            _ => None,
-        }
-    }
-
-    /// Re-admit: splice a swapped cache stack back out of the arena
-    /// (routing state rides the caches), rebuild a dropped plan cache
-    /// from its retained input rows, or re-adopt inline model caches.
-    /// `spec` is the resolved plan's routing spec for a rebuilt plan
-    /// sequence — routing is a pure function of the retained query rows,
-    /// so the rebuilt cache re-adopts exactly the grouping it was evicted
-    /// with. The caller granted the pages (both modes need the same page
-    /// count for the same retained tokens), so failure here is a
-    /// scheduler bug.
-    fn resume(
-        self,
-        pool: &mut PagePool<T>,
-        arena: &mut SwapArena<T>,
-        spec: Option<RoutedSpec>,
-    ) -> InFlight<T> {
-        let tokens = self.retained_tokens();
-        let payload = match self.payload {
-            ParkedPayload::Attn {
-                plan,
-                pattern,
-                q,
-                k,
-                v,
-                kv,
-            } => {
-                let seq = match kv {
-                    ParkedKv::Dropped => {
-                        let seq = pool.allocate(q.cols(), v.cols());
-                        let ok = pool.try_extend(
-                            seq,
-                            &k.rows_slice(0, tokens),
-                            &v.rows_slice(0, tokens),
-                        );
-                        assert!(ok, "resume was granted its pages");
-                        if let Some(spec) = spec {
-                            pool.extend_routing(seq, spec, 0, &q.rows_slice(0, tokens))
-                                .expect("a fresh cache adopts its plan's routing spec");
-                        }
-                        seq
-                    }
-                    ParkedKv::Swapped(ticket) => {
-                        let mut stack = arena.take(ticket);
-                        assert_eq!(stack.len(), 1, "a plan sequence parks one cache");
-                        let Ok(seq) = pool.try_adopt(stack.pop().expect("one cache")) else {
-                            panic!("resume was granted its pages");
-                        };
-                        seq
-                    }
-                    ParkedKv::Inline(_) => unreachable!("plan sequences never park inline"),
-                };
-                Payload::Attn {
-                    plan,
-                    pattern,
-                    seq,
-                    q,
-                    k,
-                    v,
-                }
-            }
-            ParkedPayload::Model { model, x, kv } => {
-                let caches = match kv {
-                    ParkedKv::Swapped(ticket) => arena.take(ticket),
-                    ParkedKv::Inline(caches) => caches,
-                    ParkedKv::Dropped => unreachable!("model caches are never dropped"),
-                };
-                let Ok(state) = ModelKvState::adopt(caches, pool) else {
-                    panic!("resume was granted its pages");
-                };
-                Payload::Model { model, x, state }
-            }
-        };
-        InFlight {
-            id: self.id,
-            priority: self.priority,
-            prompt: self.prompt,
-            phase: self.phase,
-            out: self.out,
-            submitted: self.submitted,
-            admitted: self.admitted,
-            preemptions: self.preemptions,
-            reserved_pages: 0,
-            payload,
-        }
-    }
-}
-
-/// This tick's unit of work for one sequence.
-enum Work {
-    /// Prefill query rows `start .. start + rows` against the prompt KV.
-    Prefill { start: usize, rows: usize },
-    /// Decode token `t` (appends its K/V row, computes one decode row).
-    Decode { t: usize },
+fn take_queued<T>(queues: &mut Queues<T>, id: RequestId) -> Option<Seq<T>> {
+    queues.values_mut().find_map(|queue| {
+        let pos = queue.iter().position(|s| s.id == id)?;
+        queue.remove(pos)
+    })
 }
 
 /// The continuous-batching serving scheduler — see the [module
@@ -601,23 +408,17 @@ pub struct Scheduler<'p, T> {
     config: ServeConfig,
     plans: Vec<AttentionPlan<'p>>,
     models: Vec<DecoderModel<'p, T>>,
-    pending: BTreeMap<u8, VecDeque<Pending<T>>>,
-    pending_len: usize,
+    pending: Queues<T>,
     /// Resume queues: preempted sequences per priority class, kept in
     /// request-id order (= original admission order within the class).
-    parked: BTreeMap<u8, VecDeque<Parked<T>>>,
-    parked_len: usize,
-    in_flight: Vec<InFlight<T>>,
+    parked: Queues<T>,
+    in_flight: Vec<Seq<T>>,
     pool: PagePool<T>,
-    /// Host-side parking lot for evicted caches under
-    /// [`EvictionMode::Swap`] (empty forever under `Recompute`).
+    /// Host-side parking lot for evicted caches: [`ServeConfig::swap_bytes`]
+    /// under [`EvictionMode::Swap`], zero bytes under `Recompute`.
     arena: SwapArena<T>,
-    /// Reservation ledger, in pages ([`AdmissionMode::WorstCaseReserve`]
-    /// only; stays 0 under paged admission).
-    reserved_pages: usize,
     preemption_events: u64,
-    /// Parks that wanted the arena but fell back to recompute/inline
-    /// because the stack would not fit [`ServeConfig::swap_bytes`].
+    /// Parks the arena refused under [`EvictionMode::Swap`].
     swap_fallbacks: u64,
     now: u64,
     next_id: u64,
@@ -626,25 +427,15 @@ pub struct Scheduler<'p, T> {
 impl<'p, T: Real> Scheduler<'p, T> {
     /// Build a scheduler owning `engine` under the given admission policy.
     pub fn new(engine: AttentionEngine, config: ServeConfig) -> Result<Self, ServeError> {
-        if config.max_in_flight == 0 {
-            return Err(ServeError::BadConfig {
-                what: "max_in_flight must be positive",
-            });
-        }
-        if config.prefill_chunk == 0 {
-            return Err(ServeError::BadConfig {
-                what: "prefill_chunk must be positive",
-            });
-        }
-        if config.kv_pages == 0 {
-            return Err(ServeError::BadConfig {
-                what: "kv_pages must be positive",
-            });
-        }
-        if config.page_size == 0 {
-            return Err(ServeError::BadConfig {
-                what: "page_size must be positive",
-            });
+        for (value, what) in [
+            (config.max_in_flight, "max_in_flight must be positive"),
+            (config.prefill_chunk, "prefill_chunk must be positive"),
+            (config.kv_pages, "kv_pages must be positive"),
+            (config.page_size, "page_size must be positive"),
+        ] {
+            if value == 0 {
+                return Err(ServeError::BadConfig { what });
+            }
         }
         Ok(Scheduler {
             engine,
@@ -652,13 +443,13 @@ impl<'p, T: Real> Scheduler<'p, T> {
             plans: Vec::new(),
             models: Vec::new(),
             pending: BTreeMap::new(),
-            pending_len: 0,
             parked: BTreeMap::new(),
-            parked_len: 0,
             in_flight: Vec::new(),
             pool: PagePool::new(config.kv_pages, config.page_size),
-            arena: SwapArena::new(config.swap_bytes),
-            reserved_pages: 0,
+            arena: SwapArena::new(match config.eviction {
+                EvictionMode::Recompute => 0,
+                EvictionMode::Swap => config.swap_bytes,
+            }),
             preemption_events: 0,
             swap_fallbacks: 0,
             now: 0,
@@ -722,12 +513,12 @@ impl<'p, T: Real> Scheduler<'p, T> {
 
     /// Requests queued but not yet admitted.
     pub fn pending_len(&self) -> usize {
-        self.pending_len
+        queued(&self.pending)
     }
 
     /// Preempted sequences waiting on resume queues.
     pub fn parked_len(&self) -> usize {
-        self.parked_len
+        queued(&self.parked)
     }
 
     /// Sequences currently holding KV pages.
@@ -737,7 +528,7 @@ impl<'p, T: Real> Scheduler<'p, T> {
 
     /// Pending + parked + in-flight sequences.
     pub fn outstanding(&self) -> usize {
-        self.pending_len + self.parked_len + self.in_flight.len()
+        self.pending_len() + self.parked_len() + self.in_flight.len()
     }
 
     /// True when nothing is pending, parked, or in flight.
@@ -770,13 +561,6 @@ impl<'p, T: Real> Scheduler<'p, T> {
         self.pool.used_tokens()
     }
 
-    /// Pages held in the worst-case reservation ledger
-    /// ([`AdmissionMode::WorstCaseReserve`]; always 0 under paged
-    /// admission).
-    pub fn kv_reserved_pages(&self) -> usize {
-        self.reserved_pages
-    }
-
     /// Total sequence preemptions so far (each park of each sequence
     /// counts once).
     pub fn preemption_events(&self) -> u64 {
@@ -796,7 +580,7 @@ impl<'p, T: Real> Scheduler<'p, T> {
         self.arena.peak_bytes()
     }
 
-    /// Parks that wanted the arena but fell back to recompute/inline
+    /// Parks that wanted the arena but fell back to recompute/held
     /// because the victim's stack would not fit
     /// [`ServeConfig::swap_bytes`]. Always 0 under
     /// [`EvictionMode::Recompute`].
@@ -806,11 +590,10 @@ impl<'p, T: Real> Scheduler<'p, T> {
 
     /// Assert the paged-KV invariants: page conservation
     /// (`free + mapped == total`), no page double-mapped, every page
-    /// table exactly covering its cache, swap-arena conservation (every
-    /// parked byte owned by exactly one parked sequence's live ticket,
-    /// the ledger matching the caches, nothing parked while idle), and —
-    /// under worst-case reservation — the ledger in sync and every
-    /// sequence (all layers counted) within its reservation. The serving
+    /// table exactly covering its cache, and swap-arena conservation —
+    /// every parked byte owned by exactly one parked sequence's live
+    /// ticket, the ledger matching the caches, nothing parked while idle,
+    /// and the arena empty under [`EvictionMode::Recompute`]. The serving
     /// simulation calls this after every tick.
     ///
     /// # Panics
@@ -818,14 +601,13 @@ impl<'p, T: Real> Scheduler<'p, T> {
     pub fn assert_kv_invariants(&self) {
         self.pool.assert_page_invariants();
         self.arena.assert_swap_invariants();
-        let mut swapped = 0usize;
-        let mut swapped_bytes = 0usize;
-        for p in self.parked.values().flatten() {
-            if let Some(ticket) = p.swap_ticket() {
-                swapped += 1;
-                swapped_bytes += self.arena.bytes_of(ticket);
-            }
-        }
+        let tickets = self.parked.values().flatten().filter_map(|s| match s.kv {
+            Kv::Swapped(ticket) => Some(ticket),
+            _ => None,
+        });
+        let (swapped, swapped_bytes) = tickets.fold((0, 0), |(n, bytes), ticket| {
+            (n + 1, bytes + self.arena.bytes_of(ticket))
+        });
         assert_eq!(
             swapped,
             self.arena.len(),
@@ -836,28 +618,8 @@ impl<'p, T: Real> Scheduler<'p, T> {
             self.arena.parked_bytes(),
             "parked tickets do not account every arena byte"
         );
-        let ledger: usize = self.in_flight.iter().map(|s| s.reserved_pages).sum();
-        assert_eq!(
-            ledger, self.reserved_pages,
-            "reservation ledger out of sync"
-        );
-        assert!(
-            self.reserved_pages <= self.pool.total_pages(),
-            "reserved {} pages exceed the pool's {}",
-            self.reserved_pages,
-            self.pool.total_pages()
-        );
-        for s in &self.in_flight {
-            if s.reserved_pages > 0 {
-                let held = match &s.payload {
-                    Payload::Attn { seq, .. } => self.pool.pages_held(*seq),
-                    Payload::Model { state, .. } => state.pages_held(&self.pool),
-                };
-                assert!(
-                    held <= s.reserved_pages,
-                    "sequence holds more pages than it reserved"
-                );
-            }
+        if self.config.eviction == EvictionMode::Recompute {
+            assert!(self.arena.is_empty(), "a zero-byte arena holds nothing");
         }
     }
 
@@ -866,64 +628,43 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// on a later [`Self::tick`]. No KV cache exists — and nothing is
     /// mutated — for a rejected request.
     pub fn submit(&mut self, request: ServeRequest<T>) -> Result<RequestId, ServeError> {
-        match request.pattern {
-            PatternChoice::Explicit(id) => {
-                if self.plans.get(id.0).is_none() {
-                    return Err(ServeError::UnknownPlan);
-                }
-            }
-            PatternChoice::Auto => {
-                if self.plans.is_empty() {
-                    return Err(ServeError::UnknownPlan);
-                }
-            }
+        let ServeRequest {
+            pattern,
+            priority,
+            prompt,
+            q,
+            k,
+            v,
+        } = request;
+        let known = match pattern {
+            PatternChoice::Explicit(id) => id.0 < self.plans.len(),
+            PatternChoice::Auto => !self.plans.is_empty(),
+        };
+        if !known {
+            return Err(ServeError::UnknownPlan);
         }
-        let total = request.q.rows();
-        if total == 0 {
-            return Err(ServeError::BadRequest {
-                what: "a request needs at least one token",
-            });
+        let bad = |what| Err(ServeError::BadRequest { what });
+        if q.rows() == 0 {
+            return bad("a request needs at least one token");
         }
-        if request.k.rows() != total || request.v.rows() != total {
-            return Err(ServeError::BadRequest {
-                what: "Q/K/V row counts differ",
-            });
+        if k.rows() != q.rows() || v.rows() != q.rows() {
+            return bad("Q/K/V row counts differ");
         }
-        if request.q.cols() != request.k.cols() {
-            return Err(ServeError::BadRequest {
-                what: "Q and K disagree on the key dimension",
-            });
+        if q.cols() != k.cols() {
+            return bad("Q and K disagree on the key dimension");
         }
-        if request.q.cols() == 0 || request.v.cols() == 0 {
-            return Err(ServeError::BadRequest {
-                what: "key/value dimensions must be positive",
-            });
+        if q.cols() == 0 || v.cols() == 0 {
+            return bad("key/value dimensions must be positive");
         }
-        if request.prompt == 0 || request.prompt > total {
-            return Err(ServeError::BadRequest {
-                what: "prompt must cover between 1 and all of the rows",
-            });
-        }
-        let need_pages = self.pool.pages_for(total);
-        if need_pages > self.pool.total_pages() {
-            return Err(ServeError::OverCapacity {
-                need_pages,
-                total_pages: self.pool.total_pages(),
-            });
-        }
-        let priority = request.priority;
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        self.pending
-            .entry(priority)
-            .or_default()
-            .push_back(Pending {
-                id,
-                submitted: self.now,
-                request: AnyRequest::Attn(request),
-            });
-        self.pending_len += 1;
-        Ok(id)
+        let width = v.cols();
+        let inputs = Inputs::Plan {
+            pattern,
+            plan: 0,
+            q,
+            k,
+            v,
+        };
+        self.enqueue(priority, prompt, 1, width, inputs)
     }
 
     /// Queue a decoder-model request. Validation is immediate; admission
@@ -931,84 +672,92 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// layer: a sequence of `total` tokens through an `L`-layer model
     /// needs `L × pages_for(total)` pages resident at completion.
     pub fn submit_model(&mut self, request: ModelRequest<T>) -> Result<RequestId, ServeError> {
-        let Some(model) = self.models.get(request.model.0) else {
+        let ModelRequest {
+            model,
+            priority,
+            prompt,
+            x,
+        } = request;
+        let Some(stack) = self.models.get(model.0) else {
             return Err(ServeError::UnknownModel);
         };
-        let total = request.x.rows();
-        if total == 0 {
-            return Err(ServeError::BadRequest {
-                what: "a request needs at least one token",
-            });
+        let bad = |what| Err(ServeError::BadRequest { what });
+        if x.rows() == 0 {
+            return bad("a request needs at least one token");
         }
-        if request.x.cols() != model.d_model() {
-            return Err(ServeError::BadRequest {
-                what: "input width must match the model's d_model",
-            });
+        if x.cols() != stack.d_model() {
+            return bad("input width must match the model's d_model");
         }
-        if request.prompt == 0 || request.prompt > total {
+        let (layers, width) = (stack.layers(), x.cols());
+        let inputs = Inputs::Model { model: model.0, x };
+        self.enqueue(priority, prompt, layers, width, inputs)
+    }
+
+    /// The shared tail of submission: the prompt and can-it-ever-fit
+    /// checks, then the request becomes a pending `Seq`.
+    fn enqueue(
+        &mut self,
+        priority: u8,
+        prompt: usize,
+        layers: usize,
+        width: usize,
+        inputs: Inputs<T>,
+    ) -> Result<RequestId, ServeError> {
+        let total = inputs.rows().rows();
+        if prompt == 0 || prompt > total {
             return Err(ServeError::BadRequest {
                 what: "prompt must cover between 1 and all of the rows",
             });
         }
-        let need_pages = model.layers() * self.pool.pages_for(total);
+        let need_pages = layers * self.pool.pages_for(total);
         if need_pages > self.pool.total_pages() {
             return Err(ServeError::OverCapacity {
                 need_pages,
                 total_pages: self.pool.total_pages(),
             });
         }
-        let priority = request.priority;
         let id = RequestId(self.next_id);
         self.next_id += 1;
-        self.pending
-            .entry(priority)
-            .or_default()
-            .push_back(Pending {
-                id,
-                submitted: self.now,
-                request: AnyRequest::Model(request),
-            });
-        self.pending_len += 1;
+        self.pending.entry(priority).or_default().push_back(Seq {
+            id,
+            priority,
+            prompt,
+            layers,
+            done: 0,
+            out: Matrix::zeros(0, width),
+            submitted: self.now,
+            admitted: 0,
+            preemptions: 0,
+            inputs,
+            kv: Kv::None,
+        });
         Ok(id)
     }
 
     /// Drop a request — pending, parked, or in flight (releasing its KV
-    /// pages, every layer's for a model sequence). Returns false when the
-    /// id is unknown or already completed.
+    /// pages, every layer's for a model sequence, or its arena bytes).
+    /// Returns false when the id is unknown or already completed.
     pub fn cancel(&mut self, id: RequestId) -> bool {
-        for queue in self.pending.values_mut() {
-            if let Some(pos) = queue.iter().position(|p| p.id == id) {
-                queue.remove(pos);
-                self.pending_len -= 1;
-                return true;
-            }
+        let found = take_queued(&mut self.pending, id)
+            .or_else(|| take_queued(&mut self.parked, id))
+            .or_else(|| {
+                let pos = self.in_flight.iter().position(|s| s.id == id)?;
+                Some(self.in_flight.remove(pos))
+            });
+        let Some(s) = found else {
+            return false;
+        };
+        self.discard(s.kv);
+        true
+    }
+
+    /// Give a departing sequence's KV back: pool pages, or arena bytes.
+    fn discard(&mut self, kv: Kv<T>) {
+        match kv {
+            Kv::Live(state) => drop(state.release(&mut self.pool)),
+            Kv::Swapped(ticket) => drop(self.arena.take(ticket)),
+            Kv::Held(_) | Kv::None => {}
         }
-        for queue in self.parked.values_mut() {
-            if let Some(pos) = queue.iter().position(|p| p.id == id) {
-                let p = queue.remove(pos).expect("position exists");
-                // A swapped victim's bytes live in the arena, not the
-                // pool: reclaim them with the ticket.
-                if let Some(ticket) = p.swap_ticket() {
-                    let _ = self.arena.take(ticket);
-                }
-                self.parked_len -= 1;
-                return true;
-            }
-        }
-        if let Some(pos) = self.in_flight.iter().position(|s| s.id == id) {
-            let s = self.in_flight.remove(pos);
-            self.reserved_pages -= s.reserved_pages;
-            match s.payload {
-                Payload::Attn { seq, .. } => {
-                    self.pool.release(seq);
-                }
-                Payload::Model { state, .. } => {
-                    state.release(&mut self.pool);
-                }
-            }
-            return true;
-        }
-        false
     }
 
     /// Resolve a request's pattern choice to a concrete plan index — the
@@ -1019,687 +768,475 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// pool picks the cheapest pattern, a wide-open one the densest. Both
     /// inputs are deterministic scheduler state, so a replayed trace
     /// resolves identically every run.
-    fn resolve_pattern(
-        plans: &[AttentionPlan<'_>],
-        pool: &PagePool<T>,
-        pattern: PatternChoice,
-        prompt: usize,
-    ) -> usize {
+    fn resolve_pattern(&self, pattern: PatternChoice, prompt: usize) -> usize {
         match pattern {
             PatternChoice::Explicit(id) => id.0,
             PatternChoice::Auto => {
-                let mut ranked: Vec<usize> = (0..plans.len()).collect();
-                ranked.sort_by_key(|&p| (plans[p].estimated_edges(prompt), p));
-                let frac = pool.free_pages() as f64 / pool.total_pages() as f64;
+                let mut ranked: Vec<usize> = (0..self.plans.len()).collect();
+                ranked.sort_by_key(|&p| (self.plans[p].estimated_edges(prompt), p));
+                let frac = self.pool.free_pages() as f64 / self.pool.total_pages() as f64;
                 let pick = ((frac * ranked.len() as f64) as usize).min(ranked.len() - 1);
                 ranked[pick]
             }
         }
     }
 
-    /// Pages this sequence's work will take from the pool this tick. A
-    /// plan sequence appends one K/V row per decode step — one page when
-    /// the append crosses a page boundary, zero mid-page, zero in prefill
-    /// (its prompt pages were taken at admission). A model sequence
-    /// appends its window's rows to **every** layer's cache, chunk by
-    /// chunk, so both phases can take pages and every count is × layers.
-    fn append_need(&self, s: &InFlight<T>) -> usize {
-        match (&s.payload, s.phase) {
-            (Payload::Attn { .. }, Phase::Prefill { .. }) => 0,
-            (Payload::Attn { .. }, Phase::Decode { done }) => {
-                usize::from((s.prompt + done) % self.config.page_size == 0)
+    /// Pages this sequence's work takes from the pool this tick: a decode
+    /// row that crosses a page boundary, a stack's next prefill chunk in
+    /// every layer — and nothing for a plan sequence's prefill, whose
+    /// prompt pages were taken at admission.
+    fn append_need(&self, s: &Seq<T>) -> usize {
+        let (_, end) = s.window(self.config.prefill_chunk);
+        s.pages_at(&self.pool, end) - s.pages_at(&self.pool, s.done)
+    }
+
+    /// Bring a sequence's KV into the pool — the one way in, for fresh
+    /// admission, resume and un-preempt alike. A parked stack comes back
+    /// out of the arena or out of the record, routing state riding the
+    /// caches; with nothing retained the cache rule builds it — empty
+    /// per-layer caches for a stack (its first chunk appends this very
+    /// tick), the whole cached prefix for a plan sequence, re-extended
+    /// from its K/V input rows and re-routed from its query rows, both
+    /// pure functions of the inputs and so bit-identical every time. The
+    /// caller granted the pages, so failure here is a scheduler bug.
+    fn resume(&mut self, s: &mut Seq<T>) {
+        let caches = match (std::mem::replace(&mut s.kv, Kv::None), &s.inputs) {
+            (Kv::Swapped(ticket), _) => self.arena.take(ticket),
+            (Kv::Held(caches), _) => caches,
+            (Kv::None, Inputs::Model { model, .. }) => {
+                debug_assert_eq!(s.done, 0, "only a fresh stack has nothing retained");
+                s.kv = Kv::Live(ModelKvState::allocate(&self.models[*model], &mut self.pool));
+                return;
             }
-            (Payload::Model { model, .. }, Phase::Prefill { done }) => {
-                let rows = self.config.prefill_chunk.min(s.prompt - done);
-                self.models[*model].layers()
-                    * (self.pool.pages_for(done + rows) - self.pool.pages_for(done))
+            (Kv::None, Inputs::Plan { plan, q, k, v, .. }) => {
+                let tokens = s.cached(s.done);
+                let mut cache = KvCache::single(q.cols(), v.cols());
+                cache.extend(0, &k.rows_slice(0, tokens), &v.rows_slice(0, tokens));
+                if let Some(spec) = self.plans[*plan].routing_spec() {
+                    cache
+                        .extend_routing(spec, 0, &q.rows_slice(0, tokens))
+                        .expect("a fresh cache adopts its plan's routing spec");
+                }
+                vec![cache]
             }
-            (Payload::Model { model, .. }, Phase::Decode { done }) => {
-                self.models[*model].layers()
-                    * usize::from((s.prompt + done) % self.config.page_size == 0)
+            (Kv::Live(_), _) => unreachable!("already in the pool"),
+        };
+        let Ok(state) = ModelKvState::adopt(caches, &mut self.pool) else {
+            panic!("admission was granted its pages");
+        };
+        s.kv = Kv::Live(state);
+    }
+
+    /// Move a live sequence's KV out of the pool — the one way out. Its
+    /// pages always go back to the free list. With `offer` the stack is
+    /// offered to the arena; when it is not, or the arena refuses it
+    /// (always, at zero bytes), the cache rule decides: a stack's
+    /// computed caches are held in the record, a plan cache is dropped
+    /// for `resume` to rebuild.
+    fn park(&mut self, s: &mut Seq<T>, offer: bool) {
+        let Kv::Live(state) = std::mem::replace(&mut s.kv, Kv::None) else {
+            unreachable!("only an in-flight sequence parks");
+        };
+        let mut caches = state.release(&mut self.pool);
+        if offer {
+            match self.arena.try_park(caches) {
+                Ok(ticket) => {
+                    s.kv = Kv::Swapped(ticket);
+                    return;
+                }
+                Err(refused) => caches = refused,
             }
+        }
+        if let Inputs::Model { .. } = s.inputs {
+            s.kv = Kv::Held(caches);
         }
     }
 
-    /// Pages a parked sequence needs to resume *and run this very tick*:
-    /// the pages of its retained tokens, plus what its first unit of work
-    /// appends in the same tick (a decode row landing on a page boundary;
-    /// a model sequence's next prefill chunk) — all × layers for models.
-    fn resume_need(&self, p: &Parked<T>) -> usize {
-        let tokens = p.retained_tokens();
-        let layers = match &p.payload {
-            ParkedPayload::Attn { .. } => 1,
-            ParkedPayload::Model { model, .. } => self.models[*model].layers(),
-        };
-        let append = match p.phase {
-            Phase::Prefill { done } => match &p.payload {
-                // A plan sequence's prompt is fully cached mid-prefill;
-                // a model sequence resumes by appending its next chunk.
-                ParkedPayload::Attn { .. } => 0,
-                ParkedPayload::Model { .. } => {
-                    let rows = self.config.prefill_chunk.min(p.prompt - done);
-                    self.pool.pages_for(done + rows) - self.pool.pages_for(done)
-                }
-            },
-            Phase::Decode { .. } if tokens % self.config.page_size == 0 => 1,
-            Phase::Decode { .. } => 0,
-        };
-        layers * (self.pool.pages_for(tokens) + append)
+    /// Put a parked sequence on its class's resume queue, in id order (=
+    /// original admission order within the class).
+    fn enqueue_parked(&mut self, s: Seq<T>) {
+        let queue = self.parked.entry(s.priority).or_default();
+        let at = queue.partition_point(|x| x.id < s.id);
+        queue.insert(at, s);
     }
 
-    /// Admit eligible sequences in (priority class, resumed-then-pending,
-    /// FIFO) order until one does not fit. Fresh plan admission appends
-    /// the prompt's K/V rows to the sequence's cache; fresh model
-    /// admission allocates empty per-layer caches (the first prefill
-    /// chunk appends during this very tick's work, so its pages are
-    /// charged against headroom here). Resume re-extends a plan
-    /// sequence's retained rows — bit-identical, because K/V rows are
-    /// deterministic inputs — and re-adopts a model sequence's retained
-    /// caches whole.
-    ///
-    /// `append_needs` is the page count this tick's already-running
-    /// appends will consume; paged admission keeps that many pages off
-    /// the table so admission can never force a preemption in the same
-    /// tick.
-    fn admit(&mut self, now: u64, append_needs: usize) -> (Vec<RequestId>, Vec<RequestId>) {
-        let mut fresh = Vec::new();
-        let mut resumed = Vec::new();
-        let mut headroom = match self.config.admission {
-            AdmissionMode::PagedUsage => self.pool.free_pages().saturating_sub(append_needs),
-            AdmissionMode::WorstCaseReserve => self.pool.total_pages() - self.reserved_pages,
-        };
-        let classes: Vec<u8> = {
-            let mut c: Vec<u8> = self
-                .parked
-                .keys()
-                .chain(self.pending.keys())
-                .copied()
-                .collect();
-            c.sort_unstable();
-            c.dedup();
-            c
-        };
+    /// Stage 1 — **needs**: the pages this tick's already-running appends
+    /// will consume, counted before admission so newcomers cannot take
+    /// them. Because of this guard a tick admits or preempts, never both
+    /// — which is what lets `rollback` restore victims at their exact
+    /// positions.
+    fn needs(&self) -> usize {
+        self.in_flight.iter().map(|s| self.append_need(s)).sum()
+    }
+
+    /// Stage 2 — **admit**: eligible sequences in (priority class,
+    /// resumed-then-pending, FIFO) order until one does not fit the free
+    /// pages less `held_back`. A sequence is charged the pages it holds
+    /// once its first unit of work has run this very tick — the same
+    /// formula for a fresh request and a resumed one.
+    fn admit(&mut self, held_back: usize) -> Admitted {
+        let mut staged = Admitted::default();
+        let mut headroom = self.pool.free_pages().saturating_sub(held_back);
+        let mut classes: Vec<u8> = self
+            .parked
+            .keys()
+            .chain(self.pending.keys())
+            .copied()
+            .collect();
+        classes.sort_unstable();
+        classes.dedup();
         'classes: for class in classes {
             // Resume queue first: parked sequences were admitted from the
             // head of this class's queue once, so their ids precede every
             // id still pending — resumed-first IS global FIFO order.
-            while let Some(front) = self.parked.get(&class).and_then(|q| q.front()) {
-                if self.in_flight.len() >= self.config.max_in_flight {
-                    break 'classes;
-                }
-                let need = self.resume_need(front);
-                if need > headroom {
-                    // A parked head that cannot resume blocks all lower
-                    // admission: no overtaking a preempted sequence.
-                    break 'classes;
-                }
-                headroom -= need;
-                let p = self
-                    .parked
-                    .get_mut(&class)
-                    .expect("front exists")
-                    .pop_front()
-                    .expect("front exists");
-                self.parked_len -= 1;
-                resumed.push(p.id);
-                let spec = match &p.payload {
-                    ParkedPayload::Attn { plan, .. } => self.plans[*plan].routing_spec(),
-                    ParkedPayload::Model { .. } => None,
-                };
-                let s = p.resume(&mut self.pool, &mut self.arena, spec);
-                self.in_flight.push(s);
-            }
-            let Some(queue) = self.pending.get_mut(&class) else {
-                continue;
-            };
-            while let Some(front) = queue.front() {
-                if now < front.submitted + self.config.arrival_window {
-                    // Class head still batching arrivals; it does not
-                    // block other classes (FIFO within the class holds —
-                    // later same-class requests are younger still).
-                    break;
-                }
-                if self.in_flight.len() >= self.config.max_in_flight {
-                    break 'classes;
-                }
-                let need = match (&front.request, self.config.admission) {
-                    (AnyRequest::Attn(r), AdmissionMode::PagedUsage) => {
-                        self.pool.pages_for(r.prompt)
-                    }
-                    (AnyRequest::Attn(r), AdmissionMode::WorstCaseReserve) => {
-                        self.pool.pages_for(r.q.rows())
-                    }
-                    (AnyRequest::Model(r), AdmissionMode::PagedUsage) => {
-                        // A fresh model sequence holds no pages yet; its
-                        // first prefill chunk appends this tick, so its
-                        // pages are charged (not taken) here.
-                        self.models[r.model.0].layers()
-                            * self.pool.pages_for(r.prompt.min(self.config.prefill_chunk))
-                    }
-                    (AnyRequest::Model(r), AdmissionMode::WorstCaseReserve) => {
-                        self.models[r.model.0].layers() * self.pool.pages_for(r.x.rows())
-                    }
-                };
-                if need > headroom {
-                    // An eligible head that cannot be placed blocks all
-                    // lower-priority admission: no overtaking, so every
-                    // placeable request is eventually admitted.
-                    break 'classes;
-                }
-                headroom -= need;
-                let p = queue.pop_front().expect("front exists");
-                self.pending_len -= 1;
-                let reserved_pages = match self.config.admission {
-                    AdmissionMode::PagedUsage => 0,
-                    AdmissionMode::WorstCaseReserve => need,
-                };
-                self.reserved_pages += reserved_pages;
-                let (priority, prompt, total, out_cols, payload) = match p.request {
-                    AnyRequest::Attn(r) => {
-                        let total = r.q.rows();
-                        let plan =
-                            Self::resolve_pattern(&self.plans, &self.pool, r.pattern, r.prompt);
-                        let spec = self.plans[plan].routing_spec();
-                        let seq = self.pool.allocate(r.q.cols(), r.v.cols());
-                        let ok = self.pool.try_extend(
-                            seq,
-                            &r.k.rows_slice(0, r.prompt),
-                            &r.v.rows_slice(0, r.prompt),
-                        );
-                        assert!(ok, "admission was granted its prompt pages");
-                        if let Some(spec) = spec {
-                            self.pool
-                                .extend_routing(seq, spec, 0, &r.q.rows_slice(0, r.prompt))
-                                .expect("a fresh cache adopts its plan's routing spec");
-                        }
-                        let cols = r.v.cols();
-                        let payload = Payload::Attn {
-                            plan,
-                            pattern: r.pattern,
-                            seq,
-                            q: r.q,
-                            k: r.k,
-                            v: r.v,
-                        };
-                        (r.priority, r.prompt, total, cols, payload)
-                    }
-                    AnyRequest::Model(r) => {
-                        let model = &self.models[r.model.0];
-                        let state = ModelKvState::allocate(model, &mut self.pool);
-                        let total = r.x.rows();
-                        let cols = model.d_model();
-                        let payload = Payload::Model {
-                            model: r.model.0,
-                            x: r.x,
-                            state,
-                        };
-                        (r.priority, r.prompt, total, cols, payload)
-                    }
-                };
-                self.in_flight.push(InFlight {
-                    id: p.id,
-                    priority,
-                    prompt,
-                    phase: Phase::Prefill { done: 0 },
-                    out: Matrix::zeros(total, out_cols),
-                    submitted: p.submitted,
-                    admitted: now,
-                    preemptions: 0,
-                    reserved_pages,
-                    payload,
-                });
-                fresh.push(p.id);
-            }
-        }
-        (fresh, resumed)
-    }
-
-    /// Advance the virtual clock by one tick: admit (resuming preempted
-    /// sequences first), preempt if this tick's appends outstrip the free
-    /// pages, gather every in-flight sequence's next unit of work, launch
-    /// it all batched (one `run_batch` per distinct plan, plus one per
-    /// layer per distinct model), apply outputs, and retire finished
-    /// sequences.
-    ///
-    /// On a launch failure the tick is rolled back atomically — appends
-    /// truncated (pages returned), victims rebuilt in place, admissions
-    /// un-admitted, no cursor or clock movement — and the returned error
-    /// names the offending request when identifiable; see the [module
-    /// docs](self).
-    pub fn tick(&mut self) -> Result<TickReport<T>, ServeError> {
-        let now = self.now;
-
-        // Pages this tick's appends will consume, counted before
-        // admission so newcomers cannot take them. Because of this guard,
-        // a tick admits or preempts, never both — which is what lets the
-        // rollback below restore victims at their exact positions.
-        let pre_needs: usize = self.in_flight.iter().map(|s| self.append_need(s)).sum();
-        let (admitted, resumed) = self.admit(now, pre_needs);
-
-        // Preemption resolution: when the appends still outstrip the free
-        // pages (growth of previously admitted sequences, not admission),
-        // grant appends from most urgent to least, evicting from the
-        // opposite end.
-        let needs: Vec<usize> = self.in_flight.iter().map(|s| self.append_need(s)).collect();
-        let mut staged: Vec<(usize, Parked<T>)> = Vec::new();
-        let mut preempted: Vec<RequestId> = Vec::new();
-        if needs.iter().sum::<usize>() > self.pool.free_pages() {
-            debug_assert!(
-                admitted.is_empty() && resumed.is_empty(),
-                "the admission guard makes admit-and-preempt ticks impossible"
-            );
-            // Urgency = admission order under strict priority: class
-            // ascending, in-flight position (admission recency) ascending.
-            let mut urgency: Vec<usize> = (0..self.in_flight.len()).collect();
-            urgency.sort_by_key(|&i| (self.in_flight[i].priority, i));
-            let mut available = self.pool.free_pages();
-            let mut victim = vec![false; self.in_flight.len()];
-            let mut hi = urgency.len();
-            for p in 0..urgency.len() {
-                if p >= hi {
-                    break; // everyone from here on is already a victim
-                }
-                let i = urgency[p];
-                let need = needs[i];
-                while need > available && hi > p + 1 {
-                    hi -= 1;
-                    let v = urgency[hi];
-                    victim[v] = true;
-                    available += match &self.in_flight[v].payload {
-                        Payload::Attn { seq, .. } => self.pool.pages_held(*seq),
-                        Payload::Model { state, .. } => state.pages_held(&self.pool),
+            for fresh in [false, true] {
+                loop {
+                    let queue = if fresh {
+                        &mut self.pending
+                    } else {
+                        &mut self.parked
                     };
-                }
-                if need <= available {
-                    available -= need;
-                } else {
-                    // Even with every less-urgent sequence evicted the
-                    // append does not fit: this sequence parks too. The
-                    // most urgent sequence can never land here — its
-                    // held + need never exceeds `layers × pages_for(total)`,
-                    // which fits the pool by the submission check — so at
-                    // least one sequence always advances: no livelock.
-                    victim[i] = true;
-                    hi = p;
-                }
-            }
-            for i in (0..self.in_flight.len()).rev() {
-                if victim[i] {
-                    let s = self.in_flight.remove(i);
-                    staged.push((
-                        i,
-                        s.park(&mut self.pool, &mut self.arena, self.config.eviction),
-                    ));
-                }
-            }
-            staged.reverse(); // ascending original index, for restore
-            preempted = staged.iter().map(|(_, p)| p.id).collect();
-        }
-
-        // Pre-append cache lengths of every surviving sequence — the
-        // rollback point if any launch below fails.
-        let priors: Vec<usize> = self
-            .in_flight
-            .iter()
-            .map(|s| match &s.payload {
-                Payload::Attn { seq, .. } => self.pool.cache(*seq).len(),
-                Payload::Model { state, .. } => state.tokens(&self.pool),
-            })
-            .collect();
-
-        // One unit of work per in-flight sequence; plan-sequence decode
-        // work appends its token's K/V row now (rolled back on failure),
-        // while model sequences append inside the layer advance below.
-        // Every append was granted its page above, so allocation cannot
-        // fail.
-        let work: Vec<(usize, Work)> = self
-            .in_flight
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let w = match s.phase {
-                    Phase::Prefill { done } => Work::Prefill {
-                        start: done,
-                        rows: self.config.prefill_chunk.min(s.prompt - done),
-                    },
-                    Phase::Decode { done } => Work::Decode { t: s.prompt + done },
-                };
-                (i, w)
-            })
-            .collect();
-        for (i, w) in &work {
-            if let Work::Decode { t } = w {
-                if let Payload::Attn {
-                    plan, seq, q, k, v, ..
-                } = &self.in_flight[*i].payload
-                {
-                    let ok = self.pool.try_append(*seq, k.row(*t), v.row(*t));
-                    assert!(ok, "decode appends were granted pages at tick start");
-                    // A routed plan's cache carries its routing: the new
-                    // token joins its group now, so the decode row below
-                    // sees a routing that covers its query position.
-                    if let Some(spec) = self.plans[*plan].routing_spec() {
-                        self.pool
-                            .extend_routing(*seq, spec, 0, &q.rows_slice(*t, *t + 1))
-                            .expect("cache routing follows its plan's spec");
-                    }
-                }
-            }
-        }
-
-        // Group plan sequences by plan and model sequences by model
-        // (BTreeMaps: deterministic launch order, plans before models).
-        let mut plan_groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        let mut model_groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (wi, (i, _)) in work.iter().enumerate() {
-            match &self.in_flight[*i].payload {
-                Payload::Attn { plan, .. } => plan_groups.entry(*plan).or_default().push(wi),
-                Payload::Model { model, .. } => model_groups.entry(*model).or_default().push(wi),
-            }
-        }
-        let windows: Vec<Matrix<T>> = work
-            .iter()
-            .map(|(i, w)| {
-                let src = match &self.in_flight[*i].payload {
-                    Payload::Attn { q, .. } => q,
-                    Payload::Model { x, .. } => x,
-                };
-                match *w {
-                    Work::Prefill { start, rows } => src.rows_slice(start, start + rows),
-                    Work::Decode { t } => src.rows_slice(t, t + 1),
-                }
-            })
-            .collect();
-        let mut outputs: Vec<Option<Matrix<T>>> = (0..work.len()).map(|_| None).collect();
-        let mut rows_computed = 0usize;
-        let mut launches = 0usize;
-        let mut failure: Option<(Option<RequestId>, AttnError)> = None;
-        for (plan_idx, items) in &plan_groups {
-            let requests: Vec<AttentionRequest<'_, T>> = items
-                .iter()
-                .map(|&wi| {
-                    let (i, w) = &work[wi];
-                    let Payload::Attn { seq, .. } = &self.in_flight[*i].payload else {
-                        unreachable!("plan groups hold plan sequences");
+                    let Some(front) = queue.get(&class).and_then(|q| q.front()) else {
+                        break;
                     };
-                    let cache = self.pool.cache(*seq);
-                    // Static plans ignore an attached routing; routed
-                    // plans require the one their cache carries.
-                    match *w {
-                        Work::Prefill { start, .. } => {
-                            AttentionRequest::windowed(&windows[wi], cache.k(0), cache.v(0), start)
-                                .with_routing(cache.routing(0))
-                        }
-                        Work::Decode { .. } => {
-                            AttentionRequest::decode(&windows[wi], cache.k(0), cache.v(0))
-                                .with_routing(cache.routing(0))
-                        }
-                    }
-                })
-                .collect();
-            match self.engine.run_batch(&self.plans[*plan_idx], &requests) {
-                Ok(outs) => {
-                    launches += 1;
-                    rows_computed += outs.iter().map(Matrix::rows).sum::<usize>();
-                    for (&wi, out) in items.iter().zip(outs) {
-                        outputs[wi] = Some(out);
-                    }
-                }
-                Err(e) => {
-                    // The engine reports one error per batch; re-check
-                    // the failed group's geometries against the plan's
-                    // compiled constraints to name the offender, so
-                    // callers can cancel it and recover.
-                    let offender = items.iter().find_map(|&wi| {
-                        let (i, w) = &work[wi];
-                        let s = &self.in_flight[*i];
-                        let plan = &self.plans[*plan_idx];
-                        let (kv_rows, q_end) = match *w {
-                            Work::Prefill { start, rows } => (s.prompt, start + rows),
-                            Work::Decode { t } => (t + 1, t + 1),
-                        };
-                        let pinned_wrong = plan.kv_pin().is_some_and(|pin| kv_rows != pin);
-                        let out_of_bound = plan.q_bound().is_some_and(|bound| q_end > bound);
-                        (pinned_wrong || out_of_bound).then_some(s.id)
-                    });
-                    failure = Some((offender, e));
-                    break;
-                }
-            }
-        }
-        if failure.is_none() {
-            for (model_idx, wis) in &model_groups {
-                let items: Vec<ModelWorkItem<'_, T>> = wis
-                    .iter()
-                    .map(|&wi| {
-                        let (i, _) = &work[wi];
-                        let Payload::Model { state, .. } = &self.in_flight[*i].payload else {
-                            unreachable!("model groups hold model sequences");
-                        };
-                        ModelWorkItem {
-                            x: &windows[wi],
-                            state,
-                        }
-                    })
-                    .collect();
-                match self.models[*model_idx].advance_batched(&self.engine, &mut self.pool, &items)
-                {
-                    Ok(adv) => {
-                        launches += adv.launches;
-                        rows_computed += adv.rows;
-                        for (&wi, out) in wis.iter().zip(adv.outputs) {
-                            outputs[wi] = Some(out);
-                        }
-                    }
-                    Err(err) => {
-                        // The layer advance already rolled its own
-                        // appends back. Page grants and item validation
-                        // happened above, so only a kernel-geometry
-                        // failure can reach here.
-                        let e = match err {
-                            ModelError::Attn(e) => e,
-                            other => {
-                                panic!("model advance was granted pages and validated: {other}")
-                            }
-                        };
-                        let offender = wis.iter().find_map(|&wi| {
-                            let (i, w) = &work[wi];
-                            let s = &self.in_flight[*i];
-                            let m = &self.models[*model_idx];
-                            // A model's caches hold exactly the advanced
-                            // window's end, in every layer.
-                            let (kv_rows, q_end) = match *w {
-                                Work::Prefill { start, rows } => (start + rows, start + rows),
-                                Work::Decode { t } => (t + 1, t + 1),
-                            };
-                            let bad = (0..m.layers()).any(|l| {
-                                let plan = m.plan_of(l);
-                                plan.kv_pin().is_some_and(|pin| kv_rows != pin)
-                                    || plan.q_bound().is_some_and(|bound| q_end > bound)
-                            });
-                            bad.then_some(s.id)
-                        });
-                        failure = Some((offender, e));
+                    if fresh && self.now < front.submitted + self.config.arrival_window {
+                        // Class head still batching arrivals; it does not
+                        // block other classes (FIFO within the class holds
+                        // — later same-class requests are younger still).
                         break;
                     }
-                }
-            }
-        }
-        if let Some((offender, e)) = failure {
-            // Atomic rollback, part 1: every surviving sequence's cache
-            // (every layer's, for models) back to its pre-append length,
-            // returning this tick's granted pages; no cursor or clock
-            // movement.
-            for (s, &prior) in self.in_flight.iter().zip(&priors) {
-                match &s.payload {
-                    Payload::Attn { seq, .. } => self.pool.truncate(*seq, prior),
-                    Payload::Model { state, .. } => state.truncate(&mut self.pool, prior),
-                }
-            }
-            // Part 2a: un-preempt this tick's victims — rebuild each one
-            // at its exact former position. Page conservation covers the
-            // restores: the survivors' truncation returned every page the
-            // grants took, and those grants were funded by the victims'
-            // own releases.
-            for (index, p) in staged {
-                let spec = match &p.payload {
-                    ParkedPayload::Attn { plan, .. } => self.plans[*plan].routing_spec(),
-                    ParkedPayload::Model { .. } => None,
-                };
-                let s = p.resume(&mut self.pool, &mut self.arena, spec);
-                self.in_flight.insert(index, s);
-            }
-            // Part 2b: un-admit this tick's admissions — release their
-            // pages and push them back to their queue fronts (popping
-            // from the in-flight tail and pushing front restores FIFO
-            // order; resumed sequences go back to their resume queue in
-            // id order), so a failed tick leaves NO trace.
-            for _ in 0..admitted.len() + resumed.len() {
-                let s = self.in_flight.pop().expect("admissions sit at the tail");
-                self.reserved_pages -= s.reserved_pages;
-                if s.preemptions > 0 {
-                    // Re-park with the configured mode: under Swap, the
-                    // resume above just freed exactly these arena bytes,
-                    // so the stack re-parks (or falls back) exactly as it
-                    // was parked before this failed tick.
-                    let p = s.park(&mut self.pool, &mut self.arena, self.config.eviction);
-                    let queue = self.parked.entry(p.priority).or_default();
-                    let at = queue.partition_point(|x| x.id < p.id);
-                    queue.insert(at, p);
-                    self.parked_len += 1;
-                } else {
-                    let (id, submitted, priority, prompt) =
-                        (s.id, s.submitted, s.priority, s.prompt);
-                    let request = match s.payload {
-                        Payload::Attn {
-                            pattern,
-                            seq,
-                            q,
-                            k,
-                            v,
-                            ..
-                        } => {
-                            self.pool.release(seq);
-                            // Back to the queue with its original choice:
-                            // an Auto request re-resolves at its real
-                            // admission, under that tick's page pressure.
-                            AnyRequest::Attn(ServeRequest {
-                                pattern,
-                                priority,
-                                prompt,
-                                q,
-                                k,
-                                v,
-                            })
-                        }
-                        Payload::Model { model, x, state } => {
-                            state.release(&mut self.pool);
-                            AnyRequest::Model(ModelRequest {
-                                model: ModelId(model),
-                                priority,
-                                prompt,
-                                x,
-                            })
-                        }
-                    };
-                    self.pending
-                        .entry(priority)
-                        .or_default()
-                        .push_front(Pending {
-                            id,
-                            submitted,
-                            request,
-                        });
-                    self.pending_len += 1;
-                }
-            }
-            return Err(ServeError::Launch {
-                request: offender,
-                source: e,
-            });
-        }
-
-        // Apply outputs and advance each sequence's cursor.
-        for ((i, w), out) in work.iter().zip(outputs) {
-            let out = out.expect("all launches succeeded");
-            let s = &mut self.in_flight[*i];
-            match *w {
-                Work::Prefill { start, rows } => {
-                    for r in 0..rows {
-                        s.out.row_mut(start + r).copy_from_slice(out.row(r));
+                    let (_, end) = front.window(self.config.prefill_chunk);
+                    let need = front.pages_at(&self.pool, end);
+                    if self.in_flight.len() >= self.config.max_in_flight || need > headroom {
+                        // A head that cannot be placed blocks all lower
+                        // admission: no overtaking — of a preempted
+                        // sequence or a pending one — so every placeable
+                        // request is eventually admitted.
+                        break 'classes;
                     }
-                    let done = start + rows;
-                    s.phase = if done == s.prompt {
-                        Phase::Decode { done: 0 }
+                    headroom -= need;
+                    let queue = queue.get_mut(&class).expect("front exists");
+                    let mut s = queue.pop_front().expect("front exists");
+                    if fresh {
+                        if let Inputs::Plan { pattern, plan, .. } = &mut s.inputs {
+                            *plan = self.resolve_pattern(*pattern, s.prompt);
+                        }
+                        s.out = Matrix::zeros(s.total(), s.out.cols());
+                        s.admitted = self.now;
+                        staged.fresh.push(s.id);
                     } else {
-                        Phase::Prefill { done }
-                    };
-                }
-                Work::Decode { t } => {
-                    s.out.row_mut(t).copy_from_slice(out.row(0));
-                    s.phase = Phase::Decode {
-                        done: t + 1 - s.prompt,
-                    };
+                        staged.resumed.push(s.id);
+                        staged.swapped.push(matches!(s.kv, Kv::Swapped(_)));
+                    }
+                    self.resume(&mut s);
+                    self.in_flight.push(s);
                 }
             }
         }
+        staged
+    }
 
-        // Retire completed sequences (in in-flight — i.e. admission —
-        // order), releasing their KV pages.
+    /// Stage 3 — **preempt**: when this tick's appends outstrip the free
+    /// pages (growth of previously admitted sequences, not admission),
+    /// grant appends from most urgent to least, evicting from the
+    /// opposite end. Victims are parked and returned with their in-flight
+    /// positions, ascending; they reach their resume queues in `apply`.
+    fn preempt(&mut self) -> Vec<(usize, Seq<T>)> {
+        let mut available = self.pool.free_pages();
+        if self.needs() <= available {
+            return Vec::new();
+        }
+        let needs: Vec<usize> = self.in_flight.iter().map(|s| self.append_need(s)).collect();
+        // Urgency = admission order under strict priority: class
+        // ascending, in-flight position (admission recency) ascending.
+        let mut urgency: Vec<usize> = (0..self.in_flight.len()).collect();
+        urgency.sort_by_key(|&i| (self.in_flight[i].priority, i));
+        let mut victim = vec![false; self.in_flight.len()];
+        let mut hi = urgency.len();
+        for p in 0..urgency.len() {
+            if p >= hi {
+                break; // everyone from here on is already a victim
+            }
+            let i = urgency[p];
+            while needs[i] > available && hi > p + 1 {
+                hi -= 1;
+                victim[urgency[hi]] = true;
+                available += self.in_flight[urgency[hi]].live().pages_held(&self.pool);
+            }
+            if needs[i] <= available {
+                available -= needs[i];
+            } else {
+                // Even with every less-urgent sequence evicted the
+                // append does not fit: this sequence parks too. The
+                // most urgent sequence can never land here — its
+                // held + need never exceeds `layers × pages_for(total)`,
+                // which fits the pool by the submission check — so at
+                // least one sequence always advances: no livelock.
+                victim[i] = true;
+                hi = p;
+            }
+        }
+        let mut staged = Vec::new();
+        for i in (0..self.in_flight.len()).rev() {
+            if victim[i] {
+                let mut s = self.in_flight.remove(i);
+                self.park(&mut s, true);
+                staged.push((i, s));
+            }
+        }
+        staged.reverse(); // ascending original index, for restore
+        staged
+    }
+
+    /// Stage 4 — **launch**: one unit of work per in-flight sequence,
+    /// batched into one `run_batch` per distinct plan, then one layer
+    /// advance per distinct model (a `BTreeMap`: deterministic launch
+    /// order). Appends land in the caches — every one was granted its
+    /// pages by the stages above, so allocation cannot fail — but no
+    /// cursor moves: on `Err` the caller rolls back, and the error names
+    /// the offending request when identifiable.
+    fn launch(&mut self) -> Result<Launched<T>, ServeError> {
+        let chunk = self.config.prefill_chunk;
+        // A decoding plan sequence appends its token's K/V row now;
+        // stacks append inside their layer advance.
+        for s in &self.in_flight {
+            let Inputs::Plan { plan, q, k, v, .. } = &s.inputs else {
+                continue;
+            };
+            if s.done < s.prompt {
+                continue;
+            }
+            let seq = s.live().layer_seqs()[0];
+            let ok = self.pool.try_append(seq, k.row(s.done), v.row(s.done));
+            assert!(ok, "decode appends were granted pages at tick start");
+            // A routed plan's cache carries its routing: the new token
+            // joins its group now, so the decode row below sees a routing
+            // that covers its query position.
+            if let Some(spec) = self.plans[*plan].routing_spec() {
+                self.pool
+                    .extend_routing(seq, spec, 0, &q.rows_slice(s.done, s.done + 1))
+                    .expect("cache routing follows its plan's spec");
+            }
+        }
+        let mut groups: BTreeMap<(bool, usize), Vec<usize>> = BTreeMap::new();
+        let mut windows = Vec::with_capacity(self.in_flight.len());
+        for (i, s) in self.in_flight.iter().enumerate() {
+            groups.entry(s.group()).or_default().push(i);
+            let (start, end) = s.window(chunk);
+            windows.push(s.inputs.rows().rows_slice(start, end));
+        }
+        let mut launched = Launched {
+            outputs: windows.iter().map(|_| None).collect(),
+            launches: 0,
+            rows: 0,
+        };
+        for (&(stack, target), members) in &groups {
+            let result = if stack {
+                let items: Vec<ModelWorkItem<'_, T>> = members
+                    .iter()
+                    .map(|&i| ModelWorkItem {
+                        x: &windows[i],
+                        state: self.in_flight[i].live(),
+                    })
+                    .collect();
+                match self.models[target].advance_batched(&self.engine, &mut self.pool, &items) {
+                    Ok(adv) => Ok((adv.outputs, adv.launches, adv.rows)),
+                    // The layer advance already rolled its own appends
+                    // back. Page grants and item validation happened
+                    // above, so only a kernel-geometry failure can reach
+                    // here.
+                    Err(ModelError::Attn(e)) => Err(e),
+                    Err(other) => panic!("model advance was granted pages and validated: {other}"),
+                }
+            } else {
+                let requests: Vec<AttentionRequest<'_, T>> = members
+                    .iter()
+                    .map(|&i| {
+                        let s = &self.in_flight[i];
+                        let cache = self.pool.cache(s.live().layer_seqs()[0]);
+                        let request = if s.done < s.prompt {
+                            AttentionRequest::windowed(&windows[i], cache.k(0), cache.v(0), s.done)
+                        } else {
+                            AttentionRequest::decode(&windows[i], cache.k(0), cache.v(0))
+                        };
+                        // Static plans ignore an attached routing; routed
+                        // plans require the one their cache carries.
+                        request.with_routing(cache.routing(0))
+                    })
+                    .collect();
+                self.engine
+                    .run_batch(&self.plans[target], &requests)
+                    .map(|outs| {
+                        let rows = outs.iter().map(Matrix::rows).sum();
+                        (outs, 1, rows)
+                    })
+            };
+            match result {
+                Ok((outs, launches, rows)) => {
+                    launched.launches += launches;
+                    launched.rows += rows;
+                    for (&i, out) in members.iter().zip(outs) {
+                        launched.outputs[i] = Some(out);
+                    }
+                }
+                Err(source) => {
+                    // The engine reports one error per batch; re-check
+                    // the failed group's geometries against the compiled
+                    // constraints — the plan's, or every layer's of the
+                    // model — to name the offender, so callers can cancel
+                    // it and recover. The launch saw each cache at the
+                    // length the cache rule gives for the window's end.
+                    let offender = members.iter().map(|&i| &self.in_flight[i]).find(|s| {
+                        let (_, end) = s.window(chunk);
+                        (0..s.layers).any(|layer| {
+                            let plan = if stack {
+                                self.models[target].plan_of(layer)
+                            } else {
+                                &self.plans[target]
+                            };
+                            plan.kv_pin().is_some_and(|pin| s.cached(end) != pin)
+                                || plan.q_bound().is_some_and(|bound| end > bound)
+                        })
+                    });
+                    return Err(ServeError::Launch {
+                        request: offender.map(|s| s.id),
+                        source,
+                    });
+                }
+            }
+        }
+        Ok(launched)
+    }
+
+    /// Stage 5, success — **apply**: write each window's output rows,
+    /// advance the cursors, retire finished sequences (in in-flight —
+    /// i.e. admission — order, releasing their KV pages), commit this
+    /// tick's victims to their resume queues, and move the clock.
+    fn apply(
+        &mut self,
+        admitted: Admitted,
+        staged: Vec<(usize, Seq<T>)>,
+        launched: Launched<T>,
+    ) -> TickReport<T> {
+        for (s, out) in self.in_flight.iter_mut().zip(launched.outputs) {
+            let out = out.expect("every in-flight sequence joined a launch");
+            let (start, end) = s.window(self.config.prefill_chunk);
+            for row in start..end {
+                s.out.row_mut(row).copy_from_slice(out.row(row - start));
+            }
+            s.done = end;
+        }
         let mut completed = Vec::new();
         let mut i = 0;
         while i < self.in_flight.len() {
-            if self.in_flight[i].is_complete() {
-                let s = self.in_flight.remove(i);
-                self.reserved_pages -= s.reserved_pages;
-                let target = s.target();
-                match s.payload {
-                    Payload::Attn { seq, .. } => {
-                        self.pool.release(seq);
-                    }
-                    Payload::Model { state, .. } => {
-                        state.release(&mut self.pool);
-                    }
-                }
-                completed.push(Completion {
-                    id: s.id,
-                    priority: s.priority,
-                    target,
-                    output: s.out,
-                    submitted: s.submitted,
-                    admitted: s.admitted,
-                    completed: now,
-                    preemptions: s.preemptions,
-                });
-            } else {
+            if self.in_flight[i].done < self.in_flight[i].total() {
                 i += 1;
+                continue;
             }
+            let s = self.in_flight.remove(i);
+            let target = match s.group() {
+                (false, plan) => ServeTarget::Plan(PlanId(plan)),
+                (true, model) => ServeTarget::Model(ModelId(model)),
+            };
+            self.discard(s.kv);
+            completed.push(Completion {
+                id: s.id,
+                priority: s.priority,
+                target,
+                output: s.out,
+                submitted: s.submitted,
+                admitted: s.admitted,
+                completed: self.now,
+                preemptions: s.preemptions,
+            });
         }
-
-        // Commit this tick's preemptions: victims move to their resume
-        // queues (id order = original admission order within the class).
-        for (_, mut p) in staged {
-            p.preemptions += 1;
+        let preempted = staged.iter().map(|(_, s)| s.id).collect();
+        for (_, mut s) in staged {
+            s.preemptions += 1;
             self.preemption_events += 1;
-            if self.config.eviction == EvictionMode::Swap && !p.is_swapped() {
+            if self.config.eviction == EvictionMode::Swap && !matches!(s.kv, Kv::Swapped(_)) {
                 self.swap_fallbacks += 1;
             }
-            let queue = self.parked.entry(p.priority).or_default();
-            let at = queue.partition_point(|x| x.id < p.id);
-            queue.insert(at, p);
-            self.parked_len += 1;
+            self.enqueue_parked(s);
         }
-
+        let tick = self.now;
         self.now += 1;
-        Ok(TickReport {
-            tick: now,
-            admitted,
-            resumed,
+        TickReport {
+            tick,
+            admitted: admitted.fresh,
+            resumed: admitted.resumed,
             preempted,
-            launches,
-            rows_computed,
+            launches: launched.launches,
+            rows_computed: launched.rows,
             completed,
-        })
+        }
+    }
+
+    /// Stage 5, failure — **rollback**: undo stages 2–4 so the failed
+    /// tick leaves no trace. No cursor moved, so every in-flight cache's
+    /// pre-tick length is what the cache rule says for `done`.
+    fn rollback(&mut self, mut admitted: Admitted, staged: Vec<(usize, Seq<T>)>) {
+        // Appends: every layer of every cache back to its pre-tick
+        // length, returning this tick's granted pages.
+        for s in &self.in_flight {
+            s.live().truncate(&mut self.pool, s.cached(s.done));
+        }
+        // Un-preempt: each victim back in the pool at its exact former
+        // position. Page conservation covers the restores: truncation
+        // returned every page the grants took, and those grants were
+        // funded by the victims' own releases.
+        for (index, mut s) in staged {
+            self.resume(&mut s);
+            self.in_flight.insert(index, s);
+        }
+        // Un-admit, from the in-flight tail: a fresh request goes back to
+        // its queue front unresolved and without its output rows (popping
+        // the tail and pushing front restores FIFO order); a resumed
+        // sequence goes back to its resume queue holding what it held —
+        // only those that came out of the arena go back in, so the bytes
+        // they freed are there whatever the order.
+        for _ in 0..admitted.fresh.len() + admitted.resumed.len() {
+            let mut s = self.in_flight.pop().expect("admissions sit at the tail");
+            if s.preemptions > 0 {
+                let swapped = admitted.swapped.pop().expect("one flag per resumed");
+                self.park(&mut s, swapped);
+                debug_assert_eq!(swapped, matches!(s.kv, Kv::Swapped(_)));
+                self.enqueue_parked(s);
+            } else {
+                self.discard(std::mem::replace(&mut s.kv, Kv::None));
+                s.out = Matrix::zeros(0, s.out.cols());
+                self.pending.entry(s.priority).or_default().push_front(s);
+            }
+        }
+    }
+
+    /// Advance the virtual clock by one tick through the five stages —
+    /// needs, admit (resuming preempted sequences first), preempt if this
+    /// tick's appends outstrip the free pages, launch every in-flight
+    /// sequence's next unit of work batched (one `run_batch` per distinct
+    /// plan, plus one per layer per distinct model), then apply: outputs
+    /// written, finished sequences retired.
+    ///
+    /// On a launch failure the tick is rolled back atomically instead —
+    /// appends truncated (pages returned), victims restored in place,
+    /// admissions un-admitted, no cursor or clock movement — and the
+    /// returned error names the offending request when identifiable; see
+    /// the [module docs](self).
+    pub fn tick(&mut self) -> Result<TickReport<T>, ServeError> {
+        let held_back = self.needs();
+        let admitted = self.admit(held_back);
+        let staged = self.preempt();
+        debug_assert!(
+            staged.is_empty() || (admitted.fresh.is_empty() && admitted.resumed.is_empty()),
+            "the admission guard makes admit-and-preempt ticks impossible"
+        );
+        match self.launch() {
+            Ok(launched) => Ok(self.apply(admitted, staged, launched)),
+            Err(error) => {
+                self.rollback(admitted, staged);
+                Err(error)
+            }
+        }
     }
 }
 
@@ -1709,8 +1246,8 @@ impl<T: Real> std::fmt::Debug for Scheduler<'_, T> {
             .field("now", &self.now)
             .field("plans", &self.plans.len())
             .field("models", &self.models.len())
-            .field("pending", &self.pending_len)
-            .field("parked", &self.parked_len)
+            .field("pending", &self.pending_len())
+            .field("parked", &self.parked_len())
             .field("in_flight", &self.in_flight.len())
             .field("free_pages", &self.pool.free_pages())
             .field("total_pages", &self.pool.total_pages())
@@ -2043,10 +1580,10 @@ mod tests {
     #[test]
     fn paged_admission_packs_by_usage_not_worst_case() {
         // 8 pages × 4 tokens. Each request: 4-token prompt (1 page) but a
-        // 24-token total (6 pages). Worst-case reservation admits one at
-        // a time (6 of 8 pages reserved); paged admission packs all four
-        // prompts into half the pool.
-        let config = ServeConfig {
+        // 24-token total (6 pages): paged admission packs all four
+        // prompts into half the pool, where charging the worst case
+        // would admit one.
+        let (mut paged, plan) = scheduler(ServeConfig {
             max_in_flight: 4,
             kv_pages: 8,
             page_size: 4,
@@ -2055,28 +1592,13 @@ mod tests {
             admission: AdmissionMode::PagedUsage,
             eviction: EvictionMode::Recompute,
             swap_bytes: usize::MAX,
-        };
-        let (mut paged, plan) = scheduler(config);
+        });
         for seed in 0..4 {
             paged.submit(request(plan, 0, 4, 24, 31 + seed)).unwrap();
         }
         let r = paged.tick().unwrap();
         assert_eq!(r.admitted.len(), 4, "paged admission packs by usage");
         assert_eq!(paged.kv_used_pages(), 4);
-
-        let (mut reserve, plan) = scheduler(ServeConfig {
-            admission: AdmissionMode::WorstCaseReserve,
-            eviction: EvictionMode::Recompute,
-            swap_bytes: usize::MAX,
-            ..config
-        });
-        for seed in 0..4 {
-            reserve.submit(request(plan, 0, 4, 24, 31 + seed)).unwrap();
-        }
-        let r = reserve.tick().unwrap();
-        assert_eq!(r.admitted.len(), 1, "reservation strands the pool");
-        assert_eq!(reserve.kv_reserved_pages(), 6);
-        reserve.assert_kv_invariants();
     }
 
     #[test]

@@ -73,9 +73,53 @@ pub struct TraceEvent<T> {
     pub request: ServeRequest<T>,
 }
 
-fn draw_incl(rng: &mut StdRng, (lo, hi): (usize, usize)) -> usize {
-    assert!(lo <= hi, "empty range");
-    lo + rng.gen_range(0..hi - lo + 1)
+/// One sequence's shape, drawn from a [`TraceSpec`]: everything about a
+/// trace event except the rows themselves.
+struct Shape {
+    at: u64,
+    prompt: usize,
+    total: usize,
+    priority: u8,
+    /// Index into the generator's targets (patterns or models).
+    pick: usize,
+}
+
+/// Draw every sequence's shape from the spec's seeded generator. The two
+/// trace flavors draw the same fields, but their target pick sits on
+/// different sides of the priority draw (`pick_first` is the model-trace
+/// order); keeping each order keeps every seeded trace byte-identical.
+fn draw_shapes(spec: &TraceSpec, targets: usize, pick_first: bool) -> Vec<Shape> {
+    fn draw_incl(rng: &mut StdRng, (lo, hi): (usize, usize)) -> usize {
+        assert!(lo <= hi, "empty range");
+        lo + rng.gen_range(0..hi - lo + 1)
+    }
+    let mut rng = StdRng::seed_from_u64(spec.seed);
+    let classes = spec.priority_classes.max(1);
+    let mut at = 0u64;
+    (0..spec.sequences)
+        .map(|_| {
+            let prompt = draw_incl(&mut rng, spec.prompt).max(1);
+            let total = prompt + draw_incl(&mut rng, spec.decode);
+            let mut pick = 0;
+            if pick_first {
+                pick = rng.gen_range(0..targets);
+            }
+            let priority = rng.gen_range(0..classes as usize) as u8;
+            if !pick_first {
+                pick = rng.gen_range(0..targets);
+            }
+            let (glo, ghi) = spec.arrival_gap;
+            assert!(glo <= ghi, "empty arrival-gap range");
+            at += glo + rng.gen_range(0..(ghi - glo + 1) as usize) as u64;
+            Shape {
+                at,
+                prompt,
+                total,
+                priority,
+                pick,
+            }
+        })
+        .collect()
 }
 
 /// Generate a seeded workload trace, drawing each sequence's pattern
@@ -92,30 +136,21 @@ pub fn generate_trace<T: Real, C: Into<PatternChoice> + Copy>(
     patterns: &[C],
 ) -> Vec<TraceEvent<T>> {
     assert!(!patterns.is_empty(), "a trace needs at least one pattern");
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let classes = spec.priority_classes.max(1);
-    let mut at = 0u64;
-    (0..spec.sequences)
-        .map(|i| {
-            let prompt = draw_incl(&mut rng, spec.prompt).max(1);
-            let decode = draw_incl(&mut rng, spec.decode);
-            let total = prompt + decode;
+    draw_shapes(spec, patterns.len(), false)
+        .into_iter()
+        .enumerate()
+        .map(|(i, shape)| {
             let (q, k, v) = qkv::<T>(
-                total,
+                shape.total,
                 spec.dk,
                 spec.seed ^ (0xA5A5_0000 + i as u64).wrapping_mul(0x9E37),
             );
-            let priority = rng.gen_range(0..classes as usize) as u8;
-            let pattern = patterns[rng.gen_range(0..patterns.len())].into();
-            let (glo, ghi) = spec.arrival_gap;
-            assert!(glo <= ghi, "empty arrival-gap range");
-            at += glo + rng.gen_range(0..(ghi - glo + 1) as usize) as u64;
             TraceEvent {
-                at,
+                at: shape.at,
                 request: ServeRequest {
-                    pattern,
-                    priority,
-                    prompt,
+                    pattern: patterns[shape.pick].into(),
+                    priority: shape.priority,
+                    prompt: shape.prompt,
                     q,
                     k,
                     v,
@@ -148,31 +183,23 @@ pub fn generate_model_trace<T: Real>(
     models: &[(ModelId, usize)],
 ) -> Vec<ModelTraceEvent<T>> {
     assert!(!models.is_empty(), "a trace needs at least one model");
-    let mut rng = StdRng::seed_from_u64(spec.seed);
-    let classes = spec.priority_classes.max(1);
-    let mut at = 0u64;
-    (0..spec.sequences)
-        .map(|i| {
-            let prompt = draw_incl(&mut rng, spec.prompt).max(1);
-            let decode = draw_incl(&mut rng, spec.decode);
-            let total = prompt + decode;
-            let (model, d_model) = models[rng.gen_range(0..models.len())];
+    draw_shapes(spec, models.len(), true)
+        .into_iter()
+        .enumerate()
+        .map(|(i, shape)| {
+            let (model, d_model) = models[shape.pick];
             let x = gaussian_matrix(
-                total,
+                shape.total,
                 d_model,
                 1.0,
                 spec.seed ^ (0xD0DE_0000 + i as u64).wrapping_mul(0x9E37),
             );
-            let priority = rng.gen_range(0..classes as usize) as u8;
-            let (glo, ghi) = spec.arrival_gap;
-            assert!(glo <= ghi, "empty arrival-gap range");
-            at += glo + rng.gen_range(0..(ghi - glo + 1) as usize) as u64;
             ModelTraceEvent {
-                at,
+                at: shape.at,
                 request: ModelRequest {
                     model,
-                    priority,
-                    prompt,
+                    priority: shape.priority,
+                    prompt: shape.prompt,
                     x,
                 },
             }
@@ -182,7 +209,8 @@ pub fn generate_model_trace<T: Real>(
 
 /// Drive `scheduler` through a trace on its virtual clock: events are
 /// submitted when the clock reaches their arrival tick, the scheduler
-/// ticks until idle, and all completions come back in completion order.
+/// ticks until idle, and all completions come back in completion order —
+/// [`replay_mixed`] with no model events.
 ///
 /// `max_ticks` bounds the drive — exceeding it returns
 /// [`ServeError::NotDrained`], which doubles as the simulation's
@@ -196,28 +224,7 @@ pub fn replay<T: Real>(
     trace: &[TraceEvent<T>],
     max_ticks: u64,
 ) -> Result<Vec<Completion<T>>, ServeError> {
-    assert!(
-        trace.windows(2).all(|w| w[0].at <= w[1].at),
-        "trace events must be sorted by arrival tick"
-    );
-    let mut completions = Vec::new();
-    let mut next = 0usize;
-    let mut ticks = 0u64;
-    while next < trace.len() || !scheduler.is_idle() {
-        while next < trace.len() && trace[next].at <= scheduler.now() {
-            scheduler.submit(trace[next].request.clone())?;
-            next += 1;
-        }
-        completions.extend(scheduler.tick()?.completed);
-        ticks += 1;
-        if ticks > max_ticks {
-            return Err(ServeError::NotDrained {
-                ticks,
-                outstanding: (trace.len() - next) + scheduler.outstanding(),
-            });
-        }
-    }
-    Ok(completions)
+    replay_mixed(scheduler, trace, &[], max_ticks)
 }
 
 /// Drive `scheduler` through plan and decoder-model traces merged on one

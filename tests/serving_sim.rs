@@ -2,7 +2,7 @@
 //!
 //! A seeded virtual-clock workload generator replays randomized arrival
 //! traces (mixed prompt lengths, decode lengths, arrival gaps, priority
-//! classes, kernels, page sizes, and admission modes) through
+//! classes, kernels, page sizes, and eviction modes) through
 //! `gpa-serve`'s [`Scheduler`] and checks, for **every** trace:
 //!
 //! 1. **Bitwise equivalence** — each completed sequence's full output
@@ -488,13 +488,6 @@ fn randomized_traces_match_the_sequential_reference_bitwise() {
         // sometimes a loose one; always enough pages for the largest
         // single sequence, so nothing is rejected at submission.
         let kv_pages = max_total.div_ceil(page_size) + knobs.gen_range(0..2 * spec.sequences);
-        // Every fourth trace runs worst-case reservation — the mode that
-        // can never preempt — so both admission paths stay exercised.
-        let admission = if trace_seed % 4 == 3 {
-            AdmissionMode::WorstCaseReserve
-        } else {
-            AdmissionMode::PagedUsage
-        };
         // Every third trace parks victims in the swap arena instead of
         // recomputing, and every sixth gets a byte cap tight enough that
         // some parks fall back — all bitwise-invisible by construction.
@@ -514,7 +507,7 @@ fn randomized_traces_match_the_sequential_reference_bitwise() {
             page_size,
             arrival_window: knobs.gen_range(0..3) as u64,
             prefill_chunk: 1 + knobs.gen_range(0..6),
-            admission,
+            admission: AdmissionMode::PagedUsage,
             eviction,
             swap_bytes,
         };
@@ -529,7 +522,6 @@ fn randomized_traces_match_the_sequential_reference_bitwise() {
             0,
             "trace {trace_seed}: all pages released"
         );
-        assert_eq!(scheduler.kv_reserved_pages(), 0);
         assert_eq!(
             scheduler.swap_parked_bytes(),
             0,
@@ -540,13 +532,6 @@ fn randomized_traces_match_the_sequential_reference_bitwise() {
                 scheduler.swap_peak_bytes(),
                 0,
                 "trace {trace_seed}: recompute never touches the arena"
-            );
-        }
-        if admission == AdmissionMode::WorstCaseReserve {
-            assert_eq!(
-                scheduler.preemption_events(),
-                0,
-                "trace {trace_seed}: worst-case reservation never preempts"
             );
         }
         preempted_completions += completions.iter().filter(|c| c.preemptions > 0).count() as u64;
@@ -870,55 +855,6 @@ fn one_tick_flattens_static_and_routed_sequences_into_shared_launches() {
     }
 }
 
-/// Acceptance A/B: on the same page budget at saturating load, paged
-/// admission sustains strictly more concurrent in-flight sequences than
-/// worst-case reservation — and both serve every sequence bitwise equal
-/// to the reference.
-#[test]
-fn paged_admission_sustains_more_concurrency_than_reservation() {
-    let spec = TraceSpec {
-        sequences: 8,
-        prompt: (4, 4),
-        decode: (12, 12),
-        dk: 4,
-        arrival_gap: (0, 0),
-        priority_classes: 1,
-        seed: 0xAB,
-    };
-    let mut peaks = Vec::new();
-    for admission in [AdmissionMode::PagedUsage, AdmissionMode::WorstCaseReserve] {
-        let config = ServeConfig {
-            max_in_flight: 6,
-            // 8 pages × 4 tokens: each 16-token sequence needs 4 pages at
-            // completion, so reservation fits two at a time while paged
-            // admission packs six one-page prompts.
-            kv_pages: 8,
-            page_size: 4,
-            arrival_window: 0,
-            prefill_chunk: 4,
-            admission,
-            eviction: EvictionMode::Recompute,
-            swap_bytes: usize::MAX,
-        };
-        let (mut scheduler, plans) = build_scheduler(2, config);
-        let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans);
-        let bound = starvation_bound(&trace, &config);
-        let (completions, peak) = drive(&mut scheduler, &trace, bound);
-        check_completions(&scheduler, &trace, &completions);
-        if admission == AdmissionMode::WorstCaseReserve {
-            assert_eq!(scheduler.preemption_events(), 0);
-        }
-        peaks.push(peak);
-    }
-    let (paged, reserved) = (peaks[0], peaks[1]);
-    assert_eq!(reserved, 2, "reservation caps concurrency at 8/4 pages");
-    assert!(
-        paged > reserved,
-        "paged admission must sustain strictly more concurrent sequences \
-         ({paged} vs {reserved})"
-    );
-}
-
 /// Duplicate-shape burst: many equal-shape sequences in two classes,
 /// arriving together — the case where the FIFO-completion half of
 /// invariant 4 actually bites (and priority classes visibly reorder).
@@ -1132,6 +1068,466 @@ fn launch_failure_rolls_back_and_over_capacity_is_rejected_cleanly() {
     assert_eq!(scheduler.kv_used_pages(), 0);
 }
 
+/// One submission of a rollback-matrix script.
+#[derive(Clone)]
+enum Sub {
+    Plan(graph_attention::serve::ServeRequest<f64>),
+    Model(ModelRequest<f64>),
+}
+
+/// A rollback-matrix scenario: submissions by arrival tick (request ids
+/// are positions in `events`), the event that cannot run, and the tick
+/// whose launch it fails.
+struct Script {
+    events: Vec<(u64, Sub)>,
+    offender: usize,
+    fail_tick: u64,
+}
+
+/// The rollback-matrix rig: a healthy plan and a healthy 3-layer stack,
+/// plus a plan and a 3-layer stack over a `Global` kernel pinned to `pin`
+/// cached tokens. A sequence whose prompt is `pin` long prefills cleanly
+/// under the pinned kernel (a plan sequence over `ceil(pin / chunk)`
+/// ticks, a stack in one chunk of at least `pin` rows) and fails at its
+/// first decode row, so a script places the failing tick at will.
+struct Rig {
+    scheduler: Scheduler<'static, f64>,
+    healthy: graph_attention::serve::PlanId,
+    pinned: graph_attention::serve::PlanId,
+    stack: ModelId,
+    pinned_stack: ModelId,
+}
+
+fn build_rig(config: ServeConfig, pin: usize) -> Rig {
+    let mut scheduler = Scheduler::new(AttentionEngine::with_threads(2), config).unwrap();
+    let globals: &'static GlobalSet = Box::leak(Box::new(GlobalSet::new(pin, vec![0])));
+    let local = || AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap();
+    let global = || AttentionPlan::single(AttentionKernel::Global { globals, n_sub: 0 }).unwrap();
+    let healthy = scheduler.register_plan(local()).unwrap();
+    let pinned = scheduler.register_plan(global()).unwrap();
+    let sparse = AttentionPlan::single(AttentionKernel::Dilated1d { w: 3, r: 2 }).unwrap();
+    let stack = scheduler.register_model(
+        DecoderModel::new(
+            LayerPattern::parse("FSF").unwrap(),
+            vec![('F', local()), ('S', sparse)],
+            12,
+            3,
+            4,
+            0x5EED,
+        )
+        .unwrap(),
+    );
+    let pinned_stack = scheduler.register_model(
+        DecoderModel::new(
+            LayerPattern::parse("FGF").unwrap(),
+            vec![('F', local()), ('G', global())],
+            12,
+            3,
+            4,
+            0xD1CE,
+        )
+        .unwrap(),
+    );
+    Rig {
+        scheduler,
+        healthy,
+        pinned,
+        stack,
+        pinned_stack,
+    }
+}
+
+fn plan_sub(
+    pattern: graph_attention::serve::PlanId,
+    priority: u8,
+    prompt: usize,
+    total: usize,
+    seed: u64,
+) -> Sub {
+    let (q, k, v) = init::qkv::<f64>(total, 4, seed);
+    Sub::Plan(graph_attention::serve::ServeRequest {
+        pattern: pattern.into(),
+        priority,
+        prompt,
+        q,
+        k,
+        v,
+    })
+}
+
+fn model_sub(model: ModelId, priority: u8, prompt: usize, total: usize, seed: u64) -> Sub {
+    Sub::Model(ModelRequest {
+        model,
+        priority,
+        prompt,
+        x: init::gaussian_matrix(total, 12, 1.0, seed),
+    })
+}
+
+/// Everything a failed tick must leave untouched.
+fn fingerprint(s: &Scheduler<'_, f64>) -> [u64; 8] {
+    [
+        s.now(),
+        s.pending_len() as u64,
+        s.parked_len() as u64,
+        s.in_flight_len() as u64,
+        s.kv_used_pages() as u64,
+        s.kv_used_tokens() as u64,
+        s.swap_parked_bytes() as u64,
+        s.preemption_events(),
+    ]
+}
+
+/// What a tick did, as request ids: admitted, resumed, preempted,
+/// completed.
+type Trail = (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>);
+
+/// Submit the script's events that are due at the current tick.
+fn submit_due(s: &mut Scheduler<'_, f64>, script: &Script, next: &mut usize) {
+    while *next < script.events.len() && script.events[*next].0 <= s.now() {
+        let id = match script.events[*next].1.clone() {
+            Sub::Plan(r) => s.submit(r).unwrap(),
+            Sub::Model(r) => s.submit_model(r).unwrap(),
+        };
+        assert_eq!(id.as_u64() as usize, *next, "ids are event positions");
+        *next += 1;
+    }
+}
+
+/// Submit what is due, tick once, check the KV invariants — failed tick
+/// or not — and return the tick's trail.
+fn script_tick(
+    s: &mut Scheduler<'_, f64>,
+    script: &Script,
+    next: &mut usize,
+    completions: &mut Vec<Completion<f64>>,
+) -> Result<Trail, ServeError> {
+    submit_due(s, script, next);
+    let report = s.tick();
+    s.assert_kv_invariants();
+    let report = report?;
+    let ids = |v: &[graph_attention::serve::RequestId]| v.iter().map(|id| id.as_u64()).collect();
+    let trail = (
+        ids(&report.admitted),
+        ids(&report.resumed),
+        ids(&report.preempted),
+        report.completed.iter().map(|c| c.id.as_u64()).collect(),
+    );
+    completions.extend(report.completed);
+    Ok(trail)
+}
+
+/// A fresh rig driven through every tick before the script's failing
+/// one, with the failing tick's arrivals already queued.
+fn rig_at_fail_tick(
+    config: ServeConfig,
+    pin: usize,
+    script: &impl Fn(&Rig, bool) -> Script,
+    broken: bool,
+) -> (Rig, Script, usize, Vec<Completion<f64>>) {
+    let mut rig = build_rig(config, pin);
+    let script = script(&rig, broken);
+    let (mut next, mut completions) = (0, Vec::new());
+    while rig.scheduler.now() < script.fail_tick {
+        script_tick(&mut rig.scheduler, &script, &mut next, &mut completions).unwrap();
+    }
+    submit_due(&mut rig.scheduler, &script, &mut next);
+    (rig, script, next, completions)
+}
+
+/// Cancel the offender and drain to idle: every tick's trail, plus the
+/// completions checked bitwise against the sequential references.
+fn cancel_and_drain(
+    rig: &mut Rig,
+    script: &Script,
+    mut next: usize,
+    mut completions: Vec<Completion<f64>>,
+) -> (Vec<Trail>, Vec<Completion<f64>>) {
+    let s = &mut rig.scheduler;
+    let mut trails = Vec::new();
+    while next < script.events.len() || !s.is_idle() {
+        trails.push(script_tick(s, script, &mut next, &mut completions).unwrap());
+        assert!(trails.len() < 512, "the scenario must drain");
+    }
+    assert_eq!(
+        completions.len(),
+        script.events.len() - 1,
+        "all but the offender"
+    );
+    let chunk = s.config().prefill_chunk;
+    for c in &completions {
+        let expect = match (&script.events[c.id.as_u64() as usize].1, c.target) {
+            (Sub::Plan(r), ServeTarget::Plan(plan)) => {
+                sequential_reference(s.engine(), s.plan(plan), r, chunk).unwrap()
+            }
+            (Sub::Model(r), ServeTarget::Model(model)) => {
+                sequential_model_reference(s.engine(), s.model(model), r, chunk).unwrap()
+            }
+            _ => panic!("completion {} changed flavor", c.id.as_u64()),
+        };
+        assert_eq!(
+            c.output,
+            expect,
+            "survivor {} ({} preemptions) bitwise",
+            c.id.as_u64(),
+            c.preemptions
+        );
+    }
+    assert_eq!(s.kv_used_pages(), 0);
+    assert_eq!(s.swap_parked_bytes(), 0);
+    (trails, completions)
+}
+
+/// What [`assert_failed_tick_leaves_no_trace`] saw, for scenario-specific
+/// assertions: what the failing tick had staged, the fingerprint it had to
+/// preserve, and every tick's trail after the offender was cancelled.
+struct Outcome {
+    staged: Trail,
+    before: [u64; 8],
+    after_cancel: Vec<Trail>,
+}
+
+/// The rollback contract on one scenario, `script(rig, broken)` building
+/// the same submissions with the offender on the pinned kernel (`broken`)
+/// or on its healthy twin. Page arithmetic is plan-blind, so the witness
+/// run — the twin lets the tick succeed — shows what the failing tick had
+/// staged. Then, with the real offender: the failing tick leaves the
+/// whole-state fingerprint unchanged and names the offender, a retry
+/// fails identically, and after `cancel(offender)` everything drains
+/// bitwise against the sequential references — tick for tick and field
+/// for field the same as a control run that cancelled the offender
+/// *instead of* running the failing tick: a failed tick leaves no trace.
+fn assert_failed_tick_leaves_no_trace(
+    config: ServeConfig,
+    pin: usize,
+    script: impl Fn(&Rig, bool) -> Script,
+) -> Outcome {
+    // Witness: what the failing tick stages.
+    let (mut rig, twin, mut next, mut sink) = rig_at_fail_tick(config, pin, &script, false);
+    let staged = script_tick(&mut rig.scheduler, &twin, &mut next, &mut sink).unwrap();
+
+    // The failing run.
+    let (mut rig, broken, next, completions) = rig_at_fail_tick(config, pin, &script, true);
+    let before = fingerprint(&rig.scheduler);
+    let err = rig.scheduler.tick().unwrap_err();
+    rig.scheduler.assert_kv_invariants();
+    let ServeError::Launch { request, .. } = &err else {
+        panic!("expected a launch failure, got {err:?}");
+    };
+    let offender = request.expect("the error must name the offender");
+    assert_eq!(offender.as_u64() as usize, broken.offender);
+    assert_eq!(
+        fingerprint(&rig.scheduler),
+        before,
+        "a failed tick leaves no trace"
+    );
+    assert_eq!(
+        rig.scheduler.tick().unwrap_err(),
+        err,
+        "a retry fails identically"
+    );
+    rig.scheduler.assert_kv_invariants();
+    assert_eq!(fingerprint(&rig.scheduler), before, "…and leaves no trace");
+    assert!(rig.scheduler.cancel(offender));
+    let (trails, completions) = cancel_and_drain(&mut rig, &broken, next, completions);
+
+    // Control: the same run, never having attempted the failing tick.
+    let (mut rig, broken, next, control) = rig_at_fail_tick(config, pin, &script, true);
+    assert!(rig.scheduler.cancel(offender));
+    let (control_trails, control) = cancel_and_drain(&mut rig, &broken, next, control);
+    assert_eq!(trails, control_trails, "the schedule after a failed tick");
+    for (c, k) in completions.iter().zip(&control) {
+        assert_eq!(
+            (c.id, c.admitted, c.completed, c.preemptions),
+            (k.id, k.admitted, k.completed, k.preemptions)
+        );
+        assert_eq!(c.output, k.output);
+    }
+    Outcome {
+        staged,
+        before,
+        after_cancel: trails,
+    }
+}
+
+/// `ServeConfig` for the rollback matrix: pages of 2 tokens and chunks of
+/// 2 rows, so every other token crosses a page boundary.
+fn rollback_config(kv_pages: usize, eviction: EvictionMode, swap_bytes: usize) -> ServeConfig {
+    ServeConfig {
+        max_in_flight: 8,
+        kv_pages,
+        page_size: 2,
+        arrival_window: 0,
+        prefill_chunk: 2,
+        admission: AdmissionMode::PagedUsage,
+        eviction,
+        swap_bytes,
+    }
+}
+
+/// Rollback matrix (a): the failing tick had staged preemption victims —
+/// a 3-layer stack and a plan sequence sitting at in-flight positions 1
+/// and 2, between the offender and a younger, more urgent stack — so
+/// un-preempt must put both back where they were, not at the tail.
+/// Cancelling the offender frees enough pages that nobody is evicted
+/// again, and victims and survivor all complete on the very next tick:
+/// the completion order *is* the in-flight order.
+#[test]
+fn failed_tick_unpreempts_victims_at_their_positions() {
+    for eviction in [EvictionMode::Recompute, EvictionMode::Swap] {
+        let outcome = assert_failed_tick_leaves_no_trace(
+            rollback_config(22, eviction, usize::MAX),
+            8,
+            |rig, broken| Script {
+                events: vec![
+                    // The offender: four prefill ticks, first decode row
+                    // on tick 4.
+                    (
+                        0,
+                        plan_sub(if broken { rig.pinned } else { rig.healthy }, 0, 8, 10, 1),
+                    ),
+                    // Class 1, admitted with it: the victims-to-be.
+                    (0, model_sub(rig.stack, 1, 2, 6, 2)),
+                    (0, plan_sub(rig.healthy, 1, 2, 6, 3)),
+                    // Class 0, a tick later: more urgent than both, and
+                    // behind both in flight.
+                    (1, model_sub(rig.stack, 0, 2, 5, 4)),
+                ],
+                offender: 0,
+                fail_tick: 4,
+            },
+        );
+        assert_eq!(
+            outcome.staged,
+            (vec![], vec![], vec![1, 2], vec![3]),
+            "{eviction:?}: the failing tick preempts the stack and the plan sequence"
+        );
+        assert_eq!(
+            outcome.after_cancel[0],
+            (vec![], vec![], vec![], vec![1, 2, 3]),
+            "{eviction:?}: the victims sit ahead of the younger stack again"
+        );
+    }
+}
+
+/// Rollback matrix (b): the failing tick had resumed parked sequences —
+/// a plan sequence and a 3-layer stack — and admitted a fresh request
+/// behind them, so the rollback re-parks and un-admits in one sweep.
+#[test]
+fn failed_tick_reparks_resumed_sequences() {
+    for eviction in [EvictionMode::Recompute, EvictionMode::Swap] {
+        let outcome = assert_failed_tick_leaves_no_trace(
+            rollback_config(21, eviction, usize::MAX),
+            15,
+            |rig, broken| Script {
+                events: vec![
+                    // Class 0: a sequence that completes on tick 7 and
+                    // frees six pages, the offender (eight prefill ticks,
+                    // first decode row on tick 8), and a short decoder
+                    // that completes with the first.
+                    (0, plan_sub(rig.healthy, 0, 8, 12, 1)),
+                    (
+                        0,
+                        plan_sub(if broken { rig.pinned } else { rig.healthy }, 0, 15, 17, 2),
+                    ),
+                    (0, plan_sub(rig.healthy, 0, 2, 9, 3)),
+                    // Class 1: squeezed out on ticks 6 and 1, both back
+                    // on tick 8, with a newcomer admitted behind them.
+                    (0, plan_sub(rig.healthy, 1, 2, 12, 4)),
+                    (0, model_sub(rig.stack, 1, 2, 8, 5)),
+                    (8, plan_sub(rig.healthy, 1, 2, 3, 6)),
+                ],
+                offender: 1,
+                fail_tick: 8,
+            },
+        );
+        assert_eq!(
+            outcome.staged,
+            (vec![5], vec![3, 4], vec![], vec![]),
+            "{eviction:?}: the failing tick resumes both victims and admits the newcomer"
+        );
+    }
+}
+
+/// Rollback matrix (c): the offender is a stack whose second layer is
+/// pinned, launched *after* the healthy stack's group — so when its
+/// launch fails, a healthy stack mid-decode and one mid-prefill have
+/// already appended to every layer, a plan sequence has appended its
+/// decode row, and two fresh admissions (one of each flavor) sit at the
+/// in-flight tail. Every layer must come back to its pre-tick length.
+#[test]
+fn failed_tick_truncates_every_layer_of_model_stacks() {
+    for eviction in [EvictionMode::Recompute, EvictionMode::Swap] {
+        let outcome = assert_failed_tick_leaves_no_trace(
+            rollback_config(64, eviction, usize::MAX),
+            2,
+            |rig, broken| Script {
+                events: vec![
+                    (0, model_sub(rig.stack, 0, 2, 10, 1)),
+                    (0, model_sub(rig.stack, 0, 9, 10, 2)),
+                    (0, plan_sub(rig.healthy, 0, 2, 8, 3)),
+                    (
+                        2,
+                        model_sub(
+                            if broken { rig.pinned_stack } else { rig.stack },
+                            0,
+                            2,
+                            4,
+                            4,
+                        ),
+                    ),
+                    (3, plan_sub(rig.healthy, 0, 3, 4, 5)),
+                    (3, model_sub(rig.stack, 0, 4, 5, 6)),
+                ],
+                offender: 3,
+                fail_tick: 3,
+            },
+        );
+        assert_eq!(
+            outcome.staged,
+            (vec![4, 5], vec![], vec![], vec![]),
+            "{eviction:?}"
+        );
+    }
+}
+
+/// Rollback matrix, tight arena cap: a byte cap that fits either victim
+/// alone but not both, so one tick's double eviction leaves the class-0
+/// victim (2 cached tokens, parked first) in the arena and the class-1
+/// victim (3 tokens) fallen back. The failing tick resumes both; the
+/// rollback must restore *that* residency — the same sequence holding
+/// the ticket, the same bytes parked — not whatever order re-parking the
+/// in-flight tail happens to produce.
+#[test]
+fn failed_tick_restores_arena_residency_under_a_tight_cap() {
+    let row_bytes = (4 + 4) * std::mem::size_of::<f64>();
+    let config = rollback_config(8, EvictionMode::Swap, 3 * row_bytes + 8);
+    let outcome = assert_failed_tick_leaves_no_trace(config, 4, |rig, broken| Script {
+        events: vec![
+            // Class 1, admitted first: in-flight position 0.
+            (0, plan_sub(rig.healthy, 1, 2, 12, 1)),
+            // Class 0, a tick later: the offender (first decode row on
+            // tick 3), a stack whose one decode row squeezes both
+            // victims out on tick 2 and completes, and the younger victim.
+            (
+                1,
+                plan_sub(if broken { rig.pinned } else { rig.healthy }, 0, 4, 6, 2),
+            ),
+            (1, model_sub(rig.stack, 0, 2, 3, 3)),
+            (1, plan_sub(rig.healthy, 0, 2, 12, 4)),
+            (3, plan_sub(rig.healthy, 1, 2, 3, 5)),
+        ],
+        offender: 1,
+        fail_tick: 3,
+    });
+    assert_eq!(outcome.staged, (vec![4], vec![3, 0], vec![], vec![]));
+    assert_eq!(
+        outcome.before[6] as usize,
+        2 * row_bytes,
+        "the class-0 victim's two rows hold the arena; the class-1 victim fell back"
+    );
+}
+
 /// Mixed plan + model traces: randomized seeded workloads drawing both
 /// bare-plan sequences and decoder-stack sequences (single-layer and
 /// 3-layer heterogeneous models) through one scheduler and one page pool —
@@ -1170,11 +1566,7 @@ fn mixed_model_traces_match_the_sequential_references_bitwise() {
             page_size,
             arrival_window: knobs.gen_range(0..3) as u64,
             prefill_chunk: 1 + knobs.gen_range(0..5),
-            admission: if trace_seed % 4 == 3 {
-                AdmissionMode::WorstCaseReserve
-            } else {
-                AdmissionMode::PagedUsage
-            },
+            admission: AdmissionMode::PagedUsage,
             // Alternate eviction modes: whole decoder stacks park and
             // resume through the arena as a unit.
             eviction: if trace_seed % 2 == 1 {
