@@ -9,13 +9,14 @@
 //! softmax state. Each request carries its own [`Geometry`], so one launch
 //! freely mixes full squares, chunked-prefill windows, and single-row
 //! KV-cached decode requests. Per-row work is identical — same step order,
-//! same neighbor order, same [`crate::driver::absorb_edge`] recurrence — so
-//! batched outputs are element-exact with independent per-sequence runs
-//! (property-tested in `tests/batching.rs` and `tests/geometry.rs`).
+//! same neighbor order, the same row tile restarted with every step (see
+//! [`crate::driver`]) — so batched outputs are element-exact with
+//! independent per-sequence runs (property-tested in `tests/batching.rs`
+//! and `tests/geometry.rs`).
 
 use crate::baselines::{flash_attention, masked_sdp};
 use crate::dispatch::AttentionKernel;
-use crate::driver::absorb_edge;
+use crate::driver::{tally_edges, RowTile};
 use crate::error::AttnError;
 use crate::geometry::Geometry;
 use crate::options::KernelOptions;
@@ -271,36 +272,17 @@ pub(crate) fn execute_batch_states<T: Real>(
             let req = &requests[s];
             let ctx = &ctxs[s];
             for i in local {
-                let q_row = req.q.row(i);
                 // SAFETY: `parallel_for` dispatches each flat index to
                 // exactly one block and `for_each_segment` maps flat
                 // indices to (sequence, row) bijectively, so row `i` of
                 // sequence `s` is accessed by this worker only.
-                let o_row = unsafe { ctx.o.row_mut(i) };
-                let m_i = unsafe { ctx.m.cell_mut(i) };
-                let l_i = unsafe { ctx.l.cell_mut(i) };
-                let mut absorb = |j: usize| {
-                    debug_assert!(
-                        j < ctx.kv_len,
-                        "neighbor {j} out of key/value set {}",
-                        ctx.kv_len
-                    );
-                    absorb_edge(
-                        q_row,
-                        req.k.row(j),
-                        req.v.row(j),
-                        ctx.scale,
-                        m_i,
-                        l_i,
-                        o_row,
-                    );
-                    if let Some(t) = tally.as_mut() {
-                        t.dot();
-                        t.update();
-                    }
-                };
+                let (o_row, m_i, l_i) =
+                    unsafe { (ctx.o.row_mut(i), ctx.m.cell_mut(i), ctx.l.cell_mut(i)) };
+                let mut tile = RowTile::new(req.q.row(i), req.k, req.v, ctx.scale, m_i, l_i, o_row);
                 // Chain every plan step against this row's shared state —
-                // the sequential-composition semantics, one row at a time.
+                // the sequential-composition semantics, one row at a time:
+                // each step's stream ends (and the row comes to rest)
+                // before the next begins, as in step-by-step launches.
                 // Kernels see the *absolute* query index, so windows of a
                 // longer sequence stream exactly the square run's rows.
                 for step in plan.steps() {
@@ -309,8 +291,9 @@ pub(crate) fn execute_batch_states<T: Real>(
                         ctx.q_offset + i,
                         ctx.routing,
                         opts.counter,
-                        &mut absorb,
+                        &mut tile,
                     );
+                    tally_edges(&mut tally, tile.end_stream());
                 }
             }
         });

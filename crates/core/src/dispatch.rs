@@ -7,6 +7,7 @@
 //! is how Fig. 6's "Loc + Glo" and "Loc + Glo + CSR" series are produced.
 
 use crate::baselines::{flash_attention, masked_sdp};
+use crate::driver::NeighborSink;
 use crate::error::AttnError;
 use crate::kernels::{
     coo_attention_into, csr_attention_into, dia_attention_into, dilated1d_attention_into,
@@ -202,7 +203,7 @@ impl AttentionKernel<'_> {
             self.is_composable(),
             "dense baselines have no per-row neighbor rule"
         );
-        self.stream_row(kv_len, i, routing, None, f);
+        self.stream_row(kv_len, i, routing, None, &mut |j| f(j));
     }
 
     /// Stream **absolute** row `i`'s neighbors under key/value set size
@@ -210,8 +211,8 @@ impl AttentionKernel<'_> {
     /// in a `parallel_for`, exposed so the batched plan executor can
     /// interleave many sequences and query windows (and chain plan steps)
     /// inside one launch. `counter` receives the COO linear-search cost;
-    /// edge work is tallied by the caller's absorb hook. Dense baselines
-    /// have no row rule.
+    /// edge work is tallied by the caller from what its sink took. Dense
+    /// baselines have no row rule.
     ///
     /// # Panics
     /// Panics on dense baselines; the plan layer never compiles them into
@@ -222,24 +223,22 @@ impl AttentionKernel<'_> {
         i: usize,
         routing: Option<&Routing>,
         counter: Option<&WorkCounter>,
-        absorb: &mut dyn FnMut(usize),
+        sink: &mut impl NeighborSink,
     ) {
         use crate::kernels::{dia, explicit, implicit};
         match self {
             AttentionKernel::Coo(mask, search) => {
-                explicit::coo_row(mask, *search, i, counter, absorb)
+                explicit::coo_row(mask, *search, i, counter, sink)
             }
-            AttentionKernel::Csr(mask) => explicit::csr_row(mask, i, absorb),
-            AttentionKernel::Dia(mask) => dia::dia_row(mask, i, absorb),
-            AttentionKernel::Local { n } => implicit::local_row(kv_len, *n, i, absorb),
-            AttentionKernel::Dilated1d { w, r } => {
-                implicit::dilated1d_row(kv_len, *w, *r, i, absorb)
-            }
+            AttentionKernel::Csr(mask) => explicit::csr_row(mask, i, sink),
+            AttentionKernel::Dia(mask) => dia::dia_row(mask, i, sink),
+            AttentionKernel::Local { n } => implicit::local_row(kv_len, *n, i, sink),
+            AttentionKernel::Dilated1d { w, r } => implicit::dilated1d_row(kv_len, *w, *r, i, sink),
             AttentionKernel::Dilated2d { block_size, r } => {
-                implicit::dilated2d_row(kv_len, *block_size, *r, i, absorb)
+                implicit::dilated2d_row(kv_len, *block_size, *r, i, sink)
             }
             AttentionKernel::Global { globals, n_sub } => {
-                implicit::global_row(kv_len, globals, *n_sub, i, absorb)
+                implicit::global_row(kv_len, globals, *n_sub, i, sink)
             }
             AttentionKernel::Routed { causal, .. } => {
                 let routing = routing.expect("a routed step needs its sequence's Routing");
@@ -248,7 +247,7 @@ impl AttentionKernel<'_> {
                     "routing covers {} tokens but row {i} was requested",
                     routing.len()
                 );
-                crate::routing::routed_row(routing, *causal, i, absorb)
+                crate::routing::routed_row(routing, *causal, i, sink)
             }
             AttentionKernel::SdpMasked(_) | AttentionKernel::Flash => {
                 unreachable!("dense baselines are executed whole, not streamed per row")
@@ -304,9 +303,16 @@ impl AttentionKernel<'_> {
                 })
                 .route(q);
                 let causal = *causal;
-                crate::driver::graph_attention_into(pool, q, k, v, opts, state, move |i, absorb| {
-                    crate::routing::routed_row(&routing, causal, i, absorb)
-                })
+                crate::driver::stream_rows(
+                    pool,
+                    q,
+                    k,
+                    v,
+                    opts,
+                    state,
+                    || (),
+                    |(), i, tile| crate::routing::routed_row(&routing, causal, i, tile),
+                )
             }
             AttentionKernel::SdpMasked(_) | AttentionKernel::Flash => {
                 Err(AttnError::BadParameter {

@@ -7,7 +7,7 @@
 //! implicit local/dilated kernels (Table II) but accepts arbitrary diagonal
 //! sets, e.g. unions of several windows or asymmetric lookback bands.
 
-use crate::driver::graph_attention_into;
+use crate::driver::{stream_rows, NeighborSink};
 use crate::error::AttnError;
 use crate::geometry::Geometry;
 use crate::options::KernelOptions;
@@ -19,13 +19,13 @@ use gpa_tensor::{Matrix, Real};
 /// Stream row `i`'s diagonal-band neighbors — the single enumeration rule
 /// shared by the standalone kernel and the batched plan executor.
 #[inline]
-pub(crate) fn dia_row(mask: &DiaMask, i: usize, absorb: &mut dyn FnMut(usize)) {
+pub(crate) fn dia_row(mask: &DiaMask, i: usize, sink: &mut impl NeighborSink) {
     let l = mask.context_len() as i64;
     let i = i as i64;
     for &d in mask.offsets() {
         let j = i + d;
         if j >= 0 && j < l {
-            absorb(j as usize);
+            sink.push(j as usize);
         }
     }
 }
@@ -61,9 +61,16 @@ pub fn dia_attention_windowed_into<T: Real>(
     }
     geometry.check_window()?;
     let off = geometry.q_offset;
-    graph_attention_into(pool, q, k, v, opts, state, move |i, absorb| {
-        dia_row(mask, off + i, absorb)
-    })
+    stream_rows(
+        pool,
+        q,
+        k,
+        v,
+        opts,
+        state,
+        || (),
+        move |(), i, tile| dia_row(mask, off + i, tile),
+    )
 }
 
 /// DIA attention into an existing state (composable) — square-geometry

@@ -11,7 +11,7 @@
 //!   underperforms every other kernel. [`CooSearch::Linear`] reproduces
 //!   that; [`CooSearch::Binary`] is the fix studied as ablation A1.
 
-use crate::driver::graph_attention_into;
+use crate::driver::{stream_rows, NeighborSink};
 use crate::error::AttnError;
 use crate::options::KernelOptions;
 use crate::state::AttentionState;
@@ -33,10 +33,8 @@ pub enum CooSearch {
 /// Stream row `i`'s neighbors from a CSR mask — the single enumeration
 /// rule shared by the standalone kernel and the batched plan executor.
 #[inline]
-pub(crate) fn csr_row(mask: &CsrMask, i: usize, absorb: &mut dyn FnMut(usize)) {
-    for &j in mask.row(i) {
-        absorb(j as usize);
-    }
+pub(crate) fn csr_row(mask: &CsrMask, i: usize, sink: &mut impl NeighborSink) {
+    sink.extend(mask.row(i));
 }
 
 /// Stream row `i`'s neighbors from a COO mask under the given search
@@ -49,7 +47,7 @@ pub(crate) fn coo_row(
     search: CooSearch,
     i: usize,
     counter: Option<&WorkCounter>,
-    absorb: &mut dyn FnMut(usize),
+    sink: &mut impl NeighborSink,
 ) {
     let cols = mask.col_indices();
     let (lo, hi) = match search {
@@ -63,9 +61,7 @@ pub(crate) fn coo_row(
         }
         CooSearch::Binary => mask.row_bounds_binary(i),
     };
-    for &j in &cols[lo..hi] {
-        absorb(j as usize);
-    }
+    sink.extend(&cols[lo..hi]);
 }
 
 /// CSR attention into an existing state (composable).
@@ -79,9 +75,16 @@ pub fn csr_attention_into<T: Real>(
     state: &mut AttentionState<T>,
 ) -> Result<(), AttnError> {
     check_mask_shape(mask.rows(), mask.cols(), q.rows(), k.rows())?;
-    graph_attention_into(pool, q, k, v, opts, state, |i, absorb| {
-        csr_row(mask, i, absorb)
-    })
+    stream_rows(
+        pool,
+        q,
+        k,
+        v,
+        opts,
+        state,
+        || (),
+        |(), i, tile| csr_row(mask, i, tile),
+    )
 }
 
 /// CSR attention with a fresh state; returns the output matrix.
@@ -115,9 +118,16 @@ pub fn coo_attention_into<T: Real>(
     state: &mut AttentionState<T>,
 ) -> Result<(), AttnError> {
     check_mask_shape(mask.rows(), mask.cols(), q.rows(), k.rows())?;
-    graph_attention_into(pool, q, k, v, opts, state, |i, absorb| {
-        coo_row(mask, search, i, opts.counter, absorb)
-    })
+    stream_rows(
+        pool,
+        q,
+        k,
+        v,
+        opts,
+        state,
+        || (),
+        |(), i, tile| coo_row(mask, search, i, opts.counter, tile),
+    )
 }
 
 /// COO attention with a fresh state; returns the output matrix.

@@ -13,7 +13,7 @@
 //! functions below are thin [`Geometry::square`] wrappers over the
 //! `*_windowed_into` general forms.
 
-use crate::driver::graph_attention_into;
+use crate::driver::{stream_rows, NeighborSink};
 use crate::error::AttnError;
 use crate::geometry::Geometry;
 use crate::options::KernelOptions;
@@ -45,28 +45,28 @@ fn check_window<T: Real>(
 /// Stream row `i`'s local-window neighbors — the single enumeration rule
 /// shared by the standalone kernel and the batched plan executor.
 #[inline]
-pub(crate) fn local_row(l: usize, n: usize, i: usize, absorb: &mut dyn FnMut(usize)) {
+pub(crate) fn local_row(l: usize, n: usize, i: usize, sink: &mut impl NeighborSink) {
     let (lo, hi) = LocalWindow::row_range(l, n, i);
     for j in lo..=hi {
-        absorb(j);
+        sink.push(j);
     }
 }
 
 /// Stream row `i`'s 1-D dilated neighbors.
 #[inline]
-pub(crate) fn dilated1d_row(l: usize, w: usize, r: usize, i: usize, absorb: &mut dyn FnMut(usize)) {
+pub(crate) fn dilated1d_row(l: usize, w: usize, r: usize, i: usize, sink: &mut impl NeighborSink) {
     let stride = r + 1;
     let steps = Dilated1d::steps(w, r);
     // Backward arm, nearest-last for cache reuse of low j… the order is
     // irrelevant to the math (online softmax); walk ascending.
     let back = steps.min(i / stride);
     for s in (1..=back).rev() {
-        absorb(i - s * stride);
+        sink.push(i - s * stride);
     }
-    absorb(i);
+    sink.push(i);
     let fwd = steps.min((l - 1 - i) / stride);
     for s in 1..=fwd {
-        absorb(i + s * stride);
+        sink.push(i + s * stride);
     }
 }
 
@@ -77,7 +77,7 @@ pub(crate) fn dilated2d_row(
     block_size: usize,
     r: usize,
     i: usize,
-    absorb: &mut dyn FnMut(usize),
+    sink: &mut impl NeighborSink,
 ) {
     let stride = r + 1;
     if (i % block_size) % stride != 0 {
@@ -87,7 +87,7 @@ pub(crate) fn dilated2d_row(
     let end = (start + block_size).min(l);
     let mut j = start;
     while j < end {
-        absorb(j);
+        sink.push(j);
         j += stride;
     }
 }
@@ -99,23 +99,23 @@ pub(crate) fn global_row(
     globals: &GlobalSet,
     n_sub: usize,
     i: usize,
-    absorb: &mut dyn FnMut(usize),
+    sink: &mut impl NeighborSink,
 ) {
     let (lo, hi) = LocalWindow::row_range(l, n_sub, i);
     if globals.contains(i) {
         // Global row: everything outside the subtracted window.
         for j in 0..lo {
-            absorb(j);
+            sink.push(j);
         }
         for j in hi + 1..l {
-            absorb(j);
+            sink.push(j);
         }
     } else {
         // Non-global row: global columns outside the window.
         for &g in globals.indices() {
             let g = g as usize;
             if g < lo || g > hi {
-                absorb(g);
+                sink.push(g);
             }
         }
     }
@@ -137,9 +137,16 @@ pub fn local_attention_windowed_into<T: Real>(
 ) -> Result<(), AttnError> {
     check_window(geometry, q, k, v)?;
     let (l, off) = (geometry.kv_rows, geometry.q_offset);
-    graph_attention_into(pool, q, k, v, opts, state, move |i, absorb| {
-        local_row(l, n, off + i, absorb)
-    })
+    stream_rows(
+        pool,
+        q,
+        k,
+        v,
+        opts,
+        state,
+        || (),
+        move |(), i, tile| local_row(l, n, off + i, tile),
+    )
 }
 
 /// Local windowed attention (`|i−j| ≤ n`) into an existing state —
@@ -191,9 +198,16 @@ pub fn dilated1d_attention_windowed_into<T: Real>(
     }
     check_window(geometry, q, k, v)?;
     let (l, off) = (geometry.kv_rows, geometry.q_offset);
-    graph_attention_into(pool, q, k, v, opts, state, move |i, absorb| {
-        dilated1d_row(l, w, r, off + i, absorb)
-    })
+    stream_rows(
+        pool,
+        q,
+        k,
+        v,
+        opts,
+        state,
+        || (),
+        move |(), i, tile| dilated1d_row(l, w, r, off + i, tile),
+    )
 }
 
 /// 1-D dilated attention (`|i−j| < w ∧ |i−j| mod (r+1) = 0`) into state —
@@ -248,9 +262,16 @@ pub fn dilated2d_attention_windowed_into<T: Real>(
     }
     check_window(geometry, q, k, v)?;
     let (l, off) = (geometry.kv_rows, geometry.q_offset);
-    graph_attention_into(pool, q, k, v, opts, state, move |i, absorb| {
-        dilated2d_row(l, block_size, r, off + i, absorb)
-    })
+    stream_rows(
+        pool,
+        q,
+        k,
+        v,
+        opts,
+        state,
+        || (),
+        move |(), i, tile| dilated2d_row(l, block_size, r, off + i, tile),
+    )
 }
 
 /// 2-D dilated (block) attention into state: diagonal blocks of
@@ -347,9 +368,16 @@ pub fn global_attention_windowed_into<T: Real>(
             l,
         });
     }
-    graph_attention_into(pool, q, k, v, opts, state, move |i, absorb| {
-        global_row(l, globals, n_sub, off + i, absorb)
-    })
+    stream_rows(
+        pool,
+        q,
+        k,
+        v,
+        opts,
+        state,
+        || (),
+        move |(), i, tile| global_row(l, globals, n_sub, off + i, tile),
+    )
 }
 
 /// Global (non-local) attention with a fresh state.

@@ -19,6 +19,7 @@
 //! strict-`>` lowest-index-wins argmax ([`gpa_tensor::argmax`]), so ties
 //! cannot flip under reordering.
 
+use crate::driver::NeighborSink;
 use gpa_tensor::{argmax, Matrix, Real};
 
 /// Configuration of a routed block-diagonal pattern: the group count and
@@ -182,15 +183,15 @@ impl Routing {
 /// `i`. Row `i` is always a member of its own group, so no row attends
 /// an empty set.
 #[inline]
-pub(crate) fn routed_row(routing: &Routing, causal: bool, i: usize, absorb: &mut dyn FnMut(usize)) {
-    let g = routing.group_of(i);
-    for &j in routing.members(g as usize) {
-        let j = j as usize;
-        if causal && j > i {
-            break;
-        }
-        absorb(j);
-    }
+pub(crate) fn routed_row(routing: &Routing, causal: bool, i: usize, sink: &mut impl NeighborSink) {
+    let members = routing.members(routing.group_of(i) as usize);
+    // Members ascend, so the causal row is a prefix of its group.
+    let visible = if causal {
+        members.partition_point(|&j| j as usize <= i)
+    } else {
+        members.len()
+    };
+    sink.extend(&members[..visible]);
 }
 
 #[cfg(test)]

@@ -1,11 +1,14 @@
 //! Resumable attention state — Algorithm 1's `(O, l, m)` triple.
 //!
-//! Every graph kernel updates an [`AttentionState`] in place. Because the
-//! output accumulator is kept in the *normalized* form of Algorithm 1
-//! (`O` is always the exact attention output over the edges absorbed so
-//! far), sequential kernel calls over disjoint masks compose exactly:
-//! running the local kernel and then the global kernel on the same state
-//! yields precisely Longformer attention (Fig. 6's "Loc + Glo" series).
+//! Every graph kernel updates an [`AttentionState`] in place. A state is
+//! always **at rest** when a caller can see it: `O` is in the *normalized*
+//! form of Algorithm 1 — the exact attention output over the edges
+//! absorbed so far — with `l` and `m` the statistics that produced it.
+//! (Inside one row's neighbor stream the kernels carry `O` unnormalized
+//! and divide by `l` once when the stream ends; see [`crate::driver`].)
+//! So sequential kernel calls over disjoint masks compose exactly: running
+//! the local kernel and then the global kernel on the same state yields
+//! precisely Longformer attention (Fig. 6's "Loc + Glo" series).
 
 use crate::error::AttnError;
 use gpa_tensor::{Matrix, Real};
@@ -55,9 +58,9 @@ impl<T: Real> AttentionState<T> {
         self.o.cols()
     }
 
-    /// The attention output. Because updates keep `O` normalized, this is
-    /// a free conversion — rows with no absorbed edges are zero, matching
-    /// the masked-SDP convention for fully masked rows.
+    /// The attention output. Because a state at rest holds `O` normalized,
+    /// this is a free conversion — rows with no absorbed edges are zero,
+    /// matching the masked-SDP convention for fully masked rows.
     pub fn into_output(self) -> Matrix<T> {
         self.o
     }

@@ -227,6 +227,13 @@ impl<'a> LocalTally<'a> {
         self.dot_products += 1;
     }
 
+    /// Count `n` dot products at once — for kernels that score a whole
+    /// tile of edges per sweep.
+    #[inline(always)]
+    pub fn dots(&mut self, n: u64) {
+        self.dot_products += n;
+    }
+
     /// Count one output update.
     #[inline(always)]
     pub fn update(&mut self) {
@@ -294,11 +301,12 @@ mod tests {
             for _ in 0..42 {
                 t.dot();
             }
+            t.dots(8);
             t.update();
             t.searched(9);
             assert_eq!(c.dot_products(), 0, "not flushed until drop");
         }
-        assert_eq!(c.dot_products(), 42);
+        assert_eq!(c.dot_products(), 50);
         assert_eq!(c.output_updates(), 1);
         assert_eq!(c.neighbor_searches(), 9);
     }

@@ -15,10 +15,11 @@ use crate::real::Real;
 /// Written as a chunked loop over four independent accumulators: strict
 /// IEEE semantics forbid LLVM from reassociating a single-accumulator
 /// reduction, so the naive iterator sum compiles to a serial add chain.
-/// Independent lanes break that dependency, letting the loop vectorize
-/// (and contract each lane's multiply-add into a hardware FMA on targets
-/// that have one). The lanes combine once at the end, so the summation
-/// order — hence the result — is deterministic for a given length.
+/// Independent lanes break that dependency, letting the loop vectorize.
+/// Each lane rounds its multiply and its add separately (rustc never
+/// contracts them into an FMA), and the lanes combine once at the end, so
+/// the summation order — hence the result — is deterministic for a given
+/// length, and [`dot4`] can reproduce it bit for bit.
 #[inline(always)]
 pub fn dot<T: Real>(a: &[T], b: &[T]) -> T {
     debug_assert_eq!(a.len(), b.len());
@@ -39,6 +40,100 @@ pub fn dot<T: Real>(a: &[T], b: &[T]) -> T {
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
+/// Four dot products against one query row in a single sweep:
+/// `[q·k[0], q·k[1], q·k[2], q·k[3]]`, **each bit-identical to
+/// [`dot`]** on that row — same four lanes, same `(l0+l1)+(l2+l3)+tail`
+/// combine — so a kernel may score its neighbors one or four at a time
+/// and get the same bits.
+///
+/// This is the form the graph kernels' row tile scores its edges with,
+/// and the second half of the measured lesson recorded on [`axpy`]: one
+/// [`dot`] standing alone is a single dependent add chain per lane (at
+/// `dk = 64`, sixteen adds deep, paid again for every edge), and what the
+/// per-edge kernels were missing was *independent multi-row accumulators*
+/// — four rows' chains in flight at once, with `q` loaded once for all
+/// four. LLVM does not find that shape by itself. Measured at `dk = 64`,
+/// `f32`, L1-resident rows, against 13.0 ns for one [`dot`]: zipping
+/// `chunks_exact(4)` over all five slices into four `[f32; 4]`
+/// accumulators ran at 17.5 ns a row, and `as_chunks::<4>` with by-value
+/// `[f32; 4]` lanes at 14.8 ns — both bit-equal to [`dot`] and both
+/// *slower* than four [`dot`] calls (the sizing prototype saw the same of
+/// a 16-lane dot over interleaved rows, and shuffle-heavy code behind all
+/// three). The SSE2 form below runs at 5.7 ns a row. So the portable
+/// implementation *is* four [`dot`] calls; `f32` on `x86_64` uses
+/// baseline SSE2 intrinsics (no feature detection, and no FMA: a fused
+/// multiply-add would round differently from [`dot`]); and a new portable
+/// spelling should be measured before it is trusted.
+///
+/// # Panics
+/// Panics if any key row's length differs from `q`'s.
+#[inline(always)]
+pub fn dot4<T: Real>(q: &[T], k: [&[T]; 4]) -> [T; 4] {
+    T::dot4(q, k)
+}
+
+/// [`dot4`] as four [`dot`] calls — every type and target but `f32` on
+/// `x86_64`.
+#[inline(always)]
+pub(crate) fn dot4_portable<T: Real>(q: &[T], k: [&[T]; 4]) -> [T; 4] {
+    for row in k {
+        assert_eq!(row.len(), q.len(), "key row length differs from q");
+    }
+    [dot(q, k[0]), dot(q, k[1]), dot(q, k[2]), dot(q, k[3])]
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) use dot4_portable as dot4_f32;
+
+/// [`dot4`] for `f32` on `x86_64`: one `__m128` accumulator per key row
+/// holds exactly [`dot`]'s four lanes (separate multiply and add, as the
+/// scalar code rounds), and the combine and tail are [`dot`]'s own.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+pub(crate) fn dot4_f32(q: &[f32], k: [&[f32]; 4]) -> [f32; 4] {
+    use core::arch::x86_64::{_mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_setzero_ps, _mm_storeu_ps};
+    for row in k {
+        assert_eq!(row.len(), q.len(), "key row length differs from q");
+    }
+    let split = q.len() & !3;
+    let (k0, k1, k2, k3) = (k[0].as_ptr(), k[1].as_ptr(), k[2].as_ptr(), k[3].as_ptr());
+    let mut lanes = [[0.0f32; 4]; 4];
+    // SAFETY: SSE is part of the `x86_64` baseline, so the intrinsics
+    // exist on every CPU this `cfg` compiles for. Loads: `j + 4 <= split
+    // <= q.len()`, and the assertion above makes every key row exactly
+    // `q.len()` long, so each unaligned 4-float load reads elements
+    // `j..j + 4` inside its slice. Stores: each `lanes[r]` is four `f32`s,
+    // exactly the 16 bytes written.
+    unsafe {
+        let (mut a0, mut a1, mut a2, mut a3) = (
+            _mm_setzero_ps(),
+            _mm_setzero_ps(),
+            _mm_setzero_ps(),
+            _mm_setzero_ps(),
+        );
+        for j in (0..split).step_by(4) {
+            let qv = _mm_loadu_ps(q.as_ptr().add(j));
+            a0 = _mm_add_ps(a0, _mm_mul_ps(qv, _mm_loadu_ps(k0.add(j))));
+            a1 = _mm_add_ps(a1, _mm_mul_ps(qv, _mm_loadu_ps(k1.add(j))));
+            a2 = _mm_add_ps(a2, _mm_mul_ps(qv, _mm_loadu_ps(k2.add(j))));
+            a3 = _mm_add_ps(a3, _mm_mul_ps(qv, _mm_loadu_ps(k3.add(j))));
+        }
+        _mm_storeu_ps(lanes[0].as_mut_ptr(), a0);
+        _mm_storeu_ps(lanes[1].as_mut_ptr(), a1);
+        _mm_storeu_ps(lanes[2].as_mut_ptr(), a2);
+        _mm_storeu_ps(lanes[3].as_mut_ptr(), a3);
+    }
+    let mut out = [0.0f32; 4];
+    for ((o, l), row) in out.iter_mut().zip(lanes).zip(k) {
+        let mut tail = 0.0f32;
+        for (&x, &y) in q[split..].iter().zip(&row[split..]) {
+            tail += x * y;
+        }
+        *o = (l[0] + l[1]) + (l[2] + l[3]) + tail;
+    }
+    out
+}
+
 /// `out += w · v` — fold one weighted value row into an accumulator.
 ///
 /// Deliberately left as a plain iterator loop: each element is touched by
@@ -47,7 +142,9 @@ pub fn dot<T: Real>(a: &[T], b: &[T]) -> T {
 /// (it broke the vectorizer's pattern and fell back to scalar code, a
 /// 1.5× regression on engine launches); explicit lane unrolls are
 /// reserved for reductions ([`dot`], the softmax normalizer) where strict
-/// IEEE ordering is what blocks auto-vectorization.
+/// IEEE ordering is what blocks auto-vectorization — and a reduction over
+/// several rows wants one accumulator *per row* as well as per lane (see
+/// [`dot4`] for that half of the lesson).
 #[inline(always)]
 pub fn axpy<T: Real>(out: &mut [T], w: T, v: &[T]) {
     debug_assert_eq!(out.len(), v.len());
@@ -56,18 +153,16 @@ pub fn axpy<T: Real>(out: &mut [T], w: T, v: &[T]) {
     }
 }
 
-/// `out = s · out + w · v` — the fused rescale-and-accumulate step of
-/// Algorithm 1's output update (the per-edge inner loop of every graph
-/// kernel).
-///
-/// Elementwise like [`axpy`] and kept in iterator form for the same
-/// reason: the loop auto-vectorizes as written, and hand-unrolling it was
-/// measured to defeat the vectorizer.
+/// `out += w[0]·v[0] + w[1]·v[1] + w[2]·v[2] + w[3]·v[3]` — four weighted
+/// value rows folded in one sweep of the accumulator, which is read and
+/// written once per *four* rows. Per element the additions run left to
+/// right, exactly as four [`axpy`] calls in that order would make them.
+/// Elementwise, so left in the indexed form the vectorizer takes.
 #[inline(always)]
-pub fn scale_axpy<T: Real>(out: &mut [T], s: T, w: T, v: &[T]) {
-    debug_assert_eq!(out.len(), v.len());
-    for (o, &x) in out.iter_mut().zip(v.iter()) {
-        *o = *o * s + w * x;
+pub fn axpy4<T: Real>(out: &mut [T], w: [T; 4], v: [&[T]; 4]) {
+    let [v0, v1, v2, v3] = v;
+    for (i, o) in out.iter_mut().enumerate() {
+        *o = *o + w[0] * v0[i] + w[1] * v1[i] + w[2] * v2[i] + w[3] * v3[i];
     }
 }
 
@@ -133,11 +228,11 @@ pub fn weighted_sum_into<T: Real>(out: &mut [T], weights: &[T], v: &Matrix<T>) {
     debug_assert_eq!(out.len(), v.cols());
     let blocks = weights.len() & !3;
     for j in (0..blocks).step_by(4) {
-        let (w0, w1, w2, w3) = (weights[j], weights[j + 1], weights[j + 2], weights[j + 3]);
-        let (v0, v1, v2, v3) = (v.row(j), v.row(j + 1), v.row(j + 2), v.row(j + 3));
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = *o + w0 * v0[i] + w1 * v1[i] + w2 * v2[i] + w3 * v3[i];
-        }
+        axpy4(
+            out,
+            [weights[j], weights[j + 1], weights[j + 2], weights[j + 3]],
+            [v.row(j), v.row(j + 1), v.row(j + 2), v.row(j + 3)],
+        );
     }
     for (j, &w) in weights.iter().enumerate().skip(blocks) {
         axpy(out, w, v.row(j));
@@ -188,18 +283,61 @@ mod tests {
         assert_eq!(dot(&a, &b), dot(&a, &b));
     }
 
+    /// What lets the SSE2 path exist without being a second semantics:
+    /// at every length (main-loop counts 0..=16, tails 0..=3) each of the
+    /// four results has exactly the bits [`dot`] gives for that row.
+    #[test]
+    fn dot4_results_have_the_bits_of_dot() {
+        fn check<T: Real>(bits: impl Fn(T) -> u64) {
+            let value =
+                |r: usize, i: usize| T::from_f64(((r * 131 + i * 37) % 53) as f64 * 0.173 - 4.1);
+            for len in 0..=67usize {
+                let q: Vec<T> = (0..len).map(|i| value(7, i)).collect();
+                let rows: Vec<Vec<T>> = (0..4)
+                    .map(|r| (0..len).map(|i| value(r, i)).collect())
+                    .collect();
+                let got = dot4(&q, [&rows[0], &rows[1], &rows[2], &rows[3]]);
+                for (r, row) in rows.iter().enumerate() {
+                    assert_eq!(bits(got[r]), bits(dot(&q, row)), "len={len} row={r}");
+                }
+            }
+        }
+        check::<f32>(|x| u64::from(x.to_bits()));
+        check::<f64>(f64::to_bits);
+    }
+
+    #[test]
+    #[should_panic(expected = "key row length differs from q")]
+    fn dot4_rejects_a_short_key_row() {
+        let q = [1.0f32; 8];
+        let short = [1.0f32; 7];
+        let _ = dot4(&q, [&q, &q, &short, &q]);
+    }
+
+    #[test]
+    fn axpy4_matches_four_axpys_bitwise() {
+        let v: Vec<Vec<f32>> = (0..4)
+            .map(|r| {
+                (0..11)
+                    .map(|i| ((r * 7 + i * 3) % 13) as f32 * 0.37 - 2.0)
+                    .collect()
+            })
+            .collect();
+        let w = [0.3f32, -1.7, 0.011, 2.5];
+        let mut got = vec![0.25f32; 11];
+        axpy4(&mut got, w, [&v[0], &v[1], &v[2], &v[3]]);
+        let mut want = vec![0.25f32; 11];
+        for r in 0..4 {
+            axpy(&mut want, w[r], &v[r]);
+        }
+        assert_eq!(got, want);
+    }
+
     #[test]
     fn axpy_accumulates() {
         let mut out = [1.0f64, 1.0];
         axpy(&mut out, 2.0, &[3.0, -1.0]);
         assert_eq!(out, [7.0, -1.0]);
-    }
-
-    #[test]
-    fn scale_axpy_matches_manual() {
-        let mut out = [2.0f64, 4.0];
-        scale_axpy(&mut out, 0.5, 3.0, &[1.0, 2.0]);
-        assert_eq!(out, [4.0, 8.0]);
     }
 
     #[test]
@@ -304,14 +442,13 @@ mod proptests {
             prop_assert_eq!(dot(&a, &b).to_bits(), want.to_bits());
         }
 
-        /// `axpy` and `scale_axpy` are elementwise: bitwise identical to
-        /// the plain scalar loops regardless of unroll width.
+        /// `axpy` is elementwise: bitwise identical to the plain scalar
+        /// loop regardless of unroll width.
         #[test]
-        fn axpy_family_bitwise_matches_scalar_loops(
+        fn axpy_bitwise_matches_scalar_loop(
             init in proptest::collection::vec(-5.0f64..5.0, 1..40),
             v in proptest::collection::vec(-5.0f64..5.0, 1..40),
             w in -3.0f64..3.0,
-            s in 0.1f64..2.0,
         ) {
             let n = init.len().min(v.len());
             let (init, v) = (&init[..n], &v[..n]);
@@ -321,14 +458,6 @@ mod proptests {
             let mut want = init.to_vec();
             for (o, &x) in want.iter_mut().zip(v.iter()) {
                 *o += w * x;
-            }
-            assert_bits_eq(&got, &want)?;
-
-            let mut got = init.to_vec();
-            scale_axpy(&mut got, s, w, v);
-            let mut want = init.to_vec();
-            for (o, &x) in want.iter_mut().zip(v.iter()) {
-                *o = *o * s + w * x;
             }
             assert_bits_eq(&got, &want)?;
         }

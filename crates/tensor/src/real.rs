@@ -78,10 +78,14 @@ pub trait Real:
     fn to_f64(self) -> f64;
     /// Conversion from `usize` (used for scale factors such as `1/√dk`).
     fn from_usize(v: usize) -> Self;
+
+    /// Per-type implementation behind [`crate::ops::dot4`] — call that.
+    #[doc(hidden)]
+    fn dot4(q: &[Self], k: [&[Self]; 4]) -> [Self; 4];
 }
 
 macro_rules! impl_real {
-    ($t:ty) => {
+    ($t:ty, $dot4:path) => {
         impl Real for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -152,12 +156,16 @@ macro_rules! impl_real {
             fn from_usize(v: usize) -> Self {
                 v as $t
             }
+            #[inline(always)]
+            fn dot4(q: &[Self], k: [&[Self]; 4]) -> [Self; 4] {
+                $dot4(q, k)
+            }
         }
     };
 }
 
-impl_real!(f32);
-impl_real!(f64);
+impl_real!(f32, crate::ops::dot4_f32);
+impl_real!(f64, crate::ops::dot4_portable);
 
 /// The attention scale factor `1/√dk` from Eq. (1) of the paper.
 #[inline]
