@@ -5,7 +5,7 @@
 //!
 //! 1. **`noop` launches**: `parallel_for` over `n` rows whose body does no
 //!    work, so the measured time *is* the substrate — job injection,
-//!    stealing, latch count-down, wake-up. Swept over the dynamic grain
+//!    share claims, stealing, the join. Swept over the dynamic grain
 //!    (plus a static-contiguous reference point); this is the data the
 //!    default grain in [`gpa_parallel::Schedule::Dynamic`] is picked from.
 //! 2. **Engine batched launches**: `n_seqs` short sequences through one
@@ -225,9 +225,12 @@ mod tests {
         // 2 dynamic grains + static, then batched + sequential + 2 grains.
         assert_eq!(records.len(), 3 + 4);
         assert!(records.iter().all(|r| r.mean_s >= 0.0 && r.iters == 2));
-        // Every noop launch pushes one job per worker through the injector.
-        assert_eq!(delta.injector_pushes, 2 * 3 * 3);
-        assert_eq!(delta.jobs_executed, delta.injector_pushes);
+        // Every forked launch pushes one job per helper (a 2-thread pool
+        // has one; the caller is the other participant) through the
+        // injector: 3 cases × (1 warm-up + 2 timed) launches. A helper
+        // job the caller beat to its share may still be queued.
+        assert_eq!(delta.injector_pushes, 3 * 3);
+        assert!(delta.jobs_executed <= delta.injector_pushes);
         let best = best_noop_grain(&records).expect("dynamic noop cases exist");
         assert!(cfg.grains.contains(&best.0));
     }

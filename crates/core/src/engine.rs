@@ -57,7 +57,10 @@ pub struct AttentionEngineBuilder {
 }
 
 impl AttentionEngineBuilder {
-    /// Worker-thread count (default: `GPA_THREADS` or all cores).
+    /// Participants in each launch, the calling thread included: the
+    /// engine's pool spawns `threads − 1` helper threads, and `1` means
+    /// every launch runs inline on the caller (default: `GPA_THREADS` or
+    /// all cores).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -92,7 +95,7 @@ impl AttentionEngineBuilder {
         self
     }
 
-    /// Build the engine (spawns the worker pool).
+    /// Build the engine (spawns the pool's helper threads).
     pub fn build(self) -> AttentionEngine {
         AttentionEngine {
             pool: ThreadPool::new(self.threads.unwrap_or_else(default_threads)),
@@ -127,7 +130,9 @@ impl AttentionEngine {
         Self::builder().build()
     }
 
-    /// Engine with an explicit worker count and default policy.
+    /// Engine with default policy whose launches have `threads`
+    /// participants, the calling thread included (so `threads − 1` helper
+    /// threads are spawned; see [`gpa_parallel::ThreadPool::new`]).
     pub fn with_threads(threads: usize) -> Self {
         Self::builder().threads(threads).build()
     }
@@ -143,7 +148,7 @@ impl AttentionEngine {
         &self.pool
     }
 
-    /// Worker-thread count.
+    /// Participants in each launch, the calling thread included.
     pub fn threads(&self) -> usize {
         self.pool.threads()
     }

@@ -21,10 +21,11 @@ use crate::error::AttnError;
 use crate::options::KernelOptions;
 use crate::plan::AttentionPlan;
 use crate::routing::{Router, Routing};
-use gpa_parallel::ThreadPool;
+use gpa_parallel::{parallel_for, RaggedSpace, RowWriter, Schedule, ThreadPool};
 use gpa_tensor::init::xavier_uniform;
-use gpa_tensor::ops::matmul;
+use gpa_tensor::ops::matmul_rows_into;
 use gpa_tensor::{Matrix, Real};
+use std::ops::Range;
 
 /// Per-head slices of a packed `L × (heads·dk)` projection.
 pub fn split_heads<T: Real>(packed: &Matrix<T>, heads: usize) -> Vec<Matrix<T>> {
@@ -36,9 +37,16 @@ pub fn split_heads<T: Real>(packed: &Matrix<T>, heads: usize) -> Vec<Matrix<T>> 
         packed.cols()
     );
     let dk = packed.cols() / heads;
-    (0..heads)
-        .map(|h| Matrix::from_fn(packed.rows(), dk, |i, j| packed.get(i, h * dk + j)))
-        .collect()
+    let mut out: Vec<Matrix<T>> = (0..heads)
+        .map(|_| Matrix::zeros(packed.rows(), dk))
+        .collect();
+    for i in 0..packed.rows() {
+        let row = packed.row(i);
+        for (h, head) in out.iter_mut().enumerate() {
+            head.row_mut(i).copy_from_slice(&row[h * dk..(h + 1) * dk]);
+        }
+    }
+    out
 }
 
 /// Concatenate per-head outputs back into `L × (heads·dk)`.
@@ -50,7 +58,14 @@ pub fn concat_heads<T: Real>(heads: &[Matrix<T>]) -> Matrix<T> {
         heads.iter().all(|h| h.shape() == (l, dk)),
         "head shapes differ"
     );
-    Matrix::from_fn(l, heads.len() * dk, |i, j| heads[j / dk].get(i, j % dk))
+    let mut out = Matrix::zeros(l, heads.len() * dk);
+    for i in 0..l {
+        let row = out.row_mut(i);
+        for (h, head) in heads.iter().enumerate() {
+            row[h * dk..(h + 1) * dk].copy_from_slice(head.row(i));
+        }
+    }
+    out
 }
 
 /// Per-head `(Q, K, V)` projections of an input window — what
@@ -69,12 +84,30 @@ pub struct LayerDecodeStep<'a, T> {
     pub cache: &'a mut KvCache<T>,
 }
 
+/// Where a row-block projection runs: as one launch on a pool under a
+/// schedule, or (`None`) inline on the calling thread.
+type Launch<'a> = Option<(&'a ThreadPool, Schedule)>;
+
+fn launch_rows(on: Launch<'_>, rows: usize, body: impl Fn(Range<usize>) + Sync) {
+    match on {
+        Some((pool, schedule)) => parallel_for(pool, rows, schedule, body),
+        None if rows > 0 => body(0..rows),
+        None => {}
+    }
+}
+
 /// A multi-head attention layer with learned (randomly initialized)
 /// projections.
+///
+/// Both projections are row-block GEMMs
+/// ([`gpa_tensor::ops::matmul_rows_into`]): an output row depends on its
+/// input row alone and is accumulated in `ops::matmul`'s order, so however
+/// a launch cuts the rows — one sequence or many stacked, one participant
+/// or several — every element has the bits `matmul(x, W)` gives it.
 pub struct MultiHeadAttention<T> {
-    wq: Matrix<T>,
-    wk: Matrix<T>,
-    wv: Matrix<T>,
+    /// `[Wq | Wk | Wv]`, `d_model × 3·heads·dk`: one pass over an input row
+    /// yields its query, key and value rows.
+    wqkv: Matrix<T>,
     wo: Matrix<T>,
     heads: usize,
 }
@@ -84,14 +117,26 @@ impl<T: Real> MultiHeadAttention<T> {
     /// Xavier-initialized from `seed`.
     ///
     /// # Panics
-    /// Panics if `heads == 0` or `dk == 0`.
+    /// Panics if `d_model == 0`, `heads == 0` or `dk == 0`.
     pub fn new_random(d_model: usize, heads: usize, dk: usize, seed: u64) -> Self {
-        assert!(heads > 0 && dk > 0, "heads and dk must be positive");
+        assert!(
+            d_model > 0 && heads > 0 && dk > 0,
+            "d_model, heads and dk must be positive"
+        );
         let inner = heads * dk;
+        let parts: [Matrix<T>; 3] = [
+            xavier_uniform(d_model, inner, seed),
+            xavier_uniform(d_model, inner, seed.wrapping_add(1)),
+            xavier_uniform(d_model, inner, seed.wrapping_add(2)),
+        ];
+        let mut wqkv = Matrix::zeros(d_model, 3 * inner);
+        for p in 0..d_model {
+            for (dst, part) in wqkv.row_mut(p).chunks_exact_mut(inner).zip(&parts) {
+                dst.copy_from_slice(part.row(p));
+            }
+        }
         MultiHeadAttention {
-            wq: xavier_uniform(d_model, inner, seed),
-            wk: xavier_uniform(d_model, inner, seed.wrapping_add(1)),
-            wv: xavier_uniform(d_model, inner, seed.wrapping_add(2)),
+            wqkv,
             wo: xavier_uniform(inner, d_model, seed.wrapping_add(3)),
             heads,
         }
@@ -104,12 +149,12 @@ impl<T: Real> MultiHeadAttention<T> {
 
     /// Head dimension.
     pub fn dk(&self) -> usize {
-        self.wq.cols() / self.heads
+        self.wo.rows() / self.heads
     }
 
     /// Model dimension.
     pub fn d_model(&self) -> usize {
-        self.wq.rows()
+        self.wo.cols()
     }
 
     /// Forward pass: project, run `kernel` per head (same mask every head),
@@ -154,33 +199,187 @@ impl<T: Real> MultiHeadAttention<T> {
     }
 
     /// Project an input window (`R × d_model`) into per-head `(Q, K, V)`
-    /// triples — the building block callers batching *across* layers (a
-    /// decoder stack) use to assemble their own attention requests; the
-    /// `forward_*` methods on this type wrap the same projections.
+    /// triples, on the calling thread — the building block callers
+    /// batching *across* layers use to assemble their own attention
+    /// requests; the `forward_*` methods on this type and
+    /// [`Self::project_qkv_batched`] run the same projection.
     ///
     /// # Panics
     /// Panics when `x` is not `d_model` wide.
     pub fn project_qkv(&self, x: &Matrix<T>) -> ProjectedHeads<T> {
-        assert_eq!(x.cols(), self.d_model(), "input width must be d_model");
-        let q = matmul(x, &self.wq);
-        let k = matmul(x, &self.wk);
-        let v = matmul(x, &self.wv);
-        (
-            split_heads(&q, self.heads),
-            split_heads(&k, self.heads),
-            split_heads(&v, self.heads),
-        )
+        self.project_rows(None, &[x])
+            .pop()
+            .expect("one input, one projection")
+    }
+
+    /// [`Self::project_qkv`] for many windows at once: the rows of every
+    /// `xs[i]`, stacked, go through `[Wq|Wk|Wv]` as **one** row-block
+    /// launch on `pool` (a decoder stack's tick: all sequences' rows of one
+    /// layer). Returns one triple per input, each bitwise what
+    /// [`Self::project_qkv`] returns for that input alone.
+    ///
+    /// # Panics
+    /// Panics when an input is not `d_model` wide.
+    pub fn project_qkv_batched(
+        &self,
+        pool: &ThreadPool,
+        schedule: Schedule,
+        xs: &[&Matrix<T>],
+    ) -> Vec<ProjectedHeads<T>> {
+        self.project_rows(Some((pool, schedule)), xs)
     }
 
     /// Concatenate per-head attention outputs (`R × dk` each, one per
-    /// head) and apply the output projection, yielding `R × d_model` —
-    /// the inverse bookend of [`Self::project_qkv`].
+    /// head) and apply the output projection, yielding `R × d_model`, on
+    /// the calling thread — the inverse bookend of [`Self::project_qkv`].
     ///
     /// # Panics
     /// Panics when the slice length or shapes disagree with the layer.
     pub fn combine_heads(&self, head_outs: &[Matrix<T>]) -> Matrix<T> {
         assert_eq!(head_outs.len(), self.heads, "one output per head");
-        matmul(&concat_heads(head_outs), &self.wo)
+        self.combine_rows(None, head_outs, None)
+            .pop()
+            .expect("one sequence in, one out")
+    }
+
+    /// [`Self::combine_heads`] for many sequences at once, as **one**
+    /// row-block launch on `pool`: `head_outs` holds `heads` matrices per
+    /// sequence, sequence-major (the order a batched launch over
+    /// `sequences × heads` requests returns). Sequence `i`'s result is
+    /// `residual[i] + attn` elementwise — the decoder's residual
+    /// connection, added inside the same launch.
+    ///
+    /// # Panics
+    /// Panics when `head_outs` is not a whole number of sequences, when
+    /// head or residual shapes disagree with the layer, or when there is
+    /// not one residual per sequence.
+    pub fn combine_heads_batched(
+        &self,
+        pool: &ThreadPool,
+        schedule: Schedule,
+        head_outs: &[Matrix<T>],
+        residual: &[&Matrix<T>],
+    ) -> Vec<Matrix<T>> {
+        self.combine_rows(Some((pool, schedule)), head_outs, Some(residual))
+    }
+
+    /// The one input projection: every row of every `xs[i]` times
+    /// `[Wq|Wk|Wv]`, its `3·heads` pieces written to the per-head matrices.
+    fn project_rows(&self, on: Launch<'_>, xs: &[&Matrix<T>]) -> Vec<ProjectedHeads<T>> {
+        let (d_model, dk) = (self.d_model(), self.dk());
+        for x in xs {
+            assert_eq!(x.cols(), d_model, "input width must be d_model");
+        }
+        let mut out: Vec<ProjectedHeads<T>> = xs
+            .iter()
+            .map(|x| {
+                let per_head = || -> Vec<Matrix<T>> {
+                    (0..self.heads)
+                        .map(|_| Matrix::zeros(x.rows(), dk))
+                        .collect()
+                };
+                (per_head(), per_head(), per_head())
+            })
+            .collect();
+        let space = RaggedSpace::new(xs.iter().map(|x| x.rows()));
+        // Per input, its 3·heads destinations in the fused row's order:
+        // Q heads, then K heads, then V heads.
+        let writers: Vec<Vec<RowWriter<'_, T>>> = out
+            .iter_mut()
+            .map(|(q, k, v)| {
+                q.iter_mut()
+                    .chain(k.iter_mut())
+                    .chain(v.iter_mut())
+                    .map(|m| {
+                        let rows = m.rows();
+                        RowWriter::new(m.as_mut_slice(), rows, dk)
+                    })
+                    .collect()
+            })
+            .collect();
+        launch_rows(on, space.total(), |range| {
+            space.for_each_segment(range, |s, local| {
+                let mut fused = vec![T::ZERO; local.len() * self.wqkv.cols()];
+                let x_rows = &xs[s].as_slice()[local.start * d_model..local.end * d_model];
+                matmul_rows_into(&mut fused, x_rows, &self.wqkv);
+                for (i, row) in local.zip(fused.chunks_exact(self.wqkv.cols())) {
+                    for (writer, piece) in writers[s].iter().zip(row.chunks_exact(dk)) {
+                        // SAFETY: the launch hands each flat index to
+                        // exactly one block and `for_each_segment` maps
+                        // flat indices to (input, row) bijectively, so row
+                        // `i` of input `s`'s matrices is written here only.
+                        unsafe { writer.row_mut(i) }.copy_from_slice(piece);
+                    }
+                }
+            });
+        });
+        out
+    }
+
+    /// The one output projection: per row, the heads' output rows
+    /// concatenated, times `Wo`, plus the residual row when there is one.
+    fn combine_rows(
+        &self,
+        on: Launch<'_>,
+        head_outs: &[Matrix<T>],
+        residual: Option<&[&Matrix<T>]>,
+    ) -> Vec<Matrix<T>> {
+        let (d_model, dk) = (self.d_model(), self.dk());
+        assert_eq!(head_outs.len() % self.heads, 0, "one output per head");
+        let seqs: Vec<&[Matrix<T>]> = head_outs.chunks(self.heads).collect();
+        for heads in &seqs {
+            let rows = heads[0].rows();
+            assert!(
+                heads.iter().all(|h| h.shape() == (rows, dk)),
+                "head shapes differ"
+            );
+        }
+        if let Some(residual) = residual {
+            assert_eq!(residual.len(), seqs.len(), "one residual per sequence");
+            for (x, heads) in residual.iter().zip(&seqs) {
+                assert_eq!(x.shape(), (heads[0].rows(), d_model), "residual shape");
+            }
+        }
+        let mut out: Vec<Matrix<T>> = seqs
+            .iter()
+            .map(|heads| Matrix::zeros(heads[0].rows(), d_model))
+            .collect();
+        let space = RaggedSpace::new(out.iter().map(Matrix::rows));
+        let writers: Vec<RowWriter<'_, T>> = out
+            .iter_mut()
+            .map(|m| {
+                let rows = m.rows();
+                RowWriter::new(m.as_mut_slice(), rows, d_model)
+            })
+            .collect();
+        launch_rows(on, space.total(), |range| {
+            space.for_each_segment(range, |s, local| {
+                let mut packed = Vec::with_capacity(local.len() * self.wo.rows());
+                for i in local.clone() {
+                    for head in seqs[s] {
+                        packed.extend_from_slice(head.row(i));
+                    }
+                }
+                let mut attn = vec![T::ZERO; local.len() * d_model];
+                matmul_rows_into(&mut attn, &packed, &self.wo);
+                for (i, attn_row) in local.zip(attn.chunks_exact(d_model)) {
+                    // SAFETY: as in `project_rows` — flat indices reach
+                    // exactly one block each and map to (sequence, row)
+                    // bijectively, so this output row is written here only.
+                    let dst = unsafe { writers[s].row_mut(i) };
+                    match residual {
+                        Some(residual) => {
+                            let x_row = residual[s].row(i);
+                            for ((o, &x), &a) in dst.iter_mut().zip(x_row).zip(attn_row) {
+                                *o = x + a;
+                            }
+                        }
+                        None => dst.copy_from_slice(attn_row),
+                    }
+                }
+            });
+        });
+        out
     }
 
     /// Chunked prefill through the KV cache: project the prompt `x`
@@ -209,12 +408,11 @@ impl<T: Real> MultiHeadAttention<T> {
                 actual: x.shape(),
             });
         }
-        let q = matmul(x, &self.wq);
-        let k = matmul(x, &self.wk);
-        let v = matmul(x, &self.wv);
-        let qh = split_heads(&q, self.heads);
-        let kh = split_heads(&k, self.heads);
-        let vh = split_heads(&v, self.heads);
+        let on = Some((engine.pool(), engine.schedule()));
+        let (qh, kh, vh) = self
+            .project_rows(on, &[x])
+            .pop()
+            .expect("one input, one projection");
         let prior = cache.len();
         for h in 0..self.heads {
             cache.extend(h, &kh[h], &vh[h]);
@@ -230,6 +428,7 @@ impl<T: Real> MultiHeadAttention<T> {
             }
         }
         let prompt = x.rows();
+        // Head-major: each head's chunks are adjacent, in window order.
         let chunks: Vec<(usize, usize, Matrix<T>)> = (0..self.heads)
             .flat_map(|h| {
                 crate::batch::chunk_windows(&qh[h], chunk)
@@ -258,20 +457,29 @@ impl<T: Real> MultiHeadAttention<T> {
             }
         };
 
+        // Stack each head's chunk outputs back into one `P × dk` matrix.
         let dk = self.dk();
-        let mut packed = Matrix::zeros(prompt, self.heads * dk);
-        for ((h, a, _), out) in chunks.iter().zip(outs.iter()) {
-            for i in 0..out.rows() {
-                packed.row_mut(a + i)[h * dk..(h + 1) * dk].copy_from_slice(out.row(i));
-            }
-        }
-        Ok(matmul(&packed, &self.wo))
+        let mut outs = outs.into_iter();
+        let head_outs: Vec<Matrix<T>> = (0..self.heads)
+            .map(|_| {
+                let mut rows = Vec::with_capacity(prompt * dk);
+                for out in outs.by_ref().take(prompt.div_ceil(chunk)) {
+                    rows.extend_from_slice(out.as_slice());
+                }
+                Matrix::from_vec(prompt, dk, rows)
+            })
+            .collect();
+        Ok(self
+            .combine_rows(on, &head_outs, None)
+            .pop()
+            .expect("one sequence in, one out"))
     }
 
     /// One KV-cached decode step: project the new token `x_t`
     /// (`1 × d_model`), append each head's K/V row to `cache`, run every
     /// head's single-row decode window as **one** batched launch, and
-    /// project the concatenated head outputs back to `1 × d_model`.
+    /// project the concatenated head outputs back to `1 × d_model` — a
+    /// [`Self::forward_decode_batched`] of one sequence.
     pub fn forward_decode(
         &self,
         engine: &AttentionEngine,
@@ -279,68 +487,23 @@ impl<T: Real> MultiHeadAttention<T> {
         cache: &mut KvCache<T>,
         x_t: &Matrix<T>,
     ) -> Result<Matrix<T>, AttnError> {
-        self.check_cache(cache)?;
-        if !plan.is_composable() {
-            return Err(AttnError::BadParameter {
-                what: "dense baselines have no KV-cached decode form",
-            });
-        }
-        if x_t.rows() != 1 || x_t.cols() != self.d_model() {
-            return Err(AttnError::StateShapeMismatch {
-                expected: (1, self.d_model()),
-                actual: x_t.shape(),
-            });
-        }
-        let q = matmul(x_t, &self.wq);
-        let k = matmul(x_t, &self.wk);
-        let v = matmul(x_t, &self.wv);
-        let qh = split_heads(&q, self.heads);
-        let kh = split_heads(&k, self.heads);
-        let vh = split_heads(&v, self.heads);
-        let prior = cache.len();
-        for h in 0..self.heads {
-            cache.append(h, kh[h].row(0), vh[h].row(0));
-        }
-        if let Some(spec) = plan.routing_spec() {
-            let routed: Result<(), AttnError> =
-                (0..self.heads).try_for_each(|h| cache.extend_routing(spec, h, &qh[h]));
-            if let Err(e) = routed {
-                cache.truncate(prior);
-                return Err(e);
-            }
-        }
-        let result = {
-            let cache = &*cache;
-            let requests: Vec<AttentionRequest<'_, T>> = (0..self.heads)
-                .map(|h| {
-                    AttentionRequest::decode(&qh[h], cache.k(h), cache.v(h))
-                        .with_routing(cache.routing(h))
-                })
-                .collect();
-            execute_batch(engine.pool(), plan, &engine.options(), &requests)
-        };
-        match result {
-            Ok(outs) => {
-                let packed = concat_heads(&outs);
-                Ok(matmul(&packed, &self.wo))
-            }
-            Err(e) => {
-                // Roll every head's append back — no phantom token on error.
-                cache.truncate(prior);
-                Err(e)
-            }
-        }
+        let outs =
+            self.forward_decode_batched(engine, plan, &mut [LayerDecodeStep { x_t, cache }])?;
+        Ok(outs.into_iter().next().expect("one step in, one out"))
     }
 
     /// Batched decode: advance many sequences through this layer by one
     /// token each — `sequences × heads` single-row decode requests
     /// flattened into **one** launch (the continuous-batching shape, one
-    /// level up from [`crate::AttentionEngine::decode_steps_batched`]).
+    /// level up from [`crate::AttentionEngine::decode_steps_batched`]),
+    /// between one projection launch over all the tokens and one over all
+    /// the outputs.
     ///
-    /// Per-row work is identical to per-sequence [`Self::forward_decode`]
-    /// calls, so each returned `1 × d_model` output is bitwise identical
-    /// to them. Every step is validated before any cache is mutated, and
-    /// a failed launch rolls every sequence's appends back.
+    /// Per-row work does not depend on the batch, so each returned
+    /// `1 × d_model` output is bitwise identical to a per-sequence
+    /// [`Self::forward_decode`] call. Every step is validated before any
+    /// cache is mutated, and a failed launch rolls every sequence's
+    /// appends back.
     pub fn forward_decode_batched(
         &self,
         engine: &AttentionEngine,
@@ -363,19 +526,9 @@ impl<T: Real> MultiHeadAttention<T> {
             }
         }
         // Project every token, then append all heads of all sequences.
-        let projected: Vec<ProjectedHeads<T>> = steps
-            .iter()
-            .map(|step| {
-                let q = matmul(step.x_t, &self.wq);
-                let k = matmul(step.x_t, &self.wk);
-                let v = matmul(step.x_t, &self.wv);
-                (
-                    split_heads(&q, self.heads),
-                    split_heads(&k, self.heads),
-                    split_heads(&v, self.heads),
-                )
-            })
-            .collect();
+        let on = Some((engine.pool(), engine.schedule()));
+        let tokens: Vec<&Matrix<T>> = steps.iter().map(|step| step.x_t).collect();
+        let projected = self.project_rows(on, &tokens);
         let priors: Vec<usize> = steps.iter().map(|s| s.cache.len()).collect();
         for (step, (_, kh, vh)) in steps.iter_mut().zip(&projected) {
             for h in 0..self.heads {
@@ -408,10 +561,7 @@ impl<T: Real> MultiHeadAttention<T> {
             execute_batch(engine.pool(), plan, &engine.options(), &requests)
         };
         match result {
-            Ok(outs) => Ok(outs
-                .chunks(self.heads)
-                .map(|head_outs| matmul(&concat_heads(head_outs), &self.wo))
-                .collect()),
+            Ok(outs) => Ok(self.combine_rows(on, &outs, None)),
             Err(e) => {
                 // Roll every sequence's appends back — no phantom tokens.
                 for (step, &prior) in steps.iter_mut().zip(&priors) {
@@ -444,12 +594,11 @@ impl<T: Real> MultiHeadAttention<T> {
                 actual: x.shape(),
             });
         }
-        let q = matmul(x, &self.wq);
-        let k = matmul(x, &self.wk);
-        let v = matmul(x, &self.wv);
-        let qh = split_heads(&q, self.heads);
-        let kh = split_heads(&k, self.heads);
-        let vh = split_heads(&v, self.heads);
+        let on = Some((pool, opts.schedule));
+        let (qh, kh, vh) = self
+            .project_rows(on, &[x])
+            .pop()
+            .expect("one input, one projection");
 
         // Cacheless forward: route each head's queries on the fly.
         let routings: Option<Vec<Routing>> = plan.routing_spec().map(|spec| {
@@ -463,8 +612,10 @@ impl<T: Real> MultiHeadAttention<T> {
             })
             .collect();
         let outs = execute_batch(pool, plan, opts, &requests)?;
-        let packed = concat_heads(&outs);
-        Ok(matmul(&packed, &self.wo))
+        Ok(self
+            .combine_rows(on, &outs, None)
+            .pop()
+            .expect("one sequence in, one out"))
     }
 }
 
@@ -634,6 +785,117 @@ mod tests {
         let combined = layer.combine_heads(&outs);
         let forward = layer.forward_on(&engine, &plan, &x).unwrap();
         assert_eq!(combined, forward, "hand-assembled pass must be bitwise");
+    }
+
+    /// The pooled row-block projections against the plain `matmul`s they
+    /// replaced, bit for bit.
+    mod projection_proptests {
+        use super::*;
+        use gpa_tensor::ops::matmul;
+        use proptest::prelude::*;
+
+        fn bits<T: Real>(m: &Matrix<T>) -> Vec<u64> {
+            m.as_slice().iter().map(|v| v.to_f64().to_bits()).collect()
+        }
+
+        /// Seeded values in `(-2, 2)`, about a quarter of them exact
+        /// zeros of either sign — the operands `matmul` skips.
+        fn sparse_matrix<T: Real>(rows: usize, cols: usize, seed: u64) -> Matrix<T> {
+            Matrix::from_fn(rows, cols, |i, j| {
+                let h = (seed ^ ((i * cols + j) as u64 + 1)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                match h >> 61 {
+                    0 => T::ZERO,
+                    1 => T::from_f64(-0.0),
+                    _ => T::from_f64((h >> 11) as f64 / (1u64 << 51) as f64 - 2.0),
+                }
+            })
+        }
+
+        /// Columns `lo..hi` of `m`.
+        fn columns<T: Real>(m: &Matrix<T>, lo: usize, hi: usize) -> Matrix<T> {
+            Matrix::from_fn(m.rows(), hi - lo, |i, j| m.get(i, lo + j))
+        }
+
+        fn check<T: Real>(rows: &[usize], d_model: usize, heads: usize, dk: usize, seed: u64) {
+            let layer: MultiHeadAttention<T> =
+                MultiHeadAttention::new_random(d_model, heads, dk, seed);
+            let inner = heads * dk;
+            let [wq, wk, wv] =
+                [0, 1, 2].map(|part| columns(&layer.wqkv, part * inner, (part + 1) * inner));
+            let xs: Vec<Matrix<T>> = rows
+                .iter()
+                .enumerate()
+                .map(|(s, &r)| sparse_matrix(r, d_model, seed + s as u64))
+                .collect();
+            let head_outs: Vec<Matrix<T>> = rows
+                .iter()
+                .flat_map(|&r| (0..heads).map(move |h| (r, h)))
+                .map(|(r, h)| sparse_matrix(r, dk, seed ^ (0xABCD + h as u64)))
+                .collect();
+            let x_refs: Vec<&Matrix<T>> = xs.iter().collect();
+
+            // What the serial code computed before there was a launch.
+            let want_qkv: Vec<[Vec<Matrix<T>>; 3]> = xs
+                .iter()
+                .map(|x| [&wq, &wk, &wv].map(|w| split_heads(&matmul(x, w), heads)))
+                .collect();
+            let want_attn: Vec<Matrix<T>> = head_outs
+                .chunks(heads)
+                .map(|outs| matmul(&concat_heads(outs), &layer.wo))
+                .collect();
+
+            for threads in [1usize, 2, 4] {
+                let pool = ThreadPool::new(threads);
+                // Grain 3 cuts even the short inputs into several shares.
+                for schedule in [Schedule::default(), Schedule::Dynamic { grain: 3 }] {
+                    let got = layer.project_qkv_batched(&pool, schedule, &x_refs);
+                    for ((q, k, v), want) in got.iter().zip(&want_qkv) {
+                        for (got, want) in [q, k, v].into_iter().zip(want) {
+                            for (g, w) in got.iter().zip(want) {
+                                assert_eq!(bits(g), bits(w), "{threads} threads, {schedule:?}");
+                            }
+                        }
+                    }
+                    let attn = layer.combine_rows(Some((&pool, schedule)), &head_outs, None);
+                    let summed = layer.combine_heads_batched(&pool, schedule, &head_outs, &x_refs);
+                    for (s, want) in want_attn.iter().enumerate() {
+                        assert_eq!(
+                            bits(&attn[s]),
+                            bits(want),
+                            "{threads} threads, {schedule:?}"
+                        );
+                        let residual = Matrix::from_fn(want.rows(), d_model, |i, j| {
+                            xs[s].get(i, j) + want.get(i, j)
+                        });
+                        assert_eq!(bits(&summed[s]), bits(&residual));
+                    }
+                }
+            }
+            // The serial entry points are the same routine, inline.
+            let (q, _, v) = layer.project_qkv(&xs[0]);
+            assert_eq!(bits(&q[0]), bits(&want_qkv[0][0][0]));
+            assert_eq!(bits(&v[heads - 1]), bits(&want_qkv[0][2][heads - 1]));
+            assert_eq!(
+                bits(&layer.combine_heads(&head_outs[..heads])),
+                bits(&want_attn[0])
+            );
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            #[test]
+            fn pooled_projections_match_matmul_bitwise(
+                rows in proptest::collection::vec(1usize..71, 1..4),
+                d_model in 1usize..23,
+                heads in 1usize..4,
+                dk in proptest::sample::select(vec![1usize, 2, 3, 5, 6, 7]),
+                seed in 0u64..10_000,
+            ) {
+                check::<f32>(&rows, d_model, heads, dk, seed);
+                check::<f64>(&rows, d_model, heads, dk, seed);
+            }
+        }
     }
 
     #[test]

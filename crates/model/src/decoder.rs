@@ -7,9 +7,11 @@
 //! - [`ModelKvState::allocate`] — one pool entry **per layer**, so page
 //!   budgets count every layer of every sequence;
 //! - [`DecoderModel::advance_batched`] — push one input window per
-//!   sequence through the whole stack, all sequences × heads of each
-//!   layer flattened into **one** engine launch per layer (a 1-row
-//!   window *is* a decode step — the geometry is identical);
+//!   sequence through the whole stack. Per layer that is three launches
+//!   on the engine's pool, each over the rows of *all* sequences at once:
+//!   one fused `[Wq|Wk|Wv]` projection, **one** attention launch over all
+//!   sequences × heads (a 1-row window *is* a decode step — the geometry
+//!   is identical), and one `Wo` + residual projection;
 //! - [`ModelKvState::release`] / [`ModelKvState::adopt`] — eviction
 //!   retains every layer's cache, resume re-adopts them page-atomically.
 //!
@@ -21,14 +23,8 @@ use crate::error::ModelError;
 use crate::pattern::LayerPattern;
 use gpa_core::batch::AttentionRequest;
 use gpa_core::pages::{PagePool, SeqId};
-use gpa_core::{AttentionEngine, AttentionPlan, KvCache, MultiHeadAttention, ProjectedHeads};
+use gpa_core::{AttentionEngine, AttentionPlan, KvCache, MultiHeadAttention};
 use gpa_tensor::{Matrix, Real};
-
-/// Elementwise residual add — the one non-attention op in the stack.
-fn residual<T: Real>(x: &Matrix<T>, attn: &Matrix<T>) -> Matrix<T> {
-    debug_assert_eq!(x.shape(), attn.shape());
-    Matrix::from_fn(x.rows(), x.cols(), |i, j| x.get(i, j) + attn.get(i, j))
-}
 
 /// A stack of [`MultiHeadAttention`] layers with heterogeneous attention
 /// plans, compiled once from a [`LayerPattern`].
@@ -185,7 +181,10 @@ impl<'p, T: Real> DecoderModel<'p, T> {
         let mut h = x.clone();
         for (s, layer) in self.layers.iter().enumerate() {
             let attn = layer.forward_on(engine, &self.plans[self.layer_plan[s]], &h)?;
-            h = residual(&h, &attn);
+            // The residual connection, as `advance_batched` adds it.
+            for (h, &a) in h.as_mut_slice().iter_mut().zip(attn.as_slice()) {
+                *h += a;
+            }
         }
         Ok(h)
     }
@@ -241,10 +240,11 @@ impl<'p, T: Real> DecoderModel<'p, T> {
     }
 
     /// Advance every item by its input window through the whole stack:
-    /// per layer, project all items, append all layers' K/V through the
-    /// pool, and run all sequences × heads as **one** engine launch,
-    /// feeding each residual sum to the next layer. Returns one
-    /// `rows × d_model` output per item.
+    /// per layer, project the rows of all items in one fused
+    /// `[Wq|Wk|Wv]` launch, append every item's K/V through the pool, run
+    /// all sequences × heads as **one** attention launch, and apply `Wo`
+    /// plus the residual to all rows in one more launch, feeding each sum
+    /// to the next layer. Returns one `rows × d_model` output per item.
     ///
     /// A 1-row window is exactly a decode step (the query window sits at
     /// the cache tail either way), so prefill chunks and decode tokens
@@ -273,9 +273,10 @@ impl<'p, T: Real> DecoderModel<'p, T> {
         let mut xs: Vec<Matrix<T>> = items.iter().map(|item| item.x.clone()).collect();
         let mut launches = 0;
         let mut rows = 0;
+        let (workers, schedule) = (engine.pool(), engine.schedule());
         for (s, layer) in self.layers.iter().enumerate() {
-            let projected: Vec<ProjectedHeads<T>> =
-                xs.iter().map(|x| layer.project_qkv(x)).collect();
+            let inputs: Vec<&Matrix<T>> = xs.iter().collect();
+            let projected = layer.project_qkv_batched(workers, schedule, &inputs);
             for (item, (_, kh, vh)) in items.iter().zip(&projected) {
                 if !pool.try_extend_heads(item.state.layer_seqs()[s], kh, vh) {
                     rollback(pool);
@@ -319,10 +320,7 @@ impl<'p, T: Real> DecoderModel<'p, T> {
                     return Err(e.into());
                 }
             };
-            for (x, head_outs) in xs.iter_mut().zip(outs.chunks(self.heads)) {
-                let attn = layer.combine_heads(head_outs);
-                *x = residual(x, &attn);
-            }
+            xs = layer.combine_heads_batched(workers, schedule, &outs, &inputs);
         }
         Ok(ModelAdvance {
             outputs: xs,
@@ -428,7 +426,8 @@ pub struct ModelWorkItem<'a, T> {
 pub struct ModelAdvance<T: Real> {
     /// One `rows × d_model` output per item, in item order.
     pub outputs: Vec<Matrix<T>>,
-    /// Engine launches issued (one per layer).
+    /// Attention launches issued (one per layer; the projection launches
+    /// around each are not counted).
     pub launches: usize,
     /// Query rows computed, summed over layers, items, and heads.
     pub rows: usize,

@@ -6,15 +6,19 @@
 //! stand-in for that substrate (see DESIGN.md §1 for the substitution
 //! argument):
 //!
-//! - [`ThreadPool`]: persistent work-stealing workers — submitted jobs land
-//!   in a lock-free injector, each worker owns a Chase–Lev deque, and idle
-//!   workers steal from randomized victims with spin/yield backoff before
-//!   parking — so repeated kernel launches pay neither thread-spawn cost
-//!   nor queue-lock contention ([`PoolMetrics`] counts the traffic);
-//! - [`parallel_for()`] / [`parallel_for_stats`]: scoped row-parallel launch
-//!   with selectable [`Schedule`] (static-contiguous, CUDA-like
-//!   block-cyclic, or dynamic range stealing) and per-worker busy-time
-//!   statistics for the load-imbalance analyses of Section V-C;
+//! - [`ThreadPool`]: `n` participants per launch — the calling thread
+//!   plus `n − 1` persistent work-stealing helpers. Submitted jobs land in
+//!   a lock-free injector, each helper owns a Chase–Lev deque, and an idle
+//!   helper polls for about one wake latency before it parks — so repeated
+//!   kernel launches pay neither thread-spawn cost, nor queue-lock
+//!   contention, nor a sleep/wake per launch ([`PoolMetrics`] counts the
+//!   traffic);
+//! - [`parallel_for()`] / [`parallel_for_stats`]: scoped row-parallel
+//!   fork-join in which the caller works (shares are claimed, and a late
+//!   helper is never waited for), with selectable [`Schedule`]
+//!   (static-contiguous, CUDA-like block-cyclic, or dynamic range
+//!   stealing) and per-share busy-time statistics for the load-imbalance
+//!   analyses of Section V-C;
 //! - [`RowWriter`] / [`CellWriter`]: disjoint-row mutable access to shared
 //!   output buffers without per-element atomics;
 //! - [`RaggedSpace`]: flattened (sequence, row) index spaces, so a batch of

@@ -365,15 +365,22 @@ mod tests {
 
     #[test]
     fn pool_metrics_account_for_a_real_launch() {
-        // The pool's own accounting must balance: every injector push is
-        // eventually popped (batch-steals count once per batch, so pops ≤
-        // pushes), and every submitted job executes exactly once.
+        // The pool's own accounting must balance: a forked launch pushes
+        // one job per helper share, every push is eventually popped
+        // (batch-steals count once per batch, so pops ≤ pushes), and every
+        // submitted job executes exactly once — possibly after its launch
+        // returned, when the caller took the share first, so right after
+        // a launch `executed <= pushed` and equality holds at quiescence.
         let pool = ThreadPool::new(4);
         for _ in 0..16 {
             parallel_for(&pool, 512, Schedule::Dynamic { grain: 8 }, |range| {
                 std::hint::black_box(range.len());
             });
         }
+        let r = pool.metrics().report();
+        assert_eq!(r.injector_pushes, 16 * 3, "one job per helper share");
+        assert!(r.jobs_executed <= r.injector_pushes);
+        pool.quiesce();
         let r = pool.metrics().report();
         assert_eq!(r.jobs_executed, r.injector_pushes);
         assert!(r.injector_pops <= r.injector_pushes);

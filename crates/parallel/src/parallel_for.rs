@@ -3,25 +3,61 @@
 //! The paper's kernels are "parallelized along the L dimension,
 //! simultaneously operating on rows of the attention matrix" (Section IV-B),
 //! with one CUDA block per row. [`parallel_for`] reproduces that model on a
-//! CPU worker pool: the index space `0..n` is split into *blocks* (chunks of
-//! rows) that are assigned to workers according to a [`Schedule`].
+//! CPU pool: the index space `0..n` is split into *blocks* (chunks of rows)
+//! that are assigned to the launch's participants according to a
+//! [`Schedule`].
 //!
 //! Scheduling matters for fidelity: the paper attributes the Global kernel's
 //! poor scaling to block-level load imbalance ("the algorithm can only be as
 //! fast as its slowest block"). [`Schedule::StaticContiguous`] and
 //! [`Schedule::BlockCyclic`] reproduce a hardware-like fixed assignment,
 //! while [`Schedule::Dynamic`] is the work-stealing ablation (A2 in
-//! DESIGN.md): each participant starts with a contiguous span of rows,
-//! claims `grain` rows at a time from its front, and when its span runs dry
-//! steals half of a randomly chosen sibling's remaining span — real range
-//! stealing, not a shared counter, so the common case is an uncontended CAS
-//! on a cache line the worker owns. Which worker executes a row never
-//! affects the row's result, so outputs stay bitwise identical across
-//! schedules and thread counts (pinned by `tests/determinism.rs`).
+//! DESIGN.md): each share starts with a contiguous span of rows, its
+//! participant claims `grain` rows at a time from the front, and when the
+//! span runs dry steals half of a randomly chosen sibling's remaining span
+//! — real range stealing, not a shared counter, so the common case is an
+//! uncontended CAS on a cache line the participant owns. Which thread
+//! executes a row never affects the row's result, so outputs stay bitwise
+//! identical across schedules and thread counts (pinned by
+//! `tests/determinism.rs`).
+//!
+//! # The fork-join protocol
+//!
+//! A launch is cut into `shares = min(pool.threads(), blocks the schedule
+//! can cut)` shares (a `Dynamic { grain: 16 }` launch of ≤ 16 rows is one
+//! block, hence one share). One share runs inline on the caller and
+//! touches nothing shared. Otherwise:
+//!
+//! 1. **Fork.** The caller builds the launch context on its stack, a small
+//!    heap header (`Join`), and submits `shares − 1` helper jobs, each
+//!    holding the header by `Arc` and the context by erased address.
+//! 2. **Claim.** Share 0 is the caller's. Every other share goes to
+//!    whoever claims it first by `fetch_add` on the header's counter: a
+//!    helper job claims *when it starts*, the caller claims after finishing
+//!    each share it holds. A claim past the last share is "nothing left",
+//!    and the claimant never looks at the context.
+//! 3. **Join.** Once the caller's own claim comes back empty, every share
+//!    has an owner; it waits (a bounded spin, then a Condvar) until the shares
+//!    *helpers* claimed have all signalled completion, and returns. A
+//!    helper that was asleep or busy elsewhere wakes to an exhausted
+//!    counter and its job runs to nothing — the launch never waited for
+//!    it. Under `Dynamic`, unclaimed shares' spans are stolen from like any
+//!    sibling's, so the caller usually finds them already empty (and
+//!    [`LaunchStats::imbalance`] leaves such rowless shares out).
+//!
+//! Nor does the fork wait: those run-to-nothing jobs stay queued until a
+//! helper gets to them, and while every helper is held in another
+//! launcher's long share they accumulate — up to the injector's 4096
+//! slots, past which `submit` drops the job rather than spin for a slot
+//! (a dropped job is a share nobody else claims, i.e. the caller's).
+//!
+//! Panics in `body` are caught per block, so a share always reaches its
+//! completion signal; the first payload is re-raised on the caller after
+//! the join.
 
 use crate::metrics::PoolMetrics;
-use crate::pool::{on_worker_thread, CountLatch, ThreadPool};
-use parking_lot::Mutex;
+use crate::pool::{on_worker_thread, ThreadPool};
+use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
@@ -29,23 +65,24 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How row blocks are assigned to workers.
+/// How row blocks are assigned to the shares of a launch.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Schedule {
-    /// Split `0..n` into one contiguous span per worker. This is the
+    /// Split `0..n` into one contiguous span per share. This is the
     /// classic static decomposition; worst-case imbalance when heavy rows
     /// cluster.
     StaticContiguous,
-    /// Round-robin blocks of `chunk` rows over workers (worker `w` takes
+    /// Round-robin blocks of `chunk` rows over shares (share `w` takes
     /// blocks `w, w+W, w+2W, …`), mimicking a CUDA grid where consecutive
     /// blocks land on different SMs. Fixed assignment: no stealing.
     BlockCyclic {
         /// Rows per block.
         chunk: usize,
     },
-    /// Work stealing: each worker claims `grain` rows at a time from the
-    /// front of its own contiguous span and steals half of a sibling's
-    /// span when it runs dry. Self-balancing; the ablation schedule.
+    /// Work stealing: each share's participant claims `grain` rows at a
+    /// time from the front of its own contiguous span and steals half of a
+    /// sibling's span when it runs dry. Self-balancing; the ablation
+    /// schedule.
     Dynamic {
         /// Rows claimed per grab.
         grain: usize,
@@ -57,6 +94,16 @@ impl Schedule {
     /// closest CPU analogue of the paper's one-block-per-row CUDA launch.
     pub fn cuda_like() -> Self {
         Schedule::BlockCyclic { chunk: 1 }
+    }
+
+    /// How many blocks this schedule can cut `0..n` into — the most
+    /// shares a launch of `n` rows can use.
+    fn blocks(self, n: usize) -> usize {
+        match self {
+            Schedule::StaticContiguous => n,
+            Schedule::BlockCyclic { chunk } => n.div_ceil(chunk.max(1)),
+            Schedule::Dynamic { grain } => n.div_ceil(grain.max(1)),
+        }
     }
 }
 
@@ -77,23 +124,32 @@ impl Default for Schedule {
 /// Per-launch execution statistics, used by the load-imbalance analyses.
 #[derive(Clone, Debug, Default)]
 pub struct LaunchStats {
-    /// Busy time per worker (seconds).
+    /// Busy time per share of the launch (seconds).
     pub worker_busy: Vec<f64>,
-    /// Rows processed per worker.
+    /// Rows processed per share.
     pub worker_rows: Vec<usize>,
     /// Wall-clock time of the whole launch (seconds).
     pub elapsed: f64,
 }
 
 impl LaunchStats {
-    /// Max-over-mean busy time: 1.0 = perfectly balanced. The paper's
-    /// "slowest block" effect shows up as values ≫ 1.
+    /// Max-over-mean busy time over the shares that ran rows: 1.0 =
+    /// perfectly balanced. The paper's "slowest block" effect shows up as
+    /// values ≫ 1.
+    ///
+    /// A share with no rows is left out: under [`Schedule::Dynamic`] a
+    /// share nobody had claimed yet is stolen empty by the participants
+    /// already running, and whoever claims it later finds nothing — no
+    /// participant stands behind its (≈ 0) busy time, and counting it would
+    /// measure which helper woke in time rather than how the load fell on
+    /// the participants that worked.
     pub fn imbalance(&self) -> f64 {
         let busy: Vec<f64> = self
             .worker_busy
             .iter()
-            .copied()
-            .filter(|w| w.is_finite())
+            .enumerate()
+            .filter(|&(w, busy)| busy.is_finite() && self.worker_rows.get(w) != Some(&0))
+            .map(|(_, &busy)| busy)
             .collect();
         if busy.is_empty() {
             return 1.0;
@@ -111,12 +167,13 @@ impl LaunchStats {
 /// Run `body` over every index range covering `0..n` in parallel on `pool`.
 ///
 /// `body` receives disjoint `Range<usize>` blocks whose union is `0..n`.
-/// Blocks arriving at the same worker arrive in order; across workers there
-/// is no ordering. The call returns only after every block completed.
-/// Panics inside `body` are forwarded to the caller after all workers have
-/// quiesced.
+/// Blocks of one share arrive in order; across shares there is no
+/// ordering. The calling thread is one of the participants (see the
+/// [module docs](self)); the call returns only after every block completed.
+/// Panics inside `body` are forwarded to the caller after every claimed
+/// share has quiesced.
 ///
-/// Called from inside a pool worker (nested parallelism), the body runs
+/// Called from inside a pool helper (nested parallelism), the body runs
 /// inline on the calling thread to avoid pool starvation.
 pub fn parallel_for<F>(pool: &ThreadPool, n: usize, schedule: Schedule, body: F)
 where
@@ -125,7 +182,7 @@ where
     let _ = parallel_for_impl(pool, n, schedule, &body, false);
 }
 
-/// As [`parallel_for`], additionally returning per-worker timing for the
+/// As [`parallel_for`], additionally returning per-share timing for the
 /// load-imbalance experiments.
 pub fn parallel_for_stats<F>(
     pool: &ThreadPool,
@@ -217,23 +274,119 @@ impl SpanSlot {
     }
 }
 
-/// Lock-free per-participant timing slot for [`parallel_for_stats`]:
-/// written once by its participant, read after the latch.
+/// Lock-free per-share timing slot for [`parallel_for_stats`]: written
+/// once by whoever ran the share, read after the join.
 #[derive(Default)]
 struct StatSlot {
     busy_bits: AtomicU64,
     rows: AtomicU64,
 }
 
+/// How long the caller of a launch spins for the helpers' last blocks
+/// before it sleeps: about one futex sleep/wake pair on the measured host.
+const JOIN_SPIN: Duration = Duration::from_micros(20);
+
+/// Heap header of one forked launch, shared by `Arc` between the caller
+/// and the helper jobs it submitted. It outlives the launch for exactly as
+/// long as a late helper job still holds it, which is what lets such a job
+/// find out — without touching the caller's stack — that nothing is left.
+struct Join {
+    /// Shares in the launch; share 0 is the caller's own.
+    shares: usize,
+    /// The next share nobody has claimed.
+    next: AtomicUsize,
+    /// Shares claimed by helpers that have finished.
+    finished: AtomicUsize,
+    lock: Mutex<()>,
+    all_finished: Condvar,
+}
+
+impl Join {
+    fn new(shares: usize) -> Arc<Self> {
+        Arc::new(Join {
+            shares,
+            next: AtomicUsize::new(1),
+            finished: AtomicUsize::new(0),
+            lock: Mutex::new(()),
+            all_finished: Condvar::new(),
+        })
+    }
+
+    /// Claim the next unclaimed share, if one is left. Each share index is
+    /// returned to exactly one claimant (`fetch_add` hands out distinct
+    /// values). AcqRel: a helper's claim happens-after the caller's writes
+    /// to the context — already ordered by the injector push/pop — and the
+    /// ordering is kept explicit here rather than borrowed.
+    fn claim(&self) -> Option<usize> {
+        let share = self.next.fetch_add(1, Ordering::AcqRel);
+        (share < self.shares).then_some(share)
+    }
+
+    /// A helper finished the share it claimed. Release pairs with the
+    /// Acquire loads in [`Self::wait`], publishing the share's writes.
+    fn finish(&self) {
+        self.finished.fetch_add(1, Ordering::Release);
+        // Lock-then-notify so the signal cannot slot between the waiter's
+        // re-check and its wait.
+        drop(self.lock.lock());
+        self.all_finished.notify_one();
+    }
+
+    /// Block until `claimed` helper shares have finished. A helper that
+    /// claimed a share is awake and running it, and range stealing keeps
+    /// the shares within a grain of each other, so the wait is usually
+    /// microseconds: spin for about what a sleep/wake pair would cost,
+    /// then sleep. No `yield_now` here — the helper being waited for has
+    /// its own core unless the box is oversubscribed, and then the sleep
+    /// is what hands it this one.
+    fn wait(&self, claimed: usize) {
+        let finished = || self.finished.load(Ordering::Acquire) >= claimed;
+        let spin_until = Instant::now() + JOIN_SPIN;
+        while !finished() {
+            if Instant::now() < spin_until {
+                std::hint::spin_loop();
+                continue;
+            }
+            let mut guard = self.lock.lock();
+            while !finished() {
+                self.all_finished.wait(&mut guard);
+            }
+            return;
+        }
+    }
+}
+
+/// The caller's side of a forked launch. Its `Drop` is the join, so the
+/// join runs on every exit path — unwinding included — before the launch
+/// context leaves the caller's stack.
+struct JoinOnDrop<'a> {
+    join: &'a Join,
+    /// Shares the caller took (share 0 plus every later claim).
+    mine: usize,
+}
+
+impl Drop for JoinOnDrop<'_> {
+    fn drop(&mut self) {
+        // Close the launch: on the ordinary path the caller's claim loop
+        // already ran dry and this claims nothing; on an unwinding path it
+        // takes (without running) whatever no helper has started.
+        while self.join.claim().is_some() {
+            self.mine += 1;
+        }
+        self.join.wait(self.join.shares - self.mine);
+    }
+}
+
 /// Shared context for one launch; lives on the caller's stack for the
-/// duration of the launch and is only ever accessed through the raw pointer
-/// below while the caller blocks on the latch.
+/// duration of the launch. Helpers reach it through the erased address in
+/// their job, and only between claiming a share and finishing it.
 struct LaunchCtx<'a, F> {
     body: &'a F,
     n: usize,
     schedule: Schedule,
-    workers: usize,
-    /// Per-participant stealable spans (`Schedule::Dynamic` with `n` small
+    /// Shares the launch is cut into (`Join::shares`).
+    shares: usize,
+    /// Per-share stealable spans (`Schedule::Dynamic` with `n` small
     /// enough to pack; empty otherwise).
     spans: Vec<SpanSlot>,
     /// Shared-counter fallback for `Dynamic` when `n` exceeds the packed
@@ -251,8 +404,8 @@ impl<F> LaunchCtx<'_, F>
 where
     F: Fn(Range<usize>) + Sync,
 {
-    /// Worker `w`'s share of the index space under the launch schedule.
-    fn run_worker(&self, w: usize) {
+    /// Share `w` of the index space under the launch schedule.
+    fn run_share(&self, w: usize) {
         let mut rows = 0usize;
         let started = Instant::now();
         let guarded = |range: Range<usize>, rows: &mut usize| {
@@ -272,7 +425,7 @@ where
         };
         match self.schedule {
             Schedule::StaticContiguous => {
-                let per = self.n.div_ceil(self.workers);
+                let per = self.n.div_ceil(self.shares);
                 let lo = (w * per).min(self.n);
                 let hi = ((w + 1) * per).min(self.n);
                 if lo < hi {
@@ -289,7 +442,7 @@ where
                     }
                     let hi = (lo + chunk).min(self.n);
                     guarded(lo..hi, &mut rows);
-                    block += self.workers;
+                    block += self.shares;
                 }
             }
             Schedule::Dynamic { grain } => {
@@ -337,9 +490,9 @@ where
             seed ^= seed << 13;
             seed ^= seed >> 7;
             seed ^= seed << 17;
-            let start = seed as usize % self.workers;
-            for k in 0..self.workers {
-                let victim = (start + k) % self.workers;
+            let start = seed as usize % self.shares;
+            for k in 0..self.shares {
+                let victim = (start + k) % self.shares;
                 if victim == w {
                     continue;
                 }
@@ -372,10 +525,11 @@ where
         return LaunchStats::default();
     }
 
-    // Inline fallbacks: single worker pools, tiny launches, or nested calls
-    // from inside a worker (which would starve the pool).
-    let workers = pool.threads().min(n);
-    if workers <= 1 || on_worker_thread() {
+    // Inline: one-participant pools, launches the schedule cannot cut in
+    // two, and nested calls from inside a helper (which would starve the
+    // pool). Nothing shared is touched.
+    let shares = pool.threads().min(schedule.blocks(n));
+    if shares <= 1 || on_worker_thread() {
         let started = Instant::now();
         body(0..n);
         let busy = started.elapsed().as_secs_f64();
@@ -388,8 +542,8 @@ where
 
     let spans = if matches!(schedule, Schedule::Dynamic { .. }) && n < u32::MAX as usize {
         // Balanced contiguous seed spans, refined by stealing at runtime.
-        let per = n.div_ceil(workers);
-        (0..workers)
+        let per = n.div_ceil(shares);
+        (0..shares)
             .map(|w| SpanSlot::new((w * per).min(n), ((w + 1) * per).min(n)))
             .collect()
     } else {
@@ -399,43 +553,67 @@ where
         body,
         n,
         schedule,
-        workers,
+        shares,
         spans,
         next: AtomicUsize::new(0),
         panicked: AtomicBool::new(false),
         panic_slot: Mutex::new(None),
-        stats: want_stats.then(|| (0..workers).map(|_| StatSlot::default()).collect()),
+        stats: want_stats.then(|| (0..shares).map(|_| StatSlot::default()).collect()),
         metrics: pool.metrics(),
     };
 
     // Type- and lifetime-erasure shim: a monomorphised function pointer is
     // `'static` even though `F` (and the data it borrows) is not, so the
     // boxed job below never mentions `F`.
-    unsafe fn worker_shim<F: Fn(Range<usize>) + Sync>(ctx_addr: usize, w: usize) {
+    unsafe fn share_shim<F: Fn(Range<usize>) + Sync>(ctx_addr: usize, w: usize) {
         // SAFETY: see the block comment at the call site.
         let ctx = unsafe { &*(ctx_addr as *const LaunchCtx<'_, F>) };
-        ctx.run_worker(w);
+        ctx.run_share(w);
     }
-    let shim: unsafe fn(usize, usize) = worker_shim::<F>;
+    let shim: unsafe fn(usize, usize) = share_shim::<F>;
 
-    // SAFETY: the context (and through it the caller's closure and any
-    // borrowed data) outlives every worker's use of it because this function
-    // blocks on the latch until all `workers` jobs have signalled
-    // completion, and the latch count-down is the last action of each job.
-    // The pointer round-trip erases the stack lifetime so the job can be
-    // boxed as 'static; no job retains the pointer past count_down.
+    // SAFETY (of the `shim` calls in the helper jobs below): the pointer
+    // round-trip erases the stack lifetime of `ctx` (and through it the
+    // caller's closure and whatever that borrows) so a job can be boxed as
+    // 'static. A job dereferences the address only after `Join::claim`
+    // handed it a share, and calls `Join::finish` after its last use of
+    // it. This function leaves `ctx`'s frame only through `joined`'s
+    // `Drop`, on return and on unwind alike, which first exhausts the
+    // claim counter — so no job can claim a share afterwards, and a job
+    // that has not claimed never forms the reference — and then blocks
+    // until every share a helper did claim has called `finish`. Every
+    // dereference therefore happens while `ctx` is live. `F: Sync` makes
+    // sharing `&F` across the threads sound, and the `Release` in `finish`
+    // / `Acquire` in `wait` publish the shares' writes to the caller.
     let ctx_addr = &ctx as *const LaunchCtx<'_, F> as usize;
-    let latch = CountLatch::new(workers);
-    for w in 0..workers {
-        let latch = Arc::clone(&latch);
-        pool.submit(Box::new(move || {
-            // SAFETY: `ctx_addr` points to the caller's live LaunchCtx; the
-            // caller blocks on the latch until after this call returns.
-            unsafe { shim(ctx_addr, w) };
-            latch.count_down();
+    let join = Join::new(shares);
+    let mut joined = JoinOnDrop {
+        join: &join,
+        mine: 1,
+    };
+    for _ in 1..shares {
+        let join = Arc::clone(&join);
+        let offered = pool.submit(Box::new(move || {
+            if let Some(share) = join.claim() {
+                // SAFETY: a share was claimed, so the caller is still
+                // inside the launch and waits for the `finish` below.
+                unsafe { shim(ctx_addr, share) };
+                join.finish();
+            }
         }));
+        if !offered {
+            // Injector full of jobs no helper has come for: nobody is
+            // idle, and the shares are the caller's anyway.
+            break;
+        }
     }
-    latch.wait();
+    // The caller's own share, then any share no helper has started.
+    ctx.run_share(0);
+    while let Some(share) = join.claim() {
+        joined.mine += 1;
+        ctx.run_share(share);
+    }
+    drop(joined);
 
     if let Some(payload) = ctx.panic_slot.lock().take() {
         resume_unwind(payload);
@@ -508,8 +686,8 @@ mod tests {
         ThreadPool::new(4)
     }
 
-    fn covered_exactly_once(n: usize, schedule: Schedule) {
-        let pool = pool4();
+    fn covered_exactly_once(threads: usize, n: usize, schedule: Schedule) {
+        let pool = ThreadPool::new(threads);
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
         parallel_for(&pool, n, schedule, |range| {
             for i in range {
@@ -517,18 +695,33 @@ mod tests {
             }
         });
         for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "index {i} under {schedule:?}");
+            assert_eq!(
+                h.load(Ordering::Relaxed),
+                1,
+                "index {i} of {n} under {schedule:?} on {threads} threads"
+            );
         }
     }
 
     #[test]
     fn full_coverage_all_schedules() {
-        for n in [1usize, 2, 3, 7, 64, 1000, 1003] {
-            covered_exactly_once(n, Schedule::StaticContiguous);
-            covered_exactly_once(n, Schedule::BlockCyclic { chunk: 1 });
-            covered_exactly_once(n, Schedule::BlockCyclic { chunk: 5 });
-            covered_exactly_once(n, Schedule::Dynamic { grain: 1 });
-            covered_exactly_once(n, Schedule::Dynamic { grain: 7 });
+        // Sizes around one block of every grain below (one share, exactly
+        // one block, one row over), a ragged several-block launch, a long
+        // one — on the inline pool, one helper, and several.
+        for threads in [1usize, 2, 4] {
+            for n in [0usize, 1, 2, 3, 7, 15, 16, 17, 53, 64, 1000, 1003, 10_000] {
+                for schedule in [
+                    Schedule::StaticContiguous,
+                    Schedule::BlockCyclic { chunk: 1 },
+                    Schedule::BlockCyclic { chunk: 5 },
+                    Schedule::BlockCyclic { chunk: 16 },
+                    Schedule::Dynamic { grain: 1 },
+                    Schedule::Dynamic { grain: 7 },
+                    Schedule::Dynamic { grain: 16 },
+                ] {
+                    covered_exactly_once(threads, n, schedule);
+                }
+            }
         }
     }
 
@@ -555,8 +748,8 @@ mod tests {
 
     #[test]
     fn zero_chunk_and_grain_are_clamped() {
-        covered_exactly_once(10, Schedule::BlockCyclic { chunk: 0 });
-        covered_exactly_once(10, Schedule::Dynamic { grain: 0 });
+        covered_exactly_once(4, 10, Schedule::BlockCyclic { chunk: 0 });
+        covered_exactly_once(4, 10, Schedule::Dynamic { grain: 0 });
     }
 
     #[test]
@@ -591,10 +784,12 @@ mod tests {
     fn nested_calls_run_inline() {
         let pool = pool4();
         let total = AtomicU64::new(0);
-        parallel_for(&pool, 8, Schedule::default(), |outer| {
+        // Grain 1: eight blocks, so the outer launch forks and helpers
+        // meet the nested launch too.
+        parallel_for(&pool, 8, Schedule::Dynamic { grain: 1 }, |outer| {
             for _ in outer {
                 // Nested launch must not deadlock.
-                parallel_for(&pool, 4, Schedule::default(), |inner| {
+                parallel_for(&pool, 4, Schedule::Dynamic { grain: 1 }, |inner| {
                     for _ in inner {
                         total.fetch_add(1, Ordering::Relaxed);
                     }
@@ -602,6 +797,277 @@ mod tests {
             }
         });
         assert_eq!(total.load(Ordering::Relaxed), 32);
+    }
+
+    // ---- the fork-join protocol -------------------------------------
+
+    #[test]
+    fn one_thread_pool_runs_the_body_on_the_calling_thread() {
+        let pool = ThreadPool::new(1);
+        let caller = std::thread::current().id();
+        let blocks = AtomicUsize::new(0);
+        parallel_for(&pool, 1_000, Schedule::Dynamic { grain: 1 }, |_| {
+            assert_eq!(std::thread::current().id(), caller);
+            blocks.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(blocks.load(Ordering::Relaxed), 1, "inline: one block");
+        assert_eq!(pool.metrics().report(), Default::default());
+    }
+
+    /// Occupy every helper of `pool` with an unrelated job that returns
+    /// only once the test also waits on the returned barrier.
+    fn hold_helpers(pool: &ThreadPool) -> Arc<std::sync::Barrier> {
+        let helpers = pool.threads() - 1;
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let release = Arc::new(std::sync::Barrier::new(helpers + 1));
+        for _ in 0..helpers {
+            let (started, release) = (started_tx.clone(), Arc::clone(&release));
+            assert!(pool.submit(Box::new(move || {
+                started.send(()).expect("the test is receiving");
+                release.wait();
+            })));
+        }
+        for _ in 0..helpers {
+            started_rx.recv().expect("each helper starts its job");
+        }
+        release
+    }
+
+    #[test]
+    fn launch_completes_on_the_caller_while_every_helper_is_held() {
+        // Both helpers sit inside unrelated jobs for the whole launch, so
+        // nobody but the caller can claim a share: the launch must finish
+        // anyway (no wait on an unclaimed share), and the helper jobs it
+        // submitted must later run to nothing.
+        let pool = ThreadPool::new(3);
+        let release = hold_helpers(&pool);
+
+        let n = 3 * 16 + 5;
+        let caller = std::thread::current().id();
+        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+        for schedule in [
+            Schedule::StaticContiguous,
+            Schedule::BlockCyclic { chunk: 4 },
+            Schedule::Dynamic { grain: 4 },
+        ] {
+            parallel_for(&pool, n, schedule, |range| {
+                assert_eq!(std::thread::current().id(), caller);
+                for i in range {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
+            });
+        }
+        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 3));
+        let r = pool.metrics().report();
+        assert_eq!(r.injector_pushes, 2 + 3 * 2, "one job per helper share");
+        assert_eq!(r.jobs_executed, 2, "only the held jobs have started");
+
+        release.wait();
+        pool.quiesce();
+        assert!(
+            hits.iter().all(|h| h.load(Ordering::Relaxed) == 3),
+            "late helper jobs must find nothing to run"
+        );
+    }
+
+    #[test]
+    fn a_full_injector_never_stalls_a_launch() {
+        // The helper is held for longer than the injector has slots: the
+        // run-to-nothing jobs of finished launches fill the ring, and the
+        // launches after that must drop their job, not wait for a slot
+        // only the held helper could free.
+        let pool = ThreadPool::new(2);
+        let release = hold_helpers(&pool);
+        let cap = crate::pool::INJECTOR_CAP;
+        let rows = AtomicUsize::new(0);
+        for _ in 0..cap + 100 {
+            parallel_for(&pool, 2, Schedule::StaticContiguous, |range| {
+                rows.fetch_add(range.len(), Ordering::Relaxed);
+            });
+        }
+        assert_eq!(rows.load(Ordering::Relaxed), 2 * (cap + 100));
+        let r = pool.metrics().report();
+        assert_eq!(r.injector_pushes as usize, 1 + cap, "the ring, no more");
+
+        release.wait();
+        pool.quiesce();
+        // The drained pool forks again.
+        parallel_for(&pool, 2, Schedule::StaticContiguous, |_| {});
+        assert_eq!(pool.metrics().report().injector_pushes as usize, 2 + cap);
+    }
+
+    #[test]
+    fn imbalance_counts_only_shares_that_ran_rows() {
+        let stats = LaunchStats {
+            worker_busy: vec![3.0, 1.0, 1e-7, 1e-7],
+            worker_rows: vec![40, 24, 0, 0],
+            elapsed: 3.0,
+        };
+        assert_eq!(stats.imbalance(), 1.5, "3 over the mean of 3 and 1");
+
+        // In a launch: with the helpers held, the caller steals the other
+        // shares' spans empty from inside share 0 and then claims them with
+        // nothing left — one participant, perfectly balanced with itself.
+        let pool = ThreadPool::new(3);
+        let release = hold_helpers(&pool);
+        let stats = parallel_for_stats(&pool, 60, Schedule::Dynamic { grain: 2 }, |range| {
+            spin_work(range.len() * 1_000);
+        });
+        release.wait();
+        assert_eq!(stats.worker_rows, [60, 0, 0]);
+        assert_eq!(stats.imbalance(), 1.0);
+    }
+
+    #[test]
+    fn one_block_launches_push_nothing() {
+        let pool = pool4();
+        let ran = AtomicUsize::new(0);
+        for (n, schedule) in [
+            (16, Schedule::Dynamic { grain: 16 }),
+            (1, Schedule::Dynamic { grain: 16 }),
+            (5, Schedule::BlockCyclic { chunk: 8 }),
+            (1, Schedule::StaticContiguous),
+        ] {
+            parallel_for(&pool, n, schedule, |range| {
+                assert_eq!(range, 0..n, "one block, whole");
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        assert_eq!(ran.load(Ordering::Relaxed), 4);
+        assert_eq!(pool.metrics().report().injector_pushes, 0);
+        // One row more than a block is two shares: one helper job.
+        parallel_for(&pool, 17, Schedule::Dynamic { grain: 16 }, |_| {});
+        assert_eq!(pool.metrics().report().injector_pushes, 1);
+    }
+
+    /// A two-share static launch whose share 1 can only be running on the
+    /// helper while the caller is inside share 0: share 0 waits for share
+    /// 1 to start before it does anything.
+    fn two_overlapping_shares(
+        share0: impl Fn() + Sync,
+        share1: impl Fn() + Sync,
+    ) -> std::thread::Result<()> {
+        let pool = ThreadPool::new(2);
+        let caller = std::thread::current().id();
+        let helper_started = AtomicBool::new(false);
+        catch_unwind(AssertUnwindSafe(|| {
+            parallel_for(&pool, 2, Schedule::StaticContiguous, |range| {
+                if range.start == 0 {
+                    assert_eq!(
+                        std::thread::current().id(),
+                        caller,
+                        "share 0 is the caller's"
+                    );
+                    while !helper_started.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                    share0();
+                } else {
+                    assert_ne!(std::thread::current().id(), caller);
+                    helper_started.store(true, Ordering::Release);
+                    share1();
+                }
+            });
+        }))
+    }
+
+    #[test]
+    fn caller_panic_is_forwarded_only_after_the_helper_share_finished() {
+        let caller_panicking = AtomicBool::new(false);
+        let helper_finished = AtomicBool::new(false);
+        let result = two_overlapping_shares(
+            || {
+                caller_panicking.store(true, Ordering::Release);
+                panic!("boom in the caller's share");
+            },
+            || {
+                // Still inside the share when the caller panics, and for a
+                // while after.
+                while !caller_panicking.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                spin_work(200_000);
+                helper_finished.store(true, Ordering::Release);
+            },
+        );
+        assert!(result.is_err(), "the panic must reach the caller");
+        assert!(
+            helper_finished.load(Ordering::Acquire),
+            "parallel_for unwound while a helper was still inside its share"
+        );
+    }
+
+    #[test]
+    fn helper_panic_is_forwarded_after_the_caller_share_finished() {
+        let helper_panicking = AtomicBool::new(false);
+        let caller_finished = AtomicBool::new(false);
+        let result = two_overlapping_shares(
+            || {
+                while !helper_panicking.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+                spin_work(200_000);
+                caller_finished.store(true, Ordering::Release);
+            },
+            || {
+                helper_panicking.store(true, Ordering::Release);
+                panic!("boom in a helper's share");
+            },
+        );
+        let payload = result.expect_err("the helper's panic must reach the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("boom in a helper's share")
+        );
+        assert!(caller_finished.load(Ordering::Acquire));
+    }
+
+    #[test]
+    fn nested_launch_inside_the_callers_own_share_terminates() {
+        // The caller is not a helper thread, so a launch nested in its own
+        // share forks again — onto helpers that may all be busy with the
+        // outer launch. It must finish regardless.
+        let pool = pool4();
+        let caller = std::thread::current().id();
+        let inner_rows = AtomicUsize::new(0);
+        let nested_on_caller = AtomicUsize::new(0);
+        parallel_for(&pool, 4, Schedule::StaticContiguous, |outer| {
+            for _ in outer {
+                if std::thread::current().id() == caller {
+                    nested_on_caller.fetch_add(1, Ordering::Relaxed);
+                }
+                parallel_for(&pool, 100, Schedule::Dynamic { grain: 4 }, |inner| {
+                    inner_rows.fetch_add(inner.len(), Ordering::Relaxed);
+                });
+            }
+        });
+        assert_eq!(inner_rows.load(Ordering::Relaxed), 400);
+        assert!(nested_on_caller.load(Ordering::Relaxed) >= 1, "share 0");
+    }
+
+    #[test]
+    fn two_threads_launch_on_one_pool_concurrently() {
+        let pool = pool4();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for t in 0..2usize {
+                let (pool, start) = (&pool, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for round in 0..300 {
+                        let n = 40 + (round * 7 + t * 13) % 200;
+                        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                        parallel_for(pool, n, Schedule::Dynamic { grain: 4 }, |range| {
+                            for i in range {
+                                hits[i].fetch_add(1, Ordering::Relaxed);
+                            }
+                        });
+                        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
+                    }
+                });
+            }
+        });
+        pool.quiesce();
     }
 
     #[test]

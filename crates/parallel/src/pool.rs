@@ -1,28 +1,58 @@
-//! Persistent work-stealing worker pool.
+//! Persistent work-stealing helper pool.
 //!
 //! The attention kernels launch thousands of short row-parallel regions
 //! (10 warm-up + 15 timed iterations per configuration in the paper's
-//! protocol), and per-token decode serves one tiny launch per tick — so
-//! both thread-spawn cost *and* per-launch queue overhead must stay off
-//! the hot path. Workers are kept alive for the process lifetime and fed
-//! through a lock-free substrate (`shims/crossbeam`'s `deque` module):
+//! protocol), and a serving tick issues one small launch per layer — so
+//! thread-spawn cost, per-launch queue overhead *and* sleep/wake latency
+//! must all stay off the hot path.
+//!
+//! **Who participates.** A pool of `n` threads is `n` *participants*: the
+//! thread that calls a launch plus `n − 1` persistent helper threads (so
+//! `ThreadPool::new(1)` spawns nothing, and a box with `n` cores runs `n`
+//! threads during a launch, not `n + 1`). The caller works in its own
+//! launch — see [`mod@crate::parallel_for`] for the claim/join protocol —
+//! and helpers only ever run the `'static` jobs a launch submits here.
+//!
+//! **The substrate** (`shims/crossbeam`'s `deque` module):
 //!
 //! - submitted jobs land in a shared lock-free [`Injector`];
-//! - each worker owns a Chase–Lev deque; idle workers first drain a batch
-//!   from the injector onto their own deque, then steal from randomly
-//!   chosen victims, then back off (spin → yield) before parking on a
-//!   Condvar. The submit fast path never takes a lock — it only notifies
-//!   when the sleeper count (an atomic mirror) says someone is parked.
-//! - [`CountLatch`] completion signalling is an atomic countdown; its
-//!   Condvar is touched only for the final park/unpark.
+//! - each helper owns a Chase–Lev deque; an idle helper first drains a
+//!   batch from the injector onto its own deque, then steals from randomly
+//!   chosen victims. The submit fast path never takes a lock — it only
+//!   notifies when the sleeper count (an atomic mirror) says someone is
+//!   parked.
+//!
+//! **The idle policy.** A helper that finds nothing keeps polling —
+//! `spin_loop` rounds, one `yield_now` every 128th — for 200 µs before it
+//! parks on the Condvar: about one wake. With helpers that parked after
+//! 8 spins + 8 yields, the 0.1–7 ms of serial work between a serving
+//! tick's launches always outlasted the backoff, so every launch paid a
+//! futex wake on its critical path (the benchmark's 16-row decode launch:
+//! 0.036–0.073 ms on the two-thread engine against 0.027 ms on one thread,
+//! and 3300 parks per `stack_serve` repetition, ≈ 19 a tick). Swept on
+//! that benchmark, a bound of 0 / 20 / 50 / 200 / 1000 µs left 1644 / 1428
+//! / 501 / 117 / 11 parks a repetition; throughput was within the host's
+//! run-to-run spread from 20 µs on (the benchmark's idle spinners keep the
+//! vCPUs out of the hypervisor's halt path, so a wake is cheap there) and
+//! 1–17 % higher at 200 µs than at 0 in three of three alternating runs.
+//! The sizing prototype of this design, on a host where a wake cost more,
+//! read 5285 / 6126 / 6288 / 6385 rows/s at 20 / 50 / 200 / 1000 µs. Both
+//! plateau by one wake latency, so the bound sits there (the spin-then-park
+//! rule: never burn much more than the sleep would have cost) and is not
+//! an option.
+//!
+//! The poll must not be a stream of `sched_yield` calls: next to one
+//! `SCHED_IDLE` spinner per CPU (how the serving benchmark conditions its
+//! host) a yield returns in 0.25 µs at the median, but about one in 600
+//! gives the core away for 5 ms, and a helper that yielded every round
+//! found 52 % of `stack_serve`'s forked launches already finished when it
+//! came back. It must still yield now and then: with more runnable threads
+//! than cores (four participants pinned to one CPU in CI) that is what
+//! hands the core to the thread holding the work.
 //!
 //! Every steal/park/injector event is tallied into relaxed
 //! [`PoolMetrics`] counters (see [`crate::metrics`]), so instrumentation
 //! does not serialize the lock-free path.
-//!
-//! Scoped (non-`'static`) parallel regions are built on top in
-//! [`mod@crate::parallel_for`]; this module only provides the raw `'static`
-//! job execution and the completion latch.
 
 use crate::metrics::PoolMetrics;
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
@@ -31,29 +61,37 @@ use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Capacity of each worker's local deque. Batches pulled from the
+/// Capacity of each helper's local deque. Batches pulled from the
 /// injector are bounded well below this, so overflow back to the
 /// injector is a cold path.
 const LOCAL_QUEUE_CAP: usize = 256;
 /// Capacity of the shared injector ring. A launch enqueues at most one
-/// job per worker, so worst-case occupancy is a few concurrent launches.
-const INJECTOR_CAP: usize = 4096;
-/// Pure-spin rounds of the idle backoff before yielding the timeslice.
-const SPIN_ROUNDS: u32 = 8;
-/// Yield rounds of the idle backoff before parking on the Condvar.
-const YIELD_ROUNDS: u32 = 8;
+/// job per helper, so ordinary occupancy is a few concurrent launches plus
+/// the jobs of launches that finished before a helper got to them. Those
+/// pile up while every helper sits in some other launcher's long share;
+/// past this many, [`ThreadPool::submit`] drops the job instead of
+/// waiting for a slot.
+pub(crate) const INJECTOR_CAP: usize = 4096;
+/// How long an idle helper keeps polling before it parks: about one wake
+/// latency on the measured host (see the module docs for the sweep).
+const IDLE_POLL: Duration = Duration::from_micros(200);
+/// An idle helper polls with `spin_loop` and yields its timeslice once
+/// every this many rounds (a round measured 0.2–0.45 µs with three helpers
+/// probing each other's deques, so every 25–60 µs); see the module docs
+/// for why not more often and why not never.
+const YIELD_EVERY: u32 = 128;
 
 thread_local! {
-    /// Set while a pool worker is executing a job — used to detect nested
-    /// parallel regions (which would deadlock a bounded pool) and run them
-    /// inline instead.
+    /// Set on pool helper threads — used to detect nested parallel regions
+    /// (which would starve a bounded pool) and run them inline instead.
     static IN_POOL_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// True when called from inside a pool worker thread.
+/// True when called from inside a pool helper thread.
 pub fn on_worker_thread() -> bool {
     IN_POOL_WORKER.with(|f| f.get())
 }
@@ -176,16 +214,20 @@ impl Shared {
     }
 }
 
-fn worker_loop(shared: &Shared, local: Deque<Job>, index: usize) {
+fn helper_loop(shared: &Shared, local: Deque<Job>, index: usize) {
     IN_POOL_WORKER.with(|f| f.set(true));
     let mut rng = VictimRng::new(index as u64 + 1);
-    let mut backoff = 0u32;
+    // Poll rounds since the last job, and when that idle stretch began
+    // (`None` while there is work).
+    let mut rounds = 0u32;
+    let mut idle_since: Option<Instant> = None;
     loop {
         if let Some(job) = shared.find_job(&local, index, &mut rng) {
-            backoff = 0;
-            // Count before running: a job's last action is its latch
-            // count-down, so counting after would let a caller woken by
-            // that latch observe the job as "not yet executed".
+            rounds = 0;
+            idle_since = None;
+            // Count before running: a job's last action signals its
+            // launch's caller, so counting after would let that caller
+            // observe the job as "not yet executed".
             shared.metrics.count_job();
             job();
             continue;
@@ -195,22 +237,26 @@ fn worker_loop(shared: &Shared, local: Deque<Job>, index: usize) {
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
-        if backoff < SPIN_ROUNDS {
-            std::hint::spin_loop();
-            backoff += 1;
-        } else if backoff < SPIN_ROUNDS + YIELD_ROUNDS {
-            std::thread::yield_now();
-            backoff += 1;
-        } else {
+        if idle_since.get_or_insert_with(Instant::now).elapsed() >= IDLE_POLL {
             shared.park();
-            backoff = 0;
+            rounds = 0;
+            idle_since = None;
+            continue;
+        }
+        rounds += 1;
+        if rounds % YIELD_EVERY == 0 {
+            std::thread::yield_now();
+        } else {
+            std::hint::spin_loop();
         }
     }
 }
 
 /// A fixed-size persistent work-stealing thread pool.
 ///
-/// Workers exit when the pool is dropped (after draining queued jobs).
+/// A pool of `n` threads is `n` participants in a launch: the launching
+/// thread itself plus `n − 1` helper threads owned by the pool. Helpers
+/// exit when the pool is dropped (after draining queued jobs).
 pub struct ThreadPool {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
@@ -218,10 +264,12 @@ pub struct ThreadPool {
 }
 
 impl ThreadPool {
-    /// Create a pool with `threads` workers (at least 1).
+    /// Create a pool of `threads` participants (at least 1): the calling
+    /// thread of each launch plus `threads − 1` helper threads spawned
+    /// here. A one-thread pool spawns nothing and runs every launch inline.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let deques: Vec<Deque<Job>> = (0..threads)
+        let deques: Vec<Deque<Job>> = (1..threads)
             .map(|_| Deque::with_capacity(LOCAL_QUEUE_CAP))
             .collect();
         let shared = Arc::new(Shared {
@@ -233,13 +281,13 @@ impl ThreadPool {
             wakeup: Condvar::new(),
             metrics: PoolMetrics::new(),
         });
-        let mut handles = Vec::with_capacity(threads);
+        let mut handles = Vec::with_capacity(deques.len());
         for (idx, local) in deques.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
             let handle = std::thread::Builder::new()
-                .name(format!("gpa-worker-{idx}"))
-                .spawn(move || worker_loop(&shared, local, idx))
-                .expect("failed to spawn pool worker");
+                .name(format!("gpa-helper-{idx}"))
+                .spawn(move || helper_loop(&shared, local, idx))
+                .expect("failed to spawn pool helper");
             handles.push(handle);
         }
         ThreadPool {
@@ -249,7 +297,7 @@ impl ThreadPool {
         }
     }
 
-    /// Number of worker threads.
+    /// Number of participants in a launch: the calling thread included.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -259,15 +307,46 @@ impl ThreadPool {
         &self.shared.metrics
     }
 
-    /// Submit a `'static` job. Panics if the pool has shut down.
-    pub(crate) fn submit(&self, job: Job) {
+    /// Block until every job submitted so far has been executed: a helper
+    /// job whose launch the caller finished alone runs (to nothing) after
+    /// that launch returned.
+    #[cfg(test)]
+    pub(crate) fn quiesce(&self) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let r = self.metrics().report();
+            if r.jobs_executed == r.injector_pushes {
+                return;
+            }
+            assert!(Instant::now() < deadline, "queued jobs never ran: {r:?}");
+            std::thread::yield_now();
+        }
+    }
+
+    /// Offer a `'static` job to the helpers, without ever waiting: when the
+    /// injector is full (every helper has been busy elsewhere for
+    /// [`INJECTOR_CAP`] submissions) the job is dropped unrun and `false`
+    /// returned. A launch loses nothing by that — a share no job claims is
+    /// the caller's — and the backlog is of jobs that will run to nothing.
+    ///
+    /// # Panics
+    /// Panics if the pool has shut down, or has no helper to run the job
+    /// (a one-thread pool — its launches never fork).
+    pub(crate) fn submit(&self, job: Job) -> bool {
         assert!(
             !self.shared.shutdown.load(Ordering::Acquire),
             "thread pool has shut down"
         );
-        self.shared.injector.push(job);
+        assert!(
+            !self.handles.is_empty(),
+            "a one-thread pool has no helper to run a job"
+        );
+        if self.shared.injector.try_push(job).is_err() {
+            return false;
+        }
         self.shared.metrics.count_injector_push();
         self.shared.notify_sleeper();
+        true
     }
 }
 
@@ -281,59 +360,6 @@ impl Drop for ThreadPool {
         self.shared.wakeup.notify_all();
         for handle in self.handles.drain(..) {
             let _ = handle.join();
-        }
-    }
-}
-
-/// Count-down latch: waits until `count` workers have called
-/// [`CountLatch::count_down`].
-///
-/// The count lives in an atomic, so signalling completion is one relaxed
-/// RMW; the Mutex/Condvar pair is touched only by the *last* count-down
-/// (to unpark the waiter) and by a waiter that actually has to sleep.
-pub struct CountLatch {
-    remaining: AtomicUsize,
-    lock: Mutex<()>,
-    all_done: Condvar,
-}
-
-impl CountLatch {
-    /// Latch expecting `count` completions.
-    pub fn new(count: usize) -> Arc<Self> {
-        Arc::new(CountLatch {
-            remaining: AtomicUsize::new(count),
-            lock: Mutex::new(()),
-            all_done: Condvar::new(),
-        })
-    }
-
-    /// Record one completion.
-    pub fn count_down(&self) {
-        let prev = self.remaining.fetch_sub(1, Ordering::Release);
-        debug_assert!(prev > 0, "latch count underflow");
-        if prev == 1 {
-            // Synchronize with every earlier count_down before waking the
-            // waiter, then take the lock so the notify cannot slot between
-            // the waiter's re-check and its wait.
-            fence(Ordering::Acquire);
-            drop(self.lock.lock());
-            self.all_done.notify_all();
-        }
-    }
-
-    /// Block until all completions arrive.
-    pub fn wait(&self) {
-        // Short launches usually finish within this bounded spin, skipping
-        // the Condvar entirely.
-        for _ in 0..64 {
-            if self.remaining.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            std::hint::spin_loop();
-        }
-        let mut guard = self.lock.lock();
-        while self.remaining.load(Ordering::Acquire) > 0 {
-            self.all_done.wait(&mut guard);
         }
     }
 }
@@ -363,68 +389,60 @@ pub fn default_threads() -> usize {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
+
+    /// Submit `count` jobs that bump a counter and report on a channel;
+    /// block until all have run.
+    fn run_counted(pool: &ThreadPool, count: usize, work: fn()) -> usize {
+        let counter = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..count {
+            let c = counter.clone();
+            let tx = tx.clone();
+            assert!(pool.submit(Box::new(move || {
+                work();
+                c.fetch_add(1, Ordering::Relaxed);
+                tx.send(()).expect("the test is still receiving");
+            })));
+        }
+        for _ in 0..count {
+            rx.recv().expect("every job reports");
+        }
+        counter.load(Ordering::Relaxed)
+    }
 
     #[test]
     fn jobs_run_and_latch_releases() {
         let pool = ThreadPool::new(4);
-        let counter = Arc::new(AtomicUsize::new(0));
-        let latch = CountLatch::new(100);
-        for _ in 0..100 {
-            let c = counter.clone();
-            let l = latch.clone();
-            pool.submit(Box::new(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-                l.count_down();
-            }));
-        }
-        latch.wait();
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
+        assert_eq!(run_counted(&pool, 100, || {}), 100);
         assert_eq!(pool.metrics().report().jobs_executed, 100);
     }
 
     #[test]
     fn worker_flag_visible_inside_jobs() {
         let pool = ThreadPool::new(2);
-        let latch = CountLatch::new(1);
-        let seen = Arc::new(AtomicUsize::new(0));
-        {
-            let l = latch.clone();
-            let s = seen.clone();
-            pool.submit(Box::new(move || {
-                if on_worker_thread() {
-                    s.store(1, Ordering::Relaxed);
-                }
-                l.count_down();
-            }));
-        }
-        latch.wait();
-        assert_eq!(seen.load(Ordering::Relaxed), 1);
-        assert!(!on_worker_thread(), "caller thread is not a worker");
+        let (tx, rx) = mpsc::channel();
+        pool.submit(Box::new(move || {
+            tx.send(on_worker_thread()).expect("receiver is alive");
+        }));
+        assert!(rx.recv().expect("the job reports"), "jobs run on helpers");
+        assert!(!on_worker_thread(), "the caller thread is not a helper");
     }
 
     #[test]
     fn drop_joins_workers() {
         let pool = ThreadPool::new(3);
-        let latch = CountLatch::new(10);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..10 {
-            let c = counter.clone();
-            let l = latch.clone();
-            pool.submit(Box::new(move || {
-                std::thread::sleep(std::time::Duration::from_millis(2));
-                c.fetch_add(1, Ordering::Relaxed);
-                l.count_down();
-            }));
-        }
-        latch.wait();
+        let ran = run_counted(&pool, 10, || {
+            std::thread::sleep(std::time::Duration::from_millis(2))
+        });
         drop(pool); // must not hang or abort
-        assert_eq!(counter.load(Ordering::Relaxed), 10);
+        assert_eq!(ran, 10);
     }
 
     #[test]
     fn drop_drains_pending_jobs() {
         // Jobs still queued when the pool drops are executed, not leaked —
-        // the shutdown flag only stops workers once every queue is empty.
+        // the shutdown flag only stops helpers once every queue is empty.
         let pool = ThreadPool::new(2);
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..200 {
@@ -439,34 +457,31 @@ mod tests {
 
     #[test]
     fn zero_thread_request_clamps_to_one() {
-        let pool = ThreadPool::new(0);
-        assert_eq!(pool.threads(), 1);
-        let latch = CountLatch::new(1);
-        let l = latch.clone();
-        pool.submit(Box::new(move || l.count_down()));
-        latch.wait();
+        // The caller is the pool's one participant: a helper could never
+        // receive a job, so none is spawned (`new(0)` clamps to 1).
+        for requested in [0usize, 1] {
+            let pool = ThreadPool::new(requested);
+            assert_eq!(pool.threads(), 1);
+            assert!(pool.handles.is_empty());
+        }
+        assert_eq!(ThreadPool::new(4).handles.len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "no helper")]
+    fn submit_to_a_one_thread_pool_is_a_bug() {
+        ThreadPool::new(1).submit(Box::new(|| {}));
     }
 
     #[test]
     fn parked_workers_wake_for_new_work() {
         let pool = ThreadPool::new(4);
-        // Let the workers run through their backoff and park.
+        // Far longer than the idle poll: the helpers must have parked.
         std::thread::sleep(std::time::Duration::from_millis(20));
-        let latch = CountLatch::new(8);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for _ in 0..8 {
-            let c = counter.clone();
-            let l = latch.clone();
-            pool.submit(Box::new(move || {
-                c.fetch_add(1, Ordering::Relaxed);
-                l.count_down();
-            }));
-        }
-        latch.wait();
-        assert_eq!(counter.load(Ordering::Relaxed), 8);
-        // With a 20ms idle window the workers must actually have parked —
-        // otherwise the backoff never hands the CPU back.
-        assert!(pool.metrics().report().parks > 0, "workers never parked");
+        assert_eq!(run_counted(&pool, 8, || {}), 8);
+        // With a 20ms idle window the helpers must actually have parked —
+        // otherwise the idle poll never hands the CPU back.
+        assert!(pool.metrics().report().parks > 0, "helpers never parked");
     }
 
     #[test]

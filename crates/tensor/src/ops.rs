@@ -182,30 +182,54 @@ pub fn matmul_nt<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 }
 
 /// Cache-blocked `A · B` (row-major × row-major).
+///
+/// Each output element accumulates its products in ascending inner index,
+/// skipping terms whose `A` factor is exactly zero; see
+/// [`matmul_rows_into`], which this is over all of `A`'s rows at once.
 pub fn matmul<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
     assert_eq!(a.cols(), b.rows(), "inner dimensions differ");
-    let (m, k) = a.shape();
-    let n = b.cols();
-    let mut out = Matrix::zeros(m, n);
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    matmul_rows_into(out.as_mut_slice(), a.as_slice(), b);
+    out
+}
+
+/// `out += a · B` for a block of rows: `a` holds `r` rows of `B.rows()`
+/// elements and `out` the matching `r` rows of `B.cols()` elements, both
+/// row-major and contiguous. This is [`matmul`]'s loop nest over a row
+/// block, so a product can be cut into row blocks (one per participant of
+/// a launch, say) with every bit where the whole product puts it: an
+/// output element depends on its own row of `a` alone, its terms are added
+/// in ascending inner index `p`, and a term whose `a` factor compares equal
+/// to zero (`0.0` or `-0.0`) is skipped, not added.
+///
+/// # Panics
+/// Panics when the slices do not hold the same whole number of rows.
+pub fn matmul_rows_into<T: Real>(out: &mut [T], a: &[T], b: &Matrix<T>) {
+    let (k, n) = b.shape();
+    let rows = out.len().checked_div(n).unwrap_or(0);
+    assert!(
+        out.len() == rows * n && (n == 0 || a.len() == rows * k),
+        "row block does not match the matrix"
+    );
+    if k == 0 || n == 0 {
+        return;
+    }
     // i-k-j loop order: streams through B and OUT rows contiguously.
     const KB: usize = 64;
     for kk in (0..k).step_by(KB) {
         let k_hi = (kk + KB).min(k);
-        for i in 0..m {
-            let ai = a.row(i);
+        for (ai, oi) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
             for (off, &aip) in ai[kk..k_hi].iter().enumerate() {
                 if aip == T::ZERO {
                     continue;
                 }
                 let bp = b.row(kk + off);
-                let oi = out.row_mut(i);
                 for (o, &x) in oi.iter_mut().zip(bp.iter()) {
                     *o += aip * x;
                 }
             }
         }
     }
-    out
 }
 
 /// Scale every element: `A · s`.
@@ -383,6 +407,45 @@ mod tests {
             }
         }
         assert!(blocked.max_abs_diff(&naive) < 1e-9);
+    }
+
+    #[test]
+    fn row_blocks_reassemble_matmul_bitwise_and_keep_the_zero_skip() {
+        // 130 inner terms cross the 64-wide k-block twice. Column 0 of B
+        // holds an infinity in row 5, and A is zero (of either sign) in
+        // column 5: the skipped term keeps those outputs finite, where
+        // `0 · ∞` would have made them NaN.
+        let (m, k, n) = (11, 130, 7);
+        let mut a: Matrix<f32> =
+            Matrix::from_fn(m, k, |i, j| ((i * 31 + j * 17) % 13) as f32 * 0.37 - 2.0);
+        for i in 0..m {
+            a.set(i, 5, if i % 2 == 0 { 0.0 } else { -0.0 });
+        }
+        let mut b: Matrix<f32> =
+            Matrix::from_fn(k, n, |i, j| ((i * 7 + j * 29) % 11) as f32 * 0.21 - 1.0);
+        b.set(5, 0, f32::INFINITY);
+        let whole = matmul(&a, &b);
+        assert!(whole.as_slice().iter().all(|v| v.is_finite()));
+        for cuts in [vec![0, m], vec![0, 1, m], vec![0, 4, 5, 9, m]] {
+            let mut out: Matrix<f32> = Matrix::zeros(m, n);
+            for w in cuts.windows(2) {
+                matmul_rows_into(
+                    &mut out.as_mut_slice()[w[0] * n..w[1] * n],
+                    &a.as_slice()[w[0] * k..w[1] * k],
+                    &b,
+                );
+            }
+            let bits =
+                |m: &Matrix<f32>| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&whole), "cuts {cuts:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "row block does not match")]
+    fn row_block_of_the_wrong_width_panics() {
+        let b: Matrix<f32> = Matrix::zeros(4, 3);
+        matmul_rows_into(&mut [0.0; 6], &[0.0; 7], &b);
     }
 
     #[test]

@@ -648,16 +648,21 @@ mod tests {
 
 #[cfg(test)]
 mod stress {
-    //! Long-running seeded stress harness, gated behind `GPA_STRESS` like
-    //! the serving-simulation soak (no registry access, so no `loom`; this
+    //! Seeded stress harness (no registry access, so no `loom`; this
     //! drives real threads through adversarial interleavings instead).
+    //! Each test runs seeded rounds until its time budget is spent: a
+    //! one-second slice in the default `cargo test` run, a soak under
+    //! `GPA_STRESS`, as the serving-simulation soak is requested.
 
     use super::deque::{Injector, Steal, Worker};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
-    fn stress_enabled() -> bool {
-        std::env::var("GPA_STRESS").is_ok_and(|v| v != "0")
+    /// When the running test should stop starting new rounds.
+    fn stress_deadline() -> Instant {
+        let soak = std::env::var("GPA_STRESS").is_ok_and(|v| v != "0");
+        Instant::now() + Duration::from_millis(if soak { 20_000 } else { 1_000 })
     }
 
     /// Tiny deterministic RNG so every run of the harness explores the
@@ -677,13 +682,14 @@ mod stress {
 
     #[test]
     fn stress_owner_pop_vs_steal_interleavings() {
-        if !stress_enabled() {
-            return;
-        }
+        let deadline = stress_deadline();
         // Many rounds of: owner pushes a seeded burst and mixes pops with
         // the thieves' steals; the union of everything taken must be the
         // exact set pushed, every round.
-        for seed in 1u64..=4 {
+        for seed in 1u64.. {
+            if Instant::now() >= deadline {
+                break;
+            }
             let w: Worker<u64> = Worker::with_capacity(64);
             let taken = Arc::new(AtomicUsize::new(0));
             let stop = Arc::new(AtomicUsize::new(0));
@@ -757,9 +763,7 @@ mod stress {
 
     #[test]
     fn stress_injector_churn_with_drop_mid_flight() {
-        if !stress_enabled() {
-            return;
-        }
+        let deadline = stress_deadline();
         // Producers and consumers churn a small ring (maximum wrap-around
         // pressure), then the queue is dropped while still holding tasks;
         // drop counts must account for every single token.
@@ -772,7 +776,10 @@ mod stress {
                 self.drops.fetch_add(1, Ordering::Relaxed);
             }
         }
-        for seed in 1u64..=4 {
+        for seed in 1u64.. {
+            if Instant::now() >= deadline {
+                break;
+            }
             let inj = Arc::new(Injector::<Token>::with_capacity(16));
             let drops = Arc::new(AtomicUsize::new(0));
             let produced = Arc::new(AtomicUsize::new(0));
@@ -851,13 +858,14 @@ mod stress {
 
     #[test]
     fn stress_shutdown_while_stealing() {
-        if !stress_enabled() {
-            return;
-        }
+        let deadline = stress_deadline();
         // Thieves keep stealing while the owner drains and drops the
         // deque's worker handle — stealers hold the buffer alive through
         // their Arc, so late steals must stay safe and return Empty.
-        for seed in 1u64..=4 {
+        for seed in 1u64.. {
+            if Instant::now() >= deadline {
+                break;
+            }
             let w: Worker<u64> = Worker::with_capacity(256);
             let stolen = Arc::new(AtomicUsize::new(0));
             let stop = Arc::new(AtomicUsize::new(0));
