@@ -13,6 +13,27 @@
 //! [`crate::driver`]) — so batched outputs are element-exact with
 //! independent per-sequence runs (property-tested in `tests/batching.rs`
 //! and `tests/geometry.rs`).
+//!
+//! ## One row loop, and who owns `O`
+//!
+//! There is one row loop — [`crate::AttentionEngine::run_batch_into`] is
+//! its public face — and it is **in place** on both sides. A request
+//! names its query rows as a range of a `Q` the caller keeps
+//! ([`AttentionRequest::row_range`]; the other constructors are the range
+//! `0..Q.rows`), so no window of `Q` is copied to be launched. The output
+//! rows land in one `rows × dv` window per request that the *caller* owns
+//! — a fresh matrix under [`crate::AttentionEngine::run_batch`], a slice
+//! of a stitched prefill output, or the rows of a served sequence's output
+//! where they stay — and the per-row `l`/`m` statistics live in two
+//! vectors per launch, not in three allocations per request. Every entry
+//! point that returns matrices or [`AttentionState`]s is a thin wrapper
+//! that allocates the windows and runs the loop.
+//!
+//! A window's contents on entry are **not** trusted: the loop zeroes each
+//! row just before that row's first stream. A first block multiplies `O`
+//! by `exp(−∞ − m) = 0`, and `0 · NaN` is `NaN` — a dirty window must not
+//! leak into a result — and a row with no edges must come out `0.0`. All
+//! requests and windows are validated before any window is touched.
 
 use crate::baselines::{flash_attention, masked_sdp};
 use crate::dispatch::AttentionKernel;
@@ -25,6 +46,7 @@ use crate::routing::Routing;
 use crate::state::AttentionState;
 use gpa_parallel::{parallel_for, CellWriter, LocalTally, RaggedSpace, RowWriter, ThreadPool};
 use gpa_tensor::{attention_scale, Matrix, Real};
+use std::ops::Range;
 
 /// One request's borrowed Q/K/V triple plus its query-window geometry in a
 /// batched launch.
@@ -35,7 +57,8 @@ use gpa_tensor::{attention_scale, Matrix, Real};
 /// independently.
 #[derive(Clone, Copy)]
 pub struct AttentionRequest<'a, T> {
-    /// Query matrix, `geometry.q_rows × dk`.
+    /// Query matrix, `dk` wide. The request computes its rows
+    /// `q_start .. q_start + geometry.q_rows`.
     pub q: &'a Matrix<T>,
     /// Key matrix, `geometry.kv_rows × dk`.
     pub k: &'a Matrix<T>,
@@ -43,6 +66,9 @@ pub struct AttentionRequest<'a, T> {
     pub v: &'a Matrix<T>,
     /// The query window this request computes.
     pub geometry: Geometry,
+    /// Row of `q` holding the window's first query — `0` unless the
+    /// request was built with [`AttentionRequest::row_range`].
+    pub q_start: usize,
     /// This sequence's token-to-group assignment, required exactly when
     /// the plan has routed steps ([`AttentionPlan::routing_spec`]). Attach
     /// with [`AttentionRequest::with_routing`].
@@ -55,24 +81,35 @@ impl<'a, T: Real> AttentionRequest<'a, T> {
     /// when `Q` and `K` have equally many rows; a prefix window or a
     /// rectangular explicit-mask request otherwise).
     pub fn new(q: &'a Matrix<T>, k: &'a Matrix<T>, v: &'a Matrix<T>) -> Self {
-        AttentionRequest {
-            q,
-            k,
-            v,
-            geometry: Geometry::window(0, q.rows(), k.rows()),
-            routing: None,
-        }
+        Self::row_range(q, 0..q.rows(), k, v, 0)
     }
 
     /// Borrow a query window: `Q` holds rows
     /// `q_offset .. q_offset + Q.rows` of the logical sequence whose
     /// key/value set is `K`/`V` — the chunked-prefill request shape.
     pub fn windowed(q: &'a Matrix<T>, k: &'a Matrix<T>, v: &'a Matrix<T>, q_offset: usize) -> Self {
+        Self::row_range(q, 0..q.rows(), k, v, q_offset)
+    }
+
+    /// Borrow a query window **in place**: rows `rows` of a longer `Q`,
+    /// the first of them at absolute position `q_offset` of the logical
+    /// sequence whose key/value set is `K`/`V`. Bitwise the request
+    /// `windowed(&q.rows_slice(rows.start, rows.end), k, v, q_offset)`
+    /// without the copy. A range reaching past `Q`'s rows is rejected when
+    /// the request is validated, never read.
+    pub fn row_range(
+        q: &'a Matrix<T>,
+        rows: Range<usize>,
+        k: &'a Matrix<T>,
+        v: &'a Matrix<T>,
+        q_offset: usize,
+    ) -> Self {
         AttentionRequest {
             q,
             k,
             v,
-            geometry: Geometry::window(q_offset, q.rows(), k.rows()),
+            geometry: Geometry::window(q_offset, rows.len(), k.rows()),
+            q_start: rows.start,
             routing: None,
         }
     }
@@ -88,6 +125,7 @@ impl<'a, T: Real> AttentionRequest<'a, T> {
             k,
             v,
             geometry: Geometry::decode(k.rows()),
+            q_start: 0,
             routing: None,
         }
     }
@@ -101,7 +139,7 @@ impl<'a, T: Real> AttentionRequest<'a, T> {
 
     /// Number of query rows (output rows).
     pub fn rows(&self) -> usize {
-        self.q.rows()
+        self.geometry.q_rows
     }
 }
 
@@ -123,50 +161,6 @@ pub struct DecodeStep<'a, T> {
     pub v_t: &'a Matrix<T>,
     /// The sequence's single-head cache (appended to by the launch).
     pub cache: &'a mut crate::cache::KvCache<T>,
-}
-
-/// Split a query matrix into `(window start, owned row chunk)` pieces of at
-/// most `chunk` rows — the request shape chunked prefill feeds to
-/// [`execute_batch`], shared by the engine- and multi-head-level prefill
-/// paths.
-pub(crate) fn chunk_windows<T: Real>(q: &Matrix<T>, chunk: usize) -> Vec<(usize, Matrix<T>)> {
-    let rows = q.rows();
-    (0..rows)
-        .step_by(chunk)
-        .map(|a| (a, q.rows_slice(a, (a + chunk).min(rows))))
-        .collect()
-}
-
-/// Execute a plan over a batch, returning one output matrix per request.
-///
-/// Graph-kernel plans run as one flattened launch. Dense-baseline plans
-/// (single-step by construction) fall back to the reference baseline per
-/// request, so their outputs stay bit-identical with the standalone
-/// [`masked_sdp`] / [`flash_attention`] calls.
-pub(crate) fn execute_batch<T: Real>(
-    pool: &ThreadPool,
-    plan: &AttentionPlan<'_>,
-    opts: &KernelOptions<'_>,
-    requests: &[AttentionRequest<'_, T>],
-) -> Result<Vec<Matrix<T>>, AttnError> {
-    if !plan.is_composable() {
-        for r in requests {
-            plan.validate_request(r.geometry, r.q, r.k, r.v)?;
-        }
-        return requests
-            .iter()
-            .map(|r| match plan.steps()[0] {
-                AttentionKernel::SdpMasked(mask) => masked_sdp(pool, mask, r.q, r.k, r.v, opts),
-                AttentionKernel::Flash => flash_attention(pool, r.q, r.k, r.v, opts),
-                _ => unreachable!("non-composable plans hold exactly one dense baseline"),
-            })
-            .collect();
-    }
-    let states = execute_batch_states(pool, plan, opts, requests)?;
-    Ok(states
-        .into_iter()
-        .map(AttentionState::into_output)
-        .collect())
 }
 
 /// Check one request's routing against the plan: a routed plan needs a
@@ -208,6 +202,54 @@ fn validate_routing<T: Real>(
     Ok(())
 }
 
+/// Validate every request of a batch against the plan — before anything
+/// is allocated for it or written.
+fn validate_batch<T: Real>(
+    plan: &AttentionPlan<'_>,
+    requests: &[AttentionRequest<'_, T>],
+) -> Result<(), AttnError> {
+    requests.iter().try_for_each(|r| {
+        plan.validate_request(r)?;
+        validate_routing(plan, r)
+    })
+}
+
+/// A launch's per-row `(l, m)` statistics, flat in launch order.
+type RowStats<T> = (Vec<T>, Vec<T>);
+
+/// Validate a batch, then run it into fresh `rows × dv` matrices, one per
+/// request; also returns the launch's statistics.
+fn execute_batch_fresh<T: Real>(
+    pool: &ThreadPool,
+    plan: &AttentionPlan<'_>,
+    opts: &KernelOptions<'_>,
+    requests: &[AttentionRequest<'_, T>],
+) -> Result<(Vec<Matrix<T>>, RowStats<T>), AttnError> {
+    validate_batch(plan, requests)?;
+    let mut outs: Vec<Matrix<T>> = requests
+        .iter()
+        .map(|r| Matrix::zeros(r.rows(), r.v.cols()))
+        .collect();
+    let mut windows: Vec<&mut [T]> = outs.iter_mut().map(Matrix::as_mut_slice).collect();
+    let stats = launch_rows(pool, plan, opts, requests, &mut windows)?;
+    Ok((outs, stats))
+}
+
+/// Execute a plan over a batch, returning one output matrix per request.
+///
+/// Graph-kernel plans run as one flattened launch. Dense-baseline plans
+/// (single-step by construction) fall back to the reference baseline per
+/// request, so their outputs stay bit-identical with the standalone
+/// [`masked_sdp`] / [`flash_attention`] calls.
+pub(crate) fn execute_batch<T: Real>(
+    pool: &ThreadPool,
+    plan: &AttentionPlan<'_>,
+    opts: &KernelOptions<'_>,
+    requests: &[AttentionRequest<'_, T>],
+) -> Result<Vec<Matrix<T>>, AttnError> {
+    execute_batch_fresh(pool, plan, opts, requests).map(|(outs, _)| outs)
+}
+
 /// As [`execute_batch`], but returning the full per-request
 /// [`AttentionState`]s — the `(O, l, m)` triples distributed reductions
 /// merge across devices. Graph-kernel plans only.
@@ -222,49 +264,106 @@ pub(crate) fn execute_batch_states<T: Real>(
             what: "dense baselines cannot run into a shared state",
         });
     }
-    for r in requests {
-        plan.validate_request(r.geometry, r.q, r.k, r.v)?;
-        validate_routing(plan, r)?;
+    let (outs, (l, m)) = execute_batch_fresh(pool, plan, opts, requests)?;
+    let mut at = 0;
+    Ok(outs
+        .into_iter()
+        .map(|o| {
+            let rows = at..at + o.rows();
+            at = rows.end;
+            AttentionState {
+                o,
+                l: l[rows.clone()].to_vec(),
+                m: m[rows].to_vec(),
+            }
+        })
+        .collect())
+}
+
+/// Execute a plan over a batch **in place**: request `s` writes its
+/// `rows × dv` outputs, row-major, into `windows[s]`, which the caller
+/// owns and need not have cleared. Every request and every window length
+/// is checked before any window is touched.
+pub(crate) fn execute_batch_into<T: Real>(
+    pool: &ThreadPool,
+    plan: &AttentionPlan<'_>,
+    opts: &KernelOptions<'_>,
+    requests: &[AttentionRequest<'_, T>],
+    windows: &mut [&mut [T]],
+) -> Result<(), AttnError> {
+    if windows.len() != requests.len() {
+        return Err(AttnError::BadParameter {
+            what: "a launch needs exactly one output window per request",
+        });
     }
-    let mut states: Vec<AttentionState<T>> = requests
+    validate_batch(plan, requests)?;
+    if requests
         .iter()
-        .map(|r| AttentionState::new(r.q.rows(), r.v.cols()))
-        .collect();
-    let space = RaggedSpace::new(requests.iter().map(|r| r.q.rows()));
+        .zip(windows.iter())
+        .any(|(r, w)| w.len() != r.rows() * r.v.cols())
+    {
+        return Err(AttnError::BadParameter {
+            what: "an output window must hold its request's rows × dv elements",
+        });
+    }
+    launch_rows(pool, plan, opts, requests, windows).map(drop)
+}
+
+/// The one row loop under every batch entry point. `requests` are
+/// validated and `windows[s]` is `requests[s]`'s `rows × dv` output, its
+/// contents on entry ignored. Returns the rows' statistics (empty for a
+/// dense baseline, which has none).
+fn launch_rows<T: Real>(
+    pool: &ThreadPool,
+    plan: &AttentionPlan<'_>,
+    opts: &KernelOptions<'_>,
+    requests: &[AttentionRequest<'_, T>],
+    windows: &mut [&mut [T]],
+) -> Result<RowStats<T>, AttnError> {
+    if !plan.is_composable() {
+        for (r, window) in requests.iter().zip(windows.iter_mut()) {
+            let out = match plan.steps()[0] {
+                AttentionKernel::SdpMasked(mask) => masked_sdp(pool, mask, r.q, r.k, r.v, opts),
+                AttentionKernel::Flash => flash_attention(pool, r.q, r.k, r.v, opts),
+                _ => unreachable!("non-composable plans hold exactly one dense baseline"),
+            }?;
+            window.copy_from_slice(out.as_slice());
+        }
+        return Ok((Vec::new(), Vec::new()));
+    }
+    let space = RaggedSpace::new(requests.iter().map(AttentionRequest::rows));
+    let mut l = vec![T::ZERO; space.total()];
+    let mut m = vec![T::neg_infinity(); space.total()];
     if space.total() == 0 {
-        return Ok(states);
+        return Ok((l, m));
     }
 
-    // Per-request execution context: writers over that request's state
+    // Per-request execution context: a writer over that request's window
     // plus the launch-invariant scalars resolved once.
     struct SeqCtx<'s, T> {
         o: RowWriter<'s, T>,
-        l: CellWriter<'s, T>,
-        m: CellWriter<'s, T>,
+        /// Flat index of the request's first row — where its `l`/`m` start.
+        base: usize,
         scale: T,
         kv_len: usize,
-        q_offset: usize,
         routing: Option<&'s Routing>,
     }
-    let ctxs: Vec<SeqCtx<'_, T>> = states
+    let ctxs: Vec<SeqCtx<'_, T>> = windows
         .iter_mut()
         .zip(requests)
-        .map(|(state, r)| {
-            let (rows, dv) = (r.q.rows(), r.v.cols());
-            SeqCtx {
-                o: RowWriter::new(state.o.as_mut_slice(), rows, dv),
-                l: CellWriter::new(&mut state.l),
-                m: CellWriter::new(&mut state.m),
-                scale: match opts.scale {
-                    Some(s) => T::from_f64(s),
-                    None => attention_scale(r.q.cols()),
-                },
-                kv_len: r.k.rows(),
-                q_offset: r.geometry.q_offset,
-                routing: r.routing,
-            }
+        .enumerate()
+        .map(|(s, (window, r))| SeqCtx {
+            o: RowWriter::new(window, r.rows(), r.v.cols()),
+            base: space.segment_range(s).start,
+            scale: match opts.scale {
+                Some(s) => T::from_f64(s),
+                None => attention_scale(r.q.cols()),
+            },
+            kv_len: r.k.rows(),
+            routing: r.routing,
         })
         .collect();
+    let (l_cells, m_cells) = (CellWriter::new(&mut l), CellWriter::new(&mut m));
 
     parallel_for(pool, space.total(), opts.schedule, |range| {
         let mut tally = opts.counter.map(LocalTally::new);
@@ -275,10 +374,25 @@ pub(crate) fn execute_batch_states<T: Real>(
                 // SAFETY: `parallel_for` dispatches each flat index to
                 // exactly one block and `for_each_segment` maps flat
                 // indices to (sequence, row) bijectively, so row `i` of
-                // sequence `s` is accessed by this worker only.
-                let (o_row, m_i, l_i) =
-                    unsafe { (ctx.o.row_mut(i), ctx.m.cell_mut(i), ctx.l.cell_mut(i)) };
-                let mut tile = RowTile::new(req.q.row(i), req.k, req.v, ctx.scale, m_i, l_i, o_row);
+                // sequence `s` — and cell `base + i` of the launch's
+                // statistics — is accessed by this worker only. The
+                // windows are the caller's, but each is an exclusive
+                // `&mut [T]` for the whole launch (no two can overlap, and
+                // nobody else can read them), and its `RowWriter` was
+                // built over exactly `rows × dv` of it.
+                let (o_row, m_i, l_i) = unsafe {
+                    (
+                        ctx.o.row_mut(i),
+                        m_cells.cell_mut(ctx.base + i),
+                        l_cells.cell_mut(ctx.base + i),
+                    )
+                };
+                // The window is the caller's and may hold anything; a
+                // first block scales `O` by `exp(−∞ − m) = 0`, and
+                // `0 · NaN` must not survive.
+                o_row.fill(T::ZERO);
+                let q_row = req.q.row(req.q_start + i);
+                let mut tile = RowTile::new(q_row, req.k, req.v, ctx.scale, m_i, l_i, o_row);
                 // Chain every plan step against this row's shared state —
                 // the sequential-composition semantics, one row at a time:
                 // each step's stream ends (and the row comes to rest)
@@ -288,7 +402,7 @@ pub(crate) fn execute_batch_states<T: Real>(
                 for step in plan.steps() {
                     step.stream_row(
                         ctx.kv_len,
-                        ctx.q_offset + i,
+                        req.geometry.q_offset + i,
                         ctx.routing,
                         opts.counter,
                         &mut tile,
@@ -299,8 +413,7 @@ pub(crate) fn execute_batch_states<T: Real>(
         });
     });
 
-    drop(ctxs);
-    Ok(states)
+    Ok((l, m))
 }
 
 #[cfg(test)]
@@ -536,5 +649,130 @@ mod tests {
         for i in 0..4 {
             assert_eq!(out.row(i), square.row(i), "row {i}");
         }
+    }
+    #[test]
+    fn row_range_is_the_copied_window_without_the_copy() {
+        let p = pool();
+        let opts = KernelOptions::new();
+        let plan = AttentionPlan::new(&[
+            AttentionKernel::Local { n: 2 },
+            AttentionKernel::Dilated1d { w: 3, r: 1 },
+        ])
+        .unwrap();
+        let (q, k, v) = qkv::<f32>(40, 8, 91);
+        let ranges = [0..40, 5..21, 17..17, 39..40];
+        let copies: Vec<_> = ranges
+            .iter()
+            .map(|r| q.rows_slice(r.start, r.end))
+            .collect();
+        let copied: Vec<_> = ranges
+            .iter()
+            .zip(&copies)
+            .map(|(r, q_win)| AttentionRequest::windowed(q_win, &k, &v, r.start))
+            .collect();
+        let in_place: Vec<_> = ranges
+            .iter()
+            .map(|r| AttentionRequest::row_range(&q, r.clone(), &k, &v, r.start))
+            .collect();
+        assert_eq!(in_place[1].rows(), 16);
+        assert_eq!(in_place[1].geometry, copied[1].geometry);
+        assert_eq!(
+            execute_batch(&p, &plan, &opts, &in_place).unwrap(),
+            execute_batch(&p, &plan, &opts, &copied).unwrap()
+        );
+    }
+
+    #[test]
+    fn in_place_launch_ignores_what_the_windows_held() {
+        let p = pool();
+        let opts = KernelOptions::new();
+        // Rows 0 and 3 have no edges at all: they must come out 0.0.
+        let mask = gpa_sparse::CsrMask::from_coo(
+            &gpa_sparse::CooMask::from_entries(4, 4, vec![(1, 0), (1, 1), (2, 3)]).unwrap(),
+        );
+        let plan = AttentionPlan::single(AttentionKernel::Csr(&mask)).unwrap();
+        let (q, k, v) = qkv::<f64>(4, 3, 92);
+        let requests = [AttentionRequest::new(&q, &k, &v)];
+        let expect = execute_batch(&p, &plan, &opts, &requests).unwrap();
+        let mut dirty = vec![f64::NAN; 12];
+        execute_batch_into(&p, &plan, &opts, &requests, &mut [&mut dirty[..]]).unwrap();
+        assert_eq!(dirty, expect[0].as_slice());
+        assert!(dirty[..3].iter().chain(&dirty[9..]).all(|&x| x == 0.0));
+        // A second launch over its own output is the same launch.
+        execute_batch_into(&p, &plan, &opts, &requests, &mut [&mut dirty[..]]).unwrap();
+        assert_eq!(dirty, expect[0].as_slice());
+    }
+
+    #[test]
+    fn states_split_the_launch_statistics_per_request() {
+        let p = pool();
+        let opts = KernelOptions::new();
+        let plan = AttentionPlan::single(AttentionKernel::Local { n: 1 }).unwrap();
+        let seqs: Vec<_> = [5usize, 0, 9]
+            .iter()
+            .enumerate()
+            .map(|(s, &l)| qkv::<f64>(l, 4, 300 + s as u64))
+            .collect();
+        let requests: Vec<_> = seqs
+            .iter()
+            .map(|(q, k, v)| AttentionRequest::new(q, k, v))
+            .collect();
+        let batched = execute_batch_states(&p, &plan, &opts, &requests).unwrap();
+        for (request, state) in requests.iter().zip(&batched) {
+            let alone = execute_batch_states(&p, &plan, &opts, std::slice::from_ref(request))
+                .unwrap()
+                .pop()
+                .unwrap();
+            state.check_shape(request.rows(), 4).unwrap();
+            assert_eq!(
+                (&state.o, &state.l, &state.m),
+                (&alone.o, &alone.l, &alone.m)
+            );
+        }
+    }
+
+    #[test]
+    fn bad_requests_and_windows_fail_before_any_write() {
+        let p = pool();
+        let opts = KernelOptions::new();
+        let plan = AttentionPlan::single(AttentionKernel::Local { n: 1 }).unwrap();
+        let (q, k, v) = qkv::<f64>(8, 4, 93);
+        let good = AttentionRequest::row_range(&q, 0..4, &k, &v, 0);
+        let past = AttentionRequest::row_range(&q, 6..9, &k, &v, 5);
+        let overflow = AttentionRequest::row_range(&q, 1..usize::MAX, &k, &v, 0);
+        let (mut a, mut b) = (vec![f64::NAN; 16], vec![f64::NAN; 12]);
+        for bad in [past, overflow] {
+            let err = execute_batch_into(&p, &plan, &opts, &[good, bad], &mut [&mut a, &mut b]);
+            assert!(matches!(err, Err(AttnError::ContextLengthMismatch { .. })));
+            assert!(execute_batch(&p, &plan, &opts, &[good, bad]).is_err());
+        }
+        // One window too few, and a window of the wrong length.
+        let err = execute_batch_into(&p, &plan, &opts, &[good, good], &mut [&mut a]);
+        assert!(matches!(err, Err(AttnError::BadParameter { .. })));
+        let err = execute_batch_into(&p, &plan, &opts, &[good, good], &mut [&mut a, &mut b]);
+        assert!(matches!(err, Err(AttnError::BadParameter { .. })));
+        assert!(
+            a.iter().chain(&b).all(|x| x.is_nan()),
+            "nothing was written"
+        );
+    }
+
+    #[test]
+    fn dense_plans_copy_their_baseline_into_the_window() {
+        let p = pool();
+        let opts = KernelOptions::new();
+        let plan = AttentionPlan::single(AttentionKernel::Flash).unwrap();
+        let (q, k, v) = qkv::<f64>(6, 4, 94);
+        let mut window = vec![f64::NAN; 24];
+        let whole = AttentionRequest::new(&q, &k, &v);
+        execute_batch_into(&p, &plan, &opts, &[whole], &mut [&mut window]).unwrap();
+        let single = flash_attention(&p, &q, &k, &v, &opts).unwrap();
+        assert_eq!(window, single.as_slice());
+        // A dense baseline reads `Q` whole: a square-shaped row range of a
+        // longer `Q` is not the square problem.
+        let (q_long, _, _) = qkv::<f64>(9, 4, 95);
+        let ranged = AttentionRequest::row_range(&q_long, 3..9, &k, &v, 0);
+        assert!(ranged.geometry.is_square());
+        assert!(execute_batch(&p, &plan, &opts, &[ranged]).is_err());
     }
 }

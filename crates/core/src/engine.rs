@@ -34,7 +34,9 @@
 //! workspace (multi-head layer, distributed executors, benchmark harness,
 //! examples) now runs through it.
 
-use crate::batch::{execute_batch, execute_batch_states, AttentionRequest, DecodeStep};
+use crate::batch::{
+    execute_batch, execute_batch_into, execute_batch_states, AttentionRequest, DecodeStep,
+};
 use crate::cache::{KvCache, KvPrecision};
 use crate::dispatch::AttentionKernel;
 use crate::error::AttnError;
@@ -263,6 +265,29 @@ impl AttentionEngine {
         execute_batch_states(&self.pool, plan, &self.options(), requests)
     }
 
+    /// Run a plan over a batch **in place**: request `s` writes its
+    /// `rows × dv` output rows, row-major, into `windows[s]` — memory the
+    /// caller owns and keeps, such as the rows of a longer output matrix
+    /// where they stay. Bitwise [`Self::run_batch`] without the output
+    /// matrices (and, with [`AttentionRequest::row_range`], without the
+    /// query windows either). This is the loop every batch entry point
+    /// runs; the others allocate their windows and call it.
+    ///
+    /// A window's contents on entry are ignored — each row is zeroed
+    /// before its first stream, so a row with no edges comes out `0.0`
+    /// whatever the window held. Every request, the window count and every
+    /// window length are checked before any window is touched; after an
+    /// `Err` the windows are as they were. (A dense-baseline plan runs its
+    /// baseline per request and copies the result in.)
+    pub fn run_batch_into<T: Real>(
+        &self,
+        plan: &AttentionPlan<'_>,
+        requests: &[AttentionRequest<'_, T>],
+        windows: &mut [&mut [T]],
+    ) -> Result<(), AttnError> {
+        execute_batch_into(&self.pool, plan, &self.options(), requests, windows)
+    }
+
     /// Chunked prefill: append a prompt's `K`/`V` rows to `cache`
     /// (single-head), then compute the prompt's query rows in windows of
     /// `chunk` rows — **one** flattened launch mixing every chunk, each a
@@ -313,34 +338,31 @@ impl AttentionEngine {
                 return Err(e);
             }
         }
-        let prompt = q.rows();
-        let chunks = crate::batch::chunk_windows(q, chunk);
+        // Every chunk is a row range of `q`, written straight into its
+        // rows of the stitched output (`dv > 0`: it is the cache's).
+        let (prompt, dv) = (q.rows(), v.cols());
+        let chunk = chunk.min(prompt.max(1));
+        let mut stitched = Matrix::zeros(prompt, dv);
         let result = {
             let cache = &*cache;
-            let requests: Vec<AttentionRequest<'_, T>> = chunks
-                .iter()
-                .map(|(a, q_chunk)| {
-                    AttentionRequest::windowed(q_chunk, cache.k(0), cache.v(0), prior + a)
+            let requests: Vec<AttentionRequest<'_, T>> = (0..prompt)
+                .step_by(chunk)
+                .map(|a| {
+                    let rows = a..(a + chunk).min(prompt);
+                    AttentionRequest::row_range(q, rows, cache.k(0), cache.v(0), prior + a)
                         .with_routing(cache.routing(0))
                 })
                 .collect();
-            execute_batch(&self.pool, plan, &self.options(), &requests)
+            let mut windows: Vec<&mut [T]> =
+                stitched.as_mut_slice().chunks_mut(chunk * dv).collect();
+            self.run_batch_into(plan, &requests, &mut windows)
         };
-        let outs = match result {
-            Ok(outs) => outs,
-            Err(e) => {
-                // Per-request validation failed (e.g. a length-pinned or
-                // dense plan): roll the append back so the cache still
-                // mirrors the logical token stream.
-                cache.truncate(prior);
-                return Err(e);
-            }
-        };
-        let mut stitched = Matrix::zeros(prompt, v.cols());
-        for ((a, _), out) in chunks.iter().zip(outs.iter()) {
-            for i in 0..out.rows() {
-                stitched.row_mut(a + i).copy_from_slice(out.row(i));
-            }
+        if let Err(e) = result {
+            // Per-request validation failed (e.g. a length-pinned or
+            // dense plan): roll the append back so the cache still
+            // mirrors the logical token stream.
+            cache.truncate(prior);
+            return Err(e);
         }
         Ok(stitched)
     }

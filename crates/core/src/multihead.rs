@@ -427,48 +427,36 @@ impl<T: Real> MultiHeadAttention<T> {
                 return Err(e);
             }
         }
-        let prompt = x.rows();
-        // Head-major: each head's chunks are adjacent, in window order.
-        let chunks: Vec<(usize, usize, Matrix<T>)> = (0..self.heads)
-            .flat_map(|h| {
-                crate::batch::chunk_windows(&qh[h], chunk)
-                    .into_iter()
-                    .map(move |(a, q_chunk)| (h, a, q_chunk))
-            })
-            .collect();
+        // Head-major: each head's chunks are adjacent, in window order —
+        // row ranges of that head's queries, written straight into their
+        // rows of the head's `P × dk` output.
+        let (prompt, dk) = (x.rows(), self.dk());
+        let chunk = chunk.min(prompt.max(1));
+        let mut head_outs: Vec<Matrix<T>> =
+            (0..self.heads).map(|_| Matrix::zeros(prompt, dk)).collect();
         let result = {
-            let cache = &*cache;
-            let requests: Vec<AttentionRequest<'_, T>> = chunks
-                .iter()
-                .map(|(h, a, q_chunk)| {
-                    AttentionRequest::windowed(q_chunk, cache.k(*h), cache.v(*h), prior + a)
-                        .with_routing(cache.routing(*h))
+            let (cache, qh) = (&*cache, &qh);
+            let requests: Vec<AttentionRequest<'_, T>> = (0..self.heads)
+                .flat_map(|h| {
+                    (0..prompt).step_by(chunk).map(move |a| {
+                        let rows = a..(a + chunk).min(prompt);
+                        AttentionRequest::row_range(&qh[h], rows, cache.k(h), cache.v(h), prior + a)
+                            .with_routing(cache.routing(h))
+                    })
                 })
                 .collect();
-            execute_batch(engine.pool(), plan, &engine.options(), &requests)
+            let mut windows: Vec<&mut [T]> = head_outs
+                .iter_mut()
+                .flat_map(|out| out.as_mut_slice().chunks_mut(chunk * dk))
+                .collect();
+            engine.run_batch_into(plan, &requests, &mut windows)
         };
-        let outs = match result {
-            Ok(outs) => outs,
-            Err(e) => {
-                // Roll every head's append back: a failed prefill must not
-                // leave phantom tokens in the cache.
-                cache.truncate(prior);
-                return Err(e);
-            }
-        };
-
-        // Stack each head's chunk outputs back into one `P × dk` matrix.
-        let dk = self.dk();
-        let mut outs = outs.into_iter();
-        let head_outs: Vec<Matrix<T>> = (0..self.heads)
-            .map(|_| {
-                let mut rows = Vec::with_capacity(prompt * dk);
-                for out in outs.by_ref().take(prompt.div_ceil(chunk)) {
-                    rows.extend_from_slice(out.as_slice());
-                }
-                Matrix::from_vec(prompt, dk, rows)
-            })
-            .collect();
+        if let Err(e) = result {
+            // Roll every head's append back: a failed prefill must not
+            // leave phantom tokens in the cache.
+            cache.truncate(prior);
+            return Err(e);
+        }
         Ok(self
             .combine_rows(on, &head_outs, None)
             .pop()

@@ -8,14 +8,15 @@
 //! executes the plan against single sequences, ragged batches, prefill
 //! chunks, and KV-cached decode rows without re-deriving per-step
 //! constraints per launch — the same compiled plan serves every
-//! [`Geometry`] its kernels admit, which is how one implicit-kernel plan
-//! outlives thousands of requests *and* every decode step of each.
+//! [`crate::Geometry`] its kernels admit, which is how one
+//! implicit-kernel plan outlives thousands of requests *and* every decode
+//! step of each.
 
+use crate::batch::AttentionRequest;
 use crate::dispatch::AttentionKernel;
 use crate::error::AttnError;
-use crate::geometry::Geometry;
 use crate::routing::RoutedSpec;
-use gpa_tensor::{Matrix, Real};
+use gpa_tensor::Real;
 
 /// Merged geometry constraints of a plan's steps, computed once at compile
 /// time and checked in O(1) per request.
@@ -274,18 +275,21 @@ impl<'a> AttentionPlan<'a> {
 
     /// Validate one request's inputs and window against the plan — the
     /// per-request half of validation (the per-plan half ran in
-    /// [`Self::new`]). O(1) regardless of step count.
+    /// [`Self::new`]). O(1) regardless of step count. The query rows are
+    /// read off the request's geometry: the window must be a row range of
+    /// its `Q`, so nothing past `Q`'s rows is ever read.
     pub(crate) fn validate_request<T: Real>(
         &self,
-        geometry: Geometry,
-        q: &Matrix<T>,
-        k: &Matrix<T>,
-        v: &Matrix<T>,
+        request: &AttentionRequest<'_, T>,
     ) -> Result<(), AttnError> {
-        if q.rows() != geometry.q_rows
-            || k.rows() != geometry.kv_rows
-            || v.rows() != geometry.kv_rows
-        {
+        let AttentionRequest {
+            q, k, v, geometry, ..
+        } = *request;
+        let in_q = request
+            .q_start
+            .checked_add(geometry.q_rows)
+            .is_some_and(|end| end <= q.rows());
+        if !in_q || k.rows() != geometry.kv_rows || v.rows() != geometry.kv_rows {
             return Err(AttnError::ContextLengthMismatch {
                 q: q.rows(),
                 k: k.rows(),
@@ -330,7 +334,8 @@ impl<'a> AttentionPlan<'a> {
         if self.spec.requires_window {
             geometry.check_window()?;
         }
-        if self.spec.requires_square && !geometry.is_square() {
+        // A dense baseline reads its `Q` whole, not a row range of it.
+        if self.spec.requires_square && !(geometry.is_square() && q.rows() == geometry.q_rows) {
             return Err(AttnError::ContextLengthMismatch {
                 q: geometry.q_rows,
                 k: geometry.kv_rows,
@@ -359,6 +364,7 @@ mod tests {
     use gpa_masks::{GlobalSet, LocalWindow, MaskPattern};
     use gpa_sparse::DenseMask;
     use gpa_tensor::init::qkv;
+    use gpa_tensor::Matrix;
 
     fn validate_square<'a, T: Real>(
         plan: &AttentionPlan<'_>,
@@ -366,7 +372,7 @@ mod tests {
         k: &'a Matrix<T>,
         v: &'a Matrix<T>,
     ) -> Result<(), AttnError> {
-        plan.validate_request(Geometry::window(0, q.rows(), k.rows()), q, k, v)
+        plan.validate_request(&AttentionRequest::new(q, k, v))
     }
 
     #[test]
@@ -436,14 +442,14 @@ mod tests {
         validate_square(&plan, &q2, &k2, &v2).unwrap();
         // A prefill chunk and a decode row validate against the same plan.
         let chunk = q2.rows_slice(8, 20);
-        plan.validate_request(Geometry::window(8, 12, 40), &chunk, &k2, &v2)
+        plan.validate_request(&AttentionRequest::windowed(&chunk, &k2, &v2, 8))
             .unwrap();
         let last = q2.rows_slice(39, 40);
-        plan.validate_request(Geometry::decode(40), &last, &k2, &v2)
+        plan.validate_request(&AttentionRequest::decode(&last, &k2, &v2))
             .unwrap();
         // But the window must stay inside the logical square.
         assert!(matches!(
-            plan.validate_request(Geometry::window(30, 12, 40), &chunk, &k2, &v2),
+            plan.validate_request(&AttentionRequest::windowed(&chunk, &k2, &v2, 30)),
             Err(AttnError::WindowMismatch { .. })
         ));
     }
@@ -469,7 +475,7 @@ mod tests {
         // A query window against the pinned length is fine.
         let (q20, k20, v20) = qkv::<f64>(20, 4, 0);
         let win = q20.rows_slice(5, 12);
-        plan.validate_request(Geometry::window(5, 7, 20), &win, &k20, &v20)
+        plan.validate_request(&AttentionRequest::windowed(&win, &k20, &v20, 5))
             .unwrap();
     }
 
@@ -504,12 +510,12 @@ mod tests {
         assert!(plan.requires_window());
         let (q8, k8, v8) = qkv::<f64>(8, 4, 0);
         let win = q8.rows_slice(0, 4);
-        plan.validate_request(Geometry::window(0, 4, 8), &win, &k8, &v8)
+        plan.validate_request(&AttentionRequest::windowed(&win, &k8, &v8, 0))
             .unwrap();
         // Queries beyond the mask's absolute row bound are rejected.
         let deep = q8.rows_slice(2, 6);
         assert!(matches!(
-            plan.validate_request(Geometry::window(2, 4, 8), &deep, &k8, &v8),
+            plan.validate_request(&AttentionRequest::windowed(&deep, &k8, &v8, 2)),
             Err(AttnError::MaskShapeMismatch { .. })
         ));
     }
@@ -602,7 +608,7 @@ mod tests {
         validate_square(&plan, &q, &k, &v).unwrap();
         let one = q.rows_slice(5, 6);
         assert!(plan
-            .validate_request(Geometry::decode(6), &one, &k, &v)
+            .validate_request(&AttentionRequest::decode(&one, &k, &v))
             .is_err());
     }
 }

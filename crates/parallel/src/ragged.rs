@@ -30,7 +30,11 @@ impl RaggedSpace {
     /// Build from per-segment lengths (zero-length segments are allowed —
     /// they simply occupy no indices).
     pub fn new<I: IntoIterator<Item = usize>>(lens: I) -> Self {
-        let mut offsets = vec![0usize];
+        let lens = lens.into_iter();
+        // One allocation when the iterator knows its length (a launch's
+        // request slice does), whatever the segment count.
+        let mut offsets = Vec::with_capacity(lens.size_hint().0 + 1);
+        offsets.push(0usize);
         for len in lens {
             let last = *offsets.last().expect("offsets never empty");
             offsets.push(last + len);

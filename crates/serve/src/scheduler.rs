@@ -6,10 +6,12 @@
 //! **virtual clock** of ticks: every [`Scheduler::tick`] admits what fits,
 //! then flattens *all* runnable work — each prefilling sequence's next
 //! chunk of query rows plus each decoding sequence's next token row —
-//! into **one** [`AttentionEngine::run_batch`] launch per distinct plan (a
-//! single launch when the workload shares a plan), exactly the
+//! into **one** [`AttentionEngine::run_batch_into`] launch per distinct
+//! plan (a single launch when the workload shares a plan), exactly the
 //! mixed-geometry batch shape the engine's [`gpa_core::Geometry`] windows
-//! exist for.
+//! exist for. The launch is in place: each request is a row range of its
+//! sequence's own queries and writes its sequence's own output rows, so a
+//! tick moves only the rows it computes.
 //!
 //! ## One sequence record
 //!
@@ -31,9 +33,10 @@
 //!   admission and its K/V rows are *inputs*, so its cache can be dropped
 //!   and rebuilt bit-identically; a stack's per-layer caches grow chunk
 //!   by chunk and hold *computed* K/V, so they cannot;
-//! - **the launch** — one [`AttentionEngine::run_batch`] per plan versus
-//!   one [`DecoderModel::advance_batched`] per model (one launch per
-//!   layer, all sequences × heads flattened).
+//! - **the launch** — one [`AttentionEngine::run_batch_into`] per plan,
+//!   straight into the sequences' output rows, versus one
+//!   [`DecoderModel::advance_batched`] per model (one launch per layer,
+//!   all sequences × heads flattened; its rows are copied in).
 //!
 //! Every page of every layer's cache is counted by the same arithmetic —
 //! an `L`-layer sequence bills `L ×` the pages of a plan sequence of the
@@ -94,10 +97,15 @@
 //!
 //! [`Scheduler::tick`] runs five stages, each a private function named
 //! as in `docs/SERVING.md`: `needs` → `admit` → `preempt` → `launch` →
-//! `apply` or `rollback`. A tick either applies completely or not at all:
-//! if any launch fails, `rollback` truncates every in-flight cache (every
-//! layer) to its pre-tick length — the row cursor has not moved, so that
-//! length is a function of the record — **un-preempts** this tick's
+//! `apply` or `rollback`. A tick either applies completely or not at all.
+//! `launch` writes each sequence's window into the sequence's own output
+//! rows, *past* its row cursor: **rows at or past the cursor are scratch
+//! until `apply` moves it**, so a launch that wrote before a later launch
+//! of the same tick failed has changed nothing anyone can observe, and
+//! the next tick computes the same rows again, bit for bit. If any launch
+//! fails, `rollback` truncates every in-flight cache (every layer) to its
+//! pre-tick length — the row cursor has not moved, so that length is a
+//! function of the record — **un-preempts** this tick's
 //! victims (resumed in place, page tables and in-flight positions
 //! restored), **un-admits** this tick's admissions (fresh requests back
 //! to their queue fronts in order, resumed sequences re-parked with the
@@ -308,7 +316,12 @@ struct Seq<T> {
     /// Rows computed so far — prefilling while `done < prompt`, decoding
     /// from there, complete at `total()`.
     done: usize,
-    /// Output rows; `0 × width` until admission allocates them.
+    /// Output rows; `0 × width` until admission allocates them. Rows
+    /// below `done` are results. Rows at or past it are **scratch**: a
+    /// launch writes its window straight into them, and they count for
+    /// nothing until `apply` moves the cursor over them — a tick that
+    /// fails after some launches wrote leaves the cursor where it was,
+    /// and the next tick computes the same rows again, bit for bit.
     out: Matrix<T>,
     submitted: u64,
     /// First admission tick — preemption does not reset it.
@@ -360,7 +373,14 @@ impl<T: Real> Seq<T> {
     }
 
     fn live(&self) -> &ModelKvState {
-        match &self.kv {
+        self.kv.live()
+    }
+}
+
+impl<T> Kv<T> {
+    /// The pool handles of an in-flight sequence.
+    fn live(&self) -> &ModelKvState {
+        match self {
             Kv::Live(state) => state,
             _ => unreachable!("an in-flight sequence's KV is in the pool"),
         }
@@ -376,12 +396,17 @@ struct Admitted {
     swapped: Vec<bool>,
 }
 
-/// What the launch stage computed: one output window per in-flight
-/// sequence, in in-flight order.
-struct Launched<T> {
-    outputs: Vec<Option<Matrix<T>>>,
+/// What the launch stage did. The rows themselves are already in each
+/// sequence's `out`, past its cursor.
+struct Launched {
     launches: usize,
     rows: usize,
+}
+
+/// Rows `start..end` of a sequence's output: the window a launch writes.
+fn rows_mut<T: Real>(out: &mut Matrix<T>, (start, end): (usize, usize)) -> &mut [T] {
+    let width = out.cols();
+    &mut out.as_mut_slice()[start * width..end * width]
 }
 
 /// Priority-class queues of sequences.
@@ -869,6 +894,16 @@ impl<'p, T: Real> Scheduler<'p, T> {
         self.in_flight.iter().map(|s| self.append_need(s)).sum()
     }
 
+    /// The lowest priority class at or above `from` with a queue in
+    /// either map — the merged, deduplicated walk of two ordered key sets.
+    fn next_class(&self, from: u8) -> Option<u8> {
+        let first = |queues: &Queues<T>| queues.range(from..).next().map(|(&class, _)| class);
+        match (first(&self.parked), first(&self.pending)) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
+    }
+
     /// Stage 2 — **admit**: eligible sequences in (priority class,
     /// resumed-then-pending, FIFO) order until one does not fit the free
     /// pages less `held_back`. A sequence is charged the pages it holds
@@ -876,16 +911,16 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// formula for a fresh request and a resumed one.
     fn admit(&mut self, held_back: usize) -> Admitted {
         let mut staged = Admitted::default();
+        // Nothing queued, or no slot for it: the common steady-state tick.
+        if self.in_flight.len() >= self.config.max_in_flight
+            || (self.pending.is_empty() && self.parked.is_empty())
+        {
+            return staged;
+        }
         let mut headroom = self.pool.free_pages().saturating_sub(held_back);
-        let mut classes: Vec<u8> = self
-            .parked
-            .keys()
-            .chain(self.pending.keys())
-            .copied()
-            .collect();
-        classes.sort_unstable();
-        classes.dedup();
-        'classes: for class in classes {
+        let mut from = Some(0u8);
+        'classes: while let Some(class) = from.and_then(|from| self.next_class(from)) {
+            from = class.checked_add(1);
             // Resume queue first: parked sequences were admitted from the
             // head of this class's queue once, so their ids precede every
             // id still pending — resumed-first IS global FIFO order.
@@ -941,11 +976,16 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// grant appends from most urgent to least, evicting from the
     /// opposite end. Victims are parked and returned with their in-flight
     /// positions, ascending; they reach their resume queues in `apply`.
-    fn preempt(&mut self) -> Vec<(usize, Seq<T>)> {
+    ///
+    /// `needed` is stage 1's total, still exact here: a tick whose appends
+    /// fit admitted within what they left free, and a tick whose appends
+    /// do not fit had no headroom to admit anything.
+    fn preempt(&mut self, needed: usize) -> Vec<(usize, Seq<T>)> {
         let mut available = self.pool.free_pages();
-        if self.needs() <= available {
+        if needed <= available {
             return Vec::new();
         }
+        debug_assert_eq!(needed, self.needs());
         let needs: Vec<usize> = self.in_flight.iter().map(|s| self.append_need(s)).collect();
         // Urgency = admission order under strict priority: class
         // ascending, in-flight position (admission recency) ascending.
@@ -989,13 +1029,20 @@ impl<'p, T: Real> Scheduler<'p, T> {
     }
 
     /// Stage 4 — **launch**: one unit of work per in-flight sequence,
-    /// batched into one `run_batch` per distinct plan, then one layer
-    /// advance per distinct model (a `BTreeMap`: deterministic launch
-    /// order). Appends land in the caches — every one was granted its
+    /// batched into one `run_batch_into` per distinct plan, then one layer
+    /// advance per distinct model (ascending group keys: deterministic
+    /// launch order). Nothing is copied on the way in or out of a plan
+    /// launch: a request names its query window as a row range of the
+    /// sequence's own `Q`, and the launch writes rows `start..end` of the
+    /// sequence's `out` where they stay — scratch until `apply` moves the
+    /// cursor over them (a stack's rows are copied there from its layer
+    /// advance). Appends land in the caches — every one was granted its
     /// pages by the stages above, so allocation cannot fail — but no
     /// cursor moves: on `Err` the caller rolls back, and the error names
-    /// the offending request when identifiable.
-    fn launch(&mut self) -> Result<Launched<T>, ServeError> {
+    /// the offending request when identifiable. Groups that launched
+    /// before the failing one have written their windows; nothing reads
+    /// those rows before the next tick overwrites them with the same bits.
+    fn launch(&mut self) -> Result<Launched, ServeError> {
         let chunk = self.config.prefill_chunk;
         // A decoding plan sequence appends its token's K/V row now;
         // stacks append inside their layer advance.
@@ -1018,29 +1065,36 @@ impl<'p, T: Real> Scheduler<'p, T> {
                     .expect("cache routing follows its plan's spec");
             }
         }
-        let mut groups: BTreeMap<(bool, usize), Vec<usize>> = BTreeMap::new();
-        let mut windows = Vec::with_capacity(self.in_flight.len());
-        for (i, s) in self.in_flight.iter().enumerate() {
-            groups.entry(s.group()).or_default().push(i);
-            let (start, end) = s.window(chunk);
-            windows.push(s.inputs.rows().rows_slice(start, end));
-        }
+        let mut groups: Vec<(bool, usize)> = self.in_flight.iter().map(Seq::group).collect();
+        groups.sort_unstable();
+        groups.dedup();
         let mut launched = Launched {
-            outputs: windows.iter().map(|_| None).collect(),
             launches: 0,
             rows: 0,
         };
-        for (&(stack, target), members) in &groups {
+        for &group in &groups {
+            let (stack, target) = group;
             let result = if stack {
-                let items: Vec<ModelWorkItem<'_, T>> = members
-                    .iter()
-                    .map(|&i| ModelWorkItem {
-                        x: &windows[i],
-                        state: self.in_flight[i].live(),
+                let members = || self.in_flight.iter().filter(|s| s.group() == group);
+                let windows: Vec<Matrix<T>> = members()
+                    .map(|s| {
+                        let (start, end) = s.window(chunk);
+                        s.inputs.rows().rows_slice(start, end)
                     })
                     .collect();
+                let items: Vec<ModelWorkItem<'_, T>> = members()
+                    .zip(&windows)
+                    .map(|(s, x)| ModelWorkItem { x, state: s.live() })
+                    .collect();
                 match self.models[target].advance_batched(&self.engine, &mut self.pool, &items) {
-                    Ok(adv) => Ok((adv.outputs, adv.launches, adv.rows)),
+                    Ok(adv) => {
+                        let members = self.in_flight.iter_mut().filter(|s| s.group() == group);
+                        for (s, rows) in members.zip(&adv.outputs) {
+                            let window = s.window(chunk);
+                            rows_mut(&mut s.out, window).copy_from_slice(rows.as_slice());
+                        }
+                        Ok((adv.launches, adv.rows))
+                    }
                     // The layer advance already rolled its own appends
                     // back. Page grants and item validation happened
                     // above, so only a kernel-geometry failure can reach
@@ -1049,35 +1103,38 @@ impl<'p, T: Real> Scheduler<'p, T> {
                     Err(other) => panic!("model advance was granted pages and validated: {other}"),
                 }
             } else {
-                let requests: Vec<AttentionRequest<'_, T>> = members
-                    .iter()
-                    .map(|&i| {
-                        let s = &self.in_flight[i];
-                        let cache = self.pool.cache(s.live().layer_seqs()[0]);
-                        let request = if s.done < s.prompt {
-                            AttentionRequest::windowed(&windows[i], cache.k(0), cache.v(0), s.done)
-                        } else {
-                            AttentionRequest::decode(&windows[i], cache.k(0), cache.v(0))
-                        };
-                        // Static plans ignore an attached routing; routed
-                        // plans require the one their cache carries.
-                        request.with_routing(cache.routing(0))
-                    })
-                    .collect();
+                // Each member lends its launch three disjoint fields: the
+                // query rows of `inputs`, the pool handle in `kv`, and —
+                // mutably — rows `start..end` of `out`.
+                let mut requests = Vec::with_capacity(self.in_flight.len());
+                let mut windows: Vec<&mut [T]> = Vec::with_capacity(self.in_flight.len());
+                let mut rows = 0;
+                for s in self.in_flight.iter_mut().filter(|s| s.group() == group) {
+                    let (start, end) = s.window(chunk);
+                    let Inputs::Plan { q, .. } = &s.inputs else {
+                        unreachable!("a plan group holds plan sequences");
+                    };
+                    let cache = self.pool.cache(s.kv.live().layer_seqs()[0]);
+                    // Prefill window or decode row, the geometry is the
+                    // same: rows `start..end` at their own positions over
+                    // the cache as it stands. Static plans ignore an
+                    // attached routing; routed plans require the one
+                    // their cache carries.
+                    requests.push(
+                        AttentionRequest::row_range(q, start..end, cache.k(0), cache.v(0), start)
+                            .with_routing(cache.routing(0)),
+                    );
+                    windows.push(rows_mut(&mut s.out, (start, end)));
+                    rows += end - start;
+                }
                 self.engine
-                    .run_batch(&self.plans[target], &requests)
-                    .map(|outs| {
-                        let rows = outs.iter().map(Matrix::rows).sum();
-                        (outs, 1, rows)
-                    })
+                    .run_batch_into(&self.plans[target], &requests, &mut windows)
+                    .map(|()| (1, rows))
             };
             match result {
-                Ok((outs, launches, rows)) => {
+                Ok((launches, rows)) => {
                     launched.launches += launches;
                     launched.rows += rows;
-                    for (&i, out) in members.iter().zip(outs) {
-                        launched.outputs[i] = Some(out);
-                    }
                 }
                 Err(source) => {
                     // The engine reports one error per batch; re-check
@@ -1086,7 +1143,8 @@ impl<'p, T: Real> Scheduler<'p, T> {
                     // model — to name the offender, so callers can cancel
                     // it and recover. The launch saw each cache at the
                     // length the cache rule gives for the window's end.
-                    let offender = members.iter().map(|&i| &self.in_flight[i]).find(|s| {
+                    let mut members = self.in_flight.iter().filter(|s| s.group() == group);
+                    let offender = members.find(|s| {
                         let (_, end) = s.window(chunk);
                         (0..s.layers).any(|layer| {
                             let plan = if stack {
@@ -1108,23 +1166,19 @@ impl<'p, T: Real> Scheduler<'p, T> {
         Ok(launched)
     }
 
-    /// Stage 5, success — **apply**: write each window's output rows,
-    /// advance the cursors, retire finished sequences (in in-flight —
-    /// i.e. admission — order, releasing their KV pages), commit this
-    /// tick's victims to their resume queues, and move the clock.
+    /// Stage 5, success — **apply**: move each cursor over the rows the
+    /// launch wrote (from here on they are results), retire finished
+    /// sequences (in in-flight — i.e. admission — order, releasing their
+    /// KV pages), commit this tick's victims to their resume queues, and
+    /// move the clock.
     fn apply(
         &mut self,
         admitted: Admitted,
         staged: Vec<(usize, Seq<T>)>,
-        launched: Launched<T>,
+        launched: Launched,
     ) -> TickReport<T> {
-        for (s, out) in self.in_flight.iter_mut().zip(launched.outputs) {
-            let out = out.expect("every in-flight sequence joined a launch");
-            let (start, end) = s.window(self.config.prefill_chunk);
-            for row in start..end {
-                s.out.row_mut(row).copy_from_slice(out.row(row - start));
-            }
-            s.done = end;
+        for s in &mut self.in_flight {
+            s.done = s.window(self.config.prefill_chunk).1;
         }
         let mut completed = Vec::new();
         let mut i = 0;
@@ -1213,9 +1267,10 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// Advance the virtual clock by one tick through the five stages —
     /// needs, admit (resuming preempted sequences first), preempt if this
     /// tick's appends outstrip the free pages, launch every in-flight
-    /// sequence's next unit of work batched (one `run_batch` per distinct
-    /// plan, plus one per layer per distinct model), then apply: outputs
-    /// written, finished sequences retired.
+    /// sequence's next unit of work batched (one in-place `run_batch_into`
+    /// per distinct plan, plus one launch per layer per distinct model),
+    /// then apply: cursors moved over the rows the launches wrote,
+    /// finished sequences retired.
     ///
     /// On a launch failure the tick is rolled back atomically instead —
     /// appends truncated (pages returned), victims restored in place,
@@ -1223,9 +1278,9 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// returned error names the offending request when identifiable; see
     /// the [module docs](self).
     pub fn tick(&mut self) -> Result<TickReport<T>, ServeError> {
-        let held_back = self.needs();
-        let admitted = self.admit(held_back);
-        let staged = self.preempt();
+        let needs = self.needs();
+        let admitted = self.admit(needs);
+        let staged = self.preempt(needs);
         debug_assert!(
             staged.is_empty() || (admitted.fresh.is_empty() && admitted.resumed.is_empty()),
             "the admission guard makes admit-and-preempt ticks impossible"

@@ -1113,3 +1113,151 @@ proptest! {
         }
     }
 }
+
+/// Every element's bits — `==` on floats would let `-0.0` pass for `0.0`.
+fn bits<T: Real>(m: &Matrix<T>) -> Vec<u64> {
+    m.as_slice().iter().map(|x| x.to_f64().to_bits()).collect()
+}
+
+/// The in-place request form against the copying one: for every streamed
+/// kernel and the Longformer/BigBird compositions, a launch of
+/// `row_range(&q, a..b, …)` requests must equal the launch of
+/// `windowed(&q.rows_slice(a, b), …)` requests bit for bit — through
+/// `run_batch`, and through `run_batch_into` over dirty windows.
+fn row_ranges_equal_copied_windows<T: Real>(
+    threads: usize,
+    (l, l2, dk): (usize, usize, usize),
+    (n, w, r): (usize, usize, usize),
+    cuts: &[(f64, f64)],
+    seed: u64,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let e = AttentionEngine::with_threads(threads);
+    let (q, k, v) = init::qkv::<T>(l, dk, seed);
+    // A second, differently long sequence for the kernels that pin no
+    // length: its windows ride the same launch (a ragged batch).
+    let (q2, k2, v2) = init::qkv::<T>(l2, dk, seed ^ 0xA5);
+    let window = |len: usize, (fa, fb): (f64, f64)| {
+        let a = (len as f64 * fa) as usize;
+        a..a + ((len - a + 1) as f64 * fb) as usize // zero rows included
+    };
+
+    let globals = GlobalSet::evenly_spaced(l, (n + 1).min(l));
+    let random = graph_attention::masks::RandomUniform::new(l, 0.2, seed ^ 0xF00D);
+    let (csr, coo) = (random.to_csr(), random.to_coo());
+    let dia = DiaMask::new(l, vec![-((n % l) as i64), 0, (w % l) as i64]).unwrap();
+    let routed = |causal| AttentionKernel::Routed {
+        groups: 3,
+        seed: seed ^ 7,
+        causal,
+    };
+    let longformer = [
+        AttentionKernel::Local { n },
+        AttentionKernel::Global {
+            globals: &globals,
+            n_sub: n,
+        },
+    ];
+    let bigbird = [longformer[0], longformer[1], AttentionKernel::Csr(&csr)];
+    let plans: Vec<(&str, Vec<AttentionKernel<'_>>)> = vec![
+        ("Local", vec![AttentionKernel::Local { n }]),
+        ("Dilated1d", vec![AttentionKernel::Dilated1d { w, r }]),
+        (
+            "Dilated2d",
+            vec![AttentionKernel::Dilated2d { block_size: w, r }],
+        ),
+        ("Global", vec![longformer[1]]),
+        ("Csr", vec![AttentionKernel::Csr(&csr)]),
+        (
+            "Coo/linear",
+            vec![AttentionKernel::Coo(&coo, CooSearch::Linear)],
+        ),
+        (
+            "Coo/binary",
+            vec![AttentionKernel::Coo(&coo, CooSearch::Binary)],
+        ),
+        ("Dia", vec![AttentionKernel::Dia(&dia)]),
+        ("Routed/causal", vec![routed(true)]),
+        ("Routed/full", vec![routed(false)]),
+        ("Longformer", longformer.to_vec()),
+        ("BigBird", bigbird.to_vec()),
+    ];
+
+    for (name, kernels) in &plans {
+        let plan = e.compile(kernels).unwrap();
+        let router = plan.routing_spec().map(Router::new);
+        let route = |q: &Matrix<T>| router.as_ref().map(|router| router.route(q));
+        let (routing, routing2) = (route(&q), route(&q2));
+        // (query, keys, values, routing, rows, first row's position).
+        let mut jobs = Vec::new();
+        for &cut in cuts {
+            jobs.push((&q, &k, &v, routing.as_ref(), window(l, cut)));
+        }
+        // A decode row: the last token over the whole cache.
+        jobs.push((&q, &k, &v, routing.as_ref(), l - 1..l));
+        if plan.kv_pin().is_none() && !plan.routed_full_kv() {
+            for &cut in cuts {
+                jobs.push((&q2, &k2, &v2, routing2.as_ref(), window(l2, cut)));
+            }
+        }
+
+        let in_place: Vec<AttentionRequest<'_, T>> = jobs
+            .iter()
+            .map(|(q, k, v, routing, rows)| {
+                AttentionRequest::row_range(q, rows.clone(), k, v, rows.start)
+                    .with_routing(*routing)
+            })
+            .collect();
+        let copies: Vec<Matrix<T>> = jobs
+            .iter()
+            .map(|(q, _, _, _, rows)| q.rows_slice(rows.start, rows.end))
+            .collect();
+        let copied: Vec<AttentionRequest<'_, T>> = jobs
+            .iter()
+            .zip(&copies)
+            .map(|((_, k, v, routing, rows), q_win)| {
+                AttentionRequest::windowed(q_win, k, v, rows.start).with_routing(*routing)
+            })
+            .collect();
+
+        let expect = e.run_batch(&plan, &copied).unwrap();
+        let got = e.run_batch(&plan, &in_place).unwrap();
+        let width = v.cols();
+        let mut dirty: Vec<Vec<T>> = in_place
+            .iter()
+            .map(|r| vec![T::nan(); r.rows() * width])
+            .collect();
+        let mut windows: Vec<&mut [T]> = dirty.iter_mut().map(Vec::as_mut_slice).collect();
+        e.run_batch_into(&plan, &in_place, &mut windows).unwrap();
+        for (i, (want, have)) in expect.iter().zip(&got).enumerate() {
+            prop_assert_eq!(in_place[i].rows(), copied[i].rows());
+            prop_assert!(bits(want) == bits(have), "{} request {}", name, i);
+            let into = Matrix::from_vec(want.rows(), width, dirty[i].clone());
+            prop_assert!(bits(want) == bits(&into), "{} request {} in place", name, i);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// A row-range request is the copied window, bitwise — every streamed
+    /// kernel, both compositions, ragged batches, zero-row ranges and
+    /// decode rows, `f32` and `f64`, pools of 1, 2 and 4.
+    #[test]
+    fn row_range_requests_are_bitwise_the_copied_windows(
+        l in 3usize..40,
+        l2 in 2usize..30,
+        dk in 1usize..9,
+        n in 0usize..5,
+        w in 1usize..7,
+        r in 0usize..3,
+        cuts in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0), 1..5),
+        seed in 0u64..400,
+    ) {
+        for threads in [1usize, 2, 4] {
+            row_ranges_equal_copied_windows::<f64>(threads, (l, l2, dk), (n, w, r), &cuts, seed)?;
+            row_ranges_equal_copied_windows::<f32>(threads, (l, l2, dk), (n, w, r), &cuts, seed)?;
+        }
+    }
+}

@@ -1528,6 +1528,52 @@ fn failed_tick_restores_arena_residency_under_a_tight_cap() {
     );
 }
 
+/// Rollback matrix, two plan groups in one tick: launches write their
+/// rows straight into each sequence's output, past its cursor, and the
+/// healthy plan's group launches *before* the pinned plan's. So when the
+/// offender's first decode row fails the second launch, the first has
+/// already written a decode row, a prefill window and a fresh admission's
+/// first window where results live. None of it may count: no cursor
+/// moved, the retry recomputes the same rows, and after the offender is
+/// cancelled every survivor completes bitwise its sequential reference.
+#[test]
+fn failed_tick_discards_rows_an_earlier_group_already_wrote() {
+    for eviction in [EvictionMode::Recompute, EvictionMode::Swap] {
+        let outcome = assert_failed_tick_leaves_no_trace(
+            rollback_config(64, eviction, usize::MAX),
+            4,
+            |rig, broken| {
+                // Plan groups launch in registration order.
+                assert!(rig.healthy < rig.pinned, "the healthy group goes first");
+                Script {
+                    events: vec![
+                        // Healthy group: decoding since tick 1…
+                        (0, plan_sub(rig.healthy, 0, 2, 8, 1)),
+                        // …and still prefilling on the failing tick.
+                        (0, plan_sub(rig.healthy, 0, 9, 10, 2)),
+                        // The offender: two prefill ticks, first decode row
+                        // on tick 2, in the second group to launch.
+                        (
+                            0,
+                            plan_sub(if broken { rig.pinned } else { rig.healthy }, 0, 4, 6, 3),
+                        ),
+                        // Admitted by the failing tick itself, into the
+                        // healthy group: its output rows do not outlive it.
+                        (2, plan_sub(rig.healthy, 0, 3, 4, 4)),
+                    ],
+                    offender: 2,
+                    fail_tick: 2,
+                }
+            },
+        );
+        assert_eq!(
+            outcome.staged,
+            (vec![3], vec![], vec![], vec![]),
+            "{eviction:?}"
+        );
+    }
+}
+
 /// Mixed plan + model traces: randomized seeded workloads drawing both
 /// bare-plan sequences and decoder-stack sequences (single-layer and
 /// 3-layer heterogeneous models) through one scheduler and one page pool —
