@@ -1,6 +1,5 @@
-//! Ablation studies A1–A4 (DESIGN.md §3): COO search strategy, block
-//! scheduling under load imbalance, flash tile size, and generic-vs-
-//! specialized neighbor enumeration.
+//! Ablation studies A1–A3 (DESIGN.md §3): COO search strategy, block
+//! scheduling under load imbalance, and flash tile size.
 //!
 //! ```text
 //! cargo run -p gpa-bench --release --bin ablations [--quick]
@@ -14,7 +13,7 @@ fn main() {
     let engine = args.make_engine();
     let cfg = AblationConfig::for_scale(args.scale);
 
-    println!("Ablations A1–A4 on {}\n", HostInfo::detect().summary());
+    println!("Ablations A1–A3 on {}\n", HostInfo::detect().summary());
 
     let records = run_ablations(&engine, &cfg, |r| {
         eprintln!(
@@ -35,10 +34,6 @@ fn main() {
             "A2 — scheduling on the imbalanced global mask",
         ),
         ("ablation_a3", "A3 — FlashAttention K/V tile size"),
-        (
-            "ablation_a4",
-            "A4 — generic pattern driver vs specialized kernel",
-        ),
     ] {
         let rows: Vec<Vec<String>> = records
             .iter()

@@ -5,16 +5,14 @@
 //! - **A2** block scheduling on the imbalanced global mask: static
 //!   contiguous vs CUDA-like block-cyclic vs dynamic work-sharing — the
 //!   "slowest block" phenomenon of Section V-C;
-//! - **A3** FlashAttention K/V tile size;
-//! - **A4** generic `pattern_attention` vs the specialized local kernel —
-//!   the cost of neighbor enumeration through a trait object.
+//! - **A3** FlashAttention K/V tile size.
 
 use crate::args::Scale;
 use crate::protocol::{measure_auto, Protocol};
 use crate::report::Record;
 use gpa_core::{
-    flash_attention_tiled, pattern_attention, AttentionEngine, AttentionKernel, AttentionPlan,
-    AttentionRequest, CooSearch, KernelOptions,
+    flash_attention_tiled, AttentionEngine, AttentionKernel, AttentionPlan, AttentionRequest,
+    CooSearch, KernelOptions,
 };
 use gpa_masks::{global_count_for_sparsity, GlobalSet, LocalWindow, MaskPattern};
 use gpa_parallel::Schedule;
@@ -24,7 +22,7 @@ use gpa_tensor::Matrix;
 /// Ablation study configuration.
 #[derive(Clone, Debug)]
 pub struct AblationConfig {
-    /// Context length for A1/A2/A4.
+    /// Context length for A1/A2.
     pub l: usize,
     /// Context length for A3 (dense flash).
     pub l_flash: usize,
@@ -102,10 +100,10 @@ fn record(
     }
 }
 
-/// Run all four ablations; streams records through `on_record`. A1/A2 run
+/// Run all three ablations; streams records through `on_record`. A1/A2 run
 /// as compiled engine plans (A2 sweeps launch schedules through
-/// [`AttentionEngine::run_batch_with`]); A3/A4 study internals below the
-/// plan layer and use the engine's pool escape hatch.
+/// [`AttentionEngine::run_batch_with`]); A3 sweeps a parameter of the dense
+/// baseline, called directly on the engine's pool.
 pub fn run_ablations(
     engine: &AttentionEngine,
     cfg: &AblationConfig,
@@ -200,40 +198,6 @@ pub fn run_ablations(
         records.push(rec);
     }
 
-    // --- A4: generic pattern driver vs specialized local kernel ----------
-    let window = gpa_masks::local_window_for_sparsity(cfg.l, 0.05);
-    let pattern = LocalWindow::new(cfg.l, window);
-    let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-        std::hint::black_box(pattern_attention(pool, &pattern, &q, &k, &v, &opts).unwrap());
-    });
-    let rec = record(
-        "ablation_a4",
-        "pattern_attention (generic)".into(),
-        cfg.l,
-        cfg.dk,
-        0.05,
-        stat,
-        String::new(),
-    );
-    on_record(&rec);
-    records.push(rec);
-    let local_plan =
-        AttentionPlan::single(AttentionKernel::Local { n: window }).expect("local plan compiles");
-    let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-        std::hint::black_box(engine.run(&local_plan, &q, &k, &v).unwrap());
-    });
-    let rec = record(
-        "ablation_a4",
-        "local_attention (specialized)".into(),
-        cfg.l,
-        cfg.dk,
-        0.05,
-        stat,
-        String::new(),
-    );
-    on_record(&rec);
-    records.push(rec);
-
     records
 }
 
@@ -246,9 +210,9 @@ mod tests {
         let engine = AttentionEngine::with_threads(2);
         let cfg = AblationConfig::for_scale(Scale::Quick);
         let records = run_ablations(&engine, &cfg, |_| {});
-        // A1: 1 sf × 2; A2: 3; A3: 2 tiles; A4: 2.
-        assert_eq!(records.len(), 2 + 3 + 2 + 2);
-        for exp in ["ablation_a1", "ablation_a2", "ablation_a3", "ablation_a4"] {
+        // A1: 1 sf × 2; A2: 3; A3: 2 tiles.
+        assert_eq!(records.len(), 2 + 3 + 2);
+        for exp in ["ablation_a1", "ablation_a2", "ablation_a3"] {
             assert!(records.iter().any(|r| r.experiment == exp), "missing {exp}");
         }
         assert!(records.iter().all(|r| r.mean_s > 0.0));

@@ -13,7 +13,7 @@
 //! | `table3_longcontext` | Table III (long-context ladder) |
 //! | `fig5_tradeoff` | Fig. 5 (flash vs local trade-off) |
 //! | `fig6_popular_masks` | Fig. 6 (Longformer/BigBird masks) |
-//! | `ablations` | DESIGN.md §3 ablations A1–A4 |
+//! | `ablations` | DESIGN.md §3 ablations A1–A3 |
 //!
 //! Each prints an ASCII table and writes `results/<experiment>.csv`.
 //! The library half (this crate) carries the measurement protocol

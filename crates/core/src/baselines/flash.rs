@@ -12,10 +12,9 @@
 //! memory beyond Q/K/V/O is two `O(L)` statistics vectors — which is why
 //! its max context length in Table II matches the implicit-mask kernels.
 
-use crate::driver::validate;
+use super::square_inputs;
 use crate::error::AttnError;
 use crate::options::KernelOptions;
-use crate::state::AttentionState;
 use gpa_parallel::{parallel_for, LocalTally, RowWriter, ThreadPool};
 use gpa_tensor::ops::dot;
 use gpa_tensor::{Matrix, Real};
@@ -50,15 +49,7 @@ pub fn flash_attention_tiled<T: Real>(
             what: "tile size must be positive",
         });
     }
-    if q.rows() != k.rows() {
-        return Err(AttnError::ContextLengthMismatch {
-            q: q.rows(),
-            k: k.rows(),
-            v: v.rows(),
-        });
-    }
-    let probe = AttentionState::new(q.rows(), v.cols());
-    let (l_ctx, dv, scale) = validate(q, k, v, opts, &probe)?;
+    let (l_ctx, dv, scale) = square_inputs(q, k, v, opts)?;
     let mut out = Matrix::zeros(l_ctx, dv);
     let writer = RowWriter::new(out.as_mut_slice(), l_ctx, dv);
 

@@ -14,10 +14,9 @@
 //! in host memory. The capacity model (`gpa-memmodel`) still accounts the
 //! full `L×L` buffer, as on the GPU.
 
-use crate::driver::validate;
+use super::square_inputs;
 use crate::error::AttnError;
 use crate::options::KernelOptions;
-use crate::state::AttentionState;
 use gpa_parallel::{parallel_for, LocalTally, RowWriter, ThreadPool};
 use gpa_sparse::DenseMask;
 use gpa_tensor::ops::{dot, weighted_sum_into};
@@ -35,15 +34,7 @@ pub fn masked_sdp<T: Real>(
     v: &Matrix<T>,
     opts: &KernelOptions<'_>,
 ) -> Result<Matrix<T>, AttnError> {
-    let state = AttentionState::new(q.rows(), v.cols());
-    let (l_ctx, dv, scale) = validate(q, k, v, opts, &state)?;
-    if q.rows() != k.rows() {
-        return Err(AttnError::ContextLengthMismatch {
-            q: q.rows(),
-            k: k.rows(),
-            v: v.rows(),
-        });
-    }
+    let (l_ctx, dv, scale) = square_inputs(q, k, v, opts)?;
     if mask.rows() != l_ctx || mask.cols() != l_ctx {
         return Err(AttnError::MaskShapeMismatch {
             mask: (mask.rows(), mask.cols()),
@@ -96,15 +87,7 @@ pub fn masked_sdp_skipping<T: Real>(
     v: &Matrix<T>,
     opts: &KernelOptions<'_>,
 ) -> Result<Matrix<T>, AttnError> {
-    let state = AttentionState::new(q.rows(), v.cols());
-    let (l_ctx, dv, scale) = validate(q, k, v, opts, &state)?;
-    if q.rows() != k.rows() {
-        return Err(AttnError::ContextLengthMismatch {
-            q: q.rows(),
-            k: k.rows(),
-            v: v.rows(),
-        });
-    }
+    let (l_ctx, dv, scale) = square_inputs(q, k, v, opts)?;
     if mask.rows() != l_ctx || mask.cols() != l_ctx {
         return Err(AttnError::MaskShapeMismatch {
             mask: (mask.rows(), mask.cols()),

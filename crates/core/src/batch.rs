@@ -16,8 +16,9 @@
 //!
 //! ## One row loop, and who owns `O`
 //!
-//! There is one row loop — [`crate::AttentionEngine::run_batch_into`] is
-//! its public face — and it is **in place** on both sides. A request
+//! There is one row loop in the crate, `launch_rows` below — the only place
+//! a row tile is built, with [`crate::AttentionEngine::run_batch_into`] its
+//! public face — and it is **in place** on both sides. A request
 //! names its query rows as a range of a `Q` the caller keeps
 //! ([`AttentionRequest::row_range`]; the other constructors are the range
 //! `0..Q.rows`), so no window of `Q` is copied to be launched. The output
@@ -239,7 +240,7 @@ fn execute_batch_fresh<T: Real>(
 ///
 /// Graph-kernel plans run as one flattened launch. Dense-baseline plans
 /// (single-step by construction) fall back to the reference baseline per
-/// request, so their outputs stay bit-identical with the standalone
+/// request, so their outputs stay bit-identical with direct
 /// [`masked_sdp`] / [`flash_attention`] calls.
 pub(crate) fn execute_batch<T: Real>(
     pool: &ThreadPool,
@@ -419,7 +420,7 @@ fn launch_rows<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{csr_attention, local_attention, CooSearch};
+    use crate::kernels::CooSearch;
     use gpa_masks::{GlobalSet, LocalWindow, MaskPattern, RandomUniform};
     use gpa_parallel::{ThreadPool, WorkCounter};
     use gpa_tensor::init::qkv;
@@ -428,19 +429,37 @@ mod tests {
         ThreadPool::new(4)
     }
 
-    #[test]
-    fn batch_of_one_is_exactly_the_single_run() {
-        let l = 32;
-        let (q, k, v) = qkv::<f64>(l, 8, 70);
-        let p = pool();
-        let opts = KernelOptions::new();
-        let plan = AttentionPlan::single(AttentionKernel::Local { n: 3 }).unwrap();
-        let batched = execute_batch(&p, &plan, &opts, &[AttentionRequest::new(&q, &k, &v)])
+    /// One launch of one square request.
+    fn alone<T: Real>(
+        pool: &ThreadPool,
+        plan: &AttentionPlan<'_>,
+        opts: &KernelOptions<'_>,
+        (q, k, v): &(Matrix<T>, Matrix<T>, Matrix<T>),
+    ) -> Matrix<T> {
+        execute_batch(pool, plan, opts, &[AttentionRequest::new(q, k, v)])
             .unwrap()
             .pop()
+            .unwrap()
+    }
+
+    #[test]
+    fn batch_of_one_is_exactly_the_single_run() {
+        // A launch of one, on pools of every size and inline, is the row
+        // loop's own sequential order: one set of bits.
+        let seq = qkv::<f64>(32, 8, 70);
+        let opts = KernelOptions::new();
+        let plan = AttentionPlan::single(AttentionKernel::Local { n: 3 }).unwrap();
+        let single = alone(&pool(), &plan, &opts, &seq);
+        for threads in [1usize, 2, 7] {
+            let batched = execute_batch(
+                &ThreadPool::new(threads),
+                &plan,
+                &opts,
+                &[AttentionRequest::new(&seq.0, &seq.1, &seq.2)],
+            )
             .unwrap();
-        let single = local_attention(&p, 3, &q, &k, &v, &opts).unwrap();
-        assert_eq!(batched, single, "must be element-exact, not just close");
+            assert_eq!(batched[0], single, "must be element-exact, not just close");
+        }
     }
 
     #[test]
@@ -458,9 +477,8 @@ mod tests {
             .map(|(q, k, v)| AttentionRequest::new(q, k, v))
             .collect();
         let batched = execute_batch(&p, &plan, &opts, &reqs).unwrap();
-        for ((q, k, v), out) in seqs.iter().zip(batched.iter()) {
-            let single = local_attention(&p, 2, q, k, v, &opts).unwrap();
-            assert_eq!(*out, single);
+        for (seq, out) in seqs.iter().zip(batched.iter()) {
+            assert_eq!(*out, alone(&p, &plan, &opts, seq));
         }
     }
 
@@ -485,11 +503,26 @@ mod tests {
             .pop()
             .unwrap();
 
+        // Thread the state by hand, edge by edge, in the plan's step order:
+        // `absorb_edge` is Algorithm 1 as the paper writes it.
         let mut state = AttentionState::new(l, v.cols());
+        let scale = attention_scale::<f64>(q.cols());
         for step in plan.steps() {
-            step.run_into(&p, &q, &k, &v, &opts, &mut state).unwrap();
+            for i in 0..l {
+                step.for_each_neighbor(l, i, &mut |j| {
+                    crate::driver::absorb_edge(
+                        q.row(i),
+                        k.row(j),
+                        v.row(j),
+                        scale,
+                        &mut state.m[i],
+                        &mut state.l[i],
+                        state.o.row_mut(i),
+                    )
+                });
+            }
         }
-        assert_eq!(batched, state.into_output());
+        assert!(gpa_tensor::paper_allclose(&batched, &state.into_output()));
     }
 
     #[test]
@@ -548,22 +581,21 @@ mod tests {
         let coo = pat.to_coo();
         let (q, k, v) = qkv::<f64>(l, 4, 73);
 
-        let counter_single = WorkCounter::new();
-        let opts_single = KernelOptions::new().with_counter(&counter_single);
-        let _ =
-            crate::kernels::coo_attention(&p, &coo, CooSearch::Linear, &q, &k, &v, &opts_single)
-                .unwrap();
-
-        let counter_batch = WorkCounter::new();
-        let opts_batch = KernelOptions::new().with_counter(&counter_batch);
         let plan = AttentionPlan::single(AttentionKernel::Coo(&coo, CooSearch::Linear)).unwrap();
-        let _ =
-            execute_batch(&p, &plan, &opts_batch, &[AttentionRequest::new(&q, &k, &v)]).unwrap();
-        assert_eq!(
-            counter_batch.report(),
-            counter_single.report(),
-            "batched instrumentation must match the standalone kernel"
-        );
+        let request = AttentionRequest::new(&q, &k, &v);
+        let report_of = |requests: &[AttentionRequest<'_, f64>]| {
+            let counter = WorkCounter::new();
+            let opts = KernelOptions::new().with_counter(&counter);
+            let _ = execute_batch(&p, &plan, &opts, requests).unwrap();
+            counter.report()
+        };
+        let single = report_of(&[request]);
+        // The scanned prefixes, summed over rows, are the mask's alone.
+        let scanned: u64 = (0..l).map(|i| coo.row_bounds_linear(i).2 as u64).sum();
+        assert!(scanned > 0 && single.neighbor_searches == scanned);
+        let batch = report_of(&[request; 3]);
+        assert_eq!(batch.neighbor_searches, 3 * single.neighbor_searches);
+        assert_eq!(batch.dot_products, 3 * single.dot_products);
     }
 
     #[test]
@@ -610,14 +642,13 @@ mod tests {
             ],
         )
         .unwrap();
-        // Each output is bitwise a row range of the full square run.
-        let full_a = local_attention(&p, 3, &qa, &ka, &va, &opts).unwrap();
-        assert_eq!(outs[0], full_a);
-        let full_b = local_attention(&p, 3, &qb, &kb, &vb, &opts).unwrap();
+        // Each output is bitwise a row range of a square launch of one.
+        assert_eq!(outs[0], alone(&p, &plan, &opts, &(qa, ka, va)));
+        let full_b = alone(&p, &plan, &opts, &(qb, kb, vb));
         for i in 0..16 {
             assert_eq!(outs[1].row(i), full_b.row(8 + i), "chunk row {i}");
         }
-        let full_c = local_attention(&p, 3, &qc, &kc, &vc, &opts).unwrap();
+        let full_c = alone(&p, &plan, &opts, &(qc, kc, vc));
         assert_eq!(outs[2].row(0), full_c.row(10));
     }
 
@@ -644,8 +675,9 @@ mod tests {
         .unwrap()
         .pop()
         .unwrap();
-        // Rows must match the square kernel's first rows.
-        let square = csr_attention(&p, &full, &q_full, &k, &v, &KernelOptions::new()).unwrap();
+        // Rows must match the square mask's first rows.
+        let square_plan = AttentionPlan::single(AttentionKernel::Csr(&full)).unwrap();
+        let square = alone(&p, &square_plan, &KernelOptions::new(), &(q_full, k, v));
         for i in 0..4 {
             assert_eq!(out.row(i), square.row(i), "row {i}");
         }
@@ -723,7 +755,11 @@ mod tests {
                 .unwrap()
                 .pop()
                 .unwrap();
-            state.check_shape(request.rows(), 4).unwrap();
+            assert_eq!(state.o.shape(), (request.rows(), 4));
+            assert_eq!(
+                (state.l.len(), state.m.len()),
+                (request.rows(), request.rows())
+            );
             assert_eq!(
                 (&state.o, &state.l, &state.m),
                 (&alone.o, &alone.l, &alone.m)

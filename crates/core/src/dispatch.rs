@@ -1,26 +1,22 @@
 //! Uniform kernel dispatch — one name per algorithm the paper benchmarks.
 //!
 //! The benchmark harness, the multi-head layer, and the examples all select
-//! algorithms at runtime; [`AttentionKernel`] is that selector. Graph
-//! kernels (everything except the dense baselines) are *composable*: a
-//! sequence of them can be run against one shared [`AttentionState`], which
-//! is how Fig. 6's "Loc + Glo" and "Loc + Glo + CSR" series are produced.
+//! algorithms at runtime; [`AttentionKernel`] is that selector — a value,
+//! not a launcher: it names a row rule and its geometry constraints, and
+//! [`crate::AttentionEngine`] runs it. Graph kernels (everything except the
+//! dense baselines) are *composable*: the steps of one
+//! [`crate::AttentionPlan`] chain per row on one shared softmax state,
+//! which is how Fig. 6's "Loc + Glo" and "Loc + Glo + CSR" series are
+//! produced.
 
-use crate::baselines::{flash_attention, masked_sdp};
 use crate::driver::NeighborSink;
 use crate::error::AttnError;
-use crate::kernels::{
-    coo_attention_into, csr_attention_into, dia_attention_into, dilated1d_attention_into,
-    dilated2d_attention_into, global_attention_into, local_attention_into, CooSearch,
-};
-use crate::options::KernelOptions;
+use crate::kernels::CooSearch;
 use crate::plan::GeometrySpec;
-use crate::routing::{RoutedSpec, Router, Routing};
-use crate::state::AttentionState;
+use crate::routing::Routing;
 use gpa_masks::GlobalSet;
-use gpa_parallel::{ThreadPool, WorkCounter};
+use gpa_parallel::WorkCounter;
 use gpa_sparse::{CooMask, CsrMask, DenseMask, DiaMask};
-use gpa_tensor::{Matrix, Real};
 
 /// An attention algorithm selection.
 #[derive(Clone, Copy)]
@@ -62,8 +58,9 @@ pub enum AttentionKernel<'a> {
     /// ([`crate::Router`]) and each query attends its own group. The
     /// kernel holds only the `(groups, seed)` configuration; the
     /// per-sequence [`crate::Routing`] rides on the request (or is
-    /// computed from `Q` for standalone square runs), so one compiled
-    /// plan serves many differently-routed sequences in one launch.
+    /// computed from `Q` by [`crate::AttentionEngine::run`]), so one
+    /// compiled plan serves many differently-routed sequences in one
+    /// launch.
     Routed {
         /// Number of groups tokens are routed into (positive).
         groups: usize,
@@ -97,7 +94,7 @@ impl AttentionKernel<'_> {
         }
     }
 
-    /// True for graph kernels that can share an [`AttentionState`].
+    /// True for graph kernels that can share a [`crate::AttentionState`].
     pub fn is_composable(&self) -> bool {
         !matches!(self, AttentionKernel::SdpMasked(_) | AttentionKernel::Flash)
     }
@@ -207,10 +204,9 @@ impl AttentionKernel<'_> {
     }
 
     /// Stream **absolute** row `i`'s neighbors under key/value set size
-    /// `kv_len` — the per-row enumeration rule each kernel's launch wraps
-    /// in a `parallel_for`, exposed so the batched plan executor can
-    /// interleave many sequences and query windows (and chain plan steps)
-    /// inside one launch. `counter` receives the COO linear-search cost;
+    /// `kv_len` — `Get_Neighbors(G, i, Pa)`, called by the one row loop
+    /// once per plan step and row, so a launch interleaves many sequences
+    /// and query windows. `counter` receives the COO linear-search cost;
     /// edge work is tallied by the caller from what its sink took. Dense
     /// baselines have no row rule.
     ///
@@ -254,140 +250,18 @@ impl AttentionKernel<'_> {
             }
         }
     }
-
-    /// Run into an existing state (graph kernels only).
-    pub fn run_into<T: Real>(
-        &self,
-        pool: &ThreadPool,
-        q: &Matrix<T>,
-        k: &Matrix<T>,
-        v: &Matrix<T>,
-        opts: &KernelOptions<'_>,
-        state: &mut AttentionState<T>,
-    ) -> Result<(), AttnError> {
-        match self {
-            AttentionKernel::Coo(mask, search) => {
-                coo_attention_into(pool, mask, *search, q, k, v, opts, state)
-            }
-            AttentionKernel::Csr(mask) => csr_attention_into(pool, mask, q, k, v, opts, state),
-            AttentionKernel::Dia(mask) => dia_attention_into(pool, mask, q, k, v, opts, state),
-            AttentionKernel::Local { n } => local_attention_into(pool, *n, q, k, v, opts, state),
-            AttentionKernel::Dilated1d { w, r } => {
-                dilated1d_attention_into(pool, *w, *r, q, k, v, opts, state)
-            }
-            AttentionKernel::Dilated2d { block_size, r } => {
-                dilated2d_attention_into(pool, *block_size, *r, q, k, v, opts, state)
-            }
-            AttentionKernel::Global { globals, n_sub } => {
-                global_attention_into(pool, globals, *n_sub, q, k, v, opts, state)
-            }
-            AttentionKernel::Routed {
-                groups,
-                seed,
-                causal,
-            } => {
-                self.validate_params()?;
-                // The standalone square form: route Q's own rows. Windowed
-                // and cached launches go through plans, which carry the
-                // sequence's routing on the request instead.
-                if q.rows() != k.rows() {
-                    return Err(AttnError::ContextLengthMismatch {
-                        q: q.rows(),
-                        k: k.rows(),
-                        v: v.rows(),
-                    });
-                }
-                let routing = Router::new(RoutedSpec {
-                    groups: *groups,
-                    seed: *seed,
-                })
-                .route(q);
-                let causal = *causal;
-                crate::driver::stream_rows(
-                    pool,
-                    q,
-                    k,
-                    v,
-                    opts,
-                    state,
-                    || (),
-                    |(), i, tile| crate::routing::routed_row(&routing, causal, i, tile),
-                )
-            }
-            AttentionKernel::SdpMasked(_) | AttentionKernel::Flash => {
-                Err(AttnError::BadParameter {
-                    what: "dense baselines cannot run into a shared state",
-                })
-            }
-        }
-    }
-
-    /// Run standalone and return the output.
-    pub fn run<T: Real>(
-        &self,
-        pool: &ThreadPool,
-        q: &Matrix<T>,
-        k: &Matrix<T>,
-        v: &Matrix<T>,
-        opts: &KernelOptions<'_>,
-    ) -> Result<Matrix<T>, AttnError> {
-        match self {
-            AttentionKernel::SdpMasked(mask) => masked_sdp(pool, mask, q, k, v, opts),
-            AttentionKernel::Flash => flash_attention(pool, q, k, v, opts),
-            _ => {
-                let mut state = AttentionState::new(q.rows(), v.cols());
-                self.run_into(pool, q, k, v, opts, &mut state)?;
-                Ok(state.into_output())
-            }
-        }
-    }
-}
-
-/// Run a sequence of composable kernels against one shared state — the
-/// paper's "sequential kernel call" evaluation mode (Fig. 6). The masks
-/// must be pairwise disjoint for the result to equal single-kernel
-/// attention over their union (otherwise shared edges are double-counted).
-///
-/// Since the engine redesign this compiles the composition into an
-/// [`crate::AttentionPlan`] and executes it as **one** launch (all steps
-/// chained per row) instead of one launch per kernel; per-row edge order —
-/// and therefore the output — is unchanged.
-pub fn run_composed<T: Real>(
-    pool: &ThreadPool,
-    kernels: &[AttentionKernel<'_>],
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-) -> Result<Matrix<T>, AttnError> {
-    if kernels.is_empty() {
-        // Historical behavior: an empty composition is a fresh state.
-        return Ok(AttentionState::new(q.rows(), v.cols()).into_output());
-    }
-    let plan = crate::plan::AttentionPlan::new(kernels)?;
-    if !plan.is_composable() {
-        return Err(AttnError::BadParameter {
-            what: "dense baselines cannot run into a shared state",
-        });
-    }
-    let mut outs = crate::batch::execute_batch(
-        pool,
-        &plan,
-        opts,
-        &[crate::batch::AttentionRequest::new(q, k, v)],
-    )?;
-    Ok(outs.pop().expect("one request, one output"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AttentionEngine, AttentionPlan, AttentionRequest};
     use gpa_masks::{GlobalMinusLocal, LocalWindow, MaskPattern, RandomUniform, Union};
     use gpa_tensor::init::qkv;
     use gpa_tensor::paper_allclose;
 
-    fn pool() -> ThreadPool {
-        ThreadPool::new(4)
+    fn engine() -> AttentionEngine {
+        AttentionEngine::with_threads(4)
     }
 
     #[test]
@@ -397,6 +271,9 @@ mod tests {
         assert!(AttentionKernel::Csr(&csr).is_composable());
         assert!(!AttentionKernel::Flash.is_composable());
         assert_eq!(AttentionKernel::Local { n: 1 }.name(), "Local");
+        let dia = DiaMask::local(4, 1);
+        assert_eq!(AttentionKernel::Dia(&dia).name(), "DIA");
+        assert!(AttentionKernel::Dia(&dia).is_composable());
     }
 
     #[test]
@@ -405,32 +282,25 @@ mod tests {
         let l = 40;
         let n = 3;
         let (q, k, v) = qkv::<f64>(l, 8, 55);
-        let p = pool();
+        let e = engine();
         let globals = GlobalSet::new(l, vec![0, 17, 29]);
-
-        let composed = run_composed(
-            &p,
-            &[
-                AttentionKernel::Local { n },
-                AttentionKernel::Global {
-                    globals: &globals,
-                    n_sub: n,
-                },
-            ],
-            &q,
-            &k,
-            &v,
-            &KernelOptions::new(),
-        )
+        let plan = AttentionPlan::new(&[
+            AttentionKernel::Local { n },
+            AttentionKernel::Global {
+                globals: &globals,
+                n_sub: n,
+            },
+        ])
         .unwrap();
+        let composed = e.run(&plan, &q, &k, &v).unwrap();
 
         let union = Union::new(
             LocalWindow::new(l, n),
             gpa_masks::GlobalMask::new(globals.clone()),
         )
         .to_csr();
-        let single = AttentionKernel::Csr(&union)
-            .run(&p, &q, &k, &v, &KernelOptions::new())
+        let single = e
+            .run_kernel(AttentionKernel::Csr(&union), &q, &k, &v)
             .unwrap();
         assert!(paper_allclose(&composed, &single));
     }
@@ -441,7 +311,7 @@ mod tests {
         let l = 36;
         let n = 2;
         let (q, k, v) = qkv::<f64>(l, 8, 56);
-        let p = pool();
+        let e = engine();
         let globals = GlobalSet::new(l, vec![0, 18]);
         let local = LocalWindow::new(l, n);
         let gml = GlobalMinusLocal::new(globals.clone(), n);
@@ -450,70 +320,31 @@ mod tests {
         // Random edges not already covered by local/global parts.
         let covered = local.to_csr().union(&gml.to_csr());
         let random_rest = random.to_csr().difference(&covered);
-
-        let composed = run_composed(
-            &p,
-            &[
-                AttentionKernel::Local { n },
-                AttentionKernel::Global {
-                    globals: &globals,
-                    n_sub: n,
-                },
-                AttentionKernel::Csr(&random_rest),
-            ],
-            &q,
-            &k,
-            &v,
-            &KernelOptions::new(),
-        )
+        let plan = AttentionPlan::new(&[
+            AttentionKernel::Local { n },
+            AttentionKernel::Global {
+                globals: &globals,
+                n_sub: n,
+            },
+            AttentionKernel::Csr(&random_rest),
+        ])
         .unwrap();
+        let composed = e.run(&plan, &q, &k, &v).unwrap();
 
         let union = covered.union(&random.to_csr());
-        let single = AttentionKernel::Csr(&union)
-            .run(&p, &q, &k, &v, &KernelOptions::new())
+        let single = e
+            .run_kernel(AttentionKernel::Csr(&union), &q, &k, &v)
             .unwrap();
         assert!(paper_allclose(&composed, &single));
     }
 
     #[test]
-    fn dia_dispatch_matches_direct_call() {
-        use gpa_sparse::DiaMask;
-        let l = 32;
-        let (q, k, v) = qkv::<f64>(l, 8, 58);
-        let p = pool();
-        let dia = DiaMask::new(l, vec![-4, -1, 0, 1, 9]).unwrap();
-        assert_eq!(AttentionKernel::Dia(&dia).name(), "DIA");
-        assert!(AttentionKernel::Dia(&dia).is_composable());
-        let via_dispatch = AttentionKernel::Dia(&dia)
-            .run(&p, &q, &k, &v, &KernelOptions::new())
-            .unwrap();
-        let via_direct =
-            crate::kernels::dia_attention(&p, &dia, &q, &k, &v, &KernelOptions::new()).unwrap();
-        assert_eq!(via_dispatch, via_direct);
-    }
-
-    #[test]
     fn baselines_refuse_shared_state() {
         let (q, k, v) = qkv::<f64>(8, 4, 0);
-        let mut state = AttentionState::new(8, 4);
-        let err = AttentionKernel::Flash
-            .run_into(&pool(), &q, &k, &v, &KernelOptions::new(), &mut state)
+        let plan = AttentionPlan::single(AttentionKernel::Flash).unwrap();
+        let err = engine()
+            .run_batch_states(&plan, &[AttentionRequest::new(&q, &k, &v)])
             .unwrap_err();
         assert!(matches!(err, AttnError::BadParameter { .. }));
-    }
-
-    #[test]
-    fn dispatch_run_matches_direct_calls() {
-        let l = 24;
-        let (q, k, v) = qkv::<f64>(l, 8, 57);
-        let p = pool();
-        let pat = LocalWindow::new(l, 2);
-        let csr = pat.to_csr();
-        let via_dispatch = AttentionKernel::Csr(&csr)
-            .run(&p, &q, &k, &v, &KernelOptions::new())
-            .unwrap();
-        let via_direct =
-            crate::kernels::csr_attention(&p, &csr, &q, &k, &v, &KernelOptions::new()).unwrap();
-        assert_eq!(via_dispatch, via_direct);
     }
 }

@@ -1,10 +1,13 @@
-//! The Algorithm 1 driver: row-parallel neighbor streaming with a tiled
+//! What Algorithm 1's row loop is made of: the row tile and its tiled
 //! online softmax.
 //!
-//! Every graph kernel in this crate is an instantiation of the same row
-//! loop with a different neighbor-enumeration rule — exactly the role
-//! `Get_Neighbors(G, i, Pa)` plays in the paper's Algorithm 1. The paper
-//! writes the update per edge and keeps `O` normalized after each one:
+//! Every graph kernel in this crate is the same row loop with a different
+//! neighbor-enumeration rule — exactly the role `Get_Neighbors(G, i, Pa)`
+//! plays in the paper's Algorithm 1. The loop itself is written once, in
+//! [`crate::batch`] (one `RowTile` per output row, every plan step's rule
+//! streamed into it); the rules live in [`crate::kernels`]; this module is
+//! the arithmetic between them. The paper writes the update per edge and
+//! keeps `O` normalized after each one:
 //!
 //! ```text
 //! W      = Qi · Kj / √dk
@@ -29,9 +32,9 @@
 //!
 //! and `Oi ← Oi / l` runs **once**, when the rule's stream for that row
 //! ends. So `O` is *unnormalized inside a row stream and normalized at
-//! rest*: between kernel calls, between the steps of a plan and in every
-//! [`AttentionState`] a caller can observe, `(O, l, m)` is exactly the
-//! triple Algorithm 1 maintains, which is why kernels still chain on one
+//! rest*: between the steps of a plan and in every
+//! [`crate::AttentionState`] a caller can observe, `(O, l, m)` is exactly
+//! the triple Algorithm 1 maintains, which is why plan steps chain on one
 //! state (local ∘ global composition, Section V-F) and why
 //! `gpa-distributed` can still merge states. A row's result is a function
 //! of its neighbor *sequence* alone — tiles restart with every row and
@@ -57,13 +60,9 @@
 //!   for non-finite values at the engine boundary; the row is the unit of
 //!   damage.
 
-use crate::error::AttnError;
-use crate::options::KernelOptions;
-use crate::state::AttentionState;
-use gpa_masks::MaskPattern;
-use gpa_parallel::{parallel_for, CellWriter, LocalTally, RowWriter, ThreadPool};
+use gpa_parallel::LocalTally;
 use gpa_tensor::ops::{axpy, axpy4, dot, dot4};
-use gpa_tensor::{attention_scale, Matrix, Real};
+use gpa_tensor::{Matrix, Real};
 
 /// Edges a row tile holds before it is absorbed as one block. A constant
 /// of the arithmetic, not a tuning knob: it fixes where block maxima are
@@ -321,173 +320,20 @@ pub(crate) fn tally_edges(tally: &mut Option<LocalTally<'_>>, edges: u64) {
     }
 }
 
-/// Validate `Q`, `K`, `V`, and the state, returning `(L_q, dv, scale)`.
-///
-/// `Q` may have a different row count than `K`/`V` (rectangular masks:
-/// cross-attention, or a distributed device's row slice against the full
-/// key/value set); `K` and `V` must pair up. Kernels that require a square
-/// geometry (the implicit patterns and dense baselines) enforce
-/// `Q.rows == K.rows` themselves.
-pub(crate) fn validate<T: Real>(
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-    state: &AttentionState<T>,
-) -> Result<(usize, usize, T), AttnError> {
-    if k.rows() != v.rows() {
-        return Err(AttnError::ContextLengthMismatch {
-            q: q.rows(),
-            k: k.rows(),
-            v: v.rows(),
-        });
-    }
-    if q.cols() != k.cols() {
-        return Err(AttnError::KeyDimMismatch {
-            q: q.cols(),
-            k: k.cols(),
-        });
-    }
-    if q.cols() == 0 {
-        return Err(AttnError::BadParameter {
-            what: "dk must be positive",
-        });
-    }
-    state.check_shape(q.rows(), v.cols())?;
-    let scale = match opts.scale {
-        Some(s) => T::from_f64(s),
-        None => attention_scale(q.cols()),
-    };
-    Ok((q.rows(), v.cols(), scale))
-}
-
-/// The row loop every standalone kernel runs: one [`RowTile`] per row,
-/// `rule(scratch, i, tile)` streams row `i`'s neighbors into it — once per
-/// mask non-zero, in any order (online softmax is order-insensitive up to
-/// rounding). `scratch()` builds whatever a rule wants to reuse across
-/// the rows of one `parallel_for` range. The rule runs on worker threads.
-#[allow(clippy::too_many_arguments)] // the kernels' (pool, Q, K, V, opts, state) + the rule
-pub(crate) fn stream_rows<T, S, I, F>(
-    pool: &ThreadPool,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-    state: &mut AttentionState<T>,
-    scratch: I,
-    rule: F,
-) -> Result<(), AttnError>
-where
-    T: Real,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &mut RowTile<'_, T>) + Sync,
-{
-    let (l_ctx, dv, scale) = validate(q, k, v, opts, state)?;
-    let o_writer = RowWriter::new(state.o.as_mut_slice(), l_ctx, dv);
-    let l_cells = CellWriter::new(&mut state.l);
-    let m_cells = CellWriter::new(&mut state.m);
-
-    parallel_for(pool, l_ctx, opts.schedule, |range| {
-        let mut tally = opts.counter.map(LocalTally::new);
-        let mut scratch = scratch();
-        for i in range {
-            // SAFETY: `parallel_for` dispatches each row index to exactly
-            // one block, so row i's output/stat cells are accessed by this
-            // worker only.
-            let (o_row, m_i, l_i) = unsafe {
-                (
-                    o_writer.row_mut(i),
-                    m_cells.cell_mut(i),
-                    l_cells.cell_mut(i),
-                )
-            };
-            let mut tile = RowTile::new(q.row(i), k, v, scale, m_i, l_i, o_row);
-            rule(&mut scratch, i, &mut tile);
-            tally_edges(&mut tally, tile.end_stream());
-        }
-    });
-    Ok(())
-}
-
-/// Run Algorithm 1 with a custom neighbor rule.
-///
-/// `neighbors(i, absorb)` must invoke `absorb(j)` once per mask non-zero
-/// `(i, j)`, with `j` inside the key/value set; edges may arrive in any
-/// order (online softmax is order-insensitive up to rounding). The rule is
-/// consulted once per row, from worker threads. The state is at rest on
-/// entry and on return (see the module docs).
-pub fn graph_attention_into<T, F>(
-    pool: &ThreadPool,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-    state: &mut AttentionState<T>,
-    neighbors: F,
-) -> Result<(), AttnError>
-where
-    T: Real,
-    F: Fn(usize, &mut dyn FnMut(usize)) + Sync,
-{
-    let no_scratch = || ();
-    stream_rows(pool, q, k, v, opts, state, no_scratch, |(), i, tile| {
-        neighbors(i, &mut |j| tile.push(j))
-    })
-}
-
-/// Attention over *any* [`MaskPattern`] without materializing it: rows are
-/// enumerated through the pattern's implicit rule. This is the
-/// "work-optimal over arbitrary attention masks" entry point; the named
-/// kernels in [`crate::kernels`] are specializations with cheaper
-/// per-row enumeration.
-pub fn pattern_attention_into<T: Real>(
-    pool: &ThreadPool,
-    pattern: &dyn MaskPattern,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-    state: &mut AttentionState<T>,
-) -> Result<(), AttnError> {
-    if pattern.context_len() != q.rows() || pattern.context_len() != k.rows() {
-        return Err(AttnError::MaskShapeMismatch {
-            mask: (pattern.context_len(), pattern.context_len()),
-            l: q.rows(),
-        });
-    }
-    // `append_row` wants a `Vec`: one per `parallel_for` range, cleared
-    // between rows, so a launch allocates per range and not per row.
-    stream_rows(pool, q, k, v, opts, state, Vec::new, |row, i, tile| {
-        row.clear();
-        pattern.append_row(i, row);
-        tile.extend(row);
-    })
-}
-
-/// Convenience wrapper: fresh state, returns the output matrix.
-pub fn pattern_attention<T: Real>(
-    pool: &ThreadPool,
-    pattern: &dyn MaskPattern,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-) -> Result<Matrix<T>, AttnError> {
-    let mut state = AttentionState::new(q.rows(), v.cols());
-    pattern_attention_into(pool, pattern, q, k, v, opts, &mut state)?;
-    Ok(state.into_output())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpa_masks::LocalWindow;
-    use gpa_parallel::ThreadPool;
+    use crate::{
+        AttentionEngine, AttentionKernel, AttentionPlan, AttentionRequest, AttnError, KernelOptions,
+    };
+    use gpa_masks::{LocalWindow, MaskPattern};
+    use gpa_sparse::{CooMask, CsrMask};
+    use gpa_tensor::attention_scale;
     use gpa_tensor::init::{qkv, uniform_matrix, uniform_range_matrix};
     use gpa_tensor::softmax::softmax_slice;
 
-    fn pool() -> ThreadPool {
-        ThreadPool::new(4)
+    fn engine() -> AttentionEngine {
+        AttentionEngine::with_threads(4)
     }
 
     /// Brute-force masked attention for a single row.
@@ -570,7 +416,9 @@ mod tests {
         let l = 32;
         let (q, k, v) = qkv::<f64>(l, 8, 42);
         let pat = LocalWindow::new(l, 3);
-        let out = pattern_attention(&pool(), &pat, &q, &k, &v, &KernelOptions::new()).unwrap();
+        let out = engine()
+            .run_kernel(AttentionKernel::Csr(&pat.to_csr()), &q, &k, &v)
+            .unwrap();
         for i in 0..l {
             let cols: Vec<usize> = (0..l).filter(|&j| pat.contains(i, j)).collect();
             let expect = reference_row(&q, &k, &v, i, &cols);
@@ -582,14 +430,15 @@ mod tests {
 
     #[test]
     fn empty_mask_rows_stay_zero() {
-        // Window 0 on row 0 only … use a pattern with an empty row: local
-        // window 0 has the diagonal, so build a custom empty-row pattern via
-        // Dilated2d where unselected rows attend nothing.
+        // A pattern with empty rows: Dilated2d's unselected rows (odd
+        // in-block offsets) attend nothing.
         use gpa_masks::Dilated2d;
         let l = 12;
         let (q, k, v) = qkv::<f64>(l, 4, 1);
-        let pat = Dilated2d::new(l, 4, 1); // odd in-block offsets attend nothing
-        let out = pattern_attention(&pool(), &pat, &q, &k, &v, &KernelOptions::new()).unwrap();
+        let pat = Dilated2d::new(l, 4, 1);
+        let out = engine()
+            .run_kernel(AttentionKernel::Csr(&pat.to_csr()), &q, &k, &v)
+            .unwrap();
         for i in 0..l {
             if (i % 4) % 2 != 0 {
                 assert!(out.row(i).iter().all(|&x| x == 0.0), "row {i} must be zero");
@@ -605,73 +454,45 @@ mod tests {
     #[test]
     fn dimension_validation() {
         let q: Matrix<f64> = Matrix::zeros(4, 8);
-        let k: Matrix<f64> = Matrix::zeros(5, 8);
         let v: Matrix<f64> = Matrix::zeros(4, 8);
-        let mut state = AttentionState::new(4, 8);
-        let err = graph_attention_into(
-            &pool(),
-            &q,
-            &k,
-            &v,
-            &KernelOptions::new(),
-            &mut state,
-            |_, _| {},
-        )
-        .unwrap_err();
+        let run = |k: &Matrix<f64>| {
+            engine()
+                .run_kernel(AttentionKernel::Local { n: 1 }, &q, k, &v)
+                .unwrap_err()
+        };
+        let err = run(&Matrix::zeros(5, 8));
         assert!(matches!(err, AttnError::ContextLengthMismatch { .. }));
-
-        let k: Matrix<f64> = Matrix::zeros(4, 6);
-        let err = graph_attention_into(
-            &pool(),
-            &q,
-            &k,
-            &v,
-            &KernelOptions::new(),
-            &mut state,
-            |_, _| {},
-        )
-        .unwrap_err();
+        let err = run(&Matrix::zeros(4, 6));
         assert!(matches!(err, AttnError::KeyDimMismatch { .. }));
-
-        let k: Matrix<f64> = Matrix::zeros(4, 8);
-        let mut bad_state = AttentionState::new(3, 8);
-        let err = graph_attention_into(
-            &pool(),
-            &q,
-            &k,
-            &v,
-            &KernelOptions::new(),
-            &mut bad_state,
-            |_, _| {},
-        )
-        .unwrap_err();
-        assert!(matches!(err, AttnError::StateShapeMismatch { .. }));
     }
 
     #[test]
     fn work_counter_counts_every_edge() {
-        use gpa_parallel::WorkCounter;
         let l = 20;
         let (q, k, v) = qkv::<f64>(l, 4, 9);
         let pat = LocalWindow::new(l, 2);
-        let counter = WorkCounter::new();
-        let opts = KernelOptions::new().with_counter(&counter);
-        let _ = pattern_attention(&pool(), &pat, &q, &k, &v, &opts).unwrap();
-        assert_eq!(counter.dot_products(), pat.nnz() as u64);
-        assert_eq!(counter.output_updates(), pat.nnz() as u64);
+        let counting = crate::kernels::testing::counting_engine();
+        let _ = counting
+            .run_kernel(AttentionKernel::Csr(&pat.to_csr()), &q, &k, &v)
+            .unwrap();
+        let report = counting.work_report().unwrap();
+        assert_eq!(report.dot_products, pat.nnz() as u64);
+        assert_eq!(report.output_updates, pat.nnz() as u64);
     }
 
     #[test]
     fn scale_override_changes_result() {
         let l = 8;
         let (q, k, v) = qkv::<f64>(l, 4, 2);
-        let pat = LocalWindow::new(l, 2);
-        let p = pool();
-        let a = pattern_attention(&p, &pat, &q, &k, &v, &KernelOptions::new()).unwrap();
-        let b =
-            pattern_attention(&p, &pat, &q, &k, &v, &KernelOptions::new().with_scale(0.0)).unwrap();
+        let plan = AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap();
+        let request = [AttentionRequest::new(&q, &k, &v)];
+        let e = engine();
+        let a = e.run_batch(&plan, &request).unwrap();
+        let b = e
+            .run_batch_with(&plan, &KernelOptions::new().with_scale(0.0), &request)
+            .unwrap();
         // Scale 0 ⇒ uniform weights; results must differ from scaled ones.
-        assert!(a.max_abs_diff(&b) > 1e-9);
+        assert!(a[0].max_abs_diff(&b[0]) > 1e-9);
     }
 
     // ---- the tile itself -------------------------------------------------
@@ -803,25 +624,29 @@ mod tests {
         }
     }
 
+    /// One request through `run_batch_states`.
+    fn state_of<T: Real>(
+        plan: &AttentionPlan<'_>,
+        q: &Matrix<T>,
+        k: &Matrix<T>,
+        v: &Matrix<T>,
+    ) -> crate::AttentionState<T> {
+        engine()
+            .run_batch_states(plan, &[AttentionRequest::new(q, k, v)])
+            .unwrap()
+            .pop()
+            .unwrap()
+    }
+
     #[test]
     fn csr_rows_with_no_edges_stay_fresh() {
-        use gpa_sparse::{CooMask, CsrMask};
         let l = 9;
         let (q, k, v) = qkv::<f64>(l, 4, 3);
         // Rows 0, 4 and 8 attend; every other row has no edge at all.
         let entries = vec![(0, 0), (0, 5), (4, 1), (4, 4), (4, 7), (8, 2)];
         let mask = CsrMask::from_coo(&CooMask::from_entries(l, l, entries).unwrap());
-        let mut state = AttentionState::new(l, 4);
-        crate::kernels::csr_attention_into(
-            &pool(),
-            &mask,
-            &q,
-            &k,
-            &v,
-            &KernelOptions::new(),
-            &mut state,
-        )
-        .unwrap();
+        let plan = AttentionPlan::single(AttentionKernel::Csr(&mask)).unwrap();
+        let state = state_of(&plan, &q, &k, &v);
         for i in 0..l {
             if i % 4 == 0 {
                 assert!(state.l[i] >= 1.0 && state.m[i].is_finite(), "row {i}");
@@ -836,17 +661,32 @@ mod tests {
     fn a_chained_step_that_adds_nothing_changes_no_bit() {
         let l = 16;
         let (q, k, v) = qkv::<f32>(l, 8, 5);
-        let p = pool();
-        let opts = KernelOptions::new();
-        let mut state = AttentionState::new(l, 8);
-        crate::kernels::local_attention_into(&p, 2, &q, &k, &v, &opts, &mut state).unwrap();
-        let before = state.clone();
-        // Second step: an empty mask, then a rule that streams nothing.
-        let empty = gpa_sparse::CsrMask::empty(l, l);
-        crate::kernels::csr_attention_into(&p, &empty, &q, &k, &v, &opts, &mut state).unwrap();
-        graph_attention_into(&p, &q, &k, &v, &opts, &mut state, |_, _| {}).unwrap();
+        let local = AttentionKernel::Local { n: 2 };
+        let before = state_of(&AttentionPlan::single(local).unwrap(), &q, &k, &v);
+        // Later steps that stream nothing: an empty mask, and a band with
+        // no diagonals.
+        let empty = CsrMask::empty(l, l);
+        let no_band = gpa_sparse::DiaMask::new(l, vec![]).unwrap();
+        let chained = AttentionPlan::new(&[
+            local,
+            AttentionKernel::Csr(&empty),
+            AttentionKernel::Dia(&no_band),
+        ])
+        .unwrap();
+        let state = state_of(&chained, &q, &k, &v);
         assert_eq!(state.o, before.o);
         assert_eq!((&state.l, &state.m), (&before.l, &before.m));
+        // The same over dirty memory: the steps that add nothing must not
+        // let what the window held back in.
+        let mut dirty = vec![f32::NAN; l * 8];
+        engine()
+            .run_batch_into(
+                &chained,
+                &[AttentionRequest::new(&q, &k, &v)],
+                &mut [&mut dirty[..]],
+            )
+            .unwrap();
+        assert_eq!(dirty, before.o.as_slice());
     }
 
     #[test]
@@ -888,23 +728,15 @@ mod tests {
             // for all of them but row 0 itself, which as the global row
             // attends every key outside its window — key 35 too.
             let globals = gpa_masks::GlobalSet::new(l, vec![0]);
-            let plan = crate::AttentionPlan::new(&[
-                crate::AttentionKernel::Local { n },
-                crate::AttentionKernel::Global {
+            let plan = AttentionPlan::new(&[
+                AttentionKernel::Local { n },
+                AttentionKernel::Global {
                     globals: &globals,
                     n_sub: n,
                 },
             ])
             .unwrap();
-            let state = crate::batch::execute_batch_states(
-                &pool(),
-                &plan,
-                &KernelOptions::new(),
-                &[crate::AttentionRequest::new(&q, &k, &v)],
-            )
-            .unwrap()
-            .pop()
-            .unwrap();
+            let state = state_of(&plan, &q, &k, &v);
             for i in 0..l {
                 let row = state.o.row(i);
                 if i == 0 || (32..=38).contains(&i) {

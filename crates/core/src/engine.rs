@@ -1,4 +1,4 @@
-//! `AttentionEngine` — the single front door to every kernel.
+//! `AttentionEngine` — the only way to launch a graph kernel.
 //!
 //! An engine owns the execution substrate (worker pool) and the launch
 //! policy (schedule, scale override, optional work counting), compiles
@@ -28,11 +28,13 @@
 //! assert_eq!(outs.len(), 2);
 //! ```
 //!
-//! The free kernel functions ([`crate::csr_attention`] and friends) remain
-//! as the low-level per-kernel API over an explicit pool; the engine is the
-//! recommended entry point for applications, and everything in this
-//! workspace (multi-head layer, distributed executors, benchmark harness,
-//! examples) now runs through it.
+//! Every entry point here — `run`, `run_kernel`, the `run_batch*` family,
+//! chunked prefill, decode — and each forward of the multi-head layer
+//! ([`crate::multihead`]) is a thin wrapper over one row loop
+//! ([`crate::batch`]), so a row computes the same bits whichever of them
+//! launched it. Only the dense baselines ([`crate::masked_sdp`],
+//! [`crate::flash_attention`]) can also be called directly with a pool:
+//! they are what tests compare the graph kernels against.
 
 use crate::batch::{
     execute_batch, execute_batch_into, execute_batch_states, AttentionRequest, DecodeStep,
@@ -144,8 +146,8 @@ impl AttentionEngine {
         AttentionEngineBuilder::default()
     }
 
-    /// The engine's worker pool — the escape hatch for the low-level
-    /// per-kernel functions and research code that needs custom launches.
+    /// The engine's worker pool — what the dense baselines and code with
+    /// launches of its own (projections, the decoder stack) run on.
     pub fn pool(&self) -> &ThreadPool {
         &self.pool
     }
@@ -173,8 +175,9 @@ impl AttentionEngine {
     }
 
     /// The launch options every engine run uses ­— schedule, scale, and
-    /// the engine's counter, in [`KernelOptions`] form for interop with the
-    /// free kernel functions.
+    /// the engine's counter — in [`KernelOptions`] form: the starting point
+    /// for [`Self::run_batch_with`], and what a dense baseline called
+    /// directly takes.
     pub fn options(&self) -> KernelOptions<'_> {
         KernelOptions {
             schedule: self.schedule,
@@ -509,7 +512,6 @@ impl std::fmt::Debug for AttentionEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{csr_attention, local_attention};
     use gpa_masks::{LocalWindow, MaskPattern};
     use gpa_tensor::init::qkv;
 
@@ -527,18 +529,6 @@ mod tests {
         assert_eq!(opts.scale, Some(1.0));
         assert!(opts.counter.is_some());
         assert!(engine.work_report().is_some());
-    }
-
-    #[test]
-    fn engine_run_matches_free_function() {
-        let engine = AttentionEngine::with_threads(4);
-        let l = 48;
-        let (q, k, v) = qkv::<f64>(l, 8, 80);
-        let mask = LocalWindow::new(l, 3).to_csr();
-        let plan = engine.compile(&[AttentionKernel::Csr(&mask)]).unwrap();
-        let via_engine = engine.run(&plan, &q, &k, &v).unwrap();
-        let via_free = csr_attention(engine.pool(), &mask, &q, &k, &v, &engine.options()).unwrap();
-        assert_eq!(via_engine, via_free);
     }
 
     #[test]
@@ -578,8 +568,12 @@ mod tests {
         let out = engine
             .run_kernel(AttentionKernel::Local { n: 2 }, &q, &k, &v)
             .unwrap();
-        let direct = local_attention(engine.pool(), 2, &q, &k, &v, &engine.options()).unwrap();
-        assert_eq!(out, direct);
+        let plan = engine.compile(&[AttentionKernel::Local { n: 2 }]).unwrap();
+        assert_eq!(out, engine.run(&plan, &q, &k, &v).unwrap());
+        // Parameters are checked by the compile it does, not skipped.
+        assert!(engine
+            .run_kernel(AttentionKernel::Dilated1d { w: 0, r: 0 }, &q, &k, &v)
+            .is_err());
     }
 
     #[test]

@@ -37,15 +37,6 @@ pub struct Geometry {
 }
 
 impl Geometry {
-    /// The classic square self-attention geometry: all `l` rows, offset 0.
-    pub fn square(l: usize) -> Self {
-        Geometry {
-            q_rows: l,
-            kv_rows: l,
-            q_offset: 0,
-        }
-    }
-
     /// A prefill-chunk window: `q_rows` queries starting at `q_offset`,
     /// against `kv_rows` keys/values.
     pub fn window(q_offset: usize, q_rows: usize, kv_rows: usize) -> Self {
@@ -108,8 +99,7 @@ mod tests {
 
     #[test]
     fn square_window_decode_shapes() {
-        let s = Geometry::square(8);
-        assert_eq!(s, Geometry::window(0, 8, 8));
+        let s = Geometry::window(0, 8, 8);
         assert!(s.is_square() && s.is_window());
         assert_eq!(s.q_end(), 8);
 

@@ -1,4 +1,4 @@
-//! Implicit-mask ("ordered sparsity") kernels: local, 1-D dilated, 2-D
+//! Implicit-mask ("ordered sparsity") row rules: local, 1-D dilated, 2-D
 //! dilated, and global (Section IV-B).
 //!
 //! No mask is materialized anywhere: neighbor indices are "calculated
@@ -8,42 +8,13 @@
 //!
 //! Every row rule takes the **absolute** query index within a logical
 //! `kv_rows × kv_rows` square, so the kernels run on any
-//! [`Geometry`] window of a longer sequence — a prefill chunk, a single
-//! KV-cached decode row, or the classic full square. The `*_into`
-//! functions below are thin [`Geometry::square`] wrappers over the
-//! `*_windowed_into` general forms.
+//! [`crate::Geometry`] window of a longer sequence — a prefill chunk, a
+//! single KV-cached decode row, or the classic full square.
 
-use crate::driver::{stream_rows, NeighborSink};
-use crate::error::AttnError;
-use crate::geometry::Geometry;
-use crate::options::KernelOptions;
-use crate::state::AttentionState;
+use crate::driver::NeighborSink;
 use gpa_masks::{Dilated1d, GlobalSet, LocalWindow};
-use gpa_parallel::ThreadPool;
-use gpa_tensor::{Matrix, Real};
 
-/// Validate a windowed launch: `Q` carries the window's rows, `K`/`V` the
-/// key/value set, and the window must lie inside the logical square.
-/// (`K.rows == V.rows`, `dk`, and the state shape are checked by the
-/// driver.)
-fn check_window<T: Real>(
-    geometry: Geometry,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-) -> Result<(), AttnError> {
-    if q.rows() != geometry.q_rows || k.rows() != geometry.kv_rows {
-        return Err(AttnError::ContextLengthMismatch {
-            q: q.rows(),
-            k: k.rows(),
-            v: v.rows(),
-        });
-    }
-    geometry.check_window()
-}
-
-/// Stream row `i`'s local-window neighbors — the single enumeration rule
-/// shared by the standalone kernel and the batched plan executor.
+/// Stream row `i`'s local-window neighbors (`|i−j| ≤ n`).
 #[inline]
 pub(crate) fn local_row(l: usize, n: usize, i: usize, sink: &mut impl NeighborSink) {
     let (lo, hi) = LocalWindow::row_range(l, n, i);
@@ -121,375 +92,50 @@ pub(crate) fn global_row(
     }
 }
 
-/// Local attention (`|i−j| ≤ n`) over any query window: row `i` of the
-/// state/output is absolute row `geometry.q_offset + i` of the logical
-/// `kv_rows × kv_rows` problem.
-#[allow(clippy::too_many_arguments)] // geometry + the paper's parameterization
-pub fn local_attention_windowed_into<T: Real>(
-    pool: &ThreadPool,
-    n: usize,
-    geometry: Geometry,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-    state: &mut AttentionState<T>,
-) -> Result<(), AttnError> {
-    check_window(geometry, q, k, v)?;
-    let (l, off) = (geometry.kv_rows, geometry.q_offset);
-    stream_rows(
-        pool,
-        q,
-        k,
-        v,
-        opts,
-        state,
-        || (),
-        move |(), i, tile| local_row(l, n, off + i, tile),
-    )
-}
-
-/// Local windowed attention (`|i−j| ≤ n`) into an existing state —
-/// square-geometry wrapper over [`local_attention_windowed_into`].
-pub fn local_attention_into<T: Real>(
-    pool: &ThreadPool,
-    n: usize,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-    state: &mut AttentionState<T>,
-) -> Result<(), AttnError> {
-    local_attention_windowed_into(pool, n, Geometry::square(q.rows()), q, k, v, opts, state)
-}
-
-/// Local windowed attention with a fresh state.
-pub fn local_attention<T: Real>(
-    pool: &ThreadPool,
-    n: usize,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-) -> Result<Matrix<T>, AttnError> {
-    let mut state = AttentionState::new(q.rows(), v.cols());
-    local_attention_into(pool, n, q, k, v, opts, &mut state)?;
-    Ok(state.into_output())
-}
-
-/// 1-D dilated attention over any query window (see
-/// [`local_attention_windowed_into`] for the geometry convention).
-#[allow(clippy::too_many_arguments)] // geometry + the paper's parameterization
-pub fn dilated1d_attention_windowed_into<T: Real>(
-    pool: &ThreadPool,
-    w: usize,
-    r: usize,
-    geometry: Geometry,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-    state: &mut AttentionState<T>,
-) -> Result<(), AttnError> {
-    if w == 0 {
-        return Err(AttnError::BadParameter {
-            what: "dilated window width w must be positive",
-        });
-    }
-    check_window(geometry, q, k, v)?;
-    let (l, off) = (geometry.kv_rows, geometry.q_offset);
-    stream_rows(
-        pool,
-        q,
-        k,
-        v,
-        opts,
-        state,
-        || (),
-        move |(), i, tile| dilated1d_row(l, w, r, off + i, tile),
-    )
-}
-
-/// 1-D dilated attention (`|i−j| < w ∧ |i−j| mod (r+1) = 0`) into state —
-/// square-geometry wrapper over [`dilated1d_attention_windowed_into`].
-#[allow(clippy::too_many_arguments)] // the paper's kernel parameterization
-pub fn dilated1d_attention_into<T: Real>(
-    pool: &ThreadPool,
-    w: usize,
-    r: usize,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-    state: &mut AttentionState<T>,
-) -> Result<(), AttnError> {
-    dilated1d_attention_windowed_into(pool, w, r, Geometry::square(q.rows()), q, k, v, opts, state)
-}
-
-/// 1-D dilated attention with a fresh state.
-pub fn dilated1d_attention<T: Real>(
-    pool: &ThreadPool,
-    w: usize,
-    r: usize,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-) -> Result<Matrix<T>, AttnError> {
-    let mut state = AttentionState::new(q.rows(), v.cols());
-    dilated1d_attention_into(pool, w, r, q, k, v, opts, &mut state)?;
-    Ok(state.into_output())
-}
-
-/// 2-D dilated (block) attention over any query window (see
-/// [`local_attention_windowed_into`] for the geometry convention).
-#[allow(clippy::too_many_arguments)] // geometry + the paper's parameterization
-pub fn dilated2d_attention_windowed_into<T: Real>(
-    pool: &ThreadPool,
-    block_size: usize,
-    r: usize,
-    geometry: Geometry,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-    state: &mut AttentionState<T>,
-) -> Result<(), AttnError> {
-    if block_size == 0 {
-        return Err(AttnError::BadParameter {
-            what: "block_size must be positive",
-        });
-    }
-    check_window(geometry, q, k, v)?;
-    let (l, off) = (geometry.kv_rows, geometry.q_offset);
-    stream_rows(
-        pool,
-        q,
-        k,
-        v,
-        opts,
-        state,
-        || (),
-        move |(), i, tile| dilated2d_row(l, block_size, r, off + i, tile),
-    )
-}
-
-/// 2-D dilated (block) attention into state: diagonal blocks of
-/// `block_size`, in-block offsets dilated by `r` on both axes —
-/// square-geometry wrapper over [`dilated2d_attention_windowed_into`].
-#[allow(clippy::too_many_arguments)] // the paper's kernel parameterization
-pub fn dilated2d_attention_into<T: Real>(
-    pool: &ThreadPool,
-    block_size: usize,
-    r: usize,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-    state: &mut AttentionState<T>,
-) -> Result<(), AttnError> {
-    dilated2d_attention_windowed_into(
-        pool,
-        block_size,
-        r,
-        Geometry::square(q.rows()),
-        q,
-        k,
-        v,
-        opts,
-        state,
-    )
-}
-
-/// 2-D dilated attention with a fresh state.
-pub fn dilated2d_attention<T: Real>(
-    pool: &ThreadPool,
-    block_size: usize,
-    r: usize,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-) -> Result<Matrix<T>, AttnError> {
-    let mut state = AttentionState::new(q.rows(), v.cols());
-    dilated2d_attention_into(pool, block_size, r, q, k, v, opts, &mut state)?;
-    Ok(state.into_output())
-}
-
-/// Global (non-local) attention into state — the paper's composition
-/// primitive: the full global mask for token set `globals` *minus* the
-/// local window `|i−j| ≤ n_sub`, so that chaining
-/// `local(n_sub)` → `global(globals, n_sub)` covers the Longformer union
-/// exactly once.
-#[allow(clippy::too_many_arguments)] // the paper's kernel parameterization
-pub fn global_attention_into<T: Real>(
-    pool: &ThreadPool,
-    globals: &GlobalSet,
-    n_sub: usize,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-    state: &mut AttentionState<T>,
-) -> Result<(), AttnError> {
-    global_attention_windowed_into(
-        pool,
-        globals,
-        n_sub,
-        Geometry::square(q.rows()),
-        q,
-        k,
-        v,
-        opts,
-        state,
-    )
-}
-
-/// Global (non-local) attention over any query window (see
-/// [`local_attention_windowed_into`] for the geometry convention). The
-/// global set's context length pins `kv_rows`.
-#[allow(clippy::too_many_arguments)] // geometry + the paper's parameterization
-pub fn global_attention_windowed_into<T: Real>(
-    pool: &ThreadPool,
-    globals: &GlobalSet,
-    n_sub: usize,
-    geometry: Geometry,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-    state: &mut AttentionState<T>,
-) -> Result<(), AttnError> {
-    check_window(geometry, q, k, v)?;
-    let (l, off) = (geometry.kv_rows, geometry.q_offset);
-    if globals.context_len() != l {
-        return Err(AttnError::MaskShapeMismatch {
-            mask: (globals.context_len(), globals.context_len()),
-            l,
-        });
-    }
-    stream_rows(
-        pool,
-        q,
-        k,
-        v,
-        opts,
-        state,
-        || (),
-        move |(), i, tile| global_row(l, globals, n_sub, off + i, tile),
-    )
-}
-
-/// Global (non-local) attention with a fresh state.
-pub fn global_attention<T: Real>(
-    pool: &ThreadPool,
-    globals: &GlobalSet,
-    n_sub: usize,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-) -> Result<Matrix<T>, AttnError> {
-    let mut state = AttentionState::new(q.rows(), v.cols());
-    global_attention_into(pool, globals, n_sub, q, k, v, opts, &mut state)?;
-    Ok(state.into_output())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::kernels::explicit::csr_attention;
-    use gpa_masks::{Dilated2d, GlobalMinusLocal, MaskPattern};
-    use gpa_parallel::{ThreadPool, WorkCounter};
+    use crate::kernels::testing::{assert_kernel_computes_mask, counting_engine};
+    use crate::{AttentionEngine, AttentionKernel, AttentionPlan, AttentionRequest, AttnError};
+    use gpa_masks::{Dilated1d, Dilated2d, GlobalMinusLocal, GlobalSet, LocalWindow, MaskPattern};
     use gpa_tensor::init::qkv;
-    use gpa_tensor::paper_allclose;
-
-    fn pool() -> ThreadPool {
-        ThreadPool::new(4)
-    }
 
     #[test]
     fn local_matches_csr_of_same_mask() {
-        let l = 64;
-        let (q, k, v) = qkv::<f64>(l, 16, 21);
-        let p = pool();
         for n in [0usize, 1, 5, 63, 200] {
-            let implicit = local_attention(&p, n, &q, &k, &v, &KernelOptions::new()).unwrap();
-            let explicit = csr_attention(
-                &p,
-                &LocalWindow::new(l, n).to_csr(),
-                &q,
-                &k,
-                &v,
-                &KernelOptions::new(),
-            )
-            .unwrap();
-            assert!(paper_allclose(&implicit, &explicit), "n={n}");
+            let mask = LocalWindow::new(64, n).to_csr();
+            assert_kernel_computes_mask(AttentionKernel::Local { n }, &mask, 16, &format!("n={n}"));
         }
     }
 
     #[test]
     fn dilated1d_matches_csr_of_same_mask() {
-        let l = 48;
-        let (q, k, v) = qkv::<f64>(l, 8, 22);
-        let p = pool();
         for (w, r) in [(1usize, 0usize), (5, 1), (9, 2), (64, 3)] {
-            let implicit =
-                dilated1d_attention(&p, w, r, &q, &k, &v, &KernelOptions::new()).unwrap();
-            let explicit = csr_attention(
-                &p,
-                &Dilated1d::new(l, w, r).to_csr(),
-                &q,
-                &k,
-                &v,
-                &KernelOptions::new(),
-            )
-            .unwrap();
-            assert!(paper_allclose(&implicit, &explicit), "w={w} r={r}");
+            let mask = Dilated1d::new(48, w, r).to_csr();
+            let kernel = AttentionKernel::Dilated1d { w, r };
+            assert_kernel_computes_mask(kernel, &mask, 8, &format!("w={w} r={r}"));
         }
     }
 
     #[test]
     fn dilated2d_matches_csr_of_same_mask() {
-        let l = 40;
-        let (q, k, v) = qkv::<f64>(l, 8, 23);
-        let p = pool();
-        for (bs, r) in [(4usize, 0usize), (8, 1), (7, 2), (40, 1)] {
-            let implicit =
-                dilated2d_attention(&p, bs, r, &q, &k, &v, &KernelOptions::new()).unwrap();
-            let explicit = csr_attention(
-                &p,
-                &Dilated2d::new(l, bs, r).to_csr(),
-                &q,
-                &k,
-                &v,
-                &KernelOptions::new(),
-            )
-            .unwrap();
-            assert!(paper_allclose(&implicit, &explicit), "bs={bs} r={r}");
+        for (block_size, r) in [(4usize, 0usize), (8, 1), (7, 2), (40, 1)] {
+            let mask = Dilated2d::new(40, block_size, r).to_csr();
+            let kernel = AttentionKernel::Dilated2d { block_size, r };
+            assert_kernel_computes_mask(kernel, &mask, 8, &format!("bs={block_size} r={r}"));
         }
     }
 
     #[test]
     fn global_matches_csr_of_global_minus_local() {
-        let l = 36;
-        let (q, k, v) = qkv::<f64>(l, 8, 24);
-        let p = pool();
         for g in [0usize, 1, 3] {
-            for n in [0usize, 2] {
-                let globals = GlobalSet::evenly_spaced(l, g);
-                let implicit =
-                    global_attention(&p, &globals, n, &q, &k, &v, &KernelOptions::new()).unwrap();
-                let explicit = csr_attention(
-                    &p,
-                    &GlobalMinusLocal::new(globals.clone(), n).to_csr(),
-                    &q,
-                    &k,
-                    &v,
-                    &KernelOptions::new(),
-                )
-                .unwrap();
-                assert!(paper_allclose(&implicit, &explicit), "g={g} n={n}");
+            for n_sub in [0usize, 2] {
+                let globals = GlobalSet::evenly_spaced(36, g);
+                let mask = GlobalMinusLocal::new(globals.clone(), n_sub).to_csr();
+                let kernel = AttentionKernel::Global {
+                    globals: &globals,
+                    n_sub,
+                };
+                assert_kernel_computes_mask(kernel, &mask, 8, &format!("g={g} n={n_sub}"));
             }
         }
     }
@@ -498,45 +144,63 @@ mod tests {
     fn implicit_kernels_are_work_optimal() {
         let l = 30;
         let (q, k, v) = qkv::<f64>(l, 8, 25);
-        let p = pool();
-        let counter = WorkCounter::new();
-        let opts = KernelOptions::new().with_counter(&counter);
-
-        let _ = local_attention(&p, 3, &q, &k, &v, &opts).unwrap();
-        assert_eq!(counter.dot_products(), LocalWindow::new(l, 3).nnz() as u64);
-
-        counter.reset();
-        let _ = dilated1d_attention(&p, 7, 1, &q, &k, &v, &opts).unwrap();
-        assert_eq!(counter.dot_products(), Dilated1d::new(l, 7, 1).nnz() as u64);
-
-        counter.reset();
-        let _ = dilated2d_attention(&p, 6, 1, &q, &k, &v, &opts).unwrap();
-        assert_eq!(counter.dot_products(), Dilated2d::new(l, 6, 1).nnz() as u64);
-
-        counter.reset();
+        let engine = counting_engine();
         let globals = GlobalSet::evenly_spaced(l, 2);
-        let _ = global_attention(&p, &globals, 1, &q, &k, &v, &opts).unwrap();
-        assert_eq!(
-            counter.dot_products(),
-            GlobalMinusLocal::new(globals, 1).to_csr().nnz() as u64
-        );
+        let global = AttentionKernel::Global {
+            globals: &globals,
+            n_sub: 1,
+        };
+        for (kernel, nnz) in [
+            (
+                AttentionKernel::Local { n: 3 },
+                LocalWindow::new(l, 3).nnz(),
+            ),
+            (
+                AttentionKernel::Dilated1d { w: 7, r: 1 },
+                Dilated1d::new(l, 7, 1).nnz(),
+            ),
+            (
+                AttentionKernel::Dilated2d {
+                    block_size: 6,
+                    r: 1,
+                },
+                Dilated2d::new(l, 6, 1).nnz(),
+            ),
+            (
+                global,
+                GlobalMinusLocal::new(globals.clone(), 1).to_csr().nnz(),
+            ),
+        ] {
+            engine.reset_work();
+            let _ = engine.run_kernel(kernel, &q, &k, &v).unwrap();
+            let report = engine.work_report().unwrap();
+            assert_eq!(report.dot_products, nnz as u64, "{}", kernel.name());
+        }
     }
 
     #[test]
     fn bad_parameters_rejected() {
         let (q, k, v) = qkv::<f64>(8, 4, 0);
-        let p = pool();
+        let engine = AttentionEngine::with_threads(4);
         assert!(matches!(
-            dilated1d_attention(&p, 0, 1, &q, &k, &v, &KernelOptions::new()),
+            engine.run_kernel(AttentionKernel::Dilated1d { w: 0, r: 1 }, &q, &k, &v),
             Err(AttnError::BadParameter { .. })
         ));
+        let zero_block = AttentionKernel::Dilated2d {
+            block_size: 0,
+            r: 1,
+        };
         assert!(matches!(
-            dilated2d_attention(&p, 0, 1, &q, &k, &v, &KernelOptions::new()),
+            engine.run_kernel(zero_block, &q, &k, &v),
             Err(AttnError::BadParameter { .. })
         ));
         let wrong_globals = GlobalSet::prefix(9, 1);
+        let global = AttentionKernel::Global {
+            globals: &wrong_globals,
+            n_sub: 0,
+        };
         assert!(matches!(
-            global_attention(&p, &wrong_globals, 0, &q, &k, &v, &KernelOptions::new()),
+            engine.run_kernel(global, &q, &k, &v),
             Err(AttnError::MaskShapeMismatch { .. })
         ));
     }
@@ -545,24 +209,16 @@ mod tests {
     fn windowed_rows_are_bitwise_rows_of_the_square_run() {
         let l = 48;
         let (q, k, v) = qkv::<f64>(l, 8, 26);
-        let p = pool();
-        let opts = KernelOptions::new();
-        let square = local_attention(&p, 5, &q, &k, &v, &opts).unwrap();
-        for (off, rows) in [(0usize, 48usize), (0, 7), (13, 9), (47, 1)] {
-            let q_win = q.rows_slice(off, off + rows);
-            let mut state = AttentionState::new(rows, v.cols());
-            local_attention_windowed_into(
-                &p,
-                5,
-                Geometry::window(off, rows, l),
-                &q_win,
-                &k,
-                &v,
-                &opts,
-                &mut state,
-            )
-            .unwrap();
-            let out = state.into_output();
+        let engine = AttentionEngine::with_threads(4);
+        let plan = AttentionPlan::single(AttentionKernel::Local { n: 5 }).unwrap();
+        let square = engine.run(&plan, &q, &k, &v).unwrap();
+        let windows = [(0usize, 48usize), (0, 7), (13, 9), (47, 1)];
+        let requests: Vec<_> = windows
+            .iter()
+            .map(|&(off, rows)| AttentionRequest::row_range(&q, off..off + rows, &k, &v, off))
+            .collect();
+        let outs = engine.run_batch(&plan, &requests).unwrap();
+        for (&(off, rows), out) in windows.iter().zip(&outs) {
             for i in 0..rows {
                 assert_eq!(out.row(i), square.row(off + i), "off={off} row={i}");
             }
@@ -573,19 +229,12 @@ mod tests {
     fn window_overhang_rejected() {
         let l = 16;
         let (q, k, v) = qkv::<f64>(l, 4, 27);
-        let q_win = q.rows_slice(10, 16);
-        let mut state = AttentionState::new(6, v.cols());
-        let err = local_attention_windowed_into(
-            &pool(),
-            2,
-            Geometry::window(11, 6, l), // 11 + 6 > 16
-            &q_win,
-            &k,
-            &v,
-            &KernelOptions::new(),
-            &mut state,
-        )
-        .unwrap_err();
+        let plan = AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap();
+        // Six query rows placed at 11: 11 + 6 > 16.
+        let overhang = AttentionRequest::row_range(&q, 10..16, &k, &v, 11);
+        let err = AttentionEngine::with_threads(4)
+            .run_batch(&plan, &[overhang])
+            .unwrap_err();
         assert!(matches!(err, AttnError::WindowMismatch { .. }));
     }
 
@@ -594,9 +243,10 @@ mod tests {
         let l = 64;
         let (q, k, v) = qkv::<f64>(l, 16, 30);
         let (q32, k32, v32) = (q.cast::<f32>(), k.cast::<f32>(), v.cast::<f32>());
-        let p = pool();
-        let hi = local_attention(&p, 4, &q, &k, &v, &KernelOptions::new()).unwrap();
-        let lo = local_attention(&p, 4, &q32, &k32, &v32, &KernelOptions::new()).unwrap();
+        let engine = AttentionEngine::with_threads(4);
+        let local = AttentionKernel::Local { n: 4 };
+        let hi = engine.run_kernel(local, &q, &k, &v).unwrap();
+        let lo = engine.run_kernel(local, &q32, &k32, &v32).unwrap();
         assert!(hi.max_abs_diff(&lo.cast::<f64>()) < 1e-5);
     }
 }

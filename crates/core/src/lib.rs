@@ -12,41 +12,49 @@
 //!
 //! ## Kernels (Section IV-B)
 //!
-//! - Explicit masks: [`kernels::coo_attention`] (with the paper's
-//!   linear row-bound search or a binary-search ablation),
-//!   [`kernels::csr_attention`];
-//! - Implicit "ordered sparsity": [`kernels::local_attention`],
-//!   [`kernels::dilated1d_attention`], [`kernels::dilated2d_attention`],
-//!   [`kernels::global_attention`];
-//! - Arbitrary patterns without materialization:
-//!   [`driver::pattern_attention`].
+//! A graph kernel is an [`AttentionKernel`] variant — a row rule, the
+//! `Get_Neighbors(G, i, Pa)` of Algorithm 1 — and there is one row loop
+//! that runs them all:
+//!
+//! - Explicit masks: [`AttentionKernel::Coo`] (with the paper's linear
+//!   row-bound search or a binary-search ablation, [`CooSearch`]),
+//!   [`AttentionKernel::Csr`], [`AttentionKernel::Dia`];
+//! - Implicit "ordered sparsity": [`AttentionKernel::Local`],
+//!   [`AttentionKernel::Dilated1d`], [`AttentionKernel::Dilated2d`],
+//!   [`AttentionKernel::Global`];
+//! - Content-adaptive: [`AttentionKernel::Routed`];
+//! - An arbitrary [`gpa_masks::MaskPattern`]: `pattern.to_csr()` and
+//!   [`AttentionKernel::Csr`].
 //!
 //! ## Baselines (Section III)
 //!
 //! [`baselines::masked_sdp`] (PyTorch-style dense SDP with −∞ masking) and
-//! [`baselines::flash_attention`] (dense online-softmax tiling).
+//! [`baselines::flash_attention`] (dense online-softmax tiling) — what the
+//! graph kernels are compared against, callable directly with a pool or as
+//! the single-step plans [`AttentionKernel::SdpMasked`] /
+//! [`AttentionKernel::Flash`].
 //!
 //! ## The engine: compiled plans, batched execution, serving geometry
 //!
-//! [`AttentionEngine`] is the recommended entry point: it owns the worker
-//! pool and launch policy, **compiles** kernel compositions into reusable
-//! [`AttentionPlan`]s (geometry constraints validated once), and
+//! [`AttentionEngine`] is how a graph kernel is launched: it owns the
+//! worker pool and launch policy, **compiles** kernel compositions into
+//! reusable [`AttentionPlan`]s (geometry constraints validated once), and
 //! **executes batches** of ragged-length sequences in a single flattened
 //! launch ([`AttentionEngine::run_batch`]). Every request carries a
 //! [`Geometry`] query window, so one launch mixes full squares,
 //! chunked-prefill windows ([`AttentionEngine::prefill_chunked`]), and
 //! KV-cached decode rows ([`AttentionEngine::decode_step`] over a
-//! [`KvCache`]). The per-kernel free functions below remain as the
-//! low-level API over an explicit pool.
+//! [`KvCache`]).
 //!
 //! ## Composition and extensions
 //!
-//! Graph kernels update a resumable [`AttentionState`], so sequential calls
-//! over disjoint masks compute exact attention over the union
-//! ([`dispatch::run_composed`], or a multi-step [`AttentionPlan`]) — the
-//! paper's Fig. 6 evaluation mode. [`multihead`] provides the multi-head
-//! extension the paper lists as future work; [`verify`] reproduces the
-//! Section V-A verification protocol.
+//! The steps of a multi-step [`AttentionPlan`] chain per row on one
+//! [`AttentionState`], so steps over disjoint masks compute exact attention
+//! over the union — the paper's Fig. 6 evaluation mode;
+//! [`AttentionEngine::run_batch_states`] returns the states, which
+//! `gpa-distributed` merges across shards. [`multihead`] provides the
+//! multi-head extension the paper lists as future work; [`verify`]
+//! reproduces the Section V-A verification protocol.
 
 pub mod baselines;
 pub mod batch;
@@ -68,19 +76,12 @@ pub mod verify;
 pub use baselines::{flash_attention, flash_attention_tiled, masked_sdp};
 pub use batch::{AttentionRequest, DecodeStep};
 pub use cache::{KvCache, KvPrecision};
-pub use dispatch::{run_composed, AttentionKernel};
-pub use driver::{absorb_edge, graph_attention_into, pattern_attention, pattern_attention_into};
+pub use dispatch::AttentionKernel;
+pub use driver::absorb_edge;
 pub use engine::{AttentionEngine, AttentionEngineBuilder};
 pub use error::AttnError;
 pub use geometry::Geometry;
-pub use kernels::{
-    coo_attention, coo_attention_into, csr_attention, csr_attention_into, dia_attention,
-    dia_attention_into, dia_attention_windowed_into, dilated1d_attention, dilated1d_attention_into,
-    dilated1d_attention_windowed_into, dilated2d_attention, dilated2d_attention_into,
-    dilated2d_attention_windowed_into, global_attention, global_attention_into,
-    global_attention_windowed_into, local_attention, local_attention_into,
-    local_attention_windowed_into, CooSearch,
-};
+pub use kernels::CooSearch;
 pub use multihead::{
     concat_heads, multi_head_attention, split_heads, LayerDecodeStep, MultiHeadAttention,
     ProjectedHeads,
@@ -99,7 +100,6 @@ pub use verify::{
 mod proptests {
     use super::*;
     use gpa_masks::{MaskPattern, RandomUniform};
-    use gpa_parallel::ThreadPool;
     use gpa_tensor::init::qkv;
     use gpa_tensor::paper_allclose;
     use proptest::prelude::*;
@@ -116,11 +116,11 @@ mod proptests {
             p in 0.0f64..1.0,
             seed in 0u64..1000,
         ) {
-            let pool = ThreadPool::new(2);
+            let engine = AttentionEngine::with_threads(2);
             let (q, k, v) = qkv::<f64>(l, dk, seed);
             let pat = RandomUniform::new(l, p, seed ^ 0xDEAD);
-            let reference = masked_sdp(&pool, &pat.to_dense(), &q, &k, &v, &KernelOptions::new()).unwrap();
-            let out = csr_attention(&pool, &pat.to_csr(), &q, &k, &v, &KernelOptions::new()).unwrap();
+            let reference = masked_sdp(engine.pool(), &pat.to_dense(), &q, &k, &v, &KernelOptions::new()).unwrap();
+            let out = engine.run_kernel(AttentionKernel::Csr(&pat.to_csr()), &q, &k, &v).unwrap();
             prop_assert!(paper_allclose(&out, &reference));
         }
 
@@ -132,7 +132,7 @@ mod proptests {
             p in 0.05f64..0.6,
             seed in 0u64..500,
         ) {
-            let pool = ThreadPool::new(2);
+            let engine = AttentionEngine::with_threads(2);
             let (q, k, v) = qkv::<f64>(l, 8, seed);
             let full = RandomUniform::new(l, p, seed).to_csr();
             // Split by column parity — disjoint by construction.
@@ -146,12 +146,9 @@ mod proptests {
             let b = gpa_sparse::CsrMask::from_coo(
                 &gpa_sparse::CooMask::from_entries(l, l, odd_entries).unwrap());
 
-            let composed = run_composed(
-                &pool,
-                &[AttentionKernel::Csr(&a), AttentionKernel::Csr(&b)],
-                &q, &k, &v, &KernelOptions::new(),
-            ).unwrap();
-            let single = csr_attention(&pool, &full, &q, &k, &v, &KernelOptions::new()).unwrap();
+            let plan = engine.compile(&[AttentionKernel::Csr(&a), AttentionKernel::Csr(&b)]).unwrap();
+            let composed = engine.run(&plan, &q, &k, &v).unwrap();
+            let single = engine.run_kernel(AttentionKernel::Csr(&full), &q, &k, &v).unwrap();
             prop_assert!(paper_allclose(&composed, &single));
         }
 
@@ -182,8 +179,7 @@ mod proptests {
         /// `N`), and routed attention is **bitwise** the dense attention of
         /// each group run in isolation — each group's rows gathered into a
         /// submatrix and pushed through the CSR kernel under an all-ones
-        /// mask, the same `absorb_edge` recurrence in the same ascending
-        /// member order.
+        /// mask, the same row tile over the same ascending member order.
         #[test]
         fn routed_attention_is_bitwise_per_group_dense(
             l in 2usize..48,
@@ -191,7 +187,7 @@ mod proptests {
             groups in 1usize..6,
             seed in 0u64..10_000,
         ) {
-            let pool = ThreadPool::new(2);
+            let engine = AttentionEngine::with_threads(2);
             let (q, k, v) = qkv::<f64>(l, dk, seed);
             let spec = RoutedSpec { groups, seed: seed ^ 0xBEEF };
             let routing = Router::new(spec).route(&q);
@@ -207,9 +203,8 @@ mod proptests {
             }
             prop_assert!(seen.iter().all(|&s| s), "no token may go unrouted");
 
-            let out = AttentionKernel::Routed { groups, seed: spec.seed, causal: false }
-                .run(&pool, &q, &k, &v, &KernelOptions::new())
-                .unwrap();
+            let routed = AttentionKernel::Routed { groups, seed: spec.seed, causal: false };
+            let out = engine.run_kernel(routed, &q, &k, &v).unwrap();
             for g in 0..groups {
                 let idx: Vec<usize> = routing.members(g).iter().map(|&t| t as usize).collect();
                 if idx.is_empty() { continue; }
@@ -225,7 +220,7 @@ mod proptests {
                     .unwrap(),
                 );
                 let dense_group =
-                    csr_attention(&pool, &all_ones, &qg, &kg, &vg, &KernelOptions::new()).unwrap();
+                    engine.run_kernel(AttentionKernel::Csr(&all_ones), &qg, &kg, &vg).unwrap();
                 for (r, &t) in idx.iter().enumerate() {
                     prop_assert!(
                         out.row(t) == dense_group.row(r),
@@ -243,11 +238,11 @@ mod proptests {
             p in 0.1f64..0.9,
             seed in 0u64..500,
         ) {
-            let pool = ThreadPool::new(2);
+            let engine = AttentionEngine::with_threads(2);
             let (q, k, v) = qkv::<f64>(l, 8, seed);
             let pat = RandomUniform::new(l, p, seed ^ 7);
             let csr = pat.to_csr();
-            let out = csr_attention(&pool, &csr, &q, &k, &v, &KernelOptions::new()).unwrap();
+            let out = engine.run_kernel(AttentionKernel::Csr(&csr), &q, &k, &v).unwrap();
             for i in 0..l {
                 let neighbors = csr.row(i);
                 if neighbors.is_empty() { continue; }

@@ -672,11 +672,11 @@ mod tests {
         let kernel = AttentionKernel::Local { n: 2 };
         let multi =
             multi_head_attention(&p, &kernel, &qs, &ks, &vs, &KernelOptions::new()).unwrap();
+        let plan = AttentionPlan::single(kernel).unwrap();
         for h in 0..heads {
-            let single = kernel
-                .run(&p, &qs[h], &ks[h], &vs[h], &KernelOptions::new())
-                .unwrap();
-            assert!(paper_allclose(&multi[h], &single), "head {h}");
+            let head = [AttentionRequest::new(&qs[h], &ks[h], &vs[h])];
+            let single = execute_batch(&p, &plan, &KernelOptions::new(), &head).unwrap();
+            assert_eq!(multi[h], single[0], "head {h}");
         }
     }
 

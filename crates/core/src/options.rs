@@ -1,10 +1,11 @@
 //! Kernel launch options.
 //!
-//! [`KernelOptions`] parameterizes one launch of the low-level per-kernel
-//! functions. Applications normally configure the same knobs once on an
-//! [`crate::AttentionEngine`] (whose [`crate::AttentionEngine::options`]
-//! produces this struct), so options only need to be built by hand when
-//! sweeping schedules or attaching ad-hoc counters.
+//! [`KernelOptions`] parameterizes one launch. Applications configure the
+//! same knobs once on an [`crate::AttentionEngine`] (whose
+//! [`crate::AttentionEngine::options`] produces this struct); options are
+//! built by hand only to sweep schedules or attach an ad-hoc counter
+//! through [`crate::AttentionEngine::run_batch_with`], or to call a dense
+//! baseline directly.
 
 use gpa_parallel::{Schedule, WorkCounter};
 

@@ -1,10 +1,9 @@
 //! Compiled attention plans — validate once, execute many times.
 //!
-//! A plan is a kernel composition promoted to a first-class value: the
-//! Fig. 6 "Loc + Glo + CSR" chaining, which callers previously expressed by
-//! threading an [`crate::AttentionState`] through manual kernel calls,
-//! compiles into an [`AttentionPlan`] whose geometry constraints and
-//! parameters are checked **once**. The [`crate::AttentionEngine`] then
+//! A plan is a kernel composition as a first-class value: the Fig. 6
+//! "Loc + Glo + CSR" chaining — the paper's sequential kernel calls on one
+//! [`crate::AttentionState`] — compiles into an [`AttentionPlan`] whose
+//! geometry constraints and parameters are checked **once**. The [`crate::AttentionEngine`] then
 //! executes the plan against single sequences, ragged batches, prefill
 //! chunks, and KV-cached decode rows without re-deriving per-step
 //! constraints per launch — the same compiled plan serves every
@@ -236,13 +235,13 @@ impl<'a> AttentionPlan<'a> {
     /// exactly through their row rules (clamped to any pinned geometry);
     /// routed steps are analytic expectations, `l²/K` (halved when
     /// causal), since the actual grouping depends on data the policy has
-    /// not routed yet.
+    /// not routed yet; a dense baseline computes every score, `l²`.
     pub fn estimated_edges(&self, l: usize) -> u64 {
+        let dense = (l as u64) * (l as u64);
         self.steps
             .iter()
             .map(|step| match step {
                 AttentionKernel::Routed { groups, causal, .. } => {
-                    let dense = (l as u64) * (l as u64);
                     let block = dense / (*groups as u64).max(1);
                     if *causal {
                         block.div_ceil(2)
@@ -250,6 +249,7 @@ impl<'a> AttentionPlan<'a> {
                         block
                     }
                 }
+                AttentionKernel::SdpMasked(_) | AttentionKernel::Flash => dense,
                 _ => {
                     let kv = self.spec.kv_pin.unwrap_or(l).min(l);
                     let rows = self.spec.q_abs_bound.unwrap_or(kv).min(kv);
@@ -591,8 +591,15 @@ mod tests {
         })
         .unwrap();
         assert_eq!(causal.estimated_edges(l), (l as u64 * l as u64) / 8);
-        // The cost model orders sparse-local < routed < dense-ish.
+        // The cost model orders sparse-local < routed < dense: a dense
+        // baseline computes every score, whatever its mask holds.
         assert!(local.estimated_edges(l) < causal.estimated_edges(l));
+        let flash = AttentionPlan::single(AttentionKernel::Flash).unwrap();
+        assert_eq!(flash.estimated_edges(16), 256);
+        let mask = DenseMask::from_csr(&LocalWindow::new(16, 1).to_csr());
+        let sdp = AttentionPlan::single(AttentionKernel::SdpMasked(&mask)).unwrap();
+        assert_eq!(sdp.estimated_edges(16), 256);
+        assert!(routed.estimated_edges(l) < flash.estimated_edges(l));
     }
 
     #[test]

@@ -1,16 +1,18 @@
 //! Resumable attention state — Algorithm 1's `(O, l, m)` triple.
 //!
-//! Every graph kernel updates an [`AttentionState`] in place. A state is
-//! always **at rest** when a caller can see it: `O` is in the *normalized*
+//! Every graph-kernel launch computes an [`AttentionState`] per request
+//! ([`crate::AttentionEngine::run_batch_states`] returns them; the other
+//! entry points keep `O` and drop the statistics). A state is always **at
+//! rest** when a caller can see it: `O` is in the *normalized*
 //! form of Algorithm 1 — the exact attention output over the edges
 //! absorbed so far — with `l` and `m` the statistics that produced it.
 //! (Inside one row's neighbor stream the kernels carry `O` unnormalized
 //! and divide by `l` once when the stream ends; see [`crate::driver`].)
-//! So sequential kernel calls over disjoint masks compose exactly: running
-//! the local kernel and then the global kernel on the same state yields
-//! precisely Longformer attention (Fig. 6's "Loc + Glo" series).
+//! So plan steps over disjoint masks compose exactly: the local step and
+//! then the global step on the same row state yield precisely Longformer
+//! attention (Fig. 6's "Loc + Glo" series), and states of disjoint
+//! key/value shards merge (`gpa-distributed`).
 
-use crate::error::AttnError;
 use gpa_tensor::{Matrix, Real};
 
 /// Per-row online-softmax statistics plus the normalized output accumulator.
@@ -69,22 +71,6 @@ impl<T: Real> AttentionState<T> {
     pub fn output(&self) -> &Matrix<T> {
         &self.o
     }
-
-    /// Validate this state against expected dimensions.
-    pub fn check_shape(&self, l_ctx: usize, dv: usize) -> Result<(), AttnError> {
-        if self.o.shape() != (l_ctx, dv) || self.l.len() != l_ctx || self.m.len() != l_ctx {
-            return Err(AttnError::StateShapeMismatch {
-                expected: (l_ctx, dv),
-                actual: self.o.shape(),
-            });
-        }
-        Ok(())
-    }
-
-    /// True if no edges have been absorbed into any row.
-    pub fn is_fresh(&self) -> bool {
-        self.l.iter().all(|&l| l == T::ZERO)
-    }
 }
 
 #[cfg(test)]
@@ -96,21 +82,9 @@ mod tests {
         let s: AttentionState<f64> = AttentionState::new(4, 3);
         assert_eq!(s.context_len(), 4);
         assert_eq!(s.dv(), 3);
-        assert!(s.is_fresh());
         assert!(s.m.iter().all(|&m| m == f64::NEG_INFINITY));
         assert!(s.l.iter().all(|&l| l == 0.0));
         assert!(s.output().as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn shape_check() {
-        let s: AttentionState<f32> = AttentionState::new(4, 3);
-        assert!(s.check_shape(4, 3).is_ok());
-        assert!(matches!(
-            s.check_shape(5, 3),
-            Err(AttnError::StateShapeMismatch { .. })
-        ));
-        assert!(s.check_shape(4, 2).is_err());
     }
 
     #[test]

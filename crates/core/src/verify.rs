@@ -7,20 +7,20 @@
 //! tolerance of 1e−5, and NaN values set to equal."
 //!
 //! [`run_paper_verification`] executes exactly that protocol: every graph
-//! kernel against the masked-SDP reference, across representative masks of
+//! kernel, launched through an [`AttentionEngine`], against the masked-SDP
+//! reference, across representative masks of
 //! varied sparsity, in `f64` (the reference comparison precision; see
 //! DESIGN.md §1 on FP16 storage emulation).
 
 use crate::baselines::masked_sdp;
 use crate::dispatch::AttentionKernel;
+use crate::engine::AttentionEngine;
 use crate::kernels::CooSearch;
-use crate::options::KernelOptions;
 use gpa_masks::{
     Dilated1d, Dilated2d, GlobalMask, GlobalMinusLocal, GlobalSet, LocalWindow, MaskPattern,
     RandomUniform, Union,
 };
-use gpa_parallel::ThreadPool;
-use gpa_sparse::{DenseMask, DiaMask};
+use gpa_sparse::{CsrMask, DenseMask, DiaMask};
 use gpa_tensor::init::qkv;
 use gpa_tensor::{allclose, Matrix};
 
@@ -82,199 +82,128 @@ pub fn record_comparison(
 
 /// Run the full Section V-A protocol. Returns one record per
 /// (kernel, mask) pair; `passed` must hold for every record.
-pub fn run_paper_verification(pool: &ThreadPool) -> Vec<VerificationRecord> {
-    run_verification_at(pool, PAPER_L, PAPER_DK, 0xA77E)
+pub fn run_paper_verification(engine: &AttentionEngine) -> Vec<VerificationRecord> {
+    run_verification_at(engine, PAPER_L, PAPER_DK, 0xA77E)
 }
 
 /// The same protocol at arbitrary shape/seed (used by property tests).
+/// Kernels launch through `engine`; the reference is [`masked_sdp`] on its
+/// pool, under its options.
 pub fn run_verification_at(
-    pool: &ThreadPool,
+    engine: &AttentionEngine,
     l: usize,
     dk: usize,
     seed: u64,
 ) -> Vec<VerificationRecord> {
     let (q, k, v) = qkv::<f64>(l, dk, seed);
-    let opts = KernelOptions::new();
     let mut records = Vec::new();
+    // Each named kernel through the engine against the dense reference
+    // over `mask`, the pattern the kernels claim to compute.
+    let mut compare = |mask_name: &str, mask: &CsrMask, kernels: &[(&str, AttentionKernel<'_>)]| {
+        let dense = DenseMask::from_csr(mask);
+        let reference = masked_sdp(engine.pool(), &dense, &q, &k, &v, &engine.options())
+            .expect("reference SDP must accept verification inputs");
+        for &(name, kernel) in kernels {
+            let out = engine
+                .run_kernel(kernel, &q, &k, &v)
+                .expect("kernel must accept verification inputs");
+            let sf = mask.sparsity_factor();
+            records.push(record_comparison(name, mask_name, sf, &out, &reference));
+        }
+    };
 
     // Mask suite: the paper's pattern families at varied sparsity levels.
     let window = (l / 16).max(1);
-    let local = LocalWindow::new(l, window);
-    let dil1 = Dilated1d::new(l, 2 * window + 1, 1);
-    let dil2 = Dilated2d::new(l, (l / 8).max(2), 1);
+    let (w, block_size) = (2 * window + 1, (l / 8).max(2));
     let globals = GlobalSet::evenly_spaced(l, 3);
-    let gml = GlobalMinusLocal::new(globals.clone(), window);
-    let random = RandomUniform::new(l, 0.05, seed ^ 1);
+    let local = LocalWindow::new(l, window).to_csr();
+    let dil1 = Dilated1d::new(l, w, 1).to_csr();
+    let dil2 = Dilated2d::new(l, block_size, 1).to_csr();
+    let gml = GlobalMinusLocal::new(globals.clone(), window).to_csr();
+    let random = RandomUniform::new(l, 0.05, seed ^ 1).to_csr();
     let longformer = Union::new(
         LocalWindow::new(l, window),
         GlobalMask::new(globals.clone()),
-    );
+    )
+    .to_csr();
 
     // Explicit kernels across every mask family.
-    let masks: Vec<(&str, Box<dyn MaskPattern>)> = vec![
-        ("local", Box::new(local)),
-        ("dilated-1d", Box::new(dil1)),
-        ("dilated-2d", Box::new(dil2)),
-        ("global-minus-local", Box::new(gml)),
-        ("random", Box::new(random)),
-        ("longformer-union", Box::new(longformer)),
-    ];
-
-    for (mask_name, pattern) in &masks {
-        let dense = pattern.to_dense();
-        let reference = masked_sdp(pool, &dense, &q, &k, &v, &opts)
-            .expect("reference SDP must accept verification inputs");
-        let sf = pattern.sparsity_factor();
-
-        let csr = pattern.to_csr();
+    for (mask_name, csr) in [
+        ("local", &local),
+        ("dilated-1d", &dil1),
+        ("dilated-2d", &dil2),
+        ("global-minus-local", &gml),
+        ("random", &random),
+        ("longformer-union", &longformer),
+    ] {
         let coo = csr.to_coo();
-        let out = AttentionKernel::Csr(&csr)
-            .run(pool, &q, &k, &v, &opts)
-            .unwrap();
-        records.push(record_comparison("CSR", mask_name, sf, &out, &reference));
-
-        let out = AttentionKernel::Coo(&coo, CooSearch::Linear)
-            .run(pool, &q, &k, &v, &opts)
-            .unwrap();
-        records.push(record_comparison("COO", mask_name, sf, &out, &reference));
+        let linear = AttentionKernel::Coo(&coo, CooSearch::Linear);
+        compare(
+            mask_name,
+            csr,
+            &[("CSR", AttentionKernel::Csr(csr)), ("COO", linear)],
+        );
     }
 
     // Implicit kernels against their exact mask's reference.
-    {
-        let pat = LocalWindow::new(l, window);
-        let reference = masked_sdp(pool, &pat.to_dense(), &q, &k, &v, &opts).unwrap();
-        let out = AttentionKernel::Local { n: window }
-            .run(pool, &q, &k, &v, &opts)
-            .unwrap();
-        records.push(record_comparison(
-            "Local",
-            "local",
-            pat.sparsity_factor(),
-            &out,
-            &reference,
-        ));
-    }
-    {
-        let w = 2 * window + 1;
-        let pat = Dilated1d::new(l, w, 1);
-        let reference = masked_sdp(pool, &pat.to_dense(), &q, &k, &v, &opts).unwrap();
-        let out = AttentionKernel::Dilated1d { w, r: 1 }
-            .run(pool, &q, &k, &v, &opts)
-            .unwrap();
-        records.push(record_comparison(
-            "Dilated-1D",
-            "dilated-1d",
-            pat.sparsity_factor(),
-            &out,
-            &reference,
-        ));
-    }
-    {
-        let bs = (l / 8).max(2);
-        let pat = Dilated2d::new(l, bs, 1);
-        let reference = masked_sdp(pool, &pat.to_dense(), &q, &k, &v, &opts).unwrap();
-        let out = AttentionKernel::Dilated2d {
-            block_size: bs,
-            r: 1,
-        }
-        .run(pool, &q, &k, &v, &opts)
-        .unwrap();
-        records.push(record_comparison(
-            "Dilated-2D",
-            "dilated-2d",
-            pat.sparsity_factor(),
-            &out,
-            &reference,
-        ));
-    }
-    {
-        let pat = GlobalMinusLocal::new(globals.clone(), window);
-        let reference = masked_sdp(pool, &pat.to_dense(), &q, &k, &v, &opts).unwrap();
-        let out = AttentionKernel::Global {
-            globals: &globals,
-            n_sub: window,
-        }
-        .run(pool, &q, &k, &v, &opts)
-        .unwrap();
-        records.push(record_comparison(
-            "Global",
-            "global-minus-local",
-            pat.sparsity_factor(),
-            &out,
-            &reference,
-        ));
-    }
+    let global = AttentionKernel::Global {
+        globals: &globals,
+        n_sub: window,
+    };
+    compare(
+        "local",
+        &local,
+        &[("Local", AttentionKernel::Local { n: window })],
+    );
+    let dilated1d = AttentionKernel::Dilated1d { w, r: 1 };
+    compare("dilated-1d", &dil1, &[("Dilated-1D", dilated1d)]);
+    let dilated2d = AttentionKernel::Dilated2d { block_size, r: 1 };
+    compare("dilated-2d", &dil2, &[("Dilated-2D", dilated2d)]);
+    compare("global-minus-local", &gml, &[("Global", global)]);
+
     // The DIA kernel (Section VI-A's sparse-representation extension)
     // against an asymmetric multi-band mask no implicit kernel covers.
-    {
-        let w = window as i64;
-        let band = DiaMask::new(l, vec![-(l as i64) / 2, -w, -1, 0, 1, w, (l as i64) / 3])
-            .expect("band offsets fit the context");
-        let reference = masked_sdp(
-            pool,
-            &DenseMask::from_csr(&band.to_csr()),
-            &q,
-            &k,
-            &v,
-            &opts,
-        )
-        .unwrap();
-        let out = AttentionKernel::Dia(&band)
-            .run(pool, &q, &k, &v, &opts)
-            .unwrap();
-        records.push(record_comparison(
-            "DIA",
-            "diagonal-band",
-            band.nnz() as f64 / (l as f64 * l as f64),
-            &out,
-            &reference,
-        ));
-    }
+    let half = window as i64;
+    let offsets = vec![-(l as i64) / 2, -half, -1, 0, 1, half, (l as i64) / 3];
+    let band = DiaMask::new(l, offsets).expect("band offsets fit the context");
+    compare(
+        "diagonal-band",
+        &band.to_csr(),
+        &[("DIA", AttentionKernel::Dia(&band))],
+    );
 
     // The routed block-diagonal kernels (content-adaptive sparsity): the
     // reference materializes the router's data-dependent mask explicitly
     // and runs it through the dense masked SDP — the routed kernel never
     // sees the materialized mask, so agreement proves the implicit
     // enumeration matches the mask it claims to compute.
-    {
-        let spec = crate::routing::RoutedSpec {
-            groups: 4,
-            seed: seed ^ 0x707ED,
-        };
-        let routing = crate::routing::Router::new(spec).route(&q);
-        for causal in [false, true] {
-            let mut entries = Vec::new();
-            for i in 0..l {
-                let g = routing.group_of(i) as usize;
-                for &j in routing.members(g) {
-                    let j = j as usize;
-                    if causal && j > i {
-                        break;
-                    }
-                    entries.push((i, j));
+    let spec = crate::routing::RoutedSpec {
+        groups: 4,
+        seed: seed ^ 0x707ED,
+    };
+    let routing = crate::routing::Router::new(spec).route(&q);
+    for causal in [false, true] {
+        let mut entries = Vec::new();
+        for i in 0..l {
+            let g = routing.group_of(i) as usize;
+            for &j in routing.members(g) {
+                let j = j as usize;
+                if causal && j > i {
+                    break;
                 }
+                entries.push((i, j));
             }
-            let nnz = entries.len();
-            let csr = gpa_sparse::CsrMask::from_coo(
-                &gpa_sparse::CooMask::from_entries(l, l, entries).expect("entries are in range"),
-            );
-            let reference =
-                masked_sdp(pool, &DenseMask::from_csr(&csr), &q, &k, &v, &opts).unwrap();
-            let out = AttentionKernel::Routed {
-                groups: spec.groups,
-                seed: spec.seed,
-                causal,
-            }
-            .run(pool, &q, &k, &v, &opts)
-            .unwrap();
-            records.push(record_comparison(
-                if causal { "Routed-causal" } else { "Routed" },
-                "routed-block-diagonal",
-                nnz as f64 / (l as f64 * l as f64),
-                &out,
-                &reference,
-            ));
         }
+        let csr = CsrMask::from_coo(
+            &gpa_sparse::CooMask::from_entries(l, l, entries).expect("entries are in range"),
+        );
+        let kernel = AttentionKernel::Routed {
+            groups: spec.groups,
+            seed: spec.seed,
+            causal,
+        };
+        let name = if causal { "Routed-causal" } else { "Routed" };
+        compare("routed-block-diagonal", &csr, &[(name, kernel)]);
     }
 
     records
@@ -303,7 +232,6 @@ pub fn f16_kv_verification_at(
     seed: u64,
 ) -> Vec<VerificationRecord> {
     use crate::cache::KvPrecision;
-    use crate::engine::AttentionEngine;
 
     assert!(l >= 16, "l must fit every kernel's geometry");
     assert!(
@@ -388,8 +316,7 @@ mod tests {
 
     #[test]
     fn paper_protocol_passes_for_all_kernels() {
-        let pool = ThreadPool::new(4);
-        let records = run_paper_verification(&pool);
+        let records = run_paper_verification(&AttentionEngine::with_threads(4));
         // 6 masks × 2 explicit kernels + 4 implicit kernels + DIA
         // + routed block-diagonal (noncausal and causal).
         assert_eq!(records.len(), 19);
@@ -432,8 +359,7 @@ mod tests {
 
     #[test]
     fn verification_covers_varied_sparsity() {
-        let pool = ThreadPool::new(2);
-        let records = run_verification_at(&pool, 64, 8, 99);
+        let records = run_verification_at(&AttentionEngine::with_threads(2), 64, 8, 99);
         let sfs: Vec<f64> = records.iter().map(|r| r.sparsity_factor).collect();
         let min = sfs.iter().cloned().fold(1.0, f64::min);
         let max = sfs.iter().cloned().fold(0.0, f64::max);

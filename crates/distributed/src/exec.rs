@@ -14,8 +14,7 @@
 //!
 //! Both executors run on an [`AttentionEngine`]: each simulated device's
 //! work is compiled into an [`AttentionPlan`] (its row slice or column
-//! shard of the mask) and dispatched through the engine, instead of the
-//! hand-rolled per-device kernel loops of the pre-engine API.
+//! shard of the mask) and dispatched through the engine.
 
 use crate::partition::RowPartition;
 use gpa_core::{
@@ -263,7 +262,6 @@ pub fn kv_sharded_decode<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpa_core::{csr_attention, KernelOptions};
     use gpa_masks::{
         longformer, GlobalMask, GlobalSet, LocalWindow, MaskPattern, RandomUniform, Union,
     };
@@ -280,7 +278,9 @@ mod tests {
         let (q, k, v) = qkv::<f64>(l, 8, 61);
         let mask = longformer(l, 3, vec![0, 48]).to_csr();
         let e = engine();
-        let single = csr_attention(e.pool(), &mask, &q, &k, &v, &KernelOptions::new()).unwrap();
+        let single = e
+            .run_kernel(AttentionKernel::Csr(&mask), &q, &k, &v)
+            .unwrap();
         for devices in [1usize, 2, 3, 7, 96] {
             let part = RowPartition::uniform(l, devices);
             let distributed = row_distributed_attention(&e, &mask, &q, &k, &v, &part);
@@ -299,7 +299,9 @@ mod tests {
         .to_csr();
         let e = engine();
         let part = RowPartition::degree_balanced(&mask, 4);
-        let single = csr_attention(e.pool(), &mask, &q, &k, &v, &KernelOptions::new()).unwrap();
+        let single = e
+            .run_kernel(AttentionKernel::Csr(&mask), &q, &k, &v)
+            .unwrap();
         let distributed = row_distributed_attention(&e, &mask, &q, &k, &v, &part);
         assert!(paper_allclose(&distributed, &single));
     }
@@ -360,7 +362,9 @@ mod tests {
         let (q, k, v) = qkv::<f64>(l, 16, 63);
         let mask = RandomUniform::new(l, 0.15, 9).to_csr();
         let e = engine();
-        let single = csr_attention(e.pool(), &mask, &q, &k, &v, &KernelOptions::new()).unwrap();
+        let single = e
+            .run_kernel(AttentionKernel::Csr(&mask), &q, &k, &v)
+            .unwrap();
         for shards in [1usize, 2, 4, 5, 80] {
             let sharded = kv_sharded_attention(&e, &mask, &q, &k, &v, shards);
             assert!(paper_allclose(&sharded, &single), "shards = {shards}");
@@ -376,7 +380,9 @@ mod tests {
         let entries: Vec<(usize, usize)> = (0..l / 2).map(|i| (i, i % 3)).collect();
         let mask = CsrMask::from_coo(&CooMask::from_entries(l, l, entries).unwrap());
         let e = engine();
-        let single = csr_attention(e.pool(), &mask, &q, &k, &v, &KernelOptions::new()).unwrap();
+        let single = e
+            .run_kernel(AttentionKernel::Csr(&mask), &q, &k, &v)
+            .unwrap();
         let sharded = kv_sharded_attention(&e, &mask, &q, &k, &v, 6);
         assert!(paper_allclose(&sharded, &single));
         // Fully masked rows stay zero through the merge.

@@ -35,7 +35,7 @@ pub use partition::RowPartition;
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use gpa_core::{csr_attention, AttentionEngine, KernelOptions};
+    use gpa_core::{AttentionEngine, AttentionKernel};
     use gpa_masks::{MaskPattern, RandomUniform};
     use gpa_tensor::init::qkv;
     use gpa_tensor::paper_allclose;
@@ -55,7 +55,7 @@ mod proptests {
             let engine = AttentionEngine::with_threads(2);
             let (q, k, v) = qkv::<f64>(l, 8, seed);
             let mask = RandomUniform::new(l, p, seed ^ 3).to_csr();
-            let single = csr_attention(engine.pool(), &mask, &q, &k, &v, &KernelOptions::new()).unwrap();
+            let single = engine.run_kernel(AttentionKernel::Csr(&mask), &q, &k, &v).unwrap();
 
             let part = RowPartition::uniform(l, devices);
             let rows = row_distributed_attention(&engine, &mask, &q, &k, &v, &part);

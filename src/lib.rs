@@ -33,7 +33,7 @@
 //!
 //! ## Quickstart
 //!
-//! Build an [`core::AttentionEngine`] (the single front door to every
+//! Build an [`core::AttentionEngine`] (the one way to launch a graph
 //! kernel), compile a Longformer-style mask into a reusable plan, run the
 //! work-optimal CSR kernel — over one sequence and over a batch — and
 //! check the result against the dense masked-SDP reference:
@@ -92,9 +92,6 @@
 //! assert_eq!(token_out.shape(), (1, dk));
 //! assert_eq!(cache.len(), l + 1);
 //! ```
-//!
-//! The pre-engine free functions (`csr_attention(&pool, …)` and friends)
-//! remain available as the low-level per-kernel API.
 
 pub use gpa_core as core;
 pub use gpa_distributed as distributed;
@@ -109,10 +106,9 @@ pub use gpa_tensor as tensor;
 /// Common imports for applications built on graph-processing attention.
 pub mod prelude {
     pub use gpa_core::{
-        csr_attention, flash_attention, local_attention, masked_sdp, pattern_attention,
-        run_composed, AttentionEngine, AttentionEngineBuilder, AttentionKernel, AttentionPlan,
-        AttentionRequest, AttentionState, CooSearch, Geometry, KernelOptions, KvCache,
-        MultiHeadAttention, RoutedSpec, Router, Routing,
+        flash_attention, masked_sdp, AttentionEngine, AttentionEngineBuilder, AttentionKernel,
+        AttentionPlan, AttentionRequest, AttentionState, CooSearch, Geometry, KernelOptions,
+        KvCache, MultiHeadAttention, RoutedSpec, Router, Routing,
     };
     pub use gpa_masks::{bigbird, longformer, GlobalSet, LocalWindow, LongNetPattern, MaskPattern};
     pub use gpa_model::{DecoderModel, LayerPattern, ModelKvState};
@@ -131,14 +127,15 @@ mod tests {
     fn prelude_names_resolve() {
         use crate::prelude::*;
         let engine = AttentionEngine::with_threads(1);
-        let (q, k, v) = init::qkv::<f32>(8, 4, 0);
+        let (q, k, v) = init::qkv::<f64>(8, 4, 0);
         let mask = LocalWindow::new(8, 1).to_csr();
         let plan = engine.compile(&[AttentionKernel::Csr(&mask)]).unwrap();
         let out = engine.run(&plan, &q, &k, &v).unwrap();
         assert_eq!(out.shape(), (8, 4));
-        // The legacy free-function surface stays available.
-        let legacy =
-            csr_attention(engine.pool(), &mask, &q, &k, &v, &KernelOptions::new()).unwrap();
-        assert_eq!(out, legacy);
+        // The dense baseline the graph kernels are compared against.
+        let dense = DenseMask::from_csr(&mask);
+        let reference =
+            masked_sdp(engine.pool(), &dense, &q, &k, &v, &KernelOptions::new()).unwrap();
+        assert!(paper_allclose(&out, &reference));
     }
 }

@@ -1,16 +1,15 @@
 //! Batched execution is element-exact: `AttentionEngine::run_batch` over K
-//! random (ragged, where the plan allows) sequences must equal K
-//! independent single-sequence runs **bitwise** — same step order, same
-//! neighbor order, same online-softmax recurrence — for every composable
-//! kernel, both explicit mask formats, and multi-step compositions.
+//! random (ragged, where the plan allows) sequences must equal K launches
+//! of one sequence each **bitwise** — same step order, same neighbor
+//! order, same row tile, wherever a row falls in the flattened launch —
+//! for every composable kernel, both explicit mask formats, and multi-step
+//! compositions.
 
-use graph_attention::core::{
-    coo_attention, csr_attention, dia_attention, dilated1d_attention, dilated2d_attention,
-    global_attention, local_attention, AttnError,
-};
+use graph_attention::core::AttnError;
 use graph_attention::prelude::*;
 use graph_attention::sparse::DiaMask;
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 fn engine() -> AttentionEngine {
     AttentionEngine::with_threads(3)
@@ -36,12 +35,26 @@ fn as_requests<'a>(
         .collect()
 }
 
+/// The batch must equal one launch per sequence, bit for bit.
+fn assert_batch_is_n_launches_of_one(
+    e: &AttentionEngine,
+    kernels: &[AttentionKernel<'_>],
+    seqs: &[(Matrix<f64>, Matrix<f64>, Matrix<f64>)],
+) -> Result<Vec<Matrix<f64>>, TestCaseError> {
+    let plan = e.compile(kernels).unwrap();
+    let batched = e.run_batch(&plan, &as_requests(seqs)).unwrap();
+    for ((q, k, v), out) in seqs.iter().zip(&batched) {
+        let alone = e.run(&plan, q, k, v).unwrap();
+        prop_assert!(out == &alone, "{}", plan.describe());
+    }
+    Ok(batched)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Implicit kernels pin no context length, so one plan serves a ragged
-    /// batch; outputs must be bitwise equal to the legacy per-sequence
-    /// free-function runs.
+    /// batch; outputs must be bitwise equal to per-sequence launches.
     #[test]
     fn ragged_batches_exact_for_implicit_kernels(
         lens in proptest::collection::vec(2usize..40, 2..6),
@@ -52,36 +65,20 @@ proptest! {
         seed in 0u64..500,
     ) {
         let e = engine();
-        let opts = e.options();
         let seqs = ragged_seqs(&lens, dk, seed);
-        let reqs = as_requests(&seqs);
-
-        let cases: Vec<(AttentionKernel<'_>, &str)> = vec![
-            (AttentionKernel::Local { n }, "Local"),
-            (AttentionKernel::Dilated1d { w, r }, "Dilated-1D"),
-            (AttentionKernel::Dilated2d { block_size: w, r }, "Dilated-2D"),
-        ];
-        for (kernel, _name) in cases {
-            let plan = e.compile(std::slice::from_ref(&kernel)).unwrap();
-            let batched = e.run_batch(&plan, &reqs).unwrap();
-            for ((q, k, v), out) in seqs.iter().zip(batched.iter()) {
-                let single = match kernel {
-                    AttentionKernel::Local { n } =>
-                        local_attention(e.pool(), n, q, k, v, &opts).unwrap(),
-                    AttentionKernel::Dilated1d { w, r } =>
-                        dilated1d_attention(e.pool(), w, r, q, k, v, &opts).unwrap(),
-                    AttentionKernel::Dilated2d { block_size, r } =>
-                        dilated2d_attention(e.pool(), block_size, r, q, k, v, &opts).unwrap(),
-                    _ => unreachable!(),
-                };
-                prop_assert_eq!(out, &single);
-            }
+        for kernel in [
+            AttentionKernel::Local { n },
+            AttentionKernel::Dilated1d { w, r },
+            AttentionKernel::Dilated2d { block_size: w, r },
+        ] {
+            assert_batch_is_n_launches_of_one(&e, &[kernel], &seqs)?;
         }
     }
 
     /// Explicit masks pin the context length; a shared-mask batch must be
-    /// bitwise equal to per-sequence runs for both explicit formats (CSR
-    /// and COO with both searches), the DIA format, and the global kernel.
+    /// bitwise equal to per-sequence launches for both explicit formats
+    /// (CSR and COO with both searches), the DIA format, and the global
+    /// kernel.
     #[test]
     fn fixed_length_batches_exact_for_explicit_and_global_kernels(
         l in 4usize..40,
@@ -92,52 +89,28 @@ proptest! {
         seed in 0u64..500,
     ) {
         let e = engine();
-        let opts = e.options();
         let lens: Vec<usize> = vec![l; batch];
         let seqs = ragged_seqs(&lens, dk, seed ^ 0xBA7C);
-        let reqs = as_requests(&seqs);
 
         let pat = graph_attention::masks::RandomUniform::new(l, density, seed ^ 0xF00D);
         let csr = pat.to_csr();
         let coo = pat.to_coo();
         let dia = DiaMask::local(l, (seed % 5) as usize);
         let globals = GlobalSet::evenly_spaced(l, n_globals);
-
-        // CSR.
-        let plan = e.compile(&[AttentionKernel::Csr(&csr)]).unwrap();
-        for ((q, k, v), out) in seqs.iter().zip(e.run_batch(&plan, &reqs).unwrap()) {
-            prop_assert_eq!(out, csr_attention(e.pool(), &csr, q, k, v, &opts).unwrap());
-        }
-        // COO, both row-bound searches.
-        for search in [CooSearch::Linear, CooSearch::Binary] {
-            let plan = e.compile(&[AttentionKernel::Coo(&coo, search)]).unwrap();
-            for ((q, k, v), out) in seqs.iter().zip(e.run_batch(&plan, &reqs).unwrap()) {
-                prop_assert_eq!(
-                    out,
-                    coo_attention(e.pool(), &coo, search, q, k, v, &opts).unwrap()
-                );
-            }
-        }
-        // DIA.
-        let plan = e.compile(&[AttentionKernel::Dia(&dia)]).unwrap();
-        for ((q, k, v), out) in seqs.iter().zip(e.run_batch(&plan, &reqs).unwrap()) {
-            prop_assert_eq!(out, dia_attention(e.pool(), &dia, q, k, v, &opts).unwrap());
-        }
-        // Global (minus a small local window).
-        let n_sub = (seed % 3) as usize;
-        let plan = e
-            .compile(&[AttentionKernel::Global { globals: &globals, n_sub }])
-            .unwrap();
-        for ((q, k, v), out) in seqs.iter().zip(e.run_batch(&plan, &reqs).unwrap()) {
-            prop_assert_eq!(
-                out,
-                global_attention(e.pool(), &globals, n_sub, q, k, v, &opts).unwrap()
-            );
+        for kernel in [
+            AttentionKernel::Csr(&csr),
+            AttentionKernel::Coo(&coo, CooSearch::Linear),
+            AttentionKernel::Coo(&coo, CooSearch::Binary),
+            AttentionKernel::Dia(&dia),
+            // Global, minus a small local window.
+            AttentionKernel::Global { globals: &globals, n_sub: (seed % 3) as usize },
+        ] {
+            assert_batch_is_n_launches_of_one(&e, &[kernel], &seqs)?;
         }
     }
 
     /// Multi-step plans (the Fig. 6 composition) over a batch must equal
-    /// per-sequence manual state threading through the legacy `run_composed`.
+    /// the same plan launched per sequence.
     #[test]
     fn composed_plan_batches_exact(
         l in 6usize..36,
@@ -148,22 +121,15 @@ proptest! {
         seed in 0u64..500,
     ) {
         let e = engine();
-        let opts = e.options();
         let lens: Vec<usize> = vec![l; batch];
         let seqs = ragged_seqs(&lens, dk, seed ^ 0xC0DE);
-        let reqs = as_requests(&seqs);
         let globals = GlobalSet::evenly_spaced(l, n_globals);
 
         let kernels = [
             AttentionKernel::Local { n: window },
             AttentionKernel::Global { globals: &globals, n_sub: window },
         ];
-        let plan = e.compile(&kernels).unwrap();
-        let batched = e.run_batch(&plan, &reqs).unwrap();
-        for ((q, k, v), out) in seqs.iter().zip(batched.iter()) {
-            let composed = run_composed(e.pool(), &kernels, q, k, v, &opts).unwrap();
-            prop_assert_eq!(out, &composed);
-        }
+        let batched = assert_batch_is_n_launches_of_one(&e, &kernels, &seqs)?;
         // And the composition math itself stays right: equal (within paper
         // tolerance) to one CSR call over the Longformer union.
         let gi: Vec<usize> = globals.indices().iter().map(|&g| g as usize).collect();

@@ -4,11 +4,11 @@
 //! benchmark methodology silently relies on.
 
 use graph_attention::core::{
-    csr_attention, local_attention, AttentionEngine, AttentionKernel, AttentionPlan, KernelOptions,
+    AttentionEngine, AttentionKernel, AttentionPlan, AttentionRequest, KernelOptions,
 };
 use graph_attention::masks::{MaskPattern, RandomUniform};
 use graph_attention::model::{DecoderModel, LayerPattern};
-use graph_attention::parallel::{Schedule, ThreadPool};
+use graph_attention::parallel::Schedule;
 use graph_attention::serve::{
     generate_model_trace, generate_trace, replay, replay_mixed, AdmissionMode, EvictionMode,
     PatternChoice, RequestId, Scheduler, ServeConfig, TraceSpec,
@@ -20,7 +20,14 @@ fn outputs_bitwise_identical_across_schedules() {
     let l = 256;
     let (q, k, v) = qkv::<f32>(l, 16, 8);
     let mask = RandomUniform::new(l, 0.1, 3).to_csr();
-    let pool = ThreadPool::new(4);
+    let engine = AttentionEngine::with_threads(4);
+    let plan = engine.compile(&[AttentionKernel::Csr(&mask)]).unwrap();
+    let request = [AttentionRequest::new(&q, &k, &v)];
+    let run = |schedule| {
+        let opts = KernelOptions::new().with_schedule(schedule);
+        let mut outs = engine.run_batch_with(&plan, &opts, &request).unwrap();
+        outs.pop().unwrap()
+    };
 
     let schedules = [
         Schedule::StaticContiguous,
@@ -29,25 +36,9 @@ fn outputs_bitwise_identical_across_schedules() {
         Schedule::Dynamic { grain: 1 },
         Schedule::Dynamic { grain: 32 },
     ];
-    let reference = csr_attention(
-        &pool,
-        &mask,
-        &q,
-        &k,
-        &v,
-        &KernelOptions::new().with_schedule(schedules[0]),
-    )
-    .unwrap();
+    let reference = run(schedules[0]);
     for schedule in &schedules[1..] {
-        let out = csr_attention(
-            &pool,
-            &mask,
-            &q,
-            &k,
-            &v,
-            &KernelOptions::new().with_schedule(*schedule),
-        )
-        .unwrap();
+        let out = run(*schedule);
         assert_eq!(
             out.as_slice(),
             reference.as_slice(),
@@ -60,13 +51,15 @@ fn outputs_bitwise_identical_across_schedules() {
 fn outputs_bitwise_identical_across_thread_counts() {
     let l = 192;
     let (q, k, v) = qkv::<f32>(l, 8, 2);
-    let reference = {
-        let pool = ThreadPool::new(1);
-        local_attention(&pool, 9, &q, &k, &v, &KernelOptions::new()).unwrap()
+    let local = AttentionKernel::Local { n: 9 };
+    let on = |threads| {
+        AttentionEngine::with_threads(threads)
+            .run_kernel(local, &q, &k, &v)
+            .unwrap()
     };
+    let reference = on(1);
     for threads in [2usize, 3, 8] {
-        let pool = ThreadPool::new(threads);
-        let out = local_attention(&pool, 9, &q, &k, &v, &KernelOptions::new()).unwrap();
+        let out = on(threads);
         assert_eq!(
             out.as_slice(),
             reference.as_slice(),
@@ -79,15 +72,12 @@ fn outputs_bitwise_identical_across_thread_counts() {
 fn repeated_runs_identical() {
     let l = 128;
     let (q, k, v) = qkv::<f32>(l, 8, 4);
-    let pool = ThreadPool::new(4);
+    let engine = AttentionEngine::with_threads(4);
     let mask = RandomUniform::new(l, 0.2, 7).to_dense();
-    let a = AttentionKernel::SdpMasked(&mask)
-        .run(&pool, &q, &k, &v, &KernelOptions::new())
-        .unwrap();
+    let sdp = AttentionKernel::SdpMasked(&mask);
+    let a = engine.run_kernel(sdp, &q, &k, &v).unwrap();
     for _ in 0..3 {
-        let b = AttentionKernel::SdpMasked(&mask)
-            .run(&pool, &q, &k, &v, &KernelOptions::new())
-            .unwrap();
+        let b = engine.run_kernel(sdp, &q, &k, &v).unwrap();
         assert_eq!(a.as_slice(), b.as_slice());
     }
 }
@@ -511,15 +501,11 @@ fn multi_layer_model_trace_identical_across_pool_sizes() {
 fn flash_identical_across_threads() {
     let l = 160;
     let (q, k, v) = qkv::<f32>(l, 16, 6);
-    let reference = {
-        let pool = ThreadPool::new(1);
-        AttentionKernel::Flash
-            .run(&pool, &q, &k, &v, &KernelOptions::new())
+    let on = |threads| {
+        AttentionEngine::with_threads(threads)
+            .run_kernel(AttentionKernel::Flash, &q, &k, &v)
             .unwrap()
     };
-    let pool = ThreadPool::new(6);
-    let out = AttentionKernel::Flash
-        .run(&pool, &q, &k, &v, &KernelOptions::new())
-        .unwrap();
+    let (reference, out) = (on(1), on(6));
     assert_eq!(out.as_slice(), reference.as_slice());
 }

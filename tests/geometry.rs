@@ -3,9 +3,10 @@
 //!
 //! Three properties anchor the serving surface:
 //!
-//! 1. a windowed implicit kernel equals both the rectangular-CSR reference
-//!    mask over the same window and the corresponding rows of the square
-//!    run;
+//! 1. every graph kernel on a query window or a decode row equals both the
+//!    rectangular-CSR reference mask over the same rows and the
+//!    corresponding rows of the square run, which itself matches
+//!    `masked_sdp` over the materialized mask;
 //! 2. chunked prefill over *any* chunk split is the full square forward;
 //! 3. each decode step through a [`KvCache`] is the last row of the square
 //!    forward over the tokens cached so far — and for causal masks (whose
@@ -41,9 +42,13 @@ fn restrict_square(mask: &CsrMask, prefix: usize) -> CsrMask {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Property 1 — every implicit kernel (and DIA) on a random query
-    /// window is bitwise equal to (a) the rectangular-CSR reference mask
-    /// of the same window and (b) the matching rows of the square run.
+    /// Property 1, the kernel table — every graph kernel variant (COO
+    /// linear/binary, CSR, DIA, Local, Dilated-1D, Dilated-2D, Global,
+    /// Routed causal/non-causal) × {square, a mid-sequence `row_range`
+    /// window, the decode row}: the square run is `paper_allclose` to
+    /// `masked_sdp` over the materialized mask, and the window and the
+    /// decode row are bitwise equal to (a) the rectangular-CSR reference
+    /// mask of the same rows and (b) the matching rows of the square run.
     #[test]
     fn windowed_kernels_match_rectangular_csr_and_square_rows(
         l in 4usize..36,
@@ -59,12 +64,32 @@ proptest! {
         let (q, k, v) = init::qkv::<f64>(l, dk, seed);
         let off = ((l - 1) as f64 * off_frac) as usize;
         let rows = 1 + ((l - off - 1) as f64 * rows_frac) as usize;
-        let q_win = q.rows_slice(off, off + rows);
         let globals = GlobalSet::evenly_spaced(l, n.min(l));
         let dia = DiaMask::new(l, vec![-((n % l.max(2)) as i64), 0, (w % l) as i64 % l as i64])
             .unwrap();
+        let random = graph_attention::masks::RandomUniform::new(l, 0.2, seed ^ 0xF00D);
+        let (csr, coo) = (random.to_csr(), random.to_coo());
+        // The routed kernels' data-dependent mask, materialized from the
+        // routing the engine will compute for this `q`.
+        let spec = RoutedSpec { groups: 3, seed: seed ^ 7 };
+        let routing = Router::new(spec).route(&q);
+        let routed_csr = |causal: bool| {
+            let entries: Vec<(usize, usize)> = (0..l)
+                .flat_map(|i| {
+                    let members = routing.members(routing.group_of(i) as usize);
+                    members.iter().map(move |&j| (i, j as usize))
+                })
+                .filter(|&(i, j)| !causal || j <= i)
+                .collect();
+            CsrMask::from_coo(&CooMask::from_entries(l, l, entries).unwrap())
+        };
+        let routed = |causal| AttentionKernel::Routed { groups: 3, seed: spec.seed, causal };
 
         let square_masks: Vec<(AttentionKernel<'_>, CsrMask)> = vec![
+            (AttentionKernel::Coo(&coo, CooSearch::Linear), csr.clone()),
+            (AttentionKernel::Coo(&coo, CooSearch::Binary), csr.clone()),
+            (AttentionKernel::Csr(&csr), csr.clone()),
+            (AttentionKernel::Dia(&dia), dia.to_csr()),
             (AttentionKernel::Local { n }, LocalWindow::new(l, n).to_csr()),
             (
                 AttentionKernel::Dilated1d { w, r },
@@ -78,37 +103,46 @@ proptest! {
                 AttentionKernel::Global { globals: &globals, n_sub: n },
                 graph_attention::masks::GlobalMinusLocal::new(globals.clone(), n).to_csr(),
             ),
-            (AttentionKernel::Dia(&dia), dia.to_csr()),
+            (routed(true), routed_csr(true)),
+            (routed(false), routed_csr(false)),
         ];
 
         for (kernel, square_csr) in &square_masks {
             let plan = e.compile(std::slice::from_ref(kernel)).unwrap();
-            let windowed = e
-                .run_batch(&plan, &[AttentionRequest::windowed(&q_win, &k, &v, off)])
-                .unwrap()
-                .pop()
-                .unwrap();
-
-            // (a) The rectangular-CSR reference over the same window.
-            let rect = restrict_rows(square_csr, off + rows);
-            let rect_plan = e.compile(&[AttentionKernel::Csr(&rect)]).unwrap();
-            let via_rect = e
-                .run_batch(&rect_plan, &[AttentionRequest::windowed(&q_win, &k, &v, off)])
-                .unwrap()
-                .pop()
-                .unwrap();
-            prop_assert!(windowed == via_rect, "{} vs rect CSR", kernel.name());
-
-            // (b) The matching rows of the full square run.
+            let what = if plan.routed_full_kv() { "Routed/full" } else { kernel.name() };
             let square = e.run(&plan, &q, &k, &v).unwrap();
-            for i in 0..rows {
-                prop_assert!(
-                    windowed.row(i) == square.row(off + i),
-                    "{} row {} (off {})",
-                    kernel.name(),
-                    i,
-                    off
-                );
+            let reference = e
+                .run_kernel(AttentionKernel::SdpMasked(&DenseMask::from_csr(square_csr)), &q, &k, &v)
+                .unwrap();
+            prop_assert!(paper_allclose(&square, &reference), "{} vs masked SDP", what);
+
+            // The mid-sequence window and the decode row, in one launch.
+            let last = q.rows_slice(l - 1, l);
+            let requests = [
+                AttentionRequest::row_range(&q, off..off + rows, &k, &v, off)
+                    .with_routing(Some(&routing)),
+                AttentionRequest::decode(&last, &k, &v)
+                    .with_routing(Some(&routing)),
+            ];
+            let outs = e.run_batch(&plan, &requests).unwrap();
+
+            for (request, out) in requests.iter().zip(&outs) {
+                let first = request.geometry.q_offset;
+                // (a) The rectangular-CSR reference over the same rows.
+                let rect = restrict_rows(square_csr, first + out.rows());
+                let rect_plan = e.compile(&[AttentionKernel::Csr(&rect)]).unwrap();
+                let via_rect = e.run_batch(&rect_plan, &[*request]).unwrap();
+                prop_assert!(out == &via_rect[0], "{} vs rect CSR at {}", what, first);
+                // (b) The matching rows of the full square run.
+                for i in 0..out.rows() {
+                    prop_assert!(
+                        out.row(i) == square.row(first + i),
+                        "{} row {} (off {})",
+                        what,
+                        i,
+                        first
+                    );
+                }
             }
         }
     }

@@ -2,13 +2,11 @@
 //! crates: every kernel vs the masked-SDP reference at L = 256, dk = 32,
 //! uniform [0,1) inputs, `allclose(atol=1e-8, rtol=1e-5, equal_nan=true)`.
 
-use graph_attention::core::{run_paper_verification, run_verification_at};
-use graph_attention::parallel::ThreadPool;
+use graph_attention::core::{run_paper_verification, run_verification_at, AttentionEngine};
 
 #[test]
 fn paper_protocol_all_kernels_pass() {
-    let pool = ThreadPool::new(4);
-    let records = run_paper_verification(&pool);
+    let records = run_paper_verification(&AttentionEngine::with_threads(4));
     assert!(!records.is_empty());
     let mut kernels_seen = std::collections::BTreeSet::new();
     for r in &records {
@@ -35,9 +33,9 @@ fn paper_protocol_all_kernels_pass() {
 
 #[test]
 fn protocol_holds_at_other_shapes() {
-    let pool = ThreadPool::new(2);
+    let engine = AttentionEngine::with_threads(2);
     for (l, dk, seed) in [(64, 8, 1u64), (128, 16, 2), (96, 48, 3)] {
-        let records = run_verification_at(&pool, l, dk, seed);
+        let records = run_verification_at(&engine, l, dk, seed);
         for r in records {
             assert!(
                 r.passed,

@@ -3,26 +3,32 @@
 //! `O(Sf·L²·d)` and not an operation more — while the dense baselines
 //! always perform `L²`.
 
-use graph_attention::core::{AttentionKernel, CooSearch, KernelOptions};
+use graph_attention::core::{AttentionEngine, AttentionKernel, CooSearch};
 use graph_attention::masks::{
     Dilated1d, Dilated2d, GlobalMinusLocal, GlobalSet, LocalWindow, LongNetPattern, MaskPattern,
     RandomUniform,
 };
-use graph_attention::parallel::{ThreadPool, WorkCounter};
 use graph_attention::tensor::init::qkv;
 
-fn dot_count(pool: &ThreadPool, kernel: &AttentionKernel<'_>, l: usize) -> u64 {
+/// An engine that tallies the work of every run it launches.
+fn counting_engine() -> AttentionEngine {
+    AttentionEngine::builder()
+        .threads(4)
+        .count_work(true)
+        .build()
+}
+
+fn dot_count(engine: &AttentionEngine, kernel: &AttentionKernel<'_>, l: usize) -> u64 {
     let (q, k, v) = qkv::<f32>(l, 8, 3);
-    let counter = WorkCounter::new();
-    let opts = KernelOptions::new().with_counter(&counter);
-    kernel.run(pool, &q, &k, &v, &opts).unwrap();
-    counter.dot_products()
+    engine.reset_work();
+    engine.run_kernel(*kernel, &q, &k, &v).unwrap();
+    engine.work_report().unwrap().dot_products
 }
 
 #[test]
 fn explicit_kernels_match_nnz_on_every_mask_family() {
     let l = 80;
-    let pool = ThreadPool::new(4);
+    let engine = counting_engine();
     let patterns: Vec<(&str, Box<dyn MaskPattern>)> = vec![
         ("local", Box::new(LocalWindow::new(l, 5))),
         ("dilated1d", Box::new(Dilated1d::new(l, 11, 2))),
@@ -39,17 +45,17 @@ fn explicit_kernels_match_nnz_on_every_mask_family() {
         let csr = pattern.to_csr();
         let coo = csr.to_coo();
         assert_eq!(
-            dot_count(&pool, &AttentionKernel::Csr(&csr), l),
+            dot_count(&engine, &AttentionKernel::Csr(&csr), l),
             nnz,
             "CSR on {name}"
         );
         assert_eq!(
-            dot_count(&pool, &AttentionKernel::Coo(&coo, CooSearch::Linear), l),
+            dot_count(&engine, &AttentionKernel::Coo(&coo, CooSearch::Linear), l),
             nnz,
             "COO linear on {name}"
         );
         assert_eq!(
-            dot_count(&pool, &AttentionKernel::Coo(&coo, CooSearch::Binary), l),
+            dot_count(&engine, &AttentionKernel::Coo(&coo, CooSearch::Binary), l),
             nnz,
             "COO binary on {name}"
         );
@@ -59,19 +65,19 @@ fn explicit_kernels_match_nnz_on_every_mask_family() {
 #[test]
 fn implicit_kernels_match_their_closed_form_nnz() {
     let l = 72;
-    let pool = ThreadPool::new(4);
+    let engine = counting_engine();
 
     assert_eq!(
-        dot_count(&pool, &AttentionKernel::Local { n: 6 }, l),
+        dot_count(&engine, &AttentionKernel::Local { n: 6 }, l),
         LocalWindow::new(l, 6).nnz() as u64
     );
     assert_eq!(
-        dot_count(&pool, &AttentionKernel::Dilated1d { w: 9, r: 1 }, l),
+        dot_count(&engine, &AttentionKernel::Dilated1d { w: 9, r: 1 }, l),
         Dilated1d::new(l, 9, 1).nnz() as u64
     );
     assert_eq!(
         dot_count(
-            &pool,
+            &engine,
             &AttentionKernel::Dilated2d {
                 block_size: 12,
                 r: 2
@@ -83,7 +89,7 @@ fn implicit_kernels_match_their_closed_form_nnz() {
     let globals = GlobalSet::evenly_spaced(l, 3);
     assert_eq!(
         dot_count(
-            &pool,
+            &engine,
             &AttentionKernel::Global {
                 globals: &globals,
                 n_sub: 1
@@ -97,32 +103,27 @@ fn implicit_kernels_match_their_closed_form_nnz() {
 #[test]
 fn dense_baselines_always_do_quadratic_work() {
     let l = 48;
-    let pool = ThreadPool::new(4);
+    let engine = counting_engine();
     // Even with a nearly-empty mask, SDP computes L² dot products.
     let sparse_mask = LocalWindow::new(l, 0).to_dense();
-    let (q, k, v) = qkv::<f32>(l, 8, 4);
-    let counter = WorkCounter::new();
-    let opts = KernelOptions::new().with_counter(&counter);
-    AttentionKernel::SdpMasked(&sparse_mask)
-        .run(&pool, &q, &k, &v, &opts)
-        .unwrap();
-    assert_eq!(counter.dot_products(), (l * l) as u64);
-
-    counter.reset();
-    AttentionKernel::Flash
-        .run(&pool, &q, &k, &v, &opts)
-        .unwrap();
-    assert_eq!(counter.dot_products(), (l * l) as u64);
+    assert_eq!(
+        dot_count(&engine, &AttentionKernel::SdpMasked(&sparse_mask), l),
+        (l * l) as u64
+    );
+    assert_eq!(
+        dot_count(&engine, &AttentionKernel::Flash, l),
+        (l * l) as u64
+    );
 }
 
 #[test]
 fn work_ratio_equals_sparsity_factor() {
     // The headline relation: graph-kernel work / dense work == Sf.
     let l = 128;
-    let pool = ThreadPool::new(4);
+    let engine = counting_engine();
     let pattern = RandomUniform::new(l, 0.07, 11);
     let csr = pattern.to_csr();
-    let sparse_dots = dot_count(&pool, &AttentionKernel::Csr(&csr), l) as f64;
+    let sparse_dots = dot_count(&engine, &AttentionKernel::Csr(&csr), l) as f64;
     let dense_dots = (l * l) as f64;
     let ratio = sparse_dots / dense_dots;
     assert!(
@@ -136,15 +137,11 @@ fn work_ratio_equals_sparsity_factor() {
 fn coo_linear_search_overhead_is_the_only_extra_work() {
     // Linear search scans prefixes but performs no extra dot products.
     let l = 64;
-    let pool = ThreadPool::new(4);
+    let engine = counting_engine();
     let coo = LocalWindow::new(l, 2).to_coo();
-    let (q, k, v) = qkv::<f32>(l, 8, 5);
-    let counter = WorkCounter::new();
-    let opts = KernelOptions::new().with_counter(&counter);
-    AttentionKernel::Coo(&coo, CooSearch::Linear)
-        .run(&pool, &q, &k, &v, &opts)
-        .unwrap();
-    assert_eq!(counter.dot_products(), coo.nnz() as u64);
-    assert!(counter.neighbor_searches() > 0);
-    assert!(counter.neighbor_searches() <= (l * coo.nnz()) as u64);
+    let linear = AttentionKernel::Coo(&coo, CooSearch::Linear);
+    assert_eq!(dot_count(&engine, &linear, l), coo.nnz() as u64);
+    let searches = engine.work_report().unwrap().neighbor_searches;
+    assert!(searches > 0);
+    assert!(searches <= (l * coo.nnz()) as u64);
 }
