@@ -6,7 +6,8 @@
 //! - `--quick`      tiny smoke-test sizes (seconds);
 //! - `--threads N`  worker count (default: `GPA_THREADS` or all cores);
 //! - `--out DIR`    CSV output directory (default `results/`);
-//! - `--seed S`     workload seed.
+//! - `--seed S`     workload seed;
+//! - `--help`       print the flags and exit.
 
 use std::path::PathBuf;
 
@@ -46,9 +47,14 @@ impl Default for Args {
 }
 
 impl Args {
+    /// The flags every binary understands, as `--help` prints them.
+    pub const USAGE: &'static str =
+        "flags: --paper | --quick | --threads N | --out DIR | --seed S | --help";
+
     /// Parse from an iterator of arguments (excluding `argv[0]`).
-    /// Unknown flags produce an error message listing valid options.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Args, String> {
+    /// `Ok(None)` means `--help` was asked for; an unknown flag or a bad
+    /// value is an error message.
+    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Args>, String> {
         let mut out = Args::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
@@ -67,33 +73,27 @@ impl Args {
                     let v = it.next().ok_or("--seed requires a value")?;
                     out.seed = v.parse().map_err(|_| format!("bad seed: {v}"))?;
                 }
-                "--help" | "-h" => {
-                    return Err(
-                        "flags: --paper | --quick | --threads N | --out DIR | --seed S".into(),
-                    )
-                }
+                "--help" | "-h" => return Ok(None),
                 other => return Err(format!("unknown flag {other}; try --help")),
             }
         }
-        Ok(out)
+        Ok(Some(out))
     }
 
-    /// Parse the process's real command line, exiting with a message on
-    /// error.
+    /// Parse the process's real command line: `--help` prints the flags
+    /// and exits 0, an error prints its message to stderr and exits 2.
     pub fn from_env() -> Args {
         match Args::parse(std::env::args().skip(1)) {
-            Ok(a) => a,
+            Ok(Some(a)) => a,
+            Ok(None) => {
+                println!("{}", Args::USAGE);
+                std::process::exit(0);
+            }
             Err(msg) => {
                 eprintln!("{msg}");
                 std::process::exit(2);
             }
         }
-    }
-
-    /// Build the worker pool this run should use.
-    pub fn make_pool(&self) -> gpa_parallel::ThreadPool {
-        let threads = self.threads.unwrap_or_else(gpa_parallel::default_threads);
-        gpa_parallel::ThreadPool::new(threads)
     }
 
     /// Build the [`gpa_core::AttentionEngine`] this run should use — the
@@ -109,7 +109,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Args, String> {
-        Args::parse(args.iter().map(|s| s.to_string()))
+        Args::parse(args.iter().map(|s| s.to_string())).map(|a| a.expect("not --help"))
     }
 
     #[test]
@@ -148,6 +148,10 @@ mod tests {
         assert!(parse(&["--threads"]).is_err());
         assert!(parse(&["--threads", "x"]).is_err());
         assert!(parse(&["--wat"]).is_err());
-        assert!(parse(&["--help"]).is_err());
+        // Asking for help is not an error, wherever it appears.
+        for args in [&["--help"][..], &["--quick", "-h"]] {
+            let parsed = Args::parse(args.iter().map(|s| s.to_string()));
+            assert!(matches!(parsed, Ok(None)), "{args:?}");
+        }
     }
 }

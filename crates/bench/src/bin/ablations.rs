@@ -1,28 +1,20 @@
-//! Ablation studies A1–A3 (DESIGN.md §3): COO search strategy, block
-//! scheduling under load imbalance, and flash tile size.
+//! Ablation studies A1–A3: COO search strategy, block scheduling under
+//! load imbalance, and flash tile size.
 //!
 //! ```text
 //! cargo run -p gpa-bench --release --bin ablations [--quick]
 //! ```
 
 use gpa_bench::experiments::{run_ablations, AblationConfig};
-use gpa_bench::{ascii_table, fmt_seconds, write_csv, Args, HostInfo};
+use gpa_bench::{ascii_table, fmt_seconds, report, Args};
 
 fn main() {
     let args = Args::from_env();
     let engine = args.make_engine();
     let cfg = AblationConfig::for_scale(args.scale);
 
-    println!("Ablations A1–A3 on {}\n", HostInfo::detect().summary());
-
-    let records = run_ablations(&engine, &cfg, |r| {
-        eprintln!(
-            "  measured {:<32} [{}] -> {}",
-            r.algo,
-            r.experiment,
-            fmt_seconds(r.mean_s)
-        );
-    });
+    report::header("Ablations A1–A3");
+    let records = run_ablations(&engine, &cfg, report::progress);
 
     for (exp, title) in [
         (
@@ -59,8 +51,5 @@ fn main() {
         );
     }
 
-    match write_csv(&args.out_dir, "ablations", &records) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write CSV: {e}"),
-    }
+    report::save(&args.out_dir, "ablations", &records);
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use gpa_bench::experiments::{run_adaptive, AdaptiveConfig};
-use gpa_bench::{ascii_table, fmt_seconds, write_csv, Args, HostInfo};
+use gpa_bench::{fmt_seconds, pivot, report, Args};
 use gpa_core::AttentionEngine;
 
 fn main() {
@@ -21,52 +21,22 @@ fn main() {
     let mut cfg = AdaptiveConfig::for_scale(args.scale);
     cfg.seed = args.seed;
 
-    println!(
-        "Adaptive sparsity — routed block-diagonal vs dense/static on {}\n",
-        HostInfo::detect().summary()
-    );
-
-    let records = run_adaptive(&engine, &cfg, |r| {
-        eprintln!(
-            "  measured {:<18} L={:<8} -> {} ({:.0} tok/s) {}",
-            r.algo,
-            r.l,
-            fmt_seconds(r.mean_s),
-            r.l as f64 / r.mean_s,
-            r.note
-        );
-    });
+    report::header("Adaptive sparsity — routed block-diagonal vs dense/static");
+    let records = run_adaptive(&engine, &cfg, report::progress);
 
     // Pattern (rows) × context length (columns), cells "time / work-frac".
-    let mut series: Vec<&str> = Vec::new();
-    for r in &records {
-        if !series.contains(&r.algo.as_str()) {
-            series.push(r.algo.as_str());
-        }
-    }
-    let mut headers = vec!["pattern".to_string()];
-    headers.extend(cfg.ls.iter().map(|l| format!("L={l}")));
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let rows: Vec<Vec<String>> = series
-        .iter()
-        .map(|&name| {
-            let mut row = vec![name.to_string()];
-            for &l in &cfg.ls {
-                let cell = records
-                    .iter()
-                    .find(|r| r.algo == name && r.l == l)
-                    .map(|r| format!("{} / {:.4}", fmt_seconds(r.mean_s), r.sf_achieved))
-                    .unwrap_or_else(|| "—".into());
-                row.push(cell);
-            }
-            row
-        })
-        .collect();
-    print!("{}", ascii_table(&header_refs, &rows));
-    println!("(cell: mean time / measured work as a fraction of dense L²)");
+    print!(
+        "{}",
+        pivot(
+            "pattern",
+            &records,
+            &cfg.ls,
+            |l| format!("L={l}"),
+            |r| r.l,
+            |r| format!("{} / {:.4}", fmt_seconds(r.mean_s), r.sf_achieved),
+        )
+    );
+    println!("(cell: mean time / measured work as a fraction of dense L²; tokens/s is L / time)");
 
-    match write_csv(&args.out_dir, "adaptive", &records) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write CSV: {e}"),
-    }
+    report::save(&args.out_dir, "adaptive", &records);
 }

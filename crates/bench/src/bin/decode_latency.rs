@@ -6,7 +6,7 @@
 //! ```
 
 use gpa_bench::experiments::{run_decode, DecodeConfig};
-use gpa_bench::{ascii_table, fmt_seconds, write_csv, Args, HostInfo};
+use gpa_bench::{pivot, report, Args};
 
 fn main() {
     let args = Args::from_env();
@@ -14,57 +14,26 @@ fn main() {
     let mut cfg = DecodeConfig::for_scale(args.scale);
     cfg.seed = args.seed;
 
-    println!(
-        "Decode latency — KV-cached per-token cost on {}",
-        HostInfo::detect().summary()
-    );
+    report::header("Decode latency — KV-cached per-token cost");
     println!(
         "context lengths {:?}, dk = {}, window = {}, {}+{} steps per point\n",
         cfg.context_lengths, cfg.dk, cfg.window, cfg.warmup_steps, cfg.timed_steps
     );
 
-    let records = run_decode(&engine, &cfg, |r| {
-        eprintln!(
-            "  measured {:<12} L={:<8} -> {} per token ({})",
-            r.algo,
-            r.l,
-            fmt_seconds(r.mean_s),
-            r.note.split(';').next().unwrap_or(""),
-        );
-    });
+    let records = run_decode(&engine, &cfg, report::progress);
 
     // Kernel × context length → tokens/sec (the serving-facing number).
-    let mut headers = vec!["kernel".to_string()];
-    headers.extend(cfg.context_lengths.iter().map(|l| format!("L={l}")));
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let algos: Vec<&str> = {
-        let mut seen = Vec::new();
-        for r in &records {
-            if !seen.contains(&r.algo.as_str()) {
-                seen.push(r.algo.as_str());
-            }
-        }
-        seen
-    };
-    let rows: Vec<Vec<String>> = algos
-        .iter()
-        .map(|&algo| {
-            let mut row = vec![algo.to_string()];
-            for &l in &cfg.context_lengths {
-                let cell = records
-                    .iter()
-                    .find(|r| r.algo == algo && r.l == l)
-                    .map(|r| format!("{:.0} tok/s", 1.0 / r.mean_s))
-                    .unwrap_or_else(|| "—".into());
-                row.push(cell);
-            }
-            row
-        })
-        .collect();
-    println!("\n{}", ascii_table(&header_refs, &rows));
+    print!(
+        "{}",
+        pivot(
+            "kernel",
+            &records,
+            &cfg.context_lengths,
+            |l| format!("L={l}"),
+            |r| r.l,
+            |r| format!("{:.0} tok/s", 1.0 / r.mean_s),
+        )
+    );
 
-    match write_csv(&args.out_dir, "decode", &records) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("failed to write CSV: {e}"),
-    }
+    report::save(&args.out_dir, "decode", &records);
 }

@@ -6,7 +6,7 @@
 //! ```
 
 use gpa_bench::experiments::{run_fig3, Fig3Config};
-use gpa_bench::{ascii_table, fmt_seconds, write_csv, Args, HostInfo};
+use gpa_bench::{fmt_seconds, pivot, report, Args};
 
 fn main() {
     let args = Args::from_env();
@@ -14,71 +14,34 @@ fn main() {
     let mut cfg = Fig3Config::for_scale(args.scale);
     cfg.seed = args.seed;
 
+    report::header("Fig. 3 — microbenchmarks");
     println!(
-        "Fig. 3 — microbenchmarks on {}",
-        HostInfo::detect().summary()
-    );
-    println!(
-        "L = {:?}, dk = {:?}, {} sparsity points; protocol {:?}\n",
+        "L = {:?}, dk = {:?}, {} sparsity points; protocol {:?}",
         cfg.ls,
         cfg.dks,
         cfg.sfs.len(),
         cfg.protocol
     );
 
-    let records = run_fig3(&engine, &cfg, |r| {
-        eprintln!(
-            "  measured {:<22} L={:<6} dk={:<4} Sf={:<8.1e} -> {}",
-            r.algo,
-            r.l,
-            r.dk,
-            r.sf_target,
-            fmt_seconds(r.mean_s)
-        );
-    });
+    let records = run_fig3(&engine, &cfg, report::progress);
 
     // One table per (L, dk): algorithms × sparsity (the paper's panels).
     for &l in &cfg.ls {
         for &dk in &cfg.dks {
-            let mut headers = vec!["algo".to_string()];
-            headers.extend(cfg.sfs.iter().map(|sf| format!("Sf={sf:.0e}")));
-            let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-            let algos: Vec<&str> = {
-                let mut seen = Vec::new();
-                for r in records.iter().filter(|r| r.l == l && r.dk == dk) {
-                    if !seen.contains(&r.algo.as_str()) {
-                        seen.push(r.algo.as_str());
-                    }
-                }
-                seen
-            };
-            let rows: Vec<Vec<String>> = algos
-                .iter()
-                .map(|&algo| {
-                    let mut row = vec![algo.to_string()];
-                    for &sf in &cfg.sfs {
-                        let cell = records
-                            .iter()
-                            .find(|r| {
-                                r.l == l
-                                    && r.dk == dk
-                                    && r.algo == algo
-                                    && (r.sf_target - sf).abs() < 1e-15
-                            })
-                            .map(|r| fmt_seconds(r.mean_s))
-                            .unwrap_or_else(|| "—".into());
-                        row.push(cell);
-                    }
-                    row
-                })
-                .collect();
             println!("\nL = {l}, dk = {dk} (mean runtime)");
-            print!("{}", ascii_table(&header_refs, &rows));
+            print!(
+                "{}",
+                pivot(
+                    "algo",
+                    records.iter().filter(|r| r.l == l && r.dk == dk),
+                    &cfg.sfs,
+                    |sf| format!("Sf={sf:.0e}"),
+                    |r| r.sf_target,
+                    |r| fmt_seconds(r.mean_s),
+                )
+            );
         }
     }
 
-    match write_csv(&args.out_dir, "fig3", &records) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write CSV: {e}"),
-    }
+    report::save(&args.out_dir, "fig3", &records);
 }

@@ -6,7 +6,7 @@
 //! ```
 
 use gpa_bench::experiments::{run_fig5, Fig5Config};
-use gpa_bench::{ascii_table, fmt_seconds, write_csv, Args, HostInfo};
+use gpa_bench::{fmt_seconds, pivot, report, Args};
 
 fn main() {
     let args = Args::from_env();
@@ -14,57 +14,25 @@ fn main() {
     let mut cfg = Fig5Config::for_scale(args.scale);
     cfg.seed = args.seed;
 
-    println!(
-        "Fig. 5 — FlashAttention vs Local on {}\n",
-        HostInfo::detect().summary()
-    );
-
-    let records = run_fig5(&engine, &cfg, |r| {
-        eprintln!(
-            "  measured {:<22} L={:<8} -> {} {}",
-            r.algo,
-            r.l,
-            fmt_seconds(r.mean_s),
-            r.note
-        );
-    });
+    report::header("Fig. 5 — FlashAttention vs Local");
+    let records = run_fig5(&engine, &cfg, report::progress);
 
     // Series (rows) × context length (columns), like the paper's panels.
-    let mut series: Vec<&str> = Vec::new();
-    for r in &records {
-        if !series.contains(&r.algo.as_str()) {
-            series.push(r.algo.as_str());
-        }
-    }
-    let mut headers = vec!["series".to_string()];
-    headers.extend(cfg.ls.iter().map(|l| format!("L={l}")));
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let rows: Vec<Vec<String>> = series
-        .iter()
-        .map(|&name| {
-            let mut row = vec![name.to_string()];
-            for &l in &cfg.ls {
-                let cell = records
-                    .iter()
-                    .find(|r| r.algo == name && r.l == l)
-                    .map(|r| {
-                        let mut s = fmt_seconds(r.mean_s);
-                        if r.note.contains("estimated") {
-                            s.push('*');
-                        }
-                        s
-                    })
-                    .unwrap_or_else(|| "—".into());
-                row.push(cell);
-            }
-            row
-        })
-        .collect();
-    print!("{}", ascii_table(&header_refs, &rows));
+    print!(
+        "{}",
+        pivot(
+            "series",
+            &records,
+            &cfg.ls,
+            |l| format!("L={l}"),
+            |r| r.l,
+            |r| {
+                let star = if r.iters == 0 { "*" } else { "" };
+                format!("{}{star}", fmt_seconds(r.mean_s))
+            },
+        )
+    );
     println!("(*: extrapolated from the largest measured dense run via O(L^2))");
 
-    match write_csv(&args.out_dir, "fig5", &records) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write CSV: {e}"),
-    }
+    report::save(&args.out_dir, "fig5", &records);
 }

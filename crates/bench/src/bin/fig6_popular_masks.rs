@@ -7,7 +7,7 @@
 
 use gpa_bench::experiments::fig6::Fig6Mask;
 use gpa_bench::experiments::{run_fig6, Fig6Config};
-use gpa_bench::{ascii_table, fmt_seconds, write_csv, Args, HostInfo};
+use gpa_bench::{fmt_seconds, pivot, report, Args};
 
 fn main() {
     let args = Args::from_env();
@@ -15,57 +15,28 @@ fn main() {
     let mut cfg = Fig6Config::for_scale(args.scale);
     cfg.seed = args.seed;
 
+    report::header("Fig. 6 — popular attention masks");
     println!(
-        "Fig. 6 — popular attention masks on {}\n(window {}, {} globals, dilation {}, random Sf {})\n",
-        HostInfo::detect().summary(),
-        cfg.window,
-        cfg.n_globals,
-        cfg.dilation,
-        cfg.random_sf
+        "(window {}, {} globals, dilation {}, random Sf {})",
+        cfg.window, cfg.n_globals, cfg.dilation, cfg.random_sf
     );
 
-    let records = run_fig6(&engine, &cfg, |r| {
-        eprintln!(
-            "  measured {:<16} [{}] L={:<7} -> {}",
-            r.algo,
-            r.note,
-            r.l,
-            fmt_seconds(r.mean_s)
-        );
-    });
+    let records = run_fig6(&engine, &cfg, report::progress);
 
     for mask in Fig6Mask::ALL {
-        let label = mask.label();
-        let mut series: Vec<&str> = Vec::new();
-        for r in records.iter().filter(|r| r.note == label) {
-            if !series.contains(&r.algo.as_str()) {
-                series.push(r.algo.as_str());
-            }
-        }
-        let mut headers = vec!["series".to_string()];
-        headers.extend(cfg.ls.iter().map(|l| format!("L={l}")));
-        let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-        let rows: Vec<Vec<String>> = series
-            .iter()
-            .map(|&name| {
-                let mut row = vec![name.to_string()];
-                for &l in &cfg.ls {
-                    let cell = records
-                        .iter()
-                        .find(|r| r.note == label && r.algo == name && r.l == l)
-                        .map(|r| fmt_seconds(r.mean_s))
-                        .unwrap_or_else(|| "—".into());
-                    row.push(cell);
-                }
-                row
-            })
-            .collect();
-        println!("\n{label}:");
-        print!("{}", ascii_table(&header_refs, &rows));
+        println!("\n{}:", mask.label());
+        print!(
+            "{}",
+            pivot(
+                "series",
+                records.iter().filter(|r| r.note == mask.label()),
+                &cfg.ls,
+                |l| format!("L={l}"),
+                |r| r.l,
+                |r| fmt_seconds(r.mean_s),
+            )
+        );
     }
 
-    match write_csv(&args.out_dir, "fig6", &records) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write CSV: {e}"),
-    }
+    report::save(&args.out_dir, "fig6", &records);
 }

@@ -32,6 +32,7 @@ fn main() {
     );
     println!(
         "substitution note: runtime experiments execute on the host CPU via the\n\
-         gpa-parallel grid simulator; see DESIGN.md §1."
+         gpa-parallel pool, which launches one block per attention row as the\n\
+         paper's CUDA grids do; absolute times are this host's, trends are the paper's."
     );
 }

@@ -6,7 +6,7 @@
 //! ```
 
 use gpa_bench::experiments::{run_table3, Table3Config};
-use gpa_bench::{ascii_table, fmt_seconds, speedup, write_csv, Args, HostInfo};
+use gpa_bench::{ascii_table, fmt_seconds, report, speedup, Args};
 
 fn main() {
     let args = Args::from_env();
@@ -14,47 +14,33 @@ fn main() {
     let mut cfg = Table3Config::for_scale(args.scale);
     cfg.seed = args.seed;
 
-    println!(
-        "Table III — long-context ladder on {} (LongNet schedule Sf = 2730/L)\n",
-        HostInfo::detect().summary()
-    );
+    report::header("Table III — long-context ladder (LongNet schedule Sf = 2730/L)");
+    let records = run_table3(&engine, &cfg, report::progress);
 
-    let records = run_table3(&engine, &cfg, |r| {
-        eprintln!(
-            "  measured {:<16} L={:<9} -> {} {}",
-            r.algo,
-            r.l,
-            fmt_seconds(r.mean_s),
-            r.note
-        );
-    });
-
-    let mut rows = Vec::new();
-    for &l in &cfg.ls {
-        let flash = records
-            .iter()
-            .find(|r| r.l == l && r.algo == "FlashAttention")
-            .unwrap();
-        for algo in ["FlashAttention", "Local", "CSR"] {
-            let r = records.iter().find(|r| r.l == l && r.algo == algo).unwrap();
-            rows.push(vec![
-                if algo == "FlashAttention" {
-                    format!("{l}")
-                } else {
-                    String::new()
-                },
-                r.algo.clone(),
-                if r.sf_target.is_nan() {
-                    "—".into()
-                } else {
-                    format!("{:.1e}", r.sf_achieved)
-                },
-                fmt_seconds(r.mean_s),
-                format!("{:.2}x", speedup(flash.mean_s, r.mean_s)),
-                r.note.clone(),
-            ]);
-        }
-    }
+    // One rung per L, FlashAttention first: the speedup's baseline.
+    let rows: Vec<Vec<String>> = records
+        .chunk_by(|a, b| a.l == b.l)
+        .flat_map(|rung| {
+            rung.iter().enumerate().map(|(i, r)| {
+                vec![
+                    if i == 0 {
+                        r.l.to_string()
+                    } else {
+                        String::new()
+                    },
+                    r.algo.clone(),
+                    if r.sf_target.is_nan() {
+                        "—".into()
+                    } else {
+                        format!("{:.1e}", r.sf_achieved)
+                    },
+                    fmt_seconds(r.mean_s),
+                    format!("{:.2}x", speedup(rung[0].mean_s, r.mean_s)),
+                    r.note.clone(),
+                ]
+            })
+        })
+        .collect();
     print!(
         "{}",
         ascii_table(
@@ -70,8 +56,5 @@ fn main() {
         )
     );
 
-    match write_csv(&args.out_dir, "table3", &records) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\nfailed to write CSV: {e}"),
-    }
+    report::save(&args.out_dir, "table3", &records);
 }

@@ -1,4 +1,5 @@
-//! Design-choice ablations called out in DESIGN.md §3 (not in the paper):
+//! Design-choice ablations (not in the paper; each isolates one choice this
+//! reproduction made where the paper's text leaves room):
 //!
 //! - **A1** COO row-bound search: the paper's linear prefix scan vs binary
 //!   search — quantifies how much of COO's Fig. 3 pathology is the search;
@@ -8,8 +9,8 @@
 //! - **A3** FlashAttention K/V tile size.
 
 use crate::args::Scale;
-use crate::protocol::{measure_auto, Protocol};
-use crate::report::Record;
+use crate::protocol::Protocol;
+use crate::report::{Record, Sink};
 use gpa_core::{
     flash_attention_tiled, AttentionEngine, AttentionKernel, AttentionPlan, AttentionRequest,
     CooSearch, KernelOptions,
@@ -75,31 +76,6 @@ impl AblationConfig {
     }
 }
 
-fn record(
-    experiment: &str,
-    algo: String,
-    l: usize,
-    dk: usize,
-    sf: f64,
-    stat: crate::protocol::BenchStat,
-    note: String,
-) -> Record {
-    Record {
-        experiment: experiment.into(),
-        algo,
-        l,
-        dk,
-        sf_target: sf,
-        sf_achieved: f64::NAN,
-        mean_s: stat.mean,
-        min_s: stat.min,
-        max_s: stat.max,
-        std_s: stat.std,
-        iters: stat.iters,
-        note,
-    }
-}
-
 /// Run all three ablations; streams records through `on_record`. A1/A2 run
 /// as compiled engine plans (A2 sweeps launch schedules through
 /// [`AttentionEngine::run_batch_with`]); A3 sweeps a parameter of the dense
@@ -107,9 +83,9 @@ fn record(
 pub fn run_ablations(
     engine: &AttentionEngine,
     cfg: &AblationConfig,
-    mut on_record: impl FnMut(&Record),
+    on_record: impl FnMut(&Record),
 ) -> Vec<Record> {
-    let mut records = Vec::new();
+    let mut sink = Sink::new("ablation_a1", cfg.protocol, cfg.budget_s, on_record);
     let pool = engine.pool();
     let opts = KernelOptions::new();
     let (q, k, v): (Matrix<f32>, _, _) = qkv(cfg.l, cfg.dk, cfg.seed);
@@ -124,24 +100,14 @@ pub fn run_ablations(
         ] {
             let plan = AttentionPlan::single(AttentionKernel::Coo(&mask, search))
                 .expect("coo plan compiles");
-            let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
+            sink.time(Record::case(name, cfg.l, cfg.dk).sf(sf, f64::NAN), || {
                 std::hint::black_box(engine.run(&plan, &q, &k, &v).unwrap());
             });
-            let rec = record(
-                "ablation_a1",
-                name.into(),
-                cfg.l,
-                cfg.dk,
-                sf,
-                stat,
-                String::new(),
-            );
-            on_record(&rec);
-            records.push(rec);
         }
     }
 
     // --- A2: scheduling on the global (imbalanced) mask ------------------
+    sink.experiment("ablation_a2");
     let g = global_count_for_sparsity(cfg.l, cfg.global_sf);
     let globals = GlobalSet::evenly_spaced(cfg.l, g);
     let global_plan = AttentionPlan::single(AttentionKernel::Global {
@@ -155,7 +121,10 @@ pub fn run_ablations(
         (Schedule::Dynamic { grain: 4 }, "Global / dynamic"),
     ] {
         let sched_opts = KernelOptions::new().with_schedule(schedule);
-        let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
+        let case = Record::case(name, cfg.l, cfg.dk)
+            .sf(cfg.global_sf, f64::NAN)
+            .note(format!("{} global tokens", globals.len()));
+        sink.time(case, || {
             std::hint::black_box(
                 engine
                     .run_batch_with(
@@ -166,39 +135,19 @@ pub fn run_ablations(
                     .unwrap(),
             );
         });
-        let rec = record(
-            "ablation_a2",
-            name.into(),
-            cfg.l,
-            cfg.dk,
-            cfg.global_sf,
-            stat,
-            format!("{} global tokens", globals.len()),
-        );
-        on_record(&rec);
-        records.push(rec);
     }
 
     // --- A3: flash tile size ---------------------------------------------
+    sink.experiment("ablation_a3");
     let (qf, kf, vf): (Matrix<f32>, _, _) = qkv(cfg.l_flash, cfg.dk, cfg.seed ^ 1);
     for &tile in &cfg.tiles {
-        let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
+        let case = Record::case(format!("Flash tile={tile}"), cfg.l_flash, cfg.dk);
+        sink.time(case, || {
             std::hint::black_box(flash_attention_tiled(pool, &qf, &kf, &vf, tile, &opts).unwrap());
         });
-        let rec = record(
-            "ablation_a3",
-            format!("Flash tile={tile}"),
-            cfg.l_flash,
-            cfg.dk,
-            f64::NAN,
-            stat,
-            String::new(),
-        );
-        on_record(&rec);
-        records.push(rec);
     }
 
-    records
+    sink.finish()
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //!   queries route near-balanced, so it lands at `≈ L²/K` against the
 //!   dense baseline's `L²`;
 //! - **throughput** — tokens per second of the square forward, derivable
-//!   from the record as `L / mean_s` (kept out of the note so the
-//!   regression join stays deterministic);
+//!   from the record as `L / mean_s` (kept out of the note so every
+//!   column but the timings repeats exactly run to run);
 //! - **memory** — the working-set bytes of the serving configuration:
 //!   K + V rows at `f32` plus, for routed rows, the per-token group
 //!   assignment the KV cache carries.
@@ -24,11 +24,10 @@
 //! block-diagonal ideal.
 
 use crate::args::Scale;
-use crate::protocol::{measure_auto, Protocol};
-use crate::report::Record;
+use crate::protocol::Protocol;
+use crate::report::{Record, Sink};
 use gpa_core::{AttentionEngine, AttentionKernel, AttentionPlan};
 use gpa_tensor::init::gaussian_matrix;
-use gpa_tensor::Matrix;
 
 /// Sweep configuration for the adaptive-sparsity surface.
 #[derive(Clone, Debug)]
@@ -87,69 +86,15 @@ impl AdaptiveConfig {
     }
 }
 
-/// One measured point of the surface: time the square forward, tally its
-/// exact dot-product work (falling back to the plan's analytic estimate
-/// when the engine was built without a counter), and fold throughput and
-/// working-set memory into the note.
-#[allow(clippy::too_many_arguments)]
-fn measure_point(
-    engine: &AttentionEngine,
-    cfg: &AdaptiveConfig,
-    plan: &AttentionPlan<'_>,
-    algo: String,
-    l: usize,
-    sf_target: f64,
-    routed: bool,
-    q: &Matrix<f32>,
-    k: &Matrix<f32>,
-    v: &Matrix<f32>,
-) -> Record {
-    let work = match engine.work_counter() {
-        Some(counter) => {
-            counter.reset();
-            let _ = std::hint::black_box(engine.run(plan, q, k, v).unwrap());
-            counter.dot_products()
-        }
-        None => plan.estimated_edges(l),
-    };
-    let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-        std::hint::black_box(engine.run(plan, q, k, v).unwrap());
-    });
-    // Serving working set: K + V rows at f32, plus one u32 group
-    // assignment per token for routed sequences.
-    let kv_bytes = 2 * l * cfg.dk * std::mem::size_of::<f32>()
-        + if routed {
-            l * std::mem::size_of::<u32>()
-        } else {
-            0
-        };
-    Record {
-        experiment: "adaptive".into(),
-        algo,
-        l,
-        dk: cfg.dk,
-        sf_target,
-        sf_achieved: work as f64 / (l as f64 * l as f64),
-        mean_s: stat.mean,
-        min_s: stat.min,
-        max_s: stat.max,
-        std_s: stat.std,
-        iters: stat.iters,
-        // Deterministic per (seed, L, pattern): the regression script
-        // joins on the note, so no timing-derived values belong here.
-        note: format!("work={work} kv_bytes={kv_bytes}"),
-    }
-}
-
 /// Run the surface sweep; streams records through `on_record`. Build the
 /// engine with [`gpa_core::AttentionEngineBuilder::count_work`] so routed
 /// rows report measured — not analytic — work.
 pub fn run_adaptive(
     engine: &AttentionEngine,
     cfg: &AdaptiveConfig,
-    mut on_record: impl FnMut(&Record),
+    on_record: impl FnMut(&Record),
 ) -> Vec<Record> {
-    let mut records = Vec::new();
+    let mut sink = Sink::new("adaptive", cfg.protocol, cfg.budget_s, on_record);
     let flash = AttentionPlan::single(AttentionKernel::Flash).expect("flash plan compiles");
     let local = AttentionPlan::single(AttentionKernel::Local { n: cfg.window })
         .expect("local plan compiles");
@@ -186,13 +131,39 @@ pub fn run_adaptive(
             ));
         }
 
+        // One point of the surface: tally the square forward's exact
+        // dot-product work (the plan's analytic estimate when the engine
+        // was built without a counter), then time it.
         for (plan, algo, sf_target, routed) in points {
-            let rec = measure_point(engine, cfg, &plan, algo, l, sf_target, routed, &q, &k, &v);
-            on_record(&rec);
-            records.push(rec);
+            let run = || {
+                std::hint::black_box(engine.run(&plan, &q, &k, &v).unwrap());
+            };
+            let work = match engine.work_counter() {
+                Some(counter) => {
+                    counter.reset();
+                    run();
+                    counter.dot_products()
+                }
+                None => plan.estimated_edges(l),
+            };
+            // Serving working set: K + V rows at f32, plus one u32 group
+            // assignment per token for routed sequences.
+            let kv_bytes = 2 * l * cfg.dk * std::mem::size_of::<f32>()
+                + if routed {
+                    l * std::mem::size_of::<u32>()
+                } else {
+                    0
+                };
+            // Deterministic per (seed, L, pattern): two runs' notes are
+            // compared byte for byte, so no timing-derived value belongs
+            // in one.
+            let case = Record::case(algo, l, cfg.dk)
+                .sf(sf_target, work as f64 / (l as f64 * l as f64))
+                .note(format!("work={work} kv_bytes={kv_bytes}"));
+            sink.time(case, run);
         }
     }
-    records
+    sink.finish()
 }
 
 #[cfg(test)]

@@ -18,7 +18,8 @@
 //! per token is not a serving-shaped workload.
 
 use crate::args::Scale;
-use crate::report::Record;
+use crate::protocol::{BenchStat, Protocol};
+use crate::report::{Record, Sink};
 use gpa_core::{AttentionEngine, AttentionKernel, KvCache};
 use gpa_masks::GlobalSet;
 use gpa_sparse::DiaMask;
@@ -89,9 +90,16 @@ const FAMILIES: [&str; 5] = ["Local", "Dilated-1D", "Dilated-2D", "Global", "DIA
 pub fn run_decode(
     engine: &AttentionEngine,
     cfg: &DecodeConfig,
-    mut on_record: impl FnMut(&Record),
+    on_record: impl FnMut(&Record),
 ) -> Vec<Record> {
-    let mut records = Vec::new();
+    // A decode step appends to the cache, so it cannot be re-run as a
+    // closure: the loop below walks this protocol itself, one sample a
+    // step, and hands the sink finished statistics.
+    let steps = Protocol {
+        warmup: cfg.warmup_steps,
+        iters: cfg.timed_steps,
+    };
+    let mut sink = Sink::new("decode", steps, f64::INFINITY, on_record);
     let max_l = cfg.context_lengths.iter().copied().max().unwrap_or(0);
     let total = max_l + cfg.steps_per_point();
     // One token stream reused across kernels: Q/K/V rows for the longest
@@ -140,26 +148,15 @@ pub fn run_decode(
                     samples.push(elapsed);
                 }
             }
-            let stat = crate::protocol::BenchStat::from_samples(&samples);
-            let rec = Record {
-                experiment: "decode".into(),
-                algo: family.into(),
-                l,
-                dk: cfg.dk,
-                sf_target: f64::NAN,
-                sf_achieved: f64::NAN,
-                mean_s: stat.mean,
-                min_s: stat.min,
-                max_s: stat.max,
-                std_s: stat.std,
-                iters: stat.iters,
-                note: format!("tokens/s={:.0}; window={}", 1.0 / stat.mean, cfg.window),
-            };
-            on_record(&rec);
-            records.push(rec);
+            // Tokens/s is `1 / mean_s`; the note holds only what repeats
+            // exactly run to run.
+            sink.push(
+                Record::case(family, l, cfg.dk).note(format!("window={}", cfg.window)),
+                BenchStat::from_samples(&samples),
+            );
         }
     }
-    records
+    sink.finish()
 }
 
 /// One timed decode step for a *length-pinned* family (Global, DIA):
@@ -225,7 +222,7 @@ mod tests {
             assert!(records.iter().any(|r| r.algo == family), "missing {family}");
         }
         assert!(records.iter().all(|r| r.mean_s > 0.0 && r.iters == 3));
-        assert!(records.iter().all(|r| r.note.contains("tokens/s=")));
+        assert!(records.iter().all(|r| r.note == "window=2"));
     }
 
     #[test]

@@ -10,8 +10,8 @@
 use crate::args::Scale;
 use crate::kernels::{fitted_case, AlgoId};
 use crate::protocol::{measure_auto, Protocol};
-use crate::report::Record;
-use gpa_core::AttentionEngine;
+use crate::report::{Record, Sink};
+use gpa_core::{AttentionEngine, AttentionPlan};
 use gpa_tensor::init::qkv;
 use gpa_tensor::Matrix;
 
@@ -83,39 +83,28 @@ impl Fig3Config {
 pub fn run_fig3(
     engine: &AttentionEngine,
     cfg: &Fig3Config,
-    mut on_record: impl FnMut(&Record),
+    on_record: impl FnMut(&Record),
 ) -> Vec<Record> {
-    let mut records = Vec::new();
+    let mut sink = Sink::new("fig3", cfg.protocol, cfg.budget_s, on_record);
 
     for &l in &cfg.ls {
         for &dk in &cfg.dks {
             let (q, k, v): (Matrix<f32>, _, _) = qkv(l, dk, cfg.seed);
+            let run = |plan: &AttentionPlan<'_>| {
+                std::hint::black_box(engine.run(plan, &q, &k, &v).unwrap());
+            };
 
             // The SDP baseline's runtime is Sf-independent (it always does
             // the dense computation), so measure it once per (L, dk) and
             // replicate the row across the sweep — the flat line of Fig. 3.
             let sdp_case = fitted_case(AlgoId::Sdp, l, *cfg.sfs.first().unwrap_or(&1.0));
             let sdp_plan = sdp_case.plan();
-            let sdp_stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-                std::hint::black_box(engine.run(&sdp_plan, &q, &k, &v).unwrap());
-            });
+            let sdp_stat = measure_auto(cfg.protocol, cfg.budget_s, || run(&sdp_plan));
             for &sf in &cfg.sfs {
-                let rec = Record {
-                    experiment: "fig3".into(),
-                    algo: sdp_case.name().into(),
-                    l,
-                    dk,
-                    sf_target: sf,
-                    sf_achieved: 1.0,
-                    mean_s: sdp_stat.mean,
-                    min_s: sdp_stat.min,
-                    max_s: sdp_stat.max,
-                    std_s: sdp_stat.std,
-                    iters: sdp_stat.iters,
-                    note: "dense: Sf-independent, measured once per (L,dk)".into(),
-                };
-                on_record(&rec);
-                records.push(rec);
+                let case = Record::case(sdp_case.name(), l, dk)
+                    .sf(sf, 1.0)
+                    .note("dense: Sf-independent, measured once per (L,dk)");
+                sink.push(case, sdp_stat);
             }
 
             for &sf in &cfg.sfs {
@@ -132,30 +121,15 @@ pub fn run_fig3(
                     }
                     let case = fitted_case(algo, l, sf);
                     let plan = case.plan();
-                    let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-                        std::hint::black_box(engine.run(&plan, &q, &k, &v).unwrap());
-                    });
-                    let rec = Record {
-                        experiment: "fig3".into(),
-                        algo: case.name().into(),
-                        l,
-                        dk,
-                        sf_target: sf,
-                        sf_achieved: case.achieved_sf(l),
-                        mean_s: stat.mean,
-                        min_s: stat.min,
-                        max_s: stat.max,
-                        std_s: stat.std,
-                        iters: stat.iters,
-                        note: String::new(),
-                    };
-                    on_record(&rec);
-                    records.push(rec);
+                    sink.time(
+                        Record::case(case.name(), l, dk).sf(sf, case.achieved_sf(l)),
+                        || run(&plan),
+                    );
                 }
             }
         }
     }
-    records
+    sink.finish()
 }
 
 #[cfg(test)]

@@ -6,8 +6,8 @@
 //! {5, 50, 500}, sparsity factors {1e-2, 1e-3, 1e-4}.
 
 use crate::args::Scale;
-use crate::protocol::{measure_auto, Protocol};
-use crate::report::Record;
+use crate::protocol::Protocol;
+use crate::report::{Record, Sink};
 use gpa_core::{AttentionEngine, AttentionKernel, AttentionPlan};
 use gpa_masks::{local_window_for_sparsity, LocalWindow, MaskPattern};
 use gpa_tensor::init::qkv;
@@ -82,109 +82,52 @@ impl Fig5Config {
 pub fn run_fig5(
     engine: &AttentionEngine,
     cfg: &Fig5Config,
-    mut on_record: impl FnMut(&Record),
+    on_record: impl FnMut(&Record),
 ) -> Vec<Record> {
-    let mut records = Vec::new();
+    let mut sink = Sink::new("fig5", cfg.protocol, cfg.budget_s, on_record);
     let flash_plan = AttentionPlan::single(AttentionKernel::Flash).expect("flash plan compiles");
     // Largest measured flash point, for O(L²) extrapolation.
     let mut flash_ref: Option<(usize, f64)> = None;
 
     for &l in &cfg.ls {
         let (q, k, v): (Matrix<f32>, _, _) = qkv(l, cfg.dk, cfg.seed);
+        let run = |plan: &AttentionPlan<'_>| {
+            std::hint::black_box(engine.run(plan, &q, &k, &v).unwrap());
+        };
+        let local = |w: usize| {
+            let plan = AttentionPlan::single(AttentionKernel::Local { n: w })
+                .expect("local plan compiles");
+            (plan, LocalWindow::new(l, w).sparsity_factor())
+        };
 
         // FlashAttention series (both panels share it).
-        let rec = if l <= cfg.flash_max_l {
-            let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-                std::hint::black_box(engine.run(&flash_plan, &q, &k, &v).unwrap());
-            });
-            flash_ref = Some((l, stat.mean));
-            Record {
-                experiment: "fig5".into(),
-                algo: "FlashAttention".into(),
-                l,
-                dk: cfg.dk,
-                sf_target: f64::NAN,
-                sf_achieved: 1.0,
-                mean_s: stat.mean,
-                min_s: stat.min,
-                max_s: stat.max,
-                std_s: stat.std,
-                iters: stat.iters,
-                note: String::new(),
-            }
+        let flash = Record::case("FlashAttention", l, cfg.dk).sf(f64::NAN, 1.0);
+        if l <= cfg.flash_max_l {
+            flash_ref = Some((l, sink.time(flash, || run(&flash_plan)).mean));
         } else {
-            let (l0, t0) = flash_ref.expect("ladder must start below flash_max_l");
-            let scale = (l as f64 / l0 as f64).powi(2);
-            Record {
-                experiment: "fig5".into(),
-                algo: "FlashAttention".into(),
-                l,
-                dk: cfg.dk,
-                sf_target: f64::NAN,
-                sf_achieved: 1.0,
-                mean_s: t0 * scale,
-                min_s: f64::NAN,
-                max_s: f64::NAN,
-                std_s: f64::NAN,
-                iters: 0,
-                note: format!("estimated from L={l0} via O(L^2) work scaling"),
-            }
-        };
-        on_record(&rec);
-        records.push(rec);
+            let reference = flash_ref.expect("ladder must start below flash_max_l");
+            sink.estimated_quadratic(flash, reference);
+        }
 
         // Left panel: constant windows.
         for &w in &cfg.windows {
-            let plan = AttentionPlan::single(AttentionKernel::Local { n: w })
-                .expect("local plan compiles");
-            let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-                std::hint::black_box(engine.run(&plan, &q, &k, &v).unwrap());
-            });
-            let rec = Record {
-                experiment: "fig5".into(),
-                algo: format!("Local (window={w})"),
-                l,
-                dk: cfg.dk,
-                sf_target: f64::NAN,
-                sf_achieved: LocalWindow::new(l, w).sparsity_factor(),
-                mean_s: stat.mean,
-                min_s: stat.min,
-                max_s: stat.max,
-                std_s: stat.std,
-                iters: stat.iters,
-                note: "constant window".into(),
-            };
-            on_record(&rec);
-            records.push(rec);
+            let (plan, achieved) = local(w);
+            let case = Record::case(format!("Local (window={w})"), l, cfg.dk)
+                .sf(f64::NAN, achieved)
+                .note("constant window");
+            sink.time(case, || run(&plan));
         }
 
         // Right panel: constant sparsity (window grows with L).
         for &sf in &cfg.sfs {
-            let w = local_window_for_sparsity(l, sf);
-            let plan = AttentionPlan::single(AttentionKernel::Local { n: w })
-                .expect("local plan compiles");
-            let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-                std::hint::black_box(engine.run(&plan, &q, &k, &v).unwrap());
-            });
-            let rec = Record {
-                experiment: "fig5".into(),
-                algo: format!("Local (Sf={sf})"),
-                l,
-                dk: cfg.dk,
-                sf_target: sf,
-                sf_achieved: LocalWindow::new(l, w).sparsity_factor(),
-                mean_s: stat.mean,
-                min_s: stat.min,
-                max_s: stat.max,
-                std_s: stat.std,
-                iters: stat.iters,
-                note: "constant sparsity".into(),
-            };
-            on_record(&rec);
-            records.push(rec);
+            let (plan, achieved) = local(local_window_for_sparsity(l, sf));
+            let case = Record::case(format!("Local (Sf={sf})"), l, cfg.dk)
+                .sf(sf, achieved)
+                .note("constant sparsity");
+            sink.time(case, || run(&plan));
         }
     }
-    records
+    sink.finish()
 }
 
 #[cfg(test)]

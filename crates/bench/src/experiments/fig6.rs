@@ -8,9 +8,9 @@
 //! `L ∈ {30k, 35k, 40k, 45k}`.
 
 use crate::args::Scale;
-use crate::protocol::{measure_auto, Protocol};
-use crate::report::Record;
-use gpa_core::{AttentionEngine, AttentionKernel, AttentionPlan};
+use crate::protocol::Protocol;
+use crate::report::{Record, Sink};
+use gpa_core::{AttentionEngine, AttentionKernel};
 use gpa_masks::{
     bigbird, longformer, longformer_dilated, GlobalMinusLocal, GlobalSet, LocalWindow, MaskPattern,
     RandomUniform,
@@ -115,49 +115,25 @@ impl Fig6Mask {
     }
 }
 
-#[allow(clippy::too_many_arguments)] // flat record fields, local helper
-fn push_record(
-    records: &mut Vec<Record>,
-    on_record: &mut impl FnMut(&Record),
-    mask: Fig6Mask,
-    algo: &str,
-    l: usize,
-    dk: usize,
-    sf: f64,
-    stat: crate::protocol::BenchStat,
-) {
-    let rec = Record {
-        experiment: "fig6".into(),
-        algo: algo.into(),
-        l,
-        dk,
-        sf_target: f64::NAN,
-        sf_achieved: sf,
-        mean_s: stat.mean,
-        min_s: stat.min,
-        max_s: stat.max,
-        std_s: stat.std,
-        iters: stat.iters,
-        note: mask.label().into(),
-    };
-    on_record(&rec);
-    records.push(rec);
-}
-
 /// Run all three mask scenarios; streams records through `on_record`.
 /// Every series — including the sequential compositions — is compiled into
-/// an [`AttentionPlan`] once per scenario and reused across iterations.
+/// an [`gpa_core::AttentionPlan`] once per scenario and reused across iterations.
 pub fn run_fig6(
     engine: &AttentionEngine,
     cfg: &Fig6Config,
-    mut on_record: impl FnMut(&Record),
+    on_record: impl FnMut(&Record),
 ) -> Vec<Record> {
-    let mut records = Vec::new();
+    let mut sink = Sink::new("fig6", cfg.protocol, cfg.budget_s, on_record);
 
     for &l in &cfg.ls {
         let (q, k, v): (Matrix<f32>, _, _) = qkv(l, cfg.dk, cfg.seed);
         let globals = GlobalSet::evenly_spaced(l, cfg.n_globals);
         let global_indices: Vec<usize> = globals.indices().iter().map(|&g| g as usize).collect();
+        let local = AttentionKernel::Local { n: cfg.window };
+        let global = AttentionKernel::Global {
+            globals: &globals,
+            n_sub: cfg.window,
+        };
 
         for mask in Fig6Mask::ALL {
             // Build the scenario's union mask (for SDP + single-CSR runs).
@@ -179,67 +155,23 @@ pub fn run_fig6(
             };
             let sf = union_csr.sparsity_factor();
             let dense = gpa_sparse::DenseMask::from_csr(&union_csr);
+            // One series of the scenario: compile its steps, time the plan.
+            let mut series = |algo: &str, steps: &[AttentionKernel<'_>]| {
+                let plan = engine.compile(steps).expect("series plan compiles");
+                let case = Record::case(algo, l, cfg.dk)
+                    .sf(f64::NAN, sf)
+                    .note(mask.label());
+                sink.time(case, || {
+                    std::hint::black_box(engine.run(&plan, &q, &k, &v).unwrap());
+                });
+            };
 
-            // Masked SDP baseline.
-            let sdp_plan = AttentionPlan::single(AttentionKernel::SdpMasked(&dense))
-                .expect("sdp plan compiles");
-            let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-                std::hint::black_box(engine.run(&sdp_plan, &q, &k, &v).unwrap());
-            });
-            push_record(
-                &mut records,
-                &mut on_record,
-                mask,
-                "SDP (Masked)",
-                l,
-                cfg.dk,
-                sf,
-                stat,
-            );
-
-            // Single CSR call over the union.
-            let csr_plan =
-                AttentionPlan::single(AttentionKernel::Csr(&union_csr)).expect("csr plan compiles");
-            let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-                std::hint::black_box(engine.run(&csr_plan, &q, &k, &v).unwrap());
-            });
-            push_record(
-                &mut records,
-                &mut on_record,
-                mask,
-                "CSR",
-                l,
-                cfg.dk,
-                sf,
-                stat,
-            );
+            series("SDP (Masked)", &[AttentionKernel::SdpMasked(&dense)]);
+            series("CSR", &[AttentionKernel::Csr(&union_csr)]);
 
             // Sequential kernel compositions (the paper's third series).
             match mask {
-                Fig6Mask::LongformerLocalGlobal => {
-                    let plan = engine
-                        .compile(&[
-                            AttentionKernel::Local { n: cfg.window },
-                            AttentionKernel::Global {
-                                globals: &globals,
-                                n_sub: cfg.window,
-                            },
-                        ])
-                        .expect("Loc + Glo plan compiles");
-                    let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-                        std::hint::black_box(engine.run(&plan, &q, &k, &v).unwrap());
-                    });
-                    push_record(
-                        &mut records,
-                        &mut on_record,
-                        mask,
-                        "Loc + Glo",
-                        l,
-                        cfg.dk,
-                        sf,
-                        stat,
-                    );
-                }
+                Fig6Mask::LongformerLocalGlobal => series("Loc + Glo", &[local, global]),
                 Fig6Mask::LongformerDilatedGlobal => {
                     // Paper runs only SDP vs CSR for this panel.
                 }
@@ -251,34 +183,15 @@ pub fn run_fig6(
                     let random_rest = RandomUniform::new(l, cfg.random_sf, cfg.seed ^ 0xB16B)
                         .to_csr()
                         .difference(&covered);
-                    let plan = engine
-                        .compile(&[
-                            AttentionKernel::Local { n: cfg.window },
-                            AttentionKernel::Global {
-                                globals: &globals,
-                                n_sub: cfg.window,
-                            },
-                            AttentionKernel::Csr(&random_rest),
-                        ])
-                        .expect("Loc + Glo + CSR plan compiles");
-                    let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-                        std::hint::black_box(engine.run(&plan, &q, &k, &v).unwrap());
-                    });
-                    push_record(
-                        &mut records,
-                        &mut on_record,
-                        mask,
+                    series(
                         "Loc + Glo + CSR",
-                        l,
-                        cfg.dk,
-                        sf,
-                        stat,
+                        &[local, global, AttentionKernel::Csr(&random_rest)],
                     );
                 }
             }
         }
     }
-    records
+    sink.finish()
 }
 
 #[cfg(test)]

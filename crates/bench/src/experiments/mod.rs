@@ -1,5 +1,8 @@
-//! Experiment runners — one module per paper table/figure (see DESIGN.md
-//! §4 for the experiment index) plus the ablation studies.
+//! Experiment runners — one module per paper table/figure, plus the three
+//! sweeps no `benchmark/` workload covers (ablations A1–A3, kernel family ×
+//! context length at decode, routed attention). Each module is its
+//! `Config::for_scale` and the cases it times through a
+//! [`crate::report::Sink`].
 
 pub mod ablations;
 pub mod adaptive;
@@ -7,9 +10,6 @@ pub mod decode;
 pub mod fig3;
 pub mod fig5;
 pub mod fig6;
-pub mod model;
-pub mod serving;
-pub mod substrates;
 pub mod table3;
 
 pub use ablations::{run_ablations, AblationConfig};
@@ -18,7 +18,4 @@ pub use decode::{run_decode, DecodeConfig};
 pub use fig3::{run_fig3, Fig3Config};
 pub use fig5::{run_fig5, Fig5Config};
 pub use fig6::{run_fig6, Fig6Config};
-pub use model::{run_model, ModelConfig, PatternKind};
-pub use serving::{run_serving, ServingConfig};
-pub use substrates::{best_noop_grain, run_substrates, SubstratesConfig};
 pub use table3::{run_table3, Table3Config};

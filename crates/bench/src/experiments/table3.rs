@@ -8,8 +8,8 @@
 //! reproduced here with an explicit nnz cap.
 
 use crate::args::Scale;
-use crate::protocol::{measure_auto, Protocol};
-use crate::report::Record;
+use crate::protocol::Protocol;
+use crate::report::{Record, Sink};
 use gpa_core::{AttentionEngine, AttentionKernel, AttentionPlan};
 use gpa_masks::{local_window_for_sparsity, longnet_sparsity_factor, LocalWindow, MaskPattern};
 use gpa_tensor::init::qkv;
@@ -78,118 +78,55 @@ impl Table3Config {
 pub fn run_table3(
     engine: &AttentionEngine,
     cfg: &Table3Config,
-    mut on_record: impl FnMut(&Record),
+    on_record: impl FnMut(&Record),
 ) -> Vec<Record> {
-    let mut records = Vec::new();
+    let mut sink = Sink::new("table3", cfg.protocol, cfg.budget_s, on_record);
     let flash_plan = AttentionPlan::single(AttentionKernel::Flash).expect("flash plan compiles");
     let mut flash_ref: Option<(usize, f64)> = None;
 
     for &l in &cfg.ls {
         let sf = longnet_sparsity_factor(l);
         let (q, k, v): (Matrix<f32>, _, _) = qkv(l, cfg.dk, cfg.seed);
+        let run = |plan: &AttentionPlan<'_>| {
+            std::hint::black_box(engine.run(plan, &q, &k, &v).unwrap());
+        };
 
         // FlashAttention (dense).
-        let rec = if l <= cfg.flash_max_l {
-            let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-                std::hint::black_box(engine.run(&flash_plan, &q, &k, &v).unwrap());
-            });
-            flash_ref = Some((l, stat.mean));
-            Record {
-                experiment: "table3".into(),
-                algo: "FlashAttention".into(),
-                l,
-                dk: cfg.dk,
-                sf_target: f64::NAN,
-                sf_achieved: 1.0,
-                mean_s: stat.mean,
-                min_s: stat.min,
-                max_s: stat.max,
-                std_s: stat.std,
-                iters: stat.iters,
-                note: String::new(),
-            }
+        let flash = Record::case("FlashAttention", l, cfg.dk).sf(f64::NAN, 1.0);
+        if l <= cfg.flash_max_l {
+            flash_ref = Some((l, sink.time(flash, || run(&flash_plan)).mean));
         } else {
-            let (l0, t0) = flash_ref.expect("ladder must start below flash_max_l");
-            Record {
-                experiment: "table3".into(),
-                algo: "FlashAttention".into(),
-                l,
-                dk: cfg.dk,
-                sf_target: f64::NAN,
-                sf_achieved: 1.0,
-                mean_s: t0 * (l as f64 / l0 as f64).powi(2),
-                min_s: f64::NAN,
-                max_s: f64::NAN,
-                std_s: f64::NAN,
-                iters: 0,
-                note: format!("estimated from L={l0} via O(L^2) work scaling"),
-            }
-        };
-        on_record(&rec);
-        records.push(rec);
+            let reference = flash_ref.expect("ladder must start below flash_max_l");
+            sink.estimated_quadratic(flash, reference);
+        }
 
         // Local kernel at the LongNet sparsity schedule.
         let window = local_window_for_sparsity(l, sf);
         let local_plan = AttentionPlan::single(AttentionKernel::Local { n: window })
             .expect("local plan compiles");
-        let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-            std::hint::black_box(engine.run(&local_plan, &q, &k, &v).unwrap());
-        });
-        let rec = Record {
-            experiment: "table3".into(),
-            algo: "Local".into(),
-            l,
-            dk: cfg.dk,
-            sf_target: sf,
-            sf_achieved: LocalWindow::new(l, window).sparsity_factor(),
-            mean_s: stat.mean,
-            min_s: stat.min,
-            max_s: stat.max,
-            std_s: stat.std,
-            iters: stat.iters,
-            note: format!("window={window}"),
-        };
-        on_record(&rec);
-        records.push(rec);
+        let case = Record::case("Local", l, cfg.dk)
+            .sf(sf, LocalWindow::new(l, window).sparsity_factor())
+            .note(format!("window={window}"));
+        sink.time(case, || run(&local_plan));
 
         // CSR with the explicit mask, sparsity capped by materialization
         // memory exactly as the paper's footnote describes.
         let target_nnz = (sf * l as f64 * l as f64) as usize;
         let (csr_sf, csr_note) = if target_nnz > cfg.csr_max_nnz {
             let capped = cfg.csr_max_nnz as f64 / (l as f64 * l as f64);
-            (
-                capped,
-                "sparsity raised: mask memory restriction".to_string(),
-            )
+            (capped, "sparsity raised: mask memory restriction")
         } else {
-            (sf, String::new())
+            (sf, "")
         };
-        let csr_window = local_window_for_sparsity(l, csr_sf);
-        let mask = LocalWindow::new(l, csr_window).to_csr();
-        let achieved = mask.sparsity_factor();
+        let mask = LocalWindow::new(l, local_window_for_sparsity(l, csr_sf)).to_csr();
         let csr_plan =
             AttentionPlan::single(AttentionKernel::Csr(&mask)).expect("csr plan compiles");
-        let stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-            std::hint::black_box(engine.run(&csr_plan, &q, &k, &v).unwrap());
-        });
-        let rec = Record {
-            experiment: "table3".into(),
-            algo: "CSR".into(),
-            l,
-            dk: cfg.dk,
-            sf_target: csr_sf,
-            sf_achieved: achieved,
-            mean_s: stat.mean,
-            min_s: stat.min,
-            max_s: stat.max,
-            std_s: stat.std,
-            iters: stat.iters,
-            note: csr_note,
-        };
-        on_record(&rec);
-        records.push(rec);
+        let case = Record::case("CSR", l, cfg.dk)
+            .sf(csr_sf, mask.sparsity_factor())
+            .note(csr_note);
+        sink.time(case, || run(&csr_plan));
     }
-    records
+    sink.finish()
 }
 
 #[cfg(test)]

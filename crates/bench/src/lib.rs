@@ -5,21 +5,28 @@
 //! (Section V) on the CPU substrate, at three scales (`--quick`, default,
 //! `--paper`). One binary per experiment:
 //!
-//! | Binary | Paper artifact |
-//! |---|---|
-//! | `table1_systems` | Table I (device/host inventory) |
-//! | `fig3_microbench` | Fig. 3 (kernel × Sf × L × dk sweep) |
-//! | `fig4_table2_memlimits` | Fig. 4 + Table II (capacity model) |
-//! | `table3_longcontext` | Table III (long-context ladder) |
-//! | `fig5_tradeoff` | Fig. 5 (flash vs local trade-off) |
-//! | `fig6_popular_masks` | Fig. 6 (Longformer/BigBird masks) |
-//! | `ablations` | DESIGN.md §3 ablations A1–A3 |
+//! | Binary | What it reproduces | CSV |
+//! |---|---|---|
+//! | `table1_systems` | Table I (device/host inventory) | — |
+//! | `fig3_microbench` | Fig. 3 (kernel × Sf × L × dk sweep) | `fig3` |
+//! | `fig4_table2_memlimits` | Fig. 4 + Table II (capacity model) | `fig4` |
+//! | `table3_longcontext` | Table III (long-context ladder) | `table3` |
+//! | `fig5_tradeoff` | Fig. 5 (flash vs local trade-off) | `fig5` |
+//! | `fig6_popular_masks` | Fig. 6 (Longformer/BigBird masks) | `fig6` |
+//! | `ablations` | A1 COO row search, A2 launch schedule, A3 flash tile | `ablations` |
+//! | `decode_latency` | kernel family × context length at KV-cached decode | `decode` |
+//! | `adaptive_sparsity` | dense vs static vs routed: work, time, KV bytes | `adaptive` |
 //!
-//! Each prints an ASCII table and writes `results/<experiment>.csv`.
-//! The library half (this crate) carries the measurement protocol
-//! ([`protocol`]), record/reporting plumbing ([`report`]), the owned
-//! algorithm cases ([`kernels`]), and the experiment runners
-//! ([`experiments`]) shared by the binaries and the Criterion benches.
+//! The last three are not in the paper; they stay because no workload of
+//! the serving benchmark (`benchmark/`, `bash benchmark/run.sh --workload
+//! …`) varies what they vary. Everything about *serving* — tick latency,
+//! admission, preemption, the pool's launch cost — is measured there.
+//!
+//! Each binary prints an ASCII table and writes `<out>/<csv>.csv`. The
+//! library half (this crate) carries the measurement protocol
+//! ([`protocol`]), the record sink, pivot table and CSV plumbing
+//! ([`report`]), the owned algorithm cases ([`kernels`]), and the
+//! experiment runners ([`experiments`]).
 
 pub mod args;
 pub mod experiments;
@@ -32,4 +39,4 @@ pub use args::{Args, Scale};
 pub use host::HostInfo;
 pub use kernels::{fitted_case, AlgoId, OwnedKernel};
 pub use protocol::{measure, measure_auto, speedup, BenchStat, Protocol};
-pub use report::{ascii_table, fmt_count, fmt_seconds, write_csv, Record};
+pub use report::{ascii_table, fmt_count, fmt_seconds, pivot, write_csv, Record, Sink};

@@ -1,9 +1,15 @@
-//! Result records, ASCII tables, and CSV output.
+//! Result records, the record sink every experiment times its cases
+//! through, ASCII tables, and CSV output.
 //!
 //! Every experiment binary emits two artifacts: a human-readable table on
 //! stdout (shaped like the paper's tables/figure series) and a CSV file
-//! under `results/` for plotting.
+//! under `results/` for plotting. An experiment describes each case with
+//! [`Record::case`] and hands it to its [`Sink`] together with the closure
+//! to time; a binary prints [`header`], streams [`progress`], renders
+//! [`pivot`] tables and ends with [`save`].
 
+use crate::host::HostInfo;
+use crate::protocol::{measure_auto, BenchStat, Protocol};
 use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
@@ -39,6 +45,39 @@ pub struct Record {
 }
 
 impl Record {
+    /// A case yet to be measured: no sparsity factors, no note, no timings.
+    /// The [`Sink`] it is handed to fills in the experiment id and the
+    /// statistics.
+    pub fn case(algo: impl Into<String>, l: usize, dk: usize) -> Record {
+        Record {
+            experiment: String::new(),
+            algo: algo.into(),
+            l,
+            dk,
+            sf_target: f64::NAN,
+            sf_achieved: f64::NAN,
+            mean_s: f64::NAN,
+            min_s: f64::NAN,
+            max_s: f64::NAN,
+            std_s: f64::NAN,
+            iters: 0,
+            note: String::new(),
+        }
+    }
+
+    /// Set the target and achieved sparsity factors.
+    pub fn sf(mut self, target: f64, achieved: f64) -> Record {
+        self.sf_target = target;
+        self.sf_achieved = achieved;
+        self
+    }
+
+    /// Set the free-form note.
+    pub fn note(mut self, note: impl Into<String>) -> Record {
+        self.note = note.into();
+        self
+    }
+
     /// CSV header matching [`Record::to_csv_row`].
     pub const CSV_HEADER: &'static str =
         "experiment,algo,L,dk,sf_target,sf_achieved,mean_s,min_s,max_s,std_s,iters,note";
@@ -69,6 +108,141 @@ fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v:.6e}")
     }
+}
+
+/// Where an experiment's measurements go: every case is timed under the
+/// experiment's protocol ceiling and per-case budget, completed into a
+/// [`Record`], streamed to the caller's callback and kept for the CSV.
+pub struct Sink<F> {
+    experiment: &'static str,
+    protocol: Protocol,
+    budget_s: f64,
+    on_record: F,
+    records: Vec<Record>,
+}
+
+impl<F: FnMut(&Record)> Sink<F> {
+    /// A sink for `experiment` (the id its records carry).
+    pub fn new(experiment: &'static str, protocol: Protocol, budget_s: f64, on_record: F) -> Self {
+        Sink {
+            experiment,
+            protocol,
+            budget_s,
+            on_record,
+            records: Vec::new(),
+        }
+    }
+
+    /// Change the id later records carry (the ablations emit three).
+    pub fn experiment(&mut self, experiment: &'static str) {
+        self.experiment = experiment;
+    }
+
+    /// Time `f` under [`measure_auto`] and record it as `case`.
+    pub fn time(&mut self, case: Record, f: impl FnMut()) -> BenchStat {
+        let stat = measure_auto(self.protocol, self.budget_s, f);
+        self.push(case, stat);
+        stat
+    }
+
+    /// Record `case` with statistics measured elsewhere.
+    pub fn push(&mut self, case: Record, stat: BenchStat) {
+        self.emit(Record {
+            mean_s: stat.mean,
+            min_s: stat.min,
+            max_s: stat.max,
+            std_s: stat.std,
+            iters: stat.iters,
+            ..case
+        });
+    }
+
+    /// Record `case` without running it: dense attention does `O(L²)` work,
+    /// so its runtime is extrapolated from the largest measured point
+    /// `(l0, mean seconds)` — the paper does the same where a dense run no
+    /// longer fits. The record has `iters == 0` and no spread.
+    pub fn estimated_quadratic(&mut self, case: Record, (l0, t0): (usize, f64)) {
+        let mean_s = t0 * (case.l as f64 / l0 as f64).powi(2);
+        self.emit(Record {
+            mean_s,
+            ..case.note(format!("estimated from L={l0} via O(L^2) work scaling"))
+        });
+    }
+
+    fn emit(&mut self, mut record: Record) {
+        record.experiment = self.experiment.into();
+        (self.on_record)(&record);
+        self.records.push(record);
+    }
+
+    /// The records, in the order they were produced.
+    pub fn finish(self) -> Vec<Record> {
+        self.records
+    }
+}
+
+/// Print a binary's title line, naming the host its numbers come from.
+pub fn header(title: &str) {
+    println!("{title} on {}\n", HostInfo::detect().summary());
+}
+
+/// The progress line a binary streams to stderr as each record lands.
+pub fn progress(r: &Record) {
+    eprintln!(
+        "  measured {:<32} [{}] L={:<9} dk={:<4} Sf={:<8.1e} -> {} {}",
+        r.algo,
+        r.experiment,
+        r.l,
+        r.dk,
+        r.sf_target,
+        fmt_seconds(r.mean_s),
+        r.note
+    );
+}
+
+/// Write the records to `<dir>/<name>.csv` and say where they went.
+pub fn save(dir: &Path, name: &str, records: &[Record]) {
+    match write_csv(dir, name, records) {
+        Ok(path) => println!("\nwrote {}", path.display()),
+        Err(e) => eprintln!("\nfailed to write CSV: {e}"),
+    }
+}
+
+/// Render a series × column table: one row per distinct `algo` among
+/// `records` in first-seen order, one column per entry of `cols` in the
+/// order given. A cell is `cell` of the record whose `key` equals the
+/// column, or `—` when there is none.
+pub fn pivot<'r, K: PartialEq>(
+    corner: &str,
+    records: impl IntoIterator<Item = &'r Record>,
+    cols: &[K],
+    label: impl Fn(&K) -> String,
+    key: impl Fn(&Record) -> K,
+    cell: impl Fn(&Record) -> String,
+) -> String {
+    let records: Vec<&Record> = records.into_iter().collect();
+    let mut series: Vec<&str> = Vec::new();
+    for r in &records {
+        if !series.contains(&r.algo.as_str()) {
+            series.push(&r.algo);
+        }
+    }
+    let mut headers = vec![corner.to_string()];
+    headers.extend(cols.iter().map(label));
+    let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
+    let rows: Vec<Vec<String>> = series
+        .iter()
+        .map(|&name| {
+            let cells = cols.iter().map(|col| {
+                records
+                    .iter()
+                    .find(|r| r.algo == name && key(r) == *col)
+                    .map_or_else(|| "—".to_string(), |r| cell(r))
+            });
+            std::iter::once(name.to_string()).chain(cells).collect()
+        })
+        .collect();
+    ascii_table(&header_refs, &rows)
 }
 
 /// Write records as CSV under `dir/name.csv`, creating the directory.
@@ -152,17 +326,126 @@ mod tests {
     fn rec() -> Record {
         Record {
             experiment: "fig3".into(),
-            algo: "CSR".into(),
-            l: 1024,
-            dk: 64,
-            sf_target: 0.01,
-            sf_achieved: 0.0101,
             mean_s: 0.5,
             min_s: 0.4,
             max_s: 0.6,
             std_s: 0.05,
             iters: 5,
-            note: String::new(),
+            ..Record::case("CSR", 1024, 64).sf(0.01, 0.0101)
+        }
+    }
+
+    #[test]
+    fn sink_times_streams_and_keeps_every_case() {
+        let mut streamed = Vec::new();
+        let protocol = Protocol {
+            warmup: 1,
+            iters: 3,
+        };
+        let mut sink = Sink::new("unit", protocol, 10.0, |r: &Record| {
+            streamed.push(r.algo.clone())
+        });
+        let mut calls = 0;
+        let stat = sink.time(Record::case("timed", 8, 2).sf(0.5, 0.25), || calls += 1);
+        sink.experiment("unit_b");
+        sink.push(Record::case("pushed", 16, 2).note("n"), stat);
+        let records = sink.finish();
+        // The pilot run is the warm-up; three timed runs follow.
+        assert_eq!((calls, stat.iters), (4, 3));
+        assert_eq!(streamed, ["timed", "pushed"]);
+        assert_eq!(records[0].experiment, "unit");
+        assert_eq!((records[0].sf_target, records[0].sf_achieved), (0.5, 0.25));
+        assert_eq!(records[0].mean_s, stat.mean);
+        assert_eq!(records[1].experiment, "unit_b");
+        assert_eq!((records[1].l, records[1].iters), (16, 3));
+        assert_eq!(records[1].note, "n");
+    }
+
+    #[test]
+    fn quadratic_estimate_scales_the_reference_point() {
+        let mut sink = Sink::new("unit", Protocol::paper(), 1.0, |_: &Record| {});
+        let flash = Record::case("FlashAttention", 1024, 32).sf(f64::NAN, 1.0);
+        sink.estimated_quadratic(flash, (256, 0.5));
+        let r = &sink.finish()[0];
+        assert_eq!(r.mean_s, 0.5 * 16.0);
+        assert_eq!(r.iters, 0);
+        assert!(r.min_s.is_nan() && r.max_s.is_nan() && r.std_s.is_nan());
+        assert!(r.note.contains("estimated") && r.note.contains("L=256"));
+        assert_eq!((r.experiment.as_str(), r.sf_achieved), ("unit", 1.0));
+    }
+
+    #[test]
+    fn pivot_keeps_config_column_order_and_first_seen_rows() {
+        let at = |algo: &str, l: usize, mean_s: f64| Record {
+            mean_s,
+            ..Record::case(algo, l, 8)
+        };
+        // "b" is seen first and has no L=512 point.
+        let records = [at("b", 64, 2.0), at("a", 512, 3.0), at("a", 64, 1.0)];
+        let table = pivot(
+            "series",
+            &records,
+            &[512, 64],
+            |l| format!("L={l}"),
+            |r| r.l,
+            |r| format!("{}s", r.mean_s),
+        );
+        let cells: Vec<Vec<&str>> = table
+            .lines()
+            .filter(|line| line.starts_with('|'))
+            .map(|line| line.split('|').map(str::trim).collect())
+            .collect();
+        assert_eq!(cells[0][1..4], ["series", "L=512", "L=64"]);
+        assert_eq!(cells[1][1..4], ["b", "—", "2s"]);
+        assert_eq!(cells[2][1..4], ["a", "3s", "1s"]);
+        assert_eq!(cells.len(), 3);
+    }
+
+    #[test]
+    fn every_quick_experiment_names_its_csv() {
+        use crate::experiments::*;
+        use crate::Scale::Quick;
+        let engine = gpa_core::AttentionEngine::with_threads(2);
+        let none = |_: &Record| {};
+        // (the name the binary passes to `save`, the records it passes).
+        let runs = [
+            (
+                "fig3",
+                run_fig3(&engine, &Fig3Config::for_scale(Quick), none),
+            ),
+            (
+                "fig5",
+                run_fig5(&engine, &Fig5Config::for_scale(Quick), none),
+            ),
+            (
+                "fig6",
+                run_fig6(&engine, &Fig6Config::for_scale(Quick), none),
+            ),
+            (
+                "table3",
+                run_table3(&engine, &Table3Config::for_scale(Quick), none),
+            ),
+            (
+                "ablations",
+                run_ablations(&engine, &AblationConfig::for_scale(Quick), none),
+            ),
+            (
+                "decode",
+                run_decode(&engine, &DecodeConfig::for_scale(Quick), none),
+            ),
+            (
+                "adaptive",
+                run_adaptive(&engine, &AdaptiveConfig::for_scale(Quick), none),
+            ),
+        ];
+        for (csv, records) in runs {
+            assert!(!records.is_empty(), "{csv}");
+            for r in records {
+                // The ablations' three ids share one file.
+                let ablation = csv == "ablations" && r.experiment.starts_with("ablation_a");
+                assert!(r.experiment == csv || ablation, "{csv}: {r:?}");
+                assert!(r.mean_s > 0.0, "{r:?}");
+            }
         }
     }
 

@@ -9,8 +9,10 @@
 //! [`run_paper_verification`] executes exactly that protocol: every graph
 //! kernel, launched through an [`AttentionEngine`], against the masked-SDP
 //! reference, across representative masks of
-//! varied sparsity, in `f64` (the reference comparison precision; see
-//! DESIGN.md §1 on FP16 storage emulation).
+//! varied sparsity, in `f64` (the reference comparison precision: the
+//! tolerances above are tighter than FP16 or `f32` rounding, and FP16 here
+//! is emulated storage — `gpa_tensor::F16` rounds values, arithmetic stays
+//! in the compute type).
 
 use crate::baselines::masked_sdp;
 use crate::dispatch::AttentionKernel;

@@ -10,7 +10,7 @@
 //! count (`floor(i/(L/b))` with `i % b`); we parameterize by an explicit
 //! `block_size` and keep dilation within the block:
 //! `same_block(i, j) ∧ (i mod bs) mod (r+1) = 0 ∧ (j mod bs) mod (r+1) = 0`.
-//! DESIGN.md §6 records the deviation; for the paper's square case
+//! That is a deviation from the paper's text; for the paper's square case
 //! (`b × b = L` with `b = √L`) the two parameterizations coincide.
 
 use crate::pattern::MaskPattern;

@@ -3,8 +3,10 @@
 //!
 //! The paper runs its kernels as CUDA grids: one block per attention row,
 //! shared-memory online softmax inside each block. This crate is the CPU
-//! stand-in for that substrate (see DESIGN.md §1 for the substitution
-//! argument):
+//! stand-in for that substrate — a row is the unit of parallel work in
+//! both, and which thread runs a row never changes the row's result, so
+//! what carries over from the paper is work and scaling trends, not
+//! absolute times:
 //!
 //! - [`ThreadPool`]: `n` participants per launch — the calling thread
 //!   plus `n − 1` persistent work-stealing helpers. Submitted jobs land in
@@ -33,9 +35,7 @@ pub mod ragged;
 pub mod shared;
 
 pub use metrics::{LocalTally, PoolMetrics, PoolReport, WorkCounter, WorkReport};
-pub use parallel_for::{
-    for_each_index, parallel_for, parallel_for_stats, spin_work, time_best, LaunchStats, Schedule,
-};
+pub use parallel_for::{parallel_for, parallel_for_stats, spin_work, LaunchStats, Schedule};
 pub use pool::{default_threads, global_pool, on_worker_thread, ThreadPool};
 pub use ragged::RaggedSpace;
 pub use shared::{CellWriter, RowWriter};

@@ -11,8 +11,8 @@
 //! poor scaling to block-level load imbalance ("the algorithm can only be as
 //! fast as its slowest block"). [`Schedule::StaticContiguous`] and
 //! [`Schedule::BlockCyclic`] reproduce a hardware-like fixed assignment,
-//! while [`Schedule::Dynamic`] is the work-stealing ablation (A2 in
-//! DESIGN.md): each share starts with a contiguous span of rows, its
+//! while [`Schedule::Dynamic`] is the work-stealing ablation (A2 of
+//! `gpa-bench`'s `ablations` binary): each share starts with a contiguous span of rows, its
 //! participant claims `grain` rows at a time from the front, and when the
 //! span runs dry steals half of a randomly chosen sibling's remaining span
 //! — real range stealing, not a shared counter, so the common case is an
@@ -110,8 +110,8 @@ impl Schedule {
 impl Default for Schedule {
     fn default() -> Self {
         // Dynamic with a modest grain is the best general-purpose default;
-        // grain 16 is the knee of the substrates grain sweep (see
-        // results/baselines/substrates.csv — grain 1 pays ~7× in claim
+        // grain 16 is the knee of the grain sweep (the table under
+        // "Substrate performance" in README.md — grain 1 pays ~7× in claim
         // traffic on an empty body, and while grain 64 shaves the noop
         // launch further, batched engine runs show no gain over 16 at
         // half the stealable granularity). Kernels that want to reproduce
@@ -639,32 +639,6 @@ where
     out
 }
 
-/// Convenience: run `body(i)` for every `i` in `0..n` on the global pool
-/// with the default schedule.
-pub fn for_each_index<F>(pool: &ThreadPool, n: usize, body: F)
-where
-    F: Fn(usize) + Sync,
-{
-    parallel_for(pool, n, Schedule::default(), |range| {
-        for i in range {
-            body(i);
-        }
-    });
-}
-
-/// Minimum elapsed time over `iters` timed executions of `f` (seconds).
-/// Small utility shared by tests; the benchmark protocol lives in
-/// `gpa-bench`.
-pub fn time_best<F: FnMut()>(iters: usize, mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..iters.max(1) {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Sleep-free busy work used by scheduling tests (returns a value dependent
 /// on `spins` so the optimizer cannot remove the loop).
 pub fn spin_work(spins: usize) -> u64 {
@@ -675,11 +649,6 @@ pub fn spin_work(spins: usize) -> u64 {
         acc = std::hint::black_box(acc.wrapping_mul(6364136223846793005).wrapping_add(i as u64));
     }
     acc
-}
-
-/// Duration helper for stats assertions in tests.
-pub fn as_duration(secs: f64) -> Duration {
-    Duration::from_secs_f64(secs.max(0.0))
 }
 
 #[cfg(test)]
@@ -1159,17 +1128,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_index_sees_every_index() {
-        let pool = pool4();
-        let n = 257;
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        for_each_index(&pool, n, |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
     fn borrowed_output_buffer_is_written() {
         // The scoped-lifetime erasure must let workers write into a caller
         // buffer through an UnsafeCell-free route: disjoint &mut access via
@@ -1186,18 +1144,5 @@ mod tests {
         for (i, o) in out.iter().enumerate() {
             assert_eq!(o.load(Ordering::Relaxed), (i * i) as u64);
         }
-    }
-
-    #[test]
-    fn time_best_returns_finite_positive() {
-        let t = time_best(3, || {
-            spin_work(1000);
-        });
-        assert!(t.is_finite() && t >= 0.0);
-    }
-
-    #[test]
-    fn as_duration_clamps_negative() {
-        assert_eq!(as_duration(-1.0), Duration::ZERO);
     }
 }

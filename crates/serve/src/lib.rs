@@ -155,11 +155,13 @@
 //! `cargo run -p gpa-bench --release --bin adaptive_sparsity` sweeps the
 //! pattern × group-count × context-length trade-off surface.
 //!
-//! `examples/continuous_serving.rs` walks the same loop tick by tick, and
-//! `cargo run -p gpa-bench --release --bin serving_throughput` measures
-//! tokens/sec and latency percentiles against the sequential baseline as
-//! offered load grows; `--bin model_serving` sweeps decoder-stack depth ×
-//! layer pattern.
+//! `examples/continuous_serving.rs` walks the same loop tick by tick and
+//! times it against the sequential baseline. Throughput, tick and request
+//! latency percentiles, admission and preemption counts are measured by
+//! the serving benchmark: `bash benchmark/run.sh --workload decode_swarm`
+//! (plan sequences in flight), `--workload evict_churn` (page pressure),
+//! `--workload stack_serve` (a 12-layer decoder stack under Swap
+//! eviction); add `--trace 1` for the per-layer ladder.
 
 pub mod error;
 pub mod request;
