@@ -144,26 +144,6 @@ impl<'a, T: Real> AttentionRequest<'a, T> {
     }
 }
 
-/// One sequence's pending decode token in a multi-sequence batched decode
-/// launch ([`crate::AttentionEngine::decode_steps_batched`]): the new
-/// token's query/key/value rows plus exclusive access to that sequence's
-/// cache.
-///
-/// The engine validates every step **before** mutating any cache, appends
-/// every step's K/V rows, runs all decode rows as one flattened launch,
-/// and on failure truncates every cache back — so a batch of steps either
-/// all land or none do.
-pub struct DecodeStep<'a, T> {
-    /// The new token's query row, `1 × dk`.
-    pub q_t: &'a Matrix<T>,
-    /// The new token's key row, `1 × dk`.
-    pub k_t: &'a Matrix<T>,
-    /// The new token's value row, `1 × dv`.
-    pub v_t: &'a Matrix<T>,
-    /// The sequence's single-head cache (appended to by the launch).
-    pub cache: &'a mut crate::cache::KvCache<T>,
-}
-
 /// Check one request's routing against the plan: a routed plan needs a
 /// routing built under exactly its spec, covering the whole key/value set
 /// when any routed step is noncausal and at least the query window's end
@@ -252,8 +232,8 @@ pub(crate) fn execute_batch<T: Real>(
 }
 
 /// As [`execute_batch`], but returning the full per-request
-/// [`AttentionState`]s — the `(O, l, m)` triples distributed reductions
-/// merge across devices. Graph-kernel plans only.
+/// [`AttentionState`]s — the `(O, l, m)` triples at rest, which the
+/// numerics-contract tests read. Graph-kernel plans only.
 pub(crate) fn execute_batch_states<T: Real>(
     pool: &ThreadPool,
     plan: &AttentionPlan<'_>,
@@ -654,7 +634,7 @@ mod tests {
 
     #[test]
     fn rectangular_csr_requests_run_in_batches() {
-        // A distributed row-slice shape: 4 query rows against 16 keys.
+        // A rectangular row-slice shape: 4 query rows against 16 keys.
         let full = LocalWindow::new(16, 2).to_csr();
         let entries: Vec<(usize, usize)> = (0..4)
             .flat_map(|r| full.row(r).iter().map(move |&c| (r, c as usize)))

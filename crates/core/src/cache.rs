@@ -47,8 +47,8 @@ fn quantize_row<T: Real>(row: &mut [T]) {
 /// Growable per-head key/value storage for one sequence.
 ///
 /// Single-head callers (the engine's [`crate::AttentionEngine::decode_step`]
-/// surface) build it with [`KvCache::single`]; the multi-head layer keeps
-/// one entry per head ([`crate::MultiHeadAttention::forward_decode`]).
+/// surface) build it with [`KvCache::single`]; a decoder layer's cache in
+/// a [`crate::PagePool`] keeps one entry per head ([`KvCache::new`]).
 /// Storage precision is fixed at construction ([`KvPrecision`], default
 /// native).
 #[derive(Clone)]

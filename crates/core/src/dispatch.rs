@@ -166,8 +166,9 @@ impl AttentionKernel<'_> {
 
     /// Enumerate (ascending) the neighbors of **absolute** query row `i`
     /// under key/value set size `kv_len` — the public form of the per-row
-    /// rule, used by the distributed layer to build shard-restricted decode
-    /// masks without materializing the kernel's full pattern.
+    /// rule, used to estimate a plan's edges
+    /// ([`crate::AttentionPlan::estimated_edges`]) without materializing
+    /// the kernel's full pattern.
     ///
     /// # Panics
     /// Panics on dense baselines (they have no sparse row rule), on

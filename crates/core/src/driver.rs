@@ -35,8 +35,9 @@
 //! rest*: between the steps of a plan and in every
 //! [`crate::AttentionState`] a caller can observe, `(O, l, m)` is exactly
 //! the triple Algorithm 1 maintains, which is why plan steps chain on one
-//! state (local ∘ global composition, Section V-F) and why
-//! `gpa-distributed` can still merge states. A row's result is a function
+//! state (local ∘ global composition, Section V-F), and what
+//! [`crate::AttentionEngine::run_batch_states`] hands the numerics-contract
+//! tests to read. A row's result is a function
 //! of its neighbor *sequence* alone — tiles restart with every row and
 //! every plan step, never with a chunk, a batch slot or a thread — so a
 //! row computes the same bits however it is launched. [`absorb_edge`] is

@@ -29,16 +29,15 @@
 //! ```
 //!
 //! Every entry point here — `run`, `run_kernel`, the `run_batch*` family,
-//! chunked prefill, decode — and each forward of the multi-head layer
-//! ([`crate::multihead`]) is a thin wrapper over one row loop
-//! ([`crate::batch`]), so a row computes the same bits whichever of them
-//! launched it. Only the dense baselines ([`crate::masked_sdp`],
+//! chunked prefill, decode — is a thin wrapper over one row loop
+//! ([`crate::batch`]), and the multi-head layer's one forward
+//! ([`crate::MultiHeadAttention::forward_on`]) launches through
+//! [`AttentionEngine::run_batch`], so a row computes the same bits
+//! whichever of them launched it. Only the dense baselines ([`crate::masked_sdp`],
 //! [`crate::flash_attention`]) can also be called directly with a pool:
 //! they are what tests compare the graph kernels against.
 
-use crate::batch::{
-    execute_batch, execute_batch_into, execute_batch_states, AttentionRequest, DecodeStep,
-};
+use crate::batch::{execute_batch, execute_batch_into, execute_batch_states, AttentionRequest};
 use crate::cache::{KvCache, KvPrecision};
 use crate::dispatch::AttentionKernel;
 use crate::error::AttnError;
@@ -90,10 +89,12 @@ impl AttentionEngineBuilder {
     }
 
     /// Storage precision for KV caches created through
-    /// [`AttentionEngine::new_cache`] — [`KvPrecision::F16`] emulates the
-    /// FP16-storage/full-precision-compute serving configuration
-    /// (quantize on append, compute in `T`; the verification suite gates
-    /// its error bounds, see [`crate::verify::F16_KV_ATOL`]).
+    /// [`AttentionEngine::new_cache`], the only constructor that honours
+    /// it: [`KvPrecision::F16`] emulates FP16 storage with full-precision
+    /// compute (quantize on append, compute in `T`; the verification suite
+    /// gates its error bounds, see [`crate::verify::F16_KV_ATOL`]). The
+    /// scheduler's [`crate::PagePool`] builds its caches with
+    /// [`KvCache::single`]/[`KvCache::new`] and never sees this setting.
     pub fn kv_precision(mut self, precision: KvPrecision) -> Self {
         self.kv_precision = precision;
         self
@@ -258,8 +259,9 @@ impl AttentionEngine {
     }
 
     /// Run a graph-kernel plan over a batch and return the full per-request
-    /// [`AttentionState`]s — the `(O, l, m)` triples a distributed
-    /// reduction merges across devices.
+    /// [`AttentionState`]s — the `(O, l, m)` triples at rest. It stays
+    /// public because the numerics-contract tests read each row's `l` and
+    /// `m` through it.
     pub fn run_batch_states<T: Real>(
         &self,
         plan: &AttentionPlan<'_>,
@@ -378,7 +380,9 @@ impl AttentionEngine {
     ///
     /// Graph-kernel plans only (a dense baseline has no incremental form);
     /// implicit-kernel plans pin no length, so **one** compiled plan
-    /// serves every step of the growing cache.
+    /// serves every step of the growing cache. The step is validated
+    /// before the cache is touched, and a failed launch truncates the
+    /// append back: the cache still mirrors the logical token stream.
     pub fn decode_step<T: Real>(
         &self,
         plan: &AttentionPlan<'_>,
@@ -387,99 +391,46 @@ impl AttentionEngine {
         v_t: &Matrix<T>,
         cache: &mut KvCache<T>,
     ) -> Result<Matrix<T>, AttnError> {
-        let mut steps = [DecodeStep {
-            q_t,
-            k_t,
-            v_t,
-            cache,
-        }];
-        let mut outs = self.decode_steps_batched(plan, &mut steps)?;
-        Ok(outs.pop().expect("one step, one output"))
-    }
-
-    /// Batched decode: advance **many sequences** by one token each in a
-    /// single flattened launch — the continuous-batching hot path, where
-    /// per-token launch overhead (which dominates `decode_latency` at
-    /// small windows) is paid once per *tick* instead of once per
-    /// sequence.
-    ///
-    /// Each [`DecodeStep`] appends its token's K/V rows to its own cache
-    /// and computes that sequence's single decode row; sequences may have
-    /// ragged cache lengths and key/value dimensions. Per-row work is
-    /// identical to N independent [`Self::decode_step`] calls, so outputs
-    /// are **bitwise identical** to them (property-tested in
-    /// `tests/geometry.rs`).
-    ///
-    /// All steps are validated before any cache is mutated, and a failed
-    /// launch truncates every cache back to its prior length — the batch
-    /// is atomic: all sequences advance or none do.
-    pub fn decode_steps_batched<T: Real>(
-        &self,
-        plan: &AttentionPlan<'_>,
-        steps: &mut [DecodeStep<'_, T>],
-    ) -> Result<Vec<Matrix<T>>, AttnError> {
         if !plan.is_composable() {
             return Err(AttnError::BadParameter {
                 what: "dense baselines have no KV-cached decode form",
             });
         }
-        // Validate every step before mutating any cache.
-        for step in steps.iter() {
-            if step.cache.heads() != 1 {
-                return Err(AttnError::BadParameter {
-                    what: "engine-level decode takes a single-head cache",
-                });
-            }
-            if step.q_t.rows() != 1 || step.k_t.rows() != 1 || step.v_t.rows() != 1 {
-                return Err(AttnError::ContextLengthMismatch {
-                    q: step.q_t.rows(),
-                    k: step.k_t.rows(),
-                    v: step.v_t.rows(),
-                });
-            }
-            if step.k_t.cols() != step.cache.dk() || step.v_t.cols() != step.cache.dv() {
-                return Err(AttnError::BadParameter {
-                    what: "K/V widths do not match the cache's dk/dv",
-                });
-            }
+        if cache.heads() != 1 {
+            return Err(AttnError::BadParameter {
+                what: "engine-level decode takes a single-head cache",
+            });
         }
-        let priors: Vec<usize> = steps.iter().map(|s| s.cache.len()).collect();
-        for step in steps.iter_mut() {
-            step.cache.append(0, step.k_t.row(0), step.v_t.row(0));
+        if q_t.rows() != 1 || k_t.rows() != 1 || v_t.rows() != 1 {
+            return Err(AttnError::ContextLengthMismatch {
+                q: q_t.rows(),
+                k: k_t.rows(),
+                v: v_t.rows(),
+            });
         }
+        if k_t.cols() != cache.dk() || v_t.cols() != cache.dv() {
+            return Err(AttnError::BadParameter {
+                what: "K/V widths do not match the cache's dk/dv",
+            });
+        }
+        let prior = cache.len();
+        cache.append(0, k_t.row(0), v_t.row(0));
+        // A routed plan routes the new token from its query row — the same
+        // pure per-row function prefill used, so the decode row joins the
+        // exact group the square forward would put it in.
         if let Some(spec) = plan.routing_spec() {
-            // Route each new token from its query row — the same pure
-            // per-row function prefill used, so the decode row joins the
-            // exact group the square forward would put it in.
-            let routed: Result<(), AttnError> = steps
-                .iter_mut()
-                .try_for_each(|step| step.cache.extend_routing(spec, 0, step.q_t));
-            if let Err(e) = routed {
-                // Every step already appended its token; roll them all back.
-                for (step, &prior) in steps.iter_mut().zip(&priors) {
-                    step.cache.truncate(prior);
-                }
+            if let Err(e) = cache.extend_routing(spec, 0, q_t) {
+                cache.truncate(prior);
                 return Err(e);
             }
         }
-        let result = {
-            let requests: Vec<AttentionRequest<'_, T>> = steps
-                .iter()
-                .map(|s| {
-                    AttentionRequest::decode(s.q_t, s.cache.k(0), s.cache.v(0))
-                        .with_routing(s.cache.routing(0))
-                })
-                .collect();
-            execute_batch(&self.pool, plan, &self.options(), &requests)
-        };
+        let request =
+            AttentionRequest::decode(q_t, cache.k(0), cache.v(0)).with_routing(cache.routing(0));
+        let result = self.run_batch(plan, &[request]);
         match result {
-            Ok(outs) => Ok(outs),
+            Ok(mut outs) => Ok(outs.pop().expect("one request, one output")),
             Err(e) => {
-                // Roll every append back: a failed batch must not leave a
-                // phantom token in any sequence's cache.
-                for (step, &prior) in steps.iter_mut().zip(&priors) {
-                    step.cache.truncate(prior);
-                }
+                cache.truncate(prior);
                 Err(e)
             }
         }
@@ -622,132 +573,6 @@ mod tests {
             assert_eq!(out.row(0), prefix.row(t), "step {t}");
         }
         assert_eq!(cache.len(), l);
-    }
-
-    #[test]
-    fn decode_steps_batched_matches_independent_steps() {
-        let engine = AttentionEngine::with_threads(3);
-        let plan = engine.compile(&[AttentionKernel::Local { n: 2 }]).unwrap();
-        let lens = [5usize, 12, 1];
-        let seqs: Vec<_> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| qkv::<f64>(l + 1, 4, 90 + i as u64))
-            .collect();
-        let mut batched_caches: Vec<crate::KvCache<f64>> = lens
-            .iter()
-            .zip(&seqs)
-            .map(|(&l, (_, k, v))| {
-                let mut c = crate::KvCache::single(4, 4);
-                c.extend(0, &k.rows_slice(0, l), &v.rows_slice(0, l));
-                c
-            })
-            .collect();
-        let mut independent_caches = batched_caches.clone();
-        let toks: Vec<_> = lens
-            .iter()
-            .zip(&seqs)
-            .map(|(&l, (q, k, v))| {
-                (
-                    q.rows_slice(l, l + 1),
-                    k.rows_slice(l, l + 1),
-                    v.rows_slice(l, l + 1),
-                )
-            })
-            .collect();
-        let mut steps: Vec<DecodeStep<'_, f64>> = batched_caches
-            .iter_mut()
-            .zip(&toks)
-            .map(|(cache, (q_t, k_t, v_t))| DecodeStep {
-                q_t,
-                k_t,
-                v_t,
-                cache,
-            })
-            .collect();
-        let batched = engine.decode_steps_batched(&plan, &mut steps).unwrap();
-        for (i, ((q_t, k_t, v_t), cache)) in
-            toks.iter().zip(independent_caches.iter_mut()).enumerate()
-        {
-            let single = engine.decode_step(&plan, q_t, k_t, v_t, cache).unwrap();
-            assert_eq!(batched[i], single, "sequence {i}");
-        }
-        for (i, (a, b)) in batched_caches.iter().zip(&independent_caches).enumerate() {
-            assert_eq!(a.len(), b.len(), "sequence {i} cache length");
-            assert_eq!(a.k(0), b.k(0), "sequence {i} cached keys");
-        }
-    }
-
-    #[test]
-    fn failed_batched_decode_rolls_every_cache_back() {
-        // A length-pinned plan that passes the pre-append checks but fails
-        // per-request validation must roll back the appends of EVERY
-        // sequence in the batch, not only the offending one.
-        let engine = AttentionEngine::with_threads(1);
-        let globals = gpa_masks::GlobalSet::new(99, vec![0]);
-        let pinned = engine
-            .compile(&[AttentionKernel::Global {
-                globals: &globals,
-                n_sub: 0,
-            }])
-            .unwrap();
-        let lens = [3usize, 7];
-        let seqs: Vec<_> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| qkv::<f64>(l + 1, 4, 95 + i as u64))
-            .collect();
-        let mut caches: Vec<crate::KvCache<f64>> = lens
-            .iter()
-            .zip(&seqs)
-            .map(|(&l, (_, k, v))| {
-                let mut c = crate::KvCache::single(4, 4);
-                c.extend(0, &k.rows_slice(0, l), &v.rows_slice(0, l));
-                c
-            })
-            .collect();
-        let toks: Vec<_> = lens
-            .iter()
-            .zip(&seqs)
-            .map(|(&l, (q, k, v))| {
-                (
-                    q.rows_slice(l, l + 1),
-                    k.rows_slice(l, l + 1),
-                    v.rows_slice(l, l + 1),
-                )
-            })
-            .collect();
-        let mut steps: Vec<DecodeStep<'_, f64>> = caches
-            .iter_mut()
-            .zip(&toks)
-            .map(|(cache, (q_t, k_t, v_t))| DecodeStep {
-                q_t,
-                k_t,
-                v_t,
-                cache,
-            })
-            .collect();
-        assert!(engine.decode_steps_batched(&pinned, &mut steps).is_err());
-        for (i, (&l, cache)) in lens.iter().zip(&caches).enumerate() {
-            assert_eq!(cache.len(), l, "sequence {i} must be rolled back");
-        }
-        // The rolled-back caches still decode fine under a healthy plan.
-        let ok = engine.compile(&[AttentionKernel::Local { n: 1 }]).unwrap();
-        let mut steps: Vec<DecodeStep<'_, f64>> = caches
-            .iter_mut()
-            .zip(&toks)
-            .map(|(cache, (q_t, k_t, v_t))| DecodeStep {
-                q_t,
-                k_t,
-                v_t,
-                cache,
-            })
-            .collect();
-        let outs = engine.decode_steps_batched(&ok, &mut steps).unwrap();
-        assert_eq!(outs.len(), 2);
-        for (&l, cache) in lens.iter().zip(&caches) {
-            assert_eq!(cache.len(), l + 1);
-        }
     }
 
     #[test]

@@ -51,8 +51,9 @@
 //! The steps of a multi-step [`AttentionPlan`] chain per row on one
 //! [`AttentionState`], so steps over disjoint masks compute exact attention
 //! over the union — the paper's Fig. 6 evaluation mode;
-//! [`AttentionEngine::run_batch_states`] returns the states, which
-//! `gpa-distributed` merges across shards. [`multihead`] provides the
+//! [`AttentionEngine::run_batch_states`] returns the states, and stays
+//! public because the numerics-contract tests read their `l` and `m`
+//! through it. [`multihead`] provides the
 //! multi-head extension the paper lists as future work; [`verify`]
 //! reproduces the Section V-A verification protocol.
 
@@ -74,7 +75,7 @@ pub mod state;
 pub mod verify;
 
 pub use baselines::{flash_attention, flash_attention_tiled, masked_sdp};
-pub use batch::{AttentionRequest, DecodeStep};
+pub use batch::AttentionRequest;
 pub use cache::{KvCache, KvPrecision};
 pub use dispatch::AttentionKernel;
 pub use driver::absorb_edge;
@@ -82,10 +83,7 @@ pub use engine::{AttentionEngine, AttentionEngineBuilder};
 pub use error::AttnError;
 pub use geometry::Geometry;
 pub use kernels::CooSearch;
-pub use multihead::{
-    concat_heads, multi_head_attention, split_heads, LayerDecodeStep, MultiHeadAttention,
-    ProjectedHeads,
-};
+pub use multihead::{concat_heads, split_heads, MultiHeadAttention, ProjectedHeads};
 pub use options::KernelOptions;
 pub use pages::{PagePool, SeqId, SwapArena, SwapTicket};
 pub use plan::AttentionPlan;

@@ -8,17 +8,17 @@
 //! concatenation, and an output projection — a full transformer attention
 //! sub-layer usable by the examples.
 //!
-//! Since the engine redesign, the per-head runs are dispatched through the
-//! batched plan executor: all heads of one forward pass flatten into a
-//! **single** pool launch instead of one launch per head (outputs are
-//! unchanged — per-row work is identical).
+//! The layer has one forward, [`MultiHeadAttention::forward_on`]: an
+//! [`AttentionEngine`] and a compiled plan, all heads of the pass
+//! flattened into a **single** [`AttentionEngine::run_batch`] launch.
+//! KV-cached serving of layers is `gpa-model`'s `DecoderModel`, which
+//! stacks them over a [`crate::PagePool`] and calls the row-block
+//! projections ([`MultiHeadAttention::project_qkv_batched`],
+//! [`MultiHeadAttention::combine_heads_batched`]) around its own launch.
 
-use crate::batch::{execute_batch, AttentionRequest};
-use crate::cache::KvCache;
-use crate::dispatch::AttentionKernel;
+use crate::batch::AttentionRequest;
 use crate::engine::AttentionEngine;
 use crate::error::AttnError;
-use crate::options::KernelOptions;
 use crate::plan::AttentionPlan;
 use crate::routing::{Router, Routing};
 use gpa_parallel::{parallel_for, RaggedSpace, RowWriter, Schedule, ThreadPool};
@@ -71,18 +71,6 @@ pub fn concat_heads<T: Real>(heads: &[Matrix<T>]) -> Matrix<T> {
 /// Per-head `(Q, K, V)` projections of an input window — what
 /// [`MultiHeadAttention::project_qkv`] returns (`heads` matrices each).
 pub type ProjectedHeads<T> = (Vec<Matrix<T>>, Vec<Matrix<T>>, Vec<Matrix<T>>);
-
-/// One sequence's pending decode token in a multi-sequence batched layer
-/// decode ([`MultiHeadAttention::forward_decode_batched`]): the new
-/// token's `1 × d_model` input plus exclusive access to that sequence's
-/// per-head cache.
-pub struct LayerDecodeStep<'a, T> {
-    /// The new token's input row, `1 × d_model`.
-    pub x_t: &'a Matrix<T>,
-    /// The sequence's per-head cache (see
-    /// [`MultiHeadAttention::new_cache`]).
-    pub cache: &'a mut KvCache<T>,
-}
 
 /// Where a row-block projection runs: as one launch on a pool under a
 /// schedule, or (`None`) inline on the calling thread.
@@ -157,51 +145,52 @@ impl<T: Real> MultiHeadAttention<T> {
         self.wo.cols()
     }
 
-    /// Forward pass: project, run `kernel` per head (same mask every head),
-    /// concatenate, project out. Input and output are `L × d_model`.
-    ///
-    /// All heads run as **one** batched launch through the plan executor.
-    pub fn forward(
-        &self,
-        pool: &ThreadPool,
-        x: &Matrix<T>,
-        kernel: &AttentionKernel<'_>,
-        opts: &KernelOptions<'_>,
-    ) -> Result<Matrix<T>, AttnError> {
-        let plan = AttentionPlan::single(*kernel)?;
-        self.forward_inner(pool, x, &plan, opts)
-    }
-
-    /// Forward pass through an [`AttentionEngine`] and a compiled plan —
-    /// the engine-native entry point: the plan (usually shared with many
-    /// other layers/requests) is compiled once, and the engine's pool and
-    /// launch policy apply.
+    /// Forward pass through an [`AttentionEngine`] and a compiled plan:
+    /// project, run the plan per head (same mask every head) as **one**
+    /// batched launch, concatenate, project out. Input and output are
+    /// `L × d_model`. The plan (usually shared with many other
+    /// layers/requests) is compiled once, and the engine's pool and launch
+    /// policy apply.
     pub fn forward_on(
         &self,
         engine: &AttentionEngine,
         plan: &AttentionPlan<'_>,
         x: &Matrix<T>,
     ) -> Result<Matrix<T>, AttnError> {
-        self.forward_inner(engine.pool(), x, plan, &engine.options())
-    }
+        if x.cols() != self.d_model() {
+            return Err(AttnError::StateShapeMismatch {
+                expected: (x.rows(), self.d_model()),
+                actual: x.shape(),
+            });
+        }
+        let on = Some((engine.pool(), engine.schedule()));
+        let (qh, kh, vh) = self
+            .project_rows(on, &[x])
+            .pop()
+            .expect("one input, one projection");
 
-    /// An empty [`KvCache`] sized for this layer (one entry per head, the
-    /// layer's `dk` as both key and value dimension).
-    pub fn new_cache(&self) -> KvCache<T> {
-        KvCache::new(self.heads, self.dk(), self.dk())
-    }
-
-    /// As [`Self::new_cache`], created with `engine`'s
-    /// [`crate::KvPrecision`] — the way a serving stack opts a layer's
-    /// cache into FP16 KV storage alongside the engine flag.
-    pub fn new_cache_on(&self, engine: &AttentionEngine) -> KvCache<T> {
-        KvCache::with_precision(self.heads, self.dk(), self.dk(), engine.kv_precision())
+        // Cacheless forward: route each head's queries on the fly.
+        let routings: Option<Vec<Routing>> = plan.routing_spec().map(|spec| {
+            let router = Router::new(spec);
+            qh.iter().map(|q| router.route(q)).collect()
+        });
+        let requests: Vec<AttentionRequest<'_, T>> = (0..self.heads)
+            .map(|h| {
+                AttentionRequest::new(&qh[h], &kh[h], &vh[h])
+                    .with_routing(routings.as_ref().map(|r| &r[h]))
+            })
+            .collect();
+        let outs = engine.run_batch(plan, &requests)?;
+        Ok(self
+            .combine_rows(on, &outs, None)
+            .pop()
+            .expect("one sequence in, one out"))
     }
 
     /// Project an input window (`R × d_model`) into per-head `(Q, K, V)`
     /// triples, on the calling thread — the building block callers
     /// batching *across* layers use to assemble their own attention
-    /// requests; the `forward_*` methods on this type and
+    /// requests; [`Self::forward_on`] and
     /// [`Self::project_qkv_batched`] run the same projection.
     ///
     /// # Panics
@@ -381,264 +370,18 @@ impl<T: Real> MultiHeadAttention<T> {
         });
         out
     }
-
-    /// Chunked prefill through the KV cache: project the prompt `x`
-    /// (`P × d_model`), append every head's K/V rows to `cache`, and
-    /// compute the prompt's outputs in query windows of `chunk` rows —
-    /// all heads × all chunks flattened into **one** launch. Returns the
-    /// `P × d_model` prompt outputs (identical to [`Self::forward_on`]
-    /// over the same tokens when the cache started empty).
-    pub fn forward_prefill(
-        &self,
-        engine: &AttentionEngine,
-        plan: &AttentionPlan<'_>,
-        cache: &mut KvCache<T>,
-        x: &Matrix<T>,
-        chunk: usize,
-    ) -> Result<Matrix<T>, AttnError> {
-        self.check_cache(cache)?;
-        if chunk == 0 {
-            return Err(AttnError::BadParameter {
-                what: "prefill chunk size must be positive",
-            });
-        }
-        if x.cols() != self.d_model() {
-            return Err(AttnError::StateShapeMismatch {
-                expected: (x.rows(), self.d_model()),
-                actual: x.shape(),
-            });
-        }
-        let on = Some((engine.pool(), engine.schedule()));
-        let (qh, kh, vh) = self
-            .project_rows(on, &[x])
-            .pop()
-            .expect("one input, one projection");
-        let prior = cache.len();
-        for h in 0..self.heads {
-            cache.extend(h, &kh[h], &vh[h]);
-        }
-        // Routed plans: every head routes its own queries under the shared
-        // spec — different projections, different groupings, one rule.
-        if let Some(spec) = plan.routing_spec() {
-            let routed: Result<(), AttnError> =
-                (0..self.heads).try_for_each(|h| cache.extend_routing(spec, h, &qh[h]));
-            if let Err(e) = routed {
-                cache.truncate(prior);
-                return Err(e);
-            }
-        }
-        // Head-major: each head's chunks are adjacent, in window order —
-        // row ranges of that head's queries, written straight into their
-        // rows of the head's `P × dk` output.
-        let (prompt, dk) = (x.rows(), self.dk());
-        let chunk = chunk.min(prompt.max(1));
-        let mut head_outs: Vec<Matrix<T>> =
-            (0..self.heads).map(|_| Matrix::zeros(prompt, dk)).collect();
-        let result = {
-            let (cache, qh) = (&*cache, &qh);
-            let requests: Vec<AttentionRequest<'_, T>> = (0..self.heads)
-                .flat_map(|h| {
-                    (0..prompt).step_by(chunk).map(move |a| {
-                        let rows = a..(a + chunk).min(prompt);
-                        AttentionRequest::row_range(&qh[h], rows, cache.k(h), cache.v(h), prior + a)
-                            .with_routing(cache.routing(h))
-                    })
-                })
-                .collect();
-            let mut windows: Vec<&mut [T]> = head_outs
-                .iter_mut()
-                .flat_map(|out| out.as_mut_slice().chunks_mut(chunk * dk))
-                .collect();
-            engine.run_batch_into(plan, &requests, &mut windows)
-        };
-        if let Err(e) = result {
-            // Roll every head's append back: a failed prefill must not
-            // leave phantom tokens in the cache.
-            cache.truncate(prior);
-            return Err(e);
-        }
-        Ok(self
-            .combine_rows(on, &head_outs, None)
-            .pop()
-            .expect("one sequence in, one out"))
-    }
-
-    /// One KV-cached decode step: project the new token `x_t`
-    /// (`1 × d_model`), append each head's K/V row to `cache`, run every
-    /// head's single-row decode window as **one** batched launch, and
-    /// project the concatenated head outputs back to `1 × d_model` — a
-    /// [`Self::forward_decode_batched`] of one sequence.
-    pub fn forward_decode(
-        &self,
-        engine: &AttentionEngine,
-        plan: &AttentionPlan<'_>,
-        cache: &mut KvCache<T>,
-        x_t: &Matrix<T>,
-    ) -> Result<Matrix<T>, AttnError> {
-        let outs =
-            self.forward_decode_batched(engine, plan, &mut [LayerDecodeStep { x_t, cache }])?;
-        Ok(outs.into_iter().next().expect("one step in, one out"))
-    }
-
-    /// Batched decode: advance many sequences through this layer by one
-    /// token each — `sequences × heads` single-row decode requests
-    /// flattened into **one** launch (the continuous-batching shape, one
-    /// level up from [`crate::AttentionEngine::decode_steps_batched`]),
-    /// between one projection launch over all the tokens and one over all
-    /// the outputs.
-    ///
-    /// Per-row work does not depend on the batch, so each returned
-    /// `1 × d_model` output is bitwise identical to a per-sequence
-    /// [`Self::forward_decode`] call. Every step is validated before any
-    /// cache is mutated, and a failed launch rolls every sequence's
-    /// appends back.
-    pub fn forward_decode_batched(
-        &self,
-        engine: &AttentionEngine,
-        plan: &AttentionPlan<'_>,
-        steps: &mut [LayerDecodeStep<'_, T>],
-    ) -> Result<Vec<Matrix<T>>, AttnError> {
-        if !plan.is_composable() {
-            return Err(AttnError::BadParameter {
-                what: "dense baselines have no KV-cached decode form",
-            });
-        }
-        // Validate every step before mutating any cache.
-        for step in steps.iter() {
-            self.check_cache(step.cache)?;
-            if step.x_t.rows() != 1 || step.x_t.cols() != self.d_model() {
-                return Err(AttnError::StateShapeMismatch {
-                    expected: (1, self.d_model()),
-                    actual: step.x_t.shape(),
-                });
-            }
-        }
-        // Project every token, then append all heads of all sequences.
-        let on = Some((engine.pool(), engine.schedule()));
-        let tokens: Vec<&Matrix<T>> = steps.iter().map(|step| step.x_t).collect();
-        let projected = self.project_rows(on, &tokens);
-        let priors: Vec<usize> = steps.iter().map(|s| s.cache.len()).collect();
-        for (step, (_, kh, vh)) in steps.iter_mut().zip(&projected) {
-            for h in 0..self.heads {
-                step.cache.append(h, kh[h].row(0), vh[h].row(0));
-            }
-        }
-        if let Some(spec) = plan.routing_spec() {
-            let routed: Result<(), AttnError> =
-                steps.iter_mut().zip(&projected).try_for_each(|(step, p)| {
-                    (0..self.heads).try_for_each(|h| step.cache.extend_routing(spec, h, &p.0[h]))
-                });
-            if let Err(e) = routed {
-                for (step, &prior) in steps.iter_mut().zip(&priors) {
-                    step.cache.truncate(prior);
-                }
-                return Err(e);
-            }
-        }
-        let result = {
-            let requests: Vec<AttentionRequest<'_, T>> = steps
-                .iter()
-                .zip(&projected)
-                .flat_map(|(step, (qh, _, _))| {
-                    (0..self.heads).map(move |h| {
-                        AttentionRequest::decode(&qh[h], step.cache.k(h), step.cache.v(h))
-                            .with_routing(step.cache.routing(h))
-                    })
-                })
-                .collect();
-            execute_batch(engine.pool(), plan, &engine.options(), &requests)
-        };
-        match result {
-            Ok(outs) => Ok(self.combine_rows(on, &outs, None)),
-            Err(e) => {
-                // Roll every sequence's appends back — no phantom tokens.
-                for (step, &prior) in steps.iter_mut().zip(&priors) {
-                    step.cache.truncate(prior);
-                }
-                Err(e)
-            }
-        }
-    }
-
-    fn check_cache(&self, cache: &KvCache<T>) -> Result<(), AttnError> {
-        if cache.heads() != self.heads || cache.dk() != self.dk() || cache.dv() != self.dk() {
-            return Err(AttnError::BadParameter {
-                what: "cache does not match the layer's heads/dk (use new_cache)",
-            });
-        }
-        Ok(())
-    }
-
-    fn forward_inner(
-        &self,
-        pool: &ThreadPool,
-        x: &Matrix<T>,
-        plan: &AttentionPlan<'_>,
-        opts: &KernelOptions<'_>,
-    ) -> Result<Matrix<T>, AttnError> {
-        if x.cols() != self.d_model() {
-            return Err(AttnError::StateShapeMismatch {
-                expected: (x.rows(), self.d_model()),
-                actual: x.shape(),
-            });
-        }
-        let on = Some((pool, opts.schedule));
-        let (qh, kh, vh) = self
-            .project_rows(on, &[x])
-            .pop()
-            .expect("one input, one projection");
-
-        // Cacheless forward: route each head's queries on the fly.
-        let routings: Option<Vec<Routing>> = plan.routing_spec().map(|spec| {
-            let router = Router::new(spec);
-            qh.iter().map(|q| router.route(q)).collect()
-        });
-        let requests: Vec<AttentionRequest<'_, T>> = (0..self.heads)
-            .map(|h| {
-                AttentionRequest::new(&qh[h], &kh[h], &vh[h])
-                    .with_routing(routings.as_ref().map(|r| &r[h]))
-            })
-            .collect();
-        let outs = execute_batch(pool, plan, opts, &requests)?;
-        Ok(self
-            .combine_rows(on, &outs, None)
-            .pop()
-            .expect("one sequence in, one out"))
-    }
-}
-
-/// Run one kernel independently per pre-projected head triple — the
-/// "trivial extension" form for callers that manage their own projections.
-/// The heads execute as one batched launch.
-pub fn multi_head_attention<T: Real>(
-    pool: &ThreadPool,
-    kernel: &AttentionKernel<'_>,
-    qs: &[Matrix<T>],
-    ks: &[Matrix<T>],
-    vs: &[Matrix<T>],
-    opts: &KernelOptions<'_>,
-) -> Result<Vec<Matrix<T>>, AttnError> {
-    assert_eq!(qs.len(), ks.len());
-    assert_eq!(qs.len(), vs.len());
-    let plan = AttentionPlan::single(*kernel)?;
-    let requests: Vec<AttentionRequest<'_, T>> = qs
-        .iter()
-        .zip(ks.iter())
-        .zip(vs.iter())
-        .map(|((q, k), v)| AttentionRequest::new(q, k, v))
-        .collect();
-    execute_batch(pool, &plan, opts, &requests)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::AttentionKernel;
     use gpa_masks::{LocalWindow, MaskPattern};
     use gpa_tensor::init::{gaussian_matrix, qkv};
     use gpa_tensor::paper_allclose;
 
-    fn pool() -> ThreadPool {
-        ThreadPool::new(4)
+    fn engine() -> AttentionEngine {
+        AttentionEngine::with_threads(4)
     }
 
     #[test]
@@ -668,15 +411,15 @@ mod tests {
         let qs: Vec<_> = per.iter().map(|t| t.0.clone()).collect();
         let ks: Vec<_> = per.iter().map(|t| t.1.clone()).collect();
         let vs: Vec<_> = per.iter().map(|t| t.2.clone()).collect();
-        let p = pool();
-        let kernel = AttentionKernel::Local { n: 2 };
-        let multi =
-            multi_head_attention(&p, &kernel, &qs, &ks, &vs, &KernelOptions::new()).unwrap();
-        let plan = AttentionPlan::single(kernel).unwrap();
+        let e = engine();
+        let plan = e.compile(&[AttentionKernel::Local { n: 2 }]).unwrap();
+        let requests: Vec<AttentionRequest<'_, f64>> = (0..heads)
+            .map(|h| AttentionRequest::new(&qs[h], &ks[h], &vs[h]))
+            .collect();
+        let multi = e.run_batch(&plan, &requests).unwrap();
         for h in 0..heads {
-            let head = [AttentionRequest::new(&qs[h], &ks[h], &vs[h])];
-            let single = execute_batch(&p, &plan, &KernelOptions::new(), &head).unwrap();
-            assert_eq!(multi[h], single[0], "head {h}");
+            let single = e.run(&plan, &qs[h], &ks[h], &vs[h]).unwrap();
+            assert_eq!(multi[h], single, "head {h}");
         }
     }
 
@@ -688,24 +431,11 @@ mod tests {
         assert_eq!(layer.dk(), 8);
         assert_eq!(layer.d_model(), 32);
         let x = gaussian_matrix(l, 32, 1.0, 77);
-        let p = pool();
-        let a = layer
-            .forward(
-                &p,
-                &x,
-                &AttentionKernel::Local { n: 3 },
-                &KernelOptions::new(),
-            )
-            .unwrap();
+        let e = engine();
+        let plan = e.compile(&[AttentionKernel::Local { n: 3 }]).unwrap();
+        let a = layer.forward_on(&e, &plan, &x).unwrap();
         assert_eq!(a.shape(), (l, 32));
-        let b = layer
-            .forward(
-                &p,
-                &x,
-                &AttentionKernel::Local { n: 3 },
-                &KernelOptions::new(),
-            )
-            .unwrap();
+        let b = layer.forward_on(&e, &plan, &x).unwrap();
         assert_eq!(a, b, "forward must be deterministic");
     }
 
@@ -714,24 +444,17 @@ mod tests {
         let l = 12;
         let layer: MultiHeadAttention<f64> = MultiHeadAttention::new_random(16, 2, 4, 3);
         let x = gaussian_matrix(l, 16, 1.0, 5);
-        let p = pool();
+        let e = engine();
         let mask = LocalWindow::new(l, 1).to_csr();
-        let local = layer
-            .forward(
-                &p,
-                &x,
-                &AttentionKernel::Local { n: 1 },
-                &KernelOptions::new(),
-            )
-            .unwrap();
-        let csr = layer
-            .forward(&p, &x, &AttentionKernel::Csr(&mask), &KernelOptions::new())
-            .unwrap();
+        let forward = |kernel: AttentionKernel<'_>| {
+            let plan = e.compile(&[kernel]).unwrap();
+            layer.forward_on(&e, &plan, &x).unwrap()
+        };
+        let local = forward(AttentionKernel::Local { n: 1 });
+        let csr = forward(AttentionKernel::Csr(&mask));
         // Same mask, different kernel → same numbers.
         assert!(paper_allclose(&local, &csr));
-        let flash = layer
-            .forward(&p, &x, &AttentionKernel::Flash, &KernelOptions::new())
-            .unwrap();
+        let flash = forward(AttentionKernel::Flash);
         // Different (dense) mask → different numbers, same shape.
         assert_eq!(flash.shape(), (l, 16));
         assert!(flash.max_abs_diff(&local) > 1e-9);
@@ -739,21 +462,30 @@ mod tests {
 
     #[test]
     fn forward_on_engine_matches_pool_forward() {
+        // The forward assembled from the pooled row-block projections the
+        // decoder stack launches is bitwise `forward_on`, on any pool size.
         let l = 16;
         let layer: MultiHeadAttention<f64> = MultiHeadAttention::new_random(32, 4, 8, 9);
         let x = gaussian_matrix(l, 32, 1.0, 78);
-        let engine = crate::AttentionEngine::with_threads(4);
+        let engine = engine();
         let plan = engine.compile(&[AttentionKernel::Local { n: 3 }]).unwrap();
         let via_engine = layer.forward_on(&engine, &plan, &x).unwrap();
-        let via_pool = layer
-            .forward(
-                engine.pool(),
-                &x,
-                &AttentionKernel::Local { n: 3 },
-                &engine.options(),
-            )
-            .unwrap();
-        assert_eq!(via_engine, via_pool);
+        for threads in [1usize, 2] {
+            let (pool, schedule) = (ThreadPool::new(threads), Schedule::default());
+            let (qh, kh, vh) = layer
+                .project_qkv_batched(&pool, schedule, &[&x])
+                .pop()
+                .unwrap();
+            let requests: Vec<AttentionRequest<'_, f64>> = (0..4)
+                .map(|h| AttentionRequest::new(&qh[h], &kh[h], &vh[h]))
+                .collect();
+            let outs = engine.run_batch(&plan, &requests).unwrap();
+            let via_pool = layer
+                .combine_rows(Some((&pool, schedule)), &outs, None)
+                .pop()
+                .unwrap();
+            assert_eq!(via_engine, via_pool, "{threads} threads");
+        }
     }
 
     #[test]
@@ -761,7 +493,7 @@ mod tests {
         let l = 10;
         let layer: MultiHeadAttention<f64> = MultiHeadAttention::new_random(24, 3, 8, 17);
         let x = gaussian_matrix(l, 24, 1.0, 55);
-        let engine = crate::AttentionEngine::with_threads(2);
+        let engine = AttentionEngine::with_threads(2);
         let plan = engine.compile(&[AttentionKernel::Local { n: 2 }]).unwrap();
         let (qh, kh, vh) = layer.project_qkv(&x);
         assert_eq!((qh.len(), kh.len(), vh.len()), (3, 3, 3));
@@ -887,143 +619,13 @@ mod tests {
     }
 
     #[test]
-    fn prefill_then_decode_matches_full_forwards_bitwise() {
-        let l = 18;
-        let prompt = 11;
-        let layer: MultiHeadAttention<f64> = MultiHeadAttention::new_random(24, 3, 8, 21);
-        let x = gaussian_matrix(l, 24, 1.0, 90);
-        let engine = crate::AttentionEngine::with_threads(3);
-        let plan = engine.compile(&[AttentionKernel::Local { n: 2 }]).unwrap();
-
-        // Chunked prefill of the prompt == the full forward over it.
-        let mut cache = layer.new_cache();
-        let x_prompt = x.rows_slice(0, prompt);
-        let prefill = layer
-            .forward_prefill(&engine, &plan, &mut cache, &x_prompt, 4)
-            .unwrap();
-        let full_prompt = layer.forward_on(&engine, &plan, &x_prompt).unwrap();
-        assert_eq!(prefill, full_prompt);
-        assert_eq!(cache.len(), prompt);
-
-        // Every decode step == the last row of the forward over its prefix.
-        for t in prompt..l {
-            let out = layer
-                .forward_decode(&engine, &plan, &mut cache, &x.rows_slice(t, t + 1))
-                .unwrap();
-            let prefix = layer
-                .forward_on(&engine, &plan, &x.rows_slice(0, t + 1))
-                .unwrap();
-            assert_eq!(out.row(0), prefix.row(t), "step {t}");
-        }
-        assert_eq!(cache.len(), l);
-    }
-
-    #[test]
-    fn batched_layer_decode_matches_per_sequence_decode_bitwise() {
-        let layer: MultiHeadAttention<f64> = MultiHeadAttention::new_random(24, 3, 8, 21);
-        let engine = crate::AttentionEngine::with_threads(3);
-        let plan = engine.compile(&[AttentionKernel::Local { n: 2 }]).unwrap();
-        // Three sequences at ragged context lengths, prefilled via the
-        // single-sequence path.
-        let lens = [4usize, 9, 1];
-        let xs: Vec<Matrix<f64>> = lens
-            .iter()
-            .enumerate()
-            .map(|(i, &l)| gaussian_matrix(l + 1, 24, 1.0, 60 + i as u64))
-            .collect();
-        let mut batched_caches: Vec<KvCache<f64>> = Vec::new();
-        for (x, &l) in xs.iter().zip(&lens) {
-            let mut cache = layer.new_cache();
-            layer
-                .forward_prefill(&engine, &plan, &mut cache, &x.rows_slice(0, l), 4)
-                .unwrap();
-            batched_caches.push(cache);
-        }
-        let mut independent_caches = batched_caches.clone();
-        let toks: Vec<Matrix<f64>> = xs
-            .iter()
-            .zip(&lens)
-            .map(|(x, &l)| x.rows_slice(l, l + 1))
-            .collect();
-        let mut steps: Vec<LayerDecodeStep<'_, f64>> = batched_caches
-            .iter_mut()
-            .zip(&toks)
-            .map(|(cache, x_t)| LayerDecodeStep { x_t, cache })
-            .collect();
-        let batched = layer
-            .forward_decode_batched(&engine, &plan, &mut steps)
-            .unwrap();
-        assert_eq!(batched.len(), 3);
-        for (i, (x_t, cache)) in toks.iter().zip(independent_caches.iter_mut()).enumerate() {
-            let single = layer.forward_decode(&engine, &plan, cache, x_t).unwrap();
-            assert_eq!(batched[i], single, "sequence {i}");
-        }
-        // A failed batched launch rolls every sequence back.
-        let globals = gpa_masks::GlobalSet::new(99, vec![0]);
-        let pinned = engine
-            .compile(&[AttentionKernel::Global {
-                globals: &globals,
-                n_sub: 0,
-            }])
-            .unwrap();
-        let before: Vec<usize> = batched_caches.iter().map(KvCache::len).collect();
-        let mut steps: Vec<LayerDecodeStep<'_, f64>> = batched_caches
-            .iter_mut()
-            .zip(&toks)
-            .map(|(cache, x_t)| LayerDecodeStep { x_t, cache })
-            .collect();
-        assert!(layer
-            .forward_decode_batched(&engine, &pinned, &mut steps)
-            .is_err());
-        for (i, (cache, &prior)) in batched_caches.iter().zip(&before).enumerate() {
-            assert_eq!(cache.len(), prior, "sequence {i} must be rolled back");
-        }
-    }
-
-    #[test]
-    fn decode_rejects_mismatched_cache_and_inputs() {
-        let layer: MultiHeadAttention<f64> = MultiHeadAttention::new_random(16, 2, 4, 3);
-        let engine = crate::AttentionEngine::with_threads(1);
-        let plan = engine.compile(&[AttentionKernel::Local { n: 1 }]).unwrap();
-        let mut wrong_cache: KvCache<f64> = KvCache::new(3, 4, 4);
-        let x_t = gaussian_matrix(1, 16, 1.0, 91);
-        assert!(layer
-            .forward_decode(&engine, &plan, &mut wrong_cache, &x_t)
-            .is_err());
-        let mut cache = layer.new_cache();
-        let x_two = gaussian_matrix(2, 16, 1.0, 92);
-        assert!(layer
-            .forward_decode(&engine, &plan, &mut cache, &x_two)
-            .is_err());
-        assert!(layer
-            .forward_prefill(&engine, &plan, &mut cache, &x_two, 0)
-            .is_err());
-        assert!(cache.is_empty());
-        // A plan that fails per-request validation rolls every head back.
-        let globals = gpa_masks::GlobalSet::new(99, vec![0]);
-        let pinned = engine
-            .compile(&[AttentionKernel::Global {
-                globals: &globals,
-                n_sub: 0,
-            }])
-            .unwrap();
-        assert!(layer
-            .forward_prefill(&engine, &pinned, &mut cache, &x_two, 1)
-            .is_err());
-        assert!(cache.is_empty(), "failed prefill must roll back");
-        let x_t = gaussian_matrix(1, 16, 1.0, 93);
-        assert!(layer
-            .forward_decode(&engine, &pinned, &mut cache, &x_t)
-            .is_err());
-        assert!(cache.is_empty(), "failed decode must roll back");
-    }
-
-    #[test]
     fn wrong_input_width_rejected() {
         let layer: MultiHeadAttention<f64> = MultiHeadAttention::new_random(16, 2, 4, 3);
         let x: Matrix<f64> = Matrix::zeros(4, 15);
+        let e = engine();
+        let plan = e.compile(&[AttentionKernel::Flash]).unwrap();
         assert!(matches!(
-            layer.forward(&pool(), &x, &AttentionKernel::Flash, &KernelOptions::new()),
+            layer.forward_on(&e, &plan, &x),
             Err(AttnError::StateShapeMismatch { .. })
         ));
     }

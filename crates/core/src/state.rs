@@ -10,8 +10,8 @@
 //! and divide by `l` once when the stream ends; see [`crate::driver`].)
 //! So plan steps over disjoint masks compose exactly: the local step and
 //! then the global step on the same row state yield precisely Longformer
-//! attention (Fig. 6's "Loc + Glo" series), and states of disjoint
-//! key/value shards merge (`gpa-distributed`).
+//! attention (Fig. 6's "Loc + Glo" series). `run_batch_states` stays
+//! public because the numerics-contract tests read `l` and `m` through it.
 
 use gpa_tensor::{Matrix, Real};
 

@@ -369,7 +369,8 @@ impl<'p, T: Real> DecoderModel<'p, T> {
     }
 
     /// One KV-cached decode step for a single sequence: a 1-row
-    /// [`Self::advance_batched`].
+    /// [`Self::advance_batched`]. `x_t` must be a single `1 × d_model`
+    /// row.
     pub fn forward_decode(
         &self,
         engine: &AttentionEngine,
@@ -377,25 +378,17 @@ impl<'p, T: Real> DecoderModel<'p, T> {
         state: &ModelKvState,
         x_t: &Matrix<T>,
     ) -> Result<Matrix<T>, ModelError> {
-        let outs = self.forward_decode_batched(engine, pool, &[ModelWorkItem { x: x_t, state }])?;
-        Ok(outs.into_iter().next().expect("one item in, one out"))
-    }
-
-    /// Advance many sequences by one token each — all sequences × heads
-    /// of every layer flattened into one launch per layer. Each item's
-    /// input must be a single `1 × d_model` row.
-    pub fn forward_decode_batched(
-        &self,
-        engine: &AttentionEngine,
-        pool: &mut PagePool<T>,
-        items: &[ModelWorkItem<'_, T>],
-    ) -> Result<Vec<Matrix<T>>, ModelError> {
-        if items.iter().any(|item| item.x.rows() != 1) {
+        if x_t.rows() != 1 {
             return Err(ModelError::BadState {
                 what: "decode items must be single rows",
             });
         }
-        Ok(self.advance_batched(engine, pool, items)?.outputs)
+        let adv = self.advance_batched(engine, pool, &[ModelWorkItem { x: x_t, state }])?;
+        Ok(adv
+            .outputs
+            .into_iter()
+            .next()
+            .expect("one item in, one out"))
     }
 }
 
@@ -687,9 +680,8 @@ mod tests {
             .unwrap();
         assert_eq!(via_decode, via_advance.outputs[0]);
         assert_eq!(st.tokens(&pool), 6);
-        assert!(m
-            .forward_decode_batched(&e, &mut pool, &[ModelWorkItem { x: &x, state: &st }])
-            .is_err());
+        assert!(m.forward_decode(&e, &mut pool, &st, &x).is_err());
+        assert_eq!(st.tokens(&pool), 6, "a multi-row decode appends nothing");
     }
 
     #[test]

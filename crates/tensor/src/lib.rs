@@ -8,7 +8,7 @@
 //! - [`F16`]: software IEEE binary16 for FP16 storage emulation and the
 //!   capacity model's byte accounting;
 //! - [`softmax`]: online-softmax primitives (Algorithm 1's `(m, l)`
-//!   recurrence) with the stream-merge rule that makes sequential kernel
+//!   recurrence), whose continued stream makes sequential kernel
 //!   composition exact;
 //! - [`init`]: seeded workload generators matching the paper's uniform
 //!   `[0, 1)` inputs;
@@ -24,4 +24,4 @@ pub mod softmax;
 pub use f16::F16;
 pub use matrix::{allclose, argmax, paper_allclose, scalar_close, Matrix};
 pub use real::{attention_scale, Real};
-pub use softmax::{merge_normalized, OnlineSoftmaxState, SoftmaxUpdate};
+pub use softmax::{OnlineSoftmaxState, SoftmaxUpdate};

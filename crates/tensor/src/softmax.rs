@@ -6,13 +6,11 @@
 //! [`OnlineSoftmaxState`] owns `m` and `l`; the output rescaling factors are
 //! returned so the caller can fold its `d`-dimensional accumulator.
 //!
-//! Two properties make kernel composition work, and both are tested here:
-//!
-//! 1. **Stream equivalence** — feeding scores one at a time produces the same
-//!    weights as materializing the whole row and applying standard softmax.
-//! 2. **Merge associativity** — two disjoint streams can be processed
-//!    independently and merged; this is why the paper can run `local` and
-//!    `global` kernels sequentially and obtain exact Longformer attention.
+//! **Stream equivalence** — feeding scores one at a time produces the same
+//! weights as materializing the whole row and applying standard softmax —
+//! is tested here. It is also why kernel composition works: a plan's steps
+//! continue one row's stream on the same `(m, l)`, so running `local` and
+//! then `global` yields exact Longformer attention.
 
 use crate::real::Real;
 
@@ -58,12 +56,6 @@ impl<T: Real> OnlineSoftmaxState<T> {
         }
     }
 
-    /// True if no score has been absorbed yet.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.l == T::ZERO && self.m == T::neg_infinity()
-    }
-
     /// Absorb one score `w`; returns the rescaling factors for the caller's
     /// output accumulator. Implements the inner-loop recurrence of
     /// Algorithm 1:
@@ -93,55 +85,6 @@ impl<T: Real> OnlineSoftmaxState<T> {
             old_scale,
             new_weight,
         }
-    }
-
-    /// Merge another state produced from a *disjoint* score stream.
-    ///
-    /// Returns the scale factors to apply to the two output accumulators:
-    /// `O = scale_self · O_self + scale_other · O_other` (for *unnormalized*
-    /// accumulators; for Algorithm-1-style normalized accumulators the
-    /// factors are `scale · l / l_merged`, see [`merge_normalized`]).
-    #[inline]
-    pub fn merge(&mut self, other: &OnlineSoftmaxState<T>) -> (T, T) {
-        if other.is_empty() {
-            return (T::ONE, T::ZERO);
-        }
-        if self.is_empty() {
-            *self = *other;
-            return (T::ZERO, T::ONE);
-        }
-        let m_new = self.m.max(other.m);
-        let scale_self = (self.m - m_new).exp();
-        let scale_other = (other.m - m_new).exp();
-        self.l = self.l * scale_self + other.l * scale_other;
-        self.m = m_new;
-        (scale_self, scale_other)
-    }
-}
-
-/// Merge two (state, normalized-accumulator-row) pairs in place:
-/// `acc_a ← (l_a·scale_a·acc_a + l_b·scale_b·acc_b) / l_merged`.
-///
-/// This is the composition rule that lets sequential kernel calls (e.g.
-/// `local` then `global`) produce exact attention over the union mask.
-pub fn merge_normalized<T: Real>(
-    state_a: &mut OnlineSoftmaxState<T>,
-    acc_a: &mut [T],
-    state_b: &OnlineSoftmaxState<T>,
-    acc_b: &[T],
-) {
-    debug_assert_eq!(acc_a.len(), acc_b.len());
-    let l_a = state_a.l;
-    let l_b = state_b.l;
-    let (scale_a, scale_b) = state_a.merge(state_b);
-    let l_merged = state_a.l;
-    if l_merged == T::ZERO {
-        return; // both empty: accumulators stay zero
-    }
-    let ca = l_a * scale_a / l_merged;
-    let cb = l_b * scale_b / l_merged;
-    for (a, &b) in acc_a.iter_mut().zip(acc_b.iter()) {
-        *a = *a * ca + b * cb;
     }
 }
 
@@ -216,12 +159,11 @@ pub fn softmax_slice<T: Real>(scores: &[T], out: &mut [T]) {
 /// Softmax weights computed by streaming through [`OnlineSoftmaxState`] —
 /// used in tests to validate the streaming recurrence itself.
 ///
-/// The stream is consumed in blocks of four using the same merge algebra
-/// as [`OnlineSoftmaxState::merge`]: each block contributes its local max
-/// and `Σ exp(sᵢ − m_new)` with **one** rescale of the running normalizer,
-/// so a block costs 5 `exp`s instead of the scalar recurrence's 8. The
-/// block sum is combined in the fixed order `(e0+e1)+(e2+e3)`, making the
-/// result deterministic for a given length.
+/// The stream is consumed in blocks of four: each block contributes its
+/// local max and `Σ exp(sᵢ − m_new)` with **one** rescale of the running
+/// normalizer, so a block costs 5 `exp`s instead of the scalar
+/// recurrence's 8. The block sum is combined in the fixed order
+/// `(e0+e1)+(e2+e3)`, making the result deterministic for a given length.
 pub fn online_softmax_slice<T: Real>(scores: &[T], out: &mut [T]) {
     debug_assert_eq!(scores.len(), out.len());
     let split = scores.len() & !3;
@@ -333,7 +275,7 @@ mod tests {
     #[test]
     fn update_tracks_max_and_normalizer() {
         let mut st: OnlineSoftmaxState<f64> = OnlineSoftmaxState::new();
-        assert!(st.is_empty());
+        assert_eq!((st.m, st.l), (f64::NEG_INFINITY, 0.0));
         st.update(2.0);
         assert_eq!(st.m, 2.0);
         assert!((st.l - 1.0).abs() < 1e-15);
@@ -341,7 +283,6 @@ mod tests {
         assert_eq!(st.m, 5.0);
         // l = exp(2-5) + exp(0)
         assert!((st.l - ((-3.0f64).exp() + 1.0)).abs() < 1e-15);
-        assert!(!st.is_empty());
     }
 
     #[test]
@@ -350,96 +291,6 @@ mod tests {
         let u = st.update(3.0);
         assert_eq!(u.old_scale, 0.0); // exp(-inf - 3) = 0
         assert_eq!(u.new_weight, 1.0); // exp(3 - 3) = 1
-    }
-
-    #[test]
-    fn merge_matches_single_stream() {
-        let scores = vec![0.5, -2.0, 3.0, 1.5, -0.5, 2.5, 0.0];
-        let (left, right) = scores.split_at(3);
-
-        let mut single: OnlineSoftmaxState<f64> = OnlineSoftmaxState::new();
-        for &s in &scores {
-            single.update(s);
-        }
-
-        let mut a: OnlineSoftmaxState<f64> = OnlineSoftmaxState::new();
-        for &s in left {
-            a.update(s);
-        }
-        let mut b: OnlineSoftmaxState<f64> = OnlineSoftmaxState::new();
-        for &s in right {
-            b.update(s);
-        }
-        a.merge(&b);
-
-        assert!((a.m - single.m).abs() < 1e-15);
-        assert!((a.l - single.l).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: OnlineSoftmaxState<f64> = OnlineSoftmaxState::new();
-        a.update(1.0);
-        a.update(2.0);
-        let snapshot = a;
-        let empty = OnlineSoftmaxState::new();
-        let (sa, sb) = a.merge(&empty);
-        assert_eq!(a, snapshot);
-        assert_eq!((sa, sb), (1.0, 0.0));
-
-        let mut e: OnlineSoftmaxState<f64> = OnlineSoftmaxState::new();
-        let (sa, sb) = e.merge(&snapshot);
-        assert_eq!(e, snapshot);
-        assert_eq!((sa, sb), (0.0, 1.0));
-    }
-
-    #[test]
-    fn merge_normalized_composes_attention_outputs() {
-        // Simulate two disjoint neighbor streams with 2-dim values and check
-        // the merged normalized accumulator equals the full-row softmax
-        // combination.
-        let scores = [1.0f64, -0.5, 2.0, 0.3];
-        let values = [[1.0, 0.0], [0.0, 1.0], [2.0, -1.0], [0.5, 0.5]];
-
-        // Full reference.
-        let mut weights = vec![0.0; 4];
-        softmax_slice(&scores, &mut weights);
-        let expected = [
-            weights
-                .iter()
-                .zip(values.iter())
-                .map(|(w, v)| w * v[0])
-                .sum::<f64>(),
-            weights
-                .iter()
-                .zip(values.iter())
-                .map(|(w, v)| w * v[1])
-                .sum::<f64>(),
-        ];
-
-        // Two halves, each with a normalized accumulator maintained exactly
-        // as Algorithm 1 writes it: O ← (l·exp(m−m_new)·O + exp(w−m_new)·V)/l_new.
-        let run = |idx: &[usize]| {
-            let mut st: OnlineSoftmaxState<f64> = OnlineSoftmaxState::new();
-            let mut acc = [0.0f64; 2];
-            for &k in idx {
-                let l_old = st.l;
-                let u = st.update(scores[k]);
-                let l_new = st.l;
-                for (a, v) in acc.iter_mut().zip(values[k].iter()) {
-                    *a = (l_old * u.old_scale * *a + u.new_weight * v) / l_new;
-                }
-            }
-            (st, acc)
-        };
-
-        let (mut st_a, mut acc_a) = run(&[0, 1]);
-        let (st_b, acc_b) = run(&[2, 3]);
-        merge_normalized(&mut st_a, &mut acc_a, &st_b, &acc_b);
-
-        for (got, want) in acc_a.iter().zip(expected.iter()) {
-            assert!((got - want).abs() < 1e-12, "{got} vs {want}");
-        }
     }
 }
 
@@ -459,26 +310,6 @@ mod proptests {
             for (a, b) in std_out.iter().zip(onl_out.iter()) {
                 prop_assert!((a - b).abs() < 1e-12);
             }
-        }
-
-        /// Merging any split of a stream equals processing it whole.
-        #[test]
-        fn merge_is_split_invariant(
-            scores in proptest::collection::vec(-30.0f64..30.0, 2..48),
-            split_frac in 0.0f64..1.0,
-        ) {
-            let split = ((scores.len() as f64 * split_frac) as usize).min(scores.len());
-            let mut whole: OnlineSoftmaxState<f64> = OnlineSoftmaxState::new();
-            for &s in &scores { whole.update(s); }
-
-            let mut a: OnlineSoftmaxState<f64> = OnlineSoftmaxState::new();
-            for &s in &scores[..split] { a.update(s); }
-            let mut b: OnlineSoftmaxState<f64> = OnlineSoftmaxState::new();
-            for &s in &scores[split..] { b.update(s); }
-            a.merge(&b);
-
-            prop_assert!((a.m - whole.m).abs() < 1e-12);
-            prop_assert!((a.l - whole.l).abs() / whole.l.max(1.0) < 1e-12);
         }
 
         /// Bitwise regression guard for the unrolled two-pass softmax: the

@@ -9,20 +9,16 @@
 //! 2. **Per-token decode** — each generated token appends its K/V rows to
 //!    a `KvCache` and computes a single decode row, reproducing the last
 //!    row of the square forward over the tokens so far at `O(window · d)`
-//!    cost instead of the naive `O(L · window · d)` recompute;
-//! 3. **Multi-head decode** — the same loop through a full
-//!    `MultiHeadAttention` layer (all heads batched per step);
-//! 4. **KV-sharded decode** — the decode row merged across simulated
-//!    devices via the `(O, l, m)` softmax-state reduction.
+//!    cost instead of the naive `O(L · window · d)` recompute.
+//!
+//! Multi-head layers are served as decoder stacks: see
+//! `examples/model_serving.rs`.
 //!
 //! ```text
 //! cargo run --release --example incremental_decode [-- --quick]
 //! ```
 
-use graph_attention::core::{KvCache, MultiHeadAttention};
-use graph_attention::distributed::kv_sharded_decode;
 use graph_attention::prelude::*;
-use graph_attention::tensor::init::gaussian_matrix;
 use std::time::Instant;
 
 fn main() {
@@ -120,62 +116,4 @@ fn main() {
         generate as f64 / t_naive,
         t_naive / t_cached
     );
-
-    // --- 3. Multi-head decode ---------------------------------------------
-    let heads = 4;
-    let d_model = heads * dk;
-    let layer: MultiHeadAttention<f32> = MultiHeadAttention::new_random(d_model, heads, dk, 7);
-    let x = gaussian_matrix(total, d_model, 1.0, 11);
-    let mut layer_cache = layer.new_cache();
-    let _ = layer
-        .forward_prefill(
-            &engine,
-            &plan,
-            &mut layer_cache,
-            &x.rows_slice(0, prompt),
-            chunk,
-        )
-        .expect("layer prefill");
-    let t = Instant::now();
-    let mut layer_last = Matrix::zeros(1, d_model);
-    for step in prompt..total {
-        layer_last = layer
-            .forward_decode(
-                &engine,
-                &plan,
-                &mut layer_cache,
-                &x.rows_slice(step, step + 1),
-            )
-            .expect("layer decode");
-    }
-    let t_layer = t.elapsed().as_secs_f64();
-    let reference = layer
-        .forward_on(&engine, &plan, &x)
-        .expect("layer full forward");
-    let exact = layer_last.row(0) == reference.row(total - 1);
-    println!(
-        "multi-head: {heads} heads × {generate} decode steps in {:.4} s ({:.0} tok/s) — last row matches the full forward: {exact}",
-        t_layer,
-        generate as f64 / t_layer
-    );
-    assert!(
-        exact,
-        "multi-head decode must match the full forward's last row"
-    );
-
-    // --- 4. KV-sharded decode ---------------------------------------------
-    let shards = 4;
-    let q_last = q.rows_slice(total - 1, total);
-    let sharded = kv_sharded_decode(
-        &engine,
-        &AttentionKernel::Local { n: window },
-        &q_last,
-        &cache,
-        shards,
-    );
-    let matches = paper_allclose(&sharded.cast::<f64>(), &last.cast::<f64>());
-    println!(
-        "sharded: decode row merged across {shards} simulated KV shards matches the cached row: {matches}"
-    );
-    assert!(matches, "shard-merged decode must match the cached decode");
 }

@@ -94,7 +94,6 @@
 //! ```
 
 pub use gpa_core as core;
-pub use gpa_distributed as distributed;
 pub use gpa_masks as masks;
 pub use gpa_memmodel as memmodel;
 pub use gpa_model as model;

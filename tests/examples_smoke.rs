@@ -63,11 +63,6 @@ fn custom_graph_mask_runs() {
 }
 
 #[test]
-fn distributed_simulation_runs() {
-    run_example("distributed_simulation", true);
-}
-
-#[test]
 fn genomics_longnet_runs() {
     run_example("genomics_longnet", true);
 }

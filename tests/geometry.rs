@@ -13,7 +13,7 @@
 //!    rows never look forward) prefill + decode reassembles the full
 //!    square forward exactly.
 
-use graph_attention::core::{DecodeStep, KvCache, PagePool, SwapArena};
+use graph_attention::core::{KvCache, PagePool, SwapArena};
 use graph_attention::model::{DecoderModel, LayerPattern, ModelKvState, ModelWorkItem};
 use graph_attention::prelude::*;
 use graph_attention::sparse::{CooMask, CsrMask, DiaMask};
@@ -640,105 +640,6 @@ proptest! {
                 && swapped.v(0) == cache.v(0),
             "pinned final cache differs across swap"
         );
-    }
-
-    /// Batched decode is exact: advancing N sequences by one token through
-    /// `decode_steps_batched` is bitwise identical to N independent
-    /// `decode_step` calls — outputs *and* resulting caches — for every
-    /// composable kernel family (implicit kernels at ragged context
-    /// lengths; length-pinning families at one shared length, as their
-    /// masks demand).
-    #[test]
-    fn batched_decode_steps_match_independent_steps_bitwise(
-        l in 2usize..20,
-        dk in 1usize..6,
-        n in 0usize..4,
-        density in 0.1f64..0.9,
-        seed in 0u64..400,
-    ) {
-        let e = engine();
-        let check = |kernel: &AttentionKernel<'_>, lens: &[usize]| {
-            let plan = e.compile(std::slice::from_ref(kernel)).unwrap();
-            let seqs: Vec<_> = lens
-                .iter()
-                .enumerate()
-                .map(|(i, &len)| init::qkv::<f64>(len + 1, dk, seed ^ (0xBA7C + i as u64)))
-                .collect();
-            let mut batched_caches: Vec<KvCache<f64>> = lens
-                .iter()
-                .zip(&seqs)
-                .map(|(&len, (_, k, v))| {
-                    let mut c = KvCache::single(dk, dk);
-                    c.extend(0, &k.rows_slice(0, len), &v.rows_slice(0, len));
-                    c
-                })
-                .collect();
-            let mut independent_caches = batched_caches.clone();
-            let toks: Vec<_> = lens
-                .iter()
-                .zip(&seqs)
-                .map(|(&len, (q, k, v))| {
-                    (
-                        q.rows_slice(len, len + 1),
-                        k.rows_slice(len, len + 1),
-                        v.rows_slice(len, len + 1),
-                    )
-                })
-                .collect();
-            let mut steps: Vec<DecodeStep<'_, f64>> = batched_caches
-                .iter_mut()
-                .zip(&toks)
-                .map(|(cache, (q_t, k_t, v_t))| DecodeStep { q_t, k_t, v_t, cache })
-                .collect();
-            let batched = e.decode_steps_batched(&plan, &mut steps).unwrap();
-            for (i, ((q_t, k_t, v_t), cache)) in
-                toks.iter().zip(independent_caches.iter_mut()).enumerate()
-            {
-                let single = e.decode_step(&plan, q_t, k_t, v_t, cache).unwrap();
-                prop_assert!(
-                    batched[i] == single,
-                    "{} sequence {i} output",
-                    kernel.name()
-                );
-            }
-            for (i, (a, b)) in batched_caches.iter().zip(&independent_caches).enumerate() {
-                prop_assert!(a.len() == b.len(), "{} sequence {i} cache len", kernel.name());
-                prop_assert!(
-                    a.k(0) == b.k(0) && a.v(0) == b.v(0),
-                    "{} sequence {i} cache contents",
-                    kernel.name()
-                );
-            }
-            Ok(())
-        };
-
-        // Implicit (length-free) kernels: ragged context lengths.
-        let ragged = [l, 1 + l / 2, l + 3];
-        let implicit: Vec<AttentionKernel<'_>> = vec![
-            AttentionKernel::Local { n },
-            AttentionKernel::Dilated1d { w: n + 1, r: 1 },
-            AttentionKernel::Dilated2d { block_size: n + 1, r: 2 },
-        ];
-        for kernel in &implicit {
-            check(kernel, &ragged)?;
-        }
-
-        // Length-pinning kernels: every sequence at the shared post-append
-        // length `l + 1` the mask is built for.
-        let uniform = [l, l, l];
-        let globals = GlobalSet::new(l + 1, vec![0]);
-        let dia = DiaMask::local(l + 1, n);
-        let csr = graph_attention::masks::RandomUniform::new(l + 1, density, seed).to_csr();
-        let coo = csr.to_coo();
-        let pinned: Vec<AttentionKernel<'_>> = vec![
-            AttentionKernel::Global { globals: &globals, n_sub: n },
-            AttentionKernel::Dia(&dia),
-            AttentionKernel::Csr(&csr),
-            AttentionKernel::Coo(&coo, CooSearch::Linear),
-        ];
-        for kernel in &pinned {
-            check(kernel, &uniform)?;
-        }
     }
 
     /// The headline invariant in its strongest form: for a *causal* mask

@@ -3,17 +3,17 @@
 //! per-head single calls and the dense reference.
 
 use graph_attention::core::{
-    masked_sdp, multi_head_attention, AttentionKernel, KernelOptions, MultiHeadAttention,
+    masked_sdp, AttentionEngine, AttentionKernel, AttentionRequest, KernelOptions,
+    MultiHeadAttention,
 };
 use graph_attention::masks::{longformer, GlobalSet, MaskPattern};
-use graph_attention::parallel::ThreadPool;
 use graph_attention::tensor::{init, paper_allclose, Matrix};
 
 #[test]
 fn per_head_outputs_match_reference() {
     let l = 64;
     let heads = 3;
-    let pool = ThreadPool::new(4);
+    let engine = AttentionEngine::with_threads(4);
     let mask = longformer(l, 4, vec![0]);
     let csr = mask.to_csr();
     let dense = mask.to_dense();
@@ -28,19 +28,23 @@ fn per_head_outputs_match_reference() {
         .map(|h| init::uniform_matrix(l, 16, 200 + h as u64))
         .collect();
 
-    let outs = multi_head_attention(
-        &pool,
-        &AttentionKernel::Csr(&csr),
-        &qs,
-        &ks,
-        &vs,
-        &KernelOptions::new(),
-    )
-    .unwrap();
+    // Every head's request in one launch.
+    let plan = engine.compile(&[AttentionKernel::Csr(&csr)]).unwrap();
+    let requests: Vec<AttentionRequest<'_, f64>> = (0..heads)
+        .map(|h| AttentionRequest::new(&qs[h], &ks[h], &vs[h]))
+        .collect();
+    let outs = engine.run_batch(&plan, &requests).unwrap();
     assert_eq!(outs.len(), heads);
     for h in 0..heads {
-        let reference =
-            masked_sdp(&pool, &dense, &qs[h], &ks[h], &vs[h], &KernelOptions::new()).unwrap();
+        let reference = masked_sdp(
+            engine.pool(),
+            &dense,
+            &qs[h],
+            &ks[h],
+            &vs[h],
+            &KernelOptions::new(),
+        )
+        .unwrap();
         assert!(paper_allclose(&outs[h], &reference), "head {h}");
     }
 }
@@ -48,7 +52,7 @@ fn per_head_outputs_match_reference() {
 #[test]
 fn layer_forward_same_mask_same_result_via_any_kernel() {
     let l = 48;
-    let pool = ThreadPool::new(2);
+    let engine = AttentionEngine::with_threads(2);
     let layer: MultiHeadAttention<f64> = MultiHeadAttention::new_random(32, 4, 8, 17);
     let x = init::gaussian_matrix(l, 32, 0.7, 23);
 
@@ -56,22 +60,12 @@ fn layer_forward_same_mask_same_result_via_any_kernel() {
     let union = longformer(l, 3, vec![0, 24]).to_csr();
     let dense = longformer(l, 3, vec![0, 24]).to_dense();
 
-    let via_csr = layer
-        .forward(
-            &pool,
-            &x,
-            &AttentionKernel::Csr(&union),
-            &KernelOptions::new(),
-        )
-        .unwrap();
-    let via_sdp = layer
-        .forward(
-            &pool,
-            &x,
-            &AttentionKernel::SdpMasked(&dense),
-            &KernelOptions::new(),
-        )
-        .unwrap();
+    let forward = |kernel: AttentionKernel<'_>| {
+        let plan = engine.compile(&[kernel]).unwrap();
+        layer.forward_on(&engine, &plan, &x).unwrap()
+    };
+    let via_csr = forward(AttentionKernel::Csr(&union));
+    let via_sdp = forward(AttentionKernel::SdpMasked(&dense));
     assert!(paper_allclose(&via_csr, &via_sdp));
     let _ = globals;
 }
@@ -83,17 +77,11 @@ fn llama3_head_geometry_smoke() {
     let l = 32;
     let heads = 8;
     let dk = 16; // per-head
-    let pool = ThreadPool::new(4);
+    let engine = AttentionEngine::with_threads(4);
     let layer: MultiHeadAttention<f32> = MultiHeadAttention::new_random(heads * dk, heads, dk, 5);
     let x = init::gaussian_matrix(l, heads * dk, 1.0, 6);
-    let out = layer
-        .forward(
-            &pool,
-            &x,
-            &AttentionKernel::Local { n: 4 },
-            &KernelOptions::new(),
-        )
-        .unwrap();
+    let plan = engine.compile(&[AttentionKernel::Local { n: 4 }]).unwrap();
+    let out = layer.forward_on(&engine, &plan, &x).unwrap();
     assert_eq!(out.shape(), (l, heads * dk));
     assert!(out.as_slice().iter().all(|v| v.is_finite()));
 }
