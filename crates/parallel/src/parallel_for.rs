@@ -10,13 +10,15 @@
 //! Scheduling matters for fidelity: the paper attributes the Global kernel's
 //! poor scaling to block-level load imbalance ("the algorithm can only be as
 //! fast as its slowest block"). [`Schedule::StaticContiguous`] and
-//! [`Schedule::BlockCyclic`] reproduce a hardware-like fixed assignment,
-//! while [`Schedule::Dynamic`] is the work-stealing ablation (A2 of
-//! `gpa-bench`'s `ablations` binary): each share starts with a contiguous span of rows, its
-//! participant claims `grain` rows at a time from the front, and when the
-//! span runs dry steals half of a randomly chosen sibling's remaining span
-//! — real range stealing, not a shared counter, so the common case is an
-//! uncontended CAS on a cache line the participant owns. Which thread
+//! [`Schedule::BlockCyclic`] reproduce a hardware-like fixed assignment —
+//! the baselines ablation A2 of `gpa-bench`'s `ablations` binary sweeps —
+//! while [`Schedule::Dynamic`], the [`Schedule::default`] every engine
+//! launches with, is work stealing: each share starts with a contiguous
+//! span of rows, its participant claims `grain` rows at a time from the
+//! front, and when the span runs dry steals half of a randomly chosen
+//! sibling's remaining span — real range stealing, not a shared counter,
+//! so the common case is an uncontended CAS on a cache line the
+//! participant owns. Which thread
 //! executes a row never affects the row's result, so outputs stay bitwise
 //! identical across schedules and thread counts (pinned by
 //! `tests/determinism.rs`).
@@ -81,8 +83,9 @@ pub enum Schedule {
     },
     /// Work stealing: each share's participant claims `grain` rows at a
     /// time from the front of its own contiguous span and steals half of a
-    /// sibling's span when it runs dry. Self-balancing; the ablation
-    /// schedule.
+    /// sibling's span when it runs dry. Self-balancing; the default
+    /// schedule (`Dynamic { grain: 16 }`), which every engine launches
+    /// with.
     Dynamic {
         /// Rows claimed per grab.
         grain: usize,
@@ -90,8 +93,10 @@ pub enum Schedule {
 }
 
 impl Schedule {
-    /// The workspace default: block-cyclic with one row per block, the
-    /// closest CPU analogue of the paper's one-block-per-row CUDA launch.
+    /// Block-cyclic with one row per block, the closest CPU analogue of
+    /// the paper's one-block-per-row CUDA launch — a fixed schedule for
+    /// reproducing the paper's imbalance phenomena, not the default (see
+    /// [`Schedule::default`]).
     pub fn cuda_like() -> Self {
         Schedule::BlockCyclic { chunk: 1 }
     }

@@ -60,7 +60,7 @@
 //! use gpa_core::{AttentionEngine, AttentionKernel, AttentionPlan};
 //! use gpa_serve::{
 //!     generate_trace, replay, sequential_reference, AdmissionMode, ServeConfig, Scheduler,
-//!     TraceSpec,
+//!     Submission, TraceSpec,
 //! };
 //!
 //! // A scheduler owning its engine: admit at most 4 sequences into a
@@ -87,7 +87,8 @@
 //!     .unwrap();
 //!
 //! // A seeded workload: 6 sequences, mixed prompt/decode lengths and
-//! // arrival times, replayed on the scheduler's virtual clock.
+//! // arrival times (no decoder models), replayed on the scheduler's
+//! // virtual clock.
 //! let trace: Vec<gpa_serve::TraceEvent<f32>> = generate_trace(
 //!     &TraceSpec {
 //!         sequences: 6,
@@ -99,18 +100,23 @@
 //!         seed: 42,
 //!     },
 //!     &[plan],
+//!     &[],
 //! );
 //! let completions = replay(&mut scheduler, &trace, 10_000).unwrap();
 //! assert_eq!(completions.len(), 6);
 //!
 //! // Continuous batching changes the schedule, never the numbers: each
-//! // output is bitwise the naive one-sequence-at-a-time serve.
+//! // output is bitwise the naive one-sequence-at-a-time serve. Request
+//! // ids are trace positions.
 //! for c in &completions {
+//!     let Submission::Plan(request) = &trace[c.id.as_u64() as usize].request else {
+//!         unreachable!("a plan-only workload");
+//!     };
 //!     let plan = c.target.plan().expect("a plan-only workload");
 //!     let expect = sequential_reference(
 //!         scheduler.engine(),
 //!         scheduler.plan(plan),
-//!         &trace[c.id.as_u64() as usize].request,
+//!         request,
 //!         scheduler.config().prefill_chunk,
 //!     )
 //!     .unwrap();
@@ -121,10 +127,12 @@
 //! ## Decoder-model sequences
 //!
 //! A request can target a registered [`gpa_model::DecoderModel`] instead
-//! of a bare plan ([`Scheduler::register_model`] +
-//! [`Scheduler::submit_model`]): the sequence's embedding rows run through
-//! the model's whole layer stack — heterogeneous Full/Sparse plans per
-//! layer — with one KV cache per layer, every page of which is counted by
+//! of a bare plan ([`Scheduler::register_model`], then
+//! [`Scheduler::submit`] of a [`ModelRequest`]; traces draw both flavors
+//! into one [`TraceEvent`] stream, one [`replay`] drives it): the
+//! sequence's embedding rows run through the model's whole layer stack —
+//! heterogeneous Full/Sparse plans per layer — with one KV cache per
+//! layer, every page of which is counted by
 //! the same admission, preemption, and rollback code — inside the
 //! scheduler both flavors are one sequence record, a plan sequence being
 //! the one-layer case (an `L`-layer sequence bills `L ×` the pages of a
@@ -171,10 +179,9 @@ pub mod trace;
 pub use error::ServeError;
 pub use request::{
     Completion, ModelId, ModelRequest, PatternChoice, PlanId, RequestId, ServeRequest, ServeTarget,
-    TickReport,
+    Submission, TickReport,
 };
 pub use scheduler::{AdmissionMode, EvictionMode, Scheduler, ServeConfig};
 pub use trace::{
-    generate_model_trace, generate_trace, replay, replay_mixed, sequential_model_reference,
-    sequential_reference, ModelTraceEvent, TraceEvent, TraceSpec,
+    generate_trace, replay, sequential_model_reference, sequential_reference, TraceEvent, TraceSpec,
 };

@@ -17,9 +17,9 @@ pub struct PlanId(pub(crate) usize);
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ModelId(pub(crate) usize);
 
-/// What a sequence runs on: a bare attention plan (one
-/// [`crate::Scheduler::submit`] request) or a full decoder stack (one
-/// [`crate::Scheduler::submit_model`] request).
+/// What a sequence runs on: a bare attention plan (a
+/// [`Submission::Plan`]) or a full decoder stack (a
+/// [`Submission::Model`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ServeTarget {
     /// A single compiled attention plan fed explicit q/k/v rows.
@@ -116,17 +116,6 @@ pub struct ServeRequest<T> {
     pub v: Matrix<T>,
 }
 
-impl<T> ServeRequest<T> {
-    /// Total tokens (prompt + generated) — also the sequence's KV token
-    /// reservation at admission.
-    pub fn total_tokens(&self) -> usize
-    where
-        T: gpa_tensor::Real,
-    {
-        self.q.rows()
-    }
-}
-
 /// One decoder-stack sequence's worth of serving work: the embedding rows
 /// for the prompt and for every token it will generate, run through a
 /// registered [`gpa_model::DecoderModel`].
@@ -151,15 +140,55 @@ pub struct ModelRequest<T> {
     pub x: Matrix<T>,
 }
 
-impl<T> ModelRequest<T> {
+/// One request of either flavor — what [`crate::Scheduler::submit`]
+/// accepts and what a [`crate::TraceEvent`] carries. A plan sequence is
+/// the one-layer case of a decoder stack, so both flavors share one
+/// submission path, one trace and one replay.
+#[derive(Clone)]
+pub enum Submission<T> {
+    /// Explicit q/k/v rows through one attention plan.
+    Plan(ServeRequest<T>),
+    /// Embedding rows through a registered decoder model.
+    Model(ModelRequest<T>),
+}
+
+impl<T: gpa_tensor::Real> Submission<T> {
+    /// Rows that form the prompt.
+    pub fn prompt(&self) -> usize {
+        match self {
+            Submission::Plan(r) => r.prompt,
+            Submission::Model(r) => r.prompt,
+        }
+    }
+
     /// Total tokens (prompt + generated). Each cached token occupies a KV
-    /// row in **every** layer, so the sequence's worst-case page bill is
-    /// `layers × ceil(total / page_size)`.
-    pub fn total_tokens(&self) -> usize
-    where
-        T: gpa_tensor::Real,
-    {
-        self.x.rows()
+    /// row in every layer, so a sequence's worst-case page bill is
+    /// `layers × ceil(total / page_size)` (one layer for a plan).
+    pub fn total_tokens(&self) -> usize {
+        match self {
+            Submission::Plan(r) => r.q.rows(),
+            Submission::Model(r) => r.x.rows(),
+        }
+    }
+
+    /// Priority class — lower is more urgent.
+    pub fn priority(&self) -> u8 {
+        match self {
+            Submission::Plan(r) => r.priority,
+            Submission::Model(r) => r.priority,
+        }
+    }
+}
+
+impl<T> From<ServeRequest<T>> for Submission<T> {
+    fn from(request: ServeRequest<T>) -> Self {
+        Submission::Plan(request)
+    }
+}
+
+impl<T> From<ModelRequest<T>> for Submission<T> {
+    fn from(request: ModelRequest<T>) -> Self {
+        Submission::Model(request)
     }
 }
 

@@ -15,10 +15,10 @@
 //!
 //! ## One sequence record
 //!
-//! A request targets either a bare plan ([`Scheduler::submit`] — explicit
-//! q/k/v rows through one attention kernel) or a registered decoder model
-//! ([`Scheduler::submit_model`] — embedding rows through an N-layer stack
-//! of [`gpa_core::MultiHeadAttention`] layers with heterogeneous plans).
+//! A request ([`Scheduler::submit`] of a [`Submission`]) targets either a
+//! bare plan (explicit q/k/v rows through one attention kernel) or a
+//! registered decoder model (embedding rows through an N-layer stack of
+//! [`gpa_core::MultiHeadAttention`] layers with heterogeneous plans).
 //! Either way it becomes one private sequence record at submission and
 //! stays that record through pending → in flight → parked → completion:
 //! a shared header (id, priority, a single row cursor, timestamps), the
@@ -119,7 +119,7 @@
 use crate::error::ServeError;
 use crate::request::{
     Completion, ModelId, ModelRequest, PatternChoice, PlanId, RequestId, ServeRequest, ServeTarget,
-    TickReport,
+    Submission, TickReport,
 };
 use gpa_core::{
     AttentionEngine, AttentionPlan, AttentionRequest, KvCache, PagePool, SwapArena, SwapTicket,
@@ -576,11 +576,6 @@ impl<'p, T: Real> Scheduler<'p, T> {
         self.pool.used_pages()
     }
 
-    /// Cached tokens per page.
-    pub fn kv_page_size(&self) -> usize {
-        self.pool.page_size()
-    }
-
     /// KV tokens actually cached right now.
     pub fn kv_used_tokens(&self) -> usize {
         self.pool.used_tokens()
@@ -648,74 +643,80 @@ impl<'p, T: Real> Scheduler<'p, T> {
         }
     }
 
-    /// Queue a plan request. Validation is immediate (shape checks, plan
-    /// lookup, and the can-it-ever-fit capacity check); admission happens
-    /// on a later [`Self::tick`]. No KV cache exists — and nothing is
-    /// mutated — for a rejected request.
-    pub fn submit(&mut self, request: ServeRequest<T>) -> Result<RequestId, ServeError> {
-        let ServeRequest {
-            pattern,
-            priority,
-            prompt,
-            q,
-            k,
-            v,
-        } = request;
-        let known = match pattern {
-            PatternChoice::Explicit(id) => id.0 < self.plans.len(),
-            PatternChoice::Auto => !self.plans.is_empty(),
-        };
-        if !known {
-            return Err(ServeError::UnknownPlan);
-        }
+    /// Queue a request of either flavor. Validation is immediate (shape
+    /// checks, plan or model lookup, and the can-it-ever-fit capacity
+    /// check); admission happens on a later [`Self::tick`]. No KV cache
+    /// exists — and nothing is mutated — for a rejected request. The
+    /// capacity check counts every layer: a sequence of `total` tokens
+    /// through an `L`-layer model needs `L × pages_for(total)` pages
+    /// resident at completion.
+    pub fn submit(&mut self, request: impl Into<Submission<T>>) -> Result<RequestId, ServeError> {
         let bad = |what| Err(ServeError::BadRequest { what });
-        if q.rows() == 0 {
-            return bad("a request needs at least one token");
+        match request.into() {
+            Submission::Plan(ServeRequest {
+                pattern,
+                priority,
+                prompt,
+                q,
+                k,
+                v,
+            }) => {
+                let known = match pattern {
+                    PatternChoice::Explicit(id) => id.0 < self.plans.len(),
+                    PatternChoice::Auto => !self.plans.is_empty(),
+                };
+                if !known {
+                    return Err(ServeError::UnknownPlan);
+                }
+                if q.rows() == 0 {
+                    return bad("a request needs at least one token");
+                }
+                if k.rows() != q.rows() || v.rows() != q.rows() {
+                    return bad("Q/K/V row counts differ");
+                }
+                if q.cols() != k.cols() {
+                    return bad("Q and K disagree on the key dimension");
+                }
+                if q.cols() == 0 || v.cols() == 0 {
+                    return bad("key/value dimensions must be positive");
+                }
+                let width = v.cols();
+                let inputs = Inputs::Plan {
+                    pattern,
+                    plan: 0,
+                    q,
+                    k,
+                    v,
+                };
+                self.enqueue(priority, prompt, 1, width, inputs)
+            }
+            Submission::Model(ModelRequest {
+                model,
+                priority,
+                prompt,
+                x,
+            }) => {
+                let Some(stack) = self.models.get(model.0) else {
+                    return Err(ServeError::UnknownModel);
+                };
+                if x.rows() == 0 {
+                    return bad("a request needs at least one token");
+                }
+                if x.cols() != stack.d_model() {
+                    return bad("input width must match the model's d_model");
+                }
+                let (layers, width) = (stack.layers(), x.cols());
+                let inputs = Inputs::Model { model: model.0, x };
+                self.enqueue(priority, prompt, layers, width, inputs)
+            }
         }
-        if k.rows() != q.rows() || v.rows() != q.rows() {
-            return bad("Q/K/V row counts differ");
-        }
-        if q.cols() != k.cols() {
-            return bad("Q and K disagree on the key dimension");
-        }
-        if q.cols() == 0 || v.cols() == 0 {
-            return bad("key/value dimensions must be positive");
-        }
-        let width = v.cols();
-        let inputs = Inputs::Plan {
-            pattern,
-            plan: 0,
-            q,
-            k,
-            v,
-        };
-        self.enqueue(priority, prompt, 1, width, inputs)
     }
 
-    /// Queue a decoder-model request. Validation is immediate; admission
-    /// happens on a later [`Self::tick`]. The capacity check counts every
-    /// layer: a sequence of `total` tokens through an `L`-layer model
-    /// needs `L × pages_for(total)` pages resident at completion.
+    /// [`Self::submit`] of a model request. It stays **only** because the
+    /// frozen serving benchmark (`benchmark/src/drive.rs`) calls it by
+    /// name; it goes when a benchmark change can call `submit` instead.
     pub fn submit_model(&mut self, request: ModelRequest<T>) -> Result<RequestId, ServeError> {
-        let ModelRequest {
-            model,
-            priority,
-            prompt,
-            x,
-        } = request;
-        let Some(stack) = self.models.get(model.0) else {
-            return Err(ServeError::UnknownModel);
-        };
-        let bad = |what| Err(ServeError::BadRequest { what });
-        if x.rows() == 0 {
-            return bad("a request needs at least one token");
-        }
-        if x.cols() != stack.d_model() {
-            return bad("input width must match the model's d_model");
-        }
-        let (layers, width) = (stack.layers(), x.cols());
-        let inputs = Inputs::Model { model: model.0, x };
-        self.enqueue(priority, prompt, layers, width, inputs)
+        self.submit(request)
     }
 
     /// The shared tail of submission: the prompt and can-it-ever-fit
@@ -1314,6 +1315,7 @@ impl<T: Real> std::fmt::Debug for Scheduler<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{sequential_model_reference, sequential_reference};
     use gpa_core::AttentionKernel;
     use gpa_model::LayerPattern;
     use gpa_tensor::init::{gaussian_matrix, qkv};
@@ -1336,43 +1338,6 @@ mod tests {
         }
     }
 
-    fn scheduler(config: ServeConfig) -> (Scheduler<'static, f64>, PlanId) {
-        let mut s = Scheduler::new(AttentionEngine::with_threads(2), config).unwrap();
-        let plan = s
-            .register_plan(AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap())
-            .unwrap();
-        (s, plan)
-    }
-
-    /// A 3-layer Full/Sparse/Full stack over implicit (length-free)
-    /// kernels, d_model 12, 3 heads of dk 4.
-    fn stack() -> DecoderModel<'static, f64> {
-        DecoderModel::new(
-            LayerPattern::parse("FSF").unwrap(),
-            vec![
-                (
-                    'F',
-                    AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap(),
-                ),
-                (
-                    'S',
-                    AttentionPlan::single(AttentionKernel::Dilated1d { w: 2, r: 2 }).unwrap(),
-                ),
-            ],
-            12,
-            3,
-            4,
-            0xBEEF,
-        )
-        .unwrap()
-    }
-
-    fn model_scheduler(config: ServeConfig) -> (Scheduler<'static, f64>, ModelId) {
-        let mut s = Scheduler::new(AttentionEngine::with_threads(2), config).unwrap();
-        let model = s.register_model(stack());
-        (s, model)
-    }
-
     fn model_request(
         model: ModelId,
         priority: u8,
@@ -1386,6 +1351,112 @@ mod tests {
             prompt,
             x: gaussian_matrix(total, 12, 1.0, seed),
         }
+    }
+
+    /// A request of either flavor on the [`scheduler`] rig: q/k/v rows
+    /// (dk 4) through its plan, or embedding rows (d_model 12) through
+    /// its 3-layer stack.
+    fn submission(model: bool, prompt: usize, total: usize, seed: u64) -> Submission<f64> {
+        if model {
+            model_request(ModelId(0), 0, prompt, total, seed).into()
+        } else {
+            request(PlanId(0), 0, prompt, total, seed).into()
+        }
+    }
+
+    /// The test rig: a scheduler with one Local plan and a 3-layer
+    /// Full/Sparse/Full stack over implicit (length-free) kernels,
+    /// d_model 12, 3 heads of dk 4.
+    fn scheduler(config: ServeConfig) -> (Scheduler<'static, f64>, PlanId) {
+        let mut s = Scheduler::new(AttentionEngine::with_threads(2), config).unwrap();
+        let plan = s
+            .register_plan(AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap())
+            .unwrap();
+        s.register_model(
+            DecoderModel::new(
+                LayerPattern::parse("FSF").unwrap(),
+                vec![
+                    (
+                        'F',
+                        AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap(),
+                    ),
+                    (
+                        'S',
+                        AttentionPlan::single(AttentionKernel::Dilated1d { w: 2, r: 2 }).unwrap(),
+                    ),
+                ],
+                12,
+                3,
+                4,
+                0xBEEF,
+            )
+            .unwrap(),
+        );
+        (s, plan)
+    }
+
+    fn config(
+        max_in_flight: usize,
+        kv_pages: usize,
+        page_size: usize,
+        prefill_chunk: usize,
+        eviction: EvictionMode,
+    ) -> ServeConfig {
+        ServeConfig {
+            max_in_flight,
+            kv_pages,
+            page_size,
+            arrival_window: 0,
+            prefill_chunk,
+            admission: AdmissionMode::PagedUsage,
+            eviction,
+            swap_bytes: usize::MAX,
+        }
+    }
+
+    /// A completion's sequential reference, by its request's flavor.
+    fn reference(s: &Scheduler<'_, f64>, c: &Completion<f64>, r: &Submission<f64>) -> Matrix<f64> {
+        let chunk = s.config().prefill_chunk;
+        match (r, c.target) {
+            (Submission::Plan(r), ServeTarget::Plan(p)) => {
+                sequential_reference(s.engine(), s.plan(p), r, chunk).unwrap()
+            }
+            (Submission::Model(r), ServeTarget::Model(m)) => {
+                sequential_model_reference(s.engine(), s.model(m), r, chunk).unwrap()
+            }
+            _ => panic!("completion {} changed flavor", c.id.as_u64()),
+        }
+    }
+
+    /// What ticking to idle saw, in order.
+    #[derive(Default)]
+    struct Drained {
+        admitted: Vec<RequestId>,
+        preempted: Vec<RequestId>,
+        resumed: Vec<RequestId>,
+        completions: Vec<Completion<f64>>,
+        /// High-water mark of the arena's parked bytes between ticks.
+        peak_parked: usize,
+    }
+
+    /// Tick until idle — at most 64 ticks — checking the KV invariants
+    /// after every tick.
+    fn drain(s: &mut Scheduler<'_, f64>) -> Drained {
+        let mut d = Drained::default();
+        for _ in 0..64 {
+            if s.is_idle() {
+                break;
+            }
+            let r = s.tick().unwrap();
+            s.assert_kv_invariants();
+            d.peak_parked = d.peak_parked.max(s.swap_parked_bytes());
+            d.admitted.extend(r.admitted);
+            d.preempted.extend(r.preempted);
+            d.resumed.extend(r.resumed);
+            d.completions.extend(r.completed);
+        }
+        assert!(s.is_idle(), "drains within 64 ticks");
+        d
     }
 
     #[test]
@@ -1450,32 +1521,27 @@ mod tests {
 
     #[test]
     fn submit_model_validation_counts_every_layer() {
-        let (mut s, model) = model_scheduler(ServeConfig {
+        let (mut s, _) = scheduler(ServeConfig {
             kv_pages: 6,
             page_size: 4,
             ..ServeConfig::default()
         });
+        let model = ModelId(0);
         // Unknown model.
         let r = model_request(ModelId(9), 0, 2, 4, 1);
-        assert_eq!(s.submit_model(r), Err(ServeError::UnknownModel));
+        assert_eq!(s.submit(r), Err(ServeError::UnknownModel));
         // Wrong input width.
         let mut r = model_request(model, 0, 2, 4, 2);
         r.x = Matrix::zeros(4, 5);
-        assert!(matches!(
-            s.submit_model(r),
-            Err(ServeError::BadRequest { .. })
-        ));
+        assert!(matches!(s.submit(r), Err(ServeError::BadRequest { .. })));
         // Prompt outside 1..=total.
         let r = model_request(model, 0, 5, 4, 3);
-        assert!(matches!(
-            s.submit_model(r),
-            Err(ServeError::BadRequest { .. })
-        ));
+        assert!(matches!(s.submit(r), Err(ServeError::BadRequest { .. })));
         // 12 tokens = 3 pages of 4, × 3 layers = 9 > the pool's 6: the
         // capacity check must count every layer.
         let r = model_request(model, 0, 2, 12, 4);
         assert_eq!(
-            s.submit_model(r),
+            s.submit(r),
             Err(ServeError::OverCapacity {
                 need_pages: 9,
                 total_pages: 6
@@ -1495,93 +1561,45 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn single_sequence_runs_to_completion() {
-        let (mut s, plan) = scheduler(ServeConfig {
-            max_in_flight: 4,
-            kv_pages: 16,
-            page_size: 4,
-            arrival_window: 0,
-            prefill_chunk: 3,
-            admission: AdmissionMode::PagedUsage,
-            eviction: EvictionMode::Recompute,
-            swap_bytes: usize::MAX,
-        });
-        let id = s.submit(request(plan, 0, 7, 10, 11)).unwrap();
-        let mut completions = Vec::new();
-        for _ in 0..32 {
-            completions.extend(s.tick().unwrap().completed);
-            if s.is_idle() {
-                break;
-            }
-        }
-        assert!(s.is_idle());
-        assert_eq!(completions.len(), 1);
-        let c = &completions[0];
+    /// One uninterrupted 7-prompt, 10-token sequence of either flavor:
+    /// ceil(7/3) = 3 prefill ticks + 3 decode ticks, admitted at tick 0,
+    /// bitwise its sequential reference (the same chunk schedule as the
+    /// scheduler), every layer's pages released on completion.
+    fn serve_one(model: bool, kv_pages: usize) {
+        let (mut s, _) = scheduler(config(4, kv_pages, 4, 3, EvictionMode::Recompute));
+        let r = submission(model, 7, 10, 11);
+        let id = s.submit(r.clone()).unwrap();
+        let d = drain(&mut s);
+        assert_eq!(d.completions.len(), 1);
+        let c = &d.completions[0];
         assert_eq!(c.id, id);
-        assert_eq!(c.target, ServeTarget::Plan(plan));
-        assert_eq!(c.output.shape(), (10, 4));
-        assert_eq!(c.preemptions, 0);
-        // ceil(7/3) = 3 prefill ticks + 3 decode ticks, admitted at tick 0.
-        assert_eq!(c.admitted, 0);
-        assert_eq!(c.completed, 5);
+        let (target, width) = if model {
+            (ServeTarget::Model(ModelId(0)), 12)
+        } else {
+            (ServeTarget::Plan(PlanId(0)), 4)
+        };
+        assert_eq!(c.target, target);
+        assert_eq!(c.output.shape(), (10, width));
+        assert_eq!((c.preemptions, c.admitted, c.completed), (0, 0, 5));
+        assert_eq!(c.output, reference(&s, c, &r));
         assert_eq!(s.kv_used_pages(), 0, "pages released on completion");
     }
 
     #[test]
+    fn single_sequence_runs_to_completion() {
+        serve_one(false, 16);
+    }
+
+    #[test]
     fn model_sequence_completes_bitwise_with_the_sequential_forward() {
-        let (mut s, model) = model_scheduler(ServeConfig {
-            max_in_flight: 4,
-            kv_pages: 64,
-            page_size: 4,
-            arrival_window: 0,
-            prefill_chunk: 3,
-            admission: AdmissionMode::PagedUsage,
-            eviction: EvictionMode::Recompute,
-            swap_bytes: usize::MAX,
-        });
-        let r = model_request(model, 0, 7, 10, 11);
-        let id = s.submit_model(r.clone()).unwrap();
-        let mut completions = Vec::new();
-        for _ in 0..32 {
-            completions.extend(s.tick().unwrap().completed);
-            s.assert_kv_invariants();
-            if s.is_idle() {
-                break;
-            }
-        }
-        assert!(s.is_idle());
-        assert_eq!(completions.len(), 1);
-        let c = &completions[0];
-        assert_eq!(c.id, id);
-        assert_eq!(c.target, ServeTarget::Model(model));
-        assert_eq!(c.output.shape(), (10, 12));
-        // Same chunk schedule as the scheduler (ceil(7/3) chunks + 3
-        // decode steps), so the serving path must reproduce the
-        // unscheduled forward bitwise.
-        let want =
-            crate::trace::sequential_model_reference(s.engine(), s.model(model), &r, 3).unwrap();
-        assert_eq!(c.output, want);
-        assert_eq!(s.kv_used_pages(), 0, "all layers released on completion");
+        serve_one(true, 64);
     }
 
     #[test]
     fn mixed_plan_and_model_work_share_one_tick() {
-        let (mut s, model) = model_scheduler(ServeConfig {
-            max_in_flight: 4,
-            kv_pages: 64,
-            page_size: 4,
-            arrival_window: 0,
-            prefill_chunk: 8,
-            admission: AdmissionMode::PagedUsage,
-            eviction: EvictionMode::Recompute,
-            swap_bytes: usize::MAX,
-        });
-        let plan = s
-            .register_plan(AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap())
-            .unwrap();
+        let (mut s, plan) = scheduler(config(4, 64, 4, 8, EvictionMode::Recompute));
         let a = s.submit(request(plan, 0, 4, 6, 21)).unwrap();
-        let b = s.submit_model(model_request(model, 0, 4, 6, 22)).unwrap();
+        let b = s.submit(model_request(ModelId(0), 0, 4, 6, 22)).unwrap();
         let r = s.tick().unwrap();
         assert_eq!(r.admitted, vec![a, b]);
         // One plan launch + one launch per layer of the 3-layer stack.
@@ -1589,31 +1607,15 @@ mod tests {
         // 4 prefill rows for the plan sequence; the model sequence's 4
         // rows × 3 heads × 3 layers.
         assert_eq!(r.rows_computed, 4 + 4 * 3 * 3);
-        let mut completions = Vec::new();
-        for _ in 0..16 {
-            completions.extend(s.tick().unwrap().completed);
-            s.assert_kv_invariants();
-            if s.is_idle() {
-                break;
-            }
-        }
+        let completions = drain(&mut s).completions;
         assert_eq!(completions.len(), 2);
         assert_eq!(completions[0].target, ServeTarget::Plan(plan));
-        assert_eq!(completions[1].target, ServeTarget::Model(model));
+        assert_eq!(completions[1].target, ServeTarget::Model(ModelId(0)));
     }
 
     #[test]
     fn admission_respects_pages_and_in_flight_caps() {
-        let (mut s, plan) = scheduler(ServeConfig {
-            max_in_flight: 1,
-            kv_pages: 2,
-            page_size: 4,
-            arrival_window: 0,
-            prefill_chunk: 8,
-            admission: AdmissionMode::PagedUsage,
-            eviction: EvictionMode::Recompute,
-            swap_bytes: usize::MAX,
-        });
+        let (mut s, plan) = scheduler(config(1, 2, 4, 8, EvictionMode::Recompute));
         // Both fit the pool alone; the cap admits them one at a time.
         s.submit(request(plan, 0, 2, 3, 21)).unwrap();
         s.submit(request(plan, 0, 2, 3, 22)).unwrap();
@@ -1622,14 +1624,7 @@ mod tests {
         assert_eq!(s.in_flight_len(), 1);
         assert_eq!(s.pending_len(), 1);
         s.assert_kv_invariants();
-        for _ in 0..16 {
-            if s.is_idle() {
-                break;
-            }
-            s.tick().unwrap();
-            s.assert_kv_invariants();
-        }
-        assert!(s.is_idle());
+        drain(&mut s);
     }
 
     #[test]
@@ -1638,16 +1633,7 @@ mod tests {
         // 24-token total (6 pages): paged admission packs all four
         // prompts into half the pool, where charging the worst case
         // would admit one.
-        let (mut paged, plan) = scheduler(ServeConfig {
-            max_in_flight: 4,
-            kv_pages: 8,
-            page_size: 4,
-            arrival_window: 0,
-            prefill_chunk: 8,
-            admission: AdmissionMode::PagedUsage,
-            eviction: EvictionMode::Recompute,
-            swap_bytes: usize::MAX,
-        });
+        let (mut paged, plan) = scheduler(config(4, 8, 4, 8, EvictionMode::Recompute));
         for seed in 0..4 {
             paged.submit(request(plan, 0, 4, 24, 31 + seed)).unwrap();
         }
@@ -1656,211 +1642,74 @@ mod tests {
         assert_eq!(paged.kv_used_pages(), 4);
     }
 
+    /// The two-sequence page squeeze on either flavor: pages of 2 tokens,
+    /// two 2-prompt, 6-token sequences that each hold one page per layer
+    /// after prefill and three at completion, in a pool of three pages
+    /// per layer. Their first decode appends collide: the younger parks —
+    /// every layer's cache, through the arena under `Swap` — resumes
+    /// after the elder finishes, and both complete bitwise their
+    /// sequential references.
+    fn squeeze(model: bool, eviction: EvictionMode) -> Drained {
+        let layers = if model { 3 } else { 1 };
+        let (mut s, _) = scheduler(config(2, 3 * layers, 2, 4, eviction));
+        let subs = [submission(model, 2, 6, 61), submission(model, 2, 6, 62)];
+        let a = s.submit(subs[0].clone()).unwrap();
+        let b = s.submit(subs[1].clone()).unwrap();
+        let d = drain(&mut s);
+        assert_eq!(d.preempted, vec![b], "the younger sequence is the victim");
+        assert_eq!(d.resumed, vec![b]);
+        assert_eq!(s.preemption_events(), 1);
+        let ids: Vec<_> = d
+            .completions
+            .iter()
+            .map(|c| (c.id, c.preemptions))
+            .collect();
+        assert_eq!(ids, vec![(a, 0), (b, 1)]);
+        // Preempt-and-resume must not perturb a single bit of either
+        // output.
+        for (c, r) in d.completions.iter().zip(&subs) {
+            assert_eq!(c.output, reference(&s, c, r));
+        }
+        if eviction == EvictionMode::Swap {
+            assert!(s.swap_peak_bytes() > 0, "the park must transit the arena");
+            assert_eq!(s.swap_fallbacks(), 0);
+        }
+        assert_eq!(s.swap_parked_bytes(), 0, "resume drains the arena");
+        assert_eq!(s.kv_used_pages(), 0);
+        d
+    }
+
     #[test]
     fn preemption_parks_the_youngest_and_resumes_it_to_completion() {
-        // 3 pages × 2 tokens. Two sequences of 2-prompt/4-decode: each
-        // needs 3 pages at completion, both admit on 1 page each. When
-        // their decode appends collide on the last free page, the
-        // more-recently-admitted sequence must park and later resume.
-        let (mut s, plan) = scheduler(ServeConfig {
-            max_in_flight: 2,
-            kv_pages: 3,
-            page_size: 2,
-            arrival_window: 0,
-            prefill_chunk: 4,
-            admission: AdmissionMode::PagedUsage,
-            eviction: EvictionMode::Recompute,
-            swap_bytes: usize::MAX,
-        });
-        let a = s.submit(request(plan, 0, 2, 6, 61)).unwrap();
-        let b = s.submit(request(plan, 0, 2, 6, 62)).unwrap();
-        let mut completions = Vec::new();
-        let mut preempted = Vec::new();
-        let mut resumed = Vec::new();
-        for _ in 0..64 {
-            let r = s.tick().unwrap();
-            s.assert_kv_invariants();
-            preempted.extend(r.preempted);
-            resumed.extend(r.resumed);
-            completions.extend(r.completed);
-            if s.is_idle() {
-                break;
-            }
-        }
-        assert!(s.is_idle());
-        assert_eq!(preempted, vec![b], "the younger sequence is the victim");
-        assert_eq!(resumed, vec![b]);
-        assert!(s.preemption_events() >= 1);
-        assert_eq!(completions.len(), 2);
-        assert_eq!(completions[0].id, a);
-        assert_eq!(completions[0].preemptions, 0);
-        assert_eq!(completions[1].id, b);
-        assert_eq!(completions[1].preemptions, 1);
-        assert_eq!(s.kv_used_pages(), 0);
+        squeeze(false, EvictionMode::Recompute);
     }
 
     #[test]
     fn model_preemption_retains_every_layer_and_resumes_bitwise() {
-        // 9 pages × 2 tokens, 3-layer stack. Two sequences of 2-prompt/
-        // 4-decode: each holds 3 pages after prefill (1 page × 3 layers)
-        // and needs 9 at completion. Their first decode appends (3 pages
-        // each, page boundary at 2 tokens) collide: B parks — all three
-        // layers' caches retained — and resumes after A finishes.
-        let (mut s, model) = model_scheduler(ServeConfig {
-            max_in_flight: 2,
-            kv_pages: 9,
-            page_size: 2,
-            arrival_window: 0,
-            prefill_chunk: 4,
-            admission: AdmissionMode::PagedUsage,
-            eviction: EvictionMode::Recompute,
-            swap_bytes: usize::MAX,
-        });
-        let ra = model_request(model, 0, 2, 6, 71);
-        let rb = model_request(model, 0, 2, 6, 72);
-        let a = s.submit_model(ra.clone()).unwrap();
-        let b = s.submit_model(rb.clone()).unwrap();
-        let mut completions = Vec::new();
-        let mut preempted = Vec::new();
-        let mut resumed = Vec::new();
-        for _ in 0..64 {
-            let r = s.tick().unwrap();
-            s.assert_kv_invariants();
-            preempted.extend(r.preempted);
-            resumed.extend(r.resumed);
-            completions.extend(r.completed);
-            if s.is_idle() {
-                break;
-            }
-        }
-        assert!(s.is_idle());
-        assert_eq!(preempted, vec![b], "the younger sequence is the victim");
-        assert_eq!(resumed, vec![b]);
-        assert_eq!(completions.len(), 2);
-        assert_eq!(completions[0].id, a);
-        assert_eq!(completions[1].id, b);
-        assert_eq!(completions[1].preemptions, 1);
-        // Preempt-and-resume must not perturb a single bit of either
-        // output.
-        let chunk = s.config().prefill_chunk;
-        for (c, r) in [(&completions[0], &ra), (&completions[1], &rb)] {
-            let want =
-                crate::trace::sequential_model_reference(s.engine(), s.model(model), r, chunk)
-                    .unwrap();
-            assert_eq!(c.output, want);
-        }
-        assert_eq!(s.kv_used_pages(), 0);
+        squeeze(true, EvictionMode::Recompute);
     }
 
     #[test]
     fn swap_eviction_resumes_plan_sequences_bitwise() {
-        // The plan-sequence page squeeze under EvictionMode::Swap: the
-        // victim's cache transits the arena instead of being recomputed,
-        // and the completion is still bitwise the sequential serve.
-        let (mut s, plan) = scheduler(ServeConfig {
-            max_in_flight: 2,
-            kv_pages: 3,
-            page_size: 2,
-            arrival_window: 0,
-            prefill_chunk: 4,
-            admission: AdmissionMode::PagedUsage,
-            eviction: EvictionMode::Swap,
-            swap_bytes: usize::MAX,
-        });
-        let ra = request(plan, 0, 2, 6, 61);
-        let rb = request(plan, 0, 2, 6, 62);
-        let a = s.submit(ra.clone()).unwrap();
-        let b = s.submit(rb.clone()).unwrap();
-        let mut completions = Vec::new();
-        let mut resumed = Vec::new();
-        for _ in 0..64 {
-            let r = s.tick().unwrap();
-            s.assert_kv_invariants();
-            resumed.extend(r.resumed);
-            completions.extend(r.completed);
-            if s.is_idle() {
-                break;
-            }
-        }
-        assert!(s.is_idle());
-        assert_eq!(resumed, vec![b], "the swapped victim resumes");
-        assert!(s.swap_peak_bytes() > 0, "the park must transit the arena");
-        assert_eq!(s.swap_fallbacks(), 0);
-        assert_eq!(s.swap_parked_bytes(), 0, "resume drains the arena");
-        let chunk = s.config().prefill_chunk;
-        for (c, r, id) in [(&completions[0], &ra, a), (&completions[1], &rb, b)] {
-            assert_eq!(c.id, id);
-            let want =
-                crate::trace::sequential_reference(s.engine(), s.plan(plan), r, chunk).unwrap();
-            assert_eq!(c.output, want, "swap-mode serving must be bitwise");
-        }
-        assert_eq!(s.kv_used_pages(), 0);
+        squeeze(false, EvictionMode::Swap);
     }
 
     #[test]
     fn swap_eviction_resumes_model_stacks_bitwise() {
-        // The 3-layer squeeze under EvictionMode::Swap: the victim's
-        // whole stack parks as one arena entry and re-adopts atomically.
-        let (mut s, model) = model_scheduler(ServeConfig {
-            max_in_flight: 2,
-            kv_pages: 9,
-            page_size: 2,
-            arrival_window: 0,
-            prefill_chunk: 4,
-            admission: AdmissionMode::PagedUsage,
-            eviction: EvictionMode::Swap,
-            swap_bytes: usize::MAX,
-        });
-        let ra = model_request(model, 0, 2, 6, 71);
-        let rb = model_request(model, 0, 2, 6, 72);
-        let a = s.submit_model(ra.clone()).unwrap();
-        let b = s.submit_model(rb.clone()).unwrap();
-        let mut completions = Vec::new();
-        let mut peak_parked = 0usize;
-        for _ in 0..64 {
-            let r = s.tick().unwrap();
-            s.assert_kv_invariants();
-            peak_parked = peak_parked.max(s.swap_parked_bytes());
-            completions.extend(r.completed);
-            if s.is_idle() {
-                break;
-            }
-        }
-        assert!(s.is_idle());
         // At park time the victim holds 2 prompt tokens across 3 layers
         // of 3 heads × dk 4 — the arena entry is the whole stack.
+        let peak_parked = squeeze(true, EvictionMode::Swap).peak_parked;
         assert!(
             peak_parked >= 3 * 2 * 3 * (4 + 4) * std::mem::size_of::<f64>(),
             "the parked entry must hold all three layers ({peak_parked} bytes)"
         );
-        assert_eq!(s.swap_fallbacks(), 0);
-        assert_eq!(s.swap_parked_bytes(), 0);
-        let chunk = s.config().prefill_chunk;
-        assert_eq!(completions.len(), 2);
-        assert_eq!((completions[0].id, completions[1].id), (a, b));
-        for (c, r) in [(&completions[0], &ra), (&completions[1], &rb)] {
-            let want =
-                crate::trace::sequential_model_reference(s.engine(), s.model(model), r, chunk)
-                    .unwrap();
-            assert_eq!(c.output, want, "swapped stacks must resume bitwise");
-        }
-        assert_eq!(s.kv_used_pages(), 0);
     }
 
     #[test]
     fn cancel_while_swap_parked_reclaims_arena_bytes() {
         // Cancelling a sequence whose cache lives in the swap arena must
         // free the arena bytes immediately — no orphaned entries.
-        let (mut s, plan) = scheduler(ServeConfig {
-            max_in_flight: 2,
-            kv_pages: 3,
-            page_size: 2,
-            arrival_window: 0,
-            prefill_chunk: 4,
-            admission: AdmissionMode::PagedUsage,
-            eviction: EvictionMode::Swap,
-            swap_bytes: usize::MAX,
-        });
+        let (mut s, plan) = scheduler(config(2, 3, 2, 4, EvictionMode::Swap));
         let _a = s.submit(request(plan, 0, 2, 6, 51)).unwrap();
         let b = s.submit(request(plan, 0, 2, 6, 52)).unwrap();
         for _ in 0..16 {
@@ -1875,13 +1724,7 @@ mod tests {
         assert_eq!(s.swap_parked_bytes(), 0, "cancel reclaims the arena bytes");
         s.assert_kv_invariants();
         // The survivor still drains normally.
-        for _ in 0..32 {
-            s.tick().unwrap();
-            if s.is_idle() {
-                break;
-            }
-        }
-        assert!(s.is_idle());
+        drain(&mut s);
         assert_eq!(s.kv_used_pages(), 0);
     }
 
@@ -1893,16 +1736,7 @@ mod tests {
         // still be bitwise the uninterrupted sequential serve.
         let mut s: Scheduler<'static, f64> = Scheduler::new(
             AttentionEngine::with_threads(2),
-            ServeConfig {
-                max_in_flight: 2,
-                kv_pages: 3,
-                page_size: 2,
-                arrival_window: 0,
-                prefill_chunk: 4,
-                admission: AdmissionMode::PagedUsage,
-                eviction: EvictionMode::Recompute,
-                swap_bytes: usize::MAX,
-            },
+            config(2, 3, 2, 4, EvictionMode::Recompute),
         )
         .unwrap();
         let plan = s
@@ -1915,29 +1749,15 @@ mod tests {
                 .unwrap(),
             )
             .unwrap();
-        let ra = request(plan, 0, 2, 6, 61);
-        let rb = request(plan, 0, 2, 6, 62);
-        let a = s.submit(ra.clone()).unwrap();
-        let b = s.submit(rb.clone()).unwrap();
-        let mut completions = Vec::new();
-        let mut preempted = Vec::new();
-        for _ in 0..64 {
-            let r = s.tick().unwrap();
-            s.assert_kv_invariants();
-            preempted.extend(r.preempted);
-            completions.extend(r.completed);
-            if s.is_idle() {
-                break;
-            }
-        }
-        assert!(s.is_idle());
-        assert_eq!(preempted, vec![b], "the younger routed sequence parks");
-        assert_eq!(completions.len(), 2);
-        let chunk = s.config().prefill_chunk;
-        for (c, r, id) in [(&completions[0], &ra, a), (&completions[1], &rb, b)] {
+        let subs = [request(plan, 0, 2, 6, 61), request(plan, 0, 2, 6, 62)];
+        let a = s.submit(subs[0].clone()).unwrap();
+        let b = s.submit(subs[1].clone()).unwrap();
+        let d = drain(&mut s);
+        assert_eq!(d.preempted, vec![b], "the younger routed sequence parks");
+        assert_eq!(d.completions.len(), 2);
+        for ((c, r), id) in d.completions.iter().zip(subs).zip([a, b]) {
             assert_eq!(c.id, id);
-            let want =
-                crate::trace::sequential_reference(s.engine(), s.plan(plan), r, chunk).unwrap();
+            let want = reference(&s, c, &r.into());
             assert_eq!(c.output, want, "routed serving must be bitwise");
         }
         assert_eq!(s.kv_used_pages(), 0);
@@ -1951,16 +1771,7 @@ mod tests {
         let mk = || {
             let mut s: Scheduler<'static, f64> = Scheduler::new(
                 AttentionEngine::with_threads(2),
-                ServeConfig {
-                    max_in_flight: 4,
-                    kv_pages: 4,
-                    page_size: 4,
-                    arrival_window: 0,
-                    prefill_chunk: 4,
-                    admission: AdmissionMode::PagedUsage,
-                    eviction: EvictionMode::Recompute,
-                    swap_bytes: usize::MAX,
-                },
+                config(4, 4, 4, 4, EvictionMode::Recompute),
             )
             .unwrap();
             let sparse = s
@@ -1980,13 +1791,7 @@ mod tests {
         // Empty pool → free fraction 1 → the densest pattern.
         let (mut s, _, dense) = mk();
         let id = s.submit(auto_request(4, 4, 81)).unwrap();
-        let mut completions = Vec::new();
-        for _ in 0..16 {
-            completions.extend(s.tick().unwrap().completed);
-            if s.is_idle() {
-                break;
-            }
-        }
+        let completions = drain(&mut s).completions;
         let c = completions.iter().find(|c| c.id == id).unwrap();
         assert_eq!(
             c.target,
@@ -2000,13 +1805,7 @@ mod tests {
         s.tick().unwrap(); // admits the hog: 3 pages held
         assert_eq!(s.kv_free_pages(), 1);
         let id = s.submit(auto_request(4, 4, 83)).unwrap();
-        let mut completions = Vec::new();
-        for _ in 0..16 {
-            completions.extend(s.tick().unwrap().completed);
-            if s.is_idle() {
-                break;
-            }
-        }
+        let completions = drain(&mut s).completions;
         let c = completions.iter().find(|c| c.id == id).unwrap();
         assert_eq!(
             c.target,
@@ -2015,14 +1814,7 @@ mod tests {
         );
         // The original Auto choice resolved at admission is what ran —
         // the output is bitwise the sequential serve under that plan.
-        let want = crate::trace::sequential_reference(
-            s.engine(),
-            s.plan(sparse),
-            &auto_request(4, 4, 83),
-            s.config().prefill_chunk,
-        )
-        .unwrap();
-        assert_eq!(c.output, want);
+        assert_eq!(c.output, reference(&s, c, &auto_request(4, 4, 83).into()));
     }
 
     #[test]
@@ -2040,43 +1832,18 @@ mod tests {
 
     #[test]
     fn strict_priority_with_fifo_within_a_class() {
-        let (mut s, plan) = scheduler(ServeConfig {
-            max_in_flight: 1,
-            kv_pages: 8,
-            page_size: 8,
-            arrival_window: 0,
-            prefill_chunk: 8,
-            admission: AdmissionMode::PagedUsage,
-            eviction: EvictionMode::Recompute,
-            swap_bytes: usize::MAX,
-        });
+        let (mut s, plan) = scheduler(config(1, 8, 8, 8, EvictionMode::Recompute));
         let low_a = s.submit(request(plan, 3, 2, 2, 41)).unwrap();
         let low_b = s.submit(request(plan, 3, 2, 2, 42)).unwrap();
         let high = s.submit(request(plan, 0, 2, 2, 43)).unwrap();
-        let mut order = Vec::new();
-        for _ in 0..16 {
-            order.extend(s.tick().unwrap().admitted);
-            if s.is_idle() {
-                break;
-            }
-        }
-        assert_eq!(order, vec![high, low_a, low_b]);
+        assert_eq!(drain(&mut s).admitted, vec![high, low_a, low_b]);
     }
 
     #[test]
     fn cancel_pending_parked_and_in_flight() {
         // Same page-squeeze as the preemption test, plus a third pending
         // request, so all three cancel paths are exercised.
-        let (mut s, plan) = scheduler(ServeConfig {
-            max_in_flight: 2,
-            kv_pages: 3,
-            page_size: 2,
-            arrival_window: 0,
-            prefill_chunk: 4,
-            admission: AdmissionMode::PagedUsage,
-            eviction: EvictionMode::Recompute,
-            swap_bytes: usize::MAX,
-        });
+        let (mut s, plan) = scheduler(config(2, 3, 2, 4, EvictionMode::Recompute));
         let a = s.submit(request(plan, 0, 2, 6, 51)).unwrap();
         let b = s.submit(request(plan, 0, 2, 6, 52)).unwrap();
         let c = s.submit(request(plan, 1, 2, 6, 53)).unwrap();

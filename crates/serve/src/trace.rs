@@ -1,24 +1,20 @@
 //! Seeded workload traces and the virtual-clock replay harness.
 //!
-//! A trace is a list of (arrival tick, [`ServeRequest`]) events, generated
+//! A trace is a list of (arrival tick, [`Submission`]) events, generated
 //! deterministically from a [`TraceSpec`] seed — mixed prompt lengths,
-//! decode lengths, priorities, plans, and inter-arrival gaps. [`replay`]
-//! drives a [`Scheduler`] through a trace on its virtual clock, and
-//! [`sequential_reference`] computes what any single sequence *must*
-//! produce (the naive one-sequence-at-a-time serving loop: chunked prefill
-//! plus per-token decode). Because batched launches do identical per-row
-//! work, the scheduler's outputs are **bitwise equal** to the reference —
-//! the property `tests/serving_sim.rs` checks across randomized traces.
-//!
-//! Decoder-model workloads have the same trio: [`generate_model_trace`]
-//! draws (arrival tick, [`ModelRequest`]) events from the same spec shape,
-//! [`replay_mixed`] drives a scheduler through plan and model traces
-//! merged on one clock, and [`sequential_model_reference`] is the
-//! one-sequence-at-a-time decoder-stack serve the batched path must
-//! reproduce bitwise.
+//! decode lengths, priorities, targets (plans, [`PatternChoice::Auto`],
+//! decoder models), and inter-arrival gaps. [`replay`] drives a
+//! [`Scheduler`] through a trace on its virtual clock, and the two
+//! sequential references compute what any single sequence *must* produce
+//! (the naive one-sequence-at-a-time serving loop: chunked prefill plus
+//! per-token decode) — [`sequential_reference`] for a plan sequence,
+//! [`sequential_model_reference`] for a decoder stack. Because batched
+//! launches do identical per-row work, the scheduler's outputs are
+//! **bitwise equal** to the reference — the property
+//! `tests/serving_sim.rs` checks across randomized traces.
 
 use crate::error::ServeError;
-use crate::request::{Completion, ModelId, ModelRequest, PatternChoice, ServeRequest};
+use crate::request::{Completion, ModelId, ModelRequest, PatternChoice, ServeRequest, Submission};
 use crate::scheduler::Scheduler;
 use gpa_core::{AttentionEngine, AttentionPlan, AttnError, KvCache, PagePool};
 use gpa_model::{DecoderModel, ModelError, ModelKvState};
@@ -39,7 +35,8 @@ pub struct TraceSpec {
     /// Inclusive range of generated-token counts (0 allowed: prefill-only
     /// sequences).
     pub decode: (usize, usize),
-    /// Key/value dimension of every sequence.
+    /// Key/value dimension of every plan sequence (a model sequence's
+    /// rows are its model's `d_model` wide).
     pub dk: usize,
     /// Inclusive range of inter-arrival gaps, in ticks.
     pub arrival_gap: (u64, u64),
@@ -70,147 +67,76 @@ pub struct TraceEvent<T> {
     /// Arrival tick (nondecreasing across a generated trace).
     pub at: u64,
     /// The request to submit at that tick.
-    pub request: ServeRequest<T>,
+    pub request: Submission<T>,
 }
 
-/// One sequence's shape, drawn from a [`TraceSpec`]: everything about a
-/// trace event except the rows themselves.
-struct Shape {
-    at: u64,
-    prompt: usize,
-    total: usize,
-    priority: u8,
-    /// Index into the generator's targets (patterns or models).
-    pick: usize,
-}
-
-/// Draw every sequence's shape from the spec's seeded generator. The two
-/// trace flavors draw the same fields, but their target pick sits on
-/// different sides of the priority draw (`pick_first` is the model-trace
-/// order); keeping each order keeps every seeded trace byte-identical.
-fn draw_shapes(spec: &TraceSpec, targets: usize, pick_first: bool) -> Vec<Shape> {
+/// Generate a seeded workload trace, drawing each sequence's target
+/// uniformly at random from `plans` and `models` together. `plans` is a
+/// slice of [`crate::PlanId`]s, or of [`PatternChoice`]s to mix explicit
+/// plans with [`PatternChoice::Auto`] sequences whose plan the scheduler
+/// resolves at admission; a plan sequence's q/k/v rows are `spec.dk`
+/// wide. `models` pairs each registered model's id with its `d_model`,
+/// which sizes that sequence's embedding rows. Events come back sorted by
+/// arrival tick, ready for [`replay`].
+///
+/// # Panics
+/// Panics if `plans` and `models` are both empty or a spec range is
+/// empty/inverted.
+pub fn generate_trace<T: Real, C: Into<PatternChoice> + Copy>(
+    spec: &TraceSpec,
+    plans: &[C],
+    models: &[(ModelId, usize)],
+) -> Vec<TraceEvent<T>> {
     fn draw_incl(rng: &mut StdRng, (lo, hi): (usize, usize)) -> usize {
         assert!(lo <= hi, "empty range");
         lo + rng.gen_range(0..hi - lo + 1)
     }
+    let targets = plans.len() + models.len();
+    assert!(targets > 0, "a trace needs at least one plan or model");
+    let (glo, ghi) = spec.arrival_gap;
+    assert!(glo <= ghi, "empty arrival-gap range");
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let classes = spec.priority_classes.max(1);
     let mut at = 0u64;
     (0..spec.sequences)
-        .map(|_| {
+        .map(|i| {
             let prompt = draw_incl(&mut rng, spec.prompt).max(1);
             let total = prompt + draw_incl(&mut rng, spec.decode);
-            let mut pick = 0;
-            if pick_first {
-                pick = rng.gen_range(0..targets);
-            }
             let priority = rng.gen_range(0..classes as usize) as u8;
-            if !pick_first {
-                pick = rng.gen_range(0..targets);
-            }
-            let (glo, ghi) = spec.arrival_gap;
-            assert!(glo <= ghi, "empty arrival-gap range");
+            let pick = rng.gen_range(0..targets);
             at += glo + rng.gen_range(0..(ghi - glo + 1) as usize) as u64;
-            Shape {
-                at,
-                prompt,
-                total,
-                priority,
-                pick,
-            }
-        })
-        .collect()
-}
-
-/// Generate a seeded workload trace, drawing each sequence's pattern
-/// uniformly at random from `patterns` — a slice of [`crate::PlanId`]s for
-/// a classic per-plan workload, or of [`PatternChoice`]s to mix explicit
-/// plans with [`PatternChoice::Auto`] sequences whose plan the scheduler
-/// resolves at admission. Events come back sorted by arrival tick, ready
-/// for [`replay`].
-///
-/// # Panics
-/// Panics if `patterns` is empty or a spec range is empty/inverted.
-pub fn generate_trace<T: Real, C: Into<PatternChoice> + Copy>(
-    spec: &TraceSpec,
-    patterns: &[C],
-) -> Vec<TraceEvent<T>> {
-    assert!(!patterns.is_empty(), "a trace needs at least one pattern");
-    draw_shapes(spec, patterns.len(), false)
-        .into_iter()
-        .enumerate()
-        .map(|(i, shape)| {
-            let (q, k, v) = qkv::<T>(
-                shape.total,
-                spec.dk,
-                spec.seed ^ (0xA5A5_0000 + i as u64).wrapping_mul(0x9E37),
-            );
-            TraceEvent {
-                at: shape.at,
-                request: ServeRequest {
-                    pattern: patterns[shape.pick].into(),
-                    priority: shape.priority,
-                    prompt: shape.prompt,
-                    q,
-                    k,
-                    v,
-                },
-            }
-        })
-        .collect()
-}
-
-/// One decoder-model trace event: the request and the tick it arrives at.
-#[derive(Clone)]
-pub struct ModelTraceEvent<T> {
-    /// Arrival tick (nondecreasing across a generated trace).
-    pub at: u64,
-    /// The model request to submit at that tick.
-    pub request: ModelRequest<T>,
-}
-
-/// Generate a seeded decoder-model workload trace, drawing each sequence's
-/// model uniformly from `models` (pairs of registered id and that model's
-/// `d_model`, which sizes the embedding rows). The same [`TraceSpec`]
-/// fields govern prompt/decode lengths, priorities, and arrival gaps;
-/// `spec.dk` is unused (a model's widths are its own). Events come back
-/// sorted by arrival tick, ready for [`replay_mixed`].
-///
-/// # Panics
-/// Panics if `models` is empty or a spec range is empty/inverted.
-pub fn generate_model_trace<T: Real>(
-    spec: &TraceSpec,
-    models: &[(ModelId, usize)],
-) -> Vec<ModelTraceEvent<T>> {
-    assert!(!models.is_empty(), "a trace needs at least one model");
-    draw_shapes(spec, models.len(), true)
-        .into_iter()
-        .enumerate()
-        .map(|(i, shape)| {
-            let (model, d_model) = models[shape.pick];
-            let x = gaussian_matrix(
-                shape.total,
-                d_model,
-                1.0,
-                spec.seed ^ (0xD0DE_0000 + i as u64).wrapping_mul(0x9E37),
-            );
-            ModelTraceEvent {
-                at: shape.at,
-                request: ModelRequest {
-                    model,
-                    priority: shape.priority,
-                    prompt: shape.prompt,
-                    x,
-                },
-            }
+            let salt = |base: u64| spec.seed ^ (base + i as u64).wrapping_mul(0x9E37);
+            let request = match plans.get(pick) {
+                Some(&pattern) => {
+                    let (q, k, v) = qkv::<T>(total, spec.dk, salt(0xA5A5_0000));
+                    Submission::Plan(ServeRequest {
+                        pattern: pattern.into(),
+                        priority,
+                        prompt,
+                        q,
+                        k,
+                        v,
+                    })
+                }
+                None => {
+                    let (model, d_model) = models[pick - plans.len()];
+                    Submission::Model(ModelRequest {
+                        model,
+                        priority,
+                        prompt,
+                        x: gaussian_matrix(total, d_model, 1.0, salt(0xD0DE_0000)),
+                    })
+                }
+            };
+            TraceEvent { at, request }
         })
         .collect()
 }
 
 /// Drive `scheduler` through a trace on its virtual clock: events are
-/// submitted when the clock reaches their arrival tick, the scheduler
-/// ticks until idle, and all completions come back in completion order —
-/// [`replay_mixed`] with no model events.
+/// submitted in trace order when the clock reaches their arrival tick —
+/// so request ids are trace positions — the scheduler ticks until idle,
+/// and all completions, both flavors, come back in completion order.
 ///
 /// `max_ticks` bounds the drive — exceeding it returns
 /// [`ServeError::NotDrained`], which doubles as the simulation's
@@ -224,55 +150,24 @@ pub fn replay<T: Real>(
     trace: &[TraceEvent<T>],
     max_ticks: u64,
 ) -> Result<Vec<Completion<T>>, ServeError> {
-    replay_mixed(scheduler, trace, &[], max_ticks)
-}
-
-/// Drive `scheduler` through plan and decoder-model traces merged on one
-/// virtual clock: each trace's events are submitted when the clock reaches
-/// their arrival tick (every due plan event before every due model event
-/// within a tick), the scheduler ticks until idle, and all completions —
-/// both flavors — come back in completion order.
-///
-/// `max_ticks` bounds the drive exactly as in [`replay`]. Passing an empty
-/// `attn` slice makes this a pure model replay.
-///
-/// # Panics
-/// Panics if either trace is not sorted by arrival tick.
-pub fn replay_mixed<T: Real>(
-    scheduler: &mut Scheduler<'_, T>,
-    attn: &[TraceEvent<T>],
-    model: &[ModelTraceEvent<T>],
-    max_ticks: u64,
-) -> Result<Vec<Completion<T>>, ServeError> {
     assert!(
-        attn.windows(2).all(|w| w[0].at <= w[1].at),
-        "trace events must be sorted by arrival tick"
-    );
-    assert!(
-        model.windows(2).all(|w| w[0].at <= w[1].at),
+        trace.windows(2).all(|w| w[0].at <= w[1].at),
         "trace events must be sorted by arrival tick"
     );
     let mut completions = Vec::new();
-    let mut next_a = 0usize;
-    let mut next_m = 0usize;
+    let mut next = 0usize;
     let mut ticks = 0u64;
-    while next_a < attn.len() || next_m < model.len() || !scheduler.is_idle() {
-        while next_a < attn.len() && attn[next_a].at <= scheduler.now() {
-            scheduler.submit(attn[next_a].request.clone())?;
-            next_a += 1;
-        }
-        while next_m < model.len() && model[next_m].at <= scheduler.now() {
-            scheduler.submit_model(model[next_m].request.clone())?;
-            next_m += 1;
+    while next < trace.len() || !scheduler.is_idle() {
+        while next < trace.len() && trace[next].at <= scheduler.now() {
+            scheduler.submit(trace[next].request.clone())?;
+            next += 1;
         }
         completions.extend(scheduler.tick()?.completed);
         ticks += 1;
         if ticks > max_ticks {
             return Err(ServeError::NotDrained {
                 ticks,
-                outstanding: (attn.len() - next_a)
-                    + (model.len() - next_m)
-                    + scheduler.outstanding(),
+                outstanding: (trace.len() - next) + scheduler.outstanding(),
             });
         }
     }
@@ -357,9 +252,55 @@ pub fn sequential_model_reference<T: Real>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::PlanId;
-    use crate::scheduler::ServeConfig;
+    use crate::request::{PlanId, ServeTarget};
+    use crate::scheduler::{AdmissionMode, EvictionMode, ServeConfig};
     use gpa_core::{AttentionKernel, AttentionPlan};
+    use gpa_model::LayerPattern;
+
+    /// The rows an event carries: q for a plan sequence, x for a stack.
+    fn rows(e: &TraceEvent<f64>) -> &Matrix<f64> {
+        match &e.request {
+            Submission::Plan(r) => &r.q,
+            Submission::Model(r) => &r.x,
+        }
+    }
+
+    fn config(kv_pages: usize, page_size: usize, prefill_chunk: usize) -> ServeConfig {
+        ServeConfig {
+            max_in_flight: 3,
+            kv_pages,
+            page_size,
+            arrival_window: 1,
+            prefill_chunk,
+            admission: AdmissionMode::PagedUsage,
+            eviction: EvictionMode::Recompute,
+            swap_bytes: usize::MAX,
+        }
+    }
+
+    /// Check every completion of a replayed trace bitwise against the
+    /// sequential reference of its event's flavor.
+    fn assert_matches_references(
+        s: &Scheduler<'_, f64>,
+        trace: &[TraceEvent<f64>],
+        completions: &[Completion<f64>],
+    ) {
+        assert_eq!(completions.len(), trace.len());
+        let chunk = s.config().prefill_chunk;
+        for c in completions {
+            // Ids are assigned in submission (= trace) order.
+            let expect = match (&trace[c.id.as_u64() as usize].request, c.target) {
+                (Submission::Plan(r), ServeTarget::Plan(p)) => {
+                    sequential_reference(s.engine(), s.plan(p), r, chunk).unwrap()
+                }
+                (Submission::Model(r), ServeTarget::Model(m)) => {
+                    sequential_model_reference(s.engine(), s.model(m), r, chunk).unwrap()
+                }
+                _ => panic!("completion {} changed flavor", c.id.as_u64()),
+            };
+            assert_eq!(c.output, expect, "must be bitwise the sequential serve");
+        }
+    }
 
     #[test]
     fn traces_are_deterministic_and_sorted() {
@@ -369,14 +310,14 @@ mod tests {
             ..TraceSpec::default()
         };
         let plans = [PlanId(0), PlanId(1)];
-        let a: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans);
-        let b: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans);
+        let a: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans, &[]);
+        let b: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans, &[]);
         assert_eq!(a.len(), 12);
         assert!(a.windows(2).all(|w| w[0].at <= w[1].at));
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.at, y.at);
-            assert_eq!(x.request.q, y.request.q, "same seed, same data");
-            assert_eq!(x.request.priority, y.request.priority);
+            assert_eq!(rows(x), rows(y), "same seed, same data");
+            assert_eq!(x.request.priority(), y.request.priority());
         }
         let other: Vec<TraceEvent<f64>> = generate_trace(
             &TraceSpec {
@@ -384,31 +325,41 @@ mod tests {
                 ..spec
             },
             &plans,
+            &[],
         );
         assert!(
-            a.iter()
-                .zip(&other)
-                .any(|(x, y)| x.request.q != y.request.q),
+            a.iter().zip(&other).any(|(x, y)| rows(x) != rows(y)),
             "different seeds must differ"
         );
+
+        // A mixed target slice draws both flavors into one sorted trace:
+        // plan events `dk` wide, model events their model's `d_model`.
+        let spec = TraceSpec { dk: 5, ..spec };
+        let models = [(ModelId(0), 6), (ModelId(1), 10)];
+        let mixed: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans, &models);
+        assert!(mixed.windows(2).all(|w| w[0].at <= w[1].at));
+        let (mut plan_events, mut model_events) = (0, 0);
+        for e in &mixed {
+            match &e.request {
+                Submission::Plan(r) => {
+                    plan_events += 1;
+                    assert_eq!((r.q.cols(), r.k.cols(), r.v.cols()), (5, 5, 5));
+                }
+                Submission::Model(r) => {
+                    model_events += 1;
+                    let d_model = models.iter().find(|m| m.0 == r.model).unwrap().1;
+                    assert_eq!(r.x.cols(), d_model);
+                }
+            }
+            assert_eq!(rows(e).rows(), e.request.total_tokens());
+        }
+        assert!(plan_events > 0 && model_events > 0, "both flavors drawn");
     }
 
     #[test]
     fn replay_drains_and_matches_the_reference() {
-        let mut scheduler: Scheduler<'static, f64> = Scheduler::new(
-            AttentionEngine::with_threads(2),
-            ServeConfig {
-                max_in_flight: 3,
-                kv_pages: 16,
-                page_size: 8,
-                arrival_window: 1,
-                prefill_chunk: 4,
-                admission: crate::scheduler::AdmissionMode::PagedUsage,
-                eviction: crate::scheduler::EvictionMode::Recompute,
-                swap_bytes: usize::MAX,
-            },
-        )
-        .unwrap();
+        let mut scheduler: Scheduler<'static, f64> =
+            Scheduler::new(AttentionEngine::with_threads(2), config(16, 8, 4)).unwrap();
         let plan = scheduler
             .register_plan(AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap())
             .unwrap();
@@ -423,28 +374,14 @@ mod tests {
                 seed: 7,
             },
             &[plan],
+            &[],
         );
         let completions = replay(&mut scheduler, &trace, 10_000).unwrap();
-        assert_eq!(completions.len(), trace.len());
-        for c in &completions {
-            // Ids are assigned in submission (= trace) order.
-            let event = &trace[c.id.as_u64() as usize];
-            let plan = c.target.plan().expect("a plan-only trace");
-            let expect = sequential_reference(
-                scheduler.engine(),
-                scheduler.plan(plan),
-                &event.request,
-                scheduler.config().prefill_chunk,
-            )
-            .unwrap();
-            assert_eq!(c.output, expect, "must be bitwise the sequential serve");
-        }
+        assert_matches_references(&scheduler, &trace, &completions);
     }
 
     #[test]
     fn model_traces_are_deterministic_and_mixed_replay_drains() {
-        use gpa_model::LayerPattern;
-
         let spec = TraceSpec {
             sequences: 4,
             prompt: (2, 6),
@@ -455,29 +392,17 @@ mod tests {
             seed: 99,
         };
         let models = [(ModelId(0), 8usize)];
-        let a: Vec<ModelTraceEvent<f64>> = generate_model_trace(&spec, &models);
-        let b: Vec<ModelTraceEvent<f64>> = generate_model_trace(&spec, &models);
+        let a: Vec<TraceEvent<f64>> = generate_trace::<_, PlanId>(&spec, &[], &models);
+        let b: Vec<TraceEvent<f64>> = generate_trace::<_, PlanId>(&spec, &[], &models);
         assert_eq!(a.len(), 4);
         assert!(a.windows(2).all(|w| w[0].at <= w[1].at));
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.at, y.at);
-            assert_eq!(x.request.x, y.request.x, "same seed, same data");
+            assert_eq!(rows(x), rows(y), "same seed, same data");
         }
 
-        let mut scheduler: Scheduler<'static, f64> = Scheduler::new(
-            AttentionEngine::with_threads(2),
-            ServeConfig {
-                max_in_flight: 3,
-                kv_pages: 64,
-                page_size: 4,
-                arrival_window: 1,
-                prefill_chunk: 3,
-                admission: crate::scheduler::AdmissionMode::PagedUsage,
-                eviction: crate::scheduler::EvictionMode::Recompute,
-                swap_bytes: usize::MAX,
-            },
-        )
-        .unwrap();
+        let mut scheduler: Scheduler<'static, f64> =
+            Scheduler::new(AttentionEngine::with_threads(2), config(64, 4, 3)).unwrap();
         let plan = scheduler
             .register_plan(AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap())
             .unwrap();
@@ -502,58 +427,24 @@ mod tests {
             .unwrap(),
         );
         assert_eq!(model, ModelId(0));
-        let attn: Vec<TraceEvent<f64>> = generate_trace(
+        // One trace of both flavors, one replay: ids are trace positions.
+        let trace: Vec<TraceEvent<f64>> = generate_trace(
             &TraceSpec {
-                sequences: 3,
+                sequences: 7,
                 seed: 98,
                 ..spec
             },
             &[plan],
+            &models,
         );
-        let completions = replay_mixed(&mut scheduler, &attn, &a, 10_000).unwrap();
-        assert_eq!(completions.len(), attn.len() + a.len());
-        // Ids follow submission order: the two sorted traces merged by
-        // arrival tick, due plan events before due model events on ties
-        // (exactly `replay_mixed`'s per-tick submission order).
-        let mut order: Vec<(bool, usize)> = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < attn.len() || j < a.len() {
-            if j >= a.len() || (i < attn.len() && attn[i].at <= a[j].at) {
-                order.push((false, i));
-                i += 1;
-            } else {
-                order.push((true, j));
-                j += 1;
-            }
-        }
-        let chunk = scheduler.config().prefill_chunk;
-        for c in &completions {
-            let (is_model, idx) = order[c.id.as_u64() as usize];
-            match c.target {
-                crate::request::ServeTarget::Plan(p) => {
-                    assert!(!is_model, "submission order maps ids to flavors");
-                    let expect = sequential_reference(
-                        scheduler.engine(),
-                        scheduler.plan(p),
-                        &attn[idx].request,
-                        chunk,
-                    )
-                    .unwrap();
-                    assert_eq!(c.output, expect, "bitwise the sequential serve");
-                }
-                crate::request::ServeTarget::Model(m) => {
-                    assert!(is_model, "submission order maps ids to flavors");
-                    let expect = sequential_model_reference(
-                        scheduler.engine(),
-                        scheduler.model(m),
-                        &a[idx].request,
-                        chunk,
-                    )
-                    .unwrap();
-                    assert_eq!(c.output, expect, "bitwise the sequential model serve");
-                }
-            }
-        }
+        assert!(trace
+            .iter()
+            .any(|e| matches!(e.request, Submission::Plan(_))));
+        assert!(trace
+            .iter()
+            .any(|e| matches!(e.request, Submission::Model(_))));
+        let completions = replay(&mut scheduler, &trace, 10_000).unwrap();
+        assert_matches_references(&scheduler, &trace, &completions);
     }
 
     #[test]
@@ -569,6 +460,7 @@ mod tests {
                 ..TraceSpec::default()
             },
             &[plan],
+            &[],
         );
         assert!(matches!(
             replay(&mut scheduler, &trace, 2),

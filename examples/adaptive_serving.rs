@@ -20,7 +20,7 @@
 //! ```
 
 use graph_attention::prelude::*;
-use graph_attention::serve::{generate_trace, sequential_reference, PlanId, TraceSpec};
+use graph_attention::serve::{generate_trace, sequential_reference, PlanId, Submission, TraceSpec};
 use std::time::Instant;
 
 fn main() {
@@ -122,11 +122,20 @@ fn main() {
             seed: 42,
         },
         &patterns,
+        &[],
     );
-    let total_tokens: usize = trace.iter().map(|e| e.request.q.rows()).sum();
-    let auto_submitted = trace
+    // A plan-only workload: every event is a plan request.
+    let requests: Vec<&ServeRequest<f32>> = trace
         .iter()
-        .filter(|e| e.request.pattern == PatternChoice::Auto)
+        .map(|e| match &e.request {
+            Submission::Plan(r) => r,
+            Submission::Model(_) => unreachable!("a plan-only workload"),
+        })
+        .collect();
+    let total_tokens: usize = trace.iter().map(|e| e.request.total_tokens()).sum();
+    let auto_submitted = requests
+        .iter()
+        .filter(|r| r.pattern == PatternChoice::Auto)
         .count();
     println!(
         "workload: {sequences} sequences ({auto_submitted} Auto), {total_tokens} tokens, prompts {prompt:?}, decode {decode:?}\n"
@@ -166,8 +175,7 @@ fn main() {
     // Where did the Auto requests land? Count resolved plans.
     let mut resolved = vec![0usize; named.len()];
     for c in &completions {
-        let original = &trace[c.id.as_u64() as usize].request.pattern;
-        if *original == PatternChoice::Auto {
+        if requests[c.id.as_u64() as usize].pattern == PatternChoice::Auto {
             let plan = c.target.plan().expect("plan workload");
             let slot = named.iter().position(|&(p, _)| p == plan).unwrap();
             resolved[slot] += 1;
@@ -191,7 +199,7 @@ fn main() {
         let expect = sequential_reference(
             scheduler.engine(),
             scheduler.plan(plan),
-            &trace[c.id.as_u64() as usize].request,
+            requests[c.id.as_u64() as usize],
             config.prefill_chunk,
         )
         .expect("reference serves");

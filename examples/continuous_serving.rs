@@ -19,7 +19,7 @@
 //! ```
 
 use graph_attention::prelude::*;
-use graph_attention::serve::{generate_trace, sequential_reference, TraceSpec};
+use graph_attention::serve::{generate_trace, sequential_reference, Submission, TraceSpec};
 use std::time::Instant;
 
 fn main() {
@@ -78,8 +78,9 @@ fn main() {
             seed: 42,
         },
         &plans,
+        &[],
     );
-    let total_tokens: usize = trace.iter().map(|e| e.request.q.rows()).sum();
+    let total_tokens: usize = trace.iter().map(|e| e.request.total_tokens()).sum();
     println!(
         "workload: {sequences} sequences, {total_tokens} tokens, prompts {prompt:?}, decode {decode:?}, 2 priority classes\n"
     );
@@ -133,11 +134,14 @@ fn main() {
     let started = Instant::now();
     let mut checked = 0usize;
     for c in &completions {
+        let Submission::Plan(request) = &trace[c.id.as_u64() as usize].request else {
+            unreachable!("a plan-only workload");
+        };
         let plan = c.target.plan().expect("a plan-only workload");
         let expect = sequential_reference(
             scheduler.engine(),
             scheduler.plan(plan),
-            &trace[c.id.as_u64() as usize].request,
+            request,
             config.prefill_chunk,
         )
         .expect("reference serves");

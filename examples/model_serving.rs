@@ -22,7 +22,9 @@
 //! ```
 
 use graph_attention::prelude::*;
-use graph_attention::serve::{generate_model_trace, sequential_model_reference, TraceSpec};
+use graph_attention::serve::{
+    generate_trace, sequential_model_reference, PlanId, Submission, TraceSpec,
+};
 use std::time::Instant;
 
 fn main() {
@@ -94,7 +96,7 @@ fn main() {
         (prompt.1 + decode.1).div_ceil(page_size),
     );
 
-    let trace = generate_model_trace::<f32>(
+    let trace = generate_trace::<f32, PlanId>(
         &TraceSpec {
             sequences,
             prompt,
@@ -104,9 +106,10 @@ fn main() {
             priority_classes: 2,
             seed: 42,
         },
+        &[],
         &[(model_id, d_model)],
     );
-    let total_tokens: usize = trace.iter().map(|e| e.request.x.rows()).sum();
+    let total_tokens: usize = trace.iter().map(|e| e.request.total_tokens()).sum();
     println!(
         "workload: {sequences} sequences, {total_tokens} tokens, prompts {prompt:?}, decode {decode:?}, 2 priority classes\n"
     );
@@ -122,7 +125,7 @@ fn main() {
     while next < trace.len() || !scheduler.is_idle() {
         while next < trace.len() && trace[next].at <= scheduler.now() {
             scheduler
-                .submit_model(trace[next].request.clone())
+                .submit(trace[next].request.clone())
                 .expect("valid request");
             next += 1;
         }
@@ -161,11 +164,14 @@ fn main() {
     let mut checked = 0usize;
     let mut preempted = 0usize;
     for c in &completions {
+        let Submission::Model(request) = &trace[c.id.as_u64() as usize].request else {
+            unreachable!("a model-only workload");
+        };
         let model = c.target.model().expect("a model-only workload");
         let expect = sequential_model_reference(
             scheduler.engine(),
             scheduler.model(model),
-            &trace[c.id.as_u64() as usize].request,
+            request,
             config.prefill_chunk,
         )
         .expect("reference serves");

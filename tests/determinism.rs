@@ -10,10 +10,83 @@ use graph_attention::masks::{MaskPattern, RandomUniform};
 use graph_attention::model::{DecoderModel, LayerPattern};
 use graph_attention::parallel::Schedule;
 use graph_attention::serve::{
-    generate_model_trace, generate_trace, replay, replay_mixed, AdmissionMode, EvictionMode,
-    PatternChoice, RequestId, Scheduler, ServeConfig, TraceSpec,
+    generate_trace, replay, AdmissionMode, Completion, EvictionMode, PatternChoice, PlanId,
+    RequestId, Scheduler, ServeConfig, TraceEvent, TraceSpec,
 };
 use graph_attention::tensor::init::qkv;
+
+/// Assert that a replay completed exactly like the reference replay of
+/// the same trace: same completion order, resolved targets, admission
+/// and completion ticks, preemption counts, and output bits.
+fn assert_same_completions(reference: &[Completion<f32>], run: &[Completion<f32>], what: &str) {
+    assert_eq!(run.len(), reference.len());
+    for (a, b) in reference.iter().zip(run) {
+        assert_eq!(a.id, b.id, "{what} changed completion order");
+        assert_eq!(
+            a.target, b.target,
+            "{what} changed the resolved plan of {:?}",
+            a.id
+        );
+        assert_eq!(
+            (a.admitted, a.completed, a.preemptions),
+            (b.admitted, b.completed, b.preemptions),
+            "{what} changed the schedule of {:?}",
+            a.id
+        );
+        assert_eq!(
+            a.output.as_slice(),
+            b.output.as_slice(),
+            "{what} changed bits of {:?}",
+            a.id
+        );
+    }
+}
+
+/// A scheduler on `threads` workers with two registered plans (Local and
+/// Dilated1d).
+fn two_plan_scheduler(
+    threads: usize,
+    config: ServeConfig,
+) -> (Scheduler<'static, f32>, [PlanId; 2]) {
+    let mut scheduler = Scheduler::new(AttentionEngine::with_threads(threads), config).unwrap();
+    let plans = [
+        scheduler
+            .register_plan(AttentionPlan::single(AttentionKernel::Local { n: 3 }).unwrap())
+            .unwrap(),
+        scheduler
+            .register_plan(
+                AttentionPlan::single(AttentionKernel::Dilated1d { w: 4, r: 1 }).unwrap(),
+            )
+            .unwrap(),
+    ];
+    (scheduler, plans)
+}
+
+/// A tick that preempted or resumed: (tick, preempted, resumed).
+type Event = (u64, Vec<RequestId>, Vec<RequestId>);
+
+/// Replay `trace` tick by tick, recording every preemption event.
+fn replay_recording_preemptions(
+    scheduler: &mut Scheduler<'_, f32>,
+    trace: &[TraceEvent<f32>],
+) -> (Vec<Completion<f32>>, Vec<Event>) {
+    let mut completions = Vec::new();
+    let mut events: Vec<Event> = Vec::new();
+    let mut next = 0usize;
+    while next < trace.len() || !scheduler.is_idle() {
+        while next < trace.len() && trace[next].at <= scheduler.now() {
+            scheduler.submit(trace[next].request.clone()).unwrap();
+            next += 1;
+        }
+        let report = scheduler.tick().unwrap();
+        if !report.preempted.is_empty() || !report.resumed.is_empty() {
+            events.push((report.tick, report.preempted, report.resumed));
+        }
+        completions.extend(report.completed);
+        assert!(scheduler.now() < 100_000, "trace did not drain");
+    }
+    (completions, events)
+}
 
 #[test]
 fn outputs_bitwise_identical_across_schedules() {
@@ -110,41 +183,14 @@ fn serving_trace_identical_across_pool_sizes() {
         swap_bytes: usize::MAX,
     };
     let run = |threads: usize| {
-        let mut scheduler: Scheduler<'static, f32> =
-            Scheduler::new(AttentionEngine::with_threads(threads), config).unwrap();
-        let plans = vec![
-            scheduler
-                .register_plan(AttentionPlan::single(AttentionKernel::Local { n: 3 }).unwrap())
-                .unwrap(),
-            scheduler
-                .register_plan(
-                    AttentionPlan::single(AttentionKernel::Dilated1d { w: 4, r: 1 }).unwrap(),
-                )
-                .unwrap(),
-        ];
-        let trace = generate_trace::<f32, _>(&spec, &plans);
+        let (mut scheduler, plans) = two_plan_scheduler(threads, config);
+        let trace = generate_trace::<f32, _>(&spec, &plans, &[]);
         replay(&mut scheduler, &trace, 100_000).unwrap()
     };
     let reference = run(1);
     assert_eq!(reference.len(), spec.sequences);
     for threads in [2usize, 4] {
-        let completions = run(threads);
-        assert_eq!(completions.len(), reference.len());
-        for (a, b) in reference.iter().zip(&completions) {
-            assert_eq!(a.id, b.id, "{threads} threads changed completion order");
-            assert_eq!(
-                (a.admitted, a.completed),
-                (b.admitted, b.completed),
-                "{threads} threads changed the schedule of {:?}",
-                a.id
-            );
-            assert_eq!(
-                a.output.as_slice(),
-                b.output.as_slice(),
-                "{threads} threads changed bits of {:?}",
-                a.id
-            );
-        }
+        assert_same_completions(&reference, &run(threads), &format!("{threads} threads"));
     }
 }
 
@@ -175,36 +221,10 @@ fn preempting_trace_identical_across_pool_sizes() {
         eviction: EvictionMode::Recompute,
         swap_bytes: usize::MAX,
     };
-    type Event = (u64, Vec<RequestId>, Vec<RequestId>);
     let run = |threads: usize| {
-        let mut scheduler: Scheduler<'static, f32> =
-            Scheduler::new(AttentionEngine::with_threads(threads), config).unwrap();
-        let plans = vec![
-            scheduler
-                .register_plan(AttentionPlan::single(AttentionKernel::Local { n: 3 }).unwrap())
-                .unwrap(),
-            scheduler
-                .register_plan(
-                    AttentionPlan::single(AttentionKernel::Dilated1d { w: 4, r: 1 }).unwrap(),
-                )
-                .unwrap(),
-        ];
-        let trace = generate_trace::<f32, _>(&spec, &plans);
-        let mut completions = Vec::new();
-        let mut events: Vec<Event> = Vec::new();
-        let mut next = 0usize;
-        while next < trace.len() || !scheduler.is_idle() {
-            while next < trace.len() && trace[next].at <= scheduler.now() {
-                scheduler.submit(trace[next].request.clone()).unwrap();
-                next += 1;
-            }
-            let report = scheduler.tick().unwrap();
-            if !report.preempted.is_empty() || !report.resumed.is_empty() {
-                events.push((report.tick, report.preempted, report.resumed));
-            }
-            completions.extend(report.completed);
-            assert!(scheduler.now() < 100_000, "trace did not drain");
-        }
+        let (mut scheduler, plans) = two_plan_scheduler(threads, config);
+        let trace = generate_trace::<f32, _>(&spec, &plans, &[]);
+        let (completions, events) = replay_recording_preemptions(&mut scheduler, &trace);
         (completions, events, scheduler.preemption_events())
     };
     let (reference, ref_events, ref_count) = run(1);
@@ -217,22 +237,7 @@ fn preempting_trace_identical_across_pool_sizes() {
             "{threads} threads changed the preemption schedule"
         );
         assert_eq!(count, ref_count);
-        assert_eq!(completions.len(), reference.len());
-        for (a, b) in reference.iter().zip(&completions) {
-            assert_eq!(a.id, b.id, "{threads} threads changed completion order");
-            assert_eq!(
-                (a.admitted, a.completed, a.preemptions),
-                (b.admitted, b.completed, b.preemptions),
-                "{threads} threads changed the schedule of {:?}",
-                a.id
-            );
-            assert_eq!(
-                a.output.as_slice(),
-                b.output.as_slice(),
-                "{threads} threads changed bits of {:?}",
-                a.id
-            );
-        }
+        assert_same_completions(&reference, &completions, &format!("{threads} threads"));
     }
 }
 
@@ -252,7 +257,6 @@ fn swap_mode_preempting_trace_identical_across_pool_sizes_and_modes() {
         priority_classes: 2,
         seed: 0xE51C7,
     };
-    type Event = (u64, Vec<RequestId>, Vec<RequestId>);
     let run = |threads: usize, eviction: EvictionMode| {
         let config = ServeConfig {
             max_in_flight: 4,
@@ -264,34 +268,9 @@ fn swap_mode_preempting_trace_identical_across_pool_sizes_and_modes() {
             eviction,
             swap_bytes: usize::MAX,
         };
-        let mut scheduler: Scheduler<'static, f32> =
-            Scheduler::new(AttentionEngine::with_threads(threads), config).unwrap();
-        let plans = vec![
-            scheduler
-                .register_plan(AttentionPlan::single(AttentionKernel::Local { n: 3 }).unwrap())
-                .unwrap(),
-            scheduler
-                .register_plan(
-                    AttentionPlan::single(AttentionKernel::Dilated1d { w: 4, r: 1 }).unwrap(),
-                )
-                .unwrap(),
-        ];
-        let trace = generate_trace::<f32, _>(&spec, &plans);
-        let mut completions = Vec::new();
-        let mut events: Vec<Event> = Vec::new();
-        let mut next = 0usize;
-        while next < trace.len() || !scheduler.is_idle() {
-            while next < trace.len() && trace[next].at <= scheduler.now() {
-                scheduler.submit(trace[next].request.clone()).unwrap();
-                next += 1;
-            }
-            let report = scheduler.tick().unwrap();
-            if !report.preempted.is_empty() || !report.resumed.is_empty() {
-                events.push((report.tick, report.preempted, report.resumed));
-            }
-            completions.extend(report.completed);
-            assert!(scheduler.now() < 100_000, "trace did not drain");
-        }
+        let (mut scheduler, plans) = two_plan_scheduler(threads, config);
+        let trace = generate_trace::<f32, _>(&spec, &plans, &[]);
+        let (completions, events) = replay_recording_preemptions(&mut scheduler, &trace);
         if eviction == EvictionMode::Swap {
             assert!(
                 scheduler.swap_peak_bytes() > 0,
@@ -308,22 +287,11 @@ fn swap_mode_preempting_trace_identical_across_pool_sizes_and_modes() {
             events, ref_events,
             "swap mode at {threads} threads changed the preemption schedule"
         );
-        assert_eq!(completions.len(), reference.len());
-        for (a, b) in reference.iter().zip(&completions) {
-            assert_eq!(a.id, b.id, "swap mode changed completion order");
-            assert_eq!(
-                (a.admitted, a.completed, a.preemptions),
-                (b.admitted, b.completed, b.preemptions),
-                "swap mode at {threads} threads changed the schedule of {:?}",
-                a.id
-            );
-            assert_eq!(
-                a.output.as_slice(),
-                b.output.as_slice(),
-                "swap mode at {threads} threads changed bits of {:?}",
-                a.id
-            );
-        }
+        assert_same_completions(
+            &reference,
+            &completions,
+            &format!("swap mode at {threads} threads"),
+        );
     }
 }
 
@@ -377,7 +345,7 @@ fn routed_serving_trace_identical_across_pool_sizes() {
             PatternChoice::from(routed),
             PatternChoice::Auto,
         ];
-        let trace = generate_trace::<f32, _>(&spec, &patterns);
+        let trace = generate_trace::<f32, _>(&spec, &patterns, &[]);
         let completions = replay(&mut scheduler, &trace, 100_000).unwrap();
         let routed_preempted = completions
             .iter()
@@ -394,27 +362,7 @@ fn routed_serving_trace_identical_across_pool_sizes() {
     for threads in [2usize, 4] {
         let (completions, events, _) = run(threads);
         assert_eq!(events, ref_events, "{threads} threads changed preemptions");
-        assert_eq!(completions.len(), reference.len());
-        for (a, b) in reference.iter().zip(&completions) {
-            assert_eq!(a.id, b.id, "{threads} threads changed completion order");
-            assert_eq!(
-                a.target, b.target,
-                "{threads} threads changed the resolved plan of {:?}",
-                a.id
-            );
-            assert_eq!(
-                (a.admitted, a.completed, a.preemptions),
-                (b.admitted, b.completed, b.preemptions),
-                "{threads} threads changed the schedule of {:?}",
-                a.id
-            );
-            assert_eq!(
-                a.output.as_slice(),
-                b.output.as_slice(),
-                "{threads} threads changed bits of {:?}",
-                a.id
-            );
-        }
+        assert_same_completions(&reference, &completions, &format!("{threads} threads"));
     }
 }
 
@@ -468,8 +416,8 @@ fn multi_layer_model_trace_identical_across_pool_sizes() {
             )
             .unwrap(),
         );
-        let trace = generate_model_trace::<f32>(&spec, &[(model, 10)]);
-        let completions = replay_mixed(&mut scheduler, &[], &trace, 100_000).unwrap();
+        let trace = generate_trace::<f32, PlanId>(&spec, &[], &[(model, 10)]);
+        let completions = replay(&mut scheduler, &trace, 100_000).unwrap();
         (completions, scheduler.preemption_events())
     };
     let (reference, ref_events) = run(1);
@@ -478,22 +426,7 @@ fn multi_layer_model_trace_identical_across_pool_sizes() {
     for threads in [2usize, 4] {
         let (completions, events) = run(threads);
         assert_eq!(events, ref_events, "{threads} threads changed preemptions");
-        assert_eq!(completions.len(), reference.len());
-        for (a, b) in reference.iter().zip(&completions) {
-            assert_eq!(a.id, b.id, "{threads} threads changed completion order");
-            assert_eq!(
-                (a.admitted, a.completed, a.preemptions),
-                (b.admitted, b.completed, b.preemptions),
-                "{threads} threads changed the schedule of {:?}",
-                a.id
-            );
-            assert_eq!(
-                a.output.as_slice(),
-                b.output.as_slice(),
-                "{threads} threads changed bits of {:?}",
-                a.id
-            );
-        }
+        assert_same_completions(&reference, &completions, &format!("{threads} threads"));
     }
 }
 

@@ -25,13 +25,18 @@
 //!    state that still serves bitwise-correct outputs once the offender
 //!    is cancelled (separate test below).
 //!
+//! Plan sequences and decoder stacks travel one request stream — one
+//! trace, one drive, one completion check — so every invariant above
+//! holds for plan-only and mixed plan + model traces alike.
+//!
 //! The trace count of the headline loop defaults to 52 and can be raised
-//! via `GPA_SIM_TRACES` (the nightly CI job runs 200).
+//! via `GPA_SIM_TRACES` (the nightly CI job runs 200); the mixed-model
+//! and routed loops scale with it (12 and 16 traces at the default).
 
 use graph_attention::prelude::*;
 use graph_attention::serve::{
-    generate_model_trace, generate_trace, sequential_model_reference, sequential_reference,
-    Completion, ModelId, ModelTraceEvent, Scheduler, ServeError, TraceEvent, TraceSpec,
+    generate_trace, sequential_model_reference, sequential_reference, Completion, ModelId, PlanId,
+    Scheduler, ServeError, Submission, TraceEvent, TraceSpec,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -43,12 +48,15 @@ fn trace_count() -> u64 {
         .unwrap_or(52)
 }
 
+/// A loop that runs `default` traces next to the headline's 52, scaled
+/// with `GPA_SIM_TRACES` so a soak reaches it too.
+fn scaled_trace_count(default: u64) -> u64 {
+    (default * trace_count()).div_ceil(52)
+}
+
 /// Scheduler + plans used by one simulated trace. Three length-free plans
 /// (two single-kernel, one composed) so traces mix kernels per sequence.
-fn build_scheduler(
-    threads: usize,
-    config: ServeConfig,
-) -> (Scheduler<'static, f64>, Vec<graph_attention::serve::PlanId>) {
+fn build_scheduler(threads: usize, config: ServeConfig) -> (Scheduler<'static, f64>, Vec<PlanId>) {
     let mut scheduler = Scheduler::new(AttentionEngine::with_threads(threads), config).unwrap();
     let plans = vec![
         scheduler
@@ -83,11 +91,7 @@ fn build_scheduler(
 fn build_adaptive_scheduler(
     threads: usize,
     config: ServeConfig,
-) -> (
-    Scheduler<'static, f64>,
-    Vec<PatternChoice>,
-    Vec<graph_attention::serve::PlanId>,
-) {
+) -> (Scheduler<'static, f64>, Vec<PatternChoice>, Vec<PlanId>) {
     let (mut scheduler, plans) = build_scheduler(threads, config);
     let routed = vec![
         scheduler
@@ -127,11 +131,7 @@ fn build_adaptive_scheduler(
 fn build_mixed_scheduler(
     threads: usize,
     config: ServeConfig,
-) -> (
-    Scheduler<'static, f64>,
-    Vec<graph_attention::serve::PlanId>,
-    Vec<(ModelId, usize)>,
-) {
+) -> (Scheduler<'static, f64>, Vec<PlanId>, Vec<(ModelId, usize)>) {
     let (mut scheduler, plans) = build_scheduler(threads, config);
     let single = scheduler.register_model(
         DecoderModel::new(
@@ -173,7 +173,8 @@ fn build_mixed_scheduler(
 /// Worst-case ticks to drain `trace` on a healthy scheduler: last arrival
 /// plus the arrival window plus fully *serial* service of every sequence
 /// (each needs `ceil(prompt/chunk)` prefill ticks and one tick per decode
-/// token), plus slack. Exceeding this bound means starvation — and since
+/// token — a stack's depth multiplies its work per tick, not its tick
+/// count), plus slack. Exceeding this bound means starvation — and since
 /// the most urgent in-flight sequence is never evicted, it doubles as the
 /// livelock bound under preemption: some sequence advances every tick, so
 /// serial service still drains the trace.
@@ -181,8 +182,8 @@ fn starvation_bound(trace: &[TraceEvent<f64>], config: &ServeConfig) -> u64 {
     let service: u64 = trace
         .iter()
         .map(|e| {
-            let prompt = e.request.prompt;
-            let decode = e.request.q.rows() - prompt;
+            let prompt = e.request.prompt();
+            let decode = e.request.total_tokens() - prompt;
             (prompt.div_ceil(config.prefill_chunk) + decode + 1) as u64
         })
         .sum();
@@ -191,20 +192,20 @@ fn starvation_bound(trace: &[TraceEvent<f64>], config: &ServeConfig) -> u64 {
 }
 
 /// Drive one trace through the scheduler tick by tick, checking the page
-/// and scheduling invariants after every tick; returns the completions
-/// and the peak number of sequences concurrently in flight during a tick.
+/// and scheduling invariants after every tick — page conservation spans
+/// every layer of every stack's state. Request ids are trace positions.
 fn drive(
     scheduler: &mut Scheduler<'_, f64>,
     trace: &[TraceEvent<f64>],
     max_ticks: u64,
-) -> (Vec<Completion<f64>>, usize) {
+) -> Vec<Completion<f64>> {
     let mut completions = Vec::new();
-    let mut peak_in_flight = 0usize;
     let mut next = 0usize;
     let mut ticks = 0u64;
     while next < trace.len() || !scheduler.is_idle() {
         while next < trace.len() && trace[next].at <= scheduler.now() {
-            scheduler.submit(trace[next].request.clone()).unwrap();
+            let id = scheduler.submit(trace[next].request.clone()).unwrap();
+            assert_eq!(id.as_u64() as usize, next, "ids are trace positions");
             next += 1;
         }
         let report = scheduler.tick().unwrap();
@@ -235,7 +236,6 @@ fn drive(
             report.preempted.len() < scheduler.config().max_in_flight.max(1) + 1,
             "preempted more sequences than could be in flight"
         );
-        peak_in_flight = peak_in_flight.max(scheduler.in_flight_len() + report.completed.len());
         completions.extend(report.completed);
         ticks += 1;
         // Invariant 3: no starvation — the trace drains within its bound.
@@ -248,7 +248,26 @@ fn drive(
             "preemption-count bound exceeded: livelock"
         );
     }
-    (completions, peak_in_flight)
+    completions
+}
+
+/// What a completed sequence must equal bitwise: [`sequential_reference`]
+/// for a plan sequence, [`sequential_model_reference`] for a stack.
+fn reference(
+    scheduler: &Scheduler<'_, f64>,
+    c: &Completion<f64>,
+    request: &Submission<f64>,
+) -> Matrix<f64> {
+    let (engine, chunk) = (scheduler.engine(), scheduler.config().prefill_chunk);
+    match (request, c.target) {
+        (Submission::Plan(r), ServeTarget::Plan(plan)) => {
+            sequential_reference(engine, scheduler.plan(plan), r, chunk).unwrap()
+        }
+        (Submission::Model(r), ServeTarget::Model(model)) => {
+            sequential_model_reference(engine, scheduler.model(model), r, chunk).unwrap()
+        }
+        _ => panic!("completion {} changed flavor", c.id.as_u64()),
+    }
 }
 
 /// Check invariants 1 and 4 on a drained trace's completions.
@@ -258,26 +277,19 @@ fn check_completions(
     completions: &[Completion<f64>],
 ) {
     assert_eq!(completions.len(), trace.len(), "every sequence completes");
+    let request = |c: &Completion<f64>| &trace[c.id.as_u64() as usize].request;
 
     // Invariant 1: bitwise equivalence with the sequential reference —
     // for preempted-and-resumed sequences exactly as for uninterrupted
-    // ones.
+    // ones, multi-layer stacks exactly as plan sequences.
     for c in completions {
-        let request = &trace[c.id.as_u64() as usize].request;
-        let plan = c.target.plan().expect("a plan-only trace");
-        let expect = sequential_reference(
-            scheduler.engine(),
-            scheduler.plan(plan),
-            request,
-            scheduler.config().prefill_chunk,
-        )
-        .unwrap();
         assert_eq!(
             c.output,
-            expect,
-            "sequence {} ({} preemptions) must match the sequential serve bitwise",
+            reference(scheduler, c, request(c)),
+            "sequence {} ({} preemptions, {:?}) must match the sequential serve bitwise",
             c.id.as_u64(),
-            c.preemptions
+            c.preemptions,
+            c.target
         );
     }
 
@@ -305,155 +317,18 @@ fn check_completions(
                 a.id.as_u64(),
                 b.id.as_u64()
             );
-            // Equal-shape sequences of one class also *complete* FIFO
-            // (both phases advance one unit per tick, and preemption
-            // evicts most-recently-admitted first, so order is kept).
-            let (ra, rb) = (
-                &trace[a.id.as_u64() as usize].request,
-                &trace[b.id.as_u64() as usize].request,
-            );
-            if ra.prompt == rb.prompt && ra.q.rows() == rb.q.rows() {
+            // Equal-shape sequences of one class also *complete* FIFO,
+            // plan and stack alike (both phases advance one unit per tick
+            // whatever the depth, and preemption evicts most-recently-
+            // admitted first, so order is kept).
+            let (ra, rb) = (request(a), request(b));
+            if ra.prompt() == rb.prompt() && ra.total_tokens() == rb.total_tokens() {
                 assert!(
                     a.completed <= b.completed,
                     "class {}: equal-shape completion order inverted ({} vs {})",
                     a.priority,
                     a.id.as_u64(),
                     b.id.as_u64()
-                );
-            }
-        }
-    }
-}
-
-/// [`starvation_bound`] generalized to a mixed workload: serial service of
-/// every plan sequence plus every model sequence (a model sequence's
-/// per-tick unit of work is one chunk or one token, exactly like a plan
-/// sequence's — depth multiplies the work per tick, not the tick count).
-fn mixed_starvation_bound(
-    attn: &[TraceEvent<f64>],
-    models: &[ModelTraceEvent<f64>],
-    config: &ServeConfig,
-) -> u64 {
-    let model_service: u64 = models
-        .iter()
-        .map(|e| {
-            let prompt = e.request.prompt;
-            let decode = e.request.x.rows() - prompt;
-            (prompt.div_ceil(config.prefill_chunk) + decode + 1) as u64
-        })
-        .sum();
-    let last_arrival = models.last().map_or(0, |e| e.at);
-    starvation_bound(attn, config) + last_arrival + model_service
-}
-
-/// [`drive`] for a mixed plan + model workload: submits both traces on the
-/// virtual clock and checks the same per-tick invariants — page
-/// conservation now spans every layer of every model sequence's state.
-fn drive_mixed(
-    scheduler: &mut Scheduler<'_, f64>,
-    attn: &[TraceEvent<f64>],
-    models: &[ModelTraceEvent<f64>],
-    max_ticks: u64,
-) -> Vec<Completion<f64>> {
-    let mut completions = Vec::new();
-    let (mut next_a, mut next_m) = (0usize, 0usize);
-    let mut ticks = 0u64;
-    while next_a < attn.len() || next_m < models.len() || !scheduler.is_idle() {
-        while next_a < attn.len() && attn[next_a].at <= scheduler.now() {
-            scheduler.submit(attn[next_a].request.clone()).unwrap();
-            next_a += 1;
-        }
-        while next_m < models.len() && models[next_m].at <= scheduler.now() {
-            scheduler
-                .submit_model(models[next_m].request.clone())
-                .unwrap();
-            next_m += 1;
-        }
-        let report = scheduler.tick().unwrap();
-        scheduler.assert_kv_invariants();
-        assert_eq!(
-            scheduler.kv_free_pages() + scheduler.kv_used_pages(),
-            scheduler.kv_total_pages(),
-            "page conservation across per-layer tables"
-        );
-        assert!(scheduler.in_flight_len() <= scheduler.config().max_in_flight);
-        if !report.preempted.is_empty() {
-            assert!(
-                report.admitted.is_empty() && report.resumed.is_empty(),
-                "a tick may admit or preempt, never both"
-            );
-        }
-        completions.extend(report.completed);
-        ticks += 1;
-        assert!(
-            ticks <= max_ticks,
-            "not drained after {ticks} ticks (bound {max_ticks}): starvation"
-        );
-    }
-    completions
-}
-
-/// Bitwise check for a mixed drive's completions: every plan completion
-/// equals [`sequential_reference`], every model completion equals
-/// [`sequential_model_reference`] — preempted-and-resumed multi-layer
-/// sequences exactly like uninterrupted ones. Ids map to events through
-/// the submission order (the two sorted traces merged by arrival tick,
-/// plan events first on ties — `drive_mixed`'s per-tick order).
-fn check_mixed_completions(
-    scheduler: &Scheduler<'_, f64>,
-    attn: &[TraceEvent<f64>],
-    models: &[ModelTraceEvent<f64>],
-    completions: &[Completion<f64>],
-) {
-    assert_eq!(completions.len(), attn.len() + models.len());
-    let mut order: Vec<(bool, usize)> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < attn.len() || j < models.len() {
-        if j >= models.len() || (i < attn.len() && attn[i].at <= models[j].at) {
-            order.push((false, i));
-            i += 1;
-        } else {
-            order.push((true, j));
-            j += 1;
-        }
-    }
-    let chunk = scheduler.config().prefill_chunk;
-    for c in completions {
-        let (is_model, idx) = order[c.id.as_u64() as usize];
-        match c.target {
-            ServeTarget::Plan(plan) => {
-                assert!(!is_model, "submission order maps ids to flavors");
-                let expect = sequential_reference(
-                    scheduler.engine(),
-                    scheduler.plan(plan),
-                    &attn[idx].request,
-                    chunk,
-                )
-                .unwrap();
-                assert_eq!(
-                    c.output,
-                    expect,
-                    "plan sequence {} ({} preemptions) bitwise",
-                    c.id.as_u64(),
-                    c.preemptions
-                );
-            }
-            ServeTarget::Model(model) => {
-                assert!(is_model, "submission order maps ids to flavors");
-                let expect = sequential_model_reference(
-                    scheduler.engine(),
-                    scheduler.model(model),
-                    &models[idx].request,
-                    chunk,
-                )
-                .unwrap();
-                assert_eq!(
-                    c.output,
-                    expect,
-                    "model sequence {} ({} preemptions, {} layers) bitwise",
-                    c.id.as_u64(),
-                    c.preemptions,
-                    scheduler.model(model).layers()
                 );
             }
         }
@@ -512,9 +387,9 @@ fn randomized_traces_match_the_sequential_reference_bitwise() {
             swap_bytes,
         };
         let (mut scheduler, plans) = build_scheduler(2, config);
-        let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans);
+        let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans, &[]);
         let bound = starvation_bound(&trace, &config);
-        let (completions, _) = drive(&mut scheduler, &trace, bound);
+        let completions = drive(&mut scheduler, &trace, bound);
         check_completions(&scheduler, &trace, &completions);
         assert!(scheduler.is_idle());
         assert_eq!(
@@ -570,9 +445,9 @@ fn preempted_and_resumed_sequences_complete_bitwise() {
         priority_classes: 1,
         seed: 0xFACE,
     };
-    let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans);
+    let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans, &[]);
     let bound = starvation_bound(&trace, &config);
-    let (completions, _) = drive(&mut scheduler, &trace, bound);
+    let completions = drive(&mut scheduler, &trace, bound);
     check_completions(&scheduler, &trace, &completions);
     assert!(
         completions.iter().any(|c| c.preemptions > 0),
@@ -610,9 +485,9 @@ fn swapped_and_resumed_sequences_match_the_recompute_run_exactly() {
             swap_bytes: usize::MAX,
         };
         let (mut scheduler, plans) = build_scheduler(2, config);
-        let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans);
+        let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans, &[]);
         let bound = starvation_bound(&trace, &config);
-        let (completions, _) = drive(&mut scheduler, &trace, bound);
+        let completions = drive(&mut scheduler, &trace, bound);
         check_completions(&scheduler, &trace, &completions);
         assert!(
             completions.iter().any(|c| c.preemptions > 0),
@@ -688,9 +563,9 @@ fn zero_byte_swap_arena_falls_back_to_recompute_bitwise() {
         priority_classes: 1,
         seed: 0xFACE,
     };
-    let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans);
+    let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans, &[]);
     let bound = starvation_bound(&trace, &config);
-    let (completions, _) = drive(&mut scheduler, &trace, bound);
+    let completions = drive(&mut scheduler, &trace, bound);
     check_completions(&scheduler, &trace, &completions);
     assert!(completions.iter().any(|c| c.preemptions > 0));
     assert!(
@@ -716,7 +591,7 @@ fn zero_byte_swap_arena_falls_back_to_recompute_bitwise() {
 fn routed_and_auto_traces_match_the_sequential_reference_bitwise() {
     let mut routed_preempted = 0u64;
     let mut auto_served = 0u64;
-    for trace_seed in 0u64..16 {
+    for trace_seed in 0u64..scaled_trace_count(16) {
         let mut knobs = StdRng::seed_from_u64(0xADA7 ^ trace_seed);
         let prompt_lo = 1 + knobs.gen_range(0..5);
         let prompt_hi = prompt_lo + knobs.gen_range(0..10);
@@ -753,9 +628,9 @@ fn routed_and_auto_traces_match_the_sequential_reference_bitwise() {
             swap_bytes: usize::MAX,
         };
         let (mut scheduler, patterns, routed) = build_adaptive_scheduler(2, config);
-        let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &patterns);
+        let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &patterns, &[]);
         let bound = starvation_bound(&trace, &config);
-        let (completions, _) = drive(&mut scheduler, &trace, bound);
+        let completions = drive(&mut scheduler, &trace, bound);
         check_completions(&scheduler, &trace, &completions);
         assert!(scheduler.is_idle());
         assert_eq!(
@@ -768,7 +643,10 @@ fn routed_and_auto_traces_match_the_sequential_reference_bitwise() {
             if routed.contains(&resolved) && c.preemptions > 0 {
                 routed_preempted += 1;
             }
-            if trace[c.id.as_u64() as usize].request.pattern == PatternChoice::Auto {
+            if matches!(
+                &trace[c.id.as_u64() as usize].request,
+                Submission::Plan(r) if r.pattern == PatternChoice::Auto
+            ) {
                 auto_served += 1;
             }
         }
@@ -880,14 +758,14 @@ fn equal_shape_bursts_complete_fifo_within_class_and_by_priority() {
         priority_classes: 2,
         seed: 0xBEEF,
     };
-    let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans);
+    let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans, &[]);
     assert!(
-        trace.iter().any(|e| e.request.priority == 0)
-            && trace.iter().any(|e| e.request.priority == 1),
+        trace.iter().any(|e| e.request.priority() == 0)
+            && trace.iter().any(|e| e.request.priority() == 1),
         "trace must exercise both classes"
     );
     let bound = starvation_bound(&trace, &config);
-    let (completions, _) = drive(&mut scheduler, &trace, bound);
+    let completions = drive(&mut scheduler, &trace, bound);
     check_completions(&scheduler, &trace, &completions);
     // With simultaneous arrivals and strict priority, every class-0
     // sequence is admitted no later than every class-1 sequence.
@@ -1068,18 +946,11 @@ fn launch_failure_rolls_back_and_over_capacity_is_rejected_cleanly() {
     assert_eq!(scheduler.kv_used_pages(), 0);
 }
 
-/// One submission of a rollback-matrix script.
-#[derive(Clone)]
-enum Sub {
-    Plan(graph_attention::serve::ServeRequest<f64>),
-    Model(ModelRequest<f64>),
-}
-
 /// A rollback-matrix scenario: submissions by arrival tick (request ids
 /// are positions in `events`), the event that cannot run, and the tick
 /// whose launch it fails.
 struct Script {
-    events: Vec<(u64, Sub)>,
+    events: Vec<(u64, Submission<f64>)>,
     offender: usize,
     fail_tick: u64,
 }
@@ -1092,8 +963,8 @@ struct Script {
 /// first decode row, so a script places the failing tick at will.
 struct Rig {
     scheduler: Scheduler<'static, f64>,
-    healthy: graph_attention::serve::PlanId,
-    pinned: graph_attention::serve::PlanId,
+    healthy: PlanId,
+    pinned: PlanId,
     stack: ModelId,
     pinned_stack: ModelId,
 }
@@ -1138,14 +1009,14 @@ fn build_rig(config: ServeConfig, pin: usize) -> Rig {
 }
 
 fn plan_sub(
-    pattern: graph_attention::serve::PlanId,
+    pattern: PlanId,
     priority: u8,
     prompt: usize,
     total: usize,
     seed: u64,
-) -> Sub {
+) -> Submission<f64> {
     let (q, k, v) = init::qkv::<f64>(total, 4, seed);
-    Sub::Plan(graph_attention::serve::ServeRequest {
+    Submission::Plan(graph_attention::serve::ServeRequest {
         pattern: pattern.into(),
         priority,
         prompt,
@@ -1155,8 +1026,14 @@ fn plan_sub(
     })
 }
 
-fn model_sub(model: ModelId, priority: u8, prompt: usize, total: usize, seed: u64) -> Sub {
-    Sub::Model(ModelRequest {
+fn model_sub(
+    model: ModelId,
+    priority: u8,
+    prompt: usize,
+    total: usize,
+    seed: u64,
+) -> Submission<f64> {
+    Submission::Model(ModelRequest {
         model,
         priority,
         prompt,
@@ -1185,10 +1062,7 @@ type Trail = (Vec<u64>, Vec<u64>, Vec<u64>, Vec<u64>);
 /// Submit the script's events that are due at the current tick.
 fn submit_due(s: &mut Scheduler<'_, f64>, script: &Script, next: &mut usize) {
     while *next < script.events.len() && script.events[*next].0 <= s.now() {
-        let id = match script.events[*next].1.clone() {
-            Sub::Plan(r) => s.submit(r).unwrap(),
-            Sub::Model(r) => s.submit_model(r).unwrap(),
-        };
+        let id = s.submit(script.events[*next].1.clone()).unwrap();
         assert_eq!(id.as_u64() as usize, *next, "ids are event positions");
         *next += 1;
     }
@@ -1254,20 +1128,10 @@ fn cancel_and_drain(
         script.events.len() - 1,
         "all but the offender"
     );
-    let chunk = s.config().prefill_chunk;
     for c in &completions {
-        let expect = match (&script.events[c.id.as_u64() as usize].1, c.target) {
-            (Sub::Plan(r), ServeTarget::Plan(plan)) => {
-                sequential_reference(s.engine(), s.plan(plan), r, chunk).unwrap()
-            }
-            (Sub::Model(r), ServeTarget::Model(model)) => {
-                sequential_model_reference(s.engine(), s.model(model), r, chunk).unwrap()
-            }
-            _ => panic!("completion {} changed flavor", c.id.as_u64()),
-        };
         assert_eq!(
             c.output,
-            expect,
+            reference(s, c, &script.events[c.id.as_u64() as usize].1),
             "survivor {} ({} preemptions) bitwise",
             c.id.as_u64(),
             c.preemptions
@@ -1576,30 +1440,26 @@ fn failed_tick_discards_rows_an_earlier_group_already_wrote() {
 
 /// Mixed plan + model traces: randomized seeded workloads drawing both
 /// bare-plan sequences and decoder-stack sequences (single-layer and
-/// 3-layer heterogeneous models) through one scheduler and one page pool —
-/// page conservation spans every layer's table after every tick, and every
+/// 3-layer heterogeneous models) into one trace, through one scheduler
+/// and one page pool — every invariant of the headline loop holds, page
+/// conservation spans every layer's table after every tick, and every
 /// completion of either flavor is bitwise its sequential reference.
 #[test]
 fn mixed_model_traces_match_the_sequential_references_bitwise() {
     let mut model_preempted = 0u64;
-    for trace_seed in 0u64..12 {
+    for trace_seed in 0u64..scaled_trace_count(12) {
         let mut knobs = StdRng::seed_from_u64(0x40D3 ^ trace_seed);
         let prompt_lo = 1 + knobs.gen_range(0..4);
         let prompt_hi = prompt_lo + knobs.gen_range(0..8);
         let decode_hi = knobs.gen_range(0..6);
-        let attn_spec = TraceSpec {
-            sequences: 2 + knobs.gen_range(0..4),
+        let spec = TraceSpec {
+            sequences: 4 + knobs.gen_range(0..7),
             prompt: (prompt_lo, prompt_hi),
             decode: (0, decode_hi),
             dk: 1 + knobs.gen_range(0..6),
             arrival_gap: (0, knobs.gen_range(0..3) as u64),
             priority_classes: 1 + knobs.gen_range(0..3) as u8,
             seed: trace_seed.wrapping_mul(0x9E37_79B9) ^ 0xA77,
-        };
-        let model_spec = TraceSpec {
-            sequences: 2 + knobs.gen_range(0..4),
-            seed: attn_spec.seed ^ 0xD0DE,
-            ..attn_spec
         };
         let max_total = prompt_hi + decode_hi;
         let page_size = 1 + knobs.gen_range(0..4);
@@ -1623,11 +1483,10 @@ fn mixed_model_traces_match_the_sequential_references_bitwise() {
             swap_bytes: usize::MAX,
         };
         let (mut scheduler, plans, models) = build_mixed_scheduler(2, config);
-        let attn: Vec<TraceEvent<f64>> = generate_trace(&attn_spec, &plans);
-        let model_trace: Vec<ModelTraceEvent<f64>> = generate_model_trace(&model_spec, &models);
-        let bound = mixed_starvation_bound(&attn, &model_trace, &config);
-        let completions = drive_mixed(&mut scheduler, &attn, &model_trace, bound);
-        check_mixed_completions(&scheduler, &attn, &model_trace, &completions);
+        let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans, &models);
+        let bound = starvation_bound(&trace, &config);
+        let completions = drive(&mut scheduler, &trace, bound);
+        check_completions(&scheduler, &trace, &completions);
         assert!(scheduler.is_idle());
         assert_eq!(
             scheduler.kv_used_pages(),
@@ -1675,11 +1534,11 @@ fn preempted_multi_layer_sequences_resume_and_complete_bitwise() {
         priority_classes: 1,
         seed: 0xCAFE,
     };
-    let model_trace: Vec<ModelTraceEvent<f64>> =
-        generate_model_trace(&spec, &[(stacked, models[1].1)]);
-    let bound = mixed_starvation_bound(&[], &model_trace, &config);
-    let completions = drive_mixed(&mut scheduler, &[], &model_trace, bound);
-    check_mixed_completions(&scheduler, &[], &model_trace, &completions);
+    let trace: Vec<TraceEvent<f64>> =
+        generate_trace::<_, PlanId>(&spec, &[], &[(stacked, models[1].1)]);
+    let bound = starvation_bound(&trace, &config);
+    let completions = drive(&mut scheduler, &trace, bound);
+    check_completions(&scheduler, &trace, &completions);
     assert!(
         completions.iter().any(|c| c.preemptions > 0),
         "this workload must preempt a multi-layer sequence"
@@ -1718,11 +1577,11 @@ fn swapped_multi_layer_stacks_park_and_resume_as_a_unit() {
         };
         let (mut scheduler, _, models) = build_mixed_scheduler(2, config);
         let stacked = models[1].0;
-        let model_trace: Vec<ModelTraceEvent<f64>> =
-            generate_model_trace(&spec, &[(stacked, models[1].1)]);
-        let bound = mixed_starvation_bound(&[], &model_trace, &config);
-        let completions = drive_mixed(&mut scheduler, &[], &model_trace, bound);
-        check_mixed_completions(&scheduler, &[], &model_trace, &completions);
+        let trace: Vec<TraceEvent<f64>> =
+            generate_trace::<_, PlanId>(&spec, &[], &[(stacked, models[1].1)]);
+        let bound = starvation_bound(&trace, &config);
+        let completions = drive(&mut scheduler, &trace, bound);
+        check_completions(&scheduler, &trace, &completions);
         assert!(
             completions.iter().any(|c| c.preemptions > 0),
             "{eviction:?}: this workload must preempt a multi-layer sequence"
