@@ -9,9 +9,9 @@
 //! absolute times:
 //!
 //! - [`ThreadPool`]: `n` participants per launch — the calling thread
-//!   plus `n − 1` persistent work-stealing helpers. Submitted jobs land in
-//!   a lock-free injector, each helper owns a Chase–Lev deque, and an idle
-//!   helper polls for about one wake latency before it parks — so repeated
+//!   plus `n − 1` persistent helpers. Submitted jobs land in one
+//!   lock-free injector that idle helpers pop, and an idle helper polls
+//!   for about one wake latency before it parks — so repeated
 //!   kernel launches pay neither thread-spawn cost, nor queue-lock
 //!   contention, nor a sleep/wake per launch ([`PoolMetrics`] counts the
 //!   traffic);

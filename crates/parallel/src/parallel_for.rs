@@ -718,6 +718,33 @@ mod tests {
     }
 
     #[test]
+    fn span_pack_roundtrip_at_the_packing_bound() {
+        // `u32::MAX − 1` rows is the largest launch whose spans are packed
+        // (a launch of `u32::MAX` or more uses the shared counter), so
+        // every start and end below must survive the 32-bit halves exactly.
+        let n = u32::MAX as usize - 1;
+        let slot = SpanSlot::new(n - 10, n);
+        assert_eq!(slot.claim_front(3), Some(n - 10..n - 7));
+        // Seven rows left: the thief takes the tail four.
+        assert_eq!(slot.steal_tail(), Some(n - 4..n));
+        assert_eq!(slot.claim_front(u64::MAX), Some(n - 7..n - 4));
+        assert_eq!(slot.claim_front(1), None);
+        assert_eq!(slot.steal_tail(), None);
+
+        // The whole packed range: half is stolen, the rest claimed.
+        slot.install(&(0..n));
+        let half = n / 2;
+        assert_eq!(slot.steal_tail(), Some(n - half..n));
+        assert_eq!(slot.claim_front(n as u64), Some(0..n - half));
+        assert_eq!(slot.claim_front(1), None);
+
+        slot.install(&(n - 1..n));
+        assert_eq!(slot.steal_tail(), Some(n - 1..n));
+        assert_eq!(slot.claim_front(1), None);
+        assert_eq!(SpanSlot::new(n, n).claim_front(1), None);
+    }
+
+    #[test]
     fn empty_range_is_noop() {
         let pool = pool4();
         parallel_for(&pool, 0, Schedule::default(), |_| {

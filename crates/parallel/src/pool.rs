@@ -1,4 +1,4 @@
-//! Persistent work-stealing helper pool.
+//! Persistent helper pool.
 //!
 //! The attention kernels launch thousands of short row-parallel regions
 //! (10 warm-up + 15 timed iterations per configuration in the paper's
@@ -13,14 +13,13 @@
 //! launch — see [`mod@crate::parallel_for`] for the claim/join protocol —
 //! and helpers only ever run the `'static` jobs a launch submits here.
 //!
-//! **The substrate** (`shims/crossbeam`'s `deque` module):
-//!
-//! - submitted jobs land in a shared lock-free [`Injector`];
-//! - each helper owns a Chase–Lev deque; an idle helper first drains a
-//!   batch from the injector onto its own deque, then steals from randomly
-//!   chosen victims. The submit fast path never takes a lock — it only
-//!   notifies when the sleeper count (an atomic mirror) says someone is
-//!   parked.
+//! **The queue** (`shims/crossbeam`'s bounded [`Injector`]): submitted jobs
+//! land in one shared lock-free ring, and an idle helper pops it. A job
+//! only claims a share of its launch; balancing the launch's rows is the
+//! launch's own job (share claims plus `Schedule::Dynamic` range
+//! stealing), so the pool keeps no per-helper deques and steals nothing.
+//! The submit fast path never takes a lock — it only notifies when the
+//! sleeper count (an atomic mirror) says someone is parked.
 //!
 //! **The idle policy.** A helper that finds nothing keeps polling —
 //! `spin_loop` rounds, one `yield_now` every 128th — for 200 µs before it
@@ -50,12 +49,12 @@
 //! than cores (four participants pinned to one CPU in CI) that is what
 //! hands the core to the thread holding the work.
 //!
-//! Every steal/park/injector event is tallied into relaxed
-//! [`PoolMetrics`] counters (see [`crate::metrics`]), so instrumentation
-//! does not serialize the lock-free path.
+//! Every push, job and park is tallied into relaxed [`PoolMetrics`]
+//! counters (see [`crate::metrics`]), so instrumentation does not
+//! serialize the lock-free path.
 
 use crate::metrics::PoolMetrics;
-use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
+use crossbeam::deque::{Injector, Steal};
 use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
@@ -65,10 +64,6 @@ use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Capacity of each helper's local deque. Batches pulled from the
-/// injector are bounded well below this, so overflow back to the
-/// injector is a cold path.
-const LOCAL_QUEUE_CAP: usize = 256;
 /// Capacity of the shared injector ring. A launch enqueues at most one
 /// job per helper, so ordinary occupancy is a few concurrent launches plus
 /// the jobs of launches that finished before a helper got to them. Those
@@ -80,9 +75,9 @@ pub(crate) const INJECTOR_CAP: usize = 4096;
 /// latency on the measured host (see the module docs for the sweep).
 const IDLE_POLL: Duration = Duration::from_micros(200);
 /// An idle helper polls with `spin_loop` and yields its timeslice once
-/// every this many rounds (a round measured 0.2–0.45 µs with three helpers
-/// probing each other's deques, so every 25–60 µs); see the module docs
-/// for why not more often and why not never.
+/// every this many rounds (a round measured 0.2–0.45 µs when it also
+/// probed three sibling deques, so at most every 25–60 µs); see the module
+/// docs for why not more often and why not never.
 const YIELD_EVERY: u32 = 128;
 
 thread_local! {
@@ -96,31 +91,9 @@ pub fn on_worker_thread() -> bool {
     IN_POOL_WORKER.with(|f| f.get())
 }
 
-/// Tiny xorshift generator for randomized victim selection. Statistical
-/// quality is irrelevant here — it only decorrelates which victim each
-/// worker probes first, so thieves don't convoy on worker 0.
-struct VictimRng(u64);
-
-impl VictimRng {
-    fn new(seed: u64) -> Self {
-        VictimRng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    #[inline]
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x
-    }
-}
-
 /// State shared between the pool handle and every worker thread.
 struct Shared {
     injector: Injector<Job>,
-    stealers: Vec<Stealer<Job>>,
     shutdown: AtomicBool,
     /// Lock-free mirror of "how many workers are parked": submitters only
     /// touch `sleep_lock` when this is non-zero, so an all-busy pool never
@@ -132,56 +105,15 @@ struct Shared {
 }
 
 impl Shared {
-    /// True when any queue in the pool holds a runnable job.
-    fn has_work(&self) -> bool {
-        !self.injector.is_empty() || self.stealers.iter().any(|s| !s.is_empty())
-    }
-
-    /// Find the next job for worker `index`: local deque first, then a
-    /// batch from the injector, then steal from randomized victims.
-    fn find_job(&self, local: &Deque<Job>, index: usize, rng: &mut VictimRng) -> Option<Job> {
-        if let Some(job) = local.pop() {
-            return Some(job);
-        }
+    /// Pop the next job, retrying while a concurrent pop took the head.
+    fn find_job(&self) -> Option<Job> {
         loop {
-            match self.injector.steal_batch_and_pop(local) {
-                Steal::Success(job) => {
-                    self.metrics.count_injector_pop();
-                    // The batch landed on our deque; siblings parked before
-                    // it existed need a nudge to come steal their share.
-                    if !local.is_empty() {
-                        self.notify_sleeper();
-                    }
-                    return Some(job);
-                }
+            match self.injector.steal() {
+                Steal::Success(job) => return Some(job),
                 Steal::Retry => continue,
-                Steal::Empty => break,
+                Steal::Empty => return None,
             }
         }
-        let n = self.stealers.len();
-        if n > 1 {
-            let start = rng.next() as usize % n;
-            let mut saw_retry = true;
-            while saw_retry {
-                saw_retry = false;
-                for k in 0..n {
-                    let victim = (start + k) % n;
-                    if victim == index {
-                        continue;
-                    }
-                    self.metrics.count_steal_attempt();
-                    match self.stealers[victim].steal() {
-                        Steal::Success(job) => {
-                            self.metrics.count_steal();
-                            return Some(job);
-                        }
-                        Steal::Retry => saw_retry = true,
-                        Steal::Empty => {}
-                    }
-                }
-            }
-        }
-        None
     }
 
     /// Wake one parked worker if the sleeper mirror says there is one.
@@ -204,7 +136,7 @@ impl Shared {
         let mut guard = self.sleep_lock.lock();
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
-        if self.has_work() || self.shutdown.load(Ordering::Acquire) {
+        if !self.injector.is_empty() || self.shutdown.load(Ordering::Acquire) {
             self.sleepers.fetch_sub(1, Ordering::SeqCst);
             return;
         }
@@ -214,15 +146,14 @@ impl Shared {
     }
 }
 
-fn helper_loop(shared: &Shared, local: Deque<Job>, index: usize) {
+fn helper_loop(shared: &Shared) {
     IN_POOL_WORKER.with(|f| f.set(true));
-    let mut rng = VictimRng::new(index as u64 + 1);
     // Poll rounds since the last job, and when that idle stretch began
     // (`None` while there is work).
     let mut rounds = 0u32;
     let mut idle_since: Option<Instant> = None;
     loop {
-        if let Some(job) = shared.find_job(&local, index, &mut rng) {
+        if let Some(job) = shared.find_job() {
             rounds = 0;
             idle_since = None;
             // Count before running: a job's last action signals its
@@ -232,8 +163,8 @@ fn helper_loop(shared: &Shared, local: Deque<Job>, index: usize) {
             job();
             continue;
         }
-        // Only exit once the pool is shutting down AND no queue holds
-        // work, so pending jobs are drained rather than leaked.
+        // Only exit once the pool is shutting down AND the injector is
+        // empty, so pending jobs are drained rather than leaked.
         if shared.shutdown.load(Ordering::Acquire) {
             break;
         }
@@ -252,7 +183,7 @@ fn helper_loop(shared: &Shared, local: Deque<Job>, index: usize) {
     }
 }
 
-/// A fixed-size persistent work-stealing thread pool.
+/// A fixed-size persistent helper pool.
 ///
 /// A pool of `n` threads is `n` participants in a launch: the launching
 /// thread itself plus `n − 1` helper threads owned by the pool. Helpers
@@ -269,27 +200,23 @@ impl ThreadPool {
     /// here. A one-thread pool spawns nothing and runs every launch inline.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let deques: Vec<Deque<Job>> = (1..threads)
-            .map(|_| Deque::with_capacity(LOCAL_QUEUE_CAP))
-            .collect();
         let shared = Arc::new(Shared {
             injector: Injector::with_capacity(INJECTOR_CAP),
-            stealers: deques.iter().map(|d| d.stealer()).collect(),
             shutdown: AtomicBool::new(false),
             sleepers: AtomicUsize::new(0),
             sleep_lock: Mutex::new(()),
             wakeup: Condvar::new(),
             metrics: PoolMetrics::new(),
         });
-        let mut handles = Vec::with_capacity(deques.len());
-        for (idx, local) in deques.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("gpa-helper-{idx}"))
-                .spawn(move || helper_loop(&shared, local, idx))
-                .expect("failed to spawn pool helper");
-            handles.push(handle);
-        }
+        let handles = (0..threads - 1)
+            .map(|idx| {
+                let shared = Arc::clone(&shared);
+                std::thread::Builder::new()
+                    .name(format!("gpa-helper-{idx}"))
+                    .spawn(move || helper_loop(&shared))
+                    .expect("failed to spawn pool helper")
+            })
+            .collect();
         ThreadPool {
             shared,
             handles,
@@ -302,7 +229,7 @@ impl ThreadPool {
         self.threads
     }
 
-    /// Substrate counters (steals, parks, injector pops, jobs executed).
+    /// Substrate counters (jobs pushed and executed, range steals, parks).
     pub fn metrics(&self) -> &PoolMetrics {
         &self.shared.metrics
     }
@@ -442,7 +369,7 @@ mod tests {
     #[test]
     fn drop_drains_pending_jobs() {
         // Jobs still queued when the pool drops are executed, not leaked —
-        // the shutdown flag only stops helpers once every queue is empty.
+        // the shutdown flag only stops helpers once the injector is empty.
         let pool = ThreadPool::new(2);
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..200 {

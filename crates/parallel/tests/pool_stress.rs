@@ -115,7 +115,7 @@ fn stress_skewed_stealing_conserves_rows() {
 fn stress_concurrent_launchers_share_one_pool() {
     // Several caller threads issue launches against the same pool at once
     // (the engine's run_batch pattern under concurrent serving) — jobs
-    // from different launches interleave in the injector and deques.
+    // from different launches interleave in the injector.
     let deadline = stress_deadline();
     let pool = Arc::new(ThreadPool::new(4));
     let total = Arc::new(AtomicUsize::new(0));
