@@ -7,14 +7,16 @@
 //!   contiguous vs CUDA-like block-cyclic vs dynamic work-sharing — the
 //!   "slowest block" phenomenon of Section V-C;
 //! - **A3** FlashAttention K/V tile size.
+//!
+//! A1 and A2 run compiled plans. Launch policy is set in one place, an
+//! engine's builder, so A2 builds one engine per schedule with the
+//! caller's thread count. A3 calls the dense baseline directly on the
+//! caller's pool under its options.
 
 use crate::args::Scale;
 use crate::protocol::Protocol;
 use crate::report::{Record, Sink};
-use gpa_core::{
-    flash_attention_tiled, AttentionEngine, AttentionKernel, AttentionPlan, AttentionRequest,
-    CooSearch, KernelOptions,
-};
+use gpa_core::{flash_attention_tiled, AttentionEngine, AttentionKernel, AttentionPlan, CooSearch};
 use gpa_masks::{global_count_for_sparsity, GlobalSet, LocalWindow, MaskPattern};
 use gpa_parallel::Schedule;
 use gpa_tensor::init::qkv;
@@ -76,18 +78,13 @@ impl AblationConfig {
     }
 }
 
-/// Run all three ablations; streams records through `on_record`. A1/A2 run
-/// as compiled engine plans (A2 sweeps launch schedules through
-/// [`AttentionEngine::run_batch_with`]); A3 sweeps a parameter of the dense
-/// baseline, called directly on the engine's pool.
+/// Run all three ablations; streams records through `on_record`.
 pub fn run_ablations(
     engine: &AttentionEngine,
     cfg: &AblationConfig,
     on_record: impl FnMut(&Record),
 ) -> Vec<Record> {
     let mut sink = Sink::new("ablation_a1", cfg.protocol, cfg.budget_s, on_record);
-    let pool = engine.pool();
-    let opts = KernelOptions::new();
     let (q, k, v): (Matrix<f32>, _, _) = qkv(cfg.l, cfg.dk, cfg.seed);
 
     // --- A1: COO search strategy ---------------------------------------
@@ -120,20 +117,15 @@ pub fn run_ablations(
         (Schedule::cuda_like(), "Global / block-cyclic"),
         (Schedule::Dynamic { grain: 4 }, "Global / dynamic"),
     ] {
-        let sched_opts = KernelOptions::new().with_schedule(schedule);
+        let scheduled = AttentionEngine::builder()
+            .threads(engine.threads())
+            .schedule(schedule)
+            .build();
         let case = Record::case(name, cfg.l, cfg.dk)
             .sf(cfg.global_sf, f64::NAN)
             .note(format!("{} global tokens", globals.len()));
         sink.time(case, || {
-            std::hint::black_box(
-                engine
-                    .run_batch_with(
-                        &global_plan,
-                        &sched_opts,
-                        &[AttentionRequest::new(&q, &k, &v)],
-                    )
-                    .unwrap(),
-            );
+            std::hint::black_box(scheduled.run(&global_plan, &q, &k, &v).unwrap());
         });
     }
 
@@ -143,7 +135,8 @@ pub fn run_ablations(
     for &tile in &cfg.tiles {
         let case = Record::case(format!("Flash tile={tile}"), cfg.l_flash, cfg.dk);
         sink.time(case, || {
-            std::hint::black_box(flash_attention_tiled(pool, &qf, &kf, &vf, tile, &opts).unwrap());
+            let out = flash_attention_tiled(engine.pool(), &qf, &kf, &vf, tile, &engine.options());
+            std::hint::black_box(out.unwrap());
         });
     }
 

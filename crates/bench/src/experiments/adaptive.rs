@@ -26,7 +26,7 @@
 use crate::args::Scale;
 use crate::protocol::Protocol;
 use crate::report::{Record, Sink};
-use gpa_core::{AttentionEngine, AttentionKernel, AttentionPlan};
+use gpa_core::{flash_attention, AttentionEngine, AttentionKernel, AttentionPlan};
 use gpa_tensor::init::gaussian_matrix;
 
 /// Sweep configuration for the adaptive-sparsity surface.
@@ -95,7 +95,6 @@ pub fn run_adaptive(
     on_record: impl FnMut(&Record),
 ) -> Vec<Record> {
     let mut sink = Sink::new("adaptive", cfg.protocol, cfg.budget_s, on_record);
-    let flash = AttentionPlan::single(AttentionKernel::Flash).expect("flash plan compiles");
     let local = AttentionPlan::single(AttentionKernel::Local { n: cfg.window })
         .expect("local plan compiles");
 
@@ -107,10 +106,11 @@ pub fn run_adaptive(
         let k = gaussian_matrix::<f32>(l, cfg.dk, 1.0, cfg.seed ^ l as u64 ^ 0x7E57);
         let v = gaussian_matrix::<f32>(l, cfg.dk, 1.0, cfg.seed ^ l as u64 ^ 0xF00D);
 
-        let mut points: Vec<(AttentionPlan<'_>, String, f64, bool)> = vec![
-            (flash.clone(), "Dense (Flash)".into(), f64::NAN, false),
+        // A point without a plan is the dense baseline, a plain function.
+        let mut points: Vec<(Option<AttentionPlan<'_>>, String, f64, bool)> = vec![
+            (None, "Dense (Flash)".into(), f64::NAN, false),
             (
-                local.clone(),
+                Some(local.clone()),
                 format!("Local (window={})", cfg.window),
                 f64::NAN,
                 false,
@@ -124,7 +124,7 @@ pub fn run_adaptive(
             })
             .expect("routed plan compiles");
             points.push((
-                plan,
+                Some(plan),
                 format!("Routed (K={groups})"),
                 1.0 / groups as f64,
                 true,
@@ -132,11 +132,16 @@ pub fn run_adaptive(
         }
 
         // One point of the surface: tally the square forward's exact
-        // dot-product work (the plan's analytic estimate when the engine
-        // was built without a counter), then time it.
+        // dot-product work (the plan's analytic estimate, or `l²` for the
+        // dense point, when the engine was built without a counter), then
+        // time it.
         for (plan, algo, sf_target, routed) in points {
             let run = || {
-                std::hint::black_box(engine.run(&plan, &q, &k, &v).unwrap());
+                let out = match &plan {
+                    Some(plan) => engine.run(plan, &q, &k, &v),
+                    None => flash_attention(engine.pool(), &q, &k, &v, &engine.options()),
+                };
+                std::hint::black_box(out.unwrap());
             };
             let work = match engine.work_counter() {
                 Some(counter) => {
@@ -144,7 +149,9 @@ pub fn run_adaptive(
                     run();
                     counter.dot_products()
                 }
-                None => plan.estimated_edges(l),
+                None => plan
+                    .as_ref()
+                    .map_or(l as u64 * l as u64, |plan| plan.estimated_edges(l)),
             };
             // Serving working set: K + V rows at f32, plus one u32 group
             // assignment per token for routed sequences.

@@ -11,7 +11,7 @@ use crate::args::Scale;
 use crate::kernels::{fitted_case, AlgoId};
 use crate::protocol::{measure_auto, Protocol};
 use crate::report::{Record, Sink};
-use gpa_core::{AttentionEngine, AttentionPlan};
+use gpa_core::AttentionEngine;
 use gpa_tensor::init::qkv;
 use gpa_tensor::Matrix;
 
@@ -78,8 +78,9 @@ impl Fig3Config {
 }
 
 /// Run the sweep, streaming each record to `on_record` as it is produced.
-/// Every case compiles to an engine plan once and reuses it across the
-/// protocol's warm-up and timed iterations.
+/// Every case builds its call once ([`crate::OwnedKernel::runner`]: a
+/// graph case compiles its plan there) and reuses it across the protocol's
+/// warm-up and timed iterations.
 pub fn run_fig3(
     engine: &AttentionEngine,
     cfg: &Fig3Config,
@@ -90,16 +91,15 @@ pub fn run_fig3(
     for &l in &cfg.ls {
         for &dk in &cfg.dks {
             let (q, k, v): (Matrix<f32>, _, _) = qkv(l, dk, cfg.seed);
-            let run = |plan: &AttentionPlan<'_>| {
-                std::hint::black_box(engine.run(plan, &q, &k, &v).unwrap());
-            };
 
             // The SDP baseline's runtime is Sf-independent (it always does
             // the dense computation), so measure it once per (L, dk) and
             // replicate the row across the sweep — the flat line of Fig. 3.
             let sdp_case = fitted_case(AlgoId::Sdp, l, *cfg.sfs.first().unwrap_or(&1.0));
-            let sdp_plan = sdp_case.plan();
-            let sdp_stat = measure_auto(cfg.protocol, cfg.budget_s, || run(&sdp_plan));
+            let sdp_run = sdp_case.runner(engine, &q, &k, &v);
+            let sdp_stat = measure_auto(cfg.protocol, cfg.budget_s, || {
+                std::hint::black_box(sdp_run());
+            });
             for &sf in &cfg.sfs {
                 let case = Record::case(sdp_case.name(), l, dk)
                     .sf(sf, 1.0)
@@ -120,10 +120,12 @@ pub fn run_fig3(
                         continue; // the paper's COO restriction
                     }
                     let case = fitted_case(algo, l, sf);
-                    let plan = case.plan();
+                    let run = case.runner(engine, &q, &k, &v);
                     sink.time(
                         Record::case(case.name(), l, dk).sf(sf, case.achieved_sf(l)),
-                        || run(&plan),
+                        || {
+                            std::hint::black_box(run());
+                        },
                     );
                 }
             }

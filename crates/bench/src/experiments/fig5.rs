@@ -8,7 +8,7 @@
 use crate::args::Scale;
 use crate::protocol::Protocol;
 use crate::report::{Record, Sink};
-use gpa_core::{AttentionEngine, AttentionKernel, AttentionPlan};
+use gpa_core::{flash_attention, AttentionEngine, AttentionKernel, AttentionPlan};
 use gpa_masks::{local_window_for_sparsity, LocalWindow, MaskPattern};
 use gpa_tensor::init::qkv;
 use gpa_tensor::Matrix;
@@ -77,15 +77,15 @@ impl Fig5Config {
     }
 }
 
-/// Run the two sweeps; streams records through `on_record`. Each series
-/// point compiles an engine plan once and reuses it across iterations.
+/// Run the two sweeps; streams records through `on_record`. Each local
+/// point compiles an engine plan once and reuses it across iterations;
+/// FlashAttention is the baseline function on the engine's pool.
 pub fn run_fig5(
     engine: &AttentionEngine,
     cfg: &Fig5Config,
     on_record: impl FnMut(&Record),
 ) -> Vec<Record> {
     let mut sink = Sink::new("fig5", cfg.protocol, cfg.budget_s, on_record);
-    let flash_plan = AttentionPlan::single(AttentionKernel::Flash).expect("flash plan compiles");
     // Largest measured flash point, for O(L²) extrapolation.
     let mut flash_ref: Option<(usize, f64)> = None;
 
@@ -103,7 +103,11 @@ pub fn run_fig5(
         // FlashAttention series (both panels share it).
         let flash = Record::case("FlashAttention", l, cfg.dk).sf(f64::NAN, 1.0);
         if l <= cfg.flash_max_l {
-            flash_ref = Some((l, sink.time(flash, || run(&flash_plan)).mean));
+            let run_flash = || {
+                let out = flash_attention(engine.pool(), &q, &k, &v, &engine.options());
+                std::hint::black_box(out.unwrap());
+            };
+            flash_ref = Some((l, sink.time(flash, run_flash).mean));
         } else {
             let reference = flash_ref.expect("ladder must start below flash_max_l");
             sink.estimated_quadratic(flash, reference);

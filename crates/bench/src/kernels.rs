@@ -1,7 +1,12 @@
 //! Self-contained algorithm cases: an owned mask plus the kernel selection,
 //! buildable from `(L, dk, Sf)` alone — the unit every experiment sweeps.
+//! A graph-kernel case runs as a compiled engine plan; the two dense
+//! baselines run as the plain functions they are, on the engine's pool
+//! under its options.
 
-use gpa_core::{AttentionEngine, AttentionKernel, AttentionPlan, CooSearch};
+use gpa_core::{
+    flash_attention, masked_sdp, AttentionEngine, AttentionKernel, AttentionPlan, CooSearch,
+};
 use gpa_masks::{
     dilated1d_width_for_sparsity, dilated2d_block_for_sparsity, global_count_for_sparsity,
     local_window_for_sparsity, Dilated1d, Dilated2d, GlobalMinusLocal, GlobalSet, LocalWindow,
@@ -43,13 +48,18 @@ pub enum OwnedKernel {
 impl OwnedKernel {
     /// Display name matching the paper's legends.
     pub fn name(&self) -> &'static str {
-        self.as_kernel().name()
+        match self {
+            OwnedKernel::Sdp(_) => "PyTorch SDP (Masked)",
+            OwnedKernel::Flash => "FlashAttention",
+            graph => graph.as_kernel().expect("graph case").name(),
+        }
     }
 
-    /// Borrowed dispatch view.
-    pub fn as_kernel(&self) -> AttentionKernel<'_> {
-        match self {
-            OwnedKernel::Sdp(mask) => AttentionKernel::SdpMasked(mask),
+    /// Borrowed dispatch view of a graph-kernel case; `None` for the dense
+    /// baselines, which are functions, not kernels.
+    pub fn as_kernel(&self) -> Option<AttentionKernel<'_>> {
+        Some(match self {
+            OwnedKernel::Sdp(_) | OwnedKernel::Flash => return None,
             OwnedKernel::Coo(mask, search) => AttentionKernel::Coo(mask, *search),
             OwnedKernel::Csr(mask) => AttentionKernel::Csr(mask),
             OwnedKernel::Local(n) => AttentionKernel::Local { n: *n },
@@ -62,8 +72,7 @@ impl OwnedKernel {
                 globals,
                 n_sub: *n_sub,
             },
-            OwnedKernel::Flash => AttentionKernel::Flash,
-        }
+        })
     }
 
     /// The achieved sparsity factor of the case's mask (1.0 for dense
@@ -84,24 +93,32 @@ impl OwnedKernel {
         }
     }
 
-    /// Compile this case into a single-step engine plan. Experiments
-    /// compile once per case and reuse the plan across the measurement
-    /// protocol's warm-up and timed iterations.
-    pub fn plan(&self) -> AttentionPlan<'_> {
-        AttentionPlan::single(self.as_kernel()).expect("benchmark case must compile")
-    }
-
-    /// Run the case in f32 (the benchmark precision) through an engine.
-    pub fn run_f32(
-        &self,
-        engine: &AttentionEngine,
-        q: &Matrix<f32>,
-        k: &Matrix<f32>,
-        v: &Matrix<f32>,
-    ) -> Matrix<f32> {
-        engine
-            .run(&self.plan(), q, k, v)
+    /// The call to time for this case, in f32 (the benchmark precision):
+    /// [`masked_sdp`] or [`flash_attention`] on `engine.pool()` under
+    /// `engine.options()` for the dense baselines, and `engine.run` of the
+    /// case's single-step plan for the rest. The plan is compiled here,
+    /// once, and reused by every call — across the measurement protocol's
+    /// warm-up and timed iterations.
+    pub fn runner<'c>(
+        &'c self,
+        engine: &'c AttentionEngine,
+        q: &'c Matrix<f32>,
+        k: &'c Matrix<f32>,
+        v: &'c Matrix<f32>,
+    ) -> impl Fn() -> Matrix<f32> + 'c {
+        let plan = self
+            .as_kernel()
+            .map(|kernel| AttentionPlan::single(kernel).expect("benchmark case must compile"));
+        move || {
+            match (&plan, self) {
+                (Some(plan), _) => engine.run(plan, q, k, v),
+                (None, OwnedKernel::Sdp(mask)) => {
+                    masked_sdp(engine.pool(), mask, q, k, v, &engine.options())
+                }
+                (None, _) => flash_attention(engine.pool(), q, k, v, &engine.options()),
+            }
             .expect("benchmark case must be well-formed")
+        }
     }
 
     /// Approximate multiply-add count of one run — used to budget adaptive
@@ -211,23 +228,29 @@ mod tests {
         let l = 64;
         let (q, k, v) = qkv::<f32>(l, 8, 3);
         let engine = AttentionEngine::with_threads(2);
+        let run = |algo, sf| fitted_case(algo, l, sf).runner(&engine, &q, &k, &v)();
         // COO/CSR/Local share the same fitted mask → identical outputs.
-        let coo = fitted_case(AlgoId::Coo, l, 0.1).run_f32(&engine, &q, &k, &v);
-        let csr = fitted_case(AlgoId::Csr, l, 0.1).run_f32(&engine, &q, &k, &v);
-        let local = fitted_case(AlgoId::Local, l, 0.1).run_f32(&engine, &q, &k, &v);
+        let coo = run(AlgoId::Coo, 0.1);
+        let csr = run(AlgoId::Csr, 0.1);
+        let local = run(AlgoId::Local, 0.1);
         assert!(coo.max_abs_diff(&csr) < 1e-5);
         assert!(local.max_abs_diff(&csr) < 1e-5);
+        // The SDP case's mask is the same fitted window.
+        assert!(run(AlgoId::Sdp, 0.1).max_abs_diff(&csr) < 1e-5);
         // Dense cases produce the right shape.
-        let flash = fitted_case(AlgoId::Flash, l, 1.0).run_f32(&engine, &q, &k, &v);
+        let flash = run(AlgoId::Flash, 1.0);
         assert_eq!(flash.shape(), (l, 8));
     }
 
     #[test]
     fn plans_compile_for_every_fig3_case() {
+        let (q, k, v) = qkv::<f32>(128, 8, 4);
+        let engine = AttentionEngine::with_threads(2);
         for algo in AlgoId::FIG3 {
             let case = fitted_case(algo, 128, 0.1);
-            let plan = case.plan();
-            assert_eq!(plan.len(), 1, "{:?}", algo);
+            assert_eq!(case.as_kernel().is_none(), algo == AlgoId::Sdp, "{algo:?}");
+            let out = case.runner(&engine, &q, &k, &v)();
+            assert_eq!(out.shape(), (128, 8), "{algo:?}");
         }
     }
 

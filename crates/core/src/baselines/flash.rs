@@ -36,6 +36,25 @@ pub fn flash_attention<T: Real>(
 }
 
 /// Dense FlashAttention-style forward pass with an explicit tile size.
+///
+/// # Numerics
+///
+/// Case by case against the numerics contract of the graph kernels' row
+/// tile:
+///
+/// - **No row is without edges**: the pass is unmasked, so every row
+///   attends every key. A row whose every score is `−∞` is the `−∞` case
+///   below.
+/// - **Large finite scores** of either sign are safe, as in the graph
+///   kernels: each tile rescales to the running maximum, whose own weight
+///   is exactly 1.
+/// - **A `−∞` score** weighs exactly zero once the row has met a finite
+///   score by the end of the tile that holds it. Unlike the graph kernels,
+///   a tile whose scores are all `−∞`, after tiles that were all `−∞` too,
+///   makes the row `NaN`: its update evaluates `−∞ − (−∞)`. With
+///   [`DEFAULT_TILE`], that takes `−∞` scores against the first 64 keys.
+/// - **A `NaN` or `+∞` score planted in one `Q` row** makes that row `NaN`
+///   and touches no other, as in the graph kernels.
 pub fn flash_attention_tiled<T: Real>(
     pool: &ThreadPool,
     q: &Matrix<T>,
@@ -181,6 +200,85 @@ mod tests {
             flash_attention_tiled(&pool(), &q, &k, &v, 0, &KernelOptions::new()),
             Err(AttnError::BadParameter { .. })
         ));
+    }
+
+    #[test]
+    fn scores_of_1e4_neither_overflow_nor_flush_the_row() {
+        // q·k = ±1e4 at scale 1, in both widths and at every tile size: the
+        // two +1e4 keys share the weight and the −1e4 key gets none.
+        fn check<T: Real>() {
+            let q = Matrix::from_vec(3, 1, vec![T::from_f64(100.0); 3]);
+            let opts = KernelOptions {
+                scale: Some(1.0),
+                ..KernelOptions::new()
+            };
+            // (key, value row) pairs, the −1e4 key in the middle and first.
+            let (hi, lo, hi2) = (
+                (100.0, [1.0, 2.0]),
+                (-100.0, [50.0, 60.0]),
+                (100.0, [3.0, 6.0]),
+            );
+            for pairs in [[hi, lo, hi2], [lo, hi, hi2]] {
+                let k = Matrix::from_vec(3, 1, pairs.map(|(k, _)| T::from_f64(k)).to_vec());
+                let v = Matrix::from_vec(
+                    3,
+                    2,
+                    pairs.iter().flat_map(|(_, v)| v.map(T::from_f64)).collect(),
+                );
+                for tile in [1usize, 2, 3] {
+                    let out = flash_attention_tiled(&pool(), &q, &k, &v, tile, &opts).unwrap();
+                    for i in 0..3 {
+                        let row = (out.get(i, 0).to_f64(), out.get(i, 1).to_f64());
+                        assert_eq!(row, (2.0, 4.0), "tile {tile}");
+                    }
+                }
+            }
+        }
+        check::<f32>();
+        check::<f64>();
+    }
+
+    #[test]
+    fn a_minus_infinity_score_weighs_zero_unless_it_leads_a_tile_alone() {
+        let q = Matrix::from_vec(3, 1, vec![1.0f64; 3]);
+        let v = Matrix::from_vec(3, 1, vec![7.0f64, 1.0, 3.0]);
+        let opts = KernelOptions::new();
+        let (a, b) = (0.5f64.exp(), 0.25f64.exp());
+        let expect = (a * 1.0 + b * 3.0) / (a + b);
+        // Key 0 scores −∞: harmless once a finite score shares its tile...
+        let lead = Matrix::from_vec(3, 1, vec![f64::NEG_INFINITY, 0.5, 0.25]);
+        for tile in [2usize, 3, 64] {
+            let out = flash_attention_tiled(&pool(), &q, &lead, &v, tile, &opts).unwrap();
+            assert!(out.as_slice().iter().all(|x| (x - expect).abs() < 1e-12));
+        }
+        // ...or came before it...
+        let last = Matrix::from_vec(3, 1, vec![0.5, 0.25, f64::NEG_INFINITY]);
+        let v_last = Matrix::from_vec(3, 1, vec![1.0f64, 3.0, 7.0]);
+        let out = flash_attention_tiled(&pool(), &q, &last, &v_last, 1, &opts).unwrap();
+        assert!(out.as_slice().iter().all(|x| (x - expect).abs() < 1e-12));
+        // ...but alone in the row's first tile it is −∞ − (−∞) = NaN.
+        let out = flash_attention_tiled(&pool(), &q, &lead, &v, 1, &opts).unwrap();
+        assert!(out.as_slice().iter().all(|x| x.is_nan()));
+    }
+
+    #[test]
+    fn a_non_finite_q_row_poisons_its_own_row_only() {
+        let l = 8;
+        let (q, k, v) = qkv::<f64>(l, 4, 35);
+        let opts = KernelOptions::new();
+        let clean = flash_attention_tiled(&pool(), &q, &k, &v, 3, &opts).unwrap();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut q_bad = q.clone();
+            q_bad.row_mut(5).fill(bad);
+            let out = flash_attention_tiled(&pool(), &q_bad, &k, &v, 3, &opts).unwrap();
+            for i in 0..l {
+                if i == 5 {
+                    assert!(out.row(i).iter().all(|x| x.is_nan()), "{bad}");
+                } else {
+                    assert_eq!(out.row(i), clean.row(i), "row {i} ({bad})");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@ pub mod flash;
 pub mod sdp;
 
 pub use flash::{flash_attention, flash_attention_tiled, DEFAULT_TILE};
-pub use sdp::{masked_sdp, masked_sdp_skipping};
+pub use sdp::masked_sdp;
 
 use crate::error::AttnError;
 use crate::options::KernelOptions;

@@ -26,6 +26,29 @@ use gpa_tensor::{Matrix, Real};
 /// Masked SDP attention. Computes **all** `L²` scores, masks, softmaxes,
 /// then takes **all** `L²` weighted-value products (zero weights included),
 /// mirroring the dense baseline's operation count.
+///
+/// # Numerics
+///
+/// Case by case against the numerics contract of the graph kernels' row
+/// tile:
+///
+/// - **A row with no unmasked entry** comes out `0.0`, as a graph kernel's
+///   row with no edges does: its softmax weights are all zero and no `0/0`
+///   is evaluated. Those zeros still multiply every row of `V` (dense
+///   semantics), so a `NaN` or `±∞` anywhere in `V` reaches every output
+///   row, this one included; a graph kernel reads only its neighbors'
+///   values.
+/// - **Large finite scores** of either sign are safe, as in the graph
+///   kernels: the softmax subtracts the row maximum, whose own weight is
+///   exactly 1.
+/// - **A `−∞` score** is a masked entry wherever it falls: it weighs
+///   exactly zero, and a row whose every score is `−∞` is a row with no
+///   unmasked entry.
+/// - **A `NaN` or `+∞` score planted in one `Q` row** touches that row
+///   only. A `+∞` score makes the row `NaN`, as in the graph kernels. A
+///   `NaN` does not: the row maximum skips `NaN`, so a row whose every
+///   unmasked score is `NaN` reads as fully masked and comes out `0.0`,
+///   where a graph kernel's row would be `NaN`.
 pub fn masked_sdp<T: Real>(
     pool: &ThreadPool,
     mask: &DenseMask,
@@ -76,62 +99,13 @@ pub fn masked_sdp<T: Real>(
     Ok(out)
 }
 
-/// Masked SDP where fully dense work is *skipped* for masked entries —
-/// not a paper baseline, but the "ideal sparse SDP" used in tests to
-/// confirm both formulations agree numerically.
-pub fn masked_sdp_skipping<T: Real>(
-    pool: &ThreadPool,
-    mask: &DenseMask,
-    q: &Matrix<T>,
-    k: &Matrix<T>,
-    v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
-) -> Result<Matrix<T>, AttnError> {
-    let (l_ctx, dv, scale) = square_inputs(q, k, v, opts)?;
-    if mask.rows() != l_ctx || mask.cols() != l_ctx {
-        return Err(AttnError::MaskShapeMismatch {
-            mask: (mask.rows(), mask.cols()),
-            l: l_ctx,
-        });
-    }
-    let mut out = Matrix::zeros(l_ctx, dv);
-    let writer = RowWriter::new(out.as_mut_slice(), l_ctx, dv);
-
-    parallel_for(pool, l_ctx, opts.schedule, |range| {
-        let mut scores = vec![T::ZERO; l_ctx];
-        let mut weights = vec![T::ZERO; l_ctx];
-        for i in range {
-            let q_row = q.row(i);
-            for (j, s) in scores.iter_mut().enumerate() {
-                *s = if mask.get(i, j) {
-                    dot(q_row, k.row(j)) * scale
-                } else {
-                    T::neg_infinity()
-                };
-            }
-            softmax_slice(&scores, &mut weights);
-            // SAFETY: disjoint row dispatch.
-            let o_row = unsafe { writer.row_mut(i) };
-            o_row.fill(T::ZERO);
-            for (j, &w) in weights.iter().enumerate() {
-                if w != T::ZERO {
-                    for (o, &vv) in o_row.iter_mut().zip(v.row(j).iter()) {
-                        *o += w * vv;
-                    }
-                }
-            }
-        }
-    });
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpa_masks::{LocalWindow, MaskPattern, RandomUniform};
+    use gpa_masks::{LocalWindow, MaskPattern};
     use gpa_parallel::{ThreadPool, WorkCounter};
+    use gpa_tensor::allclose;
     use gpa_tensor::init::qkv;
-    use gpa_tensor::{allclose, paper_allclose};
 
     fn pool() -> ThreadPool {
         ThreadPool::new(4)
@@ -158,17 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_and_skipping_agree() {
-        let l = 40;
-        let (q, k, v) = qkv::<f64>(l, 8, 5);
-        let mask = RandomUniform::new(l, 0.3, 2).to_dense();
-        let p = pool();
-        let a = masked_sdp(&p, &mask, &q, &k, &v, &KernelOptions::new()).unwrap();
-        let b = masked_sdp_skipping(&p, &mask, &q, &k, &v, &KernelOptions::new()).unwrap();
-        assert!(paper_allclose(&a, &b));
-    }
-
-    #[test]
     fn fully_masked_rows_are_zero() {
         let l = 10;
         let (q, k, v) = qkv::<f64>(l, 4, 7);
@@ -191,6 +154,86 @@ mod tests {
                     1e-12,
                     false
                 ));
+            }
+        }
+    }
+
+    #[test]
+    fn a_non_finite_value_reaches_every_row() {
+        // Diagonal mask: row i weighs only V_i, yet `0 · NaN` is `NaN`.
+        let l = 6;
+        let (q, k, mut v) = qkv::<f64>(l, 4, 9);
+        v.row_mut(2).fill(f64::NAN);
+        let mask = LocalWindow::new(l, 0).to_dense();
+        let out = masked_sdp(&pool(), &mask, &q, &k, &v, &KernelOptions::new()).unwrap();
+        for i in 0..l {
+            assert!(out.row(i).iter().all(|x| x.is_nan()), "row {i}");
+        }
+    }
+
+    #[test]
+    fn scores_of_1e4_neither_overflow_nor_flush_the_row() {
+        // q·k = ±1e4 at scale 1, in both widths: the two +1e4 keys share
+        // the weight and the −1e4 key gets none.
+        fn check<T: Real>() {
+            let q = Matrix::from_vec(3, 1, vec![T::from_f64(100.0); 3]);
+            let k = Matrix::from_vec(3, 1, [100.0, -100.0, 100.0].map(T::from_f64).to_vec());
+            let v = Matrix::from_vec(
+                3,
+                2,
+                [1.0, 2.0, 50.0, 60.0, 3.0, 6.0].map(T::from_f64).to_vec(),
+            );
+            let opts = KernelOptions {
+                scale: Some(1.0),
+                ..KernelOptions::new()
+            };
+            let out = masked_sdp(&pool(), &DenseMask::ones(3, 3), &q, &k, &v, &opts).unwrap();
+            for i in 0..3 {
+                assert_eq!((out.get(i, 0).to_f64(), out.get(i, 1).to_f64()), (2.0, 4.0));
+            }
+        }
+        check::<f32>();
+        check::<f64>();
+    }
+
+    #[test]
+    fn a_minus_infinity_score_is_a_masked_entry() {
+        let q = Matrix::from_vec(3, 1, vec![1.0f64; 3]);
+        let k = Matrix::from_vec(3, 1, vec![f64::NEG_INFINITY, 0.5, 0.25]);
+        let v = Matrix::from_vec(3, 1, vec![7.0f64, 1.0, 3.0]);
+        let opts = KernelOptions::new();
+        let scored = masked_sdp(&pool(), &DenseMask::ones(3, 3), &q, &k, &v, &opts).unwrap();
+        let mut mask = DenseMask::ones(3, 3);
+        for i in 0..3 {
+            mask.set(i, 0, false);
+        }
+        let masked = masked_sdp(&pool(), &mask, &q, &k, &v, &opts).unwrap();
+        assert_eq!(scored, masked);
+        // Every score −∞: a fully masked row.
+        let k = Matrix::from_vec(3, 1, vec![f64::NEG_INFINITY; 3]);
+        let out = masked_sdp(&pool(), &DenseMask::ones(3, 3), &q, &k, &v, &opts).unwrap();
+        assert!(out.as_slice().iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn a_non_finite_q_row_touches_its_own_row_only() {
+        let l = 8;
+        let (q, k, v) = qkv::<f64>(l, 4, 10);
+        let mask = LocalWindow::new(l, 2).to_dense();
+        let opts = KernelOptions::new();
+        let clean = masked_sdp(&pool(), &mask, &q, &k, &v, &opts).unwrap();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut q_bad = q.clone();
+            q_bad.row_mut(5).fill(bad);
+            let out = masked_sdp(&pool(), &mask, &q_bad, &k, &v, &opts).unwrap();
+            for i in (0..l).filter(|&i| i != 5) {
+                assert_eq!(out.row(i), clean.row(i), "row {i} ({bad})");
+            }
+            if bad.is_nan() {
+                // Every unmasked score is NaN: the row reads as fully masked.
+                assert!(out.row(5).iter().all(|&x| x == 0.0));
+            } else {
+                assert!(out.row(5).iter().all(|x| x.is_nan()));
             }
         }
     }

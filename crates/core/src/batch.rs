@@ -36,8 +36,6 @@
 //! leak into a result — and a row with no edges must come out `0.0`. All
 //! requests and windows are validated before any window is touched.
 
-use crate::baselines::{flash_attention, masked_sdp};
-use crate::dispatch::AttentionKernel;
 use crate::driver::{tally_edges, RowTile};
 use crate::error::AttnError;
 use crate::geometry::Geometry;
@@ -212,16 +210,12 @@ fn execute_batch_fresh<T: Real>(
         .map(|r| Matrix::zeros(r.rows(), r.v.cols()))
         .collect();
     let mut windows: Vec<&mut [T]> = outs.iter_mut().map(Matrix::as_mut_slice).collect();
-    let stats = launch_rows(pool, plan, opts, requests, &mut windows)?;
+    let stats = launch_rows(pool, plan, opts, requests, &mut windows);
     Ok((outs, stats))
 }
 
-/// Execute a plan over a batch, returning one output matrix per request.
-///
-/// Graph-kernel plans run as one flattened launch. Dense-baseline plans
-/// (single-step by construction) fall back to the reference baseline per
-/// request, so their outputs stay bit-identical with direct
-/// [`masked_sdp`] / [`flash_attention`] calls.
+/// Execute a plan over a batch as one flattened launch, returning one
+/// output matrix per request.
 pub(crate) fn execute_batch<T: Real>(
     pool: &ThreadPool,
     plan: &AttentionPlan<'_>,
@@ -233,18 +227,13 @@ pub(crate) fn execute_batch<T: Real>(
 
 /// As [`execute_batch`], but returning the full per-request
 /// [`AttentionState`]s — the `(O, l, m)` triples at rest, which the
-/// numerics-contract tests read. Graph-kernel plans only.
+/// numerics-contract tests read.
 pub(crate) fn execute_batch_states<T: Real>(
     pool: &ThreadPool,
     plan: &AttentionPlan<'_>,
     opts: &KernelOptions<'_>,
     requests: &[AttentionRequest<'_, T>],
 ) -> Result<Vec<AttentionState<T>>, AttnError> {
-    if !plan.is_composable() {
-        return Err(AttnError::BadParameter {
-            what: "dense baselines cannot run into a shared state",
-        });
-    }
     let (outs, (l, m)) = execute_batch_fresh(pool, plan, opts, requests)?;
     let mut at = 0;
     Ok(outs
@@ -287,36 +276,25 @@ pub(crate) fn execute_batch_into<T: Real>(
             what: "an output window must hold its request's rows × dv elements",
         });
     }
-    launch_rows(pool, plan, opts, requests, windows).map(drop)
+    launch_rows(pool, plan, opts, requests, windows);
+    Ok(())
 }
 
 /// The one row loop under every batch entry point. `requests` are
 /// validated and `windows[s]` is `requests[s]`'s `rows × dv` output, its
-/// contents on entry ignored. Returns the rows' statistics (empty for a
-/// dense baseline, which has none).
+/// contents on entry ignored. Returns the rows' statistics.
 fn launch_rows<T: Real>(
     pool: &ThreadPool,
     plan: &AttentionPlan<'_>,
     opts: &KernelOptions<'_>,
     requests: &[AttentionRequest<'_, T>],
     windows: &mut [&mut [T]],
-) -> Result<RowStats<T>, AttnError> {
-    if !plan.is_composable() {
-        for (r, window) in requests.iter().zip(windows.iter_mut()) {
-            let out = match plan.steps()[0] {
-                AttentionKernel::SdpMasked(mask) => masked_sdp(pool, mask, r.q, r.k, r.v, opts),
-                AttentionKernel::Flash => flash_attention(pool, r.q, r.k, r.v, opts),
-                _ => unreachable!("non-composable plans hold exactly one dense baseline"),
-            }?;
-            window.copy_from_slice(out.as_slice());
-        }
-        return Ok((Vec::new(), Vec::new()));
-    }
+) -> RowStats<T> {
     let space = RaggedSpace::new(requests.iter().map(AttentionRequest::rows));
     let mut l = vec![T::ZERO; space.total()];
     let mut m = vec![T::neg_infinity(); space.total()];
     if space.total() == 0 {
-        return Ok((l, m));
+        return (l, m);
     }
 
     // Per-request execution context: a writer over that request's window
@@ -394,12 +372,13 @@ fn launch_rows<T: Real>(
         });
     });
 
-    Ok((l, m))
+    (l, m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dispatch::AttentionKernel;
     use crate::kernels::CooSearch;
     use gpa_masks::{GlobalSet, LocalWindow, MaskPattern, RandomUniform};
     use gpa_parallel::{ThreadPool, WorkCounter};
@@ -503,28 +482,6 @@ mod tests {
             }
         }
         assert!(gpa_tensor::paper_allclose(&batched, &state.into_output()));
-    }
-
-    #[test]
-    fn dense_plans_fall_back_to_reference_baselines() {
-        let l = 16;
-        let (q, k, v) = qkv::<f64>(l, 4, 72);
-        let p = pool();
-        let opts = KernelOptions::new();
-        let plan = AttentionPlan::single(AttentionKernel::Flash).unwrap();
-        let reqs = [
-            AttentionRequest::new(&q, &k, &v),
-            AttentionRequest::new(&q, &k, &v),
-        ];
-        let outs = execute_batch(&p, &plan, &opts, &reqs).unwrap();
-        let single = flash_attention(&p, &q, &k, &v, &opts).unwrap();
-        assert_eq!(outs[0], single);
-        assert_eq!(outs[1], single);
-        // But no shared states for dense plans.
-        assert!(matches!(
-            execute_batch_states(&p, &plan, &opts, &reqs),
-            Err(AttnError::BadParameter { .. })
-        ));
     }
 
     #[test]
@@ -771,24 +728,5 @@ mod tests {
             a.iter().chain(&b).all(|x| x.is_nan()),
             "nothing was written"
         );
-    }
-
-    #[test]
-    fn dense_plans_copy_their_baseline_into_the_window() {
-        let p = pool();
-        let opts = KernelOptions::new();
-        let plan = AttentionPlan::single(AttentionKernel::Flash).unwrap();
-        let (q, k, v) = qkv::<f64>(6, 4, 94);
-        let mut window = vec![f64::NAN; 24];
-        let whole = AttentionRequest::new(&q, &k, &v);
-        execute_batch_into(&p, &plan, &opts, &[whole], &mut [&mut window]).unwrap();
-        let single = flash_attention(&p, &q, &k, &v, &opts).unwrap();
-        assert_eq!(window, single.as_slice());
-        // A dense baseline reads `Q` whole: a square-shaped row range of a
-        // longer `Q` is not the square problem.
-        let (q_long, _, _) = qkv::<f64>(9, 4, 95);
-        let ranged = AttentionRequest::row_range(&q_long, 3..9, &k, &v, 0);
-        assert!(ranged.geometry.is_square());
-        assert!(execute_batch(&p, &plan, &opts, &[ranged]).is_err());
     }
 }

@@ -3,11 +3,13 @@
 //! The benchmark harness, the multi-head layer, and the examples all select
 //! algorithms at runtime; [`AttentionKernel`] is that selector — a value,
 //! not a launcher: it names a row rule and its geometry constraints, and
-//! [`crate::AttentionEngine`] runs it. Graph kernels (everything except the
-//! dense baselines) are *composable*: the steps of one
-//! [`crate::AttentionPlan`] chain per row on one shared softmax state,
-//! which is how Fig. 6's "Loc + Glo" and "Loc + Glo + CSR" series are
-//! produced.
+//! [`crate::AttentionEngine`] runs it. Every kernel is a graph row rule,
+//! so every kernel composes: the steps of one [`crate::AttentionPlan`]
+//! chain per row on one shared softmax state, which is how Fig. 6's
+//! "Loc + Glo" and "Loc + Glo + CSR" series are produced. The dense
+//! baselines the paper compares against are not kernels here; they are
+//! the plain functions [`crate::masked_sdp`] and
+//! [`crate::flash_attention`].
 
 use crate::driver::NeighborSink;
 use crate::error::AttnError;
@@ -16,7 +18,7 @@ use crate::plan::GeometrySpec;
 use crate::routing::Routing;
 use gpa_masks::GlobalSet;
 use gpa_parallel::WorkCounter;
-use gpa_sparse::{CooMask, CsrMask, DenseMask, DiaMask};
+use gpa_sparse::{CooMask, CsrMask, DiaMask};
 
 /// An attention algorithm selection.
 #[derive(Clone, Copy)]
@@ -70,10 +72,6 @@ pub enum AttentionKernel<'a> {
         /// prefill/decode-consistent variant.
         causal: bool,
     },
-    /// Dense masked SDP baseline (not composable).
-    SdpMasked(&'a DenseMask),
-    /// Dense FlashAttention baseline (not composable).
-    Flash,
 }
 
 impl AttentionKernel<'_> {
@@ -89,14 +87,7 @@ impl AttentionKernel<'_> {
             AttentionKernel::Dilated2d { .. } => "Dilated-2D",
             AttentionKernel::Global { .. } => "Global",
             AttentionKernel::Routed { .. } => "Routed",
-            AttentionKernel::SdpMasked(_) => "PyTorch SDP (Masked)",
-            AttentionKernel::Flash => "FlashAttention",
         }
-    }
-
-    /// True for graph kernels that can share a [`crate::AttentionState`].
-    pub fn is_composable(&self) -> bool {
-        !matches!(self, AttentionKernel::SdpMasked(_) | AttentionKernel::Flash)
     }
 
     /// Validate kernel parameters that do not depend on the inputs — the
@@ -125,8 +116,7 @@ impl AttentionKernel<'_> {
     ///   `kv_rows` to their column count;
     /// - Global and DIA pin `kv_rows` to their context length and require
     ///   a window (`q_offset + q_rows ≤ kv_rows`);
-    /// - the implicit patterns require only a window;
-    /// - the dense baselines run exclusively at the full square geometry.
+    /// - the implicit patterns require only a window.
     pub(crate) fn geometry_spec(&self) -> GeometrySpec {
         let mut spec = GeometrySpec::default();
         match self {
@@ -146,19 +136,11 @@ impl AttentionKernel<'_> {
                 spec.kv_pin = Some(globals.context_len());
                 spec.requires_window = true;
             }
-            AttentionKernel::SdpMasked(mask) => {
-                spec.kv_pin = Some(mask.cols());
-                spec.q_pin = Some(mask.rows());
-                spec.requires_square = true;
-            }
             AttentionKernel::Local { .. }
             | AttentionKernel::Dilated1d { .. }
             | AttentionKernel::Dilated2d { .. }
             | AttentionKernel::Routed { .. } => {
                 spec.requires_window = true;
-            }
-            AttentionKernel::Flash => {
-                spec.requires_square = true;
             }
         }
         spec
@@ -171,8 +153,7 @@ impl AttentionKernel<'_> {
     /// the kernel's full pattern.
     ///
     /// # Panics
-    /// Panics on dense baselines (they have no sparse row rule), on
-    /// [`AttentionKernel::Routed`] (its rule needs a per-sequence
+    /// Panics on [`AttentionKernel::Routed`] (its rule needs a per-sequence
     /// [`Routing`] — use [`Self::for_each_neighbor_with`]), and, for the
     /// implicit kernels, if `i >= kv_len` (outside the logical square).
     pub fn for_each_neighbor(&self, kv_len: usize, i: usize, f: &mut dyn FnMut(usize)) {
@@ -187,9 +168,8 @@ impl AttentionKernel<'_> {
     /// routed kernel enumerates from. Non-routed kernels ignore `routing`.
     ///
     /// # Panics
-    /// Panics on dense baselines, on a routed kernel given no routing (or
-    /// one too short to cover row `i`), and, for the implicit kernels, if
-    /// `i >= kv_len`.
+    /// Panics on a routed kernel given no routing (or one too short to
+    /// cover row `i`), and, for the implicit kernels, if `i >= kv_len`.
     pub fn for_each_neighbor_with(
         &self,
         kv_len: usize,
@@ -197,10 +177,6 @@ impl AttentionKernel<'_> {
         routing: Option<&Routing>,
         f: &mut dyn FnMut(usize),
     ) {
-        assert!(
-            self.is_composable(),
-            "dense baselines have no per-row neighbor rule"
-        );
         self.stream_row(kv_len, i, routing, None, &mut |j| f(j));
     }
 
@@ -208,12 +184,7 @@ impl AttentionKernel<'_> {
     /// `kv_len` — `Get_Neighbors(G, i, Pa)`, called by the one row loop
     /// once per plan step and row, so a launch interleaves many sequences
     /// and query windows. `counter` receives the COO linear-search cost;
-    /// edge work is tallied by the caller from what its sink took. Dense
-    /// baselines have no row rule.
-    ///
-    /// # Panics
-    /// Panics on dense baselines; the plan layer never compiles them into
-    /// a streamed step.
+    /// edge work is tallied by the caller from what its sink took.
     pub(crate) fn stream_row(
         &self,
         kv_len: usize,
@@ -246,9 +217,6 @@ impl AttentionKernel<'_> {
                 );
                 crate::routing::routed_row(routing, *causal, i, sink)
             }
-            AttentionKernel::SdpMasked(_) | AttentionKernel::Flash => {
-                unreachable!("dense baselines are executed whole, not streamed per row")
-            }
         }
     }
 }
@@ -256,7 +224,7 @@ impl AttentionKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AttentionEngine, AttentionPlan, AttentionRequest};
+    use crate::{AttentionEngine, AttentionPlan};
     use gpa_masks::{GlobalMinusLocal, LocalWindow, MaskPattern, RandomUniform, Union};
     use gpa_tensor::init::qkv;
     use gpa_tensor::paper_allclose;
@@ -269,12 +237,17 @@ mod tests {
     fn names_and_composability() {
         let csr = LocalWindow::new(4, 1).to_csr();
         assert_eq!(AttentionKernel::Csr(&csr).name(), "CSR");
-        assert!(AttentionKernel::Csr(&csr).is_composable());
-        assert!(!AttentionKernel::Flash.is_composable());
         assert_eq!(AttentionKernel::Local { n: 1 }.name(), "Local");
         let dia = DiaMask::local(4, 1);
         assert_eq!(AttentionKernel::Dia(&dia).name(), "DIA");
-        assert!(AttentionKernel::Dia(&dia).is_composable());
+        // Every kernel is a row rule, so any two chain into one plan.
+        let plan = AttentionPlan::new(&[
+            AttentionKernel::Csr(&csr),
+            AttentionKernel::Dia(&dia),
+            AttentionKernel::Local { n: 1 },
+        ])
+        .unwrap();
+        assert_eq!(plan.describe(), "CSR + DIA + Local");
     }
 
     #[test]
@@ -337,15 +310,5 @@ mod tests {
             .run_kernel(AttentionKernel::Csr(&union), &q, &k, &v)
             .unwrap();
         assert!(paper_allclose(&composed, &single));
-    }
-
-    #[test]
-    fn baselines_refuse_shared_state() {
-        let (q, k, v) = qkv::<f64>(8, 4, 0);
-        let plan = AttentionPlan::single(AttentionKernel::Flash).unwrap();
-        let err = engine()
-            .run_batch_states(&plan, &[AttentionRequest::new(&q, &k, &v)])
-            .unwrap_err();
-        assert!(matches!(err, AttnError::BadParameter { .. }));
     }
 }

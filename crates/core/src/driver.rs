@@ -324,9 +324,7 @@ pub(crate) fn tally_edges(tally: &mut Option<LocalTally<'_>>, edges: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{
-        AttentionEngine, AttentionKernel, AttentionPlan, AttentionRequest, AttnError, KernelOptions,
-    };
+    use crate::{AttentionEngine, AttentionKernel, AttentionPlan, AttentionRequest, AttnError};
     use gpa_masks::{LocalWindow, MaskPattern};
     use gpa_sparse::{CooMask, CsrMask};
     use gpa_tensor::attention_scale;
@@ -489,9 +487,11 @@ mod tests {
         let request = [AttentionRequest::new(&q, &k, &v)];
         let e = engine();
         let a = e.run_batch(&plan, &request).unwrap();
-        let b = e
-            .run_batch_with(&plan, &KernelOptions::new().with_scale(0.0), &request)
-            .unwrap();
+        let flat = AttentionEngine::builder()
+            .threads(e.threads())
+            .scale(0.0)
+            .build();
+        let b = flat.run_batch(&plan, &request).unwrap();
         // Scale 0 ⇒ uniform weights; results must differ from scaled ones.
         assert!(a[0].max_abs_diff(&b[0]) > 1e-9);
     }

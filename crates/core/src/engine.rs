@@ -28,14 +28,16 @@
 //! assert_eq!(outs.len(), 2);
 //! ```
 //!
-//! Every entry point here — `run`, `run_kernel`, the `run_batch*` family,
-//! chunked prefill, decode — is a thin wrapper over one row loop
-//! ([`crate::batch`]), and the multi-head layer's one forward
-//! ([`crate::MultiHeadAttention::forward_on`]) launches through
-//! [`AttentionEngine::run_batch`], so a row computes the same bits
-//! whichever of them launched it. Only the dense baselines ([`crate::masked_sdp`],
-//! [`crate::flash_attention`]) can also be called directly with a pool:
-//! they are what tests compare the graph kernels against.
+//! Every plan is a chain of graph row rules, and every entry point here —
+//! `run`, `run_kernel`, the `run_batch*` family, chunked prefill, decode —
+//! is a thin wrapper over one row loop ([`crate::batch`]); the multi-head
+//! layer's one forward ([`crate::MultiHeadAttention::forward_on`])
+//! launches through [`AttentionEngine::run_batch`], so a row computes the
+//! same bits whichever of them launched it. The dense baselines
+//! ([`crate::masked_sdp`], [`crate::flash_attention`]) are not plans: they
+//! are plain functions, called with [`AttentionEngine::pool`] and
+//! [`AttentionEngine::options`], and they are what tests compare the graph
+//! kernels against.
 
 use crate::batch::{execute_batch, execute_batch_into, execute_batch_states, AttentionRequest};
 use crate::cache::{KvCache, KvPrecision};
@@ -175,10 +177,10 @@ impl AttentionEngine {
         KvCache::with_precision(1, dk, dv, self.kv_precision)
     }
 
-    /// The launch options every engine run uses ­— schedule, scale, and
-    /// the engine's counter — in [`KernelOptions`] form: the starting point
-    /// for [`Self::run_batch_with`], and what a dense baseline called
-    /// directly takes.
+    /// The launch options every engine run uses — schedule, scale, and
+    /// the engine's counter — in [`KernelOptions`] form: what a dense
+    /// baseline called directly takes, so it runs under the engine's
+    /// policy and is tallied by its counter.
     pub fn options(&self) -> KernelOptions<'_> {
         KernelOptions {
             schedule: self.schedule,
@@ -245,20 +247,7 @@ impl AttentionEngine {
         execute_batch(&self.pool, plan, &self.options(), requests)
     }
 
-    /// As [`Self::run_batch`] with caller-supplied [`KernelOptions`] — for
-    /// callers that sweep schedules or attach their own counters (the
-    /// benchmark ablations) while still going through the engine's pool
-    /// and plan executor.
-    pub fn run_batch_with<T: Real>(
-        &self,
-        plan: &AttentionPlan<'_>,
-        opts: &KernelOptions<'_>,
-        requests: &[AttentionRequest<'_, T>],
-    ) -> Result<Vec<Matrix<T>>, AttnError> {
-        execute_batch(&self.pool, plan, opts, requests)
-    }
-
-    /// Run a graph-kernel plan over a batch and return the full per-request
+    /// Run a plan over a batch and return the full per-request
     /// [`AttentionState`]s — the `(O, l, m)` triples at rest. It stays
     /// public because the numerics-contract tests read each row's `l` and
     /// `m` through it.
@@ -282,8 +271,7 @@ impl AttentionEngine {
     /// before its first stream, so a row with no edges comes out `0.0`
     /// whatever the window held. Every request, the window count and every
     /// window length are checked before any window is touched; after an
-    /// `Err` the windows are as they were. (A dense-baseline plan runs its
-    /// baseline per request and copies the result in.)
+    /// `Err` the windows are as they were.
     pub fn run_batch_into<T: Real>(
         &self,
         plan: &AttentionPlan<'_>,
@@ -363,8 +351,8 @@ impl AttentionEngine {
             self.run_batch_into(plan, &requests, &mut windows)
         };
         if let Err(e) = result {
-            // Per-request validation failed (e.g. a length-pinned or
-            // dense plan): roll the append back so the cache still
+            // Per-request validation failed (e.g. a length-pinned plan):
+            // roll the append back so the cache still
             // mirrors the logical token stream.
             cache.truncate(prior);
             return Err(e);
@@ -378,8 +366,7 @@ impl AttentionEngine {
     /// [`crate::Geometry::decode`] row over the cache, exactly the last
     /// row of the square forward over every token cached so far.
     ///
-    /// Graph-kernel plans only (a dense baseline has no incremental form);
-    /// implicit-kernel plans pin no length, so **one** compiled plan
+    /// Implicit-kernel plans pin no length, so **one** compiled plan
     /// serves every step of the growing cache. The step is validated
     /// before the cache is touched, and a failed launch truncates the
     /// append back: the cache still mirrors the logical token stream.
@@ -391,11 +378,6 @@ impl AttentionEngine {
         v_t: &Matrix<T>,
         cache: &mut KvCache<T>,
     ) -> Result<Matrix<T>, AttnError> {
-        if !plan.is_composable() {
-            return Err(AttnError::BadParameter {
-                what: "dense baselines have no KV-cached decode form",
-            });
-        }
         if cache.heads() != 1 {
             return Err(AttnError::BadParameter {
                 what: "engine-level decode takes a single-head cache",
@@ -589,11 +571,6 @@ mod tests {
             .prefill_chunked(&plan, &q, &k, &v, 0, &mut cache)
             .is_err());
         assert!(engine.decode_step(&plan, &q, &k, &v, &mut cache).is_err());
-        let flash = engine.compile(&[AttentionKernel::Flash]).unwrap();
-        let one = q.rows_slice(0, 1);
-        assert!(engine
-            .decode_step(&flash, &one, &one, &one, &mut cache)
-            .is_err());
         // Nothing was appended by the failed calls.
         assert!(cache.is_empty());
     }
@@ -644,8 +621,12 @@ mod tests {
     fn compile_rejects_bad_compositions_before_any_data_exists() {
         let engine = AttentionEngine::with_threads(1);
         assert!(engine.compile(&[]).is_err());
+        let (a, b) = (
+            LocalWindow::new(8, 1).to_csr(),
+            LocalWindow::new(9, 1).to_csr(),
+        );
         assert!(engine
-            .compile(&[AttentionKernel::Flash, AttentionKernel::Flash])
+            .compile(&[AttentionKernel::Csr(&a), AttentionKernel::Csr(&b)])
             .is_err());
     }
 

@@ -66,12 +66,6 @@ impl Geometry {
         self.q_offset + self.q_rows
     }
 
-    /// True for the full square geometry (`q_offset == 0`,
-    /// `q_rows == kv_rows`) — the only shape the dense baselines accept.
-    pub fn is_square(&self) -> bool {
-        self.q_offset == 0 && self.q_rows == self.kv_rows
-    }
-
     /// True when the query rows lie inside the logical square
     /// (`q_end() ≤ kv_rows`) — required by every implicit kernel, whose
     /// row rules index the `kv_rows × kv_rows` mask.
@@ -100,20 +94,18 @@ mod tests {
     #[test]
     fn square_window_decode_shapes() {
         let s = Geometry::window(0, 8, 8);
-        assert!(s.is_square() && s.is_window());
+        assert!(s.is_window());
         assert_eq!(s.q_end(), 8);
 
         let w = Geometry::window(3, 2, 8);
-        assert!(!w.is_square());
         assert!(w.is_window());
         assert_eq!(w.q_end(), 5);
 
         let d = Geometry::decode(5);
         assert_eq!(d, Geometry::window(4, 1, 5));
         assert!(d.is_window());
-        assert!(!d.is_square());
         // A length-1 sequence's decode step IS the square forward.
-        assert!(Geometry::decode(1).is_square());
+        assert_eq!(Geometry::decode(1), Geometry::window(0, 1, 1));
     }
 
     #[test]

@@ -30,9 +30,7 @@
 //!
 //! [`baselines::masked_sdp`] (PyTorch-style dense SDP with −∞ masking) and
 //! [`baselines::flash_attention`] (dense online-softmax tiling) — what the
-//! graph kernels are compared against, callable directly with a pool or as
-//! the single-step plans [`AttentionKernel::SdpMasked`] /
-//! [`AttentionKernel::Flash`].
+//! graph kernels are compared against, callable directly with a pool.
 //!
 //! ## The engine: compiled plans, batched execution, serving geometry
 //!

@@ -454,8 +454,15 @@ mod tests {
         let csr = forward(AttentionKernel::Csr(&mask));
         // Same mask, different kernel → same numbers.
         assert!(paper_allclose(&local, &csr));
-        let flash = forward(AttentionKernel::Flash);
-        // Different (dense) mask → different numbers, same shape.
+        // The dense baseline per head, between the same projections:
+        // different (dense) mask → different numbers, same shape.
+        let (qh, kh, vh) = layer.project_qkv(&x);
+        let heads: Vec<Matrix<f64>> = (0..layer.heads())
+            .map(|h| {
+                crate::flash_attention(e.pool(), &qh[h], &kh[h], &vh[h], &e.options()).unwrap()
+            })
+            .collect();
+        let flash = layer.combine_heads(&heads);
         assert_eq!(flash.shape(), (l, 16));
         assert!(flash.max_abs_diff(&local) > 1e-9);
     }
@@ -623,7 +630,7 @@ mod tests {
         let layer: MultiHeadAttention<f64> = MultiHeadAttention::new_random(16, 2, 4, 3);
         let x: Matrix<f64> = Matrix::zeros(4, 15);
         let e = engine();
-        let plan = e.compile(&[AttentionKernel::Flash]).unwrap();
+        let plan = e.compile(&[AttentionKernel::Local { n: 1 }]).unwrap();
         assert!(matches!(
             layer.forward_on(&e, &plan, &x),
             Err(AttnError::StateShapeMismatch { .. })

@@ -1,11 +1,11 @@
 //! Kernel launch options.
 //!
-//! [`KernelOptions`] parameterizes one launch. Applications configure the
-//! same knobs once on an [`crate::AttentionEngine`] (whose
-//! [`crate::AttentionEngine::options`] produces this struct); options are
-//! built by hand only to sweep schedules or attach an ad-hoc counter
-//! through [`crate::AttentionEngine::run_batch_with`], or to call a dense
-//! baseline directly.
+//! [`KernelOptions`] parameterizes one launch. Launch policy is set in one
+//! place, the [`crate::AttentionEngine`] builder: the engine runs every
+//! plan under [`crate::AttentionEngine::options`], and a dense baseline
+//! called directly takes the same struct. A caller that sweeps schedules
+//! builds one engine per schedule. The fields stay public for the
+//! baselines' direct callers.
 
 use gpa_parallel::{Schedule, WorkCounter};
 
@@ -36,18 +36,6 @@ impl<'a> KernelOptions<'a> {
         self.counter = Some(counter);
         self
     }
-
-    /// Select a scheduling policy.
-    pub fn with_schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
-        self
-    }
-
-    /// Override the attention scale factor.
-    pub fn with_scale(mut self, scale: f64) -> Self {
-        self.scale = Some(scale);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -57,12 +45,9 @@ mod tests {
     #[test]
     fn builder_chains() {
         let c = WorkCounter::new();
-        let o = KernelOptions::new()
-            .with_schedule(Schedule::StaticContiguous)
-            .with_scale(1.0)
-            .with_counter(&c);
-        assert_eq!(o.schedule, Schedule::StaticContiguous);
-        assert_eq!(o.scale, Some(1.0));
+        let o = KernelOptions::new().with_counter(&c);
+        assert_eq!(o.schedule, Schedule::default());
+        assert_eq!(o.scale, None);
         assert!(o.counter.is_some());
     }
 }

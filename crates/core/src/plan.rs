@@ -27,13 +27,9 @@ pub(crate) struct GeometrySpec {
     /// Upper bound on the absolute query range `q_offset + q_rows`
     /// (explicit mask rows — masks are indexed by absolute query row).
     pub q_abs_bound: Option<usize>,
-    /// Exact `q_rows` (and `q_offset == 0`) required — dense SDP masks.
-    pub q_pin: Option<usize>,
     /// Queries must lie inside the logical square
     /// (`q_offset + q_rows ≤ kv_rows`) — every implicit kernel.
     pub requires_window: bool,
-    /// Only the full square geometry is accepted — dense baselines.
-    pub requires_square: bool,
 }
 
 impl GeometrySpec {
@@ -47,19 +43,11 @@ impl GeometrySpec {
             (None, Some(b)) => self.kv_pin = Some(b),
             _ => {}
         }
-        match (self.q_pin, other.q_pin) {
-            (Some(a), Some(b)) if a != b => {
-                return Err(AttnError::MaskShapeMismatch { mask: (b, b), l: a });
-            }
-            (None, Some(b)) => self.q_pin = Some(b),
-            _ => {}
-        }
         self.q_abs_bound = match (self.q_abs_bound, other.q_abs_bound) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
         };
         self.requires_window |= other.requires_window;
-        self.requires_square |= other.requires_square;
         Ok(())
     }
 }
@@ -90,23 +78,15 @@ impl<'a> AttentionPlan<'a> {
     /// Validation performed here (and never again at execution time):
     ///
     /// - the composition is non-empty;
-    /// - dense baselines ([`AttentionKernel::SdpMasked`],
-    ///   [`AttentionKernel::Flash`]) appear only as single-step plans —
-    ///   they cannot share a softmax state;
     /// - kernel parameters are well-formed (positive dilated widths /
-    ///   block sizes);
+    ///   block sizes, a positive routed group count);
     /// - the steps' geometry constraints merge consistently: masks pinning
-    ///   a key/value length agree on one value, and square-only steps are
-    ///   not pinned to a rectangular dense mask.
+    ///   a key/value length agree on one value;
+    /// - routed steps share one `(groups, seed)`.
     pub fn new(kernels: &[AttentionKernel<'a>]) -> Result<Self, AttnError> {
         if kernels.is_empty() {
             return Err(AttnError::BadParameter {
                 what: "a plan needs at least one kernel",
-            });
-        }
-        if kernels.len() > 1 && kernels.iter().any(|k| !k.is_composable()) {
-            return Err(AttnError::BadParameter {
-                what: "dense baselines cannot run into a shared state",
             });
         }
         let mut spec = GeometrySpec::default();
@@ -134,24 +114,6 @@ impl<'a> AttentionPlan<'a> {
                     _ => routing = Some(this),
                 }
                 routed_full_kv |= !causal;
-            }
-        }
-        if spec.requires_square {
-            if let (Some(q), Some(kv)) = (spec.q_pin, spec.kv_pin) {
-                if q != kv {
-                    return Err(AttnError::MaskShapeMismatch {
-                        mask: (q, kv),
-                        l: kv,
-                    });
-                }
-            }
-        }
-        if let (Some(q), Some(bound)) = (spec.q_pin, spec.q_abs_bound) {
-            if q > bound {
-                return Err(AttnError::MaskShapeMismatch {
-                    mask: (bound, spec.kv_pin.unwrap_or(bound)),
-                    l: q,
-                });
             }
         }
         Ok(AttentionPlan {
@@ -182,12 +144,6 @@ impl<'a> AttentionPlan<'a> {
         false
     }
 
-    /// True when every step is a graph kernel (shares one softmax state);
-    /// false for single-step dense-baseline plans.
-    pub fn is_composable(&self) -> bool {
-        self.steps.iter().all(|k| k.is_composable())
-    }
-
     /// The `kv_rows` value pinned by the plan's masks, if any. `None`
     /// means the plan runs at any key/value length — the property that
     /// lets one implicit-kernel plan serve a ragged batch *and* every step
@@ -206,12 +162,6 @@ impl<'a> AttentionPlan<'a> {
     /// (`q_offset + q_rows ≤ kv_rows`) — any implicit-kernel step.
     pub fn requires_window(&self) -> bool {
         self.spec.requires_window
-    }
-
-    /// True if the plan only accepts the full square geometry (dense
-    /// baselines).
-    pub fn requires_square(&self) -> bool {
-        self.spec.requires_square
     }
 
     /// The `(groups, seed)` shared by the plan's routed steps, if any —
@@ -235,21 +185,19 @@ impl<'a> AttentionPlan<'a> {
     /// exactly through their row rules (clamped to any pinned geometry);
     /// routed steps are analytic expectations, `l²/K` (halved when
     /// causal), since the actual grouping depends on data the policy has
-    /// not routed yet; a dense baseline computes every score, `l²`.
+    /// not routed yet.
     pub fn estimated_edges(&self, l: usize) -> u64 {
-        let dense = (l as u64) * (l as u64);
         self.steps
             .iter()
             .map(|step| match step {
                 AttentionKernel::Routed { groups, causal, .. } => {
-                    let block = dense / (*groups as u64).max(1);
+                    let block = (l as u64) * (l as u64) / (*groups as u64).max(1);
                     if *causal {
                         block.div_ceil(2)
                     } else {
                         block
                     }
                 }
-                AttentionKernel::SdpMasked(_) | AttentionKernel::Flash => dense,
                 _ => {
                     let kv = self.spec.kv_pin.unwrap_or(l).min(l);
                     let rows = self.spec.q_abs_bound.unwrap_or(kv).min(kv);
@@ -315,14 +263,6 @@ impl<'a> AttentionPlan<'a> {
                 });
             }
         }
-        if let Some(pin) = self.spec.q_pin {
-            if geometry.q_rows != pin || geometry.q_offset != 0 {
-                return Err(AttnError::MaskShapeMismatch {
-                    mask: (pin, self.spec.kv_pin.unwrap_or(pin)),
-                    l: geometry.q_rows,
-                });
-            }
-        }
         if let Some(bound) = self.spec.q_abs_bound {
             if geometry.q_end() > bound {
                 return Err(AttnError::MaskShapeMismatch {
@@ -333,14 +273,6 @@ impl<'a> AttentionPlan<'a> {
         }
         if self.spec.requires_window {
             geometry.check_window()?;
-        }
-        // A dense baseline reads its `Q` whole, not a row range of it.
-        if self.spec.requires_square && !(geometry.is_square() && q.rows() == geometry.q_rows) {
-            return Err(AttnError::ContextLengthMismatch {
-                q: geometry.q_rows,
-                k: geometry.kv_rows,
-                v: geometry.kv_rows,
-            });
         }
         Ok(())
     }
@@ -353,7 +285,6 @@ impl std::fmt::Debug for AttentionPlan<'_> {
             .field("kv_pin", &self.spec.kv_pin)
             .field("q_bound", &self.spec.q_abs_bound)
             .field("requires_window", &self.spec.requires_window)
-            .field("requires_square", &self.spec.requires_square)
             .finish()
     }
 }
@@ -362,7 +293,6 @@ impl std::fmt::Debug for AttentionPlan<'_> {
 mod tests {
     use super::*;
     use gpa_masks::{GlobalSet, LocalWindow, MaskPattern};
-    use gpa_sparse::DenseMask;
     use gpa_tensor::init::qkv;
     use gpa_tensor::Matrix;
 
@@ -379,17 +309,6 @@ mod tests {
     fn empty_plan_rejected() {
         assert!(matches!(
             AttentionPlan::new(&[]),
-            Err(AttnError::BadParameter { .. })
-        ));
-    }
-
-    #[test]
-    fn dense_baseline_only_single_step() {
-        let single = AttentionPlan::single(AttentionKernel::Flash).unwrap();
-        assert!(!single.is_composable());
-        assert_eq!(single.describe(), "FlashAttention");
-        assert!(matches!(
-            AttentionPlan::new(&[AttentionKernel::Flash, AttentionKernel::Local { n: 1 }]),
             Err(AttnError::BadParameter { .. })
         ));
     }
@@ -435,7 +354,6 @@ mod tests {
         .unwrap();
         assert!(plan.kv_pin().is_none());
         assert!(plan.requires_window());
-        assert!(!plan.requires_square());
         let (q, k, v) = qkv::<f64>(12, 4, 0);
         validate_square(&plan, &q, &k, &v).unwrap();
         let (q2, k2, v2) = qkv::<f64>(40, 4, 0);
@@ -591,31 +509,8 @@ mod tests {
         })
         .unwrap();
         assert_eq!(causal.estimated_edges(l), (l as u64 * l as u64) / 8);
-        // The cost model orders sparse-local < routed < dense: a dense
-        // baseline computes every score, whatever its mask holds.
+        // The cost model orders sparse-local < routed < dense (`l²`).
         assert!(local.estimated_edges(l) < causal.estimated_edges(l));
-        let flash = AttentionPlan::single(AttentionKernel::Flash).unwrap();
-        assert_eq!(flash.estimated_edges(16), 256);
-        let mask = DenseMask::from_csr(&LocalWindow::new(16, 1).to_csr());
-        let sdp = AttentionPlan::single(AttentionKernel::SdpMasked(&mask)).unwrap();
-        assert_eq!(sdp.estimated_edges(16), 256);
-        assert!(routed.estimated_edges(l) < flash.estimated_edges(l));
-    }
-
-    #[test]
-    fn sdp_plan_has_dense_geometry() {
-        let dense = DenseMask::ones(6, 6);
-        let plan = AttentionPlan::single(AttentionKernel::SdpMasked(&dense)).unwrap();
-        assert_eq!(plan.kv_pin(), Some(6));
-        assert!(plan.requires_square());
-        assert!(!plan.is_composable());
-        assert!(!plan.is_empty());
-        // Dense baselines accept only the full square geometry.
-        let (q, k, v) = qkv::<f64>(6, 4, 0);
-        validate_square(&plan, &q, &k, &v).unwrap();
-        let one = q.rows_slice(5, 6);
-        assert!(plan
-            .validate_request(&AttentionRequest::decode(&one, &k, &v))
-            .is_err());
+        assert!(routed.estimated_edges(l) < l as u64 * l as u64);
     }
 }

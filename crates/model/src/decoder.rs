@@ -49,7 +49,7 @@ pub struct DecoderModel<'p, T> {
 
 impl<'p, T: Real> DecoderModel<'p, T> {
     /// Compile a model: one layer per pattern label, each label bound to
-    /// exactly one composable plan. The binding list must cover the
+    /// exactly one plan. The binding list must cover the
     /// pattern's distinct labels exactly — no unbound labels, no
     /// duplicates, no unused bindings.
     pub fn new(
@@ -80,9 +80,6 @@ impl<'p, T: Real> DecoderModel<'p, T> {
         for (label, plan) in bindings {
             if plan_labels.contains(&label) {
                 return Err(ModelError::DuplicateBinding { label });
-            }
-            if !plan.is_composable() {
-                return Err(ModelError::DensePlan { label });
             }
             plan_labels.push(label);
             plans.push(plan);
@@ -568,12 +565,6 @@ mod tests {
         assert!(matches!(
             mk(unused),
             Err(ModelError::UnusedBinding { label: 'X' })
-        ));
-        let mut dense = fs_bindings(&e, 8);
-        dense[0].1 = e.compile(&[AttentionKernel::Flash]).unwrap();
-        assert!(matches!(
-            mk(dense),
-            Err(ModelError::DensePlan { label: 'F' })
         ));
         assert!(matches!(
             DecoderModel::<f64>::new(pat(), fs_bindings(&e, 8), 0, 3, 4, 0),

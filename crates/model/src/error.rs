@@ -28,12 +28,6 @@ pub enum ModelError {
         /// The label with no layer.
         label: char,
     },
-    /// A bound plan is a dense baseline — those have no resumable state
-    /// and therefore no KV-cached serving form.
-    DensePlan {
-        /// The label bound to the dense plan.
-        label: char,
-    },
     /// The model's own shape parameters are invalid.
     BadModel {
         /// Which parameter, and why.
@@ -66,10 +60,6 @@ impl fmt::Display for ModelError {
             ModelError::UnusedBinding { label } => {
                 write!(f, "binding '{label}' never appears in the pattern")
             }
-            ModelError::DensePlan { label } => write!(
-                f,
-                "label '{label}' binds a dense baseline plan, which has no KV-cached serving form"
-            ),
             ModelError::BadModel { what } => write!(f, "bad model parameter: {what}"),
             ModelError::BadState { what } => write!(f, "bad model input/state: {what}"),
             ModelError::OutOfPages => {
@@ -111,9 +101,6 @@ mod tests {
         assert!(ModelError::UnusedBinding { label: 'X' }
             .to_string()
             .contains("never appears"));
-        assert!(ModelError::DensePlan { label: 'D' }
-            .to_string()
-            .contains("dense"));
         assert!(ModelError::OutOfPages.to_string().contains("pages"));
         let wrapped: ModelError = AttnError::BadParameter { what: "boom" }.into();
         assert!(wrapped.to_string().contains("boom"));

@@ -483,21 +483,18 @@ impl<'p, T: Real> Scheduler<'p, T> {
     }
 
     /// Register a compiled plan; submitted requests name it by the
-    /// returned id. Dense-baseline plans are rejected — they have no
-    /// prefill-window or decode-row form.
+    /// returned id. Every plan is a chain of graph row rules, so every
+    /// plan has a prefill-window and a decode-row form and registration
+    /// never fails. The `Result` stays **only** because the frozen serving
+    /// benchmark (`benchmark/src/workloads.rs`) calls `.expect` on it; it
+    /// goes when a benchmark change can drop that call.
     pub fn register_plan(&mut self, plan: AttentionPlan<'p>) -> Result<PlanId, ServeError> {
-        if !plan.is_composable() {
-            return Err(ServeError::BadRequest {
-                what: "dense baseline plans have no serving form",
-            });
-        }
         self.plans.push(plan);
         Ok(PlanId(self.plans.len() - 1))
     }
 
     /// Register a compiled decoder model; model requests name it by the
-    /// returned id. [`DecoderModel::new`] already rejected dense-baseline
-    /// plans, so every registered model has a serving form.
+    /// returned id.
     pub fn register_model(&mut self, model: DecoderModel<'p, T>) -> ModelId {
         self.models.push(model);
         ModelId(self.models.len() - 1)
@@ -1549,16 +1546,6 @@ mod tests {
         );
         assert!(s.is_idle(), "rejected requests leave no state behind");
         assert_eq!(s.kv_used_tokens(), 0);
-    }
-
-    #[test]
-    fn dense_plans_cannot_register() {
-        let mut s: Scheduler<'static, f64> =
-            Scheduler::new(AttentionEngine::with_threads(1), ServeConfig::default()).unwrap();
-        assert!(matches!(
-            s.register_plan(AttentionPlan::single(AttentionKernel::Flash).unwrap()),
-            Err(ServeError::BadRequest { .. })
-        ));
     }
 
     /// One uninterrupted 7-prompt, 10-token sequence of either flavor:

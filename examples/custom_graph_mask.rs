@@ -89,9 +89,8 @@ fn main() {
     // Verify against the dense reference on a subsample (full dense check
     // at 4096 is cheap enough too).
     let dense = DenseMask::from_csr(&graph);
-    let reference = engine
-        .run_kernel(AttentionKernel::SdpMasked(&dense), &q, &k, &v)
-        .expect("reference");
+    let reference =
+        masked_sdp(engine.pool(), &dense, &q, &k, &v, &engine.options()).expect("reference");
     println!(
         "matches dense masked-SDP reference: {} (max |Δ| = {:.2e})",
         paper_allclose(&out, &reference),

@@ -75,14 +75,17 @@ fn main() {
         composed.rows()
     );
 
-    // Dense baseline on the same layer for the speed comparison.
-    let flash_plan = engine
-        .compile(&[AttentionKernel::Flash])
-        .expect("flash plan");
+    // Dense baseline on the same layer for the speed comparison: the same
+    // projections around FlashAttention, a plain function run per head.
     let t = Instant::now();
-    let dense_out = layer
-        .forward_on(&engine, &flash_plan, &x)
-        .expect("dense forward");
+    let (qh, kh, vh) = layer.project_qkv(&x);
+    let dense_heads: Vec<Matrix<f32>> = (0..heads)
+        .map(|h| {
+            flash_attention(engine.pool(), &qh[h], &kh[h], &vh[h], &engine.options())
+                .expect("dense head")
+        })
+        .collect();
+    let dense_out = layer.combine_heads(&dense_heads);
     let dense_time = t.elapsed().as_secs_f64();
     println!("dense FlashAttention layer: {dense_time:.3} s");
 

@@ -48,11 +48,10 @@ fn main() {
     );
 
     // 6. Verify against the dense masked-SDP reference (paper Sec. V-A).
+    //    The baseline is a plain function on the engine's pool, not a plan.
     let dense = DenseMask::from_csr(&csr);
-    let sdp_plan = engine
-        .compile(&[AttentionKernel::SdpMasked(&dense)])
-        .expect("valid plan");
-    let reference = engine.run(&sdp_plan, &q, &k, &v).expect("valid inputs");
+    let reference =
+        masked_sdp(engine.pool(), &dense, &q, &k, &v, &engine.options()).expect("valid inputs");
     println!(
         "matches dense reference: {}  (max |Δ| = {:.2e})",
         paper_allclose(&output, &reference),

@@ -69,9 +69,7 @@
 //!
 //! // The graph kernel matches the dense masked-SDP baseline.
 //! let dense = DenseMask::from_csr(&mask);
-//! let reference = engine
-//!     .run_kernel(AttentionKernel::SdpMasked(&dense), &q, &k, &v)
-//!     .unwrap();
+//! let reference = masked_sdp(engine.pool(), &dense, &q, &k, &v, &engine.options()).unwrap();
 //! assert!(paper_allclose(&out, &reference));
 //!
 //! // Serving geometry: chunked prefill fills a KV cache (bitwise equal to

@@ -4,7 +4,7 @@
 //! benchmark methodology silently relies on.
 
 use graph_attention::core::{
-    AttentionEngine, AttentionKernel, AttentionPlan, AttentionRequest, KernelOptions,
+    flash_attention, masked_sdp, AttentionEngine, AttentionKernel, AttentionPlan,
 };
 use graph_attention::masks::{MaskPattern, RandomUniform};
 use graph_attention::model::{DecoderModel, LayerPattern};
@@ -93,13 +93,15 @@ fn outputs_bitwise_identical_across_schedules() {
     let l = 256;
     let (q, k, v) = qkv::<f32>(l, 16, 8);
     let mask = RandomUniform::new(l, 0.1, 3).to_csr();
-    let engine = AttentionEngine::with_threads(4);
-    let plan = engine.compile(&[AttentionKernel::Csr(&mask)]).unwrap();
-    let request = [AttentionRequest::new(&q, &k, &v)];
+    let plan = AttentionPlan::single(AttentionKernel::Csr(&mask)).unwrap();
+    // Launch policy lives on the engine: one engine per schedule.
     let run = |schedule| {
-        let opts = KernelOptions::new().with_schedule(schedule);
-        let mut outs = engine.run_batch_with(&plan, &opts, &request).unwrap();
-        outs.pop().unwrap()
+        AttentionEngine::builder()
+            .threads(4)
+            .schedule(schedule)
+            .build()
+            .run(&plan, &q, &k, &v)
+            .unwrap()
     };
 
     let schedules = [
@@ -147,11 +149,10 @@ fn repeated_runs_identical() {
     let (q, k, v) = qkv::<f32>(l, 8, 4);
     let engine = AttentionEngine::with_threads(4);
     let mask = RandomUniform::new(l, 0.2, 7).to_dense();
-    let sdp = AttentionKernel::SdpMasked(&mask);
-    let a = engine.run_kernel(sdp, &q, &k, &v).unwrap();
+    let sdp = || masked_sdp(engine.pool(), &mask, &q, &k, &v, &engine.options()).unwrap();
+    let a = sdp();
     for _ in 0..3 {
-        let b = engine.run_kernel(sdp, &q, &k, &v).unwrap();
-        assert_eq!(a.as_slice(), b.as_slice());
+        assert_eq!(a.as_slice(), sdp().as_slice());
     }
 }
 
@@ -435,9 +436,8 @@ fn flash_identical_across_threads() {
     let l = 160;
     let (q, k, v) = qkv::<f32>(l, 16, 6);
     let on = |threads| {
-        AttentionEngine::with_threads(threads)
-            .run_kernel(AttentionKernel::Flash, &q, &k, &v)
-            .unwrap()
+        let engine = AttentionEngine::with_threads(threads);
+        flash_attention(engine.pool(), &q, &k, &v, &engine.options()).unwrap()
     };
     let (reference, out) = (on(1), on(6));
     assert_eq!(out.as_slice(), reference.as_slice());

@@ -111,9 +111,8 @@ proptest! {
             let plan = e.compile(std::slice::from_ref(kernel)).unwrap();
             let what = if plan.routed_full_kv() { "Routed/full" } else { kernel.name() };
             let square = e.run(&plan, &q, &k, &v).unwrap();
-            let reference = e
-                .run_kernel(AttentionKernel::SdpMasked(&DenseMask::from_csr(square_csr)), &q, &k, &v)
-                .unwrap();
+            let dense = DenseMask::from_csr(square_csr);
+            let reference = masked_sdp(e.pool(), &dense, &q, &k, &v, &e.options()).unwrap();
             prop_assert!(paper_allclose(&square, &reference), "{} vs masked SDP", what);
 
             // The mid-sequence window and the decode row, in one launch.

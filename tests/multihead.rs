@@ -6,7 +6,7 @@ use graph_attention::core::{
     masked_sdp, AttentionEngine, AttentionKernel, AttentionRequest, KernelOptions,
     MultiHeadAttention,
 };
-use graph_attention::masks::{longformer, GlobalSet, MaskPattern};
+use graph_attention::masks::{longformer, MaskPattern};
 use graph_attention::tensor::{init, paper_allclose, Matrix};
 
 #[test]
@@ -56,18 +56,28 @@ fn layer_forward_same_mask_same_result_via_any_kernel() {
     let layer: MultiHeadAttention<f64> = MultiHeadAttention::new_random(32, 4, 8, 17);
     let x = init::gaussian_matrix(l, 32, 0.7, 23);
 
-    let globals = GlobalSet::new(l, vec![0, 24]);
     let union = longformer(l, 3, vec![0, 24]).to_csr();
     let dense = longformer(l, 3, vec![0, 24]).to_dense();
 
-    let forward = |kernel: AttentionKernel<'_>| {
-        let plan = engine.compile(&[kernel]).unwrap();
-        layer.forward_on(&engine, &plan, &x).unwrap()
-    };
-    let via_csr = forward(AttentionKernel::Csr(&union));
-    let via_sdp = forward(AttentionKernel::SdpMasked(&dense));
+    let plan = engine.compile(&[AttentionKernel::Csr(&union)]).unwrap();
+    let via_csr = layer.forward_on(&engine, &plan, &x).unwrap();
+    // The reference: the same projections around the dense baseline.
+    let (qh, kh, vh) = layer.project_qkv(&x);
+    let heads: Vec<Matrix<f64>> = (0..layer.heads())
+        .map(|h| {
+            masked_sdp(
+                engine.pool(),
+                &dense,
+                &qh[h],
+                &kh[h],
+                &vh[h],
+                &engine.options(),
+            )
+            .unwrap()
+        })
+        .collect();
+    let via_sdp = layer.combine_heads(&heads);
     assert!(paper_allclose(&via_csr, &via_sdp));
-    let _ = globals;
 }
 
 #[test]

@@ -3,7 +3,9 @@
 //! `O(Sf·L²·d)` and not an operation more — while the dense baselines
 //! always perform `L²`.
 
-use graph_attention::core::{AttentionEngine, AttentionKernel, CooSearch};
+use graph_attention::core::{
+    flash_attention, masked_sdp, AttentionEngine, AttentionKernel, CooSearch,
+};
 use graph_attention::masks::{
     Dilated1d, Dilated2d, GlobalMinusLocal, GlobalSet, LocalWindow, LongNetPattern, MaskPattern,
     RandomUniform,
@@ -104,16 +106,23 @@ fn implicit_kernels_match_their_closed_form_nnz() {
 fn dense_baselines_always_do_quadratic_work() {
     let l = 48;
     let engine = counting_engine();
+    let (q, k, v) = qkv::<f32>(l, 8, 3);
+    // The baselines are functions; the engine's options carry its counter.
+    let dots = |run: &dyn Fn()| {
+        engine.reset_work();
+        run();
+        engine.work_report().unwrap().dot_products
+    };
     // Even with a nearly-empty mask, SDP computes L² dot products.
     let sparse_mask = LocalWindow::new(l, 0).to_dense();
-    assert_eq!(
-        dot_count(&engine, &AttentionKernel::SdpMasked(&sparse_mask), l),
-        (l * l) as u64
-    );
-    assert_eq!(
-        dot_count(&engine, &AttentionKernel::Flash, l),
-        (l * l) as u64
-    );
+    let sdp = || {
+        masked_sdp(engine.pool(), &sparse_mask, &q, &k, &v, &engine.options()).unwrap();
+    };
+    assert_eq!(dots(&sdp), (l * l) as u64);
+    let flash = || {
+        flash_attention(engine.pool(), &q, &k, &v, &engine.options()).unwrap();
+    };
+    assert_eq!(dots(&flash), (l * l) as u64);
 }
 
 #[test]
