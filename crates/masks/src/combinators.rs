@@ -4,33 +4,50 @@
 //! `local ∪ global`, BigBird adds `∪ random` (Fig. 2). Combinators keep
 //! composition at the *pattern* level so `contains`/`append_row` stay
 //! implicit; materialization to CSR happens once, at the end, if an
-//! explicit kernel needs it.
+//! explicit kernel needs it. Every combinator builds a row by merging its
+//! operands' sorted rows, never by probing cells, so it costs the sum of
+//! their row lengths.
 
 use crate::pattern::MaskPattern;
 use gpa_sparse::Idx;
 
-/// Merge two sorted-unique neighbor lists (union).
-fn merge_union(a: &[Idx], b: &[Idx], out: &mut Vec<Idx>) {
+/// Merge two sorted-unique neighbor lists into `out`, keeping a column by
+/// where it occurs: `keep(in_a, in_b)` — `O(|a| + |b|)`.
+fn merge(a: &[Idx], b: &[Idx], keep: impl Fn(bool, bool) -> bool, out: &mut Vec<Idx>) {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
+        let (c, in_a, in_b) = match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => (a[i], true, false),
+            std::cmp::Ordering::Greater => (b[j], false, true),
+            std::cmp::Ordering::Equal => (a[i], true, true),
+        };
+        if keep(in_a, in_b) {
+            out.push(c);
         }
+        i += usize::from(in_a);
+        j += usize::from(in_b);
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    if keep(true, false) {
+        out.extend_from_slice(&a[i..]);
+    }
+    if keep(false, true) {
+        out.extend_from_slice(&b[j..]);
+    }
+}
+
+/// Row `i` of `a` and row `i` of `b`, merged by `keep`.
+fn merge_rows(
+    a: &impl MaskPattern,
+    b: &impl MaskPattern,
+    i: usize,
+    keep: impl Fn(bool, bool) -> bool,
+    out: &mut Vec<Idx>,
+) {
+    let mut ra = Vec::new();
+    let mut rb = Vec::new();
+    a.append_row(i, &mut ra);
+    b.append_row(i, &mut rb);
+    merge(&ra, &rb, keep, out);
 }
 
 /// Union of two patterns: `A(i,j) ∨ B(i,j)`.
@@ -64,11 +81,7 @@ impl<A: MaskPattern, B: MaskPattern> MaskPattern for Union<A, B> {
     }
 
     fn append_row(&self, i: usize, out: &mut Vec<Idx>) {
-        let mut ra = Vec::new();
-        let mut rb = Vec::new();
-        self.a.append_row(i, &mut ra);
-        self.b.append_row(i, &mut rb);
-        merge_union(&ra, &rb, out);
+        merge_rows(&self.a, &self.b, i, |x, y| x || y, out);
     }
 }
 
@@ -103,9 +116,7 @@ impl<A: MaskPattern, B: MaskPattern> MaskPattern for Intersection<A, B> {
     }
 
     fn append_row(&self, i: usize, out: &mut Vec<Idx>) {
-        let mut ra = Vec::new();
-        self.a.append_row(i, &mut ra);
-        out.extend(ra.into_iter().filter(|&j| self.b.contains(i, j as usize)));
+        merge_rows(&self.a, &self.b, i, |x, y| x && y, out);
     }
 }
 
@@ -140,9 +151,7 @@ impl<A: MaskPattern, B: MaskPattern> MaskPattern for Difference<A, B> {
     }
 
     fn append_row(&self, i: usize, out: &mut Vec<Idx>) {
-        let mut ra = Vec::new();
-        self.a.append_row(i, &mut ra);
-        out.extend(ra.into_iter().filter(|&j| !self.b.contains(i, j as usize)));
+        merge_rows(&self.a, &self.b, i, |x, y| x && !y, out);
     }
 }
 
@@ -196,7 +205,7 @@ impl MaskPattern for UnionAll {
             part_row.clear();
             p.append_row(i, &mut part_row);
             merged.clear();
-            merge_union(&acc, &part_row, &mut merged);
+            merge(&acc, &part_row, |x, y| x || y, &mut merged);
             std::mem::swap(&mut acc, &mut merged);
         }
         out.extend_from_slice(&acc);
@@ -244,6 +253,17 @@ mod tests {
             Intersection::new(Causal::new(14), LocalWindow::new(14, 3)),
         );
         assert_eq!(re_union.to_csr(), Causal::new(14).to_csr());
+        // With a sampled operand on either side.
+        let random = || RandomUniform::new(14, 0.3, 1);
+        check_pattern_laws(&Intersection::new(random(), LocalWindow::new(14, 3)));
+        check_pattern_laws(&Difference::new(LocalWindow::new(14, 3), random()));
+        let d = Difference::new(random(), LocalWindow::new(14, 3)).to_csr();
+        assert_eq!(
+            d,
+            random()
+                .to_csr()
+                .difference(&LocalWindow::new(14, 3).to_csr())
+        );
     }
 
     #[test]

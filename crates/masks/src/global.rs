@@ -182,13 +182,9 @@ impl MaskPattern for GlobalMinusLocal {
             out.extend((hi + 1..l).map(|j| j as Idx));
         } else {
             // Non-global row: global columns outside the window.
-            out.extend(
-                self.globals
-                    .indices()
-                    .iter()
-                    .copied()
-                    .filter(|&g| (g as usize) < lo || (g as usize) > hi),
-            );
+            let g = self.globals.indices();
+            out.extend_from_slice(&g[..g.partition_point(|&c| (c as usize) < lo)]);
+            out.extend_from_slice(&g[g.partition_point(|&c| (c as usize) <= hi)..]);
         }
     }
 }

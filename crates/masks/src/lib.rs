@@ -47,6 +47,67 @@ pub use solve::{
 };
 
 #[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The cost law at scale: every sub-quadratic pattern, preset and
+    /// combinator materializes at `L = 2²⁰` with at most `4·L` edges. A row
+    /// rule that scanned its `L` columns would visit 10¹² cells here and
+    /// never finish.
+    #[test]
+    fn to_csr_is_work_optimal_at_a_million_tokens() {
+        let l = 1 << 20;
+        let (g, p) = (|| GlobalSet::new(l, vec![0]), 1.0 / l as f64);
+        let patterns: Vec<(&str, Box<dyn MaskPattern>)> = vec![
+            ("local", Box::new(LocalWindow::new(l, 1))),
+            ("dilated1d", Box::new(Dilated1d::new(l, 3, 1))),
+            ("dilated2d", Box::new(Dilated2d::new(l, 4, 1))),
+            ("global", Box::new(GlobalMask::new(g()))),
+            (
+                "global-minus-local",
+                Box::new(GlobalMinusLocal::new(g(), 1)),
+            ),
+            ("random-uniform", Box::new(RandomUniform::new(l, p, 1))),
+            ("random-per-row", Box::new(RandomPerRow::new(l, 2, 1))),
+            ("block-diagonal", Box::new(BlockDiagonal::new(l, 4))),
+            ("causal-local", Box::new(CausalLocal::new(l, 2))),
+            ("longformer", Box::new(longformer(l, 0, vec![0]))),
+            (
+                "longformer-dilated",
+                Box::new(longformer_dilated(l, 1, 1, Vec::new())),
+            ),
+            ("bigbird", Box::new(bigbird(l, 0, vec![0], p / 2.0, 1))),
+            ("longnet", Box::new(LongNetPattern::new(l, 2, 2))),
+            (
+                "intersection",
+                Box::new(Intersection::new(
+                    LocalWindow::new(l, 1),
+                    RandomUniform::new(l, p, 2),
+                )),
+            ),
+            (
+                "difference",
+                Box::new(Difference::new(
+                    BlockDiagonal::new(l, 4),
+                    LocalWindow::new(l, 1),
+                )),
+            ),
+            (
+                "union",
+                Box::new(Union::new(
+                    CausalLocal::new(l, 1),
+                    RandomUniform::new(l, p, 3),
+                )),
+            ),
+        ];
+        for (name, pattern) in patterns {
+            let nnz = pattern.to_csr().nnz();
+            assert!((1..=4 * l).contains(&nnz), "{name}: nnz = {nnz}");
+        }
+    }
+}
+
+#[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;

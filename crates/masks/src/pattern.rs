@@ -19,6 +19,16 @@ use gpa_sparse::{CooMask, CsrMask, DenseMask, Idx};
 /// 1. `append_row(i)` yields exactly `{ j | contains(i, j) }`, sorted
 ///    ascending;
 /// 2. `nnz()` equals the sum of row lengths.
+///
+/// and one cost law, which every pattern and combinator in this crate
+/// keeps:
+///
+/// 3. `append_row(i)` runs in `O(1 + d)` for a row of `d` edges (times the
+///    operand count for a combinator, and `log d` more for a row drawn out
+///    of order and sorted); no row rule scans the `L` columns. So
+///    [`MaskPattern::to_csr`] runs in `O(L + nnz)`, the work-optimality
+///    the kernels have. `contains` makes no such promise: a sampled
+///    pattern re-draws the row to answer it.
 pub trait MaskPattern: Send + Sync {
     /// Context length `L` (masks are square: queries × keys).
     fn context_len(&self) -> usize;

@@ -834,7 +834,7 @@ impl<'p, T: Real> Scheduler<'p, T> {
             (Kv::None, Inputs::Plan { plan, q, k, v, .. }) => {
                 let tokens = s.cached(s.done);
                 let mut cache = KvCache::single(q.cols(), v.cols());
-                cache.extend(0, &k.rows_slice(0, tokens), &v.rows_slice(0, tokens));
+                cache.extend_rows(0, k, v, 0..tokens);
                 if let Some(spec) = self.plans[*plan].routing_spec() {
                     cache
                         .extend_routing(spec, 0, &q.rows_slice(0, tokens))
