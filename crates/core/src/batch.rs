@@ -59,11 +59,15 @@ pub struct AttentionRequest<'a, T> {
     /// Query matrix, `dk` wide. The request computes its rows
     /// `q_start .. q_start + geometry.q_rows`.
     pub q: &'a Matrix<T>,
-    /// Key matrix, `geometry.kv_rows × dk`.
+    /// Key matrix, `dk` wide. The request attends over its first
+    /// `geometry.kv_rows` rows.
     pub k: &'a Matrix<T>,
-    /// Value matrix, `geometry.kv_rows × dv`.
+    /// Value matrix, `dv` wide, with as many rows as `k`.
     pub v: &'a Matrix<T>,
-    /// The query window this request computes.
+    /// The query window this request computes. Every constructor sets
+    /// `kv_rows` to `K`'s row count; a caller that keeps a sequence's
+    /// whole K/V and attends over a prefix of it lowers `kv_rows` instead
+    /// of copying the prefix out.
     pub geometry: Geometry,
     /// Row of `q` holding the window's first query — `0` unless the
     /// request was built with [`AttentionRequest::row_range`].
@@ -168,7 +172,7 @@ fn validate_routing<T: Real>(
         // A noncausal routed step streams whole groups, so the routing
         // must cover the key/value set exactly — no more (stale members
         // past the KV set would be out of bounds), no fewer.
-        if routing.len() != r.k.rows() {
+        if routing.len() != r.geometry.kv_rows {
             return Err(AttnError::RoutingMismatch {
                 what: "a noncausal routed plan needs routing over the exact key/value set",
             });
@@ -318,7 +322,7 @@ fn launch_rows<T: Real>(
                 Some(s) => T::from_f64(s),
                 None => attention_scale(r.q.cols()),
             },
-            kv_len: r.k.rows(),
+            kv_len: r.geometry.kv_rows,
             routing: r.routing,
         })
         .collect();
@@ -649,6 +653,45 @@ mod tests {
             execute_batch(&p, &plan, &opts, &in_place).unwrap(),
             execute_batch(&p, &plan, &opts, &copied).unwrap()
         );
+    }
+
+    #[test]
+    fn a_kv_prefix_is_the_copied_prefix_without_the_copy() {
+        let p = pool();
+        let opts = KernelOptions::new();
+        let plan = AttentionPlan::single(AttentionKernel::Local { n: 3 }).unwrap();
+        let (q, k, v) = qkv::<f64>(30, 4, 94);
+        // A 12-row prefill window over the first 20 keys, and the decode
+        // row of token 24 over the first 25.
+        let (k20, v20) = (k.rows_slice(0, 20), v.rows_slice(0, 20));
+        let (k25, v25) = (k.rows_slice(0, 25), v.rows_slice(0, 25));
+        let copied = [
+            AttentionRequest::row_range(&q, 8..20, &k20, &v20, 8),
+            AttentionRequest::row_range(&q, 24..25, &k25, &v25, 24),
+        ];
+        let mut in_place = [
+            AttentionRequest::row_range(&q, 8..20, &k, &v, 8),
+            AttentionRequest::row_range(&q, 24..25, &k, &v, 24),
+        ];
+        in_place[0].geometry.kv_rows = 20;
+        in_place[1].geometry.kv_rows = 25;
+        assert_eq!(in_place[1].geometry, Geometry::decode(25));
+        assert_eq!(
+            execute_batch(&p, &plan, &opts, &in_place).unwrap(),
+            execute_batch(&p, &plan, &opts, &copied).unwrap()
+        );
+        // Past K's rows, or over K and V of different lengths: rejected.
+        let mut past = in_place[0];
+        past.geometry.kv_rows = 31;
+        let short_v = v.rows_slice(0, 29);
+        let mut unequal = AttentionRequest::row_range(&q, 8..20, &k, &short_v, 8);
+        unequal.geometry.kv_rows = 20;
+        for bad in [past, unequal] {
+            assert!(matches!(
+                execute_batch(&p, &plan, &opts, &[bad]),
+                Err(AttnError::ContextLengthMismatch { .. })
+            ));
+        }
     }
 
     #[test]

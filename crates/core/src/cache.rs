@@ -13,7 +13,6 @@
 use crate::error::AttnError;
 use crate::routing::{RoutedSpec, Routing};
 use gpa_tensor::{Matrix, Real, F16};
-use std::ops::Range;
 
 /// Storage precision of a [`KvCache`].
 ///
@@ -176,31 +175,17 @@ impl<T: Real> KvCache<T> {
     /// fill path.
     ///
     /// # Panics
-    /// Panics if `k`/`v` disagree on rows or do not match `dk`/`dv` (both
+    /// Panics if `k`/`v` disagree on rows or do not match `dk`/`dv` (all
     /// checked before any mutation).
     pub fn extend(&mut self, head: usize, k: &Matrix<T>, v: &Matrix<T>) {
         assert_eq!(k.rows(), v.rows(), "K/V row counts differ");
-        self.extend_rows(head, k, v, 0..k.rows());
-    }
-
-    /// Bulk-append rows `rows` of `k` and `v` to head `head`, copying them
-    /// once, straight out of the inputs.
-    ///
-    /// # Panics
-    /// Panics if `rows` is out of bounds for `k` or `v`, or `k`/`v` do not
-    /// match `dk`/`dv` (all checked before any mutation).
-    pub fn extend_rows(&mut self, head: usize, k: &Matrix<T>, v: &Matrix<T>, rows: Range<usize>) {
-        assert!(
-            rows.end <= k.rows().min(v.rows()),
-            "rows {rows:?} out of bounds for K/V"
-        );
         let precision = self.precision;
         let (ck, cv) = &mut self.heads[head];
         assert_eq!(k.cols(), ck.cols(), "key width mismatch");
         assert_eq!(v.cols(), cv.cols(), "value width mismatch");
-        ck.reserve_rows(rows.len());
-        cv.reserve_rows(rows.len());
-        for i in rows {
+        ck.reserve_rows(k.rows());
+        cv.reserve_rows(k.rows());
+        for i in 0..k.rows() {
             ck.push_row(k.row(i));
             cv.push_row(v.row(i));
             if precision == KvPrecision::F16 {
@@ -387,23 +372,10 @@ mod tests {
     }
 
     #[test]
-    fn extend_rows_matches_extend_of_the_slice() {
-        let (_, k, v) = qkv::<f32>(9, 4, 13);
-        for precision in [KvPrecision::Native, KvPrecision::F16] {
-            let mut direct: KvCache<f32> = KvCache::with_precision(1, 4, 4, precision);
-            direct.extend_rows(0, &k, &v, 2..7);
-            let mut sliced: KvCache<f32> = KvCache::with_precision(1, 4, 4, precision);
-            sliced.extend(0, &k.rows_slice(2, 7), &v.rows_slice(2, 7));
-            assert_eq!(direct.k(0), sliced.k(0));
-            assert_eq!(direct.v(0), sliced.v(0));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn extend_rows_rejects_rows_past_the_inputs() {
+    #[should_panic(expected = "K/V row counts differ")]
+    fn extend_rejects_k_and_v_of_different_lengths() {
         let (_, k, v) = qkv::<f32>(3, 2, 1);
-        KvCache::single(2, 2).extend_rows(0, &k, &v, 1..4);
+        KvCache::single(2, 2).extend(0, &k, &v.rows_slice(0, 2));
     }
 
     #[test]

@@ -26,11 +26,17 @@ use crate::error::AttnError;
 /// key/value set of `kv_rows` rows. The implicit kernels interpret their
 /// mask rule over the logical `kv_rows × kv_rows` square and evaluate only
 /// the rows `q_offset .. q_offset + q_rows` of it.
+///
+/// `kv_rows` may be fewer than the rows of the `K`/`V` a request borrows:
+/// the request then attends over their first `kv_rows` rows and never
+/// reads past them. A serving loop that keeps a sequence's whole K/V
+/// attends over its cached prefix this way, with no copy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Geometry {
     /// Number of query rows in this window (output rows of the launch).
     pub q_rows: usize,
-    /// Number of key/value rows — the context length of the logical mask.
+    /// Number of key/value rows — the context length of the logical mask,
+    /// and the prefix of the request's `K`/`V` that it attends over.
     pub kv_rows: usize,
     /// Absolute index of the first query row within the logical sequence.
     pub q_offset: usize,

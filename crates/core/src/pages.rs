@@ -19,22 +19,28 @@
 //! scheduler that oversubscribes recovers by releasing a victim's pages
 //! (evict-and-recompute; see `gpa-serve`).
 //!
-//! Physically, each sequence's K/V rows stay in one contiguous
-//! [`KvCache`] — the page table governs *capacity*, not data layout, so
-//! kernels keep borrowing whole `K`/`V` matrices with zero copies and the
-//! library's bitwise guarantees are untouched. Page ids are still real:
-//! finite, conserved (`free + mapped == total`, asserted by
+//! The page table governs *capacity*, not data layout. A decoder layer's
+//! K/V rows are computed as the sequence advances, so they stay in one
+//! contiguous [`KvCache`] per pool entry. A request that brings its own
+//! K/V rows needs no cache at all: its entry is a **reservation**
+//! ([`PagePool::try_reserve`]) that only counts tokens, grown one page
+//! grant per decode row ([`PagePool::try_grant`]), while kernels attend
+//! over the first `kv_rows` rows of the request's own `K`/`V`. Either way
+//! kernels borrow whole matrices with zero copies and the library's
+//! bitwise guarantees are untouched. Page ids are still real: finite,
+//! conserved (`free + mapped == total`, asserted by
 //! [`PagePool::assert_page_invariants`]), and never double-mapped.
 //!
 //! **Evict-and-swap** rides behind that same accounting layer: a
-//! [`SwapArena`] is the host-side parking lot for evicted caches. Instead
-//! of dropping a victim's cache and rebuilding it row by row on resume
-//! (evict-and-recompute, `O(context)`), a scheduler releases the victim's
-//! pages and [`SwapArena::try_park`]s the whole per-layer cache stack —
-//! K/V rows, f16 payloads, and routing state move as-is, `O(1)` in
-//! context length. Resume is [`SwapArena::take`] + [`PagePool::try_adopt`]
-//! (all-or-nothing), splicing the identical bytes back under a fresh page
-//! table. Arena capacity is accounted in **bytes**
+//! [`SwapArena`] is the host-side parking lot for evicted caches (a
+//! reservation has nothing to park: its rows never left their owner).
+//! Instead of dropping a victim's cache and rebuilding it row by row on
+//! resume (evict-and-recompute, `O(context)`), a scheduler releases the
+//! victim's pages and [`SwapArena::try_park`]s the whole per-layer cache
+//! stack — K/V rows, f16 payloads, and routing state move as-is, `O(1)`
+//! in context length. Resume is [`SwapArena::take`] +
+//! [`PagePool::try_adopt`] (all-or-nothing), splicing the identical bytes
+//! back under a fresh page table. Arena capacity is accounted in **bytes**
 //! ([`KvCache::kv_bytes`]), parking is all-or-nothing, and conservation
 //! extends across both structures: every cached token is either pool-paged
 //! or arena-parked, never both, never lost
@@ -49,30 +55,65 @@ use gpa_tensor::{Matrix, Real};
 
 /// Opaque handle to one live sequence in a [`PagePool`].
 ///
-/// Handles are invalidated by [`PagePool::release`]; using a released
-/// handle panics (sequence indices are recycled, so a stale handle is a
-/// logic error, not a recoverable condition).
+/// Handles are invalidated by [`PagePool::release`] (or
+/// [`PagePool::release_reserved`]); using a released handle panics
+/// (sequence indices are recycled, so a stale handle is a logic error,
+/// not a recoverable condition).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SeqId {
     index: usize,
     generation: u64,
 }
 
+/// What a pool entry holds: the sequence's K/V rows, or only a count of
+/// tokens whose rows its caller keeps.
+enum Held<T> {
+    Cache(KvCache<T>),
+    Tokens(usize),
+}
+
 struct PagedSeq<T> {
-    cache: KvCache<T>,
+    held: Held<T>,
     /// Physical page ids backing this sequence, in logical order; always
-    /// exactly `ceil(cache.len() / page_size)` entries between calls.
+    /// exactly `ceil(tokens / page_size)` entries between calls.
     pages: Vec<usize>,
     generation: u64,
 }
 
+impl<T: Real> PagedSeq<T> {
+    /// Tokens this entry accounts: its cache's length, or its count.
+    fn tokens(&self) -> usize {
+        match &self.held {
+            Held::Cache(cache) => cache.len(),
+            Held::Tokens(tokens) => *tokens,
+        }
+    }
+
+    fn cache(&self) -> &KvCache<T> {
+        match &self.held {
+            Held::Cache(cache) => cache,
+            Held::Tokens(_) => panic!("a reserved entry holds no cache"),
+        }
+    }
+
+    fn cache_mut(&mut self) -> &mut KvCache<T> {
+        match &mut self.held {
+            Held::Cache(cache) => cache,
+            Held::Tokens(_) => panic!("a reserved entry holds no cache"),
+        }
+    }
+}
+
 /// A pool of per-sequence [`KvCache`]s under block-paged allocation.
 ///
-/// A pool entry is one growable cache: single-head for the engine's bare
-/// serving decode surface ([`Self::allocate`]), or multi-head for one
-/// decoder-stack *layer* ([`Self::allocate_heads`] — a model holds one
-/// entry per layer, so page budgets count every layer). Pages account
-/// cached **tokens**; head count, like `dk`, only widens the rows.
+/// A pool entry is one growable cache — single-head ([`Self::allocate`])
+/// or multi-head for one decoder-stack *layer* ([`Self::allocate_heads`];
+/// a model holds one entry per layer, so page budgets count every layer)
+/// — or a **reservation** ([`Self::try_reserve`]): a count of tokens whose
+/// K/V rows the caller keeps, such as a request's own input rows. Pages
+/// account **tokens** either way; head count, like `dk`, only widens the
+/// rows, and a reservation of `n` tokens costs what a cache of length `n`
+/// costs.
 ///
 /// ```
 /// use gpa_core::PagePool;
@@ -143,7 +184,7 @@ impl<T: Real> PagePool<T> {
 
     /// Tokens actually cached right now, summed across live sequences.
     pub fn used_tokens(&self) -> usize {
-        self.seqs.iter().flatten().map(|s| s.cache.len()).sum()
+        self.seqs.iter().flatten().map(PagedSeq::tokens).sum()
     }
 
     /// Number of live sequences.
@@ -161,7 +202,7 @@ impl<T: Real> PagePool<T> {
     /// costs nothing — pages are taken only when appends need them — so
     /// this cannot fail.
     pub fn allocate(&mut self, dk: usize, dv: usize) -> SeqId {
-        self.install(KvCache::single(dk, dv), Vec::new())
+        self.install(Held::Cache(KvCache::single(dk, dv)), Vec::new())
     }
 
     /// Admit a multi-head sequence — one model *layer*'s cache in a
@@ -170,7 +211,7 @@ impl<T: Real> PagePool<T> {
     /// (the cache length); the head count is a row-width multiplier, like
     /// `dk`, and does not change the page arithmetic.
     pub fn allocate_heads(&mut self, heads: usize, dk: usize, dv: usize) -> SeqId {
-        self.install(KvCache::new(heads, dk, dv), Vec::new())
+        self.install(Held::Cache(KvCache::new(heads, dk, dv)), Vec::new())
     }
 
     /// Adopt an already-populated cache (e.g. one retained by a preempted
@@ -178,22 +219,39 @@ impl<T: Real> PagePool<T> {
     /// cache untouched when the free list cannot cover it — the all-or-
     /// nothing resume path.
     pub fn try_adopt(&mut self, cache: KvCache<T>) -> Result<SeqId, KvCache<T>> {
-        let needed = cache.len().div_ceil(self.page_size);
-        if needed > self.free.len() {
-            return Err(cache);
+        match self.take_pages(cache.len()) {
+            Some(pages) => Ok(self.install(Held::Cache(cache), pages)),
+            None => Err(cache),
         }
-        let mut pages = Vec::with_capacity(needed);
-        for _ in 0..needed {
-            pages.push(self.free.pop().expect("counted above"));
-        }
-        Ok(self.install(cache, pages))
     }
 
-    fn install(&mut self, cache: KvCache<T>, pages: Vec<usize>) -> SeqId {
+    /// Admit a sequence whose K/V rows the caller keeps: an entry that
+    /// counts `tokens` tokens and maps the pages they occupy, holding no
+    /// rows. All-or-nothing: `None`, with nothing taken, when the free list
+    /// cannot cover them. The entry grows by [`Self::try_grant`] and
+    /// shrinks by [`Self::truncate`]; it has no [`Self::cache`], and
+    /// [`Self::release_reserved`] gives it back.
+    pub fn try_reserve(&mut self, tokens: usize) -> Option<SeqId> {
+        let pages = self.take_pages(tokens)?;
+        Some(self.install(Held::Tokens(tokens), pages))
+    }
+
+    /// The pages `tokens` tokens occupy, off the free list — or `None`,
+    /// taking nothing, when it is too short.
+    fn take_pages(&mut self, tokens: usize) -> Option<Vec<usize>> {
+        let needed = tokens.div_ceil(self.page_size);
+        if needed > self.free.len() {
+            return None;
+        }
+        let at = self.free.len() - needed;
+        Some(self.free.drain(at..).rev().collect())
+    }
+
+    fn install(&mut self, held: Held<T>, pages: Vec<usize>) -> SeqId {
         let generation = self.next_generation;
         self.next_generation += 1;
         let seq = PagedSeq {
-            cache,
+            held,
             pages,
             generation,
         };
@@ -227,7 +285,7 @@ impl<T: Real> PagePool<T> {
     /// # Panics
     /// Panics on a released or stale handle.
     pub fn cache(&self, id: SeqId) -> &KvCache<T> {
-        &self.seq(id).cache
+        self.seq(id).cache()
     }
 
     /// Pages currently mapped by the sequence's page table.
@@ -275,11 +333,11 @@ impl<T: Real> PagePool<T> {
     /// Panics on a released or stale handle, or on `k`/`v` shape
     /// mismatches (as [`KvCache::extend`]).
     pub fn try_extend(&mut self, id: SeqId, k: &Matrix<T>, v: &Matrix<T>) -> bool {
-        let tokens = self.seq(id).cache.len() + k.rows();
+        let tokens = self.seq(id).cache().len() + k.rows();
         if !self.grow_to(id.index, tokens) {
             return false;
         }
-        self.seq_mut(id).cache.extend(0, k, v);
+        self.seq_mut(id).cache_mut().extend(0, k, v);
         true
     }
 
@@ -291,11 +349,11 @@ impl<T: Real> PagePool<T> {
     /// Panics on a released or stale handle, or on row-width mismatches
     /// (as [`KvCache::append`]).
     pub fn try_append(&mut self, id: SeqId, k_row: &[T], v_row: &[T]) -> bool {
-        let tokens = self.seq(id).cache.len() + 1;
+        let tokens = self.seq(id).cache().len() + 1;
         if !self.grow_to(id.index, tokens) {
             return false;
         }
-        self.seq_mut(id).cache.append(0, k_row, v_row);
+        self.seq_mut(id).cache_mut().append(0, k_row, v_row);
         true
     }
 
@@ -309,7 +367,7 @@ impl<T: Real> PagePool<T> {
     /// not match the cache's head count, when the heads disagree on row
     /// count, or on shape mismatches (as [`KvCache::extend`]).
     pub fn try_extend_heads(&mut self, id: SeqId, ks: &[Matrix<T>], vs: &[Matrix<T>]) -> bool {
-        let heads = self.seq(id).cache.heads();
+        let heads = self.seq(id).cache().heads();
         assert_eq!(ks.len(), heads, "one K matrix per head");
         assert_eq!(vs.len(), heads, "one V matrix per head");
         let rows = ks[0].rows();
@@ -317,13 +375,13 @@ impl<T: Real> PagePool<T> {
             ks.iter().chain(vs.iter()).all(|m| m.rows() == rows),
             "heads must gain the same number of tokens"
         );
-        let tokens = self.seq(id).cache.len() + rows;
+        let tokens = self.seq(id).cache().len() + rows;
         if !self.grow_to(id.index, tokens) {
             return false;
         }
-        let seq = self.seq_mut(id);
+        let cache = self.seq_mut(id).cache_mut();
         for (h, (k, v)) in ks.iter().zip(vs).enumerate() {
-            seq.cache.extend(h, k, v);
+            cache.extend(h, k, v);
         }
         true
     }
@@ -346,12 +404,32 @@ impl<T: Real> PagePool<T> {
         head: usize,
         q: &Matrix<T>,
     ) -> Result<(), crate::error::AttnError> {
-        self.seq_mut(id).cache.extend_routing(spec, head, q)
+        self.seq_mut(id).cache_mut().extend_routing(spec, head, q)
     }
 
-    /// Drop every cached token past the first `tokens`, returning the
-    /// pages the shorter length no longer needs to the free list — the
-    /// rollback path when a launch fails after its appends landed.
+    /// Count `tokens` more tokens on a reserved entry, allocating whatever
+    /// pages the new count needs — the page grant that stands in for an
+    /// append when the caller keeps the rows. Atomic: returns false — no
+    /// page taken, nothing counted — when a needed page is not free.
+    ///
+    /// # Panics
+    /// Panics on a released or stale handle, or on an entry that holds a
+    /// cache (its length is its rows').
+    pub fn try_grant(&mut self, id: SeqId, tokens: usize) -> bool {
+        let Held::Tokens(held) = self.seq(id).held else {
+            panic!("only a reserved entry is granted tokens without rows");
+        };
+        if !self.grow_to(id.index, held + tokens) {
+            return false;
+        }
+        self.seq_mut(id).held = Held::Tokens(held + tokens);
+        true
+    }
+
+    /// Drop every token past the first `tokens` — cached rows, or counted
+    /// tokens of a reservation — returning the pages the shorter length no
+    /// longer needs to the free list: the rollback path when a launch fails
+    /// after its appends or grants landed.
     ///
     /// # Panics
     /// Panics on a released or stale handle.
@@ -360,10 +438,13 @@ impl<T: Real> PagePool<T> {
         // and the free list are disjoint fields.
         let _ = self.seq(id);
         let seq = self.seqs[id.index].as_mut().expect("live sequence");
-        if tokens >= seq.cache.len() {
+        if tokens >= seq.tokens() {
             return;
         }
-        seq.cache.truncate(tokens);
+        match &mut seq.held {
+            Held::Cache(cache) => cache.truncate(tokens),
+            Held::Tokens(held) => *held = tokens,
+        }
         let keep = tokens.div_ceil(self.page_size);
         while seq.pages.len() > keep {
             let page = seq.pages.pop().expect("longer than keep");
@@ -375,8 +456,29 @@ impl<T: Real> PagePool<T> {
     /// and the cache (with whatever tokens it still holds) to the caller.
     ///
     /// # Panics
-    /// Panics on a released or stale handle.
+    /// Panics on a released or stale handle, or on a reserved entry
+    /// ([`Self::release_reserved`]).
     pub fn release(&mut self, id: SeqId) -> KvCache<T> {
+        match self.unmap(id) {
+            Held::Cache(cache) => cache,
+            Held::Tokens(_) => panic!("a reserved entry holds no cache"),
+        }
+    }
+
+    /// Release a [reserved](Self::try_reserve) entry, returning every
+    /// mapped page to the free list.
+    ///
+    /// # Panics
+    /// Panics on a released or stale handle, or on an entry that holds a
+    /// cache ([`Self::release`]).
+    pub fn release_reserved(&mut self, id: SeqId) {
+        if let Held::Cache(_) = self.unmap(id) {
+            panic!("a cache entry is released with its cache");
+        }
+    }
+
+    /// Remove an entry, returning its pages to the free list.
+    fn unmap(&mut self, id: SeqId) -> Held<T> {
         let seq = self.seqs[id.index].take().expect("released sequence");
         assert_eq!(seq.generation, id.generation, "stale sequence handle");
         // Pop from the back: pages return in reverse allocation order,
@@ -386,14 +488,15 @@ impl<T: Real> PagePool<T> {
             self.free.push(page);
         }
         self.free_seqs.push(id.index);
-        seq.cache
+        seq.held
     }
 
     /// Assert the pool's paging invariants: page conservation
     /// (`free + mapped == total`), no page mapped twice (across page
     /// tables or the free list), and every page table exactly covering its
-    /// cache (`ceil(len / page_size)` entries). The serving simulation
-    /// calls this after every scheduler tick.
+    /// entry's tokens (`ceil(tokens / page_size)` entries, a cache's tokens
+    /// being its length). The serving simulation calls this after every
+    /// scheduler tick.
     ///
     /// # Panics
     /// Panics when an invariant is violated.
@@ -424,9 +527,9 @@ impl<T: Real> PagePool<T> {
             }
             assert_eq!(
                 seq.pages.len(),
-                seq.cache.len().div_ceil(self.page_size),
-                "page table does not exactly cover {} cached tokens",
-                seq.cache.len()
+                seq.tokens().div_ceil(self.page_size),
+                "page table does not exactly cover {} tokens",
+                seq.tokens()
             );
         }
     }
@@ -841,6 +944,45 @@ mod tests {
         assert_eq!(pool.pages_held(c), 2);
         assert_eq!(pool.cache(c).k(1).row(2), ks[1].row(2));
         pool.assert_page_invariants();
+    }
+
+    #[test]
+    fn reserved_entries_count_like_a_cache_of_their_length() {
+        let mut pool: PagePool<f64> = PagePool::new(4, 2);
+        assert!(pool.try_reserve(9).is_none(), "9 tokens need 5 pages");
+        assert_eq!(pool.free_pages(), 4, "a refused reservation takes nothing");
+        let a = pool.try_reserve(3).expect("2 pages are free");
+        let b = pool.allocate(2, 2);
+        assert!(pool.try_append(b, &[0.0; 2], &[0.0; 2]));
+        assert_eq!((pool.pages_held(a), pool.used_tokens()), (2, 4));
+        // A grant inside the last page takes none; the next one takes the
+        // last free page; past that, nothing moves.
+        assert!(pool.try_grant(a, 1));
+        assert_eq!((pool.pages_held(a), pool.free_pages()), (2, 1));
+        assert!(pool.try_grant(a, 2));
+        assert!(!pool.try_grant(a, 1), "no page left");
+        assert_eq!((pool.pages_held(a), pool.used_tokens()), (3, 7));
+        pool.assert_page_invariants();
+        // Rollback shrinks the count and returns the pages past it.
+        pool.truncate(a, 2);
+        assert_eq!((pool.pages_held(a), pool.free_pages()), (1, 2));
+        assert_eq!(pool.used_tokens(), 3);
+        pool.assert_page_invariants();
+        pool.release_reserved(a);
+        assert_eq!((pool.free_pages(), pool.len()), (3, 1));
+        pool.assert_page_invariants();
+        // An empty reservation maps nothing.
+        let c = pool.try_reserve(0).expect("costs no page");
+        assert_eq!(pool.pages_held(c), 0);
+        pool.release_reserved(c);
+    }
+
+    #[test]
+    #[should_panic(expected = "a reserved entry holds no cache")]
+    fn a_reserved_entry_has_no_cache() {
+        let mut pool: PagePool<f64> = PagePool::new(2, 2);
+        let a = pool.try_reserve(1).unwrap();
+        let _ = pool.cache(a);
     }
 
     #[test]

@@ -225,7 +225,9 @@ impl<'a> AttentionPlan<'a> {
     /// per-request half of validation (the per-plan half ran in
     /// [`Self::new`]). O(1) regardless of step count. The query rows are
     /// read off the request's geometry: the window must be a row range of
-    /// its `Q`, so nothing past `Q`'s rows is ever read.
+    /// its `Q`, so nothing past `Q`'s rows is ever read. `K` and `V` must
+    /// hold equally many rows, at least `kv_rows` of them; every
+    /// constructor sets `kv_rows` to exactly that count.
     pub(crate) fn validate_request<T: Real>(
         &self,
         request: &AttentionRequest<'_, T>,
@@ -237,7 +239,7 @@ impl<'a> AttentionPlan<'a> {
             .q_start
             .checked_add(geometry.q_rows)
             .is_some_and(|end| end <= q.rows());
-        if !in_q || k.rows() != geometry.kv_rows || v.rows() != geometry.kv_rows {
+        if !in_q || k.rows() != v.rows() || geometry.kv_rows > k.rows() {
             return Err(AttnError::ContextLengthMismatch {
                 q: q.rows(),
                 k: k.rows(),

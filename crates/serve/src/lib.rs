@@ -19,7 +19,9 @@
 //!
 //! KV memory is a pool of fixed-size pages; a sequence holds exactly the
 //! pages its cached tokens occupy, growing one page at a time as decode
-//! appends cross page boundaries. Admission charges a sequence its
+//! rows cross page boundaries. A plan sequence's K/V rows are its own
+//! inputs, so its pages are a reservation and every launch reads its K/V
+//! in place; only a decoder stack's computed K/V live in pool caches. Admission charges a sequence its
 //! *current* page need, not its worst-case length — the difference is
 //! stark. Take 16-token prompts with a 4096-token generation cap on a
 //! 4096-token pool (256 pages of 16): charging the worst case would fill
@@ -30,14 +32,13 @@
 //! oversubscription: when decode growth outruns the free list, the
 //! scheduler **preempts** the lowest-priority, most-recently admitted
 //! sequence — its pages are released and it parks on a resume queue,
-//! continuing when pages free up. There is one park/resume path: the
-//! victim's cache stack is offered to a host-side
-//! [`gpa_core::SwapArena`] and spliced back in `O(1)`; a stack the arena
-//! refuses is rebuilt from its retained K/V input rows on resume,
-//! `O(context)` (a plan sequence), or held outside the pool (a decoder
-//! stack, whose K/V are computed). The [`EvictionMode`] only sizes that
-//! arena — **Recompute** (the default) makes it zero bytes, so nothing
-//! is held for a parked plan sequence; **Swap** makes it
+//! continuing when pages free up. There is one park/resume path: a plan
+//! victim keeps nothing but its inputs and resumes by reserving its pages
+//! again, `O(1)` in context length; a decoder stack's computed caches are
+//! offered to a host-side [`gpa_core::SwapArena`] and spliced back in
+//! `O(1)`, or, refused, held outside the pool. The [`EvictionMode`] only
+//! sizes that arena, so it governs stacks alone — **Recompute** (the
+//! default) makes it zero bytes; **Swap** makes it
 //! [`ServeConfig::swap_bytes`]. Either way preempted-and-resumed
 //! sequences complete **bitwise equal** to their uninterrupted runs — the
 //! modes never differ in results or schedule — and the most urgent

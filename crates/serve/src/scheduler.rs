@@ -22,23 +22,29 @@
 //! Either way it becomes one private sequence record at submission and
 //! stays that record through pending → in flight → parked → completion:
 //! a shared header (id, priority, a single row cursor, timestamps), the
-//! inputs it owns, and a KV slot that is either live pool handles — one
-//! per layer; a plan sequence is the one-layer case — or parked.
+//! inputs it owns, and a KV slot: in the pool (a page reservation for a
+//! plan sequence, one cache handle per layer for a stack) or parked.
 //! Queueing, admission, page needs, park, resume, rollback, cancel and
 //! retirement are written once over that record. Plan and model differ in
 //! exactly three places:
 //!
 //! - **submit validation** — the shapes each flavor checks;
-//! - **the cache rule** — a plan sequence caches its whole prompt at
-//!   admission and its K/V rows are *inputs*, so its cache can be dropped
-//!   and rebuilt bit-identically; a stack's per-layer caches grow chunk
-//!   by chunk and hold *computed* K/V, so they cannot;
+//! - **the cache rule** — a plan sequence's K/V rows are *inputs* it
+//!   already owns, so the pool only reserves their pages
+//!   ([`gpa_core::PagePool::try_reserve`]): the whole prompt at admission,
+//!   one token per decode row ([`gpa_core::PagePool::try_grant`]). No row
+//!   is ever copied — not at admission, not per decode row, not on
+//!   resume. A stack's per-layer caches grow chunk by chunk and hold
+//!   *computed* K/V, so they live in the pool and must be kept;
 //! - **the launch** — one [`AttentionEngine::run_batch_into`] per plan,
-//!   straight into the sequences' output rows, versus one
-//!   [`DecoderModel::advance_batched`] per model (one launch per layer,
-//!   all sequences × heads flattened; its rows are copied in).
+//!   reading each sequence's `q`, `k` and `v` where they are, over the
+//!   first `cached(end)` rows of its K/V, straight into the sequences'
+//!   output rows, versus one [`DecoderModel::advance_batched`] per model
+//!   (one launch per layer, all sequences × heads flattened; its rows are
+//!   copied in).
 //!
-//! Every page of every layer's cache is counted by the same arithmetic —
+//! Every page of every layer is counted by the same arithmetic — a
+//! reservation of `n` tokens costs what a cache of `n` tokens costs, and
 //! an `L`-layer sequence bills `L ×` the pages of a plan sequence of the
 //! same length.
 //!
@@ -57,8 +63,8 @@
 //!   the pages its cache holds once its first unit of work has run — not
 //!   its worst case, so short prompts with long decode budgets pack the
 //!   pool instead of reserving it. The pages this tick's appends are
-//!   about to consume (decode K/V rows, and every layer of each model
-//!   sequence's next prefill chunk) are held back from admission, so
+//!   about to consume (each decode row's token, and every layer of each
+//!   model sequence's next prefill chunk) are held back from admission, so
 //!   newcomers can never take a page out from under a running sequence
 //!   within the tick. A request whose *total* page need exceeds the whole
 //!   pool is rejected at submission, before any cache exists for it.
@@ -70,26 +76,30 @@
 //! walking sequences from most urgent (lowest priority class, earliest
 //! admission) to least, it grants each append by evicting victims from
 //! the opposite end — the lowest-priority, most-recently admitted
-//! sequence first. A victim's pages go back to the free list and its
-//! cache stack is offered to the host-side [`gpa_core::SwapArena`]; resume
-//! takes it back and re-adopts its pages via
-//! [`gpa_core::PagePool::try_adopt`], `O(1)` in context length. A stack
-//! the arena **refuses** falls to the cache rule: a plan cache is dropped
-//! and rebuilt on resume by the same code that builds it at admission
-//! (`O(context)`), a model stack is held outside the pool and re-adopted
-//! whole. The [`EvictionMode`] only sizes the arena:
+//! sequence first. A victim's pages go back to the free list. A plan
+//! victim keeps nothing else — its K/V rows never left its inputs — and
+//! its resume reserves the pages again, `O(1)` in context length (a
+//! routed plan re-routes its cached tokens from its query rows). A stack
+//! victim's computed caches are offered to the host-side
+//! [`gpa_core::SwapArena`]; resume takes them back and re-adopts their
+//! pages via [`gpa_core::PagePool::try_adopt`], `O(1)` in context length.
+//! A stack the arena **refuses** is held outside the pool and re-adopted
+//! whole. The [`EvictionMode`] only sizes the arena, so it governs stacks
+//! alone:
 //!
-//! - **Recompute** (the default) is a zero-byte arena — every park is
-//!   refused, no host memory is held for plan sequences;
-//! - **Swap** is an arena of [`ServeConfig::swap_bytes`]; a victim that
+//! - **Recompute** (the default) is a zero-byte arena — every stack park
+//!   is refused, and no arena memory is held;
+//! - **Swap** is an arena of [`ServeConfig::swap_bytes`]; a stack that
 //!   does not fit the cap is refused for that park and counted in
-//!   [`Scheduler::swap_fallbacks`].
+//!   [`Scheduler::swap_fallbacks`]. A plan victim never enters the arena
+//!   and is never a fallback.
 //!
 //! Either way the victim parks on its class's resume queue with its
 //! computed output rows and row cursor, and continues exactly where it
 //! stopped, so every completed output is still **bitwise** the
-//! sequential reference — the modes differ in resume *cost*, never in
-//! results or schedule (the page arithmetic does not look at the arena).
+//! sequential reference — the modes differ only in where a parked stack
+//! waits, never in results or schedule (the page arithmetic does not look
+//! at the arena).
 //! The most urgent in-flight sequence is never evicted and always
 //! advances, so preemption cannot livelock.
 //!
@@ -103,9 +113,10 @@
 //! until `apply` moves it**, so a launch that wrote before a later launch
 //! of the same tick failed has changed nothing anyone can observe, and
 //! the next tick computes the same rows again, bit for bit. If any launch
-//! fails, `rollback` truncates every in-flight cache (every layer) to its
-//! pre-tick length — the row cursor has not moved, so that length is a
-//! function of the record — **un-preempts** this tick's
+//! fails, `rollback` truncates every in-flight sequence's KV — every
+//! layer's cache, or a plan's reservation and routing — to its pre-tick
+//! length — the row cursor has not moved, so that length is a function of
+//! the record — **un-preempts** this tick's
 //! victims (resumed in place, page tables and in-flight positions
 //! restored), **un-admits** this tick's admissions (fresh requests back
 //! to their queue fronts in order, resumed sequences re-parked with the
@@ -122,7 +133,8 @@ use crate::request::{
     Submission, TickReport,
 };
 use gpa_core::{
-    AttentionEngine, AttentionPlan, AttentionRequest, KvCache, PagePool, SwapArena, SwapTicket,
+    AttentionEngine, AttentionPlan, AttentionRequest, KvCache, PagePool, Router, Routing, SeqId,
+    SwapArena, SwapTicket,
 };
 use gpa_model::{DecoderModel, ModelError, ModelKvState, ModelWorkItem};
 use gpa_tensor::{Matrix, Real};
@@ -149,19 +161,24 @@ pub enum AdmissionMode {
 /// How much host memory parked victims may hold — the size of the
 /// scheduler's [`SwapArena`].
 ///
-/// Either way the victim's pages go back to the pool and its computed
-/// output rows are kept — the modes differ only in how the cache comes
-/// back, so completions are **bitwise identical** across modes and so is
-/// the schedule (both modes use the same page arithmetic). See
-/// `docs/SERVING.md` for the full state machine.
+/// The mode governs decoder stacks only, whose K/V are computed rather
+/// than given. A plan victim gives back its pages and parks nothing in
+/// either mode: its K/V rows are its inputs, and its resume is `O(1)` in
+/// context length. Either way every victim's pages go back to the pool
+/// and its computed output rows are kept — the modes differ only in where
+/// a stack's caches wait, so completions are **bitwise identical** across
+/// modes and so is the schedule (both modes use the same page
+/// arithmetic). See `docs/SERVING.md` for the full state machine.
 ///
 /// ```
 /// use gpa_core::{AttentionEngine, AttentionKernel, AttentionPlan};
-/// use gpa_serve::{AdmissionMode, EvictionMode, ServeConfig, ServeRequest, Scheduler};
+/// use gpa_model::{DecoderModel, LayerPattern};
+/// use gpa_serve::{AdmissionMode, EvictionMode, ModelRequest, Scheduler, ServeConfig};
 /// use gpa_tensor::init;
 ///
-/// // The same two-sequence page squeeze, once per mode: the victim's
-/// // resume path differs, the bits and the schedule do not.
+/// // The same two-sequence page squeeze on a one-layer stack, once per
+/// // mode: the victim's resume path differs, the bits and the schedule
+/// // do not.
 /// let mut outputs = Vec::new();
 /// for eviction in [EvictionMode::Recompute, EvictionMode::Swap] {
 ///     let mut s: Scheduler<'static, f32> = Scheduler::new(
@@ -178,13 +195,12 @@ pub enum AdmissionMode {
 ///         },
 ///     )
 ///     .unwrap();
-///     let plan = s
-///         .register_plan(AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap())
-///         .unwrap();
+///     let local = AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap();
+///     let stack = DecoderModel::new(LayerPattern::parse("F").unwrap(), vec![('F', local)], 8, 2, 4, 7);
+///     let model = s.register_model(stack.unwrap());
 ///     for seed in [1, 2] {
-///         let (q, k, v) = init::qkv::<f32>(6, 4, seed);
-///         s.submit(ServeRequest { pattern: plan.into(), priority: 0, prompt: 2, q, k, v })
-///             .unwrap();
+///         let x = init::gaussian_matrix(6, 8, 1.0, seed);
+///         s.submit(ModelRequest { model, priority: 0, prompt: 2, x }).unwrap();
 ///     }
 ///     let mut done = Vec::new();
 ///     while !s.is_idle() {
@@ -192,7 +208,7 @@ pub enum AdmissionMode {
 ///     }
 ///     assert!(s.preemption_events() > 0, "the squeeze must preempt");
 ///     if eviction == EvictionMode::Swap {
-///         assert!(s.swap_peak_bytes() > 0, "the victim transited the arena");
+///         assert!(s.swap_peak_bytes() > 0, "the victim's caches transited the arena");
 ///         assert_eq!(s.swap_parked_bytes(), 0, "…and came back out");
 ///     }
 ///     outputs.push(done.into_iter().map(|c| c.output).collect::<Vec<_>>());
@@ -201,18 +217,16 @@ pub enum AdmissionMode {
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvictionMode {
-    /// A zero-byte arena: every park is refused, so a plan victim's cache
-    /// is dropped and its retained K/V input rows re-extended on resume
-    /// (model victims hold their computed caches outside the pool).
-    /// Resume cost grows with context length; no arena memory. The
-    /// default.
+    /// A zero-byte arena: every stack park is refused, so a stack victim
+    /// holds its computed caches outside the pool and re-adopts them on
+    /// resume. No arena memory. The default.
     #[default]
     Recompute,
-    /// An arena of [`ServeConfig::swap_bytes`]: a victim's caches park in
-    /// it and are spliced back on resume — `O(1)` in context length, at
-    /// the cost of holding the parked bytes. A victim the arena cannot
-    /// hold is refused exactly as under `Recompute`, for that park,
-    /// counted by [`Scheduler::swap_fallbacks`].
+    /// An arena of [`ServeConfig::swap_bytes`]: a stack victim's caches
+    /// park in it and are spliced back on resume — `O(1)` in context
+    /// length, at the cost of holding the parked bytes. A stack the arena
+    /// cannot hold is refused exactly as under `Recompute`, for that
+    /// park, counted by [`Scheduler::swap_fallbacks`].
     Swap,
 }
 
@@ -273,6 +287,10 @@ enum Inputs<T> {
         q: Matrix<T>,
         k: Matrix<T>,
         v: Matrix<T>,
+        /// A routed plan's group assignment of the sequence's cached
+        /// tokens: built at admission and resume, extended by each decode
+        /// row, truncated on rollback. `None` for static plans.
+        routing: Option<Routing>,
     },
     Model {
         model: usize,
@@ -292,15 +310,18 @@ impl<T: Real> Inputs<T> {
 
 /// Where a sequence's KV lives.
 enum Kv<T> {
-    /// Nowhere: a request not admitted yet, or a plan cache the arena
-    /// refused — the cache rule rebuilds it from the inputs.
+    /// Nowhere: a request not admitted yet, or a parked plan sequence —
+    /// its K/V rows are its inputs, so resume only takes pages.
     None,
-    /// A model stack the arena refused, held outside the pool: its K/V
-    /// are computed and cannot be rebuilt.
+    /// A parked model stack the arena refused, held outside the pool: its
+    /// K/V are computed and cannot be rebuilt.
     Held(Vec<KvCache<T>>),
-    /// Parked in the scheduler's [`SwapArena`].
+    /// A model stack parked in the scheduler's [`SwapArena`].
     Swapped(SwapTicket),
-    /// In the pool: one handle per layer (one, for a plan sequence).
+    /// A plan sequence in the pool: a reservation of its cached tokens,
+    /// whose rows are the sequence's own K/V inputs.
+    Reserved(SeqId),
+    /// A model stack in the pool: one handle per layer.
     Live(ModelKvState),
 }
 
@@ -347,9 +368,10 @@ impl<T: Real> Seq<T> {
         }
     }
 
-    /// The cache rule: tokens each layer's cache holds once `done` rows
-    /// are computed. A plan sequence caches its whole prompt at
-    /// admission; a stack's caches grow with the rows it has advanced.
+    /// The cache rule: tokens each layer holds once `done` rows are
+    /// computed — reserved pages for a plan sequence, cached rows for a
+    /// stack. A plan sequence holds its whole prompt from admission; a
+    /// stack's caches grow with the rows it has advanced.
     fn cached(&self, done: usize) -> usize {
         match self.inputs {
             Inputs::Plan { .. } => self.prompt.max(done),
@@ -372,17 +394,33 @@ impl<T: Real> Seq<T> {
         }
     }
 
+    /// The pool handles of an in-flight model stack.
     fn live(&self) -> &ModelKvState {
-        self.kv.live()
-    }
-}
-
-impl<T> Kv<T> {
-    /// The pool handles of an in-flight sequence.
-    fn live(&self) -> &ModelKvState {
-        match self {
+        match &self.kv {
             Kv::Live(state) => state,
-            _ => unreachable!("an in-flight sequence's KV is in the pool"),
+            _ => unreachable!("an in-flight stack's KV is in the pool"),
+        }
+    }
+
+    /// Pages an in-flight sequence holds, every layer's.
+    fn pages_held(&self, pool: &PagePool<T>) -> usize {
+        match self.kv {
+            Kv::Reserved(seq) => pool.pages_held(seq),
+            _ => self.live().pages_held(pool),
+        }
+    }
+
+    /// Roll an in-flight sequence's KV — every layer, and a routed plan's
+    /// routing — back to `tokens` tokens, returning the pages past them.
+    fn truncate(&mut self, pool: &mut PagePool<T>, tokens: usize) {
+        match (&self.kv, &mut self.inputs) {
+            (Kv::Reserved(seq), Inputs::Plan { routing, .. }) => {
+                pool.truncate(*seq, tokens);
+                if let Some(routing) = routing {
+                    routing.truncate(tokens);
+                }
+            }
+            _ => self.live().truncate(pool, tokens),
         }
     }
 }
@@ -597,17 +635,19 @@ impl<'p, T: Real> Scheduler<'p, T> {
         self.arena.peak_bytes()
     }
 
-    /// Parks that wanted the arena but fell back to recompute/held
+    /// Stack parks that wanted the arena but were held outside the pool
     /// because the victim's stack would not fit
     /// [`ServeConfig::swap_bytes`]. Always 0 under
-    /// [`EvictionMode::Recompute`].
+    /// [`EvictionMode::Recompute`]; a plan victim never counts, since it
+    /// parks nothing.
     pub fn swap_fallbacks(&self) -> u64 {
         self.swap_fallbacks
     }
 
     /// Assert the paged-KV invariants: page conservation
     /// (`free + mapped == total`), no page double-mapped, every page
-    /// table exactly covering its cache, and swap-arena conservation —
+    /// table exactly covering its cache or reservation, and swap-arena
+    /// conservation —
     /// every parked byte owned by exactly one parked sequence's live
     /// ticket, the ledger matching the caches, nothing parked while idle,
     /// and the arena empty under [`EvictionMode::Recompute`]. The serving
@@ -647,6 +687,18 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// capacity check counts every layer: a sequence of `total` tokens
     /// through an `L`-layer model needs `L × pages_for(total)` pages
     /// resident at completion.
+    ///
+    /// # Non-finite inputs
+    ///
+    /// `submit` checks shapes, not values: it does not scan a request's
+    /// rows for `NaN` or infinities, and neither does a launch. Damage
+    /// propagates per row, as in `gpa-core`'s kernels, and stays inside
+    /// the request that carried it. A `NaN` in a plan request's K row, or
+    /// an infinity that makes that key's score `NaN` or `+∞`, turns
+    /// exactly the output rows whose neighbours include that key into
+    /// `NaN`; every other row of the request, and every other request in
+    /// the same launch, comes out as it would without it. (A key that
+    /// scores `−∞` is a masked edge and weighs nothing.)
     pub fn submit(&mut self, request: impl Into<Submission<T>>) -> Result<RequestId, ServeError> {
         let bad = |what| Err(ServeError::BadRequest { what });
         match request.into() {
@@ -684,6 +736,7 @@ impl<'p, T: Real> Scheduler<'p, T> {
                     q,
                     k,
                     v,
+                    routing: None,
                 };
                 self.enqueue(priority, prompt, 1, width, inputs)
             }
@@ -777,6 +830,7 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// Give a departing sequence's KV back: pool pages, or arena bytes.
     fn discard(&mut self, kv: Kv<T>) {
         match kv {
+            Kv::Reserved(seq) => self.pool.release_reserved(seq),
             Kv::Live(state) => drop(state.release(&mut self.pool)),
             Kv::Swapped(ticket) => drop(self.arena.take(ticket)),
             Kv::Held(_) | Kv::None => {}
@@ -814,35 +868,41 @@ impl<'p, T: Real> Scheduler<'p, T> {
     }
 
     /// Bring a sequence's KV into the pool — the one way in, for fresh
-    /// admission, resume and un-preempt alike. A parked stack comes back
-    /// out of the arena or out of the record, routing state riding the
-    /// caches; with nothing retained the cache rule builds it — empty
-    /// per-layer caches for a stack (its first chunk appends this very
-    /// tick), the whole cached prefix for a plan sequence, re-extended
-    /// from its K/V input rows and re-routed from its query rows, both
-    /// pure functions of the inputs and so bit-identical every time. The
-    /// caller granted the pages, so failure here is a scheduler bug.
+    /// admission, resume and un-preempt alike. A plan sequence reserves
+    /// the pages of its cached tokens and copies nothing — its K/V rows
+    /// are its inputs, launched in place — and a routed plan re-routes
+    /// those tokens from its query rows, a pure function of the inputs
+    /// and so bit-identical every time. A stack comes back out of the
+    /// arena or out of the record, routing state riding the caches, or,
+    /// fresh, starts as empty per-layer caches (its first chunk appends
+    /// this very tick). The caller granted the pages, so failure here is
+    /// a scheduler bug.
     fn resume(&mut self, s: &mut Seq<T>) {
-        let caches = match (std::mem::replace(&mut s.kv, Kv::None), &s.inputs) {
-            (Kv::Swapped(ticket), _) => self.arena.take(ticket),
-            (Kv::Held(caches), _) => caches,
+        let tokens = s.cached(s.done);
+        let caches = match (std::mem::replace(&mut s.kv, Kv::None), &mut s.inputs) {
+            (
+                Kv::None,
+                Inputs::Plan {
+                    plan, q, routing, ..
+                },
+            ) => {
+                let Some(seq) = self.pool.try_reserve(tokens) else {
+                    panic!("admission was granted its pages");
+                };
+                *routing = self.plans[*plan]
+                    .routing_spec()
+                    .map(|spec| Router::new(spec).route(&q.rows_slice(0, tokens)));
+                s.kv = Kv::Reserved(seq);
+                return;
+            }
             (Kv::None, Inputs::Model { model, .. }) => {
                 debug_assert_eq!(s.done, 0, "only a fresh stack has nothing retained");
                 s.kv = Kv::Live(ModelKvState::allocate(&self.models[*model], &mut self.pool));
                 return;
             }
-            (Kv::None, Inputs::Plan { plan, q, k, v, .. }) => {
-                let tokens = s.cached(s.done);
-                let mut cache = KvCache::single(q.cols(), v.cols());
-                cache.extend_rows(0, k, v, 0..tokens);
-                if let Some(spec) = self.plans[*plan].routing_spec() {
-                    cache
-                        .extend_routing(spec, 0, &q.rows_slice(0, tokens))
-                        .expect("a fresh cache adopts its plan's routing spec");
-                }
-                vec![cache]
-            }
-            (Kv::Live(_), _) => unreachable!("already in the pool"),
+            (Kv::Swapped(ticket), _) => self.arena.take(ticket),
+            (Kv::Held(caches), _) => caches,
+            (Kv::Reserved(_) | Kv::Live(_), _) => unreachable!("already in the pool"),
         };
         let Ok(state) = ModelKvState::adopt(caches, &mut self.pool) else {
             panic!("admission was granted its pages");
@@ -851,28 +911,24 @@ impl<'p, T: Real> Scheduler<'p, T> {
     }
 
     /// Move a live sequence's KV out of the pool — the one way out. Its
-    /// pages always go back to the free list. With `offer` the stack is
-    /// offered to the arena; when it is not, or the arena refuses it
-    /// (always, at zero bytes), the cache rule decides: a stack's
-    /// computed caches are held in the record, a plan cache is dropped
-    /// for `resume` to rebuild.
+    /// pages always go back to the free list, and a plan sequence parks
+    /// nothing else: its rows are its inputs. A stack's computed caches
+    /// are offered to the arena with `offer`; when they are not, or the
+    /// arena refuses them (always, at zero bytes), they are held in the
+    /// record.
     fn park(&mut self, s: &mut Seq<T>, offer: bool) {
-        let Kv::Live(state) = std::mem::replace(&mut s.kv, Kv::None) else {
-            unreachable!("only an in-flight sequence parks");
+        let caches = match std::mem::replace(&mut s.kv, Kv::None) {
+            Kv::Reserved(seq) => return self.pool.release_reserved(seq),
+            Kv::Live(state) => state.release(&mut self.pool),
+            _ => unreachable!("only an in-flight sequence parks"),
         };
-        let mut caches = state.release(&mut self.pool);
-        if offer {
-            match self.arena.try_park(caches) {
-                Ok(ticket) => {
-                    s.kv = Kv::Swapped(ticket);
-                    return;
-                }
-                Err(refused) => caches = refused,
-            }
-        }
-        if let Inputs::Model { .. } = s.inputs {
-            s.kv = Kv::Held(caches);
-        }
+        s.kv = if offer {
+            self.arena
+                .try_park(caches)
+                .map_or_else(Kv::Held, Kv::Swapped)
+        } else {
+            Kv::Held(caches)
+        };
     }
 
     /// Put a parked sequence on its class's resume queue, in id order (=
@@ -999,7 +1055,7 @@ impl<'p, T: Real> Scheduler<'p, T> {
             while needs[i] > available && hi > p + 1 {
                 hi -= 1;
                 victim[urgency[hi]] = true;
-                available += self.in_flight[urgency[hi]].live().pages_held(&self.pool);
+                available += self.in_flight[urgency[hi]].pages_held(&self.pool);
             }
             if needs[i] <= available {
                 available -= needs[i];
@@ -1031,36 +1087,34 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// advance per distinct model (ascending group keys: deterministic
     /// launch order). Nothing is copied on the way in or out of a plan
     /// launch: a request names its query window as a row range of the
-    /// sequence's own `Q`, and the launch writes rows `start..end` of the
-    /// sequence's `out` where they stay — scratch until `apply` moves the
-    /// cursor over them (a stack's rows are copied there from its layer
-    /// advance). Appends land in the caches — every one was granted its
-    /// pages by the stages above, so allocation cannot fail — but no
-    /// cursor moves: on `Err` the caller rolls back, and the error names
+    /// sequence's own `Q` over a prefix of its own `K`/`V`, and the launch
+    /// writes rows `start..end` of the sequence's `out` where they stay —
+    /// scratch until `apply` moves the cursor over them (a stack's rows
+    /// are copied there from its layer advance). Decode grants and stack
+    /// appends land in the pool — every one was granted its pages by the
+    /// stages above, so allocation cannot fail — but no cursor moves: on `Err` the caller rolls back, and the error names
     /// the offending request when identifiable. Groups that launched
     /// before the failing one have written their windows; nothing reads
     /// those rows before the next tick overwrites them with the same bits.
     fn launch(&mut self) -> Result<Launched, ServeError> {
         let chunk = self.config.prefill_chunk;
-        // A decoding plan sequence appends its token's K/V row now;
-        // stacks append inside their layer advance.
-        for s in &self.in_flight {
-            let Inputs::Plan { plan, q, k, v, .. } = &s.inputs else {
+        // A decoding plan sequence's token takes its page now — a grant,
+        // not a copy: the row is already in its K/V — and, on a routed
+        // plan, joins its group, so the decode row below sees a routing
+        // that covers its query position. Stacks append inside their
+        // layer advance.
+        for s in &mut self.in_flight {
+            let (Kv::Reserved(seq), Inputs::Plan { q, routing, .. }) = (&s.kv, &mut s.inputs)
+            else {
                 continue;
             };
             if s.done < s.prompt {
                 continue;
             }
-            let seq = s.live().layer_seqs()[0];
-            let ok = self.pool.try_append(seq, k.row(s.done), v.row(s.done));
-            assert!(ok, "decode appends were granted pages at tick start");
-            // A routed plan's cache carries its routing: the new token
-            // joins its group now, so the decode row below sees a routing
-            // that covers its query position.
-            if let Some(spec) = self.plans[*plan].routing_spec() {
-                self.pool
-                    .extend_routing(seq, spec, 0, &q.rows_slice(s.done, s.done + 1))
-                    .expect("cache routing follows its plan's spec");
+            let ok = self.pool.try_grant(*seq, 1);
+            assert!(ok, "decode rows were granted pages at tick start");
+            if let Some(routing) = routing {
+                routing.extend(&q.rows_slice(s.done, s.done + 1));
             }
         }
         let mut groups: Vec<(bool, usize)> = self.in_flight.iter().map(Seq::group).collect();
@@ -1101,27 +1155,30 @@ impl<'p, T: Real> Scheduler<'p, T> {
                     Err(other) => panic!("model advance was granted pages and validated: {other}"),
                 }
             } else {
-                // Each member lends its launch three disjoint fields: the
-                // query rows of `inputs`, the pool handle in `kv`, and —
-                // mutably — rows `start..end` of `out`.
+                // Each member lends its launch two disjoint fields: its
+                // q/k/v rows and routing in `inputs`, and — mutably — rows
+                // `start..end` of `out`.
                 let mut requests = Vec::with_capacity(self.in_flight.len());
                 let mut windows: Vec<&mut [T]> = Vec::with_capacity(self.in_flight.len());
                 let mut rows = 0;
                 for s in self.in_flight.iter_mut().filter(|s| s.group() == group) {
                     let (start, end) = s.window(chunk);
-                    let Inputs::Plan { q, .. } = &s.inputs else {
+                    let kv_rows = s.cached(end);
+                    let Inputs::Plan {
+                        q, k, v, routing, ..
+                    } = &s.inputs
+                    else {
                         unreachable!("a plan group holds plan sequences");
                     };
-                    let cache = self.pool.cache(s.kv.live().layer_seqs()[0]);
                     // Prefill window or decode row, the geometry is the
                     // same: rows `start..end` at their own positions over
-                    // the cache as it stands. Static plans ignore an
-                    // attached routing; routed plans require the one
-                    // their cache carries.
-                    requests.push(
-                        AttentionRequest::row_range(q, start..end, cache.k(0), cache.v(0), start)
-                            .with_routing(cache.routing(0)),
-                    );
+                    // the first `cached(end)` rows of the sequence's own
+                    // K/V. Static plans ignore an attached routing; routed
+                    // plans require the one the sequence carries.
+                    let mut request = AttentionRequest::row_range(q, start..end, k, v, start)
+                        .with_routing(routing.as_ref());
+                    request.geometry.kv_rows = kv_rows;
+                    requests.push(request);
                     windows.push(rows_mut(&mut s.out, (start, end)));
                     rows += end - start;
                 }
@@ -1206,7 +1263,7 @@ impl<'p, T: Real> Scheduler<'p, T> {
         for (_, mut s) in staged {
             s.preemptions += 1;
             self.preemption_events += 1;
-            if self.config.eviction == EvictionMode::Swap && !matches!(s.kv, Kv::Swapped(_)) {
+            if self.config.eviction == EvictionMode::Swap && matches!(s.kv, Kv::Held(_)) {
                 self.swap_fallbacks += 1;
             }
             self.enqueue_parked(s);
@@ -1230,8 +1287,8 @@ impl<'p, T: Real> Scheduler<'p, T> {
     fn rollback(&mut self, mut admitted: Admitted, staged: Vec<(usize, Seq<T>)>) {
         // Appends: every layer of every cache back to its pre-tick
         // length, returning this tick's granted pages.
-        for s in &self.in_flight {
-            s.live().truncate(&mut self.pool, s.cached(s.done));
+        for s in &mut self.in_flight {
+            s.truncate(&mut self.pool, s.cached(s.done));
         }
         // Un-preempt: each victim back in the pool at its exact former
         // position. Page conservation covers the restores: truncation
@@ -1658,7 +1715,9 @@ mod tests {
             assert_eq!(c.output, reference(&s, c, r));
         }
         if eviction == EvictionMode::Swap {
-            assert!(s.swap_peak_bytes() > 0, "the park must transit the arena");
+            // A stack's computed caches transit the arena. A plan victim's
+            // rows are its inputs: it parks nothing, so nothing falls back.
+            assert_eq!(s.swap_peak_bytes() > 0, model, "only a stack parks bytes");
             assert_eq!(s.swap_fallbacks(), 0);
         }
         assert_eq!(s.swap_parked_bytes(), 0, "resume drains the arena");
@@ -1678,7 +1737,9 @@ mod tests {
 
     #[test]
     fn swap_eviction_resumes_plan_sequences_bitwise() {
-        squeeze(false, EvictionMode::Swap);
+        // Swap or not, a plan victim gives back only its pages: zero arena
+        // bytes at any point, zero fallbacks, and a bitwise resume.
+        assert_eq!(squeeze(false, EvictionMode::Swap).peak_parked, 0);
     }
 
     #[test]
@@ -1694,11 +1755,12 @@ mod tests {
 
     #[test]
     fn cancel_while_swap_parked_reclaims_arena_bytes() {
-        // Cancelling a sequence whose cache lives in the swap arena must
-        // free the arena bytes immediately — no orphaned entries.
-        let (mut s, plan) = scheduler(config(2, 3, 2, 4, EvictionMode::Swap));
-        let _a = s.submit(request(plan, 0, 2, 6, 51)).unwrap();
-        let b = s.submit(request(plan, 0, 2, 6, 52)).unwrap();
+        // Cancelling a stack whose caches live in the swap arena must free
+        // the arena bytes immediately — no orphaned entries. The squeeze
+        // of `squeeze(true, Swap)`: three pages per layer of the stack.
+        let (mut s, _) = scheduler(config(2, 3 * 3, 2, 4, EvictionMode::Swap));
+        let _a = s.submit(model_request(ModelId(0), 0, 2, 6, 51)).unwrap();
+        let b = s.submit(model_request(ModelId(0), 0, 2, 6, 52)).unwrap();
         for _ in 0..16 {
             if s.parked_len() > 0 {
                 break;
@@ -1706,7 +1768,7 @@ mod tests {
             s.tick().unwrap();
         }
         assert_eq!(s.parked_len(), 1, "b parked under page pressure");
-        assert!(s.swap_parked_bytes() > 0, "b's cache lives in the arena");
+        assert!(s.swap_parked_bytes() > 0, "b's caches live in the arena");
         assert!(s.cancel(b), "parked cancel");
         assert_eq!(s.swap_parked_bytes(), 0, "cancel reclaims the arena bytes");
         s.assert_kv_invariants();
@@ -1717,10 +1779,10 @@ mod tests {
 
     #[test]
     fn routed_sequences_preempt_and_resume_bitwise() {
-        // The preemption squeeze from above, on a routed plan: the cache
-        // carries the routing, eviction drops both, and resume rebuilds
-        // both from the retained q/k/v rows — the victim's output must
-        // still be bitwise the uninterrupted sequential serve.
+        // The preemption squeeze from above, on a routed plan: the
+        // sequence carries its routing, and resume re-routes its cached
+        // tokens from its query rows — the victim's output must still be
+        // bitwise the uninterrupted sequential serve.
         let mut s: Scheduler<'static, f64> = Scheduler::new(
             AttentionEngine::with_threads(2),
             config(2, 3, 2, 4, EvictionMode::Recompute),

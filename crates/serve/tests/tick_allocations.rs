@@ -1,19 +1,25 @@
 //! A steady-state decode tick over plan sequences allocates O(1) per
 //! launch, not O(requests): the same number of heap allocations with 8
-//! sequences in flight and with 64, and that number is pinned.
+//! sequences in flight and with 64, and that number is pinned. And no
+//! decode tick copies a K/V row: the bytes every decode tick allocates do
+//! not depend on the key width.
 //!
 //! A launch is in place — requests are row ranges of each sequence's own
-//! `Q`, outputs land in each sequence's own rows — so what a tick
-//! allocates is the launch's fixed set of vectors: the group list, the
-//! request and window lists, the flat row space, the per-request launch
-//! contexts and the `l`/`m` statistics. Before the in-place launch the
-//! same tick made about four allocations *per sequence* (a query-window
-//! matrix and an `(O, l, m)` triple each).
+//! `Q` over a prefix of its own `K`/`V`, outputs land in each sequence's
+//! own rows — so what a tick allocates is the launch's fixed set of
+//! vectors: the group list, the request and window lists, the flat row
+//! space, the per-request launch contexts and the `l`/`m` statistics. A
+//! decode row's page is a grant, so a tick that crosses a page boundary
+//! grows a page table by one id, whatever `dk` is. Before the in-place
+//! launch the same tick made about four allocations *per sequence* (a
+//! query-window matrix and an `(O, l, m)` triple each), and before the
+//! grant every decode row was copied into a cache whose growth
+//! reallocations scaled with `dk`.
 //!
-//! The counter is a `#[global_allocator]`, so this file holds one test
-//! and counts only on the thread that ticks. The engine has one thread:
-//! every launch runs inline, and no helper thread allocates behind the
-//! count.
+//! The counter is a `#[global_allocator]` that counts only on a thread
+//! that asked it to, so each test counts its own ticks. The engine has one
+//! thread: every launch runs inline, and no helper thread allocates behind
+//! the count.
 
 use gpa_core::{AttentionEngine, AttentionKernel, AttentionPlan};
 use gpa_serve::{AdmissionMode, EvictionMode, Scheduler, ServeConfig, ServeRequest};
@@ -23,14 +29,26 @@ use std::cell::Cell;
 
 struct CountingAllocator;
 
-thread_local! {
-    /// `Some(n)` while this thread counts: `n` allocations so far.
-    static COUNT: Cell<Option<usize>> = const { Cell::new(None) };
+/// Allocations and bytes allocated.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Tally {
+    allocations: usize,
+    bytes: usize,
 }
 
-fn count_one() {
+thread_local! {
+    /// `Some(tally)` while this thread counts.
+    static COUNT: Cell<Option<Tally>> = const { Cell::new(None) };
+}
+
+fn count_one(bytes: usize) {
     // `try_with`: the allocator also runs while a thread is torn down.
-    let _ = COUNT.try_with(|count| count.set(count.get().map(|n| n + 1)));
+    let _ = COUNT.try_with(|count| {
+        count.set(count.get().map(|t| Tally {
+            allocations: t.allocations + 1,
+            bytes: t.bytes + bytes,
+        }))
+    });
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the counter is a
@@ -38,15 +56,15 @@ fn count_one() {
 // it allocates nothing and cannot re-enter the allocator.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -57,19 +75,19 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// Allocations made by `f` on this thread.
-fn allocations_in(f: impl FnOnce()) -> usize {
-    COUNT.with(|count| count.set(Some(0)));
+/// What `f` allocated on this thread.
+fn allocations_in(f: impl FnOnce()) -> Tally {
+    COUNT.with(|count| count.set(Some(Tally::default())));
     f();
     COUNT.with(|count| count.take()).expect("counting was on")
 }
 
-/// Heap allocations of each of `TICKS` consecutive decode ticks with
-/// `sequences` plan sequences in flight, all past their prefill and none
-/// near completion.
-fn decode_tick_allocations(sequences: usize) -> Vec<usize> {
-    const TICKS: usize = 12;
-    const PROMPT: usize = 24;
+const PROMPT: usize = 24;
+
+/// A one-thread scheduler of `sequences` plan sequences of key width `dk`,
+/// each a `PROMPT`-token prompt and `decode` generated tokens, after its
+/// first tick: every sequence admitted with its whole prompt prefilled.
+fn admitted(sequences: usize, dk: usize, decode: usize) -> Scheduler<'static, f32> {
     let mut scheduler: Scheduler<'static, f32> = Scheduler::new(
         AttentionEngine::with_threads(1),
         ServeConfig {
@@ -88,7 +106,7 @@ fn decode_tick_allocations(sequences: usize) -> Vec<usize> {
         .register_plan(AttentionPlan::single(AttentionKernel::Local { n: 4 }).unwrap())
         .unwrap();
     for seed in 0..sequences {
-        let (q, k, v) = init::qkv::<f32>(PROMPT + 4 * TICKS, 16, seed as u64);
+        let (q, k, v) = init::qkv::<f32>(PROMPT + decode, dk, seed as u64);
         let request = ServeRequest {
             pattern: plan.into(),
             priority: 0,
@@ -99,29 +117,43 @@ fn decode_tick_allocations(sequences: usize) -> Vec<usize> {
         };
         scheduler.submit(request).unwrap();
     }
-    // Admission and the whole prefill in one tick, then decode ticks until
-    // the caches have made their first growth past the prompt.
-    for _ in 0..TICKS {
-        scheduler.tick().unwrap();
-    }
+    scheduler.tick().unwrap();
     assert_eq!(scheduler.in_flight_len(), sequences);
-    (0..TICKS)
+    scheduler
+}
+
+/// What each of `ticks` consecutive decode ticks allocates, one decode
+/// row per sequence each.
+fn decode_ticks(scheduler: &mut Scheduler<'_, f32>, ticks: usize) -> Vec<Tally> {
+    let sequences = scheduler.in_flight_len();
+    (0..ticks)
         .map(|_| {
             let mut rows = 0;
-            let count = allocations_in(|| rows = scheduler.tick().unwrap().rows_computed);
+            let tally = allocations_in(|| rows = scheduler.tick().unwrap().rows_computed);
             assert_eq!(rows, sequences, "one decode row per sequence");
-            count
+            tally
         })
         .collect()
 }
 
+/// Allocations of each of 12 decode ticks with `sequences` sequences in
+/// flight, none near completion, after 11 decode ticks that take each
+/// sequence past its first page boundary.
+fn steady_decode_allocations(sequences: usize) -> Vec<usize> {
+    const TICKS: usize = 12;
+    let mut scheduler = admitted(sequences, 16, 4 * TICKS);
+    decode_ticks(&mut scheduler, TICKS - 1);
+    let ticks = decode_ticks(&mut scheduler, TICKS);
+    ticks.iter().map(|t| t.allocations).collect()
+}
+
 #[test]
 fn a_decode_tick_allocates_the_same_with_8_and_64_sequences_in_flight() {
-    let few = decode_tick_allocations(8);
-    let many = decode_tick_allocations(64);
-    // A cache that outgrows its buffer, or a sequence that crosses into a
-    // new page, allocates on that tick — per sequence, rightly. The steady
-    // state is every other tick.
+    let few = steady_decode_allocations(8);
+    let many = steady_decode_allocations(64);
+    // A sequence that crosses into a new page grows its page table on
+    // that tick — per sequence, rightly. The steady state is every other
+    // tick.
     let steady = |ticks: &[usize]| *ticks.iter().min().unwrap();
     assert_eq!(
         steady(&few),
@@ -135,5 +167,24 @@ fn a_decode_tick_allocates_the_same_with_8_and_64_sequences_in_flight() {
     assert!(
         2 * at_steady > many.len(),
         "most ticks are steady: {many:?}"
+    );
+}
+
+#[test]
+fn decode_ticks_allocate_the_same_bytes_at_every_key_width() {
+    // Twice the prompt in decode rows: a cache holding these rows would
+    // outgrow the prompt's capacity at least once, reallocating `dk`-wide
+    // rows. Every decode tick after the admitting one, to completion.
+    const DECODE: usize = 2 * PROMPT;
+    let bytes = |dk: usize| {
+        let mut scheduler = admitted(8, dk, DECODE);
+        let ticks = decode_ticks(&mut scheduler, DECODE);
+        assert!(scheduler.is_idle(), "every sequence completed");
+        ticks.iter().map(|t| t.bytes).sum::<usize>()
+    };
+    let (narrow, wide) = (bytes(16), bytes(64));
+    assert_eq!(
+        narrow, wide,
+        "decode ticks copied K/V rows: {narrow} bytes at dk 16, {wide} at dk 64"
     );
 }

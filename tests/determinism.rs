@@ -248,7 +248,9 @@ fn swap_mode_preempting_trace_identical_across_pool_sizes_and_modes() {
     // replay is identical across 1/2/4 worker threads, and every event
     // and completion matches the evict-and-recompute replay of the same
     // trace tick for tick — eviction mode changes resume *cost*, never
-    // the schedule or the bits.
+    // the schedule or the bits. The trace mixes one-layer stacks in with
+    // the plan sequences: a stack's computed caches are what the arena
+    // holds, while a plan victim parks nothing in either mode.
     let spec = TraceSpec {
         sequences: 6,
         prompt: (2, 4),
@@ -270,12 +272,28 @@ fn swap_mode_preempting_trace_identical_across_pool_sizes_and_modes() {
             swap_bytes: usize::MAX,
         };
         let (mut scheduler, plans) = two_plan_scheduler(threads, config);
-        let trace = generate_trace::<f32, _>(&spec, &plans, &[]);
+        // One layer: a stack token costs the pages of a plan token.
+        let local = AttentionPlan::single(AttentionKernel::Local { n: 3 }).unwrap();
+        let stack = DecoderModel::new(
+            LayerPattern::parse("F").unwrap(),
+            vec![('F', local)],
+            8,
+            2,
+            4,
+            0x5A9,
+        );
+        let model = scheduler.register_model(stack.unwrap());
+        let trace = generate_trace::<f32, _>(&spec, &plans, &[(model, 8)]);
         let (completions, events) = replay_recording_preemptions(&mut scheduler, &trace);
         if eviction == EvictionMode::Swap {
             assert!(
                 scheduler.swap_peak_bytes() > 0,
                 "{threads} threads: the swapped replay must use the arena"
+            );
+            assert_eq!(
+                scheduler.swap_fallbacks(),
+                0,
+                "an unbounded arena refuses nothing"
             );
         }
         (completions, events)

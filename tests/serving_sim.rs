@@ -455,14 +455,12 @@ fn preempted_and_resumed_sequences_complete_bitwise() {
     );
 }
 
-/// The same deterministic preemption workload under
-/// [`EvictionMode::Swap`]: victims park their caches in the swap arena
-/// and resume by re-adopting pages in O(1). The mode must be invisible —
-/// every completion bitwise equal to the sequential reference *and*
-/// field-for-field identical (admission tick, completion tick, preemption
-/// count, output) to the evict-and-recompute run of the same trace.
-#[test]
-fn swapped_and_resumed_sequences_match_the_recompute_run_exactly() {
+/// The deterministic preemption workload above with one-layer stacks
+/// mixed in (a stack token costs the pages of a plan token, so the
+/// squeeze is the same), served by `build_mixed_scheduler`'s plans and its
+/// one-layer model. Stack victims are what the swap arena holds; a plan
+/// victim parks nothing in either mode.
+fn mixed_squeeze_trace(config: ServeConfig) -> (Scheduler<'static, f64>, Vec<TraceEvent<f64>>) {
     let spec = TraceSpec {
         sequences: 4,
         prompt: (2, 2),
@@ -472,6 +470,28 @@ fn swapped_and_resumed_sequences_match_the_recompute_run_exactly() {
         priority_classes: 1,
         seed: 0xFACE,
     };
+    let (scheduler, plans, models) = build_mixed_scheduler(2, config);
+    let trace = generate_trace(&spec, &plans, &models[..1]);
+    (scheduler, trace)
+}
+
+/// Preemptions of the stacks among `completions`.
+fn stack_preemptions(completions: &[Completion<f64>]) -> u64 {
+    completions
+        .iter()
+        .filter(|c| matches!(c.target, ServeTarget::Model(_)))
+        .map(|c| c.preemptions as u64)
+        .sum()
+}
+
+/// The mixed preemption workload under [`EvictionMode::Swap`]: stack
+/// victims park their caches in the swap arena and resume by re-adopting
+/// pages in O(1). The mode must be invisible — every completion bitwise
+/// equal to the sequential reference *and* field-for-field identical
+/// (admission tick, completion tick, preemption count, output) to the
+/// evict-and-recompute run of the same trace.
+#[test]
+fn swapped_and_resumed_sequences_match_the_recompute_run_exactly() {
     let mut runs = Vec::new();
     for eviction in [EvictionMode::Recompute, EvictionMode::Swap] {
         let config = ServeConfig {
@@ -484,14 +504,13 @@ fn swapped_and_resumed_sequences_match_the_recompute_run_exactly() {
             eviction,
             swap_bytes: usize::MAX,
         };
-        let (mut scheduler, plans) = build_scheduler(2, config);
-        let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans, &[]);
+        let (mut scheduler, trace) = mixed_squeeze_trace(config);
         let bound = starvation_bound(&trace, &config);
         let completions = drive(&mut scheduler, &trace, bound);
         check_completions(&scheduler, &trace, &completions);
         assert!(
-            completions.iter().any(|c| c.preemptions > 0),
-            "{eviction:?}: this workload must preempt"
+            stack_preemptions(&completions) > 0,
+            "{eviction:?}: this workload must preempt a stack"
         );
         if eviction == EvictionMode::Swap {
             assert!(
@@ -538,9 +557,11 @@ fn swapped_and_resumed_sequences_match_the_recompute_run_exactly() {
     }
 }
 
-/// Swap mode with a zero-byte arena: every park is refused and falls back
-/// to evict-and-recompute. The fallback is counted, the arena stays
-/// untouched, and the run remains bitwise equal to the reference.
+/// Swap mode with a zero-byte arena: every stack park is refused and the
+/// stack is held outside the pool, as under `Recompute`. Each refusal is
+/// counted — and only those: a plan victim parks nothing, so it falls
+/// back from nothing — the arena stays untouched, and the run remains
+/// bitwise equal to the reference.
 #[test]
 fn zero_byte_swap_arena_falls_back_to_recompute_bitwise() {
     let config = ServeConfig {
@@ -553,24 +574,21 @@ fn zero_byte_swap_arena_falls_back_to_recompute_bitwise() {
         eviction: EvictionMode::Swap,
         swap_bytes: 0,
     };
-    let (mut scheduler, plans) = build_scheduler(2, config);
-    let spec = TraceSpec {
-        sequences: 4,
-        prompt: (2, 2),
-        decode: (8, 8),
-        dk: 4,
-        arrival_gap: (0, 0),
-        priority_classes: 1,
-        seed: 0xFACE,
-    };
-    let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans, &[]);
+    let (mut scheduler, trace) = mixed_squeeze_trace(config);
     let bound = starvation_bound(&trace, &config);
     let completions = drive(&mut scheduler, &trace, bound);
     check_completions(&scheduler, &trace, &completions);
-    assert!(completions.iter().any(|c| c.preemptions > 0));
     assert!(
-        scheduler.swap_fallbacks() > 0,
-        "a zero-byte arena must refuse every park"
+        completions
+            .iter()
+            .any(|c| c.preemptions > 0 && matches!(c.target, ServeTarget::Plan(_))),
+        "a plan sequence must be a victim too"
+    );
+    assert!(stack_preemptions(&completions) > 0);
+    assert_eq!(
+        scheduler.swap_fallbacks(),
+        stack_preemptions(&completions),
+        "a zero-byte arena must refuse every stack park, and only those"
     );
     assert_eq!(
         scheduler.swap_peak_bytes(),
@@ -1357,38 +1375,41 @@ fn failed_tick_truncates_every_layer_of_model_stacks() {
 
 /// Rollback matrix, tight arena cap: a byte cap that fits either victim
 /// alone but not both, so one tick's double eviction leaves the class-0
-/// victim (2 cached tokens, parked first) in the arena and the class-1
-/// victim (3 tokens) fallen back. The failing tick resumes both; the
-/// rollback must restore *that* residency — the same sequence holding
-/// the ticket, the same bytes parked — not whatever order re-parking the
-/// in-flight tail happens to produce.
+/// victim (a 3-layer stack of 2 cached tokens, parked first) in the arena
+/// and the class-1 victim (3 tokens) fallen back. Two stacks' decode rows
+/// squeeze both victims out on tick 2 and complete. The failing tick
+/// resumes both victims; the rollback must restore *that* residency —
+/// the same sequence holding the ticket, the same bytes parked — not
+/// whatever order re-parking the in-flight tail happens to produce.
 #[test]
 fn failed_tick_restores_arena_residency_under_a_tight_cap() {
-    let row_bytes = (4 + 4) * std::mem::size_of::<f64>();
-    let config = rollback_config(8, EvictionMode::Swap, 3 * row_bytes + 8);
+    // One token of the rig's stack: 3 layers × 3 heads × (dk 4 + dv 4).
+    let token_bytes = 3 * 3 * (4 + 4) * std::mem::size_of::<f64>();
+    let config = rollback_config(17, EvictionMode::Swap, 3 * token_bytes + 8);
     let outcome = assert_failed_tick_leaves_no_trace(config, 4, |rig, broken| Script {
         events: vec![
             // Class 1, admitted first: in-flight position 0.
-            (0, plan_sub(rig.healthy, 1, 2, 12, 1)),
+            (0, model_sub(rig.stack, 1, 2, 10, 1)),
             // Class 0, a tick later: the offender (first decode row on
-            // tick 3), a stack whose one decode row squeezes both
-            // victims out on tick 2 and completes, and the younger victim.
+            // tick 3), two stacks whose decode rows squeeze both victims
+            // out on tick 2 and complete, and the younger victim.
             (
                 1,
                 plan_sub(if broken { rig.pinned } else { rig.healthy }, 0, 4, 6, 2),
             ),
             (1, model_sub(rig.stack, 0, 2, 3, 3)),
-            (1, plan_sub(rig.healthy, 0, 2, 12, 4)),
-            (3, plan_sub(rig.healthy, 1, 2, 3, 5)),
+            (1, model_sub(rig.stack, 0, 2, 3, 4)),
+            (1, model_sub(rig.stack, 0, 2, 10, 5)),
+            (3, plan_sub(rig.healthy, 1, 2, 3, 6)),
         ],
         offender: 1,
         fail_tick: 3,
     });
-    assert_eq!(outcome.staged, (vec![4], vec![3, 0], vec![], vec![]));
+    assert_eq!(outcome.staged, (vec![5], vec![4, 0], vec![], vec![]));
     assert_eq!(
         outcome.before[6] as usize,
-        2 * row_bytes,
-        "the class-0 victim's two rows hold the arena; the class-1 victim fell back"
+        2 * token_bytes,
+        "the class-0 victim's two tokens hold the arena; the class-1 victim fell back"
     );
 }
 
@@ -1616,4 +1637,161 @@ fn swapped_multi_layer_stacks_park_and_resume_as_a_unit() {
             r.id.as_u64()
         );
     }
+}
+
+/// One-page pools, the smallest a scheduler accepts (`Scheduler::new`
+/// rejects `kv_pages = 0`, pinned by the scheduler's unit test
+/// `config_validation`). A plan sequence of exactly `page_size` tokens
+/// and a one-layer stack of the same length are each served bitwise;
+/// one token more is rejected at `submit` as over capacity, as is an
+/// empty prompt of either flavor (the plan case is also pinned by
+/// `submit_validation_rejects_bad_requests`); and two page-long plan
+/// sequences sharing the one page both complete bitwise.
+#[test]
+fn one_page_pools_serve_a_page_of_tokens_bitwise() {
+    const PAGE: usize = 4;
+    let config = ServeConfig {
+        max_in_flight: 2,
+        kv_pages: 1,
+        page_size: PAGE,
+        arrival_window: 0,
+        prefill_chunk: 2,
+        admission: AdmissionMode::PagedUsage,
+        eviction: EvictionMode::Recompute,
+        swap_bytes: usize::MAX,
+    };
+    let events = |requests: Vec<Submission<f64>>| -> Vec<TraceEvent<f64>> {
+        let at = |request| TraceEvent { at: 0, request };
+        requests.into_iter().map(at).collect()
+    };
+    let (mut scheduler, plans, models) = build_mixed_scheduler(2, config);
+    let (plan, stack) = (plans[0], models[0].0);
+    let over = || {
+        Err(ServeError::OverCapacity {
+            need_pages: 2,
+            total_pages: 1,
+        })
+    };
+    assert_eq!(scheduler.submit(plan_sub(plan, 0, 2, PAGE + 1, 5)), over());
+    assert_eq!(
+        scheduler.submit(model_sub_of(stack, 8, 2, PAGE + 1, 6)),
+        over()
+    );
+    for empty in [
+        plan_sub(plan, 0, 0, PAGE, 7),
+        model_sub_of(stack, 8, 0, PAGE, 8),
+    ] {
+        assert!(matches!(
+            scheduler.submit(empty),
+            Err(ServeError::BadRequest { .. })
+        ));
+    }
+    assert!(
+        scheduler.is_idle(),
+        "rejected requests leave no state behind"
+    );
+    let scenarios = [
+        events(vec![plan_sub(plan, 0, 2, PAGE, 1)]),
+        events(vec![model_sub_of(stack, 8, 2, PAGE, 2)]),
+        events(vec![
+            plan_sub(plan, 0, 2, PAGE, 3),
+            plan_sub(plan, 0, 1, PAGE, 4),
+        ]),
+    ];
+    for trace in scenarios {
+        let (mut scheduler, _, _) = build_mixed_scheduler(2, config);
+        let completions = drive(&mut scheduler, &trace, starvation_bound(&trace, &config));
+        check_completions(&scheduler, &trace, &completions);
+        assert_eq!(scheduler.kv_used_pages(), 0);
+    }
+}
+
+/// A model request of `d_model`-wide embedding rows.
+fn model_sub_of(
+    model: ModelId,
+    d_model: usize,
+    prompt: usize,
+    total: usize,
+    seed: u64,
+) -> Submission<f64> {
+    Submission::Model(ModelRequest {
+        model,
+        priority: 0,
+        prompt,
+        x: init::gaussian_matrix(total, d_model, 1.0, seed),
+    })
+}
+
+/// The serving boundary for non-finite inputs: `submit` does not scan a
+/// request's rows, and a launch propagates per row, as the kernels do. Two
+/// plan sequences share one launch, one with a `NaN` key row. The clean
+/// one is bitwise its sequential reference. The poisoned one is `NaN`
+/// exactly on the rows whose `Local` window reaches the bad key — prompt
+/// rows within the window of it, and decode rows until the window has
+/// passed it — finite everywhere else, and bit for bit its own
+/// sequential reference.
+#[test]
+fn a_non_finite_key_poisons_only_the_rows_that_reach_it() {
+    let (n, prompt, total, bad) = (2, 8, 14, 6);
+    let config = ServeConfig {
+        max_in_flight: 2,
+        kv_pages: 8,
+        page_size: 4,
+        arrival_window: 0,
+        prefill_chunk: 4,
+        admission: AdmissionMode::PagedUsage,
+        eviction: EvictionMode::Recompute,
+        swap_bytes: usize::MAX,
+    };
+    let (mut scheduler, plans) = build_scheduler(2, config);
+    let local = plans[0];
+    let clean = plan_sub(local, 0, prompt, total, 1);
+    let mut poisoned = plan_sub(local, 0, prompt, total, 2);
+    let Submission::Plan(request) = &mut poisoned else {
+        unreachable!("a plan submission");
+    };
+    request.k.row_mut(bad).fill(f64::NAN);
+    let ids = [
+        scheduler.submit(clean.clone()).unwrap(),
+        scheduler.submit(poisoned.clone()).unwrap(),
+    ];
+    let first = scheduler.tick().unwrap();
+    assert_eq!(first.admitted, ids.to_vec());
+    assert_eq!(first.launches, 1, "both sequences share one launch");
+    let mut completions = first.completed;
+    while !scheduler.is_idle() {
+        completions.extend(scheduler.tick().unwrap().completed);
+    }
+    let output = |id| &completions.iter().find(|c| c.id == id).unwrap().output;
+    let chunk = config.prefill_chunk;
+    let (engine, plan) = (scheduler.engine(), scheduler.plan(local));
+    let Submission::Plan(clean) = clean else {
+        unreachable!("a plan submission");
+    };
+    let reference = sequential_reference(engine, plan, &clean, chunk).unwrap();
+    assert_eq!(
+        *output(ids[0]),
+        reference,
+        "the clean sequence is untouched"
+    );
+
+    let out = output(ids[1]);
+    for i in 0..total {
+        // A prompt row sees the whole prompt; decode row `i` the tokens
+        // up to itself.
+        let kv_rows = if i < prompt { prompt } else { i + 1 };
+        let reaches = bad < kv_rows && i.abs_diff(bad) <= n;
+        let row = out.row(i);
+        if reaches {
+            assert!(row.iter().all(|x| x.is_nan()), "row {i} reaches the key");
+        } else {
+            assert!(row.iter().all(|x| x.is_finite()), "row {i} does not");
+        }
+    }
+    let Submission::Plan(poisoned) = poisoned else {
+        unreachable!("a plan submission");
+    };
+    let reference = sequential_reference(engine, plan, &poisoned, chunk).unwrap();
+    let bits = |m: &Matrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(out), bits(&reference), "NaN rows included");
 }
