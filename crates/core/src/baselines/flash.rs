@@ -68,7 +68,7 @@ pub fn flash_attention_tiled<T: Real>(
             what: "tile size must be positive",
         });
     }
-    let (l_ctx, dv, scale) = square_inputs(q, k, v, opts)?;
+    let (l_ctx, dv, scale) = square_inputs(q, k, v)?;
     let mut out = Matrix::zeros(l_ctx, dv);
     let writer = RowWriter::new(out.as_mut_slice(), l_ctx, dv);
 
@@ -204,14 +204,12 @@ mod tests {
 
     #[test]
     fn scores_of_1e4_neither_overflow_nor_flush_the_row() {
-        // q·k = ±1e4 at scale 1, in both widths and at every tile size: the
-        // two +1e4 keys share the weight and the −1e4 key gets none.
+        // q·k = ±1e4 at dk = 1, where Eq. (1)'s scale is exactly 1, in both
+        // widths and at every tile size: the two +1e4 keys share the weight
+        // and the −1e4 key gets none.
         fn check<T: Real>() {
             let q = Matrix::from_vec(3, 1, vec![T::from_f64(100.0); 3]);
-            let opts = KernelOptions {
-                scale: Some(1.0),
-                ..KernelOptions::new()
-            };
+            let opts = KernelOptions::new();
             // (key, value row) pairs, the −1e4 key in the middle and first.
             let (hi, lo, hi2) = (
                 (100.0, [1.0, 2.0]),

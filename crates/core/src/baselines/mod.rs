@@ -8,7 +8,6 @@ pub use flash::{flash_attention, flash_attention_tiled, DEFAULT_TILE};
 pub use sdp::masked_sdp;
 
 use crate::error::AttnError;
-use crate::options::KernelOptions;
 use gpa_tensor::{attention_scale, Matrix, Real};
 
 /// Check a dense baseline's inputs — called directly, nothing upstream has —
@@ -18,7 +17,6 @@ fn square_inputs<T: Real>(
     q: &Matrix<T>,
     k: &Matrix<T>,
     v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
 ) -> Result<(usize, usize, T), AttnError> {
     if q.rows() != k.rows() || k.rows() != v.rows() {
         return Err(AttnError::ContextLengthMismatch {
@@ -38,9 +36,5 @@ fn square_inputs<T: Real>(
             what: "dk must be positive",
         });
     }
-    let scale = match opts.scale {
-        Some(s) => T::from_f64(s),
-        None => attention_scale(q.cols()),
-    };
-    Ok((q.rows(), v.cols(), scale))
+    Ok((q.rows(), v.cols(), attention_scale(q.cols())))
 }

@@ -57,7 +57,7 @@ pub fn masked_sdp<T: Real>(
     v: &Matrix<T>,
     opts: &KernelOptions<'_>,
 ) -> Result<Matrix<T>, AttnError> {
-    let (l_ctx, dv, scale) = square_inputs(q, k, v, opts)?;
+    let (l_ctx, dv, scale) = square_inputs(q, k, v)?;
     if mask.rows() != l_ctx || mask.cols() != l_ctx {
         return Err(AttnError::MaskShapeMismatch {
             mask: (mask.rows(), mask.cols()),
@@ -173,8 +173,9 @@ mod tests {
 
     #[test]
     fn scores_of_1e4_neither_overflow_nor_flush_the_row() {
-        // q·k = ±1e4 at scale 1, in both widths: the two +1e4 keys share
-        // the weight and the −1e4 key gets none.
+        // q·k = ±1e4 at dk = 1, where Eq. (1)'s scale is exactly 1, in both
+        // widths: the two +1e4 keys share the weight and the −1e4 key gets
+        // none.
         fn check<T: Real>() {
             let q = Matrix::from_vec(3, 1, vec![T::from_f64(100.0); 3]);
             let k = Matrix::from_vec(3, 1, [100.0, -100.0, 100.0].map(T::from_f64).to_vec());
@@ -183,10 +184,7 @@ mod tests {
                 2,
                 [1.0, 2.0, 50.0, 60.0, 3.0, 6.0].map(T::from_f64).to_vec(),
             );
-            let opts = KernelOptions {
-                scale: Some(1.0),
-                ..KernelOptions::new()
-            };
+            let opts = KernelOptions::new();
             let out = masked_sdp(&pool(), &DenseMask::ones(3, 3), &q, &k, &v, &opts).unwrap();
             for i in 0..3 {
                 assert_eq!((out.get(i, 0).to_f64(), out.get(i, 1).to_f64()), (2.0, 4.0));

@@ -318,10 +318,7 @@ fn launch_rows<T: Real>(
         .map(|(s, (window, r))| SeqCtx {
             o: RowWriter::new(window, r.rows(), r.v.cols()),
             base: space.segment_range(s).start,
-            scale: match opts.scale {
-                Some(s) => T::from_f64(s),
-                None => attention_scale(r.q.cols()),
-            },
+            scale: attention_scale(r.q.cols()),
             kv_len: r.geometry.kv_rows,
             routing: r.routing,
         })

@@ -12,50 +12,18 @@
 
 use crate::error::AttnError;
 use crate::routing::{RoutedSpec, Routing};
-use gpa_tensor::{Matrix, Real, F16};
-
-/// Storage precision of a [`KvCache`].
-///
-/// `F16` emulates FP16 KV storage with full-precision compute (the common
-/// serving configuration): every appended key/value element is rounded
-/// through IEEE binary16 ([`gpa_tensor::F16`]) and stored as the nearest
-/// representable value, while all downstream arithmetic stays in `T`.
-/// Quantization is idempotent — re-appending already-quantized rows (the
-/// scheduler's preemption rebuild path) is exact.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum KvPrecision {
-    /// Store keys/values exactly as computed (in `T`).
-    #[default]
-    Native,
-    /// Round keys/values to the nearest IEEE binary16 value on append.
-    F16,
-}
-
-/// Round one value to the nearest IEEE binary16, staying in `T`.
-#[inline(always)]
-fn to_f16<T: Real>(x: T) -> T {
-    T::from_f64(F16::from_f64(x.to_f64()).to_f64())
-}
-
-/// Round every element of a freshly appended row to binary16 in place.
-fn quantize_row<T: Real>(row: &mut [T]) {
-    for x in row.iter_mut() {
-        *x = to_f16(*x);
-    }
-}
+use gpa_tensor::{Matrix, Real};
 
 /// Growable per-head key/value storage for one sequence.
 ///
 /// Single-head callers (the engine's [`crate::AttentionEngine::decode_step`]
 /// surface) build it with [`KvCache::single`]; a decoder layer's cache in
 /// a [`crate::PagePool`] keeps one entry per head ([`KvCache::new`]).
-/// Storage precision is fixed at construction ([`KvPrecision`], default
-/// native).
+/// Rows are stored exactly as appended, in `T`.
 #[derive(Clone)]
 pub struct KvCache<T> {
     /// `(K, V)` per head; `K` is `len × dk`, `V` is `len × dv`.
     heads: Vec<(Matrix<T>, Matrix<T>)>,
-    precision: KvPrecision,
     /// Per-head token routing for routed plans — created lazily by the
     /// first [`KvCache::extend_routing`], absent for static sequences.
     /// Rides in the cache so every rollback path ([`KvCache::truncate`])
@@ -70,7 +38,6 @@ impl<T: Real> std::fmt::Debug for KvCache<T> {
             .field("tokens", &self.len())
             .field("dk", &self.dk())
             .field("dv", &self.dv())
-            .field("precision", &self.precision)
             .finish()
     }
 }
@@ -82,21 +49,12 @@ impl<T: Real> KvCache<T> {
     /// # Panics
     /// Panics if `heads`, `dk`, or `dv` is zero.
     pub fn new(heads: usize, dk: usize, dv: usize) -> Self {
-        Self::with_precision(heads, dk, dv, KvPrecision::Native)
-    }
-
-    /// As [`KvCache::new`] with an explicit storage precision.
-    ///
-    /// # Panics
-    /// Panics if `heads`, `dk`, or `dv` is zero.
-    pub fn with_precision(heads: usize, dk: usize, dv: usize, precision: KvPrecision) -> Self {
         assert!(heads > 0, "a cache needs at least one head");
         assert!(dk > 0 && dv > 0, "key/value dimensions must be positive");
         KvCache {
             heads: (0..heads)
                 .map(|_| (Matrix::zeros(0, dk), Matrix::zeros(0, dv)))
                 .collect(),
-            precision,
             routing: None,
         }
     }
@@ -104,11 +62,6 @@ impl<T: Real> KvCache<T> {
     /// Single-head cache — the engine-level decode surface.
     pub fn single(dk: usize, dv: usize) -> Self {
         Self::new(1, dk, dv)
-    }
-
-    /// This cache's storage precision.
-    pub fn precision(&self) -> KvPrecision {
-        self.precision
     }
 
     /// Number of heads.
@@ -145,9 +98,7 @@ impl<T: Real> KvCache<T> {
     /// Bytes of K/V payload this cache holds:
     /// `heads × len × (dk + dv) × size_of::<T>()`. This is the quantity a
     /// host-side [`crate::SwapArena`] accounts when a preempted sequence
-    /// parks its cache instead of dropping it. [`KvPrecision::F16`] rounds
-    /// values but stores them in `T`, so precision does not change the
-    /// byte count.
+    /// parks its cache instead of dropping it.
     pub fn kv_bytes(&self) -> usize {
         self.heads() * self.len() * (self.dk() + self.dv()) * std::mem::size_of::<T>()
     }
@@ -159,16 +110,11 @@ impl<T: Real> KvCache<T> {
     /// *both* rows before either is pushed, so a bad call never leaves `K`
     /// and `V` with diverged row counts.
     pub fn append(&mut self, head: usize, k_row: &[T], v_row: &[T]) {
-        let precision = self.precision;
         let (k, v) = &mut self.heads[head];
         assert_eq!(k_row.len(), k.cols(), "key row width mismatch");
         assert_eq!(v_row.len(), v.cols(), "value row width mismatch");
         k.push_row(k_row);
         v.push_row(v_row);
-        if precision == KvPrecision::F16 {
-            quantize_row(k.row_mut(k.rows() - 1));
-            quantize_row(v.row_mut(v.rows() - 1));
-        }
     }
 
     /// Bulk-append a prompt's key/value rows to head `head` — the prefill
@@ -179,7 +125,6 @@ impl<T: Real> KvCache<T> {
     /// checked before any mutation).
     pub fn extend(&mut self, head: usize, k: &Matrix<T>, v: &Matrix<T>) {
         assert_eq!(k.rows(), v.rows(), "K/V row counts differ");
-        let precision = self.precision;
         let (ck, cv) = &mut self.heads[head];
         assert_eq!(k.cols(), ck.cols(), "key width mismatch");
         assert_eq!(v.cols(), cv.cols(), "value width mismatch");
@@ -188,10 +133,6 @@ impl<T: Real> KvCache<T> {
         for i in 0..k.rows() {
             ck.push_row(k.row(i));
             cv.push_row(v.row(i));
-            if precision == KvPrecision::F16 {
-                quantize_row(ck.row_mut(ck.rows() - 1));
-                quantize_row(cv.row_mut(cv.rows() - 1));
-            }
         }
     }
 
@@ -258,12 +199,6 @@ impl<T: Real> KvCache<T> {
             }
         }
     }
-
-    /// Drop every cached token, keeping the configuration, head count,
-    /// and allocated capacity — sequence reset in a serving loop.
-    pub fn clear(&mut self) {
-        self.truncate(0);
-    }
 }
 
 #[cfg(test)]
@@ -292,10 +227,6 @@ mod tests {
         }
         assert_eq!(cache.len(), 6);
         assert_eq!(cache.k(0).row(3), k.row(2));
-
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!((cache.dk(), cache.dv()), (4, 3));
     }
 
     #[test]
@@ -333,42 +264,6 @@ mod tests {
         // can never leave K and V with diverged row counts.
         let mut cache: KvCache<f32> = KvCache::single(2, 2);
         cache.append(0, &[1.0, 2.0], &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn f16_cache_rounds_appends_to_binary16() {
-        let mut cache: KvCache<f64> = KvCache::with_precision(1, 2, 2, KvPrecision::F16);
-        assert_eq!(cache.precision(), KvPrecision::F16);
-        // 0.1 is not binary16-representable; 0.5 and 1.0 are exact.
-        cache.append(0, &[0.1, 0.5], &[1.0, 0.3]);
-        let k = cache.k(0).row(0);
-        assert_ne!(k[0], 0.1, "non-representable values must be rounded");
-        assert!((k[0] - 0.1).abs() < 1e-4, "…but only to the nearest f16");
-        assert_eq!(k[1], 0.5);
-        assert_eq!(cache.v(0).row(0)[0], 1.0);
-        // Idempotent: re-appending stored rows reproduces them exactly
-        // (the preemption-rebuild path).
-        let (stored_k, stored_v) = (k.to_vec(), cache.v(0).row(0).to_vec());
-        cache.append(0, &stored_k, &stored_v);
-        assert_eq!(cache.k(0).row(1), &stored_k[..]);
-        assert_eq!(cache.v(0).row(1), &stored_v[..]);
-    }
-
-    #[test]
-    fn f16_extend_matches_per_row_append() {
-        let (_, k, v) = qkv::<f32>(6, 4, 11);
-        let mut bulk: KvCache<f32> = KvCache::with_precision(1, 4, 4, KvPrecision::F16);
-        bulk.extend(0, &k, &v);
-        let mut single: KvCache<f32> = KvCache::with_precision(1, 4, 4, KvPrecision::F16);
-        for i in 0..k.rows() {
-            single.append(0, k.row(i), v.row(i));
-        }
-        assert_eq!(bulk.k(0), single.k(0));
-        assert_eq!(bulk.v(0), single.v(0));
-        // And the quantized storage differs from native storage.
-        let mut native: KvCache<f32> = KvCache::single(4, 4);
-        native.extend(0, &k, &v);
-        assert_ne!(bulk.k(0), native.k(0));
     }
 
     #[test]

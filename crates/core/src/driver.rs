@@ -479,23 +479,6 @@ mod tests {
         assert_eq!(report.output_updates, pat.nnz() as u64);
     }
 
-    #[test]
-    fn scale_override_changes_result() {
-        let l = 8;
-        let (q, k, v) = qkv::<f64>(l, 4, 2);
-        let plan = AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap();
-        let request = [AttentionRequest::new(&q, &k, &v)];
-        let e = engine();
-        let a = e.run_batch(&plan, &request).unwrap();
-        let flat = AttentionEngine::builder()
-            .threads(e.threads())
-            .scale(0.0)
-            .build();
-        let b = flat.run_batch(&plan, &request).unwrap();
-        // Scale 0 ⇒ uniform weights; results must differ from scaled ones.
-        assert!(a[0].max_abs_diff(&b[0]) > 1e-9);
-    }
-
     // ---- the tile itself -------------------------------------------------
 
     /// Algorithm 1 exactly as the paper writes it — one edge at a time,

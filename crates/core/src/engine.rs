@@ -1,7 +1,7 @@
 //! `AttentionEngine` — the only way to launch a graph kernel.
 //!
 //! An engine owns the execution substrate (worker pool) and the launch
-//! policy (schedule, scale override, optional work counting), compiles
+//! policy (schedule, optional work counting), compiles
 //! kernel compositions into reusable [`AttentionPlan`]s, and executes them
 //! against single sequences or whole batches:
 //!
@@ -40,7 +40,7 @@
 //! kernels against.
 
 use crate::batch::{execute_batch, execute_batch_into, execute_batch_states, AttentionRequest};
-use crate::cache::{KvCache, KvPrecision};
+use crate::cache::KvCache;
 use crate::dispatch::AttentionKernel;
 use crate::error::AttnError;
 use crate::options::KernelOptions;
@@ -50,15 +50,12 @@ use crate::state::AttentionState;
 use gpa_parallel::{default_threads, Schedule, ThreadPool, WorkCounter, WorkReport};
 use gpa_tensor::{Matrix, Real};
 
-/// Builder for [`AttentionEngine`] — threads, schedule, scale, work
-/// counting.
+/// Builder for [`AttentionEngine`] — threads, schedule, work counting.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AttentionEngineBuilder {
     threads: Option<usize>,
     schedule: Schedule,
-    scale: Option<f64>,
     count_work: bool,
-    kv_precision: KvPrecision,
 }
 
 impl AttentionEngineBuilder {
@@ -77,28 +74,10 @@ impl AttentionEngineBuilder {
         self
     }
 
-    /// Override the attention scale (default: Eq. (1)'s `1/√dk`).
-    pub fn scale(mut self, scale: f64) -> Self {
-        self.scale = Some(scale);
-        self
-    }
-
     /// Attach an engine-owned [`WorkCounter`] so every run is tallied —
     /// read it back via [`AttentionEngine::work_report`].
     pub fn count_work(mut self, enabled: bool) -> Self {
         self.count_work = enabled;
-        self
-    }
-
-    /// Storage precision for KV caches created through
-    /// [`AttentionEngine::new_cache`], the only constructor that honours
-    /// it: [`KvPrecision::F16`] emulates FP16 storage with full-precision
-    /// compute (quantize on append, compute in `T`; the verification suite
-    /// gates its error bounds, see [`crate::verify::F16_KV_ATOL`]). The
-    /// scheduler's [`crate::PagePool`] builds its caches with
-    /// [`KvCache::single`]/[`KvCache::new`] and never sees this setting.
-    pub fn kv_precision(mut self, precision: KvPrecision) -> Self {
-        self.kv_precision = precision;
         self
     }
 
@@ -107,9 +86,7 @@ impl AttentionEngineBuilder {
         AttentionEngine {
             pool: ThreadPool::new(self.threads.unwrap_or_else(default_threads)),
             schedule: self.schedule,
-            scale: self.scale,
             counter: self.count_work.then(WorkCounter::new),
-            kv_precision: self.kv_precision,
         }
     }
 }
@@ -120,9 +97,7 @@ impl AttentionEngineBuilder {
 pub struct AttentionEngine {
     pool: ThreadPool,
     schedule: Schedule,
-    scale: Option<f64>,
     counter: Option<WorkCounter>,
-    kv_precision: KvPrecision,
 }
 
 impl Default for AttentionEngine {
@@ -165,27 +140,14 @@ impl AttentionEngine {
         self.schedule
     }
 
-    /// The KV storage precision this engine's caches use.
-    pub fn kv_precision(&self) -> KvPrecision {
-        self.kv_precision
-    }
-
-    /// An empty single-head [`KvCache`] for this engine's serving surface
-    /// ([`Self::prefill_chunked`] / [`Self::decode_step`]), created with
-    /// the engine's [`KvPrecision`].
-    pub fn new_cache<T: Real>(&self, dk: usize, dv: usize) -> KvCache<T> {
-        KvCache::with_precision(1, dk, dv, self.kv_precision)
-    }
-
-    /// The launch options every engine run uses — schedule, scale, and
-    /// the engine's counter — in [`KernelOptions`] form: what a dense
+    /// The launch options every engine run uses — the schedule and the
+    /// engine's counter — in [`KernelOptions`] form: what a dense
     /// baseline called directly takes, so it runs under the engine's
     /// policy and is tallied by its counter.
     pub fn options(&self) -> KernelOptions<'_> {
         KernelOptions {
             schedule: self.schedule,
             counter: self.counter.as_ref(),
-            scale: self.scale,
         }
     }
 
@@ -435,9 +397,7 @@ impl std::fmt::Debug for AttentionEngine {
         f.debug_struct("AttentionEngine")
             .field("threads", &self.threads())
             .field("schedule", &self.schedule)
-            .field("scale", &self.scale)
             .field("count_work", &self.counter.is_some())
-            .field("kv_precision", &self.kv_precision)
             .finish()
     }
 }
@@ -453,14 +413,11 @@ mod tests {
         let engine = AttentionEngine::builder()
             .threads(2)
             .schedule(Schedule::StaticContiguous)
-            .scale(1.0)
             .count_work(true)
             .build();
         assert_eq!(engine.threads(), 2);
         assert_eq!(engine.schedule(), Schedule::StaticContiguous);
-        let opts = engine.options();
-        assert_eq!(opts.scale, Some(1.0));
-        assert!(opts.counter.is_some());
+        assert!(engine.options().counter.is_some());
         assert!(engine.work_report().is_some());
     }
 
@@ -480,18 +437,6 @@ mod tests {
         assert_eq!(report.dot_products, 2 * pat.nnz() as u64);
         engine.reset_work();
         assert_eq!(engine.work_report().unwrap().dot_products, 0);
-    }
-
-    #[test]
-    fn engine_scale_override_applies() {
-        let engine = AttentionEngine::builder().threads(2).scale(0.0).build();
-        let l = 16;
-        let (q, k, v) = qkv::<f64>(l, 4, 82);
-        let plan = engine.compile(&[AttentionKernel::Local { n: 2 }]).unwrap();
-        let flat = engine.run(&plan, &q, &k, &v).unwrap();
-        let default_engine = AttentionEngine::with_threads(2);
-        let scaled = default_engine.run(&plan, &q, &k, &v).unwrap();
-        assert!(flat.max_abs_diff(&scaled) > 1e-9);
     }
 
     #[test]

@@ -21,12 +21,10 @@ pub struct KernelOptions<'a> {
     /// one output update per absorbed edge (plus COO search steps), which
     /// the work-optimality tests compare against the mask's nnz.
     pub counter: Option<&'a WorkCounter>,
-    /// Override for the attention scale. `None` uses Eq. (1)'s `1/√dk`.
-    pub scale: Option<f64>,
 }
 
 impl<'a> KernelOptions<'a> {
-    /// Default options (dynamic schedule, no instrumentation, `1/√dk`).
+    /// Default options (dynamic schedule, no instrumentation).
     pub fn new() -> Self {
         Self::default()
     }
@@ -47,7 +45,6 @@ mod tests {
         let c = WorkCounter::new();
         let o = KernelOptions::new().with_counter(&c);
         assert_eq!(o.schedule, Schedule::default());
-        assert_eq!(o.scale, None);
         assert!(o.counter.is_some());
     }
 }

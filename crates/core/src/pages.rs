@@ -37,8 +37,8 @@
 //! Instead of dropping a victim's cache and rebuilding it row by row on
 //! resume (evict-and-recompute, `O(context)`), a scheduler releases the
 //! victim's pages and [`SwapArena::try_park`]s the whole per-layer cache
-//! stack — K/V rows, f16 payloads, and routing state move as-is, `O(1)`
-//! in context length. Resume is [`SwapArena::take`] +
+//! stack — K/V rows and routing state move as-is, `O(1)` in context
+//! length. Resume is [`SwapArena::take`] +
 //! [`PagePool::try_adopt`] (all-or-nothing), splicing the identical bytes
 //! back under a fresh page table. Arena capacity is accounted in **bytes**
 //! ([`KvCache::kv_bytes`]), parking is all-or-nothing, and conservation
@@ -572,8 +572,8 @@ struct SwapEntry<T> {
 /// When a scheduler preempts a sequence it releases the victim's pages
 /// back to the [`PagePool`] and, instead of dropping the caches and
 /// rebuilding them row by row on resume, parks the whole per-layer stack
-/// here. The caches move by value — K/V rows, f16 payloads, and routing
-/// state untouched — so resume is a splice ([`Self::take`] +
+/// here. The caches move by value — K/V rows and routing state
+/// untouched — so resume is a splice ([`Self::take`] +
 /// [`PagePool::try_adopt`]), `O(1)` in context length.
 ///
 /// Capacity is accounted in **bytes** of K/V payload

@@ -10,9 +10,7 @@
 //! kernel, launched through an [`AttentionEngine`], against the masked-SDP
 //! reference, across representative masks of
 //! varied sparsity, in `f64` (the reference comparison precision: the
-//! tolerances above are tighter than FP16 or `f32` rounding, and FP16 here
-//! is emulated storage — `gpa_tensor::F16` rounds values, arithmetic stays
-//! in the compute type).
+//! tolerances above are tighter than FP16 or `f32` rounding).
 
 use crate::baselines::masked_sdp;
 use crate::dispatch::AttentionKernel;
@@ -34,20 +32,6 @@ pub const PAPER_DK: usize = 32;
 pub const PAPER_ATOL: f64 = 1e-8;
 /// The paper's relative tolerance.
 pub const PAPER_RTOL: f64 = 1e-5;
-
-/// Absolute tolerance for the FP16-storage KV path
-/// ([`crate::KvPrecision::F16`]).
-///
-/// Binary16 rounding perturbs each stored key/value element by at most
-/// one part in 2¹¹ (relative, normal range). For the verification inputs
-/// (uniform `[0, 1)`, `dk = 32`) that bounds each attention score shift
-/// by `≲ √dk · 2⁻¹¹ ≈ 3e−3`, the softmax weight shift by twice that, and
-/// the convex-combination output by their sum — comfortably inside `1e−2`
-/// while still two orders tighter than any qualitative failure.
-pub const F16_KV_ATOL: f64 = 1e-2;
-/// Relative tolerance for the FP16-storage KV path (same argument as
-/// [`F16_KV_ATOL`]).
-pub const F16_KV_RTOL: f64 = 1e-2;
 
 /// Outcome of one kernel-vs-reference comparison.
 #[derive(Clone, Debug)]
@@ -211,107 +195,6 @@ pub fn run_verification_at(
     records
 }
 
-/// Verify the FP16-storage KV path ([`crate::KvPrecision::F16`]) against
-/// native-precision storage for **every** composable kernel.
-///
-/// Each kernel prefetches `l − 1` tokens into two caches — one native,
-/// one F16 — and decodes the final token through both; the outputs must
-/// agree within [`F16_KV_ATOL`]/[`F16_KV_RTOL`]. One record per kernel;
-/// `passed` must hold for all of them.
-pub fn run_f16_kv_verification(threads: usize) -> Vec<VerificationRecord> {
-    f16_kv_verification_at(threads, PAPER_L / 4, PAPER_DK, 0xF16)
-}
-
-/// [`run_f16_kv_verification`] at an arbitrary decode shape — the
-/// property-test surface. `l` must be at least 16 so every kernel's
-/// geometry (windows, dilation blocks, global pivots, band offsets) fits;
-/// `dk` must stay ≤ [`PAPER_DK`], the head width the
-/// [`F16_KV_ATOL`] bound is derived for.
-pub fn f16_kv_verification_at(
-    threads: usize,
-    l: usize,
-    dk: usize,
-    seed: u64,
-) -> Vec<VerificationRecord> {
-    use crate::cache::KvPrecision;
-
-    assert!(l >= 16, "l must fit every kernel's geometry");
-    assert!(
-        dk <= PAPER_DK,
-        "the documented f16 bound is derived for dk ≤ 32"
-    );
-    let (q, k, v) = qkv::<f64>(l, dk, seed);
-    let window = (l / 16).max(1);
-    let globals = GlobalSet::evenly_spaced(l, 3);
-    let csr = LocalWindow::new(l, window).to_csr();
-    let coo = csr.to_coo();
-    let band = DiaMask::new(l, vec![-(window as i64), -1, 0]).expect("offsets fit");
-    let kernels: Vec<(&str, AttentionKernel<'_>)> = vec![
-        ("Local", AttentionKernel::Local { n: window }),
-        (
-            "Dilated-1D",
-            AttentionKernel::Dilated1d {
-                w: 2 * window + 1,
-                r: 1,
-            },
-        ),
-        (
-            "Dilated-2D",
-            AttentionKernel::Dilated2d {
-                block_size: (l / 8).max(2),
-                r: 1,
-            },
-        ),
-        (
-            "Global",
-            AttentionKernel::Global {
-                globals: &globals,
-                n_sub: window,
-            },
-        ),
-        ("CSR", AttentionKernel::Csr(&csr)),
-        ("COO", AttentionKernel::Coo(&coo, CooSearch::Linear)),
-        ("DIA", AttentionKernel::Dia(&band)),
-    ];
-
-    let native = AttentionEngine::with_threads(threads);
-    let f16 = AttentionEngine::builder()
-        .threads(threads)
-        .kv_precision(KvPrecision::F16)
-        .build();
-    debug_assert_eq!(f16.kv_precision(), KvPrecision::F16);
-
-    let prompt_k = k.rows_slice(0, l - 1);
-    let prompt_v = v.rows_slice(0, l - 1);
-    let (q_t, k_t, v_t) = (
-        q.rows_slice(l - 1, l),
-        k.rows_slice(l - 1, l),
-        v.rows_slice(l - 1, l),
-    );
-
-    let mut records = Vec::new();
-    for (name, kernel) in &kernels {
-        let plan = crate::plan::AttentionPlan::single(*kernel).expect("kernel compiles");
-        let decode = |engine: &AttentionEngine| {
-            let mut cache = engine.new_cache::<f64>(dk, dk);
-            cache.extend(0, &prompt_k, &prompt_v);
-            engine
-                .decode_step(&plan, &q_t, &k_t, &v_t, &mut cache)
-                .expect("decode over the full-length cache")
-        };
-        let reference = decode(&native);
-        let output = decode(&f16);
-        records.push(VerificationRecord {
-            kernel: name.to_string(),
-            mask: "f16-kv decode".to_string(),
-            sparsity_factor: f64::NAN,
-            max_abs_diff: output.max_abs_diff(&reference),
-            passed: allclose(&output, &reference, F16_KV_ATOL, F16_KV_RTOL, true),
-        });
-    }
-    records
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,25 +221,6 @@ mod tests {
                 r.kernel, r.mask, r.max_abs_diff
             );
         }
-    }
-
-    #[test]
-    fn f16_kv_storage_stays_within_documented_bounds() {
-        let records = run_f16_kv_verification(2);
-        assert_eq!(records.len(), 7, "every composable kernel must be gated");
-        for r in &records {
-            assert!(
-                r.passed,
-                "{} f16-kv decode out of bounds: max_abs_diff = {:.3e}",
-                r.kernel, r.max_abs_diff
-            );
-        }
-        // The gate must not be vacuous: quantization really perturbs the
-        // stored rows, so some kernel must show a nonzero difference.
-        assert!(
-            records.iter().any(|r| r.max_abs_diff > 0.0),
-            "f16 storage produced bitwise-identical outputs — quantization is not applied"
-        );
     }
 
     #[test]

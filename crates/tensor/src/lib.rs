@@ -5,8 +5,6 @@
 //!
 //! - [`Real`]: the f32/f64 scalar abstraction every kernel is generic over;
 //! - [`Matrix`]: row-major dense matrices (`Q`, `K`, `V`, `O` are `L×d`);
-//! - [`F16`]: software IEEE binary16 for FP16 storage emulation and the
-//!   capacity model's byte accounting;
 //! - [`softmax`]: online-softmax primitives (Algorithm 1's `(m, l)`
 //!   recurrence), whose continued stream makes sequential kernel
 //!   composition exact;
@@ -14,14 +12,12 @@
 //!   `[0, 1)` inputs;
 //! - [`ops`]: dot products and blocked matmuls for the dense baselines.
 
-pub mod f16;
 pub mod init;
 pub mod matrix;
 pub mod ops;
 pub mod real;
 pub mod softmax;
 
-pub use f16::F16;
 pub use matrix::{allclose, argmax, paper_allclose, scalar_close, Matrix};
 pub use real::{attention_scale, Real};
 pub use softmax::{OnlineSoftmaxState, SoftmaxUpdate};

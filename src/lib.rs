@@ -22,7 +22,7 @@
 //!                └───────┬────────┴─────────────┘
 //!                   ┌────┴──────┐   ┌──────────────┐
 //!                   │ gpa-tensor│   │ gpa-memmodel │ (capacity model,
-//!                   │ Matrix,f16│   │ Fig. 4/Tab. II)│  independent)
+//!                   │ Matrix    │   │ Fig. 4/Tab. II)│  independent)
 //!                   └───────────┘   └──────────────┘
 //! ```
 //!
