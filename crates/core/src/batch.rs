@@ -469,7 +469,7 @@ mod tests {
         let scale = attention_scale::<f64>(q.cols());
         for step in plan.steps() {
             for i in 0..l {
-                step.for_each_neighbor(l, i, &mut |j| {
+                step.for_each_neighbor(l, i, None, &mut |j| {
                     crate::driver::absorb_edge(
                         q.row(i),
                         k.row(j),

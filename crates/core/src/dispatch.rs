@@ -10,13 +10,31 @@
 //! baselines the paper compares against are not kernels here; they are
 //! the plain functions [`crate::masked_sdp`] and
 //! [`crate::flash_attention`].
+//!
+//! A variant's row rule is `Get_Neighbors(G, i, Pa)` of Algorithm 1: it
+//! streams one absolute query row's neighbors, ascending, into the row
+//! tile of the one row loop (`batch::launch_rows`). Each graph is defined
+//! once: the implicit variants stream the same `stream_row` function that
+//! builds their pattern's CSR in `gpa-masks`, and DIA streams
+//! `gpa-sparse`'s own row enumerator.
+//!
+//! | Variant | Mask | Rule streamed |
+//! |---|---|---|
+//! | `Coo` (linear / binary search) | explicit | `kernels::explicit::coo_row` |
+//! | `Csr` | explicit | [`CsrMask::row`], handed over whole |
+//! | `Dia` | explicit, `O(#diagonals)` | [`DiaMask::row_neighbors`] |
+//! | `Local` | implicit | [`LocalWindow::stream_row`] |
+//! | `Dilated1d` | implicit | [`Dilated1d::stream_row`] |
+//! | `Dilated2d` | implicit | [`Dilated2d::stream_row`] |
+//! | `Global` (non-local) | implicit | [`GlobalMinusLocal::stream_row`] |
+//! | `Routed` | per-sequence [`crate::Routing`] | `routing::routed_row` |
 
 use crate::driver::NeighborSink;
 use crate::error::AttnError;
 use crate::kernels::CooSearch;
 use crate::plan::GeometrySpec;
 use crate::routing::Routing;
-use gpa_masks::GlobalSet;
+use gpa_masks::{Dilated1d, Dilated2d, GlobalMinusLocal, GlobalSet, LocalWindow};
 use gpa_parallel::WorkCounter;
 use gpa_sparse::{CooMask, CsrMask, DiaMask};
 
@@ -150,27 +168,13 @@ impl AttentionKernel<'_> {
     /// under key/value set size `kv_len` — the public form of the per-row
     /// rule, used to estimate a plan's edges
     /// ([`crate::AttentionPlan::estimated_edges`]) without materializing
-    /// the kernel's full pattern.
-    ///
-    /// # Panics
-    /// Panics on [`AttentionKernel::Routed`] (its rule needs a per-sequence
-    /// [`Routing`] — use [`Self::for_each_neighbor_with`]), and, for the
-    /// implicit kernels, if `i >= kv_len` (outside the logical square).
-    pub fn for_each_neighbor(&self, kv_len: usize, i: usize, f: &mut dyn FnMut(usize)) {
-        assert!(
-            !matches!(self, AttentionKernel::Routed { .. }),
-            "a routed kernel's row rule needs its sequence's Routing"
-        );
-        self.for_each_neighbor_with(kv_len, i, None, f);
-    }
-
-    /// As [`Self::for_each_neighbor`], with the per-sequence [`Routing`] a
-    /// routed kernel enumerates from. Non-routed kernels ignore `routing`.
+    /// the kernel's full pattern. A routed kernel enumerates from the
+    /// per-sequence `routing`; every other kernel ignores it.
     ///
     /// # Panics
     /// Panics on a routed kernel given no routing (or one too short to
     /// cover row `i`), and, for the implicit kernels, if `i >= kv_len`.
-    pub fn for_each_neighbor_with(
+    pub fn for_each_neighbor(
         &self,
         kv_len: usize,
         i: usize,
@@ -193,20 +197,21 @@ impl AttentionKernel<'_> {
         counter: Option<&WorkCounter>,
         sink: &mut impl NeighborSink,
     ) {
-        use crate::kernels::{dia, explicit, implicit};
+        use crate::kernels::explicit;
+        let push = |j| sink.push(j);
         match self {
             AttentionKernel::Coo(mask, search) => {
                 explicit::coo_row(mask, *search, i, counter, sink)
             }
             AttentionKernel::Csr(mask) => explicit::csr_row(mask, i, sink),
-            AttentionKernel::Dia(mask) => dia::dia_row(mask, i, sink),
-            AttentionKernel::Local { n } => implicit::local_row(kv_len, *n, i, sink),
-            AttentionKernel::Dilated1d { w, r } => implicit::dilated1d_row(kv_len, *w, *r, i, sink),
+            AttentionKernel::Dia(mask) => mask.row_neighbors(i).for_each(push),
+            AttentionKernel::Local { n } => LocalWindow::stream_row(kv_len, *n, i, push),
+            AttentionKernel::Dilated1d { w, r } => Dilated1d::stream_row(kv_len, *w, *r, i, push),
             AttentionKernel::Dilated2d { block_size, r } => {
-                implicit::dilated2d_row(kv_len, *block_size, *r, i, sink)
+                Dilated2d::stream_row(kv_len, *block_size, *r, i, push)
             }
             AttentionKernel::Global { globals, n_sub } => {
-                implicit::global_row(kv_len, globals, *n_sub, i, sink)
+                GlobalMinusLocal::stream_row(kv_len, globals, *n_sub, i, push)
             }
             AttentionKernel::Routed { causal, .. } => {
                 let routing = routing.expect("a routed step needs its sequence's Routing");
@@ -224,8 +229,9 @@ impl AttentionKernel<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AttentionEngine, AttentionPlan};
-    use gpa_masks::{GlobalMinusLocal, LocalWindow, MaskPattern, RandomUniform, Union};
+    use crate::kernels::testing::{assert_kernel_computes_mask, counting_engine};
+    use crate::{AttentionEngine, AttentionPlan, AttentionRequest};
+    use gpa_masks::{check_pattern_laws, MaskPattern, RandomUniform, Union};
     use gpa_tensor::init::qkv;
     use gpa_tensor::paper_allclose;
 
@@ -310,5 +316,280 @@ mod tests {
             .run_kernel(AttentionKernel::Csr(&union), &q, &k, &v)
             .unwrap();
         assert!(paper_allclose(&composed, &single));
+    }
+
+    #[test]
+    fn local_matches_csr_of_same_mask() {
+        for n in [0usize, 1, 5, 63, 200] {
+            let mask = LocalWindow::new(64, n).to_csr();
+            assert_kernel_computes_mask(AttentionKernel::Local { n }, &mask, 16, &format!("n={n}"));
+        }
+    }
+
+    #[test]
+    fn dilated1d_matches_csr_of_same_mask() {
+        for (w, r) in [(1usize, 0usize), (5, 1), (9, 2), (64, 3)] {
+            let mask = Dilated1d::new(48, w, r).to_csr();
+            let kernel = AttentionKernel::Dilated1d { w, r };
+            assert_kernel_computes_mask(kernel, &mask, 8, &format!("w={w} r={r}"));
+        }
+    }
+
+    #[test]
+    fn dilated2d_matches_csr_of_same_mask() {
+        for (block_size, r) in [(4usize, 0usize), (8, 1), (7, 2), (40, 1)] {
+            let mask = Dilated2d::new(40, block_size, r).to_csr();
+            let kernel = AttentionKernel::Dilated2d { block_size, r };
+            assert_kernel_computes_mask(kernel, &mask, 8, &format!("bs={block_size} r={r}"));
+        }
+    }
+
+    #[test]
+    fn global_matches_csr_of_global_minus_local() {
+        for g in [0usize, 1, 3] {
+            for n_sub in [0usize, 2] {
+                let globals = GlobalSet::evenly_spaced(36, g);
+                let mask = GlobalMinusLocal::new(globals.clone(), n_sub).to_csr();
+                let kernel = AttentionKernel::Global {
+                    globals: &globals,
+                    n_sub,
+                };
+                assert_kernel_computes_mask(kernel, &mask, 8, &format!("g={g} n={n_sub}"));
+            }
+        }
+    }
+
+    #[test]
+    fn implicit_kernels_are_work_optimal() {
+        let l = 30;
+        let (q, k, v) = qkv::<f64>(l, 8, 25);
+        let engine = counting_engine();
+        let globals = GlobalSet::evenly_spaced(l, 2);
+        let global = AttentionKernel::Global {
+            globals: &globals,
+            n_sub: 1,
+        };
+        for (kernel, nnz) in [
+            (
+                AttentionKernel::Local { n: 3 },
+                LocalWindow::new(l, 3).nnz(),
+            ),
+            (
+                AttentionKernel::Dilated1d { w: 7, r: 1 },
+                Dilated1d::new(l, 7, 1).nnz(),
+            ),
+            (
+                AttentionKernel::Dilated2d {
+                    block_size: 6,
+                    r: 1,
+                },
+                Dilated2d::new(l, 6, 1).nnz(),
+            ),
+            (
+                global,
+                GlobalMinusLocal::new(globals.clone(), 1).to_csr().nnz(),
+            ),
+        ] {
+            engine.reset_work();
+            let _ = engine.run_kernel(kernel, &q, &k, &v).unwrap();
+            let report = engine.work_report().unwrap();
+            assert_eq!(report.dot_products, nnz as u64, "{}", kernel.name());
+        }
+    }
+
+    #[test]
+    fn bad_parameters_rejected() {
+        let (q, k, v) = qkv::<f64>(8, 4, 0);
+        let engine = AttentionEngine::with_threads(4);
+        assert!(matches!(
+            engine.run_kernel(AttentionKernel::Dilated1d { w: 0, r: 1 }, &q, &k, &v),
+            Err(AttnError::BadParameter { .. })
+        ));
+        let zero_block = AttentionKernel::Dilated2d {
+            block_size: 0,
+            r: 1,
+        };
+        assert!(matches!(
+            engine.run_kernel(zero_block, &q, &k, &v),
+            Err(AttnError::BadParameter { .. })
+        ));
+        let wrong_globals = GlobalSet::prefix(9, 1);
+        let global = AttentionKernel::Global {
+            globals: &wrong_globals,
+            n_sub: 0,
+        };
+        assert!(matches!(
+            engine.run_kernel(global, &q, &k, &v),
+            Err(AttnError::MaskShapeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn windowed_rows_are_bitwise_rows_of_the_square_run() {
+        let l = 48;
+        let (q, k, v) = qkv::<f64>(l, 8, 26);
+        let engine = AttentionEngine::with_threads(4);
+        let plan = AttentionPlan::single(AttentionKernel::Local { n: 5 }).unwrap();
+        let square = engine.run(&plan, &q, &k, &v).unwrap();
+        let windows = [(0usize, 48usize), (0, 7), (13, 9), (47, 1)];
+        let requests: Vec<_> = windows
+            .iter()
+            .map(|&(off, rows)| AttentionRequest::row_range(&q, off..off + rows, &k, &v, off))
+            .collect();
+        let outs = engine.run_batch(&plan, &requests).unwrap();
+        for (&(off, rows), out) in windows.iter().zip(&outs) {
+            for i in 0..rows {
+                assert_eq!(out.row(i), square.row(off + i), "off={off} row={i}");
+            }
+        }
+    }
+
+    #[test]
+    fn window_overhang_rejected() {
+        let l = 16;
+        let (q, k, v) = qkv::<f64>(l, 4, 27);
+        let plan = AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap();
+        // Six query rows placed at 11: 11 + 6 > 16.
+        let overhang = AttentionRequest::row_range(&q, 10..16, &k, &v, 11);
+        let err = AttentionEngine::with_threads(4)
+            .run_batch(&plan, &[overhang])
+            .unwrap_err();
+        assert!(matches!(err, AttnError::WindowMismatch { .. }));
+    }
+
+    #[test]
+    fn f32_kernels_match_f64_loosely() {
+        let l = 64;
+        let (q, k, v) = qkv::<f64>(l, 16, 30);
+        let (q32, k32, v32) = (q.cast::<f32>(), k.cast::<f32>(), v.cast::<f32>());
+        let engine = AttentionEngine::with_threads(4);
+        let local = AttentionKernel::Local { n: 4 };
+        let hi = engine.run_kernel(local, &q, &k, &v).unwrap();
+        let lo = engine.run_kernel(local, &q32, &k32, &v32).unwrap();
+        assert!(hi.max_abs_diff(&lo.cast::<f64>()) < 1e-5);
+    }
+
+    #[test]
+    fn dia_matches_local_kernel() {
+        for n in [0usize, 2, 7, 100] {
+            let dia = DiaMask::local(60, n);
+            let mask = LocalWindow::new(60, n).to_csr();
+            assert_kernel_computes_mask(AttentionKernel::Dia(&dia), &mask, 8, &format!("n={n}"));
+        }
+    }
+
+    #[test]
+    fn dia_matches_dilated_kernel() {
+        for (w, r) in [(1usize, 0usize), (7, 1), (13, 3)] {
+            let dia = DiaMask::dilated1d(48, w, r);
+            let mask = Dilated1d::new(48, w, r).to_csr();
+            let what = format!("w={w} r={r}");
+            assert_kernel_computes_mask(AttentionKernel::Dia(&dia), &mask, 8, &what);
+        }
+    }
+
+    #[test]
+    fn arbitrary_band_matches_csr() {
+        // An asymmetric multi-band mask no implicit kernel covers.
+        let dia = DiaMask::new(40, vec![-20, -3, -1, 0, 2, 5, 30]).unwrap();
+        assert_kernel_computes_mask(AttentionKernel::Dia(&dia), &dia.to_csr(), 8, "band");
+    }
+
+    #[test]
+    fn dia_is_work_optimal() {
+        let l = 36;
+        let (q, k, v) = qkv::<f64>(l, 8, 44);
+        let dia = DiaMask::new(l, vec![-5, 0, 1, 9]).unwrap();
+        let engine = counting_engine();
+        let _ = engine
+            .run_kernel(AttentionKernel::Dia(&dia), &q, &k, &v)
+            .unwrap();
+        assert_eq!(engine.work_report().unwrap().dot_products, dia.nnz() as u64);
+    }
+
+    #[test]
+    fn shape_mismatch_rejected() {
+        let (q, k, v) = qkv::<f64>(8, 4, 0);
+        let dia = DiaMask::local(9, 1);
+        assert!(matches!(
+            AttentionEngine::with_threads(4).run_kernel(AttentionKernel::Dia(&dia), &q, &k, &v),
+            Err(AttnError::MaskShapeMismatch { .. })
+        ));
+    }
+
+    /// A window, stride or block wider than the context saturates to the
+    /// whole context: each kernel at `usize::MAX` computes, bit for bit,
+    /// what it computes at `L`, and the matching patterns keep their laws.
+    #[test]
+    fn parameters_at_usize_max_equal_their_context_sized_twins() {
+        let (l, max) = (64, usize::MAX);
+        let (q, k, v) = qkv::<f32>(l, 8, 28);
+        let engine = counting_engine();
+        let globals = GlobalSet::evenly_spaced(l, 3);
+        let global = |n_sub| AttentionKernel::Global {
+            globals: &globals,
+            n_sub,
+        };
+        let twins = [
+            (
+                AttentionKernel::Local { n: max },
+                AttentionKernel::Local { n: l },
+            ),
+            (global(max), global(l)),
+            (
+                AttentionKernel::Dilated1d { w: 5, r: max },
+                AttentionKernel::Dilated1d { w: 5, r: l },
+            ),
+            (
+                AttentionKernel::Dilated1d { w: max, r: 1 },
+                AttentionKernel::Dilated1d { w: 2 * l, r: 1 },
+            ),
+            (
+                AttentionKernel::Dilated2d {
+                    block_size: max,
+                    r: max,
+                },
+                AttentionKernel::Dilated2d {
+                    block_size: l,
+                    r: l,
+                },
+            ),
+        ];
+        let bits = |kernel| {
+            engine.reset_work();
+            let out = engine.run_kernel(kernel, &q, &k, &v).unwrap();
+            let dots = engine.work_report().unwrap().dot_products;
+            let bits: Vec<u32> = out.as_slice().iter().map(|x| x.to_bits()).collect();
+            (bits, dots)
+        };
+        for (wide, twin) in twins {
+            assert_eq!(bits(wide), bits(twin), "{}", wide.name());
+        }
+        let patterns: [(Box<dyn MaskPattern>, Box<dyn MaskPattern>); 5] = [
+            (
+                Box::new(LocalWindow::new(l, max)),
+                Box::new(LocalWindow::new(l, l)),
+            ),
+            (
+                Box::new(GlobalMinusLocal::new(globals.clone(), max)),
+                Box::new(GlobalMinusLocal::new(globals.clone(), l)),
+            ),
+            (
+                Box::new(Dilated1d::new(l, 5, max)),
+                Box::new(Dilated1d::new(l, 5, l)),
+            ),
+            (
+                Box::new(Dilated1d::new(l, max, 1)),
+                Box::new(Dilated1d::new(l, 2 * l, 1)),
+            ),
+            (
+                Box::new(Dilated2d::new(l, max, max)),
+                Box::new(Dilated2d::new(l, l, l)),
+            ),
+        ];
+        for (wide, twin) in &patterns {
+            check_pattern_laws(wide.as_ref());
+            assert_eq!(wide.to_csr(), twin.to_csr());
+        }
     }
 }

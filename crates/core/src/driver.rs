@@ -762,7 +762,7 @@ mod tests {
     /// divide should lose *less* to rounding, not more.
     #[test]
     fn tile_is_no_less_accurate_than_per_edge_at_l_4096() {
-        use crate::kernels::implicit::{global_row, local_row};
+        use crate::AttentionKernel;
         let (l, dk, n) = (4096, 64, 50);
         let (q, k, v) = qkv::<f32>(l, dk, 4096);
         let (q64, k64, v64) = (q.cast::<f64>(), k.cast::<f64>(), v.cast::<f64>());
@@ -778,8 +778,13 @@ mod tests {
         // Every 16th row, the three global rows (4093 edges each) included.
         for i in (0..l).filter(|i| i % 16 == 0 || globals.contains(*i)) {
             let mut neighbors = Vec::new();
-            local_row(l, n, i, &mut |j| neighbors.push(j));
-            global_row(l, &globals, n, i, &mut |j| neighbors.push(j));
+            let global = AttentionKernel::Global {
+                globals: &globals,
+                n_sub: n,
+            };
+            for step in [AttentionKernel::Local { n }, global] {
+                step.for_each_neighbor(l, i, None, &mut |j| neighbors.push(j));
+            }
             let want = reference_row(&q64, &k64, &v64, i, &neighbors);
             let (tiled, ..) = tiled_row(q.row(i), &k, &v, scale, &neighbors);
             let (edge, ..) = per_edge_oracle(q.row(i), &k, &v, scale, &neighbors);

@@ -1,26 +1,11 @@
-//! The row rules — `Get_Neighbors(G, i, Pa)` of Algorithm 1, one per
-//! [`crate::AttentionKernel`] graph variant.
+//! The explicit-mask row rules (COO's row search and CSR's slice), and
+//! the test helpers every kernel's tests share.
 //!
-//! A rule streams one absolute query row's neighbors into a
-//! `NeighborSink`; [`crate::AttentionKernel`]'s `stream_row` picks the rule,
-//! and the one row loop (`batch::launch_rows`, behind every
-//! [`crate::AttentionEngine`] entry point) runs it under a row tile.
-//! Nothing here launches anything.
-//!
-//! | Variant | Mask | Rule |
-//! |---|---|---|
-//! | `Coo` (linear / binary search) | explicit | `explicit::coo_row` |
-//! | `Csr` | explicit | `explicit::csr_row` |
-//! | `Dia` | explicit, `O(#diagonals)` | `dia::dia_row` |
-//! | `Local` | implicit | `implicit::local_row` |
-//! | `Dilated1d` | implicit | `implicit::dilated1d_row` |
-//! | `Dilated2d` | implicit | `implicit::dilated2d_row` |
-//! | `Global` (non-local) | implicit | `implicit::global_row` |
-//! | `Routed` | per-sequence [`crate::Routing`] | `routing::routed_row` |
+//! [`crate::dispatch`] holds the table of which rule each
+//! [`crate::AttentionKernel`] variant streams; the implicit rules live in
+//! `gpa-masks`, beside the patterns they define.
 
-pub mod dia;
 pub mod explicit;
-pub mod implicit;
 
 pub use explicit::CooSearch;
 

@@ -203,7 +203,7 @@ impl<'a> AttentionPlan<'a> {
                     let rows = self.spec.q_abs_bound.unwrap_or(kv).min(kv);
                     let mut edges = 0u64;
                     for i in 0..rows {
-                        step.for_each_neighbor(kv, i, &mut |_| edges += 1);
+                        step.for_each_neighbor(kv, i, None, &mut |_| edges += 1);
                     }
                     edges
                 }

@@ -46,7 +46,28 @@ impl Dilated1d {
         if w == 0 {
             return 0;
         }
-        (w - 1) / (r + 1)
+        (w - 1) / r.saturating_add(1)
+    }
+
+    /// Stream row `i`'s neighbors against `l` keys, ascending — the one
+    /// 1-D dilated rule: [`MaskPattern::append_row`] passes the pattern's
+    /// `L`, the `Dilated1d` kernel its key/value length. The stride
+    /// saturates, so `r = usize::MAX` leaves only the diagonal.
+    #[inline]
+    pub fn stream_row(l: usize, w: usize, r: usize, i: usize, mut f: impl FnMut(usize)) {
+        if w == 0 {
+            return;
+        }
+        let stride = r.saturating_add(1);
+        let steps = Self::steps(w, r);
+        // Backward offsets K·stride … stride, then self, then forward.
+        for s in (1..=steps.min(i / stride)).rev() {
+            f(i - s * stride);
+        }
+        f(i);
+        for s in 1..=steps.min((l - 1 - i) / stride) {
+            f(i + s * stride);
+        }
     }
 
     /// Closed-form non-zero count: `(2K+1)·L − (r+1)·K·(K+1)` where
@@ -56,7 +77,7 @@ impl Dilated1d {
         if l == 0 || w == 0 {
             return 0;
         }
-        let stride = (r + 1) as u128;
+        let stride = r as u128 + 1;
         // Clip the number of steps to what the context can hold.
         let k = (Self::steps(w, r) as u128).min((l as u128 - 1) / stride);
         let l = l as u128;
@@ -74,25 +95,11 @@ impl MaskPattern for Dilated1d {
             return false;
         }
         let d = i.abs_diff(j);
-        d < self.w && d % (self.r + 1) == 0
+        d < self.w && d % self.r.saturating_add(1) == 0
     }
 
     fn append_row(&self, i: usize, out: &mut Vec<Idx>) {
-        let stride = self.r + 1;
-        let k = Self::steps(self.w, self.r);
-        if self.w == 0 {
-            return;
-        }
-        // Backward offsets K·stride … stride, then self, then forward.
-        let back = k.min(i / stride);
-        for s in (1..=back).rev() {
-            out.push((i - s * stride) as Idx);
-        }
-        out.push(i as Idx);
-        let fwd = k.min((self.l - 1 - i) / stride);
-        for s in 1..=fwd {
-            out.push((i + s * stride) as Idx);
-        }
+        Self::stream_row(self.l, self.w, self.r, i, |j| out.push(j as Idx));
     }
 
     fn nnz(&self) -> usize {
@@ -133,7 +140,23 @@ impl Dilated2d {
     /// `⌈bs/(r+1)⌉`.
     #[inline(always)]
     pub fn selected_per_block(bs: usize, r: usize) -> usize {
-        bs.div_ceil(r + 1)
+        bs.div_ceil(r.saturating_add(1))
+    }
+
+    /// Stream row `i`'s neighbors against `l` keys, ascending — the one
+    /// 2-D dilated rule: [`MaskPattern::append_row`] passes the pattern's
+    /// `L`, the `Dilated2d` kernel its key/value length. An unselected row
+    /// attends to nothing.
+    #[inline]
+    pub fn stream_row(l: usize, bs: usize, r: usize, i: usize, mut f: impl FnMut(usize)) {
+        let stride = r.saturating_add(1);
+        if (i % bs) % stride != 0 {
+            return;
+        }
+        let start = (i / bs) * bs;
+        for j in (start..start.saturating_add(bs).min(l)).step_by(stride) {
+            f(j);
+        }
     }
 
     /// Closed-form non-zero count: full blocks contribute `s²` each
@@ -167,23 +190,12 @@ impl MaskPattern for Dilated2d {
         if i / bs != j / bs {
             return false;
         }
-        let stride = self.r + 1;
+        let stride = self.r.saturating_add(1);
         (i % bs) % stride == 0 && (j % bs) % stride == 0
     }
 
     fn append_row(&self, i: usize, out: &mut Vec<Idx>) {
-        let bs = self.block_size;
-        let stride = self.r + 1;
-        if (i % bs) % stride != 0 {
-            return; // unselected row: attends to nothing at this level
-        }
-        let block_start = (i / bs) * bs;
-        let block_end = (block_start + bs).min(self.l);
-        let mut j = block_start;
-        while j < block_end {
-            out.push(j as Idx);
-            j += stride;
-        }
+        Self::stream_row(self.l, self.block_size, self.r, i, |j| out.push(j as Idx));
     }
 
     fn nnz(&self) -> usize {

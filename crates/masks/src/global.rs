@@ -158,6 +158,26 @@ impl GlobalMinusLocal {
     pub fn window(&self) -> usize {
         self.n
     }
+
+    /// Stream row `i`'s neighbors against `l` keys, ascending — the one
+    /// global-minus-local rule: [`MaskPattern::append_row`] passes the
+    /// pattern's `L`, the `Global` kernel its key/value length. A global
+    /// row takes every column outside the window `|i−j| ≤ n`; any other
+    /// row the global columns outside it.
+    #[inline]
+    pub fn stream_row(l: usize, globals: &GlobalSet, n: usize, i: usize, mut f: impl FnMut(usize)) {
+        let (lo, hi) = LocalWindow::row_range(l, n, i);
+        if globals.contains(i) {
+            (0..lo).for_each(&mut f);
+            (hi + 1..l).for_each(&mut f);
+        } else {
+            let g = globals.indices();
+            let below = &g[..g.partition_point(|&c| (c as usize) < lo)];
+            let above = &g[g.partition_point(|&c| (c as usize) <= hi)..];
+            below.iter().for_each(|&c| f(c as usize));
+            above.iter().for_each(|&c| f(c as usize));
+        }
+    }
 }
 
 impl MaskPattern for GlobalMinusLocal {
@@ -174,18 +194,9 @@ impl MaskPattern for GlobalMinusLocal {
     }
 
     fn append_row(&self, i: usize, out: &mut Vec<Idx>) {
-        let l = self.globals.l;
-        let (lo, hi) = LocalWindow::row_range(l, self.n, i);
-        if self.globals.contains(i) {
-            // Global row: everything except the local window.
-            out.extend((0..lo).map(|j| j as Idx));
-            out.extend((hi + 1..l).map(|j| j as Idx));
-        } else {
-            // Non-global row: global columns outside the window.
-            let g = self.globals.indices();
-            out.extend_from_slice(&g[..g.partition_point(|&c| (c as usize) < lo)]);
-            out.extend_from_slice(&g[g.partition_point(|&c| (c as usize) <= hi)..]);
-        }
+        Self::stream_row(self.globals.l, &self.globals, self.n, i, |j| {
+            out.push(j as Idx)
+        });
     }
 }
 

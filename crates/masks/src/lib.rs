@@ -11,16 +11,16 @@
 //! | diagonal blocks, dilated within | 2-D dilated windowed | [`Dilated2d`] |
 //! | `i ∈ G ∨ j ∈ G` | Global | [`GlobalMask`] |
 //! | global minus a local window | Global (non-local) | [`GlobalMinusLocal`] |
-//! | i.i.d. Bernoulli / k-per-row | Random | [`RandomUniform`], [`RandomPerRow`] |
-//! | diagonal blocks | Block sparse | [`BlockDiagonal`] |
-//! | `j ≤ i` (+ window) | Causal decoding | [`Causal`], [`CausalLocal`] |
+//! | i.i.d. Bernoulli | Random | [`RandomUniform`] |
 //!
-//! [`combinators`] compose patterns set-algebraically; [`presets`] provide
+//! Each ordered-sparsity pattern defines its row once, as a `stream_row`
+//! function: the pattern's `append_row` calls it, and so do `gpa-core`'s
+//! implicit kernels, so a pattern and its kernel cannot disagree.
+//! [`combinators`] compose patterns by union; [`presets`] provide
 //! Longformer, BigBird and LongNet exactly as benchmarked in Fig. 6 and
-//! Table III; [`solve`] inverts nnz closed forms so benchmarks can sweep the
-//! sparsity factor as the independent variable (Fig. 3).
+//! Table III; [`solve`] inverts nnz closed forms so benchmarks can sweep
+//! the sparsity factor as the independent variable (Fig. 3).
 
-pub mod block;
 pub mod combinators;
 pub mod dilated;
 pub mod global;
@@ -30,8 +30,7 @@ pub mod presets;
 pub mod random;
 pub mod solve;
 
-pub use block::{BlockDiagonal, Causal, CausalLocal};
-pub use combinators::{Difference, Intersection, Union, UnionAll};
+pub use combinators::{Union, UnionAll};
 pub use dilated::{Dilated1d, Dilated2d};
 pub use global::{GlobalMask, GlobalMinusLocal, GlobalSet};
 pub use local::LocalWindow;
@@ -40,10 +39,10 @@ pub use presets::{
     bigbird, longformer, longformer_dilated, longnet_dot_products, longnet_level,
     longnet_sparsity_factor, LongNetPattern,
 };
-pub use random::{RandomPerRow, RandomUniform};
+pub use random::RandomUniform;
 pub use solve::{
-    causal_local_window_for_sparsity, dilated1d_width_for_sparsity, dilated2d_block_for_sparsity,
-    global_count_for_sparsity, local_window_for_sparsity, sparsity_error,
+    dilated1d_width_for_sparsity, dilated2d_block_for_sparsity, global_count_for_sparsity,
+    local_window_for_sparsity, sparsity_error,
 };
 
 #[cfg(test)]
@@ -68,9 +67,6 @@ mod tests {
                 Box::new(GlobalMinusLocal::new(g(), 1)),
             ),
             ("random-uniform", Box::new(RandomUniform::new(l, p, 1))),
-            ("random-per-row", Box::new(RandomPerRow::new(l, 2, 1))),
-            ("block-diagonal", Box::new(BlockDiagonal::new(l, 4))),
-            ("causal-local", Box::new(CausalLocal::new(l, 2))),
             ("longformer", Box::new(longformer(l, 0, vec![0]))),
             (
                 "longformer-dilated",
@@ -79,23 +75,9 @@ mod tests {
             ("bigbird", Box::new(bigbird(l, 0, vec![0], p / 2.0, 1))),
             ("longnet", Box::new(LongNetPattern::new(l, 2, 2))),
             (
-                "intersection",
-                Box::new(Intersection::new(
-                    LocalWindow::new(l, 1),
-                    RandomUniform::new(l, p, 2),
-                )),
-            ),
-            (
-                "difference",
-                Box::new(Difference::new(
-                    BlockDiagonal::new(l, 4),
-                    LocalWindow::new(l, 1),
-                )),
-            ),
-            (
                 "union",
                 Box::new(Union::new(
-                    CausalLocal::new(l, 1),
+                    LocalWindow::new(l, 1),
                     RandomUniform::new(l, p, 3),
                 )),
             ),

@@ -26,12 +26,24 @@ impl LocalWindow {
         self.n
     }
 
-    /// The inclusive column range `[lo, hi]` of row `i` — the arithmetic the
-    /// implicit local kernel uses per row (no mask storage).
+    /// The inclusive column range `[lo, hi]` of row `i` against `l` keys.
+    /// Saturating, so a window wider than the context (up to `usize::MAX`)
+    /// is the dense row.
     #[inline(always)]
     pub fn row_range(l: usize, n: usize, i: usize) -> (usize, usize) {
         debug_assert!(i < l);
-        (i.saturating_sub(n), (i + n).min(l - 1))
+        (i.saturating_sub(n), i.saturating_add(n).min(l - 1))
+    }
+
+    /// Stream row `i`'s neighbors against `l` keys, ascending — the one
+    /// local rule: [`MaskPattern::append_row`] passes the pattern's `L`,
+    /// the `Local` kernel its key/value length.
+    #[inline]
+    pub fn stream_row(l: usize, n: usize, i: usize, mut f: impl FnMut(usize)) {
+        let (lo, hi) = Self::row_range(l, n, i);
+        for j in lo..=hi {
+            f(j);
+        }
     }
 
     /// Closed-form non-zero count: `(2n+1)·L − n·(n+1)` clipped at the
@@ -57,8 +69,7 @@ impl MaskPattern for LocalWindow {
     }
 
     fn append_row(&self, i: usize, out: &mut Vec<Idx>) {
-        let (lo, hi) = Self::row_range(self.l, self.n, i);
-        out.extend((lo..=hi).map(|j| j as Idx));
+        Self::stream_row(self.l, self.n, i, |j| out.push(j as Idx));
     }
 
     fn nnz(&self) -> usize {

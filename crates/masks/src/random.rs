@@ -1,26 +1,18 @@
 //! Random attention (Fig. 2, orange cells; Section II-C).
 //!
 //! "Token-token relationships that are chosen from a uniform random
-//! distribution". Two variants are provided:
+//! distribution": in [`RandomUniform`] each `(i, j)` pair is an edge
+//! independently with probability `p` (so `E[Sf] = p`) — the form the
+//! BigBird benchmark in Fig. 6 uses with `Sf = 0.001`.
 //!
-//! - [`RandomUniform`]: each `(i, j)` pair is an edge independently with
-//!   probability `p` (so `E[Sf] = p`) — the form the BigBird benchmark in
-//!   Fig. 6 uses with `Sf = 0.001`;
-//! - [`RandomPerRow`]: exactly `k` random neighbors per row — BigBird's
-//!   original "r random keys per query" formulation, which gives perfectly
-//!   balanced row degrees.
-//!
-//! Both are *stateless*: a row is a pure function of `(seed, i)`, drawn
-//! afresh from its own seeded stream whenever it is asked for, so
+//! The pattern is *stateless*: a row is a pure function of `(seed, i)`,
+//! drawn afresh from its own seeded stream whenever it is asked for, so
 //! `contains` and `append_row` stay consistent without materializing
-//! anything. Both draw a row in time proportional to its length, never
-//! to `L`.
+//! anything. A row is drawn in time proportional to its length, never to
+//! `L`.
 
 use crate::pattern::MaskPattern;
 use gpa_sparse::Idx;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 /// The SplitMix64 increment (2⁶⁴ / φ, odd).
 const GAMMA: u64 = 0x9E3779B97F4A7C15;
@@ -116,77 +108,6 @@ impl MaskPattern for RandomUniform {
     }
 }
 
-/// Exactly `k` uniformly chosen neighbors per row (BigBird-style).
-#[derive(Clone, Copy, Debug)]
-pub struct RandomPerRow {
-    l: usize,
-    k: usize,
-    seed: u64,
-}
-
-impl RandomPerRow {
-    /// `k` distinct random neighbors per row (clamped to `l`).
-    pub fn new(l: usize, k: usize, seed: u64) -> Self {
-        RandomPerRow {
-            l,
-            k: k.min(l),
-            seed,
-        }
-    }
-
-    /// Neighbors per row.
-    pub fn per_row(&self) -> usize {
-        self.k
-    }
-
-    /// The sorted neighbor sample of row `i` (deterministic per seed/row).
-    fn row_sample(&self, i: usize) -> Vec<Idx> {
-        let mut rng = StdRng::seed_from_u64(splitmix64(self.seed ^ (i as u64)));
-        // Partial Fisher–Yates over the column universe via index sampling:
-        // for k ≪ l, rejection sampling is cheaper than shuffling 0..l.
-        if self.k * 4 >= self.l {
-            let mut all: Vec<Idx> = (0..self.l as Idx).collect();
-            all.shuffle(&mut rng);
-            all.truncate(self.k);
-            all.sort_unstable();
-            all
-        } else {
-            // Kept sorted as it grows, so a repeat is found by bisection.
-            let mut picked = Vec::with_capacity(self.k);
-            while picked.len() < self.k {
-                let c = (splitmix64(rng_next(&mut rng)) % self.l as u64) as Idx;
-                if let Err(at) = picked.binary_search(&c) {
-                    picked.insert(at, c);
-                }
-            }
-            picked
-        }
-    }
-}
-
-fn rng_next(rng: &mut StdRng) -> u64 {
-    use rand::RngCore;
-    rng.next_u64()
-}
-
-impl MaskPattern for RandomPerRow {
-    fn context_len(&self) -> usize {
-        self.l
-    }
-
-    fn contains(&self, i: usize, j: usize) -> bool {
-        i < self.l && j < self.l && self.row_sample(i).contains(&(j as Idx))
-    }
-
-    fn append_row(&self, i: usize, out: &mut Vec<Idx>) {
-        out.extend_from_slice(&self.row_sample(i));
-    }
-
-    fn nnz(&self) -> usize {
-        self.k * self.l
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -278,33 +199,5 @@ mod tests {
     #[should_panic(expected = "outside [0, 1]")]
     fn bad_probability_panics() {
         let _ = RandomUniform::new(8, 1.5, 0);
-    }
-
-    #[test]
-    fn per_row_has_exact_degree() {
-        let m = RandomPerRow::new(40, 5, 9);
-        check_pattern_laws(&m);
-        let csr = m.to_csr();
-        for r in 0..40 {
-            assert_eq!(csr.degree(r), 5, "row {r}");
-        }
-        assert_eq!(m.nnz(), 200);
-    }
-
-    #[test]
-    fn per_row_clamps_k() {
-        let m = RandomPerRow::new(4, 100, 0);
-        assert_eq!(m.per_row(), 4);
-        assert_eq!(m.nnz(), 16);
-        check_pattern_laws(&m);
-    }
-
-    #[test]
-    fn per_row_deterministic_and_seed_sensitive() {
-        let a = RandomPerRow::new(30, 3, 5).to_csr();
-        let b = RandomPerRow::new(30, 3, 5).to_csr();
-        let c = RandomPerRow::new(30, 3, 6).to_csr();
-        assert_eq!(a, b);
-        assert_ne!(a, c);
     }
 }

@@ -8,7 +8,6 @@
 //! monotone bisection over the integer parameter, returning the parameter
 //! whose achieved `Sf` is closest to the target.
 
-use crate::block::CausalLocal;
 use crate::dilated::{Dilated1d, Dilated2d};
 use crate::global::GlobalMask;
 use crate::local::LocalWindow;
@@ -76,15 +75,6 @@ pub fn global_count_for_sparsity(l: usize, sf: f64) -> usize {
     assert!(l > 0, "empty context");
     let target = sf * (l as f64) * (l as f64);
     closest_monotone(0, l, target, |g| GlobalMask::nnz_closed_form(l, g) as f64)
-}
-
-/// Backward window for [`CausalLocal`] closest to `sf`.
-pub fn causal_local_window_for_sparsity(l: usize, sf: f64) -> usize {
-    assert!(l > 0, "empty context");
-    let target = sf * (l as f64) * (l as f64);
-    closest_monotone(0, l - 1, target, |n| {
-        CausalLocal::nnz_closed_form(l, n) as f64
-    })
 }
 
 /// Relative error between a mask's achieved sparsity factor and the target.
@@ -186,19 +176,6 @@ mod tests {
             assert!(
                 (g as f64 - analytic).abs() <= 1.0,
                 "sf={sf}: g={g} analytic={analytic}"
-            );
-        }
-    }
-
-    #[test]
-    fn causal_solver_hits_targets() {
-        let l = 2048;
-        for sf in [0.4, 0.05, 0.005] {
-            let n = causal_local_window_for_sparsity(l, sf);
-            let achieved = CausalLocal::new(l, n).sparsity_factor();
-            assert!(
-                sparsity_error(achieved, sf) < 0.05,
-                "sf={sf} n={n} achieved={achieved}"
             );
         }
     }

@@ -186,25 +186,7 @@ impl CsrMask {
     /// # Panics
     /// Panics if shapes differ.
     pub fn union(&self, other: &CsrMask) -> CsrMask {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "mask shapes differ"
-        );
-        let mut row_offsets = Vec::with_capacity(self.rows + 1);
-        row_offsets.push(0usize);
-        let mut col_idx = Vec::with_capacity(self.nnz() + other.nnz());
-        for r in 0..self.rows {
-            let (a, b) = (self.row(r), other.row(r));
-            merge_sorted_unique(a, b, &mut col_idx);
-            row_offsets.push(col_idx.len());
-        }
-        CsrMask {
-            rows: self.rows,
-            cols: self.cols,
-            row_offsets,
-            col_idx,
-        }
+        self.merge_rows(other, |in_a, in_b| in_a || in_b)
     }
 
     /// Set difference `self \ other` (edges in `self` not in `other`).
@@ -212,90 +194,65 @@ impl CsrMask {
     /// # Panics
     /// Panics if shapes differ.
     pub fn difference(&self, other: &CsrMask) -> CsrMask {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "mask shapes differ"
-        );
-        let mut row_offsets = Vec::with_capacity(self.rows + 1);
-        row_offsets.push(0usize);
-        let mut col_idx = Vec::new();
-        for r in 0..self.rows {
-            let b = other.row(r);
-            for &c in self.row(r) {
-                if b.binary_search(&c).is_err() {
-                    col_idx.push(c);
-                }
-            }
-            row_offsets.push(col_idx.len());
-        }
-        CsrMask {
-            rows: self.rows,
-            cols: self.cols,
-            row_offsets,
-            col_idx,
-        }
-    }
-
-    /// Set intersection of two masks.
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn intersection(&self, other: &CsrMask) -> CsrMask {
-        assert_eq!(
-            (self.rows, self.cols),
-            (other.rows, other.cols),
-            "mask shapes differ"
-        );
-        let mut row_offsets = Vec::with_capacity(self.rows + 1);
-        row_offsets.push(0usize);
-        let mut col_idx = Vec::new();
-        for r in 0..self.rows {
-            let b = other.row(r);
-            for &c in self.row(r) {
-                if b.binary_search(&c).is_ok() {
-                    col_idx.push(c);
-                }
-            }
-            row_offsets.push(col_idx.len());
-        }
-        CsrMask {
-            rows: self.rows,
-            cols: self.cols,
-            row_offsets,
-            col_idx,
-        }
+        self.merge_rows(other, |in_a, in_b| in_a && !in_b)
     }
 
     /// True if the two masks share no edges (needed for exact sequential
     /// kernel composition).
+    ///
+    /// # Panics
+    /// Panics if shapes differ.
     pub fn is_disjoint(&self, other: &CsrMask) -> bool {
-        self.intersection(other).nnz() == 0
+        self.merge_rows(other, |in_a, in_b| in_a && in_b).nnz() == 0
+    }
+
+    /// Each row of `self` merged with the same row of `other` by `keep`.
+    fn merge_rows(&self, other: &CsrMask, keep: impl Fn(bool, bool) -> bool) -> CsrMask {
+        assert_eq!(
+            (self.rows, self.cols),
+            (other.rows, other.cols),
+            "mask shapes differ"
+        );
+        let mut row_offsets = Vec::with_capacity(self.rows + 1);
+        row_offsets.push(0usize);
+        let mut col_idx = Vec::new();
+        for r in 0..self.rows {
+            merge(self.row(r), other.row(r), &keep, &mut col_idx);
+            row_offsets.push(col_idx.len());
+        }
+        CsrMask {
+            rows: self.rows,
+            cols: self.cols,
+            row_offsets,
+            col_idx,
+        }
     }
 }
 
-/// Merge two sorted unique slices into `out`, keeping sorted-unique order.
-fn merge_sorted_unique(a: &[Idx], b: &[Idx], out: &mut Vec<Idx>) {
+/// Merge two sorted-unique index lists into `out`, keeping each column by
+/// where it occurs: `keep(in_a, in_b)`. The output is sorted-unique, and
+/// the merge costs `O(|a| + |b|)` — the one set operation behind mask
+/// union, difference and disjointness, here and in `gpa-masks`.
+pub fn merge(a: &[Idx], b: &[Idx], keep: impl Fn(bool, bool) -> bool, out: &mut Vec<Idx>) {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
+        let (c, in_a, in_b) = match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => (a[i], true, false),
+            std::cmp::Ordering::Greater => (b[j], false, true),
+            std::cmp::Ordering::Equal => (a[i], true, true),
+        };
+        if keep(in_a, in_b) {
+            out.push(c);
         }
+        i += usize::from(in_a);
+        j += usize::from(in_b);
     }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
+    if keep(true, false) {
+        out.extend_from_slice(&a[i..]);
+    }
+    if keep(false, true) {
+        out.extend_from_slice(&b[j..]);
+    }
 }
 
 #[cfg(test)]
@@ -369,12 +326,13 @@ mod tests {
             CsrMask::from_coo(&CooMask::from_entries(3, 3, vec![(0, 0), (1, 2), (2, 1)]).unwrap());
         let u = a.union(&b);
         assert_eq!(u.nnz(), 5); // (0,0) shared
-        let i = a.intersection(&b);
-        assert_eq!(i.nnz(), 1);
-        assert!(i.contains(0, 0));
         let d = a.difference(&b);
         assert_eq!(d.nnz(), 2);
         assert!(d.contains(1, 1) && d.contains(2, 0));
+        // a ∩ b = a ∖ (a ∖ b)
+        let i = a.difference(&d);
+        assert_eq!(i.nnz(), 1);
+        assert!(i.contains(0, 0));
         // a = (a ∖ b) ∪ (a ∩ b)
         assert_eq!(d.union(&i), a);
         // disjointness

@@ -59,10 +59,9 @@ impl DiaMask {
         if w == 0 || l == 0 {
             return DiaMask { l, offsets: vec![] };
         }
-        let stride = (r + 1) as i64;
-        let k = ((w - 1) / (r + 1)) as i64;
-        let k = k.min(l.saturating_sub(1) as i64 / stride);
-        let offsets = (-k..=k).map(|s| s * stride).collect();
+        let stride = r.saturating_add(1);
+        let k = ((w - 1) / stride).min((l - 1) / stride) as i64;
+        let offsets = (-k..=k).map(|s| s * stride as i64).collect();
         DiaMask { l, offsets }
     }
 
@@ -105,7 +104,9 @@ impl DiaMask {
         self.offsets.binary_search(&(j as i64 - i as i64)).is_ok()
     }
 
-    /// The in-bounds neighbor columns of row `i`, ascending.
+    /// The in-bounds neighbor columns of row `i`, ascending — the DIA
+    /// row rule the `Dia` kernel streams.
+    #[inline]
     pub fn row_neighbors(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
         let l = self.l as i64;
         let i = i as i64;

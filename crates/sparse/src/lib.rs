@@ -8,8 +8,9 @@
 //! - [`CooMask`]: sorted coordinate pairs (the paper's COO kernel input,
 //!   including the linear row-bound search that explains its cost profile),
 //! - [`CsrMask`]: row offsets + column indices (the paper's
-//!   best-performing explicit format), with set-algebra combinators
-//!   (union / difference / intersection) used to compose mask patterns,
+//!   best-performing explicit format), with the set algebra (union,
+//!   difference, disjointness — all one sorted [`merge`]) used to compose
+//!   mask patterns,
 //!
 //! — plus [`DenseMask`], a bitset view for the SDP baseline and
 //! verification, and [`stats`] with the degree/imbalance statistics behind
@@ -32,11 +33,11 @@ pub mod stats;
 pub type Idx = u32;
 
 pub use coo::CooMask;
-pub use csr::CsrMask;
+pub use csr::{merge, CsrMask};
 pub use dense_mask::DenseMask;
 pub use dia::DiaMask;
 pub use error::SparseError;
-pub use stats::{critical_path_work, degree_histogram, degree_stats, serial_work, DegreeStats};
+pub use stats::{degree_stats, DegreeStats};
 
 #[cfg(test)]
 mod proptests {
@@ -72,17 +73,19 @@ mod proptests {
         }
 
         /// Set-algebra identities: |A∪B| + |A∩B| = |A| + |B|, and
-        /// A = (A∖B) ∪ (A∩B) with the two parts disjoint.
+        /// A = (A∖B) ∪ (A∩B) with the two parts disjoint, where
+        /// A∩B = A∖(A∖B).
         #[test]
         fn set_algebra_identities(ea in arb_entries(20), eb in arb_entries(20)) {
             let a = CsrMask::from_coo(&CooMask::from_entries(20, 20, ea).unwrap());
             let b = CsrMask::from_coo(&CooMask::from_entries(20, 20, eb).unwrap());
             let union = a.union(&b);
-            let inter = a.intersection(&b);
             let diff = a.difference(&b);
+            let inter = a.difference(&diff);
             prop_assert_eq!(union.nnz() + inter.nnz(), a.nnz() + b.nnz());
             prop_assert_eq!(diff.union(&inter), a.clone());
             prop_assert!(diff.is_disjoint(&b));
+            prop_assert_eq!(a.is_disjoint(&b), inter.nnz() == 0);
             // Union is commutative.
             prop_assert_eq!(union, b.union(&a));
         }

@@ -58,35 +58,6 @@ pub fn degree_stats(mask: &CsrMask) -> DegreeStats {
     }
 }
 
-/// Histogram of row degrees with `buckets` equal-width bins over
-/// `[0, max_degree]`. Returns `(bin_upper_bounds, counts)`.
-pub fn degree_histogram(mask: &CsrMask, buckets: usize) -> (Vec<usize>, Vec<usize>) {
-    let buckets = buckets.max(1);
-    let stats = degree_stats(mask);
-    let width = (stats.max + 1).div_ceil(buckets);
-    let mut counts = vec![0usize; buckets];
-    for r in 0..mask.rows() {
-        let bin = (mask.degree(r) / width.max(1)).min(buckets - 1);
-        counts[bin] += 1;
-    }
-    let bounds = (1..=buckets).map(|b| b * width).collect();
-    (bounds, counts)
-}
-
-/// Total serial work of a mask under the paper's cost model:
-/// `nnz · d` multiply-adds for the score pass plus the same for the value
-/// pass (Section IV-B's `O(Sf·L²·d)`).
-pub fn serial_work(mask: &CsrMask, d: usize) -> u64 {
-    2 * mask.nnz() as u64 * d as u64
-}
-
-/// Critical-path work under infinite row parallelism: the densest row's
-/// work, `max_degree · d · 2`. The ratio `serial_work / critical_path` is
-/// the maximum useful parallel speedup — bounded by the "slowest block".
-pub fn critical_path_work(mask: &CsrMask, d: usize) -> u64 {
-    2 * degree_stats(mask).max as u64 * d as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -118,23 +89,6 @@ mod tests {
         assert_eq!(s.max, 16);
         assert_eq!(s.min, 1);
         assert!(s.imbalance > 5.0, "imbalance = {}", s.imbalance);
-    }
-
-    #[test]
-    fn histogram_partitions_rows() {
-        let mut entries: Vec<(usize, usize)> = (0..10).map(|j| (0, j)).collect();
-        entries.push((1, 0));
-        let m = mask_from(entries, 10);
-        let (bounds, counts) = degree_histogram(&m, 4);
-        assert_eq!(bounds.len(), 4);
-        assert_eq!(counts.iter().sum::<usize>(), 10);
-    }
-
-    #[test]
-    fn work_model_counts_two_passes() {
-        let m = mask_from(vec![(0, 0), (0, 1), (1, 1)], 2);
-        assert_eq!(serial_work(&m, 64), 2 * 3 * 64);
-        assert_eq!(critical_path_work(&m, 64), 2 * 2 * 64);
     }
 
     #[test]
