@@ -8,12 +8,20 @@
 //! smallest `L` and `Sf ≤ 0.4` "due to its long runtime".
 
 use crate::args::Scale;
-use crate::kernels::{fitted_case, AlgoId};
 use crate::protocol::{measure_auto, Protocol};
 use crate::report::{Record, Sink};
-use gpa_core::AttentionEngine;
+use gpa_core::{masked_sdp, AttentionEngine, AttentionKernel, CooSearch};
+use gpa_masks::{
+    dilated1d_width_for_sparsity, dilated2d_block_for_sparsity, global_count_for_sparsity,
+    local_window_for_sparsity, Dilated1d, Dilated2d, GlobalMinusLocal, GlobalSet, LocalWindow,
+    MaskPattern,
+};
+use gpa_sparse::{CooMask, CsrMask};
 use gpa_tensor::init::qkv;
 use gpa_tensor::Matrix;
+
+/// The masked-SDP baseline's name in the paper's legend.
+const SDP: &str = "PyTorch SDP (Masked)";
 
 /// Sweep configuration for Fig. 3.
 #[derive(Clone, Debug)]
@@ -77,10 +85,76 @@ impl Fig3Config {
     }
 }
 
+/// The fitted masks of one `(L, Sf)` point, following the paper's Fig. 3
+/// setup: dilation 1 for both dilated kernels, the window or block fitted
+/// to `Sf`, the globals fitted with the identity diagonal subtracted. COO
+/// and CSR read the fitted local window.
+struct Fitted {
+    l: usize,
+    window: usize,
+    coo: Option<CooMask>,
+    csr: CsrMask,
+    globals: GlobalSet,
+    w: usize,
+    block_size: usize,
+}
+
+impl Fitted {
+    /// Fit every mask to `sf` at context `l`; the COO copy only `with_coo`.
+    fn new(l: usize, sf: f64, with_coo: bool) -> Fitted {
+        let window = local_window_for_sparsity(l, sf);
+        let local = LocalWindow::new(l, window);
+        Fitted {
+            l,
+            window,
+            coo: with_coo.then(|| local.to_coo()),
+            csr: local.to_csr(),
+            globals: GlobalSet::evenly_spaced(l, global_count_for_sparsity(l, sf)),
+            w: dilated1d_width_for_sparsity(l, 1, sf),
+            block_size: dilated2d_block_for_sparsity(l, 1, sf),
+        }
+    }
+
+    /// The graph kernels in sweep order, each with its mask's achieved `Sf`.
+    fn cases(&self) -> Vec<(AttentionKernel<'_>, f64)> {
+        let l = self.l;
+        let coo = self.coo.iter().map(|coo| {
+            let sf = coo.sparsity_factor();
+            (AttentionKernel::Coo(coo, CooSearch::Linear), sf)
+        });
+        coo.chain([
+            (AttentionKernel::Csr(&self.csr), self.csr.sparsity_factor()),
+            (
+                AttentionKernel::Global {
+                    globals: &self.globals,
+                    n_sub: 0,
+                },
+                GlobalMinusLocal::new(self.globals.clone(), 0).sparsity_factor(),
+            ),
+            (
+                AttentionKernel::Local { n: self.window },
+                LocalWindow::new(l, self.window).sparsity_factor(),
+            ),
+            (
+                AttentionKernel::Dilated1d { w: self.w, r: 1 },
+                Dilated1d::new(l, self.w, 1).sparsity_factor(),
+            ),
+            (
+                AttentionKernel::Dilated2d {
+                    block_size: self.block_size,
+                    r: 1,
+                },
+                Dilated2d::new(l, self.block_size, 1).sparsity_factor(),
+            ),
+        ])
+        .collect()
+    }
+}
+
 /// Run the sweep, streaming each record to `on_record` as it is produced.
-/// Every case builds its call once ([`crate::OwnedKernel::runner`]: a
-/// graph case compiles its plan there) and reuses it across the protocol's
-/// warm-up and timed iterations.
+/// Every graph case compiles its plan once and reuses it across the
+/// protocol's warm-up and timed iterations; SDP is the baseline function on
+/// the engine's pool.
 pub fn run_fig3(
     engine: &AttentionEngine,
     cfg: &Fig3Config,
@@ -95,38 +169,28 @@ pub fn run_fig3(
             // The SDP baseline's runtime is Sf-independent (it always does
             // the dense computation), so measure it once per (L, dk) and
             // replicate the row across the sweep — the flat line of Fig. 3.
-            let sdp_case = fitted_case(AlgoId::Sdp, l, *cfg.sfs.first().unwrap_or(&1.0));
-            let sdp_run = sdp_case.runner(engine, &q, &k, &v);
+            let sf0 = *cfg.sfs.first().unwrap_or(&1.0);
+            let sdp_mask = LocalWindow::new(l, local_window_for_sparsity(l, sf0)).to_dense();
             let sdp_stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-                std::hint::black_box(sdp_run());
+                let out = masked_sdp(engine.pool(), &sdp_mask, &q, &k, &v, &engine.options());
+                std::hint::black_box(out.unwrap());
             });
             for &sf in &cfg.sfs {
-                let case = Record::case(sdp_case.name(), l, dk)
+                let case = Record::case(SDP, l, dk)
                     .sf(sf, 1.0)
                     .note("dense: Sf-independent, measured once per (L,dk)");
                 sink.push(case, sdp_stat);
             }
 
             for &sf in &cfg.sfs {
-                for algo in [
-                    AlgoId::Coo,
-                    AlgoId::Csr,
-                    AlgoId::Global,
-                    AlgoId::Local,
-                    AlgoId::Dilated1d,
-                    AlgoId::Dilated2d,
-                ] {
-                    if algo == AlgoId::Coo && (l > cfg.coo_max_l || sf > cfg.coo_max_sf) {
-                        continue; // the paper's COO restriction
-                    }
-                    let case = fitted_case(algo, l, sf);
-                    let run = case.runner(engine, &q, &k, &v);
-                    sink.time(
-                        Record::case(case.name(), l, dk).sf(sf, case.achieved_sf(l)),
-                        || {
-                            std::hint::black_box(run());
-                        },
-                    );
+                // The paper's COO restriction.
+                let with_coo = l <= cfg.coo_max_l && sf <= cfg.coo_max_sf;
+                let fitted = Fitted::new(l, sf, with_coo);
+                for (kernel, achieved) in fitted.cases() {
+                    let plan = engine.compile(&[kernel]).expect("benchmark case compiles");
+                    sink.time(Record::case(kernel.name(), l, dk).sf(sf, achieved), || {
+                        std::hint::black_box(engine.run(&plan, &q, &k, &v).unwrap());
+                    });
                 }
             }
         }
@@ -149,7 +213,7 @@ mod tests {
         assert_eq!(records.len(), 2 * 7);
         // All algorithms present.
         for name in [
-            "PyTorch SDP (Masked)",
+            SDP,
             "COO",
             "CSR",
             "Local",
@@ -161,6 +225,26 @@ mod tests {
         }
         // Runtime sanity: all positive.
         assert!(records.iter().all(|r| r.mean_s > 0.0));
+
+        // Where the solvers have room, every fitted mask lands near its
+        // target.
+        for (kernel, sf) in Fitted::new(1024, 0.05, true).cases() {
+            let name = kernel.name();
+            assert!((sf - 0.05).abs() / 0.05 < 0.35, "{name}: achieved {sf}");
+        }
+        // COO, CSR, Local and SDP read one fitted window: same outputs.
+        let l = 64;
+        let (q, k, v) = qkv::<f32>(l, 8, 3);
+        let fitted = Fitted::new(l, 0.1, true);
+        let cases = fitted.cases();
+        let run = |i: usize| engine.run_kernel(cases[i].0, &q, &k, &v).unwrap();
+        let (coo, csr, local) = (run(0), run(1), run(3));
+        assert_eq!(cases[3].0.name(), "Local");
+        assert!(coo.max_abs_diff(&csr) < 1e-5);
+        assert!(local.max_abs_diff(&csr) < 1e-5);
+        let window = LocalWindow::new(l, fitted.window).to_dense();
+        let sdp = masked_sdp(engine.pool(), &window, &q, &k, &v, &engine.options()).unwrap();
+        assert!(sdp.max_abs_diff(&csr) < 1e-5);
     }
 
     #[test]
@@ -195,9 +279,6 @@ mod tests {
             mean_of("CSR", 0.005)
         );
         // SDP is flat by construction (single measurement replicated).
-        assert_eq!(
-            mean_of("PyTorch SDP (Masked)", 0.5),
-            mean_of("PyTorch SDP (Masked)", 0.005)
-        );
+        assert_eq!(mean_of(SDP, 0.5), mean_of(SDP, 0.005));
     }
 }

@@ -25,18 +25,16 @@
 //! Each binary prints an ASCII table and writes `<out>/<csv>.csv`. The
 //! library half (this crate) carries the measurement protocol
 //! ([`protocol`]), the record sink, pivot table and CSV plumbing
-//! ([`report`]), the owned algorithm cases ([`kernels`]), and the
-//! experiment runners ([`experiments`]).
+//! ([`report`]), and the experiment runners ([`experiments`]), each of
+//! which builds its masks and kernels in place.
 
 pub mod args;
 pub mod experiments;
 pub mod host;
-pub mod kernels;
 pub mod protocol;
 pub mod report;
 
 pub use args::{Args, Scale};
 pub use host::HostInfo;
-pub use kernels::{fitted_case, AlgoId, OwnedKernel};
 pub use protocol::{measure, measure_auto, speedup, BenchStat, Protocol};
 pub use report::{ascii_table, fmt_count, fmt_seconds, pivot, write_csv, Record, Sink};

@@ -121,9 +121,6 @@ pub fn flash_attention_tiled<T: Real>(
                     for (o, &vv) in o_row.iter_mut().zip(v.row(j).iter()) {
                         *o += p * vv;
                     }
-                    if let Some(t) = tally.as_mut() {
-                        t.update();
-                    }
                 }
                 m = m_new;
                 t0 = t1;

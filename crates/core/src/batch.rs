@@ -482,7 +482,7 @@ mod tests {
                 });
             }
         }
-        assert!(gpa_tensor::paper_allclose(&batched, &state.into_output()));
+        assert!(gpa_tensor::paper_allclose(&batched, &state.o));
     }
 
     #[test]

@@ -231,7 +231,7 @@ mod tests {
     use super::*;
     use crate::kernels::testing::{assert_kernel_computes_mask, counting_engine};
     use crate::{AttentionEngine, AttentionPlan, AttentionRequest};
-    use gpa_masks::{check_pattern_laws, MaskPattern, RandomUniform, Union};
+    use gpa_masks::{check_pattern_laws, longformer, MaskPattern, RandomUniform};
     use gpa_tensor::init::qkv;
     use gpa_tensor::paper_allclose;
 
@@ -274,11 +274,7 @@ mod tests {
         .unwrap();
         let composed = e.run(&plan, &q, &k, &v).unwrap();
 
-        let union = Union::new(
-            LocalWindow::new(l, n),
-            gpa_masks::GlobalMask::new(globals.clone()),
-        )
-        .to_csr();
+        let union = longformer(l, n, vec![0, 17, 29]).to_csr();
         let single = e
             .run_kernel(AttentionKernel::Csr(&union), &q, &k, &v)
             .unwrap();

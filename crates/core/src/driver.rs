@@ -311,13 +311,11 @@ impl<T: Real> NeighborSink for RowTile<'_, T> {
     }
 }
 
-/// Count a finished stream's edges: one dot product and one output update
-/// per edge, as the per-edge form counted them.
+/// Count a finished stream's edges: one dot product per edge.
 #[inline(always)]
 pub(crate) fn tally_edges(tally: &mut Option<LocalTally<'_>>, edges: u64) {
     if let Some(t) = tally.as_mut() {
         t.dots(edges);
-        t.updated(edges);
     }
 }
 
@@ -476,7 +474,6 @@ mod tests {
             .unwrap();
         let report = counting.work_report().unwrap();
         assert_eq!(report.dot_products, pat.nnz() as u64);
-        assert_eq!(report.output_updates, pat.nnz() as u64);
     }
 
     // ---- the tile itself -------------------------------------------------

@@ -81,7 +81,7 @@ pub use engine::{AttentionEngine, AttentionEngineBuilder};
 pub use error::AttnError;
 pub use geometry::Geometry;
 pub use kernels::CooSearch;
-pub use multihead::{concat_heads, split_heads, MultiHeadAttention, ProjectedHeads};
+pub use multihead::{MultiHeadAttention, ProjectedHeads};
 pub use options::KernelOptions;
 pub use pages::{PagePool, SeqId, SwapArena, SwapTicket};
 pub use plan::AttentionPlan;

@@ -27,47 +27,6 @@ use gpa_tensor::ops::matmul_rows_into;
 use gpa_tensor::{Matrix, Real};
 use std::ops::Range;
 
-/// Per-head slices of a packed `L × (heads·dk)` projection.
-pub fn split_heads<T: Real>(packed: &Matrix<T>, heads: usize) -> Vec<Matrix<T>> {
-    assert!(heads > 0, "heads must be positive");
-    assert_eq!(
-        packed.cols() % heads,
-        0,
-        "packed width {} not divisible by {heads} heads",
-        packed.cols()
-    );
-    let dk = packed.cols() / heads;
-    let mut out: Vec<Matrix<T>> = (0..heads)
-        .map(|_| Matrix::zeros(packed.rows(), dk))
-        .collect();
-    for i in 0..packed.rows() {
-        let row = packed.row(i);
-        for (h, head) in out.iter_mut().enumerate() {
-            head.row_mut(i).copy_from_slice(&row[h * dk..(h + 1) * dk]);
-        }
-    }
-    out
-}
-
-/// Concatenate per-head outputs back into `L × (heads·dk)`.
-pub fn concat_heads<T: Real>(heads: &[Matrix<T>]) -> Matrix<T> {
-    assert!(!heads.is_empty(), "no heads to concatenate");
-    let l = heads[0].rows();
-    let dk = heads[0].cols();
-    assert!(
-        heads.iter().all(|h| h.shape() == (l, dk)),
-        "head shapes differ"
-    );
-    let mut out = Matrix::zeros(l, heads.len() * dk);
-    for i in 0..l {
-        let row = out.row_mut(i);
-        for (h, head) in heads.iter().enumerate() {
-            row[h * dk..(h + 1) * dk].copy_from_slice(head.row(i));
-        }
-    }
-    out
-}
-
 /// Per-head `(Q, K, V)` projections of an input window — what
 /// [`MultiHeadAttention::project_qkv`] returns (`heads` matrices each).
 pub type ProjectedHeads<T> = (Vec<Matrix<T>>, Vec<Matrix<T>>, Vec<Matrix<T>>);
@@ -385,24 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn split_concat_roundtrip() {
-        let m: Matrix<f64> = Matrix::from_fn(6, 12, |i, j| (i * 12 + j) as f64);
-        let heads = split_heads(&m, 3);
-        assert_eq!(heads.len(), 3);
-        assert_eq!(heads[0].shape(), (6, 4));
-        assert_eq!(heads[2].get(1, 0), m.get(1, 8));
-        let back = concat_heads(&heads);
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    #[should_panic(expected = "not divisible")]
-    fn split_requires_divisible_width() {
-        let m: Matrix<f32> = Matrix::zeros(2, 10);
-        let _ = split_heads(&m, 3);
-    }
-
-    #[test]
     fn multi_head_equals_per_head_single_calls() {
         let l = 20;
         let heads = 4;
@@ -564,11 +505,22 @@ mod tests {
             // What the serial code computed before there was a launch.
             let want_qkv: Vec<[Vec<Matrix<T>>; 3]> = xs
                 .iter()
-                .map(|x| [&wq, &wk, &wv].map(|w| split_heads(&matmul(x, w), heads)))
+                .map(|x| {
+                    [&wq, &wk, &wv].map(|w| {
+                        let packed = matmul(x, w);
+                        (0..heads)
+                            .map(|h| columns(&packed, h * dk, (h + 1) * dk))
+                            .collect()
+                    })
+                })
                 .collect();
             let want_attn: Vec<Matrix<T>> = head_outs
                 .chunks(heads)
-                .map(|outs| matmul(&concat_heads(outs), &layer.wo))
+                .map(|outs| {
+                    let packed =
+                        Matrix::from_fn(outs[0].rows(), inner, |i, j| outs[j / dk].get(i, j % dk));
+                    matmul(&packed, &layer.wo)
+                })
                 .collect();
 
             for threads in [1usize, 2, 4] {

@@ -17,9 +17,9 @@ pub struct KernelOptions<'a> {
     /// [`Schedule::StaticContiguous`] to reproduce the paper's fixed
     /// block-to-SM assignment in the load-imbalance experiments.
     pub schedule: Schedule,
-    /// Optional work counter. When set, kernels tally one dot product and
-    /// one output update per absorbed edge (plus COO search steps), which
-    /// the work-optimality tests compare against the mask's nnz.
+    /// Optional work counter. When set, kernels tally one dot product per
+    /// absorbed edge (plus COO search steps), which the work-optimality
+    /// tests compare against the mask's nnz.
     pub counter: Option<&'a WorkCounter>,
 }
 

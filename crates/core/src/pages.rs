@@ -17,7 +17,7 @@
 //! takes them back. A sequence therefore costs what it *currently* caches,
 //! rounded up to whole pages — admission can pack the pool by usage, and a
 //! scheduler that oversubscribes recovers by releasing a victim's pages
-//! (evict-and-recompute; see `gpa-serve`).
+//! (preemption; see `gpa-serve`).
 //!
 //! The page table governs *capacity*, not data layout. A decoder layer's
 //! K/V rows are computed as the sequence advances, so they stay in one
@@ -33,14 +33,13 @@
 //!
 //! **Evict-and-swap** rides behind that same accounting layer: a
 //! [`SwapArena`] is the host-side parking lot for evicted caches (a
-//! reservation has nothing to park: its rows never left their owner).
-//! Instead of dropping a victim's cache and rebuilding it row by row on
-//! resume (evict-and-recompute, `O(context)`), a scheduler releases the
-//! victim's pages and [`SwapArena::try_park`]s the whole per-layer cache
-//! stack — K/V rows and routing state move as-is, `O(1)` in context
-//! length. Resume is [`SwapArena::take`] +
-//! [`PagePool::try_adopt`] (all-or-nothing), splicing the identical bytes
-//! back under a fresh page table. Arena capacity is accounted in **bytes**
+//! reservation has nothing to park: its rows never left their owner). A
+//! scheduler releases the victim's pages and [`SwapArena::try_park`]s the
+//! whole per-layer cache stack — K/V rows and routing state move as-is,
+//! `O(1)` in context length; a stack the arena refuses stays with its
+//! owner, outside the pool. Nothing is ever rebuilt. Resume is
+//! [`SwapArena::take`] + [`PagePool::try_adopt`] (all-or-nothing),
+//! splicing the identical bytes back under a fresh page table. Arena capacity is accounted in **bytes**
 //! ([`KvCache::kv_bytes`]), parking is all-or-nothing, and conservation
 //! extends across both structures: every cached token is either pool-paged
 //! or arena-parked, never both, never lost
@@ -570,16 +569,15 @@ struct SwapEntry<T> {
 /// evict-and-**swap** half of preemption.
 ///
 /// When a scheduler preempts a sequence it releases the victim's pages
-/// back to the [`PagePool`] and, instead of dropping the caches and
-/// rebuilding them row by row on resume, parks the whole per-layer stack
-/// here. The caches move by value — K/V rows and routing state
-/// untouched — so resume is a splice ([`Self::take`] +
-/// [`PagePool::try_adopt`]), `O(1)` in context length.
+/// back to the [`PagePool`] and parks the whole per-layer stack here. The
+/// caches move by value — K/V rows and routing state untouched — so
+/// resume is a splice ([`Self::take`] + [`PagePool::try_adopt`]), `O(1)`
+/// in context length.
 ///
 /// Capacity is accounted in **bytes** of K/V payload
 /// ([`KvCache::kv_bytes`]); parking is all-or-nothing: a stack that does
-/// not fit is handed back untouched and the caller falls back to
-/// evict-and-recompute. Conservation across pool and arena is asserted by
+/// not fit is handed back untouched, for the caller to hold outside the
+/// pool. Conservation across pool and arena is asserted by
 /// [`Self::assert_swap_invariants`] plus the scheduler's ledger checks.
 ///
 /// ```
@@ -669,8 +667,8 @@ impl<T: Real> SwapArena<T> {
     /// Park a per-layer cache stack. All-or-nothing on the byte cap:
     /// returns the stack untouched, in order, when its
     /// [`KvCache::kv_bytes`] total would push [`Self::parked_bytes`] past
-    /// [`Self::capacity_bytes`] — the caller then falls back to
-    /// evict-and-recompute.
+    /// [`Self::capacity_bytes`] — the caller then holds it outside the
+    /// pool.
     pub fn try_park(&mut self, caches: Vec<KvCache<T>>) -> Result<SwapTicket, Vec<KvCache<T>>> {
         let bytes: usize = caches.iter().map(KvCache::kv_bytes).sum();
         if self.parked_bytes.saturating_add(bytes) > self.capacity_bytes {

@@ -18,7 +18,9 @@ use gpa_tensor::{Matrix, Real};
 /// Per-row online-softmax statistics plus the normalized output accumulator.
 #[derive(Clone)]
 pub struct AttentionState<T> {
-    /// Normalized output accumulator, `L × dv`.
+    /// Normalized output accumulator, `L × dv`. At rest it is the
+    /// attention output: rows with no absorbed edges are zero, matching the
+    /// masked-SDP convention for fully masked rows.
     pub o: Matrix<T>,
     /// Row normalizers: `l[i] = Σ exp(w − m[i])` over absorbed edges.
     pub l: Vec<T>,
@@ -49,28 +51,6 @@ impl<T: Real> AttentionState<T> {
             m: vec![T::neg_infinity(); l_ctx],
         }
     }
-
-    /// Context length `L`.
-    pub fn context_len(&self) -> usize {
-        self.o.rows()
-    }
-
-    /// Value dimension `dv`.
-    pub fn dv(&self) -> usize {
-        self.o.cols()
-    }
-
-    /// The attention output. Because a state at rest holds `O` normalized,
-    /// this is a free conversion — rows with no absorbed edges are zero,
-    /// matching the masked-SDP convention for fully masked rows.
-    pub fn into_output(self) -> Matrix<T> {
-        self.o
-    }
-
-    /// Borrowed view of the current output.
-    pub fn output(&self) -> &Matrix<T> {
-        &self.o
-    }
 }
 
 #[cfg(test)]
@@ -80,18 +60,9 @@ mod tests {
     #[test]
     fn fresh_state_matches_algorithm1_init() {
         let s: AttentionState<f64> = AttentionState::new(4, 3);
-        assert_eq!(s.context_len(), 4);
-        assert_eq!(s.dv(), 3);
+        assert_eq!(s.o.shape(), (4, 3));
         assert!(s.m.iter().all(|&m| m == f64::NEG_INFINITY));
         assert!(s.l.iter().all(|&l| l == 0.0));
-        assert!(s.output().as_slice().iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn into_output_is_the_accumulator() {
-        let mut s: AttentionState<f64> = AttentionState::new(2, 2);
-        s.o.set(1, 1, 7.0);
-        let out = s.into_output();
-        assert_eq!(out.get(1, 1), 7.0);
+        assert!(s.o.as_slice().iter().all(|&v| v == 0.0));
     }
 }

@@ -17,8 +17,8 @@ use crate::dispatch::AttentionKernel;
 use crate::engine::AttentionEngine;
 use crate::kernels::CooSearch;
 use gpa_masks::{
-    Dilated1d, Dilated2d, GlobalMask, GlobalMinusLocal, GlobalSet, LocalWindow, MaskPattern,
-    RandomUniform, Union,
+    longformer, Dilated1d, Dilated2d, GlobalMinusLocal, GlobalSet, LocalWindow, MaskPattern,
+    RandomUniform,
 };
 use gpa_sparse::{CsrMask, DenseMask, DiaMask};
 use gpa_tensor::init::qkv;
@@ -107,11 +107,8 @@ pub fn run_verification_at(
     let dil2 = Dilated2d::new(l, block_size, 1).to_csr();
     let gml = GlobalMinusLocal::new(globals.clone(), window).to_csr();
     let random = RandomUniform::new(l, 0.05, seed ^ 1).to_csr();
-    let longformer = Union::new(
-        LocalWindow::new(l, window),
-        GlobalMask::new(globals.clone()),
-    )
-    .to_csr();
+    let indices = globals.indices().iter().map(|&g| g as usize).collect();
+    let longformer = longformer(l, window, indices).to_csr();
 
     // Explicit kernels across every mask family.
     for (mask_name, csr) in [

@@ -1,57 +1,17 @@
-//! Pattern combinators: unions of masks as rules.
+//! The pattern combinator: a union of masks as a rule.
 //!
 //! Real transformer masks are compositions — Longformer is
 //! `local ∪ global`, BigBird adds `∪ random` (Fig. 2). Combinators keep
 //! composition at the *pattern* level so `contains`/`append_row` stay
 //! implicit; materialization to CSR happens once, at the end, if an
-//! explicit kernel needs it. Every combinator builds a row by merging its
+//! explicit kernel needs it. [`UnionAll`] builds a row by merging its
 //! operands' sorted rows with [`gpa_sparse::merge`], never by probing
 //! cells, so it costs the sum of their row lengths.
 
 use crate::pattern::MaskPattern;
 use gpa_sparse::{merge, Idx};
 
-/// Union of two patterns: `A(i,j) ∨ B(i,j)`.
-pub struct Union<A, B> {
-    a: A,
-    b: B,
-}
-
-impl<A: MaskPattern, B: MaskPattern> Union<A, B> {
-    /// Union of `a` and `b`.
-    ///
-    /// # Panics
-    /// Panics if context lengths differ.
-    pub fn new(a: A, b: B) -> Self {
-        assert_eq!(
-            a.context_len(),
-            b.context_len(),
-            "union of masks with different context lengths"
-        );
-        Union { a, b }
-    }
-}
-
-impl<A: MaskPattern, B: MaskPattern> MaskPattern for Union<A, B> {
-    fn context_len(&self) -> usize {
-        self.a.context_len()
-    }
-
-    fn contains(&self, i: usize, j: usize) -> bool {
-        self.a.contains(i, j) || self.b.contains(i, j)
-    }
-
-    fn append_row(&self, i: usize, out: &mut Vec<Idx>) {
-        let mut ra = Vec::new();
-        let mut rb = Vec::new();
-        self.a.append_row(i, &mut ra);
-        self.b.append_row(i, &mut rb);
-        merge(&ra, &rb, |x, y| x || y, out);
-    }
-}
-
-/// Union of an arbitrary number of boxed patterns (used by multi-level
-/// presets such as LongNet).
+/// Union of an arbitrary number of boxed patterns (every preset is one).
 pub struct UnionAll {
     parts: Vec<Box<dyn MaskPattern>>,
     l: usize,
@@ -117,10 +77,10 @@ mod tests {
 
     #[test]
     fn union_laws() {
-        let u = Union::new(
-            LocalWindow::new(18, 2),
-            GlobalMask::new(GlobalSet::new(18, vec![0, 9])),
-        );
+        let u = UnionAll::new(vec![
+            Box::new(LocalWindow::new(18, 2)),
+            Box::new(GlobalMask::new(GlobalSet::new(18, vec![0, 9]))),
+        ]);
         check_pattern_laws(&u);
     }
 
@@ -128,7 +88,7 @@ mod tests {
     fn union_matches_csr_union() {
         let a = LocalWindow::new(15, 1);
         let b = RandomUniform::new(15, 0.2, 3);
-        let pat = Union::new(a, b).to_csr();
+        let pat = UnionAll::new(vec![Box::new(a), Box::new(b)]).to_csr();
         let csr = LocalWindow::new(15, 1)
             .to_csr()
             .union(&RandomUniform::new(15, 0.2, 3).to_csr());
@@ -136,9 +96,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different context lengths")]
+    #[should_panic(expected = "must share a context length")]
     fn mismatched_lengths_panic() {
-        let _ = Union::new(LocalWindow::new(4, 1), LocalWindow::new(5, 1));
+        let _ = UnionAll::new(vec![
+            Box::new(LocalWindow::new(4, 1)),
+            Box::new(LocalWindow::new(5, 1)),
+        ]);
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod presets;
 pub mod random;
 pub mod solve;
 
-pub use combinators::{Union, UnionAll};
+pub use combinators::UnionAll;
 pub use dilated::{Dilated1d, Dilated2d};
 pub use global::{GlobalMask, GlobalMinusLocal, GlobalSet};
 pub use local::LocalWindow;
@@ -76,10 +76,10 @@ mod tests {
             ("longnet", Box::new(LongNetPattern::new(l, 2, 2))),
             (
                 "union",
-                Box::new(Union::new(
-                    LocalWindow::new(l, 1),
-                    RandomUniform::new(l, p, 3),
-                )),
+                Box::new(UnionAll::new(vec![
+                    Box::new(LocalWindow::new(l, 1)),
+                    Box::new(RandomUniform::new(l, p, 3)),
+                ])),
             ),
         ];
         for (name, pattern) in patterns {
@@ -137,7 +137,7 @@ mod proptests {
         fn union_identities(l in 1usize..32, n in 0usize..8, g in 0usize..4) {
             let local = LocalWindow::new(l, n);
             let global = GlobalMask::new(GlobalSet::evenly_spaced(l, g));
-            let u = Union::new(local, global);
+            let u = UnionAll::new(vec![Box::new(local), Box::new(global)]);
             prop_assert!(u.nnz() >= LocalWindow::new(l, n).nnz());
             prop_assert!(u.nnz() >= GlobalMask::new(GlobalSet::evenly_spaced(l, g)).nnz());
             prop_assert!(u.nnz() <= LocalWindow::new(l, n).nnz()

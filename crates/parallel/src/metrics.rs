@@ -19,7 +19,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Default)]
 pub struct WorkCounter {
     dot_products: AtomicU64,
-    output_updates: AtomicU64,
     neighbor_searches: AtomicU64,
 }
 
@@ -35,12 +34,6 @@ impl WorkCounter {
         self.dot_products.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Record `n` output-accumulator updates.
-    #[inline]
-    pub fn add_output_updates(&self, n: u64) {
-        self.output_updates.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Record `n` elements scanned while locating row bounds — the COO
     /// kernel's search overhead (Section V-C's explanation of COO's cost).
     #[inline]
@@ -53,11 +46,6 @@ impl WorkCounter {
         self.dot_products.load(Ordering::Relaxed)
     }
 
-    /// Total output updates so far.
-    pub fn output_updates(&self) -> u64 {
-        self.output_updates.load(Ordering::Relaxed)
-    }
-
     /// Total search steps so far.
     pub fn neighbor_searches(&self) -> u64 {
         self.neighbor_searches.load(Ordering::Relaxed)
@@ -66,7 +54,6 @@ impl WorkCounter {
     /// Reset all tallies.
     pub fn reset(&self) {
         self.dot_products.store(0, Ordering::Relaxed);
-        self.output_updates.store(0, Ordering::Relaxed);
         self.neighbor_searches.store(0, Ordering::Relaxed);
     }
 
@@ -74,7 +61,6 @@ impl WorkCounter {
     pub fn report(&self) -> WorkReport {
         WorkReport {
             dot_products: self.dot_products(),
-            output_updates: self.output_updates(),
             neighbor_searches: self.neighbor_searches(),
         }
     }
@@ -85,8 +71,6 @@ impl WorkCounter {
 pub struct WorkReport {
     /// Query–key dot products performed.
     pub dot_products: u64,
-    /// Output accumulator updates performed.
-    pub output_updates: u64,
     /// Elements scanned during row-bound searches (COO only).
     pub neighbor_searches: u64,
 }
@@ -184,7 +168,6 @@ pub struct PoolReport {
 pub struct LocalTally<'a> {
     counter: &'a WorkCounter,
     dot_products: u64,
-    output_updates: u64,
     neighbor_searches: u64,
 }
 
@@ -194,7 +177,6 @@ impl<'a> LocalTally<'a> {
         LocalTally {
             counter,
             dot_products: 0,
-            output_updates: 0,
             neighbor_searches: 0,
         }
     }
@@ -212,20 +194,6 @@ impl<'a> LocalTally<'a> {
         self.dot_products += n;
     }
 
-    /// Count one output update.
-    #[inline(always)]
-    pub fn update(&mut self) {
-        self.output_updates += 1;
-    }
-
-    /// Count `n` output updates at once — for blocked inner loops that
-    /// fold several value rows per sweep (e.g. the SDP baseline's
-    /// score·V accumulation).
-    #[inline(always)]
-    pub fn updated(&mut self, n: u64) {
-        self.output_updates += n;
-    }
-
     /// Count `n` search steps.
     #[inline(always)]
     pub fn searched(&mut self, n: u64) {
@@ -237,9 +205,6 @@ impl Drop for LocalTally<'_> {
     fn drop(&mut self) {
         if self.dot_products > 0 {
             self.counter.add_dot_products(self.dot_products);
-        }
-        if self.output_updates > 0 {
-            self.counter.add_output_updates(self.output_updates);
         }
         if self.neighbor_searches > 0 {
             self.counter.add_neighbor_searches(self.neighbor_searches);
@@ -258,10 +223,8 @@ mod tests {
         let c = WorkCounter::new();
         c.add_dot_products(10);
         c.add_dot_products(5);
-        c.add_output_updates(3);
         c.add_neighbor_searches(7);
         assert_eq!(c.dot_products(), 15);
-        assert_eq!(c.output_updates(), 3);
         assert_eq!(c.neighbor_searches(), 7);
         let r = c.report();
         assert_eq!(r.dot_products, 15);
@@ -280,12 +243,10 @@ mod tests {
                 t.dot();
             }
             t.dots(8);
-            t.update();
             t.searched(9);
             assert_eq!(c.dot_products(), 0, "not flushed until drop");
         }
         assert_eq!(c.dot_products(), 50);
-        assert_eq!(c.output_updates(), 1);
         assert_eq!(c.neighbor_searches(), 9);
     }
 
@@ -298,11 +259,9 @@ mod tests {
             let mut t = LocalTally::new(&c);
             for _ in range {
                 t.dot();
-                t.update();
             }
         });
         assert_eq!(c.dot_products(), n as u64);
-        assert_eq!(c.output_updates(), n as u64);
     }
 
     #[test]

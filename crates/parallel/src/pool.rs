@@ -291,14 +291,6 @@ impl Drop for ThreadPool {
     }
 }
 
-/// The process-wide default pool, sized by `GPA_THREADS` or the machine's
-/// available parallelism.
-pub fn global_pool() -> &'static ThreadPool {
-    use std::sync::OnceLock;
-    static POOL: OnceLock<ThreadPool> = OnceLock::new();
-    POOL.get_or_init(|| ThreadPool::new(default_threads()))
-}
-
 /// Thread count policy: `GPA_THREADS` env var if set, else available
 /// parallelism.
 pub fn default_threads() -> usize {
@@ -409,13 +401,5 @@ mod tests {
         // With a 20ms idle window the helpers must actually have parked —
         // otherwise the idle poll never hands the CPU back.
         assert!(pool.metrics().report().parks > 0, "helpers never parked");
-    }
-
-    #[test]
-    fn global_pool_is_singleton() {
-        let a = global_pool() as *const ThreadPool;
-        let b = global_pool() as *const ThreadPool;
-        assert_eq!(a, b);
-        assert!(global_pool().threads() >= 1);
     }
 }

@@ -76,7 +76,7 @@
 //!         arrival_window: 1,
 //!         prefill_chunk: 8,
 //!         admission: AdmissionMode::PagedUsage,
-//!         // Preemption defaults: evict-and-recompute, no swap arena.
+//!         // Preemption defaults: `Recompute`, a zero-byte swap arena.
 //!         ..ServeConfig::default()
 //!     },
 //! )
@@ -140,8 +140,8 @@
 //! plan sequence of the same length). Preempted model sequences keep
 //! their per-layer caches intact and re-adopt them on resume, so
 //! completions remain bitwise equal to
-//! [`sequential_model_reference`]. `examples/model_serving.rs` serves a
-//! 12-layer bookend stack under page pressure.
+//! [`sequential_model_reference`]. `examples/continuous_serving.rs` serves
+//! a 12-layer bookend stack under page pressure.
 //!
 //! ## Content-adaptive patterns
 //!
@@ -160,12 +160,12 @@
 //! The resolved plan is reported in [`Completion::target`] (the original
 //! choice stays on the request), and completions — Auto, routed, or both
 //! — remain bitwise equal to their per-plan [`sequential_reference`].
-//! `examples/adaptive_serving.rs` walks this end to end, and
 //! `cargo run -p gpa-bench --release --bin adaptive_sparsity` sweeps the
 //! pattern × group-count × context-length trade-off surface.
 //!
-//! `examples/continuous_serving.rs` walks the same loop tick by tick and
-//! times it against the sequential baseline. Throughput, tick and request
+//! `examples/continuous_serving.rs` walks all of this in one trace —
+//! explicit, `Auto` and stack requests under page pressure — checks every
+//! completion bitwise and times it against the sequential baseline. Throughput, tick and request
 //! latency percentiles, admission and preemption counts are measured by
 //! the serving benchmark: `bash benchmark/run.sh --workload decode_swarm`
 //! (plan sequences in flight), `--workload evict_churn` (page pressure),

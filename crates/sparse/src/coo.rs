@@ -186,11 +186,6 @@ impl CooMask {
         }
         (lo, pos, pos.min(n))
     }
-
-    /// Decompose into `(rows, cols, row_idx, col_idx)` vectors.
-    pub fn into_parts(self) -> (usize, usize, Vec<Idx>, Vec<Idx>) {
-        (self.rows, self.cols, self.row_idx, self.col_idx)
-    }
 }
 
 pub(crate) fn check_shape(rows: usize, cols: usize) -> Result<(), SparseError> {

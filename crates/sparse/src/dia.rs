@@ -70,14 +70,9 @@ impl DiaMask {
         self.l
     }
 
-    /// The diagonal offsets.
+    /// The diagonal offsets — the whole storage, `O(diagonals)`, not `O(L²)`.
     pub fn offsets(&self) -> &[i64] {
         &self.offsets
-    }
-
-    /// Number of diagonals — the storage cost (in offsets, not `O(L²)`).
-    pub fn num_diagonals(&self) -> usize {
-        self.offsets.len()
     }
 
     /// Exact non-zero count: diagonal `d` holds `L − |d|` entries.
@@ -153,7 +148,7 @@ mod tests {
     #[test]
     fn local_equivalence() {
         let dia = DiaMask::local(20, 3);
-        assert_eq!(dia.num_diagonals(), 7);
+        assert_eq!(dia.offsets().len(), 7);
         // nnz = (2n+1)L − n(n+1) = 7·20 − 12 = 128.
         assert_eq!(dia.nnz(), 128);
         assert!(dia.contains(5, 8));
@@ -221,7 +216,7 @@ mod tests {
     fn storage_is_independent_of_length() {
         let small = DiaMask::local(100, 5);
         let huge = DiaMask::local(100_000_000, 5);
-        assert_eq!(small.num_diagonals(), huge.num_diagonals());
+        assert_eq!(small.offsets(), huge.offsets());
         assert!(huge.nnz() > 1_000_000_000);
     }
 

@@ -126,22 +126,6 @@ impl<T: Real> Matrix<T> {
         &mut self.data
     }
 
-    /// Consume into the backing buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
-    /// Transposed copy.
-    pub fn transpose(&self) -> Matrix<T> {
-        let mut out = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                out.set(j, i, self.get(i, j));
-            }
-        }
-        out
-    }
-
     /// A copy of the sub-matrix made of rows `lo..hi`.
     pub fn rows_slice(&self, lo: usize, hi: usize) -> Matrix<T> {
         assert!(lo <= hi && hi <= self.rows);
@@ -339,13 +323,6 @@ mod tests {
         let mut m: Matrix<f32> = Matrix::zeros(2, 3);
         m.row_mut(1)[2] = 5.0;
         assert_eq!(m.get(1, 2), 5.0);
-    }
-
-    #[test]
-    fn transpose_involution() {
-        let m: Matrix<f64> = Matrix::from_fn(4, 3, |i, j| (i * 7 + j * 3) as f64);
-        assert_eq!(m.transpose().transpose(), m);
-        assert_eq!(m.transpose().get(2, 3), m.get(3, 2));
     }
 
     #[test]

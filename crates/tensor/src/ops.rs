@@ -166,21 +166,6 @@ pub fn axpy4<T: Real>(out: &mut [T], w: [T; 4], v: [&[T]; 4]) {
     }
 }
 
-/// `A · Bᵀ` where both are row-major — computes `QKᵀ` without materializing
-/// a transpose (rows of `B` are the keys).
-pub fn matmul_nt<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
-    assert_eq!(a.cols(), b.cols(), "inner dimensions differ");
-    let mut out = Matrix::zeros(a.rows(), b.rows());
-    for i in 0..a.rows() {
-        let ai = a.row(i);
-        let oi = out.row_mut(i);
-        for (j, o) in oi.iter_mut().enumerate() {
-            *o = dot(ai, b.row(j));
-        }
-    }
-    out
-}
-
 /// Cache-blocked `A · B` (row-major × row-major).
 ///
 /// Each output element accumulates its products in ascending inner index,
@@ -261,18 +246,6 @@ pub fn weighted_sum_into<T: Real>(out: &mut [T], weights: &[T], v: &Matrix<T>) {
     for (j, &w) in weights.iter().enumerate().skip(blocks) {
         axpy(out, w, v.row(j));
     }
-}
-
-/// Row-wise weighted sum: `out[i] = Σ_j weights[i][j] · v[j]` for a dense
-/// weight matrix — the second matmul of the SDP baseline, built on the
-/// blocked [`weighted_sum_into`] accumulation.
-pub fn weighted_rows<T: Real>(weights: &Matrix<T>, v: &Matrix<T>) -> Matrix<T> {
-    assert_eq!(weights.cols(), v.rows(), "inner dimensions differ");
-    let mut out = Matrix::zeros(weights.rows(), v.cols());
-    for i in 0..weights.rows() {
-        weighted_sum_into(out.row_mut(i), weights.row(i), v);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -378,15 +351,6 @@ mod tests {
         let b = Matrix::from_vec(3, 2, vec![7.0f64, 8.0, 9.0, 10.0, 11.0, 12.0]);
         let c = matmul(&a, &b);
         assert_eq!(c.as_slice(), &[58.0, 64.0, 139.0, 154.0]);
-    }
-
-    #[test]
-    fn matmul_nt_equals_matmul_with_transpose() {
-        let a: Matrix<f64> = Matrix::from_fn(4, 6, |i, j| (i as f64) - 0.3 * (j as f64));
-        let b: Matrix<f64> = Matrix::from_fn(5, 6, |i, j| 0.1 * (i as f64) + (j as f64));
-        let via_nt = matmul_nt(&a, &b);
-        let via_t = matmul(&a, &b.transpose());
-        assert!(via_nt.max_abs_diff(&via_t) < 1e-12);
     }
 
     #[test]

@@ -1,41 +1,63 @@
-//! Continuous-batching serving: many concurrent sequences through one
-//! scheduler-owned engine, mixed prefill and decode in every launch.
+//! Continuous-batching serving: bare attention plans, content-routed
+//! plans, `Auto` requests and a 12-layer decoder stack, all through one
+//! scheduler-owned engine under page pressure.
 //!
 //! The loop this example walks through:
 //!
 //! 1. **Build** a `Scheduler` owning an `AttentionEngine`, with an
-//!    explicit admission policy: max in-flight sequences, a paged KV
-//!    pool (admission charged on current page usage, preemption under
-//!    pressure), an arrival-batching window, and a prefill chunk size;
-//! 2. **Replay** a seeded workload trace (mixed prompt lengths, decode
-//!    lengths, two priority classes, two kernels) on the virtual clock —
-//!    every tick flattens all runnable prefill chunks and decode rows
-//!    into one batched launch per plan;
-//! 3. **Verify** every completed sequence bitwise against the naive
-//!    one-sequence-at-a-time serve, and compare wall time.
+//!    explicit admission policy: max in-flight sequences, a paged KV pool
+//!    sized well below the workload's worst case, an arrival-batching
+//!    window, and a prefill chunk size;
+//! 2. **Register** four length-free plans — two static patterns (Local,
+//!    Dilated) and two content-routed ones (a bare `Routed` kernel and a
+//!    Local + Routed composition sharing one router spec) — and a
+//!    `DecoderModel` compiled from the bookend pattern `FFFSSSSSSFFF`:
+//!    full local attention in the first and last three layers, dilated
+//!    sparse attention in the middle six;
+//! 3. **Replay** one seeded trace on the virtual clock. A request names a
+//!    plan, submits as [`PatternChoice::Auto`] (admission ranks the plans
+//!    by estimated work and spends the free-page headroom on the densest
+//!    one it can afford), or runs the stack, which holds one KV cache per
+//!    layer. Every tick flattens all runnable rows into one launch per
+//!    plan and one per layer, and preempts sequences when decode growth
+//!    outruns the free list;
+//! 4. **Verify** every completion bitwise against the naive
+//!    one-sequence-at-a-time serve of its resolved plan or of the stack,
+//!    and report where `Auto` landed.
 //!
 //! ```text
 //! cargo run --release --example continuous_serving [-- --quick]
 //! ```
 
 use graph_attention::prelude::*;
-use graph_attention::serve::{generate_trace, sequential_reference, Submission, TraceSpec};
+use graph_attention::serve::{
+    generate_trace, replay, sequential_model_reference, sequential_reference, Completion,
+    Submission, TraceSpec,
+};
 use std::time::Instant;
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let sequences = if quick { 12 } else { 48 };
-    let prompt = if quick { (16, 64) } else { (128, 512) };
-    let decode = if quick { (4, 12) } else { (32, 64) };
+    let sequences = if quick { 16 } else { 48 };
+    let prompt: (usize, usize) = if quick { (16, 64) } else { (128, 512) };
+    let decode: (usize, usize) = if quick { (4, 12) } else { (32, 64) };
     let dk = if quick { 16 } else { 64 };
     let window = if quick { 8 } else { 32 };
+    let groups = if quick { 2 } else { 4 };
+    let (heads, head_dk) = if quick { (2, 8) } else { (4, 16) };
+    let d_model = heads * head_dk;
 
+    // --- 1. The scheduler -------------------------------------------------
+    // A stack of `total` tokens holds `layers × ceil(total / page_size)`
+    // pages; the pool holds two such stacks at their longest, so admission
+    // packs by usage, Auto falls down its ranking, and decode growth
+    // preempts.
+    let pattern = LayerPattern::parse("FFFSSSSSSFFF").expect("valid pattern");
     let page_size = 16usize;
+    let stack_bill = pattern.len() * (prompt.1 + decode.1).div_ceil(page_size);
     let config = ServeConfig {
         max_in_flight: 8,
-        // A pool sized well below 8 × worst-case length: paged admission
-        // packs by current usage and preempts if decode growth outruns it.
-        kv_pages: (4usize * (prompt.1 + decode.1)).div_ceil(page_size),
+        kv_pages: 2 * stack_bill,
         page_size,
         arrival_window: 1,
         prefill_chunk: prompt.0 / 2,
@@ -54,19 +76,52 @@ fn main() {
         config.prefill_chunk
     );
 
-    // Two length-free plans; each request names one — per-plan queues,
-    // one batched launch per plan per tick.
-    let plans = vec![
-        scheduler
-            .register_plan(AttentionPlan::single(AttentionKernel::Local { n: window }).unwrap())
-            .unwrap(),
-        scheduler
-            .register_plan(
-                AttentionPlan::single(AttentionKernel::Dilated1d { w: window, r: 2 }).unwrap(),
-            )
-            .unwrap(),
-    ];
+    // --- 2. Four plans and one stack --------------------------------------
+    // Both routed plans hash tokens into groups with the same deterministic
+    // router, so a token's group never depends on batch shape, chunking or
+    // thread count.
+    let local = AttentionKernel::Local { n: window };
+    let dilated = AttentionKernel::Dilated1d { w: window, r: 2 };
+    let routed = AttentionKernel::Routed {
+        groups,
+        seed: 0xB10C,
+        causal: true,
+    };
+    let plans = [
+        ("Local", vec![local]),
+        ("Dilated", vec![dilated]),
+        ("Routed", vec![routed]),
+        ("Local→Routed", vec![local, routed]),
+    ]
+    .map(|(name, steps)| {
+        let plan = AttentionPlan::new(&steps).expect("composable plan");
+        (
+            scheduler.register_plan(plan).expect("length-free plan"),
+            name,
+        )
+    });
+    let model = DecoderModel::new(
+        pattern.clone(),
+        vec![
+            ('F', AttentionPlan::single(local).unwrap()),
+            ('S', AttentionPlan::single(dilated).unwrap()),
+        ],
+        d_model,
+        heads,
+        head_dk,
+        0xB00C,
+    )
+    .expect("composable plans");
+    let model = scheduler.register_model(model);
+    println!(
+        "plans: {} · model: {} layers ({pattern}), d_model {d_model}, {heads} heads × dk {head_dk}",
+        plans.map(|(_, name)| name).join(", "),
+        pattern.len()
+    );
 
+    // --- 3. Replay one mixed trace ----------------------------------------
+    let mut choices: Vec<PatternChoice> = plans.iter().map(|&(id, _)| id.into()).collect();
+    choices.push(PatternChoice::Auto);
     let trace = generate_trace::<f32, _>(
         &TraceSpec {
             sequences,
@@ -77,87 +132,94 @@ fn main() {
             priority_classes: 2,
             seed: 42,
         },
-        &plans,
-        &[],
+        &choices,
+        &[(model, d_model)],
     );
     let total_tokens: usize = trace.iter().map(|e| e.request.total_tokens()).sum();
+    let request = |c: &Completion<f32>| &trace[c.id.as_u64() as usize].request;
+    let is_auto = |c: &Completion<f32>| match request(c) {
+        Submission::Plan(r) => r.pattern == PatternChoice::Auto,
+        Submission::Model(_) => false,
+    };
+    let stacks = trace
+        .iter()
+        .filter(|e| matches!(e.request, Submission::Model(_)))
+        .count();
     println!(
-        "workload: {sequences} sequences, {total_tokens} tokens, prompts {prompt:?}, decode {decode:?}, 2 priority classes\n"
+        "workload: {sequences} sequences ({stacks} stacks), {total_tokens} tokens, prompts {prompt:?}, decode {decode:?}, 2 priority classes\n"
     );
 
-    // --- 2. Replay on the virtual clock, one batched launch per tick ----
     let started = Instant::now();
-    let mut completions = Vec::new();
-    let mut next = 0usize;
-    let mut peak_in_flight = 0usize;
-    let mut peak_pages = 0usize;
-    let mut launches = 0usize;
-    let mut rows = 0usize;
-    while next < trace.len() || !scheduler.is_idle() {
-        while next < trace.len() && trace[next].at <= scheduler.now() {
-            scheduler
-                .submit(trace[next].request.clone())
-                .expect("valid request");
-            next += 1;
-        }
-        let report = scheduler.tick().expect("healthy workload");
-        peak_in_flight = peak_in_flight.max(scheduler.in_flight_len());
-        peak_pages = peak_pages.max(scheduler.kv_used_pages());
-        launches += report.launches;
-        rows += report.rows_computed;
-        completions.extend(report.completed);
-    }
+    let completions = replay(&mut scheduler, &trace, 1_000_000).expect("healthy workload");
     let t_continuous = started.elapsed().as_secs_f64();
-    let ticks = scheduler.now();
     let mut latencies: Vec<u64> = completions.iter().map(|c| c.latency_ticks()).collect();
     latencies.sort_unstable();
     println!(
-        "continuous: {} sequences in {ticks} ticks / {launches} launches ({rows} rows) — {:.4} s, {:.0} tok/s",
+        "continuous: {} sequences in {} ticks — {:.4} s, {:.0} tok/s · latency p50 {} / p99 {} ticks",
         completions.len(),
+        scheduler.now(),
         t_continuous,
-        total_tokens as f64 / t_continuous
-    );
-    println!(
-        "            peak {} sequences in flight · latency p50 {} / p99 {} ticks",
-        peak_in_flight,
+        total_tokens as f64 / t_continuous,
         latencies[latencies.len() / 2],
         latencies[(latencies.len() * 99).div_ceil(100) - 1]
     );
+    let preempted = |stack: bool| {
+        completions
+            .iter()
+            .filter(|c| c.preemptions > 0 && c.target.model().is_some() == stack)
+            .count()
+    };
     println!(
-        "            page pool: peak {peak_pages}/{} pages mapped · {} preemption events · {} free at drain",
-        scheduler.kv_total_pages(),
+        "            {} preemption events · {} plan sequences and {} stacks preempted and resumed",
         scheduler.preemption_events(),
-        scheduler.kv_free_pages()
+        preempted(false),
+        preempted(true)
+    );
+    let resolved: Vec<String> = plans
+        .iter()
+        .map(|&(id, name)| {
+            let n = completions
+                .iter()
+                .filter(|c| is_auto(c) && c.target.plan() == Some(id))
+                .count();
+            (n, name)
+        })
+        .filter(|&(n, _)| n > 0)
+        .map(|(n, name)| format!("{n}× {name}"))
+        .collect();
+    println!(
+        "            Auto resolved under pool pressure: {}",
+        resolved.join(", ")
     );
 
-    // --- 3. The naive baseline: one sequence at a time ------------------
+    // --- 4. The naive baseline: one sequence at a time --------------------
     let started = Instant::now();
-    let mut checked = 0usize;
     for c in &completions {
-        let Submission::Plan(request) = &trace[c.id.as_u64() as usize].request else {
-            unreachable!("a plan-only workload");
+        let (engine, chunk) = (scheduler.engine(), config.prefill_chunk);
+        let expect = match request(c) {
+            Submission::Plan(request) => {
+                let plan = scheduler.plan(c.target.plan().expect("a plan sequence"));
+                sequential_reference(engine, plan, request, chunk).expect("reference serves")
+            }
+            Submission::Model(request) => {
+                let model = scheduler.model(c.target.model().expect("a stack"));
+                sequential_model_reference(engine, model, request, chunk).expect("reference serves")
+            }
         };
-        let plan = c.target.plan().expect("a plan-only workload");
-        let expect = sequential_reference(
-            scheduler.engine(),
-            scheduler.plan(plan),
-            request,
-            config.prefill_chunk,
-        )
-        .expect("reference serves");
         assert_eq!(
             c.output, expect,
             "continuous batching must be bitwise the sequential serve"
         );
-        checked += 1;
     }
     let t_sequential = started.elapsed().as_secs_f64();
     println!(
-        "sequential: same {checked} sequences one at a time — {:.4} s, {:.0} tok/s",
+        "sequential: same {} sequences one at a time — {:.4} s, {:.0} tok/s",
+        completions.len(),
         t_sequential,
         total_tokens as f64 / t_sequential
     );
     println!(
-        "\nall {checked} outputs bitwise equal to the sequential reference · batching changed the schedule, not one bit"
+        "\nall {} outputs bitwise equal to the sequential reference · batching, routing and preemption changed the schedule, not one bit",
+        completions.len()
     );
 }

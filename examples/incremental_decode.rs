@@ -12,7 +12,7 @@
 //!    cost instead of the naive `O(L · window · d)` recompute.
 //!
 //! Multi-head layers are served as decoder stacks: see
-//! `examples/model_serving.rs`.
+//! `examples/continuous_serving.rs`.
 //!
 //! ```text
 //! cargo run --release --example incremental_decode [-- --quick]

@@ -19,14 +19,21 @@
 //! - [`F32_LONG`]: the graph kernels at `L = 4096`, where a row spans
 //!   several 32-edge tiles;
 //! - [`MASKS`]: the CSR structures (`row_offsets`, `col_idx`) the mask
-//!   crate builds at `L = 4096` for the Fig. 6 plans.
+//!   crate builds at `L = 4096` for the Fig. 6 plans;
+//! - [`SERVED`]: every output of one mixed trace replayed through the
+//!   `Scheduler` under page pressure, at 1 and at 2 engine threads.
 //!
 //! A failure prints the table the code now computes.
 
-use graph_attention::core::{AttentionEngine, AttentionKernel, CooSearch, KvCache};
+use graph_attention::core::{AttentionEngine, AttentionKernel, AttentionPlan, CooSearch, KvCache};
 use graph_attention::masks::{
-    bigbird, longformer_dilated, GlobalMinusLocal, GlobalSet, LocalWindow, MaskPattern,
-    RandomUniform, Union,
+    bigbird, longformer, longformer_dilated, GlobalMinusLocal, GlobalSet, LocalWindow, MaskPattern,
+    RandomUniform,
+};
+use graph_attention::model::{DecoderModel, LayerPattern};
+use graph_attention::serve::{
+    generate_trace, replay, AdmissionMode, EvictionMode, PatternChoice, Scheduler, ServeConfig,
+    TraceSpec,
 };
 use graph_attention::sparse::{CsrMask, DiaMask};
 use graph_attention::tensor::{init::qkv, Matrix, Real};
@@ -87,6 +94,9 @@ const MASKS: [(&str, u64); 4] = [
     ("RandomUniform ∖ covered", 0xefee7b514475c547),
     ("bigbird", 0x482b4ed7e54b62fc),
 ];
+
+/// Digest of [`served`]'s outputs, concatenated in request-id order.
+const SERVED: u64 = 0x67921db45afba0dd;
 
 /// A float's `to_bits()`, little-endian.
 trait Bits: Real {
@@ -266,14 +276,10 @@ fn mask_digests() {
     let fig6 = Fig6::new(L_LONG);
     let (l, w) = (fig6.l, fig6.w);
     let indices: Vec<usize> = fig6.globals.indices().iter().map(|&g| g as usize).collect();
-    let combined = Union::new(
-        LocalWindow::new(l, w),
-        GlobalMinusLocal::new(fig6.globals.clone(), w),
-    );
     assert_eq!(
-        combined.to_csr(),
+        longformer(l, w, indices.clone()).to_csr(),
         fig6.covered,
-        "Union disagrees with CsrMask::union"
+        "the longformer preset disagrees with CsrMask::union"
     );
     let masks = [
         longformer_dilated(l, w, 2, indices.clone()).to_csr(),
@@ -292,5 +298,78 @@ fn mask_digests() {
             .map(|(name, d)| format!("    (\"{name}\", 0x{d:016x}),\n"))
             .collect();
         panic!("mask digests moved; the code now computes:\n{table}");
+    }
+}
+
+/// Replay one seeded trace through a `Scheduler` on `threads` engine
+/// threads and return every completion's output in request-id order. The
+/// trace mixes explicit Local and Dilated-1D requests, `Auto` requests and
+/// a three-layer stack; a Local row holds up to 41 edges, more than one
+/// tile. The pool's 28 four-token pages hold one stack at its longest, so
+/// plan sequences and stacks are both preempted and resumed.
+fn served(threads: usize) -> Vec<Matrix<f32>> {
+    let spec = TraceSpec {
+        sequences: 12,
+        prompt: (8, 20),
+        decode: (6, 16),
+        dk: 8,
+        arrival_gap: (0, 1),
+        priority_classes: 2,
+        seed: SEED,
+    };
+    let config = ServeConfig {
+        max_in_flight: 4,
+        kv_pages: 28,
+        page_size: 4,
+        arrival_window: 0,
+        prefill_chunk: 6,
+        admission: AdmissionMode::PagedUsage,
+        eviction: EvictionMode::Swap,
+        swap_bytes: usize::MAX,
+    };
+    let mut scheduler: Scheduler<'static, f32> =
+        Scheduler::new(AttentionEngine::with_threads(threads), config).unwrap();
+    let local = AttentionPlan::single(AttentionKernel::Local { n: 20 }).unwrap();
+    let dilated = AttentionPlan::single(AttentionKernel::Dilated1d { w: 40, r: 1 }).unwrap();
+    let stack = DecoderModel::new(
+        LayerPattern::parse("FSF").unwrap(),
+        vec![('F', local.clone()), ('S', dilated.clone())],
+        8,
+        2,
+        4,
+        SEED,
+    )
+    .unwrap();
+    let patterns = [
+        PatternChoice::from(scheduler.register_plan(local).unwrap()),
+        PatternChoice::from(scheduler.register_plan(dilated).unwrap()),
+        PatternChoice::Auto,
+    ];
+    let model = scheduler.register_model(stack);
+    let trace = generate_trace::<f32, _>(&spec, &patterns, &[(model, 8)]);
+    let mut completions = replay(&mut scheduler, &trace, 100_000).unwrap();
+    assert_eq!(completions.len(), spec.sequences);
+    for (what, kind) in [("plan", false), ("stack", true)] {
+        assert!(
+            completions
+                .iter()
+                .any(|c| c.target.model().is_some() == kind && c.preemptions > 0),
+            "{threads} threads: no {what} sequence was preempted"
+        );
+    }
+    completions.sort_by_key(|c| c.id.as_u64());
+    completions.into_iter().map(|c| c.output).collect()
+}
+
+#[test]
+fn served_trace_digest() {
+    for threads in [1, 2] {
+        let got = fnv(served(threads)
+            .iter()
+            .flat_map(|m| m.as_slice().iter().flat_map(|x| x.le_bytes())));
+        assert_eq!(
+            got, SERVED,
+            "{threads} threads: the served outputs moved; the code now computes 0x{got:016x}"
+        );
     }
 }

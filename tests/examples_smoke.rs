@@ -6,13 +6,15 @@
 //! broken deliverable even when the library tests pass.
 
 use std::process::Command;
+use std::sync::OnceLock;
 
-/// Run one example through `cargo run --example` and assert success.
+/// Run one example through `cargo run --example`, assert success and
+/// return its stdout.
 ///
 /// Uses the same cargo binary that is running this test (`CARGO` is set by
 /// cargo for test processes) so toolchain selection is inherited; cargo's
 /// own build lock serializes the nested invocation against other builds.
-fn run_example(name: &str, quick: bool) {
+fn run_example(name: &str, quick: bool) -> String {
     let cargo = std::env::var("CARGO").unwrap_or_else(|_| "cargo".to_string());
     let mut cmd = Command::new(cargo);
     cmd.current_dir(env!("CARGO_MANIFEST_DIR"))
@@ -30,6 +32,23 @@ fn run_example(name: &str, quick: bool) {
         String::from_utf8_lossy(&output.stdout),
         String::from_utf8_lossy(&output.stderr),
     );
+    String::from_utf8(output.stdout).expect("example prints UTF-8")
+}
+
+/// The stdout of `continuous_serving --quick`, run once and shared by the
+/// three tests that check its parts: the whole walkthrough, its adaptive
+/// (`Auto` and routed) requests, and its decoder-stack requests.
+fn continuous_serving() -> &'static str {
+    static STDOUT: OnceLock<String> = OnceLock::new();
+    STDOUT.get_or_init(|| run_example("continuous_serving", true))
+}
+
+/// The first line of `stdout` that contains `label`.
+fn line_with<'a>(stdout: &'a str, label: &str) -> &'a str {
+    stdout
+        .lines()
+        .find(|line| line.contains(label))
+        .unwrap_or_else(|| panic!("no line with {label:?} in:\n{stdout}"))
 }
 
 #[test]
@@ -37,9 +56,20 @@ fn quickstart_runs() {
     run_example("quickstart", false);
 }
 
+/// Routed plans and `Auto` requests are served and verified bitwise in
+/// `continuous_serving`; `Auto` must have resolved at least once.
 #[test]
 fn adaptive_serving_runs() {
-    run_example("adaptive_serving", true);
+    let stdout = continuous_serving();
+    assert!(
+        line_with(stdout, "plans:").contains("Local→Routed"),
+        "{stdout}"
+    );
+    let resolved = line_with(stdout, "Auto resolved under pool pressure:");
+    assert!(
+        resolved.contains("× "),
+        "no Auto request resolved: {resolved}"
+    );
 }
 
 #[test]
@@ -54,7 +84,11 @@ fn bigbird_inference_runs() {
 
 #[test]
 fn continuous_serving_runs() {
-    run_example("continuous_serving", true);
+    let stdout = continuous_serving();
+    assert!(
+        line_with(stdout, "outputs bitwise equal").starts_with("all "),
+        "{stdout}"
+    );
 }
 
 #[test]
@@ -77,7 +111,18 @@ fn longformer_document_runs() {
     run_example("longformer_document", true);
 }
 
+/// The 12-layer `FFFSSSSSSFFF` stack is served and verified bitwise in
+/// `continuous_serving`; the trace must hold at least one stack.
 #[test]
 fn model_serving_runs() {
-    run_example("model_serving", true);
+    let stdout = continuous_serving();
+    assert!(
+        line_with(stdout, "model:").contains("12 layers (FFFSSSSSSFFF)"),
+        "{stdout}"
+    );
+    let workload = line_with(stdout, "workload:");
+    assert!(
+        !workload.contains("(0 stacks)") && workload.contains(" stacks)"),
+        "no stack in the trace: {workload}"
+    );
 }

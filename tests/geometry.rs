@@ -292,12 +292,13 @@ proptest! {
         }
     }
 
-    /// Evict-and-recompute is invisible: serve a sequence, evict its cache
-    /// at a random decode step, resume by re-extending the retained K/V
-    /// rows into a fresh cache (exactly what `gpa-serve`'s preemption
-    /// does), and keep decoding — every output row and the final cache
-    /// must be bitwise the uninterrupted run's, for all seven composable
-    /// kernel families.
+    /// Eviction is invisible: serve a sequence, evict its cache at a random
+    /// decode step, resume over a fresh cache that holds exactly the
+    /// retained K/V rows, and keep decoding — every output row and the
+    /// final cache must be bitwise the uninterrupted run's, for all seven
+    /// composable kernel families. Those rows are what a resumed plan
+    /// sequence in `gpa-serve` attends over: its own `K`/`V` inputs up to
+    /// its cached length, re-reserved rather than copied.
     #[test]
     fn evict_and_recompute_at_any_decode_step_is_bitwise_invisible(
         l in 3usize..24,
