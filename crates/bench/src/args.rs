@@ -4,7 +4,8 @@
 //!
 //! - `--paper`      run the paper's sizes and 10+15 protocol (slow on CPU);
 //! - `--quick`      tiny smoke-test sizes (seconds);
-//! - `--threads N`  worker count (default: `GPA_THREADS` or all cores);
+//! - `--threads N`  worker count, at least 1 (default: `GPA_THREADS` or all
+//!   cores);
 //! - `--out DIR`    CSV output directory (default `results/`);
 //! - `--seed S`     workload seed;
 //! - `--help`       print the flags and exit.
@@ -48,13 +49,13 @@ impl Default for Args {
 
 impl Args {
     /// The flags every binary understands, as `--help` prints them.
-    pub const USAGE: &'static str =
+    pub(crate) const USAGE: &'static str =
         "flags: --paper | --quick | --threads N | --out DIR | --seed S | --help";
 
     /// Parse from an iterator of arguments (excluding `argv[0]`).
     /// `Ok(None)` means `--help` was asked for; an unknown flag or a bad
     /// value is an error message.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Args>, String> {
+    pub(crate) fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Option<Args>, String> {
         let mut out = Args::default();
         let mut it = args.into_iter();
         while let Some(arg) = it.next() {
@@ -63,7 +64,10 @@ impl Args {
                 "--quick" => out.scale = Scale::Quick,
                 "--threads" => {
                     let v = it.next().ok_or("--threads requires a value")?;
-                    out.threads = Some(v.parse().map_err(|_| format!("bad thread count: {v}"))?);
+                    match v.parse() {
+                        Ok(n) if n > 0 => out.threads = Some(n),
+                        _ => return Err(format!("bad thread count: {v}")),
+                    }
                 }
                 "--out" => {
                     let v = it.next().ok_or("--out requires a directory")?;
@@ -141,6 +145,17 @@ mod tests {
     #[test]
     fn quick_flag() {
         assert_eq!(parse(&["--quick"]).unwrap().scale, Scale::Quick);
+    }
+
+    #[test]
+    fn zero_threads_is_a_bad_value() {
+        // A pool clamps 0 to one participant; the run would then report
+        // "0 threads" while using one, so the value is refused up front.
+        assert_eq!(
+            parse(&["--threads", "0"]).unwrap_err(),
+            "bad thread count: 0"
+        );
+        assert_eq!(parse(&["--threads", "1"]).unwrap().threads, Some(1));
     }
 
     #[test]

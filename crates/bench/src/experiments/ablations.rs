@@ -123,7 +123,7 @@ pub fn run_ablations(
             .build();
         let case = Record::case(name, cfg.l, cfg.dk)
             .sf(cfg.global_sf, f64::NAN)
-            .note(format!("{} global tokens", globals.len()));
+            .note(format!("{} global tokens", globals.indices().len()));
         sink.time(case, || {
             std::hint::black_box(scheduled.run(&global_plan, &q, &k, &v).unwrap());
         });

@@ -78,7 +78,7 @@ impl DecodeConfig {
     }
 
     /// Tokens generated per sampled context length (warm-up + timed).
-    pub fn steps_per_point(&self) -> usize {
+    pub(crate) fn steps_per_point(&self) -> usize {
         self.warmup_steps + self.timed_steps
     }
 }

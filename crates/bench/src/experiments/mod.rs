@@ -1,8 +1,7 @@
 //! Experiment runners — one module per paper table/figure, plus the three
 //! sweeps no `benchmark/` workload covers (ablations A1–A3, kernel family ×
 //! context length at decode, routed attention). Each module is its
-//! `Config::for_scale` and the cases it times through a
-//! [`crate::report::Sink`].
+//! `Config::for_scale` and the cases it times through a `Sink`.
 
 pub mod ablations;
 pub mod adaptive;

@@ -36,5 +36,5 @@ pub mod report;
 
 pub use args::{Args, Scale};
 pub use host::HostInfo;
-pub use protocol::{measure, measure_auto, speedup, BenchStat, Protocol};
-pub use report::{ascii_table, fmt_count, fmt_seconds, pivot, write_csv, Record, Sink};
+pub use protocol::{speedup, Protocol};
+pub use report::{ascii_table, fmt_count, fmt_seconds, pivot, Record};

@@ -2,9 +2,9 @@
 //!
 //! "Each combination of input parameters were run 10 times for a warm up
 //! and then an additional 15 iterations were timed for the benchmark"
-//! (Section V-C), reporting the average. [`Protocol::paper`] is exactly
-//! that; [`Protocol::cpu_default`] trims iterations for CPU-scale runs, and
-//! [`Protocol::adaptive`] further reduces them for very large cases (the
+//! (Section V-C), reporting the average. `Protocol::paper` is exactly
+//! that; `Protocol::cpu_default` trims iterations for CPU-scale runs, and
+//! `Protocol::adaptive` further reduces them for very large cases (the
 //! paper itself did this for the 160 M-token FlashAttention run, which got
 //! "no warm up and only one benchmark run").
 
@@ -21,7 +21,7 @@ pub struct Protocol {
 
 impl Protocol {
     /// The paper's protocol: 10 warm-up + 15 timed runs.
-    pub fn paper() -> Self {
+    pub(crate) fn paper() -> Self {
         Protocol {
             warmup: 10,
             iters: 15,
@@ -29,7 +29,7 @@ impl Protocol {
     }
 
     /// CPU-scale default: 2 warm-up + 5 timed runs.
-    pub fn cpu_default() -> Self {
+    pub(crate) fn cpu_default() -> Self {
         Protocol {
             warmup: 2,
             iters: 5,
@@ -38,7 +38,7 @@ impl Protocol {
 
     /// Scale iterations down for expensive cases. `est_seconds` is a rough
     /// single-run estimate; the budget caps total measurement time.
-    pub fn adaptive(self, est_seconds: f64, budget_seconds: f64) -> Self {
+    pub(crate) fn adaptive(self, est_seconds: f64, budget_seconds: f64) -> Self {
         if est_seconds <= 0.0 {
             return self;
         }
@@ -56,7 +56,7 @@ impl Protocol {
 
 /// Summary statistics over the timed iterations (seconds).
 #[derive(Clone, Copy, Debug)]
-pub struct BenchStat {
+pub(crate) struct BenchStat {
     /// Mean runtime — the statistic the paper plots.
     pub mean: f64,
     /// Fastest run.
@@ -71,7 +71,7 @@ pub struct BenchStat {
 
 impl BenchStat {
     /// Aggregate raw per-iteration timings.
-    pub fn from_samples(samples: &[f64]) -> BenchStat {
+    pub(crate) fn from_samples(samples: &[f64]) -> BenchStat {
         assert!(!samples.is_empty(), "no samples to aggregate");
         let n = samples.len() as f64;
         let mean = samples.iter().sum::<f64>() / n;
@@ -87,7 +87,7 @@ impl BenchStat {
 }
 
 /// Run `f` under the protocol and aggregate timings.
-pub fn measure<F: FnMut()>(protocol: Protocol, mut f: F) -> BenchStat {
+pub(crate) fn measure<F: FnMut()>(protocol: Protocol, mut f: F) -> BenchStat {
     for _ in 0..protocol.warmup {
         f();
     }
@@ -105,7 +105,7 @@ pub fn measure<F: FnMut()>(protocol: Protocol, mut f: F) -> BenchStat {
 /// first warm-up (or as the only sample when even one repeat is
 /// unaffordable) — mirroring the paper's own concession for its 160 M-token
 /// FlashAttention case.
-pub fn measure_auto<F: FnMut()>(
+pub(crate) fn measure_auto<F: FnMut()>(
     max_protocol: Protocol,
     budget_seconds: f64,
     mut f: F,

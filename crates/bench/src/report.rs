@@ -4,7 +4,7 @@
 //! Every experiment binary emits two artifacts: a human-readable table on
 //! stdout (shaped like the paper's tables/figure series) and a CSV file
 //! under `results/` for plotting. An experiment describes each case with
-//! [`Record::case`] and hands it to its [`Sink`] together with the closure
+//! `Record::case` and hands it to its `Sink` together with the closure
 //! to time; a binary prints [`header`], streams [`progress`], renders
 //! [`pivot`] tables and ends with [`save`].
 
@@ -48,7 +48,7 @@ impl Record {
     /// A case yet to be measured: no sparsity factors, no note, no timings.
     /// The [`Sink`] it is handed to fills in the experiment id and the
     /// statistics.
-    pub fn case(algo: impl Into<String>, l: usize, dk: usize) -> Record {
+    pub(crate) fn case(algo: impl Into<String>, l: usize, dk: usize) -> Record {
         Record {
             experiment: String::new(),
             algo: algo.into(),
@@ -66,24 +66,24 @@ impl Record {
     }
 
     /// Set the target and achieved sparsity factors.
-    pub fn sf(mut self, target: f64, achieved: f64) -> Record {
+    pub(crate) fn sf(mut self, target: f64, achieved: f64) -> Record {
         self.sf_target = target;
         self.sf_achieved = achieved;
         self
     }
 
     /// Set the free-form note.
-    pub fn note(mut self, note: impl Into<String>) -> Record {
+    pub(crate) fn note(mut self, note: impl Into<String>) -> Record {
         self.note = note.into();
         self
     }
 
     /// CSV header matching [`Record::to_csv_row`].
-    pub const CSV_HEADER: &'static str =
+    pub(crate) const CSV_HEADER: &'static str =
         "experiment,algo,L,dk,sf_target,sf_achieved,mean_s,min_s,max_s,std_s,iters,note";
 
     /// Serialize as one CSV row.
-    pub fn to_csv_row(&self) -> String {
+    pub(crate) fn to_csv_row(&self) -> String {
         format!(
             "{},{},{},{},{},{},{},{},{},{},{},{}",
             self.experiment,
@@ -113,7 +113,7 @@ fn fmt_f64(v: f64) -> String {
 /// Where an experiment's measurements go: every case is timed under the
 /// experiment's protocol ceiling and per-case budget, completed into a
 /// [`Record`], streamed to the caller's callback and kept for the CSV.
-pub struct Sink<F> {
+pub(crate) struct Sink<F> {
     experiment: &'static str,
     protocol: Protocol,
     budget_s: f64,
@@ -123,7 +123,12 @@ pub struct Sink<F> {
 
 impl<F: FnMut(&Record)> Sink<F> {
     /// A sink for `experiment` (the id its records carry).
-    pub fn new(experiment: &'static str, protocol: Protocol, budget_s: f64, on_record: F) -> Self {
+    pub(crate) fn new(
+        experiment: &'static str,
+        protocol: Protocol,
+        budget_s: f64,
+        on_record: F,
+    ) -> Self {
         Sink {
             experiment,
             protocol,
@@ -134,19 +139,19 @@ impl<F: FnMut(&Record)> Sink<F> {
     }
 
     /// Change the id later records carry (the ablations emit three).
-    pub fn experiment(&mut self, experiment: &'static str) {
+    pub(crate) fn experiment(&mut self, experiment: &'static str) {
         self.experiment = experiment;
     }
 
     /// Time `f` under [`measure_auto`] and record it as `case`.
-    pub fn time(&mut self, case: Record, f: impl FnMut()) -> BenchStat {
+    pub(crate) fn time(&mut self, case: Record, f: impl FnMut()) -> BenchStat {
         let stat = measure_auto(self.protocol, self.budget_s, f);
         self.push(case, stat);
         stat
     }
 
     /// Record `case` with statistics measured elsewhere.
-    pub fn push(&mut self, case: Record, stat: BenchStat) {
+    pub(crate) fn push(&mut self, case: Record, stat: BenchStat) {
         self.emit(Record {
             mean_s: stat.mean,
             min_s: stat.min,
@@ -161,7 +166,7 @@ impl<F: FnMut(&Record)> Sink<F> {
     /// so its runtime is extrapolated from the largest measured point
     /// `(l0, mean seconds)` — the paper does the same where a dense run no
     /// longer fits. The record has `iters == 0` and no spread.
-    pub fn estimated_quadratic(&mut self, case: Record, (l0, t0): (usize, f64)) {
+    pub(crate) fn estimated_quadratic(&mut self, case: Record, (l0, t0): (usize, f64)) {
         let mean_s = t0 * (case.l as f64 / l0 as f64).powi(2);
         self.emit(Record {
             mean_s,
@@ -176,7 +181,7 @@ impl<F: FnMut(&Record)> Sink<F> {
     }
 
     /// The records, in the order they were produced.
-    pub fn finish(self) -> Vec<Record> {
+    pub(crate) fn finish(self) -> Vec<Record> {
         self.records
     }
 }
@@ -246,7 +251,7 @@ pub fn pivot<'r, K: PartialEq>(
 }
 
 /// Write records as CSV under `dir/name.csv`, creating the directory.
-pub fn write_csv(dir: &Path, name: &str, records: &[Record]) -> std::io::Result<PathBuf> {
+pub(crate) fn write_csv(dir: &Path, name: &str, records: &[Record]) -> std::io::Result<PathBuf> {
     fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.csv"));
     let mut file = std::io::BufWriter::new(fs::File::create(&path)?);

@@ -22,7 +22,7 @@ use gpa_tensor::{Matrix, Real};
 /// Default K/V tile width (rows of K/V per inner block). 64 keeps a tile of
 /// K, V in L1/L2 for the d range the paper sweeps (64–256); ablation A3
 /// sweeps this.
-pub const DEFAULT_TILE: usize = 64;
+pub(crate) const DEFAULT_TILE: usize = 64;
 
 /// Dense FlashAttention-style forward pass with K/V tiling.
 pub fn flash_attention<T: Real>(
@@ -52,7 +52,7 @@ pub fn flash_attention<T: Real>(
 ///   score by the end of the tile that holds it. Unlike the graph kernels,
 ///   a tile whose scores are all `−∞`, after tiles that were all `−∞` too,
 ///   makes the row `NaN`: its update evaluates `−∞ − (−∞)`. With
-///   [`DEFAULT_TILE`], that takes `−∞` scores against the first 64 keys.
+///   the default 64-key tile, that takes `−∞` scores against the first 64 keys.
 /// - **A `NaN` or `+∞` score planted in one `Q` row** makes that row `NaN`
 ///   and touches no other, as in the graph kernels.
 pub fn flash_attention_tiled<T: Real>(
@@ -155,14 +155,14 @@ mod tests {
         let l = 100;
         let (q, k, v) = qkv::<f64>(l, 16, 31);
         let p = pool();
-        let flash = flash_attention(&p, &q, &k, &v, &KernelOptions::new()).unwrap();
+        let flash = flash_attention(&p, &q, &k, &v, &KernelOptions::default()).unwrap();
         let sdp = masked_sdp(
             &p,
             &DenseMask::ones(l, l),
             &q,
             &k,
             &v,
-            &KernelOptions::new(),
+            &KernelOptions::default(),
         )
         .unwrap();
         assert!(paper_allclose(&flash, &sdp));
@@ -173,9 +173,9 @@ mod tests {
         let l = 70;
         let (q, k, v) = qkv::<f64>(l, 8, 32);
         let p = pool();
-        let base = flash_attention_tiled(&p, &q, &k, &v, 64, &KernelOptions::new()).unwrap();
+        let base = flash_attention_tiled(&p, &q, &k, &v, 64, &KernelOptions::default()).unwrap();
         for tile in [1usize, 3, 16, 70, 128] {
-            let t = flash_attention_tiled(&p, &q, &k, &v, tile, &KernelOptions::new()).unwrap();
+            let t = flash_attention_tiled(&p, &q, &k, &v, tile, &KernelOptions::default()).unwrap();
             assert!(paper_allclose(&t, &base), "tile={tile}");
         }
     }
@@ -185,7 +185,10 @@ mod tests {
         let l = 32;
         let (q, k, v) = qkv::<f64>(l, 4, 33);
         let counter = WorkCounter::new();
-        let opts = KernelOptions::new().with_counter(&counter);
+        let opts = KernelOptions {
+            counter: Some(&counter),
+            ..Default::default()
+        };
         let _ = flash_attention(&pool(), &q, &k, &v, &opts).unwrap();
         assert_eq!(counter.dot_products(), (l * l) as u64);
     }
@@ -194,7 +197,7 @@ mod tests {
     fn zero_tile_rejected() {
         let (q, k, v) = qkv::<f64>(8, 4, 0);
         assert!(matches!(
-            flash_attention_tiled(&pool(), &q, &k, &v, 0, &KernelOptions::new()),
+            flash_attention_tiled(&pool(), &q, &k, &v, 0, &KernelOptions::default()),
             Err(AttnError::BadParameter { .. })
         ));
     }
@@ -206,7 +209,7 @@ mod tests {
         // and the −1e4 key gets none.
         fn check<T: Real>() {
             let q = Matrix::from_vec(3, 1, vec![T::from_f64(100.0); 3]);
-            let opts = KernelOptions::new();
+            let opts = KernelOptions::default();
             // (key, value row) pairs, the −1e4 key in the middle and first.
             let (hi, lo, hi2) = (
                 (100.0, [1.0, 2.0]),
@@ -237,7 +240,7 @@ mod tests {
     fn a_minus_infinity_score_weighs_zero_unless_it_leads_a_tile_alone() {
         let q = Matrix::from_vec(3, 1, vec![1.0f64; 3]);
         let v = Matrix::from_vec(3, 1, vec![7.0f64, 1.0, 3.0]);
-        let opts = KernelOptions::new();
+        let opts = KernelOptions::default();
         let (a, b) = (0.5f64.exp(), 0.25f64.exp());
         let expect = (a * 1.0 + b * 3.0) / (a + b);
         // Key 0 scores −∞: harmless once a finite score shares its tile...
@@ -260,7 +263,7 @@ mod tests {
     fn a_non_finite_q_row_poisons_its_own_row_only() {
         let l = 8;
         let (q, k, v) = qkv::<f64>(l, 4, 35);
-        let opts = KernelOptions::new();
+        let opts = KernelOptions::default();
         let clean = flash_attention_tiled(&pool(), &q, &k, &v, 3, &opts).unwrap();
         for bad in [f64::NAN, f64::INFINITY] {
             let mut q_bad = q.clone();
@@ -281,13 +284,13 @@ mod tests {
         let l = 128;
         let (q, k, v) = qkv::<f64>(l, 32, 34);
         let p = pool();
-        let hi = flash_attention(&p, &q, &k, &v, &KernelOptions::new()).unwrap();
+        let hi = flash_attention(&p, &q, &k, &v, &KernelOptions::default()).unwrap();
         let lo = flash_attention(
             &p,
             &q.cast::<f32>(),
             &k.cast::<f32>(),
             &v.cast::<f32>(),
-            &KernelOptions::new(),
+            &KernelOptions::default(),
         )
         .unwrap();
         assert!(hi.max_abs_diff(&lo.cast::<f64>()) < 1e-5);

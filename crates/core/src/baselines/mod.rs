@@ -4,7 +4,7 @@
 pub mod flash;
 pub mod sdp;
 
-pub use flash::{flash_attention, flash_attention_tiled, DEFAULT_TILE};
+pub use flash::{flash_attention, flash_attention_tiled};
 pub use sdp::masked_sdp;
 
 use crate::error::AttnError;

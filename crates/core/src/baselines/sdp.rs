@@ -115,7 +115,7 @@ mod tests {
         let l = 12;
         let (q, k, v) = qkv::<f64>(l, 4, 3);
         let mask = DenseMask::ones(l, l);
-        let out = masked_sdp(&pool(), &mask, &q, &k, &v, &KernelOptions::new()).unwrap();
+        let out = masked_sdp(&pool(), &mask, &q, &k, &v, &KernelOptions::default()).unwrap();
 
         let scale = 0.5; // 1/√4
         let i = 5;
@@ -139,7 +139,7 @@ mod tests {
                 mask.set(i, i, true);
             }
         }
-        let out = masked_sdp(&pool(), &mask, &q, &k, &v, &KernelOptions::new()).unwrap();
+        let out = masked_sdp(&pool(), &mask, &q, &k, &v, &KernelOptions::default()).unwrap();
         assert!(out.row(3).iter().all(|&x| x == 0.0));
         // Unmasked diagonal rows equal V's row exactly (softmax of one).
         for i in 0..l {
@@ -162,7 +162,7 @@ mod tests {
         let (q, k, mut v) = qkv::<f64>(l, 4, 9);
         v.row_mut(2).fill(f64::NAN);
         let mask = LocalWindow::new(l, 0).to_dense();
-        let out = masked_sdp(&pool(), &mask, &q, &k, &v, &KernelOptions::new()).unwrap();
+        let out = masked_sdp(&pool(), &mask, &q, &k, &v, &KernelOptions::default()).unwrap();
         for i in 0..l {
             assert!(out.row(i).iter().all(|x| x.is_nan()), "row {i}");
         }
@@ -181,7 +181,7 @@ mod tests {
                 2,
                 [1.0, 2.0, 50.0, 60.0, 3.0, 6.0].map(T::from_f64).to_vec(),
             );
-            let opts = KernelOptions::new();
+            let opts = KernelOptions::default();
             let out = masked_sdp(&pool(), &DenseMask::ones(3, 3), &q, &k, &v, &opts).unwrap();
             for i in 0..3 {
                 assert_eq!((out.get(i, 0).to_f64(), out.get(i, 1).to_f64()), (2.0, 4.0));
@@ -196,7 +196,7 @@ mod tests {
         let q = Matrix::from_vec(3, 1, vec![1.0f64; 3]);
         let k = Matrix::from_vec(3, 1, vec![f64::NEG_INFINITY, 0.5, 0.25]);
         let v = Matrix::from_vec(3, 1, vec![7.0f64, 1.0, 3.0]);
-        let opts = KernelOptions::new();
+        let opts = KernelOptions::default();
         let scored = masked_sdp(&pool(), &DenseMask::ones(3, 3), &q, &k, &v, &opts).unwrap();
         let mut mask = DenseMask::ones(3, 3);
         for i in 0..3 {
@@ -215,7 +215,7 @@ mod tests {
         let l = 8;
         let (q, k, v) = qkv::<f64>(l, 4, 10);
         let mask = LocalWindow::new(l, 2).to_dense();
-        let opts = KernelOptions::new();
+        let opts = KernelOptions::default();
         let clean = masked_sdp(&pool(), &mask, &q, &k, &v, &opts).unwrap();
         for bad in [f64::NAN, f64::INFINITY] {
             let mut q_bad = q.clone();
@@ -241,7 +241,10 @@ mod tests {
         let (q, k, v) = qkv::<f64>(l, 4, 8);
         let mask = LocalWindow::new(l, 0).to_dense(); // diagonal only
         let counter = WorkCounter::new();
-        let opts = KernelOptions::new().with_counter(&counter);
+        let opts = KernelOptions {
+            counter: Some(&counter),
+            ..Default::default()
+        };
         let _ = masked_sdp(&pool(), &mask, &q, &k, &v, &opts).unwrap();
         assert_eq!(counter.dot_products(), (l * l) as u64);
     }
@@ -251,7 +254,7 @@ mod tests {
         let (q, k, v) = qkv::<f64>(8, 4, 0);
         let mask = DenseMask::ones(9, 9);
         assert!(matches!(
-            masked_sdp(&pool(), &mask, &q, &k, &v, &KernelOptions::new()),
+            masked_sdp(&pool(), &mask, &q, &k, &v, &KernelOptions::default()),
             Err(AttnError::MaskShapeMismatch { .. })
         ));
     }

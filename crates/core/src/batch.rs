@@ -407,7 +407,7 @@ mod tests {
         // A launch of one, on pools of every size and inline, is the row
         // loop's own sequential order: one set of bits.
         let seq = qkv::<f64>(32, 8, 70);
-        let opts = KernelOptions::new();
+        let opts = KernelOptions::default();
         let plan = AttentionPlan::single(AttentionKernel::Local { n: 3 }).unwrap();
         let single = alone(&pool(), &plan, &opts, &seq);
         for threads in [1usize, 2, 7] {
@@ -425,7 +425,7 @@ mod tests {
     #[test]
     fn ragged_batch_matches_per_sequence_runs_exactly() {
         let p = pool();
-        let opts = KernelOptions::new();
+        let opts = KernelOptions::default();
         let plan = AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap();
         let seqs: Vec<_> = [7usize, 33, 1, 64, 12]
             .iter()
@@ -448,7 +448,7 @@ mod tests {
         let n = 3;
         let (q, k, v) = qkv::<f64>(l, 8, 71);
         let p = pool();
-        let opts = KernelOptions::new();
+        let opts = KernelOptions::default();
         let globals = GlobalSet::new(l, vec![0, 17, 29]);
         let plan = AttentionPlan::new(&[
             AttentionKernel::Local { n },
@@ -489,7 +489,8 @@ mod tests {
     fn empty_batch_is_fine() {
         let p = pool();
         let plan = AttentionPlan::single(AttentionKernel::Local { n: 1 }).unwrap();
-        let outs: Vec<Matrix<f64>> = execute_batch(&p, &plan, &KernelOptions::new(), &[]).unwrap();
+        let outs: Vec<Matrix<f64>> =
+            execute_batch(&p, &plan, &KernelOptions::default(), &[]).unwrap();
         assert!(outs.is_empty());
     }
 
@@ -498,7 +499,10 @@ mod tests {
         let l = 24;
         let p = pool();
         let counter = WorkCounter::new();
-        let opts = KernelOptions::new().with_counter(&counter);
+        let opts = KernelOptions {
+            counter: Some(&counter),
+            ..Default::default()
+        };
         let pat = LocalWindow::new(l, 2);
         let csr = pat.to_csr();
         let plan = AttentionPlan::single(AttentionKernel::Csr(&csr)).unwrap();
@@ -523,7 +527,10 @@ mod tests {
         let request = AttentionRequest::new(&q, &k, &v);
         let report_of = |requests: &[AttentionRequest<'_, f64>]| {
             let counter = WorkCounter::new();
-            let opts = KernelOptions::new().with_counter(&counter);
+            let opts = KernelOptions {
+                counter: Some(&counter),
+                ..Default::default()
+            };
             let _ = execute_batch(&p, &plan, &opts, requests).unwrap();
             counter.report()
         };
@@ -546,7 +553,7 @@ mod tests {
         let err = execute_batch(
             &p,
             &plan,
-            &KernelOptions::new(),
+            &KernelOptions::default(),
             &[
                 AttentionRequest::new(&q, &k, &v),
                 AttentionRequest::new(&q_bad, &k_bad, &v_bad),
@@ -562,7 +569,7 @@ mod tests {
         // prefill chunk of a second sequence, and a decode row of a third,
         // all flattened into ONE parallel_for.
         let p = pool();
-        let opts = KernelOptions::new();
+        let opts = KernelOptions::default();
         let plan = AttentionPlan::single(AttentionKernel::Local { n: 3 }).unwrap();
         let (qa, ka, va) = qkv::<f64>(20, 8, 80);
         let (qb, kb, vb) = qkv::<f64>(32, 8, 81);
@@ -607,7 +614,7 @@ mod tests {
         let out = execute_batch(
             &p,
             &plan,
-            &KernelOptions::new(),
+            &KernelOptions::default(),
             &[AttentionRequest::new(&q, &k, &v)],
         )
         .unwrap()
@@ -615,7 +622,7 @@ mod tests {
         .unwrap();
         // Rows must match the square mask's first rows.
         let square_plan = AttentionPlan::single(AttentionKernel::Csr(&full)).unwrap();
-        let square = alone(&p, &square_plan, &KernelOptions::new(), &(q_full, k, v));
+        let square = alone(&p, &square_plan, &KernelOptions::default(), &(q_full, k, v));
         for i in 0..4 {
             assert_eq!(out.row(i), square.row(i), "row {i}");
         }
@@ -623,7 +630,7 @@ mod tests {
     #[test]
     fn row_range_is_the_copied_window_without_the_copy() {
         let p = pool();
-        let opts = KernelOptions::new();
+        let opts = KernelOptions::default();
         let plan = AttentionPlan::new(&[
             AttentionKernel::Local { n: 2 },
             AttentionKernel::Dilated1d { w: 3, r: 1 },
@@ -655,7 +662,7 @@ mod tests {
     #[test]
     fn a_kv_prefix_is_the_copied_prefix_without_the_copy() {
         let p = pool();
-        let opts = KernelOptions::new();
+        let opts = KernelOptions::default();
         let plan = AttentionPlan::single(AttentionKernel::Local { n: 3 }).unwrap();
         let (q, k, v) = qkv::<f64>(30, 4, 94);
         // A 12-row prefill window over the first 20 keys, and the decode
@@ -694,7 +701,7 @@ mod tests {
     #[test]
     fn in_place_launch_ignores_what_the_windows_held() {
         let p = pool();
-        let opts = KernelOptions::new();
+        let opts = KernelOptions::default();
         // Rows 0 and 3 have no edges at all: they must come out 0.0.
         let mask = gpa_sparse::CsrMask::from_coo(
             &gpa_sparse::CooMask::from_entries(4, 4, vec![(1, 0), (1, 1), (2, 3)]).unwrap(),
@@ -715,7 +722,7 @@ mod tests {
     #[test]
     fn states_split_the_launch_statistics_per_request() {
         let p = pool();
-        let opts = KernelOptions::new();
+        let opts = KernelOptions::default();
         let plan = AttentionPlan::single(AttentionKernel::Local { n: 1 }).unwrap();
         let seqs: Vec<_> = [5usize, 0, 9]
             .iter()
@@ -747,7 +754,7 @@ mod tests {
     #[test]
     fn bad_requests_and_windows_fail_before_any_write() {
         let p = pool();
-        let opts = KernelOptions::new();
+        let opts = KernelOptions::default();
         let plan = AttentionPlan::single(AttentionKernel::Local { n: 1 }).unwrap();
         let (q, k, v) = qkv::<f64>(8, 4, 93);
         let good = AttentionRequest::row_range(&q, 0..4, &k, &v, 0);

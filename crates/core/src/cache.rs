@@ -2,7 +2,7 @@
 //!
 //! Autoregressive generation recomputes nothing: each new token appends
 //! its key/value rows to a [`KvCache`] and attends over the cache with a
-//! single-row [`crate::Geometry::decode`] window (the regime where sparse
+//! single-row `Geometry::decode` window (the regime where sparse
 //! attention's per-token cost is `O(row nnz · d)` instead of the dense
 //! `O(L · d)` — InAttention's linear inference-time scaling). The cache is
 //! plain growable row storage: one `(K, V)` matrix pair per head, appended
@@ -147,7 +147,7 @@ impl<T: Real> KvCache<T> {
     }
 
     /// The routing of head `head`, if this sequence runs a routed plan
-    /// and the head has been routed ([`KvCache::extend_routing`]).
+    /// and the head has been routed (`KvCache::extend_routing`).
     pub fn routing(&self, head: usize) -> Option<&Routing> {
         self.routing.as_ref().map(|r| &r[head])
     }
@@ -164,7 +164,7 @@ impl<T: Real> KvCache<T> {
     /// # Errors
     /// [`AttnError::RoutingMismatch`] when the head was previously routed
     /// under a different spec.
-    pub fn extend_routing(
+    pub(crate) fn extend_routing(
         &mut self,
         spec: RoutedSpec,
         head: usize,
@@ -188,7 +188,7 @@ impl<T: Real> KvCache<T> {
     /// that followed it failed validation. Routing state truncates with
     /// the tokens, so a rolled-back cache never carries routing for rows
     /// it no longer holds.
-    pub fn truncate(&mut self, tokens: usize) {
+    pub(crate) fn truncate(&mut self, tokens: usize) {
         for (k, v) in &mut self.heads {
             k.truncate_rows(tokens);
             v.truncate_rows(tokens);

@@ -174,7 +174,7 @@ impl AttentionKernel<'_> {
     /// # Panics
     /// Panics on a routed kernel given no routing (or one too short to
     /// cover row `i`), and, for the implicit kernels, if `i >= kv_len`.
-    pub fn for_each_neighbor(
+    pub(crate) fn for_each_neighbor(
         &self,
         kv_len: usize,
         i: usize,
@@ -386,7 +386,7 @@ mod tests {
                 GlobalMinusLocal::new(globals.clone(), 1).to_csr().nnz(),
             ),
         ] {
-            engine.reset_work();
+            engine.work_counter().unwrap().reset();
             let _ = engine.run_kernel(kernel, &q, &k, &v).unwrap();
             let report = engine.work_report().unwrap();
             assert_eq!(report.dot_products, nnz as u64, "{}", kernel.name());
@@ -409,7 +409,7 @@ mod tests {
             engine.run_kernel(zero_block, &q, &k, &v),
             Err(AttnError::BadParameter { .. })
         ));
-        let wrong_globals = GlobalSet::prefix(9, 1);
+        let wrong_globals = GlobalSet::new(9, vec![0]);
         let global = AttentionKernel::Global {
             globals: &wrong_globals,
             n_sub: 0,
@@ -477,7 +477,9 @@ mod tests {
     #[test]
     fn dia_matches_dilated_kernel() {
         for (w, r) in [(1usize, 0usize), (7, 1), (13, 3)] {
-            let dia = DiaMask::dilated1d(48, w, r);
+            let k = ((w - 1) / (r + 1)) as i64;
+            let offsets = (-k..=k).map(|s| s * (r + 1) as i64).collect();
+            let dia = DiaMask::new(48, offsets).unwrap();
             let mask = Dilated1d::new(48, w, r).to_csr();
             let what = format!("w={w} r={r}");
             assert_kernel_computes_mask(AttentionKernel::Dia(&dia), &mask, 8, &what);
@@ -552,7 +554,7 @@ mod tests {
             ),
         ];
         let bits = |kernel| {
-            engine.reset_work();
+            engine.work_counter().unwrap().reset();
             let out = engine.run_kernel(kernel, &q, &k, &v).unwrap();
             let dots = engine.work_report().unwrap().dot_products;
             let bits: Vec<u32> = out.as_slice().iter().map(|x| x.to_bits()).collect();

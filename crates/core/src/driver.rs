@@ -646,7 +646,7 @@ mod tests {
         let before = state_of(&AttentionPlan::single(local).unwrap(), &q, &k, &v);
         // Later steps that stream nothing: an empty mask, and a band with
         // no diagonals.
-        let empty = CsrMask::empty(l, l);
+        let empty = CsrMask::from_parts(l, l, vec![0; l + 1], vec![]).unwrap();
         let no_band = gpa_sparse::DiaMask::new(l, vec![]).unwrap();
         let chained = AttentionPlan::new(&[
             local,

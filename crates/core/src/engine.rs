@@ -162,13 +162,6 @@ impl AttentionEngine {
         self.counter.as_ref().map(WorkCounter::report)
     }
 
-    /// Reset the engine's work tallies.
-    pub fn reset_work(&self) {
-        if let Some(counter) = &self.counter {
-            counter.reset();
-        }
-    }
-
     /// Compile a kernel composition into a reusable plan (geometry and
     /// parameters validated once — see [`AttentionPlan::new`]).
     pub fn compile<'a>(
@@ -325,7 +318,7 @@ impl AttentionEngine {
     /// One KV-cached decode step: append the new token's key/value rows
     /// (`k_t`/`v_t`, one row each) to `cache` (single-head), then compute
     /// the token's attention output — a single
-    /// [`crate::Geometry::decode`] row over the cache, exactly the last
+    /// `Geometry::decode` row over the cache, exactly the last
     /// row of the square forward over every token cached so far.
     ///
     /// Implicit-kernel plans pin no length, so **one** compiled plan
@@ -435,7 +428,7 @@ mod tests {
         let _ = engine.run(&plan, &q, &k, &v).unwrap();
         let report = engine.work_report().unwrap();
         assert_eq!(report.dot_products, 2 * pat.nnz() as u64);
-        engine.reset_work();
+        engine.work_counter().unwrap().reset();
         assert_eq!(engine.work_report().unwrap().dot_products, 0);
     }
 

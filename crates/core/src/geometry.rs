@@ -45,7 +45,7 @@ pub struct Geometry {
 impl Geometry {
     /// A prefill-chunk window: `q_rows` queries starting at `q_offset`,
     /// against `kv_rows` keys/values.
-    pub fn window(q_offset: usize, q_rows: usize, kv_rows: usize) -> Self {
+    pub(crate) fn window(q_offset: usize, q_rows: usize, kv_rows: usize) -> Self {
         Geometry {
             q_rows,
             kv_rows,
@@ -58,7 +58,7 @@ impl Geometry {
     ///
     /// # Panics
     /// Panics if `kv_rows == 0` (decode needs at least the new token).
-    pub fn decode(kv_rows: usize) -> Self {
+    pub(crate) fn decode(kv_rows: usize) -> Self {
         assert!(kv_rows > 0, "decode needs at least one cached token");
         Geometry {
             q_rows: 1,
@@ -68,14 +68,14 @@ impl Geometry {
     }
 
     /// One past the last absolute query row: `q_offset + q_rows`.
-    pub fn q_end(&self) -> usize {
+    pub(crate) fn q_end(&self) -> usize {
         self.q_offset + self.q_rows
     }
 
     /// True when the query rows lie inside the logical square
     /// (`q_end() ≤ kv_rows`) — required by every implicit kernel, whose
     /// row rules index the `kv_rows × kv_rows` mask.
-    pub fn is_window(&self) -> bool {
+    pub(crate) fn is_window(&self) -> bool {
         self.q_end() <= self.kv_rows
     }
 

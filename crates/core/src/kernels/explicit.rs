@@ -91,7 +91,7 @@ mod tests {
         let (csr, coo) = (pat.to_csr(), pat.to_coo());
         let engine = counting_engine();
         let searches_of = |kernel| {
-            engine.reset_work();
+            engine.work_counter().unwrap().reset();
             let _ = engine.run_kernel(kernel, &q, &k, &v).unwrap();
             let report = engine.work_report().unwrap();
             assert!(report.is_work_optimal(pat.nnz() as u64));
@@ -140,7 +140,7 @@ mod tests {
     #[test]
     fn empty_mask_produces_zero_output() {
         let (q, k, v) = qkv::<f64>(6, 4, 1);
-        let empty = CsrMask::empty(6, 6);
+        let empty = CsrMask::from_parts(6, 6, vec![0; 7], vec![]).unwrap();
         let out = counting_engine()
             .run_kernel(AttentionKernel::Csr(&empty), &q, &k, &v)
             .unwrap();

@@ -39,7 +39,7 @@ pub(crate) mod testing {
         let dots = engine.work_report().unwrap().dot_products;
         assert_eq!(dots, mask.nnz() as u64, "{} {what}: work", kernel.name());
         let dense = DenseMask::from_csr(mask);
-        let opts = KernelOptions::new();
+        let opts = KernelOptions::default();
         let reference = masked_sdp(engine.pool(), &dense, &q, &k, &v, &opts).unwrap();
         assert!(paper_allclose(&out, &reference), "{} {what}", kernel.name());
     }
@@ -144,7 +144,7 @@ mod tests {
             assert!(run(kernel).max_abs_diff(&csr) < 1e-5, "{}", kernel.name());
         }
         let window = LocalWindow::new(l, masks.window).to_dense();
-        let opts = KernelOptions::new();
+        let opts = KernelOptions::default();
         let sdp = masked_sdp(engine.pool(), &window, &q, &k, &v, &opts).unwrap();
         assert!(sdp.max_abs_diff(&csr) < 1e-5);
     }

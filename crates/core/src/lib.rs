@@ -112,7 +112,7 @@ mod proptests {
             let engine = AttentionEngine::with_threads(2);
             let (q, k, v) = qkv::<f64>(l, dk, seed);
             let pat = RandomUniform::new(l, p, seed ^ 0xDEAD);
-            let reference = masked_sdp(engine.pool(), &pat.to_dense(), &q, &k, &v, &KernelOptions::new()).unwrap();
+            let reference = masked_sdp(engine.pool(), &pat.to_dense(), &q, &k, &v, &KernelOptions::default()).unwrap();
             let out = engine.run_kernel(AttentionKernel::Csr(&pat.to_csr()), &q, &k, &v).unwrap();
             prop_assert!(paper_allclose(&out, &reference));
         }
@@ -179,7 +179,10 @@ mod proptests {
             for g in 0..groups {
                 let idx: Vec<usize> = routing.members(g).iter().map(|&t| t as usize).collect();
                 if idx.is_empty() { continue; }
-                let (qg, kg, vg) = (q.gather_rows(&idx), k.gather_rows(&idx), v.gather_rows(&idx));
+                let gather = |m: &gpa_tensor::Matrix<f64>| {
+                    gpa_tensor::Matrix::from_fn(idx.len(), m.cols(), |r, c| m.get(idx[r], c))
+                };
+                let (qg, kg, vg) = (gather(&q), gather(&k), gather(&v));
                 let all_ones = gpa_sparse::CsrMask::from_coo(
                     &gpa_sparse::CooMask::from_entries(
                         idx.len(),

@@ -89,13 +89,8 @@ impl<T: Real> MultiHeadAttention<T> {
         }
     }
 
-    /// Number of heads.
-    pub fn heads(&self) -> usize {
-        self.heads
-    }
-
     /// Head dimension.
-    pub fn dk(&self) -> usize {
+    pub(crate) fn dk(&self) -> usize {
         self.wo.rows() / self.heads
     }
 
@@ -368,7 +363,6 @@ mod tests {
     fn layer_forward_shapes_and_determinism() {
         let l = 16;
         let layer: MultiHeadAttention<f64> = MultiHeadAttention::new_random(32, 4, 8, 9);
-        assert_eq!(layer.heads(), 4);
         assert_eq!(layer.dk(), 8);
         assert_eq!(layer.d_model(), 32);
         let x = gaussian_matrix(l, 32, 1.0, 77);
@@ -398,7 +392,7 @@ mod tests {
         // The dense baseline per head, between the same projections:
         // different (dense) mask → different numbers, same shape.
         let (qh, kh, vh) = layer.project_qkv(&x);
-        let heads: Vec<Matrix<f64>> = (0..layer.heads())
+        let heads: Vec<Matrix<f64>> = (0..qh.len())
             .map(|h| {
                 crate::flash_attention(e.pool(), &qh[h], &kh[h], &vh[h], &e.options()).unwrap()
             })

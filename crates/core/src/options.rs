@@ -22,29 +22,3 @@ pub struct KernelOptions<'a> {
     /// tests compare against the mask's nnz.
     pub counter: Option<&'a WorkCounter>,
 }
-
-impl<'a> KernelOptions<'a> {
-    /// Default options (dynamic schedule, no instrumentation).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Attach a work counter.
-    pub fn with_counter(mut self, counter: &'a WorkCounter) -> Self {
-        self.counter = Some(counter);
-        self
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builder_chains() {
-        let c = WorkCounter::new();
-        let o = KernelOptions::new().with_counter(&c);
-        assert_eq!(o.schedule, Schedule::default());
-        assert!(o.counter.is_some());
-    }
-}

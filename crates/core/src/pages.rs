@@ -11,7 +11,7 @@
 //! idle, which is exactly the failure mode PagedAttention removes.
 //!
 //! [`PagePool`] is the paged replacement. Capacity is a fixed set of
-//! pages of [`PagePool::page_size`] tokens each; every live sequence owns
+//! pages of `page_size` tokens each; every live sequence owns
 //! a **page table** (a list of physical page ids) that grows only when an
 //! append crosses a page boundary, and a free-page list hands ids out and
 //! takes them back. A sequence therefore costs what it *currently* caches,
@@ -156,11 +156,6 @@ impl<T: Real> PagePool<T> {
         }
     }
 
-    /// Tokens per page.
-    pub fn page_size(&self) -> usize {
-        self.page_size
-    }
-
     /// Total pages in the pool, free or mapped.
     pub fn total_pages(&self) -> usize {
         self.total_pages
@@ -187,13 +182,8 @@ impl<T: Real> PagePool<T> {
     }
 
     /// Number of live sequences.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.seqs.iter().flatten().count()
-    }
-
-    /// True when no sequences are live.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Admit a sequence: an empty single-head cache (`dk`/`dv` key and
@@ -295,14 +285,6 @@ impl<T: Real> PagePool<T> {
         self.seq(id).pages.len()
     }
 
-    /// The sequence's page table — physical page ids in logical order.
-    ///
-    /// # Panics
-    /// Panics on a released or stale handle.
-    pub fn page_table(&self, id: SeqId) -> &[usize] {
-        &self.seq(id).pages
-    }
-
     /// Grow the page table at `index` to cover `tokens` tokens. Returns
     /// false — without mutating anything — when the free list cannot
     /// supply the missing pages.
@@ -386,12 +368,12 @@ impl<T: Real> PagePool<T> {
     }
 
     /// Route `q`'s rows as the sequence's next tokens on head `head` —
-    /// the passthrough to [`KvCache::extend_routing`]. Routing costs no
+    /// the passthrough to `KvCache::extend_routing`. Routing costs no
     /// pages (it is `O(1)` words per token), so this cannot fail for
     /// capacity reasons.
     ///
     /// # Errors
-    /// As [`KvCache::extend_routing`] — the head was previously routed
+    /// As `KvCache::extend_routing` — the head was previously routed
     /// under a different spec.
     ///
     /// # Panics
@@ -629,11 +611,6 @@ impl<T: Real> SwapArena<T> {
         Self::new(usize::MAX)
     }
 
-    /// The byte cap this arena enforces.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_bytes
-    }
-
     /// Bytes of K/V payload currently parked.
     pub fn parked_bytes(&self) -> usize {
         self.parked_bytes
@@ -642,16 +619,6 @@ impl<T: Real> SwapArena<T> {
     /// High-water mark of [`Self::parked_bytes`] over the arena's life.
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes
-    }
-
-    /// Cached tokens currently parked, summed over stacks and layers.
-    pub fn parked_tokens(&self) -> usize {
-        self.entries
-            .iter()
-            .flatten()
-            .flat_map(|e| e.caches.iter())
-            .map(|c| c.len())
-            .sum()
     }
 
     /// Number of parked stacks.
@@ -667,7 +634,7 @@ impl<T: Real> SwapArena<T> {
     /// Park a per-layer cache stack. All-or-nothing on the byte cap:
     /// returns the stack untouched, in order, when its
     /// [`KvCache::kv_bytes`] total would push [`Self::parked_bytes`] past
-    /// [`Self::capacity_bytes`] — the caller then holds it outside the
+    /// the arena's byte cap — the caller then holds it outside the
     /// pool.
     pub fn try_park(&mut self, caches: Vec<KvCache<T>>) -> Result<SwapTicket, Vec<KvCache<T>>> {
         let bytes: usize = caches.iter().map(KvCache::kv_bytes).sum();
@@ -779,7 +746,7 @@ mod tests {
     #[test]
     fn pages_allocate_on_append_and_round_up() {
         let mut pool: PagePool<f64> = PagePool::new(3, 4);
-        assert_eq!((pool.total_pages(), pool.page_size()), (3, 4));
+        assert_eq!((pool.total_pages(), pool.page_size), (3, 4));
         assert_eq!(pool.pages_for(0), 0);
         assert_eq!(pool.pages_for(4), 1);
         assert_eq!(pool.pages_for(5), 2);
@@ -790,7 +757,7 @@ mod tests {
         }
         // 5 tokens over 4-token pages: two pages, partially filled second.
         assert_eq!(pool.pages_held(a), 2);
-        assert_eq!(pool.page_table(a), &[0, 1]);
+        assert_eq!(pool.seq(a).pages, [0, 1]);
         assert_eq!(pool.free_pages(), 1);
         assert_eq!(pool.used_tokens(), 5);
         pool.assert_page_invariants();
@@ -852,7 +819,7 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.k(0).row(0), &[1.0, 2.0]);
         assert_eq!(pool.free_pages(), 2);
-        assert!(pool.is_empty());
+        assert_eq!(pool.len(), 0);
         pool.assert_page_invariants();
     }
 
@@ -1018,7 +985,6 @@ mod tests {
         let ticket = arena.try_park(parked).expect("unbounded");
         assert_eq!(arena.len(), 1);
         assert_eq!(arena.parked_bytes(), bytes);
-        assert_eq!(arena.parked_tokens(), 6, "3 tokens x 2 layers");
         assert_eq!(arena.bytes_of(ticket), bytes);
         arena.assert_swap_invariants();
         let taken = arena.take(ticket);

@@ -130,18 +130,8 @@ impl<'a> AttentionPlan<'a> {
     }
 
     /// The compiled steps, in execution order.
-    pub fn steps(&self) -> &[AttentionKernel<'a>] {
+    pub(crate) fn steps(&self) -> &[AttentionKernel<'a>] {
         &self.steps
-    }
-
-    /// Number of steps.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// A compiled plan is never empty.
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// The `kv_rows` value pinned by the plan's masks, if any. `None`
@@ -156,12 +146,6 @@ impl<'a> AttentionPlan<'a> {
     /// imposed by explicit masks, if any.
     pub fn q_bound(&self) -> Option<usize> {
         self.spec.q_abs_bound
-    }
-
-    /// True if the plan's queries must lie inside the logical square
-    /// (`q_offset + q_rows ≤ kv_rows`) — any implicit-kernel step.
-    pub fn requires_window(&self) -> bool {
-        self.spec.requires_window
     }
 
     /// The `(groups, seed)` shared by the plan's routed steps, if any —
@@ -339,7 +323,7 @@ mod tests {
             AttentionPlan::new(&[AttentionKernel::Csr(&a), AttentionKernel::Csr(&a)]).unwrap();
         assert_eq!(plan.kv_pin(), Some(16));
         assert_eq!(plan.q_bound(), Some(16));
-        assert_eq!(plan.len(), 2);
+        assert_eq!(plan.steps().len(), 2);
         // Disagreeing key/value lengths: rejected at compile time.
         assert!(matches!(
             AttentionPlan::new(&[AttentionKernel::Csr(&a), AttentionKernel::Csr(&b)]),
@@ -355,7 +339,7 @@ mod tests {
         ])
         .unwrap();
         assert!(plan.kv_pin().is_none());
-        assert!(plan.requires_window());
+        assert!(plan.spec.requires_window);
         let (q, k, v) = qkv::<f64>(12, 4, 0);
         validate_square(&plan, &q, &k, &v).unwrap();
         let (q2, k2, v2) = qkv::<f64>(40, 4, 0);
@@ -421,13 +405,13 @@ mod tests {
         // Since the geometry refactor, a rectangular CSR (4 query rows over
         // 8 keys, indexed by absolute row) composes with implicit kernels:
         // the pair runs as a query window of the logical 8×8 problem.
-        let rect = gpa_sparse::CsrMask::empty(4, 8);
+        let rect = gpa_sparse::CsrMask::from_parts(4, 8, vec![0; 5], vec![]).unwrap();
         let plan =
             AttentionPlan::new(&[AttentionKernel::Csr(&rect), AttentionKernel::Local { n: 1 }])
                 .unwrap();
         assert_eq!(plan.kv_pin(), Some(8));
         assert_eq!(plan.q_bound(), Some(4));
-        assert!(plan.requires_window());
+        assert!(plan.spec.requires_window);
         let (q8, k8, v8) = qkv::<f64>(8, 4, 0);
         let win = q8.rows_slice(0, 4);
         plan.validate_request(&AttentionRequest::windowed(&win, &k8, &v8, 0))
@@ -450,7 +434,7 @@ mod tests {
         let plan = AttentionPlan::new(&[AttentionKernel::Local { n: 2 }, routed]).unwrap();
         assert_eq!(plan.routing_spec(), Some(RoutedSpec { groups: 4, seed: 7 }));
         assert!(!plan.routed_full_kv(), "causal-only plan");
-        assert!(plan.requires_window());
+        assert!(plan.spec.requires_window);
         assert_eq!(plan.describe(), "Local + Routed");
 
         // A noncausal routed step flips the full-KV requirement.

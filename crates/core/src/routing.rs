@@ -56,14 +56,9 @@ impl Router {
         Router { spec }
     }
 
-    /// This router's spec.
-    pub fn spec(&self) -> RoutedSpec {
-        self.spec
-    }
-
     /// Projection weight of dimension `d` in group `g`'s scoring
     /// direction, in `[-1, 1)`.
-    pub fn projection(&self, g: usize, d: usize) -> f64 {
+    pub(crate) fn projection(&self, g: usize, d: usize) -> f64 {
         let h = splitmix64(
             self.spec.seed
                 ^ (g as u64).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
@@ -74,7 +69,7 @@ impl Router {
 
     /// The group one query row routes to: argmax over the `K` projection
     /// scores, ties broken toward the lowest group index.
-    pub fn group_of_row<T: Real>(&self, row: &[T]) -> u32 {
+    pub(crate) fn group_of_row<T: Real>(&self, row: &[T]) -> u32 {
         let scores: Vec<f64> = (0..self.spec.groups)
             .map(|g| {
                 row.iter()
@@ -112,7 +107,7 @@ impl Routing {
     ///
     /// # Panics
     /// Panics if `spec.groups` is zero.
-    pub fn empty(spec: RoutedSpec) -> Self {
+    pub(crate) fn empty(spec: RoutedSpec) -> Self {
         assert!(spec.groups > 0, "a routing needs at least one group");
         Routing {
             spec,
@@ -122,23 +117,13 @@ impl Routing {
     }
 
     /// The spec this routing was built under.
-    pub fn spec(&self) -> RoutedSpec {
+    pub(crate) fn spec(&self) -> RoutedSpec {
         self.spec
     }
 
     /// Number of routed tokens.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.assign.len()
-    }
-
-    /// True when no tokens are routed.
-    pub fn is_empty(&self) -> bool {
-        self.assign.is_empty()
-    }
-
-    /// Group assignment of every routed token, by absolute position.
-    pub fn assignments(&self) -> &[u32] {
-        &self.assign
     }
 
     /// The group token `i` belongs to.
@@ -166,7 +151,7 @@ impl Routing {
 
     /// Drop every routed token past the first `tokens` — the rollback
     /// counterpart of [`Routing::extend`], mirroring
-    /// [`crate::KvCache::truncate`]. A no-op when already shorter.
+    /// `KvCache::truncate`. A no-op when already shorter.
     pub fn truncate(&mut self, tokens: usize) {
         if tokens >= self.assign.len() {
             return;
@@ -249,14 +234,14 @@ mod tests {
         let (q, _, _) = qkv::<f64>(64, 8, 13);
         let a = Router::new(spec(4, 1)).route(&q);
         let b = Router::new(spec(4, 2)).route(&q);
-        assert_ne!(a.assignments(), b.assignments());
+        assert_ne!(a.assign, b.assign);
     }
 
     #[test]
     fn single_group_routes_everything_together() {
         let (q, _, _) = qkv::<f64>(12, 4, 17);
         let routing = Router::new(spec(1, 0)).route(&q);
-        assert!(routing.assignments().iter().all(|&g| g == 0));
+        assert!(routing.assign.iter().all(|&g| g == 0));
         assert_eq!(routing.members(0).len(), 12);
     }
 

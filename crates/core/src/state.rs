@@ -44,6 +44,7 @@ impl<T: Real> std::fmt::Debug for AttentionState<T> {
 impl<T: Real> AttentionState<T> {
     /// Fresh state for `l_ctx` rows and value dimension `dv`:
     /// `O = 0`, `l = 0`, `m = −∞` (Algorithm 1's initialization).
+    #[cfg(test)]
     pub fn new(l_ctx: usize, dv: usize) -> Self {
         AttentionState {
             o: Matrix::zeros(l_ctx, dv),

@@ -25,13 +25,13 @@ use gpa_tensor::init::qkv;
 use gpa_tensor::{allclose, Matrix};
 
 /// The paper's verification shape: `L = 256`.
-pub const PAPER_L: usize = 256;
+pub(crate) const PAPER_L: usize = 256;
 /// The paper's verification embedding: `dk = 32`.
-pub const PAPER_DK: usize = 32;
+pub(crate) const PAPER_DK: usize = 32;
 /// The paper's absolute tolerance.
-pub const PAPER_ATOL: f64 = 1e-8;
+pub(crate) const PAPER_ATOL: f64 = 1e-8;
 /// The paper's relative tolerance.
-pub const PAPER_RTOL: f64 = 1e-5;
+pub(crate) const PAPER_RTOL: f64 = 1e-5;
 
 /// Outcome of one kernel-vs-reference comparison.
 #[derive(Clone, Debug)]
@@ -50,7 +50,7 @@ pub struct VerificationRecord {
 
 /// Compare a kernel output against the masked-SDP reference under the
 /// paper's tolerances.
-pub fn record_comparison(
+pub(crate) fn record_comparison(
     kernel: &str,
     mask: &str,
     sparsity_factor: f64,

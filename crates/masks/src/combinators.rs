@@ -22,7 +22,7 @@ impl UnionAll {
     ///
     /// # Panics
     /// Panics if `parts` is empty or context lengths differ.
-    pub fn new(parts: Vec<Box<dyn MaskPattern>>) -> Self {
+    pub(crate) fn new(parts: Vec<Box<dyn MaskPattern>>) -> Self {
         assert!(!parts.is_empty(), "UnionAll needs at least one pattern");
         let l = parts[0].context_len();
         assert!(
@@ -33,11 +33,13 @@ impl UnionAll {
     }
 
     /// Number of unioned patterns.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.parts.len()
     }
 
     /// True if there are no parts (unreachable by construction).
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.parts.is_empty()
     }

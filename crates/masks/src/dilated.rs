@@ -30,19 +30,9 @@ impl Dilated1d {
         Dilated1d { l, w, r }
     }
 
-    /// Window width.
-    pub fn width(&self) -> usize {
-        self.w
-    }
-
-    /// Dilation factor.
-    pub fn dilation(&self) -> usize {
-        self.r
-    }
-
     /// Number of dilation steps per direction: `K = ⌊(w−1)/(r+1)⌋`.
     #[inline(always)]
-    pub fn steps(w: usize, r: usize) -> usize {
+    pub(crate) fn steps(w: usize, r: usize) -> usize {
         if w == 0 {
             return 0;
         }
@@ -73,7 +63,7 @@ impl Dilated1d {
     /// Closed-form non-zero count: `(2K+1)·L − (r+1)·K·(K+1)` where
     /// `K = ⌊(w−1)/(r+1)⌋`, with edge clipping (exact while the window fits;
     /// offsets are additionally clipped to the context for tiny `L`).
-    pub fn nnz_closed_form(l: usize, w: usize, r: usize) -> u128 {
+    pub(crate) fn nnz_closed_form(l: usize, w: usize, r: usize) -> u128 {
         if l == 0 || w == 0 {
             return 0;
         }
@@ -126,20 +116,10 @@ impl Dilated2d {
         Dilated2d { l, block_size, r }
     }
 
-    /// Block edge length.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    /// Dilation factor.
-    pub fn dilation(&self) -> usize {
-        self.r
-    }
-
     /// Selected positions within a block of size `bs` under dilation `r`:
     /// `⌈bs/(r+1)⌉`.
     #[inline(always)]
-    pub fn selected_per_block(bs: usize, r: usize) -> usize {
+    pub(crate) fn selected_per_block(bs: usize, r: usize) -> usize {
         bs.div_ceil(r.saturating_add(1))
     }
 
@@ -161,7 +141,7 @@ impl Dilated2d {
 
     /// Closed-form non-zero count: full blocks contribute `s²` each
     /// (`s = ⌈bs/(r+1)⌉`); a trailing partial block contributes `s'²`.
-    pub fn nnz_closed_form(l: usize, bs: usize, r: usize) -> u128 {
+    pub(crate) fn nnz_closed_form(l: usize, bs: usize, r: usize) -> u128 {
         if l == 0 {
             return 0;
         }

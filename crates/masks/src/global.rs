@@ -40,11 +40,6 @@ impl GlobalSet {
         }
     }
 
-    /// The first `count` tokens as globals (the common CLS-style choice).
-    pub fn prefix(l: usize, count: usize) -> Self {
-        GlobalSet::new(l, (0..count.min(l)).collect())
-    }
-
     /// Evenly spaced globals (BigBird-style anchor tokens).
     pub fn evenly_spaced(l: usize, count: usize) -> Self {
         if count == 0 || l == 0 {
@@ -53,16 +48,6 @@ impl GlobalSet {
         let count = count.min(l);
         let idx = (0..count).map(|k| k * l / count).collect();
         GlobalSet::new(l, idx)
-    }
-
-    /// Number of global tokens.
-    pub fn len(&self) -> usize {
-        self.indices.len()
-    }
-
-    /// True if there are no globals.
-    pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
     }
 
     /// Sorted global indices.
@@ -94,14 +79,9 @@ impl GlobalMask {
         GlobalMask { globals }
     }
 
-    /// The global token set.
-    pub fn globals(&self) -> &GlobalSet {
-        &self.globals
-    }
-
     /// Closed-form nnz: `2·g·L − g²` (global rows plus global columns minus
     /// the double-counted `g×g` block).
-    pub fn nnz_closed_form(l: usize, g: usize) -> u128 {
+    pub(crate) fn nnz_closed_form(l: usize, g: usize) -> u128 {
         let l = l as u128;
         let g = (g as u128).min(l);
         2 * g * l - g * g
@@ -130,7 +110,7 @@ impl MaskPattern for GlobalMask {
     }
 
     fn nnz(&self) -> usize {
-        Self::nnz_closed_form(self.globals.l, self.globals.len()) as usize
+        Self::nnz_closed_form(self.globals.l, self.globals.indices().len()) as usize
     }
 }
 
@@ -147,16 +127,6 @@ impl GlobalMinusLocal {
     /// Global set minus a local window of `n` per direction.
     pub fn new(globals: GlobalSet, n: usize) -> Self {
         GlobalMinusLocal { globals, n }
-    }
-
-    /// The global token set.
-    pub fn globals(&self) -> &GlobalSet {
-        &self.globals
-    }
-
-    /// Local window that is subtracted.
-    pub fn window(&self) -> usize {
-        self.n
     }
 
     /// Stream row `i`'s neighbors against `l` keys, ascending — the one
@@ -209,11 +179,9 @@ mod tests {
     fn global_set_construction() {
         let g = GlobalSet::new(10, vec![7, 2, 2, 0]);
         assert_eq!(g.indices(), &[0, 2, 7]);
-        assert_eq!(g.len(), 3);
         assert!(g.contains(2));
         assert!(!g.contains(3));
-        assert!(!g.is_empty());
-        assert!(GlobalSet::new(4, vec![]).is_empty());
+        assert!(GlobalSet::new(4, vec![]).indices().is_empty());
     }
 
     #[test]
@@ -224,23 +192,25 @@ mod tests {
 
     #[test]
     fn prefix_and_spaced_selectors() {
-        assert_eq!(GlobalSet::prefix(10, 3).indices(), &[0, 1, 2]);
-        assert_eq!(GlobalSet::prefix(2, 5).len(), 2);
+        // A CLS-style prefix: the first tokens are the globals.
+        assert_eq!(GlobalSet::new(10, (0..3).collect()).indices(), &[0, 1, 2]);
+        // Asking for more globals than tokens selects every token.
+        assert_eq!(GlobalSet::evenly_spaced(2, 5).indices(), &[0, 1]);
         let spaced = GlobalSet::evenly_spaced(12, 3);
         assert_eq!(spaced.indices(), &[0, 4, 8]);
-        assert_eq!(GlobalSet::evenly_spaced(5, 0).len(), 0);
+        assert!(GlobalSet::evenly_spaced(5, 0).indices().is_empty());
     }
 
     #[test]
     fn global_mask_laws_and_nnz() {
         for l in [1usize, 8, 21] {
             for g in [0usize, 1, 3] {
-                let m = GlobalMask::new(GlobalSet::prefix(l, g));
+                let m = GlobalMask::new(GlobalSet::new(l, (0..g.min(l)).collect()));
                 check_pattern_laws(&m);
             }
         }
         // nnz = 2gL − g²: L=8, g=2 → 32 − 4 = 28.
-        let m = GlobalMask::new(GlobalSet::prefix(8, 2));
+        let m = GlobalMask::new(GlobalSet::new(8, vec![0, 1]));
         assert_eq!(m.nnz(), 28);
     }
 
@@ -267,7 +237,7 @@ mod tests {
         let full_global = GlobalMask::new(globals).to_csr();
 
         // Disjoint parts…
-        assert!(local.is_disjoint(&gml));
+        assert_eq!(local.difference(&local.difference(&gml)).nnz(), 0);
         // …whose union is local ∪ global.
         assert_eq!(local.union(&gml), local.union(&full_global));
     }

@@ -36,13 +36,12 @@ pub use global::{GlobalMask, GlobalMinusLocal, GlobalSet};
 pub use local::LocalWindow;
 pub use pattern::{check_pattern_laws, MaskPattern};
 pub use presets::{
-    bigbird, longformer, longformer_dilated, longnet_dot_products, longnet_level,
-    longnet_sparsity_factor, LongNetPattern,
+    bigbird, longformer, longformer_dilated, longnet_sparsity_factor, LongNetPattern,
 };
 pub use random::RandomUniform;
 pub use solve::{
     dilated1d_width_for_sparsity, dilated2d_block_for_sparsity, global_count_for_sparsity,
-    local_window_for_sparsity, sparsity_error,
+    local_window_for_sparsity,
 };
 
 #[cfg(test)]
@@ -122,10 +121,10 @@ mod proptests {
         #[test]
         fn local_solver_is_optimal(l in 64usize..512, sf in 0.001f64..0.9) {
             let n = local_window_for_sparsity(l, sf);
-            let err_n = sparsity_error(LocalWindow::new(l, n).sparsity_factor(), sf);
+            let err_n = solve::sparsity_error(LocalWindow::new(l, n).sparsity_factor(), sf);
             for cand in [n.saturating_sub(1), n + 1] {
                 if cand < l && cand != n {
-                    let err_c = sparsity_error(LocalWindow::new(l, cand).sparsity_factor(), sf);
+                    let err_c = solve::sparsity_error(LocalWindow::new(l, cand).sparsity_factor(), sf);
                     prop_assert!(err_n <= err_c + 1e-12,
                         "n={n} err={err_n} but cand={cand} err={err_c}");
                 }

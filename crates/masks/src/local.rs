@@ -21,11 +21,6 @@ impl LocalWindow {
         LocalWindow { l, n }
     }
 
-    /// Tokens visible in each direction.
-    pub fn window(&self) -> usize {
-        self.n
-    }
-
     /// The inclusive column range `[lo, hi]` of row `i` against `l` keys.
     /// Saturating, so a window wider than the context (up to `usize::MAX`)
     /// is the dense row.
@@ -49,7 +44,7 @@ impl LocalWindow {
     /// Closed-form non-zero count: `(2n+1)·L − n·(n+1)` clipped at the
     /// sequence edges (exact for `n < L`; saturates to the dense `L²` when
     /// the window covers everything).
-    pub fn nnz_closed_form(l: usize, n: usize) -> u128 {
+    pub(crate) fn nnz_closed_form(l: usize, n: usize) -> u128 {
         if l == 0 {
             return 0;
         }

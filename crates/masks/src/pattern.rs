@@ -159,7 +159,7 @@ mod tests {
             assert_eq!(csr.row(i), &[i as Idx]);
         }
         let dense = d.to_dense();
-        assert_eq!(dense.nnz(), 8);
+        assert_eq!(DenseMask::from_csr(&csr), dense);
         assert!(dense.get(3, 3));
         assert!(!dense.get(3, 4));
         let coo = d.to_coo();

@@ -66,7 +66,7 @@ pub fn bigbird(
 ///
 /// This is [`Dilated2d`] with `block_size = w` and stride `r` — LongNet's
 /// "dilated attention" building block.
-pub fn longnet_level(l: usize, w: usize, r: usize) -> Dilated2d {
+pub(crate) fn longnet_level(l: usize, w: usize, r: usize) -> Dilated2d {
     Dilated2d::new(l, w, r.saturating_sub(1))
 }
 
@@ -141,7 +141,7 @@ impl MaskPattern for LongNetPattern {
 /// their parameters. We implement the formula that reproduces the paper's
 /// *numbers* (0.17 at 16 k, 2.7e−6 at 1 B) and document the transcription
 /// discrepancy here.
-pub fn longnet_dot_products(l: usize, w0: usize, alpha: usize) -> f64 {
+pub(crate) fn longnet_dot_products(l: usize, w0: usize, alpha: usize) -> f64 {
     let a = alpha as f64;
     (a * a / (a * a - 1.0)) * w0 as f64 * l as f64
 }

@@ -59,11 +59,6 @@ impl RandomUniform {
         RandomUniform { l, p, seed }
     }
 
-    /// Edge probability (the expected sparsity factor).
-    pub fn probability(&self) -> f64 {
-        self.p
-    }
-
     /// The columns of row `i`, ascending, drawn lazily from the row's own
     /// stream.
     fn row(&self, i: usize) -> impl Iterator<Item = usize> {

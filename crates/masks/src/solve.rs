@@ -78,6 +78,7 @@ pub fn global_count_for_sparsity(l: usize, sf: f64) -> usize {
 }
 
 /// Relative error between a mask's achieved sparsity factor and the target.
+#[cfg(test)]
 pub fn sparsity_error(achieved: f64, target: f64) -> f64 {
     if target == 0.0 {
         achieved

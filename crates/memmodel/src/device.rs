@@ -15,7 +15,7 @@ pub struct DeviceProfile {
 }
 
 /// GiB → bytes.
-pub const GIB: u64 = 1 << 30;
+pub(crate) const GIB: u64 = 1 << 30;
 
 /// NVIDIA A100 SXM4 80 GB — the paper's headline device.
 pub const A100_80GB: DeviceProfile = DeviceProfile {
@@ -24,13 +24,13 @@ pub const A100_80GB: DeviceProfile = DeviceProfile {
 };
 
 /// NVIDIA L40 48 GB.
-pub const L40_48GB: DeviceProfile = DeviceProfile {
+pub(crate) const L40_48GB: DeviceProfile = DeviceProfile {
     name: "NVIDIA L40 (48GB)",
     mem_bytes: 48 * GIB,
 };
 
 /// NVIDIA V100 SXM2 32 GB.
-pub const V100_32GB: DeviceProfile = DeviceProfile {
+pub(crate) const V100_32GB: DeviceProfile = DeviceProfile {
     name: "NVIDIA V100 (SXM2 32GB)",
     mem_bytes: 32 * GIB,
 };
@@ -39,19 +39,6 @@ impl DeviceProfile {
     /// A custom memory budget.
     pub const fn custom(name: &'static str, mem_bytes: u64) -> Self {
         DeviceProfile { name, mem_bytes }
-    }
-
-    /// This device with only a fraction of memory available to attention
-    /// (Section VI-B assumes 25% headroom during training).
-    pub fn with_fraction(&self, fraction: f64) -> DeviceProfile {
-        assert!(
-            fraction > 0.0 && fraction <= 1.0,
-            "fraction {fraction} outside (0, 1]"
-        );
-        DeviceProfile {
-            name: self.name,
-            mem_bytes: (self.mem_bytes as f64 * fraction) as u64,
-        }
     }
 
     /// All three paper devices (Table I order: A100, L40, V100).
@@ -69,18 +56,5 @@ mod tests {
         assert_eq!(A100_80GB.mem_bytes, 85_899_345_920);
         assert_eq!(L40_48GB.mem_bytes, 51_539_607_552);
         assert_eq!(V100_32GB.mem_bytes, 34_359_738_368);
-    }
-
-    #[test]
-    fn fraction_scales_memory() {
-        let quarter = A100_80GB.with_fraction(0.25);
-        assert_eq!(quarter.mem_bytes, 20 * GIB);
-        assert_eq!(quarter.name, A100_80GB.name);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside (0, 1]")]
-    fn zero_fraction_rejected() {
-        let _ = A100_80GB.with_fraction(0.0);
     }
 }

@@ -38,7 +38,7 @@ pub fn sparsity_grid(points_per_decade: usize) -> Vec<f64> {
 }
 
 /// Compute one panel on the given device.
-pub fn fig4_panel(
+pub(crate) fn fig4_panel(
     device: &DeviceProfile,
     dtype: DType,
     d_total: usize,

@@ -31,7 +31,7 @@ pub enum DType {
 
 impl DType {
     /// Element size in bytes.
-    pub fn bytes(self) -> f64 {
+    pub(crate) fn bytes(self) -> f64 {
         match self {
             DType::F16 => 2.0,
             DType::F32 => 4.0,
@@ -97,12 +97,13 @@ impl MemAlgorithm {
 
     /// Whether the algorithm supports the data type (the paper marks
     /// FlashAttention FP32 as unsupported).
-    pub fn supports(self, dtype: DType) -> bool {
+    pub(crate) fn supports(self, dtype: DType) -> bool {
         !(matches!(self, MemAlgorithm::Flash) && dtype == DType::F32)
     }
 
     /// Whether memory use depends on the sparsity factor (explicit masks
     /// and the global index vector do; the rest are `O(L)` beyond QKVO).
+    #[cfg(test)]
     pub fn sparsity_dependent(self) -> bool {
         matches!(
             self,
@@ -138,7 +139,7 @@ pub struct MemConfig {
 }
 
 /// Bytes of device memory the algorithm needs at context length `l`.
-pub fn bytes_required(cfg: &MemConfig, l: f64) -> f64 {
+pub(crate) fn bytes_required(cfg: &MemConfig, l: f64) -> f64 {
     let s = cfg.dtype.bytes();
     let h = cfg.heads as f64;
     let d = cfg.d_total as f64;

@@ -20,15 +20,17 @@ pub mod layout;
 pub mod solve;
 pub mod table2;
 
-pub use device::{DeviceProfile, A100_80GB, GIB, L40_48GB, V100_32GB};
-pub use fig4::{fig4_all_panels, fig4_panel, sparsity_grid, Fig4Panel, Fig4Series};
-pub use layout::{bytes_required, Accounting, DType, MemAlgorithm, MemConfig};
-pub use solve::{capacity_curve, max_context_length};
+pub use device::{DeviceProfile, A100_80GB};
+pub use fig4::{fig4_all_panels, sparsity_grid, Fig4Panel, Fig4Series};
+pub use layout::{Accounting, DType, MemAlgorithm, MemConfig};
+pub use solve::max_context_length;
 pub use table2::{paper_value, table2_row, Table2Cell, Table2RowSpec, TABLE2_ROWS};
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::device::GIB;
+    use crate::layout::bytes_required;
     use proptest::prelude::*;
 
     fn arb_algo() -> impl Strategy<Value = MemAlgorithm> {

@@ -40,7 +40,7 @@ pub fn max_context_length(device: &DeviceProfile, cfg: &MemConfig) -> Option<u64
 
 /// Convenience: solve for each sparsity factor in `sfs`, returning
 /// `(sf, max_L)` pairs — one Fig. 4 curve.
-pub fn capacity_curve(
+pub(crate) fn capacity_curve(
     device: &DeviceProfile,
     base: &MemConfig,
     sfs: &[f64],

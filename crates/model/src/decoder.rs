@@ -117,11 +117,6 @@ impl<'p, T: Real> DecoderModel<'p, T> {
         })
     }
 
-    /// The layer pattern this model was compiled from.
-    pub fn pattern(&self) -> &LayerPattern {
-        &self.pattern
-    }
-
     /// Number of layers in the stack.
     pub fn layers(&self) -> usize {
         self.layers.len()
@@ -140,11 +135,6 @@ impl<'p, T: Real> DecoderModel<'p, T> {
     /// The pattern label of layer `s`.
     pub fn label_of(&self, s: usize) -> char {
         self.pattern.labels()[s]
-    }
-
-    /// Number of distinct plans in the stack.
-    pub fn distinct_plans(&self) -> usize {
-        self.plans.len()
     }
 
     /// Model (stream) dimension.
@@ -485,13 +475,8 @@ impl ModelKvState {
     }
 
     /// The per-layer pool handles, in layer order.
-    pub fn layer_seqs(&self) -> &[SeqId] {
+    pub(crate) fn layer_seqs(&self) -> &[SeqId] {
         &self.seqs
-    }
-
-    /// Number of layers.
-    pub fn layers(&self) -> usize {
-        self.seqs.len()
     }
 
     /// Tokens cached per layer (all layers are equal).
@@ -585,11 +570,9 @@ mod tests {
         let e = engine();
         let m = model(&e, "FSSF", 7);
         assert_eq!(m.layers(), 4);
-        assert_eq!(m.distinct_plans(), 2);
         assert_eq!((m.d_model(), m.heads(), m.dk()), (12, 3, 4));
         assert_eq!(m.label_of(1), 'S');
         assert_eq!(m.plan_of(0).describe(), m.plan_of(3).describe());
-        assert_eq!(m.pattern().to_string(), "FSSF");
         assert!(format!("{m:?}").contains("FSSF"));
         // Same arguments → bit-identical weights; different seed → not.
         let x = gaussian_matrix(6, 12, 1.0, 3);
@@ -828,7 +811,6 @@ mod tests {
         // + `adopt`).
         let mut arena: gpa_core::SwapArena<f64> = gpa_core::SwapArena::unbounded();
         let ticket = arena.try_park(caches).expect("unbounded arena");
-        assert_eq!(arena.parked_tokens(), 6, "3 tokens x 2 layers");
         arena.assert_swap_invariants();
         // A squatter takes enough pages that only one layer fits: the
         // adopt must be all-or-nothing and return the caches in order —
@@ -847,7 +829,7 @@ mod tests {
         assert!(caches.iter().all(|c| c.len() == 3));
         pool.assert_page_invariants();
         let ticket = arena.try_park(caches).expect("its bytes were just freed");
-        assert_eq!((arena.len(), arena.parked_tokens()), (1, 6));
+        assert_eq!(arena.len(), 1);
         let caches = arena.take(ticket);
         assert!(arena.is_empty());
         // Squatter gone → adoption succeeds and the resumed state decodes

@@ -40,22 +40,6 @@ impl LayerPattern {
         })
     }
 
-    /// A pattern of `layers` identical labels — the all-`'F'` (or
-    /// all-anything) stack.
-    ///
-    /// # Panics
-    /// Panics when `layers` is zero or `label` is not ASCII alphanumeric.
-    pub fn uniform(label: char, layers: usize) -> Self {
-        assert!(layers > 0, "pattern must name at least one layer");
-        assert!(
-            label.is_ascii_alphanumeric(),
-            "labels must be ASCII alphanumeric"
-        );
-        LayerPattern {
-            labels: vec![label; layers],
-        }
-    }
-
     /// Number of layers.
     #[allow(clippy::len_without_is_empty)] // parse rejects empty patterns
     pub fn len(&self) -> usize {
@@ -63,20 +47,8 @@ impl LayerPattern {
     }
 
     /// The per-layer labels in stack order.
-    pub fn labels(&self) -> &[char] {
+    pub(crate) fn labels(&self) -> &[char] {
         &self.labels
-    }
-
-    /// The distinct labels in order of first appearance — the set a
-    /// binding list must cover exactly.
-    pub fn distinct(&self) -> Vec<char> {
-        let mut seen = Vec::new();
-        for &c in &self.labels {
-            if !seen.contains(&c) {
-                seen.push(c);
-            }
-        }
-        seen
     }
 }
 
@@ -106,18 +78,9 @@ mod tests {
         let p = LayerPattern::parse("FFFSSSSSSSSFFF").unwrap();
         assert_eq!(p.len(), 14);
         assert_eq!(p.to_string(), "FFFSSSSSSSSFFF");
-        assert_eq!(p.distinct(), vec!['F', 'S']);
         assert_eq!(p.labels()[3], 'S');
         let q: LayerPattern = "F1S2".parse().unwrap();
-        assert_eq!(q.distinct(), vec!['F', '1', 'S', '2']);
-    }
-
-    #[test]
-    fn uniform_matches_parsed() {
-        assert_eq!(
-            LayerPattern::uniform('F', 4),
-            LayerPattern::parse("FFFF").unwrap()
-        );
+        assert_eq!(q.labels(), &['F', '1', 'S', '2']);
     }
 
     #[test]
@@ -131,11 +94,5 @@ mod tests {
         assert!(LayerPattern::parse("FS F").is_err());
         assert!(LayerPattern::parse("FS-F").is_err());
         assert!(LayerPattern::parse("héh").is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one layer")]
-    fn uniform_rejects_zero_layers() {
-        let _ = LayerPattern::uniform('F', 0);
     }
 }

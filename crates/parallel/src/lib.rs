@@ -36,6 +36,6 @@ pub mod shared;
 
 pub use metrics::{LocalTally, PoolMetrics, PoolReport, WorkCounter, WorkReport};
 pub use parallel_for::{parallel_for, parallel_for_stats, spin_work, LaunchStats, Schedule};
-pub use pool::{default_threads, on_worker_thread, ThreadPool};
+pub use pool::{default_threads, ThreadPool};
 pub use ragged::RaggedSpace;
 pub use shared::{CellWriter, RowWriter};

@@ -7,7 +7,7 @@
 //! `dot_products == nnz(mask)` for every kernel and mask.
 //!
 //! Counting is designed to stay off the hot path: workers accumulate into a
-//! local `u64` and flush once per block via [`WorkCounter::add_dot_products`].
+//! local `u64` and flush once per block via `WorkCounter::add_dot_products`.
 //!
 //! [`PoolMetrics`] plays the same role for the pool itself: every counter
 //! is a relaxed `AtomicU64`, so observing the pool (jobs, parks, range
@@ -30,14 +30,14 @@ impl WorkCounter {
 
     /// Record `n` query–key dot products (one per mask non-zero).
     #[inline]
-    pub fn add_dot_products(&self, n: u64) {
+    pub(crate) fn add_dot_products(&self, n: u64) {
         self.dot_products.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Record `n` elements scanned while locating row bounds — the COO
     /// kernel's search overhead (Section V-C's explanation of COO's cost).
     #[inline]
-    pub fn add_neighbor_searches(&self, n: u64) {
+    pub(crate) fn add_neighbor_searches(&self, n: u64) {
         self.neighbor_searches.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -47,7 +47,7 @@ impl WorkCounter {
     }
 
     /// Total search steps so far.
-    pub fn neighbor_searches(&self) -> u64 {
+    pub(crate) fn neighbor_searches(&self) -> u64 {
         self.neighbor_searches.load(Ordering::Relaxed)
     }
 
@@ -102,31 +102,31 @@ pub struct PoolMetrics {
 
 impl PoolMetrics {
     /// Fresh counters, all zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Count one executed job.
     #[inline]
-    pub fn count_job(&self) {
+    pub(crate) fn count_job(&self) {
         self.jobs_executed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one job pushed into the injector.
     #[inline]
-    pub fn count_injector_push(&self) {
+    pub(crate) fn count_injector_push(&self) {
         self.injector_pushes.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one `Schedule::Dynamic` range span stolen from a sibling.
     #[inline]
-    pub fn count_range_steal(&self) {
+    pub(crate) fn count_range_steal(&self) {
         self.range_steals.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one worker parking on the Condvar.
     #[inline]
-    pub fn count_park(&self) {
+    pub(crate) fn count_park(&self) {
         self.parks.fetch_add(1, Ordering::Relaxed);
     }
 

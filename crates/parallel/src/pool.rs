@@ -87,7 +87,7 @@ thread_local! {
 }
 
 /// True when called from inside a pool helper thread.
-pub fn on_worker_thread() -> bool {
+pub(crate) fn on_worker_thread() -> bool {
     IN_POOL_WORKER.with(|f| f.get())
 }
 

@@ -18,7 +18,7 @@ use std::ops::Range;
 
 /// Concatenation of variable-length segments into one flat index space.
 ///
-/// Segment `s` of length `len_of(s)` occupies the half-open global range
+/// Segment `s` occupies the half-open global range
 /// `segment_range(s)`; the whole space is `0..total()`.
 #[derive(Clone, Debug)]
 pub struct RaggedSpace {
@@ -48,13 +48,8 @@ impl RaggedSpace {
     }
 
     /// Number of segments.
-    pub fn segments(&self) -> usize {
+    pub(crate) fn segments(&self) -> usize {
         self.offsets.len() - 1
-    }
-
-    /// Length of segment `s`.
-    pub fn len_of(&self, s: usize) -> usize {
-        self.offsets[s + 1] - self.offsets[s]
     }
 
     /// Global index range occupied by segment `s`.
@@ -66,7 +61,7 @@ impl RaggedSpace {
     ///
     /// # Panics
     /// Panics if `global >= total()`.
-    pub fn locate(&self, global: usize) -> (usize, usize) {
+    pub(crate) fn locate(&self, global: usize) -> (usize, usize) {
         assert!(
             global < self.total(),
             "index {global} out of ragged space of {}",
@@ -107,8 +102,8 @@ mod tests {
         let space = RaggedSpace::new([3usize, 0, 5, 2]);
         assert_eq!(space.total(), 10);
         assert_eq!(space.segments(), 4);
-        assert_eq!(space.len_of(0), 3);
-        assert_eq!(space.len_of(1), 0);
+        assert_eq!(space.segment_range(0), 0..3);
+        assert_eq!(space.segment_range(1), 3..3);
         assert_eq!(space.segment_range(2), 3..8);
     }
 

@@ -52,16 +52,6 @@ impl<'a, T> RowWriter<'a, T> {
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Elements per row.
-    pub fn row_len(&self) -> usize {
-        self.row_len
-    }
-
     /// Mutable access to row `i`.
     ///
     /// # Safety
@@ -95,16 +85,6 @@ impl<'a, T> CellWriter<'a, T> {
         CellWriter {
             inner: RowWriter::new(buffer, rows, 1),
         }
-    }
-
-    /// Number of cells.
-    pub fn len(&self) -> usize {
-        self.inner.rows()
-    }
-
-    /// True when there are no cells.
-    pub fn is_empty(&self) -> bool {
-        self.inner.rows() == 0
     }
 
     /// Mutable access to cell `i`.
@@ -187,8 +167,6 @@ mod tests {
         let mut stats = vec![0.0f64; 300];
         {
             let cells = CellWriter::new(&mut stats);
-            assert_eq!(cells.len(), 300);
-            assert!(!cells.is_empty());
             parallel_for(&pool, 300, Schedule::Dynamic { grain: 7 }, |range| {
                 for i in range {
                     // SAFETY: disjoint dispatch per index.

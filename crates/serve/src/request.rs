@@ -153,14 +153,6 @@ pub enum Submission<T> {
 }
 
 impl<T: gpa_tensor::Real> Submission<T> {
-    /// Rows that form the prompt.
-    pub fn prompt(&self) -> usize {
-        match self {
-            Submission::Plan(r) => r.prompt,
-            Submission::Model(r) => r.prompt,
-        }
-    }
-
     /// Total tokens (prompt + generated). Each cached token occupies a KV
     /// row in every layer, so a sequence's worst-case page bill is
     /// `layers × ceil(total / page_size)` (one layer for a plan).
@@ -168,14 +160,6 @@ impl<T: gpa_tensor::Real> Submission<T> {
         match self {
             Submission::Plan(r) => r.q.rows(),
             Submission::Model(r) => r.x.rows(),
-        }
-    }
-
-    /// Priority class — lower is more urgent.
-    pub fn priority(&self) -> u8 {
-        match self {
-            Submission::Plan(r) => r.priority,
-            Submission::Model(r) => r.priority,
         }
     }
 }

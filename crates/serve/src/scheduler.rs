@@ -587,23 +587,13 @@ impl<'p, T: Real> Scheduler<'p, T> {
     }
 
     /// Pending + parked + in-flight sequences.
-    pub fn outstanding(&self) -> usize {
+    pub(crate) fn outstanding(&self) -> usize {
         self.pending_len() + self.parked_len() + self.in_flight.len()
     }
 
     /// True when nothing is pending, parked, or in flight.
     pub fn is_idle(&self) -> bool {
         self.outstanding() == 0
-    }
-
-    /// Total pages in the KV pool.
-    pub fn kv_total_pages(&self) -> usize {
-        self.pool.total_pages()
-    }
-
-    /// Pages on the free list right now.
-    pub fn kv_free_pages(&self) -> usize {
-        self.pool.free_pages()
     }
 
     /// Pages mapped into live page tables right now.
@@ -1852,7 +1842,7 @@ mod tests {
         let (mut s, sparse, _) = mk();
         s.submit(request(PlanId(0), 0, 12, 12, 82)).unwrap();
         s.tick().unwrap(); // admits the hog: 3 pages held
-        assert_eq!(s.kv_free_pages(), 1);
+        assert_eq!(s.pool.free_pages(), 1);
         let id = s.submit(auto_request(4, 4, 83)).unwrap();
         let completions = drain(&mut s).completions;
         let c = completions.iter().find(|c| c.id == id).unwrap();

@@ -317,7 +317,11 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.at, y.at);
             assert_eq!(rows(x), rows(y), "same seed, same data");
-            assert_eq!(x.request.priority(), y.request.priority());
+            let priority = |e: &TraceEvent<f64>| match &e.request {
+                Submission::Plan(r) => r.priority,
+                Submission::Model(r) => r.priority,
+            };
+            assert_eq!(priority(x), priority(y));
         }
         let other: Vec<TraceEvent<f64>> = generate_trace(
             &TraceSpec {

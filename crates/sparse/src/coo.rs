@@ -21,6 +21,7 @@ pub struct CooMask {
 
 impl CooMask {
     /// Empty mask of the given shape.
+    #[cfg(test)]
     pub fn empty(rows: usize, cols: usize) -> Self {
         CooMask {
             rows,
@@ -67,7 +68,7 @@ impl CooMask {
     /// Build from parallel index vectors that must already be sorted by
     /// `(row, col)` without duplicates — the zero-copy constructor used by
     /// mask generators.
-    pub fn from_sorted_vecs(
+    pub(crate) fn from_sorted_vecs(
         rows: usize,
         cols: usize,
         row_idx: Vec<Idx>,
@@ -133,7 +134,7 @@ impl CooMask {
     }
 
     /// Sorted row-index vector.
-    pub fn row_indices(&self) -> &[Idx] {
+    pub(crate) fn row_indices(&self) -> &[Idx] {
         &self.row_idx
     }
 
@@ -143,6 +144,7 @@ impl CooMask {
     }
 
     /// Iterate all `(row, col)` entries in `(row, col)` order.
+    #[cfg(test)]
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.row_idx
             .iter()
@@ -151,6 +153,7 @@ impl CooMask {
     }
 
     /// Membership test by binary search.
+    #[cfg(test)]
     pub fn contains(&self, row: usize, col: usize) -> bool {
         let (lo, hi) = self.row_bounds_binary(row);
         self.col_idx[lo..hi].binary_search(&(col as Idx)).is_ok()

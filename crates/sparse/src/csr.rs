@@ -23,6 +23,7 @@ pub struct CsrMask {
 
 impl CsrMask {
     /// Empty mask of the given shape.
+    #[cfg(test)]
     pub fn empty(rows: usize, cols: usize) -> Self {
         CsrMask {
             rows,
@@ -167,11 +168,12 @@ impl CsrMask {
 
     /// Degree (number of neighbors) of `row`.
     #[inline]
-    pub fn degree(&self, row: usize) -> usize {
+    pub(crate) fn degree(&self, row: usize) -> usize {
         self.row_offsets[row + 1] - self.row_offsets[row]
     }
 
     /// Membership test by binary search within the row.
+    #[cfg(test)]
     pub fn contains(&self, row: usize, col: usize) -> bool {
         self.row(row).binary_search(&(col as Idx)).is_ok()
     }
@@ -195,15 +197,6 @@ impl CsrMask {
     /// Panics if shapes differ.
     pub fn difference(&self, other: &CsrMask) -> CsrMask {
         self.merge_rows(other, |in_a, in_b| in_a && !in_b)
-    }
-
-    /// True if the two masks share no edges (needed for exact sequential
-    /// kernel composition).
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn is_disjoint(&self, other: &CsrMask) -> bool {
-        self.merge_rows(other, |in_a, in_b| in_a && in_b).nnz() == 0
     }
 
     /// Each row of `self` merged with the same row of `other` by `keep`.
@@ -335,9 +328,8 @@ mod tests {
         assert!(i.contains(0, 0));
         // a = (a ∖ b) ∪ (a ∩ b)
         assert_eq!(d.union(&i), a);
-        // disjointness
-        assert!(d.is_disjoint(&b));
-        assert!(!a.is_disjoint(&b));
+        // disjointness: nothing of b is left in a ∖ b
+        assert_eq!(d.difference(&d.difference(&b)).nnz(), 0);
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! mask as a dense boolean matrix (the way PyTorch receives it). One bit per
 //! element keeps `L = 24_576` masks at 72 MiB instead of 4.8 GiB.
 
+#[cfg(test)]
 use crate::coo::CooMask;
 use crate::csr::CsrMask;
+#[cfg(test)]
 use crate::Idx;
 
 /// Dense binary mask backed by a `u64` bitset.
@@ -41,6 +43,7 @@ impl DenseMask {
     }
 
     /// Build from a predicate `f(row, col)`.
+    #[cfg(test)]
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> bool) -> Self {
         let mut m = DenseMask::zeros(rows, cols);
         for i in 0..rows {
@@ -84,11 +87,13 @@ impl DenseMask {
     }
 
     /// Count of set bits.
+    #[cfg(test)]
     pub fn nnz(&self) -> usize {
         self.bits.iter().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Sparsity factor `Sf = NNZ / TE` (Eq. 2).
+    #[cfg(test)]
     pub fn sparsity_factor(&self) -> f64 {
         if self.rows == 0 || self.cols == 0 {
             return 0.0;
@@ -97,6 +102,7 @@ impl DenseMask {
     }
 
     /// Convert to COO (sorted, deduplicated by construction).
+    #[cfg(test)]
     pub fn to_coo(&self) -> CooMask {
         let mut row_idx = Vec::new();
         let mut col_idx = Vec::new();
@@ -113,11 +119,13 @@ impl DenseMask {
     }
 
     /// Convert to CSR.
+    #[cfg(test)]
     pub fn to_csr(&self) -> CsrMask {
         CsrMask::from_coo(&self.to_coo())
     }
 
     /// Build from COO.
+    #[cfg(test)]
     pub fn from_coo(coo: &CooMask) -> Self {
         let mut m = DenseMask::zeros(coo.rows(), coo.cols());
         for (r, c) in coo.iter() {
@@ -133,19 +141,6 @@ impl DenseMask {
             m.set(r, c, true);
         }
         m
-    }
-
-    /// Element-wise OR with another mask of the same shape.
-    ///
-    /// # Panics
-    /// Panics if shapes differ.
-    pub fn or(&self, other: &DenseMask) -> DenseMask {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        let mut out = self.clone();
-        for (w, o) in out.bits.iter_mut().zip(other.bits.iter()) {
-            *w |= o;
-        }
-        out
     }
 }
 
@@ -193,10 +188,15 @@ mod tests {
     fn or_is_set_union() {
         let a = DenseMask::from_fn(5, 5, |i, j| i == j);
         let b = DenseMask::from_fn(5, 5, |i, j| i + j == 4);
-        let u = a.or(&b);
+        let u = DenseMask::from_csr(&a.to_csr().union(&b.to_csr()));
         assert_eq!(u.nnz(), 9); // diagonal (5) + anti-diagonal (5) − shared center (1)
         assert!(u.get(2, 2));
         assert!(u.get(0, 4));
         assert!(u.get(0, 0));
+        for i in 0..5 {
+            for j in 0..5 {
+                assert_eq!(u.get(i, j), a.get(i, j) || b.get(i, j), "({i},{j})");
+            }
+        }
     }
 }

@@ -10,7 +10,6 @@
 //! same context lengths as the implicit kernels while staying programmable
 //! (arbitrary diagonal sets, not just contiguous or strided windows).
 
-use crate::coo::CooMask;
 use crate::csr::CsrMask;
 use crate::error::SparseError;
 use crate::Idx;
@@ -53,24 +52,13 @@ impl DiaMask {
         }
     }
 
-    /// The paper's 1-D dilated window `|i−j| < w ∧ |i−j| mod (r+1) = 0` as
-    /// strided diagonals.
-    pub fn dilated1d(l: usize, w: usize, r: usize) -> Self {
-        if w == 0 || l == 0 {
-            return DiaMask { l, offsets: vec![] };
-        }
-        let stride = r.saturating_add(1);
-        let k = ((w - 1) / stride).min((l - 1) / stride) as i64;
-        let offsets = (-k..=k).map(|s| s * stride as i64).collect();
-        DiaMask { l, offsets }
-    }
-
     /// Context length.
     pub fn context_len(&self) -> usize {
         self.l
     }
 
     /// The diagonal offsets — the whole storage, `O(diagonals)`, not `O(L²)`.
+    #[cfg(test)]
     pub fn offsets(&self) -> &[i64] {
         &self.offsets
     }
@@ -84,6 +72,7 @@ impl DiaMask {
     }
 
     /// Sparsity factor `Sf = NNZ / L²`.
+    #[cfg(test)]
     pub fn sparsity_factor(&self) -> f64 {
         if self.l == 0 {
             return 0.0;
@@ -92,6 +81,7 @@ impl DiaMask {
     }
 
     /// Membership test by binary search over the offsets.
+    #[cfg(test)]
     pub fn contains(&self, i: usize, j: usize) -> bool {
         if i >= self.l || j >= self.l {
             return false;
@@ -123,22 +113,6 @@ impl DiaMask {
         CsrMask::from_parts(self.l, self.l, row_offsets, col_idx)
             .expect("diagonal enumeration yields valid CSR")
     }
-
-    /// Materialize as COO.
-    pub fn to_coo(&self) -> CooMask {
-        self.to_csr().to_coo()
-    }
-
-    /// Union of two diagonal masks of the same length.
-    ///
-    /// # Panics
-    /// Panics if context lengths differ.
-    pub fn union(&self, other: &DiaMask) -> DiaMask {
-        assert_eq!(self.l, other.l, "context lengths differ");
-        let mut offsets = self.offsets.clone();
-        offsets.extend_from_slice(&other.offsets);
-        DiaMask::new(self.l, offsets).expect("offsets already validated")
-    }
 }
 
 #[cfg(test)]
@@ -158,19 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn dilated_equivalence_with_pattern_predicate() {
-        let (l, w, r) = (30, 9, 2);
-        let dia = DiaMask::dilated1d(l, w, r);
-        for i in 0..l {
-            for j in 0..l {
-                let d = i.abs_diff(j);
-                let expect = d < w && d % (r + 1) == 0;
-                assert_eq!(dia.contains(i, j), expect, "({i},{j})");
-            }
-        }
-    }
-
-    #[test]
     fn row_neighbors_sorted_and_clipped() {
         let dia = DiaMask::local(10, 2);
         let row0: Vec<usize> = dia.row_neighbors(0).collect();
@@ -182,8 +143,25 @@ mod tests {
     }
 
     #[test]
+    fn dilated_equivalence_with_pattern_predicate() {
+        // The paper's 1-D dilated window `|i−j| < w ∧ |i−j| mod (r+1) = 0`
+        // is the strided diagonal set `{s·(r+1) : |s·(r+1)| < w}`.
+        let (l, w, r) = (30, 9, 2);
+        let stride = (r + 1) as i64;
+        let k = ((w - 1) / (r + 1)) as i64;
+        let dia = DiaMask::new(l, (-k..=k).map(|s| s * stride).collect()).unwrap();
+        for i in 0..l {
+            for j in 0..l {
+                let d = i.abs_diff(j);
+                let expect = d < w && d % (r + 1) == 0;
+                assert_eq!(dia.contains(i, j), expect, "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
     fn csr_roundtrip_preserves_membership() {
-        let dia = DiaMask::dilated1d(25, 7, 1);
+        let dia = DiaMask::new(25, vec![-6, -4, -2, 0, 2, 4, 6]).unwrap();
         let csr = dia.to_csr();
         assert_eq!(csr.nnz(), dia.nnz());
         for i in 0..25 {
@@ -204,15 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn union_merges_offsets() {
-        let a = DiaMask::local(12, 1);
-        let b = DiaMask::new(12, vec![-6, 6]).unwrap();
-        let u = a.union(&b);
-        assert_eq!(u.offsets(), &[-6, -1, 0, 1, 6]);
-        assert_eq!(u.nnz(), a.nnz() + b.nnz());
-    }
-
-    #[test]
     fn storage_is_independent_of_length() {
         let small = DiaMask::local(100, 5);
         let huge = DiaMask::local(100_000_000, 5);
@@ -221,11 +190,20 @@ mod tests {
     }
 
     #[test]
+    fn union_merges_offsets() {
+        let a = DiaMask::local(12, 1);
+        let b = DiaMask::new(12, vec![-6, 6]).unwrap();
+        let u = DiaMask::new(12, [a.offsets(), b.offsets()].concat()).unwrap();
+        assert_eq!(u.offsets(), &[-6, -1, 0, 1, 6]);
+        assert_eq!(u.nnz(), a.nnz() + b.nnz());
+        assert_eq!(u.to_csr(), a.to_csr().union(&b.to_csr()));
+    }
+
+    #[test]
     fn empty_and_degenerate() {
         let empty = DiaMask::new(5, vec![]).unwrap();
         assert_eq!(empty.nnz(), 0);
         assert_eq!(empty.sparsity_factor(), 0.0);
-        let zero_l = DiaMask::dilated1d(0, 5, 1);
-        assert_eq!(zero_l.nnz(), 0);
+        assert_eq!(DiaMask::local(0, 5).nnz(), 0);
     }
 }

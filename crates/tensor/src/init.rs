@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn gaussian_moments_are_plausible() {
         let m: Matrix<f64> = gaussian_matrix(200, 50, 2.0, 1);
-        let n = m.len() as f64;
+        let n = m.as_slice().len() as f64;
         let mean: f64 = m.as_slice().iter().sum::<f64>() / n;
         let var: f64 = m
             .as_slice()

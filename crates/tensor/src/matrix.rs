@@ -25,15 +25,6 @@ impl<T: Real> Matrix<T> {
         }
     }
 
-    /// Matrix filled with a constant.
-    pub fn filled(rows: usize, cols: usize, value: T) -> Self {
-        Matrix {
-            rows,
-            cols,
-            data: vec![value; rows * cols],
-        }
-    }
-
     /// Build from a generator `f(row, col)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> T) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -77,29 +68,11 @@ impl<T: Real> Matrix<T> {
         (self.rows, self.cols)
     }
 
-    /// Total number of elements.
-    #[inline(always)]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// True if the matrix has no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// Element access (bounds-checked).
     #[inline(always)]
     pub fn get(&self, i: usize, j: usize) -> T {
         debug_assert!(i < self.rows && j < self.cols);
         self.data[i * self.cols + j]
-    }
-
-    /// Element assignment (bounds-checked).
-    #[inline(always)]
-    pub fn set(&mut self, i: usize, j: usize, v: T) {
-        debug_assert!(i < self.rows && j < self.cols);
-        self.data[i * self.cols + j] = v;
     }
 
     /// Row `i` as a slice — the hot accessor in every kernel.
@@ -136,25 +109,6 @@ impl<T: Real> Matrix<T> {
         }
     }
 
-    /// A copy of the sub-matrix made of the listed rows, in the listed
-    /// order (duplicates allowed) — the grouping primitive routed
-    /// attention uses to pull one group's tokens into a contiguous block.
-    ///
-    /// # Panics
-    /// Panics if any index is out of bounds.
-    pub fn gather_rows(&self, idx: &[usize]) -> Matrix<T> {
-        let mut data = Vec::with_capacity(idx.len() * self.cols);
-        for &i in idx {
-            assert!(i < self.rows, "row index {i} out of {} rows", self.rows);
-            data.extend_from_slice(self.row(i));
-        }
-        Matrix {
-            rows: idx.len(),
-            cols: self.cols,
-            data,
-        }
-    }
-
     /// Append one row at the bottom — the amortized-O(row) growth step a
     /// KV cache performs once per generated token.
     ///
@@ -183,15 +137,6 @@ impl<T: Real> Matrix<T> {
         if rows < self.rows {
             self.data.truncate(rows * self.cols);
             self.rows = rows;
-        }
-    }
-
-    /// Map every element.
-    pub fn map(&self, f: impl Fn(T) -> T) -> Matrix<T> {
-        Matrix {
-            rows: self.rows,
-            cols: self.cols,
-            data: self.data.iter().map(|&v| f(v)).collect(),
         }
     }
 
@@ -264,7 +209,7 @@ pub fn allclose<T: Real>(
 
 /// Scalar version of [`allclose`].
 #[inline]
-pub fn scalar_close(a: f64, b: f64, atol: f64, rtol: f64, equal_nan: bool) -> bool {
+pub(crate) fn scalar_close(a: f64, b: f64, atol: f64, rtol: f64, equal_nan: bool) -> bool {
     if a.is_nan() || b.is_nan() {
         return equal_nan && a.is_nan() && b.is_nan();
     }
@@ -308,8 +253,7 @@ mod tests {
         assert_eq!(m.shape(), (3, 2));
         assert_eq!(m.get(2, 1), 21.0);
         assert_eq!(m.row(1), &[10.0, 11.0]);
-        assert_eq!(m.len(), 6);
-        assert!(!m.is_empty());
+        assert_eq!(m.as_slice().len(), 6);
     }
 
     #[test]
@@ -367,13 +311,13 @@ mod tests {
 
     #[test]
     fn allclose_matches_torch_semantics() {
-        let a: Matrix<f64> = Matrix::filled(2, 2, 1.0);
+        let a: Matrix<f64> = Matrix::from_vec(2, 2, vec![1.0; 4]);
         let mut b = a.clone();
         // Within rtol·|b|.
-        b.set(0, 0, 1.0 + 9e-6);
+        b.row_mut(0)[0] = 1.0 + 9e-6;
         assert!(paper_allclose(&a, &b));
         // Outside.
-        b.set(0, 0, 1.0 + 2e-5);
+        b.row_mut(0)[0] = 1.0 + 2e-5;
         assert!(!paper_allclose(&a, &b));
     }
 
@@ -389,8 +333,8 @@ mod tests {
     fn allclose_nan_handling() {
         let mut a: Matrix<f64> = Matrix::zeros(1, 2);
         let mut b: Matrix<f64> = Matrix::zeros(1, 2);
-        a.set(0, 0, f64::NAN);
-        b.set(0, 0, f64::NAN);
+        a.row_mut(0)[0] = f64::NAN;
+        b.row_mut(0)[0] = f64::NAN;
         assert!(allclose(&a, &b, 1e-8, 1e-5, true));
         assert!(!allclose(&a, &b, 1e-8, 1e-5, false));
     }
@@ -399,10 +343,10 @@ mod tests {
     fn allclose_infinity() {
         let mut a: Matrix<f64> = Matrix::zeros(1, 1);
         let mut b: Matrix<f64> = Matrix::zeros(1, 1);
-        a.set(0, 0, f64::INFINITY);
-        b.set(0, 0, f64::INFINITY);
+        a.row_mut(0)[0] = f64::INFINITY;
+        b.row_mut(0)[0] = f64::INFINITY;
         assert!(allclose(&a, &b, 1e-8, 1e-5, false));
-        b.set(0, 0, f64::NEG_INFINITY);
+        b.row_mut(0)[0] = f64::NEG_INFINITY;
         assert!(!allclose(&a, &b, 1e-8, 1e-5, false));
     }
 
@@ -424,26 +368,8 @@ mod tests {
     fn max_abs_diff_reports_worst_element() {
         let a: Matrix<f64> = Matrix::zeros(2, 2);
         let mut b = a.clone();
-        b.set(1, 1, -0.25);
+        b.row_mut(1)[1] = -0.25;
         assert_eq!(a.max_abs_diff(&b), 0.25);
-    }
-
-    #[test]
-    fn gather_rows_copies_in_listed_order() {
-        let m: Matrix<f64> = Matrix::from_fn(4, 2, |i, j| (i * 2 + j) as f64);
-        let g = m.gather_rows(&[3, 0, 3]);
-        assert_eq!(g.shape(), (3, 2));
-        assert_eq!(g.row(0), m.row(3));
-        assert_eq!(g.row(1), m.row(0));
-        assert_eq!(g.row(2), m.row(3));
-        assert_eq!(m.gather_rows(&[]).shape(), (0, 2));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of")]
-    fn gather_rows_checks_bounds() {
-        let m: Matrix<f32> = Matrix::zeros(2, 2);
-        let _ = m.gather_rows(&[2]);
     }
 
     #[test]

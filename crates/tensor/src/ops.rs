@@ -217,11 +217,6 @@ pub fn matmul_rows_into<T: Real>(out: &mut [T], a: &[T], b: &Matrix<T>) {
     }
 }
 
-/// Scale every element: `A · s`.
-pub fn scale<T: Real>(a: &Matrix<T>, s: T) -> Matrix<T> {
-    a.map(|v| v * s)
-}
-
 /// `out += Σ_j weights[j] · v[j]` over **all** rows of `v` — the score·V
 /// accumulation of the SDP baseline's second pass, blocked over the
 /// transposed access pattern: four value rows are folded per sweep of the
@@ -367,7 +362,7 @@ mod tests {
                 for p in 0..129 {
                     s += a.get(i, p) * b.get(p, j);
                 }
-                naive.set(i, j, s);
+                naive.row_mut(i)[j] = s;
             }
         }
         assert!(blocked.max_abs_diff(&naive) < 1e-9);
@@ -383,11 +378,11 @@ mod tests {
         let mut a: Matrix<f32> =
             Matrix::from_fn(m, k, |i, j| ((i * 31 + j * 17) % 13) as f32 * 0.37 - 2.0);
         for i in 0..m {
-            a.set(i, 5, if i % 2 == 0 { 0.0 } else { -0.0 });
+            a.row_mut(i)[5] = if i % 2 == 0 { 0.0 } else { -0.0 };
         }
         let mut b: Matrix<f32> =
             Matrix::from_fn(k, n, |i, j| ((i * 7 + j * 29) % 11) as f32 * 0.21 - 1.0);
-        b.set(5, 0, f32::INFINITY);
+        b.row_mut(5)[0] = f32::INFINITY;
         let whole = matmul(&a, &b);
         assert!(whole.as_slice().iter().all(|v| v.is_finite()));
         for cuts in [vec![0, m], vec![0, 1, m], vec![0, 4, 5, 9, m]] {

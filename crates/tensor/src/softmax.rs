@@ -37,7 +37,7 @@ impl<T: Real> Default for OnlineSoftmaxState<T> {
 /// `O ← old_scale · O + new_weight · V` and, at finalize time, divides by `l`
 /// — or uses the normalized form `O ← (old_scale · l_old · O + new_weight · V)/l_new`
 /// exactly as written in Algorithm 1. Both are supported; see
-/// [`OnlineSoftmaxState::update`].
+/// `OnlineSoftmaxState::update`.
 #[derive(Clone, Copy, Debug)]
 pub struct SoftmaxUpdate<T> {
     /// `exp(m_old − m_new)`: multiply the existing accumulator by this.
@@ -49,7 +49,7 @@ pub struct SoftmaxUpdate<T> {
 impl<T: Real> OnlineSoftmaxState<T> {
     /// Fresh state: `m = −∞`, `l = 0`.
     #[inline]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         OnlineSoftmaxState {
             m: T::neg_infinity(),
             l: T::ZERO,
@@ -65,7 +65,7 @@ impl<T: Real> OnlineSoftmaxState<T> {
     /// l_new = l · exp(m − m_new) + exp(w − m_new)
     /// ```
     #[inline(always)]
-    pub fn update(&mut self, w: T) -> SoftmaxUpdate<T> {
+    pub(crate) fn update(&mut self, w: T) -> SoftmaxUpdate<T> {
         let m_new = self.m.max(w);
         if m_new == T::neg_infinity() {
             // Running max and new score are both −∞ (fully masked so far):

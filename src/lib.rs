@@ -78,6 +78,7 @@
 //! // over everything so far.
 //! let window_plan = engine.compile(&[AttentionKernel::Local { n: 4 }]).unwrap();
 //! let mut cache = KvCache::single(dk, dk);
+//! assert!(cache.is_empty());
 //! let prefill = engine
 //!     .prefill_chunked(&window_plan, &q, &k, &v, 16, &mut cache)
 //!     .unwrap();
@@ -132,7 +133,7 @@ mod tests {
         // The dense baseline the graph kernels are compared against.
         let dense = DenseMask::from_csr(&mask);
         let reference =
-            masked_sdp(engine.pool(), &dense, &q, &k, &v, &KernelOptions::new()).unwrap();
+            masked_sdp(engine.pool(), &dense, &q, &k, &v, &KernelOptions::default()).unwrap();
         assert!(paper_allclose(&out, &reference));
     }
 }

@@ -16,8 +16,14 @@
 //!   composition at the paper's verification shape (`L = 256`, `dk = 32`);
 //! - [`LONGFORMER_F32`], [`LONGFORMER_F64`]: Fig. 6's Longformer composition (Loc + Glo) at the
 //!   same shape, in both types;
-//! - [`F32_LONG`]: the graph kernels at `L = 4096`, where a row spans
-//!   several 32-edge tiles;
+//! - [`F32_LONG`], [`F64_LONG`]: the graph kernels at `L = 4096`, where a
+//!   row spans several 32-edge tiles;
+//! - [`DENSE`]: the dense baselines `masked_sdp` (over BigBird's mask) and
+//!   `flash_attention_tiled` at `L = 256`, in both types;
+//! - [`CHUNKED`]: `AttentionEngine::prefill_chunked` at `L = 256` with a
+//!   chunk that does not divide `L`, in both types;
+//! - [`MODEL`]: a three-layer `FSF` `DecoderModel` outside the scheduler —
+//!   `forward`, then `forward_prefill_chunked` and `forward_decode`;
 //! - [`MASKS`]: the CSR structures (`row_offsets`, `col_idx`) the mask
 //!   crate builds at `L = 4096` for the Fig. 6 plans;
 //! - [`SERVED`]: every output of one mixed trace replayed through the
@@ -25,23 +31,33 @@
 //!
 //! A failure prints the table the code now computes.
 
-use graph_attention::core::{AttentionEngine, AttentionKernel, AttentionPlan, CooSearch, KvCache};
+use graph_attention::core::{
+    flash_attention_tiled, masked_sdp, AttentionEngine, AttentionKernel, AttentionPlan, CooSearch,
+    KvCache, PagePool,
+};
 use graph_attention::masks::{
     bigbird, longformer, longformer_dilated, GlobalMinusLocal, GlobalSet, LocalWindow, MaskPattern,
     RandomUniform,
 };
-use graph_attention::model::{DecoderModel, LayerPattern};
+use graph_attention::model::{DecoderModel, LayerPattern, ModelKvState};
 use graph_attention::serve::{
     generate_trace, replay, AdmissionMode, EvictionMode, PatternChoice, Scheduler, ServeConfig,
     TraceSpec,
 };
-use graph_attention::sparse::{CsrMask, DiaMask};
-use graph_attention::tensor::{init::qkv, Matrix, Real};
+use graph_attention::sparse::{CsrMask, DenseMask, DiaMask};
+use graph_attention::tensor::init::{qkv, uniform_matrix};
+use graph_attention::tensor::{Matrix, Real};
 
 const L: usize = 256;
 /// The long shape's context: a Local row holds 513 edges, 17 tiles.
 const L_LONG: usize = 4096;
 const DK: usize = 32;
+/// The chunked prefill's chunk: 256 = 4 · 60 + 16.
+const CHUNK: usize = 60;
+/// The decoder stack's context, width and heads (`dk = D_MODEL / HEADS`).
+const L_MODEL: usize = 64;
+const D_MODEL: usize = 16;
+const HEADS: usize = 2;
 const SEED: u64 = 0xD16E57;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -85,6 +101,38 @@ const F32_LONG: [(&str, u64, u64); 6] = [
     ("Global", 0xddab8541237b0e76, 0x6ba93f2b97f9dc80),
     ("DIA", 0x443edae0d1fcb92b, 0xef0c15ea6df8e5f3),
     ("CSR", 0xc630823de7f1a4df, 0x2d1282c1d6d2a1c1),
+];
+
+/// `(plan, run digest, decode digest)` in `f64` at `L = 4096`.
+const F64_LONG: [(&str, u64, u64); 6] = [
+    ("Local", 0xd1b76e3f73caf193, 0xfabf3618b9f752c9),
+    ("Dilated-1D", 0x5cd664e258091173, 0xa27a0278c9cc951f),
+    ("Dilated-2D", 0xf6771ce0854c95a5, 0xd80ac658736bb725),
+    ("Global", 0xf962cd8697726e29, 0x83587a25fe4fd28a),
+    ("DIA", 0x82ec9225a3f09f1b, 0xb339104a9ddb7875),
+    ("CSR", 0xc0a6fa3d726dce45, 0x810fcb064c60d71f),
+];
+
+/// `(baseline, f32 digest, f64 digest)` at `L = 256`.
+const DENSE: [(&str, u64, u64); 2] = [
+    ("masked_sdp", 0x6f5540c38878d643, 0x71923bea711110e0),
+    ("flash_tiled", 0x331ae0ad0742cd1b, 0x74907069208667f9),
+];
+
+/// `(plan, f32 digest, f64 digest)` of a chunked prefill at `L = 256`.
+/// Each equals the plan's square run digest in [`F32`] and [`F64`]: any
+/// chunk split computes the same bits.
+const CHUNKED: [(&str, u64, u64); 3] = [
+    ("Local", 0xd5d06617251ae951, 0x5dd30466180c0e1b),
+    ("Global", 0x71f521aaaa72989e, 0x8a71010196f5e505),
+    ("Loc + Glo + CSR", 0x08e7663d7012bbe8, 0x601a9c110ba413d3),
+];
+
+/// `(path, f32 digest, f64 digest)` of the `FSF` stack.
+const MODEL: [(&str, u64, u64); 3] = [
+    ("forward", 0x13f532598ae9abdb, 0x3af6f9c021d3f258),
+    ("prefill", 0xa964a97d15f2087d, 0x5e160ee90c03b3c6),
+    ("decode", 0x63cb16292c69c619, 0x3d70f3adf8572f09),
 ];
 
 /// `(mask, digest of its CSR)` at `L = 4096`.
@@ -260,15 +308,121 @@ fn longformer_digests() {
     check(f64s, &LONGFORMER_F64);
 }
 
+/// The band of the `L = 4096` tables: 103 diagonals, every fifth offset
+/// of the window, so four tiles a row.
+fn long_band() -> Vec<i64> {
+    let w = (L_LONG / 16) as i64;
+    (-w..=w).step_by(5).collect()
+}
+
 #[test]
 fn f32_digests_at_4096() {
-    // 103 diagonals, every fifth offset of the window: four tiles a row.
-    let w = (L_LONG / 16) as i64;
-    let band: Vec<i64> = (-w..=w).step_by(5).collect();
-    check(
-        digests::<f32>(&Fig6::new(L_LONG), &band, &F32_LONG),
-        &F32_LONG,
-    );
+    let fig6 = Fig6::new(L_LONG);
+    check(digests::<f32>(&fig6, &long_band(), &F32_LONG), &F32_LONG);
+}
+
+#[test]
+fn f64_digests_at_4096() {
+    let fig6 = Fig6::new(L_LONG);
+    check(digests::<f64>(&fig6, &long_band(), &F64_LONG), &F64_LONG);
+}
+
+/// Pair each name of `table` with the `f32` and `f64` digests at its index.
+fn pair_up(table: &[(&str, u64, u64)], f32s: &[u64], f64s: &[u64]) -> Vec<(String, u64, u64)> {
+    table
+        .iter()
+        .zip(f32s.iter().zip(f64s))
+        .map(|(&(name, _, _), (&a, &b))| (name.to_string(), a, b))
+        .collect()
+}
+
+/// `masked_sdp` over BigBird's local ∪ global ∪ random mask, and
+/// `flash_attention_tiled` with 48-row tiles (the last holds 16 rows).
+fn dense_digests<T: Bits>(fig6: &Fig6) -> Vec<u64> {
+    let engine = AttentionEngine::with_threads(2);
+    let (q, k, v) = qkv::<T>(fig6.l, DK, SEED);
+    let mask = DenseMask::from_csr(&fig6.covered.union(&fig6.random_rest));
+    let opts = engine.options();
+    let sdp = masked_sdp(engine.pool(), &mask, &q, &k, &v, &opts).unwrap();
+    let flash = flash_attention_tiled(engine.pool(), &q, &k, &v, 48, &opts).unwrap();
+    vec![digest(&sdp), digest(&flash)]
+}
+
+#[test]
+fn dense_baseline_digests() {
+    let fig6 = Fig6::new(L);
+    let (f32s, f64s) = (dense_digests::<f32>(&fig6), dense_digests::<f64>(&fig6));
+    check(pair_up(&DENSE, &f32s, &f64s), &DENSE);
+}
+
+/// The prompt outputs of `prefill_chunked` into an empty cache, in
+/// [`CHUNK`]-row chunks, for each plan of [`CHUNKED`].
+fn chunked_digests<T: Bits>(fig6: &Fig6) -> Vec<u64> {
+    let local = AttentionKernel::Local { n: fig6.w };
+    let global = AttentionKernel::Global {
+        globals: &fig6.globals,
+        n_sub: fig6.w,
+    };
+    let random_rest = AttentionKernel::Csr(&fig6.random_rest);
+    let plans: [&[AttentionKernel<'_>]; 3] = [&[local], &[global], &[local, global, random_rest]];
+    let engine = AttentionEngine::with_threads(2);
+    let (q, k, v) = qkv::<T>(fig6.l, DK, SEED);
+    plans
+        .iter()
+        .map(|steps| {
+            let plan = engine.compile(steps).unwrap();
+            let mut cache = KvCache::single(DK, DK);
+            let out = engine
+                .prefill_chunked(&plan, &q, &k, &v, CHUNK, &mut cache)
+                .unwrap();
+            digest(&out)
+        })
+        .collect()
+}
+
+#[test]
+fn chunked_prefill_digests() {
+    let fig6 = Fig6::new(L);
+    let (f32s, f64s) = (chunked_digests::<f32>(&fig6), chunked_digests::<f64>(&fig6));
+    check(pair_up(&CHUNKED, &f32s, &f64s), &CHUNKED);
+}
+
+/// A three-layer `FSF` stack (Local `n = 20`, Dilated-1D `w = 40`) run
+/// three ways outside the scheduler: the square `forward` over all
+/// [`L_MODEL`] rows; `forward_prefill_chunked` of the first `L_MODEL − 1`
+/// rows in 7-row chunks; then `forward_decode` of the last row.
+fn model_digests<T: Bits>() -> Vec<u64> {
+    let local = AttentionPlan::single(AttentionKernel::Local { n: 20 }).unwrap();
+    let dilated = AttentionPlan::single(AttentionKernel::Dilated1d { w: 40, r: 1 }).unwrap();
+    let model = DecoderModel::<T>::new(
+        LayerPattern::parse("FSF").unwrap(),
+        vec![('F', local), ('S', dilated)],
+        D_MODEL,
+        HEADS,
+        D_MODEL / HEADS,
+        SEED,
+    )
+    .unwrap();
+    let engine = AttentionEngine::with_threads(2);
+    let x = uniform_matrix::<T>(L_MODEL, D_MODEL, SEED);
+    let full = model.forward(&engine, &x).unwrap();
+    let mut pool = PagePool::new(3 * L_MODEL / 4, 4);
+    let state = ModelKvState::allocate(&model, &mut pool);
+    let prompt = x.rows_slice(0, L_MODEL - 1);
+    let prefill = model
+        .forward_prefill_chunked(&engine, &mut pool, &state, &prompt, 7)
+        .unwrap();
+    let last = x.rows_slice(L_MODEL - 1, L_MODEL);
+    let decode = model
+        .forward_decode(&engine, &mut pool, &state, &last)
+        .unwrap();
+    vec![digest(&full), digest(&prefill), digest(&decode)]
+}
+
+#[test]
+fn decoder_model_digests() {
+    let (f32s, f64s) = (model_digests::<f32>(), model_digests::<f64>());
+    check(pair_up(&MODEL, &f32s, &f64s), &MODEL);
 }
 
 #[test]

@@ -5,8 +5,8 @@
 
 use graph_attention::masks::longnet_sparsity_factor;
 use graph_attention::memmodel::{
-    max_context_length, paper_value, Accounting, DType, MemAlgorithm, MemConfig, A100_80GB,
-    TABLE2_ROWS,
+    max_context_length, paper_value, Accounting, DType, DeviceProfile, MemAlgorithm, MemConfig,
+    A100_80GB, TABLE2_ROWS,
 };
 
 #[test]
@@ -84,7 +84,7 @@ fn longnet_schedule_matches_section_2d() {
 fn training_headroom_projection_section_6b() {
     // "even if we assume that only 25% of memory is available … only 32
     // GPUs will be needed to reach a context length of 1 billion".
-    let quarter = A100_80GB.with_fraction(0.25);
+    let quarter = DeviceProfile::custom(A100_80GB.name, A100_80GB.mem_bytes / 4);
     let cfg = MemConfig {
         algo: MemAlgorithm::Local,
         dtype: DType::F16,

@@ -42,7 +42,7 @@ fn per_head_outputs_match_reference() {
             &qs[h],
             &ks[h],
             &vs[h],
-            &KernelOptions::new(),
+            &KernelOptions::default(),
         )
         .unwrap();
         assert!(paper_allclose(&outs[h], &reference), "head {h}");
@@ -63,7 +63,7 @@ fn layer_forward_same_mask_same_result_via_any_kernel() {
     let via_csr = layer.forward_on(&engine, &plan, &x).unwrap();
     // The reference: the same projections around the dense baseline.
     let (qh, kh, vh) = layer.project_qkv(&x);
-    let heads: Vec<Matrix<f64>> = (0..layer.heads())
+    let heads: Vec<Matrix<f64>> = (0..qh.len())
         .map(|h| {
             masked_sdp(
                 engine.pool(),

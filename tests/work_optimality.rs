@@ -22,7 +22,7 @@ fn counting_engine() -> AttentionEngine {
 
 fn dot_count(engine: &AttentionEngine, kernel: &AttentionKernel<'_>, l: usize) -> u64 {
     let (q, k, v) = qkv::<f32>(l, 8, 3);
-    engine.reset_work();
+    engine.work_counter().unwrap().reset();
     engine.run_kernel(*kernel, &q, &k, &v).unwrap();
     engine.work_report().unwrap().dot_products
 }
@@ -109,7 +109,7 @@ fn dense_baselines_always_do_quadratic_work() {
     let (q, k, v) = qkv::<f32>(l, 8, 3);
     // The baselines are functions; the engine's options carry its counter.
     let dots = |run: &dyn Fn()| {
-        engine.reset_work();
+        engine.work_counter().unwrap().reset();
         run();
         engine.work_report().unwrap().dot_products
     };
