@@ -30,6 +30,20 @@
 //! point that returns matrices or [`AttentionState`]s is a thin wrapper
 //! that allocates the windows and runs the loop.
 //!
+//! ## Who runs a launch
+//!
+//! The loop hands `parallel_for` its rows under the engine's schedule,
+//! with one exception. Cut by rows alone, a `Dynamic { grain }` launch of
+//! fewer than `grain × threads` rows leaves a thread without a claim
+//! (a 9-row decode tick is one 16-row block, which the caller runs
+//! inline), whatever its rows cost. So such a launch, and only such a launch,
+//! estimates its edges from the row rules' degrees (`rows × degree` of
+//! each request's middle row, no stream, no allocation); when they reach
+//! `FORK_EDGES` (256, measured below) it claims `⌈rows / threads⌉` rows at
+//! a time, so every thread gets one. Cuts fall at row boundaries, so the
+//! choice moves no output bit. Launches with enough rows, one-thread
+//! pools and fixed schedules compute no estimate.
+//!
 //! A window's contents on entry are **not** trusted: the loop zeroes each
 //! row just before that row's first stream. A first block multiplies `O`
 //! by `exp(−∞ − m) = 0`, and `0 · NaN` is `NaN` — a dirty window must not
@@ -43,7 +57,9 @@ use crate::options::KernelOptions;
 use crate::plan::AttentionPlan;
 use crate::routing::Routing;
 use crate::state::AttentionState;
-use gpa_parallel::{parallel_for, CellWriter, LocalTally, RaggedSpace, RowWriter, ThreadPool};
+use gpa_parallel::{
+    parallel_for, CellWriter, LocalTally, RaggedSpace, RowWriter, Schedule, ThreadPool,
+};
 use gpa_tensor::{attention_scale, Matrix, Real};
 use std::ops::Range;
 
@@ -324,8 +340,9 @@ fn launch_rows<T: Real>(
         })
         .collect();
     let (l_cells, m_cells) = (CellWriter::new(&mut l), CellWriter::new(&mut m));
+    let schedule = launch_schedule(pool, plan, opts.schedule, requests, space.total());
 
-    parallel_for(pool, space.total(), opts.schedule, |range| {
+    parallel_for(pool, space.total(), schedule, |range| {
         let mut tally = opts.counter.map(LocalTally::new);
         space.for_each_segment(range, |s, local| {
             let req = &requests[s];
@@ -374,6 +391,67 @@ fn launch_rows<T: Real>(
     });
 
     (l, m)
+}
+
+/// Estimated edges at which a launch the row rule would leave with fewer
+/// participants than the pool has is cut for all of them anyway.
+///
+/// Measured on a 2-core Xeon (f32, `dk = 64`): launches of `r` decode
+/// rows × 65 edges (`Local { n: 64 }`), one thread against a fork across
+/// two, each the median of 5 × 2000 launches, in three rounds. A fork
+/// repays its fixed cost (a forked no-op launch is 1.7 µs, the serving
+/// benchmark's `pool.noop_launch_us` over 64 rows) only past ≈ 200
+/// edges: while one thread ran ≈ 40 ns an edge, 130 and 195 edges ran
+/// 0.86–1.00× as fast forked, 260 edges 1.09–1.21×, 390 edges 1.16–1.30×
+/// and 585 edges (`evict_churn`'s median launch) 1.32–1.35×. In the three
+/// measurements where one thread ran ≈ 24 ns an edge instead (the host's
+/// faster regime, which comes and goes), forks of 455–1040 edges ran
+/// 0.91–0.94×; no threshold avoids that. 256 is the first power of two
+/// past the crossover.
+const FORK_EDGES: usize = 256;
+
+/// The schedule a launch of `rows` rows runs under: `schedule` itself,
+/// except that a `Dynamic` launch too small to give every participant a
+/// claim (`rows < grain × threads`) whose estimated edges reach
+/// [`FORK_EDGES`] claims `⌈rows / threads⌉` rows at a time instead. Cuts
+/// stay at row boundaries, so no output bit depends on the choice.
+fn launch_schedule<T: Real>(
+    pool: &ThreadPool,
+    plan: &AttentionPlan<'_>,
+    schedule: Schedule,
+    requests: &[AttentionRequest<'_, T>],
+    rows: usize,
+) -> Schedule {
+    let threads = pool.threads();
+    match schedule {
+        Schedule::Dynamic { grain }
+            if threads > 1
+                && rows < grain.saturating_mul(threads)
+                && reaches_fork_edges(plan, requests) =>
+        {
+            Schedule::Dynamic {
+                grain: grain.min(rows.div_ceil(threads)),
+            }
+        }
+        _ => schedule,
+    }
+}
+
+/// Whether a launch's estimated edges reach [`FORK_EDGES`]: each
+/// request counts `rows × degree` of its middle row in every plan step,
+/// and the sum stops at the threshold.
+fn reaches_fork_edges<T: Real>(
+    plan: &AttentionPlan<'_>,
+    requests: &[AttentionRequest<'_, T>],
+) -> bool {
+    let mut edges = 0;
+    requests.iter().filter(|r| r.rows() > 0).any(|r| {
+        let mid = r.geometry.q_offset + r.rows() / 2;
+        for step in plan.steps() {
+            edges += r.rows() * step.row_degree(r.geometry.kv_rows, mid, r.routing);
+        }
+        edges >= FORK_EDGES
+    })
 }
 
 #[cfg(test)]
@@ -749,6 +827,38 @@ mod tests {
                 (&alone.o, &alone.l, &alone.m)
             );
         }
+    }
+
+    #[test]
+    fn small_launches_fork_by_their_edges_not_their_rows() {
+        // Decode launches under a 2-thread engine, each read against the
+        // pool's pushes: a fork hands the helper one job, an inline launch
+        // none. Whoever runs a row, its bits are the 1-thread engine's.
+        let two = crate::AttentionEngine::with_threads(2);
+        let one = crate::AttentionEngine::with_threads(1);
+        let launch = |n: usize, dk: usize, seqs: usize| {
+            let plan = AttentionPlan::single(AttentionKernel::Local { n }).unwrap();
+            let caches: Vec<_> = (0..seqs)
+                .map(|s| qkv::<f32>(596 + s, dk, 400 + s as u64))
+                .collect();
+            let requests: Vec<_> = caches
+                .iter()
+                .map(|(q, k, v)| {
+                    AttentionRequest::row_range(q, k.rows() - 1..k.rows(), k, v, k.rows() - 1)
+                })
+                .collect();
+            let before = two.pool().metrics().report().injector_pushes;
+            let outs = two.run_batch(&plan, &requests).unwrap();
+            let forked = two.pool().metrics().report().injector_pushes > before;
+            assert_eq!(outs, one.run_batch(&plan, &requests).unwrap());
+            forked
+        };
+        // 9 decode rows of 65 edges: one schedule block, past the threshold.
+        assert!(launch(64, 64, 9), "a small launch of heavy rows forks");
+        // 9 decode rows of 9 edges stay on the caller.
+        assert!(!launch(8, 32, 9), "a small launch of light rows is inline");
+        // 64 rows are four blocks: the row rule alone forks them.
+        assert!(launch(8, 32, 64), "a launch of many blocks forks");
     }
 
     #[test]

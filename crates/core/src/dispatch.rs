@@ -184,6 +184,32 @@ impl AttentionKernel<'_> {
         self.stream_row(kv_len, i, routing, None, &mut |j| f(j));
     }
 
+    /// Absolute row `i`'s degree under key/value set size `kv_len`, or an
+    /// upper bound of it, read off the row rule without streaming where
+    /// one has a closed form: Local's window, a CSR row's length, a
+    /// Global row's `kv_len` or else the global count, a routed group's
+    /// size. The other kernels count their stream. The one row loop sizes
+    /// small launches by it.
+    pub(crate) fn row_degree(&self, kv_len: usize, i: usize, routing: Option<&Routing>) -> usize {
+        match self {
+            AttentionKernel::Local { n } => {
+                let (lo, hi) = LocalWindow::row_range(kv_len, *n, i);
+                hi - lo + 1
+            }
+            AttentionKernel::Csr(mask) => mask.row(i).len(),
+            AttentionKernel::Global { globals, .. } if globals.contains(i) => kv_len,
+            AttentionKernel::Global { globals, .. } => globals.indices().len(),
+            AttentionKernel::Routed { .. } => {
+                routing.map_or(0, |r| r.members(r.group_of(i) as usize).len())
+            }
+            _ => {
+                let mut degree = 0;
+                self.for_each_neighbor(kv_len, i, routing, &mut |_| degree += 1);
+                degree
+            }
+        }
+    }
+
     /// Stream **absolute** row `i`'s neighbors under key/value set size
     /// `kv_len` — `Get_Neighbors(G, i, Pa)`, called by the one row loop
     /// once per plan step and row, so a launch interleaves many sequences

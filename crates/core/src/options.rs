@@ -15,7 +15,11 @@ pub struct KernelOptions<'a> {
     /// Row-block scheduling policy. The default (dynamic, modest grain) is
     /// the best general-purpose choice; pass [`Schedule::cuda_like`] or
     /// [`Schedule::StaticContiguous`] to reproduce the paper's fixed
-    /// block-to-SM assignment in the load-imbalance experiments.
+    /// block-to-SM assignment in the load-imbalance experiments. The
+    /// batched row loop runs a fixed schedule as given; under `Dynamic` it
+    /// lowers the grain of a launch too small to reach every thread when
+    /// the launch's estimated edges clear a measured threshold (256), so
+    /// that every thread gets a claim.
     pub schedule: Schedule,
     /// Optional work counter. When set, kernels tally one dot product per
     /// absorbed edge (plus COO search steps), which the work-optimality

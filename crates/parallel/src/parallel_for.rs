@@ -84,8 +84,10 @@ pub enum Schedule {
     /// Work stealing: each share's participant claims `grain` rows at a
     /// time from the front of its own contiguous span and steals half of a
     /// sibling's span when it runs dry. Self-balancing; the default
-    /// schedule (`Dynamic { grain: 16 }`), which every engine launches
-    /// with.
+    /// schedule (`Dynamic { grain: 16 }`) of every engine, which cuts an
+    /// attention launch of fewer than `grain × threads` rows finer when
+    /// its estimated edges clear a measured threshold (`FORK_EDGES` in
+    /// `gpa-core`'s `batch.rs`).
     Dynamic {
         /// Rows claimed per grab.
         grain: usize,

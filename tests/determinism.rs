@@ -4,9 +4,9 @@
 //! benchmark methodology silently relies on.
 
 use graph_attention::core::{
-    flash_attention, masked_sdp, AttentionEngine, AttentionKernel, AttentionPlan,
+    flash_attention, masked_sdp, AttentionEngine, AttentionKernel, AttentionPlan, AttentionRequest,
 };
-use graph_attention::masks::{MaskPattern, RandomUniform};
+use graph_attention::masks::{GlobalSet, MaskPattern, RandomUniform};
 use graph_attention::model::{DecoderModel, LayerPattern};
 use graph_attention::parallel::Schedule;
 use graph_attention::serve::{
@@ -140,6 +140,40 @@ fn outputs_bitwise_identical_across_thread_counts() {
             reference.as_slice(),
             "{threads} threads changed bits"
         );
+    }
+}
+
+#[test]
+fn edge_skewed_small_launch_identical_across_thread_counts() {
+    // 17 query rows of a Longformer plan, three of them global rows of
+    // 2048 edges among local rows of 33: too few rows for a 16-row block
+    // per thread, heavy enough that the launch is cut finer (9-row claims
+    // at 2 threads, 5-row claims at 4).
+    let l = 2048;
+    let (q, k, v) = qkv::<f32>(l, 16, 12);
+    let globals = GlobalSet::new(l, vec![0, 1002, 1008, 1014, 2047]);
+    let plan = AttentionPlan::new(&[
+        AttentionKernel::Local { n: 16 },
+        AttentionKernel::Global {
+            globals: &globals,
+            n_sub: 16,
+        },
+    ])
+    .unwrap();
+    let rows = 1000..1017;
+    let square = AttentionEngine::with_threads(1)
+        .run(&plan, &q, &k, &v)
+        .unwrap();
+    for threads in [1usize, 2, 4] {
+        let request = AttentionRequest::row_range(&q, rows.clone(), &k, &v, rows.start);
+        let out = AttentionEngine::with_threads(threads)
+            .run_batch(&plan, &[request])
+            .unwrap()
+            .pop()
+            .unwrap();
+        for (i, row) in rows.clone().enumerate() {
+            assert_eq!(out.row(i), square.row(row), "{threads} threads, row {row}");
+        }
     }
 }
 
