@@ -1,10 +1,19 @@
-//! Dense linear-algebra helpers used by the baselines and examples.
+//! Dense linear-algebra helpers used by the kernels, baselines and
+//! projections.
 //!
-//! Only what the attention pipeline needs: dot products, `QKᵀ`-style
-//! products, and a cache-blocked general matmul for the projection layers in
-//! the examples. The inner loops are written as slice iterator chains so
-//! LLVM auto-vectorizes them (see the workspace's HPC guide notes on bounds
-//! checks).
+//! Only what the attention pipeline needs: dot products, the row tile's
+//! value fold, and a row-block matmul for the projection layers. Each has
+//! one semantics, fixed to the bit: the order in which every element's
+//! terms are added. The generic loops are that semantics for every type
+//! and target; `f32` on `x86_64` runs baseline SSE2 forms of the three hot
+//! ones ([`dot4`], [`axpy`]/[`axpy4`], [`matmul_rows_into`]) through
+//! hidden [`Real`] hooks, because LLVM does not find the register shapes
+//! they allow: it compiles portable four-row dots to shuffle-heavy code,
+//! versions the fold on an alias check with a scalar epilogue on every
+//! call, and loads and stores the matmul's whole output row once per
+//! inner index. The SSE2 forms add the same terms in the same order, with
+//! a separate multiply and add (no FMA), so they give the same bits, and
+//! the tests below hold each to its generic form.
 
 use crate::matrix::Matrix;
 use crate::real::Real;
@@ -46,9 +55,8 @@ pub fn dot<T: Real>(a: &[T], b: &[T]) -> T {
 /// combine — so a kernel may score its neighbors one or four at a time
 /// and get the same bits.
 ///
-/// This is the form the graph kernels' row tile scores its edges with,
-/// and the second half of the measured lesson recorded on [`axpy`]: one
-/// [`dot`] standing alone is a single dependent add chain per lane (at
+/// This is the form the graph kernels' row tile scores its edges with.
+/// One [`dot`] standing alone is a single dependent add chain per lane (at
 /// `dk = 64`, sixteen adds deep, paid again for every edge), and what the
 /// per-edge kernels were missing was *independent multi-row accumulators*
 /// — four rows' chains in flight at once, with `q` loaded once for all
@@ -134,39 +142,94 @@ pub(crate) fn dot4_f32(q: &[f32], k: [&[f32]; 4]) -> [f32; 4] {
     out
 }
 
-/// `out += w · v` — fold one weighted value row into an accumulator.
+/// `out += w · v` — fold one weighted value row into an accumulator:
+/// `o = o + w·v` per element, a multiply then an add.
 ///
-/// Deliberately left as a plain iterator loop: each element is touched by
-/// exactly one independent multiply-add, so LLVM already vectorizes the
-/// whole loop. A hand-unrolled 4-chunk variant was measured *slower* here
-/// (it broke the vectorizer's pattern and fell back to scalar code, a
-/// 1.5× regression on engine launches); explicit lane unrolls are
-/// reserved for reductions ([`dot`], the softmax normalizer) where strict
-/// IEEE ordering is what blocks auto-vectorization — and a reduction over
-/// several rows wants one accumulator *per row* as well as per lane (see
-/// [`dot4`] for that half of the lesson).
+/// `f32` on `x86_64` runs it as one SSE2 pass with a scalar tail of
+/// `len % 4` elements (see [`axpy4`]); every other type and target runs
+/// the plain loop.
+///
+/// # Panics
+/// Panics if `v` and `out` differ in length.
 #[inline(always)]
 pub fn axpy<T: Real>(out: &mut [T], w: T, v: &[T]) {
-    debug_assert_eq!(out.len(), v.len());
-    for (o, &x) in out.iter_mut().zip(v.iter()) {
-        *o += w * x;
-    }
+    T::fold(out, [w], [v]);
 }
 
 /// `out += w[0]·v[0] + w[1]·v[1] + w[2]·v[2] + w[3]·v[3]` — four weighted
 /// value rows folded in one sweep of the accumulator, which is read and
 /// written once per *four* rows. Per element the additions run left to
-/// right, exactly as four [`axpy`] calls in that order would make them.
-/// Elementwise, so left in the indexed form the vectorizer takes.
+/// right, `(((o + w0·v0) + w1·v1) + w2·v2) + w3·v3`, exactly as four
+/// [`axpy`] calls in that order would make them.
+///
+/// This is the value fold of the graph kernels' row tile. The generic
+/// loop compiles to a loop versioned on an alias check with a scalar
+/// epilogue of up to four elements on every call; `f32` on `x86_64` runs
+/// one SSE2 pass (four lanes at a time, the multiplies and adds separate
+/// as above, a scalar tail of `len % 4` elements). Measured over a
+/// `Local` row loop (`L = 2048`, `n` 8–128, one binary, variants
+/// alternating, bits equal), it takes ×0.65–0.91 of the generic loop's
+/// time at width 32, ×0.78–0.80 at 64 and ×0.91–0.94 at 10. A portable
+/// spelling (a zip over exact-length slices) matched it within 3 % at
+/// width 32 but was up to 6 % slower at 64, so `f32` keeps the SSE2 pass.
+///
+/// # Panics
+/// Panics if any value row's length differs from `out`'s.
 #[inline(always)]
 pub fn axpy4<T: Real>(out: &mut [T], w: [T; 4], v: [&[T]; 4]) {
-    let [v0, v1, v2, v3] = v;
+    T::fold(out, w, v);
+}
+
+/// [`axpy`] and [`axpy4`] over `R` value rows — every type and target but
+/// `f32` on `x86_64`.
+#[inline(always)]
+pub(crate) fn fold_portable<T: Real, const R: usize>(out: &mut [T], w: [T; R], v: [&[T]; R]) {
+    for row in v {
+        assert_eq!(row.len(), out.len(), "value row length differs from out");
+    }
     for (i, o) in out.iter_mut().enumerate() {
-        *o = *o + w[0] * v0[i] + w[1] * v1[i] + w[2] * v2[i] + w[3] * v3[i];
+        let mut x = *o;
+        for r in 0..R {
+            x += w[r] * v[r][i];
+        }
+        *o = x;
     }
 }
 
-/// Cache-blocked `A · B` (row-major × row-major).
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) use fold_portable as fold_f32;
+
+/// [`axpy`] and [`axpy4`] for `f32` on `x86_64`: four lanes per `__m128`,
+/// each rounding its multiply and its add separately, in row order, and
+/// [`fold_portable`]'s own loop for the `len % 4` tail.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+pub(crate) fn fold_f32<const R: usize>(out: &mut [f32], w: [f32; R], v: [&[f32]; R]) {
+    use core::arch::x86_64::{_mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_storeu_ps};
+    for row in v {
+        assert_eq!(row.len(), out.len(), "value row length differs from out");
+    }
+    let split = out.len() & !3;
+    let o = out.as_mut_ptr();
+    // SAFETY: SSE is part of the `x86_64` baseline. `j + 4 <= split <=
+    // out.len()`, and the assertion above makes every value row exactly
+    // `out.len()` long, so each unaligned 4-float load and store touches
+    // elements `j..j + 4` inside its slice.
+    unsafe {
+        let wv = w.map(|x| _mm_set1_ps(x));
+        for j in (0..split).step_by(4) {
+            let mut acc = _mm_loadu_ps(o.add(j));
+            for r in 0..R {
+                acc = _mm_add_ps(acc, _mm_mul_ps(wv[r], _mm_loadu_ps(v[r].as_ptr().add(j))));
+            }
+            _mm_storeu_ps(o.add(j), acc);
+        }
+    }
+    let tail = v.map(|row| &row[split..]);
+    fold_portable(&mut out[split..], w, tail);
+}
+
+/// `A · B` (row-major × row-major).
 ///
 /// Each output element accumulates its products in ascending inner index,
 /// skipping terms whose `A` factor is exactly zero; see
@@ -184,34 +247,149 @@ pub fn matmul<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 /// block, so a product can be cut into row blocks (one per participant of
 /// a launch, say) with every bit where the whole product puts it: an
 /// output element depends on its own row of `a` alone, its terms are added
-/// in ascending inner index `p`, and a term whose `a` factor compares equal
-/// to zero (`0.0` or `-0.0`) is skipped, not added.
+/// in ascending inner index `p` (`o = o + a·b`, a multiply then an add),
+/// and a term whose `a` factor compares equal to zero (`0.0` or `-0.0`)
+/// is skipped, not added.
+///
+/// The generic loop (every type and target but `f32` on `x86_64`) is
+/// i-k-j, and loads and stores the output row once per `p`. `f32` on
+/// `x86_64` keeps an output tile in SSE2 registers for the whole `p` loop
+/// instead: 2 rows × 16 columns, and 1 row × 32 columns for a lone row (a
+/// decode tick's one-row segments); columns past the last 16 take the
+/// generic loop. In one binary, variants alternating and bits equal, the
+/// tiles took ×0.67–0.90 of the i-k-j loop's time at 1–192 rows × 128 ×
+/// 384 and × 128 (×0.67–0.72 for one row).
 ///
 /// # Panics
 /// Panics when the slices do not hold the same whole number of rows.
 pub fn matmul_rows_into<T: Real>(out: &mut [T], a: &[T], b: &Matrix<T>) {
+    T::matmul_rows(out, a, b);
+}
+
+/// The number of rows `out` and `a` hold for `B`.
+///
+/// # Panics
+/// Panics when the slices do not hold the same whole number of rows.
+fn block_rows<T: Real>(out: &[T], a: &[T], b: &Matrix<T>) -> usize {
     let (k, n) = b.shape();
     let rows = out.len().checked_div(n).unwrap_or(0);
     assert!(
         out.len() == rows * n && (n == 0 || a.len() == rows * k),
         "row block does not match the matrix"
     );
+    rows
+}
+
+/// [`matmul_rows_into`] as the i-k-j loop — every type and target but
+/// `f32` on `x86_64`.
+pub(crate) fn matmul_rows_portable<T: Real>(out: &mut [T], a: &[T], b: &Matrix<T>) {
+    block_rows(out, a, b);
+    matmul_columns(out, a, b, 0);
+}
+
+/// The i-k-j loop over columns `first..` of a row block whose shape
+/// [`block_rows`] has checked: streams through `B` and `out` rows
+/// contiguously, one `p` at a time.
+fn matmul_columns<T: Real>(out: &mut [T], a: &[T], b: &Matrix<T>, first: usize) {
+    let (k, n) = b.shape();
     if k == 0 || n == 0 {
         return;
     }
-    // i-k-j loop order: streams through B and OUT rows contiguously.
-    const KB: usize = 64;
-    for kk in (0..k).step_by(KB) {
-        let k_hi = (kk + KB).min(k);
-        for (ai, oi) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
-            for (off, &aip) in ai[kk..k_hi].iter().enumerate() {
-                if aip == T::ZERO {
+    for (ai, oi) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+        for (&aip, bp) in ai.iter().zip(b.as_slice().chunks_exact(n)) {
+            if aip == T::ZERO {
+                continue;
+            }
+            for (o, &x) in oi[first..].iter_mut().zip(&bp[first..]) {
+                *o += aip * x;
+            }
+        }
+    }
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) use matmul_rows_portable as matmul_rows_f32;
+
+/// [`matmul_rows_into`] for `f32` on `x86_64`: register tiles of
+/// [`gemm_tile`], then the generic loop for the columns past the last 16.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn matmul_rows_f32(out: &mut [f32], a: &[f32], b: &Matrix<f32>) {
+    let rows = block_rows(out, a, b);
+    let wide = b.cols() & !15;
+    // Column panels outside, row pairs inside: a `k × 16` panel of B stays
+    // in L1 while every row pair folds it.
+    for c in (0..wide).step_by(16) {
+        for i in (0..rows & !1).step_by(2) {
+            gemm_tile::<2, 4>(out, a, b, i, c);
+        }
+    }
+    if rows % 2 == 1 {
+        let i = rows - 1;
+        let wide32 = wide & !31;
+        for c in (0..wide32).step_by(32) {
+            gemm_tile::<1, 8>(out, a, b, i, c);
+        }
+        if wide32 < wide {
+            gemm_tile::<1, 4>(out, a, b, i, wide32);
+        }
+    }
+    if wide < b.cols() {
+        matmul_columns(out, a, b, wide);
+    }
+}
+
+/// One register tile of [`matmul_rows_f32`]: rows `i..i + R` of `out`,
+/// columns `c..c + 4·C`, held in `R × C` `__m128` accumulators across the
+/// whole `p` loop. Each row skips its own zero `a` factors; every element
+/// adds its terms in ascending `p`, a multiply then an add, as the
+/// generic loop does.
+///
+/// # Panics
+/// Panics if the tile does not lie inside `out` (which must hold `b`'s
+/// column count per row) or `a`.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn gemm_tile<const R: usize, const C: usize>(
+    out: &mut [f32],
+    a: &[f32],
+    b: &Matrix<f32>,
+    i: usize,
+    c: usize,
+) {
+    use core::arch::x86_64::{
+        _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps,
+    };
+    let (k, n) = b.shape();
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..][..k]);
+    assert!(c + 4 * C <= n, "tile past the last column");
+    // SAFETY: SSE is part of the `x86_64` baseline. Every pointer below
+    // starts a `chunks_exact(4)` chunk of `out` or of a row of `B`, so each
+    // unaligned 4-float load or store stays inside its slice.
+    unsafe {
+        let mut acc = [[_mm_setzero_ps(); C]; R];
+        for (r, lanes) in acc.iter_mut().enumerate() {
+            let o = out[(i + r) * n + c..][..4 * C].chunks_exact(4);
+            for (x, o4) in lanes.iter_mut().zip(o) {
+                *x = _mm_loadu_ps(o4.as_ptr());
+            }
+        }
+        for (p, b_row) in b.as_slice().chunks_exact(n).enumerate() {
+            let b_tile = &b_row[c..c + 4 * C];
+            for (lanes, a_row) in acc.iter_mut().zip(a_rows) {
+                let x = a_row[p];
+                if x == 0.0 {
                     continue;
                 }
-                let bp = b.row(kk + off);
-                for (o, &x) in oi.iter_mut().zip(bp.iter()) {
-                    *o += aip * x;
+                let xv = _mm_set1_ps(x);
+                for (y, b4) in lanes.iter_mut().zip(b_tile.chunks_exact(4)) {
+                    *y = _mm_add_ps(*y, _mm_mul_ps(xv, _mm_loadu_ps(b4.as_ptr())));
                 }
+            }
+        }
+        for (r, lanes) in acc.iter().enumerate() {
+            let o = out[(i + r) * n + c..][..4 * C].chunks_exact_mut(4);
+            for (&x, o4) in lanes.iter().zip(o) {
+                _mm_storeu_ps(o4.as_mut_ptr(), x);
             }
         }
     }
@@ -323,6 +501,130 @@ mod tests {
             axpy(&mut want, w[r], &v[r]);
         }
         assert_eq!(got, want);
+    }
+
+    /// Bits, with every NaN as one value: which NaN payload an IEEE
+    /// operation propagates is not part of Rust's float semantics.
+    fn same_f32(x: f32, y: f32) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    /// Inputs that a reordered or fused operation would round, overflow or
+    /// sign differently: ±0, ±∞, NaN, subnormals, values near the top of
+    /// the range and plain ones.
+    const HOSTILE: [f32; 12] = [
+        1.375,
+        -0.0,
+        0.0,
+        f32::INFINITY,
+        -2.625,
+        f32::NAN,
+        1.0e-40,
+        -f32::MIN_POSITIVE,
+        3.0e38,
+        -0.3,
+        f32::NEG_INFINITY,
+        0.1,
+    ];
+
+    /// What lets the SSE2 fold exist without being a second semantics: at
+    /// every length 0..=70 (SIMD passes 0..=17, tails 0..=3), for one and
+    /// four value rows, [`axpy`] and [`axpy4`] give every element the bits
+    /// of the generic loop — over plain values, whose sums a reassociated
+    /// fold would round differently, and over [`HOSTILE`] ones, with
+    /// `−0 + −0·x` kept `−0`.
+    #[test]
+    fn fold_results_have_the_bits_of_the_generic_loop() {
+        let plain = |r: usize, i: usize| ((r * 131 + i * 37) % 53) as f32 * 0.173 - 4.1;
+        let hostile = |r: usize, i: usize| HOSTILE[(r * 5 + i * 7) % HOSTILE.len()];
+        let values: [&dyn Fn(usize, usize) -> f32; 2] = [&plain, &hostile];
+        for value in values {
+            for len in 0..=70usize {
+                let rows: Vec<Vec<f32>> = (0..4)
+                    .map(|r| (0..len).map(|i| value(r + 1, i)).collect())
+                    .collect();
+                let v = [&rows[0][..], &rows[1], &rows[2], &rows[3]];
+                for shift in 0..HOSTILE.len() {
+                    let w: [f32; 4] = std::array::from_fn(|r| value(r + shift, 3));
+                    let init: Vec<f32> = (0..len)
+                        .map(|i| {
+                            if i % 3 == 0 {
+                                -0.0
+                            } else {
+                                value(0, i + shift)
+                            }
+                        })
+                        .collect();
+                    let (mut got, mut want) = (init.clone(), init.clone());
+                    axpy4(&mut got, w, v);
+                    fold_portable(&mut want, w, v);
+                    let (mut got1, mut want1) = (init.clone(), init);
+                    axpy(&mut got1, w[0], v[0]);
+                    fold_portable(&mut want1, [w[0]], [v[0]]);
+                    for i in 0..len {
+                        assert!(same_f32(got[i], want[i]), "axpy4 len={len} i={i}");
+                        assert!(same_f32(got1[i], want1[i]), "axpy len={len} i={i}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The same for [`matmul_rows_into`]: blocks of 1..=5 rows (2-row
+    /// tiles and a lone row), every width 0..=70 (16- and 32-column
+    /// tiles and every tail), and inner sizes on both sides of the 64-wide
+    /// block of the generic loop. Every `A` column `p ≡ 2 (mod 5)` is `±0`
+    /// (both signs are skipped) where `B` holds ±∞ and NaN, so a row that
+    /// multiplies a zero instead of skipping it turns finite outputs into
+    /// NaN; the rest of `B` cycles through [`HOSTILE`]'s finite values,
+    /// and `out` starts at `−0` in every third element.
+    #[test]
+    fn matmul_tiles_have_the_bits_of_the_generic_loop() {
+        let finite: Vec<f32> = HOSTILE.into_iter().filter(|x| x.is_finite()).collect();
+        let special = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY];
+        for k in [1usize, 3, 63, 64, 65, 130] {
+            for n in 0..=70usize {
+                let b: Matrix<f32> = Matrix::from_fn(k, n, |p, j| {
+                    if p % 5 == 2 {
+                        special[(p + j) % 3]
+                    } else {
+                        finite[(p * 3 + j * 5) % finite.len()] * 0.01
+                    }
+                });
+                for rows in 1..=5usize {
+                    let a: Vec<f32> = (0..rows * k)
+                        .map(|x| {
+                            let (i, p) = (x / k, x % k);
+                            match p % 5 {
+                                2 if (i + p) % 2 == 0 => 0.0,
+                                2 => -0.0,
+                                _ => ((i * 31 + p * 17) % 13) as f32 * 0.37 - 2.0,
+                            }
+                        })
+                        .collect();
+                    let init: Vec<f32> = (0..rows * n)
+                        .map(|x| if x % 3 == 0 { -0.0 } else { x as f32 * 0.25 })
+                        .collect();
+                    let (mut got, mut want) = (init.clone(), init);
+                    matmul_rows_into(&mut got, &a, &b);
+                    matmul_rows_portable(&mut want, &a, &b);
+                    for (x, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            same_f32(g, w),
+                            "k={k} n={n} rows={rows} element {x}: {g} vs {w}"
+                        );
+                        assert!(w.is_finite(), "k={k} n={n}: {w}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "value row length differs from out")]
+    fn axpy_rejects_a_short_value_row() {
+        let mut out = [0.0f32; 8];
+        axpy(&mut out, 1.0, &[1.0; 7]);
     }
 
     #[test]

@@ -3,9 +3,12 @@
 //!
 //! Kernels are instantiated at `f32` for performance runs and at `f64` for
 //! strict verification against the paper's `torch.allclose` tolerances
-//! (Section V-A). Keeping the trait minimal keeps the generic kernels easy
-//! for LLVM to auto-vectorize.
+//! (Section V-A). Besides the scalar operations, the trait carries hidden
+//! hooks for the three hot loops of [`crate::ops`] (the four-row dot, the
+//! value fold and the row-block matmul), so that `f32` on `x86_64` can run
+//! SSE2 forms of them with the generic loops' bits.
 
+use crate::matrix::Matrix;
 use std::fmt::{Debug, Display};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -82,10 +85,18 @@ pub trait Real:
     /// Per-type implementation behind [`crate::ops::dot4`] — call that.
     #[doc(hidden)]
     fn dot4(q: &[Self], k: [&[Self]; 4]) -> [Self; 4];
+    /// Per-type implementation behind [`crate::ops::axpy`] and
+    /// [`crate::ops::axpy4`] — call those.
+    #[doc(hidden)]
+    fn fold<const R: usize>(out: &mut [Self], w: [Self; R], v: [&[Self]; R]);
+    /// Per-type implementation behind [`crate::ops::matmul_rows_into`] —
+    /// call that.
+    #[doc(hidden)]
+    fn matmul_rows(out: &mut [Self], a: &[Self], b: &Matrix<Self>);
 }
 
 macro_rules! impl_real {
-    ($t:ty, $dot4:path) => {
+    ($t:ty, $dot4:path, $fold:path, $matmul_rows:path) => {
         impl Real for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -160,12 +171,30 @@ macro_rules! impl_real {
             fn dot4(q: &[Self], k: [&[Self]; 4]) -> [Self; 4] {
                 $dot4(q, k)
             }
+            #[inline(always)]
+            fn fold<const R: usize>(out: &mut [Self], w: [Self; R], v: [&[Self]; R]) {
+                $fold(out, w, v)
+            }
+            #[inline(always)]
+            fn matmul_rows(out: &mut [Self], a: &[Self], b: &Matrix<Self>) {
+                $matmul_rows(out, a, b)
+            }
         }
     };
 }
 
-impl_real!(f32, crate::ops::dot4_f32);
-impl_real!(f64, crate::ops::dot4_portable);
+impl_real!(
+    f32,
+    crate::ops::dot4_f32,
+    crate::ops::fold_f32,
+    crate::ops::matmul_rows_f32
+);
+impl_real!(
+    f64,
+    crate::ops::dot4_portable,
+    crate::ops::fold_portable,
+    crate::ops::matmul_rows_portable
+);
 
 /// The attention scale factor `1/√dk` from Eq. (1) of the paper.
 #[inline]

@@ -24,6 +24,9 @@
 //!   chunk that does not divide `L`, in both types;
 //! - [`MODEL`]: a three-layer `FSF` `DecoderModel` outside the scheduler —
 //!   `forward`, then `forward_prefill_chunked` and `forward_decode`;
+//! - [`MODEL_ODD`]: the same stack at projection widths that are no
+//!   multiple of 16 and a head width that is no multiple of 4, so the
+//!   projections' and the row tile's remainder columns are pinned;
 //! - [`MASKS`]: the CSR structures (`row_offsets`, `col_idx`) the mask
 //!   crate builds at `L = 4096` for the Fig. 6 plans;
 //! - [`SERVED`]: every output of one mixed trace replayed through the
@@ -133,6 +136,16 @@ const MODEL: [(&str, u64, u64); 3] = [
     ("forward", 0x13f532598ae9abdb, 0x3af6f9c021d3f258),
     ("prefill", 0xa964a97d15f2087d, 0x5e160ee90c03b3c6),
     ("decode", 0x63cb16292c69c619, 0x3d70f3adf8572f09),
+];
+
+/// [`MODEL`] at `d_model` 20, two heads of `dk` 10: the projection widths
+/// 60 and 20 are no multiple of 16 and the head width 10 no multiple of 4,
+/// so the projections' and the row tile's remainder columns carry bits
+/// too.
+const MODEL_ODD: [(&str, u64, u64); 3] = [
+    ("forward", 0x63dbdbe9745bf1d1, 0x45e781bd0b0b0883),
+    ("prefill", 0x63842876a2f80244, 0x50d885cfa69d9c8e),
+    ("decode", 0x51843a69a9a1bd6c, 0x843a49973d5cc0ea),
 ];
 
 /// `(mask, digest of its CSR)` at `L = 4096`.
@@ -387,24 +400,25 @@ fn chunked_prefill_digests() {
     check(pair_up(&CHUNKED, &f32s, &f64s), &CHUNKED);
 }
 
-/// A three-layer `FSF` stack (Local `n = 20`, Dilated-1D `w = 40`) run
-/// three ways outside the scheduler: the square `forward` over all
-/// [`L_MODEL`] rows; `forward_prefill_chunked` of the first `L_MODEL − 1`
-/// rows in 7-row chunks; then `forward_decode` of the last row.
-fn model_digests<T: Bits>() -> Vec<u64> {
+/// A three-layer `FSF` stack (Local `n = 20`, Dilated-1D `w = 40`) of
+/// `heads` heads of `dk` over a `d_model` stream, run three ways outside
+/// the scheduler: the square `forward` over all [`L_MODEL`] rows;
+/// `forward_prefill_chunked` of the first `L_MODEL − 1` rows in 7-row
+/// chunks; then `forward_decode` of the last row.
+fn model_digests<T: Bits>(d_model: usize, heads: usize, dk: usize) -> Vec<u64> {
     let local = AttentionPlan::single(AttentionKernel::Local { n: 20 }).unwrap();
     let dilated = AttentionPlan::single(AttentionKernel::Dilated1d { w: 40, r: 1 }).unwrap();
     let model = DecoderModel::<T>::new(
         LayerPattern::parse("FSF").unwrap(),
         vec![('F', local), ('S', dilated)],
-        D_MODEL,
-        HEADS,
-        D_MODEL / HEADS,
+        d_model,
+        heads,
+        dk,
         SEED,
     )
     .unwrap();
     let engine = AttentionEngine::with_threads(2);
-    let x = uniform_matrix::<T>(L_MODEL, D_MODEL, SEED);
+    let x = uniform_matrix::<T>(L_MODEL, d_model, SEED);
     let full = model.forward(&engine, &x).unwrap();
     let mut pool = PagePool::new(3 * L_MODEL / 4, 4);
     let state = ModelKvState::allocate(&model, &mut pool);
@@ -421,8 +435,17 @@ fn model_digests<T: Bits>() -> Vec<u64> {
 
 #[test]
 fn decoder_model_digests() {
-    let (f32s, f64s) = (model_digests::<f32>(), model_digests::<f64>());
+    let dk = D_MODEL / HEADS;
+    let f32s = model_digests::<f32>(D_MODEL, HEADS, dk);
+    let f64s = model_digests::<f64>(D_MODEL, HEADS, dk);
     check(pair_up(&MODEL, &f32s, &f64s), &MODEL);
+}
+
+#[test]
+fn odd_width_decoder_model_digests() {
+    let f32s = model_digests::<f32>(20, 2, 10);
+    let f64s = model_digests::<f64>(20, 2, 10);
+    check(pair_up(&MODEL_ODD, &f32s, &f64s), &MODEL_ODD);
 }
 
 #[test]
