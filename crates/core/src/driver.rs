@@ -23,9 +23,9 @@
 //!
 //! ```text
 //! W_t    = Qi · K_{j_t} / √dk        four key rows per sweep (ops::dot4)
-//! m_new  = max(m, max_t W_t)         one block maximum
+//! m_new  = max(m, max_t W_t)         one block maximum (ops::block_max)
 //! Oi     = exp(m − m_new) · Oi       one rescale (skipped while m holds)
-//! p_t    = exp(W_t − m_new)          one exp per edge, no division
+//! p_t    = exp(W_t − m_new)          one exp per edge (ops::exp_weights)
 //! l      = l·exp(m − m_new) + Σ p_t
 //! Oi     = Oi + Σ p_t · V_{j_t}      four value rows per sweep (ops::axpy4)
 //! ```
@@ -60,9 +60,16 @@
 //!   so through every later edge, step and merge. Inputs are not scanned
 //!   for non-finite values at the engine boundary; the row is the unit of
 //!   damage.
+//! - **The weights' `exp` is the crate's own in `f32` on `x86_64`.** The
+//!   tile computes every `exp` it needs — the weights `p_t` and the
+//!   rescale `exp(m − m_new)` — with [`gpa_tensor::ops::exp_weights`],
+//!   an SSE2 port of glibc's `expf` (2.27 and later, in the FMA build its
+//!   loader picks on a CPU that has FMA) with that `expf`'s bits on every
+//!   input. So the tile's `f32` bits do not depend on the host's libm
+//!   there; `f64`, and `f32` on other targets, call the host's `exp`.
 
 use gpa_parallel::LocalTally;
-use gpa_tensor::ops::{axpy, axpy4, dot, dot4};
+use gpa_tensor::ops::{axpy, axpy4, block_max, dot, dot4, exp_weights};
 use gpa_tensor::{Matrix, Real};
 
 /// Edges a row tile holds before it is absorbed as one block. A constant
@@ -111,21 +118,21 @@ fn absorb_block<'v, T: Real>(
 ) -> bool {
     // A maximum that keeps NaN (`Real::max` drops it), so a NaN score
     // reaches `m` and poisons the row instead of vanishing.
-    let mut m_new = *m;
-    for &w in weights.iter() {
-        if w > m_new || w.is_nan() {
-            m_new = w;
-        }
-    }
+    let m_new = block_max(*m, weights);
     if m_new == T::neg_infinity() {
         return false; // only −∞ scores so far: nothing carries weight
     }
-    // First block of a fresh row: exp(−∞ − m_new) = 0 drops the (zero)
-    // accumulator. While the maximum holds, exp(0) = 1 exactly.
+    // First block of a fresh row: exp(−∞) = 0 drops the (zero)
+    // accumulator. While the maximum holds, exp(0) = 1 exactly. Otherwise
+    // one `exp` through the weights' own routine, in a one-lane block.
     let alpha = if m_new == *m {
         T::ONE
+    } else if *m == T::neg_infinity() {
+        T::ZERO
     } else {
-        (*m - m_new).exp()
+        let mut a = [*m];
+        exp_weights(&mut a, m_new);
+        a[0]
     };
     let kept = *l * alpha;
     let carry = if at_rest { kept } else { alpha };
@@ -134,11 +141,7 @@ fn absorb_block<'v, T: Real>(
             *x *= carry;
         }
     }
-    let mut sum = T::ZERO;
-    for w in weights.iter_mut() {
-        *w = (*w - m_new).exp();
-        sum += *w;
-    }
+    let sum = exp_weights(weights, m_new);
     let quads = weights.len() & !3;
     for t in (0..quads).step_by(4) {
         axpy4(

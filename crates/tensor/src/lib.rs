@@ -10,8 +10,11 @@
 //!   composition exact;
 //! - [`init`]: seeded workload generators matching the paper's uniform
 //!   `[0, 1)` inputs;
-//! - [`ops`]: dot products and blocked matmuls for the dense baselines.
+//! - [`ops`]: dot products, the row tile's block maximum, softmax weights
+//!   and value fold, and the projections' row-block matmul.
 
+#[cfg(any(target_arch = "x86_64", test))]
+mod expf;
 pub mod init;
 pub mod matrix;
 pub mod ops;

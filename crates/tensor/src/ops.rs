@@ -2,18 +2,23 @@
 //! projections.
 //!
 //! Only what the attention pipeline needs: dot products, the row tile's
-//! value fold, and a row-block matmul for the projection layers. Each has
-//! one semantics, fixed to the bit: the order in which every element's
-//! terms are added. The generic loops are that semantics for every type
-//! and target; `f32` on `x86_64` runs baseline SSE2 forms of the three hot
-//! ones ([`dot4`], [`axpy`]/[`axpy4`], [`matmul_rows_into`]) through
-//! hidden [`Real`] hooks, because LLVM does not find the register shapes
-//! they allow: it compiles portable four-row dots to shuffle-heavy code,
-//! versions the fold on an alias check with a scalar epilogue on every
-//! call, and loads and stores the matmul's whole output row once per
-//! inner index. The SSE2 forms add the same terms in the same order, with
-//! a separate multiply and add (no FMA), so they give the same bits, and
-//! the tests below hold each to its generic form.
+//! block maximum, softmax weights and value fold, and a row-block matmul
+//! for the projection layers. Each has one semantics, fixed to the bit:
+//! for the sums, the order in which every element's terms are added. The
+//! generic loops are that semantics for every type and target; `f32` on
+//! `x86_64` runs baseline SSE2 forms of the hot ones ([`dot4`],
+//! [`block_max`], [`exp_weights`], [`axpy`]/[`axpy4`],
+//! [`matmul_rows_into`]) through hidden [`Real`] hooks, because LLVM does
+//! not find the register shapes they allow: it compiles portable four-row
+//! dots to shuffle-heavy code, a NaN-keeping maximum to a serial compare
+//! chain, `exp` to one libm call per element, versions the fold on an
+//! alias check with a scalar epilogue on every call, and loads and stores
+//! the matmul's whole output row once per inner index. The SSE2 sums add
+//! the same terms in the same order, with a separate multiply and add (no
+//! FMA), the maximum falls back to the scalar rule wherever `maxps` could
+//! pick another bit pattern, and the `exp` is a port of glibc's `expf`
+//! with its bits on every input; the tests below hold each to its generic
+//! form (the `exp` to a scalar form of the port).
 
 use crate::matrix::Matrix;
 use crate::real::Real;
@@ -29,9 +34,12 @@ use crate::real::Real;
 /// contracts them into an FMA), and the lanes combine once at the end, so
 /// the summation order — hence the result — is deterministic for a given
 /// length, and [`dot4`] can reproduce it bit for bit.
+///
+/// # Panics
+/// Panics if `a` and `b` differ in length.
 #[inline(always)]
 pub fn dot<T: Real>(a: &[T], b: &[T]) -> T {
-    debug_assert_eq!(a.len(), b.len());
+    assert_eq!(a.len(), b.len(), "dot operands differ in length");
     let split = a.len() & !3;
     let (a_main, a_tail) = a.split_at(split);
     let (b_main, b_tail) = b.split_at(split);
@@ -140,6 +148,167 @@ pub(crate) fn dot4_f32(q: &[f32], k: [&[f32]; 4]) -> [f32; 4] {
         *o = (l[0] + l[1]) + (l[2] + l[3]) + tail;
     }
     out
+}
+
+/// The row tile's block maximum: `m_new = max(m, w[0], w[1], …)` by the
+/// scalar rule `if w > m_new || w.is_nan() { m_new = w }`, in slice
+/// order, from `m_new = m`. So a NaN in `w` wins (the last one, if there
+/// are several) and reaches the row's `m` instead of vanishing, a NaN `m`
+/// stays, and between equal values the first is kept — which decides only
+/// the sign of a `±0` maximum, the one maximum with two bit patterns.
+///
+/// `f32` on `x86_64` takes SSE2 `maxps` over `w` and falls back to the
+/// scalar rule when `w` holds a NaN or the maximum is `±0`; in every
+/// other case the maximum has one bit pattern, so the result is the same.
+#[inline(always)]
+pub fn block_max<T: Real>(m: T, w: &[T]) -> T {
+    T::block_max(m, w)
+}
+
+/// [`block_max`] by its scalar rule — every type and target but `f32` on
+/// `x86_64`, and that one's fallback.
+#[inline(always)]
+pub(crate) fn block_max_portable<T: Real>(m: T, w: &[T]) -> T {
+    let mut m_new = m;
+    for &x in w {
+        if x > m_new || x.is_nan() {
+            m_new = x;
+        }
+    }
+    m_new
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) use block_max_portable as block_max_f32;
+
+/// [`block_max`] for `f32` on `x86_64`: two `maxps` chains over eight
+/// elements a step, one `cmpunordps` for each pair of loads to see a
+/// NaN, and the scalar rule where `maxps` would decide differently — and
+/// below four elements, where it is the cheaper loop.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+pub(crate) fn block_max_f32(m: f32, w: &[f32]) -> f32 {
+    use core::arch::x86_64::{
+        _mm_cmpunord_ps, _mm_cvtss_f32, _mm_loadu_ps, _mm_max_ps, _mm_movehl_ps, _mm_movemask_ps,
+        _mm_or_ps, _mm_set1_ps, _mm_setzero_ps, _mm_shuffle_ps,
+    };
+    let n = w.len();
+    if n < 4 {
+        return block_max_portable(m, w);
+    }
+    // SAFETY: SSE is part of the `x86_64` baseline, so the intrinsics
+    // exist on every CPU this `cfg` compiles for. `step` loads four `f32`s
+    // at `i` and at `j`, and every call passes `i, j <= n − 4`, so both
+    // unaligned loads stay inside `w`.
+    unsafe {
+        let mut top = [_mm_set1_ps(f32::NEG_INFINITY); 2];
+        let mut nan = _mm_setzero_ps();
+        let mut step = |i: usize, j: usize| {
+            let (x0, x1) = (
+                _mm_loadu_ps(w.as_ptr().add(i)),
+                _mm_loadu_ps(w.as_ptr().add(j)),
+            );
+            top = [_mm_max_ps(top[0], x0), _mm_max_ps(top[1], x1)];
+            nan = _mm_or_ps(nan, _mm_cmpunord_ps(x0, x1));
+        };
+        let whole = n & !7;
+        for i in (0..whole).step_by(8) {
+            step(i, i + 4);
+        }
+        if whole < n {
+            // The rest in loads that may overlap the last step: the
+            // maximum and the NaN test take an element twice alike.
+            step(n.saturating_sub(8), n - 4);
+        }
+        let x = _mm_max_ps(top[0], top[1]);
+        let x = _mm_max_ps(x, _mm_movehl_ps(x, x));
+        let x = _mm_cvtss_f32(_mm_max_ps(x, _mm_shuffle_ps::<1>(x, x)));
+        if _mm_movemask_ps(nan) != 0 || x == 0.0 {
+            return block_max_portable(m, w);
+        }
+        if x > m {
+            x
+        } else {
+            m
+        }
+    }
+}
+
+/// The row tile's softmax weights: `w[t] ← exp(w[t] − shift)` for every
+/// `t`, and their sum, added in slice order from `+0`.
+///
+/// `f32` on `x86_64` computes `exp` four lanes at a time in SSE2 with the
+/// bits of glibc's `expf` (a port of its algorithm, the crate's own: no
+/// libm call), the last `len % 4` weights in part of one more vector;
+/// every other type and target calls `exp` one element at a time.
+#[inline(always)]
+pub fn exp_weights<T: Real>(w: &mut [T], shift: T) -> T {
+    T::exp_weights(w, shift)
+}
+
+/// [`exp_weights`] one `exp` at a time — every type and target but `f32`
+/// on `x86_64`.
+#[inline(always)]
+pub(crate) fn exp_weights_portable<T: Real>(w: &mut [T], shift: T) -> T {
+    let mut sum = T::ZERO;
+    for x in w.iter_mut() {
+        *x = (*x - shift).exp();
+        sum += *x;
+    }
+    sum
+}
+
+#[cfg(not(target_arch = "x86_64"))]
+pub(crate) use exp_weights_portable as exp_weights_f32;
+
+/// [`exp_weights`] for `f32` on `x86_64`: the subtraction in `f32` lanes
+/// (as the scalar code rounds it), then [`crate::expf`]'s four-lane `exp`;
+/// the last `len % 4` weights take the top lanes of one more vector.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+pub(crate) fn exp_weights_f32(w: &mut [f32], shift: f32) -> f32 {
+    use crate::expf::exp4;
+    use core::arch::x86_64::{_mm_loadu_ps, _mm_set1_ps, _mm_set_ps, _mm_storeu_ps, _mm_sub_ps};
+    let n = w.len();
+    let r = n % 4;
+    // SAFETY: SSE is part of the `x86_64` baseline, so the intrinsics
+    // exist on every CPU this `cfg` compiles for. Every unaligned load and
+    // store touches the four `f32`s of a slice or array of exactly four,
+    // or of `w[n − 4..]` when `n >= 4`.
+    unsafe {
+        let s = _mm_set1_ps(shift);
+        // The last `r` weights in the top `r` lanes: from four weights
+        // on, the last four (read before the loop below writes any);
+        // below that, padded with `shift`.
+        let tail = match *w {
+            _ if r == 0 => None,
+            [a] => Some(_mm_set_ps(a, shift, shift, shift)),
+            [a, b] => Some(_mm_set_ps(b, a, shift, shift)),
+            [a, b, c] => Some(_mm_set_ps(c, b, a, shift)),
+            _ => Some(_mm_loadu_ps(w[n - 4..].as_ptr())),
+        }
+        .map(|x| exp4(_mm_sub_ps(x, s)));
+        let (body, rest) = w.split_at_mut(n - r);
+        let mut sum = 0.0f32;
+        for c in body.chunks_exact_mut(4) {
+            _mm_storeu_ps(
+                c.as_mut_ptr(),
+                exp4(_mm_sub_ps(_mm_loadu_ps(c.as_ptr()), s)),
+            );
+            for &x in c.iter() {
+                sum += x;
+            }
+        }
+        if let Some(e) = tail {
+            let mut lanes = [0.0f32; 4];
+            _mm_storeu_ps(lanes.as_mut_ptr(), e);
+            for (x, &y) in rest.iter_mut().zip(&lanes[4 - r..]) {
+                *x = y;
+                sum += y;
+            }
+        }
+        sum
+    }
 }
 
 /// `out += w · v` — fold one weighted value row into an accumulator:
@@ -482,6 +651,94 @@ mod tests {
         let q = [1.0f32; 8];
         let short = [1.0f32; 7];
         let _ = dot4(&q, [&q, &q, &short, &q]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dot operands differ in length")]
+    fn dot_rejects_operands_of_different_lengths() {
+        let _ = dot(&[1.0f32; 5], &[1.0f32; 4]);
+    }
+
+    /// [`block_max`] is its scalar rule, bit for bit, at every length
+    /// 0..=33 (SSE2 steps of eight, every padded remainder): over plain
+    /// scores, all `−∞`, a `±0` maximum in both orders of sign, and a NaN
+    /// first, last, and twice with different payloads — from an `m` that
+    /// is `−∞`, `±0`, inside the scores, larger than all of them, or NaN.
+    #[test]
+    fn block_max_has_the_bits_of_the_scalar_rule() {
+        let (nan_a, nan_b) = (f32::from_bits(0x7fc0_0001), f32::from_bits(0xffc0_0002));
+        for len in 0..=33usize {
+            let plain: Vec<f32> = (0..len)
+                .map(|i| ((i * 37) % 23) as f32 * 0.5 - 6.0)
+                .collect();
+            let zeros = |first: f32| -> Vec<f32> {
+                (0..len)
+                    .map(|i| match i % 3 {
+                        0 => first,
+                        1 => -first,
+                        _ => -1.0 - i as f32,
+                    })
+                    .collect()
+            };
+            let mut cases = vec![
+                plain.clone(),
+                vec![f32::NEG_INFINITY; len],
+                zeros(0.0),
+                zeros(-0.0),
+            ];
+            for at in [0, len / 2, len.saturating_sub(1)] {
+                for (second, nan) in [(None, nan_a), (len.checked_sub(1 + at / 2), nan_b)] {
+                    let mut w = plain.clone();
+                    if let Some(x) = w.get_mut(at) {
+                        *x = nan_a;
+                    }
+                    if let Some(x) = second.and_then(|j| w.get_mut(j)) {
+                        *x = nan;
+                    }
+                    cases.push(w);
+                }
+            }
+            for w in &cases {
+                for m in [f32::NEG_INFINITY, -0.0, 0.0, -3.0, 100.0, nan_b] {
+                    let (got, want) = (block_max(m, w), block_max_portable(m, w));
+                    assert_eq!(got.to_bits(), want.to_bits(), "len={len} m={m} w={w:?}");
+                }
+            }
+        }
+    }
+
+    /// [`exp_weights`] for `f32` on `x86_64`: each weight has the bits of
+    /// the `exp` port's scalar form at `w − shift` (rounded in `f32`), at
+    /// every length 0..=13 (tails 0..=3, the lone lane of a tile's
+    /// rescale included), and the sum is theirs added left to right.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn exp_weights_have_the_bits_of_the_scalar_form() {
+        use crate::expf::scalar_form;
+        let scores = [-7.5f32, 0.0, 88.9, -0.0, -103.5, 3.25, -87.5, 32.564632];
+        for len in 0..=13usize {
+            for shift in [0.0f32, 2.5, -60.0, f32::NEG_INFINITY, f32::NAN] {
+                let w0: Vec<f32> = (0..len)
+                    .map(|i| {
+                        let x = scores[(i * 3) % scores.len()];
+                        if i % 5 == 4 {
+                            HOSTILE[i % HOSTILE.len()]
+                        } else {
+                            x
+                        }
+                    })
+                    .collect();
+                let mut w = w0.clone();
+                let sum = exp_weights(&mut w, shift);
+                let mut want_sum = 0.0f32;
+                for (t, (&x, &got)) in w0.iter().zip(&w).enumerate() {
+                    let want = scalar_form(x - shift);
+                    assert!(same_f32(got, want), "len={len} shift={shift} t={t}");
+                    want_sum += want;
+                }
+                assert!(same_f32(sum, want_sum), "len={len} shift={shift}: sum");
+            }
+        }
     }
 
     #[test]

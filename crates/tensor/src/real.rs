@@ -4,9 +4,11 @@
 //! Kernels are instantiated at `f32` for performance runs and at `f64` for
 //! strict verification against the paper's `torch.allclose` tolerances
 //! (Section V-A). Besides the scalar operations, the trait carries hidden
-//! hooks for the three hot loops of [`crate::ops`] (the four-row dot, the
-//! value fold and the row-block matmul), so that `f32` on `x86_64` can run
-//! SSE2 forms of them with the generic loops' bits.
+//! hooks for the hot loops of [`crate::ops`] (the four-row dot, the row
+//! tile's block maximum and softmax weights, the value fold and the
+//! row-block matmul), so that `f32` on `x86_64` can run SSE2 forms of
+//! them with the generic loops' bits — for the weights, the bits of
+//! glibc's `expf`.
 
 use crate::matrix::Matrix;
 use std::fmt::{Debug, Display};
@@ -85,6 +87,14 @@ pub trait Real:
     /// Per-type implementation behind [`crate::ops::dot4`] — call that.
     #[doc(hidden)]
     fn dot4(q: &[Self], k: [&[Self]; 4]) -> [Self; 4];
+    /// Per-type implementation behind [`crate::ops::block_max`] — call
+    /// that.
+    #[doc(hidden)]
+    fn block_max(m: Self, w: &[Self]) -> Self;
+    /// Per-type implementation behind [`crate::ops::exp_weights`] — call
+    /// that.
+    #[doc(hidden)]
+    fn exp_weights(w: &mut [Self], shift: Self) -> Self;
     /// Per-type implementation behind [`crate::ops::axpy`] and
     /// [`crate::ops::axpy4`] — call those.
     #[doc(hidden)]
@@ -96,7 +106,7 @@ pub trait Real:
 }
 
 macro_rules! impl_real {
-    ($t:ty, $dot4:path, $fold:path, $matmul_rows:path) => {
+    ($t:ty, $dot4:path, $block_max:path, $exp_weights:path, $fold:path, $matmul_rows:path) => {
         impl Real for $t {
             const ZERO: Self = 0.0;
             const ONE: Self = 1.0;
@@ -172,6 +182,14 @@ macro_rules! impl_real {
                 $dot4(q, k)
             }
             #[inline(always)]
+            fn block_max(m: Self, w: &[Self]) -> Self {
+                $block_max(m, w)
+            }
+            #[inline(always)]
+            fn exp_weights(w: &mut [Self], shift: Self) -> Self {
+                $exp_weights(w, shift)
+            }
+            #[inline(always)]
             fn fold<const R: usize>(out: &mut [Self], w: [Self; R], v: [&[Self]; R]) {
                 $fold(out, w, v)
             }
@@ -186,12 +204,16 @@ macro_rules! impl_real {
 impl_real!(
     f32,
     crate::ops::dot4_f32,
+    crate::ops::block_max_f32,
+    crate::ops::exp_weights_f32,
     crate::ops::fold_f32,
     crate::ops::matmul_rows_f32
 );
 impl_real!(
     f64,
     crate::ops::dot4_portable,
+    crate::ops::block_max_portable,
+    crate::ops::exp_weights_portable,
     crate::ops::fold_portable,
     crate::ops::matmul_rows_portable
 );

@@ -100,8 +100,11 @@ impl<T: Real> OnlineSoftmaxState<T> {
 ///
 /// An all-`−∞` row (fully masked) produces all zeros, matching the masked
 /// SDP convention the paper verifies against.
+///
+/// # Panics
+/// Panics if `scores` and `out` differ in length.
 pub fn softmax_slice<T: Real>(scores: &[T], out: &mut [T]) {
-    debug_assert_eq!(scores.len(), out.len());
+    assert_eq!(scores.len(), out.len(), "scores and out differ in length");
     let split = scores.len() & !3;
     let (s_main, s_tail) = scores.split_at(split);
     let mut m4 = [T::neg_infinity(); 4];
@@ -164,8 +167,11 @@ pub fn softmax_slice<T: Real>(scores: &[T], out: &mut [T]) {
 /// normalizer, so a block costs 5 `exp`s instead of the scalar
 /// recurrence's 8. The block sum is combined in the fixed order
 /// `(e0+e1)+(e2+e3)`, making the result deterministic for a given length.
+///
+/// # Panics
+/// Panics if `scores` and `out` differ in length.
 pub fn online_softmax_slice<T: Real>(scores: &[T], out: &mut [T]) {
-    debug_assert_eq!(scores.len(), out.len());
+    assert_eq!(scores.len(), out.len(), "scores and out differ in length");
     let split = scores.len() & !3;
     let (s_main, s_tail) = scores.split_at(split);
     let mut state: OnlineSoftmaxState<T> = OnlineSoftmaxState::new();
@@ -228,6 +234,18 @@ mod tests {
         softmax_slice(&scores, &mut std_out);
         online_softmax_slice(&scores, &mut onl_out);
         assert_slices_close(&std_out, &onl_out, 1e-14);
+    }
+
+    #[test]
+    #[should_panic(expected = "scores and out differ in length")]
+    fn softmax_rejects_an_output_of_another_length() {
+        softmax_slice(&[0.5f32; 5], &mut [0.0; 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "scores and out differ in length")]
+    fn online_softmax_rejects_an_output_of_another_length() {
+        online_softmax_slice(&[0.5f32; 4], &mut [0.0; 5]);
     }
 
     #[test]

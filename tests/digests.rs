@@ -27,6 +27,10 @@
 //! - [`MODEL_ODD`]: the same stack at projection widths that are no
 //!   multiple of 16 and a head width that is no multiple of 4, so the
 //!   projections' and the row tile's remainder columns are pinned;
+//! - [`MODEL_ZEROS`], [`ZERO_QUERIES`]: inputs with exact zeros (see
+//!   [`with_exact_zeros`]) — the stack's input, so the projections skip
+//!   zero factors end to end, and the queries of Fig. 6's Longformer
+//!   plan, so whole rows score `0` and take the row tile's `±0` maximum;
 //! - [`MASKS`]: the CSR structures (`row_offsets`, `col_idx`) the mask
 //!   crate builds at `L = 4096` for the Fig. 6 plans;
 //! - [`SERVED`]: every output of one mixed trace replayed through the
@@ -148,6 +152,21 @@ const MODEL_ODD: [(&str, u64, u64); 3] = [
     ("decode", 0x51843a69a9a1bd6c, 0x843a49973d5cc0ea),
 ];
 
+/// [`MODEL`] over an input [`with_exact_zeros`].
+const MODEL_ZEROS: [(&str, u64, u64); 3] = [
+    ("forward", 0x38be9e334abc136b, 0x9737162a16a39f23),
+    ("prefill", 0x39b52fd2ca210b0e, 0x0e6aec97aae85c32),
+    ("decode", 0xfb04eafd1f631b59, 0xd77fc7813ee01d9e),
+];
+
+/// `(plan, run digest, decode digest)` of Fig. 6's Longformer plan at
+/// `L = 256` with queries [`with_exact_zeros`] (the decoded last row is
+/// all `−0`), in `f32` and in `f64`.
+const ZERO_QUERIES: [(&str, u64, u64); 2] = [
+    ("Loc + Glo f32", 0x7766f430ee9003d3, 0xc97665d1ec168797),
+    ("Loc + Glo f64", 0x7dab96b9c044e80d, 0x3b2f2f6e53dea5b1),
+];
+
 /// `(mask, digest of its CSR)` at `L = 4096`.
 const MASKS: [(&str, u64); 4] = [
     ("longformer_dilated", 0x182ab5bbcd3c3e34),
@@ -232,6 +251,19 @@ fn digests<T: Bits>(
     band: &[i64],
     expected: &[(&str, u64, u64)],
 ) -> Vec<(String, u64, u64)> {
+    let (q, k, v) = qkv::<T>(fig6.l, DK, SEED);
+    plan_digests(fig6, band, expected, &q, &k, &v)
+}
+
+/// [`digests`] over the given inputs.
+fn plan_digests<T: Bits>(
+    fig6: &Fig6,
+    band: &[i64],
+    expected: &[(&str, u64, u64)],
+    q: &Matrix<T>,
+    k: &Matrix<T>,
+    v: &Matrix<T>,
+) -> Vec<(String, u64, u64)> {
     let (l, w) = (fig6.l, fig6.w);
     let bigbird = fig6.covered.union(&fig6.random_rest);
     let bigbird_coo = bigbird.to_coo();
@@ -261,18 +293,17 @@ fn digests<T: Bits>(
     ];
 
     let engine = AttentionEngine::with_threads(2);
-    let (q, k, v) = qkv::<T>(l, DK, SEED);
     let last = |m: &Matrix<T>| m.rows_slice(l - 1, l);
     expected
         .iter()
         .map(|&(name, _, _)| {
             let (_, steps) = plans.iter().find(|(n, _)| *n == name).unwrap();
             let plan = engine.compile(steps).unwrap();
-            let out = engine.run(&plan, &q, &k, &v).unwrap();
+            let out = engine.run(&plan, q, k, v).unwrap();
             let mut cache = KvCache::single(DK, DK);
             cache.extend(0, &k.rows_slice(0, l - 1), &v.rows_slice(0, l - 1));
             let row = engine
-                .decode_step(&plan, &last(&q), &last(&k), &last(&v), &mut cache)
+                .decode_step(&plan, &last(q), &last(k), &last(v), &mut cache)
                 .unwrap();
             assert_eq!((out.shape(), row.shape()), ((l, DK), (1, DK)));
             (name.to_string(), digest(&out), digest(&row))
@@ -300,6 +331,25 @@ fn check(got: Vec<(String, u64, u64)>, expected: &[(&str, u64, u64)]) {
 /// The band of the `L = 256` tables: three diagonals.
 fn short_band() -> Vec<i64> {
     vec![-((L / 16) as i64), -1, 0]
+}
+
+/// Exact zeros in `m`: every row `i ≡ 1 (mod 4)` all `+0`, every row
+/// `i ≡ 3 (mod 4)` all `−0`, and in the other rows every seventh element
+/// (counted row-major) `+0` or `−0` by turns.
+fn with_exact_zeros<T: Real>(m: &mut Matrix<T>) {
+    let cols = m.cols();
+    for i in 0..m.rows() {
+        for (j, x) in m.row_mut(i).iter_mut().enumerate() {
+            let at = i * cols + j;
+            *x = match i % 4 {
+                1 => T::ZERO,
+                3 => -T::ZERO,
+                _ if at % 7 == 2 && at % 2 == 0 => T::ZERO,
+                _ if at % 7 == 2 => -T::ZERO,
+                _ => *x,
+            };
+        }
+    }
 }
 
 #[test]
@@ -332,6 +382,26 @@ fn long_band() -> Vec<i64> {
 fn f32_digests_at_4096() {
     let fig6 = Fig6::new(L_LONG);
     check(digests::<f32>(&fig6, &long_band(), &F32_LONG), &F32_LONG);
+}
+
+/// One Longformer row of [`ZERO_QUERIES`]: its name with `ty` appended.
+fn zero_query_digests<T: Bits>(fig6: &Fig6, ty: &str) -> (String, u64, u64) {
+    let (mut q, k, v) = qkv::<T>(fig6.l, DK, SEED);
+    with_exact_zeros(&mut q);
+    let (name, run, decode) = plan_digests(fig6, &short_band(), &LONGFORMER_F32, &q, &k, &v)
+        .pop()
+        .unwrap();
+    (format!("{name} {ty}"), run, decode)
+}
+
+#[test]
+fn zero_query_digests_take_the_signed_zero_maximum() {
+    let fig6 = Fig6::new(L);
+    let got = vec![
+        zero_query_digests::<f32>(&fig6, "f32"),
+        zero_query_digests::<f64>(&fig6, "f64"),
+    ];
+    check(got, &ZERO_QUERIES);
 }
 
 #[test]
@@ -405,7 +475,7 @@ fn chunked_prefill_digests() {
 /// the scheduler: the square `forward` over all [`L_MODEL`] rows;
 /// `forward_prefill_chunked` of the first `L_MODEL − 1` rows in 7-row
 /// chunks; then `forward_decode` of the last row.
-fn model_digests<T: Bits>(d_model: usize, heads: usize, dk: usize) -> Vec<u64> {
+fn model_digests<T: Bits>(d_model: usize, heads: usize, dk: usize, zeros: bool) -> Vec<u64> {
     let local = AttentionPlan::single(AttentionKernel::Local { n: 20 }).unwrap();
     let dilated = AttentionPlan::single(AttentionKernel::Dilated1d { w: 40, r: 1 }).unwrap();
     let model = DecoderModel::<T>::new(
@@ -418,7 +488,10 @@ fn model_digests<T: Bits>(d_model: usize, heads: usize, dk: usize) -> Vec<u64> {
     )
     .unwrap();
     let engine = AttentionEngine::with_threads(2);
-    let x = uniform_matrix::<T>(L_MODEL, d_model, SEED);
+    let mut x = uniform_matrix::<T>(L_MODEL, d_model, SEED);
+    if zeros {
+        with_exact_zeros(&mut x);
+    }
     let full = model.forward(&engine, &x).unwrap();
     let mut pool = PagePool::new(3 * L_MODEL / 4, 4);
     let state = ModelKvState::allocate(&model, &mut pool);
@@ -436,16 +509,27 @@ fn model_digests<T: Bits>(d_model: usize, heads: usize, dk: usize) -> Vec<u64> {
 #[test]
 fn decoder_model_digests() {
     let dk = D_MODEL / HEADS;
-    let f32s = model_digests::<f32>(D_MODEL, HEADS, dk);
-    let f64s = model_digests::<f64>(D_MODEL, HEADS, dk);
+    let f32s = model_digests::<f32>(D_MODEL, HEADS, dk, false);
+    let f64s = model_digests::<f64>(D_MODEL, HEADS, dk, false);
     check(pair_up(&MODEL, &f32s, &f64s), &MODEL);
 }
 
 #[test]
 fn odd_width_decoder_model_digests() {
-    let f32s = model_digests::<f32>(20, 2, 10);
-    let f64s = model_digests::<f64>(20, 2, 10);
+    let f32s = model_digests::<f32>(20, 2, 10, false);
+    let f64s = model_digests::<f64>(20, 2, 10, false);
     check(pair_up(&MODEL_ODD, &f32s, &f64s), &MODEL_ODD);
+}
+
+/// The zero-skip of the projections, end to end: whole input rows of `+0`
+/// and of `−0` (the decoded last row is all `−0`) and scattered signed
+/// zeros elsewhere.
+#[test]
+fn exact_zero_decoder_model_digests() {
+    let dk = D_MODEL / HEADS;
+    let f32s = model_digests::<f32>(D_MODEL, HEADS, dk, true);
+    let f64s = model_digests::<f64>(D_MODEL, HEADS, dk, true);
+    check(pair_up(&MODEL_ZEROS, &f32s, &f64s), &MODEL_ZEROS);
 }
 
 #[test]
