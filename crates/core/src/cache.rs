@@ -96,9 +96,9 @@ impl<T: Real> KvCache<T> {
     }
 
     /// Bytes of K/V payload this cache holds:
-    /// `heads × len × (dk + dv) × size_of::<T>()`. This is the quantity a
-    /// host-side [`crate::SwapArena`] accounts when a preempted sequence
-    /// parks its cache instead of dropping it.
+    /// `heads × len × (dk + dv) × size_of::<T>()`. This is what a
+    /// preempted sequence's held cache counts for while it is outside the
+    /// pool.
     pub fn kv_bytes(&self) -> usize {
         self.heads() * self.len() * (self.dk() + self.dv()) * std::mem::size_of::<T>()
     }

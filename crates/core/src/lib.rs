@@ -83,6 +83,7 @@ pub use geometry::Geometry;
 pub use kernels::CooSearch;
 pub use multihead::{MultiHeadAttention, ProjectedHeads};
 pub use options::KernelOptions;
+// `SwapArena` and its `SwapTicket` stay for the serving benchmark alone.
 pub use pages::{PagePool, SeqId, SwapArena, SwapTicket};
 pub use plan::AttentionPlan;
 pub use routing::{RoutedSpec, Router, Routing};

@@ -31,26 +31,23 @@
 //! conserved (`free + mapped == total`, asserted by
 //! [`PagePool::assert_page_invariants`]), and never double-mapped.
 //!
-//! **Evict-and-swap** rides behind that same accounting layer: a
-//! [`SwapArena`] is the host-side parking lot for evicted caches (a
-//! reservation has nothing to park: its rows never left their owner). A
-//! scheduler releases the victim's pages and [`SwapArena::try_park`]s the
-//! whole per-layer cache stack — K/V rows and routing state move as-is,
-//! `O(1)` in context length; a stack the arena refuses stays with its
-//! owner, outside the pool. Nothing is ever rebuilt. Resume is
-//! [`SwapArena::take`] + [`PagePool::try_adopt`] (all-or-nothing),
-//! splicing the identical bytes back under a fresh page table. Arena capacity is accounted in **bytes**
-//! ([`KvCache::kv_bytes`]), parking is all-or-nothing, and conservation
-//! extends across both structures: every cached token is either pool-paged
-//! or arena-parked, never both, never lost
-//! ([`SwapArena::assert_swap_invariants`]).
+//! **Eviction** rides behind that same accounting layer: a scheduler
+//! [`PagePool::release`]s a victim's caches and holds them itself (a
+//! reservation has nothing to hold: its rows never left their owner) —
+//! K/V rows and routing state move as-is, `O(1)` in context length, and
+//! nothing is ever rebuilt. Resume is [`PagePool::try_adopt`]
+//! (all-or-nothing), splicing the identical bytes back under a fresh page
+//! table. The held bytes are the owner's to count ([`KvCache::kv_bytes`]).
 //!
-//! Handles are generation-checked exactly as before: using a released or
-//! stale [`SeqId`] / [`SwapTicket`] panics, because indices are recycled
-//! and a stale handle is a logic error, not a recoverable condition.
+//! Handles are generation-checked: using a released or stale [`SeqId`]
+//! panics, because indices are recycled and a stale handle is a logic
+//! error, not a recoverable condition. [`SwapArena`] is what is left of
+//! a host-side parking lot for evicted caches, kept for the serving
+//! benchmark's timing ladder.
 
 use crate::cache::KvCache;
 use gpa_tensor::{Matrix, Real};
+use std::convert::Infallible;
 
 /// Opaque handle to one live sequence in a [`PagePool`].
 ///
@@ -540,116 +537,58 @@ pub struct SwapTicket {
 }
 
 struct SwapEntry<T> {
-    /// The victim's per-layer caches, in layer order (a bare attention
-    /// sequence parks a single-element stack).
+    /// The victim's per-layer caches, in layer order.
     caches: Vec<KvCache<T>>,
-    bytes: usize,
     generation: u64,
 }
 
-/// Host-side parking lot for evicted [`KvCache`] stacks — the
-/// evict-and-**swap** half of preemption.
-///
-/// When a scheduler preempts a sequence it releases the victim's pages
-/// back to the [`PagePool`] and parks the whole per-layer stack here. The
-/// caches move by value — K/V rows and routing state untouched — so
-/// resume is a splice ([`Self::take`] + [`PagePool::try_adopt`]), `O(1)`
-/// in context length.
-///
-/// Capacity is accounted in **bytes** of K/V payload
-/// ([`KvCache::kv_bytes`]); parking is all-or-nothing: a stack that does
-/// not fit is handed back untouched, for the caller to hold outside the
-/// pool. Conservation across pool and arena is asserted by
-/// [`Self::assert_swap_invariants`] plus the scheduler's ledger checks.
+/// A ticketed parking lot for evicted [`KvCache`] stacks, with no byte
+/// cap. The scheduler holds a preempted stack in its own record instead;
+/// this stays **only** because the frozen serving benchmark
+/// (`benchmark/src/ladder.rs`) times a park and a take through it. It
+/// goes when a benchmark change can drop that probe.
 ///
 /// ```
 /// use gpa_core::{PagePool, SwapArena};
 ///
 /// let mut pool: PagePool<f32> = PagePool::new(2, 2);
-/// let mut arena: SwapArena<f32> = SwapArena::new(1 << 20);
+/// let mut arena: SwapArena<f32> = SwapArena::unbounded();
 /// let seq = pool.allocate(4, 4);
 /// assert!(pool.try_append(seq, &[0.5; 4], &[0.25; 4]));
 ///
 /// // Preempt: pages go back to the pool, the cache parks in the arena.
 /// let cache = pool.release(seq);
-/// let ticket = arena.try_park(vec![cache]).expect("fits the arena");
+/// let ticket = arena.try_park(vec![cache]).expect("never refuses");
 /// assert_eq!(pool.free_pages(), 2);
-/// assert_eq!(arena.parked_bytes(), 4 * (4 + 4) * 1);
 ///
 /// // Resume: take the stack and re-adopt its pages — no re-extension.
 /// let mut stack = arena.take(ticket);
 /// let seq = pool.try_adopt(stack.pop().unwrap()).expect("pages are free");
 /// assert_eq!(pool.cache(seq).len(), 1);
 /// assert_eq!(pool.cache(seq).k(0).row(0), &[0.5; 4]);
-/// assert!(arena.is_empty());
 /// ```
 pub struct SwapArena<T> {
-    capacity_bytes: usize,
-    parked_bytes: usize,
-    peak_bytes: usize,
     entries: Vec<Option<SwapEntry<T>>>,
     free: Vec<usize>,
     next_generation: u64,
 }
 
 impl<T: Real> SwapArena<T> {
-    /// Empty arena holding at most `capacity_bytes` bytes of parked K/V
-    /// payload.
-    pub fn new(capacity_bytes: usize) -> Self {
+    /// An empty arena.
+    pub fn unbounded() -> Self {
         SwapArena {
-            capacity_bytes,
-            parked_bytes: 0,
-            peak_bytes: 0,
             entries: Vec::new(),
             free: Vec::new(),
             next_generation: 0,
         }
     }
 
-    /// Arena with no byte cap — every park succeeds.
-    pub fn unbounded() -> Self {
-        Self::new(usize::MAX)
-    }
-
-    /// Bytes of K/V payload currently parked.
-    pub fn parked_bytes(&self) -> usize {
-        self.parked_bytes
-    }
-
-    /// High-water mark of [`Self::parked_bytes`] over the arena's life.
-    pub fn peak_bytes(&self) -> usize {
-        self.peak_bytes
-    }
-
-    /// Number of parked stacks.
-    pub fn len(&self) -> usize {
-        self.entries.iter().flatten().count()
-    }
-
-    /// True when nothing is parked.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Park a per-layer cache stack. All-or-nothing on the byte cap:
-    /// returns the stack untouched, in order, when its
-    /// [`KvCache::kv_bytes`] total would push [`Self::parked_bytes`] past
-    /// the arena's byte cap — the caller then holds it outside the
-    /// pool.
-    pub fn try_park(&mut self, caches: Vec<KvCache<T>>) -> Result<SwapTicket, Vec<KvCache<T>>> {
-        let bytes: usize = caches.iter().map(KvCache::kv_bytes).sum();
-        if self.parked_bytes.saturating_add(bytes) > self.capacity_bytes {
-            return Err(caches);
-        }
-        self.parked_bytes += bytes;
-        self.peak_bytes = self.peak_bytes.max(self.parked_bytes);
+    /// Park a per-layer cache stack. It never refuses; the `Result` is
+    /// the shape the benchmark's `expect` was written against.
+    pub fn try_park(&mut self, caches: Vec<KvCache<T>>) -> Result<SwapTicket, Infallible> {
         let generation = self.next_generation;
         self.next_generation += 1;
-        let entry = SwapEntry {
-            caches,
-            bytes,
-            generation,
-        };
+        let entry = SwapEntry { caches, generation };
         let index = match self.free.pop() {
             Some(index) => {
                 self.entries[index] = Some(entry);
@@ -663,78 +602,17 @@ impl<T: Real> SwapArena<T> {
         Ok(SwapTicket { index, generation })
     }
 
-    /// Take a parked stack back, in the layer order it was parked, and
-    /// reclaim its arena bytes. The ticket is dead afterwards.
+    /// Take a parked stack back, in the layer order it was parked. The
+    /// ticket is dead afterwards.
     ///
     /// # Panics
     /// Panics on a taken or stale ticket.
     pub fn take(&mut self, ticket: SwapTicket) -> Vec<KvCache<T>> {
-        let entry = self.entries[ticket.index]
-            .take()
-            .expect("taken swap ticket");
-        assert_eq!(entry.generation, ticket.generation, "stale swap ticket");
-        self.parked_bytes -= entry.bytes;
+        let slot = &mut self.entries[ticket.index];
+        let generation = slot.as_ref().expect("taken swap ticket").generation;
+        assert_eq!(generation, ticket.generation, "stale swap ticket");
         self.free.push(ticket.index);
-        entry.caches
-    }
-
-    /// Bytes the ticket's stack holds in the arena — the scheduler's
-    /// ledger cross-check.
-    ///
-    /// # Panics
-    /// Panics on a taken or stale ticket.
-    pub fn bytes_of(&self, ticket: SwapTicket) -> usize {
-        let entry = self.entries[ticket.index]
-            .as_ref()
-            .expect("taken swap ticket");
-        assert_eq!(entry.generation, ticket.generation, "stale swap ticket");
-        entry.bytes
-    }
-
-    /// Assert the arena's accounting invariants: the parked-byte ledger
-    /// equals the recomputed sum of every entry's [`KvCache::kv_bytes`],
-    /// the ledger never exceeds capacity, and the peak covers the
-    /// current level. The serving simulation calls this (via the
-    /// scheduler) after every tick, alongside
-    /// [`PagePool::assert_page_invariants`] — together they pin that
-    /// every cached token is either pool-paged or arena-parked.
-    ///
-    /// # Panics
-    /// Panics when an invariant is violated.
-    pub fn assert_swap_invariants(&self) {
-        let recomputed: usize = self
-            .entries
-            .iter()
-            .flatten()
-            .map(|e| {
-                let bytes: usize = e.caches.iter().map(KvCache::kv_bytes).sum();
-                assert_eq!(e.bytes, bytes, "entry ledger drifted from its caches");
-                bytes
-            })
-            .sum();
-        assert_eq!(
-            self.parked_bytes, recomputed,
-            "arena ledger drifted: {} recorded, {recomputed} recomputed",
-            self.parked_bytes
-        );
-        assert!(
-            self.parked_bytes <= self.capacity_bytes,
-            "arena over capacity: {} parked > {} cap",
-            self.parked_bytes,
-            self.capacity_bytes
-        );
-        assert!(self.peak_bytes >= self.parked_bytes, "peak below current");
-    }
-}
-
-impl<T: Real> std::fmt::Debug for SwapArena<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SwapArena")
-            .field("stacks", &self.len())
-            .field("parked_bytes", &self.parked_bytes)
-            .field("peak_bytes", &self.peak_bytes)
-            .field("capacity_bytes", &self.capacity_bytes)
-            .finish()
+        slot.take().expect("checked above").caches
     }
 }
 
@@ -960,8 +838,6 @@ mod tests {
     fn debug_formats() {
         let pool: PagePool<f32> = PagePool::new(3, 2);
         assert!(format!("{pool:?}").contains("PagePool"));
-        let arena: SwapArena<f32> = SwapArena::unbounded();
-        assert!(format!("{arena:?}").contains("SwapArena"));
     }
 
     /// A two-layer stack with distinct rows per layer, for swap tests.
@@ -981,45 +857,12 @@ mod tests {
         let mut arena: SwapArena<f64> = SwapArena::unbounded();
         let parked = stack(3, 7);
         let expect: Vec<Vec<f64>> = parked.iter().map(|c| c.k(0).row(2).to_vec()).collect();
-        let bytes: usize = parked.iter().map(KvCache::kv_bytes).sum();
-        let ticket = arena.try_park(parked).expect("unbounded");
-        assert_eq!(arena.len(), 1);
-        assert_eq!(arena.parked_bytes(), bytes);
-        assert_eq!(arena.bytes_of(ticket), bytes);
-        arena.assert_swap_invariants();
+        let ticket = arena.try_park(parked).expect("never refuses");
         let taken = arena.take(ticket);
         assert_eq!(taken.len(), 2, "layer order preserved");
         for (layer, cache) in taken.iter().enumerate() {
             assert_eq!(cache.k(0).row(2), &expect[layer][..]);
         }
-        assert!(arena.is_empty());
-        assert_eq!(arena.parked_bytes(), 0);
-        assert_eq!(arena.peak_bytes(), bytes, "peak survives the take");
-        arena.assert_swap_invariants();
-    }
-
-    #[test]
-    fn over_capacity_park_returns_the_stack_untouched() {
-        // One layer of 3 tokens x (2+2) widths x 8 bytes = 96; two layers
-        // = 192 bytes. Cap below that refuses all-or-nothing.
-        let mut arena: SwapArena<f64> = SwapArena::new(191);
-        let refused = match arena.try_park(stack(3, 1)) {
-            Err(stack) => stack,
-            Ok(_) => panic!("park must refuse past the byte cap"),
-        };
-        assert_eq!(refused.len(), 2, "refusal returns every layer in order");
-        assert_eq!(refused[0].len(), 3);
-        assert_eq!(arena.parked_bytes(), 0);
-        assert_eq!(arena.peak_bytes(), 0, "refusal leaves no trace");
-        arena.assert_swap_invariants();
-        // At exactly the cap, the same stack parks.
-        let mut arena: SwapArena<f64> = SwapArena::new(192);
-        assert!(arena.try_park(stack(3, 1)).is_ok());
-        assert!(
-            arena.try_park(vec![KvCache::<f64>::single(1, 1)]).is_ok(),
-            "an empty cache costs zero bytes"
-        );
-        arena.assert_swap_invariants();
     }
 
     #[test]
@@ -1030,7 +873,7 @@ mod tests {
         let b = arena.try_park(stack(2, 1)).unwrap();
         assert_ne!(a, b, "recycled index, fresh generation");
         let stale = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = arena.bytes_of(a);
+            let _ = arena.take(a);
         }));
         assert!(stale.is_err(), "stale ticket must panic");
         assert_eq!(arena.take(b).len(), 2);
@@ -1043,20 +886,5 @@ mod tests {
         let a = arena.try_park(stack(1, 0)).unwrap();
         let _ = arena.take(a);
         let _ = arena.take(a);
-    }
-
-    #[test]
-    fn peak_bytes_tracks_the_high_water_mark() {
-        let mut arena: SwapArena<f64> = SwapArena::unbounded();
-        let a = arena.try_park(stack(2, 0)).unwrap();
-        let b = arena.try_park(stack(4, 1)).unwrap();
-        let high = arena.parked_bytes();
-        let _ = arena.take(a);
-        let _ = arena.take(b);
-        let c = arena.try_park(stack(1, 2)).unwrap();
-        assert!(arena.parked_bytes() < high);
-        assert_eq!(arena.peak_bytes(), high);
-        let _ = arena.take(c);
-        arena.assert_swap_invariants();
     }
 }

@@ -806,32 +806,24 @@ mod tests {
         assert_eq!(caches.len(), 2);
         assert_eq!(caches[0].len(), 3);
         assert_eq!(pool.free_pages(), 4);
-        // The scheduler's park/resume path: the released stack transits
-        // a swap arena as ONE entry (`release` + `try_park`, then `take`
-        // + `adopt`).
-        let mut arena: gpa_core::SwapArena<f64> = gpa_core::SwapArena::unbounded();
-        let ticket = arena.try_park(caches).expect("unbounded arena");
-        arena.assert_swap_invariants();
-        // A squatter takes enough pages that only one layer fits: the
-        // adopt must be all-or-nothing and return the caches in order —
-        // whole, so the stack can go straight back to the arena.
+        // The scheduler's park/resume path: the released stack is held
+        // as ONE value (`release`, then `adopt`). A squatter takes enough
+        // pages that only one layer fits: the adopt must be
+        // all-or-nothing and return the caches in order — whole, so the
+        // stack can be held again.
         let squat = pool.allocate(2, 2);
         assert!(pool.try_extend(
             squat,
             &gaussian_matrix(3, 2, 1.0, 1),
             &gaussian_matrix(3, 2, 1.0, 2)
         ));
-        let caches = match ModelKvState::adopt(arena.take(ticket), &mut pool) {
+        let caches = match ModelKvState::adopt(caches, &mut pool) {
             Err(caches) => caches,
             Ok(_) => panic!("adopt must fail under page pressure"),
         };
         assert_eq!(caches.len(), 2);
         assert!(caches.iter().all(|c| c.len() == 3));
         pool.assert_page_invariants();
-        let ticket = arena.try_park(caches).expect("its bytes were just freed");
-        assert_eq!(arena.len(), 1);
-        let caches = arena.take(ticket);
-        assert!(arena.is_empty());
         // Squatter gone → adoption succeeds and the resumed state decodes
         // bitwise-identically to never having been evicted.
         pool.release(squat);

@@ -35,14 +35,12 @@
 //! continuing when pages free up. There is one park/resume path: a plan
 //! victim keeps nothing but its inputs and resumes by reserving its pages
 //! again, `O(1)` in context length; a decoder stack's computed caches are
-//! offered to a host-side [`gpa_core::SwapArena`] and spliced back in
-//! `O(1)`, or, refused, held outside the pool. The [`EvictionMode`] only
-//! sizes that arena, so it governs stacks alone — **Recompute** (the
-//! default) makes it zero bytes; **Swap** makes it
-//! [`ServeConfig::swap_bytes`]. Either way preempted-and-resumed
-//! sequences complete **bitwise equal** to their uninterrupted runs — the
-//! modes never differ in results or schedule — and the most urgent
-//! sequence is never evicted, so the pool cannot livelock;
+//! held in its record, outside the pool, counted by one parked-bytes
+//! gauge ([`Scheduler::swap_parked_bytes`]), and re-adopted in `O(1)`.
+//! ([`EvictionMode`] has no effect; it stays for the serving benchmark.)
+//! Preempted-and-resumed sequences complete **bitwise equal** to their
+//! uninterrupted runs, and the most urgent sequence is never evicted, so
+//! the pool cannot livelock;
 //! `docs/SERVING.md` has the full preemption/resume state machine.
 //!
 //! Everything is deterministic: time is a tick counter, admission order is
@@ -76,7 +74,6 @@
 //!         arrival_window: 1,
 //!         prefill_chunk: 8,
 //!         admission: AdmissionMode::PagedUsage,
-//!         // Preemption defaults: `Recompute`, a zero-byte swap arena.
 //!         ..ServeConfig::default()
 //!     },
 //! )

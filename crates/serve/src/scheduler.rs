@@ -80,26 +80,16 @@
 //! victim keeps nothing else — its K/V rows never left its inputs — and
 //! its resume reserves the pages again, `O(1)` in context length (a
 //! routed plan re-routes its cached tokens from its query rows). A stack
-//! victim's computed caches are offered to the host-side
-//! [`gpa_core::SwapArena`]; resume takes them back and re-adopts their
-//! pages via [`gpa_core::PagePool::try_adopt`], `O(1)` in context length.
-//! A stack the arena **refuses** is held outside the pool and re-adopted
-//! whole. The [`EvictionMode`] only sizes the arena, so it governs stacks
-//! alone:
+//! victim's computed caches move by value into its own record, outside
+//! the pool, and one gauge counts their bytes
+//! ([`Scheduler::swap_parked_bytes`], peak
+//! [`Scheduler::swap_peak_bytes`]); resume re-adopts their pages via
+//! [`gpa_core::PagePool::try_adopt`], `O(1)` in context length. Nothing
+//! is ever rebuilt, and [`EvictionMode`] changes nothing.
 //!
-//! - **Recompute** (the default) is a zero-byte arena — every stack park
-//!   is refused, and no arena memory is held;
-//! - **Swap** is an arena of [`ServeConfig::swap_bytes`]; a stack that
-//!   does not fit the cap is refused for that park and counted in
-//!   [`Scheduler::swap_fallbacks`]. A plan victim never enters the arena
-//!   and is never a fallback.
-//!
-//! Either way the victim parks on its class's resume queue with its
-//! computed output rows and row cursor, and continues exactly where it
-//! stopped, so every completed output is still **bitwise** the
-//! sequential reference — the modes differ only in where a parked stack
-//! waits, never in results or schedule (the page arithmetic does not look
-//! at the arena).
+//! The victim parks on its class's resume queue with its computed output
+//! rows and row cursor, and continues exactly where it stopped, so every
+//! completed output is still **bitwise** the sequential reference.
 //! The most urgent in-flight sequence is never evicted and always
 //! advances, so preemption cannot livelock.
 //!
@@ -120,7 +110,7 @@
 //! victims (resumed in place, page tables and in-flight positions
 //! restored), **un-admits** this tick's admissions (fresh requests back
 //! to their queue fronts in order, resumed sequences re-parked with the
-//! arena residency they had), and leaves the clock where it was — a
+//! caches they held), and leaves the clock where it was — a
 //! failed tick leaves no trace. The returned
 //! [`crate::ServeError::Launch`] names the offending request when its
 //! geometry provably cannot run under its plan (or under any layer of
@@ -134,7 +124,6 @@ use crate::request::{
 };
 use gpa_core::{
     AttentionEngine, AttentionPlan, AttentionRequest, KvCache, PagePool, Router, Routing, SeqId,
-    SwapArena, SwapTicket,
 };
 use gpa_model::{DecoderModel, ModelError, ModelKvState, ModelWorkItem};
 use gpa_tensor::{Matrix, Real};
@@ -158,17 +147,15 @@ pub enum AdmissionMode {
     PagedUsage,
 }
 
-/// How much host memory parked victims may hold — the size of the
-/// scheduler's [`SwapArena`].
+/// What happens to a preempted stack's caches — one answer in either
+/// mode: they are held in the sequence's record and counted by
+/// [`Scheduler::swap_parked_bytes`]. The mode has **no effect**.
 ///
-/// The mode governs decoder stacks only, whose K/V are computed rather
-/// than given. A plan victim gives back its pages and parks nothing in
-/// either mode: its K/V rows are its inputs, and its resume is `O(1)` in
-/// context length. Either way every victim's pages go back to the pool
-/// and its computed output rows are kept — the modes differ only in where
-/// a stack's caches wait, so completions are **bitwise identical** across
-/// modes and so is the schedule (both modes use the same page
-/// arithmetic). See `docs/SERVING.md` for the full state machine.
+/// The enum and the [`ServeConfig::eviction`] and
+/// [`ServeConfig::swap_bytes`] fields stay **only** because the frozen
+/// serving benchmark (`benchmark/src/workloads.rs`) spells them in its
+/// config literals; all three go when a benchmark change can drop those
+/// lines. See `docs/SERVING.md` for the state machine.
 ///
 /// ```
 /// use gpa_core::{AttentionEngine, AttentionKernel, AttentionPlan};
@@ -177,9 +164,8 @@ pub enum AdmissionMode {
 /// use gpa_tensor::init;
 ///
 /// // The same two-sequence page squeeze on a one-layer stack, once per
-/// // mode: the victim's resume path differs, the bits and the schedule
-/// // do not.
-/// let mut outputs = Vec::new();
+/// // mode: the bits, the schedule and the parked bytes are the same.
+/// let mut runs = Vec::new();
 /// for eviction in [EvictionMode::Recompute, EvictionMode::Swap] {
 ///     let mut s: Scheduler<'static, f32> = Scheduler::new(
 ///         AttentionEngine::with_threads(1),
@@ -191,7 +177,7 @@ pub enum AdmissionMode {
 ///             prefill_chunk: 4,
 ///             admission: AdmissionMode::PagedUsage,
 ///             eviction,
-///             swap_bytes: usize::MAX, // unbounded arena (Swap mode only)
+///             swap_bytes: 0, // no effect either
 ///         },
 ///     )
 ///     .unwrap();
@@ -207,26 +193,19 @@ pub enum AdmissionMode {
 ///         done.extend(s.tick().unwrap().completed);
 ///     }
 ///     assert!(s.preemption_events() > 0, "the squeeze must preempt");
-///     if eviction == EvictionMode::Swap {
-///         assert!(s.swap_peak_bytes() > 0, "the victim's caches transited the arena");
-///         assert_eq!(s.swap_parked_bytes(), 0, "…and came back out");
-///     }
-///     outputs.push(done.into_iter().map(|c| c.output).collect::<Vec<_>>());
+///     assert!(s.swap_peak_bytes() > 0, "the victim's caches were held");
+///     assert_eq!(s.swap_parked_bytes(), 0, "…and resumed");
+///     let outputs: Vec<_> = done.into_iter().map(|c| c.output).collect();
+///     runs.push((outputs, s.swap_peak_bytes()));
 /// }
-/// assert_eq!(outputs[0], outputs[1], "eviction mode never changes the bits");
+/// assert_eq!(runs[0], runs[1], "eviction mode changes nothing");
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EvictionMode {
-    /// A zero-byte arena: every stack park is refused, so a stack victim
-    /// holds its computed caches outside the pool and re-adopts them on
-    /// resume. No arena memory. The default.
+    /// No effect; the default.
     #[default]
     Recompute,
-    /// An arena of [`ServeConfig::swap_bytes`]: a stack victim's caches
-    /// park in it and are spliced back on resume — `O(1)` in context
-    /// length, at the cost of holding the parked bytes. A stack the arena
-    /// cannot hold is refused exactly as under `Recompute`, for that
-    /// park, counted by [`Scheduler::swap_fallbacks`].
+    /// No effect.
     Swap,
 }
 
@@ -249,12 +228,10 @@ pub struct ServeConfig {
     /// How admission charges sequences against the pool — one value; see
     /// [`AdmissionMode`] for why the field is still here.
     pub admission: AdmissionMode,
-    /// How much host memory parked victims may hold.
+    /// No effect; see [`EvictionMode`] for why the field is still here.
     pub eviction: EvictionMode,
-    /// Byte cap of the host-side [`SwapArena`] under
-    /// [`EvictionMode::Swap`] (ignored under `Recompute`, whose arena is
-    /// zero bytes). A victim that would push the arena past this cap
-    /// falls back to recompute for that park.
+    /// No effect: parked stacks are held uncapped. Kept with
+    /// [`Self::eviction`], for the same reason.
     pub swap_bytes: usize,
 }
 
@@ -313,16 +290,24 @@ enum Kv<T> {
     /// Nowhere: a request not admitted yet, or a parked plan sequence —
     /// its K/V rows are its inputs, so resume only takes pages.
     None,
-    /// A parked model stack the arena refused, held outside the pool: its
-    /// K/V are computed and cannot be rebuilt.
+    /// A parked model stack, held outside the pool and counted by the
+    /// parked-bytes gauge: its K/V are computed and cannot be rebuilt.
     Held(Vec<KvCache<T>>),
-    /// A model stack parked in the scheduler's [`SwapArena`].
-    Swapped(SwapTicket),
     /// A plan sequence in the pool: a reservation of its cached tokens,
     /// whose rows are the sequence's own K/V inputs.
     Reserved(SeqId),
     /// A model stack in the pool: one handle per layer.
     Live(ModelKvState),
+}
+
+impl<T: Real> Kv<T> {
+    /// Bytes a parked stack holds outside the pool; 0 for any other KV.
+    fn held_bytes(&self) -> usize {
+        match self {
+            Kv::Held(caches) => caches.iter().map(KvCache::kv_bytes).sum(),
+            _ => 0,
+        }
+    }
 }
 
 /// One sequence, from submission to completion — the same record while
@@ -430,8 +415,6 @@ impl<T: Real> Seq<T> {
 struct Admitted {
     fresh: Vec<RequestId>,
     resumed: Vec<RequestId>,
-    /// Per resumed sequence: its KV came out of the arena.
-    swapped: Vec<bool>,
 }
 
 /// What the launch stage did. The rows themselves are already in each
@@ -477,12 +460,10 @@ pub struct Scheduler<'p, T> {
     parked: Queues<T>,
     in_flight: Vec<Seq<T>>,
     pool: PagePool<T>,
-    /// Host-side parking lot for evicted caches: [`ServeConfig::swap_bytes`]
-    /// under [`EvictionMode::Swap`], zero bytes under `Recompute`.
-    arena: SwapArena<T>,
+    /// K/V bytes the parked stacks hold outside the pool, and its peak.
+    parked_bytes: usize,
+    parked_peak: usize,
     preemption_events: u64,
-    /// Parks the arena refused under [`EvictionMode::Swap`].
-    swap_fallbacks: u64,
     now: u64,
     next_id: u64,
 }
@@ -509,12 +490,9 @@ impl<'p, T: Real> Scheduler<'p, T> {
             parked: BTreeMap::new(),
             in_flight: Vec::new(),
             pool: PagePool::new(config.kv_pages, config.page_size),
-            arena: SwapArena::new(match config.eviction {
-                EvictionMode::Recompute => 0,
-                EvictionMode::Swap => config.swap_bytes,
-            }),
+            parked_bytes: 0,
+            parked_peak: 0,
             preemption_events: 0,
-            swap_fallbacks: 0,
             now: 0,
             next_id: 0,
         })
@@ -612,62 +590,51 @@ impl<'p, T: Real> Scheduler<'p, T> {
         self.preemption_events
     }
 
-    /// Bytes of K/V payload currently parked in the swap arena (always 0
-    /// under [`EvictionMode::Recompute`], and whenever nothing is
-    /// preempted).
+    /// Bytes of K/V the parked stacks hold outside the pool right now —
+    /// the [`KvCache::kv_bytes`] of every layer of every preempted stack,
+    /// in either [`EvictionMode`]. 0 whenever no stack is parked: a plan
+    /// victim parks nothing. The name is the frozen serving benchmark's
+    /// (`benchmark/src/drive.rs`), from when these bytes sat in a swap
+    /// arena.
     pub fn swap_parked_bytes(&self) -> usize {
-        self.arena.parked_bytes()
+        self.parked_bytes
     }
 
     /// High-water mark of [`Self::swap_parked_bytes`] over the
-    /// scheduler's life — the arena memory a deployment actually needs.
+    /// scheduler's life — the host memory parked stacks actually needed.
     pub fn swap_peak_bytes(&self) -> usize {
-        self.arena.peak_bytes()
+        self.parked_peak
     }
 
-    /// Stack parks that wanted the arena but were held outside the pool
-    /// because the victim's stack would not fit
-    /// [`ServeConfig::swap_bytes`]. Always 0 under
-    /// [`EvictionMode::Recompute`]; a plan victim never counts, since it
-    /// parks nothing.
+    /// Always 0: every parked stack is held, so no park falls back. It
+    /// stays **only** because the frozen serving benchmark
+    /// (`benchmark/src/drive.rs`) reads it; it goes when a benchmark
+    /// change can drop that read.
     pub fn swap_fallbacks(&self) -> u64 {
-        self.swap_fallbacks
+        0
     }
 
     /// Assert the paged-KV invariants: page conservation
     /// (`free + mapped == total`), no page double-mapped, every page
-    /// table exactly covering its cache or reservation, and swap-arena
-    /// conservation —
-    /// every parked byte owned by exactly one parked sequence's live
-    /// ticket, the ledger matching the caches, nothing parked while idle,
-    /// and the arena empty under [`EvictionMode::Recompute`]. The serving
-    /// simulation calls this after every tick.
+    /// table exactly covering its cache or reservation, and the
+    /// parked-bytes gauge equal to the recomputed `kv_bytes` of every
+    /// parked stack (so 0 when idle) and never above its peak. The
+    /// serving simulation calls this after every tick.
     ///
     /// # Panics
     /// Panics when an invariant is violated.
     pub fn assert_kv_invariants(&self) {
         self.pool.assert_page_invariants();
-        self.arena.assert_swap_invariants();
-        let tickets = self.parked.values().flatten().filter_map(|s| match s.kv {
-            Kv::Swapped(ticket) => Some(ticket),
-            _ => None,
-        });
-        let (swapped, swapped_bytes) = tickets.fold((0, 0), |(n, bytes), ticket| {
-            (n + 1, bytes + self.arena.bytes_of(ticket))
-        });
+        let held = self.parked.values().flatten().map(|s| s.kv.held_bytes());
         assert_eq!(
-            swapped,
-            self.arena.len(),
-            "arena stacks not owned 1:1 by parked sequences"
+            held.sum::<usize>(),
+            self.parked_bytes,
+            "parked-bytes gauge drifted"
         );
-        assert_eq!(
-            swapped_bytes,
-            self.arena.parked_bytes(),
-            "parked tickets do not account every arena byte"
+        assert!(
+            self.parked_peak >= self.parked_bytes,
+            "parked peak below the gauge"
         );
-        if self.config.eviction == EvictionMode::Recompute {
-            assert!(self.arena.is_empty(), "a zero-byte arena holds nothing");
-        }
     }
 
     /// Queue a request of either flavor. Validation is immediate (shape
@@ -801,7 +768,8 @@ impl<'p, T: Real> Scheduler<'p, T> {
     }
 
     /// Drop a request — pending, parked, or in flight (releasing its KV
-    /// pages, every layer's for a model sequence, or its arena bytes).
+    /// pages, every layer's for a model sequence, or a parked stack's
+    /// held bytes).
     /// Returns false when the id is unknown or already completed.
     pub fn cancel(&mut self, id: RequestId) -> bool {
         let found = take_queued(&mut self.pending, id)
@@ -817,12 +785,13 @@ impl<'p, T: Real> Scheduler<'p, T> {
         true
     }
 
-    /// Give a departing sequence's KV back: pool pages, or arena bytes.
+    /// Give a departing sequence's KV back: pool pages, or a parked
+    /// stack's held bytes.
     fn discard(&mut self, kv: Kv<T>) {
+        self.parked_bytes -= kv.held_bytes();
         match kv {
             Kv::Reserved(seq) => self.pool.release_reserved(seq),
             Kv::Live(state) => drop(state.release(&mut self.pool)),
-            Kv::Swapped(ticket) => drop(self.arena.take(ticket)),
             Kv::Held(_) | Kv::None => {}
         }
     }
@@ -863,12 +832,13 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// are its inputs, launched in place — and a routed plan re-routes
     /// those tokens from its query rows, a pure function of the inputs
     /// and so bit-identical every time. A stack comes back out of the
-    /// arena or out of the record, routing state riding the caches, or,
-    /// fresh, starts as empty per-layer caches (its first chunk appends
-    /// this very tick). The caller granted the pages, so failure here is
-    /// a scheduler bug.
+    /// record, routing state riding the caches, its bytes leaving the
+    /// parked gauge, or, fresh, starts as empty per-layer caches (its
+    /// first chunk appends this very tick). The caller granted the pages,
+    /// so failure here is a scheduler bug.
     fn resume(&mut self, s: &mut Seq<T>) {
         let tokens = s.cached(s.done);
+        self.parked_bytes -= s.kv.held_bytes();
         let caches = match (std::mem::replace(&mut s.kv, Kv::None), &mut s.inputs) {
             (
                 Kv::None,
@@ -890,7 +860,6 @@ impl<'p, T: Real> Scheduler<'p, T> {
                 s.kv = Kv::Live(ModelKvState::allocate(&self.models[*model], &mut self.pool));
                 return;
             }
-            (Kv::Swapped(ticket), _) => self.arena.take(ticket),
             (Kv::Held(caches), _) => caches,
             (Kv::Reserved(_) | Kv::Live(_), _) => unreachable!("already in the pool"),
         };
@@ -903,22 +872,15 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// Move a live sequence's KV out of the pool — the one way out. Its
     /// pages always go back to the free list, and a plan sequence parks
     /// nothing else: its rows are its inputs. A stack's computed caches
-    /// are offered to the arena with `offer`; when they are not, or the
-    /// arena refuses them (always, at zero bytes), they are held in the
-    /// record.
-    fn park(&mut self, s: &mut Seq<T>, offer: bool) {
-        let caches = match std::mem::replace(&mut s.kv, Kv::None) {
+    /// are held in the record, and their bytes join the parked gauge.
+    fn park(&mut self, s: &mut Seq<T>) {
+        s.kv = match std::mem::replace(&mut s.kv, Kv::None) {
             Kv::Reserved(seq) => return self.pool.release_reserved(seq),
-            Kv::Live(state) => state.release(&mut self.pool),
+            Kv::Live(state) => Kv::Held(state.release(&mut self.pool)),
             _ => unreachable!("only an in-flight sequence parks"),
         };
-        s.kv = if offer {
-            self.arena
-                .try_park(caches)
-                .map_or_else(Kv::Held, Kv::Swapped)
-        } else {
-            Kv::Held(caches)
-        };
+        self.parked_bytes += s.kv.held_bytes();
+        self.parked_peak = self.parked_peak.max(self.parked_bytes);
     }
 
     /// Put a parked sequence on its class's resume queue, in id order (=
@@ -1005,7 +967,6 @@ impl<'p, T: Real> Scheduler<'p, T> {
                         staged.fresh.push(s.id);
                     } else {
                         staged.resumed.push(s.id);
-                        staged.swapped.push(matches!(s.kv, Kv::Swapped(_)));
                     }
                     self.resume(&mut s);
                     self.in_flight.push(s);
@@ -1064,7 +1025,7 @@ impl<'p, T: Real> Scheduler<'p, T> {
         for i in (0..self.in_flight.len()).rev() {
             if victim[i] {
                 let mut s = self.in_flight.remove(i);
-                self.park(&mut s, true);
+                self.park(&mut s);
                 staged.push((i, s));
             }
         }
@@ -1253,9 +1214,6 @@ impl<'p, T: Real> Scheduler<'p, T> {
         for (_, mut s) in staged {
             s.preemptions += 1;
             self.preemption_events += 1;
-            if self.config.eviction == EvictionMode::Swap && matches!(s.kv, Kv::Held(_)) {
-                self.swap_fallbacks += 1;
-            }
             self.enqueue_parked(s);
         }
         let tick = self.now;
@@ -1274,7 +1232,7 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// Stage 5, failure — **rollback**: undo stages 2–4 so the failed
     /// tick leaves no trace. No cursor moved, so every in-flight cache's
     /// pre-tick length is what the cache rule says for `done`.
-    fn rollback(&mut self, mut admitted: Admitted, staged: Vec<(usize, Seq<T>)>) {
+    fn rollback(&mut self, admitted: Admitted, staged: Vec<(usize, Seq<T>)>) {
         // Appends: every layer of every cache back to its pre-tick
         // length, returning this tick's granted pages.
         for s in &mut self.in_flight {
@@ -1291,15 +1249,12 @@ impl<'p, T: Real> Scheduler<'p, T> {
         // Un-admit, from the in-flight tail: a fresh request goes back to
         // its queue front unresolved and without its output rows (popping
         // the tail and pushing front restores FIFO order); a resumed
-        // sequence goes back to its resume queue holding what it held —
-        // only those that came out of the arena go back in, so the bytes
-        // they freed are there whatever the order.
+        // sequence goes back to its resume queue holding what it held,
+        // its bytes back on the parked gauge.
         for _ in 0..admitted.fresh.len() + admitted.resumed.len() {
             let mut s = self.in_flight.pop().expect("admissions sit at the tail");
             if s.preemptions > 0 {
-                let swapped = admitted.swapped.pop().expect("one flag per resumed");
-                self.park(&mut s, swapped);
-                debug_assert_eq!(swapped, matches!(s.kv, Kv::Swapped(_)));
+                self.park(&mut s);
                 self.enqueue_parked(s);
             } else {
                 self.discard(std::mem::replace(&mut s.kv, Kv::None));
@@ -1359,7 +1314,9 @@ impl<T: Real> std::fmt::Debug for Scheduler<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{sequential_model_reference, sequential_reference};
+    use crate::trace::{
+        generate_trace, sequential_model_reference, sequential_reference, TraceEvent, TraceSpec,
+    };
     use gpa_core::AttentionKernel;
     use gpa_model::LayerPattern;
     use gpa_tensor::init::{gaussian_matrix, qkv};
@@ -1479,7 +1436,7 @@ mod tests {
         preempted: Vec<RequestId>,
         resumed: Vec<RequestId>,
         completions: Vec<Completion<f64>>,
-        /// High-water mark of the arena's parked bytes between ticks.
+        /// High-water mark of the parked stacks' bytes between ticks.
         peak_parked: usize,
     }
 
@@ -1680,9 +1637,8 @@ mod tests {
     /// two 2-prompt, 6-token sequences that each hold one page per layer
     /// after prefill and three at completion, in a pool of three pages
     /// per layer. Their first decode appends collide: the younger parks —
-    /// every layer's cache, through the arena under `Swap` — resumes
-    /// after the elder finishes, and both complete bitwise their
-    /// sequential references.
+    /// every layer's cache, held in its record — resumes after the elder
+    /// finishes, and both complete bitwise their sequential references.
     fn squeeze(model: bool, eviction: EvictionMode) -> Drained {
         let layers = if model { 3 } else { 1 };
         let (mut s, _) = scheduler(config(2, 3 * layers, 2, 4, eviction));
@@ -1704,13 +1660,10 @@ mod tests {
         for (c, r) in d.completions.iter().zip(&subs) {
             assert_eq!(c.output, reference(&s, c, r));
         }
-        if eviction == EvictionMode::Swap {
-            // A stack's computed caches transit the arena. A plan victim's
-            // rows are its inputs: it parks nothing, so nothing falls back.
-            assert_eq!(s.swap_peak_bytes() > 0, model, "only a stack parks bytes");
-            assert_eq!(s.swap_fallbacks(), 0);
-        }
-        assert_eq!(s.swap_parked_bytes(), 0, "resume drains the arena");
+        // A stack's computed caches are held and counted, in either mode.
+        // A plan victim's rows are its inputs: it parks nothing.
+        assert_eq!(s.swap_peak_bytes() > 0, model, "only a stack parks bytes");
+        assert_eq!(s.swap_parked_bytes(), 0, "resume empties the gauge");
         assert_eq!(s.kv_used_pages(), 0);
         d
     }
@@ -1727,15 +1680,15 @@ mod tests {
 
     #[test]
     fn swap_eviction_resumes_plan_sequences_bitwise() {
-        // Swap or not, a plan victim gives back only its pages: zero arena
-        // bytes at any point, zero fallbacks, and a bitwise resume.
+        // Swap or not, a plan victim gives back only its pages: zero parked
+        // bytes at any point, and a bitwise resume.
         assert_eq!(squeeze(false, EvictionMode::Swap).peak_parked, 0);
     }
 
     #[test]
     fn swap_eviction_resumes_model_stacks_bitwise() {
         // At park time the victim holds 2 prompt tokens across 3 layers
-        // of 3 heads × dk 4 — the arena entry is the whole stack.
+        // of 3 heads × dk 4 — the held stack is every layer.
         let peak_parked = squeeze(true, EvictionMode::Swap).peak_parked;
         assert!(
             peak_parked >= 3 * 2 * 3 * (4 + 4) * std::mem::size_of::<f64>(),
@@ -1743,24 +1696,143 @@ mod tests {
         );
     }
 
+    /// The summed [`KvCache::kv_bytes`] of every parked stack, recomputed
+    /// from the records.
+    fn parked_stack_bytes<T: Real>(s: &Scheduler<'_, T>) -> usize {
+        let held = |p: &Seq<T>| match &p.kv {
+            Kv::Held(caches) => caches.iter().map(KvCache::kv_bytes).sum(),
+            _ => 0,
+        };
+        s.parked.values().flatten().map(held).sum()
+    }
+
+    /// Replay `trace` to idle, checking the parked-bytes gauge after every
+    /// tick: it equals the parked stacks' summed `kv_bytes`, its peak
+    /// never falls, and both are 0 at idle. Returns the peak and the
+    /// stack preemptions seen.
+    fn replay_checking_gauge<T: Real>(
+        s: &mut Scheduler<'_, T>,
+        trace: &[TraceEvent<T>],
+    ) -> (usize, usize) {
+        let (mut next, mut peak, mut stack_parks) = (0, 0, 0);
+        while next < trace.len() || !s.is_idle() {
+            while next < trace.len() && trace[next].at <= s.now() {
+                s.submit(trace[next].request.clone()).unwrap();
+                next += 1;
+            }
+            let r = s.tick().unwrap();
+            let stack =
+                |id: &&RequestId| matches!(trace[id.0 as usize].request, Submission::Model(_));
+            stack_parks += r.preempted.iter().filter(stack).count();
+            assert_eq!(
+                s.swap_parked_bytes(),
+                parked_stack_bytes(s),
+                "tick {}",
+                r.tick
+            );
+            assert!(
+                s.swap_peak_bytes() >= peak.max(s.swap_parked_bytes()),
+                "the peak never falls"
+            );
+            peak = s.swap_peak_bytes();
+            assert!(s.now() < 10_000, "drains");
+        }
+        assert_eq!(
+            (s.swap_parked_bytes(), parked_stack_bytes(s)),
+            (0, 0),
+            "idle parks nothing"
+        );
+        (peak, stack_parks)
+    }
+
     #[test]
-    fn cancel_while_swap_parked_reclaims_arena_bytes() {
-        // Cancelling a stack whose caches live in the swap arena must free
-        // the arena bytes immediately — no orphaned entries. The squeeze
-        // of `squeeze(true, Swap)`: three pages per layer of the stack.
-        let (mut s, _) = scheduler(config(2, 3 * 3, 2, 4, EvictionMode::Swap));
+    fn the_parked_bytes_gauge_counts_every_parked_stack() {
+        for eviction in [EvictionMode::Recompute, EvictionMode::Swap] {
+            // The squeeze, plan and stack: only a stack parks bytes. The
+            // victim holds 2 tokens × 3 layers × 3 heads × (4 + 4) f64s.
+            for model in [false, true] {
+                let layers = if model { 3 } else { 1 };
+                let (mut s, _) = scheduler(config(2, 3 * layers, 2, 4, eviction));
+                let trace: Vec<_> = [61, 62]
+                    .map(|seed| TraceEvent {
+                        at: 0,
+                        request: submission(model, 2, 6, seed),
+                    })
+                    .into();
+                let (peak, stack_parks) = replay_checking_gauge(&mut s, &trace);
+                assert_eq!(s.preemption_events(), 1);
+                assert_eq!(stack_parks, usize::from(model));
+                assert_eq!(peak, if model { 3 * 2 * 3 * 8 * 8 } else { 0 });
+            }
+            // The configuration of `tests/digests.rs`'s served trace:
+            // plan, `Auto` and three-layer stack sequences, both parked.
+            let mut s = Scheduler::new(
+                AttentionEngine::with_threads(1),
+                ServeConfig {
+                    max_in_flight: 4,
+                    kv_pages: 28,
+                    page_size: 4,
+                    arrival_window: 0,
+                    prefill_chunk: 6,
+                    admission: AdmissionMode::PagedUsage,
+                    eviction,
+                    swap_bytes: usize::MAX,
+                },
+            )
+            .unwrap();
+            let local = AttentionPlan::single(AttentionKernel::Local { n: 20 }).unwrap();
+            let dilated =
+                AttentionPlan::single(AttentionKernel::Dilated1d { w: 40, r: 1 }).unwrap();
+            let layers = vec![('F', local.clone()), ('S', dilated.clone())];
+            let stack = DecoderModel::new(
+                LayerPattern::parse("FSF").unwrap(),
+                layers,
+                8,
+                2,
+                4,
+                0xD16E57,
+            );
+            let patterns = [
+                PatternChoice::from(s.register_plan(local).unwrap()),
+                PatternChoice::from(s.register_plan(dilated).unwrap()),
+                PatternChoice::Auto,
+            ];
+            let model = s.register_model(stack.unwrap());
+            let spec = TraceSpec {
+                sequences: 12,
+                prompt: (8, 20),
+                decode: (6, 16),
+                dk: 8,
+                arrival_gap: (0, 1),
+                priority_classes: 2,
+                seed: 0xD16E57,
+            };
+            let trace = generate_trace::<f32, _>(&spec, &patterns, &[(model, 8)]);
+            let (peak, stack_parks) = replay_checking_gauge(&mut s, &trace);
+            assert_eq!(
+                (stack_parks, peak),
+                (2, 2304),
+                "two stack parks, one at a time"
+            );
+        }
+    }
+
+    #[test]
+    fn cancelling_a_parked_stack_returns_its_bytes_to_the_gauge() {
+        // The squeeze of `squeeze(true, _)`: three pages per layer of the
+        // stack. The victim's held caches leave the gauge with it.
+        let (mut s, _) = scheduler(config(2, 3 * 3, 2, 4, EvictionMode::Recompute));
         let _a = s.submit(model_request(ModelId(0), 0, 2, 6, 51)).unwrap();
         let b = s.submit(model_request(ModelId(0), 0, 2, 6, 52)).unwrap();
-        for _ in 0..16 {
-            if s.parked_len() > 0 {
-                break;
-            }
+        while s.parked_len() == 0 {
             s.tick().unwrap();
         }
-        assert_eq!(s.parked_len(), 1, "b parked under page pressure");
-        assert!(s.swap_parked_bytes() > 0, "b's caches live in the arena");
+        let held = parked_stack_bytes(&s);
+        assert!(held > 0, "b's caches are held");
+        assert_eq!(s.swap_parked_bytes(), held);
         assert!(s.cancel(b), "parked cancel");
-        assert_eq!(s.swap_parked_bytes(), 0, "cancel reclaims the arena bytes");
+        assert_eq!(s.swap_parked_bytes(), 0, "cancel returns the bytes");
+        assert_eq!(s.swap_peak_bytes(), held, "the peak stays");
         s.assert_kv_invariants();
         // The survivor still drains normally.
         drain(&mut s);
@@ -1876,6 +1948,17 @@ mod tests {
         let low_b = s.submit(request(plan, 3, 2, 2, 42)).unwrap();
         let high = s.submit(request(plan, 0, 2, 2, 43)).unwrap();
         assert_eq!(drain(&mut s).admitted, vec![high, low_a, low_b]);
+    }
+
+    #[test]
+    fn a_head_that_does_not_fit_blocks_lower_classes() {
+        // Four pages of 4 tokens: `a` takes two, `b` needs three, and the
+        // one-page class-1 `c` would fit beside `a` — but may not pass `b`.
+        let (mut s, plan) = scheduler(config(4, 4, 4, 8, EvictionMode::Recompute));
+        let a = s.submit(request(plan, 0, 8, 16, 44)).unwrap();
+        let b = s.submit(request(plan, 0, 12, 12, 45)).unwrap();
+        let c = s.submit(request(plan, 1, 4, 4, 46)).unwrap();
+        assert_eq!(drain(&mut s).admitted, vec![a, b, c]);
     }
 
     #[test]

@@ -16,13 +16,17 @@
 //! grant every decode row was copied into a cache whose growth
 //! reallocations scaled with `dk`.
 //!
+//! The ticks that park and resume a decoder stack are pinned too: the
+//! victim's caches move by value into its record and back.
+//!
 //! The counter is a `#[global_allocator]` that counts only on a thread
 //! that asked it to, so each test counts its own ticks. The engine has one
 //! thread: every launch runs inline, and no helper thread allocates behind
 //! the count.
 
 use gpa_core::{AttentionEngine, AttentionKernel, AttentionPlan};
-use gpa_serve::{AdmissionMode, EvictionMode, Scheduler, ServeConfig, ServeRequest};
+use gpa_model::{DecoderModel, LayerPattern};
+use gpa_serve::{AdmissionMode, EvictionMode, ModelRequest, Scheduler, ServeConfig, ServeRequest};
 use gpa_tensor::init;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -186,5 +190,83 @@ fn decode_ticks_allocate_the_same_bytes_at_every_key_width() {
     assert_eq!(
         narrow, wide,
         "decode ticks copied K/V rows: {narrow} bytes at dk 16, {wide} at dk 64"
+    );
+}
+
+/// What the tick that parks a stack and the tick that resumes it
+/// allocate, in the two-sequence squeeze of a one-thread scheduler: two
+/// 2-prompt, 6-token sequences through a three-layer stack in a pool of
+/// three 2-token pages per layer. Their first decode appends collide, the
+/// younger parks every layer's cache, and it resumes once the elder
+/// completes.
+fn stack_park_and_resume_allocations() -> (Tally, Tally) {
+    let mut scheduler: Scheduler<'static, f32> = Scheduler::new(
+        AttentionEngine::with_threads(1),
+        ServeConfig {
+            max_in_flight: 2,
+            kv_pages: 9,
+            page_size: 2,
+            arrival_window: 0,
+            prefill_chunk: 4,
+            admission: AdmissionMode::PagedUsage,
+            eviction: EvictionMode::Swap,
+            swap_bytes: usize::MAX,
+        },
+    )
+    .unwrap();
+    let plan = |kernel| AttentionPlan::single(kernel).unwrap();
+    let stack = DecoderModel::new(
+        LayerPattern::parse("FSF").unwrap(),
+        vec![
+            ('F', plan(AttentionKernel::Local { n: 2 })),
+            ('S', plan(AttentionKernel::Dilated1d { w: 2, r: 2 })),
+        ],
+        12,
+        3,
+        4,
+        0xBEEF,
+    )
+    .unwrap();
+    let model = scheduler.register_model(stack);
+    for seed in [61, 62] {
+        let x = init::gaussian_matrix(6, 12, 1.0, seed);
+        scheduler
+            .submit(ModelRequest {
+                model,
+                priority: 0,
+                prompt: 2,
+                x,
+            })
+            .unwrap();
+    }
+    let (mut park, mut resume) = (None, None);
+    while !scheduler.is_idle() {
+        let mut report = None;
+        let tally = allocations_in(|| report = Some(scheduler.tick().unwrap()));
+        let report = report.unwrap();
+        if !report.preempted.is_empty() {
+            assert!(park.replace(tally).is_none(), "one park");
+        }
+        if !report.resumed.is_empty() {
+            assert!(resume.replace(tally).is_none(), "one resume");
+        }
+    }
+    (
+        park.expect("the squeeze parks"),
+        resume.expect("…and resumes"),
+    )
+}
+
+#[test]
+fn parking_and_resuming_a_stack_allocate_a_pinned_count() {
+    // Nearly all of either tick is the surviving stack's three-layer
+    // advance; a park or a resume moves the victim's caches by value and
+    // adds no allocation of its own beyond the page tables it gives back
+    // or takes.
+    let (park, resume) = stack_park_and_resume_allocations();
+    assert_eq!(
+        (park.allocations, resume.allocations),
+        (142, 141),
+        "{park:?} {resume:?}"
     );
 }

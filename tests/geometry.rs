@@ -13,7 +13,7 @@
 //!    rows never look forward) prefill + decode reassembles the full
 //!    square forward exactly.
 
-use graph_attention::core::{KvCache, PagePool, SwapArena};
+use graph_attention::core::{KvCache, PagePool};
 use graph_attention::model::{DecoderModel, LayerPattern, ModelKvState, ModelWorkItem};
 use graph_attention::prelude::*;
 use graph_attention::sparse::{CooMask, CsrMask, DiaMask};
@@ -461,13 +461,13 @@ proptest! {
     }
 
     /// Evict-and-**swap** is invisible: at a random decode step the cache
-    /// transits the full swap machinery — adopted into a [`PagePool`],
-    /// released (pages back to the pool), parked in a [`SwapArena`],
-    /// taken, re-adopted, released — and decoding continues on the
-    /// round-tripped cache. Every output row and the final cache must be
-    /// bitwise the uninterrupted run's, for all seven composable kernel
-    /// families plus the content-routed kernel (whose routing rides the
-    /// swapped cache: an O(1) splice, no re-extension, no re-routing).
+    /// takes the scheduler's park path — adopted into a [`PagePool`],
+    /// released (pages back to the pool), held by value, re-adopted,
+    /// released — and decoding continues on the round-tripped cache.
+    /// Every output row and the final cache must be bitwise the
+    /// uninterrupted run's, for all seven composable kernel families plus
+    /// the content-routed kernel (whose routing rides the held cache: an
+    /// O(1) splice, no re-extension, no re-routing).
     #[test]
     fn evict_and_swap_at_any_decode_step_is_bitwise_invisible(
         l in 3usize..24,
@@ -484,24 +484,17 @@ proptest! {
         let evict_at = prompt + ((l - prompt - 1) as f64 * evict_frac) as usize;
         let full_csr = graph_attention::masks::RandomUniform::new(l, density, seed).to_csr();
 
-        // The swap round trip the scheduler performs on a victim: pages
-        // released to the pool, cache value parked; on resume, taken and
-        // re-adopted. The cache that comes back must be the same value.
+        // The round trip the scheduler performs on a stack victim: pages
+        // released to the pool, cache value held; on resume, re-adopted.
+        // The cache that comes back must be the same value.
         let page_size = 1 + (seed as usize % 4);
         let swap_trip = |cache: KvCache<f64>| -> KvCache<f64> {
             let mut pool: PagePool<f64> = PagePool::new(l.div_ceil(page_size) + 1, page_size);
-            let mut arena: SwapArena<f64> = SwapArena::unbounded();
             let id = pool.try_adopt(cache).unwrap_or_else(|_| panic!("adopt fits"));
             let victim = pool.release(id);
             assert_eq!(pool.used_pages(), 0, "eviction released every page");
-            let bytes = victim.kv_bytes();
-            let ticket = arena.try_park(vec![victim]).unwrap_or_else(|_| panic!("unbounded park"));
-            assert_eq!(arena.parked_bytes(), bytes);
-            arena.assert_swap_invariants();
-            let mut stack = arena.take(ticket);
-            assert!(arena.is_empty(), "take drains the entry");
             let resumed = pool
-                .try_adopt(stack.pop().unwrap())
+                .try_adopt(victim)
                 .unwrap_or_else(|_| panic!("re-adopt fits"));
             pool.assert_page_invariants();
             pool.release(resumed)

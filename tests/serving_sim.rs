@@ -366,18 +366,11 @@ fn randomized_traces_match_the_sequential_reference_bitwise() {
         // sometimes a loose one; always enough pages for the largest
         // single sequence, so nothing is rejected at submission.
         let kv_pages = max_total.div_ceil(page_size) + knobs.gen_range(0..2 * spec.sequences);
-        // Every third trace parks victims in the swap arena instead of
-        // recomputing, and every sixth gets a byte cap tight enough that
-        // some parks fall back — all bitwise-invisible by construction.
+        // Every third trace runs under `Swap`, which must change nothing.
         let eviction = if trace_seed % 3 == 1 {
             EvictionMode::Swap
         } else {
             EvictionMode::Recompute
-        };
-        let swap_bytes = if trace_seed % 6 == 4 {
-            96 * std::mem::size_of::<f64>()
-        } else {
-            usize::MAX
         };
         let config = ServeConfig {
             max_in_flight: 1 + knobs.gen_range(0..5),
@@ -387,7 +380,7 @@ fn randomized_traces_match_the_sequential_reference_bitwise() {
             prefill_chunk: 1 + knobs.gen_range(0..6),
             admission: AdmissionMode::PagedUsage,
             eviction,
-            swap_bytes,
+            swap_bytes: usize::MAX,
         };
         let (mut scheduler, plans) = build_scheduler(2, config);
         let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &plans, &[]);
@@ -401,17 +394,10 @@ fn randomized_traces_match_the_sequential_reference_bitwise() {
             "trace {trace_seed}: all pages released"
         );
         assert_eq!(
-            scheduler.swap_parked_bytes(),
+            scheduler.swap_peak_bytes(),
             0,
-            "trace {trace_seed}: a drained scheduler parks nothing"
+            "trace {trace_seed}: a plan victim parks no bytes"
         );
-        if eviction == EvictionMode::Recompute {
-            assert_eq!(
-                scheduler.swap_peak_bytes(),
-                0,
-                "trace {trace_seed}: recompute never touches the arena"
-            );
-        }
         preempted_completions += completions.iter().filter(|c| c.preemptions > 0).count() as u64;
     }
     // The suite's claim is only meaningful if preemption actually fired:
@@ -461,8 +447,8 @@ fn preempted_and_resumed_sequences_complete_bitwise() {
 /// The deterministic preemption workload above with one-layer stacks
 /// mixed in (a stack token costs the pages of a plan token, so the
 /// squeeze is the same), served by `build_mixed_scheduler`'s plans and its
-/// one-layer model. Stack victims are what the swap arena holds; a plan
-/// victim parks nothing in either mode.
+/// one-layer model. Stack victims are what the parked-bytes gauge
+/// counts; a plan victim parks nothing.
 fn mixed_squeeze_trace(config: ServeConfig) -> (Scheduler<'static, f64>, Vec<TraceEvent<f64>>) {
     let spec = TraceSpec {
         sequences: 4,
@@ -487,12 +473,12 @@ fn stack_preemptions(completions: &[Completion<f64>]) -> u64 {
         .sum()
 }
 
-/// The mixed preemption workload under [`EvictionMode::Swap`]: stack
-/// victims park their caches in the swap arena and resume by re-adopting
-/// pages in O(1). The mode must be invisible — every completion bitwise
-/// equal to the sequential reference *and* field-for-field identical
-/// (admission tick, completion tick, preemption count, output) to the
-/// evict-and-recompute run of the same trace.
+/// The mixed preemption workload in both [`EvictionMode`]s: stack
+/// victims hold their caches and resume by re-adopting pages in O(1).
+/// The mode must be invisible — every completion bitwise equal to the
+/// sequential reference *and* field-for-field identical (admission tick,
+/// completion tick, preemption count, output) across modes, and the same
+/// parked-bytes peak.
 #[test]
 fn swapped_and_resumed_sequences_match_the_recompute_run_exactly() {
     let mut runs = Vec::new();
@@ -515,21 +501,18 @@ fn swapped_and_resumed_sequences_match_the_recompute_run_exactly() {
             stack_preemptions(&completions) > 0,
             "{eviction:?}: this workload must preempt a stack"
         );
-        if eviction == EvictionMode::Swap {
-            assert!(
-                scheduler.swap_peak_bytes() > 0,
-                "swap mode with an unbounded arena must actually park bytes"
-            );
-            assert_eq!(
-                scheduler.swap_fallbacks(),
-                0,
-                "an unbounded arena never refuses a park"
-            );
-            assert_eq!(scheduler.swap_parked_bytes(), 0, "drained ⇒ arena empty");
-        }
-        runs.push(completions);
+        assert!(
+            scheduler.swap_peak_bytes() > 0,
+            "{eviction:?}: a parked stack's bytes are counted"
+        );
+        assert_eq!(scheduler.swap_parked_bytes(), 0, "drained ⇒ nothing held");
+        runs.push((completions, scheduler.swap_peak_bytes()));
     }
-    let (recompute, swap) = (&runs[0], &runs[1]);
+    let ((recompute, recompute_peak), (swap, swap_peak)) = (&runs[0], &runs[1]);
+    assert_eq!(
+        recompute_peak, swap_peak,
+        "eviction mode must not move the parked peak"
+    );
     assert_eq!(recompute.len(), swap.len());
     for (r, s) in recompute.iter().zip(swap) {
         assert_eq!(r.id, s.id, "eviction mode must not reorder completions");
@@ -558,46 +541,6 @@ fn swapped_and_resumed_sequences_match_the_recompute_run_exactly() {
             r.id.as_u64()
         );
     }
-}
-
-/// Swap mode with a zero-byte arena: every stack park is refused and the
-/// stack is held outside the pool, as under `Recompute`. Each refusal is
-/// counted — and only those: a plan victim parks nothing, so it falls
-/// back from nothing — the arena stays untouched, and the run remains
-/// bitwise equal to the reference.
-#[test]
-fn zero_byte_swap_arena_falls_back_to_recompute_bitwise() {
-    let config = ServeConfig {
-        max_in_flight: 4,
-        kv_pages: 6,
-        page_size: 2,
-        arrival_window: 0,
-        prefill_chunk: 2,
-        admission: AdmissionMode::PagedUsage,
-        eviction: EvictionMode::Swap,
-        swap_bytes: 0,
-    };
-    let (mut scheduler, trace) = mixed_squeeze_trace(config);
-    let bound = starvation_bound(&trace, &config);
-    let completions = drive(&mut scheduler, &trace, bound);
-    check_completions(&scheduler, &trace, &completions);
-    assert!(
-        completions
-            .iter()
-            .any(|c| c.preemptions > 0 && matches!(c.target, ServeTarget::Plan(_))),
-        "a plan sequence must be a victim too"
-    );
-    assert!(stack_preemptions(&completions) > 0);
-    assert_eq!(
-        scheduler.swap_fallbacks(),
-        stack_preemptions(&completions),
-        "a zero-byte arena must refuse every stack park, and only those"
-    );
-    assert_eq!(
-        scheduler.swap_peak_bytes(),
-        0,
-        "refused parks leave no trace in the arena"
-    );
 }
 
 /// Adaptive-sparsity traces: randomized seeded workloads drawing each
@@ -639,8 +582,7 @@ fn routed_and_auto_traces_match_the_sequential_reference_bitwise() {
             arrival_window: knobs.gen_range(0..3) as u64,
             prefill_chunk: 1 + knobs.gen_range(0..5),
             admission: AdmissionMode::PagedUsage,
-            // Alternate eviction modes: a routed cache's grouping rides
-            // the swapped cache, so swap resume must be bitwise too.
+            // Alternate eviction modes, which must change nothing.
             eviction: if trace_seed % 2 == 1 {
                 EvictionMode::Swap
             } else {
@@ -1168,11 +1110,10 @@ fn cancel_and_drain(
 }
 
 /// What [`assert_failed_tick_leaves_no_trace`] saw, for scenario-specific
-/// assertions: what the failing tick had staged, the fingerprint it had to
-/// preserve, and every tick's trail after the offender was cancelled.
+/// assertions: what the failing tick had staged, and every tick's trail
+/// after the offender was cancelled.
 struct Outcome {
     staged: Trail,
-    before: [u64; 8],
     after_cancel: Vec<Trail>,
 }
 
@@ -1234,7 +1175,6 @@ fn assert_failed_tick_leaves_no_trace(
     }
     Outcome {
         staged,
-        before,
         after_cancel: trails,
     }
 }
@@ -1380,46 +1320,6 @@ fn failed_tick_truncates_every_layer_of_model_stacks() {
     }
 }
 
-/// Rollback matrix, tight arena cap: a byte cap that fits either victim
-/// alone but not both, so one tick's double eviction leaves the class-0
-/// victim (a 3-layer stack of 2 cached tokens, parked first) in the arena
-/// and the class-1 victim (3 tokens) fallen back. Two stacks' decode rows
-/// squeeze both victims out on tick 2 and complete. The failing tick
-/// resumes both victims; the rollback must restore *that* residency —
-/// the same sequence holding the ticket, the same bytes parked — not
-/// whatever order re-parking the in-flight tail happens to produce.
-#[test]
-fn failed_tick_restores_arena_residency_under_a_tight_cap() {
-    // One token of the rig's stack: 3 layers × 3 heads × (dk 4 + dv 4).
-    let token_bytes = 3 * 3 * (4 + 4) * std::mem::size_of::<f64>();
-    let config = rollback_config(17, EvictionMode::Swap, 3 * token_bytes + 8);
-    let outcome = assert_failed_tick_leaves_no_trace(config, 4, |rig, broken| Script {
-        events: vec![
-            // Class 1, admitted first: in-flight position 0.
-            (0, model_sub(rig.stack, 1, 2, 10, 1)),
-            // Class 0, a tick later: the offender (first decode row on
-            // tick 3), two stacks whose decode rows squeeze both victims
-            // out on tick 2 and complete, and the younger victim.
-            (
-                1,
-                plan_sub(if broken { rig.pinned } else { rig.healthy }, 0, 4, 6, 2),
-            ),
-            (1, model_sub(rig.stack, 0, 2, 3, 3)),
-            (1, model_sub(rig.stack, 0, 2, 3, 4)),
-            (1, model_sub(rig.stack, 0, 2, 10, 5)),
-            (3, plan_sub(rig.healthy, 1, 2, 3, 6)),
-        ],
-        offender: 1,
-        fail_tick: 3,
-    });
-    assert_eq!(outcome.staged, (vec![5], vec![4, 0], vec![], vec![]));
-    assert_eq!(
-        outcome.before[6] as usize,
-        2 * token_bytes,
-        "the class-0 victim's two tokens hold the arena; the class-1 victim fell back"
-    );
-}
-
 /// Rollback matrix, two plan groups in one tick: launches write their
 /// rows straight into each sequence's output, past its cursor, and the
 /// healthy plan's group launches *before* the pinned plan's. So when the
@@ -1501,8 +1401,8 @@ fn mixed_model_traces_match_the_sequential_references_bitwise() {
             arrival_window: knobs.gen_range(0..3) as u64,
             prefill_chunk: 1 + knobs.gen_range(0..5),
             admission: AdmissionMode::PagedUsage,
-            // Alternate eviction modes: whole decoder stacks park and
-            // resume through the arena as a unit.
+            // Alternate eviction modes, which must change nothing: whole
+            // decoder stacks park and resume as a unit either way.
             eviction: if trace_seed % 2 == 1 {
                 EvictionMode::Swap
             } else {
@@ -1575,11 +1475,11 @@ fn preempted_multi_layer_sequences_resume_and_complete_bitwise() {
     assert_eq!(scheduler.kv_used_pages(), 0);
 }
 
-/// The multi-layer preemption scenario under [`EvictionMode::Swap`]: the
-/// victim's *whole decoder stack* (one cache per layer) parks in the
-/// arena as a unit and re-adopts as a unit. Completions stay bitwise
-/// equal to the sequential decoder-stack reference and identical to the
-/// recompute run — all three layers' worth of bytes transit the arena.
+/// The multi-layer preemption scenario in both [`EvictionMode`]s: the
+/// victim's *whole decoder stack* (one cache per layer) parks as a unit
+/// and re-adopts as a unit. Completions stay bitwise equal to the
+/// sequential decoder-stack reference and identical across modes — all
+/// three layers' worth of bytes are counted while parked.
 #[test]
 fn swapped_multi_layer_stacks_park_and_resume_as_a_unit() {
     let spec = TraceSpec {
@@ -1614,16 +1514,13 @@ fn swapped_multi_layer_stacks_park_and_resume_as_a_unit() {
             completions.iter().any(|c| c.preemptions > 0),
             "{eviction:?}: this workload must preempt a multi-layer sequence"
         );
-        if eviction == EvictionMode::Swap {
-            // The victim is a 3-layer f64 stack: its park must move a
-            // stack's worth of bytes, not a single layer's.
-            assert!(
-                scheduler.swap_peak_bytes() > 0,
-                "swap mode must park the evicted stack"
-            );
-            assert_eq!(scheduler.swap_fallbacks(), 0);
-            assert_eq!(scheduler.swap_parked_bytes(), 0, "drained ⇒ arena empty");
-        }
+        // The victim is a 3-layer, 3-head f64 stack of at least its 2
+        // prompt tokens: its park counts every layer, not a single one.
+        assert!(
+            scheduler.swap_peak_bytes() >= 3 * 3 * 2 * (4 + 4) * std::mem::size_of::<f64>(),
+            "{eviction:?}: the parked stack's every layer is counted"
+        );
+        assert_eq!(scheduler.swap_parked_bytes(), 0, "drained ⇒ nothing held");
         runs.push(completions);
     }
     let (recompute, swap) = (&runs[0], &runs[1]);
