@@ -193,19 +193,16 @@ fn decode_ticks_allocate_the_same_bytes_at_every_key_width() {
     );
 }
 
-/// What the tick that parks a stack and the tick that resumes it
-/// allocate, in the two-sequence squeeze of a one-thread scheduler: two
-/// 2-prompt, 6-token sequences through a three-layer stack in a pool of
-/// three 2-token pages per layer. Their first decode appends collide, the
-/// younger parks every layer's cache, and it resumes once the elder
-/// completes.
-fn stack_park_and_resume_allocations() -> (Tally, Tally) {
+/// A one-thread scheduler serving the three-layer `FSF` stack (`d_model`
+/// 12, 3 heads of width 4) in `kv_pages` pages of `page_size` tokens,
+/// with two `rows`-row sequences of a 2-token prompt submitted.
+fn stack_scheduler(kv_pages: usize, page_size: usize, rows: usize) -> Scheduler<'static, f32> {
     let mut scheduler: Scheduler<'static, f32> = Scheduler::new(
         AttentionEngine::with_threads(1),
         ServeConfig {
             max_in_flight: 2,
-            kv_pages: 9,
-            page_size: 2,
+            kv_pages,
+            page_size,
             arrival_window: 0,
             prefill_chunk: 4,
             admission: AdmissionMode::PagedUsage,
@@ -229,7 +226,7 @@ fn stack_park_and_resume_allocations() -> (Tally, Tally) {
     .unwrap();
     let model = scheduler.register_model(stack);
     for seed in [61, 62] {
-        let x = init::gaussian_matrix(6, 12, 1.0, seed);
+        let x = init::gaussian_matrix(rows, 12, 1.0, seed);
         scheduler
             .submit(ModelRequest {
                 model,
@@ -239,6 +236,16 @@ fn stack_park_and_resume_allocations() -> (Tally, Tally) {
             })
             .unwrap();
     }
+    scheduler
+}
+
+/// What the tick that parks a stack and the tick that resumes it
+/// allocate, in the two-sequence squeeze of a one-thread scheduler: two
+/// 2-prompt, 6-token sequences through a three-layer stack in a pool of
+/// three 2-token pages per layer. Their first decode appends collide, the
+/// younger parks its caches, and it resumes once the elder completes.
+fn stack_park_and_resume_allocations() -> (Tally, Tally) {
+    let mut scheduler = stack_scheduler(9, 2, 6);
     let (mut park, mut resume) = (None, None);
     while !scheduler.is_idle() {
         let mut report = None;
@@ -269,4 +276,19 @@ fn parking_and_resuming_a_stack_allocate_a_pinned_count() {
         (142, 141),
         "{park:?} {resume:?}"
     );
+}
+
+#[test]
+fn a_steady_stack_decode_tick_allocates_a_pinned_count() {
+    // Two stacks decoding side by side, all sixteen of their tokens in
+    // one page per layer: after the prefill tick no tick takes a page.
+    // Some ticks grow a cache's row storage; the steady tick is the
+    // least of twelve. Nearly all of it is `advance_batched`'s
+    // per-layer vectors and projections.
+    let mut scheduler = stack_scheduler(6, 16, 16);
+    scheduler.tick().unwrap();
+    let ticks: Vec<usize> = (0..12)
+        .map(|_| allocations_in(|| drop(scheduler.tick().unwrap())).allocations)
+        .collect();
+    assert_eq!(*ticks.iter().min().unwrap(), 183, "{ticks:?}");
 }
