@@ -17,8 +17,8 @@ use gpa_tensor::{Matrix, Real};
 /// Growable per-head key/value storage for one sequence.
 ///
 /// Single-head callers (the engine's [`crate::AttentionEngine::decode_step`]
-/// surface) build it with [`KvCache::single`]; a decoder layer's cache in
-/// a [`crate::PagePool`] keeps one entry per head ([`KvCache::new`]).
+/// surface) build it with [`KvCache::single`]; a decoder stack's
+/// [`crate::PagePool`] entry holds one per layer, of `heads` heads.
 /// Rows are stored exactly as appended, in `T`.
 #[derive(Clone)]
 pub struct KvCache<T> {

@@ -1,5 +1,5 @@
-//! Paged KV allocation — fixed-size pages, a free list, per-sequence page
-//! tables.
+//! Paged KV allocation — fixed-size pages, a free list, one page table
+//! per sequence.
 //!
 //! A serving scheduler keeps one [`KvCache`] per in-flight sequence, and
 //! the resource that limits how many sequences can be in flight is total
@@ -11,33 +11,33 @@
 //! idle, which is exactly the failure mode PagedAttention removes.
 //!
 //! [`PagePool`] is the paged replacement. Capacity is a fixed set of
-//! pages of `page_size` tokens each; every live sequence owns
-//! a **page table** (a list of physical page ids) that grows only when an
-//! append crosses a page boundary, and a free-page list hands ids out and
-//! takes them back. A sequence therefore costs what it *currently* caches,
+//! pages of `page_size` tokens each, handed out and taken back by a free
+//! list. A pool entry is one sequence: the tokens it has been **granted**,
+//! a **page table** of `max(1, L) × ceil(tokens / page_size)` physical
+//! page ids, and its `L` layer caches. A grant ([`PagePool::try_grant`])
+//! is the only way the table grows: an append writes rows into tokens
+//! already granted. A sequence therefore costs what it *currently* holds,
 //! rounded up to whole pages — admission can pack the pool by usage, and a
 //! scheduler that oversubscribes recovers by releasing a victim's pages
 //! (preemption; see `gpa-serve`).
 //!
-//! The page table governs *capacity*, not data layout. A decoder layer's
-//! K/V rows are computed as the sequence advances, so they stay in one
-//! contiguous [`KvCache`] per pool entry. A request that brings its own
-//! K/V rows needs no cache at all: its entry is a **reservation**
-//! ([`PagePool::try_reserve`]) that only counts tokens, grown one page
-//! grant per decode row ([`PagePool::try_grant`]), while kernels attend
-//! over the first `kv_rows` rows of the request's own `K`/`V`. Either way
-//! kernels borrow whole matrices with zero copies and the library's
-//! bitwise guarantees are untouched. Page ids are still real: finite,
-//! conserved (`free + mapped == total`, asserted by
+//! The page table governs *capacity*, not data layout: each layer's K/V
+//! rows stay in one contiguous [`KvCache`]. A request that brings its own
+//! K/V rows has no cache at all — a **reservation**
+//! ([`PagePool::try_reserve`]) whose kernels attend over the first
+//! `kv_rows` rows of the request's own `K`/`V`. Either way kernels borrow
+//! whole matrices with zero copies and the library's bitwise guarantees
+//! are untouched. Page ids are still real: finite, conserved
+//! (`free + mapped == total`, asserted by
 //! [`PagePool::assert_page_invariants`]), and never double-mapped.
 //!
 //! **Eviction** rides behind that same accounting layer: a scheduler
-//! [`PagePool::release`]s a victim's caches and holds them itself (a
-//! reservation has nothing to hold: its rows never left their owner) —
-//! K/V rows and routing state move as-is, `O(1)` in context length, and
-//! nothing is ever rebuilt. Resume is [`PagePool::try_adopt`]
-//! (all-or-nothing), splicing the identical bytes back under a fresh page
-//! table. The held bytes are the owner's to count ([`KvCache::kv_bytes`]).
+//! [`PagePool::release`]s a victim's entry and holds its caches itself (a
+//! reservation has none: its rows never left their owner) — K/V rows and
+//! routing state move as-is, `O(1)` in context length, and nothing is
+//! ever rebuilt. Resume is [`PagePool::try_adopt`] (all-or-nothing),
+//! splicing the identical bytes back under a fresh page table. The held
+//! bytes are the owner's to count ([`KvCache::kv_bytes`]).
 //!
 //! Handles are generation-checked: using a released or stale [`SeqId`]
 //! panics, because indices are recycled and a stale handle is a logic
@@ -51,65 +51,42 @@ use std::convert::Infallible;
 
 /// Opaque handle to one live sequence in a [`PagePool`].
 ///
-/// Handles are invalidated by [`PagePool::release`] (or
-/// [`PagePool::release_reserved`]); using a released handle panics
-/// (sequence indices are recycled, so a stale handle is a logic error,
-/// not a recoverable condition).
+/// Handles are invalidated by [`PagePool::release`]; using a released
+/// handle panics (sequence indices are recycled, so a stale handle is a
+/// logic error, not a recoverable condition).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SeqId {
     index: usize,
     generation: u64,
 }
 
-/// What a pool entry holds: the sequence's K/V rows, or only a count of
-/// tokens whose rows its caller keeps.
-enum Held<T> {
-    Cache(KvCache<T>),
-    Tokens(usize),
-}
-
+/// One sequence in the pool.
 struct PagedSeq<T> {
-    held: Held<T>,
-    /// Physical page ids backing this sequence, in logical order; always
-    /// exactly `ceil(tokens / page_size)` entries between calls.
+    /// Tokens granted; no cache holds more rows than this.
+    tokens: usize,
+    /// Layer caches, in layer order; none for a reservation.
+    caches: Vec<KvCache<T>>,
+    /// Physical page ids backing the grant; always exactly
+    /// `depth() × ceil(tokens / page_size)` entries.
     pages: Vec<usize>,
     generation: u64,
 }
 
-impl<T: Real> PagedSeq<T> {
-    /// Tokens this entry accounts: its cache's length, or its count.
-    fn tokens(&self) -> usize {
-        match &self.held {
-            Held::Cache(cache) => cache.len(),
-            Held::Tokens(tokens) => *tokens,
-        }
-    }
-
-    fn cache(&self) -> &KvCache<T> {
-        match &self.held {
-            Held::Cache(cache) => cache,
-            Held::Tokens(_) => panic!("a reserved entry holds no cache"),
-        }
-    }
-
-    fn cache_mut(&mut self) -> &mut KvCache<T> {
-        match &mut self.held {
-            Held::Cache(cache) => cache,
-            Held::Tokens(_) => panic!("a reserved entry holds no cache"),
-        }
+impl<T> PagedSeq<T> {
+    /// Layers the grant is paged for: a reservation pages its tokens once.
+    fn depth(&self) -> usize {
+        self.caches.len().max(1)
     }
 }
 
-/// A pool of per-sequence [`KvCache`]s under block-paged allocation.
+/// A pool of sequences under block-paged allocation.
 ///
-/// A pool entry is one growable cache — single-head ([`Self::allocate`])
-/// or multi-head for one decoder-stack *layer* ([`Self::allocate_heads`];
-/// a model holds one entry per layer, so page budgets count every layer)
-/// — or a **reservation** ([`Self::try_reserve`]): a count of tokens whose
-/// K/V rows the caller keeps, such as a request's own input rows. Pages
-/// account **tokens** either way; head count, like `dk`, only widens the
-/// rows, and a reservation of `n` tokens costs what a cache of length `n`
-/// costs.
+/// An entry is one sequence: a single-head cache ([`Self::allocate`]), a
+/// decoder stack's layer caches ([`Self::try_adopt`]; page budgets count
+/// every layer) or a **reservation** ([`Self::try_reserve`]) — a count of
+/// tokens whose K/V rows the caller keeps. Pages account **tokens** per
+/// layer: head count, like `dk`, only widens the rows, and a reservation
+/// of `n` tokens costs what a single cache of `n` tokens costs.
 ///
 /// ```
 /// use gpa_core::PagePool;
@@ -117,11 +94,11 @@ impl<T: Real> PagedSeq<T> {
 /// // 4 pages of 4 tokens each: room for 16 cached tokens in total.
 /// let mut pool: PagePool<f32> = PagePool::new(4, 4);
 /// let a = pool.allocate(8, 8);
-/// assert_eq!(pool.pages_held(a), 0, "pages allocate on append, not up front");
+/// assert_eq!(pool.pages_held(a), 0, "pages are granted on append, not up front");
 /// assert!(pool.try_append(a, &[0.0; 8], &[0.0; 8]));
 /// assert_eq!((pool.pages_held(a), pool.free_pages()), (1, 3));
-/// let cache = pool.release(a);
-/// assert_eq!(cache.len(), 1, "the cache keeps its tokens");
+/// let caches = pool.release(a);
+/// assert_eq!(caches[0].len(), 1, "the cache keeps its tokens");
 /// assert_eq!(pool.free_pages(), 4, "the pages come back");
 /// ```
 pub struct PagePool<T> {
@@ -173,9 +150,14 @@ impl<T: Real> PagePool<T> {
         tokens.div_ceil(self.page_size)
     }
 
-    /// Tokens actually cached right now, summed across live sequences.
+    /// Tokens granted right now, summed across live sequences and, within
+    /// a stack, across its layers.
     pub fn used_tokens(&self) -> usize {
-        self.seqs.iter().flatten().map(PagedSeq::tokens).sum()
+        self.seqs
+            .iter()
+            .flatten()
+            .map(|s| s.depth() * s.tokens)
+            .sum()
     }
 
     /// Number of live sequences.
@@ -185,59 +167,58 @@ impl<T: Real> PagePool<T> {
 
     /// Admit a sequence: an empty single-head cache (`dk`/`dv` key and
     /// value dimensions) with an empty page table. Allocation itself
-    /// costs nothing — pages are taken only when appends need them — so
-    /// this cannot fail.
+    /// costs nothing — pages are granted as appends need them — so this
+    /// cannot fail.
     pub fn allocate(&mut self, dk: usize, dv: usize) -> SeqId {
-        self.install(Held::Cache(KvCache::single(dk, dv)), Vec::new())
+        self.install(vec![KvCache::single(dk, dv)], 0, Vec::new())
     }
 
-    /// Admit a multi-head sequence — one model *layer*'s cache in a
-    /// decoder stack, where every layer of every sequence is its own pool
-    /// entry so page budgets count all layers. Pages account **tokens**
-    /// (the cache length); the head count is a row-width multiplier, like
-    /// `dk`, and does not change the page arithmetic.
-    pub fn allocate_heads(&mut self, heads: usize, dk: usize, dv: usize) -> SeqId {
-        self.install(Held::Cache(KvCache::new(heads, dk, dv)), Vec::new())
-    }
-
-    /// Adopt an already-populated cache (e.g. one retained by a preempted
-    /// sequence), allocating the pages its tokens occupy. Returns the
-    /// cache untouched when the free list cannot cover it — the all-or-
-    /// nothing resume path.
-    pub fn try_adopt(&mut self, cache: KvCache<T>) -> Result<SeqId, KvCache<T>> {
-        match self.take_pages(cache.len()) {
-            Some(pages) => Ok(self.install(Held::Cache(cache), pages)),
-            None => Err(cache),
+    /// Adopt a sequence's layer caches — retained by a preempted sequence,
+    /// or empty for a fresh stack — granting their tokens and taking the
+    /// pages they occupy in every layer. Returns the caches untouched when
+    /// the free list cannot cover them: the all-or-nothing resume path.
+    ///
+    /// # Panics
+    /// Panics when the caches disagree on length or head shape.
+    pub fn try_adopt(&mut self, caches: Vec<KvCache<T>>) -> Result<SeqId, Vec<KvCache<T>>> {
+        let tokens = caches.first().map_or(0, KvCache::len);
+        let shape = |c: &KvCache<T>| (c.heads(), c.dk(), c.dv());
+        for cache in &caches {
+            assert_eq!(cache.len(), tokens, "adopted caches disagree on length");
+            assert_eq!(
+                shape(cache),
+                shape(&caches[0]),
+                "adopted caches disagree on head shape"
+            );
+        }
+        match self.take_pages(caches.len().max(1) * self.pages_for(tokens)) {
+            Some(pages) => Ok(self.install(caches, tokens, pages)),
+            None => Err(caches),
         }
     }
 
-    /// Admit a sequence whose K/V rows the caller keeps: an entry that
-    /// counts `tokens` tokens and maps the pages they occupy, holding no
-    /// rows. All-or-nothing: `None`, with nothing taken, when the free list
-    /// cannot cover them. The entry grows by [`Self::try_grant`] and
-    /// shrinks by [`Self::truncate`]; it has no [`Self::cache`], and
-    /// [`Self::release_reserved`] gives it back.
+    /// Admit a sequence whose K/V rows the caller keeps: an entry granted
+    /// `tokens` tokens, mapping the pages they occupy and holding no cache.
+    /// All-or-nothing: `None`, with nothing taken, when the free list
+    /// cannot cover them.
     pub fn try_reserve(&mut self, tokens: usize) -> Option<SeqId> {
-        let pages = self.take_pages(tokens)?;
-        Some(self.install(Held::Tokens(tokens), pages))
+        let pages = self.take_pages(self.pages_for(tokens))?;
+        Some(self.install(Vec::new(), tokens, pages))
     }
 
-    /// The pages `tokens` tokens occupy, off the free list — or `None`,
-    /// taking nothing, when it is too short.
-    fn take_pages(&mut self, tokens: usize) -> Option<Vec<usize>> {
-        let needed = tokens.div_ceil(self.page_size);
-        if needed > self.free.len() {
-            return None;
-        }
-        let at = self.free.len() - needed;
+    /// `count` pages off the free list — or `None`, taking nothing, when
+    /// it is too short.
+    fn take_pages(&mut self, count: usize) -> Option<Vec<usize>> {
+        let at = self.free.len().checked_sub(count)?;
         Some(self.free.drain(at..).rev().collect())
     }
 
-    fn install(&mut self, held: Held<T>, pages: Vec<usize>) -> SeqId {
+    fn install(&mut self, caches: Vec<KvCache<T>>, tokens: usize, pages: Vec<usize>) -> SeqId {
         let generation = self.next_generation;
         self.next_generation += 1;
         let seq = PagedSeq {
-            held,
+            tokens,
+            caches,
             pages,
             generation,
         };
@@ -266,12 +247,13 @@ impl<T: Real> PagePool<T> {
         seq
     }
 
-    /// The sequence's cache.
+    /// The sequence's layer caches, in layer order; empty for a
+    /// reservation.
     ///
     /// # Panics
     /// Panics on a released or stale handle.
-    pub fn cache(&self, id: SeqId) -> &KvCache<T> {
-        self.seq(id).cache()
+    pub fn caches(&self, id: SeqId) -> &[KvCache<T>] {
+        &self.seq(id).caches
     }
 
     /// Pages currently mapped by the sequence's page table.
@@ -282,89 +264,91 @@ impl<T: Real> PagePool<T> {
         self.seq(id).pages.len()
     }
 
-    /// Grow the page table at `index` to cover `tokens` tokens. Returns
-    /// false — without mutating anything — when the free list cannot
-    /// supply the missing pages.
-    fn grow_to(&mut self, index: usize, tokens: usize) -> bool {
-        let needed = tokens.div_ceil(self.page_size);
-        let held = self.seqs[index]
-            .as_ref()
-            .expect("live sequence")
-            .pages
-            .len();
-        let missing = needed.saturating_sub(held);
-        if missing > self.free.len() {
-            return false;
-        }
-        let seq = self.seqs[index].as_mut().expect("live sequence");
-        for _ in 0..missing {
-            seq.pages.push(self.free.pop().expect("counted above"));
-        }
-        true
-    }
-
-    /// Append a prompt's worth of K/V rows, allocating whatever pages the
-    /// new length needs. Atomic: returns false — no pages taken, no rows
-    /// appended — when the pages do not fit.
+    /// Grant the sequence `tokens` more tokens in every layer, taking
+    /// whatever pages the new count needs — the only way an entry gains
+    /// pages. Atomic: returns false — no page taken, nothing granted — when
+    /// the free list cannot supply them.
     ///
     /// # Panics
-    /// Panics on a released or stale handle, or on `k`/`v` shape
-    /// mismatches (as [`KvCache::extend`]).
-    pub fn try_extend(&mut self, id: SeqId, k: &Matrix<T>, v: &Matrix<T>) -> bool {
-        let tokens = self.seq(id).cache().len() + k.rows();
-        if !self.grow_to(id.index, tokens) {
+    /// Panics on a released or stale handle.
+    pub fn try_grant(&mut self, id: SeqId, tokens: usize) -> bool {
+        let page_size = self.page_size;
+        let seq = self.seqs[id.index].as_mut().expect("released sequence");
+        assert_eq!(seq.generation, id.generation, "stale sequence handle");
+        let granted = seq.tokens + tokens;
+        let missing = seq.depth() * granted.div_ceil(page_size) - seq.pages.len();
+        let Some(at) = self.free.len().checked_sub(missing) else {
             return false;
-        }
-        self.seq_mut(id).cache_mut().extend(0, k, v);
+        };
+        seq.pages.extend(self.free.drain(at..).rev());
+        seq.tokens = granted;
         true
     }
 
-    /// Append one decode token's K/V rows, allocating a fresh page when
-    /// the append crosses a page boundary. Atomic: returns false — no
-    /// page taken, no row appended — when a needed page is not free.
+    /// Layer `layer`'s cache, checked to have room for `rows` more rows
+    /// inside the grant.
+    fn granted_rows(&mut self, id: SeqId, layer: usize, rows: usize) -> &mut KvCache<T> {
+        let PagedSeq { tokens, caches, .. } = self.seq_mut(id);
+        let cache = &mut caches[layer];
+        assert!(
+            cache.len() + rows <= *tokens,
+            "an append of {rows} rows past the grant of {tokens} tokens"
+        );
+        cache
+    }
+
+    /// Grant one token and append its K/V rows to a single-head
+    /// sequence's cache. Atomic: returns false — no page taken, no row
+    /// appended — when a needed page is not free.
     ///
     /// # Panics
     /// Panics on a released or stale handle, or on row-width mismatches
     /// (as [`KvCache::append`]).
     pub fn try_append(&mut self, id: SeqId, k_row: &[T], v_row: &[T]) -> bool {
-        let tokens = self.seq(id).cache().len() + 1;
-        if !self.grow_to(id.index, tokens) {
+        if !self.try_grant(id, 1) {
             return false;
         }
-        self.seq_mut(id).cache_mut().append(0, k_row, v_row);
+        self.granted_rows(id, 0, 1).append(0, k_row, v_row);
         true
     }
 
-    /// Append per-head K/V rows — `ks[h]`/`vs[h]` go to head `h`, all
-    /// heads gaining the same number of tokens — allocating whatever
-    /// pages the new length needs. Atomic: returns false — no pages
+    /// Grant a prompt's worth of tokens and append its K/V rows to a
+    /// single-head sequence's cache. Atomic: returns false — no pages
     /// taken, no rows appended — when the pages do not fit.
     ///
     /// # Panics
-    /// Panics on a released or stale handle, when the slice lengths do
-    /// not match the cache's head count, when the heads disagree on row
-    /// count, or on shape mismatches (as [`KvCache::extend`]).
-    pub fn try_extend_heads(&mut self, id: SeqId, ks: &[Matrix<T>], vs: &[Matrix<T>]) -> bool {
-        let heads = self.seq(id).cache().heads();
-        assert_eq!(ks.len(), heads, "one K matrix per head");
-        assert_eq!(vs.len(), heads, "one V matrix per head");
-        let rows = ks[0].rows();
-        assert!(
-            ks.iter().chain(vs.iter()).all(|m| m.rows() == rows),
-            "heads must gain the same number of tokens"
-        );
-        let tokens = self.seq(id).cache().len() + rows;
-        if !self.grow_to(id.index, tokens) {
+    /// Panics on a released or stale handle, or on `k`/`v` shape
+    /// mismatches (as [`KvCache::extend`]).
+    pub fn try_extend(&mut self, id: SeqId, k: &Matrix<T>, v: &Matrix<T>) -> bool {
+        if !self.try_grant(id, k.rows()) {
             return false;
         }
-        let cache = self.seq_mut(id).cache_mut();
-        for (h, (k, v)) in ks.iter().zip(vs).enumerate() {
-            cache.extend(h, k, v);
-        }
+        self.granted_rows(id, 0, k.rows()).extend(0, k, v);
         true
     }
 
-    /// Route `q`'s rows as the sequence's next tokens on head `head` —
+    /// Write per-head K/V rows (`ks[h]`/`vs[h]` to head `h`) into layer
+    /// `layer`'s cache, inside tokens already granted ([`Self::try_grant`]).
+    ///
+    /// # Panics
+    /// Panics on a released or stale handle, on rows past the grant, on
+    /// one matrix too many or too few per head, or on heads that disagree
+    /// on row count or shape (as [`KvCache::extend`]).
+    pub fn extend(&mut self, id: SeqId, layer: usize, ks: &[Matrix<T>], vs: &[Matrix<T>]) {
+        let rows = ks.first().map_or(0, Matrix::rows);
+        assert!(
+            ks.iter().chain(vs).all(|m| m.rows() == rows),
+            "heads must gain the same number of tokens"
+        );
+        let cache = self.granted_rows(id, layer, rows);
+        assert_eq!(ks.len(), cache.heads(), "one K matrix per head");
+        assert_eq!(vs.len(), cache.heads(), "one V matrix per head");
+        for (h, (k, v)) in ks.iter().zip(vs).enumerate() {
+            cache.extend(h, k, v);
+        }
+    }
+
+    /// Route `q`'s rows as layer `layer`'s next tokens on head `head` —
     /// the passthrough to `KvCache::extend_routing`. Routing costs no
     /// pages (it is `O(1)` words per token), so this cannot fail for
     /// capacity reasons.
@@ -378,103 +362,58 @@ impl<T: Real> PagePool<T> {
     pub fn extend_routing(
         &mut self,
         id: SeqId,
+        layer: usize,
         spec: crate::routing::RoutedSpec,
         head: usize,
         q: &Matrix<T>,
     ) -> Result<(), crate::error::AttnError> {
-        self.seq_mut(id).cache_mut().extend_routing(spec, head, q)
+        self.seq_mut(id).caches[layer].extend_routing(spec, head, q)
     }
 
-    /// Count `tokens` more tokens on a reserved entry, allocating whatever
-    /// pages the new count needs — the page grant that stands in for an
-    /// append when the caller keeps the rows. Atomic: returns false — no
-    /// page taken, nothing counted — when a needed page is not free.
-    ///
-    /// # Panics
-    /// Panics on a released or stale handle, or on an entry that holds a
-    /// cache (its length is its rows').
-    pub fn try_grant(&mut self, id: SeqId, tokens: usize) -> bool {
-        let Held::Tokens(held) = self.seq(id).held else {
-            panic!("only a reserved entry is granted tokens without rows");
-        };
-        if !self.grow_to(id.index, held + tokens) {
-            return false;
-        }
-        self.seq_mut(id).held = Held::Tokens(held + tokens);
-        true
-    }
-
-    /// Drop every token past the first `tokens` — cached rows, or counted
-    /// tokens of a reservation — returning the pages the shorter length no
+    /// Drop every token past the first `tokens` — granted tokens and every
+    /// layer's cached rows — returning the pages the shorter grant no
     /// longer needs to the free list: the rollback path when a launch fails
-    /// after its appends or grants landed.
+    /// after its grants or appends landed.
     ///
     /// # Panics
     /// Panics on a released or stale handle.
     pub fn truncate(&mut self, id: SeqId, tokens: usize) {
-        // Validate the handle, then split the borrow: the sequence entry
-        // and the free list are disjoint fields.
-        let _ = self.seq(id);
-        let seq = self.seqs[id.index].as_mut().expect("live sequence");
-        if tokens >= seq.tokens() {
+        let page_size = self.page_size;
+        let seq = self.seqs[id.index].as_mut().expect("released sequence");
+        assert_eq!(seq.generation, id.generation, "stale sequence handle");
+        if tokens >= seq.tokens {
             return;
         }
-        match &mut seq.held {
-            Held::Cache(cache) => cache.truncate(tokens),
-            Held::Tokens(held) => *held = tokens,
+        seq.tokens = tokens;
+        for cache in &mut seq.caches {
+            cache.truncate(tokens);
         }
-        let keep = tokens.div_ceil(self.page_size);
-        while seq.pages.len() > keep {
-            let page = seq.pages.pop().expect("longer than keep");
-            self.free.push(page);
-        }
+        // Pop from the back: pages return in reverse grant order, keeping
+        // reuse LIFO and fully deterministic.
+        let keep = seq.depth() * tokens.div_ceil(page_size);
+        self.free.extend(seq.pages.drain(keep..).rev());
     }
 
     /// Release a sequence, returning every mapped page to the free list
-    /// and the cache (with whatever tokens it still holds) to the caller.
+    /// and its caches (with whatever rows they still hold; none for a
+    /// reservation) to the caller.
     ///
     /// # Panics
-    /// Panics on a released or stale handle, or on a reserved entry
-    /// ([`Self::release_reserved`]).
-    pub fn release(&mut self, id: SeqId) -> KvCache<T> {
-        match self.unmap(id) {
-            Held::Cache(cache) => cache,
-            Held::Tokens(_) => panic!("a reserved entry holds no cache"),
-        }
-    }
-
-    /// Release a [reserved](Self::try_reserve) entry, returning every
-    /// mapped page to the free list.
-    ///
-    /// # Panics
-    /// Panics on a released or stale handle, or on an entry that holds a
-    /// cache ([`Self::release`]).
-    pub fn release_reserved(&mut self, id: SeqId) {
-        if let Held::Cache(_) = self.unmap(id) {
-            panic!("a cache entry is released with its cache");
-        }
-    }
-
-    /// Remove an entry, returning its pages to the free list.
-    fn unmap(&mut self, id: SeqId) -> Held<T> {
+    /// Panics on a released or stale handle.
+    pub fn release(&mut self, id: SeqId) -> Vec<KvCache<T>> {
         let seq = self.seqs[id.index].take().expect("released sequence");
         assert_eq!(seq.generation, id.generation, "stale sequence handle");
-        // Pop from the back: pages return in reverse allocation order,
-        // keeping reuse LIFO and fully deterministic.
-        let mut pages = seq.pages;
-        while let Some(page) = pages.pop() {
-            self.free.push(page);
-        }
+        self.free.extend(seq.pages.into_iter().rev());
         self.free_seqs.push(id.index);
-        seq.held
+        seq.caches
     }
 
     /// Assert the pool's paging invariants: page conservation
     /// (`free + mapped == total`), no page mapped twice (across page
-    /// tables or the free list), and every page table exactly covering its
-    /// entry's tokens (`ceil(tokens / page_size)` entries, a cache's tokens
-    /// being its length). The serving simulation calls this after every
-    /// scheduler tick.
+    /// tables or the free list), every page table exactly covering its
+    /// entry's grant (`max(1, layers) × ceil(tokens / page_size)`
+    /// entries), and no cache holding rows past the grant. The serving
+    /// simulation calls this after every scheduler tick.
     ///
     /// # Panics
     /// Panics when an invariant is violated.
@@ -505,9 +444,15 @@ impl<T: Real> PagePool<T> {
             }
             assert_eq!(
                 seq.pages.len(),
-                seq.tokens().div_ceil(self.page_size),
-                "page table does not exactly cover {} tokens",
-                seq.tokens()
+                seq.depth() * seq.tokens.div_ceil(self.page_size),
+                "page table does not exactly cover {} tokens in {} layers",
+                seq.tokens,
+                seq.depth()
+            );
+            assert!(
+                seq.caches.iter().all(|c| c.len() <= seq.tokens),
+                "a cache holds rows past its grant of {} tokens",
+                seq.tokens
             );
         }
     }
@@ -557,15 +502,13 @@ struct SwapEntry<T> {
 /// assert!(pool.try_append(seq, &[0.5; 4], &[0.25; 4]));
 ///
 /// // Preempt: pages go back to the pool, the cache parks in the arena.
-/// let cache = pool.release(seq);
-/// let ticket = arena.try_park(vec![cache]).expect("never refuses");
+/// let ticket = arena.try_park(pool.release(seq)).expect("never refuses");
 /// assert_eq!(pool.free_pages(), 2);
 ///
 /// // Resume: take the stack and re-adopt its pages — no re-extension.
-/// let mut stack = arena.take(ticket);
-/// let seq = pool.try_adopt(stack.pop().unwrap()).expect("pages are free");
-/// assert_eq!(pool.cache(seq).len(), 1);
-/// assert_eq!(pool.cache(seq).k(0).row(0), &[0.5; 4]);
+/// let seq = pool.try_adopt(arena.take(ticket)).expect("pages are free");
+/// assert_eq!(pool.caches(seq)[0].len(), 1);
+/// assert_eq!(pool.caches(seq)[0].k(0).row(0), &[0.5; 4]);
 /// ```
 pub struct SwapArena<T> {
     entries: Vec<Option<SwapEntry<T>>>,
@@ -649,8 +592,8 @@ mod tests {
         assert!(pool.try_append(a, &[1.0; 2], &[1.0; 2]), "same page");
         // Third token needs a second page; none is free.
         assert!(!pool.try_append(a, &[2.0; 2], &[2.0; 2]));
-        assert_eq!(pool.cache(a).len(), 2, "failed append left no row");
-        assert_eq!(pool.pages_held(a), 1);
+        assert_eq!(pool.caches(a)[0].len(), 2, "failed append left no row");
+        assert_eq!((pool.pages_held(a), pool.used_tokens()), (1, 2));
         pool.assert_page_invariants();
     }
 
@@ -661,13 +604,17 @@ mod tests {
         let (_, k, v) = qkv::<f64>(9, 3, 1);
         // 9 tokens need 3 pages; only 2 exist. Nothing moves.
         assert!(!pool.try_extend(a, &k, &v));
-        assert_eq!(pool.cache(a).len(), 0);
+        assert_eq!(pool.caches(a)[0].len(), 0);
         assert_eq!(pool.free_pages(), 2);
         let (_, k, v) = qkv::<f64>(8, 3, 2);
         assert!(pool.try_extend(a, &k, &v));
-        assert_eq!(pool.cache(a).len(), 8);
+        assert_eq!(pool.caches(a)[0].len(), 8);
         assert_eq!(pool.pages_held(a), 2);
-        assert_eq!(pool.cache(a).k(0).row(3), k.row(3), "rows land in order");
+        assert_eq!(
+            pool.caches(a)[0].k(0).row(3),
+            k.row(3),
+            "rows land in order"
+        );
         pool.assert_page_invariants();
     }
 
@@ -679,10 +626,10 @@ mod tests {
         assert!(pool.try_extend(a, &k, &v));
         assert_eq!((pool.pages_held(a), pool.free_pages()), (4, 0));
         pool.truncate(a, 3);
-        assert_eq!(pool.cache(a).len(), 3);
+        assert_eq!(pool.caches(a)[0].len(), 3);
         assert_eq!((pool.pages_held(a), pool.free_pages()), (2, 2));
         pool.truncate(a, 9); // longer than the cache: no-op
-        assert_eq!(pool.cache(a).len(), 3);
+        assert_eq!(pool.caches(a)[0].len(), 3);
         pool.truncate(a, 0);
         assert_eq!((pool.pages_held(a), pool.free_pages()), (0, 4));
         pool.assert_page_invariants();
@@ -693,9 +640,10 @@ mod tests {
         let mut pool: PagePool<f64> = PagePool::new(2, 2);
         let a = pool.allocate(2, 2);
         assert!(pool.try_append(a, &[1.0, 2.0], &[3.0, 4.0]));
-        let cache = pool.release(a);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.k(0).row(0), &[1.0, 2.0]);
+        let caches = pool.release(a);
+        assert_eq!(caches.len(), 1);
+        assert_eq!(caches[0].len(), 1);
+        assert_eq!(caches[0].k(0).row(0), &[1.0, 2.0]);
         assert_eq!(pool.free_pages(), 2);
         assert_eq!(pool.len(), 0);
         pool.assert_page_invariants();
@@ -724,9 +672,9 @@ mod tests {
         let b = pool.allocate(2, 2);
         // Recycled index, fresh generation: `a` must no longer resolve.
         assert_ne!(a, b);
-        assert_eq!(pool.cache(b).len(), 0);
+        assert_eq!(pool.caches(b)[0].len(), 0);
         let stale = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = pool.cache(a);
+            let _ = pool.caches(a);
         }));
         assert!(stale.is_err(), "stale handle must panic");
     }
@@ -737,55 +685,105 @@ mod tests {
         let mut pool: PagePool<f64> = PagePool::new(2, 2);
         let a = pool.allocate(2, 2);
         pool.release(a);
-        let _ = pool.cache(a);
+        let _ = pool.caches(a);
+    }
+
+    /// `tokens` K and V rows for each of `heads` heads, width 2.
+    fn head_rows(heads: u64, tokens: usize, seed: u64) -> (Vec<Matrix<f64>>, Vec<Matrix<f64>>) {
+        let rows = (0..heads).map(|h| qkv::<f64>(tokens, 2, seed + h));
+        rows.map(|(_, k, v)| (k, v)).unzip()
+    }
+
+    /// `layers` empty caches of `heads` heads, width 2.
+    fn empty_stack(layers: usize, heads: usize) -> Vec<KvCache<f64>> {
+        (0..layers).map(|_| KvCache::new(heads, 2, 2)).collect()
     }
 
     #[test]
-    fn multi_head_entries_charge_tokens_not_heads() {
-        let mut pool: PagePool<f64> = PagePool::new(4, 2);
-        let a = pool.allocate_heads(3, 2, 2);
-        assert_eq!(pool.cache(a).heads(), 3);
-        let ks: Vec<Matrix<f64>> = (0..3).map(|h| qkv::<f64>(3, 2, h as u64).1).collect();
-        let vs: Vec<Matrix<f64>> = (0..3).map(|h| qkv::<f64>(3, 2, 9 + h as u64).2).collect();
-        assert!(pool.try_extend_heads(a, &ks, &vs));
-        // 3 tokens over 2-token pages: 2 pages, regardless of 3 heads.
-        assert_eq!(pool.pages_held(a), 2);
-        assert_eq!(pool.cache(a).len(), 3);
-        assert_eq!(pool.cache(a).k(2).row(1), ks[2].row(1));
-        // A failing multi-head extend takes nothing from any head.
-        let ks: Vec<Matrix<f64>> = (0..3).map(|h| qkv::<f64>(6, 2, 20 + h as u64).1).collect();
-        let vs: Vec<Matrix<f64>> = (0..3).map(|h| qkv::<f64>(6, 2, 30 + h as u64).2).collect();
-        assert!(!pool.try_extend_heads(a, &ks, &vs), "9 tokens need 5 pages");
-        assert_eq!(pool.cache(a).len(), 3);
-        assert_eq!(pool.pages_held(a), 2);
+    fn a_stack_entry_pages_every_layer() {
+        // Three layers of two heads in 2-token pages: one page table of
+        // 3 × ceil(tokens / 2) pages through every operation. Heads, like
+        // `dk`, widen the rows and charge no pages.
+        let mut pool: PagePool<f64> = PagePool::new(9, 2);
+        let a = pool.try_adopt(empty_stack(3, 2)).unwrap();
+        assert!(!pool.try_grant(a, 7), "3 × 4 pages > 9");
+        assert_eq!((pool.pages_held(a), pool.free_pages()), (0, 9));
+        assert!(pool.try_grant(a, 5));
+        assert_eq!((pool.pages_held(a), pool.used_tokens()), (9, 15));
+        for layer in 0..3 {
+            let (ks, vs) = head_rows(2, 5, 10 * layer as u64);
+            pool.extend(a, layer, &ks, &vs);
+            assert_eq!(pool.caches(a)[layer].k(1).row(4), ks[1].row(4));
+        }
+        pool.truncate(a, 3);
+        assert_eq!((pool.pages_held(a), pool.used_tokens()), (6, 9));
+        assert!(pool.caches(a).iter().all(|c| c.len() == 3));
         pool.assert_page_invariants();
+        // Release hands back every layer; adopt pages them all again.
+        let caches = pool.release(a);
+        assert_eq!((caches.len(), pool.free_pages()), (3, 9));
+        let b = pool.try_adopt(caches).unwrap();
+        assert_eq!((pool.pages_held(b), pool.used_tokens()), (6, 9));
+        assert!(pool.try_grant(b, 1), "inside every layer's last page");
+        assert_eq!(pool.pages_held(b), 6);
+        pool.assert_page_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "past the grant")]
+    fn an_append_past_the_grant_panics() {
+        let mut pool: PagePool<f64> = PagePool::new(4, 2);
+        let a = pool.try_adopt(empty_stack(2, 1)).unwrap();
+        assert!(pool.try_grant(a, 1));
+        let (ks, vs) = head_rows(1, 2, 0);
+        pool.extend(a, 1, &ks, &vs);
+    }
+
+    #[test]
+    #[should_panic(expected = "rows past its grant")]
+    fn the_invariants_catch_rows_past_the_grant() {
+        let mut pool: PagePool<f64> = PagePool::new(4, 2);
+        let a = pool.allocate(2, 2);
+        // Only a bug writes past the grant: write into the cache directly.
+        pool.seq_mut(a).caches[0].append(0, &[0.0; 2], &[0.0; 2]);
+        pool.assert_page_invariants();
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree on length")]
+    fn adopting_caches_of_different_lengths_panics() {
+        let mut caches = stack(2, 0);
+        caches[1].truncate(1);
+        let _ = PagePool::new(4, 2).try_adopt(caches);
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree on head shape")]
+    fn adopting_caches_of_different_head_shapes_panics() {
+        let caches = vec![KvCache::<f64>::single(2, 2), KvCache::new(2, 2, 2)];
+        let _ = PagePool::new(4, 2).try_adopt(caches);
     }
 
     #[test]
     fn adopt_takes_pages_for_retained_tokens_or_nothing() {
-        let mut pool: PagePool<f64> = PagePool::new(2, 2);
-        let a = pool.allocate_heads(2, 2, 2);
-        let ks: Vec<Matrix<f64>> = (0..2).map(|h| qkv::<f64>(3, 2, h as u64).1).collect();
-        let vs: Vec<Matrix<f64>> = (0..2).map(|h| qkv::<f64>(3, 2, 5 + h as u64).2).collect();
-        assert!(pool.try_extend_heads(a, &ks, &vs));
-        let retained = pool.release(a);
-        assert_eq!(pool.free_pages(), 2);
-        // Adoption under pressure: one page held elsewhere, 3 tokens need
-        // 2 pages — refused, cache handed back intact.
+        let mut pool: PagePool<f64> = PagePool::new(4, 2);
+        // Adoption under pressure: one page held elsewhere, 3 tokens in 2
+        // layers need 4 pages — refused, caches handed back intact.
         let b = pool.allocate(2, 2);
         assert!(pool.try_append(b, &[0.0; 2], &[0.0; 2]));
-        let retained = match pool.try_adopt(retained) {
-            Err(cache) => cache,
-            Ok(_) => panic!("adoption must fail without pages"),
+        let Err(retained) = pool.try_adopt(stack(3, 7)) else {
+            panic!("adoption must fail without pages");
         };
-        assert_eq!(retained.len(), 3, "refused adoption returns the cache");
+        assert_eq!(retained.len(), 2, "refused adoption returns the caches");
+        assert!(retained.iter().all(|c| c.len() == 3));
+        assert_eq!(pool.free_pages(), 3, "and takes no page");
         pool.assert_page_invariants();
         // With the squatter gone, adoption restores the exact bytes.
         pool.release(b);
+        let expect = retained[1].k(0).row(2).to_vec();
         let c = pool.try_adopt(retained).expect("pages are free now");
-        assert_eq!(pool.cache(c).len(), 3);
-        assert_eq!(pool.pages_held(c), 2);
-        assert_eq!(pool.cache(c).k(1).row(2), ks[1].row(2));
+        assert_eq!((pool.caches(c)[1].len(), pool.pages_held(c)), (3, 4));
+        assert_eq!(pool.caches(c)[1].k(0).row(2), &expect[..]);
         pool.assert_page_invariants();
     }
 
@@ -795,6 +793,7 @@ mod tests {
         assert!(pool.try_reserve(9).is_none(), "9 tokens need 5 pages");
         assert_eq!(pool.free_pages(), 4, "a refused reservation takes nothing");
         let a = pool.try_reserve(3).expect("2 pages are free");
+        assert!(pool.caches(a).is_empty(), "a reservation holds no cache");
         let b = pool.allocate(2, 2);
         assert!(pool.try_append(b, &[0.0; 2], &[0.0; 2]));
         assert_eq!((pool.pages_held(a), pool.used_tokens()), (2, 4));
@@ -811,21 +810,13 @@ mod tests {
         assert_eq!((pool.pages_held(a), pool.free_pages()), (1, 2));
         assert_eq!(pool.used_tokens(), 3);
         pool.assert_page_invariants();
-        pool.release_reserved(a);
+        assert!(pool.release(a).is_empty());
         assert_eq!((pool.free_pages(), pool.len()), (3, 1));
         pool.assert_page_invariants();
         // An empty reservation maps nothing.
         let c = pool.try_reserve(0).expect("costs no page");
         assert_eq!(pool.pages_held(c), 0);
-        pool.release_reserved(c);
-    }
-
-    #[test]
-    #[should_panic(expected = "a reserved entry holds no cache")]
-    fn a_reserved_entry_has_no_cache() {
-        let mut pool: PagePool<f64> = PagePool::new(2, 2);
-        let a = pool.try_reserve(1).unwrap();
-        let _ = pool.cache(a);
+        pool.release(c);
     }
 
     #[test]

@@ -1,23 +1,24 @@
 //! The decoder stack: N multi-head attention layers, each bound to its
-//! own compiled [`AttentionPlan`], driven through per-layer paged KV.
+//! own compiled [`AttentionPlan`], driven through paged KV.
 //!
 //! A [`DecoderModel`] is compiled once from a [`LayerPattern`] plus a
 //! label→plan binding list; after that, serving is three verbs:
 //!
-//! - [`ModelKvState::allocate`] — one pool entry **per layer**, so page
-//!   budgets count every layer of every sequence;
-//! - [`DecoderModel::advance_batched`] — push one input window per
-//!   sequence through the whole stack. Per layer that is three launches
-//!   on the engine's pool, each over the rows of *all* sequences at once:
-//!   one fused `[Wq|Wk|Wv]` projection, **one** attention launch over all
-//!   sequences × heads (a 1-row window *is* a decode step — the geometry
-//!   is identical), and one `Wo` + residual projection;
-//! - [`ModelKvState::release`] / [`ModelKvState::adopt`] — eviction
-//!   retains every layer's cache, resume re-adopts them page-atomically.
+//! - [`ModelKvState::allocate`] — **one** pool entry per sequence,
+//!   holding one cache per layer, whose page table counts every layer;
+//! - [`DecoderModel::advance_batched`] — grant one input window per
+//!   sequence and push it through the whole stack. Per layer that is three
+//!   launches on the engine's pool, each over the rows of *all* sequences
+//!   at once: one fused `[Wq|Wk|Wv]` projection, **one** attention launch
+//!   over all sequences × heads (a 1-row window *is* a decode step), and
+//!   one `Wo` + residual projection;
+//! - [`PagePool::release`] of [`ModelKvState::seq`] /
+//!   [`ModelKvState::adopt`] — eviction retains the layer caches, resume
+//!   re-adopts them page-atomically.
 //!
-//! Advances are transactional: a failed page grab or kernel launch
-//! truncates every layer of every sequence back to its prior length and
-//! reports an error, leaving pool accounting untouched.
+//! Advances are transactional: a refused grant or a failed kernel launch
+//! truncates every sequence back to its prior length and reports an
+//! error, leaving pool accounting untouched.
 
 use crate::error::ModelError;
 use crate::pattern::LayerPattern;
@@ -192,31 +193,24 @@ impl<'p, T: Real> DecoderModel<'p, T> {
                     what: "item input must have at least one row",
                 });
             }
-            let seqs = item.state.layer_seqs();
-            if seqs.len() != self.layers.len() {
+            // An entry's caches share one shape, so the first stands for all.
+            let caches = pool.caches(item.state.seq);
+            if caches.len() != self.layers.len() {
                 return Err(ModelError::BadState {
                     what: "state layer count does not match the model",
                 });
             }
-            let tokens = pool.cache(seqs[0]).len();
-            for &seq in seqs {
-                let cache = pool.cache(seq);
-                if cache.heads() != self.heads || cache.dk() != self.dk || cache.dv() != self.dk {
-                    return Err(ModelError::BadState {
-                        what: "state cache shape does not match the model (use ModelKvState::allocate)",
-                    });
-                }
-                if cache.len() != tokens {
-                    return Err(ModelError::BadState {
-                        what: "layers disagree on cached length",
-                    });
-                }
+            let cache = &caches[0];
+            if cache.heads() != self.heads || cache.dk() != self.dk || cache.dv() != self.dk {
+                return Err(ModelError::BadState {
+                    what: "state cache shape does not match the model (use ModelKvState::allocate)",
+                });
             }
         }
         for (i, item) in items.iter().enumerate() {
             if items[..i]
                 .iter()
-                .any(|prev| prev.state.layer_seqs()[0] == item.state.layer_seqs()[0])
+                .any(|prev| prev.state.seq == item.state.seq)
             {
                 return Err(ModelError::BadState {
                     what: "two items share a ModelKvState",
@@ -227,18 +221,19 @@ impl<'p, T: Real> DecoderModel<'p, T> {
     }
 
     /// Advance every item by its input window through the whole stack:
-    /// per layer, project the rows of all items in one fused
-    /// `[Wq|Wk|Wv]` launch, append every item's K/V through the pool, run
-    /// all sequences × heads as **one** attention launch, and apply `Wo`
-    /// plus the residual to all rows in one more launch, feeding each sum
-    /// to the next layer. Returns one `rows × d_model` output per item.
+    /// grant every item's window in the pool, then per layer project the
+    /// rows of all items in one fused `[Wq|Wk|Wv]` launch, write every
+    /// item's K/V into its granted tokens, run all sequences × heads as
+    /// **one** attention launch, and apply `Wo` plus the residual to all
+    /// rows in one more launch, feeding each sum to the next layer.
+    /// Returns one `rows × d_model` output per item.
     ///
     /// A 1-row window is exactly a decode step (the query window sits at
     /// the cache tail either way), so prefill chunks and decode tokens
     /// share this path — and a mixed batch is one launch per layer.
     ///
-    /// Transactional: on [`ModelError::OutOfPages`] or a failed launch,
-    /// every layer of every item is truncated back to its prior length.
+    /// Transactional: on [`ModelError::OutOfPages`], refused before any
+    /// layer runs, or a failed launch, every item is truncated back.
     pub fn advance_batched(
         &self,
         engine: &AttentionEngine,
@@ -246,17 +241,20 @@ impl<'p, T: Real> DecoderModel<'p, T> {
         items: &[ModelWorkItem<'_, T>],
     ) -> Result<ModelAdvance<T>, ModelError> {
         self.check_items(pool, items)?;
-        let priors: Vec<usize> = items
-            .iter()
-            .map(|item| pool.cache(item.state.layer_seqs()[0]).len())
-            .collect();
+        let priors: Vec<usize> = items.iter().map(|item| item.state.tokens(pool)).collect();
         let rollback = |pool: &mut PagePool<T>| {
             for (item, &prior) in items.iter().zip(&priors) {
-                for &seq in item.state.layer_seqs() {
-                    pool.truncate(seq, prior);
-                }
+                item.state.truncate(pool, prior);
             }
         };
+        // The only page-taking step; an item not granted is already at prior.
+        if !items
+            .iter()
+            .all(|item| pool.try_grant(item.state.seq, item.x.rows()))
+        {
+            rollback(pool);
+            return Err(ModelError::OutOfPages);
+        }
         let mut xs: Vec<Matrix<T>> = items.iter().map(|item| item.x.clone()).collect();
         let mut launches = 0;
         let mut rows = 0;
@@ -265,16 +263,12 @@ impl<'p, T: Real> DecoderModel<'p, T> {
             let inputs: Vec<&Matrix<T>> = xs.iter().collect();
             let projected = layer.project_qkv_batched(workers, schedule, &inputs);
             for (item, (_, kh, vh)) in items.iter().zip(&projected) {
-                if !pool.try_extend_heads(item.state.layer_seqs()[s], kh, vh) {
-                    rollback(pool);
-                    return Err(ModelError::OutOfPages);
-                }
+                pool.extend(item.state.seq, s, kh, vh);
             }
             if let Some(spec) = self.plans[self.layer_plan[s]].routing_spec() {
                 for (item, (qh, _, _)) in items.iter().zip(&projected) {
                     for (h, q) in qh.iter().enumerate().take(self.heads) {
-                        if let Err(e) = pool.extend_routing(item.state.layer_seqs()[s], spec, h, q)
-                        {
+                        if let Err(e) = pool.extend_routing(item.state.seq, s, spec, h, q) {
                             rollback(pool);
                             return Err(e.into());
                         }
@@ -287,7 +281,7 @@ impl<'p, T: Real> DecoderModel<'p, T> {
                     .zip(&projected)
                     .zip(&priors)
                     .flat_map(|((item, (qh, _, _)), &prior)| {
-                        let cache = pool.cache(item.state.layer_seqs()[s]);
+                        let cache = &pool.caches(item.state.seq)[s];
                         (0..self.heads)
                             .map(move |h| {
                                 AttentionRequest::windowed(&qh[h], cache.k(h), cache.v(h), prior)
@@ -393,11 +387,11 @@ impl<T> std::fmt::Debug for DecoderModel<'_, T> {
 
 /// One sequence's pending work in a batched model advance: the input
 /// window (a prompt chunk, or a single decode row) plus the sequence's
-/// per-layer KV state.
+/// KV state.
 pub struct ModelWorkItem<'a, T> {
     /// Input window, `rows × d_model`.
     pub x: &'a Matrix<T>,
-    /// The sequence's per-layer caches.
+    /// The sequence's pool entry.
     pub state: &'a ModelKvState,
 }
 
@@ -413,80 +407,57 @@ pub struct ModelAdvance<T: Real> {
     pub rows: usize,
 }
 
-/// One sequence's KV state through a [`DecoderModel`]: one
-/// [`PagePool`] entry per layer, so every page-accounting question —
-/// admission budgets, preemption pressure, conservation — sums over all
-/// layers.
+/// One sequence's KV state through a [`DecoderModel`]: **one**
+/// [`PagePool`] entry holding a cache per layer, whose page table counts
+/// every layer — so every page-accounting question (admission budgets,
+/// preemption pressure, conservation) sees the whole stack.
 ///
-/// All layers always hold the same number of cached tokens; a model
-/// advance appends to every layer, and rollback truncates every layer.
+/// The entry is granted tokens for all layers at once, so the layers
+/// hold the same number of cached tokens between advances.
 #[derive(Debug)]
 pub struct ModelKvState {
-    seqs: Vec<SeqId>,
+    seq: SeqId,
 }
 
 impl ModelKvState {
-    /// Allocate an empty per-layer state for `model`. Allocation itself
-    /// takes no pages — pages are taken as appends need them.
+    /// Allocate an empty state for `model`. Allocation itself takes no
+    /// pages — an advance grants them.
     pub fn allocate<T: Real>(model: &DecoderModel<'_, T>, pool: &mut PagePool<T>) -> Self {
-        let seqs = (0..model.layers())
-            .map(|_| pool.allocate_heads(model.heads(), model.dk(), model.dk()))
+        let caches = (0..model.layers())
+            .map(|_| KvCache::new(model.heads(), model.dk(), model.dk()))
             .collect();
-        ModelKvState { seqs }
+        let seq = pool.try_adopt(caches).expect("empty caches take no pages");
+        ModelKvState { seq }
     }
 
-    /// Re-adopt retained per-layer caches (the resume path after an
-    /// eviction), taking the pages their tokens occupy. All-or-nothing:
-    /// when the pool cannot cover every layer, nothing stays adopted and
-    /// the caches come back untouched, in order.
+    /// Re-adopt retained layer caches (the resume path after an
+    /// eviction), taking the pages their tokens occupy in every layer.
+    /// All-or-nothing: when the pool cannot cover them, the caches come
+    /// back untouched, in order.
     pub fn adopt<T: Real>(
         caches: Vec<KvCache<T>>,
         pool: &mut PagePool<T>,
     ) -> Result<Self, Vec<KvCache<T>>> {
-        let mut seqs = Vec::with_capacity(caches.len());
-        let mut pending = caches.into_iter();
-        while let Some(cache) = pending.next() {
-            match pool.try_adopt(cache) {
-                Ok(id) => seqs.push(id),
-                Err(cache) => {
-                    let mut returned: Vec<KvCache<T>> =
-                        seqs.into_iter().map(|id| pool.release(id)).collect();
-                    returned.push(cache);
-                    returned.extend(pending);
-                    return Err(returned);
-                }
-            }
-        }
-        Ok(ModelKvState { seqs })
-    }
-
-    /// Release every layer's pool entry, returning the caches (tokens
-    /// intact) in layer order — what an evicted sequence retains.
-    pub fn release<T: Real>(self, pool: &mut PagePool<T>) -> Vec<KvCache<T>> {
-        self.seqs.into_iter().map(|id| pool.release(id)).collect()
+        pool.try_adopt(caches).map(|seq| ModelKvState { seq })
     }
 
     /// Truncate every layer back to `tokens` cached tokens, returning
     /// excess pages to the pool — the transactional rollback path.
     pub fn truncate<T: Real>(&self, pool: &mut PagePool<T>, tokens: usize) {
-        for &seq in &self.seqs {
-            pool.truncate(seq, tokens);
-        }
+        pool.truncate(self.seq, tokens);
     }
 
-    /// The per-layer pool handles, in layer order.
-    pub(crate) fn layer_seqs(&self) -> &[SeqId] {
-        &self.seqs
+    /// The sequence's pool handle. [`PagePool::pages_held`] reads its
+    /// pages, every layer's, and [`PagePool::release`] gives them back and
+    /// returns the layer caches (tokens intact) in layer order — what an
+    /// evicted sequence retains.
+    pub fn seq(&self) -> SeqId {
+        self.seq
     }
 
-    /// Tokens cached per layer (all layers are equal).
+    /// Tokens cached per layer.
     pub fn tokens<T: Real>(&self, pool: &PagePool<T>) -> usize {
-        self.seqs.first().map_or(0, |&s| pool.cache(s).len())
-    }
-
-    /// Pages currently mapped, summed over all layers.
-    pub fn pages_held<T: Real>(&self, pool: &PagePool<T>) -> usize {
-        self.seqs.iter().map(|&s| pool.pages_held(s)).sum()
+        pool.caches(self.seq).first().map_or(0, KvCache::len)
     }
 }
 
@@ -611,7 +582,11 @@ mod tests {
         assert_eq!(adv.launches, 3, "one launch per layer");
         assert_eq!(adv.rows, 3 * (5 + 3) * 3, "layers × rows × heads");
         assert_eq!((sa.tokens(&pool), sb.tokens(&pool)), (5, 3));
-        assert_eq!(sa.pages_held(&pool), 3 * 3, "ceil(5/2) pages × 3 layers");
+        assert_eq!(
+            pool.pages_held(sa.seq()),
+            3 * 3,
+            "ceil(5/2) pages × 3 layers"
+        );
         pool.assert_page_invariants();
         // Independent: each sequence alone in its own pool.
         for (x, out) in [(&xa, &adv.outputs[0]), (&xb, &adv.outputs[1])] {
@@ -707,7 +682,7 @@ mod tests {
         }
         // Evict-and-resume keeps each layer's routing with its cache: the
         // released caches re-adopt and the next decode is still bitwise.
-        let caches = st.release(&mut pool);
+        let caches = pool.release(st.seq());
         let resumed = ModelKvState::adopt(caches, &mut pool).expect("pages are free");
         let extra = gaussian_matrix(1, 12, 1.0, 34);
         let after_resume = m.forward_decode(&e, &mut pool, &resumed, &extra).unwrap();
@@ -725,14 +700,14 @@ mod tests {
         let e = engine();
         let m = model(&e, "FSF", 2);
         // 3 layers × 1 page each fit 3 tokens/layer; growing to a second
-        // page per layer needs 3 more pages but only 1 remains — layer 0
-        // grabs it, layer 1 fails, and the rollback must undo layer 0.
+        // page per layer needs 3 more pages but only 1 remains — the
+        // grant is refused before any layer runs, and nothing moves.
         let mut pool: PagePool<f64> = PagePool::new(4, 3);
         let st = ModelKvState::allocate(&m, &mut pool);
         let x = gaussian_matrix(3, 12, 1.0, 1);
         m.advance_batched(&e, &mut pool, &[ModelWorkItem { x: &x, state: &st }])
             .unwrap();
-        assert_eq!(st.pages_held(&pool), 3);
+        assert_eq!(pool.pages_held(st.seq()), 3);
         let more = gaussian_matrix(2, 12, 1.0, 2);
         let err = m
             .advance_batched(
@@ -746,7 +721,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ModelError::OutOfPages);
         assert_eq!(st.tokens(&pool), 3, "failed advance must roll back");
-        assert_eq!(st.pages_held(&pool), 3);
+        assert_eq!(pool.pages_held(st.seq()), 3);
         pool.assert_page_invariants();
         // The prefill wrapper rolls all chunks back, not just the last.
         let big = gaussian_matrix(4, 12, 1.0, 3);
@@ -788,7 +763,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ModelError::Attn(_)));
         assert_eq!(st.tokens(&pool), 0, "layer F's append must roll back too");
-        assert_eq!(st.pages_held(&pool), 0);
+        assert_eq!(pool.pages_held(st.seq()), 0);
         pool.assert_page_invariants();
     }
 
@@ -802,7 +777,7 @@ mod tests {
         let out = m
             .advance_batched(&e, &mut pool, &[ModelWorkItem { x: &x, state: &st }])
             .unwrap();
-        let caches = st.release(&mut pool);
+        let caches = pool.release(st.seq());
         assert_eq!(caches.len(), 2);
         assert_eq!(caches[0].len(), 3);
         assert_eq!(pool.free_pages(), 4);
@@ -811,12 +786,7 @@ mod tests {
         // pages that only one layer fits: the adopt must be
         // all-or-nothing and return the caches in order — whole, so the
         // stack can be held again.
-        let squat = pool.allocate(2, 2);
-        assert!(pool.try_extend(
-            squat,
-            &gaussian_matrix(3, 2, 1.0, 1),
-            &gaussian_matrix(3, 2, 1.0, 2)
-        ));
+        let squat = pool.try_reserve(3).expect("2 of 4 pages");
         let caches = match ModelKvState::adopt(caches, &mut pool) {
             Err(caches) => caches,
             Ok(_) => panic!("adopt must fail under page pressure"),

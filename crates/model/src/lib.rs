@@ -15,14 +15,14 @@
 //!   [`AttentionPlan`](gpa_core::AttentionPlan), so one stack mixes
 //!   dense-equivalent, BigBird-style, Longformer-style, and dilated
 //!   kernels;
-//! - [`ModelKvState`] — one [`PagePool`](gpa_core::PagePool) entry per
-//!   layer, so admission and preemption budgets count **every** layer's
-//!   pages, and eviction/resume retain and re-adopt all of them.
+//! - [`ModelKvState`] — one [`PagePool`](gpa_core::PagePool) entry, one
+//!   cache per layer, so admission and preemption budgets count **every**
+//!   layer's pages, and eviction/resume retain and re-adopt all of them.
 //!
 //! Serving goes through [`DecoderModel::advance_batched`]: per layer,
 //! all sequences × heads flatten into one engine launch; a 1-row window
 //! is a decode step, so chunked prefill and batched decode share one
-//! transactional path (failures truncate every layer back).
+//! transactional path (failures truncate every sequence back).
 //!
 //! ```
 //! use gpa_core::{AttentionEngine, AttentionKernel, PagePool};
@@ -50,7 +50,7 @@
 //! let prompt = gaussian_matrix(6, 16, 1.0, 7);
 //! let out = model.forward_prefill_chunked(&engine, &mut pool, &state, &prompt, 4)?;
 //! assert_eq!(out.shape(), (6, 16));
-//! assert_eq!(state.pages_held(&pool), 8);
+//! assert_eq!(pool.pages_held(state.seq()), 8);
 //!
 //! // Decode one token: same path, a 1-row window.
 //! let tok = gaussian_matrix(1, 16, 1.0, 8);

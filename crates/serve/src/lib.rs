@@ -17,11 +17,12 @@
 //!
 //! ## Paged KV: admission on usage, not worst case
 //!
-//! KV memory is a pool of fixed-size pages; a sequence holds exactly the
-//! pages its cached tokens occupy, growing one page at a time as decode
-//! rows cross page boundaries. A plan sequence's K/V rows are its own
-//! inputs, so its pages are a reservation and every launch reads its K/V
-//! in place; only a decoder stack's computed K/V live in pool caches. Admission charges a sequence its
+//! KV memory is a pool of fixed-size pages. A sequence is one pool entry
+//! whose page table holds exactly the pages its tokens occupy in each of
+//! its layers, growing by grants as decode rows cross page boundaries. A
+//! plan sequence's K/V rows are its own inputs, so its entry holds no
+//! cache and every launch reads its K/V in place; only a decoder stack's
+//! computed K/V live in pool caches, one per layer. Admission charges a sequence its
 //! *current* page need, not its worst-case length — the difference is
 //! stark. Take 16-token prompts with a 4096-token generation cap on a
 //! 4096-token pool (256 pages of 16): charging the worst case would fill
@@ -130,12 +131,12 @@
 //! into one [`TraceEvent`] stream, one [`replay`] drives it): the
 //! sequence's embedding rows run through the model's whole layer stack —
 //! heterogeneous Full/Sparse plans per layer — with one KV cache per
-//! layer, every page of which is counted by
+//! layer in its one pool entry, every page of which is counted by
 //! the same admission, preemption, and rollback code — inside the
 //! scheduler both flavors are one sequence record, a plan sequence being
 //! the one-layer case (an `L`-layer sequence bills `L ×` the pages of a
 //! plan sequence of the same length). Preempted model sequences keep
-//! their per-layer caches intact and re-adopt them on resume, so
+//! their layer caches intact and re-adopt them on resume, so
 //! completions remain bitwise equal to
 //! [`sequential_model_reference`]. `examples/continuous_serving.rs` serves
 //! a 12-layer bookend stack under page pressure.

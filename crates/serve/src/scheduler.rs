@@ -22,8 +22,9 @@
 //! Either way it becomes one private sequence record at submission and
 //! stays that record through pending → in flight → parked → completion:
 //! a shared header (id, priority, a single row cursor, timestamps), the
-//! inputs it owns, and a KV slot: in the pool (a page reservation for a
-//! plan sequence, one cache handle per layer for a stack) or parked.
+//! inputs it owns, and a KV slot: one pool entry (a page reservation for
+//! a plan sequence, every layer's cache under one page table for a
+//! stack) or parked.
 //! Queueing, admission, page needs, park, resume, rollback, cancel and
 //! retirement are written once over that record. Plan and model differ in
 //! exactly three places:
@@ -34,7 +35,7 @@
 //!   ([`gpa_core::PagePool::try_reserve`]): the whole prompt at admission,
 //!   one token per decode row ([`gpa_core::PagePool::try_grant`]). No row
 //!   is ever copied — not at admission, not per decode row, not on
-//!   resume. A stack's per-layer caches grow chunk by chunk and hold
+//!   resume. A stack's layer caches grow chunk by chunk and hold
 //!   *computed* K/V, so they live in the pool and must be kept;
 //! - **the launch** — one [`AttentionEngine::run_batch_into`] per plan,
 //!   reading each sequence's `q`, `k` and `v` where they are, over the
@@ -43,8 +44,8 @@
 //!   (one launch per layer, all sequences × heads flattened; its rows are
 //!   copied in).
 //!
-//! Every page of every layer is counted by the same arithmetic — a
-//! reservation of `n` tokens costs what a cache of `n` tokens costs, and
+//! Every page of every layer is counted by the same arithmetic — one page
+//! table per sequence, `max(1, L) × ceil(tokens / page_size)` pages — so
 //! an `L`-layer sequence bills `L ×` the pages of a plan sequence of the
 //! same length.
 //!
@@ -103,8 +104,8 @@
 //! until `apply` moves it**, so a launch that wrote before a later launch
 //! of the same tick failed has changed nothing anyone can observe, and
 //! the next tick computes the same rows again, bit for bit. If any launch
-//! fails, `rollback` truncates every in-flight sequence's KV — every
-//! layer's cache, or a plan's reservation and routing — to its pre-tick
+//! fails, `rollback` truncates every in-flight sequence's pool entry —
+//! and a routed plan's routing — to its pre-tick
 //! length — the row cursor has not moved, so that length is a function of
 //! the record — **un-preempts** this tick's
 //! victims (resumed in place, page tables and in-flight positions
@@ -287,20 +288,29 @@ impl<T: Real> Inputs<T> {
 
 /// Where a sequence's KV lives.
 enum Kv<T> {
-    /// Nowhere: a request not admitted yet, or a parked plan sequence —
-    /// its K/V rows are its inputs, so resume only takes pages.
+    /// Nowhere: a request not admitted yet.
     None,
-    /// A parked model stack, held outside the pool and counted by the
-    /// parked-bytes gauge: its K/V are computed and cannot be rebuilt.
+    /// Parked: what its released pool entry returned, counted by the
+    /// parked-bytes gauge — a stack's computed caches, which cannot be
+    /// rebuilt, or none for a plan sequence, whose rows are its inputs.
     Held(Vec<KvCache<T>>),
     /// A plan sequence in the pool: a reservation of its cached tokens,
     /// whose rows are the sequence's own K/V inputs.
     Reserved(SeqId),
-    /// A model stack in the pool: one handle per layer.
+    /// A model stack in the pool: one entry, one cache per layer.
     Live(ModelKvState),
 }
 
 impl<T: Real> Kv<T> {
+    /// The pool handle, while the KV is in the pool.
+    fn seq(&self) -> Option<SeqId> {
+        match self {
+            Kv::Reserved(seq) => Some(*seq),
+            Kv::Live(state) => Some(state.seq()),
+            Kv::None | Kv::Held(_) => None,
+        }
+    }
+
     /// Bytes a parked stack holds outside the pool; 0 for any other KV.
     fn held_bytes(&self) -> usize {
         match self {
@@ -379,7 +389,7 @@ impl<T: Real> Seq<T> {
         }
     }
 
-    /// The pool handles of an in-flight model stack.
+    /// The KV state of an in-flight model stack.
     fn live(&self) -> &ModelKvState {
         match &self.kv {
             Kv::Live(state) => state,
@@ -387,25 +397,17 @@ impl<T: Real> Seq<T> {
         }
     }
 
-    /// Pages an in-flight sequence holds, every layer's.
-    fn pages_held(&self, pool: &PagePool<T>) -> usize {
-        match self.kv {
-            Kv::Reserved(seq) => pool.pages_held(seq),
-            _ => self.live().pages_held(pool),
-        }
+    /// The pool handle of an in-flight sequence.
+    fn seq(&self) -> SeqId {
+        self.kv.seq().expect("in flight, so in the pool")
     }
 
     /// Roll an in-flight sequence's KV — every layer, and a routed plan's
     /// routing — back to `tokens` tokens, returning the pages past them.
     fn truncate(&mut self, pool: &mut PagePool<T>, tokens: usize) {
-        match (&self.kv, &mut self.inputs) {
-            (Kv::Reserved(seq), Inputs::Plan { routing, .. }) => {
-                pool.truncate(*seq, tokens);
-                if let Some(routing) = routing {
-                    routing.truncate(tokens);
-                }
-            }
-            _ => self.live().truncate(pool, tokens),
+        pool.truncate(self.seq(), tokens);
+        if let Inputs::Plan { routing, .. } = &mut self.inputs {
+            routing.iter_mut().for_each(|r| r.truncate(tokens));
         }
     }
 }
@@ -616,7 +618,7 @@ impl<'p, T: Real> Scheduler<'p, T> {
 
     /// Assert the paged-KV invariants: page conservation
     /// (`free + mapped == total`), no page double-mapped, every page
-    /// table exactly covering its cache or reservation, and the
+    /// table exactly covering its entry's grant, no cache past it, and the
     /// parked-bytes gauge equal to the recomputed `kv_bytes` of every
     /// parked stack (so 0 when idle) and never above its peak. The
     /// serving simulation calls this after every tick.
@@ -789,10 +791,8 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// stack's held bytes.
     fn discard(&mut self, kv: Kv<T>) {
         self.parked_bytes -= kv.held_bytes();
-        match kv {
-            Kv::Reserved(seq) => self.pool.release_reserved(seq),
-            Kv::Live(state) => drop(state.release(&mut self.pool)),
-            Kv::Held(_) | Kv::None => {}
+        if let Some(seq) = kv.seq() {
+            self.pool.release(seq);
         }
     }
 
@@ -833,15 +833,15 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// those tokens from its query rows, a pure function of the inputs
     /// and so bit-identical every time. A stack comes back out of the
     /// record, routing state riding the caches, its bytes leaving the
-    /// parked gauge, or, fresh, starts as empty per-layer caches (its
-    /// first chunk appends this very tick). The caller granted the pages,
-    /// so failure here is a scheduler bug.
+    /// parked gauge, or, fresh, starts as empty layer caches (its first
+    /// chunk is granted this very tick). The caller granted the pages, so
+    /// failure here is a scheduler bug.
     fn resume(&mut self, s: &mut Seq<T>) {
         let tokens = s.cached(s.done);
         self.parked_bytes -= s.kv.held_bytes();
         let caches = match (std::mem::replace(&mut s.kv, Kv::None), &mut s.inputs) {
             (
-                Kv::None,
+                Kv::None | Kv::Held(_),
                 Inputs::Plan {
                     plan, q, routing, ..
                 },
@@ -869,16 +869,13 @@ impl<'p, T: Real> Scheduler<'p, T> {
         s.kv = Kv::Live(state);
     }
 
-    /// Move a live sequence's KV out of the pool — the one way out. Its
-    /// pages always go back to the free list, and a plan sequence parks
-    /// nothing else: its rows are its inputs. A stack's computed caches
-    /// are held in the record, and their bytes join the parked gauge.
+    /// Move a live sequence's KV out of the pool — the one way out:
+    /// release its entry, whose pages go back to the free list, and hold
+    /// what comes back in the record. A plan sequence's entry returns no
+    /// cache — its rows are its inputs; a stack's returns its computed
+    /// caches, whose bytes join the parked gauge.
     fn park(&mut self, s: &mut Seq<T>) {
-        s.kv = match std::mem::replace(&mut s.kv, Kv::None) {
-            Kv::Reserved(seq) => return self.pool.release_reserved(seq),
-            Kv::Live(state) => Kv::Held(state.release(&mut self.pool)),
-            _ => unreachable!("only an in-flight sequence parks"),
-        };
+        s.kv = Kv::Held(self.pool.release(s.seq()));
         self.parked_bytes += s.kv.held_bytes();
         self.parked_peak = self.parked_peak.max(self.parked_bytes);
     }
@@ -1006,7 +1003,7 @@ impl<'p, T: Real> Scheduler<'p, T> {
             while needs[i] > available && hi > p + 1 {
                 hi -= 1;
                 victim[urgency[hi]] = true;
-                available += self.in_flight[urgency[hi]].pages_held(&self.pool);
+                available += self.pool.pages_held(self.in_flight[urgency[hi]].seq());
             }
             if needs[i] <= available {
                 available -= needs[i];
@@ -1041,9 +1038,10 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// sequence's own `Q` over a prefix of its own `K`/`V`, and the launch
     /// writes rows `start..end` of the sequence's `out` where they stay —
     /// scratch until `apply` moves the cursor over them (a stack's rows
-    /// are copied there from its layer advance). Decode grants and stack
-    /// appends land in the pool — every one was granted its pages by the
-    /// stages above, so allocation cannot fail — but no cursor moves: on `Err` the caller rolls back, and the error names
+    /// are copied there from its layer advance). Plan decode grants and
+    /// stack advances take their pages from the pool — the stages above
+    /// set those pages aside, so no grant is refused — but no cursor
+    /// moves: on `Err` the caller rolls back, and the error names
     /// the offending request when identifiable. Groups that launched
     /// before the failing one have written their windows; nothing reads
     /// those rows before the next tick overwrites them with the same bits.
@@ -1708,13 +1706,15 @@ mod tests {
 
     /// Replay `trace` to idle, checking the parked-bytes gauge after every
     /// tick: it equals the parked stacks' summed `kv_bytes`, its peak
-    /// never falls, and both are 0 at idle. Returns the peak and the
-    /// stack preemptions seen.
+    /// never falls, and both are 0 at idle. Returns the peak, the stack
+    /// preemptions seen and the page ledger of every tick: `(kv_used_pages,
+    /// kv_used_tokens, swap_parked_bytes, preemption_events)`.
     fn replay_checking_gauge<T: Real>(
         s: &mut Scheduler<'_, T>,
         trace: &[TraceEvent<T>],
-    ) -> (usize, usize) {
+    ) -> (usize, usize, Vec<Ledger>) {
         let (mut next, mut peak, mut stack_parks) = (0, 0, 0);
+        let mut ledger = Vec::new();
         while next < trace.len() || !s.is_idle() {
             while next < trace.len() && trace[next].at <= s.now() {
                 s.submit(trace[next].request.clone()).unwrap();
@@ -1735,6 +1735,12 @@ mod tests {
                 "the peak never falls"
             );
             peak = s.swap_peak_bytes();
+            ledger.push((
+                s.kv_used_pages(),
+                s.kv_used_tokens(),
+                s.swap_parked_bytes(),
+                s.preemption_events(),
+            ));
             assert!(s.now() < 10_000, "drains");
         }
         assert_eq!(
@@ -1742,8 +1748,34 @@ mod tests {
             (0, 0),
             "idle parks nothing"
         );
-        (peak, stack_parks)
+        (peak, stack_parks, ledger)
     }
+
+    type Ledger = (usize, usize, usize, u64);
+    // The ledger of every tick of the stack squeeze below and of the
+    // served-digest trace, captured while each layer of a stack was a pool
+    // entry of its own: the pool's shape must not move a page or a token.
+    #[rustfmt::skip]
+    const SQUEEZE_LEDGER: &[Ledger] = &[
+        (6, 12, 0, 0), (6, 9, 1152, 1), (6, 12, 1152, 1), (9, 15, 1152, 1), (0, 0, 1152, 1),
+        (6, 9, 0, 1), (6, 12, 0, 1), (9, 15, 0, 1), (0, 0, 0, 1),
+    ];
+    #[rustfmt::skip]
+    const SERVED_LEDGER: &[Ledger] = &[
+        (6, 18, 0, 0), (18, 71, 0, 0), (27, 101, 0, 0), (24, 86, 1152, 1), (27, 99, 1152, 1),
+        (24, 87, 1152, 2), (24, 92, 1152, 2), (27, 97, 1152, 2), (27, 102, 1152, 2),
+        (25, 94, 1152, 3), (25, 98, 1152, 3), (21, 75, 1152, 3), (25, 91, 1152, 3),
+        (25, 95, 1152, 3), (25, 99, 1152, 3), (0, 0, 1152, 3), (25, 85, 0, 3), (28, 107, 0, 3),
+        (22, 75, 2304, 4), (22, 80, 2304, 4), (23, 85, 2304, 4), (23, 90, 2304, 4),
+        (27, 95, 2304, 4), (27, 100, 2304, 4), (13, 48, 2304, 4), (22, 77, 0, 4), (25, 91, 0, 4),
+        (25, 95, 0, 4), (18, 71, 0, 4), (27, 97, 0, 4), (28, 101, 0, 4), (26, 97, 0, 5),
+        (26, 102, 0, 5), (25, 91, 0, 6), (26, 95, 0, 6), (26, 99, 0, 6), (5, 19, 0, 6),
+        (15, 54, 0, 6), (17, 57, 0, 6), (17, 61, 0, 6), (17, 65, 0, 6), (18, 69, 0, 6),
+        (21, 73, 0, 6), (14, 51, 0, 6), (17, 66, 0, 6), (18, 69, 0, 6), (21, 73, 0, 6),
+        (21, 77, 0, 6), (21, 81, 0, 6), (22, 85, 0, 6), (17, 60, 0, 6), (17, 63, 0, 6),
+        (11, 42, 0, 6), (5, 20, 0, 6), (6, 21, 0, 6), (6, 22, 0, 6), (6, 23, 0, 6),
+        (6, 24, 0, 6), (7, 25, 0, 6), (0, 0, 0, 6),
+    ];
 
     #[test]
     fn the_parked_bytes_gauge_counts_every_parked_stack() {
@@ -1759,10 +1791,13 @@ mod tests {
                         request: submission(model, 2, 6, seed),
                     })
                     .into();
-                let (peak, stack_parks) = replay_checking_gauge(&mut s, &trace);
+                let (peak, stack_parks, ledger) = replay_checking_gauge(&mut s, &trace);
                 assert_eq!(s.preemption_events(), 1);
                 assert_eq!(stack_parks, usize::from(model));
                 assert_eq!(peak, if model { 3 * 2 * 3 * 8 * 8 } else { 0 });
+                if model {
+                    assert_eq!(ledger, SQUEEZE_LEDGER, "{eviction:?}: the squeeze's ledger");
+                }
             }
             // The configuration of `tests/digests.rs`'s served trace:
             // plan, `Auto` and three-layer stack sequences, both parked.
@@ -1808,12 +1843,13 @@ mod tests {
                 seed: 0xD16E57,
             };
             let trace = generate_trace::<f32, _>(&spec, &patterns, &[(model, 8)]);
-            let (peak, stack_parks) = replay_checking_gauge(&mut s, &trace);
+            let (peak, stack_parks, ledger) = replay_checking_gauge(&mut s, &trace);
             assert_eq!(
                 (stack_parks, peak),
                 (2, 2304),
                 "two stack parks, one at a time"
             );
+            assert_eq!(ledger, SERVED_LEDGER, "{eviction:?}: the served ledger");
         }
     }
 

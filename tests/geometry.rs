@@ -490,14 +490,12 @@ proptest! {
         let page_size = 1 + (seed as usize % 4);
         let swap_trip = |cache: KvCache<f64>| -> KvCache<f64> {
             let mut pool: PagePool<f64> = PagePool::new(l.div_ceil(page_size) + 1, page_size);
-            let id = pool.try_adopt(cache).unwrap_or_else(|_| panic!("adopt fits"));
+            let id = pool.try_adopt(vec![cache]).expect("adopt fits");
             let victim = pool.release(id);
             assert_eq!(pool.used_pages(), 0, "eviction released every page");
-            let resumed = pool
-                .try_adopt(victim)
-                .unwrap_or_else(|_| panic!("re-adopt fits"));
+            let resumed = pool.try_adopt(victim).expect("re-adopt fits");
             pool.assert_page_invariants();
-            pool.release(resumed)
+            pool.release(resumed).pop().expect("one cache")
         };
 
         // Length-free plans, including content-routed: one compiled plan

@@ -1699,197 +1699,3 @@ fn a_non_finite_key_poisons_only_the_rows_that_reach_it() {
     let bits = |m: &Matrix<f64>| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(out), bits(&reference), "NaN rows included");
 }
-
-/// `(kv_used_pages, kv_used_tokens, swap_parked_bytes,
-/// preemption_events)` after one tick.
-type Ledger = (usize, usize, usize, u64);
-
-/// Replay `trace` as `replay` does, reading the page ledger after every
-/// tick.
-fn ledger<T: Real>(scheduler: &mut Scheduler<'_, T>, trace: &[TraceEvent<T>]) -> Vec<Ledger> {
-    let mut rows = Vec::new();
-    let mut next = 0;
-    while next < trace.len() || !scheduler.is_idle() {
-        while next < trace.len() && trace[next].at <= scheduler.now() {
-            scheduler.submit(trace[next].request.clone()).unwrap();
-            next += 1;
-        }
-        scheduler.tick().unwrap();
-        scheduler.assert_kv_invariants();
-        rows.push((
-            scheduler.kv_used_pages(),
-            scheduler.kv_used_tokens(),
-            scheduler.swap_parked_bytes(),
-            scheduler.preemption_events(),
-        ));
-        assert!(rows.len() <= 10_000, "drains");
-    }
-    rows
-}
-
-fn check_ledger(what: &str, got: &[Ledger], expected: &[Ledger]) {
-    assert!(
-        got == expected,
-        "{what}: the page ledger moved; the code now computes:\n{got:?}"
-    );
-}
-
-/// The pages, tokens, parked bytes and preemptions after every tick of
-/// two traces, pinned: a stack is billed `layers × ceil(tokens / page)`
-/// pages and `layers × tokens` tokens however the pool keeps its entries,
-/// so the scheduler's admission and preemption decisions, and with them
-/// the served peaks, stay where they are.
-///
-/// - The two-sequence squeeze of a three-layer stack: nine two-token
-///   pages, two 2-prompt, 6-token sequences. The younger parks at its
-///   first decode row and resumes when the elder completes.
-/// - The configuration of the served-trace digest (`tests/digests.rs`):
-///   twelve plan, `Auto` and three-layer stack sequences in 28 four-token
-///   pages, where both flavors are preempted.
-#[test]
-fn the_page_ledger_of_every_tick_is_pinned() {
-    let plan = |kernel| AttentionPlan::single(kernel).unwrap();
-    let config = |max_in_flight, kv_pages, page_size, prefill_chunk| ServeConfig {
-        max_in_flight,
-        kv_pages,
-        page_size,
-        arrival_window: 0,
-        prefill_chunk,
-        admission: AdmissionMode::PagedUsage,
-        eviction: EvictionMode::Swap,
-        swap_bytes: usize::MAX,
-    };
-
-    let mut squeeze: Scheduler<'static, f64> =
-        Scheduler::new(AttentionEngine::with_threads(1), config(2, 9, 2, 4)).unwrap();
-    let stack = DecoderModel::new(
-        LayerPattern::parse("FSF").unwrap(),
-        vec![
-            ('F', plan(AttentionKernel::Local { n: 2 })),
-            ('S', plan(AttentionKernel::Dilated1d { w: 2, r: 2 })),
-        ],
-        12,
-        3,
-        4,
-        0xBEEF,
-    )
-    .unwrap();
-    let model = squeeze.register_model(stack);
-    let trace: Vec<TraceEvent<f64>> = [61, 62]
-        .map(|seed| TraceEvent {
-            at: 0,
-            request: Submission::Model(ModelRequest {
-                model,
-                priority: 0,
-                prompt: 2,
-                x: init::gaussian_matrix(6, 12, 1.0, seed),
-            }),
-        })
-        .into();
-    check_ledger("squeeze", &ledger(&mut squeeze, &trace), SQUEEZE_LEDGER);
-
-    let spec = TraceSpec {
-        sequences: 12,
-        prompt: (8, 20),
-        decode: (6, 16),
-        dk: 8,
-        arrival_gap: (0, 1),
-        priority_classes: 2,
-        seed: 0xD16E57,
-    };
-    let mut served: Scheduler<'static, f32> =
-        Scheduler::new(AttentionEngine::with_threads(1), config(4, 28, 4, 6)).unwrap();
-    let local = plan(AttentionKernel::Local { n: 20 });
-    let dilated = plan(AttentionKernel::Dilated1d { w: 40, r: 1 });
-    let stack = DecoderModel::new(
-        LayerPattern::parse("FSF").unwrap(),
-        vec![('F', local.clone()), ('S', dilated.clone())],
-        8,
-        2,
-        4,
-        spec.seed,
-    )
-    .unwrap();
-    let patterns = [
-        PatternChoice::from(served.register_plan(local).unwrap()),
-        PatternChoice::from(served.register_plan(dilated).unwrap()),
-        PatternChoice::Auto,
-    ];
-    let model = served.register_model(stack);
-    let trace = generate_trace::<f32, _>(&spec, &patterns, &[(model, 8)]);
-    check_ledger("served", &ledger(&mut served, &trace), SERVED_LEDGER);
-}
-
-const SQUEEZE_LEDGER: &[Ledger] = &[
-    (6, 12, 0, 0),
-    (6, 9, 1152, 1),
-    (6, 12, 1152, 1),
-    (9, 15, 1152, 1),
-    (0, 0, 1152, 1),
-    (6, 9, 0, 1),
-    (6, 12, 0, 1),
-    (9, 15, 0, 1),
-    (0, 0, 0, 1),
-];
-const SERVED_LEDGER: &[Ledger] = &[
-    (6, 18, 0, 0),
-    (18, 71, 0, 0),
-    (27, 101, 0, 0),
-    (24, 86, 1152, 1),
-    (27, 99, 1152, 1),
-    (24, 87, 1152, 2),
-    (24, 92, 1152, 2),
-    (27, 97, 1152, 2),
-    (27, 102, 1152, 2),
-    (25, 94, 1152, 3),
-    (25, 98, 1152, 3),
-    (21, 75, 1152, 3),
-    (25, 91, 1152, 3),
-    (25, 95, 1152, 3),
-    (25, 99, 1152, 3),
-    (0, 0, 1152, 3),
-    (25, 85, 0, 3),
-    (28, 107, 0, 3),
-    (22, 75, 2304, 4),
-    (22, 80, 2304, 4),
-    (23, 85, 2304, 4),
-    (23, 90, 2304, 4),
-    (27, 95, 2304, 4),
-    (27, 100, 2304, 4),
-    (13, 48, 2304, 4),
-    (22, 77, 0, 4),
-    (25, 91, 0, 4),
-    (25, 95, 0, 4),
-    (18, 71, 0, 4),
-    (27, 97, 0, 4),
-    (28, 101, 0, 4),
-    (26, 97, 0, 5),
-    (26, 102, 0, 5),
-    (25, 91, 0, 6),
-    (26, 95, 0, 6),
-    (26, 99, 0, 6),
-    (5, 19, 0, 6),
-    (15, 54, 0, 6),
-    (17, 57, 0, 6),
-    (17, 61, 0, 6),
-    (17, 65, 0, 6),
-    (18, 69, 0, 6),
-    (21, 73, 0, 6),
-    (14, 51, 0, 6),
-    (17, 66, 0, 6),
-    (18, 69, 0, 6),
-    (21, 73, 0, 6),
-    (21, 77, 0, 6),
-    (21, 81, 0, 6),
-    (22, 85, 0, 6),
-    (17, 60, 0, 6),
-    (17, 63, 0, 6),
-    (11, 42, 0, 6),
-    (5, 20, 0, 6),
-    (6, 21, 0, 6),
-    (6, 22, 0, 6),
-    (6, 23, 0, 6),
-    (6, 24, 0, 6),
-    (7, 25, 0, 6),
-    (0, 0, 0, 6),
-];
