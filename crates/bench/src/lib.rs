@@ -15,9 +15,8 @@
 //! | `fig6_popular_masks` | Fig. 6 (Longformer/BigBird masks) | `fig6` |
 //! | `ablations` | A1 COO row search, A2 launch schedule, A3 flash tile | `ablations` |
 //! | `decode_latency` | kernel family × context length at KV-cached decode | `decode` |
-//! | `adaptive_sparsity` | dense vs static vs routed: work, time, KV bytes | `adaptive` |
 //!
-//! The last three are not in the paper; they stay because no workload of
+//! The last two are not in the paper; they stay because no workload of
 //! the serving benchmark (`benchmark/`, `bash benchmark/run.sh --workload
 //! …`) varies what they vary. Everything about *serving* — tick latency,
 //! admission, preemption, the pool's launch cost — is measured there.

@@ -438,10 +438,6 @@ mod tests {
                 "decode",
                 run_decode(&engine, &DecodeConfig::for_scale(Quick), none),
             ),
-            (
-                "adaptive",
-                run_adaptive(&engine, &AdaptiveConfig::for_scale(Quick), none),
-            ),
         ];
         for (csv, records) in runs {
             assert!(!records.is_empty(), "{csv}");

@@ -55,7 +55,6 @@ use crate::error::AttnError;
 use crate::geometry::Geometry;
 use crate::options::KernelOptions;
 use crate::plan::AttentionPlan;
-use crate::routing::Routing;
 use crate::state::AttentionState;
 use gpa_parallel::{
     parallel_for, CellWriter, LocalTally, RaggedSpace, RowWriter, Schedule, ThreadPool,
@@ -88,10 +87,6 @@ pub struct AttentionRequest<'a, T> {
     /// Row of `q` holding the window's first query — `0` unless the
     /// request was built with [`AttentionRequest::row_range`].
     pub q_start: usize,
-    /// This sequence's token-to-group assignment, required exactly when
-    /// the plan has routed steps ([`AttentionPlan::routing_spec`]). Attach
-    /// with [`AttentionRequest::with_routing`].
-    pub routing: Option<&'a Routing>,
 }
 
 impl<'a, T: Real> AttentionRequest<'a, T> {
@@ -129,7 +124,6 @@ impl<'a, T: Real> AttentionRequest<'a, T> {
             v,
             geometry: Geometry::window(q_offset, rows.len(), k.rows()),
             q_start: rows.start,
-            routing: None,
         }
     }
 
@@ -145,15 +139,7 @@ impl<'a, T: Real> AttentionRequest<'a, T> {
             v,
             geometry: Geometry::decode(k.rows()),
             q_start: 0,
-            routing: None,
         }
-    }
-
-    /// Attach this sequence's [`Routing`] — required when the plan has
-    /// routed steps, ignored otherwise. `None` detaches.
-    pub fn with_routing(mut self, routing: Option<&'a Routing>) -> Self {
-        self.routing = routing;
-        self
     }
 
     /// Number of query rows (output rows).
@@ -162,55 +148,13 @@ impl<'a, T: Real> AttentionRequest<'a, T> {
     }
 }
 
-/// Check one request's routing against the plan: a routed plan needs a
-/// routing built under exactly its spec, covering the whole key/value set
-/// when any routed step is noncausal and at least the query window's end
-/// otherwise (a decode row may run with routing grown only that far). A
-/// static plan silently ignores any attached routing.
-fn validate_routing<T: Real>(
-    plan: &AttentionPlan<'_>,
-    r: &AttentionRequest<'_, T>,
-) -> Result<(), AttnError> {
-    let Some(spec) = plan.routing_spec() else {
-        return Ok(());
-    };
-    let Some(routing) = r.routing else {
-        return Err(AttnError::RoutingMismatch {
-            what: "a routed plan needs each request's Routing attached",
-        });
-    };
-    if routing.spec() != spec {
-        return Err(AttnError::RoutingMismatch {
-            what: "the request's routing was built under a different spec",
-        });
-    }
-    if plan.routed_full_kv() {
-        // A noncausal routed step streams whole groups, so the routing
-        // must cover the key/value set exactly — no more (stale members
-        // past the KV set would be out of bounds), no fewer.
-        if routing.len() != r.geometry.kv_rows {
-            return Err(AttnError::RoutingMismatch {
-                what: "a noncausal routed plan needs routing over the exact key/value set",
-            });
-        }
-    } else if routing.len() < r.geometry.q_end() {
-        return Err(AttnError::RoutingMismatch {
-            what: "the request's routing does not cover its query window",
-        });
-    }
-    Ok(())
-}
-
 /// Validate every request of a batch against the plan — before anything
 /// is allocated for it or written.
 fn validate_batch<T: Real>(
     plan: &AttentionPlan<'_>,
     requests: &[AttentionRequest<'_, T>],
 ) -> Result<(), AttnError> {
-    requests.iter().try_for_each(|r| {
-        plan.validate_request(r)?;
-        validate_routing(plan, r)
-    })
+    requests.iter().try_for_each(|r| plan.validate_request(r))
 }
 
 /// A launch's per-row `(l, m)` statistics, flat in launch order.
@@ -325,7 +269,6 @@ fn launch_rows<T: Real>(
         base: usize,
         scale: T,
         kv_len: usize,
-        routing: Option<&'s Routing>,
     }
     let ctxs: Vec<SeqCtx<'_, T>> = windows
         .iter_mut()
@@ -336,7 +279,6 @@ fn launch_rows<T: Real>(
             base: space.segment_range(s).start,
             scale: attention_scale(r.q.cols()),
             kv_len: r.geometry.kv_rows,
-            routing: r.routing,
         })
         .collect();
     let (l_cells, m_cells) = (CellWriter::new(&mut l), CellWriter::new(&mut m));
@@ -380,7 +322,6 @@ fn launch_rows<T: Real>(
                     step.stream_row(
                         ctx.kv_len,
                         req.geometry.q_offset + i,
-                        ctx.routing,
                         opts.counter,
                         &mut tile,
                     );
@@ -448,7 +389,7 @@ fn reaches_fork_edges<T: Real>(
     requests.iter().filter(|r| r.rows() > 0).any(|r| {
         let mid = r.geometry.q_offset + r.rows() / 2;
         for step in plan.steps() {
-            edges += r.rows() * step.row_degree(r.geometry.kv_rows, mid, r.routing);
+            edges += r.rows() * step.row_degree(r.geometry.kv_rows, mid);
         }
         edges >= FORK_EDGES
     })
@@ -547,7 +488,7 @@ mod tests {
         let scale = attention_scale::<f64>(q.cols());
         for step in plan.steps() {
             for i in 0..l {
-                step.for_each_neighbor(l, i, None, &mut |j| {
+                step.for_each_neighbor(l, i, &mut |j| {
                     crate::driver::absorb_edge(
                         q.row(i),
                         k.row(j),

@@ -10,8 +10,6 @@
 //! [`gpa_tensor::Matrix::push_row`]) and borrowed directly by
 //! [`crate::AttentionRequest`]s — no copies on the decode hot path.
 
-use crate::error::AttnError;
-use crate::routing::{RoutedSpec, Routing};
 use gpa_tensor::{Matrix, Real};
 
 /// Growable per-head key/value storage for one sequence.
@@ -24,11 +22,6 @@ use gpa_tensor::{Matrix, Real};
 pub struct KvCache<T> {
     /// `(K, V)` per head; `K` is `len × dk`, `V` is `len × dv`.
     heads: Vec<(Matrix<T>, Matrix<T>)>,
-    /// Per-head token routing for routed plans — created lazily by the
-    /// first [`KvCache::extend_routing`], absent for static sequences.
-    /// Rides in the cache so every rollback path ([`KvCache::truncate`])
-    /// keeps routing and tokens consistent by construction.
-    routing: Option<Vec<Routing>>,
 }
 
 impl<T: Real> std::fmt::Debug for KvCache<T> {
@@ -55,7 +48,6 @@ impl<T: Real> KvCache<T> {
             heads: (0..heads)
                 .map(|_| (Matrix::zeros(0, dk), Matrix::zeros(0, dv)))
                 .collect(),
-            routing: None,
         }
     }
 
@@ -146,57 +138,13 @@ impl<T: Real> KvCache<T> {
         &self.heads[head].1
     }
 
-    /// The routing of head `head`, if this sequence runs a routed plan
-    /// and the head has been routed (`KvCache::extend_routing`).
-    pub fn routing(&self, head: usize) -> Option<&Routing> {
-        self.routing.as_ref().map(|r| &r[head])
-    }
-
-    /// Route `q`'s rows as head `head`'s next `q.rows()` tokens under
-    /// `spec`, creating the per-head routing state on first use.
-    ///
-    /// Routing a row is a pure function of `(spec, q_row)`, so extending
-    /// chunk by chunk, token by token, or re-extending after a
-    /// [`KvCache::truncate`] rollback reproduces identical assignments —
-    /// the property that keeps decode, chunked prefill, and
-    /// evict-and-resume routing-consistent.
-    ///
-    /// # Errors
-    /// [`AttnError::RoutingMismatch`] when the head was previously routed
-    /// under a different spec.
-    pub(crate) fn extend_routing(
-        &mut self,
-        spec: RoutedSpec,
-        head: usize,
-        q: &Matrix<T>,
-    ) -> Result<(), AttnError> {
-        let heads = self.heads.len();
-        let routing = self
-            .routing
-            .get_or_insert_with(|| vec![Routing::empty(spec); heads]);
-        if routing[head].spec() != spec {
-            return Err(AttnError::RoutingMismatch {
-                what: "this cache's routing was built under a different spec",
-            });
-        }
-        routing[head].extend(q);
-        Ok(())
-    }
-
     /// Drop every token past the first `tokens` on every head — the
     /// rollback the engine uses when an append succeeded but the launch
-    /// that followed it failed validation. Routing state truncates with
-    /// the tokens, so a rolled-back cache never carries routing for rows
-    /// it no longer holds.
+    /// that followed it failed validation.
     pub(crate) fn truncate(&mut self, tokens: usize) {
         for (k, v) in &mut self.heads {
             k.truncate_rows(tokens);
             v.truncate_rows(tokens);
-        }
-        if let Some(routing) = &mut self.routing {
-            for r in routing {
-                r.truncate(tokens);
-            }
         }
     }
 }
@@ -271,33 +219,6 @@ mod tests {
     fn extend_rejects_k_and_v_of_different_lengths() {
         let (_, k, v) = qkv::<f32>(3, 2, 1);
         KvCache::single(2, 2).extend(0, &k, &v.rows_slice(0, 2));
-    }
-
-    #[test]
-    fn routing_rides_the_cache_and_rolls_back_with_it() {
-        use crate::routing::{RoutedSpec, Router};
-        let spec = RoutedSpec { groups: 3, seed: 9 };
-        let (q, k, v) = qkv::<f64>(12, 4, 21);
-        let mut cache: KvCache<f64> = KvCache::new(2, 4, 4);
-        assert!(cache.routing(0).is_none(), "no routing until extended");
-        for h in 0..2 {
-            cache.extend(h, &k, &v);
-            cache.extend_routing(spec, h, &q).unwrap();
-        }
-        let expect = Router::new(spec).route(&q);
-        assert_eq!(cache.routing(1), Some(&expect));
-        // Wrong spec is rejected without touching state.
-        let err = cache
-            .extend_routing(RoutedSpec { groups: 4, seed: 9 }, 0, &q)
-            .unwrap_err();
-        assert!(matches!(err, AttnError::RoutingMismatch { .. }));
-        assert_eq!(cache.routing(0), Some(&expect));
-        // Truncation rolls tokens and routing back together; re-extending
-        // the retained rows reproduces the assignment bit for bit.
-        cache.truncate(7);
-        assert_eq!(cache.routing(0).unwrap().len(), 7);
-        cache.extend_routing(spec, 0, &q.rows_slice(7, 12)).unwrap();
-        assert_eq!(cache.routing(0), Some(&expect));
     }
 
     #[test]

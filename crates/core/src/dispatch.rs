@@ -27,13 +27,11 @@
 //! | `Dilated1d` | implicit | [`Dilated1d::stream_row`] |
 //! | `Dilated2d` | implicit | [`Dilated2d::stream_row`] |
 //! | `Global` (non-local) | implicit | [`GlobalMinusLocal::stream_row`] |
-//! | `Routed` | per-sequence [`crate::Routing`] | `routing::routed_row` |
 
 use crate::driver::NeighborSink;
 use crate::error::AttnError;
 use crate::kernels::CooSearch;
 use crate::plan::GeometrySpec;
-use crate::routing::Routing;
 use gpa_masks::{Dilated1d, Dilated2d, GlobalMinusLocal, GlobalSet, LocalWindow};
 use gpa_parallel::WorkCounter;
 use gpa_sparse::{CooMask, CsrMask, DiaMask};
@@ -73,23 +71,6 @@ pub enum AttentionKernel<'a> {
         /// Local window subtracted from the global rows/columns.
         n_sub: usize,
     },
-    /// Content-adaptive routed block-diagonal attention: tokens are
-    /// routed into `groups` timelines by the seeded scorer
-    /// ([`crate::Router`]) and each query attends its own group. The
-    /// kernel holds only the `(groups, seed)` configuration; the
-    /// per-sequence [`crate::Routing`] rides on the request (or is
-    /// computed from `Q` by [`crate::AttentionEngine::run`]), so one
-    /// compiled plan serves many differently-routed sequences in one
-    /// launch.
-    Routed {
-        /// Number of groups tokens are routed into (positive).
-        groups: usize,
-        /// Seed of the router's projection directions.
-        seed: u64,
-        /// Restrict each row to group members at or before it — the
-        /// prefill/decode-consistent variant.
-        causal: bool,
-    },
 }
 
 impl AttentionKernel<'_> {
@@ -104,7 +85,6 @@ impl AttentionKernel<'_> {
             AttentionKernel::Dilated1d { .. } => "Dilated-1D",
             AttentionKernel::Dilated2d { .. } => "Dilated-2D",
             AttentionKernel::Global { .. } => "Global",
-            AttentionKernel::Routed { .. } => "Routed",
         }
     }
 
@@ -118,9 +98,6 @@ impl AttentionKernel<'_> {
             }),
             AttentionKernel::Dilated2d { block_size: 0, .. } => Err(AttnError::BadParameter {
                 what: "block_size must be positive",
-            }),
-            AttentionKernel::Routed { groups: 0, .. } => Err(AttnError::BadParameter {
-                what: "routed group count must be positive",
             }),
             _ => Ok(()),
         }
@@ -156,8 +133,7 @@ impl AttentionKernel<'_> {
             }
             AttentionKernel::Local { .. }
             | AttentionKernel::Dilated1d { .. }
-            | AttentionKernel::Dilated2d { .. }
-            | AttentionKernel::Routed { .. } => {
+            | AttentionKernel::Dilated2d { .. } => {
                 spec.requires_window = true;
             }
         }
@@ -168,29 +144,20 @@ impl AttentionKernel<'_> {
     /// under key/value set size `kv_len` — the public form of the per-row
     /// rule, used to estimate a plan's edges
     /// ([`crate::AttentionPlan::estimated_edges`]) without materializing
-    /// the kernel's full pattern. A routed kernel enumerates from the
-    /// per-sequence `routing`; every other kernel ignores it.
+    /// the kernel's full pattern.
     ///
     /// # Panics
-    /// Panics on a routed kernel given no routing (or one too short to
-    /// cover row `i`), and, for the implicit kernels, if `i >= kv_len`.
-    pub(crate) fn for_each_neighbor(
-        &self,
-        kv_len: usize,
-        i: usize,
-        routing: Option<&Routing>,
-        f: &mut dyn FnMut(usize),
-    ) {
-        self.stream_row(kv_len, i, routing, None, &mut |j| f(j));
+    /// Panics, for the implicit kernels, if `i >= kv_len`.
+    pub(crate) fn for_each_neighbor(&self, kv_len: usize, i: usize, f: &mut dyn FnMut(usize)) {
+        self.stream_row(kv_len, i, None, &mut |j| f(j));
     }
 
     /// Absolute row `i`'s degree under key/value set size `kv_len`, or an
     /// upper bound of it, read off the row rule without streaming where
     /// one has a closed form: Local's window, a CSR row's length, a
-    /// Global row's `kv_len` or else the global count, a routed group's
-    /// size. The other kernels count their stream. The one row loop sizes
-    /// small launches by it.
-    pub(crate) fn row_degree(&self, kv_len: usize, i: usize, routing: Option<&Routing>) -> usize {
+    /// Global row's `kv_len` or else the global count. The other kernels
+    /// count their stream. The one row loop sizes small launches by it.
+    pub(crate) fn row_degree(&self, kv_len: usize, i: usize) -> usize {
         match self {
             AttentionKernel::Local { n } => {
                 let (lo, hi) = LocalWindow::row_range(kv_len, *n, i);
@@ -199,12 +166,9 @@ impl AttentionKernel<'_> {
             AttentionKernel::Csr(mask) => mask.row(i).len(),
             AttentionKernel::Global { globals, .. } if globals.contains(i) => kv_len,
             AttentionKernel::Global { globals, .. } => globals.indices().len(),
-            AttentionKernel::Routed { .. } => {
-                routing.map_or(0, |r| r.members(r.group_of(i) as usize).len())
-            }
             _ => {
                 let mut degree = 0;
-                self.for_each_neighbor(kv_len, i, routing, &mut |_| degree += 1);
+                self.for_each_neighbor(kv_len, i, &mut |_| degree += 1);
                 degree
             }
         }
@@ -219,7 +183,6 @@ impl AttentionKernel<'_> {
         &self,
         kv_len: usize,
         i: usize,
-        routing: Option<&Routing>,
         counter: Option<&WorkCounter>,
         sink: &mut impl NeighborSink,
     ) {
@@ -238,15 +201,6 @@ impl AttentionKernel<'_> {
             }
             AttentionKernel::Global { globals, n_sub } => {
                 GlobalMinusLocal::stream_row(kv_len, globals, *n_sub, i, push)
-            }
-            AttentionKernel::Routed { causal, .. } => {
-                let routing = routing.expect("a routed step needs its sequence's Routing");
-                assert!(
-                    routing.len() > i,
-                    "routing covers {} tokens but row {i} was requested",
-                    routing.len()
-                );
-                crate::routing::routed_row(routing, *causal, i, sink)
             }
         }
     }

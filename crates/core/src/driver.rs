@@ -783,7 +783,7 @@ mod tests {
                 n_sub: n,
             };
             for step in [AttentionKernel::Local { n }, global] {
-                step.for_each_neighbor(l, i, None, &mut |j| neighbors.push(j));
+                step.for_each_neighbor(l, i, &mut |j| neighbors.push(j));
             }
             let want = reference_row(&q64, &k64, &v64, i, &neighbors);
             let (tiled, ..) = tiled_row(q.row(i), &k, &v, scale, &neighbors);

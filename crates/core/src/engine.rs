@@ -45,7 +45,6 @@ use crate::dispatch::AttentionKernel;
 use crate::error::AttnError;
 use crate::options::KernelOptions;
 use crate::plan::AttentionPlan;
-use crate::routing::Router;
 use crate::state::AttentionState;
 use gpa_parallel::{default_threads, Schedule, ThreadPool, WorkCounter, WorkReport};
 use gpa_tensor::{Matrix, Real};
@@ -171,10 +170,7 @@ impl AttentionEngine {
         AttentionPlan::new(kernels)
     }
 
-    /// Run a plan over one sequence. A routed plan routes `q`'s rows
-    /// itself, so the convenience entry needs no caller-held
-    /// [`crate::Routing`] (batched callers attach one per request via
-    /// [`AttentionRequest::with_routing`]).
+    /// Run a plan over one sequence.
     pub fn run<T: Real>(
         &self,
         plan: &AttentionPlan<'_>,
@@ -182,9 +178,7 @@ impl AttentionEngine {
         k: &Matrix<T>,
         v: &Matrix<T>,
     ) -> Result<Matrix<T>, AttnError> {
-        let routing = plan.routing_spec().map(|spec| Router::new(spec).route(q));
-        let request = AttentionRequest::new(q, k, v).with_routing(routing.as_ref());
-        let mut outs = self.run_batch(plan, &[request])?;
+        let mut outs = self.run_batch(plan, &[AttentionRequest::new(q, k, v)])?;
         Ok(outs.pop().expect("one request, one output"))
     }
 
@@ -278,14 +272,6 @@ impl AttentionEngine {
         }
         let prior = cache.len();
         cache.extend(0, k, v);
-        // A routed plan routes the whole prompt up front — one pure
-        // per-row pass, so any chunk split sees identical assignments.
-        if let Some(spec) = plan.routing_spec() {
-            if let Err(e) = cache.extend_routing(spec, 0, q) {
-                cache.truncate(prior);
-                return Err(e);
-            }
-        }
         // Every chunk is a row range of `q`, written straight into its
         // rows of the stitched output (`dv > 0`: it is the cache's).
         let (prompt, dv) = (q.rows(), v.cols());
@@ -298,7 +284,6 @@ impl AttentionEngine {
                 .map(|a| {
                     let rows = a..(a + chunk).min(prompt);
                     AttentionRequest::row_range(q, rows, cache.k(0), cache.v(0), prior + a)
-                        .with_routing(cache.routing(0))
                 })
                 .collect();
             let mut windows: Vec<&mut [T]> =
@@ -352,17 +337,7 @@ impl AttentionEngine {
         }
         let prior = cache.len();
         cache.append(0, k_t.row(0), v_t.row(0));
-        // A routed plan routes the new token from its query row — the same
-        // pure per-row function prefill used, so the decode row joins the
-        // exact group the square forward would put it in.
-        if let Some(spec) = plan.routing_spec() {
-            if let Err(e) = cache.extend_routing(spec, 0, q_t) {
-                cache.truncate(prior);
-                return Err(e);
-            }
-        }
-        let request =
-            AttentionRequest::decode(q_t, cache.k(0), cache.v(0)).with_routing(cache.routing(0));
+        let request = AttentionRequest::decode(q_t, cache.k(0), cache.v(0));
         let result = self.run_batch(plan, &[request]);
         match result {
             Ok(mut outs) => Ok(outs.pop().expect("one request, one output")),

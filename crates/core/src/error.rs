@@ -50,14 +50,6 @@ pub enum AttnError {
         /// Human-readable description.
         what: &'static str,
     },
-    /// A routed plan and its request disagree about routing: incompatible
-    /// routed steps in one plan, a missing or wrong-spec
-    /// [`crate::Routing`], or a routing that does not cover the request's
-    /// tokens.
-    RoutingMismatch {
-        /// Human-readable description.
-        what: &'static str,
-    },
 }
 
 impl fmt::Display for AttnError {
@@ -86,7 +78,6 @@ impl fmt::Display for AttnError {
                 q_offset + q_rows
             ),
             AttnError::BadParameter { what } => write!(f, "bad kernel parameter: {what}"),
-            AttnError::RoutingMismatch { what } => write!(f, "routing mismatch: {what}"),
         }
     }
 }
@@ -113,9 +104,5 @@ mod tests {
             kv_rows: 8,
         };
         assert!(e.to_string().contains("6..9"));
-        let e = AttnError::RoutingMismatch {
-            what: "a routed plan needs a routing",
-        };
-        assert!(e.to_string().contains("routing mismatch"));
     }
 }

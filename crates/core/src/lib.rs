@@ -22,7 +22,6 @@
 //! - Implicit "ordered sparsity": [`AttentionKernel::Local`],
 //!   [`AttentionKernel::Dilated1d`], [`AttentionKernel::Dilated2d`],
 //!   [`AttentionKernel::Global`];
-//! - Content-adaptive: [`AttentionKernel::Routed`];
 //! - An arbitrary [`gpa_masks::MaskPattern`]: `pattern.to_csr()` and
 //!   [`AttentionKernel::Csr`].
 //!
@@ -68,7 +67,6 @@ pub mod multihead;
 pub mod options;
 pub mod pages;
 pub mod plan;
-pub mod routing;
 pub mod state;
 pub mod verify;
 
@@ -86,7 +84,6 @@ pub use options::KernelOptions;
 // `SwapArena` and its `SwapTicket` stay for the serving benchmark alone.
 pub use pages::{PagePool, SeqId, SwapArena, SwapTicket};
 pub use plan::AttentionPlan;
-pub use routing::{RoutedSpec, Router, Routing};
 pub use state::AttentionState;
 pub use verify::{run_paper_verification, run_verification_at, VerificationRecord};
 
@@ -144,65 +141,6 @@ mod proptests {
             let composed = engine.run(&plan, &q, &k, &v).unwrap();
             let single = engine.run_kernel(AttentionKernel::Csr(&full), &q, &k, &v).unwrap();
             prop_assert!(paper_allclose(&composed, &single));
-        }
-
-        /// At any shape, group count, and seed: the router's `K` groups
-        /// partition all `N` tokens (no token unrouted, group sizes sum to
-        /// `N`), and routed attention is **bitwise** the dense attention of
-        /// each group run in isolation — each group's rows gathered into a
-        /// submatrix and pushed through the CSR kernel under an all-ones
-        /// mask, the same row tile over the same ascending member order.
-        #[test]
-        fn routed_attention_is_bitwise_per_group_dense(
-            l in 2usize..48,
-            dk in 1usize..16,
-            groups in 1usize..6,
-            seed in 0u64..10_000,
-        ) {
-            let engine = AttentionEngine::with_threads(2);
-            let (q, k, v) = qkv::<f64>(l, dk, seed);
-            let spec = RoutedSpec { groups, seed: seed ^ 0xBEEF };
-            let routing = Router::new(spec).route(&q);
-
-            let total: usize = (0..groups).map(|g| routing.members(g).len()).sum();
-            prop_assert!(total == l, "group sizes must sum to N");
-            let mut seen = vec![false; l];
-            for g in 0..groups {
-                for &t in routing.members(g) {
-                    prop_assert!(!seen[t as usize], "token {} routed twice", t);
-                    seen[t as usize] = true;
-                }
-            }
-            prop_assert!(seen.iter().all(|&s| s), "no token may go unrouted");
-
-            let routed = AttentionKernel::Routed { groups, seed: spec.seed, causal: false };
-            let out = engine.run_kernel(routed, &q, &k, &v).unwrap();
-            for g in 0..groups {
-                let idx: Vec<usize> = routing.members(g).iter().map(|&t| t as usize).collect();
-                if idx.is_empty() { continue; }
-                let gather = |m: &gpa_tensor::Matrix<f64>| {
-                    gpa_tensor::Matrix::from_fn(idx.len(), m.cols(), |r, c| m.get(idx[r], c))
-                };
-                let (qg, kg, vg) = (gather(&q), gather(&k), gather(&v));
-                let all_ones = gpa_sparse::CsrMask::from_coo(
-                    &gpa_sparse::CooMask::from_entries(
-                        idx.len(),
-                        idx.len(),
-                        (0..idx.len())
-                            .flat_map(|r| (0..idx.len()).map(move |c| (r, c)))
-                            .collect::<Vec<_>>(),
-                    )
-                    .unwrap(),
-                );
-                let dense_group =
-                    engine.run_kernel(AttentionKernel::Csr(&all_ones), &qg, &kg, &vg).unwrap();
-                for (r, &t) in idx.iter().enumerate() {
-                    prop_assert!(
-                        out.row(t) == dense_group.row(r),
-                        "group {} token {} must be bitwise the per-group dense run", g, t
-                    );
-                }
-            }
         }
 
         /// Output rows are convex combinations of value rows: every output

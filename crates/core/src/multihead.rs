@@ -20,7 +20,6 @@ use crate::batch::AttentionRequest;
 use crate::engine::AttentionEngine;
 use crate::error::AttnError;
 use crate::plan::AttentionPlan;
-use crate::routing::{Router, Routing};
 use gpa_parallel::{parallel_for, RaggedSpace, RowWriter, Schedule, ThreadPool};
 use gpa_tensor::init::xavier_uniform;
 use gpa_tensor::ops::matmul_rows_into;
@@ -123,16 +122,8 @@ impl<T: Real> MultiHeadAttention<T> {
             .pop()
             .expect("one input, one projection");
 
-        // Cacheless forward: route each head's queries on the fly.
-        let routings: Option<Vec<Routing>> = plan.routing_spec().map(|spec| {
-            let router = Router::new(spec);
-            qh.iter().map(|q| router.route(q)).collect()
-        });
         let requests: Vec<AttentionRequest<'_, T>> = (0..self.heads)
-            .map(|h| {
-                AttentionRequest::new(&qh[h], &kh[h], &vh[h])
-                    .with_routing(routings.as_ref().map(|r| &r[h]))
-            })
+            .map(|h| AttentionRequest::new(&qh[h], &kh[h], &vh[h]))
             .collect();
         let outs = engine.run_batch(plan, &requests)?;
         Ok(self

@@ -33,9 +33,8 @@
 //!
 //! **Eviction** rides behind that same accounting layer: a scheduler
 //! [`PagePool::release`]s a victim's entry and holds its caches itself (a
-//! reservation has none: its rows never left their owner) — K/V rows and
-//! routing state move as-is, `O(1)` in context length, and nothing is
-//! ever rebuilt. Resume is [`PagePool::try_adopt`] (all-or-nothing),
+//! reservation has none: its rows never left their owner) — K/V rows
+//! move as-is, `O(1)` in context length, and nothing is ever rebuilt. Resume is [`PagePool::try_adopt`] (all-or-nothing),
 //! splicing the identical bytes back under a fresh page table. The held
 //! bytes are the owner's to count ([`KvCache::kv_bytes`]).
 //!
@@ -346,28 +345,6 @@ impl<T: Real> PagePool<T> {
         for (h, (k, v)) in ks.iter().zip(vs).enumerate() {
             cache.extend(h, k, v);
         }
-    }
-
-    /// Route `q`'s rows as layer `layer`'s next tokens on head `head` —
-    /// the passthrough to `KvCache::extend_routing`. Routing costs no
-    /// pages (it is `O(1)` words per token), so this cannot fail for
-    /// capacity reasons.
-    ///
-    /// # Errors
-    /// As `KvCache::extend_routing` — the head was previously routed
-    /// under a different spec.
-    ///
-    /// # Panics
-    /// Panics on a released or stale handle.
-    pub fn extend_routing(
-        &mut self,
-        id: SeqId,
-        layer: usize,
-        spec: crate::routing::RoutedSpec,
-        head: usize,
-        q: &Matrix<T>,
-    ) -> Result<(), crate::error::AttnError> {
-        self.seq_mut(id).caches[layer].extend_routing(spec, head, q)
     }
 
     /// Drop every token past the first `tokens` — granted tokens and every

@@ -14,7 +14,6 @@
 use crate::batch::AttentionRequest;
 use crate::dispatch::AttentionKernel;
 use crate::error::AttnError;
-use crate::routing::RoutedSpec;
 use gpa_tensor::Real;
 
 /// Merged geometry constraints of a plan's steps, computed once at compile
@@ -64,12 +63,6 @@ impl GeometrySpec {
 pub struct AttentionPlan<'a> {
     steps: Vec<AttentionKernel<'a>>,
     spec: GeometrySpec,
-    /// The shared `(groups, seed)` of the plan's routed steps, if any.
-    routing: Option<RoutedSpec>,
-    /// True when a routed step is noncausal — its rows attend group
-    /// members *ahead* of them, so a request must route its whole
-    /// key/value set, not just the rows up to its query window.
-    routed_full_kv: bool,
 }
 
 impl<'a> AttentionPlan<'a> {
@@ -79,10 +72,9 @@ impl<'a> AttentionPlan<'a> {
     ///
     /// - the composition is non-empty;
     /// - kernel parameters are well-formed (positive dilated widths /
-    ///   block sizes, a positive routed group count);
+    ///   block sizes);
     /// - the steps' geometry constraints merge consistently: masks pinning
-    ///   a key/value length agree on one value;
-    /// - routed steps share one `(groups, seed)`.
+    ///   a key/value length agree on one value.
     pub fn new(kernels: &[AttentionKernel<'a>]) -> Result<Self, AttnError> {
         if kernels.is_empty() {
             return Err(AttnError::BadParameter {
@@ -90,37 +82,13 @@ impl<'a> AttentionPlan<'a> {
             });
         }
         let mut spec = GeometrySpec::default();
-        let mut routing: Option<RoutedSpec> = None;
-        let mut routed_full_kv = false;
         for kernel in kernels {
             kernel.validate_params()?;
             spec.merge(kernel.geometry_spec())?;
-            if let AttentionKernel::Routed {
-                groups,
-                seed,
-                causal,
-            } = kernel
-            {
-                let this = RoutedSpec {
-                    groups: *groups,
-                    seed: *seed,
-                };
-                match routing {
-                    Some(prev) if prev != this => {
-                        return Err(AttnError::RoutingMismatch {
-                            what: "routed steps of one plan must share groups and seed",
-                        });
-                    }
-                    _ => routing = Some(this),
-                }
-                routed_full_kv |= !causal;
-            }
         }
         Ok(AttentionPlan {
             steps: kernels.to_vec(),
             spec,
-            routing,
-            routed_full_kv,
         })
     }
 
@@ -148,51 +116,20 @@ impl<'a> AttentionPlan<'a> {
         self.spec.q_abs_bound
     }
 
-    /// The `(groups, seed)` shared by the plan's routed steps, if any —
-    /// `None` for a fully static plan. Requests against a routed plan
-    /// must carry a [`crate::Routing`] built under exactly this spec.
-    pub fn routing_spec(&self) -> Option<RoutedSpec> {
-        self.routing
-    }
-
-    /// True when a routed step is noncausal, requiring a request's
-    /// routing to cover its **whole** key/value set (causal-only routed
-    /// plans need routing only up to the query window's end, which is
-    /// what lets a decode row run with the routing grown so far).
-    pub fn routed_full_kv(&self) -> bool {
-        self.routed_full_kv
-    }
-
     /// Estimated mask non-zeros (edges = dot products) of one sequence of
-    /// length `l` under this plan — the admission cost model behind
-    /// content-adaptive pattern selection. Static steps are enumerated
-    /// exactly through their row rules (clamped to any pinned geometry);
-    /// routed steps are analytic expectations, `l²/K` (halved when
-    /// causal), since the actual grouping depends on data the policy has
-    /// not routed yet.
+    /// length `l` under this plan — the admission cost model by which
+    /// `gpa-serve` resolves `PatternChoice::Auto`. Each step is enumerated
+    /// exactly through its row rule, clamped to any pinned geometry.
     pub fn estimated_edges(&self, l: usize) -> u64 {
-        self.steps
-            .iter()
-            .map(|step| match step {
-                AttentionKernel::Routed { groups, causal, .. } => {
-                    let block = (l as u64) * (l as u64) / (*groups as u64).max(1);
-                    if *causal {
-                        block.div_ceil(2)
-                    } else {
-                        block
-                    }
-                }
-                _ => {
-                    let kv = self.spec.kv_pin.unwrap_or(l).min(l);
-                    let rows = self.spec.q_abs_bound.unwrap_or(kv).min(kv);
-                    let mut edges = 0u64;
-                    for i in 0..rows {
-                        step.for_each_neighbor(kv, i, None, &mut |_| edges += 1);
-                    }
-                    edges
-                }
-            })
-            .sum()
+        let kv = self.spec.kv_pin.unwrap_or(l).min(l);
+        let rows = self.spec.q_abs_bound.unwrap_or(kv).min(kv);
+        let mut edges = 0u64;
+        for step in &self.steps {
+            for i in 0..rows {
+                step.for_each_neighbor(kv, i, &mut |_| edges += 1);
+            }
+        }
+        edges
     }
 
     /// Display label: step names joined with `" + "`, matching the paper's
@@ -425,78 +362,21 @@ mod tests {
     }
 
     #[test]
-    fn routed_steps_must_share_one_spec() {
-        let routed = AttentionKernel::Routed {
-            groups: 4,
-            seed: 7,
-            causal: true,
-        };
-        let plan = AttentionPlan::new(&[AttentionKernel::Local { n: 2 }, routed]).unwrap();
-        assert_eq!(plan.routing_spec(), Some(RoutedSpec { groups: 4, seed: 7 }));
-        assert!(!plan.routed_full_kv(), "causal-only plan");
-        assert!(plan.spec.requires_window);
-        assert_eq!(plan.describe(), "Local + Routed");
-
-        // A noncausal routed step flips the full-KV requirement.
-        let noncausal = AttentionKernel::Routed {
-            groups: 4,
-            seed: 7,
-            causal: false,
-        };
-        let plan = AttentionPlan::new(&[routed, noncausal]).unwrap();
-        assert!(plan.routed_full_kv());
-
-        // Disagreeing specs are rejected at compile time.
-        let other = AttentionKernel::Routed {
-            groups: 8,
-            seed: 7,
-            causal: true,
-        };
-        assert!(matches!(
-            AttentionPlan::new(&[routed, other]),
-            Err(AttnError::RoutingMismatch { .. })
-        ));
-        // Zero groups are a parameter error, caught before geometry.
-        assert!(matches!(
-            AttentionPlan::single(AttentionKernel::Routed {
-                groups: 0,
-                seed: 1,
-                causal: false,
-            }),
-            Err(AttnError::BadParameter { .. })
-        ));
-        // Static plans report no routing spec.
-        let plain = AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap();
-        assert_eq!(plain.routing_spec(), None);
-    }
-
-    #[test]
     fn estimated_edges_rank_patterns_sensibly() {
         let l = 128;
         let local = AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap();
         // Local n=2: rows attend up to 5 neighbors — exact enumeration.
         let edges = local.estimated_edges(l);
         assert!(edges > 0 && edges <= 5 * l as u64);
-        let routed = AttentionPlan::single(AttentionKernel::Routed {
-            groups: 4,
-            seed: 1,
-            causal: false,
-        })
-        .unwrap();
+        let dilated = AttentionPlan::single(AttentionKernel::Dilated1d { w: 33, r: 1 }).unwrap();
+        let dense = AttentionPlan::single(AttentionKernel::Local { n: l }).unwrap();
         assert_eq!(
-            routed.estimated_edges(l),
-            (l as u64 * l as u64) / 4,
-            "routed expectation is l²/K"
+            dense.estimated_edges(l),
+            (l * l) as u64,
+            "a full window is l²"
         );
-        let causal = AttentionPlan::single(AttentionKernel::Routed {
-            groups: 4,
-            seed: 1,
-            causal: true,
-        })
-        .unwrap();
-        assert_eq!(causal.estimated_edges(l), (l as u64 * l as u64) / 8);
-        // The cost model orders sparse-local < routed < dense (`l²`).
-        assert!(local.estimated_edges(l) < causal.estimated_edges(l));
-        assert!(routed.estimated_edges(l) < l as u64 * l as u64);
+        // The cost model orders narrow < wide < dense.
+        assert!(local.estimated_edges(l) < dilated.estimated_edges(l));
+        assert!(dilated.estimated_edges(l) < dense.estimated_edges(l));
     }
 }

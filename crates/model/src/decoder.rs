@@ -265,16 +265,6 @@ impl<'p, T: Real> DecoderModel<'p, T> {
             for (item, (_, kh, vh)) in items.iter().zip(&projected) {
                 pool.extend(item.state.seq, s, kh, vh);
             }
-            if let Some(spec) = self.plans[self.layer_plan[s]].routing_spec() {
-                for (item, (qh, _, _)) in items.iter().zip(&projected) {
-                    for (h, q) in qh.iter().enumerate().take(self.heads) {
-                        if let Err(e) = pool.extend_routing(item.state.seq, s, spec, h, q) {
-                            rollback(pool);
-                            return Err(e.into());
-                        }
-                    }
-                }
-            }
             let result = {
                 let requests: Vec<AttentionRequest<'_, T>> = items
                     .iter()
@@ -282,12 +272,9 @@ impl<'p, T: Real> DecoderModel<'p, T> {
                     .zip(&priors)
                     .flat_map(|((item, (qh, _, _)), &prior)| {
                         let cache = &pool.caches(item.state.seq)[s];
-                        (0..self.heads)
-                            .map(move |h| {
-                                AttentionRequest::windowed(&qh[h], cache.k(h), cache.v(h), prior)
-                                    .with_routing(cache.routing(h))
-                            })
-                            .collect::<Vec<_>>()
+                        (0..self.heads).map(move |h| {
+                            AttentionRequest::windowed(&qh[h], cache.k(h), cache.v(h), prior)
+                        })
                     })
                     .collect();
                 rows += requests.iter().map(AttentionRequest::rows).sum::<usize>();
@@ -631,68 +618,6 @@ mod tests {
         assert_eq!(st.tokens(&pool), 6);
         assert!(m.forward_decode(&e, &mut pool, &st, &x).is_err());
         assert_eq!(st.tokens(&pool), 6, "a multi-row decode appends nothing");
-    }
-
-    #[test]
-    fn routed_layer_prefill_and_decode_match_square_forward_bitwise() {
-        let e = engine();
-        let coarse = e
-            .compile(&[AttentionKernel::Routed {
-                groups: 3,
-                seed: 0x5EED,
-                causal: true,
-            }])
-            .unwrap();
-        let fine = e
-            .compile(&[AttentionKernel::Routed {
-                groups: 2,
-                seed: 0xF00D,
-                causal: true,
-            }])
-            .unwrap();
-        let m: DecoderModel<'_, f64> = DecoderModel::new(
-            LayerPattern::parse("RSR").unwrap(),
-            vec![('R', coarse), ('S', fine)],
-            12,
-            3,
-            4,
-            21,
-        )
-        .unwrap();
-        let x = gaussian_matrix(9, 12, 1.0, 33);
-        let square = m.forward(&e, &x).unwrap();
-        // Chunked prefill then token-by-token decode through the same
-        // all-causal stack: token `i`'s group depends only on `q[i]`, so
-        // incremental routing reproduces the square pass's groups exactly
-        // and the causal members stream in the same ascending order —
-        // outputs must be bitwise equal.
-        let mut pool: PagePool<f64> = PagePool::new(64, 4);
-        let st = ModelKvState::allocate(&m, &mut pool);
-        let pre = m
-            .forward_prefill_chunked(&e, &mut pool, &st, &x.rows_slice(0, 6), 4)
-            .unwrap();
-        for i in 0..6 {
-            assert_eq!(pre.row(i), square.row(i), "prefill row {i}");
-        }
-        for t in 6..9 {
-            let out = m
-                .forward_decode(&e, &mut pool, &st, &x.rows_slice(t, t + 1))
-                .unwrap();
-            assert_eq!(out.row(0), square.row(t), "decode row {t}");
-        }
-        // Evict-and-resume keeps each layer's routing with its cache: the
-        // released caches re-adopt and the next decode is still bitwise.
-        let caches = pool.release(st.seq());
-        let resumed = ModelKvState::adopt(caches, &mut pool).expect("pages are free");
-        let extra = gaussian_matrix(1, 12, 1.0, 34);
-        let after_resume = m.forward_decode(&e, &mut pool, &resumed, &extra).unwrap();
-        let mut fresh: PagePool<f64> = PagePool::new(64, 4);
-        let st2 = ModelKvState::allocate(&m, &mut fresh);
-        m.forward_prefill_chunked(&e, &mut fresh, &st2, &x, 3)
-            .unwrap();
-        let never_evicted = m.forward_decode(&e, &mut fresh, &st2, &extra).unwrap();
-        assert_eq!(after_resume, never_evicted, "resume must re-adopt routing");
-        pool.assert_page_invariants();
     }
 
     #[test]

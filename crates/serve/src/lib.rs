@@ -141,7 +141,7 @@
 //! [`sequential_model_reference`]. `examples/continuous_serving.rs` serves
 //! a 12-layer bookend stack under page pressure.
 //!
-//! ## Content-adaptive patterns
+//! ## Pattern selection at admission
 //!
 //! A plan request carries a [`PatternChoice`]: either a registered plan
 //! named explicitly, or [`PatternChoice::Auto`], resolved once at
@@ -149,17 +149,12 @@
 //! [`gpa_core::AttentionPlan::estimated_edges`] at the request's prompt
 //! length, and the KV pool's free-page fraction indexes that ranking, so
 //! a full pool affords the densest pattern while a starved pool forces
-//! the sparsest. Registered plans may include content-routed kernels
-//! ([`gpa_core::AttentionKernel::Routed`]): the router hashes each token
-//! into one of `K` groups as a pure function of the routing spec and the
-//! token's own query row, so a sequence's routing survives preemption,
-//! resume, and any batching shape unchanged, and a tick that holds both
-//! static and routed sequences still issues one launch per distinct plan.
-//! The resolved plan is reported in [`Completion::target`] (the original
-//! choice stays on the request), and completions — Auto, routed, or both
-//! — remain bitwise equal to their per-plan [`sequential_reference`].
-//! `cargo run -p gpa-bench --release --bin adaptive_sparsity` sweeps the
-//! pattern × group-count × context-length trade-off surface.
+//! the sparsest. Every registered plan is a static mask, so a tick still
+//! issues one launch per distinct plan whatever choices its sequences
+//! made. The resolved plan is reported in [`Completion::target`] (the
+//! original choice stays on the request), and completions — explicit or
+//! `Auto` — remain bitwise equal to their per-plan
+//! [`sequential_reference`].
 //!
 //! `examples/continuous_serving.rs` walks all of this in one trace —
 //! explicit, `Auto` and stack requests under page pressure — checks every

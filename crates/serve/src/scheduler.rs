@@ -79,8 +79,7 @@
 //! the opposite end — the lowest-priority, most-recently admitted
 //! sequence first. A victim's pages go back to the free list. A plan
 //! victim keeps nothing else — its K/V rows never left its inputs — and
-//! its resume reserves the pages again, `O(1)` in context length (a
-//! routed plan re-routes its cached tokens from its query rows). A stack
+//! its resume reserves the pages again, `O(1)` in context length. A stack
 //! victim's computed caches move by value into its own record, outside
 //! the pool, and one gauge counts their bytes
 //! ([`Scheduler::swap_parked_bytes`], peak
@@ -104,10 +103,9 @@
 //! until `apply` moves it**, so a launch that wrote before a later launch
 //! of the same tick failed has changed nothing anyone can observe, and
 //! the next tick computes the same rows again, bit for bit. If any launch
-//! fails, `rollback` truncates every in-flight sequence's pool entry —
-//! and a routed plan's routing — to its pre-tick
-//! length — the row cursor has not moved, so that length is a function of
-//! the record — **un-preempts** this tick's
+//! fails, `rollback` truncates every in-flight sequence's pool entry to
+//! its pre-tick length — the row cursor has not moved, so that length is
+//! a function of the record — **un-preempts** this tick's
 //! victims (resumed in place, page tables and in-flight positions
 //! restored), **un-admits** this tick's admissions (fresh requests back
 //! to their queue fronts in order, resumed sequences re-parked with the
@@ -123,9 +121,7 @@ use crate::request::{
     Completion, ModelId, ModelRequest, PatternChoice, PlanId, RequestId, ServeRequest, ServeTarget,
     Submission, TickReport,
 };
-use gpa_core::{
-    AttentionEngine, AttentionPlan, AttentionRequest, KvCache, PagePool, Router, Routing, SeqId,
-};
+use gpa_core::{AttentionEngine, AttentionPlan, AttentionRequest, KvCache, PagePool, SeqId};
 use gpa_model::{DecoderModel, ModelError, ModelKvState, ModelWorkItem};
 use gpa_tensor::{Matrix, Real};
 use std::collections::{BTreeMap, VecDeque};
@@ -265,10 +261,6 @@ enum Inputs<T> {
         q: Matrix<T>,
         k: Matrix<T>,
         v: Matrix<T>,
-        /// A routed plan's group assignment of the sequence's cached
-        /// tokens: built at admission and resume, extended by each decode
-        /// row, truncated on rollback. `None` for static plans.
-        routing: Option<Routing>,
     },
     Model {
         model: usize,
@@ -400,15 +392,6 @@ impl<T: Real> Seq<T> {
     /// The pool handle of an in-flight sequence.
     fn seq(&self) -> SeqId {
         self.kv.seq().expect("in flight, so in the pool")
-    }
-
-    /// Roll an in-flight sequence's KV — every layer, and a routed plan's
-    /// routing — back to `tokens` tokens, returning the pages past them.
-    fn truncate(&mut self, pool: &mut PagePool<T>, tokens: usize) {
-        pool.truncate(self.seq(), tokens);
-        if let Inputs::Plan { routing, .. } = &mut self.inputs {
-            routing.iter_mut().for_each(|r| r.truncate(tokens));
-        }
     }
 }
 
@@ -695,7 +678,6 @@ impl<'p, T: Real> Scheduler<'p, T> {
                     q,
                     k,
                     v,
-                    routing: None,
                 };
                 self.enqueue(priority, prompt, 1, width, inputs)
             }
@@ -829,29 +811,18 @@ impl<'p, T: Real> Scheduler<'p, T> {
     /// Bring a sequence's KV into the pool — the one way in, for fresh
     /// admission, resume and un-preempt alike. A plan sequence reserves
     /// the pages of its cached tokens and copies nothing — its K/V rows
-    /// are its inputs, launched in place — and a routed plan re-routes
-    /// those tokens from its query rows, a pure function of the inputs
-    /// and so bit-identical every time. A stack comes back out of the
-    /// record, routing state riding the caches, its bytes leaving the
-    /// parked gauge, or, fresh, starts as empty layer caches (its first
-    /// chunk is granted this very tick). The caller granted the pages, so
-    /// failure here is a scheduler bug.
+    /// are its inputs, launched in place. A stack comes back out of the
+    /// record, its bytes leaving the parked gauge, or, fresh, starts as
+    /// empty layer caches (its first chunk is granted this very tick).
+    /// The caller granted the pages, so failure here is a scheduler bug.
     fn resume(&mut self, s: &mut Seq<T>) {
         let tokens = s.cached(s.done);
         self.parked_bytes -= s.kv.held_bytes();
-        let caches = match (std::mem::replace(&mut s.kv, Kv::None), &mut s.inputs) {
-            (
-                Kv::None | Kv::Held(_),
-                Inputs::Plan {
-                    plan, q, routing, ..
-                },
-            ) => {
+        let caches = match (std::mem::replace(&mut s.kv, Kv::None), &s.inputs) {
+            (Kv::None | Kv::Held(_), Inputs::Plan { .. }) => {
                 let Some(seq) = self.pool.try_reserve(tokens) else {
                     panic!("admission was granted its pages");
                 };
-                *routing = self.plans[*plan]
-                    .routing_spec()
-                    .map(|spec| Router::new(spec).route(&q.rows_slice(0, tokens)));
                 s.kv = Kv::Reserved(seq);
                 return;
             }
@@ -1048,23 +1019,17 @@ impl<'p, T: Real> Scheduler<'p, T> {
     fn launch(&mut self) -> Result<Launched, ServeError> {
         let chunk = self.config.prefill_chunk;
         // A decoding plan sequence's token takes its page now — a grant,
-        // not a copy: the row is already in its K/V — and, on a routed
-        // plan, joins its group, so the decode row below sees a routing
-        // that covers its query position. Stacks append inside their
-        // layer advance.
-        for s in &mut self.in_flight {
-            let (Kv::Reserved(seq), Inputs::Plan { q, routing, .. }) = (&s.kv, &mut s.inputs)
-            else {
+        // not a copy: the row is already in its K/V. Stacks append inside
+        // their layer advance.
+        for s in &self.in_flight {
+            let Kv::Reserved(seq) = s.kv else {
                 continue;
             };
             if s.done < s.prompt {
                 continue;
             }
-            let ok = self.pool.try_grant(*seq, 1);
+            let ok = self.pool.try_grant(seq, 1);
             assert!(ok, "decode rows were granted pages at tick start");
-            if let Some(routing) = routing {
-                routing.extend(&q.rows_slice(s.done, s.done + 1));
-            }
         }
         let mut groups: Vec<(bool, usize)> = self.in_flight.iter().map(Seq::group).collect();
         groups.sort_unstable();
@@ -1105,27 +1070,21 @@ impl<'p, T: Real> Scheduler<'p, T> {
                 }
             } else {
                 // Each member lends its launch two disjoint fields: its
-                // q/k/v rows and routing in `inputs`, and — mutably — rows
-                // `start..end` of `out`.
+                // q/k/v rows in `inputs`, and — mutably — rows `start..end`
+                // of `out`.
                 let mut requests = Vec::with_capacity(self.in_flight.len());
                 let mut windows: Vec<&mut [T]> = Vec::with_capacity(self.in_flight.len());
                 let mut rows = 0;
                 for s in self.in_flight.iter_mut().filter(|s| s.group() == group) {
                     let (start, end) = s.window(chunk);
                     let kv_rows = s.cached(end);
-                    let Inputs::Plan {
-                        q, k, v, routing, ..
-                    } = &s.inputs
-                    else {
+                    let Inputs::Plan { q, k, v, .. } = &s.inputs else {
                         unreachable!("a plan group holds plan sequences");
                     };
                     // Prefill window or decode row, the geometry is the
                     // same: rows `start..end` at their own positions over
-                    // the first `cached(end)` rows of the sequence's own
-                    // K/V. Static plans ignore an attached routing; routed
-                    // plans require the one the sequence carries.
-                    let mut request = AttentionRequest::row_range(q, start..end, k, v, start)
-                        .with_routing(routing.as_ref());
+                    // the first `cached(end)` rows of its own K/V.
+                    let mut request = AttentionRequest::row_range(q, start..end, k, v, start);
                     request.geometry.kv_rows = kv_rows;
                     requests.push(request);
                     windows.push(rows_mut(&mut s.out, (start, end)));
@@ -1233,8 +1192,8 @@ impl<'p, T: Real> Scheduler<'p, T> {
     fn rollback(&mut self, admitted: Admitted, staged: Vec<(usize, Seq<T>)>) {
         // Appends: every layer of every cache back to its pre-tick
         // length, returning this tick's granted pages.
-        for s in &mut self.in_flight {
-            s.truncate(&mut self.pool, s.cached(s.done));
+        for s in &self.in_flight {
+            self.pool.truncate(s.seq(), s.cached(s.done));
         }
         // Un-preempt: each victim back in the pool at its exact former
         // position. Page conservation covers the restores: truncation
@@ -1872,41 +1831,6 @@ mod tests {
         s.assert_kv_invariants();
         // The survivor still drains normally.
         drain(&mut s);
-        assert_eq!(s.kv_used_pages(), 0);
-    }
-
-    #[test]
-    fn routed_sequences_preempt_and_resume_bitwise() {
-        // The preemption squeeze from above, on a routed plan: the
-        // sequence carries its routing, and resume re-routes its cached
-        // tokens from its query rows — the victim's output must still be
-        // bitwise the uninterrupted sequential serve.
-        let mut s: Scheduler<'static, f64> = Scheduler::new(
-            AttentionEngine::with_threads(2),
-            config(2, 3, 2, 4, EvictionMode::Recompute),
-        )
-        .unwrap();
-        let plan = s
-            .register_plan(
-                AttentionPlan::single(AttentionKernel::Routed {
-                    groups: 2,
-                    seed: 0x0DDB,
-                    causal: true,
-                })
-                .unwrap(),
-            )
-            .unwrap();
-        let subs = [request(plan, 0, 2, 6, 61), request(plan, 0, 2, 6, 62)];
-        let a = s.submit(subs[0].clone()).unwrap();
-        let b = s.submit(subs[1].clone()).unwrap();
-        let d = drain(&mut s);
-        assert_eq!(d.preempted, vec![b], "the younger routed sequence parks");
-        assert_eq!(d.completions.len(), 2);
-        for ((c, r), id) in d.completions.iter().zip(subs).zip([a, b]) {
-            assert_eq!(c.id, id);
-            let want = reference(&s, c, &r.into());
-            assert_eq!(c.output, want, "routed serving must be bitwise");
-        }
         assert_eq!(s.kv_used_pages(), 0);
     }
 

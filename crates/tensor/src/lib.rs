@@ -21,6 +21,6 @@ pub mod ops;
 pub mod real;
 pub mod softmax;
 
-pub use matrix::{allclose, argmax, paper_allclose, Matrix};
+pub use matrix::{allclose, paper_allclose, Matrix};
 pub use real::{attention_scale, Real};
 pub use softmax::{OnlineSoftmaxState, SoftmaxUpdate};

@@ -225,24 +225,6 @@ pub fn paper_allclose<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> bool {
     allclose(a, b, 1e-8, 1e-5, true)
 }
 
-/// Index of the largest score, breaking ties toward the **lowest** index —
-/// the deterministic selection rule the routed-attention scorer relies on
-/// (a strict `>` comparison never displaces an earlier equal score, so the
-/// result is independent of evaluation batching or thread count).
-///
-/// # Panics
-/// Panics if `scores` is empty.
-pub fn argmax<T: Real>(scores: &[T]) -> usize {
-    assert!(!scores.is_empty(), "argmax of an empty slice");
-    let mut best = 0;
-    for (i, &s) in scores.iter().enumerate().skip(1) {
-        if s > scores[best] {
-            best = i;
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,19 +352,5 @@ mod tests {
         let mut b = a.clone();
         b.row_mut(1)[1] = -0.25;
         assert_eq!(a.max_abs_diff(&b), 0.25);
-    }
-
-    #[test]
-    fn argmax_breaks_ties_toward_the_lowest_index() {
-        assert_eq!(argmax(&[1.0f64, 3.0, 2.0]), 1);
-        assert_eq!(argmax(&[2.0f64, 2.0, 2.0]), 0);
-        assert_eq!(argmax(&[-1.0f32, -1.0, 0.5, 0.5]), 2);
-        assert_eq!(argmax(&[7.0f64]), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn argmax_rejects_empty() {
-        let _ = argmax::<f64>(&[]);
     }
 }

@@ -1,5 +1,5 @@
-//! Continuous-batching serving: bare attention plans, content-routed
-//! plans, `Auto` requests and a 12-layer decoder stack, all through one
+//! Continuous-batching serving: single-step and composed attention plans,
+//! `Auto` requests and a 12-layer decoder stack, all through one
 //! scheduler-owned engine under page pressure.
 //!
 //! The loop this example walks through:
@@ -8,10 +8,10 @@
 //!    explicit admission policy: max in-flight sequences, a paged KV pool
 //!    sized well below the workload's worst case, an arrival-batching
 //!    window, and a prefill chunk size;
-//! 2. **Register** four length-free plans — two static patterns (Local,
-//!    Dilated) and two content-routed ones (a bare `Routed` kernel and a
-//!    Local + Routed composition sharing one router spec) — and a
-//!    `DecoderModel` compiled from the bookend pattern `FFFSSSSSSFFF`:
+//! 2. **Register** three length-free plans — two single-step patterns
+//!    (Local, Dilated) and a Longformer-style composition (a narrow
+//!    sliding window plus a wide dilated one, chained on one softmax
+//!    state) — and a `DecoderModel` compiled from the bookend pattern `FFFSSSSSSFFF`:
 //!    full local attention in the first and last three layers, dilated
 //!    sparse attention in the middle six;
 //! 3. **Replay** one seeded trace on the virtual clock. A request names a
@@ -43,7 +43,6 @@ fn main() {
     let decode: (usize, usize) = if quick { (4, 12) } else { (32, 64) };
     let dk = if quick { 16 } else { 64 };
     let window = if quick { 8 } else { 32 };
-    let groups = if quick { 2 } else { 4 };
     let (heads, head_dk) = if quick { (2, 8) } else { (4, 16) };
     let d_model = heads * head_dk;
 
@@ -76,22 +75,22 @@ fn main() {
         config.prefill_chunk
     );
 
-    // --- 2. Four plans and one stack --------------------------------------
-    // Both routed plans hash tokens into groups with the same deterministic
-    // router, so a token's group never depends on batch shape, chunking or
-    // thread count.
+    // --- 2. Three plans and one stack -------------------------------------
     let local = AttentionKernel::Local { n: window };
     let dilated = AttentionKernel::Dilated1d { w: window, r: 2 };
-    let routed = AttentionKernel::Routed {
-        groups,
-        seed: 0xB10C,
-        causal: true,
-    };
     let plans = [
         ("Local", vec![local]),
         ("Dilated", vec![dilated]),
-        ("Routed", vec![routed]),
-        ("Local→Routed", vec![local, routed]),
+        (
+            "Local+Dilated",
+            vec![
+                AttentionKernel::Local { n: window / 4 },
+                AttentionKernel::Dilated1d {
+                    w: 4 * window,
+                    r: 3,
+                },
+            ],
+        ),
     ]
     .map(|(name, steps)| {
         let plan = AttentionPlan::new(&steps).expect("composable plan");
@@ -219,7 +218,7 @@ fn main() {
         total_tokens as f64 / t_sequential
     );
     println!(
-        "\nall {} outputs bitwise equal to the sequential reference · batching, routing and preemption changed the schedule, not one bit",
+        "\nall {} outputs bitwise equal to the sequential reference · batching and preemption changed the schedule, not one bit",
         completions.len()
     );
 }

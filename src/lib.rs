@@ -106,7 +106,7 @@ pub mod prelude {
     pub use gpa_core::{
         flash_attention, masked_sdp, AttentionEngine, AttentionEngineBuilder, AttentionKernel,
         AttentionPlan, AttentionRequest, AttentionState, CooSearch, Geometry, KernelOptions,
-        KvCache, MultiHeadAttention, RoutedSpec, Router, Routing,
+        KvCache, MultiHeadAttention,
     };
     pub use gpa_masks::{bigbird, longformer, GlobalSet, LocalWindow, LongNetPattern, MaskPattern};
     pub use gpa_model::{DecoderModel, LayerPattern, ModelKvState};

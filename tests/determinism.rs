@@ -11,7 +11,7 @@ use graph_attention::model::{DecoderModel, LayerPattern};
 use graph_attention::parallel::Schedule;
 use graph_attention::serve::{
     generate_trace, replay, AdmissionMode, Completion, EvictionMode, PatternChoice, PlanId,
-    RequestId, Scheduler, ServeConfig, TraceEvent, TraceSpec,
+    RequestId, Scheduler, ServeConfig, Submission, TraceEvent, TraceSpec,
 };
 use graph_attention::tensor::init::qkv;
 
@@ -342,15 +342,14 @@ fn swap_mode_preempting_trace_identical_across_pool_sizes_and_modes() {
 }
 
 #[test]
-fn routed_serving_trace_identical_across_pool_sizes() {
-    // Content-adaptive serving adds two stages that could plausibly
-    // depend on thread timing — the router's scored projection of each
-    // query row and the Auto pattern resolution at admission — and both
-    // must be pure functions of the data and the virtual clock: a trace
-    // mixing a static plan, a causal routed plan, and Auto sequences,
-    // tight enough to evict routed sequences mid-decode, replays on
-    // pools of 1, 2, and 4 workers with identical outputs, completion
-    // order, resolved plans, and preemption counts.
+fn auto_serving_trace_identical_across_pool_sizes() {
+    // `Auto` resolution at admission ranks the registered plans by their
+    // estimated edges and indexes the ranking by the pool's free-page
+    // fraction — a stage that must be a pure function of the data and the
+    // virtual clock: a trace mixing a single-step plan, a composed plan
+    // and Auto sequences, tight enough to evict Auto sequences
+    // mid-decode, replays on pools of 1, 2, and 4 workers with identical
+    // outputs, completion order, resolved plans, and preemption counts.
     let spec = TraceSpec {
         sequences: 6,
         prompt: (2, 5),
@@ -376,34 +375,39 @@ fn routed_serving_trace_identical_across_pool_sizes() {
         let local = scheduler
             .register_plan(AttentionPlan::single(AttentionKernel::Local { n: 3 }).unwrap())
             .unwrap();
-        let routed = scheduler
+        // A sliding window plus a dilated one, Longformer's two
+        // length-free parts.
+        let composed = scheduler
             .register_plan(
-                AttentionPlan::single(AttentionKernel::Routed {
-                    groups: 2,
-                    seed: 0x7007,
-                    causal: true,
-                })
+                AttentionPlan::new(&[
+                    AttentionKernel::Local { n: 1 },
+                    AttentionKernel::Dilated1d { w: 7, r: 1 },
+                ])
                 .unwrap(),
             )
             .unwrap();
         let patterns = [
             PatternChoice::from(local),
-            PatternChoice::from(routed),
+            PatternChoice::from(composed),
             PatternChoice::Auto,
         ];
         let trace = generate_trace::<f32, _>(&spec, &patterns, &[]);
         let completions = replay(&mut scheduler, &trace, 100_000).unwrap();
-        let routed_preempted = completions
-            .iter()
-            .any(|c| c.target.plan() == Some(routed) && c.preemptions > 0);
-        (completions, scheduler.preemption_events(), routed_preempted)
+        let auto_preempted = completions.iter().any(|c| {
+            c.preemptions > 0
+                && matches!(
+                    &trace[c.id.as_u64() as usize].request,
+                    Submission::Plan(r) if r.pattern == PatternChoice::Auto
+                )
+        });
+        (completions, scheduler.preemption_events(), auto_preempted)
     };
-    let (reference, ref_events, ref_routed_preempted) = run(1);
+    let (reference, ref_events, ref_auto_preempted) = run(1);
     assert_eq!(reference.len(), spec.sequences);
     assert!(ref_events > 0, "this trace must force preemption");
     assert!(
-        ref_routed_preempted,
-        "a routed sequence must be evicted and resumed"
+        ref_auto_preempted,
+        "an Auto sequence must be evicted and resumed"
     );
     for threads in [2usize, 4] {
         let (completions, events, _) = run(threads);

@@ -36,8 +36,8 @@ fn run_example(name: &str, quick: bool) -> String {
 }
 
 /// The stdout of `continuous_serving --quick`, run once and shared by the
-/// three tests that check its parts: the whole walkthrough, its adaptive
-/// (`Auto` and routed) requests, and its decoder-stack requests.
+/// three tests that check its parts: the whole walkthrough, its `Auto`
+/// requests, and its decoder-stack requests.
 fn continuous_serving() -> &'static str {
     static STDOUT: OnceLock<String> = OnceLock::new();
     STDOUT.get_or_init(|| run_example("continuous_serving", true))
@@ -56,15 +56,11 @@ fn quickstart_runs() {
     run_example("quickstart", false);
 }
 
-/// Routed plans and `Auto` requests are served and verified bitwise in
+/// `Auto` requests are served and verified bitwise in
 /// `continuous_serving`; `Auto` must have resolved at least once.
 #[test]
 fn adaptive_serving_runs() {
     let stdout = continuous_serving();
-    assert!(
-        line_with(stdout, "plans:").contains("Local→Routed"),
-        "{stdout}"
-    );
     let resolved = line_with(stdout, "Auto resolved under pool pressure:");
     assert!(
         resolved.contains("× "),

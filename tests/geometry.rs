@@ -43,9 +43,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Property 1, the kernel table — every graph kernel variant (COO
-    /// linear/binary, CSR, DIA, Local, Dilated-1D, Dilated-2D, Global,
-    /// Routed causal/non-causal) × {square, a mid-sequence `row_range`
-    /// window, the decode row}: the square run is `paper_allclose` to
+    /// linear/binary, CSR, DIA, Local, Dilated-1D, Dilated-2D, Global) ×
+    /// {square, a mid-sequence `row_range` window, the decode row}: the square run is `paper_allclose` to
     /// `masked_sdp` over the materialized mask, and the window and the
     /// decode row are bitwise equal to (a) the rectangular-CSR reference
     /// mask of the same rows and (b) the matching rows of the square run.
@@ -69,21 +68,6 @@ proptest! {
             .unwrap();
         let random = graph_attention::masks::RandomUniform::new(l, 0.2, seed ^ 0xF00D);
         let (csr, coo) = (random.to_csr(), random.to_coo());
-        // The routed kernels' data-dependent mask, materialized from the
-        // routing the engine will compute for this `q`.
-        let spec = RoutedSpec { groups: 3, seed: seed ^ 7 };
-        let routing = Router::new(spec).route(&q);
-        let routed_csr = |causal: bool| {
-            let entries: Vec<(usize, usize)> = (0..l)
-                .flat_map(|i| {
-                    let members = routing.members(routing.group_of(i) as usize);
-                    members.iter().map(move |&j| (i, j as usize))
-                })
-                .filter(|&(i, j)| !causal || j <= i)
-                .collect();
-            CsrMask::from_coo(&CooMask::from_entries(l, l, entries).unwrap())
-        };
-        let routed = |causal| AttentionKernel::Routed { groups: 3, seed: spec.seed, causal };
 
         let square_masks: Vec<(AttentionKernel<'_>, CsrMask)> = vec![
             (AttentionKernel::Coo(&coo, CooSearch::Linear), csr.clone()),
@@ -103,13 +87,11 @@ proptest! {
                 AttentionKernel::Global { globals: &globals, n_sub: n },
                 graph_attention::masks::GlobalMinusLocal::new(globals.clone(), n).to_csr(),
             ),
-            (routed(true), routed_csr(true)),
-            (routed(false), routed_csr(false)),
         ];
 
         for (kernel, square_csr) in &square_masks {
             let plan = e.compile(std::slice::from_ref(kernel)).unwrap();
-            let what = if plan.routed_full_kv() { "Routed/full" } else { kernel.name() };
+            let what = kernel.name();
             let square = e.run(&plan, &q, &k, &v).unwrap();
             let dense = DenseMask::from_csr(square_csr);
             let reference = masked_sdp(e.pool(), &dense, &q, &k, &v, &e.options()).unwrap();
@@ -118,10 +100,8 @@ proptest! {
             // The mid-sequence window and the decode row, in one launch.
             let last = q.rows_slice(l - 1, l);
             let requests = [
-                AttentionRequest::row_range(&q, off..off + rows, &k, &v, off)
-                    .with_routing(Some(&routing)),
-                AttentionRequest::decode(&last, &k, &v)
-                    .with_routing(Some(&routing)),
+                AttentionRequest::row_range(&q, off..off + rows, &k, &v, off),
+                AttentionRequest::decode(&last, &k, &v),
             ];
             let outs = e.run_batch(&plan, &requests).unwrap();
 
@@ -465,9 +445,7 @@ proptest! {
     /// released (pages back to the pool), held by value, re-adopted,
     /// released — and decoding continues on the round-tripped cache.
     /// Every output row and the final cache must be bitwise the
-    /// uninterrupted run's, for all seven composable kernel families plus
-    /// the content-routed kernel (whose routing rides the held cache: an
-    /// O(1) splice, no re-extension, no re-routing).
+    /// uninterrupted run's, for all seven composable kernel families.
     #[test]
     fn evict_and_swap_at_any_decode_step_is_bitwise_invisible(
         l in 3usize..24,
@@ -498,13 +476,12 @@ proptest! {
             pool.release(resumed).pop().expect("one cache")
         };
 
-        // Length-free plans, including content-routed: one compiled plan
-        // serves prefill and every decode step across the swap.
+        // Length-free plans: one compiled plan serves prefill and every
+        // decode step across the swap.
         let implicit: Vec<AttentionKernel<'_>> = vec![
             AttentionKernel::Local { n },
             AttentionKernel::Dilated1d { w: n + 1, r: 1 },
             AttentionKernel::Dilated2d { block_size: n + 2, r: 1 },
-            AttentionKernel::Routed { groups: 2, seed: seed ^ 0xB10C, causal: true },
         ];
         for kernel in &implicit {
             let plan = e.compile(std::slice::from_ref(kernel)).unwrap();
@@ -683,129 +660,6 @@ proptest! {
         for t in prompt..l {
             let step_mask = clip(t + 1);
             let step_plan = e.compile(&[AttentionKernel::Dia(&step_mask)]).unwrap();
-            let out = e
-                .decode_step(
-                    &step_plan,
-                    &q.rows_slice(t, t + 1),
-                    &k.rows_slice(t, t + 1),
-                    &v.rows_slice(t, t + 1),
-                    &mut cache,
-                )
-                .unwrap();
-            assembled.row_mut(t).copy_from_slice(out.row(0));
-        }
-        prop_assert_eq!(&assembled, &full);
-    }
-
-    /// The adaptive form of the headline invariant: a *causal* routed
-    /// plan — alone, doubled, and composed with a causal DIA band —
-    /// served as chunked prefill plus per-token KvCache decode
-    /// reassembles the full square forward **bitwise**. Content routing
-    /// is a pure per-row function of `(spec, q-row)`, so every decode
-    /// step routes its token exactly as the square run does.
-    #[test]
-    fn causal_routed_prefill_plus_decode_is_bitwise_the_square_forward(
-        l in 2usize..24,
-        dk in 1usize..8,
-        groups in 1usize..6,
-        band in 1usize..5,
-        chunk in 1usize..10,
-        seed in 0u64..400,
-    ) {
-        let e = engine();
-        let (q, k, v) = init::qkv::<f64>(l, dk, seed ^ 0x9077);
-        let prompt = 1 + (seed as usize % l);
-        let routed = AttentionKernel::Routed {
-            groups,
-            seed: seed ^ 0xB5,
-            causal: true,
-        };
-
-        // Length-free compositions: one compiled plan serves the square
-        // reference, the prefill, and every decode step.
-        let free: Vec<Vec<AttentionKernel<'_>>> = vec![vec![routed], vec![routed, routed]];
-        for kernels in &free {
-            let plan = e.compile(kernels).unwrap();
-            let full = e.run(&plan, &q, &k, &v).unwrap();
-            let mut assembled = Matrix::zeros(l, dk);
-            let mut cache = KvCache::single(dk, dk);
-            let prefill = e
-                .prefill_chunked(
-                    &plan,
-                    &q.rows_slice(0, prompt),
-                    &k.rows_slice(0, prompt),
-                    &v.rows_slice(0, prompt),
-                    chunk,
-                    &mut cache,
-                )
-                .unwrap();
-            for i in 0..prompt {
-                assembled.row_mut(i).copy_from_slice(prefill.row(i));
-            }
-            for t in prompt..l {
-                let out = e
-                    .decode_step(
-                        &plan,
-                        &q.rows_slice(t, t + 1),
-                        &k.rows_slice(t, t + 1),
-                        &v.rows_slice(t, t + 1),
-                        &mut cache,
-                    )
-                    .unwrap();
-                assembled.row_mut(t).copy_from_slice(out.row(0));
-            }
-            prop_assert!(
-                assembled == full,
-                "routed composition of {} step(s) differs from the square forward",
-                kernels.len()
-            );
-        }
-
-        // Composed with a causal DIA band: the band pins its length, so
-        // the plan is rebuilt per prefix exactly as the square reference
-        // demands — the routed step's spec never changes, so the cache's
-        // routing stays valid across rebuilds.
-        let offsets: Vec<i64> = (0..=band as i64).map(|d| -d).collect();
-        let clip = |len: usize| -> DiaMask {
-            DiaMask::new(
-                len,
-                offsets
-                    .iter()
-                    .copied()
-                    .filter(|d| d.unsigned_abs() < len as u64)
-                    .collect(),
-            )
-            .unwrap()
-        };
-        let full_mask = clip(l);
-        let full_plan = e
-            .compile(&[AttentionKernel::Dia(&full_mask), routed])
-            .unwrap();
-        let full = e.run(&full_plan, &q, &k, &v).unwrap();
-        let mut assembled = Matrix::zeros(l, dk);
-        let mut cache = KvCache::single(dk, dk);
-        let prompt_mask = clip(prompt);
-        let prompt_plan = e
-            .compile(&[AttentionKernel::Dia(&prompt_mask), routed])
-            .unwrap();
-        let prefill = e
-            .prefill_chunked(
-                &prompt_plan,
-                &q.rows_slice(0, prompt),
-                &k.rows_slice(0, prompt),
-                &v.rows_slice(0, prompt),
-                chunk,
-                &mut cache,
-            )
-            .unwrap();
-        for i in 0..prompt {
-            assembled.row_mut(i).copy_from_slice(prefill.row(i));
-        }
-        for t in prompt..l {
-            let step_mask = clip(t + 1);
-            let step_plan = e
-                .compile(&[AttentionKernel::Dia(&step_mask), routed])
-                .unwrap();
             let out = e
                 .decode_step(
                     &step_plan,
@@ -1071,11 +925,6 @@ fn row_ranges_equal_copied_windows<T: Real>(
     let random = graph_attention::masks::RandomUniform::new(l, 0.2, seed ^ 0xF00D);
     let (csr, coo) = (random.to_csr(), random.to_coo());
     let dia = DiaMask::new(l, vec![-((n % l) as i64), 0, (w % l) as i64]).unwrap();
-    let routed = |causal| AttentionKernel::Routed {
-        groups: 3,
-        seed: seed ^ 7,
-        causal,
-    };
     let longformer = [
         AttentionKernel::Local { n },
         AttentionKernel::Global {
@@ -1102,47 +951,37 @@ fn row_ranges_equal_copied_windows<T: Real>(
             vec![AttentionKernel::Coo(&coo, CooSearch::Binary)],
         ),
         ("Dia", vec![AttentionKernel::Dia(&dia)]),
-        ("Routed/causal", vec![routed(true)]),
-        ("Routed/full", vec![routed(false)]),
         ("Longformer", longformer.to_vec()),
         ("BigBird", bigbird.to_vec()),
     ];
 
     for (name, kernels) in &plans {
         let plan = e.compile(kernels).unwrap();
-        let router = plan.routing_spec().map(Router::new);
-        let route = |q: &Matrix<T>| router.as_ref().map(|router| router.route(q));
-        let (routing, routing2) = (route(&q), route(&q2));
-        // (query, keys, values, routing, rows, first row's position).
+        // (query, keys, values, rows — the first row at its own position).
         let mut jobs = Vec::new();
         for &cut in cuts {
-            jobs.push((&q, &k, &v, routing.as_ref(), window(l, cut)));
+            jobs.push((&q, &k, &v, window(l, cut)));
         }
         // A decode row: the last token over the whole cache.
-        jobs.push((&q, &k, &v, routing.as_ref(), l - 1..l));
-        if plan.kv_pin().is_none() && !plan.routed_full_kv() {
+        jobs.push((&q, &k, &v, l - 1..l));
+        if plan.kv_pin().is_none() {
             for &cut in cuts {
-                jobs.push((&q2, &k2, &v2, routing2.as_ref(), window(l2, cut)));
+                jobs.push((&q2, &k2, &v2, window(l2, cut)));
             }
         }
 
         let in_place: Vec<AttentionRequest<'_, T>> = jobs
             .iter()
-            .map(|(q, k, v, routing, rows)| {
-                AttentionRequest::row_range(q, rows.clone(), k, v, rows.start)
-                    .with_routing(*routing)
-            })
+            .map(|(q, k, v, rows)| AttentionRequest::row_range(q, rows.clone(), k, v, rows.start))
             .collect();
         let copies: Vec<Matrix<T>> = jobs
             .iter()
-            .map(|(q, _, _, _, rows)| q.rows_slice(rows.start, rows.end))
+            .map(|(q, _, _, rows)| q.rows_slice(rows.start, rows.end))
             .collect();
         let copied: Vec<AttentionRequest<'_, T>> = jobs
             .iter()
             .zip(&copies)
-            .map(|((_, k, v, routing, rows), q_win)| {
-                AttentionRequest::windowed(q_win, k, v, rows.start).with_routing(*routing)
-            })
+            .map(|((_, k, v, rows), q_win)| AttentionRequest::windowed(q_win, k, v, rows.start))
             .collect();
 
         let expect = e.run_batch(&plan, &copied).unwrap();

@@ -31,7 +31,7 @@
 //!
 //! The trace count of the headline loop defaults to 52 and can be raised
 //! via `GPA_SIM_TRACES` (the nightly CI job runs 200); the mixed-model
-//! and routed loops scale with it (12 and 16 traces at the default).
+//! and `Auto` loops scale with it (12 and 16 traces at the default).
 
 use graph_attention::prelude::*;
 use graph_attention::serve::{
@@ -83,45 +83,31 @@ fn build_scheduler(threads: usize, config: ServeConfig) -> (Scheduler<'static, f
     (scheduler, plans)
 }
 
-/// Scheduler + pattern choices for the adaptive traces: the three static
-/// plans above, two routed plans (a bare causal router and a composed
-/// Local + Routed), and the [`PatternChoice::Auto`] wildcard — so traces
-/// mix static, content-routed, and scheduler-chosen sequences. Returns the
-/// routed plan ids separately so tests can tell routed completions apart.
-fn build_adaptive_scheduler(
+/// Scheduler + pattern choices for the `Auto` traces: the three plans
+/// above, a Longformer-style composition (a sliding window plus a dilated
+/// window — Longformer's two length-free parts; its global part pins the
+/// context length, which growing sequences cannot keep), and the
+/// [`PatternChoice::Auto`] wildcard — so traces mix single-step, composed
+/// and scheduler-chosen sequences. Returns the Longformer-style plan's id
+/// separately so tests can tell its completions apart.
+fn build_auto_scheduler(
     threads: usize,
     config: ServeConfig,
-) -> (Scheduler<'static, f64>, Vec<PatternChoice>, Vec<PlanId>) {
+) -> (Scheduler<'static, f64>, Vec<PatternChoice>, PlanId) {
     let (mut scheduler, plans) = build_scheduler(threads, config);
-    let routed = vec![
-        scheduler
-            .register_plan(
-                AttentionPlan::single(AttentionKernel::Routed {
-                    groups: 2,
-                    seed: 0x0DD5,
-                    causal: true,
-                })
-                .unwrap(),
-            )
+    let longformer = scheduler
+        .register_plan(
+            AttentionPlan::new(&[
+                AttentionKernel::Local { n: 1 },
+                AttentionKernel::Dilated1d { w: 9, r: 2 },
+            ])
             .unwrap(),
-        scheduler
-            .register_plan(
-                AttentionPlan::new(&[
-                    AttentionKernel::Local { n: 1 },
-                    AttentionKernel::Routed {
-                        groups: 3,
-                        seed: 0xB10C,
-                        causal: true,
-                    },
-                ])
-                .unwrap(),
-            )
-            .unwrap(),
-    ];
+        )
+        .unwrap();
     let mut patterns: Vec<PatternChoice> = plans.iter().map(|&p| p.into()).collect();
-    patterns.extend(routed.iter().map(|&p| PatternChoice::from(p)));
+    patterns.push(longformer.into());
     patterns.push(PatternChoice::Auto);
-    (scheduler, patterns, routed)
+    (scheduler, patterns, longformer)
 }
 
 /// Scheduler + plans + models used by one simulated mixed trace: the three
@@ -543,17 +529,16 @@ fn swapped_and_resumed_sequences_match_the_recompute_run_exactly() {
     }
 }
 
-/// Adaptive-sparsity traces: randomized seeded workloads drawing each
-/// sequence's pattern from the static plans, two causal routed plans, and
+/// `Auto` traces: randomized seeded workloads drawing each sequence's
+/// pattern from the single-step plans, two composed plans, and
 /// [`PatternChoice::Auto`] — one scheduler, one page pool. Every always-on
 /// invariant of the headline loop holds, every completion (Auto sequences
 /// checked under the plan the scheduler resolved at admission) is bitwise
-/// its sequential reference, and across the loop at least one **routed**
-/// sequence is preempted and resumed — eviction and resume must re-adopt
-/// the same content routing, or the bitwise check would fail.
+/// its sequential reference, and across the loop at least one sequence
+/// of the Longformer-style composition is preempted and resumed.
 #[test]
-fn routed_and_auto_traces_match_the_sequential_reference_bitwise() {
-    let mut routed_preempted = 0u64;
+fn auto_traces_match_the_sequential_reference_bitwise() {
+    let mut longformer_preempted = 0u64;
     let mut auto_served = 0u64;
     for trace_seed in 0u64..scaled_trace_count(16) {
         let mut knobs = StdRng::seed_from_u64(0xADA7 ^ trace_seed);
@@ -572,8 +557,8 @@ fn routed_and_auto_traces_match_the_sequential_reference_bitwise() {
         let max_total = prompt_hi + decode_hi;
         let page_size = 1 + knobs.gen_range(0..5);
         // Tighter than the headline loop: just enough pages for the
-        // largest single sequence plus a sliver, so routed sequences get
-        // evicted mid-decode often.
+        // largest single sequence plus a sliver, so sequences get evicted
+        // mid-decode often.
         let kv_pages = max_total.div_ceil(page_size) + knobs.gen_range(0..spec.sequences);
         let config = ServeConfig {
             max_in_flight: 1 + knobs.gen_range(0..4),
@@ -590,7 +575,7 @@ fn routed_and_auto_traces_match_the_sequential_reference_bitwise() {
             },
             swap_bytes: usize::MAX,
         };
-        let (mut scheduler, patterns, routed) = build_adaptive_scheduler(2, config);
+        let (mut scheduler, patterns, longformer) = build_auto_scheduler(2, config);
         let trace: Vec<TraceEvent<f64>> = generate_trace(&spec, &patterns, &[]);
         let bound = starvation_bound(&trace, &config);
         let completions = drive(&mut scheduler, &trace, bound);
@@ -603,8 +588,8 @@ fn routed_and_auto_traces_match_the_sequential_reference_bitwise() {
         );
         for c in &completions {
             let resolved = c.target.plan().expect("a plan-only trace");
-            if routed.contains(&resolved) && c.preemptions > 0 {
-                routed_preempted += 1;
+            if resolved == longformer && c.preemptions > 0 {
+                longformer_preempted += 1;
             }
             if matches!(
                 &trace[c.id.as_u64() as usize].request,
@@ -615,8 +600,8 @@ fn routed_and_auto_traces_match_the_sequential_reference_bitwise() {
         }
     }
     assert!(
-        routed_preempted > 0,
-        "no routed sequence was evicted and resumed — tighten the page budgets"
+        longformer_preempted > 0,
+        "no Longformer-style sequence was evicted and resumed — tighten the page budgets"
     );
     assert!(
         auto_served > 0,
@@ -624,14 +609,14 @@ fn routed_and_auto_traces_match_the_sequential_reference_bitwise() {
     );
 }
 
-/// The adaptive acceptance scenario: one tick flattens a batch mixing
-/// three static patterns and routed sequences into **shared** launches —
+/// One tick flattens a batch mixing four patterns, single-step and
+/// composed, into **shared** launches —
 /// eight sequences, two per pattern, admitted together and prefilled in a
 /// single tick as four batched launches (one per distinct plan, not one
 /// per sequence) — and every completion is bitwise the sequential
 /// reference.
 #[test]
-fn one_tick_flattens_static_and_routed_sequences_into_shared_launches() {
+fn one_tick_flattens_single_step_and_composed_plans_into_shared_launches() {
     let config = ServeConfig {
         max_in_flight: 8,
         kv_pages: 32,
@@ -642,10 +627,10 @@ fn one_tick_flattens_static_and_routed_sequences_into_shared_launches() {
         eviction: EvictionMode::Recompute,
         swap_bytes: usize::MAX,
     };
-    let (mut scheduler, patterns, routed) = build_adaptive_scheduler(2, config);
-    // Two sequences per pattern: the three static plans plus the bare
-    // causal routed plan — 8 sequences over 4 distinct plans.
-    let chosen = [patterns[0], patterns[1], patterns[2], routed[0].into()];
+    let (mut scheduler, patterns, longformer) = build_auto_scheduler(2, config);
+    // Two sequences per pattern: the three plans of `build_scheduler` plus
+    // the Longformer-style one — 8 sequences over 4 distinct plans.
+    let chosen = [patterns[0], patterns[1], patterns[2], longformer.into()];
     let (prompt, decode) = (6usize, 2usize);
     let mut requests = Vec::new();
     for (i, &pattern) in chosen.iter().cycle().take(8).enumerate() {
@@ -667,7 +652,7 @@ fn one_tick_flattens_static_and_routed_sequences_into_shared_launches() {
     assert_eq!(report.admitted.len(), 8, "all eight admitted in one tick");
     assert_eq!(
         report.launches, 4,
-        "8 sequences share 4 launches — one per distinct plan, static and routed alike"
+        "8 sequences share 4 launches — one per distinct plan"
     );
     assert_eq!(
         report.rows_computed,
