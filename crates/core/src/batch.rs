@@ -25,10 +25,27 @@
 //! rows land in one `rows × dv` window per request that the *caller* owns
 //! — a fresh matrix under [`crate::AttentionEngine::run_batch`], a slice
 //! of a stitched prefill output, or the rows of a served sequence's output
-//! where they stay — and the per-row `l`/`m` statistics live in two
-//! vectors per launch, not in three allocations per request. Every entry
-//! point that returns matrices or [`AttentionState`]s is a thin wrapper
-//! that allocates the windows and runs the loop.
+//! where they stay. A row's `l`/`m` statistics are the row's own: two
+//! locals, `(−∞, 0)` when the row starts, stored after its last plan step
+//! only into the two launch vectors of a caller that asked for them —
+//! [`crate::AttentionEngine::run_batch_states`], and no other entry point,
+//! so a served launch allocates no statistics and no participant writes a
+//! cache line another one writes. Every entry point that returns matrices
+//! or [`AttentionState`]s is a thin wrapper that allocates the windows and
+//! runs the loop.
+//!
+//! ## The next row, fetched ahead
+//!
+//! A decode row's inputs are cold: each tick reads a new query, key, value
+//! and output row per sequence, at addresses no hardware stream follows.
+//! So as a participant starts a request it prefetches the next request's
+//! diagonal key and value rows (position `q_offset`, when that is below
+//! `kv_rows` — a decode row's newest token, the one row of its window no
+//! earlier tick read) while the current request computes. It does so only
+//! when the next request's first row lies in its own claimed range. A
+//! prefetch is a hint on a raw address (a no-op off x86_64): it reads
+//! nothing and moves no bit. Prefetching the query and output rows as well
+//! paid nothing on `decode_swarm` (0–3 % slower), so neither is fetched.
 //!
 //! ## Who runs a launch
 //!
@@ -160,21 +177,26 @@ fn validate_batch<T: Real>(
 /// A launch's per-row `(l, m)` statistics, flat in launch order.
 type RowStats<T> = (Vec<T>, Vec<T>);
 
+/// A launch into fresh matrices: one output per request, and the rows'
+/// statistics when they were asked for.
+type FreshLaunch<T> = (Vec<Matrix<T>>, Option<RowStats<T>>);
+
 /// Validate a batch, then run it into fresh `rows × dv` matrices, one per
-/// request; also returns the launch's statistics.
+/// request; also returns the launch's statistics when `with_stats` asks.
 fn execute_batch_fresh<T: Real>(
     pool: &ThreadPool,
     plan: &AttentionPlan<'_>,
     opts: &KernelOptions<'_>,
     requests: &[AttentionRequest<'_, T>],
-) -> Result<(Vec<Matrix<T>>, RowStats<T>), AttnError> {
+    with_stats: bool,
+) -> Result<FreshLaunch<T>, AttnError> {
     validate_batch(plan, requests)?;
     let mut outs: Vec<Matrix<T>> = requests
         .iter()
         .map(|r| Matrix::zeros(r.rows(), r.v.cols()))
         .collect();
     let mut windows: Vec<&mut [T]> = outs.iter_mut().map(Matrix::as_mut_slice).collect();
-    let stats = launch_rows(pool, plan, opts, requests, &mut windows);
+    let stats = launch_rows(pool, plan, opts, requests, &mut windows, with_stats);
     Ok((outs, stats))
 }
 
@@ -186,19 +208,21 @@ pub(crate) fn execute_batch<T: Real>(
     opts: &KernelOptions<'_>,
     requests: &[AttentionRequest<'_, T>],
 ) -> Result<Vec<Matrix<T>>, AttnError> {
-    execute_batch_fresh(pool, plan, opts, requests).map(|(outs, _)| outs)
+    execute_batch_fresh(pool, plan, opts, requests, false).map(|(outs, _)| outs)
 }
 
 /// As [`execute_batch`], but returning the full per-request
 /// [`AttentionState`]s — the `(O, l, m)` triples at rest, which the
-/// numerics-contract tests read.
+/// numerics-contract tests read. The only launch that stores its rows'
+/// statistics.
 pub(crate) fn execute_batch_states<T: Real>(
     pool: &ThreadPool,
     plan: &AttentionPlan<'_>,
     opts: &KernelOptions<'_>,
     requests: &[AttentionRequest<'_, T>],
 ) -> Result<Vec<AttentionState<T>>, AttnError> {
-    let (outs, (l, m)) = execute_batch_fresh(pool, plan, opts, requests)?;
+    let (outs, stats) = execute_batch_fresh(pool, plan, opts, requests, true)?;
+    let (l, m) = stats.expect("a launch that asks for its statistics returns them");
     let mut at = 0;
     Ok(outs
         .into_iter()
@@ -240,25 +264,27 @@ pub(crate) fn execute_batch_into<T: Real>(
             what: "an output window must hold its request's rows × dv elements",
         });
     }
-    launch_rows(pool, plan, opts, requests, windows);
+    launch_rows(pool, plan, opts, requests, windows, false);
     Ok(())
 }
 
 /// The one row loop under every batch entry point. `requests` are
 /// validated and `windows[s]` is `requests[s]`'s `rows × dv` output, its
-/// contents on entry ignored. Returns the rows' statistics.
+/// contents on entry ignored. Returns the rows' statistics when
+/// `with_stats` asks for them.
 fn launch_rows<T: Real>(
     pool: &ThreadPool,
     plan: &AttentionPlan<'_>,
     opts: &KernelOptions<'_>,
     requests: &[AttentionRequest<'_, T>],
     windows: &mut [&mut [T]],
-) -> RowStats<T> {
+    with_stats: bool,
+) -> Option<RowStats<T>> {
     let space = RaggedSpace::new(requests.iter().map(AttentionRequest::rows));
-    let mut l = vec![T::ZERO; space.total()];
-    let mut m = vec![T::neg_infinity(); space.total()];
+    let mut stats =
+        with_stats.then(|| (vec![T::ZERO; space.total()], vec![T::ZERO; space.total()]));
     if space.total() == 0 {
-        return (l, m);
+        return stats;
     }
 
     // Per-request execution context: a writer over that request's window
@@ -281,12 +307,25 @@ fn launch_rows<T: Real>(
             kv_len: r.geometry.kv_rows,
         })
         .collect();
-    let (l_cells, m_cells) = (CellWriter::new(&mut l), CellWriter::new(&mut m));
+    let cells = stats
+        .as_mut()
+        .map(|(l, m)| (CellWriter::new(l), CellWriter::new(m)));
     let schedule = launch_schedule(pool, plan, opts.schedule, requests, space.total());
 
     parallel_for(pool, space.total(), schedule, |range| {
         let mut tally = opts.counter.map(LocalTally::new);
+        let end = range.end;
         space.for_each_segment(range, |s, local| {
+            // The next request's diagonal key and value, while this one
+            // computes — only when its first row is this participant's too.
+            let next = space.segment_range(s).end;
+            if next < end {
+                let mut t = s + 1;
+                while space.segment_range(t).is_empty() {
+                    t += 1;
+                }
+                prefetch_diagonal(&requests[t]);
+            }
             let req = &requests[s];
             let ctx = &ctxs[s];
             for i in local {
@@ -299,19 +338,16 @@ fn launch_rows<T: Real>(
                 // `&mut [T]` for the whole launch (no two can overlap, and
                 // nobody else can read them), and its `RowWriter` was
                 // built over exactly `rows × dv` of it.
-                let (o_row, m_i, l_i) = unsafe {
-                    (
-                        ctx.o.row_mut(i),
-                        m_cells.cell_mut(ctx.base + i),
-                        l_cells.cell_mut(ctx.base + i),
-                    )
-                };
+                let o_row = unsafe { ctx.o.row_mut(i) };
                 // The window is the caller's and may hold anything; a
                 // first block scales `O` by `exp(−∞ − m) = 0`, and
                 // `0 · NaN` must not survive.
                 o_row.fill(T::ZERO);
                 let q_row = req.q.row(req.q_start + i);
-                let mut tile = RowTile::new(q_row, req.k, req.v, ctx.scale, m_i, l_i, o_row);
+                // The row's statistics are its own, in locals: a fresh
+                // row is `m = −∞, l = 0`.
+                let (mut m, mut l) = (T::neg_infinity(), T::ZERO);
+                let mut tile = RowTile::new(q_row, req.k, req.v, ctx.scale, &mut m, &mut l, o_row);
                 // Chain every plan step against this row's shared state —
                 // the sequential-composition semantics, one row at a time:
                 // each step's stream ends (and the row comes to rest)
@@ -327,11 +363,47 @@ fn launch_rows<T: Real>(
                     );
                     tally_edges(&mut tally, tile.end_stream());
                 }
+                if let Some((l_cells, m_cells)) = &cells {
+                    // SAFETY: as for the output row above.
+                    unsafe {
+                        *l_cells.cell_mut(ctx.base + i) = l;
+                        *m_cells.cell_mut(ctx.base + i) = m;
+                    }
+                }
             }
         });
     });
 
-    (l, m)
+    stats
+}
+
+/// Prefetch a request's diagonal key and value rows: position
+/// `q_offset`, a decode row's newest token — the one row of its window no
+/// earlier tick read — when it lies below `kv_rows`.
+#[inline(always)]
+fn prefetch_diagonal<T: Real>(r: &AttentionRequest<'_, T>) {
+    let diagonal = r.geometry.q_offset;
+    if diagonal < r.geometry.kv_rows {
+        prefetch(r.k.row(diagonal).as_ptr(), r.k.cols());
+        prefetch(r.v.row(diagonal).as_ptr(), r.v.cols());
+    }
+}
+
+/// Ask the cache for the lines of `len` elements at `row`. A hint that
+/// reads nothing and cannot fault, so `row` is never dereferenced; a no-op
+/// off x86_64.
+#[inline(always)]
+fn prefetch<T>(row: *const T, len: usize) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        for at in (0..len * std::mem::size_of::<T>()).step_by(64) {
+            // SAFETY: a prefetch neither reads nor writes memory.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(row.cast::<i8>().wrapping_add(at)) };
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = (row, len);
 }
 
 /// Estimated edges at which a launch the row rule would leave with fewer
@@ -767,6 +839,90 @@ mod tests {
                 (&state.o, &state.l, &state.m),
                 (&alone.o, &alone.l, &alone.m)
             );
+        }
+    }
+
+    #[test]
+    fn every_entry_point_computes_one_mixed_launch_alike() {
+        // One launch of every row shape under one 12 × 8 CSR mask whose row
+        // 5 has no edges: a square, a prefill window, a decode row over a
+        // longer K, a square with a NaN query, an empty request, and rows
+        // 8..12 past `kv_rows` — the empty request and the rows past
+        // `kv_rows` side by side, so the next-row prefetch skips a request
+        // and then finds no diagonal key to fetch.
+        let entries: Vec<(usize, usize)> = (0..12usize)
+            .filter(|&r| r != 5)
+            .flat_map(|r| {
+                let c = r.min(7);
+                (c.saturating_sub(2)..=c).map(move |j| (r, j))
+            })
+            .collect();
+        let mask = gpa_sparse::CsrMask::from_coo(
+            &gpa_sparse::CooMask::from_entries(12, 8, entries).unwrap(),
+        );
+        let plan = AttentionPlan::single(AttentionKernel::Csr(&mask)).unwrap();
+        let opts = KernelOptions::default();
+        let dk = 24;
+        let square = qkv::<f32>(8, dk, 501);
+        let prefill = qkv::<f32>(8, dk, 502);
+        let decode = qkv::<f32>(20, dk, 503);
+        let mut poisoned = qkv::<f32>(8, dk, 504);
+        poisoned.0.row_mut(1)[3] = f32::NAN;
+        let (q_past, k_past, v_past) = qkv::<f32>(12, dk, 505);
+        let (k8, v8) = (k_past.rows_slice(0, 8), v_past.rows_slice(0, 8));
+        let mut decode_row = AttentionRequest::row_range(&decode.0, 7..8, &decode.1, &decode.2, 7);
+        decode_row.geometry.kv_rows = 8;
+        assert_eq!(decode_row.geometry, Geometry::decode(8));
+        let requests = [
+            AttentionRequest::new(&square.0, &square.1, &square.2),
+            AttentionRequest::row_range(&prefill.0, 2..6, &prefill.1, &prefill.2, 2),
+            decode_row,
+            AttentionRequest::new(&poisoned.0, &poisoned.1, &poisoned.2),
+            AttentionRequest::row_range(&square.0, 3..3, &square.1, &square.2, 3),
+            AttentionRequest::row_range(&q_past, 8..12, &k8, &v8, 8),
+        ];
+        let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+
+        for p in [ThreadPool::new(1), ThreadPool::new(2), pool()] {
+            let fresh = execute_batch(&p, &plan, &opts, &requests).unwrap();
+            let mut dirty: Vec<Vec<f32>> = requests
+                .iter()
+                .map(|r| vec![f32::NAN; r.rows() * dk])
+                .collect();
+            let mut windows: Vec<&mut [f32]> = dirty.iter_mut().map(Vec::as_mut_slice).collect();
+            execute_batch_into(&p, &plan, &opts, &requests, &mut windows).unwrap();
+            let states = execute_batch_states(&p, &plan, &opts, &requests).unwrap();
+            for (s, request) in requests.iter().enumerate() {
+                let o = bits(fresh[s].as_slice());
+                assert_eq!(o, bits(&dirty[s]), "request {s}: run_batch_into");
+                assert_eq!(o, bits(states[s].o.as_slice()), "request {s}: states");
+                let alone = execute_batch_states(&p, &plan, &opts, std::slice::from_ref(request))
+                    .unwrap()
+                    .pop()
+                    .unwrap();
+                assert_eq!(o, bits(alone.o.as_slice()), "request {s}: alone");
+                assert_eq!(bits(&states[s].l), bits(&alone.l), "request {s}: l");
+                assert_eq!(bits(&states[s].m), bits(&alone.m), "request {s}: m");
+            }
+            // Row 5 has no edges, in the square and in the prefill window:
+            // `O = 0, l = 0, m = −∞`, whatever the window held.
+            for (s, row) in [(0, 5), (1, 3)] {
+                assert!(fresh[s].row(row).iter().all(|&x| x == 0.0));
+                assert_eq!(dirty[s][row * dk..(row + 1) * dk], fresh[s].row(row)[..]);
+                assert_eq!(
+                    (states[s].l[row], states[s].m[row]),
+                    (0.0, f32::NEG_INFINITY)
+                );
+            }
+            // The NaN query poisons its own row and no other.
+            assert!(states[3].l[1].is_nan() && fresh[3].row(1).iter().all(|x| x.is_nan()));
+            assert!(fresh[3]
+                .row(2)
+                .iter()
+                .chain(fresh[3].row(0))
+                .all(|x| x.is_finite()));
+            assert!(fresh[4].as_slice().is_empty() && states[4].l.is_empty());
+            assert!(states[5].l.iter().all(|&l| l >= 1.0));
         }
     }
 
