@@ -1,5 +1,5 @@
-//! Ablation studies A1–A3: COO search strategy, block scheduling under
-//! load imbalance, and flash tile size.
+//! Ablation studies A1 and A3: COO search strategy and flash tile size.
+//! There is no A2: launches have no schedule to ablate.
 //!
 //! ```text
 //! cargo run -p gpa-bench --release --bin ablations [--quick]
@@ -13,17 +13,13 @@ fn main() {
     let engine = args.make_engine();
     let cfg = AblationConfig::for_scale(args.scale);
 
-    report::header("Ablations A1–A3");
+    report::header("Ablations A1 and A3");
     let records = run_ablations(&engine, &cfg, report::progress);
 
     for (exp, title) in [
         (
             "ablation_a1",
             "A1 — COO row-bound search (linear = paper, binary = fix)",
-        ),
-        (
-            "ablation_a2",
-            "A2 — scheduling on the imbalanced global mask",
         ),
         ("ablation_a3", "A3 — FlashAttention K/V tile size"),
     ] {

@@ -3,29 +3,24 @@
 //!
 //! - **A1** COO row-bound search: the paper's linear prefix scan vs binary
 //!   search — quantifies how much of COO's Fig. 3 pathology is the search;
-//! - **A2** block scheduling on the imbalanced global mask: static
-//!   contiguous vs CUDA-like block-cyclic vs dynamic work-sharing — the
-//!   "slowest block" phenomenon of Section V-C;
 //! - **A3** FlashAttention K/V tile size.
 //!
-//! A1 and A2 run compiled plans. Launch policy is set in one place, an
-//! engine's builder, so A2 builds one engine per schedule with the
-//! caller's thread count. A3 calls the dense baseline directly on the
-//! caller's pool under its options.
+//! A1 runs compiled plans; A3 calls the dense baseline through the
+//! caller's engine. There is no A2: launches have no schedule to ablate
+//! (`CHANGES.md` holds its last numbers).
 
 use crate::args::Scale;
 use crate::protocol::Protocol;
 use crate::report::{Record, Sink};
 use gpa_core::{flash_attention_tiled, AttentionEngine, AttentionKernel, AttentionPlan, CooSearch};
-use gpa_masks::{global_count_for_sparsity, GlobalSet, LocalWindow, MaskPattern};
-use gpa_parallel::Schedule;
+use gpa_masks::{LocalWindow, MaskPattern};
 use gpa_tensor::init::qkv;
 use gpa_tensor::Matrix;
 
 /// Ablation study configuration.
 #[derive(Clone, Debug)]
 pub struct AblationConfig {
-    /// Context length for A1/A2.
+    /// Context length for A1.
     pub l: usize,
     /// Context length for A3 (dense flash).
     pub l_flash: usize,
@@ -33,8 +28,6 @@ pub struct AblationConfig {
     pub dk: usize,
     /// COO sparsity sweep for A1.
     pub coo_sfs: Vec<f64>,
-    /// Global-mask sparsity for A2.
-    pub global_sf: f64,
     /// Tile sizes for A3.
     pub tiles: Vec<usize>,
     /// Measurement protocol ceiling.
@@ -54,7 +47,6 @@ impl AblationConfig {
                 l_flash: 512,
                 dk: 32,
                 coo_sfs: vec![0.2],
-                global_sf: 0.05,
                 tiles: vec![16, 64],
                 protocol: Protocol {
                     warmup: 1,
@@ -68,7 +60,6 @@ impl AblationConfig {
                 l_flash: 4096,
                 dk: 64,
                 coo_sfs: vec![0.4, 0.1, 0.01],
-                global_sf: 0.02,
                 tiles: vec![8, 16, 32, 64, 128, 256],
                 protocol: Protocol::cpu_default(),
                 budget_s: 10.0,
@@ -78,7 +69,7 @@ impl AblationConfig {
     }
 }
 
-/// Run all three ablations; streams records through `on_record`.
+/// Run the ablations; streams records through `on_record`.
 pub fn run_ablations(
     engine: &AttentionEngine,
     cfg: &AblationConfig,
@@ -103,39 +94,13 @@ pub fn run_ablations(
         }
     }
 
-    // --- A2: scheduling on the global (imbalanced) mask ------------------
-    sink.experiment("ablation_a2");
-    let g = global_count_for_sparsity(cfg.l, cfg.global_sf);
-    let globals = GlobalSet::evenly_spaced(cfg.l, g);
-    let global_plan = AttentionPlan::single(AttentionKernel::Global {
-        globals: &globals,
-        n_sub: 0,
-    })
-    .expect("global plan compiles");
-    for (schedule, name) in [
-        (Schedule::StaticContiguous, "Global / static-contiguous"),
-        (Schedule::cuda_like(), "Global / block-cyclic"),
-        (Schedule::Dynamic { grain: 4 }, "Global / dynamic"),
-    ] {
-        let scheduled = AttentionEngine::builder()
-            .threads(engine.threads())
-            .schedule(schedule)
-            .build();
-        let case = Record::case(name, cfg.l, cfg.dk)
-            .sf(cfg.global_sf, f64::NAN)
-            .note(format!("{} global tokens", globals.indices().len()));
-        sink.time(case, || {
-            std::hint::black_box(scheduled.run(&global_plan, &q, &k, &v).unwrap());
-        });
-    }
-
     // --- A3: flash tile size ---------------------------------------------
     sink.experiment("ablation_a3");
     let (qf, kf, vf): (Matrix<f32>, _, _) = qkv(cfg.l_flash, cfg.dk, cfg.seed ^ 1);
     for &tile in &cfg.tiles {
         let case = Record::case(format!("Flash tile={tile}"), cfg.l_flash, cfg.dk);
         sink.time(case, || {
-            let out = flash_attention_tiled(engine.pool(), &qf, &kf, &vf, tile, &engine.options());
+            let out = flash_attention_tiled(engine, &qf, &kf, &vf, tile);
             std::hint::black_box(out.unwrap());
         });
     }
@@ -152,9 +117,9 @@ mod tests {
         let engine = AttentionEngine::with_threads(2);
         let cfg = AblationConfig::for_scale(Scale::Quick);
         let records = run_ablations(&engine, &cfg, |_| {});
-        // A1: 1 sf × 2; A2: 3; A3: 2 tiles.
-        assert_eq!(records.len(), 2 + 3 + 2);
-        for exp in ["ablation_a1", "ablation_a2", "ablation_a3"] {
+        // A1: 1 sf × 2; A3: 2 tiles.
+        assert_eq!(records.len(), 2 + 2);
+        for exp in ["ablation_a1", "ablation_a3"] {
             assert!(records.iter().any(|r| r.experiment == exp), "missing {exp}");
         }
         assert!(records.iter().all(|r| r.mean_s > 0.0));
@@ -170,7 +135,6 @@ mod tests {
             l_flash: 256,
             dk: 4,
             coo_sfs: vec![0.1],
-            global_sf: 0.05,
             tiles: vec![64],
             protocol: Protocol {
                 warmup: 1,

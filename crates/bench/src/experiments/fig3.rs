@@ -172,7 +172,7 @@ pub fn run_fig3(
             let sf0 = *cfg.sfs.first().unwrap_or(&1.0);
             let sdp_mask = LocalWindow::new(l, local_window_for_sparsity(l, sf0)).to_dense();
             let sdp_stat = measure_auto(cfg.protocol, cfg.budget_s, || {
-                let out = masked_sdp(engine.pool(), &sdp_mask, &q, &k, &v, &engine.options());
+                let out = masked_sdp(engine, &sdp_mask, &q, &k, &v);
                 std::hint::black_box(out.unwrap());
             });
             for &sf in &cfg.sfs {
@@ -243,7 +243,7 @@ mod tests {
         assert!(coo.max_abs_diff(&csr) < 1e-5);
         assert!(local.max_abs_diff(&csr) < 1e-5);
         let window = LocalWindow::new(l, fitted.window).to_dense();
-        let sdp = masked_sdp(engine.pool(), &window, &q, &k, &v, &engine.options()).unwrap();
+        let sdp = masked_sdp(&engine, &window, &q, &k, &v).unwrap();
         assert!(sdp.max_abs_diff(&csr) < 1e-5);
     }
 

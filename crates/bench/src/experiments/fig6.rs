@@ -163,7 +163,7 @@ pub fn run_fig6(
             };
             let dense = gpa_sparse::DenseMask::from_csr(&union_csr);
             sink.time(case("SDP (Masked)"), || {
-                let out = masked_sdp(engine.pool(), &dense, &q, &k, &v, &engine.options());
+                let out = masked_sdp(engine, &dense, &q, &k, &v);
                 std::hint::black_box(out.unwrap());
             });
             // One graph series of the scenario: compile its steps, time the
@@ -262,7 +262,7 @@ mod tests {
             .unwrap();
         let via_composed = engine.run(&composed_plan, &q, &k, &v).unwrap();
         let dense = gpa_sparse::DenseMask::from_csr(&union);
-        let via_sdp = masked_sdp(engine.pool(), &dense, &q, &k, &v, &engine.options()).unwrap();
+        let via_sdp = masked_sdp(&engine, &dense, &q, &k, &v).unwrap();
         assert!(paper_allclose(&via_composed, &via_csr));
         assert!(paper_allclose(&via_sdp, &via_csr));
     }

@@ -95,7 +95,7 @@ pub fn run_table3(
         let flash = Record::case("FlashAttention", l, cfg.dk).sf(f64::NAN, 1.0);
         if l <= cfg.flash_max_l {
             let run_flash = || {
-                let out = flash_attention(engine.pool(), &q, &k, &v, &engine.options());
+                let out = flash_attention(engine, &q, &k, &v);
                 std::hint::black_box(out.unwrap());
             };
             flash_ref = Some((l, sink.time(flash, run_flash).mean));

@@ -13,7 +13,7 @@
 //! | `table3_longcontext` | Table III (long-context ladder) | `table3` |
 //! | `fig5_tradeoff` | Fig. 5 (flash vs local trade-off) | `fig5` |
 //! | `fig6_popular_masks` | Fig. 6 (Longformer/BigBird masks) | `fig6` |
-//! | `ablations` | A1 COO row search, A2 launch schedule, A3 flash tile | `ablations` |
+//! | `ablations` | A1 COO row search, A3 flash tile | `ablations` |
 //! | `decode_latency` | kernel family × context length at KV-cached decode | `decode` |
 //!
 //! The last two are not in the paper; they stay because no workload of

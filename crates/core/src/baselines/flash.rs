@@ -13,9 +13,9 @@
 //! its max context length in Table II matches the implicit-mask kernels.
 
 use super::square_inputs;
+use crate::engine::AttentionEngine;
 use crate::error::AttnError;
-use crate::options::KernelOptions;
-use gpa_parallel::{parallel_for, LocalTally, RowWriter, ThreadPool};
+use gpa_parallel::{parallel_for, LocalTally, RowWriter, Schedule};
 use gpa_tensor::ops::dot;
 use gpa_tensor::{Matrix, Real};
 
@@ -24,15 +24,15 @@ use gpa_tensor::{Matrix, Real};
 /// sweeps this.
 pub(crate) const DEFAULT_TILE: usize = 64;
 
-/// Dense FlashAttention-style forward pass with K/V tiling.
+/// Dense FlashAttention-style forward pass with K/V tiling, on the
+/// engine's pool and tallied into the engine's counter.
 pub fn flash_attention<T: Real>(
-    pool: &ThreadPool,
+    engine: &AttentionEngine,
     q: &Matrix<T>,
     k: &Matrix<T>,
     v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
 ) -> Result<Matrix<T>, AttnError> {
-    flash_attention_tiled(pool, q, k, v, DEFAULT_TILE, opts)
+    flash_attention_tiled(engine, q, k, v, DEFAULT_TILE)
 }
 
 /// Dense FlashAttention-style forward pass with an explicit tile size.
@@ -56,12 +56,11 @@ pub fn flash_attention<T: Real>(
 /// - **A `NaN` or `+∞` score planted in one `Q` row** makes that row `NaN`
 ///   and touches no other, as in the graph kernels.
 pub fn flash_attention_tiled<T: Real>(
-    pool: &ThreadPool,
+    engine: &AttentionEngine,
     q: &Matrix<T>,
     k: &Matrix<T>,
     v: &Matrix<T>,
     tile: usize,
-    opts: &KernelOptions<'_>,
 ) -> Result<Matrix<T>, AttnError> {
     if tile == 0 {
         return Err(AttnError::BadParameter {
@@ -72,8 +71,9 @@ pub fn flash_attention_tiled<T: Real>(
     let mut out = Matrix::zeros(l_ctx, dv);
     let writer = RowWriter::new(out.as_mut_slice(), l_ctx, dv);
 
-    parallel_for(pool, l_ctx, opts.schedule, |range| {
-        let mut tally = opts.counter.map(LocalTally::new);
+    let counter = engine.work_counter();
+    parallel_for(engine.pool(), l_ctx, Schedule::default(), |range| {
+        let mut tally = counter.map(LocalTally::new);
         // Per-tile score buffer, reused across rows.
         let mut scores = vec![T::ZERO; tile];
         for i in range {
@@ -141,30 +141,21 @@ pub fn flash_attention_tiled<T: Real>(
 mod tests {
     use super::*;
     use crate::baselines::sdp::masked_sdp;
-    use gpa_parallel::{ThreadPool, WorkCounter};
     use gpa_sparse::DenseMask;
     use gpa_tensor::init::qkv;
     use gpa_tensor::paper_allclose;
 
-    fn pool() -> ThreadPool {
-        ThreadPool::new(4)
+    fn engine() -> AttentionEngine {
+        AttentionEngine::with_threads(4)
     }
 
     #[test]
     fn flash_equals_dense_sdp_with_full_mask() {
         let l = 100;
         let (q, k, v) = qkv::<f64>(l, 16, 31);
-        let p = pool();
-        let flash = flash_attention(&p, &q, &k, &v, &KernelOptions::default()).unwrap();
-        let sdp = masked_sdp(
-            &p,
-            &DenseMask::ones(l, l),
-            &q,
-            &k,
-            &v,
-            &KernelOptions::default(),
-        )
-        .unwrap();
+        let e = engine();
+        let flash = flash_attention(&e, &q, &k, &v).unwrap();
+        let sdp = masked_sdp(&e, &DenseMask::ones(l, l), &q, &k, &v).unwrap();
         assert!(paper_allclose(&flash, &sdp));
     }
 
@@ -172,10 +163,10 @@ mod tests {
     fn tile_size_does_not_change_results() {
         let l = 70;
         let (q, k, v) = qkv::<f64>(l, 8, 32);
-        let p = pool();
-        let base = flash_attention_tiled(&p, &q, &k, &v, 64, &KernelOptions::default()).unwrap();
+        let e = engine();
+        let base = flash_attention_tiled(&e, &q, &k, &v, 64).unwrap();
         for tile in [1usize, 3, 16, 70, 128] {
-            let t = flash_attention_tiled(&p, &q, &k, &v, tile, &KernelOptions::default()).unwrap();
+            let t = flash_attention_tiled(&e, &q, &k, &v, tile).unwrap();
             assert!(paper_allclose(&t, &base), "tile={tile}");
         }
     }
@@ -184,20 +175,19 @@ mod tests {
     fn flash_work_is_always_dense() {
         let l = 32;
         let (q, k, v) = qkv::<f64>(l, 4, 33);
-        let counter = WorkCounter::new();
-        let opts = KernelOptions {
-            counter: Some(&counter),
-            ..Default::default()
-        };
-        let _ = flash_attention(&pool(), &q, &k, &v, &opts).unwrap();
-        assert_eq!(counter.dot_products(), (l * l) as u64);
+        let engine = AttentionEngine::builder()
+            .threads(4)
+            .count_work(true)
+            .build();
+        let _ = flash_attention(&engine, &q, &k, &v).unwrap();
+        assert_eq!(engine.work_report().unwrap().dot_products, (l * l) as u64);
     }
 
     #[test]
     fn zero_tile_rejected() {
         let (q, k, v) = qkv::<f64>(8, 4, 0);
         assert!(matches!(
-            flash_attention_tiled(&pool(), &q, &k, &v, 0, &KernelOptions::default()),
+            flash_attention_tiled(&engine(), &q, &k, &v, 0),
             Err(AttnError::BadParameter { .. })
         ));
     }
@@ -209,7 +199,6 @@ mod tests {
         // and the −1e4 key gets none.
         fn check<T: Real>() {
             let q = Matrix::from_vec(3, 1, vec![T::from_f64(100.0); 3]);
-            let opts = KernelOptions::default();
             // (key, value row) pairs, the −1e4 key in the middle and first.
             let (hi, lo, hi2) = (
                 (100.0, [1.0, 2.0]),
@@ -224,7 +213,7 @@ mod tests {
                     pairs.iter().flat_map(|(_, v)| v.map(T::from_f64)).collect(),
                 );
                 for tile in [1usize, 2, 3] {
-                    let out = flash_attention_tiled(&pool(), &q, &k, &v, tile, &opts).unwrap();
+                    let out = flash_attention_tiled(&engine(), &q, &k, &v, tile).unwrap();
                     for i in 0..3 {
                         let row = (out.get(i, 0).to_f64(), out.get(i, 1).to_f64());
                         assert_eq!(row, (2.0, 4.0), "tile {tile}");
@@ -240,22 +229,21 @@ mod tests {
     fn a_minus_infinity_score_weighs_zero_unless_it_leads_a_tile_alone() {
         let q = Matrix::from_vec(3, 1, vec![1.0f64; 3]);
         let v = Matrix::from_vec(3, 1, vec![7.0f64, 1.0, 3.0]);
-        let opts = KernelOptions::default();
         let (a, b) = (0.5f64.exp(), 0.25f64.exp());
         let expect = (a * 1.0 + b * 3.0) / (a + b);
         // Key 0 scores −∞: harmless once a finite score shares its tile...
         let lead = Matrix::from_vec(3, 1, vec![f64::NEG_INFINITY, 0.5, 0.25]);
         for tile in [2usize, 3, 64] {
-            let out = flash_attention_tiled(&pool(), &q, &lead, &v, tile, &opts).unwrap();
+            let out = flash_attention_tiled(&engine(), &q, &lead, &v, tile).unwrap();
             assert!(out.as_slice().iter().all(|x| (x - expect).abs() < 1e-12));
         }
         // ...or came before it...
         let last = Matrix::from_vec(3, 1, vec![0.5, 0.25, f64::NEG_INFINITY]);
         let v_last = Matrix::from_vec(3, 1, vec![1.0f64, 3.0, 7.0]);
-        let out = flash_attention_tiled(&pool(), &q, &last, &v_last, 1, &opts).unwrap();
+        let out = flash_attention_tiled(&engine(), &q, &last, &v_last, 1).unwrap();
         assert!(out.as_slice().iter().all(|x| (x - expect).abs() < 1e-12));
         // ...but alone in the row's first tile it is −∞ − (−∞) = NaN.
-        let out = flash_attention_tiled(&pool(), &q, &lead, &v, 1, &opts).unwrap();
+        let out = flash_attention_tiled(&engine(), &q, &lead, &v, 1).unwrap();
         assert!(out.as_slice().iter().all(|x| x.is_nan()));
     }
 
@@ -263,12 +251,11 @@ mod tests {
     fn a_non_finite_q_row_poisons_its_own_row_only() {
         let l = 8;
         let (q, k, v) = qkv::<f64>(l, 4, 35);
-        let opts = KernelOptions::default();
-        let clean = flash_attention_tiled(&pool(), &q, &k, &v, 3, &opts).unwrap();
+        let clean = flash_attention_tiled(&engine(), &q, &k, &v, 3).unwrap();
         for bad in [f64::NAN, f64::INFINITY] {
             let mut q_bad = q.clone();
             q_bad.row_mut(5).fill(bad);
-            let out = flash_attention_tiled(&pool(), &q_bad, &k, &v, 3, &opts).unwrap();
+            let out = flash_attention_tiled(&engine(), &q_bad, &k, &v, 3).unwrap();
             for i in 0..l {
                 if i == 5 {
                     assert!(out.row(i).iter().all(|x| x.is_nan()), "{bad}");
@@ -283,16 +270,9 @@ mod tests {
     fn f32_flash_is_accurate() {
         let l = 128;
         let (q, k, v) = qkv::<f64>(l, 32, 34);
-        let p = pool();
-        let hi = flash_attention(&p, &q, &k, &v, &KernelOptions::default()).unwrap();
-        let lo = flash_attention(
-            &p,
-            &q.cast::<f32>(),
-            &k.cast::<f32>(),
-            &v.cast::<f32>(),
-            &KernelOptions::default(),
-        )
-        .unwrap();
+        let e = engine();
+        let hi = flash_attention(&e, &q, &k, &v).unwrap();
+        let lo = flash_attention(&e, &q.cast::<f32>(), &k.cast::<f32>(), &v.cast::<f32>()).unwrap();
         assert!(hi.max_abs_diff(&lo.cast::<f64>()) < 1e-5);
     }
 }

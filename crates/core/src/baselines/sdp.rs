@@ -15,9 +15,9 @@
 //! full `L×L` buffer, as on the GPU.
 
 use super::square_inputs;
+use crate::engine::AttentionEngine;
 use crate::error::AttnError;
-use crate::options::KernelOptions;
-use gpa_parallel::{parallel_for, LocalTally, RowWriter, ThreadPool};
+use gpa_parallel::{parallel_for, LocalTally, RowWriter, Schedule};
 use gpa_sparse::DenseMask;
 use gpa_tensor::ops::{dot, weighted_sum_into};
 use gpa_tensor::softmax::softmax_slice;
@@ -25,7 +25,8 @@ use gpa_tensor::{Matrix, Real};
 
 /// Masked SDP attention. Computes **all** `L²` scores, masks, softmaxes,
 /// then takes **all** `L²` weighted-value products (zero weights included),
-/// mirroring the dense baseline's operation count.
+/// mirroring the dense baseline's operation count. It launches on the
+/// engine's pool and tallies into the engine's counter.
 ///
 /// # Numerics
 ///
@@ -50,12 +51,11 @@ use gpa_tensor::{Matrix, Real};
 ///   unmasked score is `NaN` reads as fully masked and comes out `0.0`,
 ///   where a graph kernel's row would be `NaN`.
 pub fn masked_sdp<T: Real>(
-    pool: &ThreadPool,
+    engine: &AttentionEngine,
     mask: &DenseMask,
     q: &Matrix<T>,
     k: &Matrix<T>,
     v: &Matrix<T>,
-    opts: &KernelOptions<'_>,
 ) -> Result<Matrix<T>, AttnError> {
     let (l_ctx, dv, scale) = square_inputs(q, k, v)?;
     if mask.rows() != l_ctx || mask.cols() != l_ctx {
@@ -67,8 +67,9 @@ pub fn masked_sdp<T: Real>(
     let mut out = Matrix::zeros(l_ctx, dv);
     let writer = RowWriter::new(out.as_mut_slice(), l_ctx, dv);
 
-    parallel_for(pool, l_ctx, opts.schedule, |range| {
-        let mut tally = opts.counter.map(LocalTally::new);
+    let counter = engine.work_counter();
+    parallel_for(engine.pool(), l_ctx, Schedule::default(), |range| {
+        let mut tally = counter.map(LocalTally::new);
         // Workhorse buffers reused across the chunk's rows.
         let mut scores = vec![T::ZERO; l_ctx];
         let mut weights = vec![T::ZERO; l_ctx];
@@ -100,12 +101,11 @@ pub fn masked_sdp<T: Real>(
 mod tests {
     use super::*;
     use gpa_masks::{LocalWindow, MaskPattern};
-    use gpa_parallel::{ThreadPool, WorkCounter};
     use gpa_tensor::allclose;
     use gpa_tensor::init::qkv;
 
-    fn pool() -> ThreadPool {
-        ThreadPool::new(4)
+    fn engine() -> AttentionEngine {
+        AttentionEngine::with_threads(4)
     }
 
     #[test]
@@ -115,7 +115,7 @@ mod tests {
         let l = 12;
         let (q, k, v) = qkv::<f64>(l, 4, 3);
         let mask = DenseMask::ones(l, l);
-        let out = masked_sdp(&pool(), &mask, &q, &k, &v, &KernelOptions::default()).unwrap();
+        let out = masked_sdp(&engine(), &mask, &q, &k, &v).unwrap();
 
         let scale = 0.5; // 1/√4
         let i = 5;
@@ -139,7 +139,7 @@ mod tests {
                 mask.set(i, i, true);
             }
         }
-        let out = masked_sdp(&pool(), &mask, &q, &k, &v, &KernelOptions::default()).unwrap();
+        let out = masked_sdp(&engine(), &mask, &q, &k, &v).unwrap();
         assert!(out.row(3).iter().all(|&x| x == 0.0));
         // Unmasked diagonal rows equal V's row exactly (softmax of one).
         for i in 0..l {
@@ -162,7 +162,7 @@ mod tests {
         let (q, k, mut v) = qkv::<f64>(l, 4, 9);
         v.row_mut(2).fill(f64::NAN);
         let mask = LocalWindow::new(l, 0).to_dense();
-        let out = masked_sdp(&pool(), &mask, &q, &k, &v, &KernelOptions::default()).unwrap();
+        let out = masked_sdp(&engine(), &mask, &q, &k, &v).unwrap();
         for i in 0..l {
             assert!(out.row(i).iter().all(|x| x.is_nan()), "row {i}");
         }
@@ -181,8 +181,7 @@ mod tests {
                 2,
                 [1.0, 2.0, 50.0, 60.0, 3.0, 6.0].map(T::from_f64).to_vec(),
             );
-            let opts = KernelOptions::default();
-            let out = masked_sdp(&pool(), &DenseMask::ones(3, 3), &q, &k, &v, &opts).unwrap();
+            let out = masked_sdp(&engine(), &DenseMask::ones(3, 3), &q, &k, &v).unwrap();
             for i in 0..3 {
                 assert_eq!((out.get(i, 0).to_f64(), out.get(i, 1).to_f64()), (2.0, 4.0));
             }
@@ -196,17 +195,16 @@ mod tests {
         let q = Matrix::from_vec(3, 1, vec![1.0f64; 3]);
         let k = Matrix::from_vec(3, 1, vec![f64::NEG_INFINITY, 0.5, 0.25]);
         let v = Matrix::from_vec(3, 1, vec![7.0f64, 1.0, 3.0]);
-        let opts = KernelOptions::default();
-        let scored = masked_sdp(&pool(), &DenseMask::ones(3, 3), &q, &k, &v, &opts).unwrap();
+        let scored = masked_sdp(&engine(), &DenseMask::ones(3, 3), &q, &k, &v).unwrap();
         let mut mask = DenseMask::ones(3, 3);
         for i in 0..3 {
             mask.set(i, 0, false);
         }
-        let masked = masked_sdp(&pool(), &mask, &q, &k, &v, &opts).unwrap();
+        let masked = masked_sdp(&engine(), &mask, &q, &k, &v).unwrap();
         assert_eq!(scored, masked);
         // Every score −∞: a fully masked row.
         let k = Matrix::from_vec(3, 1, vec![f64::NEG_INFINITY; 3]);
-        let out = masked_sdp(&pool(), &DenseMask::ones(3, 3), &q, &k, &v, &opts).unwrap();
+        let out = masked_sdp(&engine(), &DenseMask::ones(3, 3), &q, &k, &v).unwrap();
         assert!(out.as_slice().iter().all(|&x| x == 0.0));
     }
 
@@ -215,12 +213,11 @@ mod tests {
         let l = 8;
         let (q, k, v) = qkv::<f64>(l, 4, 10);
         let mask = LocalWindow::new(l, 2).to_dense();
-        let opts = KernelOptions::default();
-        let clean = masked_sdp(&pool(), &mask, &q, &k, &v, &opts).unwrap();
+        let clean = masked_sdp(&engine(), &mask, &q, &k, &v).unwrap();
         for bad in [f64::NAN, f64::INFINITY] {
             let mut q_bad = q.clone();
             q_bad.row_mut(5).fill(bad);
-            let out = masked_sdp(&pool(), &mask, &q_bad, &k, &v, &opts).unwrap();
+            let out = masked_sdp(&engine(), &mask, &q_bad, &k, &v).unwrap();
             for i in (0..l).filter(|&i| i != 5) {
                 assert_eq!(out.row(i), clean.row(i), "row {i} ({bad})");
             }
@@ -240,13 +237,12 @@ mod tests {
         let l = 24;
         let (q, k, v) = qkv::<f64>(l, 4, 8);
         let mask = LocalWindow::new(l, 0).to_dense(); // diagonal only
-        let counter = WorkCounter::new();
-        let opts = KernelOptions {
-            counter: Some(&counter),
-            ..Default::default()
-        };
-        let _ = masked_sdp(&pool(), &mask, &q, &k, &v, &opts).unwrap();
-        assert_eq!(counter.dot_products(), (l * l) as u64);
+        let engine = AttentionEngine::builder()
+            .threads(4)
+            .count_work(true)
+            .build();
+        let _ = masked_sdp(&engine, &mask, &q, &k, &v).unwrap();
+        assert_eq!(engine.work_report().unwrap().dot_products, (l * l) as u64);
     }
 
     #[test]
@@ -254,7 +250,7 @@ mod tests {
         let (q, k, v) = qkv::<f64>(8, 4, 0);
         let mask = DenseMask::ones(9, 9);
         assert!(matches!(
-            masked_sdp(&pool(), &mask, &q, &k, &v, &KernelOptions::default()),
+            masked_sdp(&engine(), &mask, &q, &k, &v),
             Err(AttnError::MaskShapeMismatch { .. })
         ));
     }

@@ -49,17 +49,17 @@
 //!
 //! ## Who runs a launch
 //!
-//! The loop hands `parallel_for` its rows under the engine's schedule,
-//! with one exception. Cut by rows alone, a `Dynamic { grain }` launch of
-//! fewer than `grain × threads` rows leaves a thread without a claim
+//! The loop hands `parallel_for` its rows at the default grain of 16,
+//! with one exception. Cut by rows alone, a launch of fewer than
+//! `grain × threads` rows leaves a thread without a claim
 //! (a 9-row decode tick is one 16-row block, which the caller runs
 //! inline), whatever its rows cost. So such a launch, and only such a launch,
 //! estimates its edges from the row rules' degrees (`rows × degree` of
 //! each request's middle row, no stream, no allocation); when they reach
 //! `FORK_EDGES` (256, measured below) it claims `⌈rows / threads⌉` rows at
 //! a time, so every thread gets one. Cuts fall at row boundaries, so the
-//! choice moves no output bit. Launches with enough rows, one-thread
-//! pools and fixed schedules compute no estimate.
+//! choice moves no output bit. Launches with enough rows and one-thread
+//! pools compute no estimate.
 //!
 //! A window's contents on entry are **not** trusted: the loop zeroes each
 //! row just before that row's first stream. A first block multiplies `O`
@@ -70,11 +70,10 @@
 use crate::driver::{tally_edges, RowTile};
 use crate::error::AttnError;
 use crate::geometry::Geometry;
-use crate::options::KernelOptions;
 use crate::plan::AttentionPlan;
 use crate::state::AttentionState;
 use gpa_parallel::{
-    parallel_for, CellWriter, LocalTally, RaggedSpace, RowWriter, Schedule, ThreadPool,
+    parallel_for, CellWriter, LocalTally, RaggedSpace, RowWriter, Schedule, ThreadPool, WorkCounter,
 };
 use gpa_tensor::{attention_scale, Matrix, Real};
 use std::ops::Range;
@@ -186,7 +185,7 @@ type FreshLaunch<T> = (Vec<Matrix<T>>, Option<RowStats<T>>);
 fn execute_batch_fresh<T: Real>(
     pool: &ThreadPool,
     plan: &AttentionPlan<'_>,
-    opts: &KernelOptions<'_>,
+    counter: Option<&WorkCounter>,
     requests: &[AttentionRequest<'_, T>],
     with_stats: bool,
 ) -> Result<FreshLaunch<T>, AttnError> {
@@ -196,7 +195,7 @@ fn execute_batch_fresh<T: Real>(
         .map(|r| Matrix::zeros(r.rows(), r.v.cols()))
         .collect();
     let mut windows: Vec<&mut [T]> = outs.iter_mut().map(Matrix::as_mut_slice).collect();
-    let stats = launch_rows(pool, plan, opts, requests, &mut windows, with_stats);
+    let stats = launch_rows(pool, plan, counter, requests, &mut windows, with_stats);
     Ok((outs, stats))
 }
 
@@ -205,10 +204,10 @@ fn execute_batch_fresh<T: Real>(
 pub(crate) fn execute_batch<T: Real>(
     pool: &ThreadPool,
     plan: &AttentionPlan<'_>,
-    opts: &KernelOptions<'_>,
+    counter: Option<&WorkCounter>,
     requests: &[AttentionRequest<'_, T>],
 ) -> Result<Vec<Matrix<T>>, AttnError> {
-    execute_batch_fresh(pool, plan, opts, requests, false).map(|(outs, _)| outs)
+    execute_batch_fresh(pool, plan, counter, requests, false).map(|(outs, _)| outs)
 }
 
 /// As [`execute_batch`], but returning the full per-request
@@ -218,10 +217,10 @@ pub(crate) fn execute_batch<T: Real>(
 pub(crate) fn execute_batch_states<T: Real>(
     pool: &ThreadPool,
     plan: &AttentionPlan<'_>,
-    opts: &KernelOptions<'_>,
+    counter: Option<&WorkCounter>,
     requests: &[AttentionRequest<'_, T>],
 ) -> Result<Vec<AttentionState<T>>, AttnError> {
-    let (outs, stats) = execute_batch_fresh(pool, plan, opts, requests, true)?;
+    let (outs, stats) = execute_batch_fresh(pool, plan, counter, requests, true)?;
     let (l, m) = stats.expect("a launch that asks for its statistics returns them");
     let mut at = 0;
     Ok(outs
@@ -245,7 +244,7 @@ pub(crate) fn execute_batch_states<T: Real>(
 pub(crate) fn execute_batch_into<T: Real>(
     pool: &ThreadPool,
     plan: &AttentionPlan<'_>,
-    opts: &KernelOptions<'_>,
+    counter: Option<&WorkCounter>,
     requests: &[AttentionRequest<'_, T>],
     windows: &mut [&mut [T]],
 ) -> Result<(), AttnError> {
@@ -264,7 +263,7 @@ pub(crate) fn execute_batch_into<T: Real>(
             what: "an output window must hold its request's rows × dv elements",
         });
     }
-    launch_rows(pool, plan, opts, requests, windows, false);
+    launch_rows(pool, plan, counter, requests, windows, false);
     Ok(())
 }
 
@@ -275,7 +274,7 @@ pub(crate) fn execute_batch_into<T: Real>(
 fn launch_rows<T: Real>(
     pool: &ThreadPool,
     plan: &AttentionPlan<'_>,
-    opts: &KernelOptions<'_>,
+    counter: Option<&WorkCounter>,
     requests: &[AttentionRequest<'_, T>],
     windows: &mut [&mut [T]],
     with_stats: bool,
@@ -310,10 +309,10 @@ fn launch_rows<T: Real>(
     let cells = stats
         .as_mut()
         .map(|(l, m)| (CellWriter::new(l), CellWriter::new(m)));
-    let schedule = launch_schedule(pool, plan, opts.schedule, requests, space.total());
+    let schedule = launch_schedule(pool, plan, requests, space.total());
 
     parallel_for(pool, space.total(), schedule, |range| {
-        let mut tally = opts.counter.map(LocalTally::new);
+        let mut tally = counter.map(LocalTally::new);
         let end = range.end;
         space.for_each_segment(range, |s, local| {
             // The next request's diagonal key and value, while this one
@@ -355,12 +354,7 @@ fn launch_rows<T: Real>(
                 // Kernels see the *absolute* query index, so windows of a
                 // longer sequence stream exactly the square run's rows.
                 for step in plan.steps() {
-                    step.stream_row(
-                        ctx.kv_len,
-                        req.geometry.q_offset + i,
-                        opts.counter,
-                        &mut tile,
-                    );
+                    step.stream_row(ctx.kv_len, req.geometry.q_offset + i, counter, &mut tile);
                     tally_edges(&mut tally, tile.end_stream());
                 }
                 if let Some((l_cells, m_cells)) = &cells {
@@ -423,30 +417,25 @@ fn prefetch<T>(row: *const T, len: usize) {
 /// past the crossover.
 const FORK_EDGES: usize = 256;
 
-/// The schedule a launch of `rows` rows runs under: `schedule` itself,
-/// except that a `Dynamic` launch too small to give every participant a
-/// claim (`rows < grain × threads`) whose estimated edges reach
-/// [`FORK_EDGES`] claims `⌈rows / threads⌉` rows at a time instead. Cuts
-/// stay at row boundaries, so no output bit depends on the choice.
+/// The schedule a launch of `rows` rows runs under: the default grain,
+/// except that a launch too small to give every participant a claim
+/// (`rows < grain × threads`) whose estimated edges reach [`FORK_EDGES`]
+/// claims `⌈rows / threads⌉` rows at a time instead. Cuts stay at row
+/// boundaries, so no output bit depends on the choice.
 fn launch_schedule<T: Real>(
     pool: &ThreadPool,
     plan: &AttentionPlan<'_>,
-    schedule: Schedule,
     requests: &[AttentionRequest<'_, T>],
     rows: usize,
 ) -> Schedule {
     let threads = pool.threads();
-    match schedule {
-        Schedule::Dynamic { grain }
-            if threads > 1
-                && rows < grain.saturating_mul(threads)
-                && reaches_fork_edges(plan, requests) =>
-        {
-            Schedule::Dynamic {
-                grain: grain.min(rows.div_ceil(threads)),
-            }
+    let Schedule { grain } = Schedule::default();
+    if threads > 1 && rows < grain.saturating_mul(threads) && reaches_fork_edges(plan, requests) {
+        Schedule {
+            grain: grain.min(rows.div_ceil(threads)),
         }
-        _ => schedule,
+    } else {
+        Schedule { grain }
     }
 }
 
@@ -484,10 +473,10 @@ mod tests {
     fn alone<T: Real>(
         pool: &ThreadPool,
         plan: &AttentionPlan<'_>,
-        opts: &KernelOptions<'_>,
+        counter: Option<&WorkCounter>,
         (q, k, v): &(Matrix<T>, Matrix<T>, Matrix<T>),
     ) -> Matrix<T> {
-        execute_batch(pool, plan, opts, &[AttentionRequest::new(q, k, v)])
+        execute_batch(pool, plan, counter, &[AttentionRequest::new(q, k, v)])
             .unwrap()
             .pop()
             .unwrap()
@@ -498,14 +487,13 @@ mod tests {
         // A launch of one, on pools of every size and inline, is the row
         // loop's own sequential order: one set of bits.
         let seq = qkv::<f64>(32, 8, 70);
-        let opts = KernelOptions::default();
         let plan = AttentionPlan::single(AttentionKernel::Local { n: 3 }).unwrap();
-        let single = alone(&pool(), &plan, &opts, &seq);
+        let single = alone(&pool(), &plan, None, &seq);
         for threads in [1usize, 2, 7] {
             let batched = execute_batch(
                 &ThreadPool::new(threads),
                 &plan,
-                &opts,
+                None,
                 &[AttentionRequest::new(&seq.0, &seq.1, &seq.2)],
             )
             .unwrap();
@@ -516,7 +504,6 @@ mod tests {
     #[test]
     fn ragged_batch_matches_per_sequence_runs_exactly() {
         let p = pool();
-        let opts = KernelOptions::default();
         let plan = AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap();
         let seqs: Vec<_> = [7usize, 33, 1, 64, 12]
             .iter()
@@ -527,9 +514,9 @@ mod tests {
             .iter()
             .map(|(q, k, v)| AttentionRequest::new(q, k, v))
             .collect();
-        let batched = execute_batch(&p, &plan, &opts, &reqs).unwrap();
+        let batched = execute_batch(&p, &plan, None, &reqs).unwrap();
         for (seq, out) in seqs.iter().zip(batched.iter()) {
-            assert_eq!(*out, alone(&p, &plan, &opts, seq));
+            assert_eq!(*out, alone(&p, &plan, None, seq));
         }
     }
 
@@ -539,7 +526,6 @@ mod tests {
         let n = 3;
         let (q, k, v) = qkv::<f64>(l, 8, 71);
         let p = pool();
-        let opts = KernelOptions::default();
         let globals = GlobalSet::new(l, vec![0, 17, 29]);
         let plan = AttentionPlan::new(&[
             AttentionKernel::Local { n },
@@ -549,7 +535,7 @@ mod tests {
             },
         ])
         .unwrap();
-        let batched = execute_batch(&p, &plan, &opts, &[AttentionRequest::new(&q, &k, &v)])
+        let batched = execute_batch(&p, &plan, None, &[AttentionRequest::new(&q, &k, &v)])
             .unwrap()
             .pop()
             .unwrap();
@@ -580,8 +566,7 @@ mod tests {
     fn empty_batch_is_fine() {
         let p = pool();
         let plan = AttentionPlan::single(AttentionKernel::Local { n: 1 }).unwrap();
-        let outs: Vec<Matrix<f64>> =
-            execute_batch(&p, &plan, &KernelOptions::default(), &[]).unwrap();
+        let outs: Vec<Matrix<f64>> = execute_batch(&p, &plan, None, &[]).unwrap();
         assert!(outs.is_empty());
     }
 
@@ -590,10 +575,6 @@ mod tests {
         let l = 24;
         let p = pool();
         let counter = WorkCounter::new();
-        let opts = KernelOptions {
-            counter: Some(&counter),
-            ..Default::default()
-        };
         let pat = LocalWindow::new(l, 2);
         let csr = pat.to_csr();
         let plan = AttentionPlan::single(AttentionKernel::Csr(&csr)).unwrap();
@@ -602,7 +583,7 @@ mod tests {
             .iter()
             .map(|(q, k, v)| AttentionRequest::new(q, k, v))
             .collect();
-        let _ = execute_batch(&p, &plan, &opts, &reqs).unwrap();
+        let _ = execute_batch(&p, &plan, Some(&counter), &reqs).unwrap();
         assert_eq!(counter.dot_products(), 3 * pat.nnz() as u64);
     }
 
@@ -618,11 +599,7 @@ mod tests {
         let request = AttentionRequest::new(&q, &k, &v);
         let report_of = |requests: &[AttentionRequest<'_, f64>]| {
             let counter = WorkCounter::new();
-            let opts = KernelOptions {
-                counter: Some(&counter),
-                ..Default::default()
-            };
-            let _ = execute_batch(&p, &plan, &opts, requests).unwrap();
+            let _ = execute_batch(&p, &plan, Some(&counter), requests).unwrap();
             counter.report()
         };
         let single = report_of(&[request]);
@@ -644,7 +621,7 @@ mod tests {
         let err = execute_batch(
             &p,
             &plan,
-            &KernelOptions::default(),
+            None,
             &[
                 AttentionRequest::new(&q, &k, &v),
                 AttentionRequest::new(&q_bad, &k_bad, &v_bad),
@@ -660,7 +637,6 @@ mod tests {
         // prefill chunk of a second sequence, and a decode row of a third,
         // all flattened into ONE parallel_for.
         let p = pool();
-        let opts = KernelOptions::default();
         let plan = AttentionPlan::single(AttentionKernel::Local { n: 3 }).unwrap();
         let (qa, ka, va) = qkv::<f64>(20, 8, 80);
         let (qb, kb, vb) = qkv::<f64>(32, 8, 81);
@@ -670,7 +646,7 @@ mod tests {
         let outs = execute_batch(
             &p,
             &plan,
-            &opts,
+            None,
             &[
                 AttentionRequest::new(&qa, &ka, &va),
                 AttentionRequest::windowed(&qb_chunk, &kb, &vb, 8),
@@ -679,12 +655,12 @@ mod tests {
         )
         .unwrap();
         // Each output is bitwise a row range of a square launch of one.
-        assert_eq!(outs[0], alone(&p, &plan, &opts, &(qa, ka, va)));
-        let full_b = alone(&p, &plan, &opts, &(qb, kb, vb));
+        assert_eq!(outs[0], alone(&p, &plan, None, &(qa, ka, va)));
+        let full_b = alone(&p, &plan, None, &(qb, kb, vb));
         for i in 0..16 {
             assert_eq!(outs[1].row(i), full_b.row(8 + i), "chunk row {i}");
         }
-        let full_c = alone(&p, &plan, &opts, &(qc, kc, vc));
+        let full_c = alone(&p, &plan, None, &(qc, kc, vc));
         assert_eq!(outs[2].row(0), full_c.row(10));
     }
 
@@ -702,18 +678,13 @@ mod tests {
         let q = q_full.rows_slice(0, 4);
         let p = pool();
         let plan = AttentionPlan::single(AttentionKernel::Csr(&rect)).unwrap();
-        let out = execute_batch(
-            &p,
-            &plan,
-            &KernelOptions::default(),
-            &[AttentionRequest::new(&q, &k, &v)],
-        )
-        .unwrap()
-        .pop()
-        .unwrap();
+        let out = execute_batch(&p, &plan, None, &[AttentionRequest::new(&q, &k, &v)])
+            .unwrap()
+            .pop()
+            .unwrap();
         // Rows must match the square mask's first rows.
         let square_plan = AttentionPlan::single(AttentionKernel::Csr(&full)).unwrap();
-        let square = alone(&p, &square_plan, &KernelOptions::default(), &(q_full, k, v));
+        let square = alone(&p, &square_plan, None, &(q_full, k, v));
         for i in 0..4 {
             assert_eq!(out.row(i), square.row(i), "row {i}");
         }
@@ -721,7 +692,6 @@ mod tests {
     #[test]
     fn row_range_is_the_copied_window_without_the_copy() {
         let p = pool();
-        let opts = KernelOptions::default();
         let plan = AttentionPlan::new(&[
             AttentionKernel::Local { n: 2 },
             AttentionKernel::Dilated1d { w: 3, r: 1 },
@@ -745,15 +715,14 @@ mod tests {
         assert_eq!(in_place[1].rows(), 16);
         assert_eq!(in_place[1].geometry, copied[1].geometry);
         assert_eq!(
-            execute_batch(&p, &plan, &opts, &in_place).unwrap(),
-            execute_batch(&p, &plan, &opts, &copied).unwrap()
+            execute_batch(&p, &plan, None, &in_place).unwrap(),
+            execute_batch(&p, &plan, None, &copied).unwrap()
         );
     }
 
     #[test]
     fn a_kv_prefix_is_the_copied_prefix_without_the_copy() {
         let p = pool();
-        let opts = KernelOptions::default();
         let plan = AttentionPlan::single(AttentionKernel::Local { n: 3 }).unwrap();
         let (q, k, v) = qkv::<f64>(30, 4, 94);
         // A 12-row prefill window over the first 20 keys, and the decode
@@ -772,8 +741,8 @@ mod tests {
         in_place[1].geometry.kv_rows = 25;
         assert_eq!(in_place[1].geometry, Geometry::decode(25));
         assert_eq!(
-            execute_batch(&p, &plan, &opts, &in_place).unwrap(),
-            execute_batch(&p, &plan, &opts, &copied).unwrap()
+            execute_batch(&p, &plan, None, &in_place).unwrap(),
+            execute_batch(&p, &plan, None, &copied).unwrap()
         );
         // Past K's rows, or over K and V of different lengths: rejected.
         let mut past = in_place[0];
@@ -783,7 +752,7 @@ mod tests {
         unequal.geometry.kv_rows = 20;
         for bad in [past, unequal] {
             assert!(matches!(
-                execute_batch(&p, &plan, &opts, &[bad]),
+                execute_batch(&p, &plan, None, &[bad]),
                 Err(AttnError::ContextLengthMismatch { .. })
             ));
         }
@@ -792,7 +761,6 @@ mod tests {
     #[test]
     fn in_place_launch_ignores_what_the_windows_held() {
         let p = pool();
-        let opts = KernelOptions::default();
         // Rows 0 and 3 have no edges at all: they must come out 0.0.
         let mask = gpa_sparse::CsrMask::from_coo(
             &gpa_sparse::CooMask::from_entries(4, 4, vec![(1, 0), (1, 1), (2, 3)]).unwrap(),
@@ -800,20 +768,19 @@ mod tests {
         let plan = AttentionPlan::single(AttentionKernel::Csr(&mask)).unwrap();
         let (q, k, v) = qkv::<f64>(4, 3, 92);
         let requests = [AttentionRequest::new(&q, &k, &v)];
-        let expect = execute_batch(&p, &plan, &opts, &requests).unwrap();
+        let expect = execute_batch(&p, &plan, None, &requests).unwrap();
         let mut dirty = vec![f64::NAN; 12];
-        execute_batch_into(&p, &plan, &opts, &requests, &mut [&mut dirty[..]]).unwrap();
+        execute_batch_into(&p, &plan, None, &requests, &mut [&mut dirty[..]]).unwrap();
         assert_eq!(dirty, expect[0].as_slice());
         assert!(dirty[..3].iter().chain(&dirty[9..]).all(|&x| x == 0.0));
         // A second launch over its own output is the same launch.
-        execute_batch_into(&p, &plan, &opts, &requests, &mut [&mut dirty[..]]).unwrap();
+        execute_batch_into(&p, &plan, None, &requests, &mut [&mut dirty[..]]).unwrap();
         assert_eq!(dirty, expect[0].as_slice());
     }
 
     #[test]
     fn states_split_the_launch_statistics_per_request() {
         let p = pool();
-        let opts = KernelOptions::default();
         let plan = AttentionPlan::single(AttentionKernel::Local { n: 1 }).unwrap();
         let seqs: Vec<_> = [5usize, 0, 9]
             .iter()
@@ -824,9 +791,9 @@ mod tests {
             .iter()
             .map(|(q, k, v)| AttentionRequest::new(q, k, v))
             .collect();
-        let batched = execute_batch_states(&p, &plan, &opts, &requests).unwrap();
+        let batched = execute_batch_states(&p, &plan, None, &requests).unwrap();
         for (request, state) in requests.iter().zip(&batched) {
-            let alone = execute_batch_states(&p, &plan, &opts, std::slice::from_ref(request))
+            let alone = execute_batch_states(&p, &plan, None, std::slice::from_ref(request))
                 .unwrap()
                 .pop()
                 .unwrap();
@@ -861,7 +828,6 @@ mod tests {
             &gpa_sparse::CooMask::from_entries(12, 8, entries).unwrap(),
         );
         let plan = AttentionPlan::single(AttentionKernel::Csr(&mask)).unwrap();
-        let opts = KernelOptions::default();
         let dk = 24;
         let square = qkv::<f32>(8, dk, 501);
         let prefill = qkv::<f32>(8, dk, 502);
@@ -884,19 +850,19 @@ mod tests {
         let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
         for p in [ThreadPool::new(1), ThreadPool::new(2), pool()] {
-            let fresh = execute_batch(&p, &plan, &opts, &requests).unwrap();
+            let fresh = execute_batch(&p, &plan, None, &requests).unwrap();
             let mut dirty: Vec<Vec<f32>> = requests
                 .iter()
                 .map(|r| vec![f32::NAN; r.rows() * dk])
                 .collect();
             let mut windows: Vec<&mut [f32]> = dirty.iter_mut().map(Vec::as_mut_slice).collect();
-            execute_batch_into(&p, &plan, &opts, &requests, &mut windows).unwrap();
-            let states = execute_batch_states(&p, &plan, &opts, &requests).unwrap();
+            execute_batch_into(&p, &plan, None, &requests, &mut windows).unwrap();
+            let states = execute_batch_states(&p, &plan, None, &requests).unwrap();
             for (s, request) in requests.iter().enumerate() {
                 let o = bits(fresh[s].as_slice());
                 assert_eq!(o, bits(&dirty[s]), "request {s}: run_batch_into");
                 assert_eq!(o, bits(states[s].o.as_slice()), "request {s}: states");
-                let alone = execute_batch_states(&p, &plan, &opts, std::slice::from_ref(request))
+                let alone = execute_batch_states(&p, &plan, None, std::slice::from_ref(request))
                     .unwrap()
                     .pop()
                     .unwrap();
@@ -961,7 +927,6 @@ mod tests {
     #[test]
     fn bad_requests_and_windows_fail_before_any_write() {
         let p = pool();
-        let opts = KernelOptions::default();
         let plan = AttentionPlan::single(AttentionKernel::Local { n: 1 }).unwrap();
         let (q, k, v) = qkv::<f64>(8, 4, 93);
         let good = AttentionRequest::row_range(&q, 0..4, &k, &v, 0);
@@ -969,14 +934,14 @@ mod tests {
         let overflow = AttentionRequest::row_range(&q, 1..usize::MAX, &k, &v, 0);
         let (mut a, mut b) = (vec![f64::NAN; 16], vec![f64::NAN; 12]);
         for bad in [past, overflow] {
-            let err = execute_batch_into(&p, &plan, &opts, &[good, bad], &mut [&mut a, &mut b]);
+            let err = execute_batch_into(&p, &plan, None, &[good, bad], &mut [&mut a, &mut b]);
             assert!(matches!(err, Err(AttnError::ContextLengthMismatch { .. })));
-            assert!(execute_batch(&p, &plan, &opts, &[good, bad]).is_err());
+            assert!(execute_batch(&p, &plan, None, &[good, bad]).is_err());
         }
         // One window too few, and a window of the wrong length.
-        let err = execute_batch_into(&p, &plan, &opts, &[good, good], &mut [&mut a]);
+        let err = execute_batch_into(&p, &plan, None, &[good, good], &mut [&mut a]);
         assert!(matches!(err, Err(AttnError::BadParameter { .. })));
-        let err = execute_batch_into(&p, &plan, &opts, &[good, good], &mut [&mut a, &mut b]);
+        let err = execute_batch_into(&p, &plan, None, &[good, good], &mut [&mut a, &mut b]);
         assert!(matches!(err, Err(AttnError::BadParameter { .. })));
         assert!(
             a.iter().chain(&b).all(|x| x.is_nan()),

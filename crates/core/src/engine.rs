@@ -1,7 +1,7 @@
 //! `AttentionEngine` — the only way to launch a graph kernel.
 //!
-//! An engine owns the execution substrate (worker pool) and the launch
-//! policy (schedule, optional work counting), compiles
+//! An engine owns the execution substrate (worker pool) and an optional
+//! work counter, compiles
 //! kernel compositions into reusable [`AttentionPlan`]s, and executes them
 //! against single sequences or whole batches:
 //!
@@ -35,25 +35,27 @@
 //! launches through [`AttentionEngine::run_batch`], so a row computes the
 //! same bits whichever of them launched it. The dense baselines
 //! ([`crate::masked_sdp`], [`crate::flash_attention`]) are not plans: they
-//! are plain functions, called with [`AttentionEngine::pool`] and
-//! [`AttentionEngine::options`], and they are what tests compare the graph
-//! kernels against.
+//! are plain functions that take the engine, launch on its pool and tally
+//! into its counter, and they are what tests compare the graph kernels
+//! against.
+//!
+//! Launch policy is not a setting: every launch claims rows by
+//! `gpa-parallel`'s one work-stealing rule at its default grain, cut finer
+//! only where the row loop's edge estimate says so (see [`crate::batch`]).
 
 use crate::batch::{execute_batch, execute_batch_into, execute_batch_states, AttentionRequest};
 use crate::cache::KvCache;
 use crate::dispatch::AttentionKernel;
 use crate::error::AttnError;
-use crate::options::KernelOptions;
 use crate::plan::AttentionPlan;
 use crate::state::AttentionState;
-use gpa_parallel::{default_threads, Schedule, ThreadPool, WorkCounter, WorkReport};
+use gpa_parallel::{default_threads, ThreadPool, WorkCounter, WorkReport};
 use gpa_tensor::{Matrix, Real};
 
-/// Builder for [`AttentionEngine`] — threads, schedule, work counting.
+/// Builder for [`AttentionEngine`] — threads and work counting.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AttentionEngineBuilder {
     threads: Option<usize>,
-    schedule: Schedule,
     count_work: bool,
 }
 
@@ -64,12 +66,6 @@ impl AttentionEngineBuilder {
     /// all cores).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
-        self
-    }
-
-    /// Row-block scheduling policy for every launch this engine issues.
-    pub fn schedule(mut self, schedule: Schedule) -> Self {
-        self.schedule = schedule;
         self
     }
 
@@ -84,18 +80,16 @@ impl AttentionEngineBuilder {
     pub fn build(self) -> AttentionEngine {
         AttentionEngine {
             pool: ThreadPool::new(self.threads.unwrap_or_else(default_threads)),
-            schedule: self.schedule,
             counter: self.count_work.then(WorkCounter::new),
         }
     }
 }
 
-/// The workspace's execution front door: a worker pool plus launch policy,
-/// compiling and running [`AttentionPlan`]s. See the [module
+/// The workspace's execution front door: a worker pool plus an optional
+/// work counter, compiling and running [`AttentionPlan`]s. See the [module
 /// docs](self) for an end-to-end example.
 pub struct AttentionEngine {
     pool: ThreadPool,
-    schedule: Schedule,
     counter: Option<WorkCounter>,
 }
 
@@ -106,12 +100,12 @@ impl Default for AttentionEngine {
 }
 
 impl AttentionEngine {
-    /// Engine with default policy and the library's default thread count.
+    /// Engine with the library's default thread count and no counter.
     pub fn new() -> Self {
         Self::builder().build()
     }
 
-    /// Engine with default policy whose launches have `threads`
+    /// Engine without a counter whose launches have `threads`
     /// participants, the calling thread included (so `threads − 1` helper
     /// threads are spawned; see [`gpa_parallel::ThreadPool::new`]).
     pub fn with_threads(threads: usize) -> Self {
@@ -124,33 +118,16 @@ impl AttentionEngine {
     }
 
     /// The engine's worker pool — what the dense baselines and code with
-    /// launches of its own (projections, the decoder stack) run on.
+    /// launches of its own (projections, the decoder stack) run on. Its
+    /// [`ThreadPool::threads`] is the participants in each launch, the
+    /// calling thread included.
     pub fn pool(&self) -> &ThreadPool {
         &self.pool
     }
 
-    /// Participants in each launch, the calling thread included.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// The engine's scheduling policy.
-    pub fn schedule(&self) -> Schedule {
-        self.schedule
-    }
-
-    /// The launch options every engine run uses — the schedule and the
-    /// engine's counter — in [`KernelOptions`] form: what a dense
-    /// baseline called directly takes, so it runs under the engine's
-    /// policy and is tallied by its counter.
-    pub fn options(&self) -> KernelOptions<'_> {
-        KernelOptions {
-            schedule: self.schedule,
-            counter: self.counter.as_ref(),
-        }
-    }
-
-    /// The engine-owned work counter, when enabled at build time.
+    /// The engine-owned work counter, when enabled at build time. Every
+    /// launch on the engine — plans and dense baselines alike — tallies
+    /// into it.
     pub fn work_counter(&self) -> Option<&WorkCounter> {
         self.counter.as_ref()
     }
@@ -193,7 +170,7 @@ impl AttentionEngine {
         plan: &AttentionPlan<'_>,
         requests: &[AttentionRequest<'_, T>],
     ) -> Result<Vec<Matrix<T>>, AttnError> {
-        execute_batch(&self.pool, plan, &self.options(), requests)
+        execute_batch(&self.pool, plan, self.work_counter(), requests)
     }
 
     /// Run a plan over a batch and return the full per-request
@@ -205,7 +182,7 @@ impl AttentionEngine {
         plan: &AttentionPlan<'_>,
         requests: &[AttentionRequest<'_, T>],
     ) -> Result<Vec<AttentionState<T>>, AttnError> {
-        execute_batch_states(&self.pool, plan, &self.options(), requests)
+        execute_batch_states(&self.pool, plan, self.work_counter(), requests)
     }
 
     /// Run a plan over a batch **in place**: request `s` writes its
@@ -227,7 +204,7 @@ impl AttentionEngine {
         requests: &[AttentionRequest<'_, T>],
         windows: &mut [&mut [T]],
     ) -> Result<(), AttnError> {
-        execute_batch_into(&self.pool, plan, &self.options(), requests, windows)
+        execute_batch_into(&self.pool, plan, self.work_counter(), requests, windows)
     }
 
     /// Chunked prefill: append a prompt's `K`/`V` rows to `cache`
@@ -363,8 +340,7 @@ impl AttentionEngine {
 impl std::fmt::Debug for AttentionEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AttentionEngine")
-            .field("threads", &self.threads())
-            .field("schedule", &self.schedule)
+            .field("threads", &self.pool.threads())
             .field("count_work", &self.counter.is_some())
             .finish()
     }
@@ -380,12 +356,10 @@ mod tests {
     fn builder_configures_policy() {
         let engine = AttentionEngine::builder()
             .threads(2)
-            .schedule(Schedule::StaticContiguous)
             .count_work(true)
             .build();
-        assert_eq!(engine.threads(), 2);
-        assert_eq!(engine.schedule(), Schedule::StaticContiguous);
-        assert!(engine.options().counter.is_some());
+        assert_eq!(engine.pool().threads(), 2);
+        assert!(engine.work_counter().is_some());
         assert!(engine.work_report().is_some());
     }
 

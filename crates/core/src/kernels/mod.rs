@@ -11,7 +11,7 @@ pub use explicit::CooSearch;
 
 #[cfg(test)]
 pub(crate) mod testing {
-    use crate::{masked_sdp, AttentionEngine, AttentionKernel, KernelOptions};
+    use crate::{masked_sdp, AttentionEngine, AttentionKernel};
     use gpa_sparse::{CsrMask, DenseMask};
     use gpa_tensor::init::qkv;
     use gpa_tensor::paper_allclose;
@@ -39,8 +39,7 @@ pub(crate) mod testing {
         let dots = engine.work_report().unwrap().dot_products;
         assert_eq!(dots, mask.nnz() as u64, "{} {what}: work", kernel.name());
         let dense = DenseMask::from_csr(mask);
-        let opts = KernelOptions::default();
-        let reference = masked_sdp(engine.pool(), &dense, &q, &k, &v, &opts).unwrap();
+        let reference = masked_sdp(&engine, &dense, &q, &k, &v).unwrap();
         assert!(paper_allclose(&out, &reference), "{} {what}", kernel.name());
     }
 }
@@ -51,7 +50,7 @@ pub(crate) mod testing {
 #[cfg(test)]
 mod tests {
     use super::testing::counting_engine;
-    use crate::{masked_sdp, AttentionEngine, AttentionKernel, CooSearch, KernelOptions};
+    use crate::{masked_sdp, AttentionEngine, AttentionKernel, CooSearch};
     use gpa_masks::{
         dilated1d_width_for_sparsity, dilated2d_block_for_sparsity, global_count_for_sparsity,
         local_window_for_sparsity, GlobalSet, LocalWindow, MaskPattern,
@@ -144,8 +143,7 @@ mod tests {
             assert!(run(kernel).max_abs_diff(&csr) < 1e-5, "{}", kernel.name());
         }
         let window = LocalWindow::new(l, masks.window).to_dense();
-        let opts = KernelOptions::default();
-        let sdp = masked_sdp(engine.pool(), &window, &q, &k, &v, &opts).unwrap();
+        let sdp = masked_sdp(&engine, &window, &q, &k, &v).unwrap();
         assert!(sdp.max_abs_diff(&csr) < 1e-5);
     }
 

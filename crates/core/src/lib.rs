@@ -29,12 +29,12 @@
 //!
 //! [`baselines::masked_sdp`] (PyTorch-style dense SDP with −∞ masking) and
 //! [`baselines::flash_attention`] (dense online-softmax tiling) — what the
-//! graph kernels are compared against, callable directly with a pool.
+//! graph kernels are compared against, called with an engine.
 //!
 //! ## The engine: compiled plans, batched execution, serving geometry
 //!
 //! [`AttentionEngine`] is how a graph kernel is launched: it owns the
-//! worker pool and launch policy, **compiles** kernel compositions into
+//! worker pool and the optional work counter, **compiles** kernel compositions into
 //! reusable [`AttentionPlan`]s (geometry constraints validated once), and
 //! **executes batches** of ragged-length sequences in a single flattened
 //! launch ([`AttentionEngine::run_batch`]). Every request carries a
@@ -64,7 +64,6 @@ pub mod error;
 pub mod geometry;
 pub mod kernels;
 pub mod multihead;
-pub mod options;
 pub mod pages;
 pub mod plan;
 pub mod state;
@@ -80,7 +79,6 @@ pub use error::AttnError;
 pub use geometry::Geometry;
 pub use kernels::CooSearch;
 pub use multihead::{MultiHeadAttention, ProjectedHeads};
-pub use options::KernelOptions;
 // `SwapArena` and its `SwapTicket` stay for the serving benchmark alone.
 pub use pages::{PagePool, SeqId, SwapArena, SwapTicket};
 pub use plan::AttentionPlan;
@@ -110,7 +108,7 @@ mod proptests {
             let engine = AttentionEngine::with_threads(2);
             let (q, k, v) = qkv::<f64>(l, dk, seed);
             let pat = RandomUniform::new(l, p, seed ^ 0xDEAD);
-            let reference = masked_sdp(engine.pool(), &pat.to_dense(), &q, &k, &v, &KernelOptions::default()).unwrap();
+            let reference = masked_sdp(&engine, &pat.to_dense(), &q, &k, &v).unwrap();
             let out = engine.run_kernel(AttentionKernel::Csr(&pat.to_csr()), &q, &k, &v).unwrap();
             prop_assert!(paper_allclose(&out, &reference));
         }

@@ -14,7 +14,9 @@
 //! KV-cached serving of layers is `gpa-model`'s `DecoderModel`, which
 //! stacks them over a [`crate::PagePool`] and calls the row-block
 //! projections ([`MultiHeadAttention::project_qkv_batched`],
-//! [`MultiHeadAttention::combine_heads_batched`]) around its own launch.
+//! [`MultiHeadAttention::combine_heads_batched`]) on the engine's pool
+//! around its own launch. Every projection launch claims its rows at the
+//! pool's default grain.
 
 use crate::batch::AttentionRequest;
 use crate::engine::AttentionEngine;
@@ -30,13 +32,13 @@ use std::ops::Range;
 /// [`MultiHeadAttention::project_qkv`] returns (`heads` matrices each).
 pub type ProjectedHeads<T> = (Vec<Matrix<T>>, Vec<Matrix<T>>, Vec<Matrix<T>>);
 
-/// Where a row-block projection runs: as one launch on a pool under a
-/// schedule, or (`None`) inline on the calling thread.
-type Launch<'a> = Option<(&'a ThreadPool, Schedule)>;
+/// Where a row-block projection runs: as one launch on a pool, or
+/// (`None`) inline on the calling thread.
+type Launch<'a> = Option<&'a ThreadPool>;
 
 fn launch_rows(on: Launch<'_>, rows: usize, body: impl Fn(Range<usize>) + Sync) {
     match on {
-        Some((pool, schedule)) => parallel_for(pool, rows, schedule, body),
+        Some(pool) => parallel_for(pool, rows, Schedule::default(), body),
         None if rows > 0 => body(0..rows),
         None => {}
     }
@@ -102,8 +104,8 @@ impl<T: Real> MultiHeadAttention<T> {
     /// project, run the plan per head (same mask every head) as **one**
     /// batched launch, concatenate, project out. Input and output are
     /// `L × d_model`. The plan (usually shared with many other
-    /// layers/requests) is compiled once, and the engine's pool and launch
-    /// policy apply.
+    /// layers/requests) is compiled once, and the engine's pool runs every
+    /// launch.
     pub fn forward_on(
         &self,
         engine: &AttentionEngine,
@@ -116,7 +118,7 @@ impl<T: Real> MultiHeadAttention<T> {
                 actual: x.shape(),
             });
         }
-        let on = Some((engine.pool(), engine.schedule()));
+        let on = Some(engine.pool());
         let (qh, kh, vh) = self
             .project_rows(on, &[x])
             .pop()
@@ -157,10 +159,9 @@ impl<T: Real> MultiHeadAttention<T> {
     pub fn project_qkv_batched(
         &self,
         pool: &ThreadPool,
-        schedule: Schedule,
         xs: &[&Matrix<T>],
     ) -> Vec<ProjectedHeads<T>> {
-        self.project_rows(Some((pool, schedule)), xs)
+        self.project_rows(Some(pool), xs)
     }
 
     /// Concatenate per-head attention outputs (`R × dk` each, one per
@@ -190,11 +191,10 @@ impl<T: Real> MultiHeadAttention<T> {
     pub fn combine_heads_batched(
         &self,
         pool: &ThreadPool,
-        schedule: Schedule,
         head_outs: &[Matrix<T>],
         residual: &[&Matrix<T>],
     ) -> Vec<Matrix<T>> {
-        self.combine_rows(Some((pool, schedule)), head_outs, Some(residual))
+        self.combine_rows(Some(pool), head_outs, Some(residual))
     }
 
     /// The one input projection: every row of every `xs[i]` times
@@ -384,9 +384,7 @@ mod tests {
         // different (dense) mask → different numbers, same shape.
         let (qh, kh, vh) = layer.project_qkv(&x);
         let heads: Vec<Matrix<f64>> = (0..qh.len())
-            .map(|h| {
-                crate::flash_attention(e.pool(), &qh[h], &kh[h], &vh[h], &e.options()).unwrap()
-            })
+            .map(|h| crate::flash_attention(&e, &qh[h], &kh[h], &vh[h]).unwrap())
             .collect();
         let flash = layer.combine_heads(&heads);
         assert_eq!(flash.shape(), (l, 16));
@@ -404,19 +402,13 @@ mod tests {
         let plan = engine.compile(&[AttentionKernel::Local { n: 3 }]).unwrap();
         let via_engine = layer.forward_on(&engine, &plan, &x).unwrap();
         for threads in [1usize, 2] {
-            let (pool, schedule) = (ThreadPool::new(threads), Schedule::default());
-            let (qh, kh, vh) = layer
-                .project_qkv_batched(&pool, schedule, &[&x])
-                .pop()
-                .unwrap();
+            let pool = ThreadPool::new(threads);
+            let (qh, kh, vh) = layer.project_qkv_batched(&pool, &[&x]).pop().unwrap();
             let requests: Vec<AttentionRequest<'_, f64>> = (0..4)
                 .map(|h| AttentionRequest::new(&qh[h], &kh[h], &vh[h]))
                 .collect();
             let outs = engine.run_batch(&plan, &requests).unwrap();
-            let via_pool = layer
-                .combine_rows(Some((&pool, schedule)), &outs, None)
-                .pop()
-                .unwrap();
+            let via_pool = layer.combine_rows(Some(&pool), &outs, None).pop().unwrap();
             assert_eq!(via_engine, via_pool, "{threads} threads");
         }
     }
@@ -510,29 +502,22 @@ mod tests {
 
             for threads in [1usize, 2, 4] {
                 let pool = ThreadPool::new(threads);
-                // Grain 3 cuts even the short inputs into several shares.
-                for schedule in [Schedule::default(), Schedule::Dynamic { grain: 3 }] {
-                    let got = layer.project_qkv_batched(&pool, schedule, &x_refs);
-                    for ((q, k, v), want) in got.iter().zip(&want_qkv) {
-                        for (got, want) in [q, k, v].into_iter().zip(want) {
-                            for (g, w) in got.iter().zip(want) {
-                                assert_eq!(bits(g), bits(w), "{threads} threads, {schedule:?}");
-                            }
+                let got = layer.project_qkv_batched(&pool, &x_refs);
+                for ((q, k, v), want) in got.iter().zip(&want_qkv) {
+                    for (got, want) in [q, k, v].into_iter().zip(want) {
+                        for (g, w) in got.iter().zip(want) {
+                            assert_eq!(bits(g), bits(w), "{threads} threads");
                         }
                     }
-                    let attn = layer.combine_rows(Some((&pool, schedule)), &head_outs, None);
-                    let summed = layer.combine_heads_batched(&pool, schedule, &head_outs, &x_refs);
-                    for (s, want) in want_attn.iter().enumerate() {
-                        assert_eq!(
-                            bits(&attn[s]),
-                            bits(want),
-                            "{threads} threads, {schedule:?}"
-                        );
-                        let residual = Matrix::from_fn(want.rows(), d_model, |i, j| {
-                            xs[s].get(i, j) + want.get(i, j)
-                        });
-                        assert_eq!(bits(&summed[s]), bits(&residual));
-                    }
+                }
+                let attn = layer.combine_rows(Some(&pool), &head_outs, None);
+                let summed = layer.combine_heads_batched(&pool, &head_outs, &x_refs);
+                for (s, want) in want_attn.iter().enumerate() {
+                    assert_eq!(bits(&attn[s]), bits(want), "{threads} threads");
+                    let residual = Matrix::from_fn(want.rows(), d_model, |i, j| {
+                        xs[s].get(i, j) + want.get(i, j)
+                    });
+                    assert_eq!(bits(&summed[s]), bits(&residual));
                 }
             }
             // The serial entry points are the same routine, inline.

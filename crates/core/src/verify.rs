@@ -73,8 +73,8 @@ pub fn run_paper_verification(engine: &AttentionEngine) -> Vec<VerificationRecor
 }
 
 /// The same protocol at arbitrary shape/seed (used by property tests).
-/// Kernels launch through `engine`; the reference is [`masked_sdp`] on its
-/// pool, under its options.
+/// Kernels launch through `engine`, and so does the reference,
+/// [`masked_sdp`].
 pub fn run_verification_at(
     engine: &AttentionEngine,
     l: usize,
@@ -87,7 +87,7 @@ pub fn run_verification_at(
     // over `mask`, the pattern the kernels claim to compute.
     let mut compare = |mask_name: &str, mask: &CsrMask, kernels: &[(&str, AttentionKernel<'_>)]| {
         let dense = DenseMask::from_csr(mask);
-        let reference = masked_sdp(engine.pool(), &dense, &q, &k, &v, &engine.options())
+        let reference = masked_sdp(engine, &dense, &q, &k, &v)
             .expect("reference SDP must accept verification inputs");
         for &(name, kernel) in kernels {
             let out = engine

@@ -258,10 +258,10 @@ impl<'p, T: Real> DecoderModel<'p, T> {
         let mut xs: Vec<Matrix<T>> = items.iter().map(|item| item.x.clone()).collect();
         let mut launches = 0;
         let mut rows = 0;
-        let (workers, schedule) = (engine.pool(), engine.schedule());
+        let workers = engine.pool();
         for (s, layer) in self.layers.iter().enumerate() {
             let inputs: Vec<&Matrix<T>> = xs.iter().collect();
-            let projected = layer.project_qkv_batched(workers, schedule, &inputs);
+            let projected = layer.project_qkv_batched(workers, &inputs);
             for (item, (_, kh, vh)) in items.iter().zip(&projected) {
                 pool.extend(item.state.seq, s, kh, vh);
             }
@@ -288,7 +288,7 @@ impl<'p, T: Real> DecoderModel<'p, T> {
                     return Err(e.into());
                 }
             };
-            xs = layer.combine_heads_batched(workers, schedule, &outs, &inputs);
+            xs = layer.combine_heads_batched(workers, &outs, &inputs);
         }
         Ok(ModelAdvance {
             outputs: xs,

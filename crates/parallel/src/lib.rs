@@ -17,10 +17,9 @@
 //!   traffic);
 //! - [`parallel_for()`] / [`parallel_for_stats`]: scoped row-parallel
 //!   fork-join in which the caller works (shares are claimed, and a late
-//!   helper is never waited for), with selectable [`Schedule`]
-//!   (static-contiguous, CUDA-like block-cyclic, or dynamic range
-//!   stealing) and per-share busy-time statistics for the load-imbalance
-//!   analyses of Section V-C;
+//!   helper is never waited for), with one claiming rule — range stealing
+//!   at a [`Schedule`]'s grain — and per-share busy-time statistics for
+//!   the load-imbalance analyses of Section V-C;
 //! - [`RowWriter`] / [`CellWriter`]: disjoint-row mutable access to shared
 //!   output buffers without per-element atomics;
 //! - [`RaggedSpace`]: flattened (sequence, row) index spaces, so a batch of

@@ -85,7 +85,7 @@ impl WorkReport {
 }
 
 /// Relaxed atomic counters for the pool: jobs pushed into the injector and
-/// executed, parks, and `Schedule::Dynamic` range steals.
+/// executed, parks, and range steals.
 ///
 /// Updates are single relaxed RMWs — no ordering, no locks — so enabling
 /// metrics costs nothing on the paths being measured. Relaxed counters
@@ -118,7 +118,7 @@ impl PoolMetrics {
         self.injector_pushes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one `Schedule::Dynamic` range span stolen from a sibling.
+    /// Count one range span stolen from a sibling.
     #[inline]
     pub(crate) fn count_range_steal(&self) {
         self.range_steals.fetch_add(1, Ordering::Relaxed);
@@ -157,7 +157,7 @@ pub struct PoolReport {
     pub steal_attempts: u64,
     /// Always 0; see [`Self::steal_attempts`].
     pub steals: u64,
-    /// `Schedule::Dynamic` range spans stolen from siblings.
+    /// Range spans stolen from siblings.
     pub range_steals: u64,
     /// Times a worker parked on the wakeup Condvar.
     pub parks: u64,
@@ -255,7 +255,7 @@ mod tests {
         let pool = ThreadPool::new(8);
         let c = WorkCounter::new();
         let n = 10_000usize;
-        parallel_for(&pool, n, Schedule::Dynamic { grain: 64 }, |range| {
+        parallel_for(&pool, n, Schedule { grain: 64 }, |range| {
             let mut t = LocalTally::new(&c);
             for _ in range {
                 t.dot();
@@ -304,7 +304,7 @@ mod tests {
         // `executed <= pushed` and equality holds at quiescence.
         let pool = ThreadPool::new(4);
         for _ in 0..16 {
-            parallel_for(&pool, 512, Schedule::Dynamic { grain: 8 }, |range| {
+            parallel_for(&pool, 512, Schedule { grain: 8 }, |range| {
                 std::hint::black_box(range.len());
             });
         }

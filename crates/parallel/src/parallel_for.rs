@@ -4,31 +4,25 @@
 //! simultaneously operating on rows of the attention matrix" (Section IV-B),
 //! with one CUDA block per row. [`parallel_for`] reproduces that model on a
 //! CPU pool: the index space `0..n` is split into *blocks* (chunks of rows)
-//! that are assigned to the launch's participants according to a
-//! [`Schedule`].
-//!
-//! Scheduling matters for fidelity: the paper attributes the Global kernel's
-//! poor scaling to block-level load imbalance ("the algorithm can only be as
-//! fast as its slowest block"). [`Schedule::StaticContiguous`] and
-//! [`Schedule::BlockCyclic`] reproduce a hardware-like fixed assignment —
-//! the baselines ablation A2 of `gpa-bench`'s `ablations` binary sweeps —
-//! while [`Schedule::Dynamic`], the [`Schedule::default`] every engine
-//! launches with, is work stealing: each share starts with a contiguous
-//! span of rows, its participant claims `grain` rows at a time from the
-//! front, and when the span runs dry steals half of a randomly chosen
-//! sibling's remaining span — real range stealing, not a shared counter,
-//! so the common case is an uncontended CAS on a cache line the
-//! participant owns. Which thread
-//! executes a row never affects the row's result, so outputs stay bitwise
-//! identical across schedules and thread counts (pinned by
+//! that the launch's participants claim by one rule, work stealing. Each
+//! share starts with a contiguous span of rows, its participant claims
+//! [`Schedule::grain`] rows at a time from the front, and when the span
+//! runs dry it steals half of a randomly chosen sibling's remaining span —
+//! real range stealing, not a shared counter, so the common case is an
+//! uncontended CAS on a cache line the participant owns. The paper
+//! attributes the Global kernel's poor scaling to block-level load
+//! imbalance ("the algorithm can only be as fast as its slowest block");
+//! stealing is what keeps one heavy span from being that block. Which
+//! thread executes a row never affects the row's result, so outputs stay
+//! bitwise identical across grains and thread counts (pinned by
 //! `tests/determinism.rs`).
 //!
 //! # The fork-join protocol
 //!
-//! A launch is cut into `shares = min(pool.threads(), blocks the schedule
-//! can cut)` shares (a `Dynamic { grain: 16 }` launch of ≤ 16 rows is one
-//! block, hence one share). One share runs inline on the caller and
-//! touches nothing shared. Otherwise:
+//! A launch is cut into `shares = min(pool.threads(), ⌈n / grain⌉)`
+//! shares (a launch of ≤ 16 rows at the default grain is one block, hence
+//! one share). One share runs inline on the caller and touches nothing
+//! shared. Otherwise:
 //!
 //! 1. **Fork.** The caller builds the launch context on its stack, a small
 //!    heap header (`Join`), and submits `shares − 1` helper jobs, each
@@ -43,8 +37,8 @@
 //!    *helpers* claimed have all signalled completion, and returns. A
 //!    helper that was asleep or busy elsewhere wakes to an exhausted
 //!    counter and its job runs to nothing — the launch never waited for
-//!    it. Under `Dynamic`, unclaimed shares' spans are stolen from like any
-//!    sibling's, so the caller usually finds them already empty (and
+//!    it. Unclaimed shares' spans are stolen from like any sibling's, so
+//!    the caller usually finds them already empty (and
 //!    [`LaunchStats::imbalance`] leaves such rowless shares out).
 //!
 //! Nor does the fork wait: those run-to-nothing jobs stay queued until a
@@ -67,64 +61,34 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How row blocks are assigned to the shares of a launch.
+/// How a launch's rows are claimed: each share's participant claims
+/// `grain` rows at a time from the front of its own contiguous span and
+/// steals half of a sibling's span when it runs dry. Every engine launches
+/// at the default grain of 16, and an attention launch of fewer than
+/// `grain × threads` rows is cut finer when its estimated edges clear a
+/// measured threshold (`FORK_EDGES` in `gpa-core`'s `batch.rs`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Schedule {
-    /// Split `0..n` into one contiguous span per share. This is the
-    /// classic static decomposition; worst-case imbalance when heavy rows
-    /// cluster.
-    StaticContiguous,
-    /// Round-robin blocks of `chunk` rows over shares (share `w` takes
-    /// blocks `w, w+W, w+2W, …`), mimicking a CUDA grid where consecutive
-    /// blocks land on different SMs. Fixed assignment: no stealing.
-    BlockCyclic {
-        /// Rows per block.
-        chunk: usize,
-    },
-    /// Work stealing: each share's participant claims `grain` rows at a
-    /// time from the front of its own contiguous span and steals half of a
-    /// sibling's span when it runs dry. Self-balancing; the default
-    /// schedule (`Dynamic { grain: 16 }`) of every engine, which cuts an
-    /// attention launch of fewer than `grain × threads` rows finer when
-    /// its estimated edges clear a measured threshold (`FORK_EDGES` in
-    /// `gpa-core`'s `batch.rs`).
-    Dynamic {
-        /// Rows claimed per grab.
-        grain: usize,
-    },
+pub struct Schedule {
+    /// Rows claimed per grab; `0` claims one.
+    pub grain: usize,
 }
 
 impl Schedule {
-    /// Block-cyclic with one row per block, the closest CPU analogue of
-    /// the paper's one-block-per-row CUDA launch — a fixed schedule for
-    /// reproducing the paper's imbalance phenomena, not the default (see
-    /// [`Schedule::default`]).
-    pub fn cuda_like() -> Self {
-        Schedule::BlockCyclic { chunk: 1 }
-    }
-
     /// How many blocks this schedule can cut `0..n` into — the most
     /// shares a launch of `n` rows can use.
     fn blocks(self, n: usize) -> usize {
-        match self {
-            Schedule::StaticContiguous => n,
-            Schedule::BlockCyclic { chunk } => n.div_ceil(chunk.max(1)),
-            Schedule::Dynamic { grain } => n.div_ceil(grain.max(1)),
-        }
+        n.div_ceil(self.grain.max(1))
     }
 }
 
 impl Default for Schedule {
     fn default() -> Self {
-        // Dynamic with a modest grain is the best general-purpose default;
-        // grain 16 is the knee of the grain sweep (the table under
+        // Grain 16 is the knee of the grain sweep (the table under
         // "Substrate performance" in README.md — grain 1 pays ~7× in claim
         // traffic on an empty body, and while grain 64 shaves the noop
         // launch further, batched engine runs show no gain over 16 at
-        // half the stealable granularity). Kernels that want to reproduce
-        // the paper's imbalance phenomena ask for a fixed schedule
-        // explicitly.
-        Schedule::Dynamic { grain: 16 }
+        // half the stealable granularity).
+        Schedule { grain: 16 }
     }
 }
 
@@ -144,8 +108,7 @@ impl LaunchStats {
     /// perfectly balanced. The paper's "slowest block" effect shows up as
     /// values ≫ 1.
     ///
-    /// A share with no rows is left out: under [`Schedule::Dynamic`] a
-    /// share nobody had claimed yet is stolen empty by the participants
+    /// A share with no rows is left out: a share nobody had claimed yet is stolen empty by the participants
     /// already running, and whoever claims it later finds nothing — no
     /// participant stands behind its (≈ 0) busy time, and counting it would
     /// measure which helper woke in time rather than how the load fell on
@@ -182,6 +145,10 @@ impl LaunchStats {
 ///
 /// Called from inside a pool helper (nested parallelism), the body runs
 /// inline on the calling thread to avoid pool starvation.
+///
+/// # Panics
+/// Panics, before `body` runs, if `n` is 2³² or more: a share's span
+/// packs its start and end into one 64-bit word.
 pub fn parallel_for<F>(pool: &ThreadPool, n: usize, schedule: Schedule, body: F)
 where
     F: Fn(Range<usize>) + Sync,
@@ -389,16 +356,12 @@ impl Drop for JoinOnDrop<'_> {
 /// their job, and only between claiming a share and finishing it.
 struct LaunchCtx<'a, F> {
     body: &'a F,
-    n: usize,
-    schedule: Schedule,
+    /// Rows claimed per grab, at least 1.
+    grain: u64,
     /// Shares the launch is cut into (`Join::shares`).
     shares: usize,
-    /// Per-share stealable spans (`Schedule::Dynamic` with `n` small
-    /// enough to pack; empty otherwise).
+    /// Per-share stealable spans.
     spans: Vec<SpanSlot>,
-    /// Shared-counter fallback for `Dynamic` when `n` exceeds the packed
-    /// span range (≥ 2³² rows).
-    next: AtomicUsize,
     /// Fast sibling-panicked flag; checked per block without taking the
     /// payload lock.
     panicked: AtomicBool,
@@ -411,88 +374,18 @@ impl<F> LaunchCtx<'_, F>
 where
     F: Fn(Range<usize>) + Sync,
 {
-    /// Share `w` of the index space under the launch schedule.
+    /// Share `w` of the index space: drain the own span from the front,
+    /// then steal half of a randomized sibling's remainder and repeat until
+    /// no span anywhere holds rows.
     fn run_share(&self, w: usize) {
         let mut rows = 0usize;
         let started = Instant::now();
-        let guarded = |range: Range<usize>, rows: &mut usize| {
-            *rows += range.len();
-            // Stop early if a sibling panicked — keeps failure latency low
-            // on large launches.
-            if self.panicked.load(Ordering::Relaxed) {
-                return;
-            }
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.body)(range))) {
-                self.panicked.store(true, Ordering::Relaxed);
-                let mut slot = self.panic_slot.lock();
-                if slot.is_none() {
-                    *slot = Some(payload);
-                }
-            }
-        };
-        match self.schedule {
-            Schedule::StaticContiguous => {
-                let per = self.n.div_ceil(self.shares);
-                let lo = (w * per).min(self.n);
-                let hi = ((w + 1) * per).min(self.n);
-                if lo < hi {
-                    guarded(lo..hi, &mut rows);
-                }
-            }
-            Schedule::BlockCyclic { chunk } => {
-                let chunk = chunk.max(1);
-                let mut block = w;
-                loop {
-                    let lo = block * chunk;
-                    if lo >= self.n {
-                        break;
-                    }
-                    let hi = (lo + chunk).min(self.n);
-                    guarded(lo..hi, &mut rows);
-                    block += self.shares;
-                }
-            }
-            Schedule::Dynamic { grain } => {
-                let grain = grain.max(1) as u64;
-                if self.spans.is_empty() {
-                    // Fallback: huge index spaces use the shared counter.
-                    let grain = grain as usize;
-                    loop {
-                        let lo = self.next.fetch_add(grain, Ordering::Relaxed);
-                        if lo >= self.n {
-                            break;
-                        }
-                        let hi = (lo + grain).min(self.n);
-                        guarded(lo..hi, &mut rows);
-                    }
-                } else {
-                    self.run_stealing(w, grain, &guarded, &mut rows);
-                }
-            }
-        }
-        if let Some(stats) = &self.stats {
-            let slot = &stats[w];
-            slot.busy_bits
-                .store(started.elapsed().as_secs_f64().to_bits(), Ordering::Relaxed);
-            slot.rows.store(rows as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// The `Dynamic` steady state: drain the own span from the front, then
-    /// steal half of a randomized sibling's remainder and repeat until no
-    /// span anywhere holds rows.
-    fn run_stealing(
-        &self,
-        w: usize,
-        grain: u64,
-        guarded: &impl Fn(Range<usize>, &mut usize),
-        rows: &mut usize,
-    ) {
         // Decorrelate which victim each participant probes first.
         let mut seed = (w as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         'drain: loop {
-            while let Some(range) = self.spans[w].claim_front(grain) {
-                guarded(range, rows);
+            while let Some(range) = self.spans[w].claim_front(self.grain) {
+                rows += range.len();
+                self.run_block(range);
             }
             seed ^= seed << 13;
             seed ^= seed >> 7;
@@ -512,7 +405,29 @@ where
             // Every span was observed empty; any row still unclaimed lives
             // in a span some thief just installed — and that thief drains
             // its own span before ever stealing again, so coverage holds.
+            break;
+        }
+        if let Some(stats) = &self.stats {
+            let slot = &stats[w];
+            slot.busy_bits
+                .store(started.elapsed().as_secs_f64().to_bits(), Ordering::Relaxed);
+            slot.rows.store(rows as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Run `body` over one block, catching its panic.
+    fn run_block(&self, range: Range<usize>) {
+        // Stop early if a sibling panicked — keeps failure latency low on
+        // large launches.
+        if self.panicked.load(Ordering::Relaxed) {
             return;
+        }
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.body)(range))) {
+            self.panicked.store(true, Ordering::Relaxed);
+            let mut slot = self.panic_slot.lock();
+            if slot.is_none() {
+                *slot = Some(payload);
+            }
         }
     }
 }
@@ -527,6 +442,10 @@ fn parallel_for_impl<F>(
 where
     F: Fn(Range<usize>) + Sync,
 {
+    assert!(
+        u32::try_from(n).is_ok(),
+        "a launch covers fewer than 2³² rows, not {n}"
+    );
     let launch_start = Instant::now();
     if n == 0 {
         return LaunchStats::default();
@@ -552,22 +471,15 @@ where
         };
     }
 
-    let spans = if matches!(schedule, Schedule::Dynamic { .. }) && n < u32::MAX as usize {
-        // Balanced contiguous seed spans, refined by stealing at runtime.
-        let per = n.div_ceil(shares);
-        (0..shares)
-            .map(|w| SpanSlot::new((w * per).min(n), ((w + 1) * per).min(n)))
-            .collect()
-    } else {
-        Vec::new()
-    };
+    // Balanced contiguous seed spans, refined by stealing at runtime.
+    let per = n.div_ceil(shares);
     let ctx = LaunchCtx {
         body,
-        n,
-        schedule,
+        grain: schedule.grain.max(1) as u64,
         shares,
-        spans,
-        next: AtomicUsize::new(0),
+        spans: (0..shares)
+            .map(|w| SpanSlot::new((w * per).min(n), ((w + 1) * per).min(n)))
+            .collect(),
         panicked: AtomicBool::new(false),
         panic_slot: Mutex::new(None),
         stats: want_stats.then(|| (0..shares).map(|_| StatSlot::default()).collect()),
@@ -691,16 +603,8 @@ mod tests {
         // one — on the inline pool, one helper, and several.
         for threads in [1usize, 2, 4] {
             for n in [0usize, 1, 2, 3, 7, 15, 16, 17, 53, 64, 1000, 1003, 10_000] {
-                for schedule in [
-                    Schedule::StaticContiguous,
-                    Schedule::BlockCyclic { chunk: 1 },
-                    Schedule::BlockCyclic { chunk: 5 },
-                    Schedule::BlockCyclic { chunk: 16 },
-                    Schedule::Dynamic { grain: 1 },
-                    Schedule::Dynamic { grain: 7 },
-                    Schedule::Dynamic { grain: 16 },
-                ] {
-                    covered_exactly_once(threads, n, schedule);
+                for grain in [1, 7, 16] {
+                    covered_exactly_once(threads, n, Schedule { grain });
                 }
             }
         }
@@ -721,10 +625,9 @@ mod tests {
 
     #[test]
     fn span_pack_roundtrip_at_the_packing_bound() {
-        // `u32::MAX − 1` rows is the largest launch whose spans are packed
-        // (a launch of `u32::MAX` or more uses the shared counter), so
+        // `u32::MAX` rows is the largest launch `parallel_for` accepts, so
         // every start and end below must survive the 32-bit halves exactly.
-        let n = u32::MAX as usize - 1;
+        let n = u32::MAX as usize;
         let slot = SpanSlot::new(n - 10, n);
         assert_eq!(slot.claim_front(3), Some(n - 10..n - 7));
         // Seven rows left: the thief takes the tail four.
@@ -733,9 +636,10 @@ mod tests {
         assert_eq!(slot.claim_front(1), None);
         assert_eq!(slot.steal_tail(), None);
 
-        // The whole packed range: half is stolen, the rest claimed.
+        // The whole packed range: the thief takes the larger half, the
+        // owner claims the rest.
         slot.install(&(0..n));
-        let half = n / 2;
+        let half = n.div_ceil(2);
         assert_eq!(slot.steal_tail(), Some(n - half..n));
         assert_eq!(slot.claim_front(n as u64), Some(0..n - half));
         assert_eq!(slot.claim_front(1), None);
@@ -755,9 +659,30 @@ mod tests {
     }
 
     #[test]
-    fn zero_chunk_and_grain_are_clamped() {
-        covered_exactly_once(4, 10, Schedule::BlockCyclic { chunk: 0 });
-        covered_exactly_once(4, 10, Schedule::Dynamic { grain: 0 });
+    fn zero_grain_is_clamped() {
+        covered_exactly_once(4, 10, Schedule { grain: 0 });
+    }
+
+    /// A launch of 2³² rows on `pool`, whose body must never run.
+    #[cfg(target_pointer_width = "64")]
+    fn launch_2_32_rows(pool: &ThreadPool) {
+        parallel_for(pool, 1 << 32, Schedule::default(), |_| {
+            unreachable!("the body of an oversized launch ran")
+        });
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "fewer than 2³² rows")]
+    fn a_launch_of_2_32_rows_panics_before_the_body_inline() {
+        launch_2_32_rows(&ThreadPool::new(1));
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "fewer than 2³² rows")]
+    fn a_launch_of_2_32_rows_panics_before_the_body_forked() {
+        launch_2_32_rows(&ThreadPool::new(2));
     }
 
     #[test]
@@ -794,10 +719,10 @@ mod tests {
         let total = AtomicU64::new(0);
         // Grain 1: eight blocks, so the outer launch forks and helpers
         // meet the nested launch too.
-        parallel_for(&pool, 8, Schedule::Dynamic { grain: 1 }, |outer| {
+        parallel_for(&pool, 8, Schedule { grain: 1 }, |outer| {
             for _ in outer {
                 // Nested launch must not deadlock.
-                parallel_for(&pool, 4, Schedule::Dynamic { grain: 1 }, |inner| {
+                parallel_for(&pool, 4, Schedule { grain: 1 }, |inner| {
                     for _ in inner {
                         total.fetch_add(1, Ordering::Relaxed);
                     }
@@ -814,7 +739,7 @@ mod tests {
         let pool = ThreadPool::new(1);
         let caller = std::thread::current().id();
         let blocks = AtomicUsize::new(0);
-        parallel_for(&pool, 1_000, Schedule::Dynamic { grain: 1 }, |_| {
+        parallel_for(&pool, 1_000, Schedule { grain: 1 }, |_| {
             assert_eq!(std::thread::current().id(), caller);
             blocks.fetch_add(1, Ordering::Relaxed);
         });
@@ -853,12 +778,8 @@ mod tests {
         let n = 3 * 16 + 5;
         let caller = std::thread::current().id();
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        for schedule in [
-            Schedule::StaticContiguous,
-            Schedule::BlockCyclic { chunk: 4 },
-            Schedule::Dynamic { grain: 4 },
-        ] {
-            parallel_for(&pool, n, schedule, |range| {
+        for grain in [1, 4, 16] {
+            parallel_for(&pool, n, Schedule { grain }, |range| {
                 assert_eq!(std::thread::current().id(), caller);
                 for i in range {
                     hits[i].fetch_add(1, Ordering::Relaxed);
@@ -889,7 +810,7 @@ mod tests {
         let cap = crate::pool::INJECTOR_CAP;
         let rows = AtomicUsize::new(0);
         for _ in 0..cap + 100 {
-            parallel_for(&pool, 2, Schedule::StaticContiguous, |range| {
+            parallel_for(&pool, 2, Schedule { grain: 1 }, |range| {
                 rows.fetch_add(range.len(), Ordering::Relaxed);
             });
         }
@@ -900,7 +821,7 @@ mod tests {
         release.wait();
         pool.quiesce();
         // The drained pool forks again.
-        parallel_for(&pool, 2, Schedule::StaticContiguous, |_| {});
+        parallel_for(&pool, 2, Schedule { grain: 1 }, |_| {});
         assert_eq!(pool.metrics().report().injector_pushes as usize, 2 + cap);
     }
 
@@ -918,7 +839,7 @@ mod tests {
         // nothing left — one participant, perfectly balanced with itself.
         let pool = ThreadPool::new(3);
         let release = hold_helpers(&pool);
-        let stats = parallel_for_stats(&pool, 60, Schedule::Dynamic { grain: 2 }, |range| {
+        let stats = parallel_for_stats(&pool, 60, Schedule { grain: 2 }, |range| {
             spin_work(range.len() * 1_000);
         });
         release.wait();
@@ -931,10 +852,10 @@ mod tests {
         let pool = pool4();
         let ran = AtomicUsize::new(0);
         for (n, schedule) in [
-            (16, Schedule::Dynamic { grain: 16 }),
-            (1, Schedule::Dynamic { grain: 16 }),
-            (5, Schedule::BlockCyclic { chunk: 8 }),
-            (1, Schedule::StaticContiguous),
+            (16, Schedule { grain: 16 }),
+            (1, Schedule { grain: 16 }),
+            (5, Schedule { grain: 8 }),
+            (1, Schedule { grain: 1 }),
         ] {
             parallel_for(&pool, n, schedule, |range| {
                 assert_eq!(range, 0..n, "one block, whole");
@@ -944,11 +865,11 @@ mod tests {
         assert_eq!(ran.load(Ordering::Relaxed), 4);
         assert_eq!(pool.metrics().report().injector_pushes, 0);
         // One row more than a block is two shares: one helper job.
-        parallel_for(&pool, 17, Schedule::Dynamic { grain: 16 }, |_| {});
+        parallel_for(&pool, 17, Schedule { grain: 16 }, |_| {});
         assert_eq!(pool.metrics().report().injector_pushes, 1);
     }
 
-    /// A two-share static launch whose share 1 can only be running on the
+    /// A two-share launch of one row per share whose share 1 can only be running on the
     /// helper while the caller is inside share 0: share 0 waits for share
     /// 1 to start before it does anything.
     fn two_overlapping_shares(
@@ -959,7 +880,7 @@ mod tests {
         let caller = std::thread::current().id();
         let helper_started = AtomicBool::new(false);
         catch_unwind(AssertUnwindSafe(|| {
-            parallel_for(&pool, 2, Schedule::StaticContiguous, |range| {
+            parallel_for(&pool, 2, Schedule { grain: 1 }, |range| {
                 if range.start == 0 {
                     assert_eq!(
                         std::thread::current().id(),
@@ -1039,12 +960,12 @@ mod tests {
         let caller = std::thread::current().id();
         let inner_rows = AtomicUsize::new(0);
         let nested_on_caller = AtomicUsize::new(0);
-        parallel_for(&pool, 4, Schedule::StaticContiguous, |outer| {
+        parallel_for(&pool, 4, Schedule { grain: 1 }, |outer| {
             for _ in outer {
                 if std::thread::current().id() == caller {
                     nested_on_caller.fetch_add(1, Ordering::Relaxed);
                 }
-                parallel_for(&pool, 100, Schedule::Dynamic { grain: 4 }, |inner| {
+                parallel_for(&pool, 100, Schedule { grain: 4 }, |inner| {
                     inner_rows.fetch_add(inner.len(), Ordering::Relaxed);
                 });
             }
@@ -1065,7 +986,7 @@ mod tests {
                     for round in 0..300 {
                         let n = 40 + (round * 7 + t * 13) % 200;
                         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                        parallel_for(pool, n, Schedule::Dynamic { grain: 4 }, |range| {
+                        parallel_for(pool, n, Schedule { grain: 4 }, |range| {
                             for i in range {
                                 hits[i].fetch_add(1, Ordering::Relaxed);
                             }
@@ -1084,22 +1005,17 @@ mod tests {
         let data: Vec<u64> = (0..100_000).map(|i| (i * 2654435761) % 1000).collect();
         let expected: u64 = data.iter().sum();
         let got = AtomicU64::new(0);
-        parallel_for(
-            &pool,
-            data.len(),
-            Schedule::Dynamic { grain: 128 },
-            |range| {
-                let local: u64 = data[range].iter().sum();
-                got.fetch_add(local, Ordering::Relaxed);
-            },
-        );
+        parallel_for(&pool, data.len(), Schedule { grain: 128 }, |range| {
+            let local: u64 = data[range].iter().sum();
+            got.fetch_add(local, Ordering::Relaxed);
+        });
         assert_eq!(got.load(Ordering::Relaxed), expected);
     }
 
     #[test]
     fn stats_cover_all_rows() {
         let pool = pool4();
-        let stats = parallel_for_stats(&pool, 1000, Schedule::BlockCyclic { chunk: 8 }, |range| {
+        let stats = parallel_for_stats(&pool, 1000, Schedule { grain: 8 }, |range| {
             spin_work(range.len() * 10);
         });
         assert_eq!(stats.worker_rows.iter().sum::<usize>(), 1000);
@@ -1113,7 +1029,7 @@ mod tests {
         let pool = pool4();
         // Heavy head: the first span's owner is slow, so siblings must
         // steal from it to finish — rows still sum exactly.
-        let stats = parallel_for_stats(&pool, 256, Schedule::Dynamic { grain: 2 }, |range| {
+        let stats = parallel_for_stats(&pool, 256, Schedule { grain: 2 }, |range| {
             for i in range {
                 spin_work(if i < 64 { 20_000 } else { 10 });
             }
@@ -1122,42 +1038,33 @@ mod tests {
     }
 
     #[test]
-    fn static_contiguous_shows_imbalance_on_skewed_work() {
+    fn coarse_grain_shows_imbalance_on_skewed_work() {
         let pool = pool4();
-        // All heavy rows in the first quarter → the first worker does ~all
-        // the work under a contiguous static split.
+        // All heavy rows in the first quarter. At a grain of a whole
+        // share's span the caller claims all of them in its first grab, so
+        // it does ~all the work; at grain 1 the siblings steal them.
         let n = 64;
         let heavy = n / 4;
-        let stats = parallel_for_stats(&pool, n, Schedule::StaticContiguous, |range| {
-            for i in range {
-                if i < heavy {
-                    spin_work(400_000);
-                } else {
-                    spin_work(100);
+        let skewed = |grain| {
+            parallel_for_stats(&pool, n, Schedule { grain }, |range| {
+                for i in range {
+                    spin_work(if i < heavy { 400_000 } else { 100 });
                 }
-            }
-        });
+            })
+        };
+        let coarse = skewed(n / 4);
         assert!(
-            stats.imbalance() > 1.5,
+            coarse.imbalance() > 1.5,
             "expected skew, imbalance = {}",
-            stats.imbalance()
+            coarse.imbalance()
         );
-
-        // The dynamic schedule balances the same workload far better.
-        let stats_dyn = parallel_for_stats(&pool, n, Schedule::Dynamic { grain: 1 }, |range| {
-            for i in range {
-                if i < heavy {
-                    spin_work(400_000);
-                } else {
-                    spin_work(100);
-                }
-            }
-        });
+        let fine = skewed(1);
         assert!(
-            stats_dyn.imbalance() < stats.imbalance(),
-            "dynamic {} vs static {}",
-            stats_dyn.imbalance(),
-            stats.imbalance()
+            fine.imbalance() < coarse.imbalance(),
+            "grain 1 {} vs grain {} {}",
+            fine.imbalance(),
+            n / 4,
+            coarse.imbalance()
         );
     }
 
@@ -1170,7 +1077,7 @@ mod tests {
         let pool = pool4();
         let n = 1024;
         let out: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        parallel_for(&pool, n, Schedule::cuda_like(), |range| {
+        parallel_for(&pool, n, Schedule { grain: 1 }, |range| {
             for i in range {
                 out[i].store((i * i) as u64, Ordering::Relaxed);
             }

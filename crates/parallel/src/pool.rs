@@ -16,8 +16,7 @@
 //! **The queue** (`shims/crossbeam`'s bounded [`Injector`]): submitted jobs
 //! land in one shared lock-free ring, and an idle helper pops it. A job
 //! only claims a share of its launch; balancing the launch's rows is the
-//! launch's own job (share claims plus `Schedule::Dynamic` range
-//! stealing), so the pool keeps no per-helper deques and steals nothing.
+//! launch's own job (share claims plus range stealing), so the pool keeps no per-helper deques and steals nothing.
 //! The submit fast path never takes a lock — it only notifies when the
 //! sleeper count (an atomic mirror) says someone is parked.
 //!

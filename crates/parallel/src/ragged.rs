@@ -7,10 +7,9 @@
 //! into a single `0..total` index space and maps global ranges back to
 //! `(segment, local row range)` pieces, splitting at segment boundaries.
 //!
-//! The translation is defined for *every* global sub-range, not just the
-//! blocks a fixed schedule would produce — which is what lets
-//! `Schedule::Dynamic` carve the flat space into stealable spans whose
-//! boundaries move at runtime: however a steal splits the space,
+//! The translation is defined for *every* global sub-range, not just
+//! fixed blocks — which is what lets a launch carve the flat space into
+//! stealable spans whose boundaries move at runtime: however a steal splits the space,
 //! [`RaggedSpace::for_each_segment`] resolves the pieces to the same
 //! `(segment, rows)` work items.
 

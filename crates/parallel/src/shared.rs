@@ -15,7 +15,7 @@ use std::marker::PhantomData;
 ///
 /// `RowWriter` hands out `&mut [T]` row slices through a shared reference.
 /// It is sound if and only if no two concurrent `row_mut` calls target the
-/// same row — which the `parallel_for` schedules guarantee by construction
+/// same row — which `parallel_for` guarantees by construction
 /// (disjoint ranges). The unsafety is confined to `row_mut`; everything
 /// else is ordinary borrowing.
 pub struct RowWriter<'a, T> {
@@ -56,8 +56,8 @@ impl<'a, T> RowWriter<'a, T> {
     ///
     /// # Safety
     /// No other `row_mut(i)` borrow for the same `i` may be live anywhere
-    /// (including on other threads). The row-parallel launch schedules
-    /// satisfy this: each row index is dispatched to exactly one block.
+    /// (including on other threads). A `parallel_for` launch satisfies
+    /// this: each row index is dispatched to exactly one block.
     #[allow(clippy::mut_from_ref)]
     #[inline(always)]
     pub unsafe fn row_mut(&self, i: usize) -> &mut [T] {
@@ -131,7 +131,7 @@ mod tests {
         let mut buf = vec![0u64; n * d];
         {
             let writer = RowWriter::new(&mut buf, n, d);
-            parallel_for(&pool, n, Schedule::cuda_like(), |range| {
+            parallel_for(&pool, n, Schedule { grain: 1 }, |range| {
                 for i in range {
                     // SAFETY: `parallel_for` dispatches each row exactly once.
                     let row = unsafe { writer.row_mut(i) };
@@ -167,7 +167,7 @@ mod tests {
         let mut stats = vec![0.0f64; 300];
         {
             let cells = CellWriter::new(&mut stats);
-            parallel_for(&pool, 300, Schedule::Dynamic { grain: 7 }, |range| {
+            parallel_for(&pool, 300, Schedule { grain: 7 }, |range| {
                 for i in range {
                     // SAFETY: disjoint dispatch per index.
                     unsafe { *cells.cell_mut(i) = i as f64 * 0.5 };

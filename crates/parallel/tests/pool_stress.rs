@@ -34,7 +34,7 @@ impl XorShift {
 
 #[test]
 fn stress_launch_storm_exactly_once() {
-    // Small launches with seeded random n/schedule/grain, back to back —
+    // Small launches with seeded random n and grain, back to back —
     // the decode-serving shape. Every index must be visited exactly once
     // per launch, under maximal launch-path churn.
     let deadline = stress_deadline();
@@ -44,15 +44,11 @@ fn stress_launch_storm_exactly_once() {
         let pool = ThreadPool::new(threads);
         for round in 0..500 {
             let n = 1 + (rng.next() % 97) as usize;
-            let schedule = match rng.next() % 4 {
-                0 => Schedule::StaticContiguous,
-                1 => Schedule::BlockCyclic {
-                    chunk: 1 + (rng.next() % 8) as usize,
-                },
-                2 => Schedule::Dynamic {
+            let schedule = match rng.next() % 2 {
+                0 => Schedule {
                     grain: 1 + (rng.next() % 8) as usize,
                 },
-                _ => Schedule::Dynamic { grain: 16 },
+                _ => Schedule::default(),
             };
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
             parallel_for(&pool, n, schedule, |range| {
@@ -91,7 +87,7 @@ fn stress_skewed_stealing_conserves_rows() {
     while Instant::now() < deadline {
         let n = 64 + (rng.next() % 512) as usize;
         let hot = (rng.next() % n as u64) as usize;
-        let stats = parallel_for_stats(&pool, n, Schedule::Dynamic { grain: 1 }, |range| {
+        let stats = parallel_for_stats(&pool, n, Schedule { grain: 1 }, |range| {
             for i in range {
                 gpa_parallel::spin_work(if i == hot { 200_000 } else { 50 });
             }
@@ -129,7 +125,7 @@ fn stress_concurrent_launchers_share_one_pool() {
                 while Instant::now() < deadline {
                     let n = 1 + (rng.next() % 256) as usize;
                     let sum = AtomicUsize::new(0);
-                    parallel_for(&pool, n, Schedule::Dynamic { grain: 4 }, |range| {
+                    parallel_for(&pool, n, Schedule { grain: 4 }, |range| {
                         sum.fetch_add(range.len(), Ordering::Relaxed);
                     });
                     assert_eq!(sum.load(Ordering::Relaxed), n);
@@ -159,7 +155,7 @@ fn stress_teardown_with_queued_jobs() {
         let counter = Arc::new(AtomicUsize::new(0));
         let n = 100 + (seed * 7 % 400) as usize;
         let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        parallel_for(&pool, n, Schedule::Dynamic { grain: 3 }, |range| {
+        parallel_for(&pool, n, Schedule { grain: 3 }, |range| {
             for i in range {
                 hits[i].fetch_add(1, Ordering::Relaxed);
             }

@@ -28,7 +28,7 @@ fn main() {
     let engine = AttentionEngine::new();
     println!(
         "engine: {} worker threads, {n_requests} concurrent requests",
-        engine.threads()
+        engine.pool().threads()
     );
 
     // --- Part 1: ragged batch through one implicit-window plan -----------

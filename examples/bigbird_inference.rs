@@ -38,7 +38,7 @@ fn main() {
     // Approach 1: dense masked SDP (the PyTorch way).
     let dense = DenseMask::from_csr(&union);
     let t = Instant::now();
-    let via_sdp = masked_sdp(engine.pool(), &dense, &q, &k, &v, &engine.options()).unwrap();
+    let via_sdp = masked_sdp(&engine, &dense, &q, &k, &v).unwrap();
     let t_sdp = t.elapsed().as_secs_f64();
 
     // Approach 2: one work-optimal CSR call.

@@ -68,7 +68,7 @@ fn main() {
         Scheduler::new(AttentionEngine::new(), config).expect("valid config");
     println!(
         "scheduler: {} worker threads · ≤{} in flight · {} pages × {} tokens KV pool · chunk {}",
-        scheduler.engine().threads(),
+        scheduler.engine().pool().threads(),
         config.max_in_flight,
         config.kv_pages,
         config.page_size,

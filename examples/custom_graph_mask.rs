@@ -89,8 +89,7 @@ fn main() {
     // Verify against the dense reference on a subsample (full dense check
     // at 4096 is cheap enough too).
     let dense = DenseMask::from_csr(&graph);
-    let reference =
-        masked_sdp(engine.pool(), &dense, &q, &k, &v, &engine.options()).expect("reference");
+    let reference = masked_sdp(&engine, &dense, &q, &k, &v).expect("reference");
     println!(
         "matches dense masked-SDP reference: {} (max |Δ| = {:.2e})",
         paper_allclose(&out, &reference),

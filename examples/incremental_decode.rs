@@ -33,7 +33,7 @@ fn main() {
     let engine = AttentionEngine::new();
     println!(
         "engine: {} worker threads · prompt {prompt} + {generate} generated tokens, window {window}",
-        engine.threads()
+        engine.pool().threads()
     );
 
     // One length-free plan serves the prefill chunks AND every decode step.

@@ -80,10 +80,7 @@ fn main() {
     let t = Instant::now();
     let (qh, kh, vh) = layer.project_qkv(&x);
     let dense_heads: Vec<Matrix<f32>> = (0..heads)
-        .map(|h| {
-            flash_attention(engine.pool(), &qh[h], &kh[h], &vh[h], &engine.options())
-                .expect("dense head")
-        })
+        .map(|h| flash_attention(&engine, &qh[h], &kh[h], &vh[h]).expect("dense head"))
         .collect();
     let dense_out = layer.combine_heads(&dense_heads);
     let dense_time = t.elapsed().as_secs_f64();

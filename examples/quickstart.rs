@@ -50,8 +50,7 @@ fn main() {
     // 6. Verify against the dense masked-SDP reference (paper Sec. V-A).
     //    The baseline is a plain function on the engine's pool, not a plan.
     let dense = DenseMask::from_csr(&csr);
-    let reference =
-        masked_sdp(engine.pool(), &dense, &q, &k, &v, &engine.options()).expect("valid inputs");
+    let reference = masked_sdp(&engine, &dense, &q, &k, &v).expect("valid inputs");
     println!(
         "matches dense reference: {}  (max |Δ| = {:.2e})",
         paper_allclose(&output, &reference),

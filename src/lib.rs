@@ -69,7 +69,7 @@
 //!
 //! // The graph kernel matches the dense masked-SDP baseline.
 //! let dense = DenseMask::from_csr(&mask);
-//! let reference = masked_sdp(engine.pool(), &dense, &q, &k, &v, &engine.options()).unwrap();
+//! let reference = masked_sdp(&engine, &dense, &q, &k, &v).unwrap();
 //! assert!(paper_allclose(&out, &reference));
 //!
 //! // Serving geometry: chunked prefill fills a KV cache (bitwise equal to
@@ -105,8 +105,8 @@ pub use gpa_tensor as tensor;
 pub mod prelude {
     pub use gpa_core::{
         flash_attention, masked_sdp, AttentionEngine, AttentionEngineBuilder, AttentionKernel,
-        AttentionPlan, AttentionRequest, AttentionState, CooSearch, Geometry, KernelOptions,
-        KvCache, MultiHeadAttention,
+        AttentionPlan, AttentionRequest, AttentionState, CooSearch, Geometry, KvCache,
+        MultiHeadAttention,
     };
     pub use gpa_masks::{bigbird, longformer, GlobalSet, LocalWindow, LongNetPattern, MaskPattern};
     pub use gpa_model::{DecoderModel, LayerPattern, ModelKvState};
@@ -132,8 +132,7 @@ mod tests {
         assert_eq!(out.shape(), (8, 4));
         // The dense baseline the graph kernels are compared against.
         let dense = DenseMask::from_csr(&mask);
-        let reference =
-            masked_sdp(engine.pool(), &dense, &q, &k, &v, &KernelOptions::default()).unwrap();
+        let reference = masked_sdp(&engine, &dense, &q, &k, &v).unwrap();
         assert!(paper_allclose(&out, &reference));
     }
 }

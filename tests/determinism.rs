@@ -1,6 +1,6 @@
-//! Determinism across schedules and thread counts: each attention row is
-//! computed by exactly one block with a fixed neighbor order, so outputs
-//! are bit-identical no matter how rows are scheduled — a property the
+//! Determinism across thread counts: each attention row is computed by
+//! exactly one block with a fixed neighbor order, so outputs are
+//! bit-identical no matter how rows are scheduled — a property the
 //! benchmark methodology silently relies on.
 
 use graph_attention::core::{
@@ -8,7 +8,6 @@ use graph_attention::core::{
 };
 use graph_attention::masks::{GlobalSet, MaskPattern, RandomUniform};
 use graph_attention::model::{DecoderModel, LayerPattern};
-use graph_attention::parallel::Schedule;
 use graph_attention::serve::{
     generate_trace, replay, AdmissionMode, Completion, EvictionMode, PatternChoice, PlanId,
     RequestId, Scheduler, ServeConfig, Submission, TraceEvent, TraceSpec,
@@ -89,57 +88,32 @@ fn replay_recording_preemptions(
 }
 
 #[test]
-fn outputs_bitwise_identical_across_schedules() {
-    let l = 256;
-    let (q, k, v) = qkv::<f32>(l, 16, 8);
-    let mask = RandomUniform::new(l, 0.1, 3).to_csr();
-    let plan = AttentionPlan::single(AttentionKernel::Csr(&mask)).unwrap();
-    // Launch policy lives on the engine: one engine per schedule.
-    let run = |schedule| {
-        AttentionEngine::builder()
-            .threads(4)
-            .schedule(schedule)
-            .build()
-            .run(&plan, &q, &k, &v)
-            .unwrap()
-    };
-
-    let schedules = [
-        Schedule::StaticContiguous,
-        Schedule::BlockCyclic { chunk: 1 },
-        Schedule::BlockCyclic { chunk: 17 },
-        Schedule::Dynamic { grain: 1 },
-        Schedule::Dynamic { grain: 32 },
-    ];
-    let reference = run(schedules[0]);
-    for schedule in &schedules[1..] {
-        let out = run(*schedule);
-        assert_eq!(
-            out.as_slice(),
-            reference.as_slice(),
-            "schedule {schedule:?} changed bits"
-        );
-    }
-}
-
-#[test]
 fn outputs_bitwise_identical_across_thread_counts() {
-    let l = 192;
-    let (q, k, v) = qkv::<f32>(l, 8, 2);
-    let local = AttentionKernel::Local { n: 9 };
+    // The thread count moves where a launch cuts its rows and what its
+    // shares steal: a Local plan and a random CSR mask (rows of uneven
+    // degree) must keep the one-thread bits at every count.
+    let (q, k, v) = qkv::<f32>(192, 8, 2);
+    let local = AttentionPlan::single(AttentionKernel::Local { n: 9 }).unwrap();
+    let l = 256;
+    let (qc, kc, vc) = qkv::<f32>(l, 16, 8);
+    let mask = RandomUniform::new(l, 0.1, 3).to_csr();
+    let csr = AttentionPlan::single(AttentionKernel::Csr(&mask)).unwrap();
     let on = |threads| {
-        AttentionEngine::with_threads(threads)
-            .run_kernel(local, &q, &k, &v)
-            .unwrap()
+        let engine = AttentionEngine::with_threads(threads);
+        [
+            engine.run(&local, &q, &k, &v).unwrap(),
+            engine.run(&csr, &qc, &kc, &vc).unwrap(),
+        ]
     };
     let reference = on(1);
-    for threads in [2usize, 3, 8] {
-        let out = on(threads);
-        assert_eq!(
-            out.as_slice(),
-            reference.as_slice(),
-            "{threads} threads changed bits"
-        );
+    for threads in [2usize, 3, 4, 8] {
+        for (out, want) in on(threads).iter().zip(&reference) {
+            assert_eq!(
+                out.as_slice(),
+                want.as_slice(),
+                "{threads} threads changed bits"
+            );
+        }
     }
 }
 
@@ -183,7 +157,7 @@ fn repeated_runs_identical() {
     let (q, k, v) = qkv::<f32>(l, 8, 4);
     let engine = AttentionEngine::with_threads(4);
     let mask = RandomUniform::new(l, 0.2, 7).to_dense();
-    let sdp = || masked_sdp(engine.pool(), &mask, &q, &k, &v, &engine.options()).unwrap();
+    let sdp = || masked_sdp(&engine, &mask, &q, &k, &v).unwrap();
     let a = sdp();
     for _ in 0..3 {
         assert_eq!(a.as_slice(), sdp().as_slice());
@@ -486,7 +460,7 @@ fn flash_identical_across_threads() {
     let (q, k, v) = qkv::<f32>(l, 16, 6);
     let on = |threads| {
         let engine = AttentionEngine::with_threads(threads);
-        flash_attention(engine.pool(), &q, &k, &v, &engine.options()).unwrap()
+        flash_attention(&engine, &q, &k, &v).unwrap()
     };
     let (reference, out) = (on(1), on(6));
     assert_eq!(out.as_slice(), reference.as_slice());

@@ -425,9 +425,8 @@ fn dense_digests<T: Bits>(fig6: &Fig6) -> Vec<u64> {
     let engine = AttentionEngine::with_threads(2);
     let (q, k, v) = qkv::<T>(fig6.l, DK, SEED);
     let mask = DenseMask::from_csr(&fig6.covered.union(&fig6.random_rest));
-    let opts = engine.options();
-    let sdp = masked_sdp(engine.pool(), &mask, &q, &k, &v, &opts).unwrap();
-    let flash = flash_attention_tiled(engine.pool(), &q, &k, &v, 48, &opts).unwrap();
+    let sdp = masked_sdp(&engine, &mask, &q, &k, &v).unwrap();
+    let flash = flash_attention_tiled(&engine, &q, &k, &v, 48).unwrap();
     vec![digest(&sdp), digest(&flash)]
 }
 

@@ -94,7 +94,7 @@ proptest! {
             let what = kernel.name();
             let square = e.run(&plan, &q, &k, &v).unwrap();
             let dense = DenseMask::from_csr(square_csr);
-            let reference = masked_sdp(e.pool(), &dense, &q, &k, &v, &e.options()).unwrap();
+            let reference = masked_sdp(&e, &dense, &q, &k, &v).unwrap();
             prop_assert!(paper_allclose(&square, &reference), "{} vs masked SDP", what);
 
             // The mid-sequence window and the decode row, in one launch.

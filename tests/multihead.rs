@@ -3,8 +3,7 @@
 //! per-head single calls and the dense reference.
 
 use graph_attention::core::{
-    masked_sdp, AttentionEngine, AttentionKernel, AttentionRequest, KernelOptions,
-    MultiHeadAttention,
+    masked_sdp, AttentionEngine, AttentionKernel, AttentionRequest, MultiHeadAttention,
 };
 use graph_attention::masks::{longformer, MaskPattern};
 use graph_attention::tensor::{init, paper_allclose, Matrix};
@@ -36,15 +35,7 @@ fn per_head_outputs_match_reference() {
     let outs = engine.run_batch(&plan, &requests).unwrap();
     assert_eq!(outs.len(), heads);
     for h in 0..heads {
-        let reference = masked_sdp(
-            engine.pool(),
-            &dense,
-            &qs[h],
-            &ks[h],
-            &vs[h],
-            &KernelOptions::default(),
-        )
-        .unwrap();
+        let reference = masked_sdp(&engine, &dense, &qs[h], &ks[h], &vs[h]).unwrap();
         assert!(paper_allclose(&outs[h], &reference), "head {h}");
     }
 }
@@ -64,17 +55,7 @@ fn layer_forward_same_mask_same_result_via_any_kernel() {
     // The reference: the same projections around the dense baseline.
     let (qh, kh, vh) = layer.project_qkv(&x);
     let heads: Vec<Matrix<f64>> = (0..qh.len())
-        .map(|h| {
-            masked_sdp(
-                engine.pool(),
-                &dense,
-                &qh[h],
-                &kh[h],
-                &vh[h],
-                &engine.options(),
-            )
-            .unwrap()
-        })
+        .map(|h| masked_sdp(&engine, &dense, &qh[h], &kh[h], &vh[h]).unwrap())
         .collect();
     let via_sdp = layer.combine_heads(&heads);
     assert!(paper_allclose(&via_csr, &via_sdp));

@@ -116,11 +116,11 @@ fn dense_baselines_always_do_quadratic_work() {
     // Even with a nearly-empty mask, SDP computes L² dot products.
     let sparse_mask = LocalWindow::new(l, 0).to_dense();
     let sdp = || {
-        masked_sdp(engine.pool(), &sparse_mask, &q, &k, &v, &engine.options()).unwrap();
+        masked_sdp(&engine, &sparse_mask, &q, &k, &v).unwrap();
     };
     assert_eq!(dots(&sdp), (l * l) as u64);
     let flash = || {
-        flash_attention(engine.pool(), &q, &k, &v, &engine.options()).unwrap();
+        flash_attention(&engine, &q, &k, &v).unwrap();
     };
     assert_eq!(dots(&flash), (l * l) as u64);
 }
