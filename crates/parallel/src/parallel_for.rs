@@ -1042,7 +1042,16 @@ mod tests {
         let pool = pool4();
         // All heavy rows in the first quarter. At a grain of a whole
         // share's span the caller claims all of them in its first grab, so
-        // it does ~all the work; at grain 1 the siblings steal them.
+        // it does ~all the work; at grain 1 the siblings steal them. The
+        // two launches are compared by the busiest participant's share of
+        // all busy time: `imbalance` is max over mean of the participants
+        // that ran rows, so a helper that joins only for light rows raises
+        // it (two heavy and two light participants read 2.0, as does the
+        // coarse launch's caller next to one light helper).
+        let busiest_share = |stats: &LaunchStats| {
+            let busy = stats.worker_busy.iter().filter(|b| b.is_finite());
+            busy.clone().cloned().fold(0.0, f64::max) / busy.sum::<f64>()
+        };
         let n = 64;
         let heavy = n / 4;
         let skewed = |grain| {
@@ -1060,11 +1069,11 @@ mod tests {
         );
         let fine = skewed(1);
         assert!(
-            fine.imbalance() < coarse.imbalance(),
-            "grain 1 {} vs grain {} {}",
-            fine.imbalance(),
+            busiest_share(&fine) < busiest_share(&coarse),
+            "busiest share at grain 1 {} vs grain {} {}",
+            busiest_share(&fine),
             n / 4,
-            coarse.imbalance()
+            busiest_share(&coarse)
         );
     }
 

@@ -1,6 +1,6 @@
-//! Determinism across thread counts: each attention row is computed by
-//! exactly one block with a fixed neighbor order, so outputs are
-//! bit-identical no matter how rows are scheduled — a property the
+//! Determinism across schedules and thread counts: each attention row is
+//! computed by exactly one block with a fixed neighbor order, so outputs
+//! are bit-identical no matter how rows are scheduled — a property the
 //! benchmark methodology silently relies on.
 
 use graph_attention::core::{
@@ -85,6 +85,46 @@ fn replay_recording_preemptions(
         assert!(scheduler.now() < 100_000, "trace did not drain");
     }
     (completions, events)
+}
+
+#[test]
+fn outputs_bitwise_identical_across_schedules() {
+    // A random CSR mask (rows of uneven degree) launched as one request
+    // and as batches of row-range requests cut every 1, 17 and 32 rows, on
+    // 1, 2 and 4 threads: the request cuts move the launch's segments and
+    // what one claim spans, and every row keeps the bits of the one-thread
+    // single-request run.
+    let l = 256;
+    let (q, k, v) = qkv::<f32>(l, 16, 8);
+    let mask = RandomUniform::new(l, 0.1, 3).to_csr();
+    let plan = AttentionPlan::single(AttentionKernel::Csr(&mask)).unwrap();
+    let reference = AttentionEngine::with_threads(1)
+        .run(&plan, &q, &k, &v)
+        .unwrap();
+    for threads in [1usize, 2, 4] {
+        let engine = AttentionEngine::with_threads(threads);
+        for cut in [1usize, 17, 32] {
+            let requests: Vec<_> = (0..l)
+                .step_by(cut)
+                .map(|start| {
+                    let rows = start..(start + cut).min(l);
+                    AttentionRequest::row_range(&q, rows, &k, &v, start)
+                })
+                .collect();
+            let outs = engine.run_batch(&plan, &requests).unwrap();
+            assert_eq!(outs.len(), requests.len());
+            for (out, start) in outs.iter().zip((0..l).step_by(cut)) {
+                for i in 0..out.rows() {
+                    assert_eq!(
+                        out.row(i),
+                        reference.row(start + i),
+                        "{threads} threads, requests of {cut} rows, row {}",
+                        start + i
+                    );
+                }
+            }
+        }
+    }
 }
 
 #[test]
