@@ -10,7 +10,7 @@
 use crate::args::Scale;
 use crate::protocol::{measure_auto, Protocol};
 use crate::report::{Record, Sink};
-use gpa_core::{masked_sdp, AttentionEngine, AttentionKernel, CooSearch};
+use gpa_core::{masked_sdp, AttentionEngine, AttentionKernel};
 use gpa_masks::{
     dilated1d_width_for_sparsity, dilated2d_block_for_sparsity, global_count_for_sparsity,
     local_window_for_sparsity, Dilated1d, Dilated2d, GlobalMinusLocal, GlobalSet, LocalWindow,
@@ -120,7 +120,7 @@ impl Fitted {
         let l = self.l;
         let coo = self.coo.iter().map(|coo| {
             let sf = coo.sparsity_factor();
-            (AttentionKernel::Coo(coo, CooSearch::Linear), sf)
+            (AttentionKernel::Coo(coo), sf)
         });
         coo.chain([
             (AttentionKernel::Csr(&self.csr), self.csr.sparsity_factor()),

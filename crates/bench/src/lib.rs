@@ -13,12 +13,12 @@
 //! | `table3_longcontext` | Table III (long-context ladder) | `table3` |
 //! | `fig5_tradeoff` | Fig. 5 (flash vs local trade-off) | `fig5` |
 //! | `fig6_popular_masks` | Fig. 6 (Longformer/BigBird masks) | `fig6` |
-//! | `ablations` | A1 COO row search, A3 flash tile | `ablations` |
 //! | `decode_latency` | kernel family × context length at KV-cached decode | `decode` |
 //!
-//! The last two are not in the paper; they stay because no workload of
-//! the serving benchmark (`benchmark/`, `bash benchmark/run.sh --workload
-//! …`) varies what they vary. Everything about *serving* — tick latency,
+//! The last is not in the paper; it stays because no workload of the
+//! serving benchmark (`benchmark/`, `bash benchmark/run.sh --workload …`)
+//! varies what it varies, and no other binary times one-row KV-cached
+//! decode steps. Everything about *serving* — tick latency,
 //! admission, preemption, the pool's launch cost — is measured there.
 //!
 //! Each binary prints an ASCII table and writes `<out>/<csv>.csv`. The

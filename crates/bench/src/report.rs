@@ -138,11 +138,6 @@ impl<F: FnMut(&Record)> Sink<F> {
         }
     }
 
-    /// Change the id later records carry (the ablations emit three).
-    pub(crate) fn experiment(&mut self, experiment: &'static str) {
-        self.experiment = experiment;
-    }
-
     /// Time `f` under [`measure_auto`] and record it as `case`.
     pub(crate) fn time(&mut self, case: Record, f: impl FnMut()) -> BenchStat {
         let stat = measure_auto(self.protocol, self.budget_s, f);
@@ -352,7 +347,6 @@ mod tests {
         });
         let mut calls = 0;
         let stat = sink.time(Record::case("timed", 8, 2).sf(0.5, 0.25), || calls += 1);
-        sink.experiment("unit_b");
         sink.push(Record::case("pushed", 16, 2).note("n"), stat);
         let records = sink.finish();
         // The pilot run is the warm-up; three timed runs follow.
@@ -361,7 +355,7 @@ mod tests {
         assert_eq!(records[0].experiment, "unit");
         assert_eq!((records[0].sf_target, records[0].sf_achieved), (0.5, 0.25));
         assert_eq!(records[0].mean_s, stat.mean);
-        assert_eq!(records[1].experiment, "unit_b");
+        assert_eq!(records[1].experiment, "unit");
         assert_eq!((records[1].l, records[1].iters), (16, 3));
         assert_eq!(records[1].note, "n");
     }
@@ -431,10 +425,6 @@ mod tests {
                 run_table3(&engine, &Table3Config::for_scale(Quick), none),
             ),
             (
-                "ablations",
-                run_ablations(&engine, &AblationConfig::for_scale(Quick), none),
-            ),
-            (
                 "decode",
                 run_decode(&engine, &DecodeConfig::for_scale(Quick), none),
             ),
@@ -442,9 +432,7 @@ mod tests {
         for (csv, records) in runs {
             assert!(!records.is_empty(), "{csv}");
             for r in records {
-                // The ablations' three ids share one file.
-                let ablation = csv == "ablations" && r.experiment.starts_with("ablation_a");
-                assert!(r.experiment == csv || ablation, "{csv}: {r:?}");
+                assert_eq!(r.experiment, csv, "{r:?}");
                 assert!(r.mean_s > 0.0, "{r:?}");
             }
         }

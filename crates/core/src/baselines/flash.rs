@@ -20,8 +20,7 @@ use gpa_tensor::ops::dot;
 use gpa_tensor::{Matrix, Real};
 
 /// Default K/V tile width (rows of K/V per inner block). 64 keeps a tile of
-/// K, V in L1/L2 for the d range the paper sweeps (64–256); ablation A3
-/// sweeps this.
+/// K, V in L1/L2 for the d range the paper sweeps (64–256).
 pub(crate) const DEFAULT_TILE: usize = 64;
 
 /// Dense FlashAttention-style forward pass with K/V tiling, on the

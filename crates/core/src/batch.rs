@@ -460,7 +460,6 @@ fn reaches_fork_edges<T: Real>(
 mod tests {
     use super::*;
     use crate::dispatch::AttentionKernel;
-    use crate::kernels::CooSearch;
     use gpa_masks::{GlobalSet, LocalWindow, MaskPattern, RandomUniform};
     use gpa_parallel::{ThreadPool, WorkCounter};
     use gpa_tensor::init::qkv;
@@ -595,7 +594,7 @@ mod tests {
         let coo = pat.to_coo();
         let (q, k, v) = qkv::<f64>(l, 4, 73);
 
-        let plan = AttentionPlan::single(AttentionKernel::Coo(&coo, CooSearch::Linear)).unwrap();
+        let plan = AttentionPlan::single(AttentionKernel::Coo(&coo)).unwrap();
         let request = AttentionRequest::new(&q, &k, &v);
         let report_of = |requests: &[AttentionRequest<'_, f64>]| {
             let counter = WorkCounter::new();

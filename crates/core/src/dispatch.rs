@@ -20,7 +20,7 @@
 //!
 //! | Variant | Mask | Rule streamed |
 //! |---|---|---|
-//! | `Coo` (linear / binary search) | explicit | `kernels::explicit::coo_row` |
+//! | `Coo` | explicit | `kernels::explicit::coo_row` (linear row search) |
 //! | `Csr` | explicit | [`CsrMask::row`], handed over whole |
 //! | `Dia` | explicit, `O(#diagonals)` | [`DiaMask::row_neighbors`] |
 //! | `Local` | implicit | [`LocalWindow::stream_row`] |
@@ -30,7 +30,6 @@
 
 use crate::driver::NeighborSink;
 use crate::error::AttnError;
-use crate::kernels::CooSearch;
 use crate::plan::GeometrySpec;
 use gpa_masks::{Dilated1d, Dilated2d, GlobalMinusLocal, GlobalSet, LocalWindow};
 use gpa_parallel::WorkCounter;
@@ -39,8 +38,9 @@ use gpa_sparse::{CooMask, CsrMask, DiaMask};
 /// An attention algorithm selection.
 #[derive(Clone, Copy)]
 pub enum AttentionKernel<'a> {
-    /// Explicit COO mask with the given row-bound search strategy.
-    Coo(&'a CooMask, CooSearch),
+    /// Explicit COO mask; each row's bounds are found by a linear scan
+    /// from row zero, as in the paper.
+    Coo(&'a CooMask),
     /// Explicit CSR mask.
     Csr(&'a CsrMask),
     /// Explicit DIA (diagonal-band) mask.
@@ -77,8 +77,7 @@ impl AttentionKernel<'_> {
     /// Short display name matching the paper's figure legends.
     pub fn name(&self) -> &'static str {
         match self {
-            AttentionKernel::Coo(_, CooSearch::Linear) => "COO",
-            AttentionKernel::Coo(_, CooSearch::Binary) => "COO (binary search)",
+            AttentionKernel::Coo(_) => "COO",
             AttentionKernel::Csr(_) => "CSR",
             AttentionKernel::Dia(_) => "DIA",
             AttentionKernel::Local { .. } => "Local",
@@ -115,7 +114,7 @@ impl AttentionKernel<'_> {
     pub(crate) fn geometry_spec(&self) -> GeometrySpec {
         let mut spec = GeometrySpec::default();
         match self {
-            AttentionKernel::Coo(mask, _) => {
+            AttentionKernel::Coo(mask) => {
                 spec.kv_pin = Some(mask.cols());
                 spec.q_abs_bound = Some(mask.rows());
             }
@@ -189,9 +188,7 @@ impl AttentionKernel<'_> {
         use crate::kernels::explicit;
         let push = |j| sink.push(j);
         match self {
-            AttentionKernel::Coo(mask, search) => {
-                explicit::coo_row(mask, *search, i, counter, sink)
-            }
+            AttentionKernel::Coo(mask) => explicit::coo_row(mask, i, counter, sink),
             AttentionKernel::Csr(mask) => explicit::csr_row(mask, i, sink),
             AttentionKernel::Dia(mask) => mask.row_neighbors(i).for_each(push),
             AttentionKernel::Local { n } => LocalWindow::stream_row(kv_len, *n, i, push),

@@ -8,23 +8,11 @@
 //! - **COO**: the kernel must *search* for its row's segment. The paper's
 //!   implementation scans linearly from position 0, so "the search cost
 //!   grows as the algorithm strays farther from row zero" — the reason COO
-//!   underperforms every other kernel. [`CooSearch::Linear`] reproduces
-//!   that; [`CooSearch::Binary`] is the fix studied as ablation A1.
+//!   underperforms every other kernel. `coo_row` reproduces that scan.
 
 use crate::driver::NeighborSink;
 use gpa_parallel::{LocalTally, WorkCounter};
 use gpa_sparse::{CooMask, CsrMask};
-
-/// Row-bound search strategy for the COO kernel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum CooSearch {
-    /// Scan from the start of the index vectors, as the paper's kernel
-    /// does. Cost grows linearly with the row position.
-    #[default]
-    Linear,
-    /// Binary search on the sorted row-index vector (ablation A1).
-    Binary,
-}
 
 /// Stream row `i`'s neighbors from a CSR mask: one slice, handed over whole.
 #[inline]
@@ -32,31 +20,23 @@ pub(crate) fn csr_row(mask: &CsrMask, i: usize, sink: &mut impl NeighborSink) {
     sink.extend(mask.row(i));
 }
 
-/// Stream row `i`'s neighbors from a COO mask under the given search
-/// strategy. The linear search's scanned-prefix length is flushed to
-/// `counter` (a per-row quantity, distinct from the driver's per-edge
-/// tally).
+/// Stream row `i`'s neighbors from a COO mask, found by scanning the row
+/// indices from position 0 as the paper's kernel does. The scanned-prefix
+/// length is flushed to `counter` (a per-row quantity, distinct from the
+/// driver's per-edge tally).
 #[inline]
 pub(crate) fn coo_row(
     mask: &CooMask,
-    search: CooSearch,
     i: usize,
     counter: Option<&WorkCounter>,
     sink: &mut impl NeighborSink,
 ) {
-    let cols = mask.col_indices();
-    let (lo, hi) = match search {
-        CooSearch::Linear => {
-            let (lo, hi, scanned) = mask.row_bounds_linear(i);
-            if let Some(counter) = counter {
-                let mut t = LocalTally::new(counter);
-                t.searched(scanned as u64);
-            }
-            (lo, hi)
-        }
-        CooSearch::Binary => mask.row_bounds_binary(i),
-    };
-    sink.extend(&cols[lo..hi]);
+    let (lo, hi, scanned) = mask.row_bounds_linear(i);
+    if let Some(counter) = counter {
+        let mut t = LocalTally::new(counter);
+        t.searched(scanned as u64);
+    }
+    sink.extend(&mask.col_indices()[lo..hi]);
 }
 
 #[cfg(test)]
@@ -74,13 +54,10 @@ mod tests {
     }
 
     #[test]
-    fn coo_linear_and_binary_agree_with_csr() {
+    fn coo_agrees_with_csr() {
         let pat = RandomUniform::new(40, 0.15, 9);
         let (coo, csr) = (pat.to_coo(), pat.to_csr());
-        for search in [CooSearch::Linear, CooSearch::Binary] {
-            let kernel = AttentionKernel::Coo(&coo, search);
-            assert_kernel_computes_mask(kernel, &csr, 8, &format!("{search:?}"));
-        }
+        assert_kernel_computes_mask(AttentionKernel::Coo(&coo), &csr, 8, "coo");
     }
 
     #[test]
@@ -100,11 +77,7 @@ mod tests {
         assert_eq!(searches_of(AttentionKernel::Csr(&csr)), 0);
         // The linear search scanned a prefix per row: strictly positive for
         // any mask with entries beyond row 0.
-        assert!(searches_of(AttentionKernel::Coo(&coo, CooSearch::Linear)) > 0);
-        assert_eq!(
-            searches_of(AttentionKernel::Coo(&coo, CooSearch::Binary)),
-            0
-        );
+        assert!(searches_of(AttentionKernel::Coo(&coo)) > 0);
     }
 
     #[test]
@@ -117,7 +90,7 @@ mod tests {
         let (q, k, v) = qkv::<f64>(l, 4, 3);
         let engine = counting_engine();
         let _ = engine
-            .run_kernel(AttentionKernel::Coo(&coo, CooSearch::Linear), &q, &k, &v)
+            .run_kernel(AttentionKernel::Coo(&coo), &q, &k, &v)
             .unwrap();
         let searches = engine.work_report().unwrap().neighbor_searches;
         let nnz = pat.nnz() as u64;

@@ -7,8 +7,6 @@
 
 pub mod explicit;
 
-pub use explicit::CooSearch;
-
 #[cfg(test)]
 pub(crate) mod testing {
     use crate::{masked_sdp, AttentionEngine, AttentionKernel};
@@ -50,7 +48,7 @@ pub(crate) mod testing {
 #[cfg(test)]
 mod tests {
     use super::testing::counting_engine;
-    use crate::{masked_sdp, AttentionEngine, AttentionKernel, CooSearch};
+    use crate::{masked_sdp, AttentionEngine, AttentionKernel};
     use gpa_masks::{
         dilated1d_width_for_sparsity, dilated2d_block_for_sparsity, global_count_for_sparsity,
         local_window_for_sparsity, GlobalSet, LocalWindow, MaskPattern,
@@ -87,7 +85,7 @@ mod tests {
         /// The six graph kernels in the order of Fig. 3's legend.
         fn kernels(&self) -> [AttentionKernel<'_>; 6] {
             [
-                AttentionKernel::Coo(&self.coo, CooSearch::Linear),
+                AttentionKernel::Coo(&self.coo),
                 AttentionKernel::Csr(&self.csr),
                 AttentionKernel::Global {
                     globals: &self.globals,
@@ -125,8 +123,8 @@ mod tests {
 
     #[test]
     fn all_cases_run_and_agree_across_formats() {
-        // COO (both searches), CSR, DIA, Local and masked SDP read one
-        // fitted window: identical outputs.
+        // COO, CSR, DIA, Local and masked SDP read one fitted window:
+        // identical outputs.
         let l = 64;
         let (q, k, v) = qkv::<f32>(l, 8, 3);
         let engine = AttentionEngine::with_threads(2);
@@ -135,8 +133,7 @@ mod tests {
         let run = |kernel| engine.run_kernel(kernel, &q, &k, &v).unwrap();
         let csr = run(AttentionKernel::Csr(&masks.csr));
         for kernel in [
-            AttentionKernel::Coo(&masks.coo, CooSearch::Linear),
-            AttentionKernel::Coo(&masks.coo, CooSearch::Binary),
+            AttentionKernel::Coo(&masks.coo),
             AttentionKernel::Dia(&dia),
             AttentionKernel::Local { n: masks.window },
         ] {

@@ -17,8 +17,7 @@
 //! that runs them all:
 //!
 //! - Explicit masks: [`AttentionKernel::Coo`] (with the paper's linear
-//!   row-bound search or a binary-search ablation, [`CooSearch`]),
-//!   [`AttentionKernel::Csr`], [`AttentionKernel::Dia`];
+//!   row-bound search), [`AttentionKernel::Csr`], [`AttentionKernel::Dia`];
 //! - Implicit "ordered sparsity": [`AttentionKernel::Local`],
 //!   [`AttentionKernel::Dilated1d`], [`AttentionKernel::Dilated2d`],
 //!   [`AttentionKernel::Global`];
@@ -77,7 +76,6 @@ pub use driver::absorb_edge;
 pub use engine::{AttentionEngine, AttentionEngineBuilder};
 pub use error::AttnError;
 pub use geometry::Geometry;
-pub use kernels::CooSearch;
 pub use multihead::{MultiHeadAttention, ProjectedHeads};
 // `SwapArena` and its `SwapTicket` stay for the serving benchmark alone.
 pub use pages::{PagePool, SeqId, SwapArena, SwapTicket};

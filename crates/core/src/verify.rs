@@ -15,7 +15,6 @@
 use crate::baselines::masked_sdp;
 use crate::dispatch::AttentionKernel;
 use crate::engine::AttentionEngine;
-use crate::kernels::CooSearch;
 use gpa_masks::{
     longformer, Dilated1d, Dilated2d, GlobalMinusLocal, GlobalSet, LocalWindow, MaskPattern,
     RandomUniform,
@@ -120,11 +119,13 @@ pub fn run_verification_at(
         ("longformer-union", &longformer),
     ] {
         let coo = csr.to_coo();
-        let linear = AttentionKernel::Coo(&coo, CooSearch::Linear);
         compare(
             mask_name,
             csr,
-            &[("CSR", AttentionKernel::Csr(csr)), ("COO", linear)],
+            &[
+                ("CSR", AttentionKernel::Csr(csr)),
+                ("COO", AttentionKernel::Coo(&coo)),
+            ],
         );
     }
 

@@ -30,6 +30,10 @@ pub struct RowWriter<'a, T> {
 // Transferring the view across threads is therefore as safe as
 // transferring `&mut [T]` split into disjoint chunks.
 unsafe impl<T: Send> Send for RowWriter<'_, T> {}
+// SAFETY: a shared `&RowWriter` reaches the buffer only through `row_mut`
+// and `CellWriter::cell_mut`, and their callers guarantee that no two
+// threads hold the same row, so threads only ever hold disjoint `&mut`
+// rows, which needs `T: Send` and no more (`parallel_disjoint_writes_are_complete`).
 unsafe impl<T: Send> Sync for RowWriter<'_, T> {}
 
 impl<'a, T> RowWriter<'a, T> {
@@ -62,9 +66,11 @@ impl<'a, T> RowWriter<'a, T> {
     #[inline(always)]
     pub unsafe fn row_mut(&self, i: usize) -> &mut [T] {
         assert!(i < self.rows, "row {i} out of {} rows", self.rows);
-        // SAFETY (deref): `data` points into a live `&'a mut [T]` of exactly
-        // rows×row_len elements (checked in `new`), so the offset is in
-        // bounds. Uniqueness of the &mut is the caller's contract above.
+        // SAFETY: `data` points into a live `&'a mut [T]` of exactly
+        // rows × row_len elements (checked in `new`), and `i < rows` was
+        // asserted above, so `i * row_len + row_len ≤ rows × row_len`: the
+        // row is in bounds (`out_of_range_row_panics`). Uniqueness of the
+        // `&mut` is the caller's contract above.
         unsafe {
             let start = self.data.add(i * self.row_len) as *mut T;
             std::slice::from_raw_parts_mut(start, self.row_len)
@@ -113,6 +119,8 @@ mod tests {
             let writer = RowWriter::new(&mut buf, 8, 4);
             // Serial use: write each row once.
             for i in 0..8 {
+                // SAFETY: one thread, and row `i`'s borrow ends before the
+                // next row is taken.
                 let row = unsafe { writer.row_mut(i) };
                 for (j, v) in row.iter_mut().enumerate() {
                     *v = (i * 10 + j) as u64;
@@ -151,6 +159,8 @@ mod tests {
     fn out_of_range_row_panics() {
         let mut buf = vec![0u8; 4];
         let writer = RowWriter::new(&mut buf, 2, 2);
+        // SAFETY: no other borrow exists; row 2 of 2 fails `row_mut`'s
+        // bounds assertion before any pointer is formed.
         let _ = unsafe { writer.row_mut(2) };
     }
 

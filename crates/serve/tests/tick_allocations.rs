@@ -64,17 +64,25 @@ fn count_one(bytes: usize) {
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count_one(layout.size());
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract for
+        // `layout` (non-zero size), which is all `System.alloc` needs.
         unsafe { System.alloc(layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         count_one(layout.size());
+        // SAFETY: as for `alloc`: the caller's `layout` has non-zero size.
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         count_one(new_size);
+        // SAFETY: the caller guarantees `ptr` came from this allocator, hence
+        // from `System`, with `layout`, and that `new_size` is non-zero and
+        // does not overflow `isize` when rounded to `layout.align()`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller guarantees `ptr` came from this allocator, hence
+        // from `System`, with the same `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 }

@@ -152,21 +152,12 @@ impl CooMask {
             .map(|(&r, &c)| (r as usize, c as usize))
     }
 
-    /// Membership test by binary search.
+    /// Membership test: the row's bounds by linear scan, then a binary
+    /// search of its sorted columns.
     #[cfg(test)]
     pub fn contains(&self, row: usize, col: usize) -> bool {
-        let (lo, hi) = self.row_bounds_binary(row);
+        let (lo, hi, _) = self.row_bounds_linear(row);
         self.col_idx[lo..hi].binary_search(&(col as Idx)).is_ok()
-    }
-
-    /// The half-open `[lo, hi)` range of entry positions belonging to `row`,
-    /// found by binary search. Used by the optimized COO kernel variant
-    /// (ablation A1).
-    pub fn row_bounds_binary(&self, row: usize) -> (usize, usize) {
-        let r = row as Idx;
-        let lo = self.row_idx.partition_point(|&x| x < r);
-        let hi = self.row_idx.partition_point(|&x| x <= r);
-        (lo, hi)
     }
 
     /// The `[lo, hi)` range of positions for `row` found by *linear scan
@@ -204,6 +195,7 @@ pub(crate) fn check_shape(rows: usize, cols: usize) -> Result<(), SparseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CsrMask;
 
     fn sample() -> CooMask {
         CooMask::from_entries(4, 4, vec![(2, 1), (0, 0), (0, 3), (2, 2), (3, 0)]).unwrap()
@@ -256,16 +248,14 @@ mod tests {
     }
 
     #[test]
-    fn row_bounds_binary_and_linear_agree() {
+    fn row_bounds_linear_match_csr_offsets() {
         let m = sample();
+        let offsets = CsrMask::from_coo(&m).row_offsets().to_vec();
+        assert_eq!(offsets, [0, 2, 2, 4, 5]);
         for row in 0..4 {
-            let (blo, bhi) = m.row_bounds_binary(row);
-            let (llo, lhi, _) = m.row_bounds_linear(row);
-            assert_eq!((blo, bhi), (llo, lhi), "row {row}");
+            let (lo, hi, _) = m.row_bounds_linear(row);
+            assert_eq!((lo, hi), (offsets[row], offsets[row + 1]), "row {row}");
         }
-        // Row 1 is empty: bounds must be an empty range.
-        let (lo, hi) = m.row_bounds_binary(1);
-        assert_eq!(lo, hi);
     }
 
     #[test]

@@ -89,17 +89,16 @@ mod proptests {
             prop_assert_eq!(union, b.union(&a));
         }
 
-        /// Linear and binary row-bound searches agree on every row, and the
-        /// linear scan inspects exactly the prefix up to the row's end.
+        /// The linear row-bound scan finds every row's CSR offsets (counted,
+        /// not searched), and inspects exactly the prefix up to the row's end.
         #[test]
         fn row_bounds_agree(entries in arb_entries(32)) {
             let coo = CooMask::from_entries(32, 32, entries).unwrap();
+            let offsets = CsrMask::from_coo(&coo).row_offsets().to_vec();
             for row in 0..32 {
-                let (blo, bhi) = coo.row_bounds_binary(row);
-                let (llo, lhi, scanned) = coo.row_bounds_linear(row);
-                prop_assert_eq!((blo, bhi), (llo, lhi));
-                prop_assert!(scanned >= bhi);
-                prop_assert!(scanned <= coo.nnz());
+                let (lo, hi, scanned) = coo.row_bounds_linear(row);
+                prop_assert_eq!((lo, hi), (offsets[row], offsets[row + 1]));
+                prop_assert_eq!(scanned, hi);
             }
         }
 

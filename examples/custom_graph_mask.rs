@@ -75,14 +75,14 @@ fn main() {
         report.is_work_optimal(graph.nnz() as u64)
     );
 
-    // The same graph runs through the COO format too (binary search).
+    // The same graph runs through the COO format too (linear row search).
     let coo = graph.to_coo();
     let coo_plan = engine
-        .compile(&[AttentionKernel::Coo(&coo, CooSearch::Binary)])
+        .compile(&[AttentionKernel::Coo(&coo)])
         .expect("COO plan");
     let out_coo = engine.run(&coo_plan, &q, &k, &v).expect("COO run");
     println!(
-        "COO (binary search) agrees with CSR: {}",
+        "COO agrees with CSR: {}",
         paper_allclose(&out_coo.cast::<f64>(), &out.cast::<f64>())
     );
 

@@ -74,6 +74,8 @@ pub mod deque {
     // sequence number protocol (write before Release store, read after
     // Acquire load of the matching sequence value).
     unsafe impl<T: Send> Sync for Injector<T> {}
+    // SAFETY: the ring owns the tasks it holds and no thread-bound state,
+    // so moving it to another thread moves `T`s, which `T: Send` allows.
     unsafe impl<T: Send> Send for Injector<T> {}
 
     impl<T> Injector<T> {
@@ -112,6 +114,11 @@ pub mod deque {
                         Ordering::Relaxed,
                     ) {
                         Ok(_) => {
+                            // SAFETY: `seq == pos` says the slot is empty
+                            // for this lap, and the CAS made this thread the
+                            // only producer of `pos`; no consumer reads the
+                            // slot before the Release store of `pos + 1`
+                            // below (`stress_injector_churn_with_drop_mid_flight`).
                             unsafe { (*slot.value.get()).write(task) };
                             slot.sequence.store(pos.wrapping_add(1), Ordering::Release);
                             return Ok(());
@@ -142,6 +149,12 @@ pub mod deque {
                         Ordering::Relaxed,
                     ) {
                         Ok(_) => {
+                            // SAFETY: `seq == pos + 1` was loaded with
+                            // Acquire after the producer's Release store, so
+                            // the value is initialised and visible; the CAS
+                            // made this thread the only consumer of `pos`, and
+                            // no producer rewrites the slot before the store
+                            // of `pos + capacity` below.
                             let task = unsafe { (*slot.value.get()).assume_init_read() };
                             slot.sequence
                                 .store(pos.wrapping_add(self.mask + 1), Ordering::Release);
@@ -172,6 +185,11 @@ pub mod deque {
             let tail = *self.tail.get_mut();
             for pos in head..tail {
                 let slot = &mut self.slots[pos & self.mask];
+                // SAFETY: `&mut self` means no push or steal is running;
+                // every position in `head..tail` was written by a push that
+                // has returned and was never read by a steal, so it holds an
+                // initialised task that is dropped exactly once here
+                // (`stress_injector_churn_with_drop_mid_flight`).
                 unsafe { (*slot.value.get()).assume_init_drop() };
             }
         }

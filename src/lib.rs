@@ -105,8 +105,7 @@ pub use gpa_tensor as tensor;
 pub mod prelude {
     pub use gpa_core::{
         flash_attention, masked_sdp, AttentionEngine, AttentionEngineBuilder, AttentionKernel,
-        AttentionPlan, AttentionRequest, AttentionState, CooSearch, Geometry, KvCache,
-        MultiHeadAttention,
+        AttentionPlan, AttentionRequest, AttentionState, Geometry, KvCache, MultiHeadAttention,
     };
     pub use gpa_masks::{bigbird, longformer, GlobalSet, LocalWindow, LongNetPattern, MaskPattern};
     pub use gpa_model::{DecoderModel, LayerPattern, ModelKvState};

@@ -77,8 +77,7 @@ proptest! {
 
     /// Explicit masks pin the context length; a shared-mask batch must be
     /// bitwise equal to per-sequence launches for both explicit formats
-    /// (CSR and COO with both searches), the DIA format, and the global
-    /// kernel.
+    /// (CSR and COO), the DIA format, and the global kernel.
     #[test]
     fn fixed_length_batches_exact_for_explicit_and_global_kernels(
         l in 4usize..40,
@@ -99,8 +98,7 @@ proptest! {
         let globals = GlobalSet::evenly_spaced(l, n_globals);
         for kernel in [
             AttentionKernel::Csr(&csr),
-            AttentionKernel::Coo(&coo, CooSearch::Linear),
-            AttentionKernel::Coo(&coo, CooSearch::Binary),
+            AttentionKernel::Coo(&coo),
             AttentionKernel::Dia(&dia),
             // Global, minus a small local window.
             AttentionKernel::Global { globals: &globals, n_sub: (seed % 3) as usize },

@@ -39,8 +39,8 @@
 //! A failure prints the table the code now computes.
 
 use graph_attention::core::{
-    flash_attention_tiled, masked_sdp, AttentionEngine, AttentionKernel, AttentionPlan, CooSearch,
-    KvCache, PagePool,
+    flash_attention_tiled, masked_sdp, AttentionEngine, AttentionKernel, AttentionPlan, KvCache,
+    PagePool,
 };
 use graph_attention::masks::{
     bigbird, longformer, longformer_dilated, GlobalMinusLocal, GlobalSet, LocalWindow, MaskPattern,
@@ -278,7 +278,7 @@ fn plan_digests<T: Bits>(
         block_size: l / 8,
         r: 1,
     };
-    let coo = AttentionKernel::Coo(&bigbird_coo, CooSearch::Linear);
+    let coo = AttentionKernel::Coo(&bigbird_coo);
     let random_rest = AttentionKernel::Csr(&fig6.random_rest);
     let plans: [(&str, &[AttentionKernel<'_>]); 9] = [
         ("Local", &[local]),

@@ -42,8 +42,8 @@ fn restrict_square(mask: &CsrMask, prefix: usize) -> CsrMask {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Property 1, the kernel table — every graph kernel variant (COO
-    /// linear/binary, CSR, DIA, Local, Dilated-1D, Dilated-2D, Global) ×
+    /// Property 1, the kernel table — every graph kernel variant (COO,
+    /// CSR, DIA, Local, Dilated-1D, Dilated-2D, Global) ×
     /// {square, a mid-sequence `row_range` window, the decode row}: the square run is `paper_allclose` to
     /// `masked_sdp` over the materialized mask, and the window and the
     /// decode row are bitwise equal to (a) the rectangular-CSR reference
@@ -70,8 +70,7 @@ proptest! {
         let (csr, coo) = (random.to_csr(), random.to_coo());
 
         let square_masks: Vec<(AttentionKernel<'_>, CsrMask)> = vec![
-            (AttentionKernel::Coo(&coo, CooSearch::Linear), csr.clone()),
-            (AttentionKernel::Coo(&coo, CooSearch::Binary), csr.clone()),
+            (AttentionKernel::Coo(&coo), csr.clone()),
             (AttentionKernel::Csr(&csr), csr.clone()),
             (AttentionKernel::Dia(&dia), dia.to_csr()),
             (AttentionKernel::Local { n }, LocalWindow::new(l, n).to_csr()),
@@ -151,7 +150,7 @@ proptest! {
             AttentionKernel::Global { globals: &globals, n_sub: n },
             AttentionKernel::Dia(&dia),
             AttentionKernel::Csr(&csr),
-            AttentionKernel::Coo(&coo, CooSearch::Linear),
+            AttentionKernel::Coo(&coo),
         ];
         for kernel in &kernels {
             let plan = e.compile(std::slice::from_ref(kernel)).unwrap();
@@ -254,7 +253,7 @@ proptest! {
                 AttentionKernel::Global { globals: &globals, n_sub: n },
                 AttentionKernel::Dia(&dia),
                 AttentionKernel::Csr(&csr),
-                AttentionKernel::Coo(&coo, CooSearch::Binary),
+                AttentionKernel::Coo(&coo),
             ];
             for kernel in &pinned {
                 let plan = e.compile(std::slice::from_ref(kernel)).unwrap();
@@ -386,7 +385,7 @@ proptest! {
                 AttentionKernel::Global { globals: &globals, n_sub: n },
                 AttentionKernel::Dia(&dia),
                 AttentionKernel::Csr(&csr),
-                AttentionKernel::Coo(&coo, CooSearch::Binary),
+                AttentionKernel::Coo(&coo),
             ];
             pinned
                 .iter()
@@ -560,7 +559,7 @@ proptest! {
                 AttentionKernel::Global { globals: &globals, n_sub: n },
                 AttentionKernel::Dia(&dia),
                 AttentionKernel::Csr(&csr),
-                AttentionKernel::Coo(&coo, CooSearch::Binary),
+                AttentionKernel::Coo(&coo),
             ];
             pinned
                 .iter()
@@ -942,14 +941,7 @@ fn row_ranges_equal_copied_windows<T: Real>(
         ),
         ("Global", vec![longformer[1]]),
         ("Csr", vec![AttentionKernel::Csr(&csr)]),
-        (
-            "Coo/linear",
-            vec![AttentionKernel::Coo(&coo, CooSearch::Linear)],
-        ),
-        (
-            "Coo/binary",
-            vec![AttentionKernel::Coo(&coo, CooSearch::Binary)],
-        ),
+        ("Coo", vec![AttentionKernel::Coo(&coo)]),
         ("Dia", vec![AttentionKernel::Dia(&dia)]),
         ("Longformer", longformer.to_vec()),
         ("BigBird", bigbird.to_vec()),

@@ -755,18 +755,22 @@ fn launch_failure_rolls_back_and_over_capacity_is_rejected_cleanly() {
         eviction: EvictionMode::Recompute,
         swap_bytes: usize::MAX,
     };
-    let mut scheduler: Scheduler<'static, f64> =
+    // A Global set pinned to a context length no sequence will ever have:
+    // compiles fine, passes submission checks, fails request validation
+    // inside the batched launch.
+    let globals = GlobalSet::new(97, vec![0]);
+    let mut scheduler: Scheduler<'_, f64> =
         Scheduler::new(AttentionEngine::with_threads(2), config).unwrap();
     let healthy = scheduler
         .register_plan(AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap())
         .unwrap();
-    // A Global set pinned to a context length no sequence will ever have:
-    // compiles fine, passes submission checks, fails request validation
-    // inside the batched launch.
-    let globals: &'static GlobalSet = Box::leak(Box::new(GlobalSet::new(97, vec![0])));
     let broken = scheduler
         .register_plan(
-            AttentionPlan::single(AttentionKernel::Global { globals, n_sub: 0 }).unwrap(),
+            AttentionPlan::single(AttentionKernel::Global {
+                globals: &globals,
+                n_sub: 0,
+            })
+            .unwrap(),
         )
         .unwrap();
 
@@ -908,22 +912,22 @@ struct Script {
 }
 
 /// The rollback-matrix rig: a healthy plan and a healthy 3-layer stack,
-/// plus a plan and a 3-layer stack over a `Global` kernel pinned to `pin`
-/// cached tokens. A sequence whose prompt is `pin` long prefills cleanly
+/// plus a plan and a 3-layer stack over a `Global` kernel on `globals`,
+/// which pins them to `pin = globals.context_len()` cached tokens. A
+/// sequence whose prompt is `pin` long prefills cleanly
 /// under the pinned kernel (a plan sequence over `ceil(pin / chunk)`
 /// ticks, a stack in one chunk of at least `pin` rows) and fails at its
 /// first decode row, so a script places the failing tick at will.
-struct Rig {
-    scheduler: Scheduler<'static, f64>,
+struct Rig<'a> {
+    scheduler: Scheduler<'a, f64>,
     healthy: PlanId,
     pinned: PlanId,
     stack: ModelId,
     pinned_stack: ModelId,
 }
 
-fn build_rig(config: ServeConfig, pin: usize) -> Rig {
+fn build_rig(config: ServeConfig, globals: &GlobalSet) -> Rig<'_> {
     let mut scheduler = Scheduler::new(AttentionEngine::with_threads(2), config).unwrap();
-    let globals: &'static GlobalSet = Box::leak(Box::new(GlobalSet::new(pin, vec![0])));
     let local = || AttentionPlan::single(AttentionKernel::Local { n: 2 }).unwrap();
     let global = || AttentionPlan::single(AttentionKernel::Global { globals, n_sub: 0 }).unwrap();
     let healthy = scheduler.register_plan(local()).unwrap();
@@ -1045,13 +1049,13 @@ fn script_tick(
 
 /// A fresh rig driven through every tick before the script's failing
 /// one, with the failing tick's arrivals already queued.
-fn rig_at_fail_tick(
+fn rig_at_fail_tick<'a>(
     config: ServeConfig,
-    pin: usize,
-    script: &impl Fn(&Rig, bool) -> Script,
+    globals: &'a GlobalSet,
+    script: &impl Fn(&Rig<'_>, bool) -> Script,
     broken: bool,
-) -> (Rig, Script, usize, Vec<Completion<f64>>) {
-    let mut rig = build_rig(config, pin);
+) -> (Rig<'a>, Script, usize, Vec<Completion<f64>>) {
+    let mut rig = build_rig(config, globals);
     let script = script(&rig, broken);
     let (mut next, mut completions) = (0, Vec::new());
     while rig.scheduler.now() < script.fail_tick {
@@ -1064,7 +1068,7 @@ fn rig_at_fail_tick(
 /// Cancel the offender and drain to idle: every tick's trail, plus the
 /// completions checked bitwise against the sequential references.
 fn cancel_and_drain(
-    rig: &mut Rig,
+    rig: &mut Rig<'_>,
     script: &Script,
     mut next: usize,
     mut completions: Vec<Completion<f64>>,
@@ -1115,14 +1119,15 @@ struct Outcome {
 fn assert_failed_tick_leaves_no_trace(
     config: ServeConfig,
     pin: usize,
-    script: impl Fn(&Rig, bool) -> Script,
+    script: impl Fn(&Rig<'_>, bool) -> Script,
 ) -> Outcome {
+    let globals = GlobalSet::new(pin, vec![0]);
     // Witness: what the failing tick stages.
-    let (mut rig, twin, mut next, mut sink) = rig_at_fail_tick(config, pin, &script, false);
+    let (mut rig, twin, mut next, mut sink) = rig_at_fail_tick(config, &globals, &script, false);
     let staged = script_tick(&mut rig.scheduler, &twin, &mut next, &mut sink).unwrap();
 
     // The failing run.
-    let (mut rig, broken, next, completions) = rig_at_fail_tick(config, pin, &script, true);
+    let (mut rig, broken, next, completions) = rig_at_fail_tick(config, &globals, &script, true);
     let before = fingerprint(&rig.scheduler);
     let err = rig.scheduler.tick().unwrap_err();
     rig.scheduler.assert_kv_invariants();
@@ -1147,7 +1152,7 @@ fn assert_failed_tick_leaves_no_trace(
     let (trails, completions) = cancel_and_drain(&mut rig, &broken, next, completions);
 
     // Control: the same run, never having attempted the failing tick.
-    let (mut rig, broken, next, control) = rig_at_fail_tick(config, pin, &script, true);
+    let (mut rig, broken, next, control) = rig_at_fail_tick(config, &globals, &script, true);
     assert!(rig.scheduler.cancel(offender));
     let (control_trails, control) = cancel_and_drain(&mut rig, &broken, next, control);
     assert_eq!(trails, control_trails, "the schedule after a failed tick");

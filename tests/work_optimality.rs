@@ -3,9 +3,7 @@
 //! `O(Sf·L²·d)` and not an operation more — while the dense baselines
 //! always perform `L²`.
 
-use graph_attention::core::{
-    flash_attention, masked_sdp, AttentionEngine, AttentionKernel, CooSearch,
-};
+use graph_attention::core::{flash_attention, masked_sdp, AttentionEngine, AttentionKernel};
 use graph_attention::masks::{
     Dilated1d, Dilated2d, GlobalMinusLocal, GlobalSet, LocalWindow, LongNetPattern, MaskPattern,
     RandomUniform,
@@ -52,14 +50,9 @@ fn explicit_kernels_match_nnz_on_every_mask_family() {
             "CSR on {name}"
         );
         assert_eq!(
-            dot_count(&engine, &AttentionKernel::Coo(&coo, CooSearch::Linear), l),
+            dot_count(&engine, &AttentionKernel::Coo(&coo), l),
             nnz,
-            "COO linear on {name}"
-        );
-        assert_eq!(
-            dot_count(&engine, &AttentionKernel::Coo(&coo, CooSearch::Binary), l),
-            nnz,
-            "COO binary on {name}"
+            "COO on {name}"
         );
     }
 }
@@ -148,7 +141,7 @@ fn coo_linear_search_overhead_is_the_only_extra_work() {
     let l = 64;
     let engine = counting_engine();
     let coo = LocalWindow::new(l, 2).to_coo();
-    let linear = AttentionKernel::Coo(&coo, CooSearch::Linear);
+    let linear = AttentionKernel::Coo(&coo);
     assert_eq!(dot_count(&engine, &linear, l), coo.nnz() as u64);
     let searches = engine.work_report().unwrap().neighbor_searches;
     assert!(searches > 0);
