@@ -27,6 +27,9 @@
 //! - [`MODEL_ODD`]: the same stack at projection widths that are no
 //!   multiple of 16 and a head width that is no multiple of 4, so the
 //!   projections' and the row tile's remainder columns are pinned;
+//! - [`MODEL_WIDE`]: the same stack at a served layer's shape (`d_model`
+//!   128, four heads of `dk` 32), so the projections' 32- and 64-column
+//!   tiles, and a lone row's, are pinned;
 //! - [`MODEL_ZEROS`], [`ZERO_QUERIES`]: inputs with exact zeros (see
 //!   [`with_exact_zeros`]) — the stack's input, so the projections skip
 //!   zero factors end to end, and the queries of Fig. 6's Longformer
@@ -150,6 +153,16 @@ const MODEL_ODD: [(&str, u64, u64); 3] = [
     ("forward", 0x63dbdbe9745bf1d1, 0x45e781bd0b0b0883),
     ("prefill", 0x63842876a2f80244, 0x50d885cfa69d9c8e),
     ("decode", 0x51843a69a9a1bd6c, 0x843a49973d5cc0ea),
+];
+
+/// [`MODEL`] at `d_model` 128, four heads of `dk` 32 (the serving
+/// benchmark's layer): the fused `[Wq|Wk|Wv]` is 384 columns and `Wo` 128,
+/// so every projection runs whole 32- and 64-column tiles, and a chunk's
+/// odd last row and the decoded row run the lone-row tile.
+const MODEL_WIDE: [(&str, u64, u64); 3] = [
+    ("forward", 0x9a8911fbe495fa22, 0x600094ba62968a41),
+    ("prefill", 0xab42337d474026bb, 0x29c1c60d91ae3136),
+    ("decode", 0x5e6518d9b00cdb79, 0x1b33e1e9d4dcbf7f),
 ];
 
 /// [`MODEL`] over an input [`with_exact_zeros`].
@@ -518,6 +531,13 @@ fn odd_width_decoder_model_digests() {
     let f32s = model_digests::<f32>(20, 2, 10, false);
     let f64s = model_digests::<f64>(20, 2, 10, false);
     check(pair_up(&MODEL_ODD, &f32s, &f64s), &MODEL_ODD);
+}
+
+#[test]
+fn wide_decoder_model_digests() {
+    let f32s = model_digests::<f32>(128, 4, 32, false);
+    let f64s = model_digests::<f64>(128, 4, 32, false);
+    check(pair_up(&MODEL_WIDE, &f32s, &f64s), &MODEL_WIDE);
 }
 
 /// The zero-skip of the projections, end to end: whole input rows of `+0`
