@@ -603,7 +603,7 @@ mod tests {
         };
         let single = report_of(&[request]);
         // The scanned prefixes, summed over rows, are the mask's alone.
-        let scanned: u64 = (0..l).map(|i| coo.row_bounds_linear(i).2 as u64).sum();
+        let scanned: u64 = (0..l).map(|i| coo.row_bounds_linear(i).1 as u64).sum();
         assert!(scanned > 0 && single.neighbor_searches == scanned);
         let batch = report_of(&[request; 3]);
         assert_eq!(batch.neighbor_searches, 3 * single.neighbor_searches);

@@ -22,8 +22,8 @@ pub(crate) fn csr_row(mask: &CsrMask, i: usize, sink: &mut impl NeighborSink) {
 
 /// Stream row `i`'s neighbors from a COO mask, found by scanning the row
 /// indices from position 0 as the paper's kernel does. The scanned-prefix
-/// length is flushed to `counter` (a per-row quantity, distinct from the
-/// driver's per-edge tally).
+/// length, the row's end `hi`, is flushed to `counter` (a per-row
+/// quantity, distinct from the driver's per-edge tally).
 #[inline]
 pub(crate) fn coo_row(
     mask: &CooMask,
@@ -31,10 +31,10 @@ pub(crate) fn coo_row(
     counter: Option<&WorkCounter>,
     sink: &mut impl NeighborSink,
 ) {
-    let (lo, hi, scanned) = mask.row_bounds_linear(i);
+    let (lo, hi) = mask.row_bounds_linear(i);
     if let Some(counter) = counter {
         let mut t = LocalTally::new(counter);
-        t.searched(scanned as u64);
+        t.searched(hi as u64);
     }
     sink.extend(&mask.col_indices()[lo..hi]);
 }

@@ -156,7 +156,7 @@ impl CooMask {
     /// search of its sorted columns.
     #[cfg(test)]
     pub fn contains(&self, row: usize, col: usize) -> bool {
-        let (lo, hi, _) = self.row_bounds_linear(row);
+        let (lo, hi) = self.row_bounds_linear(row);
         self.col_idx[lo..hi].binary_search(&(col as Idx)).is_ok()
     }
 
@@ -165,9 +165,9 @@ impl CooMask {
     /// algorithm must search to find the limits of a row … the search cost
     /// grows as the algorithm strays farther from row zero", Section V-C).
     ///
-    /// Returns `(lo, hi, scanned)` where `scanned` is the number of elements
-    /// inspected — the instrumented cost of the search.
-    pub fn row_bounds_linear(&self, row: usize) -> (usize, usize, usize) {
+    /// The scan steps over `hi` positions, so `hi` is also the
+    /// instrumented cost of the search.
+    pub fn row_bounds_linear(&self, row: usize) -> (usize, usize) {
         let r = row as Idx;
         let mut pos = 0usize;
         let n = self.row_idx.len();
@@ -178,7 +178,7 @@ impl CooMask {
         while pos < n && self.row_idx[pos] == r {
             pos += 1;
         }
-        (lo, pos, pos.min(n))
+        (lo, pos)
     }
 }
 
@@ -253,7 +253,7 @@ mod tests {
         let offsets = CsrMask::from_coo(&m).row_offsets().to_vec();
         assert_eq!(offsets, [0, 2, 2, 4, 5]);
         for row in 0..4 {
-            let (lo, hi, _) = m.row_bounds_linear(row);
+            let (lo, hi) = m.row_bounds_linear(row);
             assert_eq!((lo, hi), (offsets[row], offsets[row + 1]), "row {row}");
         }
     }
@@ -261,8 +261,8 @@ mod tests {
     #[test]
     fn linear_scan_cost_grows_with_row() {
         let m = sample();
-        let (.., scan0) = m.row_bounds_linear(0);
-        let (.., scan3) = m.row_bounds_linear(3);
+        let (_, scan0) = m.row_bounds_linear(0);
+        let (_, scan3) = m.row_bounds_linear(3);
         assert!(
             scan3 > scan0,
             "later rows must scan more: {scan0} vs {scan3}"

@@ -90,15 +90,14 @@ mod proptests {
         }
 
         /// The linear row-bound scan finds every row's CSR offsets (counted,
-        /// not searched), and inspects exactly the prefix up to the row's end.
+        /// not searched).
         #[test]
         fn row_bounds_agree(entries in arb_entries(32)) {
             let coo = CooMask::from_entries(32, 32, entries).unwrap();
             let offsets = CsrMask::from_coo(&coo).row_offsets().to_vec();
             for row in 0..32 {
-                let (lo, hi, scanned) = coo.row_bounds_linear(row);
-                prop_assert_eq!((lo, hi), (offsets[row], offsets[row + 1]));
-                prop_assert_eq!(scanned, hi);
+                let bounds = coo.row_bounds_linear(row);
+                prop_assert_eq!(bounds, (offsets[row], offsets[row + 1]));
             }
         }
 

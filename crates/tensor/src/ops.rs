@@ -8,17 +8,18 @@
 //! generic loops are that semantics for every type and target; `f32` on
 //! `x86_64` runs baseline SSE2 forms of the hot ones ([`dot4`],
 //! [`block_max`], [`exp_weights`], [`axpy`]/[`axpy4`],
-//! [`matmul_rows_into`]) through hidden [`Real`] hooks, because LLVM does
-//! not find the register shapes they allow: it compiles portable four-row
-//! dots to shuffle-heavy code, a NaN-keeping maximum to a serial compare
-//! chain, `exp` to one libm call per element, versions the fold on an
-//! alias check with a scalar epilogue on every call, and loads and stores
-//! the matmul's whole output row once per inner index. The SSE2 sums add
-//! the same terms in the same order, with a separate multiply and add (no
-//! FMA), the maximum falls back to the scalar rule wherever `maxps` could
-//! pick another bit pattern, and the `exp` is a port of glibc's `expf`
-//! with its bits on every input; the tests below hold each to its generic
-//! form (the `exp` to a scalar form of the port).
+//! [`matmul_rows_into`], which is AVX where the CPU has it) through hidden
+//! [`Real`] hooks, because LLVM does not find the register shapes they
+//! allow: it compiles portable four-row dots to shuffle-heavy code, a
+//! NaN-keeping maximum to a serial compare chain, `exp` to one libm call
+//! per element, versions the fold on an alias check with a scalar epilogue
+//! on every call, and loads and stores the matmul's whole output row once
+//! per inner index. The SIMD sums add the same terms in the same order,
+//! with a separate multiply and add (no FMA), the maximum falls back to
+//! the scalar rule wherever `maxps` could pick another bit pattern, and
+//! the `exp` is a port of glibc's `expf` with its bits on every input; the
+//! tests below hold each to its generic form (the `exp` to a scalar form
+//! of the port).
 
 use crate::matrix::Matrix;
 use crate::real::Real;
@@ -422,12 +423,14 @@ pub fn matmul<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 ///
 /// The generic loop (every type and target but `f32` on `x86_64`) is
 /// i-k-j, and loads and stores the output row once per `p`. `f32` on
-/// `x86_64` keeps an output tile in SSE2 registers for the whole `p` loop
-/// instead: 2 rows × 16 columns, and 1 row × 32 columns for a lone row (a
-/// decode tick's one-row segments); columns past the last 16 take the
-/// generic loop. In one binary, variants alternating and bits equal, the
-/// tiles took ×0.67–0.90 of the i-k-j loop's time at 1–192 rows × 128 ×
-/// 384 and × 128 (×0.67–0.72 for one row).
+/// `x86_64` keeps an output tile in registers for the whole `p` loop
+/// instead, with the generic loop's bits: AVX where the CPU has it (2 rows
+/// × 32 columns, 1 × 64 for a lone row, a decode tick's one-row segments),
+/// SSE2 otherwise and for the columns past the last 32 (2 × 16, 1 × 32);
+/// columns past the last 16 take the generic loop. The choice is made at
+/// run time, once per process. At 1–64 rows × 128 × 384 and × 128 on a
+/// 2.1 GHz x86_64 host, the AVX tiles took ×0.53–0.67 of the SSE2 tiles'
+/// time (27–39 against 15–23 GFLOP/s).
 ///
 /// # Panics
 /// Panics when the slices do not hold the same whole number of rows.
@@ -479,23 +482,46 @@ fn matmul_columns<T: Real>(out: &mut [T], a: &[T], b: &Matrix<T>, first: usize) 
 #[cfg(not(target_arch = "x86_64"))]
 pub(crate) use matmul_rows_portable as matmul_rows_f32;
 
-/// [`matmul_rows_into`] for `f32` on `x86_64`: register tiles of
-/// [`gemm_tile`], then the generic loop for the columns past the last 16.
+/// [`matmul_rows_into`] for `f32` on `x86_64`: [`matmul_rows_avx`] where
+/// the CPU has AVX (std caches the answer after the first call),
+/// [`matmul_rows_sse2`] otherwise.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn matmul_rows_f32(out: &mut [f32], a: &[f32], b: &Matrix<f32>) {
+    if is_x86_feature_detected!("avx") {
+        // SAFETY: the CPU has AVX, checked just above.
+        unsafe { matmul_rows_avx(out, a, b) }
+    } else {
+        matmul_rows_sse2(out, a, b);
+    }
+}
+
+/// [`matmul_rows_into`] in baseline SSE2: register tiles of [`gemm_tile`],
+/// then the generic loop for the columns past the last 16.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn matmul_rows_sse2(out: &mut [f32], a: &[f32], b: &Matrix<f32>) {
     let rows = block_rows(out, a, b);
-    let wide = b.cols() & !15;
+    sse2_columns(out, a, b, rows, 0);
+}
+
+/// Columns `first..` of [`matmul_rows_sse2`] for a row block whose shape
+/// [`block_rows`] has checked: 2 × 16 tiles, 1 × 32 tiles for a lone row
+/// (a decode tick's one-row segments) and a 1 × 16 for its remainder,
+/// then the generic loop for the columns past the last 16.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+fn sse2_columns(out: &mut [f32], a: &[f32], b: &Matrix<f32>, rows: usize, first: usize) {
+    let wide = first + ((b.cols() - first) & !15);
     // Column panels outside, row pairs inside: a `k × 16` panel of B stays
     // in L1 while every row pair folds it.
-    for c in (0..wide).step_by(16) {
+    for c in (first..wide).step_by(16) {
         for i in (0..rows & !1).step_by(2) {
             gemm_tile::<2, 4>(out, a, b, i, c);
         }
     }
     if rows % 2 == 1 {
         let i = rows - 1;
-        let wide32 = wide & !31;
-        for c in (0..wide32).step_by(32) {
+        let wide32 = first + ((wide - first) & !31);
+        for c in (first..wide32).step_by(32) {
             gemm_tile::<1, 8>(out, a, b, i, c);
         }
         if wide32 < wide {
@@ -507,7 +533,7 @@ pub(crate) fn matmul_rows_f32(out: &mut [f32], a: &[f32], b: &Matrix<f32>) {
     }
 }
 
-/// One register tile of [`matmul_rows_f32`]: rows `i..i + R` of `out`,
+/// One register tile of [`matmul_rows_sse2`]: rows `i..i + R` of `out`,
 /// columns `c..c + 4·C`, held in `R × C` `__m128` accumulators across the
 /// whole `p` loop. Each row skips its own zero `a` factors; every element
 /// adds its terms in ascending `p`, a multiply then an add, as the
@@ -559,6 +585,99 @@ fn gemm_tile<const R: usize, const C: usize>(
             let o = out[(i + r) * n + c..][..4 * C].chunks_exact_mut(4);
             for (&x, o4) in lanes.iter().zip(o) {
                 _mm_storeu_ps(o4.as_mut_ptr(), x);
+            }
+        }
+    }
+}
+
+/// [`matmul_rows_into`] in AVX, with the bits of [`matmul_rows_sse2`]:
+/// a 256-bit multiply then add (no FMA) rounds each lane as the 128-bit
+/// pair does. 2 × 32 tiles, 1 × 64 tiles for a lone row and a 1 × 32 for
+/// its remainder; columns past the last 32 take [`sse2_columns`].
+///
+/// # Safety
+/// The CPU must have AVX.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+pub(crate) unsafe fn matmul_rows_avx(out: &mut [f32], a: &[f32], b: &Matrix<f32>) {
+    let rows = block_rows(out, a, b);
+    let wide = b.cols() & !31;
+    for c in (0..wide).step_by(32) {
+        for i in (0..rows & !1).step_by(2) {
+            // SAFETY: this function's caller guarantees AVX.
+            unsafe { avx_tile::<2, 4>(out, a, b, i, c) };
+        }
+    }
+    if rows % 2 == 1 {
+        let i = rows - 1;
+        let wide64 = wide & !63;
+        for c in (0..wide64).step_by(64) {
+            // SAFETY: this function's caller guarantees AVX.
+            unsafe { avx_tile::<1, 8>(out, a, b, i, c) };
+        }
+        if wide64 < wide {
+            // SAFETY: this function's caller guarantees AVX.
+            unsafe { avx_tile::<1, 4>(out, a, b, i, wide64) };
+        }
+    }
+    sse2_columns(out, a, b, rows, wide);
+}
+
+/// [`gemm_tile`] at AVX width: rows `i..i + R` of `out`, columns
+/// `c..c + 8·C`, held in `R × C` `__m256` accumulators, with the same
+/// zero skip and the same order of terms.
+///
+/// # Safety
+/// The CPU must have AVX.
+///
+/// # Panics
+/// Panics if the tile does not lie inside `out` (which must hold `b`'s
+/// column count per row) or `a`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx")]
+#[inline]
+unsafe fn avx_tile<const R: usize, const C: usize>(
+    out: &mut [f32],
+    a: &[f32],
+    b: &Matrix<f32>,
+    i: usize,
+    c: usize,
+) {
+    use core::arch::x86_64::{
+        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
+    };
+    let (k, n) = b.shape();
+    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..][..k]);
+    assert!(c + 8 * C <= n, "tile past the last column");
+    // SAFETY: the caller guarantees AVX. Every pointer below starts a
+    // `chunks_exact(8)` chunk of `out` or of a row of `B`, so each
+    // unaligned 8-float load or store stays inside its slice.
+    unsafe {
+        let mut acc = [[_mm256_setzero_ps(); C]; R];
+        for (r, lanes) in acc.iter_mut().enumerate() {
+            let o = out[(i + r) * n + c..][..8 * C].chunks_exact(8);
+            for (x, o8) in lanes.iter_mut().zip(o) {
+                *x = _mm256_loadu_ps(o8.as_ptr());
+            }
+        }
+        for (p, b_row) in b.as_slice().chunks_exact(n).enumerate() {
+            let b_tile = &b_row[c..c + 8 * C];
+            for (lanes, a_row) in acc.iter_mut().zip(a_rows) {
+                let x = a_row[p];
+                if x == 0.0 {
+                    continue;
+                }
+                let xv = _mm256_set1_ps(x);
+                for (y, b8) in lanes.iter_mut().zip(b_tile.chunks_exact(8)) {
+                    *y = _mm256_add_ps(*y, _mm256_mul_ps(xv, _mm256_loadu_ps(b8.as_ptr())));
+                }
+            }
+        }
+        for (r, lanes) in acc.iter().enumerate() {
+            let o = out[(i + r) * n + c..][..8 * C].chunks_exact_mut(8);
+            for (&x, o8) in lanes.iter().zip(o) {
+                _mm256_storeu_ps(o8.as_mut_ptr(), x);
             }
         }
     }
@@ -827,20 +946,27 @@ mod tests {
         }
     }
 
-    /// The same for [`matmul_rows_into`]: blocks of 1..=5 rows (2-row
-    /// tiles and a lone row), every width 0..=70 (16- and 32-column
-    /// tiles and every tail), and inner sizes on both sides of the 64-wide
-    /// block of the generic loop. Every `A` column `p ≡ 2 (mod 5)` is `±0`
-    /// (both signs are skipped) where `B` holds ±∞ and NaN, so a row that
-    /// multiplies a zero instead of skipping it turns finite outputs into
-    /// NaN; the rest of `B` cycles through [`HOSTILE`]'s finite values,
-    /// and `out` starts at `−0` in every third element.
+    /// The same for [`matmul_rows_into`]'s forms, the AVX one where the
+    /// CPU has it and the SSE2 one, against the generic loop: blocks of
+    /// 1..=5 rows (row pairs and a lone row), every width 0..=140 (the AVX
+    /// 2 × 32 and 1 × 64 tiles, its 1 × 32 remainder, the SSE2 16- and
+    /// 32-column tiles and every tail), and inner sizes on both sides of
+    /// 64. Every `A` column `p ≡ 2 (mod 5)` is `±0` (both signs are
+    /// skipped) where `B` holds ±∞ and NaN, so a row that multiplies a
+    /// zero instead of skipping it turns finite outputs into NaN; the rest
+    /// of `B` cycles through [`HOSTILE`]'s finite values, and `out` starts
+    /// at `−0` in every third element.
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn matmul_tiles_have_the_bits_of_the_generic_loop() {
+        let avx = is_x86_feature_detected!("avx");
+        if !avx {
+            eprintln!("this CPU has no AVX: only the SSE2 GEMM form is checked");
+        }
         let finite: Vec<f32> = HOSTILE.into_iter().filter(|x| x.is_finite()).collect();
         let special = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY];
         for k in [1usize, 3, 63, 64, 65, 130] {
-            for n in 0..=70usize {
+            for n in 0..=140usize {
                 let b: Matrix<f32> = Matrix::from_fn(k, n, |p, j| {
                     if p % 5 == 2 {
                         special[(p + j) % 3]
@@ -862,15 +988,25 @@ mod tests {
                     let init: Vec<f32> = (0..rows * n)
                         .map(|x| if x % 3 == 0 { -0.0 } else { x as f32 * 0.25 })
                         .collect();
-                    let (mut got, mut want) = (init.clone(), init);
-                    matmul_rows_into(&mut got, &a, &b);
+                    let mut want = init.clone();
                     matmul_rows_portable(&mut want, &a, &b);
-                    for (x, (&g, &w)) in got.iter().zip(&want).enumerate() {
-                        assert!(
-                            same_f32(g, w),
-                            "k={k} n={n} rows={rows} element {x}: {g} vs {w}"
-                        );
-                        assert!(w.is_finite(), "k={k} n={n}: {w}");
+                    let mut sse2 = init.clone();
+                    matmul_rows_sse2(&mut sse2, &a, &b);
+                    let mut forms = vec![("sse2", sse2)];
+                    if avx {
+                        let mut got = init.clone();
+                        // SAFETY: the CPU has AVX, checked above.
+                        unsafe { matmul_rows_avx(&mut got, &a, &b) };
+                        forms.push(("avx", got));
+                    }
+                    for (form, got) in forms {
+                        for (x, (&g, &w)) in got.iter().zip(&want).enumerate() {
+                            assert!(
+                                same_f32(g, w),
+                                "{form} k={k} n={n} rows={rows} element {x}: {g} vs {w}"
+                            );
+                            assert!(w.is_finite(), "k={k} n={n}: {w}");
+                        }
                     }
                 }
             }

@@ -100,7 +100,8 @@ pub trait Real:
     #[doc(hidden)]
     fn fold<const R: usize>(out: &mut [Self], w: [Self; R], v: [&[Self]; R]);
     /// Per-type implementation behind [`crate::ops::matmul_rows_into`] —
-    /// call that.
+    /// call that. `f32` on `x86_64` runs AVX register tiles where the CPU
+    /// has AVX and SSE2 ones otherwise, with the generic loop's bits.
     #[doc(hidden)]
     fn matmul_rows(out: &mut [Self], a: &[Self], b: &Matrix<Self>);
 }
