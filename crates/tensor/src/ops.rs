@@ -6,10 +6,10 @@
 //! for the projection layers. Each has one semantics, fixed to the bit:
 //! for the sums, the order in which every element's terms are added. The
 //! generic loops are that semantics for every type and target; `f32` on
-//! `x86_64` runs baseline SSE2 forms of the hot ones ([`dot4`],
-//! [`block_max`], [`exp_weights`], [`axpy`]/[`axpy4`],
-//! [`matmul_rows_into`], which is AVX where the CPU has it) through hidden
-//! [`Real`] hooks, because LLVM does not find the register shapes they
+//! `x86_64` runs SIMD forms of the hot ones (baseline SSE2 for [`dot4`],
+//! [`block_max`], [`exp_weights`] and [`axpy`]/[`axpy4`], AVX for
+//! [`matmul_rows_into`] where the CPU has it) through hidden [`Real`]
+//! hooks, because LLVM does not find the register shapes they
 //! allow: it compiles portable four-row dots to shuffle-heavy code, a
 //! NaN-keeping maximum to a serial compare chain, `exp` to one libm call
 //! per element, versions the fold on an alias check with a scalar epilogue
@@ -424,13 +424,14 @@ pub fn matmul<T: Real>(a: &Matrix<T>, b: &Matrix<T>) -> Matrix<T> {
 /// The generic loop (every type and target but `f32` on `x86_64`) is
 /// i-k-j, and loads and stores the output row once per `p`. `f32` on
 /// `x86_64` keeps an output tile in registers for the whole `p` loop
-/// instead, with the generic loop's bits: AVX where the CPU has it (2 rows
-/// × 32 columns, 1 × 64 for a lone row, a decode tick's one-row segments),
-/// SSE2 otherwise and for the columns past the last 32 (2 × 16, 1 × 32);
-/// columns past the last 16 take the generic loop. The choice is made at
-/// run time, once per process. At 1–64 rows × 128 × 384 and × 128 on a
-/// 2.1 GHz x86_64 host, the AVX tiles took ×0.53–0.67 of the SSE2 tiles'
-/// time (27–39 against 15–23 GFLOP/s).
+/// instead, with the generic loop's bits, where the CPU has AVX (2 rows ×
+/// 32 columns, 1 × 64 for a lone row, a decode tick's one-row segments);
+/// the columns past the last 32, and every column on a CPU without AVX,
+/// take the generic loop. The CPU is checked at run time, once per
+/// process. At 1–64 rows × 128 × 384 and × 128 on a 2.1 GHz x86_64 host,
+/// the AVX tiles ran at 27–39 GFLOP/s (SSE2 tiles of the same scheme:
+/// 15–23), and for a lone row the 1 × 64 tile took ×0.77–0.85 of the
+/// time of 1 × 32 tiles.
 ///
 /// # Panics
 /// Panics when the slices do not hold the same whole number of rows.
@@ -483,117 +484,23 @@ fn matmul_columns<T: Real>(out: &mut [T], a: &[T], b: &Matrix<T>, first: usize) 
 pub(crate) use matmul_rows_portable as matmul_rows_f32;
 
 /// [`matmul_rows_into`] for `f32` on `x86_64`: [`matmul_rows_avx`] where
-/// the CPU has AVX (std caches the answer after the first call),
-/// [`matmul_rows_sse2`] otherwise.
+/// the CPU has AVX (std caches the answer after the first call), the
+/// generic loop otherwise.
 #[cfg(target_arch = "x86_64")]
 pub(crate) fn matmul_rows_f32(out: &mut [f32], a: &[f32], b: &Matrix<f32>) {
     if is_x86_feature_detected!("avx") {
         // SAFETY: the CPU has AVX, checked just above.
         unsafe { matmul_rows_avx(out, a, b) }
     } else {
-        matmul_rows_sse2(out, a, b);
+        matmul_rows_portable(out, a, b);
     }
 }
 
-/// [`matmul_rows_into`] in baseline SSE2: register tiles of [`gemm_tile`],
-/// then the generic loop for the columns past the last 16.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn matmul_rows_sse2(out: &mut [f32], a: &[f32], b: &Matrix<f32>) {
-    let rows = block_rows(out, a, b);
-    sse2_columns(out, a, b, rows, 0);
-}
-
-/// Columns `first..` of [`matmul_rows_sse2`] for a row block whose shape
-/// [`block_rows`] has checked: 2 × 16 tiles, 1 × 32 tiles for a lone row
-/// (a decode tick's one-row segments) and a 1 × 16 for its remainder,
-/// then the generic loop for the columns past the last 16.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn sse2_columns(out: &mut [f32], a: &[f32], b: &Matrix<f32>, rows: usize, first: usize) {
-    let wide = first + ((b.cols() - first) & !15);
-    // Column panels outside, row pairs inside: a `k × 16` panel of B stays
-    // in L1 while every row pair folds it.
-    for c in (first..wide).step_by(16) {
-        for i in (0..rows & !1).step_by(2) {
-            gemm_tile::<2, 4>(out, a, b, i, c);
-        }
-    }
-    if rows % 2 == 1 {
-        let i = rows - 1;
-        let wide32 = first + ((wide - first) & !31);
-        for c in (first..wide32).step_by(32) {
-            gemm_tile::<1, 8>(out, a, b, i, c);
-        }
-        if wide32 < wide {
-            gemm_tile::<1, 4>(out, a, b, i, wide32);
-        }
-    }
-    if wide < b.cols() {
-        matmul_columns(out, a, b, wide);
-    }
-}
-
-/// One register tile of [`matmul_rows_sse2`]: rows `i..i + R` of `out`,
-/// columns `c..c + 4·C`, held in `R × C` `__m128` accumulators across the
-/// whole `p` loop. Each row skips its own zero `a` factors; every element
-/// adds its terms in ascending `p`, a multiply then an add, as the
-/// generic loop does.
-///
-/// # Panics
-/// Panics if the tile does not lie inside `out` (which must hold `b`'s
-/// column count per row) or `a`.
-#[cfg(target_arch = "x86_64")]
-#[inline(always)]
-fn gemm_tile<const R: usize, const C: usize>(
-    out: &mut [f32],
-    a: &[f32],
-    b: &Matrix<f32>,
-    i: usize,
-    c: usize,
-) {
-    use core::arch::x86_64::{
-        _mm_add_ps, _mm_loadu_ps, _mm_mul_ps, _mm_set1_ps, _mm_setzero_ps, _mm_storeu_ps,
-    };
-    let (k, n) = b.shape();
-    let a_rows: [&[f32]; R] = std::array::from_fn(|r| &a[(i + r) * k..][..k]);
-    assert!(c + 4 * C <= n, "tile past the last column");
-    // SAFETY: SSE is part of the `x86_64` baseline. Every pointer below
-    // starts a `chunks_exact(4)` chunk of `out` or of a row of `B`, so each
-    // unaligned 4-float load or store stays inside its slice.
-    unsafe {
-        let mut acc = [[_mm_setzero_ps(); C]; R];
-        for (r, lanes) in acc.iter_mut().enumerate() {
-            let o = out[(i + r) * n + c..][..4 * C].chunks_exact(4);
-            for (x, o4) in lanes.iter_mut().zip(o) {
-                *x = _mm_loadu_ps(o4.as_ptr());
-            }
-        }
-        for (p, b_row) in b.as_slice().chunks_exact(n).enumerate() {
-            let b_tile = &b_row[c..c + 4 * C];
-            for (lanes, a_row) in acc.iter_mut().zip(a_rows) {
-                let x = a_row[p];
-                if x == 0.0 {
-                    continue;
-                }
-                let xv = _mm_set1_ps(x);
-                for (y, b4) in lanes.iter_mut().zip(b_tile.chunks_exact(4)) {
-                    *y = _mm_add_ps(*y, _mm_mul_ps(xv, _mm_loadu_ps(b4.as_ptr())));
-                }
-            }
-        }
-        for (r, lanes) in acc.iter().enumerate() {
-            let o = out[(i + r) * n + c..][..4 * C].chunks_exact_mut(4);
-            for (&x, o4) in lanes.iter().zip(o) {
-                _mm_storeu_ps(o4.as_mut_ptr(), x);
-            }
-        }
-    }
-}
-
-/// [`matmul_rows_into`] in AVX, with the bits of [`matmul_rows_sse2`]:
-/// a 256-bit multiply then add (no FMA) rounds each lane as the 128-bit
-/// pair does. 2 × 32 tiles, 1 × 64 tiles for a lone row and a 1 × 32 for
-/// its remainder; columns past the last 32 take [`sse2_columns`].
+/// [`matmul_rows_into`] in AVX registers, with the generic loop's bits:
+/// a 256-bit multiply then add (no FMA) rounds each lane as the scalar
+/// pair does. 2 × 32 tiles, 1 × 64 tiles for a lone row (a decode tick's
+/// one-row segments) and a 1 × 32 for its remainder; columns past the
+/// last 32 take the generic loop.
 ///
 /// # Safety
 /// The CPU must have AVX.
@@ -602,6 +509,8 @@ fn gemm_tile<const R: usize, const C: usize>(
 pub(crate) unsafe fn matmul_rows_avx(out: &mut [f32], a: &[f32], b: &Matrix<f32>) {
     let rows = block_rows(out, a, b);
     let wide = b.cols() & !31;
+    // Column panels outside, row pairs inside: a `k × 32` panel of B stays
+    // in L1 while every row pair folds it.
     for c in (0..wide).step_by(32) {
         for i in (0..rows & !1).step_by(2) {
             // SAFETY: this function's caller guarantees AVX.
@@ -620,12 +529,16 @@ pub(crate) unsafe fn matmul_rows_avx(out: &mut [f32], a: &[f32], b: &Matrix<f32>
             unsafe { avx_tile::<1, 4>(out, a, b, i, wide64) };
         }
     }
-    sse2_columns(out, a, b, rows, wide);
+    if wide < b.cols() {
+        matmul_columns(out, a, b, wide);
+    }
 }
 
-/// [`gemm_tile`] at AVX width: rows `i..i + R` of `out`, columns
-/// `c..c + 8·C`, held in `R × C` `__m256` accumulators, with the same
-/// zero skip and the same order of terms.
+/// One register tile of [`matmul_rows_avx`]: rows `i..i + R` of `out`,
+/// columns `c..c + 8·C`, held in `R × C` `__m256` accumulators across the
+/// whole `p` loop. Each row skips its own zero `a` factors; every element
+/// adds its terms in ascending `p`, a multiply then an add, as the
+/// generic loop does.
 ///
 /// # Safety
 /// The CPU must have AVX.
@@ -946,25 +859,21 @@ mod tests {
         }
     }
 
-    /// The same for [`matmul_rows_into`]'s forms, the AVX one where the
-    /// CPU has it and the SSE2 one, against the generic loop: blocks of
-    /// 1..=5 rows (row pairs and a lone row), every width 0..=140 (the AVX
-    /// 2 × 32 and 1 × 64 tiles, its 1 × 32 remainder, the SSE2 16- and
-    /// 32-column tiles and every tail), and inner sizes on both sides of
-    /// 64. Every `A` column `p ≡ 2 (mod 5)` is `±0` (both signs are
-    /// skipped) where `B` holds ±∞ and NaN, so a row that multiplies a
-    /// zero instead of skipping it turns finite outputs into NaN; the rest
-    /// of `B` cycles through [`HOSTILE`]'s finite values, and `out` starts
-    /// at `−0` in every third element.
-    #[cfg(target_arch = "x86_64")]
+    /// The same for [`matmul_rows_into`] — the AVX tiles where the CPU has
+    /// AVX, reached both through the dispatch and directly — against the
+    /// generic loop: blocks of 1..=5 rows (row pairs and a lone row), every
+    /// width 0..=140 (the 2 × 32 and 1 × 64 tiles, the 1 × 32 remainder and
+    /// every tail), and inner sizes on both sides of 64. Every `A` column
+    /// `p ≡ 2 (mod 5)` is `±0` (both signs are skipped) where `B` holds ±∞
+    /// and NaN, so a loop that multiplies a zero instead of skipping it
+    /// turns finite outputs into NaN (checked of the generic loop on every
+    /// target); the rest of `B` cycles through [`HOSTILE`]'s finite values,
+    /// and `out` starts at `−0` in every third element.
     #[test]
     fn matmul_tiles_have_the_bits_of_the_generic_loop() {
-        let avx = is_x86_feature_detected!("avx");
-        if !avx {
-            eprintln!("this CPU has no AVX: only the SSE2 GEMM form is checked");
-        }
         let finite: Vec<f32> = HOSTILE.into_iter().filter(|x| x.is_finite()).collect();
         let special = [f32::INFINITY, f32::NAN, f32::NEG_INFINITY];
+        let mut checked_avx = false;
         for k in [1usize, 3, 63, 64, 65, 130] {
             for n in 0..=140usize {
                 let b: Matrix<f32> = Matrix::from_fn(k, n, |p, j| {
@@ -990,14 +899,19 @@ mod tests {
                         .collect();
                     let mut want = init.clone();
                     matmul_rows_portable(&mut want, &a, &b);
-                    let mut sse2 = init.clone();
-                    matmul_rows_sse2(&mut sse2, &a, &b);
-                    let mut forms = vec![("sse2", sse2)];
-                    if avx {
+                    for (x, w) in want.iter().enumerate() {
+                        assert!(w.is_finite(), "k={k} n={n} rows={rows} element {x}: {w}");
+                    }
+                    let mut dispatched = init.clone();
+                    matmul_rows_into(&mut dispatched, &a, &b);
+                    let mut forms = vec![("matmul_rows_into", dispatched)];
+                    #[cfg(target_arch = "x86_64")]
+                    if is_x86_feature_detected!("avx") {
                         let mut got = init.clone();
-                        // SAFETY: the CPU has AVX, checked above.
+                        // SAFETY: the CPU has AVX, checked just above.
                         unsafe { matmul_rows_avx(&mut got, &a, &b) };
                         forms.push(("avx", got));
+                        checked_avx = true;
                     }
                     for (form, got) in forms {
                         for (x, (&g, &w)) in got.iter().zip(&want).enumerate() {
@@ -1005,11 +919,13 @@ mod tests {
                                 same_f32(g, w),
                                 "{form} k={k} n={n} rows={rows} element {x}: {g} vs {w}"
                             );
-                            assert!(w.is_finite(), "k={k} n={n}: {w}");
                         }
                     }
                 }
             }
+        }
+        if !checked_avx {
+            eprintln!("no AVX on this target or CPU: only the dispatch was checked");
         }
     }
 

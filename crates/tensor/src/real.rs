@@ -101,7 +101,8 @@ pub trait Real:
     fn fold<const R: usize>(out: &mut [Self], w: [Self; R], v: [&[Self]; R]);
     /// Per-type implementation behind [`crate::ops::matmul_rows_into`] —
     /// call that. `f32` on `x86_64` runs AVX register tiles where the CPU
-    /// has AVX and SSE2 ones otherwise, with the generic loop's bits.
+    /// has AVX, with the generic loop's bits, and the generic loop
+    /// otherwise.
     #[doc(hidden)]
     fn matmul_rows(out: &mut [Self], a: &[Self], b: &Matrix<Self>);
 }
