@@ -909,9 +909,9 @@ mod tests {
                     AttentionRequest::row_range(q, k.rows() - 1..k.rows(), k, v, k.rows() - 1)
                 })
                 .collect();
-            let before = two.pool().metrics().report().injector_pushes;
+            let before = two.pool().metrics().report().jobs_pushed;
             let outs = two.run_batch(&plan, &requests).unwrap();
-            let forked = two.pool().metrics().report().injector_pushes > before;
+            let forked = two.pool().metrics().report().jobs_pushed > before;
             assert_eq!(outs, one.run_batch(&plan, &requests).unwrap());
             forked
         };

@@ -10,11 +10,11 @@
 //!
 //! - [`ThreadPool`]: `n` participants per launch — the calling thread
 //!   plus `n − 1` persistent helpers. Submitted jobs land in one
-//!   lock-free injector that idle helpers pop, and an idle helper polls
-//!   for about one wake latency before it parks — so repeated
-//!   kernel launches pay neither thread-spawn cost, nor queue-lock
-//!   contention, nor a sleep/wake per launch ([`PoolMetrics`] counts the
-//!   traffic);
+//!   mutex-guarded queue that idle helpers pop (at most one job per
+//!   helper a launch), and an idle helper polls for about one wake
+//!   latency before it parks — so repeated kernel launches pay neither
+//!   thread-spawn cost nor a sleep/wake per launch ([`PoolMetrics`]
+//!   counts the traffic);
 //! - [`parallel_for()`] / [`parallel_for_stats`]: scoped row-parallel
 //!   fork-join in which the caller works (shares are claimed, and a late
 //!   helper is never waited for), with one claiming rule — range stealing

@@ -11,7 +11,7 @@
 //!
 //! [`PoolMetrics`] plays the same role for the pool itself: every counter
 //! is a relaxed `AtomicU64`, so observing the pool (jobs, parks, range
-//! steals) never serializes the lock-free submit/pop paths it measures.
+//! steals) adds no ordering to the submit and pop paths it measures.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -84,7 +84,7 @@ impl WorkReport {
     }
 }
 
-/// Relaxed atomic counters for the pool: jobs pushed into the injector and
+/// Relaxed atomic counters for the pool: jobs pushed into its queue and
 /// executed, parks, and range steals.
 ///
 /// Updates are single relaxed RMWs — no ordering, no locks — so enabling
@@ -95,27 +95,22 @@ impl WorkReport {
 #[derive(Debug, Default)]
 pub struct PoolMetrics {
     jobs_executed: AtomicU64,
-    injector_pushes: AtomicU64,
+    jobs_pushed: AtomicU64,
     range_steals: AtomicU64,
     parks: AtomicU64,
 }
 
 impl PoolMetrics {
-    /// Fresh counters, all zero.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Count one executed job.
     #[inline]
     pub(crate) fn count_job(&self) {
         self.jobs_executed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one job pushed into the injector.
+    /// Count one job pushed into the pool's queue.
     #[inline]
-    pub(crate) fn count_injector_push(&self) {
-        self.injector_pushes.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn count_job_push(&self) {
+        self.jobs_pushed.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Count one range span stolen from a sibling.
@@ -134,7 +129,7 @@ impl PoolMetrics {
     pub fn report(&self) -> PoolReport {
         PoolReport {
             jobs_executed: self.jobs_executed.load(Ordering::Relaxed),
-            injector_pushes: self.injector_pushes.load(Ordering::Relaxed),
+            jobs_pushed: self.jobs_pushed.load(Ordering::Relaxed),
             steal_attempts: 0,
             steals: 0,
             range_steals: self.range_steals.load(Ordering::Relaxed),
@@ -148,9 +143,9 @@ impl PoolMetrics {
 pub struct PoolReport {
     /// Jobs executed by workers.
     pub jobs_executed: u64,
-    /// Jobs pushed into the global injector.
-    pub injector_pushes: u64,
-    /// Always 0: helpers pop one shared injector and steal no jobs. This
+    /// Jobs pushed into the pool's queue.
+    pub jobs_pushed: u64,
+    /// Always 0: helpers pop one shared queue and steal no jobs. This
     /// field and [`Self::steals`] stay **only** because the frozen serving
     /// benchmark (`benchmark/src/{drive,main}.rs`) reads them; both go when
     /// a benchmark change can drop `pool.steals` and `pool.steal_hit_ratio`.
@@ -268,7 +263,7 @@ mod tests {
     fn pool_metrics_sum_consistently_across_threads() {
         // Relaxed ordering must not lose increments: 8 raw threads hammer
         // every counter concurrently and the totals must be exact.
-        let m = std::sync::Arc::new(PoolMetrics::new());
+        let m = std::sync::Arc::new(PoolMetrics::default());
         let per = 50_000u64;
         let threads: Vec<_> = (0..8)
             .map(|_| {
@@ -277,7 +272,7 @@ mod tests {
                     for _ in 0..per {
                         m.count_job();
                         m.count_range_steal();
-                        m.count_injector_push();
+                        m.count_job_push();
                         m.count_park();
                     }
                 })
@@ -290,7 +285,7 @@ mod tests {
         let want = 8 * per;
         assert_eq!(r.jobs_executed, want);
         assert_eq!(r.range_steals, want);
-        assert_eq!(r.injector_pushes, want);
+        assert_eq!(r.jobs_pushed, want);
         assert_eq!(r.parks, want);
         assert_eq!((r.steal_attempts, r.steals), (0, 0));
     }
@@ -309,11 +304,11 @@ mod tests {
             });
         }
         let r = pool.metrics().report();
-        assert_eq!(r.injector_pushes, 16 * 3, "one job per helper share");
-        assert!(r.jobs_executed <= r.injector_pushes);
+        assert_eq!(r.jobs_pushed, 16 * 3, "one job per helper share");
+        assert!(r.jobs_executed <= r.jobs_pushed);
         pool.quiesce();
         let r = pool.metrics().report();
-        assert_eq!(r.jobs_executed, r.injector_pushes);
+        assert_eq!(r.jobs_executed, r.jobs_pushed);
         assert_eq!((r.steal_attempts, r.steals), (0, 0));
     }
 }

@@ -43,7 +43,7 @@
 //!
 //! Nor does the fork wait: those run-to-nothing jobs stay queued until a
 //! helper gets to them, and while every helper is held in another
-//! launcher's long share they accumulate — up to the injector's 4096
+//! launcher's long share they accumulate — up to the pool queue's 4096
 //! slots, past which `submit` drops the job rather than spin for a slot
 //! (a dropped job is a share nobody else claims, i.e. the caller's).
 //!
@@ -52,13 +52,12 @@
 //! the join.
 
 use crate::metrics::PoolMetrics;
-use crate::pool::{on_worker_thread, ThreadPool};
-use parking_lot::{Condvar, Mutex};
+use crate::pool::{lock, on_worker_thread, ThreadPool};
 use std::any::Any;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// How a launch's rows are claimed: each share's participant claims
@@ -289,7 +288,7 @@ impl Join {
     /// Claim the next unclaimed share, if one is left. Each share index is
     /// returned to exactly one claimant (`fetch_add` hands out distinct
     /// values). AcqRel: a helper's claim happens-after the caller's writes
-    /// to the context — already ordered by the injector push/pop — and the
+    /// to the context — already ordered by the pool queue's lock — and the
     /// ordering is kept explicit here rather than borrowed.
     fn claim(&self) -> Option<usize> {
         let share = self.next.fetch_add(1, Ordering::AcqRel);
@@ -302,7 +301,7 @@ impl Join {
         self.finished.fetch_add(1, Ordering::Release);
         // Lock-then-notify so the signal cannot slot between the waiter's
         // re-check and its wait.
-        drop(self.lock.lock());
+        drop(lock(&self.lock));
         self.all_finished.notify_one();
     }
 
@@ -321,10 +320,8 @@ impl Join {
                 std::hint::spin_loop();
                 continue;
             }
-            let mut guard = self.lock.lock();
-            while !finished() {
-                self.all_finished.wait(&mut guard);
-            }
+            let guard = lock(&self.lock);
+            drop(self.all_finished.wait_while(guard, |_| !finished()));
             return;
         }
     }
@@ -424,7 +421,7 @@ where
         }
         if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.body)(range))) {
             self.panicked.store(true, Ordering::Relaxed);
-            let mut slot = self.panic_slot.lock();
+            let mut slot = lock(&self.panic_slot);
             if slot.is_none() {
                 *slot = Some(payload);
             }
@@ -526,7 +523,7 @@ where
             }
         }));
         if !offered {
-            // Injector full of jobs no helper has come for: nobody is
+            // Queue full of jobs no helper has come for: nobody is
             // idle, and the shares are the caller's anyway.
             break;
         }
@@ -539,7 +536,7 @@ where
     }
     drop(joined);
 
-    if let Some(payload) = ctx.panic_slot.lock().take() {
+    if let Some(payload) = lock(&ctx.panic_slot).take() {
         resume_unwind(payload);
     }
 
@@ -788,7 +785,7 @@ mod tests {
         }
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 3));
         let r = pool.metrics().report();
-        assert_eq!(r.injector_pushes, 2 + 3 * 2, "one job per helper share");
+        assert_eq!(r.jobs_pushed, 2 + 3 * 2, "one job per helper share");
         assert_eq!(r.jobs_executed, 2, "only the held jobs have started");
 
         release.wait();
@@ -800,14 +797,14 @@ mod tests {
     }
 
     #[test]
-    fn a_full_injector_never_stalls_a_launch() {
-        // The helper is held for longer than the injector has slots: the
-        // run-to-nothing jobs of finished launches fill the ring, and the
+    fn a_full_queue_never_stalls_a_launch() {
+        // The helper is held for longer than the queue has slots: the
+        // run-to-nothing jobs of finished launches fill the queue, and the
         // launches after that must drop their job, not wait for a slot
         // only the held helper could free.
         let pool = ThreadPool::new(2);
         let release = hold_helpers(&pool);
-        let cap = crate::pool::INJECTOR_CAP;
+        let cap = crate::pool::QUEUE_CAP;
         let rows = AtomicUsize::new(0);
         for _ in 0..cap + 100 {
             parallel_for(&pool, 2, Schedule { grain: 1 }, |range| {
@@ -816,13 +813,13 @@ mod tests {
         }
         assert_eq!(rows.load(Ordering::Relaxed), 2 * (cap + 100));
         let r = pool.metrics().report();
-        assert_eq!(r.injector_pushes as usize, 1 + cap, "the ring, no more");
+        assert_eq!(r.jobs_pushed as usize, 1 + cap, "the queue, no more");
 
         release.wait();
         pool.quiesce();
         // The drained pool forks again.
         parallel_for(&pool, 2, Schedule { grain: 1 }, |_| {});
-        assert_eq!(pool.metrics().report().injector_pushes as usize, 2 + cap);
+        assert_eq!(pool.metrics().report().jobs_pushed as usize, 2 + cap);
     }
 
     #[test]
@@ -863,10 +860,10 @@ mod tests {
             });
         }
         assert_eq!(ran.load(Ordering::Relaxed), 4);
-        assert_eq!(pool.metrics().report().injector_pushes, 0);
+        assert_eq!(pool.metrics().report().jobs_pushed, 0);
         // One row more than a block is two shares: one helper job.
         parallel_for(&pool, 17, Schedule { grain: 16 }, |_| {});
-        assert_eq!(pool.metrics().report().injector_pushes, 1);
+        assert_eq!(pool.metrics().report().jobs_pushed, 1);
     }
 
     /// A two-share launch of one row per share whose share 1 can only be running on the

@@ -13,31 +13,24 @@
 //! launch — see [`mod@crate::parallel_for`] for the claim/join protocol —
 //! and helpers only ever run the `'static` jobs a launch submits here.
 //!
-//! **The queue** (`shims/crossbeam`'s bounded [`Injector`]): submitted jobs
-//! land in one shared lock-free ring, and an idle helper pops it. A job
-//! only claims a share of its launch; balancing the launch's rows is the
-//! launch's own job (share claims plus range stealing), so the pool keeps no per-helper deques and steals nothing.
-//! The submit fast path never takes a lock — it only notifies when the
-//! sleeper count (an atomic mirror) says someone is parked.
+//! **The queue**: one `Mutex<VecDeque>` of jobs that idle helpers pop. A
+//! job only claims a share of its launch (balancing the rows is the
+//! launch's own job: share claims plus range stealing), so there are no
+//! per-helper deques and no job stealing. A launch pushes at most one job
+//! per helper, so the lock sees little traffic: an idle helper polls an
+//! atomic mirror of the queue's length and locks only to pop, and a push
+//! and a park both happen under the lock, so no wakeup is lost.
 //!
 //! **The idle policy.** A helper that finds nothing keeps polling —
 //! `spin_loop` rounds, one `yield_now` every 128th — for 200 µs before it
-//! parks on the Condvar: about one wake. With helpers that parked after
-//! 8 spins + 8 yields, the 0.1–7 ms of serial work between a serving
-//! tick's launches always outlasted the backoff, so every launch paid a
-//! futex wake on its critical path (the benchmark's 16-row decode launch:
-//! 0.036–0.073 ms on the two-thread engine against 0.027 ms on one thread,
-//! and 3300 parks per `stack_serve` repetition, ≈ 19 a tick). Swept on
-//! that benchmark, a bound of 0 / 20 / 50 / 200 / 1000 µs left 1644 / 1428
-//! / 501 / 117 / 11 parks a repetition; throughput was within the host's
-//! run-to-run spread from 20 µs on (the benchmark's idle spinners keep the
-//! vCPUs out of the hypervisor's halt path, so a wake is cheap there) and
-//! 1–17 % higher at 200 µs than at 0 in three of three alternating runs.
-//! The sizing prototype of this design, on a host where a wake cost more,
-//! read 5285 / 6126 / 6288 / 6385 rows/s at 20 / 50 / 200 / 1000 µs. Both
-//! plateau by one wake latency, so the bound sits there (the spin-then-park
-//! rule: never burn much more than the sleep would have cost) and is not
-//! an option.
+//! parks on the Condvar: about one wake latency. Helpers that parked
+//! sooner paid a futex wake on the critical path of nearly every serving
+//! launch, since the 0.1–7 ms of serial work between a tick's launches
+//! outlasted the backoff. On `stack_serve` a bound of 0 / 20 / 50 / 200 /
+//! 1000 µs left 1644 / 1428 / 501 / 117 / 11 parks a repetition, with
+//! throughput flat from 20 µs on and 1–17 % above the 0 µs bound at
+//! 200 µs. The bound sits where that plateau starts (spin-then-park: never
+//! burn much more than the sleep would have cost) and is not an option.
 //!
 //! The poll must not be a stream of `sched_yield` calls: next to one
 //! `SCHED_IDLE` spinner per CPU (how the serving benchmark conditions its
@@ -49,33 +42,32 @@
 //! hands the core to the thread holding the work.
 //!
 //! Every push, job and park is tallied into relaxed [`PoolMetrics`]
-//! counters (see [`crate::metrics`]), so instrumentation does not
-//! serialize the lock-free path.
+//! counters (see [`crate::metrics`]), so instrumentation adds no
+//! synchronisation.
 
 use crate::metrics::PoolMetrics;
-use crossbeam::deque::{Injector, Steal};
-use parking_lot::{Condvar, Mutex};
 use std::cell::Cell;
-use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Capacity of the shared injector ring. A launch enqueues at most one
-/// job per helper, so ordinary occupancy is a few concurrent launches plus
-/// the jobs of launches that finished before a helper got to them. Those
-/// pile up while every helper sits in some other launcher's long share;
-/// past this many, [`ThreadPool::submit`] drops the job instead of
-/// waiting for a slot.
-pub(crate) const INJECTOR_CAP: usize = 4096;
+/// Capacity of the job queue. A launch enqueues at most one job per
+/// helper, so ordinary occupancy is a few concurrent launches plus the
+/// jobs of launches that finished before a helper got to them. Those pile
+/// up while every helper sits in some other launcher's long share; past
+/// this many, [`ThreadPool::submit`] drops the job instead of waiting for
+/// a slot.
+pub(crate) const QUEUE_CAP: usize = 4096;
 /// How long an idle helper keeps polling before it parks: about one wake
 /// latency on the measured host (see the module docs for the sweep).
 const IDLE_POLL: Duration = Duration::from_micros(200);
 /// An idle helper polls with `spin_loop` and yields its timeslice once
-/// every this many rounds (a round measured 0.2–0.45 µs when it also
-/// probed three sibling deques, so at most every 25–60 µs); see the module
+/// every this many rounds (a round is one load of the queue's length
+/// mirror and one clock read, well under a microsecond); see the module
 /// docs for why not more often and why not never.
 const YIELD_EVERY: u32 = 128;
 
@@ -90,58 +82,59 @@ pub(crate) fn on_worker_thread() -> bool {
     IN_POOL_WORKER.with(|f| f.get())
 }
 
+/// Lock `mutex`, taking over a poisoned one: no lock in this crate is
+/// held while a job or a launch body runs, so a panic cannot leave the
+/// data behind one half-updated.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The jobs waiting for a helper, and how many helpers sleep on them.
+struct Queue {
+    jobs: VecDeque<Job>,
+    sleepers: usize,
+}
+
 /// State shared between the pool handle and every worker thread.
 struct Shared {
-    injector: Injector<Job>,
+    queue: Mutex<Queue>,
+    /// `queue.jobs.len()` as of the last push or pop, so an idle helper
+    /// polls without the lock. Relaxed: the jobs pass under the lock.
+    queued: AtomicUsize,
     shutdown: AtomicBool,
-    /// Lock-free mirror of "how many workers are parked": submitters only
-    /// touch `sleep_lock` when this is non-zero, so an all-busy pool never
-    /// contends on the Condvar.
-    sleepers: AtomicUsize,
-    sleep_lock: Mutex<()>,
     wakeup: Condvar,
     metrics: PoolMetrics,
 }
 
 impl Shared {
-    /// Pop the next job, retrying while a concurrent pop took the head.
+    /// Pop the next job, taking the lock only when the mirror says the
+    /// queue holds one.
     fn find_job(&self) -> Option<Job> {
-        loop {
-            match self.injector.steal() {
-                Steal::Success(job) => return Some(job),
-                Steal::Retry => continue,
-                Steal::Empty => return None,
-            }
+        if self.queued.load(Ordering::Relaxed) == 0 {
+            return None;
         }
+        let mut queue = lock(&self.queue);
+        let job = queue.jobs.pop_front();
+        self.queued.store(queue.jobs.len(), Ordering::Relaxed);
+        job
     }
 
-    /// Wake one parked worker if the sleeper mirror says there is one.
-    #[inline]
-    fn notify_sleeper(&self) {
-        fence(Ordering::SeqCst);
-        if self.sleepers.load(Ordering::Relaxed) > 0 {
-            // Taking the lock orders this notify after any in-progress
-            // park's work-recheck, closing the lost-wakeup window.
-            let _guard = self.sleep_lock.lock();
-            self.wakeup.notify_one();
-        }
-    }
-
-    /// Park until new work (or shutdown) is signalled. The sleeper count
-    /// is raised *before* the final work re-check (with a SeqCst fence in
-    /// between) so a submitter either sees the sleeper and notifies, or
-    /// pushed early enough for the re-check to see the job.
+    /// Park until a job is queued or the pool shuts down. `submit` pushes
+    /// and `Drop` raises `shutdown` under the same lock that this re-check
+    /// and `wait_while` hold, so neither can slip in unseen.
     fn park(&self) {
-        let mut guard = self.sleep_lock.lock();
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        if !self.injector.is_empty() || self.shutdown.load(Ordering::Acquire) {
-            self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        let mut queue = lock(&self.queue);
+        let idle = |q: &mut Queue| q.jobs.is_empty() && !self.shutdown.load(Ordering::Relaxed);
+        if !idle(&mut queue) {
             return;
         }
         self.metrics.count_park();
-        self.wakeup.wait(&mut guard);
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+        queue.sleepers += 1;
+        let mut queue = self
+            .wakeup
+            .wait_while(queue, idle)
+            .unwrap_or_else(PoisonError::into_inner);
+        queue.sleepers -= 1;
     }
 }
 
@@ -152,6 +145,9 @@ fn helper_loop(shared: &Shared) {
     let mut rounds = 0u32;
     let mut idle_since: Option<Instant> = None;
     loop {
+        // Read before the queue: a helper that sees `shutdown` also sees
+        // every job pushed before it, so it leaves only an empty queue.
+        let stopping = shared.shutdown.load(Ordering::Acquire);
         if let Some(job) = shared.find_job() {
             rounds = 0;
             idle_since = None;
@@ -162,9 +158,7 @@ fn helper_loop(shared: &Shared) {
             job();
             continue;
         }
-        // Only exit once the pool is shutting down AND the injector is
-        // empty, so pending jobs are drained rather than leaked.
-        if shared.shutdown.load(Ordering::Acquire) {
+        if stopping {
             break;
         }
         if idle_since.get_or_insert_with(Instant::now).elapsed() >= IDLE_POLL {
@@ -200,12 +194,14 @@ impl ThreadPool {
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
         let shared = Arc::new(Shared {
-            injector: Injector::with_capacity(INJECTOR_CAP),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                sleepers: 0,
+            }),
+            queued: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
-            sleep_lock: Mutex::new(()),
             wakeup: Condvar::new(),
-            metrics: PoolMetrics::new(),
+            metrics: PoolMetrics::default(),
         });
         let handles = (0..threads - 1)
             .map(|idx| {
@@ -241,7 +237,7 @@ impl ThreadPool {
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
             let r = self.metrics().report();
-            if r.jobs_executed == r.injector_pushes {
+            if r.jobs_executed == r.jobs_pushed {
                 return;
             }
             assert!(Instant::now() < deadline, "queued jobs never ran: {r:?}");
@@ -250,8 +246,8 @@ impl ThreadPool {
     }
 
     /// Offer a `'static` job to the helpers, without ever waiting: when the
-    /// injector is full (every helper has been busy elsewhere for
-    /// [`INJECTOR_CAP`] submissions) the job is dropped unrun and `false`
+    /// queue is full (every helper has been busy elsewhere for
+    /// [`QUEUE_CAP`] submissions) the job is dropped unrun and `false`
     /// returned. A launch loses nothing by that — a share no job claims is
     /// the caller's — and the backlog is of jobs that will run to nothing.
     ///
@@ -259,31 +255,39 @@ impl ThreadPool {
     /// Panics if the pool has shut down, or has no helper to run the job
     /// (a one-thread pool — its launches never fork).
     pub(crate) fn submit(&self, job: Job) -> bool {
+        let shared = &*self.shared;
         assert!(
-            !self.shared.shutdown.load(Ordering::Acquire),
+            !shared.shutdown.load(Ordering::Acquire),
             "thread pool has shut down"
         );
         assert!(
             !self.handles.is_empty(),
             "a one-thread pool has no helper to run a job"
         );
-        if self.shared.injector.try_push(job).is_err() {
+        let mut queue = lock(&shared.queue);
+        if queue.jobs.len() == QUEUE_CAP {
             return false;
         }
-        self.shared.metrics.count_injector_push();
-        self.shared.notify_sleeper();
+        shared.metrics.count_job_push();
+        queue.jobs.push_back(job);
+        shared.queued.store(queue.jobs.len(), Ordering::Relaxed);
+        let wake = queue.sleepers > 0;
+        drop(queue);
+        // A parked helper counted in `sleepers` waits until notified; one
+        // that parks after the unlock finds the job in its re-check.
+        if wake {
+            shared.wakeup.notify_one();
+        }
         true
     }
 }
 
 impl Drop for ThreadPool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Lock-then-notify: a worker between its shutdown re-check and
-        // `wait` still holds the lock, so acquiring it here orders this
-        // broadcast after that worker is actually parked.
-        drop(self.shared.sleep_lock.lock());
+        let queue = lock(&self.shared.queue);
+        self.shared.shutdown.store(true, Ordering::Release);
         self.shared.wakeup.notify_all();
+        drop(queue);
         for handle in self.handles.drain(..) {
             let _ = handle.join();
         }
@@ -360,7 +364,7 @@ mod tests {
     #[test]
     fn drop_drains_pending_jobs() {
         // Jobs still queued when the pool drops are executed, not leaked —
-        // the shutdown flag only stops helpers once the injector is empty.
+        // the shutdown flag only stops helpers once the queue is empty.
         let pool = ThreadPool::new(2);
         let counter = Arc::new(AtomicUsize::new(0));
         for _ in 0..200 {
@@ -393,12 +397,32 @@ mod tests {
 
     #[test]
     fn parked_workers_wake_for_new_work() {
-        let pool = ThreadPool::new(4);
-        // Far longer than the idle poll: the helpers must have parked.
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert_eq!(run_counted(&pool, 8, || {}), 8);
-        // With a 20ms idle window the helpers must actually have parked —
-        // otherwise the idle poll never hands the CPU back.
-        assert!(pool.metrics().report().parks > 0, "helpers never parked");
+        // Each round outlasts the idle poll, so the helper parks, then one
+        // job arrives: a submit that misses the sleeping helper leaves the
+        // job queued forever, and the round times out.
+        let pool = ThreadPool::new(2);
+        let (tx, rx) = mpsc::channel();
+        for round in 0..100 {
+            std::thread::sleep(Duration::from_millis(2));
+            let tx = tx.clone();
+            assert!(pool.submit(Box::new(move || {
+                tx.send(round).expect("the test is still receiving");
+            })));
+            assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(round));
+        }
+        // Otherwise the idle poll never hands the CPU back.
+        assert!(pool.metrics().report().parks > 0, "the helper never parked");
+    }
+
+    #[test]
+    fn poisoned_lock_still_usable() {
+        let mutex = Mutex::new(0);
+        let _ = std::panic::catch_unwind(|| {
+            let _guard = lock(&mutex);
+            panic!("poison");
+        });
+        assert!(mutex.is_poisoned());
+        *lock(&mutex) += 1;
+        assert_eq!(*lock(&mutex), 1, "the lock survives a poisoning panic");
     }
 }

@@ -67,12 +67,12 @@ fn stress_launch_storm_exactly_once() {
         // A helper job whose launch the caller finished alone runs (to
         // nothing) later: executed trails pushed until the pool is quiet.
         let report = pool.metrics().report();
-        assert!(report.jobs_executed <= report.injector_pushes);
-        while pool.metrics().report().jobs_executed < report.injector_pushes {
+        assert!(report.jobs_executed <= report.jobs_pushed);
+        while pool.metrics().report().jobs_executed < report.jobs_pushed {
             std::thread::yield_now();
         }
         let report = pool.metrics().report();
-        assert_eq!(report.jobs_executed, report.injector_pushes);
+        assert_eq!(report.jobs_executed, report.jobs_pushed);
     }
 }
 
@@ -111,7 +111,7 @@ fn stress_skewed_stealing_conserves_rows() {
 fn stress_concurrent_launchers_share_one_pool() {
     // Several caller threads issue launches against the same pool at once
     // (the engine's run_batch pattern under concurrent serving) — jobs
-    // from different launches interleave in the injector.
+    // from different launches interleave in the queue.
     let deadline = stress_deadline();
     let pool = Arc::new(ThreadPool::new(4));
     let total = Arc::new(AtomicUsize::new(0));

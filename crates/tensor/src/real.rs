@@ -50,15 +50,11 @@ pub trait Real:
     /// Negative infinity — the initial value of the running softmax maximum
     /// `m` in Algorithm 1.
     fn neg_infinity() -> Self;
-    /// Positive infinity.
-    fn infinity() -> Self;
     /// Quiet NaN.
     fn nan() -> Self;
 
     /// `e^self`.
     fn exp(self) -> Self;
-    /// Natural logarithm.
-    fn ln(self) -> Self;
     /// `√self`.
     fn sqrt(self) -> Self;
     /// Absolute value.
@@ -67,8 +63,6 @@ pub trait Real:
     fn max(self, other: Self) -> Self;
     /// IEEE minimum.
     fn min(self, other: Self) -> Self;
-    /// Fused or unfused multiply-add; `self * a + b`.
-    fn mul_add(self, a: Self, b: Self) -> Self;
     /// Reciprocal `1 / self`.
     fn recip(self) -> Self;
 
@@ -118,20 +112,12 @@ macro_rules! impl_real {
                 <$t>::NEG_INFINITY
             }
             #[inline(always)]
-            fn infinity() -> Self {
-                <$t>::INFINITY
-            }
-            #[inline(always)]
             fn nan() -> Self {
                 <$t>::NAN
             }
             #[inline(always)]
             fn exp(self) -> Self {
                 self.exp()
-            }
-            #[inline(always)]
-            fn ln(self) -> Self {
-                self.ln()
             }
             #[inline(always)]
             fn sqrt(self) -> Self {
@@ -148,12 +134,6 @@ macro_rules! impl_real {
             #[inline(always)]
             fn min(self, other: Self) -> Self {
                 self.min(other)
-            }
-            #[inline(always)]
-            fn mul_add(self, a: Self, b: Self) -> Self {
-                // Plain multiply-add: `fma` is not reliably fast on all
-                // targets and changes rounding vs the reference kernels.
-                self * a + b
             }
             #[inline(always)]
             fn recip(self) -> Self {

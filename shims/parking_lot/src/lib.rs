@@ -1,152 +1,5 @@
-#![warn(missing_docs)]
-//! Offline stand-in for the crates.io
-//! [`parking_lot`](https://docs.rs/parking_lot/0.12) crate.
-//!
-//! Implements the `parking_lot`-shaped API this workspace uses —
-//! [`Mutex::lock`] returning a guard directly (no `Result`),
-//! [`Mutex::into_inner`] returning `T`, and [`Condvar::wait`] taking
-//! `&mut MutexGuard` — as thin wrappers over `std::sync`. Lock poisoning is
-//! deliberately ignored, matching real `parking_lot` semantics: a panic
-//! while holding the lock does not wedge later lockers (the workspace's
-//! `parallel_for` relies on this to stay usable after a propagated panic).
-
-use std::ops::{Deref, DerefMut};
-use std::sync;
-
-/// Mutual-exclusion lock whose `lock` never fails (subset of
-/// `parking_lot::Mutex`).
-#[derive(Debug, Default)]
-pub struct Mutex<T> {
-    inner: sync::Mutex<T>,
-}
-
-impl<T> Mutex<T> {
-    /// Wrap `value` in a new mutex.
-    pub fn new(value: T) -> Self {
-        Mutex {
-            inner: sync::Mutex::new(value),
-        }
-    }
-
-    /// Acquire the lock, blocking until available.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(|p| p.into_inner())),
-        }
-    }
-
-    /// Consume the mutex, returning the protected value.
-    pub fn into_inner(self) -> T {
-        self.inner.into_inner().unwrap_or_else(|p| p.into_inner())
-    }
-}
-
-/// RAII guard released on drop (subset of `parking_lot::MutexGuard`).
-///
-/// The inner `Option` is only ever `None` transiently inside
-/// [`Condvar::wait`], which moves the std guard through the std condvar and
-/// puts the re-acquired guard back before returning.
-#[derive(Debug)]
-pub struct MutexGuard<'a, T> {
-    inner: Option<sync::MutexGuard<'a, T>>,
-}
-
-impl<T> Deref for MutexGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard taken during wait")
-    }
-}
-
-impl<T> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard taken during wait")
-    }
-}
-
-/// Condition variable paired with [`Mutex`] (subset of
-/// `parking_lot::Condvar`).
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    /// New condition variable.
-    pub fn new() -> Self {
-        Condvar::default()
-    }
-
-    /// Atomically release the guard's lock and block until notified;
-    /// the lock is re-acquired before returning.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let std_guard = guard.inner.take().expect("guard taken during wait");
-        let reacquired = self
-            .inner
-            .wait(std_guard)
-            .unwrap_or_else(|p| p.into_inner());
-        guard.inner = Some(reacquired);
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake every waiter.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn lock_and_mutate() {
-        let m = Mutex::new(1);
-        *m.lock() += 41;
-        assert_eq!(*m.lock(), 42);
-        assert_eq!(m.into_inner(), 42);
-    }
-
-    #[test]
-    fn condvar_roundtrip() {
-        let shared = Arc::new((Mutex::new(0usize), Condvar::new()));
-        let n = 4;
-        let handles: Vec<_> = (0..n)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    let (m, cv) = &*shared;
-                    *m.lock() += 1;
-                    cv.notify_all();
-                })
-            })
-            .collect();
-        let (m, cv) = &*shared;
-        let mut done = m.lock();
-        while *done < n {
-            cv.wait(&mut done);
-        }
-        drop(done);
-        for h in handles {
-            h.join().unwrap();
-        }
-    }
-
-    #[test]
-    fn poisoned_lock_still_usable() {
-        let m = Arc::new(Mutex::new(0));
-        let m2 = Arc::clone(&m);
-        let _ = std::thread::spawn(move || {
-            let _g = m2.lock();
-            panic!("poison");
-        })
-        .join();
-        assert_eq!(*m.lock(), 0, "lock survives a poisoning panic");
-    }
-}
+//! Empty. `gpa-parallel` locks through `std::sync`, so nothing in the
+//! workspace uses this package. It is kept only because the frozen
+//! serving benchmark's lock file (`benchmark/Cargo.lock`) names it as a
+//! dependency of `gpa-parallel`; it goes, with that lock entry, when the
+//! benchmark is next changed.
